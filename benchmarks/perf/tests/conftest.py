@@ -1,0 +1,7 @@
+"""Make the benchmark's modules importable (it is a script directory,
+not a package)."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
