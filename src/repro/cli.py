@@ -112,28 +112,19 @@ def run_bench(short_id: str) -> None:
     if trace_path:
         from repro import obs
         ob = obs.enable()
-    run_ctx = None
-    from repro.obs.runs import env_runs_root, get_run, recording_run
-    if env_runs_root() is not None and get_run() is None:
-        run_ctx = recording_run(config={"kind": "bench",
-                                        "bench": short_id})
-        writer = run_ctx.__enter__()
-        print(f"[runs] recording run {writer.manifest.run_id}")
+    from repro.obs.loop import LoopTelemetry
     sys.path.insert(0, str(path.parent))  # for `import conftest`
     try:
-        spec = importlib.util.spec_from_file_location(path.stem, path)
-        assert spec is not None and spec.loader is not None
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        module.run(verbose=True)
+        with LoopTelemetry("bench", config={"bench": short_id}) as tel:
+            if tel.run_id is not None:
+                print(f"[runs] recording run {tel.run_id}")
+            spec = importlib.util.spec_from_file_location(path.stem, path)
+            assert spec is not None and spec.loader is not None
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            module.run(verbose=True)
     finally:
         sys.path.remove(str(path.parent))
-        if run_ctx is not None:
-            if ob is not None and run_ctx.run is not None \
-                    and run_ctx.run.manifest.status != "complete":
-                run_ctx.run.finalize(
-                    registry_snapshot=ob.registry.snapshot())
-            run_ctx.__exit__(None, None, None)
         if ob is not None:
             from repro import obs
             assert ob.recorder is not None
@@ -560,7 +551,7 @@ def _cmd_overhead(fast: bool, steps: int | None) -> int:
         measuring_overhead,
         overhead_metrics,
     )
-    from repro.obs.runs import RunStore, RunWriter, set_run
+    from repro.obs.runs import RunStore, recording_run
     from repro.train.data import ClusteredTokenTask
     from repro.train.trainer import train_model
 
@@ -579,22 +570,14 @@ def _cmd_overhead(fast: bool, steps: int | None) -> int:
 
     ob = obs.enable()
     try:
-        with tempfile.TemporaryDirectory() as tmp:
-            run = RunWriter.create(root=tmp, seed=0, config=config,
-                                   substrate="functional")
-            set_run(run)
-            try:
-                with measuring_overhead() as led:
-                    train_model(model, task.sample(1024),
-                                task.sample(256), steps=n_steps,
-                                batch_size=512)
-                event_counts = Counter(
-                    e.get("kind", "?")
-                    for e in RunStore(tmp).events(run.manifest.run_id))
-                run.finalize(registry_snapshot=ob.registry.snapshot())
-                run.close()
-            finally:
-                set_run(None)
+        with tempfile.TemporaryDirectory() as tmp, \
+                recording_run(root=tmp, seed=0, config=config) as run:
+            with measuring_overhead() as led:
+                train_model(model, task.sample(1024), task.sample(256),
+                            steps=n_steps, batch_size=512)
+            event_counts = Counter(
+                e.get("kind", "?")
+                for e in RunStore(tmp).events(run.manifest.run_id))
         led.publish(ob)
         print(led.render())
         print()
@@ -712,27 +695,32 @@ def _cmd_serve(name: str | None, list_only: bool, run_all: bool,
         raise SystemExit(
             "repro serve: give a workload name, --all, or --list")
 
-    ob = obs.enable()
-    live_server = None
-    live_run = None
-    if live_port is not None:
-        # Pre-create the run so the live server has a directory to
-        # tail from the very first batch; serve_workload sees an
-        # active run and records into it instead of making its own.
-        from repro.obs.live import LiveServer
-        from repro.obs.runs import RunWriter, set_run
+    from contextlib import ExitStack
 
-        live_run = RunWriter.create(
-            seed=seed if seed is not None else 0,
-            config={"kind": "serve_live", "fast": fast,
-                    "workloads": [wl.name for wl in targets]},
-            substrate="serve")
-        set_run(live_run)
-        live_server = LiveServer(live_run.directory,
-                                 port=live_port).start()
-        print(f"[live] run {live_run.manifest.run_id} at "
-              f"{live_server.url} (/metrics /events /healthz /)")
-    try:
+    with ExitStack() as stack:
+        ob = obs.enable()
+        stack.callback(obs.disable)
+        if live_port is not None:
+            # Pre-create the run so the live server has a directory to
+            # tail from the very first batch; serve_workload sees an
+            # active run and records into it instead of making its own.
+            from repro.obs.live import LiveServer
+            from repro.obs.runs import recording_run
+
+            run_ctx = recording_run(
+                seed=seed if seed is not None else 0,
+                config={"kind": "serve_live", "fast": fast,
+                        "workloads": [wl.name for wl in targets]},
+                substrate="serve")
+            live_run = run_ctx.__enter__()
+            live_server = LiveServer(live_run.directory,
+                                     port=live_port).start()
+            # Exit order is LIFO: the run finalizes first, so SSE
+            # followers get their "end" before the server stops.
+            stack.callback(live_server.stop)
+            stack.push(run_ctx)
+            print(f"[live] run {live_run.manifest.run_id} at "
+                  f"{live_server.url} (/metrics /events /healthz /)")
         results = []
         for wl in targets:
             result = serve_workload(wl, fast=fast, seed=seed,
@@ -756,17 +744,6 @@ def _cmd_serve(name: str | None, list_only: bool, run_all: bool,
             ob.recorder.dump_chrome_trace(trace_path)
             print(f"[obs] wrote {len(ob.recorder)} trace events to "
                   f"{trace_path}")
-    finally:
-        if live_run is not None:
-            from repro.obs.runs import set_run
-
-            live_run.finalize(
-                registry_snapshot=ob.registry.snapshot())
-            live_run.close()
-            set_run(None)
-        if live_server is not None:
-            live_server.stop()
-        obs.disable()
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -844,19 +821,6 @@ def _cmd_route(run: str, fast: bool, seed: int, runs_dir: str | None,
     return 0
 
 
-def _profile_run_ctx(kind: str, config: dict):
-    """An active run-registry context when ``REPRO_RUNS_DIR`` is set,
-    else a no-op — profiling shouldn't litter run directories unless
-    the registry was asked for."""
-    from contextlib import nullcontext
-
-    from repro.obs.runs import env_runs_root, recording_run
-
-    if env_runs_root() is None:
-        return nullcontext(None)
-    return recording_run(config={"kind": kind, **config}, seed=0)
-
-
 def _dtype_speedup_probe(repeats: int = 3) -> tuple[float, float, float]:
     """Measured step-wall ratio ``float64 / active dtype``.
 
@@ -918,6 +882,7 @@ def _cmd_profile(target: str, batch: int, trace_path: str | None,
     from repro.autograd.tensor import Tensor
     from repro.bench.report import Metric, emit
     from repro.core.substrate import default_dtype
+    from repro.obs.loop import LoopTelemetry
     from repro.obs.profiler import Profiler, profiling
 
     if target not in ("step", "layer"):
@@ -925,8 +890,8 @@ def _cmd_profile(target: str, batch: int, trace_path: str | None,
                          "(expected 'step' or 'layer')")
     rng = np.random.default_rng(0)
     prof = Profiler()
-    with _profile_run_ctx("profile", {"target": target,
-                                      "batch": batch}) as run:
+    with LoopTelemetry("profile", seed=0,
+                       config={"target": target, "batch": batch}) as tel:
         if target == "step":
             from repro.nn.models import MoEClassifier
             from repro.train.data import ClusteredTokenTask
@@ -960,18 +925,17 @@ def _cmd_profile(target: str, batch: int, trace_path: str | None,
         summary = prof.summary()
         print(prof.render())
         totals = summary["totals"]
-        if run is not None:
-            run.emit("profile", data={
-                "target": target,
-                "totals": totals,
-                "peak_bytes": summary["peak_bytes"],
-                "by_stage": summary["by_stage"],
-                "by_phase": summary["by_phase"],
-                "alloc_timeline": summary["alloc_timeline"]})
-            run.update_summary({
-                "profile.peak_bytes": float(summary["peak_bytes"]),
-                "profile.total_flops": float(totals["flops"]),
-                "profile.ops": float(totals["ops"])})
+        tel.event("profile", {
+            "target": target,
+            "totals": totals,
+            "peak_bytes": summary["peak_bytes"],
+            "by_stage": summary["by_stage"],
+            "by_phase": summary["by_phase"],
+            "alloc_timeline": summary["alloc_timeline"]})
+        tel.summary({
+            "profile.peak_bytes": float(summary["peak_bytes"]),
+            "profile.total_flops": float(totals["flops"]),
+            "profile.ops": float(totals["ops"])})
         metrics = [Metric("peak_bytes", float(summary["peak_bytes"]),
                           unit="B", kind="model", tolerance=0.10),
                    Metric("total_flops", float(totals["flops"]),
@@ -1029,16 +993,15 @@ def _cmd_calibrate(fast: bool, seed: int, json_path: str | None) -> None:
         report_to_json,
         run_calibration,
     )
+    from repro.obs.loop import LoopTelemetry
 
     report = run_calibration(fast=fast, seed=seed)
     print(report.render())
-    with _profile_run_ctx("calibrate",
-                          {"profile": report.profile}) as run:
-        if run is not None:
-            run.emit("calibration", data=report.to_json_obj())
-            run.update_summary({
-                "calibration.sim_vs_measured_p95_err":
-                    report.sim_vs_measured_p95_err})
+    with LoopTelemetry("calibrate", seed=0,
+                       config={"profile": report.profile}) as tel:
+        tel.event("calibration", report.to_json_obj())
+        tel.summary({"calibration.sim_vs_measured_p95_err":
+                     report.sim_vs_measured_p95_err})
         emit_calibration(report, verbose=True)
     if json_path:
         Path(json_path).write_text(report_to_json(report) + "\n")

@@ -227,12 +227,6 @@ def moe_layer_forward(x: np.ndarray, params: MoELayerParams,
         if ob is not None:
             ob.record_routing(stats)
         if run is not None:
-            run.emit("routing", data={
-                "layer": 0,
-                "entropy": stats.routing_entropy,
-                "gini": stats.load_gini,
-                "dropped_fraction": stats.dropped_fraction,
-                "needed_capacity_factor": stats.needed_capacity_factor,
-                "expert_load": list(stats.expert_load)})
+            run.emit("routing", data=stats.event_payload(0))
     return MoEOutput(output=output, l_aux=l_aux, crit=crit,
                      effective_capacity_factor=eff_f)

@@ -131,6 +131,15 @@ class RoutingStats:
             return 0.0
         return self.needed_capacity * self.num_experts / slots
 
+    def event_payload(self, layer: int) -> dict:
+        """The run registry's ``routing`` event for this layer."""
+        return {"layer": layer,
+                "entropy": self.routing_entropy,
+                "gini": self.load_gini,
+                "dropped_fraction": self.dropped_fraction,
+                "needed_capacity_factor": self.needed_capacity_factor,
+                "expert_load": list(self.expert_load)}
+
     def describe(self) -> str:
         return (f"T={self.num_tokens} E={self.num_experts} "
                 f"k={self.top_k} dC={self.capacity} "

@@ -100,8 +100,8 @@ class MoE(Module):
         self.last_needed_capacity_factor: float | None = None
         self.last_effective_capacity_factor: float | None = None
         self.last_dropped_fraction: float | None = None
-        # Full routing summary of the latest forward — the trainer's
-        # run-registry events and health detectors read this, so it is
+        # Full routing summary of the latest forward — the loops'
+        # run-registry events and alert rules read this, so it is
         # computed unconditionally (cheap next to the expert GEMMs).
         self.last_routing_stats: RoutingStats | None = None
         # Raw routing decisions of the latest forward — the routing

@@ -174,42 +174,24 @@ class Observer:
         return _Span(self, name, cat, track, args)
 
     def _finish_span(self, sp: _Span) -> None:
-        end = self.clock()
-        dur = end - sp.start
-        led = _overhead_ledger()
-        if led is None:
-            self.registry.histogram(f"{sp.cat}.{sp.name}").observe(dur)
-            if self.recorder is not None:
-                self.recorder.span(sp.name, sp.cat, sp.start, dur,
-                                   track=sp.track, args=sp.args)
-            return
-        t0 = _perf_ns()
-        self.registry.histogram(f"{sp.cat}.{sp.name}").observe(dur)
-        t1 = _perf_ns()
-        led.add("metrics", t1 - t0)
-        if self.recorder is not None:
-            self.recorder.span(sp.name, sp.cat, sp.start, dur,
-                               track=sp.track, args=sp.args)
-            led.add("trace", _perf_ns() - t1)
+        self.record_span(sp.name, sp.cat, sp.start,
+                         self.clock() - sp.start, track=sp.track,
+                         args=sp.args)
 
     def record_span(self, name: str, cat: str, start: float, dur: float,
                     track: str = "main", args: dict | None = None) -> None:
         """Record a span with explicit timestamps (simulated clocks)."""
         led = _overhead_ledger()
-        if led is None:
-            self.registry.histogram(f"{cat}.{name}").observe(dur)
-            if self.recorder is not None:
-                self.recorder.span(name, cat, start, dur, track=track,
-                                   args=args)
-            return
-        t0 = _perf_ns()
+        t0 = _perf_ns() if led is not None else 0
         self.registry.histogram(f"{cat}.{name}").observe(dur)
-        t1 = _perf_ns()
-        led.add("metrics", t1 - t0)
+        t1 = _perf_ns() if led is not None else 0
         if self.recorder is not None:
             self.recorder.span(name, cat, start, dur, track=track,
                                args=args)
-            led.add("trace", _perf_ns() - t1)
+        if led is not None:
+            led.add("metrics", t1 - t0)
+            if self.recorder is not None:
+                led.add("trace", _perf_ns() - t1)
 
     def instant(self, name: str, cat: str = CAT_BENCH,
                 track: str = "main", args: dict | None = None) -> None:
@@ -232,21 +214,17 @@ class Observer:
 
     def count(self, name: str, amount: float = 1.0) -> None:
         led = _overhead_ledger()
-        if led is None:
-            self.registry.counter(name).inc(amount)
-            return
-        t0 = _perf_ns()
+        t0 = _perf_ns() if led is not None else 0
         self.registry.counter(name).inc(amount)
-        led.add("metrics", _perf_ns() - t0)
+        if led is not None:
+            led.add("metrics", _perf_ns() - t0)
 
     def gauge(self, name: str, value: float) -> None:
         led = _overhead_ledger()
-        if led is None:
-            self.registry.gauge(name).set(value)
-            return
-        t0 = _perf_ns()
+        t0 = _perf_ns() if led is not None else 0
         self.registry.gauge(name).set(value)
-        led.add("metrics", _perf_ns() - t0)
+        if led is not None:
+            led.add("metrics", _perf_ns() - t0)
 
     # -- per-step routing history (the Figure 1 series) ----------------
 

@@ -200,7 +200,7 @@ def build_series(events: Iterable[Mapping]) -> RunSeries:
             series.expert_load.setdefault(layer, []).append(
                 list(data.get("expert_load", [])))
         elif kind == "alert":
-            series.alerts.append(dict(data))
+            series.alerts.append({"step": step, **data})
         elif kind in _TIMELINE_KINDS:
             # A payload's own "kind" (e.g. fault -> "expert_failure")
             # must not clobber the event kind the glyph map keys on.
@@ -648,18 +648,21 @@ def render_dashboard(store: RunStore, token: str = "latest",
     manifest = store.manifest(run_id)
     series = build_series(store.events(run_id))
 
-    step_markers = [(a.get("step", 0), a.get("severity", "warn"),
+    # Markers and the tile count firing transitions; the table below
+    # also lists the resolves.
+    fired = [a for a in series.alerts if a.get("state") != "resolved"]
+    step_markers = [(a.get("step") or 0, a.get("severity", "warn"),
                      f'{a.get("kind", "alert")}: '
                      f'{a.get("message", "")}')
-                    for a in series.alerts if a.get("layer") is None]
-    critical = sum(1 for a in series.alerts
+                    for a in fired if a.get("layer") is None]
+    critical = sum(1 for a in fired
                    if a.get("severity") == "critical")
 
     tiles = [
         _tile("steps", str(len(series.steps))),
         _tile("final loss",
               _fmt(series.loss[-1]) if series.loss else "–"),
-        _tile("alerts", str(len(series.alerts)),
+        _tile("alerts", str(len(fired)),
               note=f"{critical} critical" if critical else ""),
         _tile("seed", str(manifest.seed)
               if manifest.seed is not None else "–"),
@@ -737,10 +740,10 @@ def render_dashboard(store: RunStore, token: str = "latest",
     panels.extend(_routing_panels(series))
 
     for layer in series.layers:
-        lmarkers = [(a.get("step", 0), a.get("severity", "warn"),
+        lmarkers = [(a.get("step") or 0, a.get("severity", "warn"),
                      f'{a.get("kind", "alert")}: '
                      f'{a.get("message", "")}')
-                    for a in series.alerts if a.get("layer") == layer]
+                    for a in fired if a.get("layer") == layer]
         steps = series.routing_steps[layer]
         panels.append(_panel(
             f"layer {layer} · routing entropy (normalized)",

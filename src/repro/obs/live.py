@@ -16,7 +16,7 @@ directory and serves it over HTTP with nothing but the stdlib:
     ``Last-Event-ID`` header (or ``?from=SEQ``).  ``?max=N`` closes
     the stream after N events (curl-friendly smoke tests); otherwise
     the stream follows the file until the manifest reports the run
-    complete.
+    ``complete`` or ``failed``, then sends ``event: end``.
 ``/healthz``
     JSON liveness summary: run id, status, last seq, firing alerts.
 ``/``
@@ -28,12 +28,15 @@ The :class:`RunTailer` is the read side of the per-line append+flush
 contract of :class:`repro.obs.runs.RunWriter`: it incrementally reads
 complete lines (a trailing partial line stays buffered until the
 writer finishes it), folds events into its own
-:class:`~repro.obs.registry.MetricsRegistry`, and ticks its own
-:class:`~repro.obs.alerts.AlertEngine` on the deterministic step /
-batch ticks found in the stream.  The tailer never writes to the run
+:class:`~repro.obs.registry.MetricsRegistry`, and feeds every event
+to its own :class:`~repro.obs.alerts.AlertEngine` through
+``AlertEngine.observe`` — the same event→sample fold, ticking on the
+same ``step`` / ``step_skipped`` / ``serve_batch`` events, as the
+in-process engine that wrote the stream, so replaying a recorded run
+reproduces its alert transitions.  The tailer never writes to the run
 directory — out-of-process observers must not rewrite caller-owned
 streams — so its alert state lives only in the scrape registry, while
-in-process engines (trainer, serving engine) own the alert *events*.
+the in-process engine owns the alert *events*.
 """
 
 from __future__ import annotations
@@ -47,19 +50,17 @@ from typing import Sequence
 from urllib.parse import parse_qs, urlsplit
 
 from repro.obs.alerts import (
+    ALERTS_FAMILY,
     AlertEngine,
     AlertRule,
     default_rules,
-    merge_worst,
-    routing_samples,
+    event_samples,
 )
 from repro.obs.prometheus import labeled_name, render_prometheus
 from repro.obs.registry import MetricsRegistry
-from repro.obs.runs import RunStore
+from repro.obs.runs import TERMINAL_STATUSES, RunStore
 
 __all__ = ["RunTailer", "LiveServer"]
-
-ALERTS_FAMILY = "ALERTS"
 
 
 class RunTailer:
@@ -86,7 +87,6 @@ class RunTailer:
         self.skipped_lines = 0
         self._offset = 0
         self._buffer = ""
-        self._pending: dict[str, float] = {}
 
     # -- file tailing --------------------------------------------------
 
@@ -134,8 +134,9 @@ class RunTailer:
         self.run_id = manifest.get("run_id", self.run_id)
 
     def complete(self) -> bool:
+        """Has the run reached a terminal status (complete/failed)?"""
         with self.lock:
-            return self.status == "complete"
+            return self.status in TERMINAL_STATUSES
 
     def snapshot_events(self) -> list[dict]:
         with self.lock:
@@ -144,10 +145,6 @@ class RunTailer:
     def render_metrics(self) -> str:
         with self.lock:
             return render_prometheus(self.registry)
-
-    def alerts_firing(self) -> list[str]:
-        with self.lock:
-            return self.engine.firing()
 
     # -- folding -------------------------------------------------------
 
@@ -161,81 +158,25 @@ class RunTailer:
         reg = self.registry
         reg.counter("run.events_total").inc()
         reg.counter(f"run.events.{kind}").inc()
-        self.engine.stream_hook(event)
+        for name, series in event_samples(event).items():
+            for labels, value in series.items():
+                reg.gauge(labeled_name(name, dict(labels))).set(value)
+        self.engine.observe(event, registry=reg)
         reg.gauge("faults.outstanding").set(
             self.engine.outstanding_faults)
-
-        if kind == "step":
-            if "loss" in data:
-                reg.gauge("train.loss").set(float(data["loss"]))
-            if "grad_norm" in data:
-                reg.gauge("train.grad_norm").set(
-                    float(data["grad_norm"]))
-            if "loss" in data:
-                self._pending["train.loss"] = float(data["loss"])
-            self._tick(int(event.get("step") or 0))
-        elif kind == "routing":
-            merge_worst(self._pending, routing_samples(
-                data.get("entropy"), data.get("dropped_fraction"),
-                data.get("expert_load")))
-            for key in ("routing.entropy", "routing.dropped_fraction",
-                        "routing.min_expert_share"):
-                if key in self._pending:
-                    reg.gauge(key).set(self._pending[key])
-        elif kind == "routing_load":
-            merge_worst(self._pending, _routing_load_samples(data))
-        elif kind == "serve_batch":
-            for key, name in (("p99_ms", "serve.model_p99_ms"),
-                              ("p50_ms", "serve.model_p50_ms"),
-                              ("queue_depth", "serve.queue_depth"),
-                              ("goodput_rps", "serve.goodput_rps")):
-                if key in data:
-                    value = float(data[key])
-                    reg.gauge(name).set(value)
-                    self._pending[name] = value
-            self._tick(int(event.get("step") or 0))
-        elif kind == "alert":
+        if kind == "alert":
             # Mirror in-process alert engines (trainer / serving) into
-            # the scrape registry's ALERTS family.
+            # the scrape registry's ALERTS family, one sample per
+            # labeled series.
             name = data.get("alertname") or data.get("kind")
             if name:
                 gname = labeled_name(ALERTS_FAMILY, {
                     "alertname": str(name),
-                    "severity": str(data.get("severity", "warn"))})
+                    "severity": str(data.get("severity", "warn")),
+                    **{k: str(data[k]) for k in ("layer", "expert")
+                       if data.get(k) is not None}})
                 firing = data.get("state", "firing") != "resolved"
                 reg.gauge(gname).set(1.0 if firing else 0.0)
-
-    def _tick(self, tick: int) -> None:
-        self._pending.setdefault(
-            "faults.outstanding", float(self.engine.outstanding_faults))
-        self.engine.evaluate(tick, self._pending,
-                             registry=self.registry)
-        self._pending = {}
-
-
-def _routing_load_samples(data: dict) -> dict[str, float]:
-    """Routing-health samples from a cumulative ``routing_load``
-    payload (the serving engine's per-batch running totals)."""
-    loads = data.get("loads") or []
-    samples: dict[str, float] = {}
-    min_share = None
-    routed = 0.0
-    for row in loads:
-        total = float(sum(row))
-        routed += total
-        if total > 0 and row:
-            share = min(float(v) for v in row) * len(row) / total
-            min_share = (share if min_share is None
-                         else min(min_share, share))
-    if min_share is not None:
-        samples["routing.min_expert_share"] = min_share
-    dispatched = data.get("dispatched") or []
-    sent = float(sum(sum(sum(b) for b in layer)
-                     for layer in dispatched))
-    if routed > 0:
-        samples["routing.dropped_fraction"] = max(
-            0.0, (routed - sent) / routed)
-    return samples
 
 
 # ----------------------------------------------------------------------

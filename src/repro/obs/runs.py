@@ -9,7 +9,8 @@ registry root (``REPRO_RUNS_DIR``, default ``.repro_runs/``):
     Schema-versioned identity: run id, creation timestamp (passed in
     or wall clock), seed, substrate, free-form config dict plus its
     :func:`repro.bench.report.config_fingerprint`, best-effort
-    ``git describe``, status, and — once finalized — a summary dict.
+    ``git describe``, status (``running``, then ``complete`` or
+    ``failed``), and — once finalized — a summary dict.
 ``<root>/<run_id>/events.jsonl``
     The append-only event stream.  One JSON object per line:
     ``{"schema": 1, "seq": n, "kind": str, "step": int|null,
@@ -25,8 +26,8 @@ registry root (``REPRO_RUNS_DIR``, default ``.repro_runs/``):
 A module-global *active run* mirrors the observer pattern of
 :mod:`repro.obs`: instrumented call sites do one ``is None`` check via
 :func:`get_run` and stay zero-cost when no run is recording.  The
-trainer auto-opens a run when ``REPRO_RUNS_DIR`` is set, benches do the
-same through the CLI, and :class:`RunStore` answers the offline
+loops' :class:`repro.obs.loop.LoopTelemetry` auto-opens a run when
+``REPRO_RUNS_DIR`` is set, and :class:`RunStore` answers the offline
 questions (``repro runs list|show|diff|gc``, ``repro dashboard``).
 """
 
@@ -46,6 +47,7 @@ from repro.obs.overhead import get_ledger, perf_ns
 
 __all__ = [
     "RUN_SCHEMA_VERSION",
+    "TERMINAL_STATUSES",
     "DEFAULT_RUNS_DIR",
     "RunManifest",
     "RunWriter",
@@ -57,11 +59,12 @@ __all__ = [
     "set_run",
     "recording_run",
     "parse_events_text",
-    "add_stream_hook",
-    "remove_stream_hook",
 ]
 
 RUN_SCHEMA_VERSION = 1
+
+#: Manifest statuses a run never leaves (readers stop following it).
+TERMINAL_STATUSES = ("complete", "failed")
 
 #: Registry root used when ``REPRO_RUNS_DIR`` is unset.
 DEFAULT_RUNS_DIR = ".repro_runs"
@@ -96,26 +99,6 @@ def parse_events_text(text: str) -> list[dict]:
                 break          # torn final line from a live writer
             raise
     return events
-
-
-# Observers of the live event stream (the alert engine's fault
-# tracker).  Module-level so any emitter — trainer, serving engine,
-# scenario engine, resilience paths — feeds the same hooks; emit()
-# pays one truthiness check when no hook is registered.
-_stream_hooks: list = []
-
-
-def add_stream_hook(hook) -> None:
-    """Register ``hook(event_dict)`` to run on every emitted event."""
-    _stream_hooks.append(hook)
-
-
-def remove_stream_hook(hook) -> None:
-    """Unregister a hook previously added (no-op when absent)."""
-    try:
-        _stream_hooks.remove(hook)
-    except ValueError:
-        pass
 
 
 def env_runs_root() -> Path | None:
@@ -155,7 +138,7 @@ class RunManifest:
     substrate: str = "functional"
     config: dict = field(default_factory=dict)
     git: str = "unknown"
-    status: str = "running"            # or "complete"
+    status: str = "running"            # then "complete" or "failed"
     summary: dict = field(default_factory=dict)
     schema: int = RUN_SCHEMA_VERSION
 
@@ -215,6 +198,9 @@ class RunWriter:
         self.directory = Path(directory)
         self.manifest = manifest
         self.current_step: int | None = None
+        #: Called with every emitted event dict, whoever emits it — the
+        #: loop attachment points this at its alert engine.
+        self.on_event = None
         self._seq = next_seq
         self._fh: IO[str] | None = None
 
@@ -296,12 +282,6 @@ class RunWriter:
             self._fh.close()
             self._fh = None
 
-    def __enter__(self) -> "RunWriter":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
     # -- event stream --------------------------------------------------
 
     def begin_step(self, step: int) -> None:
@@ -324,9 +304,8 @@ class RunWriter:
         self._fh.flush()
         if led is not None:
             led.add("events", perf_ns() - t0)
-        if _stream_hooks:
-            for hook in list(_stream_hooks):
-                hook(event)
+        if self.on_event is not None:
+            self.on_event(event)
 
     def update_summary(self, summary: Mapping) -> None:
         """Merge keys into the manifest summary without completing the
@@ -336,15 +315,25 @@ class RunWriter:
         _write_manifest(self.directory, self.manifest)
 
     def finalize(self, registry_snapshot: Mapping | None = None,
-                 summary: Mapping | None = None) -> None:
-        """Mark the run complete; persist summary + metrics snapshot."""
+                 summary: Mapping | None = None,
+                 error: BaseException | None = None) -> None:
+        """Give the run its terminal status; persist summary + metrics.
+
+        ``complete``, or — when ``error`` is the exception that ended
+        the run — ``failed`` with the exception type in the summary,
+        so a crashed run never reads as running or as a pass.
+        """
         if registry_snapshot is not None:
             (self.directory / _METRICS).write_text(
                 json.dumps(registry_snapshot, indent=1, sort_keys=True)
                 + "\n")
-        self.manifest.status = "complete"
         if summary is not None:
             self.manifest.summary = dict(summary)
+        if error is None:
+            self.manifest.status = "complete"
+        else:
+            self.manifest.status = "failed"
+            self.manifest.summary["error"] = type(error).__name__
         _write_manifest(self.directory, self.manifest)
         self.close()
 
@@ -369,7 +358,9 @@ def set_run(run: RunWriter | None) -> RunWriter | None:
 
 
 class recording_run:
-    """Context manager: create, install, and finalize a run.
+    """Context manager: create, install, and finalize a run —
+    ``complete`` with the active observer's metrics snapshot, or
+    ``failed`` when the body raised.
 
     ::
 
@@ -387,10 +378,15 @@ class recording_run:
         self._previous = set_run(self.run)
         return self.run
 
-    def __exit__(self, *exc: object) -> None:
+    def __exit__(self, exc_type, exc, tb) -> None:
         assert self.run is not None
-        if self.run.manifest.status != "complete":
-            self.run.finalize()
+        if self.run.manifest.status not in TERMINAL_STATUSES:
+            from repro.obs import get_observer
+            ob = get_observer()
+            self.run.finalize(
+                registry_snapshot=(ob.registry.snapshot()
+                                   if ob is not None else None),
+                error=exc)
         set_run(self._previous)
 
 

@@ -19,19 +19,19 @@ Scenario` end to end:
   :class:`ElasticResize` re-derives the expert placement and simulates
   the shard movement through :mod:`repro.cluster.simulator`.
 
-Everything is recorded through the run registry when ``REPRO_RUNS_DIR``
-is set — ``scenario`` / ``fault`` / ``recovery`` / ``strategy_switch``
-/ ``slo_check`` events land in the same stream the trainer writes, so
-``repro dashboard`` shows the fault/recovery/SLO timeline.  On a rank
-loss the engine compacts its own run via ``RunWriter.resume`` so the
-replayed steps do not appear twice.
+Everything is recorded through one :class:`~repro.obs.loop.
+LoopTelemetry` when ``REPRO_RUNS_DIR`` is set — ``scenario`` /
+``fault`` / ``recovery`` / ``strategy_switch`` / ``slo_check`` events
+land in the same stream the trainer writes, so ``repro dashboard``
+shows the fault/recovery/SLO timeline.  On a rank loss the engine
+compacts its own run so the replayed steps do not appear twice.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from statistics import median
 from time import perf_counter
@@ -42,8 +42,8 @@ from repro.bench.report import Metric
 from repro.cluster.simulator import Schedule, simulate
 from repro.cluster.topology import ClusterTopology, ndv4_topology
 from repro.core.config import MoEConfig
-from repro.obs import get_observer
-from repro.obs.runs import RunWriter, env_runs_root, get_run, set_run
+from repro.obs.loop import LoopTelemetry
+from repro.obs.runs import set_run
 from repro.parallel.placement import ExpertPlacement, build_placement
 from repro.parallel.strategy import best_strategy
 from repro.collectives.schedule import feasible_a2a_algorithms
@@ -82,6 +82,12 @@ class SLOCheck:
         if self.op == "<=":
             return self.value <= self.bound
         return self.value >= self.bound
+
+    def event_data(self) -> dict:
+        """The run registry's ``slo_check`` event."""
+        return {"name": self.name, "value": self.value,
+                "bound": self.bound, "op": self.op,
+                "measured": self.measured, "passed": self.passed}
 
     def describe(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -267,65 +273,35 @@ def run_scenario(scenario: Scenario, fast: bool = False,
                    else ndv4_topology)
     result = ScenarioResult(scenario=sc, fast=fast)
 
-    auto_run = None
-    if get_run() is None and env_runs_root() is not None:
-        auto_run = RunWriter.create(
-            seed=sc.seed,
-            config={"kind": "scenario", "name": sc.name,
-                    "steps": sc.steps, "fast": fast},
-            substrate="scenario")
-        set_run(auto_run)
-    run = get_run()
-    if run is not None:
-        result.run_id = run.manifest.run_id
-        run.emit("scenario", step=0, data={
+    ckpt_ctx = (tempfile.TemporaryDirectory(prefix="repro-scenario-")
+                if checkpoint_dir is None else nullcontext(checkpoint_dir))
+    with ckpt_ctx as ckpt_dir, LoopTelemetry(
+            "scenario", seed=sc.seed, substrate="scenario",
+            config={"name": sc.name, "steps": sc.steps,
+                    "fast": fast}) as tel:
+        result.run_id = tel.run_id
+        tel.event("scenario", {
             "kind": "begin", "name": sc.name, "seed": sc.seed,
-            "steps": sc.steps, "events": len(sc.events)})
-
-    temp_dir = None
-    if checkpoint_dir is None:
-        temp_dir = tempfile.TemporaryDirectory(prefix="repro-scenario-")
-        checkpoint_dir = temp_dir.name
-    try:
-        _execute(sc, result, checkpoint_dir, topology_fn,
-                 own_run_id=(auto_run.manifest.run_id
-                             if auto_run is not None else None))
-        run = get_run()  # compaction may have swapped the writer
-        if run is not None:
-            for check in result.checks:
-                run.emit("slo_check", step=-1, data={
-                    "name": check.name, "value": check.value,
-                    "bound": check.bound, "op": check.op,
-                    "measured": check.measured,
-                    "passed": check.passed})
-        if auto_run is not None:
-            auto_run = get_run()
-            ob = get_observer()
-            auto_run.finalize(
-                registry_snapshot=(ob.registry.snapshot()
-                                   if ob is not None else None),
-                summary={
-                    "scenario": sc.name,
-                    "passed": result.passed,
-                    "checks": len(result.checks),
-                    "checks_failed": sum(1 for c in result.checks
-                                         if not c.passed),
-                    "final_train_loss": (result.losses[-1]
-                                         if result.losses else None),
-                    "eval_accuracy": result.eval_accuracy,
-                })
-        return result
-    finally:
-        if auto_run is not None:
-            get_run().close()
-            set_run(None)
-        if temp_dir is not None:
-            temp_dir.cleanup()
+            "steps": sc.steps, "events": len(sc.events)}, 0)
+        _execute(sc, result, ckpt_dir, topology_fn, tel)
+        for check in result.checks:
+            tel.event("slo_check", check.event_data(), -1)
+        tel.summary({
+            "scenario": sc.name,
+            "passed": result.passed,
+            "checks": len(result.checks),
+            "checks_failed": sum(1 for c in result.checks
+                                 if not c.passed),
+            "final_train_loss": (result.losses[-1]
+                                 if result.losses else None),
+            "eval_accuracy": result.eval_accuracy,
+        })
+    return result
 
 
 def _execute(sc: Scenario, result: ScenarioResult,
              checkpoint_dir: str, topology_fn,
-             own_run_id: str | None = None) -> None:
+             tel: LoopTelemetry) -> None:
     from repro.train.trainer import train_model
 
     train_batch, test_batch = _build_batches(sc)
@@ -353,11 +329,9 @@ def _execute(sc: Scenario, result: ScenarioResult,
                     result.timeline.append({
                         "step": step, "kind": "expert_death",
                         "layer": ev.layer, "expert": ev.expert})
-                    run = get_run()
-                    if run is not None:
-                        run.emit("fault", step=step, data={
-                            "kind": "expert_failure",
-                            "layer": ev.layer, "expert": ev.expert})
+                    tel.event("fault", {
+                        "kind": "expert_failure",
+                        "layer": ev.layer, "expert": ev.expert}, step)
         return hook
 
     def train_segment(until: int, resume: str | None,
@@ -394,17 +368,10 @@ def _execute(sc: Scenario, result: ScenarioResult,
         replay_steps.append(rl.step - from_step)
 
         # Only a run the engine itself opened gets compacted — the
-        # resumed trainer re-emits the replayed steps and
-        # RunWriter.resume drops the originals (PR4 contract); a
-        # caller-owned stream is never rewritten.
-        run = get_run()
-        if run is not None and own_run_id == run.manifest.run_id:
-            directory = run.directory
-            run.close()
-            run = RunWriter.resume(directory, from_step=from_step)
-            set_run(run)
-        if run is not None:
-            run.begin_step(rl.step)
+        # resumed trainer re-emits the replayed steps and the
+        # compaction drops the originals (PR4 contract).
+        tel.compact(from_step)
+        tel.begin(rl.step)
 
         # Price the recovery on the simulated cluster, under whatever
         # brownout is active at the fault step (compound faults).
@@ -460,19 +427,17 @@ def _execute(sc: Scenario, result: ScenarioResult,
         result.timeline.append({
             "step": ev.end_step, "kind": "brownout_cleared",
             "a2a": healthy.a2a_algorithm.value})
-        run = get_run()
-        if run is not None:
-            run.emit("fault", step=ev.step, data={
-                "kind": "link_brownout", "factor": ev.factor,
-                "asymmetric": ev.asymmetric})
-            if switched:
-                run.emit("strategy_switch", step=ev.step, data={
-                    "from": healthy.a2a_algorithm.value,
-                    "to": browned.a2a_algorithm.value,
-                    "slowdown": slowdown})
-            run.emit("recovery", step=ev.end_step, data={
-                "kind": "brownout_cleared",
-                "a2a": healthy.a2a_algorithm.value})
+        tel.event("fault", {
+            "kind": "link_brownout", "factor": ev.factor,
+            "asymmetric": ev.asymmetric}, ev.step)
+        if switched:
+            tel.event("strategy_switch", {
+                "from": healthy.a2a_algorithm.value,
+                "to": browned.a2a_algorithm.value,
+                "slowdown": slowdown}, ev.step)
+        tel.event("recovery", {
+            "kind": "brownout_cleared",
+            "a2a": healthy.a2a_algorithm.value}, ev.end_step)
 
     replacement_total = 0.0
     moved_total = 0.0
@@ -502,13 +467,11 @@ def _execute(sc: Scenario, result: ScenarioResult,
             "moved_mb": round(moved / 1e6, 3),
             "replace_s": round(seconds, 6),
             "throughput_ratio": round(ratio, 4)})
-        run = get_run()
-        if run is not None:
-            run.emit("scenario", step=ev.step, data={
-                "kind": "elastic_resize", "old_world": world,
-                "new_world": ev.new_world, "moved_bytes": moved,
-                "replacement_seconds": seconds,
-                "throughput_ratio": ratio})
+        tel.event("scenario", {
+            "kind": "elastic_resize", "old_world": world,
+            "new_world": ev.new_world, "moved_bytes": moved,
+            "replacement_seconds": seconds,
+            "throughput_ratio": ratio}, ev.step)
         world = ev.new_world
 
     # -- fault-free twin for the loss-parity bound ----------------------

@@ -33,27 +33,14 @@ import numpy as np
 
 from repro.autograd.tensor import Tensor
 from repro.bench.report import Metric
+from repro.moe.metrics import load_gini
 from repro.nn.moe import MoE
 from repro.obs import CAT_SERVE, Observer, get_observer
 from repro.obs import enable as obs_enable
 from repro.obs import disable as obs_disable
-from repro.obs.alerts import (
-    AlertEngine,
-    default_rules,
-    merge_worst,
-    routing_samples,
-)
-from repro.obs.overhead import get_ledger
+from repro.obs.alerts import default_rules
+from repro.obs.loop import LoopTelemetry
 from repro.obs.registry import Histogram
-from repro.obs.routing import RoutingRecorder
-from repro.obs.runs import (
-    RunWriter,
-    add_stream_hook,
-    env_runs_root,
-    get_run,
-    remove_stream_hook,
-    set_run,
-)
 from repro.scenarios.engine import SLOCheck
 from repro.serve.arrivals import NS, generate_arrivals
 from repro.serve.batcher import BatchFormer
@@ -182,11 +169,8 @@ class ServeResult:
 
 def _measured_walls(ob: Observer) -> dict[str, float]:
     """Cumulative seconds in each MoE stage histogram."""
-    walls = {}
-    for stage, span in _MOE_SPAN_OF_STAGE.items():
-        h = ob.registry.histogram(span)
-        walls[stage] = h.total
-    return walls
+    return {stage: ob.registry.histogram(span).total
+            for stage, span in _MOE_SPAN_OF_STAGE.items()}
 
 
 def _brownout_active(wl: ServeWorkload, at_ns: int) -> bool:
@@ -240,76 +224,61 @@ def serve_workload(workload: ServeWorkload, *, fast: bool = False,
 
     own_obs = get_observer() is None
     ob = obs_enable() if own_obs else get_observer()
-    assert ob is not None
-
-    auto_run = None
-    if get_run() is None and env_runs_root() is not None:
-        auto_run = RunWriter.create(
-            seed=wl.seed,
-            config={"kind": "serve", "workload": wl.name,
-                    "fast": fast, "requests": len(requests)},
-            substrate="serve")
-        set_run(auto_run)
-    run = get_run()
-    alerts = None
-    if run is not None:
-        result.run_id = run.manifest.run_id
-        run.emit("serve", step=0, data={
-            "kind": "begin", "workload": wl.name, "seed": wl.seed,
-            "fast": fast, "requests": len(requests),
-            "horizon_s": wl.arrival.horizon_s})
-        # Per-batch declarative alerting against this workload's SLO
-        # bounds; fault/recovery events (the brownout window) feed the
-        # engine's outstanding-fault count via the run stream hook.
-        alerts = AlertEngine(default_rules(
-            p99_ms=(p99_slo_ms if p99_slo_ms is not None
-                    else wl.slo.p99_ms),
-            min_goodput_rps=wl.slo.min_goodput_rps))
-        add_stream_hook(alerts.stream_hook)
-
-    t_wall0 = time.perf_counter()
+    p99_bound = p99_slo_ms if p99_slo_ms is not None else wl.slo.p99_ms
     try:
-        _serve_loop(wl, requests, result, ob, run, t_wall0=t_wall0,
-                    p99_slo_ms=p99_slo_ms, alerts=alerts)
+        # Per-batch alerting against this workload's SLO bounds; the
+        # brownout's fault/recovery events feed faults.outstanding.
+        with LoopTelemetry(
+                "serve", seed=wl.seed, substrate="serve",
+                config={"workload": wl.name, "fast": fast,
+                        "requests": len(requests)},
+                default_rules=lambda: default_rules(
+                    p99_ms=p99_bound,
+                    min_goodput_rps=wl.slo.min_goodput_rps)) as tel:
+            result.run_id = tel.run_id
+            tel.event("serve", {
+                "kind": "begin", "workload": wl.name, "seed": wl.seed,
+                "fast": fast, "requests": len(requests),
+                "horizon_s": wl.arrival.horizon_s}, 0)
+            _serve_loop(wl, requests, result, ob, tel,
+                        p99_bound=p99_bound)
+            if tel.run is not None:
+                _record_outcome(tel, result)
     finally:
-        if alerts is not None:
-            remove_stream_hook(alerts.stream_hook)
-        run = get_run()
-        if run is not None:
-            for check in result.checks:
-                run.emit("slo_check", step=-1, data={
-                    "name": check.name, "value": check.value,
-                    "bound": check.bound, "op": check.op,
-                    "measured": check.measured,
-                    "passed": check.passed})
-            run.update_summary(_summary(result))
-        if auto_run is not None:
-            get_run().finalize(
-                registry_snapshot=ob.registry.snapshot())
-            get_run().close()
-            set_run(None)
         if own_obs:
             obs_disable()
     return result
 
 
-def _summary(result: ServeResult) -> dict:
-    get_val = {m.name: m.value for m in result.metrics}
-    return {
+def _record_outcome(tel: LoopTelemetry, result: ServeResult) -> None:
+    """The run's closing events and manifest summary."""
+    value = {m.name: m.value for m in result.metrics}
+    tel.event("serving_load", {
+        "workload": result.workload.name,
+        "loads": result.expert_load,
+        "gini": value["expert_load_gini"],
+        "dropped_fraction": value["dropped_fraction"],
+        "span_totals_ns": {
+            s: sum(r.model_spans[s] for r in result.requests)
+            for s in STAGES}})
+    for check in result.checks:
+        tel.event("slo_check", check.event_data(), -1)
+    tel.summary({
         "serve.workload": result.workload.name,
         "serve.requests": len(result.requests),
         "serve.batches": len(result.batches),
-        "serve.model_p99_ms": get_val.get("model_p99_ms"),
-        "serve.goodput_rps": get_val.get("goodput_rps"),
+        "serve.model_p99_ms": value["model_p99_ms"],
+        "serve.goodput_rps": value["goodput_rps"],
         "serve.slo_pass": result.passed,
         "serve.checks_failed": sum(1 for c in result.checks
                                    if not c.passed),
-    }
+    })
 
 
 def _serve_loop(wl: ServeWorkload, requests, result: ServeResult,
-                ob: Observer, run, *, t_wall0: float,
-                p99_slo_ms: float | None, alerts=None) -> None:
+                ob: Observer, tel: LoopTelemetry, *,
+                p99_bound: float) -> None:
+    t_wall0 = time.perf_counter()
     rng = np.random.default_rng(wl.seed)
     layers = [MoE(wl.model_dim, wl.hidden_dim, wl.num_experts, rng,
                   top_k=wl.top_k, capacity_factor=wl.capacity_factor)
@@ -319,7 +288,6 @@ def _serve_loop(wl: ServeWorkload, requests, result: ServeResult,
     loads = [[0] * wl.num_experts for _ in range(wl.num_layers)]
     dropped_tokens = 0
     routed_tokens = 0
-    routing_rec = RoutingRecorder(wl.num_layers, wl.num_experts)
 
     hist_model = Histogram(f"serve.{wl.name}.model_ms")
     hist_measured = Histogram(f"serve.{wl.name}.measured_ms")
@@ -332,19 +300,19 @@ def _serve_loop(wl: ServeWorkload, requests, result: ServeResult,
     batch_id = 0
     brownout_was_active = False
     while start < len(requests):
-        t_batch0 = time.perf_counter()
+        tel.begin(batch_id)
         batch = former.next_batch(requests, start, free_ns, batch_id)
         end = start + len(batch.requests)
         queue_depth = sum(1 for r in requests[end:]
                           if r.arrival_ns <= batch.close_ns)
 
         active = _brownout_active(wl, batch.close_ns)
-        if active and not brownout_was_active and run is not None:
-            run.emit("fault", step=None, data={
+        if active and not brownout_was_active:
+            tel.event("fault", {
                 "kind": "link_brownout", "factor": wl.brownout.factor,
                 "at_s": batch.close_ns / NS})
-        if brownout_was_active and not active and run is not None:
-            run.emit("recovery", step=None, data={
+        if brownout_was_active and not active:
+            tel.event("recovery", {
                 "kind": "brownout_cleared", "at_s": batch.close_ns / NS})
         brownout_was_active = active
         derate = wl.brownout.factor if active else 1.0
@@ -356,10 +324,8 @@ def _serve_loop(wl: ServeWorkload, requests, result: ServeResult,
                  for r in batch.requests]
         x = Tensor(np.concatenate(parts, axis=0))
         before = _measured_walls(ob)
-        batch_crits = []
         for li, layer in enumerate(layers):
             x, _ = layer.forward(x)
-            batch_crits.append(layer.last_routing_criteria)
             stats = layer.last_routing_stats
             if stats is not None:
                 for e, n in enumerate(stats.expert_load):
@@ -367,10 +333,6 @@ def _serve_loop(wl: ServeWorkload, requests, result: ServeResult,
                 routed_tokens += stats.num_tokens
                 dropped_tokens += round(stats.dropped_fraction
                                         * stats.num_tokens)
-        if all(c is not None for c in batch_crits):
-            routing_rec.observe_batch(batch_crits)
-            if run is not None:
-                routing_rec.emit(run, step=batch_id)
         after = _measured_walls(ob)
         walls = {s: max(0, round((after[s] - before[s]) * NS))
                  for s in EXEC_STAGES}
@@ -391,14 +353,9 @@ def _serve_loop(wl: ServeWorkload, requests, result: ServeResult,
                            if ledger.done_ns > 0 else 0.0)
         rolling_p99 = hist_model.quantile(0.99)
 
-        ob.count("serve.requests", len(ledger.requests))
-        ob.count("serve.batches")
-        ob.gauge("serve.queue_depth", queue_depth)
-        ob.gauge("serve.model_p99_ms", rolling_p99)
-        ob.gauge("serve.goodput_rps", rolling_goodput)
         _emit_trace(ob, ledger)
-        if run is not None:
-            run.emit("serve_batch", step=batch_id, data={
+        tel.tick(
+            batch_id, "serve_batch", lambda: {
                 "batch": batch_id, "close_ms": batch.close_ns / 1e6,
                 "size": ledger.size, "tokens": ledger.tokens,
                 "queue_depth": queue_depth,
@@ -407,36 +364,17 @@ def _serve_loop(wl: ServeWorkload, requests, result: ServeResult,
                 "model_walls_ns": dict(ledger.model_walls),
                 "p50_ms": hist_model.quantile(0.50),
                 "p95_ms": hist_model.quantile(0.95),
-                "p99_ms": rolling_p99,
-                "goodput_rps": rolling_goodput,
-                "brownout": active,
-            })
+                "p99_ms": rolling_p99, "goodput_rps": rolling_goodput,
+                "brownout": active},
+            layers=layers,
+            counts={"serve.requests": len(ledger.requests),
+                    "serve.batches": 1},
+            gauges={"serve.queue_depth": queue_depth,
+                    "serve.model_p99_ms": rolling_p99,
+                    "serve.goodput_rps": rolling_goodput})
+        if tel.run is not None:
             for r in ledger.requests:
-                run.emit("serve_request", step=batch_id, data={
-                    "request": r.request_id, "batch": r.batch_id,
-                    "tokens": r.tokens,
-                    "arrival_ms": r.arrival_ns / 1e6,
-                    "e2e_model_ms": r.model_e2e_ns / 1e6,
-                    "e2e_measured_ms": r.e2e_ns / 1e6,
-                    "model_spans_ns": dict(r.model_spans),
-                    "model_shares_ns": dict(r.model_shares)})
-
-        if alerts is not None:
-            samples = {"serve.model_p99_ms": rolling_p99,
-                       "serve.goodput_rps": rolling_goodput,
-                       "serve.queue_depth": float(queue_depth)}
-            for layer in layers:
-                stats = layer.last_routing_stats
-                if stats is not None:
-                    merge_worst(samples, routing_samples(
-                        stats.routing_entropy, stats.dropped_fraction,
-                        stats.expert_load))
-            alerts.evaluate(batch_id, samples, run=run,
-                            registry=ob.registry)
-        led = get_ledger()
-        if led is not None:
-            led.observe_step(
-                round((time.perf_counter() - t_batch0) * NS))
+                tel.event("serve_request", r.event_data())
 
         free_ns = ledger.done_ns
         start = end
@@ -444,24 +382,13 @@ def _serve_loop(wl: ServeWorkload, requests, result: ServeResult,
 
     result.wall_seconds = time.perf_counter() - t_wall0
     _finish(wl, result, hist_model, hist_measured, loads,
-            routed_tokens, dropped_tokens, run,
-            p99_slo_ms=p99_slo_ms)
-
-
-def _gini(load: list[int]) -> float:
-    arr = np.sort(np.asarray(load, dtype=np.float64))
-    if arr.sum() <= 0:
-        return 0.0
-    n = arr.size
-    idx = np.arange(1, n + 1)
-    return float((2.0 * (idx * arr).sum() / (n * arr.sum()))
-                 - (n + 1.0) / n)
+            routed_tokens, dropped_tokens, p99_bound=p99_bound)
 
 
 def _finish(wl: ServeWorkload, result: ServeResult,
             hist_model: Histogram, hist_measured: Histogram,
-            loads, routed_tokens: int, dropped_tokens: int, run, *,
-            p99_slo_ms: float | None) -> None:
+            loads, routed_tokens: int, dropped_tokens: int, *,
+            p99_bound: float) -> None:
     result.expert_load = [list(row) for row in loads]
     makespan_ns = result.batches[-1].done_ns
     result.makespan_s = makespan_ns / NS
@@ -473,9 +400,8 @@ def _finish(wl: ServeWorkload, result: ServeResult,
     meas_p = {q: hist_measured.quantile(q) for q in (0.50, 0.95, 0.99)}
     dropped_fraction = (dropped_tokens / routed_tokens
                         if routed_tokens else 0.0)
-    load_gini = _gini([n for row in loads for n in row])
+    gini = load_gini([n for row in loads for n in row])
 
-    p99_bound = p99_slo_ms if p99_slo_ms is not None else wl.slo.p99_ms
     result.checks.append(SLOCheck(
         name=f"{wl.name}.model_p99_ms", value=model_p[0.99],
         bound=p99_bound, op="<="))
@@ -513,7 +439,7 @@ def _finish(wl: ServeWorkload, result: ServeResult,
                kind="model", higher_is_better=True, tolerance=0.0),
         Metric("dropped_fraction", dropped_fraction, "fraction",
                kind="model", higher_is_better=False, tolerance=0.25),
-        Metric("expert_load_gini", load_gini, "gini", kind="model",
+        Metric("expert_load_gini", gini, "gini", kind="model",
                higher_is_better=False, tolerance=0.25),
         Metric("measured_p50_ms", meas_p[0.50], "ms", kind="measured",
                higher_is_better=False, tolerance=0.5),
@@ -522,13 +448,3 @@ def _finish(wl: ServeWorkload, result: ServeResult,
         Metric("wall_seconds", result.wall_seconds, "s",
                kind="measured", higher_is_better=False, tolerance=1.0),
     ]
-    if run is not None:
-        span_totals = {
-            s: sum(r.model_spans[s] for r in result.requests)
-            for s in STAGES}
-        run.emit("serving_load", step=None, data={
-            "workload": wl.name,
-            "loads": [list(row) for row in loads],
-            "gini": load_gini,
-            "dropped_fraction": dropped_fraction,
-            "span_totals_ns": span_totals})

@@ -115,6 +115,16 @@ class RequestLedger:
         """Virtual completion instant (modeled timeline)."""
         return self.arrival_ns + self.model_e2e_ns
 
+    def event_data(self) -> dict:
+        """The run registry's ``serve_request`` event."""
+        return {"request": self.request_id, "batch": self.batch_id,
+                "tokens": self.tokens,
+                "arrival_ms": self.arrival_ns / 1e6,
+                "e2e_model_ms": self.model_e2e_ns / 1e6,
+                "e2e_measured_ms": self.e2e_ns / 1e6,
+                "model_spans_ns": dict(self.model_spans),
+                "model_shares_ns": dict(self.model_shares)}
+
 
 @dataclass(frozen=True)
 class BatchLedger:

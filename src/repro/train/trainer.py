@@ -13,18 +13,13 @@ Resilience features (see DESIGN.md "Resilience"):
   call :meth:`MoEClassifier.fail_expert` mid-run; gating renormalizes
   over the surviving experts and training continues.
 
-Observability (see DESIGN.md "Run registry"):
-
-* When ``REPRO_RUNS_DIR`` is set (and no run is already active) the
-  trainer opens a run directory via :mod:`repro.obs.runs`, streams
-  ``train_begin`` / ``step`` / ``routing`` / ``step_skipped`` /
-  ``ckpt_saved`` / ``ckpt_restored`` / ``eval`` events into it, and
-  finalizes it with a summary + metrics snapshot.
-* A :class:`repro.obs.health.HealthMonitor` (a default one whenever a
-  run is recording, or any instance passed via ``health=``) watches
-  every layer's routing stats and the per-step loss / gradient norm;
-  the alerts it raises land in ``TrainResult.health_alerts`` and the
-  run's event stream.
+Observability (see DESIGN.md "Run registry"): the loop publishes each
+step once to one :class:`repro.obs.loop.LoopTelemetry`.  With
+``REPRO_RUNS_DIR`` set (or a run already active) that streams
+``train_begin`` / ``routing`` / ``step`` / ``step_skipped`` /
+``ckpt_saved`` / ``ckpt_restored`` / ``eval`` events into a run
+directory and evaluates the alert rule pack every step; firing alerts
+land in ``TrainResult.health_alerts`` and the run's event stream.
 """
 
 from __future__ import annotations
@@ -44,23 +39,11 @@ from repro.autograd.tensor import Tensor
 from repro.core.substrate import expert_parallelism
 from repro.nn.models import MoEClassifier
 from repro.nn.modules import Module
-from repro.obs import CAT_FAULT, CAT_CKPT, CAT_TRAIN, get_observer
+from repro.obs import CAT_FAULT, CAT_CKPT, CAT_TRAIN
+from repro.obs import instant as _instant
 from repro.obs import span as _span
-from repro.obs.alerts import (
-    AlertEngine,
-    default_rules,
-    merge_worst,
-    routing_samples,
-)
-from repro.obs.overhead import get_ledger
-from repro.obs.runs import (
-    RunWriter,
-    add_stream_hook,
-    env_runs_root,
-    get_run,
-    remove_stream_hook,
-    set_run,
-)
+from repro.obs.alerts import default_rules
+from repro.obs.loop import LoopTelemetry
 from repro.train.data import TokenBatch
 from repro.train.schedules import apply_sparsity_schedules
 
@@ -87,7 +70,8 @@ class TrainResult:
     skipped_steps: list[int] = field(default_factory=list)
     # Checkpoint files written by this run, in order.
     checkpoint_paths: list[str] = field(default_factory=list)
-    # HealthAlerts raised by the online monitor, in step order.
+    # Firing alert transitions (kind / step / severity / value /
+    # threshold / layer / expert), in tick order.
     health_alerts: list = field(default_factory=list)
     # Run directory id when a run recorded this training, else None.
     run_id: str | None = None
@@ -126,7 +110,7 @@ def train_model(model: Module, train: TokenBatch, test: TokenBatch,
                 resume_from: str | None = None,
                 nonfinite_guard: bool = True,
                 step_hook: Callable[[int, Module], None] | None = None,
-                health=None,
+                alert_rules=None,
                 expert_workers: int | None = None
                 ) -> TrainResult:
     """Train with Adam on cross-entropy + auxiliary load-balance loss.
@@ -146,10 +130,10 @@ def train_model(model: Module, train: TokenBatch, test: TokenBatch,
     skips NaN/Inf steps and rolls parameters back to the last good
     state instead of letting the divergence propagate.
 
-    ``health`` is an optional
-    :class:`repro.obs.health.HealthMonitor`; with a run recording (an
-    active run, or ``REPRO_RUNS_DIR`` set) a default monitor is created
-    when none is passed.  Its alerts accumulate in
+    ``alert_rules`` is an optional list of
+    :class:`repro.obs.alerts.AlertRule`; with a run recording (an
+    active run, or ``REPRO_RUNS_DIR`` set) the default rule pack is
+    evaluated when none is passed.  Firing transitions accumulate in
     ``TrainResult.health_alerts``.
 
     ``expert_workers`` (when not ``None``) runs the whole loop under
@@ -159,79 +143,6 @@ def train_model(model: Module, train: TokenBatch, test: TokenBatch,
     when the per-expert GEMMs are large enough to amortize the
     shared-memory round trip; results are bitwise-identical either way.
     """
-    auto_run = None
-    if get_run() is None and env_runs_root() is not None:
-        auto_run = RunWriter.create(
-            seed=seed,
-            config={"kind": "train", "steps": steps,
-                    "batch_size": batch_size, "lr": lr,
-                    "aux_weight": aux_weight, "grad_clip": grad_clip,
-                    "resumed": resume_from is not None},
-            substrate="functional")
-        set_run(auto_run)
-    workers_ctx = (nullcontext() if expert_workers is None
-                   else expert_parallelism(expert_workers))
-    # Declarative alert rules are evaluated once per completed step
-    # whenever a run records this training: fired transitions land in
-    # the event stream (the live plane tails them) and in the
-    # ALERTS{...} gauge family.  The stream hook keeps the engine's
-    # outstanding-fault count in sync with fault/recovery events
-    # emitted by whoever owns the run (e.g. the chaos scenarios).
-    alerts = AlertEngine(default_rules()) if get_run() is not None else None
-    if alerts is not None:
-        add_stream_hook(alerts.stream_hook)
-    try:
-        with workers_ctx:
-            result = _train_loop(
-                model, train, test, steps=steps, batch_size=batch_size,
-                lr=lr, aux_weight=aux_weight, weight_decay=weight_decay,
-                grad_clip=grad_clip, seed=seed,
-                top_k_schedule=top_k_schedule,
-                capacity_schedule=capacity_schedule,
-                checkpoint_every=checkpoint_every,
-                checkpoint_dir=checkpoint_dir, resume_from=resume_from,
-                nonfinite_guard=nonfinite_guard, step_hook=step_hook,
-                health=health, alerts=alerts)
-        summary = {
-            "steps": steps,
-            "final_train_loss": result.final_train_loss,
-            "final_train_accuracy": result.final_train_accuracy,
-            "eval_accuracy": result.eval_accuracy,
-            "skipped_steps": len(result.skipped_steps),
-            "alerts": len(result.health_alerts),
-        }
-        if auto_run is not None:
-            ob = get_observer()
-            auto_run.finalize(
-                registry_snapshot=(ob.registry.snapshot()
-                                   if ob is not None else None),
-                summary=summary)
-        else:
-            run = get_run()
-            if run is not None:
-                # Someone else owns the run (and will finalize it);
-                # contribute the training summary without completing.
-                run.update_summary(summary)
-        return result
-    finally:
-        if alerts is not None:
-            remove_stream_hook(alerts.stream_hook)
-        if auto_run is not None:
-            auto_run.close()
-            set_run(None)
-
-
-def _train_loop(model: Module, train: TokenBatch, test: TokenBatch, *,
-                steps: int, batch_size: int, lr: float,
-                aux_weight: float, weight_decay: float,
-                grad_clip: float, seed: int,
-                top_k_schedule: Callable[[int], float] | None,
-                capacity_schedule: Callable[[int], float] | None,
-                checkpoint_every: int | None,
-                checkpoint_dir: str | None, resume_from: str | None,
-                nonfinite_guard: bool,
-                step_hook: Callable[[int, Module], None] | None,
-                health, alerts=None) -> TrainResult:
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if checkpoint_every is not None:
@@ -246,219 +157,158 @@ def _train_loop(model: Module, train: TokenBatch, test: TokenBatch, *,
         restore_training_state,
         save_checkpoint,
     )
-    rng = np.random.default_rng(seed)
-    params = [p for p in model.parameters() if p.requires_grad]
-    if not params:
-        raise ValueError("model has no trainable parameters")
-    optimizer = Adam(params, lr=lr, weight_decay=weight_decay)
-    result = TrainResult()
-    moe_layers = (model.moe_layers()
-                  if isinstance(model, MoEClassifier) else [])
-    for i in range(len(moe_layers)):
-        result.capacity_traces[i] = []
+    workers_ctx = (nullcontext() if expert_workers is None
+                   else expert_parallelism(expert_workers))
+    with LoopTelemetry(
+            "train", seed=seed, rules=alert_rules,
+            default_rules=default_rules,
+            config={"steps": steps, "batch_size": batch_size, "lr": lr,
+                    "aux_weight": aux_weight, "grad_clip": grad_clip,
+                    "resumed": resume_from is not None},
+    ) as tel, workers_ctx:
+        rng = np.random.default_rng(seed)
+        params = [p for p in model.parameters() if p.requires_grad]
+        if not params:
+            raise ValueError("model has no trainable parameters")
+        optimizer = Adam(params, lr=lr, weight_decay=weight_decay)
+        result = TrainResult(run_id=tel.run_id, health_alerts=tel.fired)
+        moe_layers = (model.moe_layers()
+                      if isinstance(model, MoEClassifier) else [])
+        for i in range(len(moe_layers)):
+            result.capacity_traces[i] = []
 
-    run = get_run()
-    routing_rec = None
-    if run is not None:
-        result.run_id = run.manifest.run_id
-        if health is None:
-            from repro.obs.health import HealthMonitor
-            health = HealthMonitor()
+        start_step = 0
+        if resume_from is not None:
+            ckpt = load_checkpoint(resume_from)
+            if ckpt.step >= steps:
+                raise ValueError(
+                    f"checkpoint is at step {ckpt.step}, nothing left of "
+                    f"the requested {steps} steps")
+            restore_training_state(model, optimizer, rng, ckpt)
+            start_step = ckpt.step
+            result.losses = list(ckpt.losses)
+            result.train_accuracies = list(ckpt.train_accuracies)
+            result.skipped_steps = list(ckpt.skipped_steps)
+            for i, trace in ckpt.capacity_traces.items():
+                result.capacity_traces[i] = list(trace)
+            tel.event("ckpt_restored",
+                      {"step": start_step, "path": resume_from}, start_step)
 
-    start_step = 0
-    if resume_from is not None:
-        ckpt = load_checkpoint(resume_from)
-        if ckpt.step >= steps:
-            raise ValueError(
-                f"checkpoint is at step {ckpt.step}, nothing left of "
-                f"the requested {steps} steps")
-        restore_training_state(model, optimizer, rng, ckpt)
-        start_step = ckpt.step
-        result.losses = list(ckpt.losses)
-        result.train_accuracies = list(ckpt.train_accuracies)
-        result.skipped_steps = list(ckpt.skipped_steps)
-        for i, trace in ckpt.capacity_traces.items():
-            result.capacity_traces[i] = list(trace)
-        if run is not None:
-            run.emit("ckpt_restored", step=start_step,
-                     data={"step": start_step, "path": resume_from})
+        def snapshot():
+            return ([p.data.copy() for p in params],
+                    [m.copy() for m in optimizer._m],
+                    [v.copy() for v in optimizer._v],
+                    optimizer._step)
 
-    def snapshot():
-        return ([p.data.copy() for p in params],
-                [m.copy() for m in optimizer._m],
-                [v.copy() for v in optimizer._v],
-                optimizer._step)
+        def rollback(snap) -> None:
+            datas, ms, vs, opt_step = snap
+            for p, data in zip(params, datas):
+                np.copyto(p.data, data)
+                p.grad = None
+            for slot, m in zip(optimizer._m, ms):
+                np.copyto(slot, m)
+            for slot, v in zip(optimizer._v, vs):
+                np.copyto(slot, v)
+            optimizer._step = opt_step
 
-    def rollback(snap) -> None:
-        datas, ms, vs, opt_step = snap
-        for p, data in zip(params, datas):
-            np.copyto(p.data, data)
-            p.grad = None
-        for slot, m in zip(optimizer._m, ms):
-            np.copyto(slot, m)
-        for slot, v in zip(optimizer._v, vs):
-            np.copyto(slot, v)
-        optimizer._step = opt_step
+        last_good = snapshot() if nonfinite_guard else None
 
-    last_good = snapshot() if nonfinite_guard else None
+        tel.event("train_begin", {"steps": steps, "start_step": start_step,
+                                  "seed": seed}, start_step)
 
-    if run is not None:
-        run.emit("train_begin", step=start_step,
-                 data={"steps": steps, "start_step": start_step,
-                       "seed": seed})
-
-    n = len(train)
-    for step in range(start_step, steps):
-        # Step boundary first so every instrumented MoE layer's
-        # RoutingStats lands under the right step in the obs history.
-        ob = get_observer()
-        if ob is not None:
-            ob.begin_step(step)
-        if run is not None:
-            run.begin_step(step)
-        wall_start = perf_counter()
-        if step_hook is not None:
-            step_hook(step, model)
-        with _span("step", CAT_TRAIN):
-            if top_k_schedule is not None or capacity_schedule is not None:
-                apply_sparsity_schedules(model, step,
-                                         top_k=top_k_schedule,
-                                         capacity_factor=capacity_schedule)
-            idx = rng.integers(0, n, min(batch_size, n))
-            xb, yb = train.x[idx], train.y[idx]
-            with _span("forward", CAT_TRAIN):
-                logits, l_aux = model(Tensor(xb))
-                loss = cross_entropy(logits, yb) + l_aux * aux_weight
-            bad = nonfinite_guard and not np.isfinite(loss.data).all()
-            if not bad:
-                with _span("backward", CAT_TRAIN):
-                    optimizer.zero_grad()
-                    loss.backward()
-                bad = nonfinite_guard and not _grads_finite(params)
-            if bad:
-                # Non-finite guard: drop the step and roll back to the
-                # last finite state so the divergence cannot compound.
-                rollback(last_good)
-                result.skipped_steps.append(step)
-                if ob is not None:
-                    ob.instant("step_skipped", CAT_TRAIN,
-                               args={"step": step})
-                    ob.instant("recovered", CAT_FAULT, args={
+        n = len(train)
+        for step in range(start_step, steps):
+            # Step boundary first so every instrumented MoE layer's
+            # RoutingStats lands under the right step in the obs history.
+            tel.begin(step)
+            wall_start = perf_counter()
+            if step_hook is not None:
+                step_hook(step, model)
+            with _span("step", CAT_TRAIN):
+                if top_k_schedule is not None or capacity_schedule is not None:
+                    apply_sparsity_schedules(model, step,
+                                             top_k=top_k_schedule,
+                                             capacity_factor=capacity_schedule)
+                idx = rng.integers(0, n, min(batch_size, n))
+                xb, yb = train.x[idx], train.y[idx]
+                with _span("forward", CAT_TRAIN):
+                    logits, l_aux = model(Tensor(xb))
+                    loss = cross_entropy(logits, yb) + l_aux * aux_weight
+                bad = nonfinite_guard and not np.isfinite(loss.data).all()
+                if not bad:
+                    with _span("backward", CAT_TRAIN):
+                        optimizer.zero_grad()
+                        loss.backward()
+                    bad = nonfinite_guard and not _grads_finite(params)
+                if bad:
+                    # Non-finite guard: drop the step and roll back to the
+                    # last finite state so the divergence cannot compound.
+                    rollback(last_good)
+                    result.skipped_steps.append(step)
+                    result.step_walls[step] = perf_counter() - wall_start
+                    _instant("step_skipped", CAT_TRAIN, args={"step": step})
+                    _instant("recovered", CAT_FAULT, args={
                         "kind": "nonfinite_step", "step": step})
-                if run is not None:
-                    run.emit("step_skipped", data={"step": step})
-                result.step_walls[step] = perf_counter() - wall_start
-                led = get_ledger()
-                if led is not None:
-                    led.observe_step(
-                        round(result.step_walls[step] * 1e9))
-                continue
-            with _span("optimizer", CAT_TRAIN):
-                gnorm = clip_grad_norm(params, grad_clip)
-                optimizer.step()
+                    tel.tick(step, "step_skipped", {"step": step})
+                    continue
+                with _span("optimizer", CAT_TRAIN):
+                    gnorm = clip_grad_norm(params, grad_clip)
+                    optimizer.step()
 
-        result.step_walls[step] = perf_counter() - wall_start
-        loss_val = float(loss.data)
-        acc = _accuracy(logits.data, yb)
-        result.losses.append(loss_val)
-        result.train_accuracies.append(acc)
-        if nonfinite_guard:
-            last_good = snapshot()
-        if ob is not None:
-            ob.count("train.steps")
-            ob.gauge("train.loss", loss_val)
-        if run is not None:
-            run.emit("step", data={"loss": loss_val, "accuracy": acc,
-                                   "grad_norm": gnorm})
-        for i, layer in enumerate(moe_layers):
-            if layer.last_needed_capacity_factor is not None:
-                result.capacity_traces[i].append(
-                    layer.last_needed_capacity_factor)
-            stats = layer.last_routing_stats
-            if stats is None:
-                continue
-            if run is not None:
-                run.emit("routing", data={
-                    "layer": i,
-                    "entropy": stats.routing_entropy,
-                    "gini": stats.load_gini,
-                    "dropped_fraction": stats.dropped_fraction,
-                    "needed_capacity_factor":
-                        stats.needed_capacity_factor,
-                    "expert_load": list(stats.expert_load)})
-            if health is not None:
-                result.health_alerts.extend(
-                    health.observe_routing(step, i, stats))
-        if health is not None:
-            result.health_alerts.extend(
-                health.observe_step(step, loss=loss_val,
-                                    grad_norm=gnorm))
-        if run is not None and moe_layers:
-            crits = [layer.last_routing_criteria
-                     for layer in moe_layers]
-            if all(c is not None for c in crits):
-                if routing_rec is None:
-                    from repro.obs.routing import RoutingRecorder
-                    routing_rec = RoutingRecorder(
-                        len(moe_layers), crits[0].num_experts)
-                routing_rec.observe_batch(crits)
-                routing_rec.emit(run, step=step)
-        if alerts is not None:
-            samples = {"train.loss": loss_val,
-                       "train.grad_norm": float(gnorm)}
-            for layer in moe_layers:
-                stats = layer.last_routing_stats
-                if stats is not None:
-                    merge_worst(samples, routing_samples(
-                        stats.routing_entropy, stats.dropped_fraction,
-                        stats.expert_load))
-            alerts.evaluate(step, samples, run=run,
-                            registry=(ob.registry if ob is not None
-                                      else None))
-        led = get_ledger()
-        if led is not None:
-            led.observe_step(
-                round(result.step_walls[step] * 1e9))
+            result.step_walls[step] = perf_counter() - wall_start
+            loss_val = float(loss.data)
+            acc = _accuracy(logits.data, yb)
+            result.losses.append(loss_val)
+            result.train_accuracies.append(acc)
+            if nonfinite_guard:
+                last_good = snapshot()
+            for i, layer in enumerate(moe_layers):
+                if layer.last_needed_capacity_factor is not None:
+                    result.capacity_traces[i].append(
+                        layer.last_needed_capacity_factor)
+            tel.tick(step, "step",
+                     {"loss": loss_val, "accuracy": acc, "grad_norm": gnorm},
+                     layers=moe_layers, counts={"train.steps": 1},
+                     gauges={"train.loss": loss_val})
 
-        completed = step + 1
-        if (checkpoint_every is not None
-                and completed % checkpoint_every == 0):
-            os.makedirs(checkpoint_dir, exist_ok=True)
-            path = os.path.join(checkpoint_dir,
-                                f"ckpt_{completed:06d}.npz")
-            save_checkpoint(
-                capture_training_state(model, optimizer, rng,
-                                       completed, result=result), path)
-            result.checkpoint_paths.append(path)
-            if ob is not None:
-                ob.instant("saved", CAT_CKPT,
-                           args={"step": completed, "path": path})
-            if run is not None:
-                run.emit("ckpt_saved", step=completed,
-                         data={"step": completed, "path": path})
+            completed = step + 1
+            if (checkpoint_every is not None
+                    and completed % checkpoint_every == 0):
+                os.makedirs(checkpoint_dir, exist_ok=True)
+                path = os.path.join(checkpoint_dir,
+                                    f"ckpt_{completed:06d}.npz")
+                save_checkpoint(
+                    capture_training_state(model, optimizer, rng,
+                                           completed, result=result), path)
+                result.checkpoint_paths.append(path)
+                saved = {"step": completed, "path": path}
+                _instant("saved", CAT_CKPT, args=saved)
+                tel.event("ckpt_saved", saved, completed)
 
-    # Window-averaged final metrics: clamp the window when fewer than
-    # 20 steps contributed (short runs, or steps lost to the guard) so
-    # the mean never runs over an empty slice.
-    if result.losses:
-        window = min(20, len(result.losses))
-        result.final_train_loss = float(
-            np.mean(result.losses[-window:]))
-    if result.train_accuracies:
-        window = min(20, len(result.train_accuracies))
-        result.final_train_accuracy = float(
-            np.mean(result.train_accuracies[-window:]))
-    ob = get_observer()
-    if ob is not None:
+        # Window-averaged final metrics: clamp the window when fewer than
+        # 20 steps contributed (short runs, or steps lost to the guard) so
+        # the mean never runs over an empty slice.
+        if result.losses:
+            window = min(20, len(result.losses))
+            result.final_train_loss = float(
+                np.mean(result.losses[-window:]))
+        if result.train_accuracies:
+            window = min(20, len(result.train_accuracies))
+            result.final_train_accuracy = float(
+                np.mean(result.train_accuracies[-window:]))
         # Mark the held-out forward so its routing records don't get
         # attributed to the last training step (step -1 = evaluation).
-        ob.begin_step(-1)
-    if run is not None:
-        run.begin_step(-1)
-    result.eval_accuracy = evaluate(model, test)
-    if run is not None:
-        run.emit("eval", step=-1,
-                 data={"accuracy": result.eval_accuracy})
+        tel.begin(-1)
+        result.eval_accuracy = evaluate(model, test)
+        tel.event("eval", {"accuracy": result.eval_accuracy}, -1)
+        tel.summary({
+            "steps": steps,
+            "final_train_loss": result.final_train_loss,
+            "final_train_accuracy": result.final_train_accuracy,
+            "eval_accuracy": result.eval_accuracy,
+            "skipped_steps": len(result.skipped_steps),
+            "alerts": len(result.health_alerts),
+        })
     return result
 
 

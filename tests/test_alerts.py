@@ -8,8 +8,7 @@ from repro.obs.alerts import (
     AlertEngine,
     AlertRule,
     default_rules,
-    merge_worst,
-    routing_samples,
+    event_samples,
 )
 from repro.obs.overhead import (
     OverheadLedger,
@@ -25,6 +24,15 @@ from repro.obs.prometheus import (
 )
 from repro.obs.registry import MetricsRegistry
 from repro.obs.runs import RunStore, RunWriter, set_run
+
+
+def routing_event(step, layer=0, **data):
+    return {"kind": "routing", "step": step,
+            "data": {"layer": layer, **data}}
+
+
+def step_event(step, **data):
+    return {"kind": "step", "step": step, "data": data}
 
 
 @pytest.fixture(autouse=True)
@@ -68,6 +76,17 @@ class TestFireHoldResolve:
             for_ticks=2)])
         got = run_series(engine, "m", [2.0, 2.0, 2.0, 0.5])
         assert got == [(2, "hot", "firing"), (3, "hot", "resolved")]
+
+    @pytest.mark.parametrize("hold", [0, 1, 2, 5])
+    def test_hold_fires_at_first_bad_tick_plus_for_ticks(self, hold):
+        # The Prometheus ``for:`` boundary: bad from tick 3 on, the
+        # rule fires at 3 + for_ticks (the for_ticks+1-th bad tick),
+        # not one tick earlier.
+        engine = AlertEngine([AlertRule(
+            name="hot", metric="m", op=">", threshold=1.0,
+            for_ticks=hold)])
+        got = run_series(engine, "m", [0.0] * 3 + [2.0] * (hold + 2))
+        assert got == [(3 + hold, "hot", "firing")]
 
     def test_blip_shorter_than_hold_never_fires(self):
         engine = AlertEngine([AlertRule(
@@ -231,34 +250,137 @@ class TestDefaultRules:
                 "drop_rate_high", "recovery_overdue"} <= full
 
     def test_dead_expert_detected_from_expert_load(self):
+        # for_ticks=5: starved from tick 0, firing at tick 5 — named
+        # by layer and expert, once, while the others stay quiet.
         engine = AlertEngine(default_rules())
         out = []
-        for tick in range(6):
-            samples = routing_samples(0.9, 0.0, [10, 10, 10, 0])
-            for tr in engine.evaluate(tick, samples):
-                out.append((tick, tr.rule.name))
-        assert out == [(5, "dead_expert")]
+        for tick in range(8):
+            engine.observe(routing_event(
+                tick, entropy=0.9, dropped_fraction=0.0,
+                expert_load=[10, 10, 10, 0]))
+            for tr in engine.observe(step_event(tick, loss=1.0)):
+                out.append((tick, tr.rule.name, tr.layer, tr.expert))
+        assert out == [(5, "dead_expert", 0, 3)]
+
+    def test_health_rules_in_default_pack(self):
+        by_name = {r.name: r for r in default_rules()}
+        for name in ("entropy_drift", "imbalance_drift", "grad_spike"):
+            assert by_name[name].kind == "ewma_z"
+        assert by_name["gini_ceiling"].severity == "critical"
+        assert by_name["capacity_overflow"].threshold == 3.0
 
 
 class TestRoutingSamples:
     def test_min_expert_share_normalized(self):
-        s = routing_samples(0.8, 0.1, [10, 10, 10, 10])
-        assert s["routing.min_expert_share"] == pytest.approx(1.0)
-        s = routing_samples(None, None, [0, 20, 20, 20])
-        assert s["routing.min_expert_share"] == 0.0
+        s = event_samples(routing_event(
+            0, entropy=0.8, dropped_fraction=0.1,
+            expert_load=[10, 10, 10, 10]))
+        layer = (("layer", 0),)
+        assert s["routing.entropy"] == {layer: 0.8}
+        assert list(s["routing.expert_share"].values()) == \
+            pytest.approx([1.0] * 4)
+        s = event_samples(routing_event(0, layer=2,
+                                        expert_load=[0, 20, 20, 20]))
+        dead = (("layer", 2), ("expert", 0))
+        assert s["routing.expert_share"][dead] == 0.0
         assert "routing.entropy" not in s
 
-    def test_merge_worst_across_layers(self):
-        into = {}
-        merge_worst(into, {"routing.entropy": 0.9,
-                           "routing.dropped_fraction": 0.1,
-                           "routing.min_expert_share": 0.8})
-        merge_worst(into, {"routing.entropy": 0.4,
-                           "routing.dropped_fraction": 0.05,
-                           "routing.min_expert_share": 0.9})
-        assert into == {"routing.entropy": 0.4,
-                        "routing.dropped_fraction": 0.1,
-                        "routing.min_expert_share": 0.8}
+    def test_step_and_serve_batch_scalars(self):
+        assert event_samples(step_event(3, loss=1.5, grad_norm=2.0)) == {
+            "train.loss": {(): 1.5}, "train.grad_norm": {(): 2.0}}
+        s = event_samples({"kind": "serve_batch", "step": 1, "data": {
+            "p99_ms": 40.0, "queue_depth": 3, "goodput_rps": 90.0}})
+        assert s == {"serve.model_p99_ms": {(): 40.0},
+                     "serve.queue_depth": {(): 3.0},
+                     "serve.goodput_rps": {(): 90.0}}
+        assert event_samples({"kind": "eval", "data": {}}) == {}
+
+    def test_layers_are_separate_series(self):
+        # No worst-of-layers merge: layer 1 collapses, layer 0 is
+        # healthy, and only layer 1's series fires.
+        engine = AlertEngine(default_rules())
+        fired = []
+        for tick in range(5):
+            engine.observe(routing_event(tick, layer=0, entropy=0.9))
+            engine.observe(routing_event(tick, layer=1, entropy=0.4))
+            fired += engine.observe(step_event(tick, loss=1.0))
+        assert [(t.tick, t.rule.name, t.layer) for t in fired] == [
+            (3, "routing_entropy_floor", 1)]
+        assert engine.firing() == ["routing_entropy_floor"]
+
+
+class TestObserve:
+    def test_ticks_on_step_skipped_and_serve_batch(self):
+        engine = AlertEngine([AlertRule(
+            name="slow", metric="serve.model_p99_ms", op=">",
+            threshold=10.0)])
+        assert engine.observe({"kind": "serve_request", "step": 0,
+                               "data": {}}) == []
+        fired = engine.observe({"kind": "serve_batch", "step": 4,
+                                "data": {"p99_ms": 20.0}})
+        assert [(t.tick, t.state) for t in fired] == [(4, "firing")]
+        # A skipped step carries no samples but still advances holds.
+        engine = AlertEngine(default_rules(recovery_deadline_ticks=1))
+        engine.observe({"kind": "fault", "step": 0, "data": {}})
+        engine.observe(step_event(0, loss=1.0))
+        fired = engine.observe({"kind": "step_skipped", "step": 1,
+                                "data": {"step": 1}})
+        assert [t.rule.name for t in fired] == ["recovery_overdue"]
+
+    def test_routing_samples_wait_for_the_closing_event(self):
+        engine = AlertEngine([AlertRule(
+            name="skew", metric="routing.gini", op=">",
+            threshold=0.8)])
+        assert engine.observe(routing_event(7, gini=0.9)) == []
+        assert engine.firing() == []
+        fired = engine.observe(step_event(7, loss=1.0))
+        assert [(t.tick, t.layer, t.value) for t in fired] == [
+            (7, 0, 0.9)]
+
+    def test_replaying_a_recorded_run_reproduces_its_alerts(
+            self, tmp_path):
+        """Replay equivalence: events.jsonl through a fresh engine
+        gives exactly the alert events the in-process engine wrote
+        (tick, name, state, labels)."""
+        import numpy as np
+
+        from repro.nn.models import MoEClassifier
+        from repro.obs.runs import recording_run
+        from repro.train.data import ClusteredTokenTask
+        from repro.train.trainer import train_model
+
+        task = ClusteredTokenTask(num_clusters=8, input_dim=8,
+                                  num_classes=4, noise=0.4, seed=0)
+        model = MoEClassifier(8, 16, 32, 4, num_blocks=2,
+                              num_experts=8, top_k=2,
+                              rng=np.random.default_rng(0))
+
+        def hook(step, m):
+            if step == 5:
+                m.fail_expert(0, 1)
+
+        with recording_run(root=tmp_path, run_id="r", seed=0,
+                           created_at=1.0):
+            result = train_model(model, task.sample(512),
+                                 task.sample(128), steps=40,
+                                 batch_size=64, step_hook=hook)
+        store = RunStore(tmp_path)
+        events = store.events("r")
+        recorded = [
+            (e["step"], e["data"]["alertname"], e["data"]["state"],
+             e["data"].get("layer"), e["data"].get("expert"))
+            for e in events if e["kind"] == "alert"]
+        engine = AlertEngine(default_rules())
+        replayed = [(t.tick, t.rule.name, t.state, t.layer, t.expert)
+                    for e in events for t in engine.observe(e)]
+        assert replayed == recorded
+        # One alert stream: the failed expert is reported once, by
+        # name, and the manifest counts what the stream holds.
+        dead = [r for r in recorded if r[1] == "dead_expert"]
+        assert dead == [(10, "dead_expert", "firing", 0, 1)]
+        firing = [r for r in recorded if r[2] == "firing"]
+        assert store.manifest("r").summary["alerts"] == len(firing)
+        assert len(result.health_alerts) == len(firing)
 
 
 class TestOverheadLedger:
@@ -289,6 +411,18 @@ class TestOverheadLedger:
         with measuring_overhead() as led:
             engine.evaluate(0, {"m": 2.0})
         assert led.counts["alerts"] == 1
+        assert led.totals["alerts"] > 0
+
+    def test_event_fold_is_charged_to_alerts_too(self):
+        # The former health monitor's cost was invisible to the
+        # ledger; every detector now runs behind observe/evaluate.
+        engine = AlertEngine(default_rules())
+        with measuring_overhead() as led:
+            engine.observe(routing_event(0, entropy=0.9,
+                                         expert_load=[4, 4]))
+            assert led.counts["alerts"] == 1    # the fold
+            engine.observe(step_event(0, loss=1.0))
+        assert led.counts["alerts"] == 3        # fold + evaluation
         assert led.totals["alerts"] > 0
 
     def test_overhead_metrics_gate_shape(self):

@@ -73,13 +73,15 @@ def populate_run(root, run_id="r1", created_at=1.0, seed=0,
         writer.emit("fault", step=3, data={"kind": "expert_failure",
                                            "expert": 2})
         writer.emit("alert", step=4, data={
-            "kind": "dead_expert", "step": 4, "severity": "critical",
-            "value": 0.0, "threshold": 1.6, "layer": 0, "expert": 2,
-            "message": "expert 2 starved"})
+            "kind": "dead_expert", "alertname": "dead_expert",
+            "severity": "critical", "state": "firing",
+            "value": 0.0, "threshold": 0.1, "layer": 0, "expert": 2,
+            "message": "expert 2 starved [firing]"})
         writer.emit("alert", step=5, data={
-            "kind": "entropy_drift", "step": 5, "severity": "warn",
+            "kind": "entropy_drift", "alertname": "entropy_drift",
+            "severity": "warn", "state": "firing",
             "value": 0.4, "threshold": -4.0, "layer": 0,
-            "expert": None, "message": "entropy drop"})
+            "message": "entropy drop [firing]"})
     writer.emit("eval", step=-1, data={"accuracy": 0.75})
     writer.finalize(summary={"final_train_loss": 1.0,
                              "eval_accuracy": 0.75})
@@ -172,6 +174,25 @@ class TestRenderDashboard:
         assert "dead_expert" in doc and "entropy_drift" in doc
         # status is never color-alone: glyph+word labels present
         assert "critical" in doc and "warning" in doc
+
+    def test_alert_tile_counts_firing_not_resolves(self, tmp_path):
+        writer = RunWriter.create(root=tmp_path, run_id="a1",
+                                  created_at=1.0)
+        alert = {"kind": "hot", "alertname": "hot", "severity": "warn",
+                 "value": 2.0, "threshold": 1.0, "layer": 0}
+        writer.emit("alert", step=3, data={
+            **alert, "state": "firing", "message": "m [firing]"})
+        writer.emit("alert", step=5, data={
+            **alert, "state": "resolved", "message": "m [resolved]"})
+        writer.finalize()
+        store = RunStore(tmp_path)
+        series = build_series(store.events("a1"))
+        # the payload carries no step of its own: the event's is used
+        assert [a["step"] for a in series.alerts] == [3, 5]
+        doc = render_dashboard(store, "a1")
+        assert ('<div class="label">alerts</div>'
+                '<div class="value">1</div>') in doc
+        assert "[firing]" in doc and "[resolved]" in doc   # the table
 
     def test_profile_panels_render_self_contained(self, tmp_path):
         populate_profiled_run(tmp_path)

@@ -1,36 +1,63 @@
-"""Tests for the online health detectors (repro.obs.health)."""
+"""Health rule-pack tests: the online MoE training-health detectors
+(EWMA drift, floors/ceilings, dead experts, gradient spikes) as
+``ewma_z`` / per-series rules of the one alert engine
+(repro.obs.alerts).  Every behaviour the former ``HealthMonitor``
+suite checked is checked here against ``AlertEngine``."""
 
+import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
-from repro.obs.health import (
+from repro.obs.alerts import (
+    AlertEngine,
+    AlertRule,
+    AlertTransition,
     EwmaDetector,
-    HealthAlert,
-    HealthConfig,
-    HealthMonitor,
+    default_rules,
 )
+from repro.obs.loop import LoopTelemetry
 from repro.obs.runs import RunStore, recording_run
 
-
-@dataclass
-class FakeStats:
-    """Duck-typed stand-in for repro.moe.metrics.RoutingStats."""
-
-    num_tokens: int = 64
-    top_k: int = 2
-    routing_entropy: float = 0.9
-    load_gini: float = 0.1
-    dropped_fraction: float = 0.0
-    needed_capacity_factor: float = 1.0
-    expert_load: tuple = field(
-        default_factory=lambda: (16, 16, 16, 16, 16, 16, 16, 16))
+HEALTHY_LOAD = (16,) * 8
 
 
-def healthy(**overrides) -> FakeStats:
-    return FakeStats(**overrides)
+def tick(engine, step, *layers, grad_norm=None):
+    """One training step: a ``routing`` event per layer payload, then
+    the closing ``step`` event.  Returns the step's transitions."""
+    for index, payload in enumerate(layers):
+        data = {"layer": index, "entropy": 0.9, "gini": 0.1,
+                "dropped_fraction": 0.0, "needed_capacity_factor": 1.0,
+                "expert_load": HEALTHY_LOAD, **payload}
+        engine.observe({"kind": "routing", "step": step, "data": data})
+    data = {"loss": 1.0}
+    if grad_norm is not None:
+        data["grad_norm"] = grad_norm
+    return engine.observe({"kind": "step", "step": step, "data": data})
+
+
+def fired(transitions):
+    return [(t.kind, t.step) for t in transitions
+            if t.state == "firing"]
+
+
+def ewma(name, metric, op, threshold, warmup):
+    return AlertRule(name=name, metric=metric, kind="ewma_z", op=op,
+                     threshold=threshold, warmup=warmup)
+
+
+ENTROPY_FLOOR = AlertRule(name="entropy_collapse",
+                          metric="routing.entropy", op="<",
+                          threshold=0.5, severity="critical")
+
+
+def dead_expert(window):
+    """Starved for ``window`` consecutive steps = ``for_ticks`` of
+    ``window - 1`` after the first one."""
+    return AlertRule(name="dead_expert", metric="routing.expert_share",
+                     op="<", threshold=0.1, for_ticks=window - 1,
+                     severity="critical", resolve_threshold=0.15)
 
 
 class TestEwmaDetector:
@@ -73,172 +100,187 @@ class TestEwmaDetector:
 
 
 class TestHealthConfig:
+    """The detectors' knobs are rule fields now; bad ones still raise."""
+
     def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError, match="ewma_alpha"):
-            HealthConfig(ewma_alpha=0.0)
-        with pytest.raises(ValueError, match="ewma_alpha"):
-            HealthConfig(ewma_alpha=1.5)
+        with pytest.raises(ValueError, match="alpha"):
+            AlertRule(name="z", metric="m", kind="ewma_z", alpha=0.0)
+        with pytest.raises(ValueError, match="alpha"):
+            AlertRule(name="z", metric="m", kind="ewma_z", alpha=1.5)
 
     def test_rejects_bad_window(self):
-        with pytest.raises(ValueError, match="dead_window"):
-            HealthConfig(dead_window=0)
+        with pytest.raises(ValueError, match="for_ticks"):
+            dead_expert(window=0)
 
 
 class TestEntropyDetector:
     def test_floor_breach_is_critical_and_latched(self):
-        mon = HealthMonitor(HealthConfig(warmup_steps=2))
+        engine = AlertEngine([ENTROPY_FLOOR])
         for step in range(4):
-            mon.observe_routing(step, 0, healthy())
-        first = mon.observe_routing(4, 0, healthy(routing_entropy=0.2))
-        assert [a.kind for a in first] == ["entropy_drift"]
+            assert tick(engine, step, {}) == []
+        first = tick(engine, 4, {"entropy": 0.2})
+        assert fired(first) == [("entropy_collapse", 4)]
         assert first[0].severity == "critical"
-        assert first[0].step == 4 and first[0].layer == 0
+        assert first[0].layer == 0 and first[0].value == 0.2
         # persists -> no second alert while still bad
-        again = mon.observe_routing(5, 0, healthy(routing_entropy=0.2))
-        assert [a.kind for a in again] == []
+        assert tick(engine, 5, {"entropy": 0.2}) == []
 
     def test_rearms_after_recovery(self):
-        mon = HealthMonitor(HealthConfig(warmup_steps=2))
-        mon.observe_routing(0, 0, healthy())
-        mon.observe_routing(1, 0, healthy(routing_entropy=0.2))
-        mon.observe_routing(2, 0, healthy())            # recovers
-        raised = mon.observe_routing(3, 0, healthy(routing_entropy=0.2))
-        assert [a.kind for a in raised] == ["entropy_drift"]
-        assert sum(a.kind == "entropy_drift"
-                   for a in mon.alerts) == 2
+        engine = AlertEngine([ENTROPY_FLOOR])
+        tick(engine, 0, {})
+        tick(engine, 1, {"entropy": 0.2})
+        resolved = tick(engine, 2, {})               # recovers
+        assert [t.state for t in resolved] == ["resolved"]
+        raised = tick(engine, 3, {"entropy": 0.2})
+        assert fired(raised) == [("entropy_collapse", 3)]
+        assert len(fired(engine.transitions)) == 2
 
     def test_z_drift_warn_without_floor_breach(self):
-        mon = HealthMonitor(HealthConfig(warmup_steps=4, entropy_z=4.0))
+        engine = AlertEngine([
+            ENTROPY_FLOOR,
+            ewma("entropy_drift", "routing.entropy", "<=", -4.0, 4)])
         for step, e in enumerate([0.90, 0.91, 0.89, 0.90, 0.91, 0.90]):
-            assert mon.observe_routing(step, 0, healthy(
-                routing_entropy=e)) == []
-        raised = mon.observe_routing(6, 0, healthy(routing_entropy=0.7))
-        assert [a.kind for a in raised] == ["entropy_drift"]
+            assert tick(engine, step, {"entropy": e}) == []
+        raised = tick(engine, 6, {"entropy": 0.7})
+        assert fired(raised) == [("entropy_drift", 6)]
         assert raised[0].severity == "warn"
+        assert raised[0].value == 0.7 and raised[0].score < -4.0
 
     def test_layers_tracked_independently(self):
-        mon = HealthMonitor(HealthConfig(warmup_steps=1))
-        mon.observe_routing(0, 0, healthy(routing_entropy=0.2))
-        raised = mon.observe_routing(0, 1, healthy(routing_entropy=0.2))
-        assert [a.layer for a in mon.alerts] == [0, 1]
-        assert raised[0].layer == 1
+        engine = AlertEngine([ENTROPY_FLOOR])
+        raised = tick(engine, 0, {"entropy": 0.2}, {"entropy": 0.2})
+        assert [t.layer for t in raised] == [0, 1]
+        # layer 0 recovers, layer 1 stays collapsed: one resolve, and
+        # the rule is still firing for layer 1's series.
+        later = tick(engine, 1, {}, {"entropy": 0.2})
+        assert [(t.state, t.layer) for t in later] == [("resolved", 0)]
+        assert engine.firing() == ["entropy_collapse"]
 
 
 class TestImbalanceAndCapacity:
     def test_gini_ceiling(self):
-        mon = HealthMonitor()
-        raised = mon.observe_routing(0, 0, healthy(load_gini=0.95))
-        kinds = [a.kind for a in raised]
-        assert "imbalance_drift" in kinds
-        alert = next(a for a in raised if a.kind == "imbalance_drift")
-        assert alert.severity == "critical"
+        engine = AlertEngine(default_rules())
+        raised = tick(engine, 0, {"gini": 0.95})
+        assert fired(raised) == [("gini_ceiling", 0)]
+        assert raised[0].severity == "critical"
 
     def test_drop_rate_threshold(self):
-        mon = HealthMonitor(HealthConfig(drop_rate_threshold=0.3))
-        assert mon.observe_routing(0, 0, healthy(
-            dropped_fraction=0.29)) == []
-        raised = mon.observe_routing(1, 0, healthy(
-            dropped_fraction=0.5))
-        assert [a.kind for a in raised] == ["drop_rate"]
-        assert raised[0].value == pytest.approx(0.5)
+        engine = AlertEngine(default_rules())
+        assert tick(engine, 0, {"dropped_fraction": 0.29}) == []
+        got = []
+        for step in (1, 2, 3):
+            got += tick(engine, step, {"dropped_fraction": 0.5})
+        # for_ticks=2: first bad tick 1, firing at tick 3
+        assert fired(got) == [("drop_rate_high", 3)]
+        assert got[0].value == pytest.approx(0.5)
 
     def test_capacity_overflow(self):
-        mon = HealthMonitor(HealthConfig(overflow_factor=3.0))
-        raised = mon.observe_routing(0, 0, healthy(
-            needed_capacity_factor=4.0))
-        assert [a.kind for a in raised] == ["capacity_overflow"]
+        engine = AlertEngine(default_rules())
+        raised = tick(engine, 0, {"needed_capacity_factor": 4.0})
+        assert fired(raised) == [("capacity_overflow", 0)]
 
     def test_zero_token_step_skipped(self):
-        mon = HealthMonitor()
-        raised = mon.observe_routing(0, 0, healthy(
-            num_tokens=0, routing_entropy=0.0, load_gini=1.0))
-        assert raised == [] and mon.alerts == []
+        engine = AlertEngine(default_rules())
+        raised = tick(engine, 0, {
+            "entropy": 0.0, "gini": 1.0, "expert_load": (0,) * 8})
+        assert raised == [] and engine.transitions == []
 
 
 class TestDeadExpert:
     def starved(self, expert=3):
-        # 64 tokens * k=2 / 8 experts = 16 share; floor = 1.6
+        # uniform share 16; expert 3 draws nothing
         load = [18] * 8
         load[expert] = 0
-        return healthy(expert_load=tuple(load))
+        return {"expert_load": tuple(load)}
 
     def test_fires_after_window_consecutive_steps(self):
-        mon = HealthMonitor(HealthConfig(dead_window=4))
-        fired_at = None
+        engine = AlertEngine([dead_expert(window=4)])
+        got = []
         for step in range(10):
-            for a in mon.observe_routing(step, 0, self.starved()):
-                if a.kind == "dead_expert":
-                    fired_at = (a.step, a.expert)
-        assert fired_at == (3, 3)          # step dead_window-1, once
-        assert sum(a.kind == "dead_expert"
-                   for a in mon.alerts) == 1
+            got += tick(engine, step, self.starved())
+        # step window-1, once, naming the layer and the expert
+        assert [(t.step, t.layer, t.expert) for t in got] == [(3, 0, 3)]
+        assert got[0].severity == "critical" and got[0].value == 0.0
 
     def test_window_resets_on_recovery(self):
-        mon = HealthMonitor(HealthConfig(dead_window=3))
-        mon.observe_routing(0, 0, self.starved())
-        mon.observe_routing(1, 0, self.starved())
-        mon.observe_routing(2, 0, healthy())        # resets the count
-        mon.observe_routing(3, 0, self.starved())
-        mon.observe_routing(4, 0, self.starved())
-        assert all(a.kind != "dead_expert" for a in mon.alerts)
-        raised = mon.observe_routing(5, 0, self.starved())
-        assert [a.kind for a in raised] == ["dead_expert"]
+        engine = AlertEngine([dead_expert(window=3)])
+        tick(engine, 0, self.starved())
+        tick(engine, 1, self.starved())
+        tick(engine, 2, {})                  # resets the count
+        tick(engine, 3, self.starved())
+        tick(engine, 4, self.starved())
+        assert engine.transitions == []
+        assert fired(tick(engine, 5, self.starved())) == [
+            ("dead_expert", 5)]
 
     def test_realerts_after_recovery(self):
-        mon = HealthMonitor(HealthConfig(dead_window=2))
+        engine = AlertEngine([dead_expert(window=2)])
         for step in range(2):
-            mon.observe_routing(step, 0, self.starved())
-        mon.observe_routing(2, 0, healthy())
+            tick(engine, step, self.starved())
+        tick(engine, 2, {})
         for step in (3, 4):
-            mon.observe_routing(step, 0, self.starved())
-        assert sum(a.kind == "dead_expert" for a in mon.alerts) == 2
+            tick(engine, step, self.starved())
+        assert fired(engine.transitions) == [("dead_expert", 1),
+                                             ("dead_expert", 4)]
 
     def test_single_expert_layer_skipped(self):
-        mon = HealthMonitor(HealthConfig(dead_window=1))
-        mon.observe_routing(0, 0, healthy(expert_load=(0,)))
-        assert mon.alerts == []
+        engine = AlertEngine([dead_expert(window=1)])
+        assert tick(engine, 0, {"expert_load": (128,)}) == []
 
 
 class TestGradSpike:
+    RULE = ewma("grad_spike", "train.grad_norm", ">=", 6.0, 4)
+
     def test_spike_detected_once(self):
-        mon = HealthMonitor(HealthConfig(warmup_steps=4, grad_z=6.0))
+        engine = AlertEngine([self.RULE])
         for step in range(8):
-            assert mon.observe_step(step, grad_norm=1.0 +
-                                    0.01 * (step % 3)) == []
-        raised = mon.observe_step(8, grad_norm=50.0)
-        assert [a.kind for a in raised] == ["grad_spike"]
-        # still elevated -> latched, no repeat
-        assert mon.observe_step(9, grad_norm=60.0) == []
+            assert tick(engine, step,
+                        grad_norm=1.0 + 0.01 * (step % 3)) == []
+        assert fired(tick(engine, 8, grad_norm=50.0)) == [
+            ("grad_spike", 8)]
+        # still elevated -> no repeat
+        assert fired(tick(engine, 9, grad_norm=60.0)) == []
 
     def test_non_finite_grad_ignored(self):
-        mon = HealthMonitor()
-        assert mon.observe_step(0, grad_norm=float("nan")) == []
-        assert mon.observe_step(1, grad_norm=float("inf")) == []
-        assert mon.observe_step(2, grad_norm=None, loss=1.0) == []
-        assert mon.alerts == []
+        engine = AlertEngine([self.RULE])
+        assert tick(engine, 0, grad_norm=float("nan")) == []
+        assert tick(engine, 1, grad_norm=float("inf")) == []
+        assert tick(engine, 2) == []
+        assert engine.transitions == []
+        # none of them entered the EWMA: warm-up still needs 4 samples
+        for step in range(3, 7):
+            tick(engine, step, grad_norm=1.0)
+        assert tick(engine, 7, grad_norm=1e6) == []
 
 
 class TestAlertPlumbing:
     def test_alert_json_round_trip(self):
-        alert = HealthAlert(kind="dead_expert", step=7,
-                            severity="critical", value=0.0,
-                            threshold=1.6, layer=1, expert=3,
-                            message="m")
-        obj = alert.to_json_obj()
-        assert obj["kind"] == "dead_expert" and obj["expert"] == 3
-        assert "expert=3" in alert.describe()
-        assert "[critical]" in alert.describe()
+        alert = AlertTransition(
+            tick=7, rule=dead_expert(window=5), state="firing",
+            value=0.0, labels=(("layer", 1), ("expert", 3)))
+        obj = json.loads(json.dumps(alert.to_event_data()))
+        assert obj["kind"] == obj["alertname"] == "dead_expert"
+        assert obj["layer"] == 1 and obj["expert"] == 3
+        assert obj["severity"] == "critical"
+        assert obj["state"] == "firing" and obj["threshold"] == 0.1
+        assert "[firing]" in obj["message"]
+        assert (alert.kind, alert.step, alert.layer, alert.expert) == \
+            ("dead_expert", 7, 1, 3)
 
     def test_alerts_land_in_run_stream(self, tmp_path):
-        with recording_run(root=tmp_path, run_id="r",
-                           created_at=1.0):
-            mon = HealthMonitor()
-            mon.observe_routing(5, 0, healthy(load_gini=0.95))
+        with recording_run(root=tmp_path, run_id="r", created_at=1.0):
+            with LoopTelemetry("train", rules=default_rules()) as tel:
+                tel.event("routing", {"layer": 0, "gini": 0.95,
+                                      "expert_load": [9, 1]}, 5)
+                tel.tick(5, "step", {"loss": 1.0})
+        assert [(a.kind, a.step) for a in tel.fired] == [
+            ("gini_ceiling", 5)]
         events = RunStore(tmp_path).events("r")
         alerts = [e for e in events if e["kind"] == "alert"]
         assert len(alerts) == 1
         assert alerts[0]["step"] == 5
-        assert alerts[0]["data"]["kind"] == "imbalance_drift"
+        assert alerts[0]["data"]["kind"] == "gini_ceiling"
+        assert alerts[0]["data"]["layer"] == 0
 
     def test_determinism_same_sequence_same_alerts(self):
         rng = np.random.default_rng(3)
@@ -247,12 +289,16 @@ class TestAlertPlumbing:
             e = 0.9 + 0.01 * rng.standard_normal()
             if step >= 20:
                 e = 0.2
-            seq.append(healthy(routing_entropy=e))
+            seq.append({"entropy": e})
         runs = []
         for _ in range(2):
-            mon = HealthMonitor(HealthConfig(warmup_steps=4))
-            for step, stats in enumerate(seq):
-                mon.observe_routing(step, 0, stats)
-            runs.append([(a.kind, a.step) for a in mon.alerts])
+            engine = AlertEngine([
+                ENTROPY_FLOOR,
+                ewma("entropy_drift", "routing.entropy", "<=", -4.0, 4)])
+            for step, payload in enumerate(seq):
+                tick(engine, step, payload)
+            runs.append([(t.kind, t.step, t.state)
+                         for t in engine.transitions])
         assert runs[0] == runs[1]
-        assert ("entropy_drift", 20) in runs[0]
+        assert ("entropy_collapse", 20, "firing") in runs[0]
+        assert ("entropy_drift", 20, "firing") in runs[0]

@@ -73,6 +73,21 @@ class TestRunTailer:
         tailer.poll()
         assert tailer.complete()
 
+    def test_failed_run_is_terminal(self, tmp_path):
+        writer = make_run(tmp_path, events=STEP_EVENTS[:2],
+                          finalize=False)
+        tailer = RunTailer(writer.directory)
+        tailer.poll()
+        assert not tailer.complete()
+        writer.finalize(error=RuntimeError("crashed"))
+        tailer.poll()
+        assert tailer.status == "failed" and tailer.complete()
+        # ...so an SSE follower of a crashed run gets its "end".
+        with LiveServer(writer.directory, port=0) as srv:
+            assert "event: end" in get(srv.url + "/events")
+            health = json.loads(get(srv.url + "/healthz"))
+            assert health["run_status"] == "failed"
+
     def test_tolerates_torn_final_line(self, tmp_path):
         writer = make_run(tmp_path, events=STEP_EVENTS[:2],
                           finalize=False)

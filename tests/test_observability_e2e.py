@@ -2,7 +2,7 @@
 
 Trains a small MoE with an injected expert failure and a forced
 routing collapse, and asserts the full chain holds together: the run
-directory carries a manifest and event stream, the health monitor
+directory carries a manifest and event stream, the alert engine
 raises ``dead_expert`` and ``entropy_drift`` alerts at deterministic
 steps, ``RunStore.diff`` reports deltas between two seeded runs, and
 the rendered dashboard is valid standalone HTML with alert markers.
@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from repro.nn.models import MoEClassifier
+from repro.obs.alerts import AlertRule
 from repro.obs.dashboard import write_dashboard
-from repro.obs.health import HealthConfig, HealthMonitor
 from repro.obs.runs import RunStore, recording_run
 from repro.train.data import ClusteredTokenTask
 from repro.train.trainer import train_model
@@ -26,6 +26,19 @@ FAIL_STEP = 6       # expert 3 of layer 0 dies here
 COLLAPSE_STEP = 14  # gate weights zeroed -> all tokens to experts 0..k-1
 DEAD_WINDOW = 4
 STEPS = 24
+
+# An expert starved on DEAD_WINDOW consecutive steps is dead
+# (``for_ticks`` counts the ticks *after* the first bad one); entropy
+# under the floor is a collapse at once, a 4-sigma EWMA drop a warning.
+RULES = [
+    AlertRule(name="dead_expert", metric="routing.expert_share",
+              op="<", threshold=0.1, for_ticks=DEAD_WINDOW - 1,
+              severity="critical", resolve_threshold=0.15),
+    AlertRule(name="entropy_drift", metric="routing.entropy", op="<",
+              threshold=0.5, severity="critical"),
+    AlertRule(name="entropy_z", metric="routing.entropy",
+              kind="ewma_z", op="<=", threshold=-4.0, warmup=4),
+]
 
 
 @pytest.fixture(scope="module")
@@ -58,8 +71,7 @@ def run_scenario(root, run_id, seed, splits):
         result = train_model(
             fresh_model(seed), train, test, steps=STEPS,
             batch_size=64, seed=seed, step_hook=chaos_hook,
-            health=HealthMonitor(HealthConfig(dead_window=DEAD_WINDOW,
-                                              warmup_steps=4)))
+            alert_rules=RULES)
     assert result.run_id == run.manifest.run_id
     return result
 
@@ -118,14 +130,16 @@ class TestHealthAlerts:
     def test_alerts_mirrored_into_event_stream(self, scenario):
         root, result = scenario
         events = RunStore(root).events("chaos-a")
-        # The declarative AlertEngine also writes "alert" events
-        # (marked by an "alertname" key); here we check the health
-        # monitor's own stream specifically.
-        streamed = [(e["data"]["kind"], e["step"])
+        # One alert stream: every firing transition the trainer
+        # reports is one "alert" event, and the manifest counts them.
+        streamed = [(e["data"]["kind"], e["step"],
+                     e["data"].get("layer"), e["data"].get("expert"))
                     for e in events if e["kind"] == "alert"
-                    and "alertname" not in e["data"]]
-        assert streamed == [(a.kind, a.step)
+                    and e["data"]["state"] == "firing"]
+        assert streamed == [(a.kind, a.step, a.layer, a.expert)
                             for a in result.health_alerts]
+        manifest = RunStore(root).manifest("chaos-a")
+        assert manifest.summary["alerts"] == len(streamed)
 
     def test_deterministic_under_fixed_seed(self, tmp_path, splits,
                                             scenario):

@@ -101,6 +101,47 @@ class TestRunWriter:
         assert RunStore(tmp_path).manifest("ctx").status == "complete"
 
 
+class TestCrashedRunsGetOneTerminalStatus:
+    """A run whose loop raised is ``failed`` — never left ``running``,
+    never finalized ``complete``."""
+
+    def test_recording_run_marks_failed_on_exception(self, tmp_path):
+        with pytest.raises(KeyError):
+            with recording_run(root=tmp_path, run_id="boom",
+                               created_at=1.0):
+                raise KeyError("x")
+        assert get_run() is None
+        manifest = RunStore(tmp_path).manifest("boom")
+        assert manifest.status == "failed"
+        assert manifest.summary["error"] == "KeyError"
+
+    def test_trainer_auto_run_fails_when_step_hook_raises(
+            self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path))
+        task = ClusteredTokenTask(num_clusters=8, input_dim=8,
+                                  num_classes=4, noise=0.4, seed=0)
+        model = MoEClassifier(8, 16, 32, 4, num_blocks=2,
+                              num_experts=8,
+                              rng=np.random.default_rng(0), top_k=2)
+
+        def hook(step, model):
+            if step == 3:
+                raise RuntimeError("injected")
+
+        with pytest.raises(RuntimeError, match="injected"):
+            train_model(model, task.sample(256), task.sample(128),
+                        steps=6, batch_size=64, step_hook=hook)
+        assert get_run() is None
+        store = RunStore(tmp_path)
+        manifest = store.manifest(store.latest())
+        assert manifest.status == "failed"
+        assert manifest.summary == {"error": "RuntimeError"}
+        # everything up to the crash is on disk
+        steps = [e["step"] for e in store.events(manifest.run_id)
+                 if e["kind"] == "step"]
+        assert steps == [0, 1, 2]
+
+
 class TestTornTail:
     """Readers must tolerate a torn final line — a writer killed (or
     racing) mid-``write`` leaves half a JSON record with no newline."""

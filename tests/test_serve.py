@@ -322,6 +322,28 @@ class TestEngine:
         assert manifest.summary["serve.workload"] == "brownout_surge"
         assert manifest.summary["serve.requests"] == len(res.requests)
 
+    def test_crashed_serve_run_is_failed_not_a_vacuous_pass(
+            self, tmp_path, monkeypatch):
+        # A loop that dies before any SLO check exists must not be
+        # finalized "complete" with slo_pass = all([]) = True.
+        import repro.serve.engine as engine
+        from repro.obs.runs import RunStore, get_run
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("pricing exploded")
+
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path))
+        monkeypatch.setattr(engine, "price_stages", boom)
+        with pytest.raises(RuntimeError, match="pricing exploded"):
+            serve_workload(get_workload("poisson_steady"), fast=True)
+        assert get_run() is None
+        store = RunStore(tmp_path)
+        manifest = store.manifest(store.latest())
+        assert manifest.status == "failed"
+        assert manifest.summary == {"error": "RuntimeError"}
+        kinds = {e["kind"] for e in store.events(manifest.run_id)}
+        assert "slo_check" not in kinds
+
     def test_expert_load_statistic_shape(self):
         wl = get_workload("poisson_steady")
         res = serve_workload(wl, fast=True, seed=0)
