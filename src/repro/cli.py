@@ -7,7 +7,7 @@ Usage::
     python -m repro bench all            # regenerate everything
     python -m repro info                 # library / substrate summary
     python -m repro obs                  # instrumented demo + Chrome trace
-    python -m repro chaos --seed 0       # fault-injection scenario
+    python -m repro scenario --all --fast  # fault drills + SLO gates
     python -m repro analyze fig22        # critical path + attribution
     python -m repro report               # aggregate BENCH_*.json records
     python -m repro regress              # compare against baselines
@@ -174,6 +174,12 @@ def _cmd_analyze(target: str, world: int, factor: float,
     from repro.cluster.trace import load_sim_trace, save_chrome_trace
     from repro.obs import analysis
 
+    def save_flagged(result, report) -> None:
+        if trace_out:
+            save_chrome_trace(result, trace_out, critical=report.critical)
+            print(f"[analyze] wrote critical-path-flagged trace to "
+                  f"{trace_out}")
+
     if target != "fig22":
         if not Path(target).is_file():
             raise SystemExit(
@@ -183,10 +189,7 @@ def _cmd_analyze(target: str, world: int, factor: float,
         report = analysis.analyze(result, schedule)
         print(f"== analysis of {target} ==")
         print(report.render())
-        if trace_out:
-            save_chrome_trace(result, trace_out, critical=report.critical)
-            print(f"[analyze] wrote critical-path-flagged trace to "
-                  f"{trace_out}")
+        save_flagged(result, report)
         return
 
     from repro.cluster.topology import ndv4_topology
@@ -225,11 +228,7 @@ def _cmd_analyze(target: str, world: int, factor: float,
     print(f"adaptive vs unpipelined: {speedup:.2f}x faster; overlap "
           f"efficiency {base_report.overlap_efficiency:.1%} -> "
           f"{best_report.overlap_efficiency:.1%}")
-    if trace_out:
-        save_chrome_trace(best_result, trace_out,
-                          critical=best_report.critical)
-        print(f"[analyze] wrote critical-path-flagged trace to "
-              f"{trace_out}")
+    save_flagged(best_result, best_report)
 
 
 def _cmd_report(bench_dir: str, write_baselines_dir: str | None) -> None:
@@ -268,6 +267,14 @@ def _cmd_regress(bench_dir: str, baselines_dir: str,
 
 def _default_baselines_dir() -> str:
     return str(_benchmarks_dir() / "baselines")
+
+
+def _write_prometheus(registry, path: str | None) -> None:
+    """Write ``registry`` in prometheus text exposition to ``path``."""
+    if path:
+        from repro.obs.prometheus import render_prometheus
+        Path(path).write_text(render_prometheus(registry))
+        print(f"[obs] wrote prometheus exposition to {path}")
 
 
 def _cmd_obs(trace_path: str, jsonl_path: str | None, steps: int,
@@ -360,12 +367,7 @@ def _cmd_obs(trace_path: str, jsonl_path: str | None, steps: int,
                 json.dumps(ob.registry.snapshot(), indent=1,
                            sort_keys=True) + "\n")
             print(f"[obs] wrote metrics snapshot to {metrics_json}")
-        if prometheus_path:
-            from repro.obs.prometheus import render_prometheus
-            Path(prometheus_path).write_text(
-                render_prometheus(ob.registry))
-            print(f"[obs] wrote prometheus exposition to "
-                  f"{prometheus_path}")
+        _write_prometheus(ob.registry, prometheus_path)
     finally:
         obs.disable()
 
@@ -423,13 +425,11 @@ def _cmd_runs(args) -> int:
             print("serving summary:")
             for key in sorted(serve_keys):
                 print(f"  {key:24s} {serve_keys[key]}")
+            from repro.scenarios import SLOCheck
             for event in store.iter_events(run_id, kind="slo_check"):
-                d = event.get("data", {})
-                verdict = "PASS" if d.get("passed") else "FAIL"
-                tag = " (wall-clock)" if d.get("measured") else ""
-                print(f"  [{verdict}] {d.get('name')}: "
-                      f"{d.get('value'):.6g} {d.get('op')} "
-                      f"{d.get('bound'):.6g}{tag}")
+                d = event["data"]
+                print("  " + SLOCheck(d["name"], d["value"], d["bound"],
+                                      d["op"], d["measured"]).describe())
     elif args.runs_command == "diff":
         deltas = store.diff(args.run_a, args.run_b)
         shown = 0
@@ -591,28 +591,60 @@ def _cmd_overhead(fast: bool, steps: int | None) -> int:
     return 0
 
 
-def _cmd_chaos(seed: int, steps: int, num_gpus: int, smoke: bool,
-               checkpoint_dir: str | None, trace_path: str | None) -> None:
-    """Run the seeded chaos scenario on both substrates and report."""
-    from repro.resilience.chaos import run_chaos
+def _add_named_args(cmd, noun: str, artifact: str,
+                    fast_help: str) -> None:
+    """The arguments ``repro scenario`` and ``repro serve`` share."""
+    cmd.add_argument("name", nargs="?", default=None,
+                     help=f"{noun} name (see --list)")
+    cmd.add_argument("--list", action="store_true", dest="list_only",
+                     help=f"list the named {noun}s")
+    cmd.add_argument("--all", action="store_true", dest="run_all",
+                     help=f"run every named {noun} and emit {artifact}")
+    cmd.add_argument("--fast", action="store_true", help=fast_help)
+    cmd.add_argument("--seed", type=int, default=None,
+                     help="override the committed seed")
 
-    report = run_chaos(seed=seed, steps=steps, num_gpus=num_gpus,
-                       smoke=smoke, checkpoint_dir=checkpoint_dir,
-                       trace_path=trace_path)
-    print(report.describe())
-    if trace_path:
-        print(f"[obs] wrote fault/recovery trace events to {trace_path}")
+
+def _named_targets(args, noun: str, registry: dict, get) -> list | None:
+    """The ``--list`` / name / ``--all`` front half ``repro scenario``
+    and ``repro serve`` share: the registered entries to run, or
+    ``None`` once ``--list`` has printed them."""
+    if args.list_only:
+        for key in sorted(registry):
+            print(f"{key:24s} {registry[key].title}")
+            print(f"{'':24s} {registry[key].describe()}")
+        return None
+    if args.run_all:
+        return [registry[key] for key in sorted(registry)]
+    if args.name is None:
+        raise SystemExit(f"repro {args.command}: give a {noun} name, "
+                         "--all, or --list")
+    return [get(args.name)]
 
 
-def _cmd_scenario(name: str | None, list_only: bool, run_all: bool,
-                  fast: bool, seed: int | None,
-                  checkpoint_dir: str | None) -> int:
+def _run_targets(args, targets: list, run_one, render, emit) -> int:
+    """The back half: run and describe each target, print the batch
+    table, ``emit`` the combined BENCH record (only with ``--all``: a
+    partial one trips ``repro regress``) and return the SLO exit code."""
+    results = []
+    for target in targets:
+        results.append(run_one(target))
+        print(results[-1].describe())
+        print()
+    print(render(results))
+    if args.run_all:
+        emit(results, fast=args.fast, verbose=True)
+    return 0 if all(r.passed for r in results) else 1
+
+
+def _cmd_scenario(args) -> int:
     """Run named chaos scenarios and gate on their SLO reports.
 
     Exit status is nonzero when any scenario fails an SLO assertion,
     so CI can gate on ``repro scenario --all`` directly.
     """
     from dataclasses import replace
+    from functools import partial
 
     from repro.scenarios import (
         SCENARIOS,
@@ -620,46 +652,21 @@ def _cmd_scenario(name: str | None, list_only: bool, run_all: bool,
         get_scenario,
         render_results,
         run_scenario,
-        scenario_names,
     )
 
-    if list_only:
-        for sc_name in scenario_names():
-            sc = SCENARIOS[sc_name]
-            print(f"{sc_name:24s} {sc.title}")
-            print(f"{'':24s} {sc.describe()}")
+    targets = _named_targets(args, "scenario", SCENARIOS, get_scenario)
+    if targets is None:
         return 0
-    if run_all:
-        targets = [SCENARIOS[n] for n in scenario_names()]
-    elif name is not None:
-        targets = [get_scenario(name)]
-    else:
-        raise SystemExit(
-            "repro scenario: give a scenario name, --all, or --list")
-    if seed is not None:
-        targets = [replace(sc, seed=seed) for sc in targets]
-
-    results = []
-    for sc in targets:
-        result = run_scenario(sc, fast=fast,
-                              checkpoint_dir=checkpoint_dir)
-        results.append(result)
-        print(result.describe())
-        print()
-    print(render_results(results))
-    if run_all:
-        # The combined BENCH_scenarios.json only makes sense for the
-        # full batch — a single-scenario record would trip the
-        # regression gate's missing-metric check.
-        emit_scenarios(results, fast=fast, verbose=True)
-    return 0 if all(r.passed for r in results) else 1
+    if args.seed is not None:
+        targets = [replace(sc, seed=args.seed) for sc in targets]
+    return _run_targets(
+        args, targets,
+        partial(run_scenario, fast=args.fast,
+                checkpoint_dir=args.checkpoint_dir),
+        render_results, emit_scenarios)
 
 
-def _cmd_serve(name: str | None, list_only: bool, run_all: bool,
-               fast: bool, seed: int | None, p99_slo: float | None,
-               prometheus_path: str | None,
-               trace_path: str | None,
-               live_port: int | None = None) -> int:
+def _cmd_serve(args) -> int:
     """Serve named workloads and gate on their SLO reports.
 
     Exit status is nonzero when any workload misses an SLO bound, so
@@ -668,6 +675,9 @@ def _cmd_serve(name: str | None, list_only: bool, run_all: bool,
     the same seed produce identical SLO numbers (only the measured
     wall-clock columns differ).
     """
+    from contextlib import ExitStack
+    from functools import partial
+
     from repro import obs
     from repro.serve import (
         WORKLOADS,
@@ -675,32 +685,16 @@ def _cmd_serve(name: str | None, list_only: bool, run_all: bool,
         get_workload,
         render_serve_results,
         serve_workload,
-        workload_names,
     )
 
-    if list_only:
-        for wl_name in workload_names():
-            wl = WORKLOADS[wl_name]
-            print(f"{wl_name:24s} {wl.title}")
-            print(f"{'':24s} {wl.arrival.kind} trace, "
-                  f"{wl.arrival.horizon_s:g}s horizon, SLO p99 <= "
-                  f"{wl.slo.p99_ms:g}ms, goodput >= "
-                  f"{wl.slo.min_goodput_rps:g} r/s")
+    targets = _named_targets(args, "workload", WORKLOADS, get_workload)
+    if targets is None:
         return 0
-    if run_all:
-        targets = [WORKLOADS[n] for n in workload_names()]
-    elif name is not None:
-        targets = [get_workload(name)]
-    else:
-        raise SystemExit(
-            "repro serve: give a workload name, --all, or --list")
-
-    from contextlib import ExitStack
 
     with ExitStack() as stack:
         ob = obs.enable()
         stack.callback(obs.disable)
-        if live_port is not None:
+        if args.live_port is not None:
             # Pre-create the run so the live server has a directory to
             # tail from the very first batch; serve_workload sees an
             # active run and records into it instead of making its own.
@@ -708,43 +702,30 @@ def _cmd_serve(name: str | None, list_only: bool, run_all: bool,
             from repro.obs.runs import recording_run
 
             run_ctx = recording_run(
-                seed=seed if seed is not None else 0,
-                config={"kind": "serve_live", "fast": fast,
+                seed=args.seed if args.seed is not None else 0,
+                config={"kind": "serve_live", "fast": args.fast,
                         "workloads": [wl.name for wl in targets]},
                 substrate="serve")
             live_run = run_ctx.__enter__()
             live_server = LiveServer(live_run.directory,
-                                     port=live_port).start()
+                                     port=args.live_port).start()
             # Exit order is LIFO: the run finalizes first, so SSE
             # followers get their "end" before the server stops.
             stack.callback(live_server.stop)
             stack.push(run_ctx)
             print(f"[live] run {live_run.manifest.run_id} at "
                   f"{live_server.url} (/metrics /events /healthz /)")
-        results = []
-        for wl in targets:
-            result = serve_workload(wl, fast=fast, seed=seed,
-                                    p99_slo_ms=p99_slo)
-            results.append(result)
-            print(result.describe())
-            print()
-        print(render_serve_results(results))
-        if run_all:
-            # The combined BENCH_serving.json only makes sense for
-            # the full batch — a single-workload record would trip
-            # the regression gate's missing-metric check.
-            emit_serving(results, fast=fast, verbose=True)
-        if prometheus_path:
-            from repro.obs.prometheus import render_prometheus
-            with open(prometheus_path, "w") as fh:
-                fh.write(render_prometheus(ob.registry))
-            print(f"[obs] wrote prometheus exposition to "
-                  f"{prometheus_path}")
-        if trace_path:
-            ob.recorder.dump_chrome_trace(trace_path)
+        status = _run_targets(
+            args, targets,
+            partial(serve_workload, fast=args.fast, seed=args.seed,
+                    p99_slo_ms=args.p99_slo),
+            render_serve_results, emit_serving)
+        _write_prometheus(ob.registry, args.prometheus)
+        if args.trace:
+            ob.recorder.dump_chrome_trace(args.trace)
             print(f"[obs] wrote {len(ob.recorder)} trace events to "
-                  f"{trace_path}")
-    return 0 if all(r.passed for r in results) else 1
+                  f"{args.trace}")
+    return status
 
 
 def _cmd_route(run: str, fast: bool, seed: int, runs_dir: str | None,
@@ -810,12 +791,7 @@ def _cmd_route(run: str, fast: bool, seed: int, runs_dir: str | None,
         record_gauges(ob, profile, scores)
         if fast:
             emit_routing(profile, scores, config=config, verbose=True)
-        if prometheus_path:
-            from repro.obs.prometheus import render_prometheus
-            with open(prometheus_path, "w") as fh:
-                fh.write(render_prometheus(ob.registry))
-            print(f"[obs] wrote prometheus exposition to "
-                  f"{prometheus_path}")
+        _write_prometheus(ob.registry, prometheus_path)
     finally:
         obs.disable()
     return 0
@@ -1044,14 +1020,13 @@ def main(argv: list[str] | None = None) -> int:
     analyze_cmd.add_argument("--trace", default=None,
                              help="write a critical-path-flagged Chrome "
                                   "trace here")
+    bench_dir_kwargs = dict(
+        default=os.environ.get("REPRO_BENCH_DIR", "bench-results"),
+        help="directory holding the BENCH_*.json records "
+             "(default: $REPRO_BENCH_DIR or ./bench-results)")
     report_cmd = sub.add_parser(
         "report", help="aggregate BENCH_*.json records into one table")
-    report_cmd.add_argument("--bench-dir",
-                            default=os.environ.get("REPRO_BENCH_DIR",
-                                                   "bench-results"),
-                            help="directory holding BENCH_*.json "
-                                 "(default: $REPRO_BENCH_DIR or "
-                                 "./bench-results)")
+    report_cmd.add_argument("--bench-dir", **bench_dir_kwargs)
     report_cmd.add_argument("--write-baselines", default=None,
                             metavar="DIR",
                             help="also persist the records as baselines "
@@ -1060,66 +1035,26 @@ def main(argv: list[str] | None = None) -> int:
         "regress",
         help="compare BENCH_*.json against committed baselines; "
              "exit 1 on regression")
-    regress_cmd.add_argument("--bench-dir",
-                             default=os.environ.get("REPRO_BENCH_DIR",
-                                                    "bench-results"),
-                             help="directory holding the current "
-                                  "BENCH_*.json records")
+    regress_cmd.add_argument("--bench-dir", **bench_dir_kwargs)
     regress_cmd.add_argument("--baselines", default=None,
                              help="baseline directory (default: "
                                   "benchmarks/baselines)")
     regress_cmd.add_argument("--include-measured", action="store_true",
                              help="also gate on wall-clock metrics "
                                   "(noisy; off by default)")
-    chaos_cmd = sub.add_parser(
-        "chaos", help="seeded fault-injection scenario on both substrates")
-    chaos_cmd.add_argument("--seed", type=int, default=0,
-                           help="fault-plan seed (default 0)")
-    chaos_cmd.add_argument("--steps", type=int, default=30,
-                           help="training steps of the functional half")
-    chaos_cmd.add_argument("--gpus", type=int, default=4,
-                           help="simulated GPUs in the chaos schedule")
-    chaos_cmd.add_argument("--smoke", action="store_true",
-                           help="small/fast variant (CI)")
-    chaos_cmd.add_argument("--checkpoint-dir", default=None,
-                           help="keep checkpoints here (default: tempdir)")
-    chaos_cmd.add_argument("--trace", default=None,
-                           help="dump fault/recovery events as JSONL")
     scenario_cmd = sub.add_parser(
         "scenario",
         help="seeded chaos scenarios with pass/fail SLO gates")
-    scenario_cmd.add_argument("name", nargs="?", default=None,
-                              help="scenario name (see --list)")
-    scenario_cmd.add_argument("--list", action="store_true",
-                              dest="list_only",
-                              help="list the named scenarios")
-    scenario_cmd.add_argument("--all", action="store_true",
-                              dest="run_all",
-                              help="run every named scenario and emit "
-                                   "BENCH_scenarios.json")
-    scenario_cmd.add_argument("--fast", action="store_true",
-                              help="shortened step counts (CI smoke)")
-    scenario_cmd.add_argument("--seed", type=int, default=None,
-                              help="override the committed seed")
+    _add_named_args(scenario_cmd, "scenario", "BENCH_scenarios.json",
+                    "shortened step counts (CI smoke)")
     scenario_cmd.add_argument("--checkpoint-dir", default=None,
                               help="keep checkpoints here "
                                    "(default: tempdir)")
     serve_cmd = sub.add_parser(
         "serve",
         help="online serving workloads with pass/fail SLO gates")
-    serve_cmd.add_argument("name", nargs="?", default=None,
-                           help="workload name (see --list)")
-    serve_cmd.add_argument("--list", action="store_true",
-                           dest="list_only",
-                           help="list the named workloads")
-    serve_cmd.add_argument("--all", action="store_true",
-                           dest="run_all",
-                           help="serve every named workload and emit "
-                                "BENCH_serving.json")
-    serve_cmd.add_argument("--fast", action="store_true",
-                           help="shortened arrival horizons (CI smoke)")
-    serve_cmd.add_argument("--seed", type=int, default=None,
-                           help="override the committed seed")
+    _add_named_args(serve_cmd, "workload", "BENCH_serving.json",
+                    "shortened arrival horizons (CI smoke)")
     serve_cmd.add_argument("--p99-slo", type=float, default=None,
                            dest="p99_slo",
                            help="override the modeled-p99 SLO bound in "
@@ -1135,6 +1070,9 @@ def main(argv: list[str] | None = None) -> int:
                            help="record into a run and serve it live "
                                 "on this port while the workloads "
                                 "run (0 = ephemeral port)")
+    runs_dir_kwargs = dict(
+        default=None,
+        help="registry root (default: $REPRO_RUNS_DIR or .repro_runs)")
     route_cmd = sub.add_parser(
         "route",
         help="routing provenance: load/affinity profile + placement "
@@ -1147,9 +1085,7 @@ def main(argv: list[str] | None = None) -> int:
                                 "emits BENCH_routing.json)")
     route_cmd.add_argument("--seed", type=int, default=0,
                            help="synthetic-traffic seed (default 0)")
-    route_cmd.add_argument("--dir", default=None,
-                           help="registry root (default: "
-                                "$REPRO_RUNS_DIR or .repro_runs)")
+    route_cmd.add_argument("--dir", **runs_dir_kwargs)
     route_cmd.add_argument("--gpus", type=int, default=4,
                            help="scoring-world size (default 4)")
     route_cmd.add_argument("--gpus-per-node", type=int, default=2,
@@ -1168,9 +1104,6 @@ def main(argv: list[str] | None = None) -> int:
         "runs", help="query the persistent run registry")
     runs_sub = runs_cmd.add_subparsers(dest="runs_command",
                                        required=True)
-    runs_dir_kwargs = dict(
-        default=None,
-        help="registry root (default: $REPRO_RUNS_DIR or .repro_runs)")
     runs_list = runs_sub.add_parser("list", help="list recorded runs")
     runs_list.add_argument("--dir", **runs_dir_kwargs)
     runs_show = runs_sub.add_parser(
@@ -1205,9 +1138,7 @@ def main(argv: list[str] | None = None) -> int:
     dash_cmd.add_argument("-o", "--out", default=None,
                           help="output HTML path "
                                "(default: dashboard-<run_id>.html)")
-    dash_cmd.add_argument("--dir", default=None,
-                          help="registry root (default: "
-                               "$REPRO_RUNS_DIR or .repro_runs)")
+    dash_cmd.add_argument("--dir", **runs_dir_kwargs)
     dash_cmd.add_argument("--refresh", type=int, default=None,
                           metavar="SECONDS",
                           help="embed a meta-refresh so the page "
@@ -1220,9 +1151,7 @@ def main(argv: list[str] | None = None) -> int:
     live_cmd.add_argument("run", nargs="?", default="latest",
                           help="run id, unique prefix, or 'latest' "
                                "(default)")
-    live_cmd.add_argument("--dir", default=None,
-                          help="registry root (default: "
-                               "$REPRO_RUNS_DIR or .repro_runs)")
+    live_cmd.add_argument("--dir", **runs_dir_kwargs)
     live_cmd.add_argument("--host", default="127.0.0.1",
                           help="bind address (default 127.0.0.1)")
     live_cmd.add_argument("--port", type=int, default=8123,
@@ -1282,6 +1211,19 @@ def main(argv: list[str] | None = None) -> int:
                               "as JSON here")
     args = parser.parse_args(argv)
 
+    try:
+        return _dispatch(args)
+    except KeyError as exc:
+        # Registry and run-store lookups report unknown names as
+        # KeyError; for those commands that is a usage error.
+        if args.command not in ("scenario", "serve", "route", "runs",
+                                "dashboard", "live"):
+            raise
+        raise SystemExit(
+            f"repro {args.command}: {exc.args[0]}") from exc
+
+
+def _dispatch(args) -> int:
     if args.command == "list":
         _cmd_list()
     elif args.command == "info":
@@ -1297,48 +1239,22 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_regress(args.bench_dir,
                             args.baselines or _default_baselines_dir(),
                             args.include_measured)
-    elif args.command == "chaos":
-        _cmd_chaos(args.seed, args.steps, args.gpus, args.smoke,
-                   args.checkpoint_dir, args.trace)
     elif args.command == "scenario":
-        try:
-            return _cmd_scenario(args.name, args.list_only,
-                                 args.run_all, args.fast, args.seed,
-                                 args.checkpoint_dir)
-        except KeyError as exc:
-            raise SystemExit(f"repro scenario: {exc.args[0]}") from exc
+        return _cmd_scenario(args)
     elif args.command == "serve":
-        try:
-            return _cmd_serve(args.name, args.list_only, args.run_all,
-                              args.fast, args.seed, args.p99_slo,
-                              args.prometheus, args.trace,
-                              live_port=args.live_port)
-        except KeyError as exc:
-            raise SystemExit(f"repro serve: {exc.args[0]}") from exc
+        return _cmd_serve(args)
     elif args.command == "route":
-        try:
-            return _cmd_route(args.run, args.fast, args.seed, args.dir,
-                              args.gpus, args.gpus_per_node,
-                              args.bytes_per_token, args.prometheus)
-        except KeyError as exc:
-            raise SystemExit(f"repro route: {exc.args[0]}") from exc
+        return _cmd_route(args.run, args.fast, args.seed, args.dir,
+                          args.gpus, args.gpus_per_node,
+                          args.bytes_per_token, args.prometheus)
     elif args.command == "runs":
-        try:
-            return _cmd_runs(args)
-        except KeyError as exc:
-            raise SystemExit(f"repro runs: {exc.args[0]}") from exc
+        return _cmd_runs(args)
     elif args.command == "dashboard":
-        try:
-            _cmd_dashboard(args.run, args.out, args.dir,
-                           refresh=args.refresh)
-        except KeyError as exc:
-            raise SystemExit(f"repro dashboard: {exc.args[0]}") from exc
+        _cmd_dashboard(args.run, args.out, args.dir,
+                       refresh=args.refresh)
     elif args.command == "live":
-        try:
-            return _cmd_live(args.run, args.dir, args.host, args.port,
-                             args.duration, args.refresh, args.wait)
-        except KeyError as exc:
-            raise SystemExit(f"repro live: {exc.args[0]}") from exc
+        return _cmd_live(args.run, args.dir, args.host, args.port,
+                         args.duration, args.refresh, args.wait)
     elif args.command == "overhead":
         return _cmd_overhead(args.fast, args.steps)
     elif args.command == "profile":

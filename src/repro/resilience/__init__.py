@@ -8,17 +8,16 @@ both substrates:
 
 * :mod:`repro.resilience.faults` — seeded :class:`FaultPlan` objects
   (straggler windows, link degradation, op-failure instants, expert
-  failures) consumed by :func:`repro.cluster.simulator.simulate` and
-  the chaos runner;
+  failures) consumed by :func:`repro.cluster.simulator.simulate`;
 * :mod:`repro.resilience.checkpoint` — checkpoint/restore of model
   parameters, Adam state, RNG state, and training history, proven
   bit-identical to an uninterrupted run;
 * :mod:`repro.resilience.recovery` — strategy re-selection after an
   expert-parallel rank failure, reusing the paper's switchable P1/P2
-  parallelism as a recovery mechanism;
-* :mod:`repro.resilience.chaos` — the seeded end-to-end chaos scenario
-  behind ``repro chaos``.
+  parallelism as a recovery mechanism.
 
+:mod:`repro.scenarios` plays seeded fault timelines over these pieces
+(``repro scenario compound_faults`` is the end-to-end drill).
 Everything emits ``repro.obs`` counters and trace events
 (``fault.injected``, ``fault.recovered``, ``train.step_skipped``,
 ``ckpt.saved``) so recoveries are attributable to steps on the unified
@@ -40,7 +39,6 @@ from repro.resilience.faults import (
     StragglerWindow,
 )
 from repro.resilience.recovery import RecoveryDecision, reselect_strategy
-from repro.resilience.chaos import ChaosReport, run_chaos
 
 __all__ = [
     "StragglerWindow",
@@ -55,6 +53,4 @@ __all__ = [
     "load_checkpoint",
     "RecoveryDecision",
     "reselect_strategy",
-    "ChaosReport",
-    "run_chaos",
 ]

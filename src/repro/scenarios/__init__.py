@@ -24,8 +24,10 @@ from repro.scenarios.spec import (
     ElasticResize,
     ExpertDeath,
     LinkBrownout,
+    NonFiniteStep,
     RankLoss,
     Scenario,
+    SimClockFault,
     SLOSpec,
 )
 
@@ -33,8 +35,10 @@ __all__ = [
     "ElasticResize",
     "ExpertDeath",
     "LinkBrownout",
+    "NonFiniteStep",
     "RankLoss",
     "Scenario",
+    "SimClockFault",
     "SLOSpec",
     "SLOCheck",
     "ScenarioResult",

@@ -10,14 +10,18 @@ Scenario` end to end:
   the fault), and the wall clock from kill to re-reaching the pre-fault
   step is held against the recovery deadline.  An :class:`ExpertDeath`
   calls ``fail_expert`` mid-run; survivor gating renormalizes and a
-  fault-free twin run (same seed) bounds the loss damage.
+  fault-free twin run (same seed) bounds the loss damage.  A
+  :class:`NonFiniteStep` poisons one weight; the trainer's guard must
+  roll back and skip exactly that step.
 * **Performance substrate** — every event is priced on the simulated
   cluster: rank loss re-runs :func:`~repro.resilience.recovery.
   reselect_strategy` under whatever brownout is active at that step
   (compound faults), a :class:`LinkBrownout` re-selects the All-to-All
   algorithm on the derated fabric (the 2DH→linear switch), and an
   :class:`ElasticResize` re-derives the expert placement and simulates
-  the shard movement through :mod:`repro.cluster.simulator`.
+  the shard movement through :mod:`repro.cluster.simulator`, and a
+  :class:`SimClockFault` re-simulates the pipeline segment under a
+  straggler / degraded-link / op-failure ``FaultPlan``.
 
 Everything is recorded through one :class:`~repro.obs.loop.
 LoopTelemetry` when ``REPRO_RUNS_DIR`` is set — ``scenario`` /
@@ -47,8 +51,26 @@ from repro.obs.runs import set_run
 from repro.parallel.placement import ExpertPlacement, build_placement
 from repro.parallel.strategy import best_strategy
 from repro.collectives.schedule import feasible_a2a_algorithms
+from repro.pipeline.schedule import (
+    PipelineStrategy,
+    build_pipeline_schedule,
+)
+from repro.resilience.faults import (
+    FaultPlan,
+    LinkDegradation,
+    OpFailure,
+    StragglerWindow,
+)
 from repro.resilience.recovery import reselect_strategy
-from repro.scenarios.spec import Scenario
+from repro.scenarios.spec import (
+    ElasticResize,
+    ExpertDeath,
+    LinkBrownout,
+    NonFiniteStep,
+    RankLoss,
+    Scenario,
+    SimClockFault,
+)
 
 __all__ = [
     "SLOCheck",
@@ -308,61 +330,62 @@ def _execute(sc: Scenario, result: ScenarioResult,
     sim_cfg, sim_topo = _sim_shapes(sc, topology_fn)
     slo = sc.slo
 
-    deaths_by_step: dict[int, list] = {}
-    for ev in sc.expert_deaths:
-        deaths_by_step.setdefault(ev.step, []).append(ev)
-    deaths_recorded: set = set()
+    injections: dict[int, list] = {}
+    for ev in sc.of_kind((ExpertDeath, NonFiniteStep)):
+        injections.setdefault(ev.step, []).append(ev)
+    recorded: set = set()
+    recovery_walls: list[tuple[float, float]] = []  # (secs, deadline)
+    catchup: dict = {}  # target/killed/deadline of a pending recovery
 
-    def make_hook(catchup: dict | None):
-        def hook(step: int, model) -> None:
-            if catchup is not None and catchup.get("at") is None \
-                    and step >= catchup["target"]:
-                catchup["at"] = perf_counter()
-            for ev in deaths_by_step.get(step, ()):
-                # Replayed steps re-apply the (idempotent) failure so
-                # the resumed segment stays bit-identical; record the
-                # event only the first time through.
+    def hook(step: int, model) -> None:
+        if catchup and step >= catchup["target"]:
+            # Back at the pre-fault step: that is the recovery wall.
+            recovery_walls.append((perf_counter() - catchup["killed"],
+                                   catchup["deadline"]))
+            catchup.clear()
+        for ev in injections.get(step, ()):
+            # Replayed steps re-apply the injection (a failure is
+            # idempotent, a poisoned step is skipped again) so the
+            # resumed segment stays bit-identical; record the event
+            # only the first time through.
+            if isinstance(ev, ExpertDeath):
                 model.fail_expert(ev.layer, ev.expert)
-                key = (ev.step, ev.layer, ev.expert)
-                if key not in deaths_recorded:
-                    deaths_recorded.add(key)
-                    result.timeline.append({
-                        "step": step, "kind": "expert_death",
-                        "layer": ev.layer, "expert": ev.expert})
-                    tel.event("fault", {
-                        "kind": "expert_failure",
-                        "layer": ev.layer, "expert": ev.expert}, step)
-        return hook
+                kinds = ("expert_death", "expert_failure")
+                where = {"layer": ev.layer, "expert": ev.expert}
+            else:
+                victim = next(p for p in model.parameters()
+                              if p.requires_grad)
+                victim.data.flat[0] = np.nan
+                kinds = ("nonfinite_step", "nonfinite_injection")
+                where = {}
+            if ev not in recorded:
+                recorded.add(ev)
+                result.timeline.append(
+                    {"step": step, "kind": kinds[0], **where})
+                tel.event("fault", {"kind": kinds[1], **where}, step)
 
-    def train_segment(until: int, resume: str | None,
-                      catchup: dict | None):
+    def train_segment(until: int, resume: str | None):
         model = _build_model(sc)
         return train_model(
             model, train_batch, test_batch, steps=until,
             batch_size=sc.batch_size, seed=sc.seed,
             checkpoint_every=sc.checkpoint_every,
             checkpoint_dir=checkpoint_dir,
-            resume_from=resume, step_hook=make_hook(catchup))
+            resume_from=resume, step_hook=hook)
 
     # -- training drive, split at every rank loss -----------------------
     model_slowdowns: list[float] = []
-    recovery_walls: list[tuple[float, float]] = []  # (secs, deadline)
     replay_steps: list[int] = []
     segment_results = []
     all_ckpts: list[str] = []
     resume_path: str | None = None
-    pending_catchup: dict | None = None
+    rank_losses = sc.of_kind(RankLoss)
 
-    for rl in sc.rank_losses:
-        seg = train_segment(rl.step, resume_path, pending_catchup)
+    for rl in rank_losses:
+        seg = train_segment(rl.step, resume_path)
         segment_results.append(seg)
         all_ckpts.extend(seg.checkpoint_paths)
         t_kill = perf_counter()
-        if pending_catchup is not None:
-            recovery_walls.append(
-                (pending_catchup.get("at", t_kill)
-                 - pending_catchup["killed"],
-                 pending_catchup["deadline"]))
         resume_path = all_ckpts[-1]
         from_step = _ckpt_step(resume_path)
         replay_steps.append(rl.step - from_step)
@@ -388,25 +411,18 @@ def _execute(sc: Scenario, result: ScenarioResult,
             "strategy": decision.cost.strategy.value,
             "a2a": decision.cost.a2a_algorithm.value,
             "model_slowdown": round(decision.slowdown, 4)})
-        pending_catchup = {"target": rl.step, "killed": t_kill,
-                           "deadline": rl.recovery_deadline_s,
-                           "at": None}
+        catchup.update(target=rl.step, killed=t_kill,
+                       deadline=rl.recovery_deadline_s)
 
-    final = train_segment(sc.steps, resume_path, pending_catchup)
+    final = train_segment(sc.steps, resume_path)
     segment_results.append(final)
-    end_wall = perf_counter()
-    if pending_catchup is not None:
-        recovery_walls.append(
-            (pending_catchup.get("at", end_wall)
-             - pending_catchup["killed"],
-             pending_catchup["deadline"]))
 
     result.losses = list(final.losses)
     result.eval_accuracy = final.eval_accuracy
 
     # -- sim-only events: brownout switches, elastic resizes ------------
     a2a_switched = None
-    for ev in sc.brownouts:
+    for ev in sc.of_kind(LinkBrownout):
         healthy = best_strategy(sim_cfg, sim_topo)
         browned_topo = sim_topo.with_degraded_inter_link(ev.factor)
         candidates = feasible_a2a_algorithms(
@@ -439,11 +455,38 @@ def _execute(sc: Scenario, result: ScenarioResult,
             "kind": "brownout_cleared",
             "a2a": healthy.a2a_algorithm.value}, ev.end_step)
 
+    for ev in sc.of_kind(SimClockFault):
+        schedule = build_pipeline_schedule(sim_cfg, sim_topo,
+                                           PipelineStrategy(degree=2))
+        horizon = simulate(schedule).makespan
+        plan = FaultPlan(seed=sc.seed)
+        if ev.straggler is not None:
+            plan.stragglers.append(StragglerWindow(
+                gpu=0, start=0.2 * horizon, end=0.7 * horizon,
+                factor=ev.straggler))
+        if ev.link is not None:
+            plan.link_degradations.append(LinkDegradation(
+                start=0.3 * horizon, end=0.8 * horizon, factor=ev.link))
+        if ev.failure_timeout is not None:
+            plan.op_failures.append(OpFailure(
+                time=0.4 * horizon, gpu=0,
+                timeout=ev.failure_timeout * horizon))
+        faulted = simulate(schedule, faults=plan)
+        slowdown = faulted.makespan / horizon
+        model_slowdowns.append(slowdown)
+        info = {"kind": "sim_clock_fault", "plan": plan.describe(),
+                "injected": faulted.faults_injected,
+                "recovered": faulted.faults_recovered}
+        result.timeline.append({"step": ev.step, **info,
+                                "model_slowdown": round(slowdown, 4)})
+        tel.event("fault", {**info, "slowdown": slowdown}, ev.step)
+
     replacement_total = 0.0
     moved_total = 0.0
     scaleup_ratios: list[float] = []
     world = sc.sim_world
-    for ev in sc.resizes:
+    resizes = sc.of_kind(ElasticResize)
+    for ev in resizes:
         big = topology_fn(max(world, ev.new_world))
         seconds, moved = price_replacement(
             world, ev.new_world, sc.sim_experts, big,
@@ -486,9 +529,9 @@ def _execute(sc: Scenario, result: ScenarioResult,
 
     # -- step-time ratio across the first fault -------------------------
     step_time_ratio = None
-    if sc.rank_losses and segment_results[0].step_walls:
-        first_fault = sc.rank_losses[0].step
-        last_fault = sc.rank_losses[-1].step
+    if rank_losses and segment_results[0].step_walls:
+        first_fault = rank_losses[0].step
+        last_fault = rank_losses[-1].step
         pre = [w for s, w in segment_results[0].step_walls.items()
                if s < first_fault]
         post = [w for s, w in final.step_walls.items()
@@ -544,11 +587,17 @@ def _execute(sc: Scenario, result: ScenarioResult,
     metrics.append(Metric("slo_pass", 1.0 if result.passed else 0.0,
                           kind="model", higher_is_better=True,
                           tolerance=0.0))
-    metrics.append(Metric("final_loss", final_loss, kind="model",
-                          higher_is_better=False, tolerance=0.30))
+    if np.isfinite(final_loss):  # a NaN run fails nonfinite_steps instead
+        metrics.append(Metric("final_loss", final_loss, kind="model",
+                              higher_is_better=False, tolerance=0.30))
     metrics.append(Metric("nonfinite_steps", float(nonfinite),
                           kind="model", higher_is_better=False,
                           tolerance=0.0))
+    if sc.of_kind(NonFiniteStep):
+        metrics.append(Metric("skipped_steps",
+                              float(len(final.skipped_steps)),
+                              unit="steps", kind="model",
+                              higher_is_better=None, tolerance=0.0))
     if model_slowdowns:
         metrics.append(Metric("model_slowdown", max(model_slowdowns),
                               unit="x", kind="model",
@@ -573,7 +622,7 @@ def _execute(sc: Scenario, result: ScenarioResult,
                               1.0 if a2a_switched else 0.0,
                               kind="model", higher_is_better=True,
                               tolerance=0.0))
-    if sc.resizes:
+    if resizes:
         metrics.append(Metric("replacement_seconds", replacement_total,
                               unit="s", kind="model",
                               higher_is_better=False, tolerance=0.05))

@@ -1,6 +1,6 @@
 """The named, committed chaos scenarios (``repro scenario --list``).
 
-Four scenarios cover the resilience surface the paper's adaptive
+Five scenarios cover the resilience surface the paper's adaptive
 machinery has to keep working under:
 
 * ``rank_loss_deadline`` — a rank dies mid-run; checkpoint restore plus
@@ -17,6 +17,10 @@ machinery has to keep working under:
 * ``elastic_scale`` — membership grows 16→32 then shrinks to 8; every
   re-placement's shard movement is priced through the cluster
   simulator and scale-up must actually buy throughput.
+* ``compound_faults`` — an expert dies, a poisoned weight makes one step
+  non-finite (the trainer's guard must skip exactly that step) and the
+  simulated pipeline segment runs under a straggler, a degraded link
+  window and an op failure with retry.
 
 SLO bounds on deterministic (model) quantities are tight; wall-clock
 bounds are deliberately generous so shared CI machines do not flake.
@@ -28,8 +32,10 @@ from repro.scenarios.spec import (
     ElasticResize,
     ExpertDeath,
     LinkBrownout,
+    NonFiniteStep,
     RankLoss,
     Scenario,
+    SimClockFault,
     SLOSpec,
 )
 
@@ -113,6 +119,28 @@ _register(Scenario(
         max_replacement_seconds=1.0,
         min_scaleup_throughput_ratio=1.2,
         loss_band=(0.5, 3.3),
+    ),
+))
+
+_register(Scenario(
+    name="compound_faults",
+    title="expert death + non-finite step + straggler/link/op-failure "
+          "on the simulated clock",
+    seed=0,
+    steps=16,
+    fast_steps=12,
+    checkpoint_every=4,
+    batch_size=32,
+    train_tokens=96,
+    test_tokens=96,
+    events=(ExpertDeath(step=4, layer=0, expert=3),
+            NonFiniteStep(step=8),
+            SimClockFault(step=8, straggler=0.3, link=0.5,
+                          failure_timeout=0.05)),
+    slo=SLOSpec(
+        max_skipped_steps=1,
+        max_model_slowdown=2.0,
+        loss_band=(0.5, 2.6),
     ),
 ))
 

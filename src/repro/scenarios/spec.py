@@ -29,6 +29,8 @@ __all__ = [
     "ExpertDeath",
     "LinkBrownout",
     "ElasticResize",
+    "NonFiniteStep",
+    "SimClockFault",
     "SLOSpec",
     "Scenario",
 ]
@@ -112,6 +114,48 @@ class ElasticResize:
         if self.new_world < 1:
             raise ValueError(
                 f"new_world must be >= 1, got {self.new_world}")
+
+
+@dataclass(frozen=True)
+class NonFiniteStep:
+    """One trainable weight is poisoned with NaN before ``step``; the
+    trainer's non-finite guard must roll back and skip exactly it."""
+
+    step: int
+
+    def __post_init__(self) -> None:
+        if self.step < 0:
+            raise ValueError(f"step must be >= 0, got {self.step}")
+
+
+@dataclass(frozen=True)
+class SimClockFault:
+    """Simulated-clock faults on the priced pipeline segment.
+
+    Its GPU runs at ``straggler`` of nominal rate over 20-70% of the
+    fault-free makespan, comm ops at ``link`` of theirs over 30-80%,
+    and whatever is active at 40% dies and re-runs after a detection
+    timeout of ``failure_timeout`` x makespan.  ``None`` leaves a fault
+    out (all three: the empty plan); ``step`` only places the event on
+    the training timeline.
+    """
+
+    step: int
+    straggler: float | None = None
+    link: float | None = None
+    failure_timeout: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.step < 0:
+            raise ValueError(f"step must be >= 0, got {self.step}")
+        for name in ("straggler", "link"):
+            factor = getattr(self, name)
+            if factor is not None and not 0.0 < factor <= 1.0:
+                raise ValueError(
+                    f"{name} factor must be in (0, 1], got {factor}")
+        if self.failure_timeout is not None and self.failure_timeout < 0:
+            raise ValueError("failure_timeout must be >= 0, got "
+                             f"{self.failure_timeout}")
 
 
 @dataclass(frozen=True)
@@ -207,11 +251,16 @@ class Scenario:
                     raise ValueError(
                         f"rank loss at step {ev.step} needs a prior "
                         f"checkpoint and must precede step {horizon}")
+            elif not isinstance(ev, (ExpertDeath, LinkBrownout,
+                                     ElasticResize, NonFiniteStep,
+                                     SimClockFault)):
+                raise TypeError(
+                    f"unknown scenario event {type(ev).__name__}")
+            elif ev.step >= horizon:
+                raise ValueError(
+                    f"{type(ev).__name__} at step {ev.step} is past "
+                    f"the {horizon}-step horizon")
             elif isinstance(ev, ExpertDeath):
-                if ev.step >= horizon:
-                    raise ValueError(
-                        f"expert death at step {ev.step} is past the "
-                        f"{horizon}-step horizon")
                 # Every other block is MoE (the SwinV2-MoE pattern),
                 # so num_blocks blocks hold num_blocks // 2 MoE layers.
                 if ev.layer >= self.num_blocks // 2:
@@ -222,21 +271,7 @@ class Scenario:
                     raise ValueError(
                         f"expert death expert {ev.expert} out of range "
                         f"for {self.num_experts} experts")
-            elif isinstance(ev, LinkBrownout):
-                if ev.step >= horizon:
-                    raise ValueError(
-                        f"brownout at step {ev.step} is past the "
-                        f"{horizon}-step horizon")
-            elif isinstance(ev, ElasticResize):
-                if ev.step >= horizon:
-                    raise ValueError(
-                        f"resize at step {ev.step} is past the "
-                        f"{horizon}-step horizon")
-            else:
-                raise TypeError(
-                    f"unknown scenario event {type(ev).__name__}")
-        losses = [ev.step for ev in self.events
-                  if isinstance(ev, RankLoss)]
+        losses = [ev.step for ev in self.of_kind(RankLoss)]
         if len(losses) != len(set(losses)):
             raise ValueError("at most one rank loss per step")
 
@@ -247,34 +282,15 @@ class Scenario:
             return self
         return replace(self, steps=self.fast_steps, fast_steps=None)
 
-    @property
-    def rank_losses(self) -> list[RankLoss]:
-        return sorted((ev for ev in self.events
-                       if isinstance(ev, RankLoss)),
-                      key=lambda ev: ev.step)
-
-    @property
-    def expert_deaths(self) -> list[ExpertDeath]:
-        return sorted((ev for ev in self.events
-                       if isinstance(ev, ExpertDeath)),
-                      key=lambda ev: ev.step)
-
-    @property
-    def brownouts(self) -> list[LinkBrownout]:
-        return sorted((ev for ev in self.events
-                       if isinstance(ev, LinkBrownout)),
-                      key=lambda ev: ev.step)
-
-    @property
-    def resizes(self) -> list[ElasticResize]:
-        return sorted((ev for ev in self.events
-                       if isinstance(ev, ElasticResize)),
+    def of_kind(self, kind: type | tuple[type, ...]) -> list:
+        """This timeline's events of the given kind(s), in step order."""
+        return sorted((ev for ev in self.events if isinstance(ev, kind)),
                       key=lambda ev: ev.step)
 
     def brownout_factor_at(self, step: int) -> tuple[float, bool]:
         """(bandwidth factor, asymmetric?) of the fabric at ``step``."""
         factor, asymmetric = 1.0, False
-        for ev in self.brownouts:
+        for ev in self.of_kind(LinkBrownout):
             if ev.active(step):
                 factor = min(factor, ev.factor)
                 asymmetric = asymmetric or ev.asymmetric

@@ -92,6 +92,13 @@ class ServeWorkload:
             raise ValueError(
                 f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
 
+    def describe(self) -> str:
+        """One-line shape for ``repro serve --list``."""
+        return (f"{self.arrival.kind} trace, "
+                f"{self.arrival.horizon_s:g}s horizon, SLO p99 <= "
+                f"{self.slo.p99_ms:g}ms, goodput >= "
+                f"{self.slo.min_goodput_rps:g} r/s")
+
     def resolved(self, fast: bool = False,
                  seed: int | None = None) -> "ServeWorkload":
         """The workload with ``--fast``/``--seed`` overrides applied."""

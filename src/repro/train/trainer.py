@@ -125,10 +125,10 @@ def train_model(model: Module, train: TokenBatch, test: TokenBatch,
     ``checkpoint_every`` writes a checkpoint to ``checkpoint_dir``
     every N completed steps; ``resume_from`` restores one and continues
     bit-identically (the model must be constructed from the same seed).
-    ``step_hook(step, model)`` runs before each step — the chaos
-    scenario uses it to fail an expert mid-run.  ``nonfinite_guard``
-    skips NaN/Inf steps and rolls parameters back to the last good
-    state instead of letting the divergence propagate.
+    ``step_hook(step, model)`` runs before each step — the scenario
+    engine uses it to fail an expert or poison a weight mid-run.
+    ``nonfinite_guard`` skips NaN/Inf steps and rolls parameters back
+    to the last good state instead of letting the divergence propagate.
 
     ``alert_rules`` is an optional list of
     :class:`repro.obs.alerts.AlertRule`; with a run recording (an
@@ -211,6 +211,20 @@ def train_model(model: Module, train: TokenBatch, test: TokenBatch,
                 np.copyto(slot, v)
             optimizer._step = opt_step
 
+        def checkpoint_boundary(completed: int) -> None:
+            if checkpoint_every is None or completed % checkpoint_every:
+                return
+            os.makedirs(checkpoint_dir, exist_ok=True)
+            path = os.path.join(checkpoint_dir,
+                                f"ckpt_{completed:06d}.npz")
+            save_checkpoint(
+                capture_training_state(model, optimizer, rng,
+                                       completed, result=result), path)
+            result.checkpoint_paths.append(path)
+            saved = {"step": completed, "path": path}
+            _instant("saved", CAT_CKPT, args=saved)
+            tel.event("ckpt_saved", saved, completed)
+
         last_good = snapshot() if nonfinite_guard else None
 
         tel.event("train_begin", {"steps": steps, "start_step": start_step,
@@ -250,6 +264,9 @@ def train_model(model: Module, train: TokenBatch, test: TokenBatch,
                     _instant("recovered", CAT_FAULT, args={
                         "kind": "nonfinite_step", "step": step})
                     tel.tick(step, "step_skipped", {"step": step})
+                    # A skipped boundary still checkpoints: the rolled-
+                    # back state is the last good one.
+                    checkpoint_boundary(step + 1)
                     continue
                 with _span("optimizer", CAT_TRAIN):
                     gnorm = clip_grad_norm(params, grad_clip)
@@ -271,19 +288,7 @@ def train_model(model: Module, train: TokenBatch, test: TokenBatch,
                      layers=moe_layers, counts={"train.steps": 1},
                      gauges={"train.loss": loss_val})
 
-            completed = step + 1
-            if (checkpoint_every is not None
-                    and completed % checkpoint_every == 0):
-                os.makedirs(checkpoint_dir, exist_ok=True)
-                path = os.path.join(checkpoint_dir,
-                                    f"ckpt_{completed:06d}.npz")
-                save_checkpoint(
-                    capture_training_state(model, optimizer, rng,
-                                           completed, result=result), path)
-                result.checkpoint_paths.append(path)
-                saved = {"step": completed, "path": path}
-                _instant("saved", CAT_CKPT, args=saved)
-                tel.event("ckpt_saved", saved, completed)
+            checkpoint_boundary(step + 1)
 
         # Window-averaged final metrics: clamp the window when fewer than
         # 20 steps contributed (short runs, or steps lost to the guard) so

@@ -211,17 +211,26 @@ class TestRunsCommand:
 
 
 class TestChaosCommand:
-    def test_chaos_smoke(self, tmp_path, capsys):
+    def test_chaos_smoke(self, tmp_path, capsys, monkeypatch):
+        """``repro chaos`` is gone; the drill is the registered
+        ``compound_faults`` scenario and its fault trace is the run's
+        ``fault`` events."""
         from repro import obs as obs_module
 
-        trace = tmp_path / "chaos.jsonl"
-        assert main(["chaos", "--seed", "0", "--smoke",
-                     "--trace", str(trace)]) == 0
+        with pytest.raises(SystemExit):
+            main(["chaos", "--seed", "0", "--smoke"])
+        capsys.readouterr()
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path))
+        assert main(["scenario", "compound_faults", "--fast"]) == 0
         out = capsys.readouterr().out
-        assert "chaos scenario (seed 0)" in out
-        assert "fault-free makespan" in out
-        assert "fault.recovered" in out
-        assert trace.read_text().strip()
+        assert "scenario compound_faults (seed 0" in out
+        assert "sim_clock_fault" in out
+        assert "[PASS] skipped_steps: 1 <= 1" in out
+        assert main(["runs", "show", "latest", "--events", "fault"]) == 0
+        faults = capsys.readouterr().out
+        for kind in ("expert_failure", "nonfinite_injection",
+                     "sim_clock_fault"):
+            assert kind in faults
         assert obs_module.get_observer() is None
 
 

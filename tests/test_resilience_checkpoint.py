@@ -189,6 +189,38 @@ class TestNonFiniteGuard:
         # The rollback healed the poisoned weight.
         assert np.isfinite(poisoned_at["value"].data).all()
 
+    def test_skipped_boundary_step_still_checkpoints(self, splits,
+                                                     tmp_path):
+        """A guarded step that lands on a checkpoint boundary must not
+        drop that checkpoint: the rolled-back state is saved, resuming
+        from it is bit-identical and the skip is recorded once."""
+        train, test = splits
+
+        def hook(step, m):
+            if step == 3:  # completes the checkpoint_every=4 boundary
+                next(p for p in m.parameters()
+                     if p.requires_grad).data.flat[0] = np.nan
+
+        def run(ckpt_dir, **kwargs):
+            return train_model(fresh_model(), train, test, steps=8,
+                               batch_size=32, seed=0, step_hook=hook,
+                               checkpoint_every=4,
+                               checkpoint_dir=str(tmp_path / ckpt_dir),
+                               **kwargs)
+
+        full = run("full")
+        assert full.skipped_steps == [3]
+        assert [p.rsplit("/", 1)[1] for p in full.checkpoint_paths] == [
+            "ckpt_000004.npz", "ckpt_000008.npz"]
+        boundary = load_checkpoint(full.checkpoint_paths[0])
+        assert boundary.step == 4
+        assert list(boundary.skipped_steps) == [3]
+
+        resumed = run("resumed", resume_from=full.checkpoint_paths[0])
+        assert resumed.skipped_steps == [3]
+        assert resumed.losses == full.losses
+        assert resumed.eval_accuracy == full.eval_accuracy
+
     def test_guard_disabled_lets_nan_through(self, splits):
         train, test = splits
         model = fresh_model()

@@ -1,5 +1,7 @@
 """Tests for strategy re-selection after rank failures and the
-end-to-end chaos scenario."""
+end-to-end ``compound_faults`` chaos scenario."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +13,14 @@ from repro.collectives.schedule import (
     feasible_a2a_algorithms,
 )
 from repro.core.config import MoEConfig
-from repro.obs.trace import TraceRecorder
-from repro.resilience import run_chaos
+from repro.obs.runs import RunStore
 from repro.resilience.recovery import reselect_strategy
+from repro.scenarios import (
+    ExpertDeath,
+    NonFiniteStep,
+    get_scenario,
+    run_scenario,
+)
 
 
 def make_cfg(world=16, experts=8):
@@ -186,80 +193,98 @@ class TestCompoundFault:
 
 
 class TestChaosEndToEnd:
+    """The registered ``compound_faults`` scenario, end to end."""
+
     @pytest.fixture(scope="class")
     def chaos(self, tmp_path_factory):
-        trace = str(tmp_path_factory.mktemp("chaos") / "chaos.jsonl")
-        report = run_chaos(seed=0, smoke=True, trace_path=trace)
-        return report, trace
+        root = tmp_path_factory.mktemp("chaos-runs")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("REPRO_RUNS_DIR", str(root))
+            result = run_scenario(get_scenario("compound_faults"),
+                                  fast=True)
+        return result, RunStore(root).events(result.run_id)
+
+    @staticmethod
+    def _entry(result, kind):
+        (entry,) = [e for e in result.timeline if e["kind"] == kind]
+        return entry
 
     def test_faults_slow_the_simulation(self, chaos):
-        report, _ = chaos
-        assert np.isfinite(report.faulted_makespan)
-        assert report.faulted_makespan > report.fault_free_makespan
-        assert report.sim_faults_injected >= 1
-        assert report.sim_faults_recovered >= 1
+        result, _ = chaos
+        slowdown = result.metric("model_slowdown").value
+        assert np.isfinite(slowdown)
+        assert slowdown > 1.0  # faulted makespan > fault-free
+        sim = self._entry(result, "sim_clock_fault")
+        assert sim["injected"] >= 1
+        assert sim["recovered"] >= 1
 
     def test_training_completes_without_nan(self, chaos):
-        report, _ = chaos
-        assert np.isfinite(report.losses).all()
-        assert len(report.losses) == report.train_steps - len(
-            report.skipped_steps)
-        assert np.isfinite(report.final_train_loss)
-        assert 0.0 <= report.final_train_accuracy <= 1.0
+        result, _ = chaos
+        assert result.passed
+        assert np.isfinite(result.losses).all()
+        skipped = int(result.metric("skipped_steps").value)
+        assert len(result.losses) == result.scenario.steps - skipped
+        assert np.isfinite(result.metric("final_loss").value)
+        assert result.metric("nonfinite_steps").value == 0
+        assert 0.0 <= result.eval_accuracy <= 1.0
 
     def test_recoveries_counted(self, chaos):
-        report, _ = chaos
-        assert report.counters["fault.recovered"] > 0
-        assert report.counters["fault.injected"] >= 3
-        assert report.counters["train.step_skipped"] == 1
-        assert report.counters["ckpt.saved"] >= 2
-        assert report.recovery.surviving_world >= 1
+        result, events = chaos
+        kinds = [e["kind"] for e in events]
+        assert kinds.count("fault") >= 3
+        assert kinds.count("step_skipped") == 1
+        assert kinds.count("ckpt_saved") >= 2
+        assert result.metric("skipped_steps").value == 1
 
     def test_events_attributed_to_steps(self, chaos):
         """The injected expert failure and the non-finite poisoning
         must land on their scheduled steps, and the skipped step must
         be exactly the poisoned one."""
-        report, trace = chaos
-        steps = report.train_steps  # 12 in smoke mode
-        expert_fail_step = max(1, steps // 3)
-        nonfinite_step = max(expert_fail_step + 1, 2 * steps // 3)
-        assert report.skipped_steps == [nonfinite_step]
+        result, events = chaos
+        sc = result.scenario
+        (death,) = sc.of_kind(ExpertDeath)
+        (poison,) = sc.of_kind(NonFiniteStep)
+        faults = {e["data"]["kind"]: e for e in events
+                  if e["kind"] == "fault"}
+        assert {"expert_failure", "nonfinite_injection",
+                "sim_clock_fault"} <= set(faults)
+        assert faults["expert_failure"]["step"] == death.step
+        assert faults["expert_failure"]["data"]["expert"] == death.expert
+        assert faults["nonfinite_injection"]["step"] == poison.step
 
-        events = TraceRecorder.load_jsonl(trace).events
-        injected = [e for e in events
-                    if e.cat == "fault" and e.name == "injected"]
-        kinds = {e.args.get("kind") for e in injected}
-        assert {"expert_failure", "nonfinite_injection"} <= kinds
-        by_kind = {e.args["kind"]: e for e in injected
-                   if "kind" in e.args}
-        assert by_kind["expert_failure"].args["step"] == expert_fail_step
-        assert (by_kind["nonfinite_injection"].args["step"]
-                == nonfinite_step)
-
-        skipped = [e for e in events if e.name == "step_skipped"]
-        assert [e.args["step"] for e in skipped] == [nonfinite_step]
-        saved = [e.args["step"] for e in events if e.name == "saved"]
+        skipped = [e["step"] for e in events
+                   if e["kind"] == "step_skipped"]
+        assert skipped == [poison.step]
+        saved = [e["data"]["step"] for e in events
+                 if e["kind"] == "ckpt_saved"]
         assert saved == sorted(saved)
-        assert all(1 <= s <= steps for s in saved)
+        assert all(1 <= s <= sc.steps for s in saved)
 
     def test_describe_renders(self, chaos):
-        report, _ = chaos
-        text = report.describe()
-        assert "fault-free makespan" in text
-        assert "fault.recovered" in text
+        result, _ = chaos
+        text = result.describe()
+        assert "sim_clock_fault" in text
+        assert "nonfinite_step" in text
+        assert "model_slowdown" in text
+        assert "skipped_steps" in text
 
     def test_deterministic_in_seed(self, chaos):
-        report, _ = chaos
-        again = run_chaos(seed=0, smoke=True)
-        assert again.losses == report.losses
-        assert again.faulted_makespan == report.faulted_makespan
-        assert again.skipped_steps == report.skipped_steps
+        result, _ = chaos
+        again = run_scenario(get_scenario("compound_faults"), fast=True)
+        assert again.losses == result.losses
+        assert again.timeline == result.timeline
+        assert ([(m.name, m.value) for m in again.metrics
+                 if m.kind == "model"]
+                == [(m.name, m.value) for m in result.metrics
+                    if m.kind == "model"])
 
     def test_observer_restored(self):
         assert obs.get_observer() is None
-        run_chaos(seed=1, smoke=True)
+        run_scenario(replace(get_scenario("compound_faults"), seed=1),
+                     fast=True)
         assert obs.get_observer() is None
 
     def test_too_few_steps_rejected(self):
-        with pytest.raises(ValueError, match="steps"):
-            run_chaos(seed=0, steps=3)
+        with pytest.raises(ValueError, match="horizon"):
+            replace(get_scenario("compound_faults"), steps=3,
+                    fast_steps=None)

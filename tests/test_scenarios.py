@@ -14,8 +14,10 @@ from repro.scenarios import (
     ElasticResize,
     ExpertDeath,
     LinkBrownout,
+    NonFiniteStep,
     RankLoss,
     Scenario,
+    SimClockFault,
     SLOCheck,
     SLOSpec,
     emit_scenarios,
@@ -86,6 +88,30 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SLOSpec(max_model_slowdown=0.0)
 
+    def test_nonfinite_step_validation(self):
+        with pytest.raises(ValueError, match="step"):
+            NonFiniteStep(step=-1)
+        with pytest.raises(ValueError, match="horizon"):
+            Scenario(name="x", title="x", seed=0, steps=10,
+                     events=(NonFiniteStep(step=10),))
+        sc = Scenario(name="x", title="x", seed=0, steps=10,
+                      events=(NonFiniteStep(step=7), NonFiniteStep(step=2)))
+        assert [ev.step for ev in sc.of_kind(NonFiniteStep)] == [2, 7]
+
+    def test_sim_clock_fault_validation(self):
+        for bad in (dict(straggler=0.0), dict(straggler=1.5),
+                    dict(link=-0.1), dict(failure_timeout=-1.0),
+                    dict(step=-1)):
+            with pytest.raises(ValueError):
+                SimClockFault(**{"step": 0, **bad})
+        with pytest.raises(ValueError, match="horizon"):
+            Scenario(name="x", title="x", seed=0, steps=10,
+                     fast_steps=6, events=(SimClockFault(step=8),))
+        sc = Scenario(name="x", title="x", seed=0, steps=10,
+                      events=(SimClockFault(step=3, link=0.5),))
+        assert sc.of_kind(SimClockFault) == [
+            SimClockFault(step=3, link=0.5)]
+
     def test_resolved_fast_shrinks_steps(self):
         sc = Scenario(name="x", title="x", seed=0, steps=16,
                       fast_steps=8)
@@ -109,8 +135,8 @@ class TestLibrary:
 
     def test_expected_names_present(self):
         assert {"rank_loss_deadline", "expert_death_loss_slo",
-                "link_brownout_switch",
-                "elastic_scale"} <= set(SCENARIOS)
+                "link_brownout_switch", "elastic_scale",
+                "compound_faults"} <= set(SCENARIOS)
 
     def test_every_scenario_has_a_hard_model_bound(self):
         """Each named scenario must carry >= 1 deterministic SLO
@@ -252,6 +278,19 @@ class TestRunScenario:
         failed = [c for c in res.checks if not c.passed]
         assert [c.name for c in failed] == ["final_loss_max"]
 
+    def test_empty_sim_clock_fault_prices_to_one(self):
+        """No straggler, no link window, no op failure: the faulted
+        simulation *is* the fault-free one."""
+        res = run_scenario(Scenario(
+            name="x", title="x", seed=0, steps=4,
+            events=(SimClockFault(step=1),),
+            slo=SLOSpec(max_model_slowdown=1.0)))
+        assert res.metric("model_slowdown").value == 1.0
+        assert res.passed
+        (entry,) = [e for e in res.timeline
+                    if e["kind"] == "sim_clock_fault"]
+        assert entry["injected"] == entry["recovered"] == 0
+
     def test_unknown_metric_rejected(self, results):
         with pytest.raises(KeyError):
             results["elastic_scale"].metric("bogus")
@@ -308,6 +347,44 @@ class TestRunRegistryIntegration:
                  if e["kind"] == "step"]
         assert len(steps) == len(set(steps))
         assert len(steps) == len(res.losses)
+
+
+class TestNonFiniteStepAcrossRankLoss:
+    """A poisoned step before a rank loss is skipped exactly once,
+    whether the restored checkpoint already holds the skip (step 3
+    completes the boundary checkpoint itself — the trainer must still
+    write it) or the replay runs into it again (step 5)."""
+
+    @pytest.mark.parametrize("poisoned", [3, 5])
+    def test_skipped_once(self, poisoned, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path))
+        sc = Scenario(
+            name="x", title="x", seed=2, steps=10, checkpoint_every=4,
+            events=(NonFiniteStep(step=poisoned), RankLoss(step=7)),
+            slo=SLOSpec(max_skipped_steps=1))
+        res = run_scenario(sc)
+        assert res.passed, res.describe()
+        assert res.metric("skipped_steps").value == 1
+        assert res.metric("replay_steps_0").value == 3
+        assert len(res.losses) == sc.steps - 1
+        events = RunStore(tmp_path).events(res.run_id)
+        assert [e["step"] for e in events
+                if e["kind"] == "step_skipped"] == [poisoned]
+        steps = [e["step"] for e in events if e["kind"] == "step"]
+        assert sorted(steps) == [s for s in range(sc.steps)
+                                 if s != poisoned]
+
+    def test_replay_is_bit_identical(self):
+        """The resumed segment re-applies the poisoning, so the run
+        with the rank loss ends exactly where the one without does."""
+        base = dict(name="x", title="x", seed=2, steps=10,
+                    checkpoint_every=4,
+                    slo=SLOSpec(max_skipped_steps=1))
+        plain = run_scenario(Scenario(
+            events=(NonFiniteStep(step=5),), **base))
+        lossy = run_scenario(Scenario(
+            events=(NonFiniteStep(step=5), RankLoss(step=7)), **base))
+        assert lossy.losses == plain.losses
 
 
 class TestScenarioCLI:
