@@ -15,7 +15,6 @@ from repro.autograd.functional import (
     tanh,
 )
 from repro.autograd.moe_ops import (
-    batched_expert_ffn_input,
     expert_ffn,
     moe_combine,
     moe_dispatch,
@@ -41,7 +40,6 @@ __all__ = [
     "softmax",
     "take_along",
     "tanh",
-    "batched_expert_ffn_input",
     "expert_ffn",
     "moe_combine",
     "moe_dispatch",

@@ -1,8 +1,8 @@
 """Differentiable nonlinearities, normalization and losses.
 
-Every op is instrumented for :mod:`repro.obs.profiler` with
-closed-form FLOP/byte costs (see the conventions documented there);
-with no active profiler each op pays one ``is None`` check.
+Each op is its forward, its backward closure and one
+:meth:`Tensor.from_op` call naming it.  No op mentions the profiler:
+it meets ops inside ``from_op`` and prices them by that name.
 """
 
 from __future__ import annotations
@@ -10,8 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd.tensor import Tensor
-from repro.obs import profiler as _prof
-from repro.obs.profiler import OpCost
+from repro.moe.ffn import act_forward, act_grad
 
 __all__ = [
     "relu",
@@ -30,107 +29,46 @@ __all__ = [
 
 
 def relu(x: Tensor) -> Tensor:
-    p = _prof.active()
-    t0 = p.clock() if p is not None else 0.0
-    mask = x.data > 0
+    out_data, _ = act_forward(x.data, "relu")
 
     def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad * mask)
-    out = Tensor.from_op(x.data * mask, (x,), backward)
-    if p is not None:
-        fwd, bwd = _prof.elementwise_cost("relu", out.data.size, 1,
-                                         itemsize=out.data.itemsize)
-        p.tape_op(out, "relu", t0, fwd, bwd)
-    return out
+        x._accumulate(grad * act_grad(x.data, None, "relu"))
+    return Tensor.from_op(out_data, (x,), backward, "relu")
 
 
 def gelu(x: Tensor) -> Tensor:
     """Tanh-approximated GELU with its exact derivative."""
-    p = _prof.active()
-    t0 = p.clock() if p is not None else 0.0
-    c = np.sqrt(2.0 / np.pi)
-    xd = x.data
-    # The generic pow kernel makes ``x ** 3`` ~20x slower than two
-    # multiplies; this op dominates expert-FFN wall time, so the
-    # polynomial is built from muls with in-place chaining.
-    inner = xd * xd
-    inner *= xd
-    inner *= 0.044715
-    inner += xd
-    inner *= c
-    t = np.tanh(inner)
-    out_data = t + 1.0
-    out_data *= xd
-    out_data *= 0.5
+    out_data, t = act_forward(x.data, "gelu")
 
     def backward(grad: np.ndarray) -> None:
-        d_inner = xd * xd
-        d_inner *= 3 * 0.044715
-        d_inner += 1.0
-        d_inner *= c
-        d = t * t
-        np.subtract(1.0, d, out=d)
-        d *= d_inner
-        d *= xd
-        d += 1.0
-        d += t
-        d *= 0.5
-        x._accumulate(grad * d)
-    out = Tensor.from_op(out_data, (x,), backward)
-    if p is not None:
-        fwd, bwd = _prof.elementwise_cost("gelu", out_data.size, 1,
-                                         itemsize=out_data.itemsize)
-        p.tape_op(out, "gelu", t0, fwd, bwd)
-    return out
+        x._accumulate(grad * act_grad(x.data, t, "gelu"))
+    return Tensor.from_op(out_data, (x,), backward, "gelu")
 
 
 def tanh(x: Tensor) -> Tensor:
-    p = _prof.active()
-    t0 = p.clock() if p is not None else 0.0
     t = np.tanh(x.data)
 
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad * (1.0 - t * t))
-    out = Tensor.from_op(t, (x,), backward)
-    if p is not None:
-        fwd, bwd = _prof.elementwise_cost("tanh", t.size, 1,
-                                         itemsize=t.itemsize)
-        p.tape_op(out, "tanh", t0, fwd, bwd)
-    return out
+    return Tensor.from_op(t, (x,), backward, "tanh")
 
 
 def exp(x: Tensor) -> Tensor:
-    p = _prof.active()
-    t0 = p.clock() if p is not None else 0.0
     e = np.exp(x.data)
 
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad * e)
-    out = Tensor.from_op(e, (x,), backward)
-    if p is not None:
-        fwd, bwd = _prof.elementwise_cost("exp", e.size, 1,
-                                         itemsize=e.itemsize)
-        p.tape_op(out, "exp", t0, fwd, bwd)
-    return out
+    return Tensor.from_op(e, (x,), backward, "exp")
 
 
 def log(x: Tensor) -> Tensor:
-    p = _prof.active()
-    t0 = p.clock() if p is not None else 0.0
 
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad / x.data)
-    out = Tensor.from_op(np.log(x.data), (x,), backward)
-    if p is not None:
-        fwd, bwd = _prof.elementwise_cost("log", out.data.size, 1,
-                                         itemsize=out.data.itemsize)
-        p.tape_op(out, "log", t0, fwd, bwd)
-    return out
+    return Tensor.from_op(np.log(x.data), (x,), backward, "log")
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    p = _prof.active()
-    t0 = p.clock() if p is not None else 0.0
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)
@@ -138,17 +76,10 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         dot = (grad * s).sum(axis=axis, keepdims=True)
         x._accumulate(s * (grad - dot))
-    out = Tensor.from_op(s, (x,), backward)
-    if p is not None:
-        fwd, bwd = _prof.elementwise_cost("softmax", s.size, 1,
-                                         itemsize=s.itemsize)
-        p.tape_op(out, "softmax", t0, fwd, bwd)
-    return out
+    return Tensor.from_op(s, (x,), backward, "softmax")
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    p = _prof.active()
-    t0 = p.clock() if p is not None else 0.0
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     out_data = shifted - lse
@@ -156,19 +87,12 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad - s * grad.sum(axis=axis, keepdims=True))
-    out = Tensor.from_op(out_data, (x,), backward)
-    if p is not None:
-        fwd, bwd = _prof.elementwise_cost("log_softmax", out_data.size, 1,
-                                         itemsize=out_data.itemsize)
-        p.tape_op(out, "log_softmax", t0, fwd, bwd)
-    return out
+    return Tensor.from_op(out_data, (x,), backward, "log_softmax")
 
 
 def layer_norm(x: Tensor, weight: Tensor, bias: Tensor,
                eps: float = 1e-5) -> Tensor:
     """LayerNorm over the last axis with affine parameters."""
-    p = _prof.active()
-    t0 = p.clock() if p is not None else 0.0
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
@@ -183,12 +107,8 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor,
         dx = inv * (gx - gx.mean(axis=-1, keepdims=True)
                     - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
         x._accumulate(dx)
-    out = Tensor.from_op(out_data, (x, weight, bias), backward)
-    if p is not None:
-        fwd, bwd = _prof.elementwise_cost("layer_norm", out_data.size, 1,
-                                         itemsize=out_data.itemsize)
-        p.tape_op(out, "layer_norm", t0, fwd, bwd)
-    return out
+    return Tensor.from_op(out_data, (x, weight, bias), backward,
+                          "layer_norm")
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -198,8 +118,6 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         raise ValueError(
             f"logits must be (N, C) and labels (N,), got {logits.shape} "
             f"and {labels.shape}")
-    p = _prof.active()
-    t0 = p.clock() if p is not None else 0.0
     n = logits.shape[0]
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
@@ -210,46 +128,25 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         prob = np.exp(logp)
         prob[np.arange(n), labels] -= 1.0
         logits._accumulate(float(grad) * prob / n)
-    out = Tensor.from_op(np.asarray(loss), (logits,), backward)
-    if p is not None:
-        size = logits.data.size
-        isz = logits.data.itemsize
-        fwd = OpCost(flops=10.0 * size, bytes_read=size * isz,
-                     bytes_written=isz)
-        bwd = OpCost(flops=8.0 * size, bytes_read=size * isz,
-                     bytes_written=size * isz)
-        p.tape_op(out, "cross_entropy", t0, fwd, bwd)
-    return out
+    return Tensor.from_op(np.asarray(loss), (logits,), backward,
+                          "cross_entropy")
 
 
 def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:
     """Differentiable row gather: ``out[i] = x[indices[i]]``."""
     indices = np.asarray(indices)
-    p = _prof.active()
-    t0 = p.clock() if p is not None else 0.0
     out_data = x.data[indices]
 
     def backward(grad: np.ndarray) -> None:
         gx = np.zeros_like(x.data)
         np.add.at(gx, indices, grad)
         x._accumulate(gx)
-    out = Tensor.from_op(out_data, (x,), backward)
-    if p is not None:
-        size = out_data.size
-        isz = out_data.itemsize
-        fwd = OpCost(bytes_read=size * isz,
-                     bytes_written=size * isz)
-        bwd = OpCost(flops=float(size), bytes_read=2.0 * size * isz,
-                     bytes_written=x.data.size * isz)
-        p.tape_op(out, "gather_rows", t0, fwd, bwd)
-    return out
+    return Tensor.from_op(out_data, (x,), backward, "gather_rows")
 
 
 def take_along(x: Tensor, indices: np.ndarray, axis: int) -> Tensor:
     """Differentiable ``np.take_along_axis``."""
     indices = np.asarray(indices)
-    p = _prof.active()
-    t0 = p.clock() if p is not None else 0.0
     out_data = np.take_along_axis(x.data, indices, axis=axis)
 
     def backward(grad: np.ndarray) -> None:
@@ -262,24 +159,13 @@ def take_along(x: Tensor, indices: np.ndarray, axis: int) -> Tensor:
         idx[axis] = indices
         np.add.at(gx, tuple(np.broadcast_arrays(*idx)), grad)
         x._accumulate(gx)
-    out = Tensor.from_op(out_data, (x,), backward)
-    if p is not None:
-        size = out_data.size
-        isz = out_data.itemsize
-        fwd = OpCost(bytes_read=size * isz,
-                     bytes_written=size * isz)
-        bwd = OpCost(flops=float(size), bytes_read=2.0 * size * isz,
-                     bytes_written=x.data.size * isz)
-        p.tape_op(out, "take_along", t0, fwd, bwd)
-    return out
+    return Tensor.from_op(out_data, (x,), backward, "take_along")
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     """Differentiable concatenation."""
     if not tensors:
         raise ValueError("concat needs at least one tensor")
-    p = _prof.active()
-    t0 = p.clock() if p is not None else 0.0
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
@@ -289,11 +175,4 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
             slicer = [slice(None)] * grad.ndim
             slicer[axis] = slice(lo, hi)
             t._accumulate(grad[tuple(slicer)])
-    out = Tensor.from_op(out_data, tuple(tensors), backward)
-    if p is not None:
-        size = out_data.size
-        isz = out_data.itemsize
-        cost = OpCost(bytes_read=size * isz,
-                      bytes_written=size * isz)
-        p.tape_op(out, "concat", t0, cost, cost)
-    return out
+    return Tensor.from_op(out_data, tensors, backward, "concat")

@@ -8,10 +8,13 @@ axes.  The MoE-specific dispatch/combine ops live in
 :mod:`repro.autograd.moe_ops` and reuse the verified sparse kernels of
 :mod:`repro.moe.encode`.
 
-Every op is instrumented for :mod:`repro.obs.profiler`: when a
-profiler is active, op outputs carry closed-form FLOP/byte costs and
-land in the live-set allocation ledger; when it is not (the default),
-each op pays a single module-global ``is None`` check.
+Ops carry no instrumentation.  :meth:`Tensor.from_op` is the one place
+a forward op meets :mod:`repro.obs.profiler`: when a profiler is
+active it hands the output, the op's name and its parents to
+:meth:`~repro.obs.profiler.Profiler.tape_op`, which prices the op from
+the ``OP_COSTS`` table, times it and tracks its array in the live-set
+allocation ledger; when it is not (the default), the hook pays a
+single module-global ``is None`` check.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from repro.core import substrate as _substrate
+from repro.obs import NULL_SPAN
 from repro.obs import profiler as _prof
 
 __all__ = ["Tensor", "as_tensor", "stack_gradients"]
@@ -67,7 +71,11 @@ class Tensor:
 
     @staticmethod
     def from_op(data: np.ndarray, parents: Iterable["Tensor"],
-                backward: Callable[[np.ndarray], None]) -> "Tensor":
+                backward: Callable[[np.ndarray], None], op: str,
+                ctx=None) -> "Tensor":
+        """Wrap an op's output as a tape node.  ``op`` names the op in
+        the profiler's cost table; ``ctx`` is whatever its cost formula
+        needs beyond array shapes (routing criteria, activation)."""
         parents = tuple(parents)
         # Op outputs keep the dtype NumPy produced from the inputs —
         # re-coercing to the process default here would silently down-
@@ -78,6 +86,9 @@ class Tensor:
         if out.requires_grad:
             out._parents = parents
             out._backward = backward
+        p = _prof.active()
+        if p is not None:
+            p.tape_op(out, op, parents, ctx)
         return out
 
     # -- properties ------------------------------------------------------
@@ -134,16 +145,13 @@ class Tensor:
 
         visit(self)
         p = _prof.active()
-        if p is None:
+        with p.backward_pass() if p is not None else NULL_SPAN:
             self._accumulate(grad)
             for node in reversed(topo):
                 if node._backward is not None and node.grad is not None:
-                    node._backward(node.grad)
-        else:
-            with p.backward_pass():
-                self._accumulate(grad)
-                for node in reversed(topo):
-                    if node._backward is not None and node.grad is not None:
+                    if p is None:
+                        node._backward(node.grad)
+                    else:
                         p.run_backward(node)
 
     def zero_grad(self) -> None:
@@ -161,35 +169,21 @@ class Tensor:
 
     def __add__(self, other) -> "Tensor":
         other = as_tensor(other)
-        p = _prof.active()
-        t0 = p.clock() if p is not None else 0.0
         out_data = self.data + other.data
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad)
             other._accumulate(grad)
-        out = Tensor.from_op(out_data, (self, other), backward)
-        if p is not None:
-            fwd, bwd = _prof.elementwise_cost("add", out_data.size, 2,
-                                             itemsize=out_data.itemsize)
-            p.tape_op(out, "add", t0, fwd, bwd)
-        return out
+        return Tensor.from_op(out_data, (self, other), backward, "add")
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        p = _prof.active()
-        t0 = p.clock() if p is not None else 0.0
         out_data = -self.data
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(-grad)
-        out = Tensor.from_op(out_data, (self,), backward)
-        if p is not None:
-            fwd, bwd = _prof.elementwise_cost("neg", out_data.size, 1,
-                                             itemsize=out_data.itemsize)
-            p.tape_op(out, "neg", t0, fwd, bwd)
-        return out
+        return Tensor.from_op(out_data, (self,), backward, "neg")
 
     def __sub__(self, other) -> "Tensor":
         return self + (-as_tensor(other))
@@ -199,44 +193,28 @@ class Tensor:
 
     def __mul__(self, other) -> "Tensor":
         other = as_tensor(other)
-        p = _prof.active()
-        t0 = p.clock() if p is not None else 0.0
         out_data = self.data * other.data
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * other.data)
             other._accumulate(grad * self.data)
-        out = Tensor.from_op(out_data, (self, other), backward)
-        if p is not None:
-            fwd, bwd = _prof.elementwise_cost("mul", out_data.size, 2,
-                                             itemsize=out_data.itemsize)
-            p.tape_op(out, "mul", t0, fwd, bwd)
-        return out
+        return Tensor.from_op(out_data, (self, other), backward, "mul")
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
         other = as_tensor(other)
-        p = _prof.active()
-        t0 = p.clock() if p is not None else 0.0
         out_data = self.data / other.data
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad / other.data)
             other._accumulate(-grad * self.data
                               / (other.data * other.data))
-        out = Tensor.from_op(out_data, (self, other), backward)
-        if p is not None:
-            fwd, bwd = _prof.elementwise_cost("div", out_data.size, 2,
-                                             itemsize=out_data.itemsize)
-            p.tape_op(out, "div", t0, fwd, bwd)
-        return out
+        return Tensor.from_op(out_data, (self, other), backward, "div")
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
             raise TypeError("only scalar exponents are supported")
-        p = _prof.active()
-        t0 = p.clock() if p is not None else 0.0
         # ``**`` hits the generic pow kernel even for small integer or
         # half exponents; the common cases deserve the cheap kernels.
         if exponent == 2:
@@ -254,60 +232,35 @@ class Tensor:
             else:
                 self._accumulate(
                     grad * exponent * self.data ** (exponent - 1))
-        out = Tensor.from_op(out_data, (self,), backward)
-        if p is not None:
-            fwd, bwd = _prof.elementwise_cost("pow", out_data.size, 1,
-                                             itemsize=out_data.itemsize)
-            p.tape_op(out, "pow", t0, fwd, bwd)
-        return out
+        return Tensor.from_op(out_data, (self,), backward, "pow")
 
     def __matmul__(self, other) -> "Tensor":
         other = as_tensor(other)
-        p = _prof.active()
-        t0 = p.clock() if p is not None else 0.0
         out_data = self.data @ other.data
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad @ np.swapaxes(other.data, -1, -2))
             other._accumulate(np.swapaxes(self.data, -1, -2) @ grad)
-        out = Tensor.from_op(out_data, (self, other), backward)
-        if p is not None:
-            fwd, bwd = _prof.matmul_cost(self.data.shape, other.data.shape,
-                                         out_data.shape,
-                                         itemsize=out_data.itemsize)
-            p.tape_op(out, "matmul", t0, fwd, bwd)
-        return out
+        return Tensor.from_op(out_data, (self, other), backward, "matmul")
 
     # -- shape ops -----------------------------------------------------------
 
     def reshape(self, *shape: int) -> "Tensor":
-        p = _prof.active()
-        t0 = p.clock() if p is not None else 0.0
         out_data = self.data.reshape(*shape)
         original = self.data.shape
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad.reshape(original))
-        out = Tensor.from_op(out_data, (self,), backward)
-        if p is not None:
-            # Views: no FLOPs, no data movement; the ledger skips the
-            # output array because its memory belongs to the base.
-            p.tape_op(out, "reshape", t0, _prof.ZERO_COST)
-        return out
+        return Tensor.from_op(out_data, (self,), backward, "reshape")
 
     def transpose(self, *axes: int) -> "Tensor":
-        p = _prof.active()
-        t0 = p.clock() if p is not None else 0.0
         axes = axes or tuple(reversed(range(self.ndim)))
         inverse = tuple(np.argsort(axes))
         out_data = self.data.transpose(axes)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad.transpose(inverse))
-        out = Tensor.from_op(out_data, (self,), backward)
-        if p is not None:
-            p.tape_op(out, "transpose", t0, _prof.ZERO_COST)
-        return out
+        return Tensor.from_op(out_data, (self,), backward, "transpose")
 
     @property
     def T(self) -> "Tensor":
@@ -317,8 +270,6 @@ class Tensor:
 
     def sum(self, axis: int | tuple[int, ...] | None = None,
             keepdims: bool = False) -> "Tensor":
-        p = _prof.active()
-        t0 = p.clock() if p is not None else 0.0
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
         shape = self.data.shape
 
@@ -329,12 +280,7 @@ class Tensor:
                 for ax in sorted(ax % len(shape) for ax in axes):
                     g = np.expand_dims(g, ax)
             self._accumulate(np.broadcast_to(g, shape))
-        out = Tensor.from_op(out_data, (self,), backward)
-        if p is not None:
-            fwd, bwd = _prof.reduction_cost(self.data.size, out_data.size,
-                                            itemsize=out_data.itemsize)
-            p.tape_op(out, "sum", t0, fwd, bwd)
-        return out
+        return Tensor.from_op(out_data, (self,), backward, "sum")
 
     def mean(self, axis: int | tuple[int, ...] | None = None,
              keepdims: bool = False) -> "Tensor":

@@ -918,6 +918,10 @@ def _cmd_profile(target: str, batch: int, trace_path: str | None,
                           unit="flop", kind="model", tolerance=0.0),
                    Metric("num_ops", float(totals["ops"]), kind="model",
                           tolerance=0.0),
+                   Metric("total_bytes",
+                          float(totals["bytes_read"]
+                                + totals["bytes_written"]),
+                          unit="B", kind="model", tolerance=0.0),
                    Metric("wall_seconds", float(totals["wall"]),
                           unit="s", kind="measured")]
         if target == "step":

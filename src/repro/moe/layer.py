@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.moe.capacity import CapacityPolicy, resolve_capacity
 from repro.moe.encode import dense_decode, dense_encode, fast_decode, fast_encode
+from repro.moe.ffn import act_forward
 from repro.moe.gating import (
     RoutingCriteria,
     cosine_gate_logits,
@@ -35,18 +36,6 @@ __all__ = [
     "MoEOutput",
     "moe_layer_forward",
 ]
-
-
-def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi)
-                                    * (x + 0.044715 * x ** 3)))
-
-
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
-_ACTIVATIONS = {"relu": _relu, "gelu": _gelu}
 
 
 @dataclass
@@ -111,11 +100,10 @@ def expert_ffn(dispatched: np.ndarray, experts: ExpertParams,
         raise ValueError(
             f"dispatched has {dispatched.shape[0]} experts, params have "
             f"{experts.num_experts}")
-    act = _ACTIVATIONS[activation]
     hidden = np.einsum("ecm,emv->ecv", dispatched, experts.w1)
     if experts.b1 is not None:
         hidden = hidden + experts.b1[:, None, :]
-    hidden = act(hidden)
+    hidden, _ = act_forward(hidden, activation)
     out = np.einsum("ecv,evm->ecm", hidden, experts.w2)
     if experts.b2 is not None:
         out = out + experts.b2[:, None, :]

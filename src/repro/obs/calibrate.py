@@ -5,13 +5,14 @@ The performance story of this repo rests on the analytic simulator
 This module closes the loop between that simulator and the functional
 substrate it abstracts:
 
-1. **Measure** — run a profiled sweep of real workloads through the
+1. **Measure** — run a sweep of real workloads through the
    autograd/functional layer: dense GEMMs at varying row counts,
    sparse MoE encode/decode (``moe_dispatch`` / ``moe_combine``) at
    varying ``T``/``E``/``k``/``C``, and all-to-all exchanges of varying
    payload through :func:`repro.collectives.functional.all_to_all_linear`.
-   Compute-kernel walls come from the op-level profiler
-   (:mod:`repro.obs.profiler`); collective walls from ``perf_counter``.
+   Every wall is one ``perf_counter`` pair around the call: operand
+   tensors are built once per workload, outside the timed region, and
+   the result is released after the clock is read.
    Workloads are repeated in interleaved round-robin order (so a slow
    host phase degrades every workload alike, as common mode the fit
    absorbs) and the per-workload minimum after a warmup round is kept —
@@ -51,7 +52,11 @@ have; the fitted coefficients describe *this host at this dtype*, not
 an A100 — the point is that the simulator's functional forms transfer.
 Payload sizes are chosen to stay within one cache regime: the
 alpha-beta model is piecewise-linear at best across a working-set
-cliff, and calibration should fit a line to a line.
+cliff, and calibration should fit a line to a line.  BLAS threading is
+such a cliff too: the GEMM sweep's row counts straddle OpenBLAS's
+multithreading threshold, so gate the fidelity figure on a run with
+one BLAS thread (``OPENBLAS_NUM_THREADS=1``, as CI and
+``benchmarks/perf`` do).
 """
 
 from __future__ import annotations
@@ -79,7 +84,6 @@ from repro.collectives.schedule import linear_a2a_time
 from repro.core.config import MoEConfig
 from repro.core.substrate import default_dtype, default_itemsize
 from repro.moe.gating import RoutingCriteria, compute_locations
-from repro.obs.profiler import Profiler, profiling
 from repro.runtime.kernels import sparse_decode_time, sparse_encode_time
 
 __all__ = [
@@ -264,21 +268,23 @@ def _routing(rng: np.random.Generator, t: int, e: int, k: int,
                            capacity=capacity, num_experts=e)
 
 
-def _profiled_wall(op_name: str, run: Callable[[], None]) -> float:
-    """Wall time of one op invocation, read from a scratch profiler."""
-    prof = Profiler(max_records=16, max_alloc_events=16)
-    with profiling(prof):
-        run()
-    return prof.op_walls(op_name)[0]
+def _timed(call: Callable[[], object]) -> Callable[[], float]:
+    """Runner timing one ``call()`` with one clock pair; the result is
+    released after the clock is read."""
+    def run() -> float:
+        t0 = time.perf_counter()
+        out = call()
+        wall = time.perf_counter() - t0
+        del out
+        return wall
+    return run
 
 
 def _gemm_runner(w: Workload,
                  rng: np.random.Generator) -> Callable[[], float]:
-    dt = default_dtype()
-    a = rng.standard_normal((w.params["m"], w.params["k"])).astype(dt)
-    b = rng.standard_normal((w.params["k"], w.params["n"])).astype(dt)
-    return lambda: _profiled_wall(
-        "matmul", lambda: Tensor(a) @ Tensor(b))
+    a = Tensor(rng.standard_normal((w.params["m"], w.params["k"])))
+    b = Tensor(rng.standard_normal((w.params["k"], w.params["n"])))
+    return _timed(lambda: a @ b)
 
 
 def _moe_runner(w: Workload,
@@ -286,29 +292,21 @@ def _moe_runner(w: Workload,
     cfg = _moe_config(w.params)
     crit = _routing(rng, cfg.tokens_per_gpu, cfg.num_global_experts,
                     cfg.top_k, cfg.capacity_per_gpu)
-    x = rng.standard_normal(
-        (cfg.tokens_per_gpu, cfg.model_dim)).astype(default_dtype())
+    x = Tensor(rng.standard_normal((cfg.tokens_per_gpu, cfg.model_dim)))
     if w.op_class == "encode":
-        return lambda: _profiled_wall(
-            "moe_dispatch", lambda: moe_dispatch(Tensor(x), crit))
-    z = np.asarray(moe_dispatch(Tensor(x), crit).data)
-    return lambda: _profiled_wall(
-        "moe_combine",
-        lambda: moe_combine(Tensor(z), Tensor(crit.gates), crit))
+        return _timed(lambda: moe_dispatch(x, crit))
+    z = Tensor(moe_dispatch(x, crit).data)
+    gates = Tensor(crit.gates)
+    return _timed(lambda: moe_combine(z, gates, crit))
 
 
-def _a2a_runner(w: Workload, rng: np.random.Generator,
-                clock=time.perf_counter) -> Callable[[], float]:
+def _a2a_runner(w: Workload,
+                rng: np.random.Generator) -> Callable[[], float]:
     n = int(w.params["world"])
     inputs = [rng.standard_normal(
         (n, int(w.params["rows"]), _A2A_COLS)).astype(default_dtype())
         for _ in range(n)]
-
-    def run() -> float:
-        t0 = clock()
-        all_to_all_linear(inputs)
-        return clock() - t0
-    return run
+    return _timed(lambda: all_to_all_linear(inputs))
 
 
 def measure_workloads(workloads: list[Workload], repeats: int = 4,

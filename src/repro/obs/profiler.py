@@ -1,17 +1,25 @@
 """Deterministic op-level profiler for the functional substrate.
 
 The measured half of the measured-vs-modeled loop (see
-:mod:`repro.obs.calibrate` for the other half).  A :class:`Profiler`
-threads through the autograd engine (:mod:`repro.autograd.tensor`,
-``functional``, ``moe_ops``) and records, per backward-graph op:
+:mod:`repro.obs.calibrate` for the other half).  Ops carry no
+instrumentation: :meth:`repro.autograd.tensor.Tensor.from_op` is the
+one forward hook, handing every op output to :meth:`Profiler.tape_op`,
+which records, per backward-graph op:
 
-* **closed-form FLOPs and bytes read/written** — analytic counts from
-  the cost helpers at the bottom of this module, the same formulas the
-  reference tests assert against (``2*m*n*k`` for GEMMs, ``O(T*k*M)``
-  for the sparse encode/decode versus the dense ``O(T*E*C*M)`` path);
+* **closed-form FLOPs and bytes read/written** — analytic counts
+  looked up by op name in :data:`OP_COSTS`, built from the cost helpers
+  at the bottom of this module, the same formulas the reference tests
+  assert against (``2*m*n*k`` for GEMMs, ``O(T*k*M)`` for the sparse
+  encode/decode versus the dense ``O(T*E*C*M)`` path);
 * **arithmetic intensity** — FLOPs per byte moved, derived;
-* **wall time** — measured around the op's forward compute and, for
-  the backward pass, around each tape node's ``_backward`` closure;
+* **wall time** — one cursor: a forward record runs from the cursor
+  to the moment the hook is entered, and the cursor then moves to the
+  moment the hook returns, so the profiler's own table arithmetic and
+  ledger update sit outside every wall while the Python between two
+  ops of a stage (top-k, capacity resolution) is attributed to the
+  next op.  ``profiling()`` entry, ``stage()`` entry and the end of
+  each backward record (timed around the tape node's ``_backward``
+  closure) also move the cursor;
 * a **live-set allocation ledger** — every op-output array and every
   gradient array is tracked from creation to release (CPython
   refcounting makes frees deterministic, observed via
@@ -20,8 +28,8 @@ threads through the autograd engine (:mod:`repro.autograd.tensor`,
   (gate / dispatch / expert_ffn / combine).
 
 Like the :class:`~repro.obs.Observer`, the profiler is **off by
-default and zero-cost when off**: instrumented call sites do one
-module-global ``is None`` check.  Enable around a region::
+default and zero-cost when off**: the hook does one module-global
+``is None`` check.  Enable around a region::
 
     from repro.obs import profiler
 
@@ -35,7 +43,7 @@ FLOP conventions (documented so the closed-form counts are
 reproducible): one add/sub/mul/compare = 1 FLOP, one divide = 4 FLOPs,
 one transcendental (exp/log/tanh/sqrt) = 6 FLOPs.  Byte counts are
 itemsize-aware: every cost helper takes an ``itemsize`` argument
-(instrumented call sites pass the actual array itemsize) defaulting to
+(:data:`OP_COSTS` passes the actual array itemsize) defaulting to
 the active substrate dtype's — 4 under the float32 default, 8 under
 float64 (:func:`repro.core.substrate.default_itemsize`).
 """
@@ -45,12 +53,13 @@ from __future__ import annotations
 import contextlib
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
 from repro.core.substrate import default_itemsize
+from repro.obs import NULL_SPAN
 from repro.obs.trace import CAT_PROF, TraceRecorder
 
 __all__ = [
@@ -66,10 +75,10 @@ __all__ = [
     "AllocationLedger",
     "Profiler",
     "active",
-    "get_profiler",
     "set_profiler",
     "profiling",
     "stage",
+    "OP_COSTS",
     "gemm_flops",
     "matmul_cost",
     "elementwise_cost",
@@ -268,26 +277,12 @@ class _StageCtx:
 
     def __enter__(self) -> "_StageCtx":
         self._prof._stages.append(self._name)
+        self._prof.mark()
         return self
 
     def __exit__(self, *exc: object) -> bool:
         self._prof._stages.pop()
         return False
-
-
-class _NullCtx:
-    """Shared no-op context manager returned when profiling is off."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullCtx":
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        return False
-
-
-_NULL_CTX = _NullCtx()
 
 
 class Profiler:
@@ -304,6 +299,7 @@ class Profiler:
             raise ValueError(f"max_records must be >= 1, got {max_records}")
         self._clock = clock
         self._t0 = clock()
+        self._cursor = 0.0
         self.max_records = max_records
         self.records: list[OpRecord] = []
         self.records_dropped = 0
@@ -319,6 +315,11 @@ class Profiler:
     def clock(self) -> float:
         """Seconds on the profiler timeline (0 at creation)."""
         return self._clock() - self._t0
+
+    def mark(self) -> None:
+        """Move the cursor — where the next forward record starts — to
+        now."""
+        self._cursor = self.clock()
 
     # -- phase / stage contexts ----------------------------------------
 
@@ -356,28 +357,32 @@ class Profiler:
             wall=wall, cost=cost))
         self._seq += 1
 
-    def tape_op(self, out, name: str, t0: float, cost: OpCost,
-                backward_cost: OpCost | None = None) -> None:
-        """Record a completed forward op whose output tensor is ``out``.
+    def tape_op(self, out, name: str, parents, ctx) -> None:
+        """The forward hook: record the op that produced tensor ``out``.
 
-        Measures wall time as ``clock() - t0``, tracks ``out.data`` in
-        the allocation ledger (views are skipped — their memory belongs
-        to the base array), registers a deterministic-release finalizer,
-        and stashes ``(name, stage, backward_cost)`` on the tensor so
-        the backward pass can attribute its cost without re-deriving
-        shapes.
+        Wall time runs from the cursor to hook entry; the costs come
+        from ``OP_COSTS[name]`` (an unknown name is a ``KeyError``).
+        Tracks ``out.data`` in the allocation ledger (views are skipped
+        — their memory belongs to the base array), registers a
+        deterministic-release finalizer, and stashes ``(name, stage,
+        backward_cost)`` on the tensor so the backward pass can
+        attribute its cost without re-deriving shapes.  The cursor
+        moves to hook exit, so none of this lands in any op's wall.
         """
         now = self.clock()
-        stage_name = self.current_stage
-        self._append(name, self._phase, stage_name, t0, now - t0, cost)
         data = out.data
+        cost, backward_cost = OP_COSTS[name](
+            data, [p.data for p in parents], ctx)
+        stage_name = self.current_stage
+        self._append(name, self._phase, stage_name, self._cursor,
+                     now - self._cursor, cost)
         if data.base is None and data.nbytes:
             key = id(data)
             self.ledger.retain(key, data.nbytes, now, self._phase,
                                stage_name, "data")
             weakref.finalize(out, self._release_data, key)
-        out._op = (name, stage_name,
-                   backward_cost if backward_cost is not None else ZERO_COST)
+        out._op = (name, stage_name, backward_cost)
+        self.mark()
 
     def _release_data(self, key: int) -> None:
         self.ledger.release(key, self.clock(), self._phase,
@@ -434,8 +439,9 @@ class Profiler:
             name, stage_name, cost = "op", STAGE_OTHER, ZERO_COST
         t0 = self.clock()
         node._backward(node.grad)
+        self.mark()
         self._append(name, PHASE_BACKWARD, stage_name, t0,
-                     self.clock() - t0, cost)
+                     self._cursor - t0, cost)
 
     # -- aggregation ---------------------------------------------------
 
@@ -478,16 +484,6 @@ class Profiler:
 
     def by_phase(self) -> dict[str, dict[str, float]]:
         return self._fold(self.records, lambda r: r.phase)
-
-    def op_walls(self, name: str,
-                 phase: str = PHASE_FORWARD) -> list[float]:
-        """Wall times of every recorded ``name`` op in ``phase``.
-
-        The calibration sweep uses this to pull per-kernel measurements
-        out of a profiled run.
-        """
-        return [r.wall for r in self.records
-                if r.name == name and r.phase == phase]
 
     def summary(self) -> dict[str, Any]:
         """JSON-serializable profile dump (the run-registry payload)."""
@@ -568,13 +564,10 @@ _profiler: Profiler | None = None
 def active() -> Profiler | None:
     """The process-wide profiler, or None when profiling is off.
 
-    Instrumented hot paths call this once per op; the disabled path is
-    a single module-global load.
+    The ``Tensor`` hooks call this once per op; the disabled path is a
+    single module-global load.
     """
     return _profiler
-
-
-get_profiler = active
 
 
 def set_profiler(prof: Profiler | None) -> Profiler | None:
@@ -596,6 +589,7 @@ def profiling(prof: Profiler | None = None):
     """
     prof = prof if prof is not None else Profiler()
     previous = set_profiler(prof)
+    prof.mark()
     try:
         yield prof
     finally:
@@ -603,11 +597,11 @@ def profiling(prof: Profiler | None = None):
         set_profiler(previous)
 
 
-def stage(name: str) -> _StageCtx | _NullCtx:
+def stage(name: str) -> contextlib.AbstractContextManager:
     """Hot-path stage helper: no-op singleton when profiling is off."""
     prof = _profiler
     if prof is None:
-        return _NULL_CTX
+        return NULL_SPAN
     return prof.stage(name)
 
 
@@ -755,3 +749,97 @@ def dense_encode_flops(tokens: int, num_experts: int, capacity: int,
     ``O(T*E*C*M)`` multiply-adds, overwhelmingly zeros (Figure 24's
     dense-vs-sparse gap)."""
     return 2.0 * tokens * num_experts * capacity * model_dim
+
+
+# ----------------------------------------------------------------------
+# The cost table: op name -> (out, parents, ctx) -> (forward, backward)
+# ----------------------------------------------------------------------
+
+def _elementwise(name: str, n_inputs: int = 1) -> Callable:
+    """Table entry of an elementwise op streaming ``n_inputs`` inputs
+    (broadcast scalars and affine parameters are not streamed)."""
+    def cost(out, parents, ctx):
+        return elementwise_cost(name, out.size, n_inputs,
+                                itemsize=out.itemsize)
+    return cost
+
+
+def _cross_entropy_op_cost(out, parents, ctx):
+    logits, = parents
+    moved = logits.size * logits.itemsize
+    return (OpCost(flops=10.0 * logits.size, bytes_read=moved,
+                   bytes_written=logits.itemsize),
+            OpCost(flops=8.0 * logits.size, bytes_read=moved,
+                   bytes_written=moved))
+
+
+def _gather_op_cost(out, parents, ctx):
+    """Indexed copy forward, scatter-add into a zeroed source-shaped
+    gradient backward (``gather_rows`` and ``take_along``)."""
+    moved = out.size * out.itemsize
+    return (OpCost(bytes_read=moved, bytes_written=moved),
+            OpCost(flops=float(out.size), bytes_read=2.0 * moved,
+                   bytes_written=parents[0].size * out.itemsize))
+
+
+def _concat_op_cost(out, parents, ctx):
+    moved = out.size * out.itemsize
+    cost = OpCost(bytes_read=moved, bytes_written=moved)
+    return cost, cost
+
+
+def _moe_dispatch_op_cost(out, parents, crit):
+    routes = routes_of(crit)
+    m = parents[0].shape[1]
+    return (sparse_encode_cost(routes, crit.num_experts * crit.capacity,
+                               m, itemsize=out.itemsize),
+            sparse_encode_backward_cost(routes, crit.num_tokens, m,
+                                        itemsize=out.itemsize))
+
+
+def _moe_combine_op_cost(out, parents, live):
+    """``live`` is the criteria the decode ran on (live gate values)."""
+    routes = routes_of(live)
+    m = parents[0].shape[-1]
+    return (sparse_decode_cost(routes, live.num_tokens, m,
+                               itemsize=out.itemsize),
+            sparse_decode_backward_cost(
+                routes, live.num_experts * live.capacity,
+                live.gates.size, m, itemsize=out.itemsize))
+
+
+def _expert_ffn_op_cost(out, parents, activation):
+    """The fused expert FFN, composed from the two per-expert GEMMs
+    plus the activation (serial algorithm; the parallel executor's
+    recompute is a schedule choice, not counted)."""
+    (e, c, m), v = parents[0].shape, parents[1].shape[-1]
+    isz = out.itemsize
+    g1_f, g1_b = matmul_cost((e, c, m), (e, m, v), (e, c, v), itemsize=isz)
+    a_f, a_b = elementwise_cost(activation, e * c * v, itemsize=isz)
+    g2_f, g2_b = matmul_cost((e, c, v), (e, v, m), (e, c, m), itemsize=isz)
+    return g1_f + a_f + g2_f, g1_b + a_b + g2_b
+
+
+#: Every op name ``Tensor.from_op`` is called with under
+#: ``repro.autograd``; a name missing here is a ``KeyError`` under
+#: profiling, not a silent zero.  Only add/mul/div stream two inputs.
+OP_COSTS: dict[str, Callable] = {
+    **{name: _elementwise(name, 2 if name in ("add", "mul", "div") else 1)
+       for name in _EW},
+    # Views: no FLOPs, no data movement (and the ledger skips the
+    # output array because its memory belongs to the base).
+    "reshape": lambda out, parents, ctx: (ZERO_COST, ZERO_COST),
+    "transpose": lambda out, parents, ctx: (ZERO_COST, ZERO_COST),
+    "matmul": lambda out, parents, ctx: matmul_cost(
+        parents[0].shape, parents[1].shape, out.shape,
+        itemsize=out.itemsize),
+    "sum": lambda out, parents, ctx: reduction_cost(
+        parents[0].size, out.size, itemsize=out.itemsize),
+    "cross_entropy": _cross_entropy_op_cost,
+    "gather_rows": _gather_op_cost,
+    "take_along": _gather_op_cost,
+    "concat": _concat_op_cost,
+    "moe_dispatch": _moe_dispatch_op_cost,
+    "moe_combine": _moe_combine_op_cost,
+    "expert_ffn": _expert_ffn_op_cost,
+}

@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.core.config import MoEConfig
 from repro.moe.encode import fast_decode, fast_encode
+from repro.moe.ffn import act_forward
 from repro.moe.gating import RoutingCriteria, softmax, top_k_routing
 from repro.moe.layer import (
     ExpertParams,
@@ -68,11 +69,11 @@ class ShardedExpert:
     b1: np.ndarray | None   # (V/r,)
     b2_share: np.ndarray | None  # (M,), already divided by r
 
-    def forward(self, x: np.ndarray, activation) -> np.ndarray:
+    def forward(self, x: np.ndarray, activation: str) -> np.ndarray:
         hidden = x @ self.w1
         if self.b1 is not None:
             hidden = hidden + self.b1
-        hidden = activation(hidden)
+        hidden, _ = act_forward(hidden, activation)
         out = hidden @ self.w2
         if self.b2_share is not None:
             out = out + self.b2_share
@@ -177,10 +178,6 @@ def p2_forward(rank_inputs: list[np.ndarray], params: MoELayerParams,
         raise ValueError(f"expected {w} rank inputs, got "
                          f"{len(rank_inputs)}")
     crits, buffers = _route_and_encode(rank_inputs, params, cfg)
-    act = {"relu": lambda h: np.maximum(h, 0.0)}.get(params.activation)
-    if act is None:
-        from repro.moe.layer import _gelu
-        act = _gelu
 
     # Local repeat + dispatch All-to-All: server rank (e0, j) receives
     # the same expert-e0 capacity slice from every source.
@@ -189,7 +186,8 @@ def p2_forward(rank_inputs: list[np.ndarray], params: MoELayerParams,
         tokens = np.concatenate([buf[e0] for buf in buffers])  # (C, M)
         for j, shard in enumerate(
                 shard_expert_columns(params.experts, e0, r)):
-            partials[e0 * r + j] = shard.forward(tokens, act)
+            partials[e0 * r + j] = shard.forward(tokens,
+                                                 params.activation)
 
     # Combine All-to-All + local sum reduction over the r shards.
     dc = cfg.capacity_per_gpu

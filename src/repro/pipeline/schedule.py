@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cluster.gemm import GemmModel, expert_ffn_time
-from repro.cluster.simulator import InterferenceModel, Op, Schedule, simulate
+from repro.cluster.simulator import InterferenceModel, Schedule, simulate
 from repro.cluster.topology import ClusterTopology
 from repro.collectives.schedule import A2AAlgorithm, Impl, Protocol, a2a_time
 from repro.core.config import MoEConfig

@@ -164,9 +164,10 @@ def restore_training_state(model: Any, optimizer: Any,
     rng.bit_generator.state = ckpt.rng_state
     if ckpt.failed_experts and hasattr(model, "moe_layers"):
         layers = model.moe_layers()
+        # Set the mask directly: ``fail_expert`` would write a ``fault``
+        # event for a failure this run never suffered.
         for i, experts in ckpt.failed_experts.items():
-            for e in experts:
-                layers[i].fail_expert(e)
+            layers[i].failed_experts.update(experts)
 
 
 def save_checkpoint(ckpt: TrainingCheckpoint, path: str) -> None:

@@ -349,20 +349,23 @@ def _execute(sc: Scenario, result: ScenarioResult,
             # resumed segment stays bit-identical; record the event
             # only the first time through.
             if isinstance(ev, ExpertDeath):
+                # The layer emits the ``fault`` event itself (and on a
+                # replay re-emits the one compaction dropped).
                 model.fail_expert(ev.layer, ev.expert)
-                kinds = ("expert_death", "expert_failure")
-                where = {"layer": ev.layer, "expert": ev.expert}
+                entry = {"kind": "expert_death", "layer": ev.layer,
+                         "expert": ev.expert}
+                fault = None
             else:
                 victim = next(p for p in model.parameters()
                               if p.requires_grad)
                 victim.data.flat[0] = np.nan
-                kinds = ("nonfinite_step", "nonfinite_injection")
-                where = {}
+                entry = {"kind": "nonfinite_step"}
+                fault = {"kind": "nonfinite_injection"}
             if ev not in recorded:
                 recorded.add(ev)
-                result.timeline.append(
-                    {"step": step, "kind": kinds[0], **where})
-                tel.event("fault", {"kind": kinds[1], **where}, step)
+                result.timeline.append({"step": step, **entry})
+                if fault is not None:
+                    tel.event("fault", fault, step)
 
     def train_segment(until: int, resume: str | None):
         model = _build_model(sc)

@@ -19,7 +19,7 @@ to tighten the error bars.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

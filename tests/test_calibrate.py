@@ -158,10 +158,10 @@ class FlippingHost:
     def clock(self) -> float:
         return self.now
 
-    def runner(self, workload, rng, clock=None):
-        """Drop-in for calibrate's ``_*_runner`` factories: timed on
-        the host's virtual clock, the way ``_a2a_runner`` reads its
-        injectable ``clock``."""
+    def runner(self, workload, rng):
+        """Drop-in for calibrate's ``_*_runner`` factories: one clock
+        pair around the call, like ``calibrate._timed``, but read on
+        the host's virtual clock."""
         def run() -> float:
             t0 = self.clock()
             while self.now >= self.flip_at:

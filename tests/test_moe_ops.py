@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autograd.moe_ops import (
-    batched_expert_ffn_input,
-    moe_combine,
-    moe_dispatch,
-)
+from repro.autograd.moe_ops import moe_combine, moe_dispatch
 from repro.autograd.tensor import Tensor
 from repro.moe.gating import softmax, top_k_routing
 
@@ -118,11 +114,14 @@ class TestMoeCombine:
 
 
 class TestBatchedExpertGemm:
+    """The per-expert GEMM ``(E, dC, M) @ (E, M, V)`` is plain
+    ``Tensor.__matmul__`` on 3-D arrays."""
+
     def test_forward(self):
         rng = np.random.default_rng(4)
         d = rng.normal(size=(3, 5, 4))
         w = rng.normal(size=(3, 4, 6))
-        out = batched_expert_ffn_input(Tensor(d), Tensor(w))
+        out = Tensor(d) @ Tensor(w)
         np.testing.assert_allclose(out.data, np.einsum("ecm,emv->ecv",
                                                        d, w))
 
@@ -132,7 +131,7 @@ class TestBatchedExpertGemm:
         w = rng.normal(size=(2, 4, 3))
         dt = Tensor(d, requires_grad=True)
         wt = Tensor(w, requires_grad=True)
-        batched_expert_ffn_input(dt, wt).sum().backward()
+        (dt @ wt).sum().backward()
 
         def value(dv, wv):
             return float(np.einsum("ecm,emv->ecv", dv, wv).sum())

@@ -7,12 +7,14 @@ equality against the textbook formulas (GEMM ``2*m*n*k`` forward /
 peak-memory regression bound against the committed baseline.
 """
 
+import ast
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.autograd import functional, moe_ops
 from repro.autograd.moe_ops import moe_combine, moe_dispatch
 from repro.autograd.tensor import Tensor
 from repro.moe.gating import RoutingCriteria, compute_locations
@@ -20,6 +22,7 @@ from repro.core.substrate import substrate_dtype
 from repro.obs import profiler
 from repro.obs.profiler import (
     MOE_STAGES,
+    OP_COSTS,
     AllocationLedger,
     Profiler,
     dense_encode_flops,
@@ -32,7 +35,9 @@ from repro.obs.profiler import (
     sparse_encode_cost,
 )
 
-BASELINES = Path(__file__).resolve().parents[1] / "benchmarks/baselines"
+ROOT = Path(__file__).resolve().parents[1]
+BASELINES = ROOT / "benchmarks/baselines"
+AUTOGRAD = ROOT / "src/repro/autograd"
 
 
 def seeded_routing(t=64, e=8, k=2, capacity=16, seed=0):
@@ -148,6 +153,83 @@ class TestSparseKernelReference:
         assert dense / (2.0 * sparse_elems) >= e * c / (2.0 * k)
 
 
+class TestForwardHook:
+    """``Tensor.from_op`` is the one place an op meets the profiler."""
+
+    @staticmethod
+    def _from_op_names():
+        """Op-name argument of every ``from_op`` call under autograd."""
+        names = []
+        for path in sorted(AUTOGRAD.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "from_op"):
+                    names.append(ast.literal_eval(node.args[3]))
+        return names
+
+    def test_every_op_has_a_cost_entry(self):
+        names = self._from_op_names()
+        assert len(names) >= 20
+        assert set(names) == set(OP_COSTS)
+
+    def test_unknown_op_raises_under_profiling(self):
+        x = Tensor(np.ones(3))
+        assert Tensor.from_op(x.data, (x,), None, "nope").shape == (3,)
+        with profiling(), pytest.raises(KeyError, match="nope"):
+            Tensor.from_op(x.data, (x,), None, "nope")
+
+    def test_ops_hold_no_reference_to_obs(self):
+        for mod in (functional, moe_ops):
+            assert "repro.obs" not in Path(mod.__file__).read_text()
+            assert not [k for k, v in vars(mod).items()
+                        if getattr(v, "__name__", "").startswith(
+                            "repro.obs")
+                        or getattr(v, "__module__", "").startswith(
+                            "repro.obs")], mod.__name__
+
+    @staticmethod
+    def _clocked_step(monkeypatch=None):
+        """fwd+bwd of a small MoE-shaped graph on a clock that ticks
+        once per read; optionally the matmul cost formula reads (and
+        so jumps) that clock 1000 times."""
+        ticks = iter(range(10 ** 6))
+        prof = Profiler(clock=lambda: float(next(ticks)))
+        if monkeypatch is not None:
+            real = OP_COSTS["matmul"]
+
+            def slow(out, parents, ctx):
+                for _ in range(1000):
+                    prof.clock()
+                return real(out, parents, ctx)
+            monkeypatch.setitem(OP_COSTS, "matmul", slow)
+        crit = seeded_routing(t=16, e=4, capacity=8)
+        rng = np.random.default_rng(7)
+        with profiling(prof):
+            x = Tensor(rng.standard_normal((16, 8)), requires_grad=True)
+            w = Tensor(rng.standard_normal((8, 8)), requires_grad=True)
+            with prof.stage("dispatch"):
+                d = moe_dispatch(functional.gelu(x @ w), crit)
+            with prof.stage("combine"):
+                y = moe_combine(d, Tensor(crit.gates.copy()), crit)
+            (y @ w).sum().backward()
+        return prof.records
+
+    def test_records_never_overlap(self):
+        records = self._clocked_step()
+        assert {r.phase for r in records} == {"forward", "backward"}
+        for r, nxt in zip(records, records[1:]):
+            assert r.wall > 0
+            assert r.ts + r.wall <= nxt.ts
+
+    def test_cost_table_time_is_outside_every_wall(self, monkeypatch):
+        plain = self._clocked_step()
+        slowed = self._clocked_step(monkeypatch)
+        assert [r.wall for r in slowed] == [r.wall for r in plain]
+        # ...while the two matmuls' 2000 extra ticks did happen.
+        assert slowed[-1].ts == plain[-1].ts + 2000
+
+
 class TestLedger:
     def test_peak_and_live_accounting(self):
         led = AllocationLedger()
@@ -235,6 +317,8 @@ class TestProfilerEndToEnd:
         # regression band of the committed tolerance.
         assert totals["flops"] == values["total_flops"]
         assert totals["ops"] == values["num_ops"]
+        assert totals["bytes_read"] + totals["bytes_written"] \
+            == values["total_bytes"]
         assert prof.ledger.peak_bytes == pytest.approx(
             values["peak_bytes"], rel=0.10)
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.autograd.optim import Adam
 from repro.nn.models import MoEClassifier
+from repro.obs.runs import RunStore, recording_run
 from repro.resilience.checkpoint import (
     capture_training_state,
     load_checkpoint,
@@ -64,7 +65,7 @@ class TestCheckpointRoundTrip:
             np.testing.assert_array_equal(p1.data, p2.data)
         assert other_rng.bit_generator.state == rng.bit_generator.state
 
-    def test_restore_reapplies_failed_experts(self):
+    def test_restore_reapplies_failed_experts(self, tmp_path):
         model = fresh_model()
         model.fail_expert(0, 3)
         opt = Adam([p for p in model.parameters() if p.requires_grad])
@@ -74,9 +75,14 @@ class TestCheckpointRoundTrip:
         other = fresh_model()
         other_opt = Adam([p for p in other.parameters()
                           if p.requires_grad])
-        restore_training_state(other, other_opt,
-                               np.random.default_rng(0), ckpt)
+        # The resumed run suffered nothing: the mask comes back, but
+        # no ``fault`` event (which would arm ``recovery_overdue``).
+        with recording_run(root=tmp_path, run_id="resumed"):
+            restore_training_state(other, other_opt,
+                                   np.random.default_rng(0), ckpt)
         assert other.moe_layers()[0].failed_experts == {3}
+        assert [e for e in RunStore(tmp_path).events("resumed")
+                if e["kind"] == "fault"] == []
 
     def test_shape_mismatch_rejected(self):
         model = fresh_model()

@@ -234,6 +234,40 @@ class TestRunScenario:
         assert len(deaths) == 2
         assert {d["layer"] for d in deaths} == {0, 1}
 
+    @staticmethod
+    def _expert_failures(scenario, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path))
+        res = run_scenario(scenario, fast=True)
+        return [e for e in RunStore(tmp_path).events(res.run_id)
+                if e["kind"] == "fault"
+                and e["data"]["kind"] == "expert_failure"]
+
+    @pytest.mark.parametrize("name", ["compound_faults",
+                                      "expert_death_loss_slo"])
+    def test_one_fault_event_per_expert_death(self, name, tmp_path,
+                                              monkeypatch):
+        """The layer's ``fault`` event is the record of an expert
+        death; the engine's hook adds no second one."""
+        sc = get_scenario(name)
+        failures = self._expert_failures(sc, tmp_path, monkeypatch)
+        assert ([(e["step"], e["data"]["expert"]) for e in failures]
+                == [(d.step, d.expert) for d in sc.of_kind(ExpertDeath)])
+
+    @pytest.mark.parametrize("death_step", [6, 10])
+    def test_rank_loss_replay_keeps_one_fault_event(
+            self, death_step, tmp_path, monkeypatch):
+        """Restore from the step-8 checkpoint: a death before it comes
+        back through the checkpoint's mask (no new event), one after it
+        is re-applied by the replay (re-emitting what compaction
+        dropped).  Either way the stream holds exactly one."""
+        sc = dataclasses.replace(
+            get_scenario("rank_loss_deadline"), name="death_rank_loss",
+            fast_steps=14,
+            events=(ExpertDeath(step=death_step, layer=0, expert=2),
+                    RankLoss(step=11, ranks=(3,))))
+        failures = self._expert_failures(sc, tmp_path, monkeypatch)
+        assert [e["step"] for e in failures] == [death_step]
+
     def test_brownout_switches_a2a(self, results):
         res = results["link_brownout_switch"]
         assert res.metric("a2a_switched").value == 1.0
