@@ -15,6 +15,7 @@ import numpy as np
 from repro.autograd.tensor import Tensor
 from repro.nn.moe import MoE
 from repro.nn.modules import FFN, LayerNorm, Linear, Module
+from repro.obs.runs import get_run
 
 __all__ = ["DenseClassifier", "MoEClassifier"]
 
@@ -87,7 +88,13 @@ class MoEClassifier(Module):
         if not 0 <= layer < len(layers):
             raise ValueError(
                 f"layer {layer} out of range for {len(layers)} MoE layers")
-        layers[layer].fail_expert(expert)
+        layers[layer].mask_expert(expert)
+        # Emitted here, not by the layer: the layer does not know its
+        # index, and the record should say which layer lost the expert.
+        run = get_run()
+        if run is not None:
+            run.emit("fault", data={"kind": "expert_failure",
+                                    "expert": expert, "layer": layer})
 
     def set_inference_capacity(self, capacity_factor: float) -> None:
         """Change the capacity factor of every MoE layer (Table 12's

@@ -114,13 +114,15 @@ class MoE(Module):
 
     # -- graceful degradation ---------------------------------------------
 
-    def fail_expert(self, expert: int) -> None:
+    def mask_expert(self, expert: int) -> None:
         """Mask a dead expert out of gating; survivors take over.
 
         The mask zeroes the expert's softmax probability, so top-k
         selection never picks it and (with ``normalize_gate``) the
         surviving gate values renormalize automatically — tokens are
         re-routed, not dropped.  At least one expert must survive.
+        Records nothing: a checkpoint restore re-applies a mask this
+        way, a failure goes through :meth:`fail_expert`.
         """
         if not 0 <= expert < self.num_experts:
             raise ValueError(
@@ -130,6 +132,10 @@ class MoE(Module):
                 "cannot fail the last surviving expert; "
                 "restore from checkpoint instead")
         self.failed_experts.add(expert)
+
+    def fail_expert(self, expert: int) -> None:
+        """:meth:`mask_expert` plus the run's ``fault`` event."""
+        self.mask_expert(expert)
         run = get_run()
         if run is not None:
             run.emit("fault", data={"kind": "expert_failure",

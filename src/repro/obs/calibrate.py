@@ -52,11 +52,7 @@ have; the fitted coefficients describe *this host at this dtype*, not
 an A100 — the point is that the simulator's functional forms transfer.
 Payload sizes are chosen to stay within one cache regime: the
 alpha-beta model is piecewise-linear at best across a working-set
-cliff, and calibration should fit a line to a line.  BLAS threading is
-such a cliff too: the GEMM sweep's row counts straddle OpenBLAS's
-multithreading threshold, so gate the fidelity figure on a run with
-one BLAS thread (``OPENBLAS_NUM_THREADS=1``, as CI and
-``benchmarks/perf`` do).
+cliff, and calibration should fit a line to a line.
 """
 
 from __future__ import annotations

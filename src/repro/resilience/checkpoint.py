@@ -164,10 +164,11 @@ def restore_training_state(model: Any, optimizer: Any,
     rng.bit_generator.state = ckpt.rng_state
     if ckpt.failed_experts and hasattr(model, "moe_layers"):
         layers = model.moe_layers()
-        # Set the mask directly: ``fail_expert`` would write a ``fault``
-        # event for a failure this run never suffered.
+        # ``mask_expert``, not ``fail_expert``: the same validation,
+        # but no ``fault`` event for a failure this run never suffered.
         for i, experts in ckpt.failed_experts.items():
-            layers[i].failed_experts.update(experts)
+            for e in experts:
+                layers[i].mask_expert(e)
 
 
 def save_checkpoint(ckpt: TrainingCheckpoint, path: str) -> None:

@@ -349,8 +349,8 @@ def _execute(sc: Scenario, result: ScenarioResult,
             # resumed segment stays bit-identical; record the event
             # only the first time through.
             if isinstance(ev, ExpertDeath):
-                # The layer emits the ``fault`` event itself (and on a
-                # replay re-emits the one compaction dropped).
+                # ``fail_expert`` emits the ``fault`` event itself (and
+                # on a replay re-emits the one compaction dropped).
                 model.fail_expert(ev.layer, ev.expert)
                 entry = {"kind": "expert_death", "layer": ev.layer,
                          "expert": ev.expert}

@@ -104,7 +104,8 @@ class TestRunArtifacts:
         assert kinds.count("fault") == 1
         assert kinds.count("eval") == 1
         fault = next(e for e in events if e["kind"] == "fault")
-        assert fault["data"] == {"kind": "expert_failure", "expert": 3}
+        assert fault["data"] == {"kind": "expert_failure", "expert": 3,
+                                 "layer": 0}
         assert fault["step"] == FAIL_STEP
 
 

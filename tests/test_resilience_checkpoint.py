@@ -84,6 +84,19 @@ class TestCheckpointRoundTrip:
         assert [e for e in RunStore(tmp_path).events("resumed")
                 if e["kind"] == "fault"] == []
 
+    @pytest.mark.parametrize("experts", [[99], [-1], list(range(8))])
+    def test_restore_validates_failed_experts(self, experts):
+        """The mask read from disk goes through the same range and
+        last-survivor checks as a live failure."""
+        model = fresh_model()
+        opt = Adam([p for p in model.parameters() if p.requires_grad])
+        ckpt = capture_training_state(model, opt,
+                                      np.random.default_rng(0), step=0)
+        ckpt.failed_experts = {0: experts}
+        with pytest.raises(ValueError):
+            restore_training_state(model, opt,
+                                   np.random.default_rng(0), ckpt)
+
     def test_shape_mismatch_rejected(self):
         model = fresh_model()
         opt = Adam([p for p in model.parameters() if p.requires_grad])

@@ -246,12 +246,16 @@ class TestRunScenario:
                                       "expert_death_loss_slo"])
     def test_one_fault_event_per_expert_death(self, name, tmp_path,
                                               monkeypatch):
-        """The layer's ``fault`` event is the record of an expert
-        death; the engine's hook adds no second one."""
+        """``fail_expert``'s ``fault`` event is the record of an
+        expert death — layer included, so two deaths in different
+        layers stay distinguishable; the engine's hook adds no second
+        one."""
         sc = get_scenario(name)
         failures = self._expert_failures(sc, tmp_path, monkeypatch)
-        assert ([(e["step"], e["data"]["expert"]) for e in failures]
-                == [(d.step, d.expert) for d in sc.of_kind(ExpertDeath)])
+        assert ([(e["step"], e["data"]["layer"], e["data"]["expert"])
+                 for e in failures]
+                == [(d.step, d.layer, d.expert)
+                    for d in sc.of_kind(ExpertDeath)])
 
     @pytest.mark.parametrize("death_step", [6, 10])
     def test_rank_loss_replay_keeps_one_fault_event(
