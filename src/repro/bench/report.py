@@ -15,6 +15,10 @@ bench a structured record:
 * :func:`emit` — called at the end of every bench ``run()``; validates
   the record and, when ``REPRO_BENCH_DIR`` (or ``directory=``) is set,
   writes ``BENCH_<artifact>.json`` there;
+* :class:`SLOCheck` / :class:`NamedRunResult` / :func:`emit_named` —
+  the named-run record path ``repro scenario`` and ``repro serve``
+  share: each run carries SLO checks and metrics, a batch of runs
+  becomes one record with rows namespaced ``<name>.<metric>``;
 * :func:`load_results` / :func:`render_report` — aggregation behind
   ``repro report``;
 * :func:`compare` / :func:`render_comparisons` — the ``repro regress``
@@ -32,7 +36,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -43,6 +47,9 @@ __all__ = [
     "config_fingerprint",
     "validate_payload",
     "emit",
+    "SLOCheck",
+    "NamedRunResult",
+    "emit_named",
     "bench_dir",
     "load_results",
     "render_report",
@@ -259,6 +266,81 @@ def emit(artifact: str, title: str, metrics: Iterable[Metric], *,
     if run is not None:
         run.emit("bench_result", data=result.to_json_obj())
     return result
+
+
+@dataclass(frozen=True)
+class SLOCheck:
+    """One pass/fail assertion of a named run's SLO report.
+
+    ``measured=True`` marks wall-clock-derived values — they stay out
+    of the determinism contract (and the regression gate) but still
+    gate the run itself.
+    """
+
+    name: str
+    value: float
+    bound: float
+    op: str  # "<=" or ">="
+    measured: bool = False
+
+    def __post_init__(self) -> None:
+        if self.op not in ("<=", ">="):
+            raise ValueError(f"op must be '<=' or '>=', got {self.op!r}")
+
+    @property
+    def passed(self) -> bool:
+        if self.op == "<=":
+            return self.value <= self.bound
+        return self.value >= self.bound
+
+    def event_data(self) -> dict:
+        """The run registry's ``slo_check`` event."""
+        return {"name": self.name, "value": self.value,
+                "bound": self.bound, "op": self.op,
+                "measured": self.measured, "passed": self.passed}
+
+    def describe(self) -> str:
+        verdict = "PASS" if self.passed else "FAIL"
+        tag = " (wall-clock)" if self.measured else ""
+        return (f"[{verdict}] {self.name}: {self.value:.6g} "
+                f"{self.op} {self.bound:.6g}{tag}")
+
+
+class NamedRunResult:
+    """What ``ScenarioResult`` and ``ServeResult`` share: the verdict
+    over ``checks`` and lookup in ``metrics`` (fields the dataclass
+    subclasses declare)."""
+
+    checks: list[SLOCheck]
+    metrics: list[Metric]
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    def metric(self, name: str) -> Metric:
+        for m in self.metrics:
+            if m.name == name:
+                return m
+        raise KeyError(f"metric {name!r} not recorded")
+
+
+def emit_named(artifact: str, title: str, noun: str,
+               runs: Iterable[tuple[str, int, Iterable[Metric]]], *,
+               fast: bool, directory: str | Path | None = None,
+               verbose: bool = False) -> BenchResult:
+    """:func:`emit` one record for a batch of named runs, each a
+    ``(name, seed, metrics)``: rows are ``<name>.<metric>`` in name
+    order, the config is the mode, the names and their seeds."""
+    runs = sorted(runs, key=lambda run: run[0])
+    return emit(
+        artifact, title,
+        [replace(m, name=f"{name}.{m.name}")
+         for name, _, metrics in runs for m in metrics],
+        config={"mode": "fast" if fast else "full",
+                f"{noun}s": [name for name, _, _ in runs],
+                "seeds": {name: seed for name, seed, _ in runs}},
+        directory=directory, verbose=verbose)
 
 
 def load_results(directory: str | Path) -> dict[str, BenchResult]:

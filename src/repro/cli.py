@@ -134,7 +134,7 @@ def run_bench(short_id: str) -> None:
             obs.disable()
 
 
-def _cmd_list() -> None:
+def _cmd_list(args) -> None:
     benches = discover_benches()
     width = max(len(k) for k in benches)
     for short, path in sorted(benches.items()):
@@ -144,7 +144,16 @@ def _cmd_list() -> None:
         print(f"  {short.ljust(width)}  {path.name:42s} {desc}")
 
 
-def _cmd_info() -> None:
+def _cmd_bench(args) -> None:
+    if args.id == "all":
+        for short in sorted(discover_benches()):
+            print(f"### {short}")
+            run_bench(short)
+    else:
+        run_bench(args.id)
+
+
+def _cmd_info(args) -> None:
     import repro
     from repro.cluster.topology import ndv4_topology
     print(f"repro {repro.__version__} — reproduction of 'Tutel: "
@@ -160,8 +169,7 @@ def _cmd_info() -> None:
           "for paper-vs-measured results")
 
 
-def _cmd_analyze(target: str, world: int, factor: float,
-                 trace_out: str | None) -> None:
+def _cmd_analyze(args) -> None:
     """Critical-path / attribution analysis (``repro analyze``).
 
     ``target`` is either a Chrome-trace JSON written by
@@ -174,11 +182,13 @@ def _cmd_analyze(target: str, world: int, factor: float,
     from repro.cluster.trace import load_sim_trace, save_chrome_trace
     from repro.obs import analysis
 
+    target, world, factor = args.target, args.world, args.factor
+
     def save_flagged(result, report) -> None:
-        if trace_out:
-            save_chrome_trace(result, trace_out, critical=report.critical)
+        if args.trace:
+            save_chrome_trace(result, args.trace, critical=report.critical)
             print(f"[analyze] wrote critical-path-flagged trace to "
-                  f"{trace_out}")
+                  f"{args.trace}")
 
     if target != "fig22":
         if not Path(target).is_file():
@@ -231,36 +241,36 @@ def _cmd_analyze(target: str, world: int, factor: float,
     save_flagged(best_result, best_report)
 
 
-def _cmd_report(bench_dir: str, write_baselines_dir: str | None) -> None:
+def _cmd_report(args) -> None:
     """Aggregate ``BENCH_*.json`` records (``repro report``)."""
     from repro.bench import report as bench_report
 
-    results = bench_report.load_results(bench_dir)
+    results = bench_report.load_results(args.bench_dir)
     if not results:
-        raise SystemExit(f"no BENCH_*.json files in {bench_dir} "
+        raise SystemExit(f"no BENCH_*.json files in {args.bench_dir} "
                          "(run benches with REPRO_BENCH_DIR set)")
     print(bench_report.render_report(results))
-    if write_baselines_dir:
-        paths = bench_report.write_baselines(results, write_baselines_dir)
+    if args.write_baselines:
+        paths = bench_report.write_baselines(results, args.write_baselines)
         print(f"wrote {len(paths)} baseline file(s) to "
-              f"{write_baselines_dir}")
+              f"{args.write_baselines}")
 
 
-def _cmd_regress(bench_dir: str, baselines_dir: str,
-                 include_measured: bool) -> int:
+def _cmd_regress(args) -> int:
     """Compare a bench run against committed baselines
     (``repro regress``); exit 1 on regression."""
     from repro.bench import report as bench_report
 
-    current = bench_report.load_results(bench_dir)
+    baselines_dir = args.baselines or _default_baselines_dir()
+    current = bench_report.load_results(args.bench_dir)
     baselines = bench_report.load_results(baselines_dir)
     if not baselines:
         raise SystemExit(f"no baselines in {baselines_dir}")
     if not current:
-        raise SystemExit(f"no BENCH_*.json files in {bench_dir} "
+        raise SystemExit(f"no BENCH_*.json files in {args.bench_dir} "
                          "(run benches with REPRO_BENCH_DIR set)")
-    comparisons = bench_report.compare(current, baselines,
-                                       include_measured=include_measured)
+    comparisons = bench_report.compare(
+        current, baselines, include_measured=args.include_measured)
     print(bench_report.render_comparisons(comparisons))
     return 1 if bench_report.has_failures(comparisons) else 0
 
@@ -277,14 +287,30 @@ def _write_prometheus(registry, path: str | None) -> None:
         print(f"[obs] wrote prometheus exposition to {path}")
 
 
-def _cmd_obs(trace_path: str, jsonl_path: str | None, steps: int,
-             metrics_json: str | None = None,
-             prometheus_path: str | None = None) -> None:
+def _demo_task_and_model(model_dim: int, hidden_dim: int):
+    """The seed-0 clustered task and 2-block, 8-expert MoE classifier
+    that ``obs``, ``overhead`` and ``profile step`` all run."""
+    import numpy as np
+
+    from repro.nn.models import MoEClassifier
+    from repro.train.data import ClusteredTokenTask
+
+    task = ClusteredTokenTask(num_clusters=8, input_dim=8,
+                              num_classes=4, noise=0.4, seed=0)
+    model = MoEClassifier(input_dim=8, model_dim=model_dim,
+                          hidden_dim=hidden_dim, num_classes=4,
+                          num_blocks=2, num_experts=8,
+                          rng=np.random.default_rng(0), top_k=2,
+                          capacity_factor=1.25)
+    return task, model
+
+
+def _cmd_obs(args) -> None:
     """Instrumented end-to-end demo of the ``repro.obs`` subsystem.
 
     Runs (1) a few real training steps of a small MoE classifier so the
     trace carries gate/encode/expert_ffn/decode spans and the per-step
-    RoutingStats history, (2) one discrete-event simulation so
+    needed-capacity-factor traces, (2) one discrete-event simulation so
     simulated-clock tracks appear beside the wall-clock ones, and
     (3) the ``compute_locations`` rewrite-vs-reference microbench timed
     through the obs registry.  Writes the Chrome trace (and optionally
@@ -298,21 +324,14 @@ def _cmd_obs(trace_path: str, jsonl_path: str | None, steps: int,
         compute_locations,
         compute_locations_reference,
     )
-    from repro.nn.models import MoEClassifier
-    from repro.train.data import ClusteredTokenTask
     from repro.train.trainer import train_model
 
     ob = obs.enable()
     try:
         # 1. Real training steps (wall-clock spans + routing history).
-        task = ClusteredTokenTask(num_clusters=8, input_dim=8,
-                                  num_classes=4, noise=0.4, seed=0)
-        rng = np.random.default_rng(0)
-        model = MoEClassifier(input_dim=8, model_dim=32, hidden_dim=64,
-                              num_classes=4, num_blocks=2, num_experts=8,
-                              rng=rng, top_k=2, capacity_factor=1.25)
-        train_model(model, task.sample(512), task.sample(256),
-                    steps=steps, batch_size=128)
+        task, model = _demo_task_and_model(32, 64)
+        trained = train_model(model, task.sample(512), task.sample(256),
+                              steps=args.steps, batch_size=128)
 
         # 2. One simulated pipeline segment (simulated-clock spans).
         sched = Schedule()
@@ -338,11 +357,11 @@ def _cmd_obs(trace_path: str, jsonl_path: str | None, steps: int,
 
         print(ob.registry.render())
         print()
-        train_records = [r for r in ob.routing_history if r.step >= 0]
-        print(f"routing history: {len(train_records)} training records "
-              f"({steps} steps x {len(model.moe_layers())} MoE layer(s)), "
-              f"{len(ob.routing_history) - len(train_records)} eval")
-        series = ob.capacity_factor_series(layer=0)
+        traces = trained.capacity_traces
+        print(f"routing history: {sum(map(len, traces.values()))} "
+              f"training records ({args.steps} steps x {len(traces)} "
+              "MoE layer(s))")
+        series = traces[0]
         if series:
             print(f"needed capacity factor (layer 0): "
                   f"first={series[0]:.2f} last={series[-1]:.2f} "
@@ -354,20 +373,20 @@ def _cmd_obs(trace_path: str, jsonl_path: str | None, steps: int,
                   f"T=4096 E=64 k=2)")
 
         assert ob.recorder is not None
-        ob.recorder.dump_chrome_trace(trace_path)
+        ob.recorder.dump_chrome_trace(args.trace)
         print(f"[obs] wrote {len(ob.recorder.events)} trace events to "
-              f"{trace_path} (open in chrome://tracing or "
+              f"{args.trace} (open in chrome://tracing or "
               "https://ui.perfetto.dev)")
-        if jsonl_path:
-            ob.recorder.dump_jsonl(jsonl_path)
-            print(f"[obs] wrote JSONL events to {jsonl_path}")
-        if metrics_json:
+        if args.jsonl:
+            ob.recorder.dump_jsonl(args.jsonl)
+            print(f"[obs] wrote JSONL events to {args.jsonl}")
+        if args.metrics_json:
             import json
-            Path(metrics_json).write_text(
+            Path(args.metrics_json).write_text(
                 json.dumps(ob.registry.snapshot(), indent=1,
                            sort_keys=True) + "\n")
-            print(f"[obs] wrote metrics snapshot to {metrics_json}")
-        _write_prometheus(ob.registry, prometheus_path)
+            print(f"[obs] wrote metrics snapshot to {args.metrics_json}")
+        _write_prometheus(ob.registry, args.prometheus)
     finally:
         obs.disable()
 
@@ -425,7 +444,7 @@ def _cmd_runs(args) -> int:
             print("serving summary:")
             for key in sorted(serve_keys):
                 print(f"  {key:24s} {serve_keys[key]}")
-            from repro.scenarios import SLOCheck
+            from repro.bench.report import SLOCheck
             for event in store.iter_events(run_id, kind="slo_check"):
                 d = event["data"]
                 print("  " + SLOCheck(d["name"], d["value"], d["bound"],
@@ -454,24 +473,21 @@ def _cmd_runs(args) -> int:
     return 0
 
 
-def _cmd_dashboard(run: str, out: str | None,
-                   runs_dir: str | None,
-                   refresh: int | None = None) -> None:
+def _cmd_dashboard(args) -> None:
     """Render one run into a standalone HTML dashboard."""
     from repro.obs.dashboard import write_dashboard
     from repro.obs.runs import RunStore
 
-    store = RunStore(runs_dir)
-    run_id = store.resolve(run)
-    out_path = out if out is not None else f"dashboard-{run_id}.html"
-    path = write_dashboard(store, run_id, out_path, refresh=refresh)
-    note = f" (auto-refresh {refresh}s)" if refresh else ""
+    store = RunStore(args.dir)
+    run_id = store.resolve(args.run)
+    out_path = (args.out if args.out is not None
+                else f"dashboard-{run_id}.html")
+    path = write_dashboard(store, run_id, out_path, refresh=args.refresh)
+    note = f" (auto-refresh {args.refresh}s)" if args.refresh else ""
     print(f"[dashboard] wrote {path} (run {run_id}){note}")
 
 
-def _cmd_live(run: str, runs_dir: str | None, host: str, port: int,
-              duration: float | None, refresh: int | None,
-              wait: float) -> int:
+def _cmd_live(args) -> None:
     """Attach the live telemetry server to a run directory.
 
     ``--wait`` polls for the run to appear first, so the command can
@@ -483,21 +499,21 @@ def _cmd_live(run: str, runs_dir: str | None, host: str, port: int,
     from repro.obs.live import LiveServer
     from repro.obs.runs import RunStore
 
-    store = RunStore(runs_dir)
-    deadline = _time.monotonic() + max(0.0, wait)
+    store = RunStore(args.dir)
+    deadline = _time.monotonic() + max(0.0, args.wait)
     while True:
         try:
-            run_id = store.resolve(run)
+            run_id = store.resolve(args.run)
             break
         except KeyError:
             if _time.monotonic() >= deadline:
                 raise SystemExit(
-                    f"repro live: no run matching {run!r} under "
+                    f"repro live: no run matching {args.run!r} under "
                     f"{store.root}")
             _time.sleep(0.2)
 
-    server = LiveServer(store.path(run_id), host=host, port=port,
-                        refresh=refresh)
+    server = LiveServer(store.path(run_id), host=args.host,
+                        port=args.port, refresh=args.refresh)
 
     # Background jobs in non-interactive shells inherit SIGINT as
     # ignored, so a supervisor's polite shutdown arrives as SIGTERM:
@@ -516,8 +532,8 @@ def _cmd_live(run: str, runs_dir: str | None, host: str, port: int,
     print(f"[live] endpoints: {server.url}/metrics  "
           f"{server.url}/events  {server.url}/healthz  {server.url}/")
     try:
-        if duration is not None:
-            _time.sleep(duration)
+        if args.duration is not None:
+            _time.sleep(args.duration)
         else:
             while True:
                 _time.sleep(1.0)
@@ -526,10 +542,9 @@ def _cmd_live(run: str, runs_dir: str | None, host: str, port: int,
     finally:
         server.stop()
         print("[live] server stopped")
-    return 0
 
 
-def _cmd_overhead(fast: bool, steps: int | None) -> int:
+def _cmd_overhead(args) -> None:
     """Measure observability self-overhead on an instrumented run.
 
     Trains a small MoE classifier with *everything* on — observer,
@@ -541,32 +556,25 @@ def _cmd_overhead(fast: bool, steps: int | None) -> int:
     import tempfile
     from collections import Counter
 
-    import numpy as np
-
     from repro import obs
     from repro.bench.report import emit
-    from repro.nn.models import MoEClassifier
     from repro.obs.overhead import (
         OVERHEAD_ARTIFACT,
         measuring_overhead,
         overhead_metrics,
     )
     from repro.obs.runs import RunStore, recording_run
-    from repro.train.data import ClusteredTokenTask
     from repro.train.trainer import train_model
 
-    n_steps = steps if steps is not None else (8 if fast else 24)
-    config = {"kind": "obs_overhead", "fast": fast, "steps": n_steps}
+    n_steps = (args.steps if args.steps is not None
+               else (8 if args.fast else 24))
+    config = {"kind": "obs_overhead", "fast": args.fast,
+              "steps": n_steps}
 
     # Instrumentation cost is per *event*, not per FLOP, so the
     # fraction is only meaningful against realistically sized steps —
     # a toy step would make fixed per-step emit costs look huge.
-    task = ClusteredTokenTask(num_clusters=8, input_dim=8,
-                              num_classes=4, noise=0.4, seed=0)
-    rng = np.random.default_rng(0)
-    model = MoEClassifier(input_dim=8, model_dim=64, hidden_dim=256,
-                          num_classes=4, num_blocks=2, num_experts=8,
-                          rng=rng, top_k=2, capacity_factor=1.25)
+    task, model = _demo_task_and_model(64, 256)
 
     ob = obs.enable()
     try:
@@ -588,7 +596,6 @@ def _cmd_overhead(fast: bool, steps: int | None) -> int:
              config=config, verbose=True)
     finally:
         obs.disable()
-    return 0
 
 
 def _add_named_args(cmd, noun: str, artifact: str,
@@ -728,10 +735,7 @@ def _cmd_serve(args) -> int:
     return status
 
 
-def _cmd_route(run: str, fast: bool, seed: int, runs_dir: str | None,
-               num_gpus: int, gpus_per_node: int,
-               bytes_per_token: int | None,
-               prometheus_path: str | None) -> int:
+def _cmd_route(args) -> int:
     """Routing provenance report + placement what-if hop ledger.
 
     ``--fast`` mines a seeded synthetic Markov trace (bit-identical
@@ -756,26 +760,27 @@ def _cmd_route(run: str, fast: bool, seed: int, runs_dir: str | None,
     # All committed workloads/demo models route model_dim=32 tokens;
     # override with --bytes-per-token for anything else.
     model_dim = 32
+    bytes_per_token = args.bytes_per_token
     if bytes_per_token is None:
         bytes_per_token = model_dim * default_itemsize()
 
-    if fast:
-        profile = synthetic_profile(seed)
-        config = {"mode": "fast", "seed": seed, "num_layers": 3,
+    if args.fast:
+        profile = synthetic_profile(args.seed)
+        config = {"mode": "fast", "seed": args.seed, "num_layers": 3,
                   "num_experts": 8, "tokens_per_step": 512, "steps": 8,
-                  "top_k": 2, "num_gpus": num_gpus,
-                  "gpus_per_node": gpus_per_node,
+                  "top_k": 2, "num_gpus": args.gpus,
+                  "gpus_per_node": args.gpus_per_node,
                   "bytes_per_token": bytes_per_token}
-        print(f"[route] synthetic profile (seed {seed})")
+        print(f"[route] synthetic profile (seed {args.seed})")
     else:
         from repro.obs.runs import RunStore
-        store = RunStore(runs_dir)
-        run_id = store.resolve(run)
+        store = RunStore(args.dir)
+        run_id = store.resolve(args.run)
         profile = profile_from_events(store.events(run_id))
         config = None
         print(f"[route] aggregated run {run_id}")
 
-    topo = ndv4_topology(num_gpus, gpus_per_node=gpus_per_node)
+    topo = ndv4_topology(args.gpus, gpus_per_node=args.gpus_per_node)
     scores = whatif_placements(profile, topo,
                                bytes_per_token=bytes_per_token)
     print(render_routing(profile, scores))
@@ -789,9 +794,9 @@ def _cmd_route(run: str, fast: bool, seed: int, runs_dir: str | None,
     ob = obs.enable()
     try:
         record_gauges(ob, profile, scores)
-        if fast:
+        if args.fast:
             emit_routing(profile, scores, config=config, verbose=True)
-        _write_prometheus(ob.registry, prometheus_path)
+        _write_prometheus(ob.registry, args.prometheus)
     finally:
         obs.disable()
     return 0
@@ -845,8 +850,7 @@ def _dtype_speedup_probe(repeats: int = 3) -> tuple[float, float, float]:
     return best_ref / best_act, best_ref, best_act
 
 
-def _cmd_profile(target: str, batch: int, trace_path: str | None,
-                 json_path: str | None) -> None:
+def _cmd_profile(args) -> None:
     """Deterministic op-level profile of the seed model
     (``repro profile step|layer``): per-op FLOPs/bytes/walls, per-stage
     attribution, and the exact peak-memory ledger."""
@@ -861,23 +865,12 @@ def _cmd_profile(target: str, batch: int, trace_path: str | None,
     from repro.obs.loop import LoopTelemetry
     from repro.obs.profiler import Profiler, profiling
 
-    if target not in ("step", "layer"):
-        raise SystemExit(f"repro profile: unknown target {target!r} "
-                         "(expected 'step' or 'layer')")
-    rng = np.random.default_rng(0)
+    target, batch = args.target, args.batch
     prof = Profiler()
     with LoopTelemetry("profile", seed=0,
                        config={"target": target, "batch": batch}) as tel:
         if target == "step":
-            from repro.nn.models import MoEClassifier
-            from repro.train.data import ClusteredTokenTask
-
-            task = ClusteredTokenTask(num_clusters=8, input_dim=8,
-                                      num_classes=4, noise=0.4, seed=0)
-            model = MoEClassifier(
-                input_dim=8, model_dim=32, hidden_dim=64, num_classes=4,
-                num_blocks=2, num_experts=8, rng=rng, top_k=2,
-                capacity_factor=1.25)
+            task, model = _demo_task_and_model(32, 64)
             b = task.sample(batch)
             xb, yb = b.x, b.y
             with profiling(prof):
@@ -890,6 +883,7 @@ def _cmd_profile(target: str, batch: int, trace_path: str | None,
         else:
             from repro.nn.moe import MoE
 
+            rng = np.random.default_rng(0)
             layer = MoE(32, 64, 8, rng, top_k=2, capacity_factor=1.25)
             x = rng.standard_normal((batch, 32))
             with profiling(prof):
@@ -951,21 +945,21 @@ def _cmd_profile(target: str, batch: int, trace_path: str | None,
                      "model": "seed-moe-classifier",
                      "dtype": np.dtype(default_dtype()).name},
              verbose=True)
-    if trace_path:
+    if args.trace:
         from repro.obs.trace import TraceRecorder
 
         recorder = TraceRecorder()
         prof.export_trace(recorder)
-        recorder.dump_chrome_trace(trace_path)
+        recorder.dump_chrome_trace(args.trace)
         print(f"[profile] wrote {len(recorder.events)} trace events to "
-              f"{trace_path}")
-    if json_path:
-        Path(json_path).write_text(
+              f"{args.trace}")
+    if args.json:
+        Path(args.json).write_text(
             _json.dumps(summary, indent=1, sort_keys=True) + "\n")
-        print(f"[profile] wrote summary JSON to {json_path}")
+        print(f"[profile] wrote summary JSON to {args.json}")
 
 
-def _cmd_calibrate(fast: bool, seed: int, json_path: str | None) -> None:
+def _cmd_calibrate(args) -> None:
     """Fit simulator coefficients to measured kernel/collective walls
     and report prediction fidelity (``repro calibrate``)."""
     from repro.obs.calibrate import (
@@ -975,7 +969,7 @@ def _cmd_calibrate(fast: bool, seed: int, json_path: str | None) -> None:
     )
     from repro.obs.loop import LoopTelemetry
 
-    report = run_calibration(fast=fast, seed=seed)
+    report = run_calibration(fast=args.fast, seed=args.seed)
     print(report.render())
     with LoopTelemetry("calibrate", seed=0,
                        config={"profile": report.profile}) as tel:
@@ -983,9 +977,9 @@ def _cmd_calibrate(fast: bool, seed: int, json_path: str | None) -> None:
         tel.summary({"calibration.sim_vs_measured_p95_err":
                      report.sim_vs_measured_p95_err})
         emit_calibration(report, verbose=True)
-    if json_path:
-        Path(json_path).write_text(report_to_json(report) + "\n")
-        print(f"[calibrate] wrote full report to {json_path}")
+    if args.json:
+        Path(args.json).write_text(report_to_json(report) + "\n")
+        print(f"[calibrate] wrote full report to {args.json}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -993,12 +987,16 @@ def main(argv: list[str] | None = None) -> int:
         prog="repro",
         description="Regenerate the Tutel paper's tables and figures.")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("list", help="list available benches")
-    sub.add_parser("info", help="library summary")
+    sub.add_parser("list", help="list available benches"
+                   ).set_defaults(func=_cmd_list)
+    sub.add_parser("info", help="library summary"
+                   ).set_defaults(func=_cmd_info)
     bench = sub.add_parser("bench", help="run one bench (or 'all')")
+    bench.set_defaults(func=_cmd_bench)
     bench.add_argument("id", help="short id, e.g. fig20, tab08, all")
     obs_cmd = sub.add_parser(
         "obs", help="instrumented demo: trace + metrics of a train step")
+    obs_cmd.set_defaults(func=_cmd_obs)
     obs_cmd.add_argument("--trace", default="repro-trace.json",
                          help="Chrome-trace JSON output path")
     obs_cmd.add_argument("--jsonl", default=None,
@@ -1014,6 +1012,7 @@ def main(argv: list[str] | None = None) -> int:
     analyze_cmd = sub.add_parser(
         "analyze",
         help="critical-path + attribution analysis of a schedule/trace")
+    analyze_cmd.set_defaults(func=_cmd_analyze)
     analyze_cmd.add_argument(
         "target", help="'fig22' or a trace JSON from save_chrome_trace")
     analyze_cmd.add_argument("--world", type=int, default=64,
@@ -1030,6 +1029,7 @@ def main(argv: list[str] | None = None) -> int:
              "(default: $REPRO_BENCH_DIR or ./bench-results)")
     report_cmd = sub.add_parser(
         "report", help="aggregate BENCH_*.json records into one table")
+    report_cmd.set_defaults(func=_cmd_report)
     report_cmd.add_argument("--bench-dir", **bench_dir_kwargs)
     report_cmd.add_argument("--write-baselines", default=None,
                             metavar="DIR",
@@ -1039,6 +1039,7 @@ def main(argv: list[str] | None = None) -> int:
         "regress",
         help="compare BENCH_*.json against committed baselines; "
              "exit 1 on regression")
+    regress_cmd.set_defaults(func=_cmd_regress)
     regress_cmd.add_argument("--bench-dir", **bench_dir_kwargs)
     regress_cmd.add_argument("--baselines", default=None,
                              help="baseline directory (default: "
@@ -1049,6 +1050,7 @@ def main(argv: list[str] | None = None) -> int:
     scenario_cmd = sub.add_parser(
         "scenario",
         help="seeded chaos scenarios with pass/fail SLO gates")
+    scenario_cmd.set_defaults(func=_cmd_scenario)
     _add_named_args(scenario_cmd, "scenario", "BENCH_scenarios.json",
                     "shortened step counts (CI smoke)")
     scenario_cmd.add_argument("--checkpoint-dir", default=None,
@@ -1057,6 +1059,7 @@ def main(argv: list[str] | None = None) -> int:
     serve_cmd = sub.add_parser(
         "serve",
         help="online serving workloads with pass/fail SLO gates")
+    serve_cmd.set_defaults(func=_cmd_serve)
     _add_named_args(serve_cmd, "workload", "BENCH_serving.json",
                     "shortened arrival horizons (CI smoke)")
     serve_cmd.add_argument("--p99-slo", type=float, default=None,
@@ -1081,6 +1084,7 @@ def main(argv: list[str] | None = None) -> int:
         "route",
         help="routing provenance: load/affinity profile + placement "
              "what-if hop ledger")
+    route_cmd.set_defaults(func=_cmd_route)
     route_cmd.add_argument("run", nargs="?", default="latest",
                            help="run id, unique prefix, or 'latest' "
                                 "(ignored with --fast)")
@@ -1106,6 +1110,7 @@ def main(argv: list[str] | None = None) -> int:
                                 "text exposition here")
     runs_cmd = sub.add_parser(
         "runs", help="query the persistent run registry")
+    runs_cmd.set_defaults(func=_cmd_runs)
     runs_sub = runs_cmd.add_subparsers(dest="runs_command",
                                        required=True)
     runs_list = runs_sub.add_parser("list", help="list recorded runs")
@@ -1136,6 +1141,7 @@ def main(argv: list[str] | None = None) -> int:
     dash_cmd = sub.add_parser(
         "dashboard",
         help="render a recorded run as a standalone HTML report")
+    dash_cmd.set_defaults(func=_cmd_dashboard)
     dash_cmd.add_argument("run", nargs="?", default="latest",
                           help="run id, unique prefix, or 'latest' "
                                "(default)")
@@ -1152,6 +1158,7 @@ def main(argv: list[str] | None = None) -> int:
         "live",
         help="serve a run directory live over HTTP: prometheus "
              "/metrics, SSE /events, /healthz, and the dashboard")
+    live_cmd.set_defaults(func=_cmd_live)
     live_cmd.add_argument("run", nargs="?", default="latest",
                           help="run id, unique prefix, or 'latest' "
                                "(default)")
@@ -1178,6 +1185,7 @@ def main(argv: list[str] | None = None) -> int:
         "overhead",
         help="measure observability self-overhead on an instrumented "
              "training run; emits gated BENCH_obs_overhead.json")
+    overhead_cmd.set_defaults(func=_cmd_overhead)
     overhead_cmd.add_argument("--fast", action="store_true",
                               help="short run (CI smoke)")
     overhead_cmd.add_argument("--steps", type=int, default=None,
@@ -1188,6 +1196,7 @@ def main(argv: list[str] | None = None) -> int:
         "profile",
         help="op-level FLOP/byte/memory profile of a train step or "
              "MoE layer")
+    profile_cmd.set_defaults(func=_cmd_profile)
     profile_cmd.add_argument("target", nargs="?", default="step",
                              choices=("step", "layer"),
                              help="what to profile: a full fwd+bwd "
@@ -1206,6 +1215,7 @@ def main(argv: list[str] | None = None) -> int:
         "calibrate",
         help="fit simulator alpha-beta/throughput coefficients to "
              "measured kernel walls and report fidelity")
+    cal_cmd.set_defaults(func=_cmd_calibrate)
     cal_cmd.add_argument("--fast", action="store_true",
                          help="small sweep (CI smoke; ~seconds)")
     cal_cmd.add_argument("--seed", type=int, default=0,
@@ -1216,7 +1226,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        return _dispatch(args)
+        # Each subparser names its ``_cmd_*`` with set_defaults(func=…).
+        return args.func(args) or 0
     except KeyError as exc:
         # Registry and run-store lookups report unknown names as
         # KeyError; for those commands that is a usage error.
@@ -1225,51 +1236,3 @@ def main(argv: list[str] | None = None) -> int:
             raise
         raise SystemExit(
             f"repro {args.command}: {exc.args[0]}") from exc
-
-
-def _dispatch(args) -> int:
-    if args.command == "list":
-        _cmd_list()
-    elif args.command == "info":
-        _cmd_info()
-    elif args.command == "obs":
-        _cmd_obs(args.trace, args.jsonl, args.steps, args.metrics_json,
-                 args.prometheus)
-    elif args.command == "analyze":
-        _cmd_analyze(args.target, args.world, args.factor, args.trace)
-    elif args.command == "report":
-        _cmd_report(args.bench_dir, args.write_baselines)
-    elif args.command == "regress":
-        return _cmd_regress(args.bench_dir,
-                            args.baselines or _default_baselines_dir(),
-                            args.include_measured)
-    elif args.command == "scenario":
-        return _cmd_scenario(args)
-    elif args.command == "serve":
-        return _cmd_serve(args)
-    elif args.command == "route":
-        return _cmd_route(args.run, args.fast, args.seed, args.dir,
-                          args.gpus, args.gpus_per_node,
-                          args.bytes_per_token, args.prometheus)
-    elif args.command == "runs":
-        return _cmd_runs(args)
-    elif args.command == "dashboard":
-        _cmd_dashboard(args.run, args.out, args.dir,
-                       refresh=args.refresh)
-    elif args.command == "live":
-        return _cmd_live(args.run, args.dir, args.host, args.port,
-                         args.duration, args.refresh, args.wait)
-    elif args.command == "overhead":
-        return _cmd_overhead(args.fast, args.steps)
-    elif args.command == "profile":
-        _cmd_profile(args.target, args.batch, args.trace, args.json)
-    elif args.command == "calibrate":
-        _cmd_calibrate(args.fast, args.seed, args.json)
-    elif args.command == "bench":
-        if args.id == "all":
-            for short in sorted(discover_benches()):
-                print(f"### {short}")
-                run_bench(short)
-        else:
-            run_bench(args.id)
-    return 0

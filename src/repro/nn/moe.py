@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd.functional import softmax, take_along
+from repro.autograd.functional import exp, softmax, take_along
 from repro.autograd.moe_ops import (
     expert_ffn,
     moe_combine,
@@ -25,7 +25,7 @@ from repro.moe.gating import RoutingCriteria, compute_locations
 from repro.moe.metrics import routing_stats
 from repro.moe.metrics import RoutingStats
 from repro.nn.modules import Linear, Module
-from repro.obs import CAT_MOE, get_observer
+from repro.obs import CAT_MOE
 from repro.obs import profiler as _prof
 from repro.obs import span as _span
 from repro.obs.runs import get_run
@@ -96,13 +96,13 @@ class MoE(Module):
         else:
             raise ValueError(f"unknown router {router!r}")
 
-        # Diagnostics recorded each forward (drives Figure 1 traces).
-        self.last_needed_capacity_factor: float | None = None
+        # The latest forward's record; the layer publishes nothing —
+        # the loop that drives it does (repro.obs.loop.LoopTelemetry).
+        # Capacity factor resolve_capacity settled on for that forward.
         self.last_effective_capacity_factor: float | None = None
-        self.last_dropped_fraction: float | None = None
-        # Full routing summary of the latest forward — the loops'
-        # run-registry events and alert rules read this, so it is
-        # computed unconditionally (cheap next to the expert GEMMs).
+        # Full routing summary (needed capacity factor — Figure 1 —
+        # dropped fraction, load): the loops' run events, gauges and
+        # alert rules read this, so it is computed unconditionally.
         self.last_routing_stats: RoutingStats | None = None
         # Raw routing decisions of the latest forward — the routing
         # provenance recorder (repro.obs.routing) folds these into
@@ -160,12 +160,11 @@ class MoE(Module):
                   .sum(axis=1, keepdims=True) ** 0.5)
         cosine = (projected @ self.expert_embed.T) / (p_norm @ e_norm.T
                                                       + 1e-12)
-        from repro.autograd.functional import exp as _exp
         if float(np.exp(self.log_temperature.data)) <= 0.01:
             # Clamped regime: tau is pinned at the floor (paper: "set
             # lowest 0.01"), no gradient flows into it.
             return cosine * (1.0 / 0.01)
-        return cosine * _exp(-self.log_temperature)
+        return cosine * exp(-self.log_temperature)
 
     def forward(self, x: Tensor, top_k: int | None = None,
                 capacity_factor: float | None = None
@@ -173,6 +172,8 @@ class MoE(Module):
         """Returns ``(output, l_aux)``; both differentiable."""
         if x.ndim != 2:
             raise ValueError(f"x must be (T, M), got {x.shape}")
+        if x.shape[0] < 1:
+            raise ValueError(f"x must hold >= 1 token, got {x.shape}")
         k = top_k if top_k is not None else self.top_k
         policy = (CapacityPolicy(capacity_factor)
                   if capacity_factor is not None else self.capacity_policy)
@@ -194,9 +195,6 @@ class MoE(Module):
             # Discrete routing decisions (outside the tape).
             order = np.argsort(-probs.data, axis=1, kind="stable")[:, :k]
             idxs = order.T.copy()
-            from repro.moe.capacity import needed_capacity_factor
-            self.last_needed_capacity_factor = needed_capacity_factor(
-                idxs, self.num_experts, t)
             cap, eff_f = resolve_capacity(policy, idxs, self.num_experts,
                                           tokens=t, top_k=k)
             self.last_effective_capacity_factor = eff_f
@@ -208,7 +206,6 @@ class MoE(Module):
                 idxs=idxs, locations=locations,
                 gates=np.zeros_like(idxs, dtype=x.data.dtype),
                 capacity=cap, num_experts=self.num_experts)
-            self.last_dropped_fraction = crit.dropped_fraction()
 
             # Differentiable gate values of the selected slots, (k, T).
             # Normalization only applies for k > 1 (GShard); with k == 1
@@ -225,9 +222,6 @@ class MoE(Module):
 
         self.last_routing_stats = routing_stats(crit, probs.data)
         self.last_routing_criteria = crit
-        ob = get_observer()
-        if ob is not None:
-            ob.record_routing(self.last_routing_stats)
 
         with _span("encode", CAT_MOE), _prof.stage("dispatch"):
             dispatched = moe_dispatch(x, crit)

@@ -10,10 +10,11 @@ observability layer instead of per-bench ad-hoc timing:
 * :class:`~repro.obs.trace.TraceRecorder` — typed trace events with
   Chrome-trace (``chrome://tracing`` / Perfetto) and JSONL export;
 * :class:`Observer` — binds the two, adds the ``span(...)`` context
-  manager / ``@timed`` decorator, and keeps the per-step
-  :class:`RoutingRecord` history (drop fraction, imbalance, needed
-  capacity factor — the Figure 1 series) that instrumented MoE layers
-  append to.
+  manager / ``@timed`` decorator, and holds the latest routing
+  diagnostics (drop fraction, imbalance, needed capacity factor) as
+  three ``routing.*`` gauges.  It keeps no history: the Figure 1
+  series is ``TrainResult.capacity_traces`` or a run's ``routing``
+  events, both published by :class:`repro.obs.loop.LoopTelemetry`.
 
 Instrumentation is **off by default and zero-cost when off**: hot call
 sites do one module-global ``is None`` check (``span()`` returns the
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.obs.overhead import get_ledger as _overhead_ledger
@@ -65,14 +65,12 @@ __all__ = [
     "MetricsRegistry",
     "TraceEvent",
     "TraceRecorder",
-    "RoutingRecord",
     "Observer",
     "NULL_SPAN",
     "get_observer",
     "set_observer",
     "enable",
     "disable",
-    "observing",
     "span",
     "instant",
     "timed",
@@ -128,20 +126,6 @@ class _Span:
         return False
 
 
-@dataclass(frozen=True)
-class RoutingRecord:
-    """One MoE layer's routing diagnostics at one training step.
-
-    ``layer`` is the layer's sequence number within the step (forward
-    order), ``stats`` the :class:`repro.moe.metrics.RoutingStats`-shaped
-    object the layer recorded.
-    """
-
-    step: int
-    layer: int
-    stats: Any
-
-
 class Observer:
     """A metrics registry plus (optionally) a trace recorder.
 
@@ -157,9 +141,6 @@ class Observer:
         self.recorder = recorder
         self._clock = clock
         self._t0 = clock()
-        self.routing_history: list[RoutingRecord] = []
-        self._step = 0
-        self._routing_seq = 0
 
     # -- clock ---------------------------------------------------------
 
@@ -196,10 +177,8 @@ class Observer:
     def instant(self, name: str, cat: str = CAT_BENCH,
                 track: str = "main", args: dict | None = None) -> None:
         """Record an instant marker at the current clock reading."""
-        self.registry.counter(f"{cat}.{name}").inc()
-        if self.recorder is not None:
-            self.recorder.instant(name, cat, self.clock(), track=track,
-                                  args=args)
+        self.record_instant(name, cat, self.clock(), track=track,
+                            args=args)
 
     def record_instant(self, name: str, cat: str, ts: float,
                        track: str = "main",
@@ -226,46 +205,21 @@ class Observer:
         if led is not None:
             led.add("metrics", _perf_ns() - t0)
 
-    # -- per-step routing history (the Figure 1 series) ----------------
-
-    def begin_step(self, step: int | None = None) -> None:
-        """Mark a training-step boundary for routing-history records."""
-        self._step = step if step is not None else self._step + 1
-        self._routing_seq = 0
-
     def record_routing(self, stats: Any) -> None:
-        """Append one layer's routing diagnostics for the current step.
+        """Set the three ``routing.*`` gauges from one layer's routing
+        diagnostics.
 
         ``stats`` is duck-typed against
         :class:`repro.moe.metrics.RoutingStats` (``num_tokens``,
         ``num_experts``, ``top_k``, ``dropped_fraction``,
         ``load_imbalance``, ``needed_capacity``).
         """
-        self.routing_history.append(
-            RoutingRecord(self._step, self._routing_seq, stats))
-        self._routing_seq += 1
         self.gauge("routing.dropped_fraction", stats.dropped_fraction)
         self.gauge("routing.load_imbalance", stats.load_imbalance)
         tokens = stats.num_tokens * stats.top_k
         if tokens > 0:
             self.gauge("routing.needed_capacity_factor",
                        stats.needed_capacity * stats.num_experts / tokens)
-
-    def capacity_factor_series(self, layer: int = 0) -> list[float]:
-        """Needed-capacity-factor trace of one layer across steps.
-
-        Records with a negative step (evaluation forwards) are
-        excluded — this is the training-time Figure 1 series.
-        """
-        series = []
-        for rec in self.routing_history:
-            if rec.layer != layer or rec.step < 0:
-                continue
-            tokens = rec.stats.num_tokens * rec.stats.top_k
-            if tokens > 0:
-                series.append(rec.stats.needed_capacity
-                              * rec.stats.num_experts / tokens)
-        return series
 
 
 # ----------------------------------------------------------------------
@@ -297,10 +251,6 @@ def enable(trace: bool = True, max_events: int = 1_000_000) -> Observer:
 
 def disable() -> None:
     set_observer(None)
-
-
-def observing() -> bool:
-    return _observer is not None
 
 
 def span(name: str, cat: str = CAT_BENCH,

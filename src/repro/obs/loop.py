@@ -19,8 +19,9 @@ three calls the attachment owns
 * the per-layer ``routing`` events and the lazily built
   :class:`~repro.obs.routing.RoutingRecorder`, emitted *before* the
   closing ``step`` / ``serve_batch`` event;
-* observer step boundaries, counters and gauges, and the overhead
-  ledger's per-iteration wall.
+* the observer's ``routing.*`` gauges (one ``record_routing`` per
+  layer — layers publish nothing themselves), counters and gauges,
+  and the overhead ledger's per-iteration wall.
 
 With no run, no rules, no observer and no ledger every method returns
 after one attribute test.
@@ -109,11 +110,9 @@ class LoopTelemetry:
 
     def begin(self, step: int) -> None:
         """Open iteration ``step`` (``-1``: the held-out evaluation),
-        so layer-level records land under it."""
+        so events emitted without a step land under it."""
         if not self.active:
             return
-        if self._ob is not None:
-            self._ob.begin_step(step)
         if self.run is not None:
             self.run.begin_step(step)
         if self._ledger is not None:
@@ -136,15 +135,19 @@ class LoopTelemetry:
              gauges: Mapping[str, float] | None = None) -> None:
         """Close iteration ``step``: each MoE layer's ``routing`` event
         and the routing recorder's running totals, then the ``kind``
-        event that ticks the alert engine; observer ``counts`` /
-        ``gauges``; the ledger's iteration wall.  ``data`` may be a
-        callable, built only when something records it."""
+        event that ticks the alert engine; the observer's ``routing.*``
+        gauges, ``counts`` and ``gauges``; the ledger's iteration wall.
+        ``data`` may be a callable, built only when something records
+        it."""
         if not self.active:
             return
         if self.run is not None or self.engine is not None:
             self._routing_events(step, layers)
             self.event(kind, data() if callable(data) else data, step)
         if self._ob is not None:
+            for layer in layers:
+                if layer.last_routing_stats is not None:
+                    self._ob.record_routing(layer.last_routing_stats)
             for name, amount in (counts or {}).items():
                 self._ob.count(name, amount)
             for name, value in (gauges or {}).items():

@@ -18,7 +18,6 @@ from repro.scenarios.report import (
     SCENARIOS_ARTIFACT,
     emit_scenarios,
     render_results,
-    scenario_metrics,
 )
 from repro.scenarios.spec import (
     ElasticResize,
@@ -49,6 +48,5 @@ __all__ = [
     "price_replacement",
     "render_results",
     "run_scenario",
-    "scenario_metrics",
     "scenario_names",
 ]

@@ -42,7 +42,7 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.bench.report import Metric
+from repro.bench.report import Metric, NamedRunResult, SLOCheck
 from repro.cluster.simulator import Schedule, simulate
 from repro.cluster.topology import ClusterTopology, ndv4_topology
 from repro.core.config import MoEConfig
@@ -80,46 +80,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SLOCheck:
-    """One pass/fail assertion of the scenario's SLO report.
-
-    ``measured=True`` marks wall-clock-derived values — they stay out
-    of the determinism contract (and the regression gate) but still
-    gate the scenario run itself.
-    """
-
-    name: str
-    value: float
-    bound: float
-    op: str  # "<=" or ">="
-    measured: bool = False
-
-    def __post_init__(self) -> None:
-        if self.op not in ("<=", ">="):
-            raise ValueError(f"op must be '<=' or '>=', got {self.op!r}")
-
-    @property
-    def passed(self) -> bool:
-        if self.op == "<=":
-            return self.value <= self.bound
-        return self.value >= self.bound
-
-    def event_data(self) -> dict:
-        """The run registry's ``slo_check`` event."""
-        return {"name": self.name, "value": self.value,
-                "bound": self.bound, "op": self.op,
-                "measured": self.measured, "passed": self.passed}
-
-    def describe(self) -> str:
-        verdict = "PASS" if self.passed else "FAIL"
-        tag = " (wall-clock)" if self.measured else ""
-        return (f"[{verdict}] {self.name}: {self.value:.6g} "
-                f"{self.op} {self.bound:.6g}{tag}")
-
-
 @dataclass
-class ScenarioResult:
+class ScenarioResult(NamedRunResult):
     """SLO report plus everything the run produced."""
 
     scenario: Scenario
@@ -130,16 +92,6 @@ class ScenarioResult:
     losses: list[float] = field(default_factory=list)
     eval_accuracy: float = 0.0
     run_id: str | None = None
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def metric(self, name: str) -> Metric:
-        for m in self.metrics:
-            if m.name == name:
-                return m
-        raise KeyError(f"scenario metric {name!r} not recorded")
 
     def describe(self) -> str:
         sc = self.scenario

@@ -12,45 +12,23 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.bench.harness import Table
-from repro.bench.report import BenchResult, Metric
-from repro.bench.report import emit as bench_emit
+from repro.bench.report import BenchResult, emit_named
 from repro.scenarios.engine import ScenarioResult
 
-__all__ = ["SCENARIOS_ARTIFACT", "scenario_metrics", "emit_scenarios",
-           "render_results"]
+__all__ = ["SCENARIOS_ARTIFACT", "emit_scenarios", "render_results"]
 
 SCENARIOS_ARTIFACT = "scenarios"
 
 
-def scenario_metrics(results: Iterable[ScenarioResult]) -> list[Metric]:
-    """Namespaced metrics of every scenario, in scenario-name order."""
-    metrics: list[Metric] = []
-    for res in sorted(results, key=lambda r: r.scenario.name):
-        for m in res.metrics:
-            metrics.append(Metric(
-                name=f"{res.scenario.name}.{m.name}", value=m.value,
-                unit=m.unit, kind=m.kind,
-                higher_is_better=m.higher_is_better,
-                tolerance=m.tolerance))
-    return metrics
-
-
-def emit_scenarios(results: Iterable[ScenarioResult], *,
-                   fast: bool,
-                   directory=None,
-                   verbose: bool = False) -> BenchResult:
+def emit_scenarios(results: Iterable[ScenarioResult], *, fast: bool,
+                   directory=None, verbose: bool = False) -> BenchResult:
     """Write (when configured) the combined scenario bench record."""
-    results = list(results)
-    config = {
-        "mode": "fast" if fast else "full",
-        "scenarios": sorted(r.scenario.name for r in results),
-        "seeds": {r.scenario.name: r.scenario.seed for r in results},
-    }
-    return bench_emit(
+    return emit_named(
         SCENARIOS_ARTIFACT,
         "Chaos scenarios: SLO gates over seeded fault timelines",
-        scenario_metrics(results),
-        config=config, directory=directory, verbose=verbose)
+        "scenario",
+        [(r.scenario.name, r.scenario.seed, r.metrics) for r in results],
+        fast=fast, directory=directory, verbose=verbose)
 
 
 def render_results(results: Iterable[ScenarioResult]) -> str:

@@ -48,7 +48,6 @@ from repro.serve.report import (
     SERVING_ARTIFACT,
     emit_serving,
     render_serve_results,
-    serving_metrics,
 )
 from repro.serve.workloads import (
     WORKLOADS,
@@ -79,7 +78,6 @@ __all__ = [
     "get_workload",
     "workload_names",
     "SERVING_ARTIFACT",
-    "serving_metrics",
     "emit_serving",
     "render_serve_results",
 ]

@@ -20,7 +20,8 @@ batcher and serves every batch **twice over, in one pass**:
 Every request leaves with a fully attributed
 :class:`repro.serve.ledger.RequestLedger`; batches, requests, queue
 depth, per-(layer, expert) load, and SLO verdicts stream into the run
-registry, and per-request flow events land in the Chrome trace.
+registry, and per-request flow events land in the Chrome trace of a
+caller-installed observer (``repro serve --trace``).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.autograd.tensor import Tensor
-from repro.bench.report import Metric
+from repro.bench.report import Metric, NamedRunResult, SLOCheck
 from repro.moe.metrics import load_gini
 from repro.nn.moe import MoE
 from repro.obs import CAT_SERVE, Observer, get_observer
@@ -41,7 +42,6 @@ from repro.obs import disable as obs_disable
 from repro.obs.alerts import default_rules
 from repro.obs.loop import LoopTelemetry
 from repro.obs.registry import Histogram
-from repro.scenarios.engine import SLOCheck
 from repro.serve.arrivals import NS, generate_arrivals
 from repro.serve.batcher import BatchFormer
 from repro.serve.ledger import (
@@ -120,7 +120,7 @@ def price_stages(wl: ServeWorkload, tokens: int,
 # ----------------------------------------------------------------------
 
 @dataclass
-class ServeResult:
+class ServeResult(NamedRunResult):
     """Everything one workload run produced."""
 
     workload: ServeWorkload
@@ -135,16 +135,6 @@ class ServeResult:
     makespan_s: float = 0.0
     wall_seconds: float = 0.0
     run_id: str | None = None
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def metric(self, name: str) -> Metric:
-        for m in self.metrics:
-            if m.name == name:
-                return m
-        raise KeyError(f"serving metric {name!r} not recorded")
 
     def describe(self) -> str:
         wl = self.workload
@@ -222,8 +212,11 @@ def serve_workload(workload: ServeWorkload, *, fast: bool = False,
             f"workload {wl.name!r} produced an empty arrival trace")
     result = ServeResult(workload=wl, fast=fast)
 
+    # The measured column needs only the stage histograms: an observer
+    # made here records no trace (nobody could read it); a caller's
+    # observer, recorder included, is used as is.
     own_obs = get_observer() is None
-    ob = obs_enable() if own_obs else get_observer()
+    ob = obs_enable(trace=False) if own_obs else get_observer()
     p99_bound = p99_slo_ms if p99_slo_ms is not None else wl.slo.p99_ms
     try:
         # Per-batch alerting against this workload's SLO bounds; the

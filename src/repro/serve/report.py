@@ -12,46 +12,24 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.bench.report import BenchResult, Metric
-from repro.bench.report import emit as bench_emit
 from repro.bench.harness import Table
+from repro.bench.report import BenchResult, emit_named
 from repro.serve.engine import ServeResult
 
-__all__ = ["SERVING_ARTIFACT", "serving_metrics", "emit_serving",
-           "render_serve_results"]
+__all__ = ["SERVING_ARTIFACT", "emit_serving", "render_serve_results"]
 
 SERVING_ARTIFACT = "serving"
 
 
-def serving_metrics(results: Iterable[ServeResult]) -> list[Metric]:
-    """Namespaced metrics of every workload, in workload-name order."""
-    metrics: list[Metric] = []
-    for res in sorted(results, key=lambda r: r.workload.name):
-        for m in res.metrics:
-            metrics.append(Metric(
-                name=f"{res.workload.name}.{m.name}", value=m.value,
-                unit=m.unit, kind=m.kind,
-                higher_is_better=m.higher_is_better,
-                tolerance=m.tolerance))
-    return metrics
-
-
-def emit_serving(results: Iterable[ServeResult], *,
-                 fast: bool,
-                 directory=None,
-                 verbose: bool = False) -> BenchResult:
+def emit_serving(results: Iterable[ServeResult], *, fast: bool,
+                 directory=None, verbose: bool = False) -> BenchResult:
     """Write (when configured) the combined serving bench record."""
-    results = list(results)
-    config = {
-        "mode": "fast" if fast else "full",
-        "workloads": sorted(r.workload.name for r in results),
-        "seeds": {r.workload.name: r.workload.seed for r in results},
-    }
-    return bench_emit(
+    return emit_named(
         SERVING_ARTIFACT,
         "Online serving: SLO percentiles over seeded arrival traces",
-        serving_metrics(results),
-        config=config, directory=directory, verbose=verbose)
+        "workload",
+        [(r.workload.name, r.workload.seed, r.metrics) for r in results],
+        fast=fast, directory=directory, verbose=verbose)
 
 
 def render_serve_results(results: Iterable[ServeResult]) -> str:

@@ -232,8 +232,6 @@ def train_model(model: Module, train: TokenBatch, test: TokenBatch,
 
         n = len(train)
         for step in range(start_step, steps):
-            # Step boundary first so every instrumented MoE layer's
-            # RoutingStats lands under the right step in the obs history.
             tel.begin(step)
             wall_start = perf_counter()
             if step_hook is not None:
@@ -280,9 +278,8 @@ def train_model(model: Module, train: TokenBatch, test: TokenBatch,
             if nonfinite_guard:
                 last_good = snapshot()
             for i, layer in enumerate(moe_layers):
-                if layer.last_needed_capacity_factor is not None:
-                    result.capacity_traces[i].append(
-                        layer.last_needed_capacity_factor)
+                result.capacity_traces[i].append(
+                    layer.last_routing_stats.needed_capacity_factor)
             tel.tick(step, "step",
                      {"loss": loss_val, "accuracy": acc, "grad_norm": gnorm},
                      layers=moe_layers, counts={"train.steps": 1},
@@ -301,8 +298,8 @@ def train_model(model: Module, train: TokenBatch, test: TokenBatch,
             window = min(20, len(result.train_accuracies))
             result.final_train_accuracy = float(
                 np.mean(result.train_accuracies[-window:]))
-        # Mark the held-out forward so its routing records don't get
-        # attributed to the last training step (step -1 = evaluation).
+        # Step -1 = the held-out evaluation: no tick, so its forward
+        # publishes no routing (events and gauges stay the last step's).
         tel.begin(-1)
         result.eval_accuracy = evaluate(model, test)
         tel.event("eval", {"accuracy": result.eval_accuracy}, -1)

@@ -10,6 +10,7 @@ from repro.bench.report import (
     compare,
     config_fingerprint,
     emit,
+    emit_named,
     has_failures,
     load_results,
     render_comparisons,
@@ -107,6 +108,23 @@ class TestEmit:
         monkeypatch.delenv("REPRO_BENCH_DIR", raising=False)
         with pytest.raises(ValueError):
             emit("Not Valid!", "t", [Metric("m", 1.0, "x")])
+
+    def test_emit_named_namespaces_rows_in_name_order(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BENCH_DIR", raising=False)
+        a = Metric("p99", 2.0, "ms", higher_is_better=False, tolerance=0.0)
+        b = Metric("wall", 3.0, "s", kind="measured")
+        result = emit_named("named", "t", "workload",
+                            [("zeta", 7, [a]), ("alpha", 3, [a, b])],
+                            fast=True)
+        assert [m.name for m in result.metrics] == [
+            "alpha.p99", "alpha.wall", "zeta.p99"]
+        # Every other Metric field rides along unchanged.
+        assert result.metric("zeta.p99") == Metric(
+            "zeta.p99", 2.0, "ms", higher_is_better=False, tolerance=0.0)
+        assert result.metric("alpha.wall").kind == "measured"
+        assert result.config == {"mode": "fast",
+                                 "workloads": ["alpha", "zeta"],
+                                 "seeds": {"alpha": 3, "zeta": 7}}
 
     def test_load_results_aggregates(self, tmp_path):
         make_result("fig97").write(tmp_path)
@@ -250,3 +268,25 @@ class TestCommittedBaselines:
             payload = json.loads(
                 (directory / result.filename).read_text())
             assert validate_payload(payload) == [], artifact
+
+    def test_named_run_records_keep_the_committed_fingerprints(
+            self, monkeypatch):
+        # `repro scenario --all --fast` / `repro serve --all --fast
+        # --seed 0` fingerprint the mode, the names and their seeds —
+        # nothing a run computes — so the registered entries suffice.
+        from repro.cli import _default_baselines_dir
+        from repro.scenarios import SCENARIOS, ScenarioResult, emit_scenarios
+        from repro.serve import WORKLOADS, ServeResult, emit_serving
+        monkeypatch.delenv("REPRO_BENCH_DIR", raising=False)
+        one = [Metric("slo_pass", 1.0)]
+        records = [
+            emit_scenarios([ScenarioResult(sc.resolved(True), True,
+                                           metrics=one)
+                            for sc in SCENARIOS.values()], fast=True),
+            emit_serving([ServeResult(wl.resolved(fast=True, seed=0), True,
+                                      metrics=one)
+                          for wl in WORKLOADS.values()], fast=True)]
+        baselines = load_results(_default_baselines_dir())
+        for record in records:
+            assert record.fingerprint \
+                == baselines[record.artifact].fingerprint

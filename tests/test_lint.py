@@ -1,5 +1,13 @@
-"""Local stand-in for ruff F401 (ruff runs in CI only): no module
-under ``src/repro`` imports a name it does not use."""
+"""Source-level pins over ``src/repro`` (stdlib ``ast`` only).
+
+* A local stand-in for ruff F401 (ruff runs in CI only): no module
+  imports a name it does not use.
+* ``nn/moe.py`` stays plain compute: no function-local import and no
+  observer lookup — layers leave a record, loops publish it.
+* The option surface: the ``REPRO_*`` environment variables read and
+  the CLI's argument count.  A change that adds a knob edits the pin
+  in the same diff, where a reviewer sees it.
+"""
 
 import ast
 from pathlib import Path
@@ -55,3 +63,39 @@ def test_no_unused_imports():
     assert len(modules) > 50  # the glob found the package
     assert {str(p.relative_to(SRC)): names for p in sorted(modules)
             if (names := unused_imports(p.read_text()))} == {}
+
+
+def test_moe_layer_is_plain_compute():
+    tree = ast.parse((SRC / "nn/moe.py").read_text())
+    local_imports = [
+        node.lineno for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert local_imports == []
+    names = {getattr(n, "id", None) or getattr(n, "attr", None)
+             or getattr(n, "name", None) for n in ast.walk(tree)}
+    assert "softmax" in names and "get_observer" not in names
+
+
+def environment_reads(tree: ast.AST) -> set[str]:
+    """Literal keys of ``os.environ[...]`` / ``os.environ.<m>(...)`` /
+    ``os.getenv(...)``."""
+    keys: list[ast.expr] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) \
+                and ast.unparse(node.value) == "os.environ":
+            keys.append(node.slice)
+        elif isinstance(node, ast.Call) and ast.unparse(node.func).startswith(
+                ("os.environ.", "os.getenv")):
+            keys += node.args[:1]
+    return {k.value for k in keys if isinstance(k, ast.Constant)}
+
+
+def test_option_surface_is_pinned():
+    read = set()
+    for path in SRC.rglob("*.py"):
+        read |= environment_reads(ast.parse(path.read_text()))
+    assert read == {"REPRO_BENCH_DIR", "REPRO_DTYPE", "REPRO_EXPERT_WORKERS",
+                    "REPRO_RUNS_DIR", "REPRO_SCALE", "REPRO_TRACE"}
+    assert (SRC / "cli.py").read_text().count("add_argument(") <= 64

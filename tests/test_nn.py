@@ -158,19 +158,19 @@ class TestMoEModule:
     def test_adaptive_capacity_never_drops(self, rng):
         moe = self.make(rng, capacity_factor=0.0)
         moe(Tensor(rng.normal(size=(64, 8))))
-        assert moe.last_dropped_fraction == 0.0
+        assert moe.last_routing_stats.dropped_fraction == 0.0
 
     def test_bounded_capacity_records_factor(self, rng):
         moe = self.make(rng, capacity_factor=-1.0)
         moe(Tensor(rng.normal(size=(64, 8))))
         assert moe.last_effective_capacity_factor <= 1.0
-        assert moe.last_needed_capacity_factor >= 1.0
+        assert moe.last_routing_stats.needed_capacity_factor >= 1.0
 
     def test_bpr_flag(self, rng):
         moe = self.make(rng, batch_prioritized=True,
                         capacity_factor=0.5, top_k=1)
         out, _ = moe(Tensor(rng.normal(size=(64, 8))))
-        assert moe.last_dropped_fraction > 0
+        assert moe.last_routing_stats.dropped_fraction > 0
 
     def test_cosine_router(self, rng):
         moe = self.make(rng, router="cosine")
@@ -191,6 +191,9 @@ class TestMoEModule:
         moe = self.make(rng)
         with pytest.raises(ValueError):
             moe(Tensor(rng.normal(size=(4, 8, 2))))
+        # No tokens: rejected explicitly (T = 0 support is ROADMAP 7a).
+        with pytest.raises(ValueError, match=">= 1 token"):
+            moe(Tensor(np.zeros((0, 8))))
 
 
 class TestClassifiers:

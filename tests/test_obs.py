@@ -272,7 +272,6 @@ class TestJsonlRoundTrip:
         from repro.resilience.faults import FaultPlan, OpFailure
 
         for step in range(3):
-            ob.begin_step(step)
             with ob.span("train_step", CAT_TRAIN, args={"step": step}):
                 pass
             if step == 1:
@@ -330,18 +329,27 @@ class TestJsonlRoundTrip:
 class TestMoEIntegration:
     def test_functional_layer_emits_spans_and_routing(self):
         from repro.moe.layer import MoELayerParams, moe_layer_forward
+        from repro.moe.metrics import routing_stats
         rng = np.random.default_rng(0)
         params = MoELayerParams.init(num_experts=4, model_dim=8,
                                      hidden_dim=16, rng=rng)
         x = rng.normal(size=(32, 8))
         ob = obs.enable()
-        moe_layer_forward(x, params)
+        out = moe_layer_forward(x, params)
         names = {e.name for e in ob.recorder.events}
         assert {"gate", "encode", "expert_ffn", "decode"} <= names
-        assert len(ob.routing_history) == 1
-        stats = ob.routing_history[0].stats
-        assert stats.num_tokens == 32
-        assert stats.num_experts == 4
+        # The NumPy layer has no loop to publish for it: it sets the
+        # three routing gauges itself, once per forward.
+        stats = routing_stats(out.crit)
+        assert (stats.num_tokens, stats.num_experts) == (32, 4)
+        gauge = ob.registry.gauge
+        for name, want in [
+                ("dropped_fraction", stats.dropped_fraction),
+                ("load_imbalance", stats.load_imbalance),
+                ("needed_capacity_factor",
+                 stats.needed_capacity * 4 / (32 * stats.top_k))]:
+            assert gauge(f"routing.{name}").updates == 1
+            assert gauge(f"routing.{name}").value == want
 
     def test_disabled_layer_forward_records_nothing(self):
         from repro.moe.layer import MoELayerParams, moe_layer_forward
@@ -363,28 +371,33 @@ class TestTrainerIntegration:
         model = MoEClassifier(input_dim=6, model_dim=16, hidden_dim=32,
                               num_classes=3, num_blocks=2, num_experts=4,
                               rng=rng, top_k=2)
-        train_model(model, task.sample(128), task.sample(64),
-                    steps=steps, batch_size=32)
-        return model
+        result = train_model(model, task.sample(128), task.sample(64),
+                             steps=steps, batch_size=32)
+        return model, result
 
-    def test_step_trace_has_moe_spans_and_routing_stats(self):
+    def test_step_trace_has_moe_spans_and_routing_stats(self, tmp_path):
         # Acceptance criterion: one trainer step's trace carries
-        # gate/encode/expert_ffn/decode spans, per-step RoutingStats,
-        # and exports valid Chrome JSON.
+        # gate/encode/expert_ffn/decode spans and exports valid Chrome
+        # JSON; per-step, per-layer routing lands in the records that
+        # keep it — TrainResult.capacity_traces and the run's
+        # ``routing`` events, none of them for the evaluation forward.
+        from repro.obs.runs import RunStore, recording_run
         ob = obs.enable()
-        model = self._train(steps=2)
+        with recording_run(root=tmp_path, run_id="r"):
+            model, result = self._train(steps=2)
         names = {e.name for e in ob.recorder.events}
         assert {"step", "forward", "backward", "optimizer",
                 "gate", "encode", "expert_ffn", "decode"} <= names
 
         n_layers = len(model.moe_layers())
-        train_records = [r for r in ob.routing_history if r.step >= 0]
-        assert len(train_records) == 2 * n_layers
-        assert {r.step for r in train_records} == {0, 1}
-        for rec in train_records:
-            assert rec.stats.num_tokens == 32
-            assert 0.0 <= rec.stats.dropped_fraction <= 1.0
-            assert rec.stats.load_imbalance >= 1.0
+        assert sorted(result.capacity_traces) == list(range(n_layers))
+        for trace in result.capacity_traces.values():
+            assert len(trace) == 2 and all(f >= 1.0 for f in trace)
+        routing = [(e["step"], e["data"]["layer"])
+                   for e in RunStore(tmp_path).events("r")
+                   if e["kind"] == "routing"]
+        assert sorted(routing) == [(step, layer) for step in (0, 1)
+                                   for layer in range(n_layers)]
 
         parsed = json.loads(ob.recorder.dumps_chrome_trace())
         spans = [e for e in parsed["traceEvents"] if e.get("ph") == "X"]
@@ -394,10 +407,39 @@ class TestTrainerIntegration:
 
     def test_capacity_factor_series_excludes_eval(self):
         ob = obs.enable(trace=False)
-        self._train(steps=3)
-        series = ob.capacity_factor_series(layer=0)
+        model, result = self._train(steps=3)
+        series = result.capacity_traces[0]
         assert len(series) == 3
         assert all(f >= 1.0 for f in series)
+        # The routing gauges are set at ticks only: the held-out
+        # evaluation forward does not overwrite the last training step.
+        layers = model.moe_layers()
+        gauge = ob.registry.gauge("routing.needed_capacity_factor")
+        assert gauge.updates == 3 * len(layers)
+        assert gauge.value == result.capacity_traces[len(layers) - 1][-1]
+        # ...although the evaluation batch (64 tokens) ran last.
+        assert layers[-1].last_routing_stats.num_tokens == 64
+
+    def test_tick_is_the_only_routing_publisher(self, monkeypatch):
+        from repro.autograd.tensor import Tensor
+        from repro.nn.moe import MoE
+        from repro.obs.loop import LoopTelemetry
+        rng = np.random.default_rng(0)
+        layers = [MoE(8, 16, 4, rng) for _ in range(2)]
+        published = []
+        monkeypatch.setattr(Observer, "record_routing",
+                            lambda self, stats: published.append(stats))
+        for enabled, want in ((False, 0), (True, 2)):
+            if enabled:
+                obs.enable(trace=False)
+            with LoopTelemetry("train") as tel:
+                for layer in layers:
+                    layer(Tensor(rng.normal(size=(16, 8))))
+                assert published == []     # a forward publishes nothing
+                tel.tick(0, "step", {}, layers=layers)
+            assert tel.active is enabled
+            assert len(published) == want
+        assert published == [la.last_routing_stats for la in layers]
 
     def test_metrics_counters(self):
         ob = obs.enable(trace=False)

@@ -22,8 +22,10 @@ from repro.collectives.schedule import (
     twodh_a2a_time,
 )
 from repro.core.config import MoEConfig
+from repro.moe.capacity import needed_capacity_factor
 from repro.moe.encode import fast_decode, fast_encode
 from repro.moe.gating import compute_locations, softmax, top_k_routing
+from repro.moe.metrics import routing_stats
 
 
 def routing_case(t, e, k, cap, seed):
@@ -154,6 +156,21 @@ class TestLocationInvariants:
             np.testing.assert_array_equal(
                 np.sort(plain[idxs == expert]),
                 np.sort(prio[idxs == expert]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(t=st.integers(1, 64), e=st.integers(1, 8),
+           k=st.integers(1, 8), cap=st.integers(1, 12),
+           bpr=st.booleans(), seed=st.integers(0, 1000))
+    def test_figure1_quantity_has_two_equal_implementations(
+            self, t, e, k, cap, bpr, seed):
+        # The layer's one record (longest queue from the locations)
+        # and the adaptive-capacity path (a bincount over the
+        # assignments) must agree bit for bit, drops or not.
+        probs = softmax(np.random.default_rng(seed).normal(size=(t, e)))
+        crit = top_k_routing(probs, min(k, e), capacity=cap,
+                             batch_prioritized=bpr)
+        assert routing_stats(crit, probs).needed_capacity_factor \
+            == needed_capacity_factor(crit.idxs, e, t)
 
 
 class TestConfigCostSanity:

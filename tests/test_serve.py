@@ -293,6 +293,33 @@ class TestEngine:
         assert res.metric("model_p99_ms").kind == "model"
         assert res.metric("measured_p99_ms").kind == "measured"
 
+    def test_records_a_trace_only_for_a_caller_observer(
+            self, monkeypatch):
+        from repro import obs
+        wl = get_workload("poisson_steady")
+        built = []
+        record = obs.TraceRecorder.record
+
+        def counting_record(self, event):
+            built.append(event)
+            record(self, event)
+
+        monkeypatch.setattr(obs.TraceRecorder, "record", counting_record)
+        # Its own observer serves the measured column and is gone
+        # afterwards: no trace event is built for nobody to read.
+        res = serve_workload(wl, fast=True, seed=0)
+        assert built == [] and obs.get_observer() is None
+        assert res.metric("measured_p99_ms").value > 0
+        # A caller's observer is used as is, recorder included.
+        ob = obs.enable()
+        try:
+            serve_workload(wl, fast=True, seed=0)
+            assert obs.get_observer() is ob
+            assert any(e.track == "serve/requests" and e.phase == "s"
+                       for e in ob.recorder.events)
+        finally:
+            obs.disable()
+
     def test_forced_slo_miss(self):
         res = serve_workload(get_workload("poisson_steady"),
                              fast=True, seed=0, p99_slo_ms=1e-6)
