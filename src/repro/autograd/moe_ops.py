@@ -9,6 +9,8 @@ per-slot gates, which is how the router trains through the layer.
 
 from __future__ import annotations
 
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 
 from repro.autograd.tensor import Tensor
@@ -60,45 +62,67 @@ def moe_combine(expert_output: Tensor, gates: Tensor,
                           "moe_combine", live)
 
 
+# What a dead or unreachable pool raises; anything else from the
+# executor is a kernel bug and must surface, not fall back.
+_POOL_FAILURES = (BrokenProcessPool, OSError)
+
+
 def expert_ffn(dispatched: Tensor, w1: Tensor, w2: Tensor,
-               activation: str = "gelu") -> Tensor:
+               activation: str = "gelu", rows=None) -> Tensor:
     """Fused differentiable expert FFN: ``act(x @ w1) @ w2`` per expert.
 
     One tape node replaces the two per-expert GEMMs plus the activation
-    op.  When the substrate has expert workers configured
+    op.  ``rows`` is the per-expert occupancy of ``dispatched``
+    (:attr:`RoutingCriteria.occupancy`, E ints; ``None`` means all
+    ``cap`` rows): the kernels multiply only ``dispatched[e, :rows[e]]``
+    and the backward reuses the same occupancy.
+
+    Layout invariant the ragged kernels rely on: the occupied rows of
+    each expert's slab are a prefix, and padded rows are exact zeros —
+    in ``dispatched`` (the scatter zero-fills), in the output and in the
+    gradient w.r.t. ``dispatched``.  It holds only because this FFN has
+    no bias and ``act(0) = 0``; a biased FFN would write ``b2`` into
+    every padded row.  Shapes and meaning of outputs and gradients are
+    those of the padded computation, so :func:`moe_combine` and the
+    all-to-all layouts are untouched.
+
+    When the substrate has expert workers configured
     (:func:`repro.core.substrate.set_expert_workers`), the E experts'
     GEMMs run on the multicore executor; the backward then recomputes
     the hidden activations in the workers instead of saving them.
     Serial and parallel paths share the same array kernels
-    (:mod:`repro.moe.ffn`) and agree numerically.
+    (:mod:`repro.moe.ffn`) over the same ``rows`` and agree bitwise.
+    Only a pool failure latches the executor ``broken`` and falls back
+    to serial; an error raised by the kernel in a worker propagates.
     """
     x_data, w1_data, w2_data = dispatched.data, w1.data, w2.data
     ex = get_executor()
     saved: tuple | None = None
     if ex is not None:
         try:
-            out_data = ex.ffn_forward(x_data, w1_data, w2_data, activation)
-        except Exception:
+            out_data = ex.ffn_forward(x_data, w1_data, w2_data, activation,
+                                      rows)
+        except _POOL_FAILURES:
             ex.broken = True
             ex = None
     if ex is None:
         out_data, saved = ffn_forward_arrays(x_data, w1_data, w2_data,
-                                             activation)
+                                             activation, rows)
 
     def backward(grad: np.ndarray) -> None:
         ex_b = get_executor()
         if ex_b is not None:
             try:
                 gx, gw1, gw2 = ex_b.ffn_backward(
-                    x_data, w1_data, w2_data, grad, activation)
-            except Exception:
+                    x_data, w1_data, w2_data, grad, activation, rows)
+            except _POOL_FAILURES:
                 ex_b.broken = True
                 ex_b = None
         if ex_b is None:
             gx, gw1, gw2 = ffn_backward_arrays(
-                x_data, w1_data, w2_data, grad, activation, saved)
+                x_data, w1_data, w2_data, grad, activation, saved, rows)
         dispatched._accumulate(gx)
         w1._accumulate(gw1)
         w2._accumulate(gw2)
     return Tensor.from_op(out_data, (dispatched, w1, w2), backward,
-                          "expert_ffn", activation)
+                          "expert_ffn", (activation, rows))

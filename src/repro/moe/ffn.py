@@ -1,7 +1,9 @@
 """Array kernels of the expert FFN and its activations.
 
 The one tanh-GELU / ReLU pair (forward and derivative) and the fused
-``act(x @ w1) @ w2`` forward/backward on raw arrays.  A leaf module
+``act(x @ w1) @ w2`` forward/backward on raw arrays, ragged over the
+per-expert occupancy: one GEMM per non-empty expert over the occupied
+prefix of its capacity slab, never over the padding.  A leaf module
 beside the scatter/gather kernels of :mod:`repro.moe.encode`: the
 autograd ops (:mod:`repro.autograd.functional`,
 :mod:`repro.autograd.moe_ops`), the NumPy layer
@@ -74,40 +76,112 @@ def act_grad(h: np.ndarray, cache: np.ndarray | None,
                      f"expected one of {ACTIVATIONS}")
 
 
-def ffn_forward_arrays(x: np.ndarray, w1: np.ndarray, w2: np.ndarray,
-                       activation: str
-                       ) -> tuple[np.ndarray, tuple]:
-    """Fused expert FFN forward on raw arrays.
+def _occupied(rows, num_experts: int, cap: int
+              ) -> tuple[list[tuple[int, slice, slice]], int]:
+    """``(expert, slab rows, hidden rows)`` per non-empty expert, and
+    ``sum(n_e)``.
 
-    ``x`` is ``(E, dC, M)``, ``w1`` ``(E, M, V)``, ``w2`` ``(E, V, M)``;
-    returns ``(y, saved)`` where ``saved`` lets a same-process backward
+    The two slices are ``[:n_e]`` of the expert's ``cap``-row slab and
+    its ``n_e`` rows of the compact hidden arrays.  ``rows=None`` means
+    every expert fills all ``cap`` rows.  Built once per forward (plain
+    ints and slices, which the per-expert loops index with) and reused
+    by the backward.
+    """
+    counts = [cap] * num_experts if rows is None else np.asarray(rows).tolist()
+    if (len(counts) != num_experts
+            or not (0 <= min(counts) and max(counts) <= cap)):
+        raise ValueError(
+            f"rows must be {num_experts} ints in [0, {cap}], got {counts}")
+    occupied, total = [], 0
+    for e, n in enumerate(counts):
+        if n:
+            occupied.append((e, slice(n), slice(total, total + n)))
+            total += n
+    return occupied, total
+
+
+def _common(*arrays: np.ndarray) -> list[np.ndarray]:
+    """The operands in their common dtype (no copy when they share it).
+
+    ``ndarray.dot(out=)`` takes no mixed types, and a float32
+    checkpoint resumed under a float64 process does mix them; NumPy's
+    own promotion would make the same casts inside each GEMM.
+    """
+    dtype = np.result_type(*arrays)
+    return [a.astype(dtype, copy=False) for a in arrays]
+
+
+def _hidden(x: np.ndarray, w1: np.ndarray, activation: str, rows) -> tuple:
+    """Compact ``(sum(n_e), V)`` hidden / activation / cache arrays,
+    with the occupancy they were built over: the forward's ``saved``."""
+    occupied, total = _occupied(rows, *x.shape[:2])
+    h = np.empty((total, w1.shape[-1]), dtype=x.dtype)
+    for e, rs, hs in occupied:
+        x[e, rs].dot(w1[e], out=h[hs])
+    a, cache = act_forward(h, activation)
+    return h, a, cache, occupied
+
+
+def ffn_forward_arrays(x: np.ndarray, w1: np.ndarray, w2: np.ndarray,
+                       activation: str, rows=None
+                       ) -> tuple[np.ndarray, tuple]:
+    """Fused expert FFN forward on raw arrays, ragged over ``rows``.
+
+    ``x`` is ``(E, cap, M)``, ``w1`` ``(E, M, V)``, ``w2`` ``(E, V, M)``;
+    ``rows`` holds each expert's occupancy ``n_e`` (E ints in
+    ``[0, cap]``; ``None`` means all ``cap`` rows).  One GEMM per
+    non-empty expert multiplies ``x[e, :n_e]`` only, the activation
+    runs once over the compact ``(sum(n_e), V)`` hidden array, and
+    ``y[e, :n_e]`` is written into a zeroed ``(E, cap, M)`` output.
+
+    Layout invariant: the occupied rows of an expert's slab are its
+    prefix (:func:`repro.moe.gating.compute_locations` numbers a queue
+    0, 1, 2, ... and :attr:`RoutingCriteria.occupancy` covers any gaps),
+    and padded rows are exact zeros in and out.  That holds because the
+    fused FFN has no bias and ``act(0) = 0``: a zero row maps to a zero
+    row, so skipping it changes no consumer.  Rows at or beyond ``n_e``
+    are never read.
+
+    Returns ``(y, saved)`` where ``saved`` lets a same-process backward
     skip the recompute.
     """
-    h = np.matmul(x, w1)
-    a, cache = act_forward(h, activation)
-    y = np.matmul(a, w2)
-    return y, (h, a, cache)
+    x, w1, w2 = _common(x, w1, w2)
+    saved = _hidden(x, w1, activation, rows)
+    _, a, _, occupied = saved
+    y = np.zeros((*x.shape[:2], w2.shape[-1]), dtype=x.dtype)
+    for e, rs, hs in occupied:
+        a[hs].dot(w2[e], out=y[e, rs])
+    return y, saved
 
 
 def ffn_backward_arrays(x: np.ndarray, w1: np.ndarray, w2: np.ndarray,
                         grad_y: np.ndarray, activation: str,
-                        saved: tuple | None = None
+                        saved: tuple | None = None, rows=None
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of the fused expert FFN w.r.t. (x, w1, w2).
 
     With ``saved=None`` the hidden activations are recomputed from the
-    inputs (the stateless worker protocol); passing the forward's saved
-    tuple gives the conventional memory-for-compute trade.
+    inputs over ``rows`` (the stateless worker protocol); passing the
+    forward's saved tuple gives the conventional memory-for-compute
+    trade and carries the forward's occupancy with it.  Only
+    ``grad_y[e, :n_e]`` is read; ``grad_x`` is zero on padded rows and
+    an idle expert's weight gradients are zero.
     """
+    x, w1, w2, grad_y = _common(x, w1, w2, grad_y)
     if saved is None:
-        h = np.matmul(x, w1)
-        a, cache = act_forward(h, activation)
-    else:
-        h, a, cache = saved
-    grad_a = np.matmul(grad_y, w2.swapaxes(-1, -2))
-    grad_w2 = np.matmul(a.swapaxes(-1, -2), grad_y)
-    grad_h = grad_a
+        saved = _hidden(x, w1, activation, rows)
+    h, a, cache, occupied = saved
+    grad_h = np.empty(h.shape, dtype=x.dtype)
+    grad_w2 = np.zeros(w2.shape, dtype=x.dtype)
+    for e, rs, hs in occupied:
+        gy = grad_y[e, rs]
+        gy.dot(w2[e].T, out=grad_h[hs])
+        a[hs].T.dot(gy, out=grad_w2[e])
     grad_h *= act_grad(h, cache, activation)
-    grad_x = np.matmul(grad_h, w1.swapaxes(-1, -2))
-    grad_w1 = np.matmul(x.swapaxes(-1, -2), grad_h)
+    grad_x = np.zeros(x.shape, dtype=x.dtype)
+    grad_w1 = np.zeros(w1.shape, dtype=x.dtype)
+    for e, rs, hs in occupied:
+        gh = grad_h[hs]
+        gh.dot(w1[e].T, out=grad_x[e, rs])
+        x[e, rs].T.dot(gh, out=grad_w1[e])
     return grad_x, grad_w1, grad_w2

@@ -150,6 +150,24 @@ class RoutingCriteria:
         """(k, T) bool — slots that survived the capacity limit."""
         return (self.locations >= 0) & (self.locations < self.capacity)
 
+    @property
+    def occupancy(self) -> np.ndarray:
+        """(E,) ints — rows of each expert's capacity slab in use: 1 +
+        its largest valid queue position, 0 for an idle expert.
+
+        Every kept token sits in the prefix ``[0, occupancy[e])`` of its
+        expert's ``dC``-row slab, so the expert FFN multiplies only
+        those rows.  :func:`compute_locations` numbers a queue without
+        gaps, which makes this the kept-token count; a hand-built
+        criteria with gaps still gets a prefix that covers them.
+        """
+        pos = self.locations + 1
+        pos[pos > self.capacity] = 0  # past the capacity: dropped
+        # A negative location leaves pos <= 0; the zero floor absorbs it.
+        rows = np.zeros(self.num_experts, dtype=pos.dtype)
+        np.maximum.at(rows, self.idxs.ravel(), pos.ravel())
+        return rows
+
     def dropped_fraction(self) -> float:
         """Fraction of (token, slot) routes dropped by the capacity."""
         if self.locations.size == 0:

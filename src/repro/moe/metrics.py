@@ -40,15 +40,19 @@ def expert_load(crit: RoutingCriteria,
     return np.bincount(idxs, minlength=crit.num_experts)
 
 
-def load_imbalance(crit: RoutingCriteria) -> float:
+def load_imbalance(crit: RoutingCriteria,
+                   load: np.ndarray | None = None) -> float:
     """Max-over-mean expert load (1.0 = perfectly balanced).
 
     This is the quantity the capacity factor must cover: the needed
     capacity factor of Figure 1 equals this ratio for top-1 routing.
     Degenerate inputs stay finite: zero routed tokens (empty batch)
-    reads as perfectly balanced, never a 0/0 NaN.
+    reads as perfectly balanced, never a 0/0 NaN.  ``load`` is
+    :func:`expert_load` of ``crit`` when the caller already holds it.
     """
-    load = expert_load(crit).astype(np.float64)
+    if load is None:
+        load = expert_load(crit)
+    load = load.astype(np.float64)
     mean = load.mean()
     if mean == 0:
         return 1.0
@@ -75,8 +79,8 @@ def load_gini(load: np.ndarray) -> float:
                  / (n * total))
 
 
-def routing_entropy(crit: RoutingCriteria,
-                    normalized: bool = True) -> float:
+def routing_entropy(crit: RoutingCriteria, normalized: bool = True,
+                    load: np.ndarray | None = None) -> float:
     """Shannon entropy of the expert load distribution.
 
     1.0 (normalized) means uniform expert usage; 0 means collapse onto
@@ -84,9 +88,12 @@ def routing_entropy(crit: RoutingCriteria,
     Degenerate inputs return defined values instead of NaN: zero routed
     tokens give 0.0 (no evidence of spread), and a single-expert layer
     gives 1.0 normalized (one expert *is* uniform usage; the 0/log(1)
-    division is never evaluated).
+    division is never evaluated).  ``load`` is :func:`expert_load` of
+    ``crit`` when the caller already holds it.
     """
-    load = expert_load(crit).astype(np.float64)
+    if load is None:
+        load = expert_load(crit)
+    load = load.astype(np.float64)
     total = load.sum()
     if total == 0:
         return 0.0
@@ -174,8 +181,8 @@ def routing_stats(crit: RoutingCriteria,
         top_k=crit.top_k,
         capacity=crit.capacity,
         dropped_fraction=crit.dropped_fraction(),
-        load_imbalance=load_imbalance(crit),
-        routing_entropy=routing_entropy(crit),
+        load_imbalance=load_imbalance(crit, load),
+        routing_entropy=routing_entropy(crit, load=load),
         needed_capacity=crit.max_needed_capacity(),
         mean_top1_confidence=confidence,
         expert_load=tuple(int(c) for c in load),

@@ -226,11 +226,12 @@ class MoE(Module):
         with _span("encode", CAT_MOE), _prof.stage("dispatch"):
             dispatched = moe_dispatch(x, crit)
         with _span("expert_ffn", CAT_MOE), _prof.stage("expert_ffn"):
-            # Fused op: act(x @ w1) @ w2 in one tape node; runs the E
-            # experts on the multicore executor when one is configured
-            # (repro.core.substrate.set_expert_workers).
+            # Fused op: act(x @ w1) @ w2 in one tape node over the
+            # occupied prefix of each expert's capacity slab; runs the
+            # E experts on the multicore executor when one is
+            # configured (repro.core.substrate.set_expert_workers).
             expert_out = expert_ffn(dispatched, self.w1, self.w2,
-                                    self.activation)
+                                    self.activation, rows=crit.occupancy)
         with _span("decode", CAT_MOE), _prof.stage("combine"):
             output = moe_combine(expert_out, selected, crit)
 

@@ -808,15 +808,18 @@ def _moe_combine_op_cost(out, parents, live):
                 live.gates.size, m, itemsize=out.itemsize))
 
 
-def _expert_ffn_op_cost(out, parents, activation):
+def _expert_ffn_op_cost(out, parents, ctx):
     """The fused expert FFN, composed from the two per-expert GEMMs
-    plus the activation (serial algorithm; the parallel executor's
-    recompute is a schedule choice, not counted)."""
+    plus the activation over the rows the kernels execute — the summed
+    occupancy, not ``E * cap`` (serial algorithm; the parallel
+    executor's recompute is a schedule choice, not counted)."""
+    activation, rows = ctx
     (e, c, m), v = parents[0].shape, parents[1].shape[-1]
+    r = e * c if rows is None else int(np.sum(rows))
     isz = out.itemsize
-    g1_f, g1_b = matmul_cost((e, c, m), (e, m, v), (e, c, v), itemsize=isz)
-    a_f, a_b = elementwise_cost(activation, e * c * v, itemsize=isz)
-    g2_f, g2_b = matmul_cost((e, c, v), (e, v, m), (e, c, m), itemsize=isz)
+    g1_f, g1_b = matmul_cost((r, m), (e, m, v), (r, v), itemsize=isz)
+    a_f, a_b = elementwise_cost(activation, r * v, itemsize=isz)
+    g2_f, g2_b = matmul_cost((r, v), (e, v, m), (r, m), itemsize=isz)
     return g1_f + a_f + g2_f, g1_b + a_b + g2_b
 
 

@@ -9,14 +9,17 @@ expert-parallel system rather than only a simulator of one (paper
 Section 3's multi-GPU dispatch, reproduced at multi-core scale).
 
 Protocol: every call copies the operand arrays into named shared-memory
-slabs, submits one ``(e0, e1)`` expert-range task per worker, and copies
-the result out.  Workers are **stateless** — the backward pass
-recomputes the hidden activations from the slabs (checkpointing-style)
-instead of shipping saved state between processes.  The serial fused
-path in :func:`repro.autograd.moe_ops.expert_ffn` calls the same
+slabs, submits one ``(e0, e1)`` expert-range task per worker together
+with that range's slice ``rows[e0:e1]`` of the per-expert occupancy,
+and copies the result out.  Workers are **stateless** — the backward
+pass recomputes the hidden activations from the slabs
+(checkpointing-style) instead of shipping saved state between
+processes.  The serial fused path in
+:func:`repro.autograd.moe_ops.expert_ffn` calls the same
 :func:`ffn_forward_arrays` / :func:`ffn_backward_arrays` kernels
-(:mod:`repro.moe.ffn`, re-exported here), so serial and parallel
-execution agree numerically.
+(:mod:`repro.moe.ffn`, re-exported here), and those run one GEMM per
+non-empty expert over ``x[e, :rows[e]]`` whichever process they run in,
+so serial and parallel execution agree bitwise.
 
 Enable via :func:`repro.core.substrate.set_expert_workers` (or the
 ``REPRO_EXPERT_WORKERS`` env var).  Serial is the default: at the toy
@@ -69,8 +72,13 @@ def _attach(name: str) -> shared_memory.SharedMemory:
 
 def _worker_run(mode: str, slabs: dict[str, tuple[str, tuple[int, ...]]],
                 dtype_str: str, e0: int, e1: int,
-                activation: str) -> int:
-    """Run one expert-range chunk against the named shared slabs."""
+                activation: str, rows: list[int] | None) -> int:
+    """Run one expert-range chunk against the named shared slabs.
+
+    ``rows`` is the chunk's slice ``rows[e0:e1]`` of the per-expert
+    occupancy (``None`` = all capacity rows), so every expert sees the
+    same GEMM shapes as in the serial call.
+    """
     dtype = np.dtype(dtype_str)
 
     def view(field: str) -> np.ndarray:
@@ -81,11 +89,12 @@ def _worker_run(mode: str, slabs: dict[str, tuple[str, tuple[int, ...]]],
     w1 = view("w1")[e0:e1]
     w2 = view("w2")[e0:e1]
     if mode == "forward":
-        y, _ = ffn_forward_arrays(x, w1, w2, activation)
+        y, _ = ffn_forward_arrays(x, w1, w2, activation, rows)
         view("y")[e0:e1] = y
     elif mode == "backward":
         gy = view("gy")[e0:e1]
-        gx, gw1, gw2 = ffn_backward_arrays(x, w1, w2, gy, activation)
+        gx, gw1, gw2 = ffn_backward_arrays(x, w1, w2, gy, activation,
+                                           rows=rows)
         view("gx")[e0:e1] = gx
         view("gw1")[e0:e1] = gw1
         view("gw2")[e0:e1] = gw2
@@ -156,8 +165,8 @@ class ExpertParallelExecutor:
                 for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
     def _run(self, mode: str, inputs: dict[str, np.ndarray],
-             outputs: dict[str, tuple[int, ...]], activation: str
-             ) -> dict[str, np.ndarray]:
+             outputs: dict[str, tuple[int, ...]], activation: str,
+             rows) -> dict[str, np.ndarray]:
         dtype = next(iter(inputs.values())).dtype
         slabs: dict[str, tuple[str, tuple[int, ...]]] = {}
         for tag, arr in inputs.items():
@@ -170,9 +179,15 @@ class ExpertParallelExecutor:
             slabs[tag] = (name, shape)
             out_views[tag] = view
         num_experts = slabs["x"][1][0]
+        if rows is not None:
+            rows = np.asarray(rows).tolist()
+            if len(rows) != num_experts:
+                raise ValueError(
+                    f"rows must hold {num_experts} ints, got {len(rows)}")
         pool = self._ensure_pool()
         futures = [pool.submit(_worker_run, mode, slabs, dtype.str,
-                               e0, e1, activation)
+                               e0, e1, activation,
+                               None if rows is None else rows[e0:e1])
                    for e0, e1 in self._chunks(num_experts)]
         for fut in futures:
             fut.result()
@@ -184,20 +199,20 @@ class ExpertParallelExecutor:
     # -- public API ----------------------------------------------------
 
     def ffn_forward(self, x: np.ndarray, w1: np.ndarray, w2: np.ndarray,
-                    activation: str) -> np.ndarray:
+                    activation: str, rows=None) -> np.ndarray:
         """Parallel :func:`ffn_forward_arrays` across the expert axis."""
         out = self._run("forward", {"x": x, "w1": w1, "w2": w2},
-                        {"y": x.shape}, activation)
+                        {"y": x.shape}, activation, rows)
         return out["y"]
 
     def ffn_backward(self, x: np.ndarray, w1: np.ndarray, w2: np.ndarray,
-                     grad_y: np.ndarray, activation: str
+                     grad_y: np.ndarray, activation: str, rows=None
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Parallel :func:`ffn_backward_arrays` (recompute protocol)."""
         out = self._run("backward",
                         {"x": x, "w1": w1, "w2": w2, "gy": grad_y},
                         {"gx": x.shape, "gw1": w1.shape, "gw2": w2.shape},
-                        activation)
+                        activation, rows)
         return out["gx"], out["gw1"], out["gw2"]
 
     def close(self) -> None:

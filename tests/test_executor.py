@@ -7,11 +7,15 @@ fused path, because both run the same :func:`ffn_forward_arrays` /
 executor may therefore be toggled freely without perturbing training.
 """
 
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.autograd.tensor import Tensor
 from repro.core.substrate import expert_parallelism, substrate_dtype
+from repro.moe.ffn import act_forward, act_grad
 from repro.runtime.executor import (
     ExpertParallelExecutor,
     ffn_backward_arrays,
@@ -28,6 +32,58 @@ def ffn_case(e=4, c=6, m=5, v=7, dtype=np.float32, seed=0):
     w2 = rng.normal(size=(e, v, m)).astype(dtype)
     gy = rng.normal(size=(e, c, m)).astype(dtype)
     return x, w1, w2, gy
+
+
+def padded_forward(x, w1, w2, activation):
+    """The batched all-``cap``-rows body the ragged kernels replaced,
+    kept here as their oracle."""
+    h = np.matmul(x, w1)
+    a, cache = act_forward(h, activation)
+    return np.matmul(a, w2), (h, a, cache)
+
+
+def padded_backward(x, w1, w2, grad_y, activation):
+    h, a, cache = padded_forward(x, w1, w2, activation)[1]
+    grad_w2 = np.matmul(a.swapaxes(-1, -2), grad_y)
+    grad_h = np.matmul(grad_y, w2.swapaxes(-1, -2))
+    grad_h *= act_grad(h, cache, activation)
+    grad_x = np.matmul(grad_h, w1.swapaxes(-1, -2))
+    grad_w1 = np.matmul(x.swapaxes(-1, -2), grad_h)
+    return grad_x, grad_w1, grad_w2
+
+
+def zero_padding(arr, rows):
+    """``arr`` with every row at or beyond its expert's occupancy
+    zeroed — what the dispatch scatter guarantees."""
+    out = arr.copy()
+    for e, n in enumerate(rows):
+        out[e, n:] = 0
+    return out
+
+
+@st.composite
+def ragged_cases(draw):
+    """(x, w1, w2, grad_y, rows, activation): random shapes and
+    occupancies, with an idle expert, ``rows == cap`` everywhere and a
+    single occupied row all reachable."""
+    e, cap = draw(st.integers(1, 5)), draw(st.integers(1, 7))
+    m, v = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rows = draw(st.one_of(
+        st.lists(st.integers(0, cap), min_size=e, max_size=e),
+        st.just([cap] * e),
+        st.just([0] * (e - 1) + [1])))
+    x, w1, w2, gy = ffn_case(e, cap, m, v, dtype,
+                             seed=draw(st.integers(0, 2 ** 16)))
+    return (zero_padding(x, rows), w1, w2, zero_padding(gy, rows),
+            np.array(rows), draw(st.sampled_from(["gelu", "relu"])))
+
+
+def close(dtype):
+    """The tolerance set beforehand from the dtype: a ragged GEMM
+    blocks differently from a padded one, so equality is to rounding."""
+    tol = 1e-6 if dtype == np.float32 else 1e-12
+    return {"rtol": tol, "atol": 10 * tol}
 
 
 @pytest.fixture
@@ -83,6 +139,83 @@ class TestArrayKernels:
             ffn_forward_arrays(x, w1, w2, "swish")
 
 
+class TestRaggedKernels:
+    """Multiplying only ``x[e, :rows[e]]`` changes no output: padded
+    rows are exact zeros in and out of a bias-free FFN."""
+
+    @given(case=ragged_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_padded_oracle(self, case):
+        x, w1, w2, gy, rows, activation = case
+        y, saved = ffn_forward_arrays(x, w1, w2, activation, rows)
+        grads = ffn_backward_arrays(x, w1, w2, gy, activation, saved)
+        ref = (padded_forward(x, w1, w2, activation)[0],
+               *padded_backward(x, w1, w2, gy, activation))
+        for got, want in zip((y, *grads), ref):
+            assert got.shape == want.shape and got.dtype == x.dtype
+            np.testing.assert_allclose(got, want, **close(x.dtype))
+
+    @given(case=ragged_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_padding_and_idle_experts_are_exact_zeros(self, case):
+        x, w1, w2, gy, rows, activation = case
+        y, saved = ffn_forward_arrays(x, w1, w2, activation, rows)
+        gx, gw1, gw2 = ffn_backward_arrays(x, w1, w2, gy, activation,
+                                           saved)
+        for e, n in enumerate(rows):
+            assert not y[e, n:].any() and not gx[e, n:].any()
+            if n == 0:
+                assert not gw1[e].any() and not gw2[e].any()
+
+    @given(case=ragged_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_nan_poisoned_padding_is_never_read(self, case):
+        x, w1, w2, gy, rows, activation = case
+        clean = (ffn_forward_arrays(x, w1, w2, activation, rows)[0],
+                 *ffn_backward_arrays(x, w1, w2, gy, activation,
+                                      rows=rows))
+        for e, n in enumerate(rows):
+            x[e, n:] = np.nan
+            gy[e, n:] = np.nan
+        y, saved = ffn_forward_arrays(x, w1, w2, activation, rows)
+        poisoned = (y, *ffn_backward_arrays(x, w1, w2, gy, activation,
+                                            saved))
+        for got, want in zip(poisoned, clean):
+            assert np.isfinite(got).all()
+            np.testing.assert_array_equal(got, want)
+
+    @given(case=ragged_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_recompute_equals_saved(self, case):
+        x, w1, w2, gy, rows, activation = case
+        _, saved = ffn_forward_arrays(x, w1, w2, activation, rows)
+        with_saved = ffn_backward_arrays(x, w1, w2, gy, activation, saved)
+        recomputed = ffn_backward_arrays(x, w1, w2, gy, activation,
+                                         rows=rows)
+        for a, b in zip(with_saved, recomputed):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_none_means_every_row(self, dtype):
+        x, w1, w2, gy = ffn_case(dtype=dtype)
+        full = [x.shape[1]] * x.shape[0]
+        for a, b in zip(
+                (ffn_forward_arrays(x, w1, w2, "gelu")[0],
+                 *ffn_backward_arrays(x, w1, w2, gy, "gelu")),
+                (ffn_forward_arrays(x, w1, w2, "gelu", full)[0],
+                 *ffn_backward_arrays(x, w1, w2, gy, "gelu", rows=full))):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("rows", [[6, 6, 6], [6, 6, 6, 7],
+                                      [6, 6, 6, -1]])
+    def test_bad_rows_rejected(self, rows):
+        x, w1, w2, gy = ffn_case()
+        with pytest.raises(ValueError, match="rows"):
+            ffn_forward_arrays(x, w1, w2, "gelu", rows)
+        with pytest.raises(ValueError, match="rows"):
+            ffn_backward_arrays(x, w1, w2, gy, "gelu", rows=rows)
+
+
 class TestExecutorAgreement:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_forward_bitwise_identical_to_serial(self, executor, dtype):
@@ -100,6 +233,28 @@ class TestExecutorAgreement:
         for p, s in zip(par, ser):
             assert p.dtype == dtype
             np.testing.assert_array_equal(p, s)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @given(case=ragged_cases())
+    @settings(max_examples=8, deadline=None)
+    def test_rows_bitwise_identical_to_serial(self, workers, case):
+        x, w1, w2, gy, rows, activation = case
+        ex = ExpertParallelExecutor(num_workers=workers)
+        try:
+            par = (ex.ffn_forward(x, w1, w2, activation, rows),
+                   *ex.ffn_backward(x, w1, w2, gy, activation, rows))
+        finally:
+            ex.close()
+        ser = (ffn_forward_arrays(x, w1, w2, activation, rows)[0],
+               *ffn_backward_arrays(x, w1, w2, gy, activation, rows=rows))
+        for p, s in zip(par, ser):
+            assert p.dtype == s.dtype
+            np.testing.assert_array_equal(p, s)
+
+    def test_wrong_length_rows_rejected_like_serial(self, executor):
+        x, w1, w2, _ = ffn_case()
+        with pytest.raises(ValueError, match="rows"):
+            executor.ffn_forward(x, w1, w2, "gelu", [6] * 5)
 
     def test_uneven_expert_chunks(self, executor):
         # 5 experts over 2 workers: chunks (0,2)/(2,5) must still
@@ -180,6 +335,85 @@ class TestSubstrateWiring:
             shutdown_executor()
         for s, p in zip(serial, parallel):
             np.testing.assert_array_equal(s, p)
+
+    def test_expert_ffn_parallel_matches_serial_with_rows(self):
+        from repro.autograd.moe_ops import expert_ffn
+
+        rows = np.array([8, 0, 3, 5])
+        x, w1, w2, gy = ffn_case(e=4, c=8, m=6, v=10)
+        x, gy = zero_padding(x, rows), zero_padding(gy, rows)
+
+        def run():
+            xt = Tensor(x, requires_grad=True)
+            w1t = Tensor(w1, requires_grad=True)
+            w2t = Tensor(w2, requires_grad=True)
+            y = expert_ffn(xt, w1t, w2t, "gelu", rows=rows)
+            (y * Tensor(gy)).sum().backward()
+            return y.data, xt.grad, w1t.grad, w2t.grad
+
+        serial = run()
+        try:
+            with expert_parallelism(3):
+                parallel = run()
+        finally:
+            shutdown_executor()
+        for s, p in zip(serial, parallel):
+            np.testing.assert_array_equal(s, p)
+
+    def test_dead_worker_latches_and_falls_back(self, monkeypatch):
+        # The other pool failure beside the OSError case below.
+        from repro.autograd.moe_ops import expert_ffn
+
+        x, w1, w2, _ = ffn_case()
+        try:
+            with expert_parallelism(2):
+                ex = get_executor()
+                monkeypatch.setattr(
+                    ex, "_run",
+                    lambda *a, **k: (_ for _ in ()).throw(
+                        BrokenProcessPool("worker died")))
+                y = expert_ffn(Tensor(x), Tensor(w1), Tensor(w2), "gelu")
+                assert ex.broken and get_executor() is None
+        finally:
+            shutdown_executor()
+        assert np.isfinite(y.data).all()
+
+    def test_kernel_error_in_worker_propagates(self):
+        # A wrong `rows` inside a worker is a kernel bug: it must
+        # surface, not be masked by the serial fallback, and must not
+        # latch the executor off.
+        from repro.autograd.moe_ops import expert_ffn
+
+        x, w1, w2, _ = ffn_case()
+        cap = x.shape[1]
+        try:
+            with expert_parallelism(2):
+                with pytest.raises(ValueError, match="rows"):
+                    expert_ffn(Tensor(x), Tensor(w1), Tensor(w2), "gelu",
+                               rows=[cap, cap, cap, cap + 1])
+                ex = get_executor()
+                assert ex is not None and not ex.broken
+        finally:
+            shutdown_executor()
+
+    def test_kernel_error_in_backward_propagates(self, monkeypatch):
+        from repro.autograd.moe_ops import expert_ffn
+
+        x, w1, w2, gy = ffn_case()
+        try:
+            with expert_parallelism(2):
+                xt = Tensor(x, requires_grad=True)
+                y = expert_ffn(xt, Tensor(w1), Tensor(w2), "gelu")
+                ex = get_executor()
+                monkeypatch.setattr(
+                    ex, "ffn_backward",
+                    lambda *a, **k: (_ for _ in ()).throw(
+                        IndexError("bad slice")))
+                with pytest.raises(IndexError, match="bad slice"):
+                    (y * Tensor(gy)).sum().backward()
+                assert not ex.broken
+        finally:
+            shutdown_executor()
 
     def test_broken_executor_falls_back_to_serial(self, monkeypatch):
         from repro.autograd.moe_ops import expert_ffn

@@ -201,6 +201,66 @@ class TestRoutingCriteria:
                             gates=np.zeros(3), capacity=1, num_experts=1)
 
 
+class TestOccupancy:
+    """``occupancy[e]`` = 1 + the largest valid queue position of
+    expert ``e`` (0 when idle): the slab prefix the expert FFN runs."""
+
+    @staticmethod
+    def oracle(crit):
+        rows = [0] * crit.num_experts
+        for slot in range(crit.top_k):
+            for tok in range(crit.num_tokens):
+                loc = int(crit.locations[slot, tok])
+                if 0 <= loc < crit.capacity:
+                    e = int(crit.idxs[slot, tok])
+                    rows[e] = max(rows[e], loc + 1)
+        return rows
+
+    @given(t=st.integers(0, 24), e=st.integers(1, 6), k=st.integers(1, 3),
+           cap=st.integers(1, 8), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=80, deadline=None)
+    def test_hand_built_criteria_with_gaps_and_drops(self, t, e, k, cap,
+                                                     seed):
+        # Arbitrary locations: gaps in a queue, positions past the
+        # capacity, negative (fully dropped) slots.
+        rng = np.random.default_rng(seed)
+        crit = RoutingCriteria(
+            idxs=rng.integers(0, e, size=(k, t)),
+            locations=rng.integers(-2, cap + 3, size=(k, t)),
+            gates=np.ones((k, t)), capacity=cap, num_experts=e)
+        rows = crit.occupancy
+        assert rows.shape == (e,)
+        assert rows.tolist() == self.oracle(crit)
+
+    def test_gap_is_covered_and_idle_expert_reads_zero(self):
+        crit = RoutingCriteria(
+            idxs=np.array([[0, 0, 2]]), locations=np.array([[0, 3, 9]]),
+            gates=np.ones((1, 3)), capacity=5, num_experts=3)
+        # Expert 0 holds rows 0 and 3 -> prefix 4; expert 1 idle;
+        # expert 2's only token is past the capacity.
+        assert crit.occupancy.tolist() == [4, 0, 0]
+
+    @given(t=st.integers(1, 48), e=st.integers(1, 8), k=st.integers(1, 3),
+           cap=st.integers(1, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_routed_criteria_occupancy_is_the_kept_count(self, t, e, k,
+                                                         cap):
+        # compute_locations leaves no gaps, so the prefix holds exactly
+        # the kept tokens.
+        k = min(k, e)
+        rng = np.random.default_rng(t * 1000 + e * 100 + k * 10 + cap)
+        crit = top_k_routing(softmax(rng.normal(size=(t, e))), k,
+                             capacity=cap)
+        kept = np.bincount(crit.idxs[crit.valid], minlength=e)
+        np.testing.assert_array_equal(crit.occupancy, kept)
+
+    def test_every_token_to_one_expert(self):
+        probs = np.zeros((7, 4))
+        probs[:, 2] = 1.0
+        crit = top_k_routing(probs, 1, capacity=5)
+        assert crit.occupancy.tolist() == [0, 0, 5, 0]
+
+
 class TestLoadBalanceLoss:
     def test_uniform_routing_gives_one(self):
         t, e = 64, 8

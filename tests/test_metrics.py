@@ -99,6 +99,24 @@ class TestRoutingStats:
         stats = routing_stats(crit)
         assert stats.mean_top1_confidence > 0
 
+    def test_load_counted_once_and_equal_to_standalone(self, monkeypatch):
+        from repro.moe import metrics
+
+        rng = np.random.default_rng(3)
+        crit = top_k_routing(softmax(rng.normal(size=(40, 5))), 2,
+                             capacity=6)
+        want = (load_imbalance(crit), routing_entropy(crit),
+                tuple(expert_load(crit).tolist()))
+        calls = []
+        real = metrics.expert_load
+        monkeypatch.setattr(
+            metrics, "expert_load",
+            lambda *a, **k: calls.append(a) or real(*a, **k))
+        stats = routing_stats(crit)
+        assert len(calls) == 1
+        assert (stats.load_imbalance, stats.routing_entropy,
+                stats.expert_load) == want
+
     def test_rejects_bad_probs_shape(self):
         crit = balanced_crit()
         with pytest.raises(ValueError):

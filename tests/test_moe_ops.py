@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.autograd.moe_ops import moe_combine, moe_dispatch
+from repro.autograd.moe_ops import expert_ffn, moe_combine, moe_dispatch
 from repro.autograd.tensor import Tensor
 from repro.moe.gating import softmax, top_k_routing
 
@@ -150,3 +151,71 @@ class TestBatchedExpertGemm:
             wm[idx] -= eps
             nw[idx] = (value(d, wp) - value(d, wm)) / (2 * eps)
         np.testing.assert_allclose(wt.grad, nw, atol=1e-5)
+
+
+class TestRaggedExpertFfn:
+    """``expert_ffn(rows=crit.occupancy)`` inside dispatch -> FFN ->
+    combine equals the all-rows op (``rows=None``): output and every
+    gradient, to the rounding of a differently blocked GEMM."""
+
+    @staticmethod
+    def layer(crit, x, w1, w2, gates, rows):
+        from repro.core.substrate import substrate_dtype
+        with substrate_dtype(x.dtype):
+            leaves = [Tensor(a, requires_grad=True)
+                      for a in (x, w1, w2, gates)]
+            xt, w1t, w2t, gt = leaves
+            out = moe_combine(
+                expert_ffn(moe_dispatch(xt, crit), w1t, w2t, "gelu",
+                           rows=rows), gt, crit)
+            (out * out).sum().backward()
+        return [out.data] + [t.grad for t in leaves]
+
+    def check(self, probs, k, cap, dtype, m=5, v=7):
+        t, e = probs.shape
+        crit = top_k_routing(probs, k, capacity=cap)
+        rng = np.random.default_rng(t * 100 + e * 10 + k)
+        x = rng.normal(size=(t, m)).astype(dtype)
+        w1 = rng.normal(size=(e, m, v)).astype(dtype)
+        w2 = rng.normal(size=(e, v, m)).astype(dtype)
+        gates = crit.gates.astype(dtype)
+        tol = 1e-6 if dtype == np.float32 else 1e-12
+        for got, want in zip(
+                self.layer(crit, x, w1, w2, gates, crit.occupancy),
+                self.layer(crit, x, w1, w2, gates, None)):
+            assert got.dtype == dtype
+            scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+            np.testing.assert_allclose(got, want, rtol=tol,
+                                       atol=tol * scale)
+
+    @given(t=st.integers(1, 24), e=st.integers(1, 6), k=st.integers(1, 6),
+           cap=st.integers(1, 10),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_all_rows_op(self, t, e, k, cap, dtype):
+        rng = np.random.default_rng(t * 1000 + e * 100 + k * 10 + cap)
+        self.check(softmax(rng.normal(size=(t, e))), min(k, e), cap, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_degenerate_routings(self, dtype):
+        rng = np.random.default_rng(7)
+        one_expert = np.zeros((9, 4))
+        one_expert[:, 1] = 1.0
+        self.check(softmax(rng.normal(size=(1, 4))), 2, 3, dtype)   # T = 1
+        self.check(softmax(rng.normal(size=(6, 3))), 3, 4, dtype)   # k = E
+        self.check(one_expert, 1, 5, dtype)      # all tokens, one expert
+        self.check(one_expert, 1, 20, dtype)     # ... with room to spare
+
+    def test_adaptive_capacity_is_dropless_and_unpadded(self):
+        # capacity_factor = 0 sizes the slabs to the busiest expert, so
+        # nothing is dropped; with the occupancy the FFN then runs
+        # exactly the k*T routed rows, no padding.
+        from repro.nn.moe import MoE
+
+        rng = np.random.default_rng(11)
+        moe = MoE(8, 16, 4, rng, top_k=2, capacity_factor=0.0)
+        moe(Tensor(rng.normal(size=(37, 8))))
+        crit = moe.last_routing_criteria
+        assert crit.dropped_fraction() == 0.0
+        assert int(crit.occupancy.sum()) == 2 * 37
+        assert int(crit.occupancy.max()) == crit.capacity

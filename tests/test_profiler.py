@@ -141,6 +141,27 @@ class TestSparseKernelReference:
         assert rec.cost == sparse_decode_cost(r, crit.num_tokens, 32)
         assert rec.cost.flops == 2.0 * r * 32
 
+    @pytest.mark.parametrize("ragged", [True, False])
+    def test_expert_ffn_prices_the_rows_it_executes(self, ragged):
+        # With the occupancy the kernels run sum(rows) rows, so that —
+        # not E * cap — is what the record prices; rows=None is E * cap.
+        crit = seeded_routing(capacity=24)
+        e, c, m, v = crit.num_experts, crit.capacity, 32, 48
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.standard_normal((e, c, m)))
+        w1 = Tensor(rng.standard_normal((e, m, v)))
+        w2 = Tensor(rng.standard_normal((e, v, m)))
+        rows = crit.occupancy if ragged else None
+        with profiling() as prof:
+            out = moe_ops.expert_ffn(x, w1, w2, "gelu", rows=rows)
+            del out
+        (rec,) = [r for r in prof.records if r.name == "expert_ffn"]
+        r = int(crit.occupancy.sum()) if ragged else e * c
+        assert 0 < int(crit.occupancy.sum()) < e * c
+        gelu_fwd = elementwise_cost("gelu", r * v,
+                                    itemsize=x.data.itemsize)[0]
+        assert rec.cost.flops == 2 * gemm_flops(r, v, m) + gelu_fwd.flops
+
     def test_dense_vs_sparse_gap(self):
         # Figure 24's point: dense dispatch does O(T*E*C*M) work while
         # the sparse kernel moves only the O(T*k*M) live routes.
