@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd.tensor import Tensor
-from repro.moe.ffn import act_forward, act_grad
+from repro.moe.ffn import act_backward, act_forward
 
 __all__ = [
     "relu",
@@ -32,7 +32,7 @@ def relu(x: Tensor) -> Tensor:
     out_data, _ = act_forward(x.data, "relu")
 
     def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad * act_grad(x.data, None, "relu"))
+        x._accumulate(act_backward(grad, x.data, None, "relu"))
     return Tensor.from_op(out_data, (x,), backward, "relu")
 
 
@@ -41,7 +41,7 @@ def gelu(x: Tensor) -> Tensor:
     out_data, t = act_forward(x.data, "gelu")
 
     def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad * act_grad(x.data, t, "gelu"))
+        x._accumulate(act_backward(grad, x.data, t, "gelu"))
     return Tensor.from_op(out_data, (x,), backward, "gelu")
 
 

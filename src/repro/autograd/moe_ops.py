@@ -110,19 +110,25 @@ def expert_ffn(dispatched: Tensor, w1: Tensor, w2: Tensor,
                                              activation, rows)
 
     def backward(grad: np.ndarray) -> None:
+        # Frozen experts (the Table 10 fine-tune) take no gradient, so
+        # their two weight-gradient GEMMs per expert are not run.
+        weight_grads = w1.requires_grad or w2.requires_grad
         ex_b = get_executor()
         if ex_b is not None:
             try:
                 gx, gw1, gw2 = ex_b.ffn_backward(
-                    x_data, w1_data, w2_data, grad, activation, rows)
+                    x_data, w1_data, w2_data, grad, activation, rows,
+                    weight_grads)
             except _POOL_FAILURES:
                 ex_b.broken = True
                 ex_b = None
         if ex_b is None:
             gx, gw1, gw2 = ffn_backward_arrays(
-                x_data, w1_data, w2_data, grad, activation, saved, rows)
+                x_data, w1_data, w2_data, grad, activation, saved, rows,
+                weight_grads)
         dispatched._accumulate(gx)
-        w1._accumulate(gw1)
-        w2._accumulate(gw2)
+        if weight_grads:
+            w1._accumulate(gw1)
+            w2._accumulate(gw2)
     return Tensor.from_op(out_data, (dispatched, w1, w2), backward,
                           "expert_ffn", (activation, rows))

@@ -118,7 +118,17 @@ class Tensor:
             p.track_grad(self)
 
     def backward(self, grad: np.ndarray | None = None) -> None:
-        """Backpropagate from this tensor (defaults to scalar seed 1)."""
+        """Backpropagate from this tensor (defaults to scalar seed 1).
+
+        The tape is released as the walk passes it: once a non-leaf
+        node's closure has run, its ``grad``, closure and parent links
+        are dropped (the root keeps its ``grad``), so saved activations
+        and intermediate gradients die as soon as nothing needs them
+        instead of living until the root does.  Leaves keep their
+        accumulated ``grad``.  A second ``backward()`` over the same
+        graph therefore propagates nothing: the root is a leaf by then
+        and only accumulates the seed into its own ``grad``.
+        """
         if grad is None:
             if self.data.size != 1:
                 raise ValueError(
@@ -127,32 +137,37 @@ class Tensor:
             grad = np.ones_like(self.data)
         topo: list[Tensor] = []
         seen: set[int] = set()
-
-        def visit(node: "Tensor") -> None:
-            stack = [(node, False)]
-            while stack:
-                current, processed = stack.pop()
-                if processed:
-                    topo.append(current)
-                    continue
-                if id(current) in seen:
-                    continue
-                seen.add(id(current))
-                stack.append((current, True))
-                for parent in current._parents:
-                    if parent.requires_grad:
-                        stack.append((parent, False))
-
-        visit(self)
+        stack = [(self, False)]
+        while stack:
+            current, processed = stack.pop()
+            if processed:
+                topo.append(current)
+                continue
+            if id(current) in seen:
+                continue
+            seen.add(id(current))
+            stack.append((current, True))
+            for parent in current._parents:
+                if parent.requires_grad:
+                    stack.append((parent, False))
         p = _prof.active()
         with p.backward_pass() if p is not None else NULL_SPAN:
             self._accumulate(grad)
-            for node in reversed(topo):
-                if node._backward is not None and node.grad is not None:
+            # Popping (not iterating) so the list's own reference to a
+            # node goes with it.
+            while topo:
+                node = topo.pop()
+                if node._backward is None:
+                    continue
+                if node.grad is not None:
                     if p is None:
                         node._backward(node.grad)
                     else:
                         p.run_backward(node)
+                    if node is not self:
+                        node.zero_grad()
+                node._backward = None
+                node._parents = ()
 
     def zero_grad(self) -> None:
         if self.grad is not None:
@@ -196,8 +211,10 @@ class Tensor:
         out_data = self.data * other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * other.data)
-            other._accumulate(grad * self.data)
+            if self.requires_grad:
+                self._accumulate(grad * other.data)
+            if other.requires_grad:
+                other._accumulate(grad * self.data)
         return Tensor.from_op(out_data, (self, other), backward, "mul")
 
     __rmul__ = __mul__
@@ -207,9 +224,11 @@ class Tensor:
         out_data = self.data / other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / other.data)
-            other._accumulate(-grad * self.data
-                              / (other.data * other.data))
+            if self.requires_grad:
+                self._accumulate(grad / other.data)
+            if other.requires_grad:
+                other._accumulate(-grad * self.data
+                                  / (other.data * other.data))
         return Tensor.from_op(out_data, (self, other), backward, "div")
 
     def __pow__(self, exponent: float) -> "Tensor":
@@ -239,8 +258,12 @@ class Tensor:
         out_data = self.data @ other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad @ np.swapaxes(other.data, -1, -2))
-            other._accumulate(np.swapaxes(self.data, -1, -2) @ grad)
+            # A parent that takes no gradient (the model input, a
+            # frozen weight) costs no GEMM.
+            if self.requires_grad:
+                self._accumulate(grad @ np.swapaxes(other.data, -1, -2))
+            if other.requires_grad:
+                other._accumulate(np.swapaxes(self.data, -1, -2) @ grad)
         return Tensor.from_op(out_data, (self, other), backward, "matmul")
 
     # -- shape ops -----------------------------------------------------------

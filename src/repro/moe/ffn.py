@@ -18,8 +18,9 @@ import numpy as np
 
 __all__ = [
     "ACTIVATIONS",
+    "BLOCK",
     "act_forward",
-    "act_grad",
+    "act_backward",
     "ffn_forward_arrays",
     "ffn_backward_arrays",
 ]
@@ -30,50 +31,94 @@ ACTIVATIONS = ("gelu", "relu")
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 
 
+#: Elements per block of the blocked elementwise kernels (here and in
+#: :meth:`repro.autograd.optim.Adam.step`): every array a block touches
+#: stays cache-resident across the passes made over it.  32 Ki measured
+#: best of 8 Ki .. 4 Mi on the build box (DESIGN.md "Memory discipline
+#: of the train step"); a constant, not a setting.
+BLOCK = 32 * 1024
+
+
+def _blocks(size: int) -> list[slice]:
+    return [slice(lo, lo + BLOCK) for lo in range(0, size, BLOCK)]
+
+
+def _unknown(activation: str) -> ValueError:
+    return ValueError(f"unknown activation {activation!r}; "
+                      f"expected one of {ACTIVATIONS}")
+
+
 def act_forward(h: np.ndarray, activation: str
                 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Apply the activation; returns (a, cache) for the backward."""
+    """Apply the activation; returns (a, cache) for the backward.
+
+    GELU fills preallocated ``(a, t)`` block by block with no
+    temporaries: each block's passes run while it is in cache.
+    """
     if activation == "relu":
         return np.maximum(h, 0.0), None
-    if activation == "gelu":
+    if activation != "gelu":
+        raise _unknown(activation)
+    a = np.empty(h.shape, dtype=h.dtype)
+    t = np.empty(h.shape, dtype=h.dtype)
+    hf, af, tf = h.reshape(-1), a.reshape(-1), t.reshape(-1)
+    for b in _blocks(hf.size):
+        hb, ab, tb = hf[b], af[b], tf[b]
         # The generic pow kernel makes ``h ** 3`` ~20x slower than two
         # multiplies and this op dominates expert-FFN wall time, so the
-        # polynomial is built from muls with in-place chaining.
-        inner = h * h
-        inner *= h
-        inner *= 0.044715
-        inner += h
-        inner *= _GELU_C
-        t = np.tanh(inner)
-        a = t + 1.0
-        a *= h
-        a *= 0.5
-        return a, t
-    raise ValueError(f"unknown activation {activation!r}; "
-                     f"expected one of {ACTIVATIONS}")
+        # polynomial is built from muls chained in place.
+        np.multiply(hb, hb, out=tb)
+        tb *= hb
+        tb *= 0.044715
+        tb += hb
+        tb *= _GELU_C
+        np.tanh(tb, out=tb)
+        np.add(tb, 1.0, out=ab)
+        ab *= hb
+        ab *= 0.5
+    return a, t
 
 
-def act_grad(h: np.ndarray, cache: np.ndarray | None,
-             activation: str) -> np.ndarray:
-    """d(activation)/dh given :func:`act_forward`'s cache."""
+def act_backward(grad: np.ndarray, h: np.ndarray, cache: np.ndarray | None,
+                 activation: str, out: np.ndarray | None = None
+                 ) -> np.ndarray:
+    """``grad * d(activation)/dh`` given :func:`act_forward`'s cache.
+
+    The one activation derivative.  Written block by block into ``out``
+    (a fresh array when ``None``; ``out=grad`` updates in place) with
+    block-sized scratch, so the derivative is never materialized.
+    """
+    if activation not in ACTIVATIONS:
+        raise _unknown(activation)
+    if out is None:
+        out = np.empty(h.shape, dtype=np.result_type(grad, h))
+    elif not out.flags.c_contiguous:
+        # A strided ``out`` would flatten to a copy and lose the result.
+        raise ValueError("act_backward: out must be C-contiguous")
+    gf, hf, of = grad.reshape(-1), h.reshape(-1), out.reshape(-1)
     if activation == "relu":
-        return h > 0.0
-    if activation == "gelu":
-        t = cache
-        d_inner = h * h
-        d_inner *= 3 * 0.044715
-        d_inner += 1.0
-        d_inner *= _GELU_C
-        d = t * t
-        np.subtract(1.0, d, out=d)
-        d *= d_inner
-        d *= h
-        d += 1.0
-        d += t
-        d *= 0.5
-        return d
-    raise ValueError(f"unknown activation {activation!r}; "
-                     f"expected one of {ACTIVATIONS}")
+        for b in _blocks(hf.size):
+            np.multiply(gf[b], hf[b] > 0.0, out=of[b])
+        return out
+    tf = cache.reshape(-1)
+    d = np.empty(min(hf.size, BLOCK), dtype=h.dtype)
+    d_inner = np.empty_like(d)
+    for b in _blocks(hf.size):
+        hb, tb = hf[b], tf[b]
+        db, sb = d[:hb.size], d_inner[:hb.size]
+        np.multiply(hb, hb, out=sb)
+        sb *= 3 * 0.044715
+        sb += 1.0
+        sb *= _GELU_C
+        np.multiply(tb, tb, out=db)
+        np.subtract(1.0, db, out=db)
+        db *= sb
+        db *= hb
+        db += 1.0
+        db += tb
+        db *= 0.5
+        np.multiply(gf[b], db, out=of[b])
+    return out
 
 
 def _occupied(rows, num_experts: int, cap: int
@@ -156,8 +201,10 @@ def ffn_forward_arrays(x: np.ndarray, w1: np.ndarray, w2: np.ndarray,
 
 def ffn_backward_arrays(x: np.ndarray, w1: np.ndarray, w2: np.ndarray,
                         grad_y: np.ndarray, activation: str,
-                        saved: tuple | None = None, rows=None
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                        saved: tuple | None = None, rows=None,
+                        weight_grads: bool = True
+                        ) -> tuple[np.ndarray, np.ndarray | None,
+                                   np.ndarray | None]:
     """Gradients of the fused expert FFN w.r.t. (x, w1, w2).
 
     With ``saved=None`` the hidden activations are recomputed from the
@@ -165,23 +212,27 @@ def ffn_backward_arrays(x: np.ndarray, w1: np.ndarray, w2: np.ndarray,
     forward's saved tuple gives the conventional memory-for-compute
     trade and carries the forward's occupancy with it.  Only
     ``grad_y[e, :n_e]`` is read; ``grad_x`` is zero on padded rows and
-    an idle expert's weight gradients are zero.
+    an idle expert's weight gradients are zero.  ``weight_grads=False``
+    (frozen experts) skips both weight-gradient GEMMs of every expert
+    and returns ``None`` in their place.
     """
     x, w1, w2, grad_y = _common(x, w1, w2, grad_y)
     if saved is None:
         saved = _hidden(x, w1, activation, rows)
     h, a, cache, occupied = saved
     grad_h = np.empty(h.shape, dtype=x.dtype)
-    grad_w2 = np.zeros(w2.shape, dtype=x.dtype)
+    grad_w2 = np.zeros(w2.shape, dtype=x.dtype) if weight_grads else None
     for e, rs, hs in occupied:
         gy = grad_y[e, rs]
         gy.dot(w2[e].T, out=grad_h[hs])
-        a[hs].T.dot(gy, out=grad_w2[e])
-    grad_h *= act_grad(h, cache, activation)
+        if weight_grads:
+            a[hs].T.dot(gy, out=grad_w2[e])
+    act_backward(grad_h, h, cache, activation, out=grad_h)
     grad_x = np.zeros(x.shape, dtype=x.dtype)
-    grad_w1 = np.zeros(w1.shape, dtype=x.dtype)
+    grad_w1 = np.zeros(w1.shape, dtype=x.dtype) if weight_grads else None
     for e, rs, hs in occupied:
         gh = grad_h[hs]
         gh.dot(w1[e].T, out=grad_x[e, rs])
-        x[e, rs].T.dot(gh, out=grad_w1[e])
+        if weight_grads:
+            x[e, rs].T.dot(gh, out=grad_w1[e])
     return grad_x, grad_w1, grad_w2

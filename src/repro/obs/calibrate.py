@@ -112,10 +112,16 @@ def dtype_bytes() -> int:
     to float32."""
     return default_itemsize()
 
-_GEMM_SHAPES_FAST = ((16, 128, 128), (64, 128, 128),
-                     (128, 128, 128), (256, 128, 128))
+# The fast sweep stays at or under m*k*n = 262,144, the size up to
+# which OpenBLAS runs a GEMM on the calling thread: a sweep that
+# straddles it mixes single- and multi-threaded walls, which no
+# launch + flops/peak + knee line fits (+-25% on the build box), and a
+# threaded GEMM's first calls in a fresh process take ~10 ms each.
+_GEMM_SHAPES_FAST = ((2, 128, 128), (4, 128, 128),
+                     (8, 128, 128), (16, 128, 128))
 _GEMM_SHAPES_FULL = _GEMM_SHAPES_FAST + (
-    (32, 128, 128), (384, 128, 128), (128, 256, 256), (256, 256, 256))
+    (32, 128, 128), (64, 128, 128), (128, 128, 128), (256, 128, 128),
+    (384, 128, 128), (128, 256, 256), (256, 256, 256))
 
 # (tokens, experts, top_k, capacity_factor, model_dim); model_dim is
 # kept large so the routed-byte traffic dominates per-call overhead.
@@ -612,11 +618,12 @@ def emit_calibration(report: CalibrationReport,
     """Emit ``BENCH_calibration.json`` for the regression gate.
 
     The headline fidelity metric is ``kind="model"`` so ``repro
-    regress`` gates it (the committed baseline pins the value at the
-    15% acceptance bound with ``higher_is_better=False`` and a 0.5
-    relative tolerance for noisy CI hosts, i.e. the gate trips above
-    22.5%); fitted coefficients and per-class stats are host-dependent
-    and ride along as ``kind="measured"``.
+    regress`` gates it (the committed baseline pins the measured value
+    — 11%, the median of ten ``--fast`` runs on the build box, range
+    10.0-13.1% — with ``higher_is_better=False`` and a 0.5 relative
+    tolerance for noisy CI hosts, i.e. the gate trips above 16.5%);
+    fitted coefficients and per-class stats are host-dependent and
+    ride along as ``kind="measured"``.
     """
     metrics = [Metric("sim_vs_measured_p95_err",
                       report.sim_vs_measured_p95_err, unit="rel",

@@ -17,9 +17,10 @@ history lists.  NumPy's PCG64 state is a nested dict of (big) integers,
 which JSON represents exactly.
 
 Dtype contract (ISSUE 6): the checkpoint's arrays are authoritative.
-``.npz`` preserves each array's dtype exactly, and restore re-points
-live parameters/optimizer slots at a copy of the saved array whenever
-the dtypes differ instead of casting in place — so a float32 run
+``.npz`` preserves each array's dtype exactly, and whenever the dtypes
+differ restore re-points a live parameter at a copy of the saved array
+and re-seats the optimizer's moment buffers in the saved dtype
+(:meth:`Adam.load_moments`) instead of casting in place — so a float32 run
 restored into a float64-initialised model (or vice versa) resumes bit
 identical to the run that wrote the checkpoint.  The substrate dtype
 active at capture time is recorded in the metadata for provenance.
@@ -146,21 +147,7 @@ def restore_training_state(model: Any, optimizer: Any,
             # silently cast and break bit-identical resumption.
             p.data = data.copy()
         p.grad = None
-    if (len(optimizer._m) != len(ckpt.opt_m)
-            or len(optimizer._v) != len(ckpt.opt_v)):
-        raise ValueError("optimizer slot count mismatch restoring "
-                         "checkpoint")
-    for i, saved in enumerate(ckpt.opt_m):
-        if optimizer._m[i].dtype == saved.dtype:
-            np.copyto(optimizer._m[i], saved)
-        else:
-            optimizer._m[i] = saved.copy()
-    for i, saved in enumerate(ckpt.opt_v):
-        if optimizer._v[i].dtype == saved.dtype:
-            np.copyto(optimizer._v[i], saved)
-        else:
-            optimizer._v[i] = saved.copy()
-    optimizer._step = ckpt.opt_step
+    optimizer.load_moments(ckpt.opt_m, ckpt.opt_v, ckpt.opt_step)
     rng.bit_generator.state = ckpt.rng_state
     if ckpt.failed_experts and hasattr(model, "moe_layers"):
         layers = model.moe_layers()

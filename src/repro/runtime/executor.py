@@ -93,11 +93,14 @@ def _worker_run(mode: str, slabs: dict[str, tuple[str, tuple[int, ...]]],
         view("y")[e0:e1] = y
     elif mode == "backward":
         gy = view("gy")[e0:e1]
+        weight_grads = "gw1" in slabs
         gx, gw1, gw2 = ffn_backward_arrays(x, w1, w2, gy, activation,
-                                           rows=rows)
+                                           rows=rows,
+                                           weight_grads=weight_grads)
         view("gx")[e0:e1] = gx
-        view("gw1")[e0:e1] = gw1
-        view("gw2")[e0:e1] = gw2
+        if weight_grads:
+            view("gw1")[e0:e1] = gw1
+            view("gw2")[e0:e1] = gw2
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return e1 - e0
@@ -206,14 +209,20 @@ class ExpertParallelExecutor:
         return out["y"]
 
     def ffn_backward(self, x: np.ndarray, w1: np.ndarray, w2: np.ndarray,
-                     grad_y: np.ndarray, activation: str, rows=None
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Parallel :func:`ffn_backward_arrays` (recompute protocol)."""
+                     grad_y: np.ndarray, activation: str, rows=None,
+                     weight_grads: bool = True
+                     ) -> tuple[np.ndarray, np.ndarray | None,
+                                np.ndarray | None]:
+        """Parallel :func:`ffn_backward_arrays` (recompute protocol);
+        without ``weight_grads`` no weight-gradient slab is requested
+        and the workers skip those GEMMs."""
+        outputs = {"gx": x.shape}
+        if weight_grads:
+            outputs.update(gw1=w1.shape, gw2=w2.shape)
         out = self._run("backward",
                         {"x": x, "w1": w1, "w2": w2, "gy": grad_y},
-                        {"gx": x.shape, "gw1": w1.shape, "gw2": w2.shape},
-                        activation, rows)
-        return out["gx"], out["gw1"], out["gw2"]
+                        outputs, activation, rows)
+        return out["gx"], out.get("gw1"), out.get("gw2")
 
     def close(self) -> None:
         """Shut the pool down and unlink every shared-memory slab."""

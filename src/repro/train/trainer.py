@@ -6,9 +6,10 @@ Resilience features (see DESIGN.md "Resilience"):
   periodically snapshot parameters, Adam state, RNG state and history
   via :mod:`repro.resilience.checkpoint`; ``resume_from`` continues a
   run *bit-identically* to the uninterrupted one.
-* **Non-finite guard** — a NaN/Inf loss or gradient skips the step,
-  restores the last-good parameters and optimizer moments, and records
-  the event (``train.step_skipped``) instead of poisoning the run.
+* **Non-finite guard** — a NaN/Inf loss or gradient norm skips the
+  step before the optimizer runs, restores the last-good parameters,
+  and records the event (``train.step_skipped``) instead of poisoning
+  the run.
 * **Graceful expert degradation** — ``step_hook`` lets a fault plan
   call :meth:`MoEClassifier.fail_expert` mid-run; gating renormalizes
   over the surviving experts and training continues.
@@ -89,13 +90,6 @@ def evaluate(model: Module, batch: TokenBatch) -> float:
     """Top-1 accuracy on a batch (no gradient bookkeeping needed)."""
     logits, _ = model(Tensor(batch.x))
     return _accuracy(logits.data, batch.y)
-
-
-def _grads_finite(params: list[Tensor]) -> bool:
-    for p in params:
-        if p.grad is not None and not np.isfinite(p.grad).all():
-            return False
-    return True
 
 
 def train_model(model: Module, train: TokenBatch, test: TokenBatch,
@@ -194,22 +188,22 @@ def train_model(model: Module, train: TokenBatch, test: TokenBatch,
             tel.event("ckpt_restored",
                       {"step": start_step, "path": resume_from}, start_step)
 
-        def snapshot():
-            return ([p.data.copy() for p in params],
-                    [m.copy() for m in optimizer._m],
-                    [v.copy() for v in optimizer._v],
-                    optimizer._step)
+        # The guard's snapshot holds parameters only, in buffers made
+        # once (after a resume, so dtypes match).  ``Adam.step`` is the
+        # only writer of the moments and the step count and it runs
+        # only after both guards pass, so when a step is rolled back
+        # the optimizer state *is* the last-good one.
+        last_good = ([np.empty_like(p.data) for p in params]
+                     if nonfinite_guard else [])
 
-        def rollback(snap) -> None:
-            datas, ms, vs, opt_step = snap
-            for p, data in zip(params, datas):
-                np.copyto(p.data, data)
+        def snapshot() -> None:
+            for p, saved in zip(params, last_good):
+                np.copyto(saved, p.data)
+
+        def rollback() -> None:
+            for p, saved in zip(params, last_good):
+                np.copyto(p.data, saved)
                 p.grad = None
-            for slot, m in zip(optimizer._m, ms):
-                np.copyto(slot, m)
-            for slot, v in zip(optimizer._v, vs):
-                np.copyto(slot, v)
-            optimizer._step = opt_step
 
         def checkpoint_boundary(completed: int) -> None:
             if checkpoint_every is None or completed % checkpoint_every:
@@ -225,7 +219,7 @@ def train_model(model: Module, train: TokenBatch, test: TokenBatch,
             _instant("saved", CAT_CKPT, args=saved)
             tel.event("ckpt_saved", saved, completed)
 
-        last_good = snapshot() if nonfinite_guard else None
+        snapshot()
 
         tel.event("train_begin", {"steps": steps, "start_step": start_step,
                                   "seed": seed}, start_step)
@@ -251,11 +245,18 @@ def train_model(model: Module, train: TokenBatch, test: TokenBatch,
                     with _span("backward", CAT_TRAIN):
                         optimizer.zero_grad()
                         loss.backward()
-                    bad = nonfinite_guard and not _grads_finite(params)
+                    with _span("optimizer", CAT_TRAIN):
+                        # One pass over the gradients serves the clip
+                        # and the guard: a NaN/Inf anywhere in them
+                        # makes the norm non-finite.
+                        gnorm = clip_grad_norm(params, grad_clip)
+                        bad = nonfinite_guard and not np.isfinite(gnorm)
+                        if not bad:
+                            optimizer.step()
                 if bad:
                     # Non-finite guard: drop the step and roll back to the
                     # last finite state so the divergence cannot compound.
-                    rollback(last_good)
+                    rollback()
                     result.skipped_steps.append(step)
                     result.step_walls[step] = perf_counter() - wall_start
                     _instant("step_skipped", CAT_TRAIN, args={"step": step})
@@ -266,17 +267,13 @@ def train_model(model: Module, train: TokenBatch, test: TokenBatch,
                     # back state is the last good one.
                     checkpoint_boundary(step + 1)
                     continue
-                with _span("optimizer", CAT_TRAIN):
-                    gnorm = clip_grad_norm(params, grad_clip)
-                    optimizer.step()
 
             result.step_walls[step] = perf_counter() - wall_start
             loss_val = float(loss.data)
             acc = _accuracy(logits.data, yb)
             result.losses.append(loss_val)
             result.train_accuracies.append(acc)
-            if nonfinite_guard:
-                last_good = snapshot()
+            snapshot()
             for i, layer in enumerate(moe_layers):
                 result.capacity_traces[i].append(
                     layer.last_routing_stats.needed_capacity_factor)

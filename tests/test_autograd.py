@@ -1,5 +1,7 @@
 """Numerical gradient checks for the autograd engine."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.autograd.functional import (
 )
 from repro.autograd.optim import SGD, Adam, clip_grad_norm
 from repro.autograd.tensor import Tensor
+from repro.moe.ffn import BLOCK
 
 
 @pytest.fixture(autouse=True)
@@ -242,6 +245,226 @@ class TestBackwardMechanics:
         np.testing.assert_allclose(t.grad, np.ones(2))
 
 
+def small_graph(seed=0):
+    """(loss, leaves) of a graph with a reused node, a constant parent
+    and a fused nonlinearity — enough to exercise every release path."""
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=(6, 4)))
+    w1 = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    w2 = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=(3,)), requires_grad=True)
+    h = gelu(x @ w1)
+    out = (h @ w2 + b) * (h @ w2)
+    return log_softmax(out).sum() * 0.5, (w1, w2, b)
+
+
+def non_leaves(root):
+    """Every tape node reachable from ``root`` (collected before the
+    walk: ``backward`` drops the links this follows)."""
+    found, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._backward is not None:
+            found.append(node)
+        stack.extend(node._parents)
+    return found
+
+
+def retained_backward(root):
+    """The reverse walk before the tape was released as it went: the
+    same closures in the same order, nothing dropped.  The oracle for
+    the leaf gradients."""
+    topo, seen = [], set()
+
+    def visit(node):
+        if id(node) in seen:
+            return
+        seen.add(id(node))
+        for parent in node._parents:
+            if parent.requires_grad:
+                visit(parent)
+        topo.append(node)
+
+    visit(root)
+    root._accumulate(np.ones_like(root.data))
+    for node in reversed(topo):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+class TestTapeRelease:
+    def test_non_leaves_released_root_keeps_grad(self):
+        loss, leaves = small_graph()
+        nodes = non_leaves(loss)
+        assert len(nodes) > 5
+        loss.backward()
+        for node in nodes:
+            assert node._backward is None
+            assert node._parents == ()
+            if node is not loss:
+                assert node.grad is None
+        np.testing.assert_array_equal(loss.grad, np.ones_like(loss.data))
+        assert all(leaf.grad is not None for leaf in leaves)
+
+    def test_leaf_gradients_bitwise_equal_retained_walk(self):
+        released, leaves = small_graph()
+        released.backward()
+        retained, expected = small_graph()
+        retained_backward(retained)
+        for got, want in zip(leaves, expected):
+            np.testing.assert_array_equal(got.grad, want.grad)
+
+    def test_activation_dies_during_backward(self):
+        w = Tensor(RNG.normal(size=(4, 4)), requires_grad=True)
+        h = gelu(Tensor(RNG.normal(size=(3, 4))) @ w)
+        loss = (h * h).sum()
+        activation = weakref.ref(h)
+        saved = weakref.ref(h.data)
+        del h
+        loss.backward()
+        # The loss is still alive: the walk itself let go of the node
+        # and of the array its closures had saved.
+        assert activation() is None and saved() is None
+        assert w.grad is not None
+
+    def test_second_backward_propagates_nothing(self):
+        """Documented: after ``backward()`` the root is a leaf, so a
+        second call only accumulates the seed into the root's own
+        ``grad``; no leaf gradient moves."""
+        loss, leaves = small_graph()
+        loss.backward()
+        before = [leaf.grad.copy() for leaf in leaves]
+        loss.backward()
+        for leaf, grad in zip(leaves, before):
+            np.testing.assert_array_equal(leaf.grad, grad)
+        np.testing.assert_array_equal(loss.grad, 2.0)
+
+    @pytest.mark.parametrize("op", [
+        lambda a, b: a @ b, lambda a, b: a * b, lambda a, b: a / b])
+    def test_constant_parent_gradient_not_computed(self, op, monkeypatch):
+        """A parent that takes no gradient costs no work: the closures
+        check ``requires_grad`` before the GEMM / product, not after."""
+        a = Tensor(RNG.normal(size=(3, 3)), requires_grad=True)
+        b = Tensor(RNG.normal(size=(3, 3)) + 5.0)
+        accumulated = []
+        real = Tensor._accumulate
+        monkeypatch.setattr(
+            Tensor, "_accumulate",
+            lambda self, grad: (accumulated.append(self), real(self, grad)))
+        op(a, b).sum().backward()
+        assert all(t is not b for t in accumulated)
+        assert a.grad is not None and b.grad is None
+
+
+def reference_adam_step(datas, grads, ms, vs, step, lr, betas, eps,
+                        weight_decay):
+    """The per-parameter Adam update the fused step replaced, kept here
+    as its oracle (whole-array expressions, one temporary each)."""
+    b1, b2 = betas
+    bias1 = 1.0 - b1 ** step
+    bias2 = 1.0 - b2 ** step
+    for data, grad, m, v in zip(datas, grads, ms, vs):
+        if grad is None:
+            continue
+        m *= b1
+        m += (1 - b1) * grad
+        v *= b2
+        v += (1 - b2) * grad ** 2
+        update = (m / bias1) / (np.sqrt(v / bias2) + eps)
+        if weight_decay:
+            update = update + weight_decay * data
+        data -= lr * update
+
+
+class TestFusedAdam:
+    # From one element to 16 blocks; 2 * BLOCK + 4464 ends on a ragged
+    # block, and the offsets put parameter edges inside blocks.
+    SHAPES = [(4,), (), (3, 5), (2 * BLOCK + 4464,), (7, 1), (8, 128, 512),
+              (33,)]
+
+    @staticmethod
+    def gradient(rng, shape, dtype, step, i):
+        if i == 2 and step == 1:
+            return None                     # skipped whole
+        if i == 4:                          # broadcast-shaped, stride 0
+            return np.broadcast_to(dtype(0.25 * (step + 1)), shape)
+        if i == 6:                          # non-contiguous
+            return rng.normal(size=(shape[0], 2)).astype(dtype)[:, 0]
+        return rng.normal(size=shape).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+    def test_bitwise_equal_to_reference(self, dtype, weight_decay):
+        rng = np.random.default_rng(7)
+        params = [Tensor(rng.normal(size=shape), requires_grad=True,
+                         dtype=dtype) for shape in self.SHAPES]
+        hyper = dict(lr=3e-3, betas=(0.9, 0.999), eps=1e-8,
+                     weight_decay=weight_decay)
+        opt = Adam(params, **hyper)
+        datas = [p.data.copy() for p in params]
+        ms = [np.zeros_like(d) for d in datas]
+        vs = [np.zeros_like(d) for d in datas]
+        for step in range(3):
+            grads = [self.gradient(rng, p.shape, dtype, step, i)
+                     for i, p in enumerate(params)]
+            for p, grad in zip(params, grads):
+                p.grad = grad
+            untouched = (params[2].data.copy(), opt._m[2].copy(),
+                         opt._v[2].copy())
+            opt.step()
+            reference_adam_step(datas, grads, ms, vs, step + 1, **hyper)
+            for p, m, v, data, rm, rv in zip(params, opt._m, opt._v,
+                                             datas, ms, vs):
+                assert p.data.dtype == m.dtype == v.dtype == dtype
+                np.testing.assert_array_equal(p.data, data)
+                np.testing.assert_array_equal(m, rm)
+                np.testing.assert_array_equal(v, rv)
+            if grads[2] is None:
+                for got, want in zip((params[2].data, opt._m[2],
+                                      opt._v[2]), untouched):
+                    np.testing.assert_array_equal(got, want)
+        assert opt._step == 3
+
+    def test_moments_are_views_of_one_buffer(self):
+        params = [Tensor(np.ones(shape), requires_grad=True)
+                  for shape in [(3, 2), (5,)]]
+        opt = Adam(params)
+        for views, flat in zip((opt._m, opt._v), opt._flat):
+            assert [v.shape for v in views] == [(3, 2), (5,)]
+            assert all(np.shares_memory(v, flat) for v in views)
+
+    def test_replaced_parameter_array_is_updated(self):
+        # Parameters are not re-pointed at optimizer storage: whatever
+        # ``p.data`` is at step time (here a fresh, strided array) is
+        # what gets updated.
+        p = Tensor(np.ones((4, 3)), requires_grad=True)
+        opt = Adam([p], lr=0.1)
+        p.data = np.full((3, 4), 2.0).T
+        p.grad = np.ones((4, 3))
+        opt.step()
+        assert p.data.shape == (4, 3)
+        np.testing.assert_allclose(p.data, 1.9)
+
+    def test_load_moments_reseats_in_saved_dtype(self):
+        p = Tensor(np.ones((2, 3)), requires_grad=True, dtype=np.float64)
+        opt = Adam([p])
+        m = [np.full((2, 3), 0.5, dtype=np.float32)]
+        v = [np.full((2, 3), 0.25, dtype=np.float32)]
+        opt.load_moments(m, v, step=4)
+        assert opt._step == 4
+        assert opt._m[0].dtype == opt._v[0].dtype == np.float32
+        np.testing.assert_array_equal(opt._m[0], m[0])
+        np.testing.assert_array_equal(opt._v[0], v[0])
+        assert np.shares_memory(opt._m[0], opt._flat[0])
+        with pytest.raises(ValueError, match="slot count"):
+            opt.load_moments(m + m, v + v, step=0)
+        with pytest.raises(ValueError, match="shape"):
+            opt.load_moments([m[0].T], [v[0].T], step=0)
+
+
 class TestOptimizers:
     def test_sgd_descends(self):
         w = Tensor(np.array([5.0]), requires_grad=True)
@@ -290,6 +513,26 @@ class TestOptimizers:
         norm = clip_grad_norm([w], max_norm=1.0)
         assert norm == pytest.approx(20.0)
         assert np.linalg.norm(w.grad) == pytest.approx(1.0, rel=1e-6)
+
+    def test_clip_grad_norm_strided_and_missing_gradients(self):
+        rng = np.random.default_rng(3)
+        ws = [Tensor(np.ones(s), requires_grad=True)
+              for s in [(5, 7), (3,), (2, 2)]]
+        ws[0].grad = rng.normal(size=(7, 5)).T      # strided
+        ws[1].grad = rng.normal(size=3)
+        expected = float(np.sqrt(sum(np.sum(w.grad ** 2)
+                                     for w in ws[:2])))
+        assert clip_grad_norm(ws, max_norm=1e9) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_clip_grad_norm_nonfinite_norm_scales_nothing(self, bad):
+        w = Tensor(np.ones(4), requires_grad=True)
+        w.grad = np.array([1.0, bad, 3.0, 4.0])
+        before = w.grad.copy()
+        with np.errstate(all="raise"):
+            norm = clip_grad_norm([w], max_norm=1.0)
+        assert not np.isfinite(norm)
+        np.testing.assert_array_equal(w.grad, before)
 
     def test_rejects_bad_lr(self):
         with pytest.raises(ValueError):

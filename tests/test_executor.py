@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.autograd.tensor import Tensor
 from repro.core.substrate import expert_parallelism, substrate_dtype
-from repro.moe.ffn import act_forward, act_grad
+from repro.moe import ffn
+from repro.moe.ffn import BLOCK, act_backward, act_forward
 from repro.runtime.executor import (
     ExpertParallelExecutor,
     ffn_backward_arrays,
@@ -34,11 +35,51 @@ def ffn_case(e=4, c=6, m=5, v=7, dtype=np.float32, seed=0):
     return x, w1, w2, gy
 
 
+_GELU_C = float(np.sqrt(2.0 / np.pi))
+
+
+def unblocked_act_forward(h, activation):
+    """The whole-array activation the blocked kernel replaced, kept
+    here as its oracle: same passes in the same order."""
+    if activation == "relu":
+        return np.maximum(h, 0.0), None
+    inner = h * h
+    inner *= h
+    inner *= 0.044715
+    inner += h
+    inner *= _GELU_C
+    t = np.tanh(inner)
+    a = t + 1.0
+    a *= h
+    a *= 0.5
+    return a, t
+
+
+def unblocked_act_grad(h, cache, activation):
+    """d(activation)/dh as one whole-array expression (the oracle of
+    :func:`act_backward`, which never materializes it)."""
+    if activation == "relu":
+        return h > 0.0
+    t = cache
+    d_inner = h * h
+    d_inner *= 3 * 0.044715
+    d_inner += 1.0
+    d_inner *= _GELU_C
+    d = t * t
+    np.subtract(1.0, d, out=d)
+    d *= d_inner
+    d *= h
+    d += 1.0
+    d += t
+    d *= 0.5
+    return d
+
+
 def padded_forward(x, w1, w2, activation):
     """The batched all-``cap``-rows body the ragged kernels replaced,
     kept here as their oracle."""
     h = np.matmul(x, w1)
-    a, cache = act_forward(h, activation)
+    a, cache = unblocked_act_forward(h, activation)
     return np.matmul(a, w2), (h, a, cache)
 
 
@@ -46,7 +87,7 @@ def padded_backward(x, w1, w2, grad_y, activation):
     h, a, cache = padded_forward(x, w1, w2, activation)[1]
     grad_w2 = np.matmul(a.swapaxes(-1, -2), grad_y)
     grad_h = np.matmul(grad_y, w2.swapaxes(-1, -2))
-    grad_h *= act_grad(h, cache, activation)
+    grad_h *= unblocked_act_grad(h, cache, activation)
     grad_x = np.matmul(grad_h, w1.swapaxes(-1, -2))
     grad_w1 = np.matmul(x.swapaxes(-1, -2), grad_h)
     return grad_x, grad_w1, grad_w2
@@ -137,6 +178,148 @@ class TestArrayKernels:
         x, w1, w2, _ = ffn_case()
         with pytest.raises(ValueError, match="activation"):
             ffn_forward_arrays(x, w1, w2, "swish")
+        with pytest.raises(ValueError, match="activation"):
+            act_backward(x, x, None, "swish")
+
+
+class NumpyShim:
+    """``numpy`` with some attributes overridden, to stand in for the
+    ``np`` global of one module."""
+
+    def __init__(self, **overrides):
+        self.__dict__.update(overrides)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+class TestBlockedActivations:
+    """The block-by-block kernels run the whole-array expressions they
+    replaced, pass for pass: equality is bitwise."""
+
+    @staticmethod
+    def inputs(dtype):
+        rng = np.random.default_rng(11)
+        cols = 96
+        rows = 2 * BLOCK // cols + 5        # ragged last block
+        wide = rng.normal(size=(rows, 2 * cols)).astype(dtype)
+        return {
+            "no rows": np.zeros((0, cols), dtype=dtype),
+            "one row": rng.normal(size=(1, cols)).astype(dtype),
+            "ragged last block": rng.normal(size=(rows, cols)).astype(dtype),
+            "1-D": rng.normal(size=(BLOCK + 3,)).astype(dtype),
+            "non-contiguous": wide[:, ::2],
+        }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("activation", ["gelu", "relu"])
+    def test_bitwise_equal_to_unblocked(self, activation, dtype):
+        for label, h in self.inputs(dtype).items():
+            grad = np.cos(h)
+            a, cache = act_forward(h, activation)
+            ref_a, ref_cache = unblocked_act_forward(h, activation)
+            ref = grad * unblocked_act_grad(h, ref_cache, activation)
+            assert a.shape == h.shape and a.dtype == dtype, label
+            np.testing.assert_array_equal(a, ref_a, err_msg=label)
+            if activation == "gelu":
+                np.testing.assert_array_equal(cache, ref_cache,
+                                              err_msg=label)
+            got = act_backward(grad, h, cache, activation)
+            assert got.shape == h.shape and got.dtype == dtype, label
+            np.testing.assert_array_equal(got, ref, err_msg=label)
+
+    @pytest.mark.parametrize("activation", ["gelu", "relu"])
+    def test_backward_in_place(self, activation):
+        h = self.inputs(np.float32)["ragged last block"]
+        grad = np.sin(h)
+        _, cache = act_forward(h, activation)
+        expected = act_backward(grad, h, cache, activation)
+        assert act_backward(grad, h, cache, activation, out=grad) is grad
+        np.testing.assert_array_equal(grad, expected)
+
+    def test_backward_rejects_strided_out(self):
+        h = self.inputs(np.float32)["non-contiguous"]
+        with pytest.raises(ValueError, match="contiguous"):
+            act_backward(np.ones_like(h), h, None, "relu",
+                         out=np.empty((h.shape[0], 2 * h.shape[1]),
+                                      dtype=h.dtype)[:, ::2])
+
+
+class TestNoUninitialisedReads:
+    """ROADMAP 7f: the kernels write GEMMs with ``out=`` into
+    ``np.empty`` arrays.  With every such array NaN-filled, any path
+    that reads its destination (a BLAS call scaling ``out`` by
+    ``beta = 0``, a block that is skipped) shows up as a NaN or an FP
+    flag instead of one run in three."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("activation", ["gelu", "relu"])
+    @pytest.mark.parametrize("rows", [[0, 1, 6, 3], [1, 1, 1, 1],
+                                      [0, 0, 0, 1], [6, 6, 6, 6]])
+    def test_nan_filled_empty(self, monkeypatch, rows, activation, dtype):
+        def nan_empty(shape, dtype=float, **kwargs):
+            out = np.empty(shape, dtype=dtype, **kwargs)
+            out.fill(np.nan)
+            return out
+
+        monkeypatch.setattr(ffn, "np", NumpyShim(
+            empty=nan_empty,
+            empty_like=lambda a: nan_empty(a.shape, a.dtype)))
+        x, w1, w2, gy = ffn_case(dtype=dtype)
+        x, gy = zero_padding(x, rows), zero_padding(gy, rows)
+        with np.errstate(all="raise"):
+            y, saved = ffn_forward_arrays(x, w1, w2, activation, rows)
+            outputs = [y,
+                       *ffn_backward_arrays(x, w1, w2, gy, activation,
+                                            saved),
+                       *ffn_backward_arrays(x, w1, w2, gy, activation,
+                                            rows=rows),
+                       ffn_backward_arrays(x, w1, w2, gy, activation,
+                                           saved, weight_grads=False)[0]]
+        for out in outputs:
+            assert np.isfinite(out).all()
+
+
+class DotCounter(np.ndarray):
+    """Counts ``.dot`` calls (one GEMM each in the FFN kernels)."""
+
+    calls = 0
+
+    def dot(self, *args, **kwargs):
+        DotCounter.calls += 1
+        return np.asarray(self).dot(*args, **kwargs)
+
+
+class TestFrozenExperts:
+    def test_frozen_moe_runs_two_backward_gemms_per_expert(
+            self, monkeypatch):
+        """Frozen expert weights (the Table 10 fine-tune) receive no
+        gradient, so the backward runs the two input-gradient GEMMs of
+        each occupied expert and neither weight-gradient GEMM."""
+        from repro.nn.moe import MoE
+
+        real_common = ffn._common
+        monkeypatch.setattr(ffn, "_common", lambda *arrays: [
+            a.view(DotCounter) for a in real_common(*arrays)])
+        monkeypatch.setattr(ffn, "np", NumpyShim(
+            empty=lambda *a, **k: np.empty(*a, **k).view(DotCounter)))
+
+        def backward_gemms(frozen):
+            rng = np.random.default_rng(0)
+            moe = MoE(8, 16, num_experts=4, top_k=2, rng=rng)
+            if frozen:
+                moe.w1.requires_grad = moe.w2.requires_grad = False
+            x = Tensor(rng.normal(size=(24, 8)), requires_grad=True)
+            DotCounter.calls = 0
+            out, l_aux = moe(x)
+            occupied = DotCounter.calls / 2     # two forward GEMMs each
+            (out.sum() + l_aux).backward()
+            assert (moe.w1.grad is None) == frozen
+            assert x.grad is not None and moe.gate.weight.grad is not None
+            return (DotCounter.calls - 2 * occupied) / occupied
+
+        assert backward_gemms(frozen=False) == 4
+        assert backward_gemms(frozen=True) == 2
 
 
 class TestRaggedKernels:
@@ -250,6 +433,14 @@ class TestExecutorAgreement:
         for p, s in zip(par, ser):
             assert p.dtype == s.dtype
             np.testing.assert_array_equal(p, s)
+
+    def test_backward_without_weight_grads(self, executor):
+        x, w1, w2, gy = ffn_case()
+        gx, gw1, gw2 = executor.ffn_backward(x, w1, w2, gy, "gelu",
+                                             weight_grads=False)
+        assert gw1 is None and gw2 is None
+        np.testing.assert_array_equal(
+            gx, ffn_backward_arrays(x, w1, w2, gy, "gelu")[0])
 
     def test_wrong_length_rows_rejected_like_serial(self, executor):
         x, w1, w2, _ = ffn_case()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.autograd.optim import Adam
+from repro.autograd.tensor import Tensor
 from repro.nn.models import MoEClassifier
 from repro.obs.runs import RunStore, recording_run
 from repro.resilience.checkpoint import (
@@ -208,6 +209,65 @@ class TestNonFiniteGuard:
         # The rollback healed the poisoned weight.
         assert np.isfinite(poisoned_at["value"].data).all()
 
+    def test_rollback_leaves_optimizer_state_untouched(self, splits,
+                                                       monkeypatch):
+        """The guard snapshots parameters only: ``Adam.step`` never runs
+        on a bad step, so the moments and step count at rollback *are*
+        the last-good ones, byte for byte, and training resumes."""
+        from repro.train import trainer
+
+        train, test = splits
+        model = fresh_model()
+        made = []
+
+        class SpyAdam(Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(trainer, "Adam", SpyAdam)
+        seen = {}
+
+        def state(opt):
+            return ([p.data.tobytes() for p in opt.params],
+                    [m.tobytes() for m in opt._m],
+                    [v.tobytes() for v in opt._v], opt._step)
+
+        def hook(step, m):
+            if step in (5, 6, 7):
+                seen[step] = state(made[0])
+            if step == 5:
+                made[0].params[0].data.flat[0] = np.nan
+
+        result = train_model(model, train, test, steps=8, batch_size=32,
+                             seed=0, step_hook=hook)
+        assert result.skipped_steps == [5]
+        assert seen[6] == seen[5]           # restored bit for bit
+        assert seen[7][3] == seen[6][3] + 1     # the next step trains
+        assert seen[7][0] != seen[6][0] and seen[7][1] != seen[6][1]
+
+    def test_inf_gradient_trips_guard_through_norm(self, splits,
+                                                   monkeypatch):
+        train, test = splits
+        model = fresh_model()
+        victim = next(p for p in model.parameters() if p.requires_grad)
+        calls = {"n": 0}
+        real_backward = Tensor.backward
+
+        def backward(self, grad=None):
+            real_backward(self, grad)
+            calls["n"] += 1
+            if calls["n"] == 3:             # step index 2
+                victim.grad.flat[0] = np.inf
+
+        monkeypatch.setattr(Tensor, "backward", backward)
+        with np.errstate(invalid="raise"):
+            result = train_model(model, train, test, steps=5,
+                                 batch_size=32, seed=0)
+        assert result.skipped_steps == [2]
+        assert len(result.losses) == 4
+        assert all(np.isfinite(p.data).all() for p in model.parameters())
+
     def test_skipped_boundary_step_still_checkpoints(self, splits,
                                                      tmp_path):
         """A guarded step that lands on a checkpoint boundary must not
@@ -258,7 +318,6 @@ class TestNonFiniteGuard:
 
 class TestExpertDegradation:
     def test_failed_expert_receives_no_tokens(self):
-        from repro.autograd.tensor import Tensor
         from repro.nn.moe import MoE
 
         def run(fail):
@@ -375,7 +434,6 @@ class TestDtypeRoundTrip:
 
     @staticmethod
     def _state(dtype):
-        from repro.autograd.tensor import Tensor
         from repro.core.substrate import substrate_dtype
 
         with substrate_dtype(dtype):
@@ -434,6 +492,19 @@ class TestDtypeRoundTrip:
             assert slot.tobytes() == saved.tobytes()
         for slot, saved in zip(other_opt._v, ckpt.opt_v):
             assert slot.dtype == save_dtype
+            assert slot.tobytes() == saved.tobytes()
+        # The re-seated moments are live optimizer state, not copies on
+        # the side: the next step is bit-identical on both.
+        x = np.random.default_rng(6).normal(size=(16, 8))
+        with substrate_dtype(save_dtype):
+            for m, o in ((model, opt), (other, other_opt)):
+                logits, l_aux = m(Tensor(x))
+                (logits.sum() + l_aux).backward()
+                o.step()
+        for (name, p), (_, src) in zip(other.named_parameters(),
+                                       model.named_parameters()):
+            assert p.data.dtype == save_dtype, name
+            assert p.data.tobytes() == src.data.tobytes(), name
 
     def test_meta_records_substrate_dtype(self, tmp_path):
         import json as _json
