@@ -29,15 +29,10 @@ import types
 import numpy as np
 
 from repro.collectives.functional import flexible_all_to_all
-from repro.moe.capacity import CapacityPolicy, resolve_capacity
+from repro.moe.capacity import CapacityPolicy
 from repro.moe.encode import fast_decode as _fast_decode
 from repro.moe.encode import fast_encode as _fast_encode
-from repro.moe.gating import (
-    RoutingCriteria,
-    load_balance_loss,
-    softmax,
-    top_k_routing as _top_k_routing,
-)
+from repro.moe.gating import RoutingCriteria, route, softmax
 
 __all__ = ["moe", "net"]
 
@@ -52,14 +47,9 @@ def _api_top_k_routing(scores: np.ndarray, top_k: int = 2,
     ``scores`` are post-softmax routing probabilities ``(T, E)``; the
     capacity follows the Figure 16 semantics of ``capacity_factor``.
     """
-    t, e = scores.shape
-    idxs_probe = np.argsort(-scores, axis=1, kind="stable")[:, :top_k].T
-    cap, _ = resolve_capacity(CapacityPolicy(capacity_factor),
-                              idxs_probe, e, tokens=t, top_k=top_k)
-    crit = _top_k_routing(scores, top_k, cap,
-                          normalize_gate=normalize_gate,
-                          batch_prioritized=batch_prioritized)
-    return crit, load_balance_loss(scores, crit.idxs)
+    crit, l_aux, _ = route(scores, top_k, CapacityPolicy(capacity_factor),
+                           normalize_gate, batch_prioritized)
+    return crit, l_aux
 
 
 def _api_flex_all2all(y, concat_dim: int, split_dim: int):

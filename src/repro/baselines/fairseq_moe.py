@@ -16,14 +16,14 @@ performance substrate.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.cluster.memory import MemoryBreakdown, dense_moe_memory
 from repro.core.config import MoEConfig
 from repro.moe.capacity import CapacityPolicy
-from repro.moe.encode import dense_decode, dense_encode
-from repro.moe.gating import load_balance_loss, softmax, top_k_routing
-from repro.moe.layer import MoELayerParams, MoEOutput, _gate_logits, expert_ffn
+from repro.moe.layer import MoELayerParams, MoEOutput, moe_layer_forward
 from repro.runtime.plan import FAIRSEQ_FEATURES, ExecutionFeatures
 
 __all__ = [
@@ -47,29 +47,14 @@ def fairseq_moe_forward(x: np.ndarray, params: MoELayerParams,
     O(T * E * dC * M) dense einsum work and the materialized one-hot
     tensors.  Fairseq supports neither adaptive capacity (f <= 0) nor
     per-iteration ``k`` changes, so only a fixed positive factor is
-    accepted.
+    accepted; it has no batch prioritized routing either.
     """
     if capacity_factor <= 0:
         raise ValueError(
             "Fairseq baseline requires a fixed positive capacity factor")
-    k = top_k if top_k is not None else params.top_k
-    logits = _gate_logits(x, params)
-    probs = softmax(logits)
-    policy = CapacityPolicy(capacity_factor)
-    from repro.moe.capacity import resolve_capacity
-    idxs_probe = np.argsort(-probs, axis=1, kind="stable")[:, :k].T
-    cap, eff_f = resolve_capacity(policy, idxs_probe,
-                                  params.experts.num_experts,
-                                  tokens=x.shape[0], top_k=k)
-    crit = top_k_routing(probs, k, cap,
-                         normalize_gate=params.normalize_gate,
-                         batch_prioritized=False)
-    l_aux = load_balance_loss(probs, crit.idxs)
-    dispatched = dense_encode(x, crit)
-    expert_out = expert_ffn(dispatched, params.experts, params.activation)
-    output = dense_decode(expert_out, crit)
-    return MoEOutput(output=output, l_aux=l_aux, crit=crit,
-                     effective_capacity_factor=eff_f)
+    return moe_layer_forward(
+        x, replace(params, use_fast_encode=False, batch_prioritized=False),
+        top_k=top_k, capacity=CapacityPolicy(capacity_factor))
 
 
 def fairseq_memory(cfg: MoEConfig) -> MemoryBreakdown:

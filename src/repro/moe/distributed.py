@@ -28,12 +28,13 @@ from repro.collectives.functional import flexible_all_to_all
 from repro.core.config import MoEConfig
 from repro.moe.capacity import CapacityPolicy
 from repro.moe.encode import fast_decode, fast_encode
-from repro.moe.gating import load_balance_loss, softmax, top_k_routing
+from repro.moe.gating import RoutingCriteria, route, softmax
 from repro.moe.layer import ExpertParams, MoELayerParams, _gate_logits, expert_ffn
 
 __all__ = [
     "DistributedMoEOutput",
     "shard_experts",
+    "route_and_encode",
     "distributed_moe_forward",
 ]
 
@@ -69,6 +70,29 @@ def shard_experts(params: ExpertParams, world_size: int) -> list[ExpertParams]:
     return shards
 
 
+def route_and_encode(rank_inputs: list[np.ndarray], params: MoELayerParams,
+                     cfg: MoEConfig
+                     ) -> tuple[list[RoutingCriteria], list[np.ndarray],
+                                float]:
+    """Per-rank front-end of every multi-rank forward: gate each rank's
+    tokens with the shared gate, route them into the fixed per-rank
+    capacity ``cfg.capacity_per_gpu`` and sparse-encode the
+    ``(E, dC, M)`` dispatch buffers.  Returns the per-rank criteria and
+    buffers and the rank-mean auxiliary loss."""
+    if len(rank_inputs) != cfg.world_size:
+        raise ValueError(
+            f"expected {cfg.world_size} rank inputs, got {len(rank_inputs)}")
+    crits, buffers, aux_losses = [], [], []
+    for x in rank_inputs:
+        crit, l_aux, _ = route(softmax(_gate_logits(x, params)), cfg.top_k,
+                               cfg.capacity_per_gpu, params.normalize_gate,
+                               params.batch_prioritized)
+        crits.append(crit)
+        buffers.append(fast_encode(x, crit))
+        aux_losses.append(l_aux)
+    return crits, buffers, float(np.mean(aux_losses))
+
+
 def distributed_moe_forward(rank_inputs: list[np.ndarray],
                             params: MoELayerParams,
                             cfg: MoEConfig,
@@ -89,9 +113,6 @@ def distributed_moe_forward(rank_inputs: list[np.ndarray],
         All-to-All layout (Fairseq/DeepSpeed).
     """
     w = cfg.world_size
-    if len(rank_inputs) != w:
-        raise ValueError(
-            f"expected {w} rank inputs, got {len(rank_inputs)}")
     e = params.experts.num_experts
     if e != cfg.num_global_experts:
         raise ValueError(
@@ -108,20 +129,8 @@ def distributed_moe_forward(rank_inputs: list[np.ndarray],
             "resolve the adaptive policy before dispatch")
     cap = cfg.capacity_per_gpu
 
-    crits = []
-    dispatch_inputs = []
-    aux_losses = []
-    dropped = []
-    for x in rank_inputs:
-        logits = _gate_logits(x, params)
-        probs = softmax(logits)
-        crit = top_k_routing(probs, cfg.top_k, cap,
-                             normalize_gate=params.normalize_gate,
-                             batch_prioritized=params.batch_prioritized)
-        crits.append(crit)
-        dispatch_inputs.append(fast_encode(x, crit))     # (E, dC, M)
-        aux_losses.append(load_balance_loss(probs, crit.idxs))
-        dropped.append(crit.dropped_fraction())
+    crits, dispatch_inputs, l_aux = route_and_encode(rank_inputs, params,
+                                                     cfg)
 
     local_experts = shard_experts(params.experts, w)
 
@@ -160,5 +169,6 @@ def distributed_moe_forward(rank_inputs: list[np.ndarray],
     outputs = [fast_decode(combined[r], crits[r]) for r in range(w)]
     return DistributedMoEOutput(
         outputs=outputs,
-        l_aux=float(np.mean(aux_losses)),
-        dropped_fraction=float(np.mean(dropped)))
+        l_aux=l_aux,
+        dropped_fraction=float(np.mean([crit.dropped_fraction()
+                                        for crit in crits])))

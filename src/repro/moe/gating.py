@@ -19,14 +19,20 @@ Everything is dtype-preserving vectorized NumPy; tokens are rows of an
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+from repro.moe.capacity import CapacityPolicy, resolve_capacity
 
 __all__ = [
     "softmax",
     "linear_gate_logits",
     "cosine_gate_logits",
     "RoutingCriteria",
+    "Routing",
+    "select_top_k",
+    "route",
     "top_k_routing",
     "load_balance_loss",
     "compute_locations",
@@ -264,10 +270,31 @@ def compute_locations_reference(idxs: np.ndarray, num_experts: int,
     return locations
 
 
-def top_k_routing(gate_probs: np.ndarray, top_k: int, capacity: int,
-                  normalize_gate: bool = True,
-                  batch_prioritized: bool = False) -> RoutingCriteria:
-    """Route each token to its ``top_k`` experts under a capacity limit.
+def select_top_k(probs: np.ndarray, k: int) -> np.ndarray:
+    """``(T, k)`` expert indices: column ``j`` is each token's ``j``-th
+    best expert, ties going to the lower expert index.
+
+    The one top-k selection in ``src/repro`` (pinned by
+    ``tests/test_lint.py``).
+    """
+    return np.argsort(-probs, axis=1, kind="stable")[:, :k]
+
+
+class Routing(NamedTuple):
+    """What :func:`route` decides for one batch (paper Figure 8's
+    ``crit, l_aux`` plus the capacity factor Figure 16 settled on)."""
+
+    crit: RoutingCriteria
+    l_aux: float
+    # None when the caller fixed ``dC``: no factor was resolved.
+    effective_capacity_factor: float | None
+
+
+def route(gate_probs: np.ndarray, top_k: int,
+          capacity: int | CapacityPolicy, normalize_gate: bool = True,
+          batch_prioritized: bool = False) -> Routing:
+    """The routing decision: top-k selection, capacity, queue
+    positions, gate values and the auxiliary loss, from one sort.
 
     Parameters
     ----------
@@ -276,8 +303,11 @@ def top_k_routing(gate_probs: np.ndarray, top_k: int, capacity: int,
     top_k:
         Fan-out ``k``; any value in ``[1, E]`` ("top-ANY", Section 4.1).
     capacity:
-        Capacity ``dC`` per expert; tokens whose queue position reaches
-        it are dropped (their slot is marked invalid).
+        Either a fixed ``dC`` per expert (the multi-rank forwards, whose
+        buffers are sized before routing) or a :class:`CapacityPolicy`
+        resolved against this batch's own selection (Figure 16).
+        Tokens whose queue position reaches ``dC`` are dropped (their
+        slot is marked invalid).
     normalize_gate:
         Renormalize the selected slots' probabilities to sum to one per
         token, as GShard does for k > 1.
@@ -290,14 +320,18 @@ def top_k_routing(gate_probs: np.ndarray, top_k: int, capacity: int,
     t, e = gate_probs.shape
     if not 1 <= top_k <= e:
         raise ValueError(f"top_k must be in [1, {e}], got {top_k}")
-    if capacity < 1:
-        raise ValueError(f"capacity must be >= 1, got {capacity}")
 
     # Slot j holds each token's j-th best expert.
-    top_idxs = np.argsort(-gate_probs, axis=1, kind="stable")[:, :top_k]
+    top_idxs = select_top_k(gate_probs, top_k)
     idxs = top_idxs.T.copy()                                   # (k, T)
-    gates = np.take_along_axis(gate_probs, top_idxs, axis=1).T.copy()
+    effective_f = None
+    if isinstance(capacity, CapacityPolicy):
+        capacity, effective_f = resolve_capacity(capacity, idxs, e,
+                                                 tokens=t, top_k=top_k)
+    elif capacity < 1:
+        raise ValueError(f"capacity must be >= 1, got {capacity}")
 
+    gates = np.take_along_axis(gate_probs, top_idxs, axis=1).T.copy()
     if normalize_gate:
         denom = np.maximum(gates.sum(axis=0, keepdims=True), 1e-12)
         gates = gates / denom
@@ -309,7 +343,15 @@ def top_k_routing(gate_probs: np.ndarray, top_k: int, capacity: int,
                            capacity=capacity, num_experts=e)
     # Zero the gates of dropped slots so decode ignores them.
     crit.gates = np.where(crit.valid, crit.gates, 0.0)
-    return crit
+    return Routing(crit, load_balance_loss(gate_probs, idxs), effective_f)
+
+
+def top_k_routing(gate_probs: np.ndarray, top_k: int, capacity: int,
+                  normalize_gate: bool = True,
+                  batch_prioritized: bool = False) -> RoutingCriteria:
+    """The fixed-capacity view of :func:`route`: just the ``crit``."""
+    return route(gate_probs, top_k, capacity, normalize_gate,
+                 batch_prioritized).crit
 
 
 def load_balance_loss(gate_probs: np.ndarray,

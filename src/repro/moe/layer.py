@@ -13,16 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.moe.capacity import CapacityPolicy, resolve_capacity
+from repro.moe.capacity import CapacityPolicy
 from repro.moe.encode import dense_decode, dense_encode, fast_decode, fast_encode
 from repro.moe.ffn import act_forward
 from repro.moe.gating import (
     RoutingCriteria,
     cosine_gate_logits,
     linear_gate_logits,
-    load_balance_loss,
+    route,
     softmax,
-    top_k_routing,
 )
 from repro.moe.metrics import routing_stats
 from repro.obs import CAT_MOE, get_observer
@@ -185,18 +184,9 @@ def moe_layer_forward(x: np.ndarray, params: MoELayerParams,
     policy = capacity if capacity is not None else params.capacity
 
     with _span("gate", CAT_MOE):
-        logits = _gate_logits(x, params)
-        probs = softmax(logits)
-        # Pre-routing pass at unlimited capacity to discover the needed
-        # queue lengths, then the policy decides the actual capacity.
-        idxs_probe = np.argsort(-probs, axis=1, kind="stable")[:, :k].T
-        cap, eff_f = resolve_capacity(policy, idxs_probe,
-                                      params.experts.num_experts,
-                                      tokens=x.shape[0], top_k=k)
-        crit = top_k_routing(probs, k, cap,
-                             normalize_gate=params.normalize_gate,
-                             batch_prioritized=params.batch_prioritized)
-        l_aux = load_balance_loss(probs, crit.idxs)
+        probs = softmax(_gate_logits(x, params))
+        crit, l_aux, eff_f = route(probs, k, policy, params.normalize_gate,
+                                   params.batch_prioritized)
 
     encode = fast_encode if params.use_fast_encode else dense_encode
     decode = fast_decode if params.use_fast_encode else dense_decode

@@ -21,7 +21,7 @@ from repro.autograd.moe_ops import (
 )
 from repro.autograd.tensor import Tensor
 from repro.moe.capacity import CapacityPolicy, resolve_capacity
-from repro.moe.gating import RoutingCriteria, compute_locations
+from repro.moe.gating import RoutingCriteria, compute_locations, select_top_k
 from repro.moe.metrics import routing_stats
 from repro.moe.metrics import RoutingStats
 from repro.nn.modules import Linear, Module
@@ -193,7 +193,7 @@ class MoE(Module):
             probs = softmax(logits, axis=1)
 
             # Discrete routing decisions (outside the tape).
-            order = np.argsort(-probs.data, axis=1, kind="stable")[:, :k]
+            order = select_top_k(probs.data, k)
             idxs = order.T.copy()
             cap, eff_f = resolve_capacity(policy, idxs, self.num_experts,
                                           tokens=t, top_k=k)

@@ -31,15 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import MoEConfig
-from repro.moe.encode import fast_decode, fast_encode
+from repro.moe.distributed import route_and_encode
+from repro.moe.encode import fast_decode
 from repro.moe.ffn import act_forward
-from repro.moe.gating import RoutingCriteria, softmax, top_k_routing
-from repro.moe.layer import (
-    ExpertParams,
-    MoELayerParams,
-    _gate_logits,
-    expert_ffn,
-)
+from repro.moe.layer import ExpertParams, MoELayerParams, expert_ffn
 
 __all__ = [
     "ShardedExpert",
@@ -103,10 +98,11 @@ def shard_expert_columns(experts: ExpertParams, expert: int,
 def slice_expert_zero(experts: ExpertParams, expert: int,
                       shards: int) -> list[dict[str, np.ndarray]]:
     """ZeRO-style flat parameter slices of one expert (P1 placement)."""
-    flat = np.concatenate([
-        experts.w1[expert].ravel(), experts.w2[expert].ravel(),
-        np.array([]) if experts.b1 is None else experts.b1[expert],
-        np.array([]) if experts.b2 is None else experts.b2[expert]])
+    # An absent bias contributes nothing (an empty float64 placeholder
+    # would promote float32 weights).
+    flat = np.concatenate(
+        [experts.w1[expert].ravel(), experts.w2[expert].ravel()]
+        + [b[expert] for b in (experts.b1, experts.b2) if b is not None])
     pieces = np.array_split(flat, shards)
     return [{"slice": p} for p in pieces]
 
@@ -130,24 +126,6 @@ def gather_zero_slices(slices: list[dict[str, np.ndarray]],
     return ExpertParams(w1=w1[None], w2=w2[None],
                         b1=None if b1 is None else b1[None],
                         b2=None if b2 is None else b2[None])
-
-
-# ----------------------------------------------------------------------
-# Shared routing front-end
-# ----------------------------------------------------------------------
-
-def _route_and_encode(rank_inputs: list[np.ndarray],
-                      params: MoELayerParams, cfg: MoEConfig
-                      ) -> tuple[list[RoutingCriteria], list[np.ndarray]]:
-    crits, buffers = [], []
-    for x in rank_inputs:
-        probs = softmax(_gate_logits(x, params))
-        crit = top_k_routing(probs, cfg.top_k, cfg.capacity_per_gpu,
-                             normalize_gate=params.normalize_gate,
-                             batch_prioritized=params.batch_prioritized)
-        crits.append(crit)
-        buffers.append(fast_encode(x, crit))       # (E, dC, M)
-    return crits, buffers
 
 
 def _check_p_config(params: MoELayerParams, cfg: MoEConfig) -> int:
@@ -174,10 +152,7 @@ def p2_forward(rank_inputs: list[np.ndarray], params: MoELayerParams,
     r = _check_p_config(params, cfg)
     w = cfg.world_size
     e = params.experts.num_experts
-    if len(rank_inputs) != w:
-        raise ValueError(f"expected {w} rank inputs, got "
-                         f"{len(rank_inputs)}")
-    crits, buffers = _route_and_encode(rank_inputs, params, cfg)
+    crits, buffers, _ = route_and_encode(rank_inputs, params, cfg)
 
     # Local repeat + dispatch All-to-All: server rank (e0, j) receives
     # the same expert-e0 capacity slice from every source.
@@ -224,7 +199,7 @@ def p1_forward(rank_inputs: list[np.ndarray], params: MoELayerParams,
             f"P1 requires the per-GPU capacity dC={dc} divisible by "
             f"the replica count r={r}")
     sub = dc // r
-    crits, buffers = _route_and_encode(rank_inputs, params, cfg)
+    crits, buffers, _ = route_and_encode(rank_inputs, params, cfg)
 
     outputs_parts: dict[tuple[int, int], np.ndarray] = {}
     for e0 in range(e):

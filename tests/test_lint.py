@@ -4,6 +4,8 @@
   imports a name it does not use.
 * ``nn/moe.py`` stays plain compute: no function-local import and no
   observer lookup — layers leave a record, loops publish it.
+* One routing decision: ``select_top_k`` holds the only top-k sort and
+  only ``route`` and ``nn/moe.py`` (DESIGN §15) resolve a capacity.
 * The option surface: the ``REPRO_*`` environment variables read and
   the CLI's argument count.  A change that adds a knob edits the pin
   in the same diff, where a reviewer sees it.
@@ -99,3 +101,39 @@ def test_option_surface_is_pinned():
     assert read == {"REPRO_BENCH_DIR", "REPRO_DTYPE", "REPRO_EXPERT_WORKERS",
                     "REPRO_RUNS_DIR", "REPRO_SCALE", "REPRO_TRACE"}
     assert (SRC / "cli.py").read_text().count("add_argument(") <= 64
+
+
+def top_k_sorts(tree: ast.AST) -> list[str]:
+    """Functions calling ``argsort`` on a negated operand along axis 1."""
+    return [fn.name for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for call in ast.walk(fn)
+            if isinstance(call, ast.Call)
+            and getattr(call.func, "attr", None) == "argsort"
+            and call.args and isinstance(call.args[0], ast.UnaryOp)
+            and isinstance(call.args[0].op, ast.USub)
+            and any(kw.arg == "axis" and ast.unparse(kw.value) == "1"
+                    for kw in call.keywords)]
+
+
+def test_one_routing_decision():
+    assert top_k_sorts(ast.parse(
+        "def probe(p, k):\n"
+        "    return np.argsort(-p, axis=1, kind='stable')[:, :k]\n"
+        "def queue(q):\n    return np.argsort(-q, kind='stable')\n"
+    )) == ["probe"]
+    sorts, resolvers = {}, []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        name = str(path.relative_to(SRC))
+        if found := top_k_sorts(tree):
+            sorts[name] = found
+        if any(alias.name == "resolve_capacity" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for alias in node.names):
+            resolvers.append(name)
+    # A new entry here is a hand-composed router: call
+    # repro.moe.gating.route instead.
+    assert sorts == {"moe/gating.py": ["select_top_k"]}
+    assert resolvers == ["moe/gating.py", "nn/moe.py"]

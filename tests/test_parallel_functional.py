@@ -6,12 +6,15 @@ and produce the same numbers.  These tests assert elementwise
 equality between P1, P2 and the single-process reference.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.config import MoEConfig
 from repro.moe.capacity import CapacityPolicy
-from repro.moe.layer import MoELayerParams, moe_layer_forward
+from repro.moe.distributed import distributed_moe_forward
+from repro.moe.layer import ExpertParams, MoELayerParams, moe_layer_forward
 from repro.parallel.functional import (
     gather_zero_slices,
     p1_forward,
@@ -85,6 +88,33 @@ class TestSwitchingEquivalence:
             np.testing.assert_allclose(p2[r], ref[r], atol=1e-12)
             np.testing.assert_allclose(p1[r], p2[r], atol=1e-12)
 
+    def test_float32_without_biases(self):
+        # An absent bias used to enter the ZeRO slice as an empty
+        # float64 array, so P1 gathered (and computed) a float64 expert
+        # where P2 and the single-rank layer stay float32.
+        cfg, params, xs = build()
+        experts = ExpertParams(w1=params.experts.w1.astype(np.float32),
+                               w2=params.experts.w2.astype(np.float32))
+        full = gather_zero_slices(slice_expert_zero(experts, 1, 4),
+                                  experts, 1)
+        assert full.w1.dtype == full.w2.dtype == np.float32
+        assert full.b1 is None and full.b2 is None
+        np.testing.assert_array_equal(full.w1[0], experts.w1[1])
+
+        params = replace(
+            params, experts=experts,
+            gate_weight=params.gate_weight.astype(np.float32))
+        xs = [x.astype(np.float32) for x in xs]
+        p1 = p1_forward(xs, params, cfg)
+        p2 = p2_forward(xs, params, cfg)
+        for r, x in enumerate(xs):
+            ref = moe_layer_forward(
+                x, params, capacity=CapacityPolicy(cfg.capacity_factor))
+            assert p1[r].dtype == p2[r].dtype == ref.output.dtype \
+                == np.float32
+            np.testing.assert_allclose(p1[r], p2[r], atol=1e-5)
+            np.testing.assert_allclose(p1[r], ref.output, atol=1e-5)
+
     def test_relu_activation_path(self):
         cfg, params, xs = build(activation="relu")
         p1 = p1_forward(xs, params, cfg)
@@ -112,6 +142,17 @@ class TestSwitchingEquivalence:
         cfg, params, xs = build()
         with pytest.raises(ValueError):
             p2_forward(xs[:-1], params, cfg)
+
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_every_forward_rejects_a_wrong_rank_count_alike(self, count):
+        # W = E = 4 is legal for all three; P1 used to drop the fifth
+        # input silently and die with an IndexError on three.
+        cfg, params, xs = build(world=4, experts=4)
+        inputs = (xs + xs)[:count]
+        for forward in (distributed_moe_forward, p1_forward, p2_forward):
+            with pytest.raises(ValueError,
+                               match=f"expected 4 rank inputs, got {count}"):
+                forward(inputs, params, cfg)
 
     def test_rejects_expert_mismatch(self):
         cfg, params, xs = build()

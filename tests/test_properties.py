@@ -6,9 +6,13 @@ dispatch/combine pipeline, linearity of the collectives, and cost-model
 sanity under arbitrary valid configurations.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.api import moe, net
+from repro.baselines import fairseq_moe_forward
 from repro.cluster.topology import ndv4_topology
 from repro.collectives.functional import (
     all_to_all_2dh,
@@ -22,10 +26,28 @@ from repro.collectives.schedule import (
     twodh_a2a_time,
 )
 from repro.core.config import MoEConfig
-from repro.moe.capacity import needed_capacity_factor
+from repro.moe.capacity import (
+    CapacityPolicy,
+    needed_capacity_factor,
+    resolve_capacity,
+)
+from repro.moe.distributed import distributed_moe_forward
 from repro.moe.encode import fast_decode, fast_encode
-from repro.moe.gating import compute_locations, softmax, top_k_routing
+from repro.moe.gating import (
+    compute_locations,
+    load_balance_loss,
+    route,
+    softmax,
+    top_k_routing,
+)
+from repro.moe.layer import (
+    ExpertParams,
+    MoELayerParams,
+    expert_ffn,
+    moe_layer_forward,
+)
 from repro.moe.metrics import routing_stats
+from repro.parallel.functional import p1_forward, p2_forward
 
 
 def routing_case(t, e, k, cap, seed):
@@ -171,6 +193,144 @@ class TestLocationInvariants:
                              batch_prioritized=bpr)
         assert routing_stats(crit, probs).needed_capacity_factor \
             == needed_capacity_factor(crit.idxs, e, t)
+
+
+@dataclass
+class HostileRouting:
+    """One adversarial MoE problem: ``W = E * r`` ranks of ``T`` tokens
+    and a layer in ``dtype``; ``f`` is the Figure 16 setting under
+    test, ``no_drop_f`` a factor whose ``dC = k * r * T`` drops nothing
+    and divides by ``r`` (what P1 needs)."""
+
+    params: MoELayerParams
+    xs: list[np.ndarray]
+    replicas: int
+    f: float
+
+    @property
+    def no_drop_f(self) -> float:
+        return float(self.params.experts.num_experts * self.replicas)
+
+    def probs(self) -> np.ndarray:
+        return softmax(self.xs[0] @ self.params.gate_weight)
+
+    def cfg(self, world: int) -> MoEConfig:
+        e, m, v = self.params.experts.w1.shape
+        return MoEConfig(world_size=world, experts_per_gpu=e / world,
+                         model_dim=m, hidden_dim=v,
+                         tokens_per_gpu=self.xs[0].shape[0],
+                         top_k=self.params.top_k,
+                         capacity_factor=self.no_drop_f)
+
+
+@st.composite
+def hostile_routing(draw) -> HostileRouting:
+    """T = 1, k = E, capacity 1 (``f`` tiny), every token to one expert,
+    BPR and gate normalisation on/off, both float widths, and all three
+    signs of ``f``."""
+    e = draw(st.integers(1, 4))
+    r = draw(st.sampled_from([1, 2]))
+    t = draw(st.sampled_from([1, 1, 2, 5]))
+    k = draw(st.sampled_from([1, e]) | st.integers(1, e))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    m, v = 6, 4
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    gate = rng.normal(size=(m, e))
+    xs = [rng.normal(size=(t, m)) for _ in range(e * r)]
+    if draw(st.booleans()):
+        # A dominant logit column: feature 0 is constant and one
+        # expert's weight on it dwarfs the rest, so every token of
+        # every rank ranks that expert first.
+        gate[0, draw(st.integers(0, e - 1))] += 30.0
+        for x in xs:
+            x[:, 0] = 1.0
+    params = MoELayerParams(
+        experts=ExpertParams(
+            w1=rng.normal(size=(e, m, v)).astype(dtype),
+            w2=rng.normal(size=(e, v, m)).astype(dtype),
+            b1=rng.normal(size=(e, v)).astype(dtype),
+            b2=rng.normal(size=(e, m)).astype(dtype)),
+        gate_weight=gate.astype(dtype), top_k=k,
+        normalize_gate=draw(st.booleans()),
+        batch_prioritized=draw(st.booleans()))
+    f = draw(st.sampled_from([1e-3, 0.5, 1.0, 4.0, 0.0, -0.25, -8.0]))
+    return HostileRouting(params, [x.astype(dtype) for x in xs], r, f)
+
+
+class TestOneRoutingDecision:
+    """ROADMAP 7a, first slice: :func:`route` against the composition
+    it replaced, and every array-level forward against every other."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=hostile_routing())
+    def test_route_is_the_old_composition(self, case):
+        probs, p = case.probs(), case.params
+        t, e = probs.shape
+        probe = np.argsort(-probs, axis=1, kind="stable")[:, :p.top_k].T
+        cap, f = resolve_capacity(CapacityPolicy(case.f), probe, e,
+                                  tokens=t, top_k=p.top_k)
+        old = top_k_routing(probs, p.top_k, cap, p.normalize_gate,
+                            p.batch_prioritized)
+        crit, l_aux, eff_f = route(probs, p.top_k, CapacityPolicy(case.f),
+                                   p.normalize_gate, p.batch_prioritized)
+        for field in ("idxs", "locations", "gates"):
+            new = getattr(crit, field)
+            assert new.dtype == getattr(old, field).dtype
+            np.testing.assert_array_equal(new, getattr(old, field))
+        assert crit.gates.dtype == probs.dtype
+        assert (crit.capacity, crit.num_experts, eff_f) == (cap, e, f)
+        assert l_aux == load_balance_loss(probs, probe)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=hostile_routing())
+    def test_every_forward_agrees_when_nothing_drops(self, case):
+        p, xs = case.params, case.xs
+        e, dtype = p.experts.num_experts, xs[0].dtype
+        tol = 1e-10 if dtype == np.float64 else 1e-4
+        policy = CapacityPolicy(case.no_drop_f)
+
+        def figure8(x):
+            scores = moe.softmax(x @ p.gate_weight)
+            crit, l_aux = moe.top_k_routing(
+                scores, p.top_k, capacity_factor=case.no_drop_f,
+                normalize_gate=p.normalize_gate,
+                batch_prioritized=p.batch_prioritized)
+            y = moe.fast_encode(x, crit)
+            y = net.flex_all2all(y, 1, 0)
+            y = expert_ffn(y, p.experts)
+            y = net.flex_all2all(y, 0, 1)
+            return moe.fast_decode(y, crit), l_aux
+
+        refs = [moe_layer_forward(x, p, capacity=policy) for x in xs]
+        assert all(ref.dropped_fraction == 0.0 for ref in refs)
+        # One expert per rank over the first E ranks; P1/P2 take all
+        # W = E * r.
+        cfg_d, cfg_p = case.cfg(e), case.cfg(len(xs))
+        flex = distributed_moe_forward(xs[:e], p, cfg_d)
+        raw = distributed_moe_forward(xs[:e], p, cfg_d, flexible=False)
+        per_rank = {"p1": p1_forward(xs, p, cfg_p),
+                    "p2": p2_forward(xs, p, cfg_p),
+                    "flexible": flex.outputs, "raw": raw.outputs}
+        for rank, (x, ref) in enumerate(zip(xs, refs)):
+            adaptive = moe_layer_forward(x, p, capacity=CapacityPolicy(0.0))
+            fairseq = fairseq_moe_forward(x, p,
+                                          capacity_factor=case.no_drop_f)
+            snippet, snippet_aux = figure8(x)
+            outputs = {"adaptive": adaptive.output,
+                       "fairseq": fairseq.output, "figure8": snippet}
+            outputs.update({name: outs[rank]
+                            for name, outs in per_rank.items()
+                            if rank < len(outs)})
+            for name, out in outputs.items():
+                assert out.dtype == dtype, name
+                np.testing.assert_allclose(out, ref.output, rtol=tol,
+                                           atol=tol, err_msg=name)
+            assert ref.l_aux == adaptive.l_aux == fairseq.l_aux \
+                == snippet_aux
+        for dist in (flex, raw):
+            assert dist.dropped_fraction == 0.0
+            assert dist.l_aux == float(np.mean(
+                [ref.l_aux for ref in refs[:e]]))
 
 
 class TestConfigCostSanity:
