@@ -11,10 +11,11 @@ Run:  python examples/pipeline_timeline.py
 
 from pathlib import Path
 
-from repro.cluster import ndv4_topology, save_chrome_trace
+from repro.cluster import ndv4_topology
 from repro.cluster.simulator import simulate
 from repro.collectives import A2AAlgorithm
 from repro.core import MoEConfig
+from repro.obs import TraceRecorder
 from repro.pipeline import PipelineStrategy, build_pipeline_schedule
 
 
@@ -51,8 +52,10 @@ def main():
         print(f"degree {degree} (2DH): makespan "
               f"{result.makespan * 1e3:.2f} ms")
         print(text_gantt(result))
-        path = save_chrome_trace(result,
-                                 out_dir / f"pipeline_deg{degree}.json")
+        path = out_dir / f"pipeline_deg{degree}.json"
+        recorder = TraceRecorder()
+        recorder.extend(result.trace_events())
+        recorder.dump_chrome_trace(path)
         print(f"  trace written to {path}\n")
 
     print("'=' = All-to-All on the comm stream, '#' = expert compute; "

@@ -26,8 +26,9 @@ bench a structured record:
   (``benchmarks/baselines/*.json``), failing on regressions, missing
   metrics, and fingerprint drift.
 
-Measured (wall-clock) metrics are recorded but skipped by the gate by
-default — CI machines are too noisy to gate on real time.
+Measured (wall-clock) metrics are recorded in the emitted results but
+never stored in a baseline or compared — CI machines are too noisy to
+gate on real time; ``benchmarks/perf`` owns wall-clock.
 """
 
 from __future__ import annotations
@@ -381,8 +382,8 @@ class Comparison:
     ``status`` is one of ``ok`` / ``improved`` / ``regressed`` /
     ``missing`` (baseline metric absent from the current run) /
     ``fingerprint-mismatch`` (bench config changed — baseline stale) /
-    ``skipped`` (measured-kind metric, or scale mismatch) / ``new``
-    (current metric without a baseline; informational only).
+    ``skipped`` (scale mismatch) / ``new`` (current model metric
+    without a baseline; informational only).
     """
 
     artifact: str
@@ -423,9 +424,9 @@ def _judge(baseline: Metric, current: Metric) -> str:
 
 
 def compare(current: Mapping[str, BenchResult],
-            baselines: Mapping[str, BenchResult],
-            include_measured: bool = False) -> list[Comparison]:
-    """Per-metric comparison of a result set against its baselines."""
+            baselines: Mapping[str, BenchResult]) -> list[Comparison]:
+    """Per-metric comparison of a result set against its baselines;
+    ``kind="measured"`` metrics are ignored on both sides."""
     comparisons: list[Comparison] = []
     for artifact in sorted(baselines):
         base = baselines[artifact]
@@ -448,7 +449,8 @@ def compare(current: Mapping[str, BenchResult],
                      "with 'repro report --write-baselines'"))
             continue
         current_names = {m.name for m in cur.metrics}
-        for bm in base.metrics:
+        gated = [bm for bm in base.metrics if bm.kind != "measured"]
+        for bm in gated:
             if bm.name not in current_names:
                 comparisons.append(Comparison(
                     artifact, bm.name, "missing", baseline=bm.value,
@@ -456,18 +458,13 @@ def compare(current: Mapping[str, BenchResult],
                     note="baseline metric absent from current run"))
                 continue
             cm = cur.metric(bm.name)
-            if bm.kind == "measured" and not include_measured:
-                comparisons.append(Comparison(
-                    artifact, bm.name, "skipped", baseline=bm.value,
-                    current=cm.value, tolerance=bm.tolerance,
-                    note="measured (wall-clock) metric"))
-                continue
             comparisons.append(Comparison(
                 artifact, bm.name, _judge(bm, cm),
                 baseline=bm.value, current=cm.value,
                 tolerance=bm.tolerance))
         for cm in cur.metrics:
-            if all(bm.name != cm.name for bm in base.metrics):
+            if cm.kind != "measured" and all(bm.name != cm.name
+                                             for bm in gated):
                 comparisons.append(Comparison(
                     artifact, cm.name, "new", current=cm.value,
                     note="no baseline yet"))
@@ -501,6 +498,10 @@ def has_failures(comparisons: list[Comparison]) -> bool:
 
 def write_baselines(results: Mapping[str, BenchResult],
                     directory: str | Path) -> list[Path]:
-    """Persist a result set as the committed baselines."""
-    return [results[artifact].write(directory)
-            for artifact in sorted(results)]
+    """Persist a result set's model metrics as the committed baselines
+    (the gate stores only what it gates; an artifact with nothing but
+    measured metrics gets no file)."""
+    gated = {artifact: [m for m in result.metrics if m.kind != "measured"]
+             for artifact, result in results.items()}
+    return [replace(results[artifact], metrics=metrics).write(directory)
+            for artifact, metrics in sorted(gated.items()) if metrics]

@@ -172,21 +172,23 @@ def _cmd_info(args) -> None:
 def _cmd_analyze(args) -> None:
     """Critical-path / attribution analysis (``repro analyze``).
 
-    ``target`` is either a Chrome-trace JSON written by
-    :func:`repro.cluster.trace.save_chrome_trace` (re-attributed after
-    the fact) or the keyword ``fig22``, which rebuilds the paper's
-    pipelining segment at ``--world``/``--factor`` and contrasts the
-    unpipelined baseline against the adaptive oracle strategy.
+    ``target`` is either a Chrome-trace JSON holding simulator op
+    events (``--trace`` here, or any observer-written trace: the last
+    simulation recorded is re-attributed after the fact) or the
+    keyword ``fig22``, which rebuilds the paper's pipelining segment at
+    ``--world``/``--factor`` and contrasts the unpipelined baseline
+    against the adaptive oracle strategy.
     """
-    from repro.cluster.simulator import simulate
-    from repro.cluster.trace import load_sim_trace, save_chrome_trace
-    from repro.obs import analysis
+    from repro.cluster.simulator import SimResult, simulate
+    from repro.obs import TraceRecorder, analysis
 
     target, world, factor = args.target, args.world, args.factor
 
     def save_flagged(result, report) -> None:
         if args.trace:
-            save_chrome_trace(result, args.trace, critical=report.critical)
+            recorder = TraceRecorder()
+            recorder.extend(result.trace_events(report.critical))
+            recorder.dump_chrome_trace(args.trace)
             print(f"[analyze] wrote critical-path-flagged trace to "
                   f"{args.trace}")
 
@@ -195,7 +197,8 @@ def _cmd_analyze(args) -> None:
             raise SystemExit(
                 f"analyze target must be 'fig22' or a trace JSON file, "
                 f"got {target!r}")
-        result, schedule = load_sim_trace(target)
+        result, schedule = SimResult.from_trace_events(
+            TraceRecorder.load_chrome_trace(target).events)
         report = analysis.analyze(result, schedule)
         print(f"== analysis of {target} ==")
         print(report.render())
@@ -269,8 +272,7 @@ def _cmd_regress(args) -> int:
     if not current:
         raise SystemExit(f"no BENCH_*.json files in {args.bench_dir} "
                          "(run benches with REPRO_BENCH_DIR set)")
-    comparisons = bench_report.compare(
-        current, baselines, include_measured=args.include_measured)
+    comparisons = bench_report.compare(current, baselines)
     print(bench_report.render_comparisons(comparisons))
     return 1 if bench_report.has_failures(comparisons) else 0
 
@@ -377,9 +379,6 @@ def _cmd_obs(args) -> None:
         print(f"[obs] wrote {len(ob.recorder.events)} trace events to "
               f"{args.trace} (open in chrome://tracing or "
               "https://ui.perfetto.dev)")
-        if args.jsonl:
-            ob.recorder.dump_jsonl(args.jsonl)
-            print(f"[obs] wrote JSONL events to {args.jsonl}")
         if args.metrics_json:
             import json
             Path(args.metrics_json).write_text(
@@ -999,8 +998,6 @@ def main(argv: list[str] | None = None) -> int:
     obs_cmd.set_defaults(func=_cmd_obs)
     obs_cmd.add_argument("--trace", default="repro-trace.json",
                          help="Chrome-trace JSON output path")
-    obs_cmd.add_argument("--jsonl", default=None,
-                         help="also dump raw events as JSONL")
     obs_cmd.add_argument("--steps", type=int, default=8,
                          help="training steps to record")
     obs_cmd.add_argument("--metrics-json", default=None,
@@ -1014,7 +1011,8 @@ def main(argv: list[str] | None = None) -> int:
         help="critical-path + attribution analysis of a schedule/trace")
     analyze_cmd.set_defaults(func=_cmd_analyze)
     analyze_cmd.add_argument(
-        "target", help="'fig22' or a trace JSON from save_chrome_trace")
+        "target", help="'fig22' or a Chrome-trace JSON with simulator "
+                       "events (analyze --trace, REPRO_TRACE, ...)")
     analyze_cmd.add_argument("--world", type=int, default=64,
                              help="world size for the fig22 segment")
     analyze_cmd.add_argument("--factor", type=float, default=4.0,
@@ -1044,9 +1042,6 @@ def main(argv: list[str] | None = None) -> int:
     regress_cmd.add_argument("--baselines", default=None,
                              help="baseline directory (default: "
                                   "benchmarks/baselines)")
-    regress_cmd.add_argument("--include-measured", action="store_true",
-                             help="also gate on wall-clock metrics "
-                                  "(noisy; off by default)")
     scenario_cmd = sub.add_parser(
         "scenario",
         help="seeded chaos scenarios with pass/fail SLO gates")

@@ -20,7 +20,6 @@ from repro.cluster.simulator import (
     SimResult,
     simulate,
 )
-from repro.cluster.trace import save_chrome_trace, to_chrome_trace
 from repro.cluster.topology import (
     ClusterTopology,
     GpuSpec,
@@ -51,6 +50,4 @@ __all__ = [
     "LinkSpec",
     "ndv4_topology",
     "nvswitch256_topology",
-    "save_chrome_trace",
-    "to_chrome_trace",
 ]

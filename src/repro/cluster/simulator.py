@@ -32,9 +32,16 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from repro.obs import CAT_FAULT, CAT_SIM, Observer, get_observer
+from repro.obs import (
+    CAT_CRITICAL,
+    CAT_FAULT,
+    CAT_SIM,
+    Observer,
+    TraceEvent,
+    get_observer,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.resilience.faults import FaultPlan
@@ -162,26 +169,104 @@ class SimResult:
     retries: dict[Op, int] = field(default_factory=dict)
     faults_injected: int = 0
     faults_recovered: int = 0
+    _uid: int = field(default_factory=itertools.count().__next__,
+                      repr=False, compare=False)
 
     def span(self, op: Op) -> tuple[float, float]:
         return self.spans[op]
 
-    def record_trace(self, ob: Observer, prefix: str = "sim") -> None:
-        """Emit every op span onto the observer's simulated-clock
-        tracks (``{prefix}/gpu{g}/{stream}``) — the simulator half of
-        the unified timeline.  Timestamps are simulated seconds, so
-        they share the recorder's second-based schema with wall-clock
-        spans.
+    def trace_events(self, critical: Sequence[Op] = ()
+                     ) -> Iterator[TraceEvent]:
+        """The simulator's one trace feed: one event per op on track
+        ``sim/gpu{g}/{stream}``, in start order (ties in completion
+        order, which is each stream's FIFO order); zero-duration ops
+        (barriers) are instants so they stay visible.
+
+        ``args`` carries what :meth:`from_trace_events` rebuilds the
+        DAG from — ``uid``, ``deps``, ``kind``, ``work``, ``latency``,
+        the exact ``span`` in seconds (the file's microsecond
+        ``ts``/``dur`` round by an ulp, enough to reorder ops that
+        start or end together) and ``sim``, which tells this
+        simulation's ops from another's in the same recorder.  Ops in
+        ``critical`` (:func:`repro.obs.analysis.critical_path`) move to
+        the ``critical`` category with their ``critical_index``, and
+        consecutive chain entries are linked by flow events.
         """
-        for op, (start, end) in self.spans.items():
-            args = {"kind": op.kind, "work": op.work}
+        order = {op: i for i, op in enumerate(critical)}
+        for op, (start, end) in sorted(self.spans.items(),
+                                       key=lambda kv: kv[1][0]):
+            args = {"sim": self._uid, "uid": op._uid,
+                    "deps": [d._uid for d in op.deps],
+                    "kind": op.kind, "work": op.work,
+                    "span": [start, end]}
+            if op.latency > 0:
+                args["latency"] = op.latency
             if op in self.retries:
                 args["retries"] = self.retries[op]
-            ob.record_span(
-                op.label or op.kind, CAT_SIM, start, end - start,
-                track=f"{prefix}/gpu{op.gpu}/{op.stream}", args=args)
-        ob.registry.histogram(f"{prefix}.makespan").observe(self.makespan)
-        ob.count(f"{prefix}.ops", len(self.spans))
+            if op in order:
+                args["critical_index"] = order[op]
+            yield TraceEvent(
+                name=op.label or op.kind,
+                cat=CAT_CRITICAL if op in order else CAT_SIM,
+                ts=start, dur=end - start, track=_track(op),
+                phase="X" if end > start else "i", args=args)
+        for i, (a, b) in enumerate(zip(critical, critical[1:])):
+            for op, ts, phase in ((a, self.spans[a][1], "s"),
+                                  (b, self.spans[b][0], "f")):
+                yield TraceEvent(
+                    name="critical_path", cat=CAT_CRITICAL, ts=ts,
+                    track=_track(op), phase=phase,
+                    args={"flow_id": i})
+
+    @classmethod
+    def from_trace_events(cls, events: Iterable[TraceEvent]
+                          ) -> tuple["SimResult", Schedule]:
+        """Inverse of :meth:`trace_events`: the result and op DAG of
+        the last simulation recorded in ``events``.
+
+        Events without a ``uid`` (wall-clock spans, fault markers,
+        flows) are ignored; ``ValueError`` if no op event is left or a
+        dependency points outside the simulation.
+        """
+        last: dict[int, TraceEvent] = {}
+        sim = None
+        for event in events:
+            if event.phase in ("X", "i") and "uid" in event.args:
+                if event.args.get("sim") != sim:
+                    sim, last = event.args.get("sim"), {}
+                last[event.args["uid"]] = event
+        if not last:
+            raise ValueError(
+                "no replayable simulator op events (was the trace "
+                "written from SimResult.trace_events?)")
+        ops: dict[int, Op] = {}
+        for uid, event in last.items():
+            _, gpu, stream = event.track.split("/", 2)
+            ops[uid] = Op(work=event.args["work"],
+                          gpu=int(gpu.removeprefix("gpu")), stream=stream,
+                          kind=event.args["kind"], label=event.name,
+                          latency=event.args.get("latency", 0.0), _uid=uid)
+        for uid, op in ops.items():
+            deps = last[uid].args["deps"]
+            missing = [d for d in deps if d not in ops]
+            if missing:
+                raise ValueError(f"op uid {uid} depends on unknown "
+                                 f"uid(s) {missing}")
+            op.deps = tuple(ops[d] for d in deps)
+        spans = {ops[uid]: tuple(e.args["span"]) for uid, e in last.items()}
+        result = cls(
+            makespan=max(end for _, end in spans.values()), spans=spans,
+            retries={ops[uid]: e.args["retries"]
+                     for uid, e in last.items() if "retries" in e.args})
+        return result, Schedule(ops=list(ops.values()))
+
+    def record_trace(self, ob: Observer) -> None:
+        """Append :meth:`trace_events` to the observer's recorder — the
+        simulator half of the unified timeline."""
+        if ob.recorder is not None:
+            ob.recorder.extend(self.trace_events())
+        ob.registry.histogram("sim.makespan").observe(self.makespan)
+        ob.count("sim.ops", len(self.spans))
 
     def stream_busy_time(self, gpu: int, stream: str) -> float:
         """Total wall time during which a stream had an op running."""
@@ -202,6 +287,10 @@ class SimResult:
 
 def _op_name(op: Op) -> str:
     return op.label or f"op#{op._uid}"
+
+
+def _track(op: Op) -> str:
+    return f"sim/gpu{op.gpu}/{op.stream}"
 
 
 def simulate(schedule: Schedule,
@@ -269,7 +358,7 @@ def simulate(schedule: Schedule,
             if ob is not None:
                 ob.record_instant(
                     "recovered", CAT_FAULT, now,
-                    track=f"sim/gpu{op.gpu}/{op.stream}",
+                    track=_track(op),
                     args={"op": _op_name(op), "retries": retries[op]})
 
     def try_start_ops() -> bool:

@@ -8,7 +8,7 @@ observability layer instead of per-bench ad-hoc timing:
 * :class:`~repro.obs.registry.MetricsRegistry` — process-wide counters
   / gauges / histogram timers;
 * :class:`~repro.obs.trace.TraceRecorder` — typed trace events with
-  Chrome-trace (``chrome://tracing`` / Perfetto) and JSONL export;
+  Chrome-trace (``chrome://tracing`` / Perfetto) export and import;
 * :class:`Observer` — binds the two, adds the ``span(...)`` context
   manager / ``@timed`` decorator, and holds the latest routing
   diagnostics (drop fraction, imbalance, needed capacity factor) as
@@ -46,6 +46,7 @@ from repro.obs.trace import (
     CAT_BENCH,
     CAT_CKPT,
     CAT_COLLECTIVE,
+    CAT_CRITICAL,
     CAT_FAULT,
     CAT_HEALTH,
     CAT_MOE,
@@ -79,6 +80,7 @@ __all__ = [
     "CAT_COLLECTIVE",
     "CAT_PIPELINE",
     "CAT_SIM",
+    "CAT_CRITICAL",
     "CAT_SERVE",
     "CAT_BENCH",
     "CAT_FAULT",

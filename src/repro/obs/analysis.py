@@ -411,7 +411,7 @@ class AnalysisReport:
                             for k, v in bd.items() if v > 0))
         lines.append(f"overlap efficiency: {self.overlap_efficiency:.1%} "
                      "of communication time hidden under compute")
-        if self.bounds:
+        if self.bounds and self.bounds["actual"] > 0:
             b = self.bounds
             lines.append(
                 f"what-if bounds: actual {sec(b['actual'])} | "

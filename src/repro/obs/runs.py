@@ -38,6 +38,7 @@ import os
 import shutil
 import subprocess
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, IO, Iterator, Mapping
@@ -59,6 +60,7 @@ __all__ = [
     "set_run",
     "recording_run",
     "parse_events_text",
+    "atomic_write",
 ]
 
 RUN_SCHEMA_VERSION = 1
@@ -178,10 +180,35 @@ class RunManifest:
             schema=int(obj["schema"]))
 
 
+@contextmanager
+def atomic_write(path: str | Path, mode: str = "w") -> Iterator[IO]:
+    """Write ``path`` so that a crash at any byte leaves the previous
+    file or the new one there, never a prefix.
+
+    The body writes to a temp file in the same directory, which is
+    flushed, fsynced and renamed over ``path`` on a clean exit and
+    removed on an error.  Its name is dot-prefixed so no directory
+    listing (``ckpt_*.npz``) picks it up.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_json(path: Path, obj: Mapping) -> None:
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(obj, indent=1, sort_keys=True) + "\n")
+
+
 def _write_manifest(directory: Path, manifest: RunManifest) -> None:
-    (directory / _MANIFEST).write_text(
-        json.dumps(manifest.to_json_obj(), indent=1, sort_keys=True)
-        + "\n")
+    _write_json(directory / _MANIFEST, manifest.to_json_obj())
 
 
 class RunWriter:
@@ -271,8 +298,8 @@ class RunWriter:
         # welded onto the fragment and lost with it.
         torn = bool(raw) and not raw.endswith("\n")
         if from_step is not None or torn:
-            events_path.write_text(
-                "".join(json.dumps(e) + "\n" for e in kept))
+            with atomic_write(events_path) as fh:
+                fh.writelines(json.dumps(e) + "\n" for e in kept)
         next_seq = 1 + max((e.get("seq", -1) for e in kept), default=-1)
         writer = cls(directory, manifest, next_seq=next_seq)
         return writer
@@ -324,9 +351,7 @@ class RunWriter:
         so a crashed run never reads as running or as a pass.
         """
         if registry_snapshot is not None:
-            (self.directory / _METRICS).write_text(
-                json.dumps(registry_snapshot, indent=1, sort_keys=True)
-                + "\n")
+            _write_json(self.directory / _METRICS, registry_snapshot)
         if summary is not None:
             self.manifest.summary = dict(summary)
         if error is None:

@@ -1,4 +1,4 @@
-"""Structured trace events with Chrome-trace and JSONL export.
+"""Structured trace events and the Chrome-trace file format.
 
 The qualitative half of :mod:`repro.obs`.  A :class:`TraceRecorder`
 accumulates typed :class:`TraceEvent` records — complete spans
@@ -8,14 +8,13 @@ NumPy side land on tracks like ``"main"`` while simulated-clock spans
 from :mod:`repro.cluster.simulator` land on ``"sim/gpu0/compute"`` /
 ``"sim/gpu0/comm"`` — one schema, one file, one timeline viewer.
 
-Export targets:
-
-* **Chrome trace JSON** (:meth:`TraceRecorder.to_chrome_trace`) —
-  loadable in ``chrome://tracing`` or https://ui.perfetto.dev; tracks
-  become named threads via ``thread_name`` metadata events, and
-  timestamps are converted from seconds to the format's microseconds.
-* **JSONL** (:meth:`TraceRecorder.dumps_jsonl`) — one event object per
-  line, for ad-hoc ``jq``/pandas analysis.
+This module is the only one that knows the on-disk format, in both
+directions: :meth:`TraceRecorder.dump_chrome_trace` writes Chrome trace
+JSON (loadable in ``chrome://tracing`` or https://ui.perfetto.dev;
+tracks become named threads via ``thread_name`` metadata events, and
+timestamps are converted from seconds to the format's microseconds) and
+:meth:`TraceRecorder.load_chrome_trace` reads it back into the same
+:class:`TraceEvent` records.
 
 Event categories used across the codebase are the ``CAT_*`` constants
 below; they mirror the paper's cost decomposition (Figure 23: gate,
@@ -27,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Iterable
 
 __all__ = [
     "TraceEvent",
@@ -36,6 +36,7 @@ __all__ = [
     "CAT_COLLECTIVE",
     "CAT_PIPELINE",
     "CAT_SIM",
+    "CAT_CRITICAL",
     "CAT_BENCH",
     "CAT_FAULT",
     "CAT_CKPT",
@@ -50,6 +51,7 @@ CAT_TRAIN = "train"            # per-step training spans
 CAT_COLLECTIVE = "collective"  # all-to-all / allreduce family
 CAT_PIPELINE = "pipeline"      # strategy-search exploration events
 CAT_SIM = "sim"                # simulated-clock op spans
+CAT_CRITICAL = "critical"      # simulated ops on the critical path
 CAT_BENCH = "bench"            # explicit benchmark timers
 CAT_FAULT = "fault"            # injected faults and recoveries
 CAT_CKPT = "ckpt"              # checkpoint save/restore markers
@@ -58,6 +60,7 @@ CAT_PROF = "prof"              # op-level profiler spans and counters
 CAT_SERVE = "serve"            # online-serving requests and batches
 
 _MICRO = 1e6
+_PHASES = ("X", "i", "C", "s", "t", "f")
 
 
 @dataclass(frozen=True)
@@ -109,24 +112,15 @@ class TraceEvent:
             event["args"] = dict(self.args)
         return event
 
-    def to_json_obj(self) -> dict:
-        return {
-            "name": self.name,
-            "cat": self.cat,
-            "ph": self.phase,
-            "ts": self.ts,
-            "dur": self.dur,
-            "track": self.track,
-            "args": dict(self.args),
-        }
-
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "TraceEvent":
-        """Inverse of :meth:`to_json_obj` (JSONL round-trip)."""
-        return cls(name=obj["name"], cat=obj["cat"],
-                   ts=float(obj["ts"]), dur=float(obj.get("dur", 0.0)),
-                   track=obj.get("track", "main"),
-                   phase=obj.get("ph", "X"),
+    def from_chrome(cls, obj: dict, track: str) -> "TraceEvent":
+        """Inverse of :meth:`to_chrome`; the caller resolves ``track``
+        from the file's ``thread_name`` metadata."""
+        return cls(name=str(obj.get("name", "")),
+                   cat=str(obj.get("cat", "")),
+                   ts=float(obj.get("ts", 0.0)) / _MICRO,
+                   dur=float(obj.get("dur", 0.0)) / _MICRO,
+                   track=track, phase=obj["ph"],
                    args=dict(obj.get("args", {})))
 
 
@@ -153,6 +147,10 @@ class TraceRecorder:
             self.dropped += 1
             return
         self.events.append(event)
+
+    def extend(self, events: Iterable[TraceEvent]) -> None:
+        for event in events:
+            self.record(event)
 
     def span(self, name: str, cat: str, ts: float, dur: float,
              track: str = "main", args: dict | None = None) -> None:
@@ -224,26 +222,28 @@ class TraceRecorder:
         with open(path, "w") as fh:
             fh.write(self.dumps_chrome_trace())
 
-    def dumps_jsonl(self) -> str:
-        return "\n".join(json.dumps(e.to_json_obj()) for e in self.events)
-
-    def dump_jsonl(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.dumps_jsonl())
-            if self.events:
-                fh.write("\n")
-
     @classmethod
-    def loads_jsonl(cls, text: str) -> "TraceRecorder":
-        """Rebuild a recorder from :meth:`dumps_jsonl` output."""
-        recorder = cls()
-        for line in text.splitlines():
-            line = line.strip()
-            if line:
-                recorder.record(TraceEvent.from_json_obj(json.loads(line)))
-        return recorder
+    def load_chrome_trace(cls, path: str) -> "TraceRecorder":
+        """Rebuild a recorder from a :meth:`dump_chrome_trace` file.
 
-    @classmethod
-    def load_jsonl(cls, path: str) -> "TraceRecorder":
+        Tracks come back from the ``thread_name`` metadata (a thread
+        without one is named after its ``tid``); phases this schema
+        does not carry are skipped, so a foreign Chrome trace loads as
+        whatever spans, instants, counters and flows it holds.
+        """
         with open(path) as fh:
-            return cls.loads_jsonl(fh.read())
+            payload = json.load(fh)
+        if not isinstance(payload, dict) or "traceEvents" not in payload:
+            raise ValueError(f"{path} is not a Chrome trace JSON object")
+        raw = payload["traceEvents"]
+        tracks = {(obj.get("pid"), obj.get("tid")): obj["args"]["name"]
+                  for obj in raw
+                  if obj.get("ph") == "M"
+                  and obj.get("name") == "thread_name"}
+        recorder = cls(max_events=max(len(raw), 1))
+        for obj in raw:
+            if obj.get("ph") in _PHASES:
+                key = (obj.get("pid"), obj.get("tid"))
+                recorder.record(TraceEvent.from_chrome(
+                    obj, tracks.get(key, str(key[1]))))
+        return recorder

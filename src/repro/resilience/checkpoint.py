@@ -35,6 +35,7 @@ from typing import Any
 import numpy as np
 
 from repro.core import substrate as _substrate
+from repro.obs.runs import atomic_write
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -159,7 +160,8 @@ def restore_training_state(model: Any, optimizer: Any,
 
 
 def save_checkpoint(ckpt: TrainingCheckpoint, path: str) -> None:
-    """Write the checkpoint as a single ``.npz`` file."""
+    """Write the checkpoint as a single ``.npz`` file, atomically: a
+    crash mid-save leaves the previous file at ``path`` (or none)."""
     arrays: dict[str, np.ndarray] = {}
     for name, data in ckpt.params.items():
         arrays[f"param/{name}"] = data
@@ -186,7 +188,8 @@ def save_checkpoint(ckpt: TrainingCheckpoint, path: str) -> None:
     }
     arrays["meta"] = np.frombuffer(
         json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    np.savez(path, **arrays)
+    with atomic_write(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def load_checkpoint(path: str) -> TrainingCheckpoint:

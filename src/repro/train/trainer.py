@@ -26,7 +26,6 @@ land in ``TrainResult.health_alerts`` and the run's event stream.
 from __future__ import annotations
 
 import os
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -37,7 +36,6 @@ from typing import Callable
 from repro.autograd.functional import cross_entropy
 from repro.autograd.optim import Adam, clip_grad_norm
 from repro.autograd.tensor import Tensor
-from repro.core.substrate import expert_parallelism
 from repro.nn.models import MoEClassifier
 from repro.nn.modules import Module
 from repro.obs import CAT_FAULT, CAT_CKPT, CAT_TRAIN
@@ -104,9 +102,7 @@ def train_model(model: Module, train: TokenBatch, test: TokenBatch,
                 resume_from: str | None = None,
                 nonfinite_guard: bool = True,
                 step_hook: Callable[[int, Module], None] | None = None,
-                alert_rules=None,
-                expert_workers: int | None = None
-                ) -> TrainResult:
+                alert_rules=None) -> TrainResult:
     """Train with Adam on cross-entropy + auxiliary load-balance loss.
 
     Records the runtime needed-capacity-factor trace of every MoE layer
@@ -129,13 +125,6 @@ def train_model(model: Module, train: TokenBatch, test: TokenBatch,
     active run, or ``REPRO_RUNS_DIR`` set) the default rule pack is
     evaluated when none is passed.  Firing transitions accumulate in
     ``TrainResult.health_alerts``.
-
-    ``expert_workers`` (when not ``None``) runs the whole loop under
-    :func:`repro.core.substrate.expert_parallelism` — every MoE layer's
-    expert FFN executes on that many worker processes (0 = serial,
-    overriding an inherited ``REPRO_EXPERT_WORKERS``).  Worth it only
-    when the per-expert GEMMs are large enough to amortize the
-    shared-memory round trip; results are bitwise-identical either way.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -151,15 +140,13 @@ def train_model(model: Module, train: TokenBatch, test: TokenBatch,
         restore_training_state,
         save_checkpoint,
     )
-    workers_ctx = (nullcontext() if expert_workers is None
-                   else expert_parallelism(expert_workers))
     with LoopTelemetry(
             "train", seed=seed, rules=alert_rules,
             default_rules=default_rules,
             config={"steps": steps, "batch_size": batch_size, "lr": lr,
                     "aux_weight": aux_weight, "grad_clip": grad_clip,
                     "resumed": resume_from is not None},
-    ) as tel, workers_ctx:
+    ) as tel:
         rng = np.random.default_rng(seed)
         params = [p for p in model.parameters() if p.requires_grad]
         if not params:

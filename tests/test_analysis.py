@@ -4,16 +4,10 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.cluster.simulator import Schedule, simulate
+from repro.cluster.simulator import Schedule, SimResult, simulate
 from repro.cluster.topology import ndv4_topology
-from repro.cluster.trace import (
-    CAT_CRITICAL,
-    load_sim_trace,
-    save_chrome_trace,
-    to_chrome_trace,
-)
 from repro.core.config import MoEConfig
-from repro.obs import analysis
+from repro.obs import CAT_CRITICAL, TraceRecorder, analysis
 from repro.pipeline.schedule import (
     PipelineStrategy,
     all_strategies,
@@ -257,16 +251,15 @@ class TestCriticalTraceExport:
         result = simulate(s)
         path = analysis.critical_path(result)
         assert [op.label for op in path] == ["a", "b"]
-        events = to_chrome_trace(result, critical=path)
+        events = list(result.trace_events(critical=path))
         crit_spans = [e for e in events
-                      if e.get("cat") == CAT_CRITICAL
-                      and e["ph"] in ("X", "i")]
+                      if e.cat == CAT_CRITICAL and e.phase in ("X", "i")]
         assert len(crit_spans) == 2
-        assert [e["args"]["critical_index"] for e in crit_spans] == [0, 1]
-        flows = [e for e in events if e.get("name") == "critical_path"]
-        assert [e["ph"] for e in flows] == ["s", "f"]
-        off = [e for e in events if e["name"] == "off"]
-        assert off[0]["cat"] == "sim"
+        assert [e.args["critical_index"] for e in crit_spans] == [0, 1]
+        flows = [e for e in events if e.name == "critical_path"]
+        assert [e.phase for e in flows] == ["s", "f"]
+        off = [e for e in events if e.name == "off"]
+        assert off[0].cat == "sim"
 
     def test_trace_roundtrip_reanalyzes_identically(self, tmp_path):
         cfg = _fig22_cfg()
@@ -276,8 +269,11 @@ class TestCriticalTraceExport:
         result = simulate(sched)
         path = analysis.critical_path(result)
         trace = tmp_path / "trace.json"
-        save_chrome_trace(result, trace, critical=path)
-        loaded_result, loaded_sched = load_sim_trace(trace)
+        recorder = TraceRecorder()
+        recorder.extend(result.trace_events(critical=path))
+        recorder.dump_chrome_trace(trace)
+        loaded_result, loaded_sched = SimResult.from_trace_events(
+            TraceRecorder.load_chrome_trace(trace).events)
         assert loaded_result.makespan == pytest.approx(result.makespan)
         reloaded = analysis.analyze(loaded_result, loaded_sched)
         assert [op.label for op in reloaded.critical] == \
@@ -290,4 +286,5 @@ class TestCriticalTraceExport:
         foreign.write_text('{"traceEvents": [{"ph": "X", "ts": 0, '
                            '"dur": 1, "name": "x", "args": {}}]}')
         with pytest.raises(ValueError):
-            load_sim_trace(foreign)
+            SimResult.from_trace_events(
+                TraceRecorder.load_chrome_trace(foreign).events)

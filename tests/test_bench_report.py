@@ -197,13 +197,24 @@ class TestCompare:
         assert comps[0].status == "skipped"
         assert not has_failures(comps)
 
-    def test_measured_metrics_skipped_by_default(self):
-        base = {"fig99": make_result(value=10.0, kind="measured")}
-        cur = {"fig99": make_result(value=1.0, kind="measured")}
-        comps = compare(cur, base)
-        assert comps[0].status == "skipped"
-        strict = compare(cur, base, include_measured=True)
-        assert strict[0].status == "regressed"
+    def test_measured_metrics_ignored(self, tmp_path):
+        # Wall-clock rows are neither compared (whichever side carries
+        # them: no "skipped", no perpetual "new") nor stored.
+        model = Metric("ops", 4.0, "count", tolerance=0.0)
+        wall = Metric("wall_ms", 10.0, "ms", kind="measured")
+        base = BenchResult("fig99", "t", [model, wall])
+        cur = BenchResult("fig99", "t", [
+            model, Metric("wall_ms", 1.0, "ms", kind="measured"),
+            Metric("other_ms", 2.0, "ms", kind="measured")])
+        assert [(c.metric, c.status)
+                for c in compare({"fig99": cur}, {"fig99": base})] \
+            == [("ops", "ok")]
+        only_wall = BenchResult("fig98", "t", [wall])
+        paths = write_baselines({"fig99": cur, "fig98": only_wall},
+                                tmp_path)
+        assert [p.name for p in paths] == ["BENCH_fig99.json"]
+        assert [m.name for m in BenchResult.load(paths[0]).metrics] \
+            == ["ops"]
 
     def test_render_comparisons_has_verdict(self):
         comps = compare({"fig99": make_result()},

@@ -61,9 +61,7 @@ class TestObsCommand:
         from repro import obs as obs_module
 
         trace = tmp_path / "trace.json"
-        jsonl = tmp_path / "events.jsonl"
-        assert main(["obs", "--trace", str(trace), "--jsonl", str(jsonl),
-                     "--steps", "2"]) == 0
+        assert main(["obs", "--trace", str(trace), "--steps", "2"]) == 0
         out = capsys.readouterr().out
         assert "compute_locations rewrite" in out
         assert "routing history" in out
@@ -71,9 +69,12 @@ class TestObsCommand:
         parsed = json.loads(trace.read_text())
         names = {e["name"] for e in parsed["traceEvents"]}
         assert {"gate", "encode", "expert_ffn", "decode", "step"} <= names
-        assert jsonl.read_text().strip()
         # The command must clean up the process-wide observer.
         assert obs_module.get_observer() is None
+        # The demo's simulated segment replays from the observer's file.
+        capsys.readouterr()
+        assert main(["analyze", str(trace)]) == 0
+        assert "a2a_chunk2" in capsys.readouterr().out
 
 
 class TestObsMetricsJson:

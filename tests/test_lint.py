@@ -6,6 +6,8 @@
   observer lookup — layers leave a record, loops publish it.
 * One routing decision: ``select_top_k`` holds the only top-k sort and
   only ``route`` and ``nn/moe.py`` (DESIGN §15) resolve a capacity.
+* One trace format: only ``obs/trace.py`` names Chrome's
+  ``"traceEvents"`` key, and ``cluster/trace.py`` stays gone.
 * The option surface: the ``REPRO_*`` environment variables read and
   the CLI's argument count.  A change that adds a knob edits the pin
   in the same diff, where a reviewer sees it.
@@ -100,7 +102,16 @@ def test_option_surface_is_pinned():
         read |= environment_reads(ast.parse(path.read_text()))
     assert read == {"REPRO_BENCH_DIR", "REPRO_DTYPE", "REPRO_EXPERT_WORKERS",
                     "REPRO_RUNS_DIR", "REPRO_SCALE", "REPRO_TRACE"}
-    assert (SRC / "cli.py").read_text().count("add_argument(") <= 64
+    assert (SRC / "cli.py").read_text().count("add_argument(") <= 62
+
+
+def test_one_trace_format():
+    assert not (SRC / "cluster/trace.py").exists()
+    assert [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
+            if any(isinstance(node, ast.Constant)
+                   and node.value == "traceEvents"
+                   for node in ast.walk(ast.parse(path.read_text())))] \
+        == ["obs/trace.py"]
 
 
 def top_k_sorts(tree: ast.AST) -> list[str]:

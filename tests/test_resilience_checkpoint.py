@@ -524,6 +524,76 @@ class TestDtypeRoundTrip:
         assert meta["substrate_dtype"] == "float32"
 
 
+class TestTornWrites:
+    """A write that dies half-way (ROADMAP 7c) leaves the previous
+    file at the final path, byte for byte, and nothing beside it."""
+
+    def test_torn_checkpoint_save(self, tmp_path, monkeypatch):
+        model = fresh_model()
+        opt = Adam([p for p in model.parameters() if p.requires_grad])
+        ckpt = capture_training_state(model, opt,
+                                      np.random.default_rng(3), step=5)
+        path = tmp_path / "ckpt_000005.npz"
+
+        def torn_savez(file, **arrays):
+            fh = open(file, "wb") if isinstance(file, str) else file
+            fh.write(b"PK\x03\x04 half a zip member")
+            fh.flush()
+            raise OSError("disk full")
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "savez", torn_savez)
+            with pytest.raises(OSError):
+                save_checkpoint(ckpt, str(path))
+        assert not path.exists()  # never a partial first checkpoint
+        assert list(tmp_path.iterdir()) == []
+
+        save_checkpoint(ckpt, str(path))
+        before = path.read_bytes()
+        with monkeypatch.context() as m:
+            m.setattr(np, "savez", torn_savez)
+            with pytest.raises(OSError):
+                save_checkpoint(ckpt, str(path))
+        assert path.read_bytes() == before
+        assert load_checkpoint(str(path)).step == 5
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_torn_manifest_and_metrics(self, tmp_path, monkeypatch):
+        from repro.obs import runs
+
+        class TornFile:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+            def write(self, text):
+                self.fh.write(text[:len(text) // 2])
+                self.fh.flush()
+                raise OSError("disk full")
+
+        writer = runs.RunWriter.create(root=tmp_path, run_id="r",
+                                       created_at=1.0)
+        writer.finalize(registry_snapshot={"counters": {"a": 1}},
+                        summary={"loss": 0.5})
+        run_dir = tmp_path / "r"
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        monkeypatch.setattr(
+            runs, "open", lambda *a, **kw: TornFile(open(*a, **kw)),
+            raising=False)
+        with pytest.raises(OSError):
+            writer.update_summary({"loss": 0.25})
+        with pytest.raises(OSError):
+            writer.finalize(registry_snapshot={"counters": {"a": 2}})
+        assert {p.name: p.read_bytes()
+                for p in run_dir.iterdir()} == before
+        assert RunStore(tmp_path).manifest("r").summary == {"loss": 0.5}
+
+
 class TestResumeAcrossSubstrateConfig:
     """ISSUE 7 satellite: a checkpoint is portable across substrate
     *configuration* changes — the restored process may run with a
@@ -535,6 +605,7 @@ class TestResumeAcrossSubstrateConfig:
         """Serial save -> multicore resume must replay the exact same
         trajectory (the executor is bitwise-equal to serial, so the
         worker count is not part of the checkpoint contract)."""
+        from repro.core.substrate import expert_parallelism
         from repro.runtime.executor import shutdown_executor
 
         train, test = splits
@@ -546,10 +617,10 @@ class TestResumeAcrossSubstrateConfig:
                             checkpoint_every=8,
                             checkpoint_dir=ckpt_dir)
         try:
-            resumed = train_model(
-                fresh_model(), train, test, steps=16, batch_size=64,
-                seed=0, resume_from=first.checkpoint_paths[0],
-                expert_workers=2)
+            with expert_parallelism(2):
+                resumed = train_model(
+                    fresh_model(), train, test, steps=16, batch_size=64,
+                    seed=0, resume_from=first.checkpoint_paths[0])
         finally:
             shutdown_executor()
         assert resumed.losses == straight.losses

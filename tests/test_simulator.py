@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.cluster.simulator import (
     InterferenceModel,
     Op,
     Schedule,
+    SimResult,
     simulate,
 )
+from repro.obs import TraceRecorder, analysis
 
 
 def make_chain(*works, stream_cycle=("comm", "compute", "comm")):
@@ -242,6 +246,111 @@ class TestReferenceAgreement:
                  label="join")
         ref_makespan, _ = reference_host_schedule(s.ops)
         assert simulate(s).makespan == pytest.approx(ref_makespan)
+
+
+@st.composite
+def random_schedules(draw) -> Schedule:
+    """1-40 ops on 1-4 GPUs x {compute, comm}, each depending on a
+    random set of earlier ops; some zero-work barriers, some comm ops
+    with a latency floor."""
+    num_gpus = draw(st.integers(1, 4))
+    work = st.floats(1e-6, 1.0, allow_nan=False)
+    s = Schedule()
+    for i in range(draw(st.integers(1, 40))):
+        stream = draw(st.sampled_from(["compute", "comm"]))
+        kind = (draw(st.sampled_from(["comm", "comm_memcpy"]))
+                if stream == "comm" else "compute")
+        w = draw(st.one_of(st.just(0.0), work))
+        if w == 0.0:
+            kind = "host"
+        latency = (draw(st.floats(0.0, 1.0)) * w if stream == "comm"
+                   else 0.0)
+        deps = draw(st.sets(st.sampled_from(s.ops), max_size=3)) \
+            if s.ops else ()
+        s.new_op(work=w, gpu=draw(st.integers(0, num_gpus - 1)),
+                 stream=stream, kind=kind, latency=latency,
+                 deps=tuple(sorted(deps, key=lambda op: op._uid)),
+                 label=f"op{i}")
+    return s
+
+
+def through_the_file(recorder: TraceRecorder, tmp_path_factory):
+    path = tmp_path_factory.mktemp("trace") / "trace.json"
+    recorder.dump_chrome_trace(path)
+    return SimResult.from_trace_events(
+        TraceRecorder.load_chrome_trace(path).events)
+
+
+class TestRandomDagInvariants:
+    """The simulator's invariants on random DAGs, checked on the
+    result *and* on what the trace file gives back (ROADMAP 7b)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(schedule=random_schedules())
+    def test_invariants_survive_the_trace_file(self, schedule,
+                                               tmp_path_factory):
+        result = simulate(schedule)
+        path = analysis.critical_path(result)
+        recorder = TraceRecorder()
+        recorder.extend(result.trace_events(path))
+        loaded, rebuilt = through_the_file(recorder, tmp_path_factory)
+
+        def describe(op):
+            return (op.label, op.kind, op.gpu, op.stream, op.work,
+                    op.latency, sorted(d.label for d in op.deps))
+
+        by_label = {op.label: op for op in rebuilt.ops}
+        assert sorted(map(describe, rebuilt.ops)) == \
+            sorted(map(describe, schedule.ops))
+        # Exact: args carry the spans in seconds beside the file's
+        # rounded microsecond ts/dur.
+        assert loaded.makespan == result.makespan
+        for op in schedule.ops:
+            assert loaded.span(by_label[op.label]) == result.span(op)
+
+        for res in (result, loaded):
+            slack = 1e-9 * max(res.makespan, 1.0)
+            lanes = {}
+            for op, (start, end) in res.spans.items():
+                assert all(start >= res.span(d)[1] - slack
+                           for d in op.deps), op.label
+                lanes.setdefault((op.gpu, op.stream), []).append(
+                    (start, end))
+            for lane in lanes.values():
+                lane.sort()
+                assert all(b[0] >= a[1] - slack
+                           for a, b in zip(lane, lane[1:]))
+            chain = analysis.critical_path(res)
+            assert res.makespan >= (res.span(chain[-1])[1]
+                                    - res.span(chain[0])[0]) - slack
+
+        assert analysis.analyze(loaded, rebuilt).render() == \
+            analysis.analyze(result, schedule).render()
+
+    def test_observer_file_replays_the_last_simulation(
+            self, tmp_path_factory):
+        first, second = Schedule(), Schedule()
+        first.new_op(work=1.0, label="only")
+        a = second.new_op(work=0.25, stream="comm", kind="comm",
+                          label="a2a")
+        second.new_op(work=0.5, gpu=1, deps=(a,), label="ffn")
+        ob = obs.enable()
+        try:
+            with ob.span("step", obs.CAT_TRAIN):
+                simulate(first)
+            with ob.span("gate", obs.CAT_MOE):
+                want = simulate(second)
+            ob.instant("saved", obs.CAT_CKPT)
+        finally:
+            obs.disable()
+        loaded, rebuilt = through_the_file(ob.recorder, tmp_path_factory)
+        # Wall-clock train.* / moe.* spans share the file and are
+        # ignored; of the two simulations the later one comes back.
+        assert [op.label for op in rebuilt.ops] == ["a2a", "ffn"]
+        assert rebuilt.ops[1].deps == (rebuilt.ops[0],)
+        assert loaded.makespan == want.makespan
+        assert analysis.analyze(loaded, rebuilt).render() == \
+            analysis.analyze(want, second).render()
 
 
 class TestBusyTime:
