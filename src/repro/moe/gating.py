@@ -178,7 +178,7 @@ class RoutingCriteria:
         """Fraction of (token, slot) routes dropped by the capacity."""
         if self.locations.size == 0:
             return 0.0  # an empty batch drops nothing
-        return 1.0 - float(self.valid.mean())
+        return 1.0 - int(np.count_nonzero(self.valid)) / self.locations.size
 
     def max_needed_capacity(self) -> int:
         """Smallest ``dC`` that would drop nothing for this routing."""

@@ -52,11 +52,12 @@ def load_imbalance(crit: RoutingCriteria,
     """
     if load is None:
         load = expert_load(crit)
-    load = load.astype(np.float64)
-    mean = load.mean()
-    if mean == 0:
+    total = load.sum()
+    if total == 0:
         return 1.0
-    return float(load.max() / mean)
+    # The mean is np.mean's float64 sum over the count: counts below
+    # 2**53 sum and convert exactly, so no float64 copy is needed.
+    return float(load.max() / (total / load.size))
 
 
 def load_gini(load: np.ndarray) -> float:
@@ -93,18 +94,16 @@ def routing_entropy(crit: RoutingCriteria, normalized: bool = True,
     """
     if load is None:
         load = expert_load(crit)
-    load = load.astype(np.float64)
     total = load.sum()
     if total == 0:
         return 0.0
-    p = load / total
-    nz = p[p > 0]
+    nz = load[load > 0] / total
     entropy = float(-(nz * np.log(nz)).sum())
     if not normalized:
         return entropy
     if crit.num_experts <= 1:
         return 1.0
-    return entropy / np.log(crit.num_experts)
+    return float(entropy / np.log(crit.num_experts))
 
 
 @dataclass(frozen=True)
@@ -161,22 +160,26 @@ def routing_stats(crit: RoutingCriteria,
 
     ``gate_probs`` (the ``(T, E)`` softmax output) adds the mean top-1
     confidence — the priority signal batch prioritized routing sorts
-    by; without it the selected-slot gates are used instead.
+    by; without it the selected-slot gates are used instead.  Every
+    load statistic reads one :func:`expert_load` vector.
     """
     if gate_probs is not None and gate_probs.shape != (
             crit.num_tokens, crit.num_experts):
         raise ValueError(
             f"gate_probs must be (T={crit.num_tokens}, "
             f"E={crit.num_experts}), got {gate_probs.shape}")
-    if crit.num_tokens == 0:
-        confidence = 0.0  # .mean() over zero tokens would be NaN
-    elif gate_probs is not None:
-        confidence = float(gate_probs.max(axis=1).mean())
+    t = crit.num_tokens
+    if t == 0:
+        confidence = 0.0  # a mean over zero tokens would be NaN
     else:
-        confidence = float(crit.gates.max(axis=0).mean())
+        top1 = (gate_probs.max(axis=1) if gate_probs is not None
+                else crit.gates.max(axis=0))
+        # np.mean's arithmetic without its Python-level wrapper: the sum
+        # in the array's dtype, divided in float64, rounded back.
+        confidence = float(top1.dtype.type(float(top1.sum()) / t))
     load = expert_load(crit)
     return RoutingStats(
-        num_tokens=crit.num_tokens,
+        num_tokens=t,
         num_experts=crit.num_experts,
         top_k=crit.top_k,
         capacity=crit.capacity,
@@ -185,5 +188,5 @@ def routing_stats(crit: RoutingCriteria,
         routing_entropy=routing_entropy(crit, load=load),
         needed_capacity=crit.max_needed_capacity(),
         mean_top1_confidence=confidence,
-        expert_load=tuple(int(c) for c in load),
+        expert_load=tuple(load.tolist()),
         load_gini=load_gini(load))

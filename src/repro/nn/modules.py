@@ -24,6 +24,8 @@ class Module:
         return params
 
     def named_parameters(self, prefix: str = "") -> list[tuple[str, Tensor]]:
+        """``(path, tensor)`` pairs; like :meth:`parameters`, a tensor
+        held twice is listed once, under its first path."""
         named: list[tuple[str, Tensor]] = []
         for key, value in vars(self).items():
             path = f"{prefix}{key}"
@@ -38,7 +40,13 @@ class Module:
                             prefix=f"{path}[{i}]."))
                     elif isinstance(item, Tensor) and item.requires_grad:
                         named.append((f"{path}[{i}]", item))
-        return named
+        seen: set[int] = set()
+        unique = []
+        for path, p in named:
+            if id(p) not in seen:
+                seen.add(id(p))
+                unique.append((path, p))
+        return unique
 
     def freeze(self) -> None:
         """Stop all parameters of this module from training."""

@@ -19,7 +19,8 @@ from repro.autograd.moe_ops import (
     moe_combine,
     moe_dispatch,
 )
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, as_tensor
+from repro.moe import gating
 from repro.moe.capacity import CapacityPolicy, resolve_capacity
 from repro.moe.gating import RoutingCriteria, compute_locations, select_top_k
 from repro.moe.metrics import routing_stats
@@ -95,6 +96,13 @@ class MoE(Module):
                                           name="moe.log_tau")
         else:
             raise ValueError(f"unknown router {router!r}")
+        # What forward() reads to choose between the taped and the array
+        # gate: a tuple built once, not parameters(), which walks every
+        # attribute on each call.
+        self._grad_sources = (self.w1, self.w2) + (
+            (self.gate.weight,) if router == "linear" else
+            (self.cosine_proj.weight, self.expert_embed,
+             self.log_temperature))
 
         # The latest forward's record; the layer publishes nothing —
         # the loop that drives it does (repro.obs.loop.LoopTelemetry).
@@ -169,7 +177,16 @@ class MoE(Module):
     def forward(self, x: Tensor, top_k: int | None = None,
                 capacity_factor: float | None = None
                 ) -> tuple[Tensor, Tensor]:
-        """Returns ``(output, l_aux)``; both differentiable."""
+        """Returns ``(output, l_aux)``.
+
+        Both are differentiable when something needs a gradient: ``x``
+        or one of the layer's own tensors.  When nothing does (a frozen
+        layer on a constant input — serving) the softmax, the selected
+        gates and ``l_aux`` are computed on arrays by the same ops in
+        the same order, so both come out bitwise equal as constant
+        tensors, and only the gate GEMM, dispatch, expert FFN and
+        combine pass through :meth:`Tensor.from_op`.
+        """
         if x.ndim != 2:
             raise ValueError(f"x must be (T, M), got {x.shape}")
         if x.shape[0] < 1:
@@ -178,6 +195,8 @@ class MoE(Module):
         policy = (CapacityPolicy(capacity_factor)
                   if capacity_factor is not None else self.capacity_policy)
         t = x.shape[0]
+        taped = x.requires_grad or any(p.requires_grad
+                                       for p in self._grad_sources)
 
         with _span("gate", CAT_MOE), _prof.stage("gate"):
             logits = self._gate_logits(x)
@@ -190,15 +209,19 @@ class MoE(Module):
                 mask[0, sorted(self.failed_experts)] = -1e30
                 logits = logits + mask
                 k = min(k, self.num_experts - len(self.failed_experts))
-            probs = softmax(logits, axis=1)
+            if taped:
+                probs = softmax(logits, axis=1)
+                gate_probs = probs.data
+            else:
+                gate_probs = gating.softmax(logits.data, axis=1)
 
             # Discrete routing decisions (outside the tape).
-            order = select_top_k(probs.data, k)
+            order = select_top_k(gate_probs, k)
             idxs = order.T.copy()
             cap, eff_f = resolve_capacity(policy, idxs, self.num_experts,
                                           tokens=t, top_k=k)
             self.last_effective_capacity_factor = eff_f
-            priority = (probs.data.max(axis=1)
+            priority = (gate_probs.max(axis=1)
                         if self.batch_prioritized else None)
             locations = compute_locations(idxs, self.num_experts,
                                           priority=priority)
@@ -207,20 +230,26 @@ class MoE(Module):
                 gates=np.zeros_like(idxs, dtype=x.data.dtype),
                 capacity=cap, num_experts=self.num_experts)
 
-            # Differentiable gate values of the selected slots, (k, T).
-            # Normalization only applies for k > 1 (GShard); with k == 1
-            # the raw probability scales the expert output
-            # (Switch-style), which is the path the router's gradient
-            # flows through.
-            selected = take_along(probs, order, axis=1).T
-            if self.normalize_gate and k > 1:
-                selected = selected / (selected.sum(axis=0, keepdims=True)
-                                       + 1e-12)
+            # Gate values of the selected slots, (k, T).  Normalization
+            # only applies for k > 1 (GShard); with k == 1 the raw
+            # probability scales the expert output (Switch-style),
+            # which is the path the router's gradient flows through.
+            if taped:
+                selected = take_along(probs, order, axis=1).T
+                if self.normalize_gate and k > 1:
+                    selected = selected / (selected.sum(axis=0, keepdims=True)
+                                           + 1e-12)
+            else:
+                gates = np.take_along_axis(gate_probs, order, axis=1).T
+                if self.normalize_gate and k > 1:
+                    gates = gates / (gates.sum(axis=0, keepdims=True)
+                                     + _operand(1e-12))
+                selected = Tensor(gates, dtype=gates.dtype)
             # Mark the selected routes live so the sparse kernels keep
             # them; real values come from `selected` at combine time.
             crit.gates = crit.valid.astype(x.data.dtype)
 
-        self.last_routing_stats = routing_stats(crit, probs.data)
+        self.last_routing_stats = routing_stats(crit, gate_probs)
         self.last_routing_criteria = crit
 
         with _span("encode", CAT_MOE), _prof.stage("dispatch"):
@@ -238,5 +267,19 @@ class MoE(Module):
         # GShard auxiliary loss: E * sum_e mean_prob(e) * routed_frac(e).
         counts = np.bincount(idxs[0], minlength=self.num_experts)
         routed_frac = Tensor(counts / t, dtype=x.data.dtype)
-        l_aux = (probs.mean(axis=0) * routed_frac).sum() * self.num_experts
+        if taped:
+            l_aux = (probs.mean(axis=0) * routed_frac).sum() * self.num_experts
+        else:
+            # Tensor.mean is the sum times 1 / T.
+            value = ((gate_probs.sum(axis=0) * _operand(1.0 / t)
+                      * routed_frac.data).sum()
+                     * _operand(self.num_experts))
+            l_aux = Tensor(value, dtype=value.dtype)
         return output, l_aux
+
+
+def _operand(value: float) -> np.ndarray:
+    """The array a taped op makes of a Python scalar operand
+    (:func:`as_tensor`: the substrate dtype), so array arithmetic with
+    it promotes and rounds exactly as the taped op does."""
+    return as_tensor(value).data

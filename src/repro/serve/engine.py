@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -276,12 +277,17 @@ def _serve_loop(wl: ServeWorkload, requests, result: ServeResult,
     layers = [MoE(wl.model_dim, wl.hidden_dim, wl.num_experts, rng,
                   top_k=wl.top_k, capacity_factor=wl.capacity_factor)
               for _ in range(wl.num_layers)]
+    # Serving never trains: frozen layers build no autograd tape.
+    for layer in layers:
+        layer.freeze()
     former = BatchFormer(wl.max_batch_size,
                          max_wait_ns=round(wl.max_wait_ms * 1e6))
     loads = [[0] * wl.num_experts for _ in range(wl.num_layers)]
     dropped_tokens = 0
     routed_tokens = 0
 
+    # generate_arrivals returns the trace sorted by arrival time.
+    arrivals = [r.arrival_ns for r in requests]
     hist_model = Histogram(f"serve.{wl.name}.model_ms")
     hist_measured = Histogram(f"serve.{wl.name}.measured_ms")
 
@@ -296,8 +302,7 @@ def _serve_loop(wl: ServeWorkload, requests, result: ServeResult,
         tel.begin(batch_id)
         batch = former.next_batch(requests, start, free_ns, batch_id)
         end = start + len(batch.requests)
-        queue_depth = sum(1 for r in requests[end:]
-                          if r.arrival_ns <= batch.close_ns)
+        queue_depth = bisect_right(arrivals, batch.close_ns, lo=end) - end
 
         active = _brownout_active(wl, batch.close_ns)
         if active and not brownout_was_active:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.moe.gating import softmax, top_k_routing
+from repro.moe.gating import RoutingCriteria, softmax, top_k_routing
 from repro.moe.metrics import (
     RoutingStats,
     expert_load,
@@ -200,3 +200,86 @@ class TestEmptyBatchStats:
         assert stats.load_gini == 0.0
         assert stats.needed_capacity_factor == 0.0  # documented: empty
         assert stats.expert_load == (0, 0, 0, 0)
+
+
+def _reference_stats(crit, gate_probs=None) -> dict:
+    """The routing_stats formulas as they stood before the one-load
+    rewrite (a float64 copy of the load per statistic, np.mean), kept
+    here as the oracle the rewrite must match bit for bit."""
+    if crit.num_tokens == 0:
+        confidence = 0.0
+    elif gate_probs is not None:
+        confidence = float(gate_probs.max(axis=1).mean())
+    else:
+        confidence = float(crit.gates.max(axis=0).mean())
+    load = np.bincount(crit.idxs.reshape(-1), minlength=crit.num_experts)
+    f64 = load.astype(np.float64)
+    imbalance = 1.0 if f64.mean() == 0 else float(f64.max() / f64.mean())
+    total = f64.sum()
+    if total == 0:
+        entropy = 0.0
+    else:
+        p = f64 / total
+        nz = p[p > 0]
+        entropy = float(-(nz * np.log(nz)).sum())
+        entropy = (1.0 if crit.num_experts <= 1
+                   else entropy / np.log(crit.num_experts))
+    n = f64.size
+    if n <= 1 or total <= 0:
+        gini = 0.0
+    else:
+        ranks = np.arange(1, n + 1, dtype=np.float64)
+        gini = float((2.0 * (ranks * np.sort(f64)).sum() - (n + 1) * total)
+                     / (n * total))
+    return {
+        "num_tokens": crit.num_tokens, "num_experts": crit.num_experts,
+        "top_k": crit.top_k, "capacity": crit.capacity,
+        "dropped_fraction": (0.0 if crit.locations.size == 0
+                             else 1.0 - float(crit.valid.mean())),
+        "load_imbalance": imbalance, "routing_entropy": entropy,
+        "needed_capacity": (1 if crit.locations.size == 0
+                            else int(crit.locations.max()) + 1),
+        "mean_top1_confidence": confidence,
+        "expert_load": tuple(int(c) for c in load), "load_gini": gini}
+
+
+def _hostile_crits():
+    """(name, crit, gate probs): a random routing at both float widths,
+    every slot dropped, one expert taking everything, and E = 1."""
+    rng = np.random.default_rng(7)
+    for dtype in (np.float32, np.float64):
+        probs = softmax(rng.normal(size=(37, 6)) * 3).astype(dtype)
+        yield (f"random-{np.dtype(dtype).name}",
+               top_k_routing(probs, 2, capacity=5), probs)
+    idxs = rng.integers(0, 4, size=(2, 9))
+    yield ("all-dropped",
+           RoutingCriteria(idxs=idxs, locations=np.full((2, 9), 3),
+                           gates=np.zeros((2, 9)), capacity=3,
+                           num_experts=4), None)
+    probs = np.tile([0.7, 0.1, 0.1, 0.1], (12, 1))
+    yield "one-expert", top_k_routing(probs, 1, capacity=4), probs
+    probs = np.ones((5, 1))
+    yield "single-expert", top_k_routing(probs, 1, capacity=5), probs
+
+
+class TestRoutingStatsFields:
+    @pytest.mark.parametrize("name,crit,probs", list(_hostile_crits()))
+    def test_fields_are_plain_python(self, name, crit, probs):
+        for gate_probs in (probs, None):
+            stats = routing_stats(crit, gate_probs)
+            for field, value in vars(stats).items():
+                assert type(value) in (int, float, tuple), (field, value)
+            assert all(type(n) is int for n in stats.expert_load)
+
+    @pytest.mark.parametrize("name,crit,probs", list(_hostile_crits()))
+    def test_fields_equal_the_reference_formulas(self, name, crit, probs):
+        for gate_probs in (probs, None):
+            got = vars(routing_stats(crit, gate_probs))
+            want = _reference_stats(crit, gate_probs)
+            assert got.keys() == want.keys()
+            for field, value in want.items():
+                if isinstance(value, float):
+                    assert float(got[field]).hex() == float(value).hex(), \
+                        field
+                else:
+                    assert got[field] == value, field

@@ -223,6 +223,39 @@ class TestClassifiers:
         n_left = len([p for p in model.parameters() if p.requires_grad])
         assert 0 < n_left < n_all
 
+    def test_frozen_moe_stays_on_the_tape_for_a_trainable_encoder(self):
+        # Table 10's recipe: the MoE layers take no gradient, but their
+        # input does, so they must keep the tape and pass the encoder
+        # exactly the gradient the unfrozen model gives it.
+        from repro.autograd.functional import cross_entropy
+
+        def encoder_grads(freeze: bool):
+            model = MoEClassifier(6, 8, 16, 5, num_blocks=2,
+                                  num_experts=4, top_k=2,
+                                  rng=np.random.default_rng(0))
+            if freeze:
+                model.freeze_moe()
+            data = np.random.default_rng(1)
+            logits, l_aux = model(Tensor(data.normal(size=(24, 6))))
+            loss = cross_entropy(logits, data.integers(0, 5, size=24))
+            (loss + l_aux).backward()
+            return [p.grad for p in model.encoder.parameters()]
+
+        for frozen, trained in zip(encoder_grads(True),
+                                   encoder_grads(False)):
+            assert frozen.tobytes() == trained.tobytes()
+
+    def test_moe_parameter_names_are_unique_paths(self, rng):
+        # MoE keeps its own tensors a second time for the frozen-path
+        # check; each is still named once, under its attribute.
+        for router, names in (("linear", ["w1", "w2", "gate.weight"]),
+                              ("cosine", ["w1", "w2", "cosine_proj.weight",
+                                          "expert_embed",
+                                          "log_temperature"])):
+            moe = MoE(8, 16, 4, rng, router=router)
+            assert [n for n, _ in moe.named_parameters()] == names
+            assert len(moe.parameters()) == len(names)
+
     def test_set_inference_capacity(self, rng):
         model = MoEClassifier(6, 8, 16, 5, num_blocks=2, num_experts=4,
                               rng=rng, capacity_factor=1.0)

@@ -6,12 +6,14 @@ dispatch/combine pipeline, linearity of the collectives, and cost-model
 sanity under arbitrary valid configurations.
 """
 
+from copy import deepcopy
 from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.api import moe, net
+from repro.autograd.tensor import Tensor
 from repro.baselines import fairseq_moe_forward
 from repro.cluster.topology import ndv4_topology
 from repro.collectives.functional import (
@@ -26,6 +28,7 @@ from repro.collectives.schedule import (
     twodh_a2a_time,
 )
 from repro.core.config import MoEConfig
+from repro.core.substrate import substrate_dtype
 from repro.moe.capacity import (
     CapacityPolicy,
     needed_capacity_factor,
@@ -47,6 +50,7 @@ from repro.moe.layer import (
     moe_layer_forward,
 )
 from repro.moe.metrics import routing_stats
+from repro.nn.moe import MoE
 from repro.parallel.functional import p1_forward, p2_forward
 
 
@@ -331,6 +335,53 @@ class TestOneRoutingDecision:
             assert dist.dropped_fraction == 0.0
             assert dist.l_aux == float(np.mean(
                 [ref.l_aux for ref in refs[:e]]))
+
+
+class TestFrozenLayer:
+    """A frozen ``nn.MoE`` routes on arrays instead of the tape; its
+    output, ``l_aux`` and routing record are the trainable layer's, bit
+    for bit, on the hostile strategy."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=hostile_routing(),
+           router=st.sampled_from(["linear", "cosine"]), data=st.data())
+    def test_frozen_copy_is_the_trainable_layer(self, case, router, data):
+        p, x = case.params, case.xs[0]
+        e, m, v = p.experts.w1.shape
+        with substrate_dtype(x.dtype):
+            layer = MoE(m, v, e, np.random.default_rng(0), top_k=p.top_k,
+                        capacity_factor=case.f, router=router,
+                        router_dim=5, normalize_gate=p.normalize_gate,
+                        batch_prioritized=p.batch_prioritized)
+        layer.w1.data, layer.w2.data = p.experts.w1, p.experts.w2
+        if router == "linear":
+            layer.gate.weight.data = p.gate_weight
+        for expert in data.draw(st.sets(st.integers(0, e - 1),
+                                        max_size=e - 1)):
+            layer.mask_expert(expert)
+        frozen = deepcopy(layer)
+        frozen.freeze()
+
+        # The forward runs under the process default (float32), so a
+        # float64 layer also checks the promotion of the scalar operands.
+        out, l_aux = layer(Tensor(x, dtype=x.dtype))
+        out_f, l_aux_f = frozen(Tensor(x, dtype=x.dtype))
+        assert out._parents and out._backward is not None
+        assert out_f._parents == () and out_f._backward is None
+        assert l_aux_f._parents == () and l_aux_f._backward is None
+        for a, b in ((out, out_f), (l_aux, l_aux_f)):
+            assert (a.data.dtype, a.shape) == (b.data.dtype, b.shape)
+            assert a.data.tobytes() == b.data.tobytes()
+        assert frozen.last_routing_stats == layer.last_routing_stats
+        assert frozen.last_effective_capacity_factor \
+            == layer.last_effective_capacity_factor
+        crit = layer.last_routing_criteria
+        crit_f = frozen.last_routing_criteria
+        assert (crit.capacity, crit.num_experts) \
+            == (crit_f.capacity, crit_f.num_experts)
+        for field in ("idxs", "locations", "gates"):
+            a, b = getattr(crit, field), getattr(crit_f, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestConfigCostSanity:

@@ -380,6 +380,47 @@ class TestEngine:
         total_routed = sum(sum(row) for row in res.expert_load)
         assert total_routed > 0
 
+    def test_replay_serves_frozen_layers(self, monkeypatch):
+        # Serving never trains, so its layers are frozen and run the
+        # array gate; routing and the modeled column must be exactly
+        # those of the same replay through the taped path.
+        import repro.serve.engine as engine
+        built = []
+
+        class Recording(engine.MoE):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(engine, "MoE", Recording)
+        wl = get_workload("poisson_steady")
+        frozen = serve_workload(wl, fast=True, seed=0)
+        assert len(built) == wl.num_layers
+        assert all(layer.parameters() == [] for layer in built)
+
+        built.clear()
+        monkeypatch.setattr(Recording, "freeze", lambda self: None)
+        taped = serve_workload(wl, fast=True, seed=0)
+        assert all(layer.parameters() for layer in built)
+        for name in ("dropped_fraction", "expert_load_gini",
+                     "model_p50_ms", "model_p95_ms", "model_p99_ms"):
+            assert frozen.metric(name).value == taped.metric(name).value
+        assert frozen.expert_load == taped.expert_load
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_queue_depth_counts_the_waiting_tail(self, name):
+        # The engine bisects the sorted arrival times; the scan over
+        # the requests behind the batch is the definition.
+        wl = get_workload(name).resolved(fast=True, seed=0)
+        requests = generate_arrivals(wl.arrival, wl.seed)
+        res = serve_workload(wl)
+        end = 0
+        for ledger in res.batches:
+            end += ledger.size
+            assert ledger.queue_depth == sum(
+                1 for r in requests[end:] if r.arrival_ns <= ledger.close_ns)
+        assert end == len(requests)
+
     def test_slo_check_semantics(self):
         assert SLOCheck("x", 1.0, 2.0, "<=").passed
         assert not SLOCheck("x", 3.0, 2.0, "<=").passed
