@@ -30,6 +30,8 @@ __all__ = ["moe_dispatch", "moe_combine", "expert_ffn"]
 def moe_dispatch(x: Tensor, crit: RoutingCriteria) -> Tensor:
     """Scatter tokens into ``(E, dC, M)`` capacity cells (fast_encode)."""
     out_data = fast_encode(x.data, crit)
+    if not Tensor.needs_tape(x):
+        return Tensor(out_data, dtype=out_data.dtype)
 
     def backward(grad: np.ndarray) -> None:
         x._accumulate(fast_encode_backward(grad, crit))
@@ -43,21 +45,16 @@ def moe_combine(expert_output: Tensor, gates: Tensor,
     ``gates`` must have the ``(k, T)`` layout of ``crit.gates``; the
     decode uses these live values, keeping the router differentiable.
     """
-    if gates.shape != crit.gates.shape:
-        raise ValueError(
-            f"gates shape {gates.shape} != crit gates "
-            f"{crit.gates.shape}")
-    live = RoutingCriteria(idxs=crit.idxs, locations=crit.locations,
-                           gates=np.where(crit.valid, gates.data, 0.0),
-                           capacity=crit.capacity,
-                           num_experts=crit.num_experts)
+    live = crit.with_gates(gates.data)
     out_data = fast_decode(expert_output.data, live)
+    if not Tensor.needs_tape(expert_output, gates):
+        return Tensor(out_data, dtype=out_data.dtype)
 
     def backward(grad: np.ndarray) -> None:
         grad_z, grad_gates = fast_decode_backward(grad,
                                                   expert_output.data, live)
         expert_output._accumulate(grad_z)
-        gates._accumulate(np.where(crit.valid, grad_gates, 0.0))
+        gates._accumulate(grad_gates)
     return Tensor.from_op(out_data, (expert_output, gates), backward,
                           "moe_combine", live)
 
@@ -108,6 +105,8 @@ def expert_ffn(dispatched: Tensor, w1: Tensor, w2: Tensor,
     if ex is None:
         out_data, saved = ffn_forward_arrays(x_data, w1_data, w2_data,
                                              activation, rows)
+    if not Tensor.needs_tape(dispatched, w1, w2):
+        return Tensor(out_data, dtype=out_data.dtype)
 
     def backward(grad: np.ndarray) -> None:
         # Frozen experts (the Table 10 fine-tune) take no gradient, so

@@ -91,6 +91,12 @@ class Tensor:
             p.tape_op(out, op, parents, ctx)
         return out
 
+    @staticmethod
+    def needs_tape(*operands: "Tensor") -> bool:
+        """Whether an op on ``operands`` must tape (gradient or profiler)."""
+        return (any(t.requires_grad for t in operands)
+                or _prof.active() is not None)
+
     # -- properties ------------------------------------------------------
 
     @property

@@ -114,14 +114,11 @@ def dense_combine_weights(crit: RoutingCriteria) -> np.ndarray:
     t = crit.num_tokens
     # Allocate in the gates' dtype: an untyped np.zeros would silently
     # upcast the whole dense reference path to float64.
-    combine = np.zeros((t, crit.num_experts, crit.capacity),
+    combine = np.zeros((t, crit.num_experts * crit.capacity),
                        dtype=crit.gates.dtype)
-    valid = crit.valid
-    for slot in range(crit.top_k):
-        sel = valid[slot]
-        combine[np.arange(t)[sel], crit.idxs[slot, sel],
-                crit.locations[slot, sel]] += crit.gates[slot, sel]
-    return combine
+    plan = crit.plan
+    np.add.at(combine, (plan.tokens, plan.cells), crit.gates.take(plan.pos))
+    return combine.reshape(t, crit.num_experts, crit.capacity)
 
 
 def dense_dispatch_mask(crit: RoutingCriteria) -> np.ndarray:
@@ -149,44 +146,25 @@ def dense_decode(expert_output: np.ndarray,
 # Sparse (Tutel fast encode/decode) implementation — Figure 18b / 19
 # ----------------------------------------------------------------------
 
-def _flat_routes(crit: RoutingCriteria) -> tuple[np.ndarray, np.ndarray,
-                                                 np.ndarray]:
-    """Valid routes flattened: (token index, flat cell index, gate)."""
-    valid = crit.valid & (crit.gates != 0)
-    slots, tokens = np.nonzero(valid)
-    cells = (crit.idxs[slots, tokens] * crit.capacity
-             + crit.locations[slots, tokens])
-    gates = crit.gates[slots, tokens]
-    return tokens, cells, gates
-
-
-def _slot_routes(crit: RoutingCriteria):
-    """Per-slot valid routes: yields (token idxs, flat cells, gates).
-
-    Within one top-k slot every token appears at most once, which lets
-    the callers use unbuffered fancy-index ``+=`` instead of the much
-    slower ``np.add.at``.
-    """
-    valid = crit.valid & (crit.gates != 0)
-    for slot in range(crit.top_k):
-        sel = valid[slot]
-        toks = np.nonzero(sel)[0]
-        if not toks.size:
-            continue
-        cells = (crit.idxs[slot, sel] * crit.capacity
-                 + crit.locations[slot, sel])
-        yield toks, cells, crit.gates[slot, sel]
+def _scatter_add_slots(out: np.ndarray, tokens: np.ndarray,
+                       rows: np.ndarray, bounds: list[int]) -> None:
+    """``out[tokens] += rows`` slot by slot: a token appears once per
+    slot, so fancy '+=' is exact (no np.add.at).  Slot 0 lands on the
+    zero fill, and ``rows + 0.0`` is ``0.0 + rows`` bitwise."""
+    out[tokens[:bounds[1]]] = rows[:bounds[1]] + 0.0
+    for a, b in zip(bounds[1:], bounds[2:]):
+        out[tokens[a:b]] += rows[a:b]
 
 
 def fast_encode(x: np.ndarray, crit: RoutingCriteria) -> np.ndarray:
     """Sparse dispatch (kernel K0 forward): scatter tokens into
     ``(E, dC, M)`` capacity cells; ``O(T * k * M)`` work."""
     _check_tokens(x, crit)
-    tokens, cells, _ = _flat_routes(crit)
+    _, tokens, cells, _, _ = crit.routes()
     out = _POOL.zeros((crit.num_experts * crit.capacity, x.shape[1]),
                       x.dtype)
     # Queue positions are unique per expert, so '=' and '+=' agree.
-    out[cells] = x[tokens]
+    out[cells] = x.take(tokens, axis=0)
     return out.reshape(crit.num_experts, crit.capacity, x.shape[1])
 
 
@@ -201,10 +179,8 @@ def fast_encode_backward(grad_dispatched: np.ndarray,
     m = grad_dispatched.shape[-1]
     flat = grad_dispatched.reshape(-1, m)
     grad_x = _POOL.zeros((crit.num_tokens, m), grad_dispatched.dtype)
-    # Per slot each token appears at most once, so the unbuffered
-    # fancy '+=' is exact — no np.add.at (which is ~5x slower).
-    for toks, cells, _ in _slot_routes(crit):
-        grad_x[toks] += flat[cells]
+    _, tokens, cells, _, bounds = crit.routes()
+    _scatter_add_slots(grad_x, tokens, flat.take(cells, axis=0), bounds)
     return grad_x
 
 
@@ -216,10 +192,10 @@ def fast_decode(expert_output: np.ndarray,
     m = expert_output.shape[-1]
     flat = expert_output.reshape(-1, m)
     out = _POOL.zeros((crit.num_tokens, m), expert_output.dtype)
-    # Slot-by-slot scatter: within a slot token indices are unique,
-    # so fancy '+=' replaces the slow np.add.at.
-    for toks, cells, gates in _slot_routes(crit):
-        out[toks] += gates[:, None] * flat[cells]
+    _, tokens, cells, gates, bounds = crit.routes()
+    weighted = flat.take(cells, axis=0)
+    weighted *= gates[:, None]
+    _scatter_add_slots(out, tokens, weighted, bounds)
     return out
 
 
@@ -237,7 +213,7 @@ def fast_decode_backward(grad_output: np.ndarray, expert_output: np.ndarray,
         raise ValueError(
             f"grad_output shape {grad_output.shape} does not match "
             f"(T={crit.num_tokens}, M={expert_output.shape[-1]})")
-    tokens, cells, gates = _flat_routes(crit)
+    pos, tokens, cells, gates, _ = crit.routes()
     m = expert_output.shape[-1]
     flat_z = expert_output.reshape(-1, m)
 
@@ -247,10 +223,8 @@ def fast_decode_backward(grad_output: np.ndarray, expert_output: np.ndarray,
     grad_z[cells] = gates[:, None] * grad_output[tokens]
     grad_z = grad_z.reshape(expert_output.shape)
 
-    grad_gates = np.zeros_like(crit.gates)
-    valid = crit.valid & (crit.gates != 0)
-    slots, toks = np.nonzero(valid)
-    grad_gates[slots, toks] = np.einsum(
+    grad_gates = np.zeros(crit.gates.shape, crit.gates.dtype)
+    grad_gates.reshape(-1)[pos] = np.einsum(
         "rm,rm->r", grad_output[tokens], flat_z[cells])
     return grad_z, grad_gates
 

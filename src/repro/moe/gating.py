@@ -18,7 +18,7 @@ Everything is dtype-preserving vectorized NumPy; tokens are rows of an
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -30,6 +30,7 @@ __all__ = [
     "linear_gate_logits",
     "cosine_gate_logits",
     "RoutingCriteria",
+    "RoutePlan",
     "Routing",
     "select_top_k",
     "route",
@@ -97,7 +98,51 @@ def cosine_gate_logits(x: np.ndarray, proj: np.ndarray,
     return cosine / tau
 
 
-@dataclass
+class RoutePlan(NamedTuple):
+    """Where a routing decision's kept routes land, computed once and
+    only indexed with by the kernels and metrics (paper Section 4.2)."""
+
+    valid: np.ndarray      # (k, T) bool: the slot survived the capacity
+    pos: np.ndarray        # kept routes' flat (k, T) indices, slot-major
+    tokens: np.ndarray     # their token indices
+    cells: np.ndarray      # their flat (E * dC) capacity cells
+    bounds: list[int]      # slot s holds routes bounds[s]:bounds[s + 1]
+    load: np.ndarray       # (E,) routes per expert, dropped slots counted
+    occupancy: np.ndarray  # (E,) rows of each expert's slab in use
+    needed_capacity: int   # smallest dC that drops nothing
+
+
+def _route_plan(crit: "RoutingCriteria") -> RoutePlan:
+    """Plan any criteria (gapped, negative or dropped locations); raise
+    ``ValueError`` for an expert index outside ``[0, E)``, which would
+    wrap into another expert's capacity cells."""
+    idxs, locations, cap = crit.idxs, crit.locations, crit.capacity
+    experts = idxs.reshape(-1)
+    try:  # bincount rejects a negative index; one >= E lengthens it
+        load = np.bincount(experts, minlength=crit.num_experts)
+    except ValueError:
+        load = None
+    if load is None or load.size != crit.num_experts:
+        raise ValueError(f"idxs must be in [0, {crit.num_experts})")
+    valid = (locations >= 0) & (locations < cap)
+    pos = valid.reshape(-1).nonzero()[0]
+    kept, queue = experts[pos], locations.reshape(-1)[pos]
+    occupancy = np.zeros(crit.num_experts, dtype=locations.dtype)
+    np.maximum.at(occupancy, kept, queue + 1)
+    for arr in (valid, load, occupancy):
+        arr.setflags(write=False)
+    t = crit.num_tokens
+    return RoutePlan(valid, pos, pos % max(t, 1), kept * cap + queue,
+                     pos.searchsorted(np.arange(crit.top_k + 1) * t).tolist(),
+                     load, occupancy,
+                     int(locations.max()) + 1 if locations.size else 1)
+
+
+# The plan and what it is derived from: fixed once a criteria is built.
+_FIXED = frozenset(("idxs", "locations", "capacity", "num_experts", "plan"))
+
+
+@dataclass(init=False)
 class RoutingCriteria:
     """The ``crit`` object produced by routing and consumed by
     encode/decode (paper Figure 8).
@@ -105,7 +150,7 @@ class RoutingCriteria:
     Attributes
     ----------
     idxs:
-        ``(k, T)`` int array — expert index per top-k slot per token.
+        ``(k, T)`` int array in ``[0, E)`` — expert per slot per token.
     locations:
         ``(k, T)`` int array — the token's position in its expert's
         capacity queue.
@@ -116,6 +161,12 @@ class RoutingCriteria:
         ``dC`` — capacity slots per expert on this rank.
     num_experts:
         ``E`` — global expert count.
+
+    ``plan`` (a :class:`RoutePlan`) is computed once, when the criteria
+    is built.  ``idxs`` / ``locations`` are read-only and, with
+    ``capacity``, ``num_experts`` and ``plan``, cannot be reassigned, so
+    the plan cannot go stale; ``gates`` stays assignable (the kernels
+    read it live).
     """
 
     idxs: np.ndarray
@@ -124,7 +175,11 @@ class RoutingCriteria:
     capacity: int
     num_experts: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, idxs: np.ndarray, locations: np.ndarray,
+                 gates: np.ndarray, capacity: int, num_experts: int) -> None:
+        # Straight into __dict__: __setattr__ refuses the fixed fields.
+        vars(self).update(idxs=idxs, locations=locations, gates=gates,
+                          capacity=capacity, num_experts=num_experts)
         # Two explicit checks: a chained `a != b != c` comparison skips
         # the a-vs-c case whenever a == b, letting a mis-shaped `gates`
         # slip through validation.
@@ -142,6 +197,43 @@ class RoutingCriteria:
             raise ValueError(f"capacity must be >= 1, got {self.capacity}")
         if self.num_experts < 1:
             raise ValueError("num_experts must be >= 1")
+        if not {self.idxs.dtype.kind, self.locations.dtype.kind} <= {"i", "u"}:
+            raise ValueError("idxs and locations must be integer arrays")
+        vars(self)["plan"] = _route_plan(self)
+        self.idxs.setflags(write=False)
+        self.locations.setflags(write=False)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if name in _FIXED:
+            raise AttributeError(f"{name} is fixed; use dataclasses.replace")
+        object.__setattr__(self, name, value)
+
+    def __setstate__(self, state: dict) -> None:
+        # deepcopy / pickle hand back writable arrays: freeze, re-plan.
+        self.__init__(**{f.name: state[f.name] for f in fields(self)})
+
+    def with_gates(self, gates: np.ndarray) -> "RoutingCriteria":
+        """This routing with other ``(k, T)`` gates, sharing the plan."""
+        if gates.shape != self.gates.shape:
+            raise ValueError(
+                f"gates shape {gates.shape} != crit gates "
+                f"{self.gates.shape}")
+        live = object.__new__(RoutingCriteria)
+        live.__dict__.update(self.__dict__, gates=gates)
+        return live
+
+    def routes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                              np.ndarray, list[int]]:
+        """``(pos, tokens, cells, gates, bounds)`` of the plan's kept
+        routes less those whose gate is exactly 0 (not dispatched)."""
+        plan = self.plan
+        gates = np.take(self.gates, plan.pos)
+        if gates.all():
+            return plan.pos, plan.tokens, plan.cells, gates, plan.bounds
+        keep = gates != 0
+        bounds = np.concatenate(([0], np.cumsum(keep)))[plan.bounds]
+        return (plan.pos[keep], plan.tokens[keep], plan.cells[keep],
+                gates[keep], bounds.tolist())
 
     @property
     def top_k(self) -> int:
@@ -154,37 +246,26 @@ class RoutingCriteria:
     @property
     def valid(self) -> np.ndarray:
         """(k, T) bool — slots that survived the capacity limit."""
-        return (self.locations >= 0) & (self.locations < self.capacity)
+        return self.plan.valid
 
     @property
     def occupancy(self) -> np.ndarray:
         """(E,) ints — rows of each expert's capacity slab in use: 1 +
-        its largest valid queue position, 0 for an idle expert.
-
-        Every kept token sits in the prefix ``[0, occupancy[e])`` of its
-        expert's ``dC``-row slab, so the expert FFN multiplies only
-        those rows.  :func:`compute_locations` numbers a queue without
-        gaps, which makes this the kept-token count; a hand-built
-        criteria with gaps still gets a prefix that covers them.
-        """
-        pos = self.locations + 1
-        pos[pos > self.capacity] = 0  # past the capacity: dropped
-        # A negative location leaves pos <= 0; the zero floor absorbs it.
-        rows = np.zeros(self.num_experts, dtype=pos.dtype)
-        np.maximum.at(rows, self.idxs.ravel(), pos.ravel())
-        return rows
+        its largest valid queue position, 0 for an idle expert.  Every
+        kept token sits in this prefix of its expert's ``dC``-row slab,
+        so the expert FFN multiplies only those rows (a gap-free queue
+        makes it the kept-token count)."""
+        return self.plan.occupancy
 
     def dropped_fraction(self) -> float:
         """Fraction of (token, slot) routes dropped by the capacity."""
         if self.locations.size == 0:
             return 0.0  # an empty batch drops nothing
-        return 1.0 - int(np.count_nonzero(self.valid)) / self.locations.size
+        return 1.0 - self.plan.pos.size / self.locations.size
 
     def max_needed_capacity(self) -> int:
         """Smallest ``dC`` that would drop nothing for this routing."""
-        if self.locations.size == 0:
-            return 1  # the smallest legal capacity suffices
-        return int(self.locations.max()) + 1
+        return self.plan.needed_capacity
 
 
 def compute_locations(idxs: np.ndarray, num_experts: int,

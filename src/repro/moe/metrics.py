@@ -33,11 +33,9 @@ def expert_load(crit: RoutingCriteria,
     limit are counted — the load the experts actually process.
     """
     if count_dropped:
-        idxs = crit.idxs.reshape(-1)
-    else:
-        mask = crit.valid & (crit.gates != 0)
-        idxs = crit.idxs[mask]
-    return np.bincount(idxs, minlength=crit.num_experts)
+        return crit.plan.load
+    return np.bincount(np.take(crit.idxs, crit.routes()[0]),
+                       minlength=crit.num_experts)
 
 
 def load_imbalance(crit: RoutingCriteria,
@@ -52,32 +50,33 @@ def load_imbalance(crit: RoutingCriteria,
     """
     if load is None:
         load = expert_load(crit)
-    total = load.sum()
+    # Python ints: counts below 2**53 sum and divide exactly as
+    # np.mean's float64 arithmetic does, without E-element array ops.
+    counts = load.tolist()
+    total = sum(counts)
     if total == 0:
         return 1.0
-    # The mean is np.mean's float64 sum over the count: counts below
-    # 2**53 sum and convert exactly, so no float64 copy is needed.
-    return float(load.max() / (total / load.size))
+    return max(counts) / (total / len(counts))
 
 
 def load_gini(load: np.ndarray) -> float:
-    """Gini coefficient of an expert-load vector (0 = balanced).
+    """Gini coefficient of an expert-load vector of token counts
+    (0 = balanced).
 
     The health detectors' imbalance signal: 0.0 for uniform usage,
     approaching ``1 - 1/E`` when one expert takes everything.  Defined
     (0.0) for the degenerate cases — a single expert, zero routed
     tokens, or an empty vector — so online monitors never see NaN.
     """
-    load = np.asarray(load, dtype=np.float64).reshape(-1)
-    n = load.size
-    total = load.sum()
+    # Whole counts below 2**53: every sum is exact, so the one rounding
+    # is the final division, as in float64.
+    ordered = sorted(np.asarray(load).reshape(-1).tolist())
+    n, total = len(ordered), sum(ordered)
     if n <= 1 or total <= 0:
         return 0.0
-    ordered = np.sort(load)
     # Mean absolute difference form via the sorted-rank identity.
-    ranks = np.arange(1, n + 1, dtype=np.float64)
-    return float((2.0 * (ranks * ordered).sum() - (n + 1) * total)
-                 / (n * total))
+    weighted = sum(rank * count for rank, count in enumerate(ordered, 1))
+    return float((2 * weighted - (n + 1) * total) / (n * total))
 
 
 def routing_entropy(crit: RoutingCriteria, normalized: bool = True,
@@ -172,8 +171,10 @@ def routing_stats(crit: RoutingCriteria,
     if t == 0:
         confidence = 0.0  # a mean over zero tokens would be NaN
     else:
-        top1 = (gate_probs.max(axis=1) if gate_probs is not None
-                else crit.gates.max(axis=0))
+        # A row max reduced down the columns of the transpose: the
+        # same elements, ~3x faster than max(axis=1) over short rows.
+        top1 = (np.ascontiguousarray(gate_probs.T).max(axis=0)
+                if gate_probs is not None else crit.gates.max(axis=0))
         # np.mean's arithmetic without its Python-level wrapper: the sum
         # in the array's dtype, divided in float64, rounded back.
         confidence = float(top1.dtype.type(float(top1.sum()) / t))

@@ -184,8 +184,8 @@ class MoE(Module):
         layer on a constant input — serving) the softmax, the selected
         gates and ``l_aux`` are computed on arrays by the same ops in
         the same order, so both come out bitwise equal as constant
-        tensors, and only the gate GEMM, dispatch, expert FFN and
-        combine pass through :meth:`Tensor.from_op`.
+        tensors; dispatch, FFN, combine and a linear router's GEMM skip
+        :meth:`Tensor.from_op` too unless a profiler prices them.
         """
         if x.ndim != 2:
             raise ValueError(f"x must be (T, M), got {x.shape}")
@@ -199,21 +199,26 @@ class MoE(Module):
                                        for p in self._grad_sources)
 
         with _span("gate", CAT_MOE), _prof.stage("gate"):
-            logits = self._gate_logits(x)
+            if taped:
+                logits = self._gate_logits(x)
+            elif self.router == "linear" and not Tensor.needs_tape(x):
+                # Frozen and unprofiled: the same GEMM, no tape node.
+                logits = x.data @ self.gate.weight.data
+            else:
+                logits = self._gate_logits(x).data
             if self.failed_experts:
                 # Graceful degradation: a large negative logit zeroes
                 # the dead experts' probabilities, so selection and the
                 # aux loss see only survivors; k shrinks if needed.
-                mask = np.zeros((1, self.num_experts),
-                                dtype=logits.data.dtype)
+                mask = np.zeros((1, self.num_experts))
                 mask[0, sorted(self.failed_experts)] = -1e30
-                logits = logits + mask
+                logits = logits + _operand(mask)
                 k = min(k, self.num_experts - len(self.failed_experts))
             if taped:
                 probs = softmax(logits, axis=1)
                 gate_probs = probs.data
             else:
-                gate_probs = gating.softmax(logits.data, axis=1)
+                gate_probs = gating.softmax(logits, axis=1)
 
             # Discrete routing decisions (outside the tape).
             order = select_top_k(gate_probs, k)
@@ -225,9 +230,11 @@ class MoE(Module):
                         if self.batch_prioritized else None)
             locations = compute_locations(idxs, self.num_experts,
                                           priority=priority)
+            # Queues count from 0: kept routes' gates read 1 so the
+            # kernels keep them; `selected` holds the real values.
             crit = RoutingCriteria(
                 idxs=idxs, locations=locations,
-                gates=np.zeros_like(idxs, dtype=x.data.dtype),
+                gates=(locations < cap).astype(x.data.dtype),
                 capacity=cap, num_experts=self.num_experts)
 
             # Gate values of the selected slots, (k, T).  Normalization
@@ -240,14 +247,11 @@ class MoE(Module):
                     selected = selected / (selected.sum(axis=0, keepdims=True)
                                            + 1e-12)
             else:
-                gates = np.take_along_axis(gate_probs, order, axis=1).T
+                gates = gate_probs[np.arange(t)[:, None], order].T
                 if self.normalize_gate and k > 1:
                     gates = gates / (gates.sum(axis=0, keepdims=True)
                                      + _operand(1e-12))
                 selected = Tensor(gates, dtype=gates.dtype)
-            # Mark the selected routes live so the sparse kernels keep
-            # them; real values come from `selected` at combine time.
-            crit.gates = crit.valid.astype(x.data.dtype)
 
         self.last_routing_stats = routing_stats(crit, gate_probs)
         self.last_routing_criteria = crit
@@ -278,8 +282,8 @@ class MoE(Module):
         return output, l_aux
 
 
-def _operand(value: float) -> np.ndarray:
-    """The array a taped op makes of a Python scalar operand
+def _operand(value: float | np.ndarray) -> np.ndarray:
+    """The array a taped op makes of a constant operand
     (:func:`as_tensor`: the substrate dtype), so array arithmetic with
     it promotes and rounds exactly as the taped op does."""
     return as_tensor(value).data

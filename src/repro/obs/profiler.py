@@ -692,12 +692,10 @@ def reduction_cost(n_in: int, n_out: int,
 
 
 def routes_of(crit) -> int:
-    """Live routes ``r <= k*T``: slots that are valid with nonzero gate.
-
-    Matches ``repro.moe.encode._flat_routes`` — the element count the
-    sparse kernels actually touch.
+    """Live routes ``r <= k*T`` (:meth:`RoutingCriteria.routes`): the
+    element count the sparse kernels actually touch.
     """
-    return int(np.count_nonzero(crit.valid & (crit.gates != 0)))
+    return int(crit.routes()[0].size)
 
 
 def sparse_encode_cost(routes: int, cells: int, model_dim: int,

@@ -146,14 +146,10 @@ class RoutingRecorder:
                 raise ValueError(
                     f"layer {li} saw {crit.num_tokens} tokens, "
                     f"layer 0 saw {tokens}")
-            self.loads[li] += np.bincount(
-                crit.idxs.reshape(-1), minlength=self.num_experts)
-            valid = crit.valid
-            if valid.any():
-                slots, toks = np.nonzero(valid)
-                buckets = toks % SRC_BUCKETS
-                np.add.at(self.dispatched[li],
-                          (buckets, crit.idxs[slots, toks]), 1)
+            plan = crit.plan
+            self.loads[li] += plan.load
+            np.add.at(self.dispatched[li], (plan.tokens % SRC_BUCKETS,
+                                            np.take(crit.idxs, plan.pos)), 1)
         for li in range(self.num_layers - 1):
             # Affinity counts the primary (rank-0) route of each token
             # at consecutive layers; secondary top-k routes show in the

@@ -4,6 +4,8 @@ The core correctness claim of Section 4.2: the sparse O(T*k*M)
 implementation computes exactly what the dense O(T*E*dC*M) einsum does.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -185,17 +187,18 @@ class TestZeroGateAndDropAgreement:
         rng = np.random.default_rng(seed)
         probs = softmax(rng.normal(size=(t, e)))
         crit = top_k_routing(probs, k, capacity=cap)
+        gates, locations = crit.gates.copy(), crit.locations.copy()
         # Zero the gate of one random *valid* slot per sampled token.
         valid_slots, valid_tokens = np.nonzero(crit.valid)
         if len(valid_tokens):
             pick = rng.integers(0, len(valid_tokens),
                                 max(1, len(valid_tokens) // 4))
-            crit.gates[valid_slots[pick], valid_tokens[pick]] = 0.0
+            gates[valid_slots[pick], valid_tokens[pick]] = 0.0
         # Fully drop a random subset of tokens (all slots invalid).
         dropped = rng.random(t) < 0.25
-        crit.locations[:, dropped] = crit.capacity
-        crit.gates[:, dropped] = 0.0
-        return rng, crit, dropped
+        locations[:, dropped] = crit.capacity
+        gates[:, dropped] = 0.0
+        return rng, replace(crit, gates=gates, locations=locations), dropped
 
     @given(seed=st.integers(0, 300), t=st.integers(1, 32),
            e=st.integers(2, 8), k=st.integers(1, 3),

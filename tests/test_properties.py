@@ -10,6 +10,7 @@ from copy import deepcopy
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import moe, net
@@ -51,6 +52,7 @@ from repro.moe.layer import (
 )
 from repro.moe.metrics import routing_stats
 from repro.nn.moe import MoE
+from repro.obs.profiler import profiling
 from repro.parallel.functional import p1_forward, p2_forward
 
 
@@ -382,6 +384,46 @@ class TestFrozenLayer:
         for field in ("idxs", "locations", "gates"):
             a, b = getattr(crit, field), getattr(crit_f, field)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @staticmethod
+    def _layer_pair(router):
+        layer = MoE(6, 8, 4, np.random.default_rng(0), top_k=2,
+                    router=router, router_dim=5)
+        frozen = deepcopy(layer)
+        frozen.freeze()
+        x = np.random.default_rng(1).normal(size=(9, 6)).astype(np.float32)
+        return layer, frozen, x
+
+    def test_frozen_linear_layer_builds_no_tape(self, monkeypatch):
+        calls = []
+        real = Tensor.from_op
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "from_op", staticmethod(counting))
+        layer, frozen, x = self._layer_pair("linear")
+        frozen(Tensor(x))
+        assert calls == []
+        layer(Tensor(x))  # x needs no gradient: dispatch stays untaped
+        assert {"matmul", "expert_ffn", "moe_combine"} <= set(calls)
+        assert "moe_dispatch" not in calls
+
+    @pytest.mark.parametrize("router", ["linear", "cosine"])
+    def test_profiled_frozen_layer_prices_every_stage(self, router):
+        # Under a profiler a frozen layer keeps the gate GEMM and the
+        # three MoE ops, each in the stage the trainable layer has it.
+        layer, frozen, x = self._layer_pair(router)
+        seen = {}
+        for name, module in (("trainable", layer), ("frozen", frozen)):
+            with profiling() as prof:
+                module(Tensor(x))
+            seen[name] = {(r.stage, r.name) for r in prof.records}
+        moe_ops = {("dispatch", "moe_dispatch"),
+                   ("expert_ffn", "expert_ffn"), ("combine", "moe_combine")}
+        assert moe_ops <= seen["frozen"] <= seen["trainable"]
+        assert ("gate", "matmul") in seen["frozen"]
 
 
 class TestConfigCostSanity:
