@@ -14,11 +14,12 @@ Run:  python examples/adaptive_runtime.py
 
 from collections import Counter
 
-from repro.cluster import ndv4_topology
-from repro.core import MoEConfig
-from repro.models import dynamic_capacity_trace
-from repro.parallel import InlineParallelismRouter
-from repro.pipeline import OnlinePipeliningSearch, pipeline_segment_time
+from repro.cluster.topology import ndv4_topology
+from repro.core.config import MoEConfig
+from repro.models.workload import dynamic_capacity_trace
+from repro.parallel.router import InlineParallelismRouter
+from repro.pipeline.adaptive import OnlinePipeliningSearch
+from repro.pipeline.schedule import PipelineStrategy, pipeline_segment_time
 
 
 def main():
@@ -55,7 +56,6 @@ def main():
     pipeline_choices = Counter()
     static_time = 0.0
     adaptive_time = 0.0
-    from repro.pipeline import PipelineStrategy
     baseline = PipelineStrategy(degree=1)
 
     print(f"\nadaptive pipelining at {world} GPUs:")

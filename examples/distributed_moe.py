@@ -10,18 +10,15 @@ Run:  python examples/distributed_moe.py
 
 import numpy as np
 
-from repro.collectives import (
+from repro.collectives.functional import (
     all_to_all_2dh_phases,
     all_to_all_linear,
     flexible_all_to_all,
 )
-from repro.core import MoEConfig
-from repro.moe import (
-    CapacityPolicy,
-    MoELayerParams,
-    distributed_moe_forward,
-    moe_layer_forward,
-)
+from repro.core.config import MoEConfig
+from repro.moe.capacity import CapacityPolicy
+from repro.moe.distributed import distributed_moe_forward
+from repro.moe.layer import MoELayerParams, moe_layer_forward
 
 
 def main():

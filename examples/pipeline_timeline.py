@@ -11,12 +11,12 @@ Run:  python examples/pipeline_timeline.py
 
 from pathlib import Path
 
-from repro.cluster import ndv4_topology
 from repro.cluster.simulator import simulate
-from repro.collectives import A2AAlgorithm
-from repro.core import MoEConfig
-from repro.obs import TraceRecorder
-from repro.pipeline import PipelineStrategy, build_pipeline_schedule
+from repro.cluster.topology import ndv4_topology
+from repro.collectives.schedule import A2AAlgorithm
+from repro.core.config import MoEConfig
+from repro.obs.trace import TraceRecorder
+from repro.pipeline.schedule import PipelineStrategy, build_pipeline_schedule
 
 
 def text_gantt(result, width=72):

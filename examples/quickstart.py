@@ -9,11 +9,8 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro.moe import (
-    CapacityPolicy,
-    MoELayerParams,
-    moe_layer_forward,
-)
+from repro.moe.capacity import CapacityPolicy
+from repro.moe.layer import MoELayerParams, moe_layer_forward
 
 
 def main():

@@ -8,11 +8,11 @@ Run:  python examples/scaling_study.py
 """
 
 from repro.bench.harness import Table
-from repro.cluster import ndv4_topology
-from repro.collectives import best_a2a_algorithm
-from repro.core import MoEConfig
+from repro.cluster.topology import ndv4_topology
+from repro.collectives.schedule import best_a2a_algorithm
+from repro.core.config import MoEConfig
 from repro.core.units import MIB, fmt_time
-from repro.runtime import FAIRSEQ_FEATURES, TUTEL_FEATURES, moe_step_time
+from repro.runtime.plan import FAIRSEQ_FEATURES, TUTEL_FEATURES, moe_step_time
 
 
 def main():

@@ -11,8 +11,9 @@ Run:  python examples/train_moe_classifier.py
 
 import numpy as np
 
-from repro.nn import DenseClassifier, MoEClassifier
-from repro.train import ClusteredTokenTask, evaluate, train_model
+from repro.nn.models import DenseClassifier, MoEClassifier
+from repro.train.data import ClusteredTokenTask
+from repro.train.trainer import evaluate, train_model
 
 
 def main():

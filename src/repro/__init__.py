@@ -4,12 +4,13 @@ The package splits into a *functional substrate* that really computes
 (NumPy MoE layers, a small autograd engine, trainable models) and a
 *performance substrate* that models a GPU cluster (topology, cost
 models, a discrete-event simulator) so the paper's scaling experiments
-can be regenerated without 2,048 A100s.
+can be regenerated without 2,048 A100s.  Package ``__init__`` modules
+re-export nothing: import each name from the module that defines it.
 
 Quickstart::
 
     import numpy as np
-    from repro.moe import MoELayerParams, moe_layer_forward
+    from repro.moe.layer import MoELayerParams, moe_layer_forward
 
     rng = np.random.default_rng(0)
     params = MoELayerParams.init(num_experts=8, model_dim=64,
@@ -19,8 +20,4 @@ Quickstart::
     print(out.output.shape, out.l_aux)
 """
 
-from repro.core.config import MoEConfig
-
 __version__ = "0.1.0"
-
-__all__ = ["MoEConfig", "__version__"]

@@ -1,19 +1,1 @@
 """Reference baseline implementations: Fairseq MoE, DeepSpeed MoE."""
-
-from repro.baselines.deepspeed_moe import (
-    deepspeed_features,
-    deepspeed_fflayer_time,
-)
-from repro.baselines.fairseq_moe import (
-    fairseq_features,
-    fairseq_memory,
-    fairseq_moe_forward,
-)
-
-__all__ = [
-    "deepspeed_features",
-    "deepspeed_fflayer_time",
-    "fairseq_features",
-    "fairseq_memory",
-    "fairseq_moe_forward",
-]

@@ -1,7 +1,1 @@
 """Bench harness utilities shared by the benchmarks/ scripts."""
-
-from repro.bench.harness import Table, format_speedup, geometric_mean
-from repro.bench.report import BenchResult, Metric, emit
-
-__all__ = ["Table", "format_speedup", "geometric_mean",
-           "BenchResult", "Metric", "emit"]

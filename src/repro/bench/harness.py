@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.obs.runs import get_run
+
 __all__ = ["Table", "format_speedup", "geometric_mean"]
 
 
@@ -64,7 +66,6 @@ class Table:
         print()
         # When a run is recording (repro bench under REPRO_RUNS_DIR)
         # the rendered table also lands in the run's event stream.
-        from repro.obs.runs import get_run
         run = get_run()
         if run is not None:
             run.emit("bench_table", data={

@@ -33,7 +33,6 @@ gate on real time; ``benchmarks/perf`` owns wall-clock.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -41,11 +40,12 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from repro.obs.runs import config_fingerprint, get_run
+
 __all__ = [
     "SCHEMA_VERSION",
     "Metric",
     "BenchResult",
-    "config_fingerprint",
     "validate_payload",
     "emit",
     "SLOCheck",
@@ -117,13 +117,6 @@ class Metric:
                    kind=obj.get("kind", "model"),
                    higher_is_better=obj.get("higher_is_better"),
                    tolerance=float(obj.get("tolerance", 0.05)))
-
-
-def config_fingerprint(config: Mapping | None) -> str:
-    """Short stable hash of a bench's configuration dict."""
-    canonical = json.dumps(config or {}, sort_keys=True,
-                           separators=(",", ":"), default=str)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
 @dataclass
@@ -260,9 +253,6 @@ def emit(artifact: str, title: str, metrics: Iterable[Metric], *,
         path = result.write(target)
         if verbose:
             print(f"[bench] wrote {path}")
-    # Lazy import: repro.obs.runs imports config_fingerprint from this
-    # module, so the dependency must stay one-way at import time.
-    from repro.obs.runs import get_run
     run = get_run()
     if run is not None:
         run.emit("bench_result", data=result.to_json_obj())

@@ -652,13 +652,9 @@ def _cmd_scenario(args) -> int:
     from dataclasses import replace
     from functools import partial
 
-    from repro.scenarios import (
-        SCENARIOS,
-        emit_scenarios,
-        get_scenario,
-        render_results,
-        run_scenario,
-    )
+    from repro.scenarios.engine import run_scenario
+    from repro.scenarios.library import SCENARIOS, get_scenario
+    from repro.scenarios.report import emit_scenarios, render_results
 
     targets = _named_targets(args, "scenario", SCENARIOS, get_scenario)
     if targets is None:
@@ -685,13 +681,9 @@ def _cmd_serve(args) -> int:
     from functools import partial
 
     from repro import obs
-    from repro.serve import (
-        WORKLOADS,
-        emit_serving,
-        get_workload,
-        render_serve_results,
-        serve_workload,
-    )
+    from repro.serve.engine import serve_workload
+    from repro.serve.report import emit_serving, render_serve_results
+    from repro.serve.workloads import WORKLOADS, get_workload
 
     targets = _named_targets(args, "workload", WORKLOADS, get_workload)
     if targets is None:

@@ -1,53 +1,1 @@
 """Collective communication: functional data movement + latency models."""
-
-from repro.collectives.functional import (
-    all_gather,
-    all_reduce,
-    all_to_all_2dh,
-    all_to_all_2dh_phases,
-    all_to_all_3dh,
-    all_to_all_linear,
-    flexible_all_to_all,
-    reduce_scatter,
-    stride_memcpy,
-)
-from repro.collectives.schedule import (
-    A2AAlgorithm,
-    CollectiveCostModel,
-    Impl,
-    Protocol,
-    a2a_time,
-    all_gather_time,
-    all_reduce_time,
-    best_a2a_algorithm,
-    linear_a2a_time,
-    naive_local_agg_a2a_time,
-    reduce_scatter_time,
-    threedh_a2a_time,
-    twodh_a2a_time,
-)
-
-__all__ = [
-    "all_gather",
-    "all_reduce",
-    "all_to_all_2dh",
-    "all_to_all_2dh_phases",
-    "all_to_all_3dh",
-    "all_to_all_linear",
-    "flexible_all_to_all",
-    "reduce_scatter",
-    "stride_memcpy",
-    "A2AAlgorithm",
-    "CollectiveCostModel",
-    "Impl",
-    "Protocol",
-    "a2a_time",
-    "all_gather_time",
-    "all_reduce_time",
-    "best_a2a_algorithm",
-    "linear_a2a_time",
-    "naive_local_agg_a2a_time",
-    "reduce_scatter_time",
-    "threedh_a2a_time",
-    "twodh_a2a_time",
-]

@@ -1,33 +1,1 @@
 """Core configuration and shared utilities."""
-
-from repro.core.config import MoEConfig, expert_capacity
-from repro.core.substrate import (
-    default_dtype,
-    default_itemsize,
-    expert_parallelism,
-    expert_workers,
-    resolve_dtype,
-    set_default_dtype,
-    set_expert_workers,
-    substrate_dtype,
-)
-from repro.core.units import GIB, KIB, MIB, fmt_bytes, fmt_rate, fmt_time
-
-__all__ = [
-    "MoEConfig",
-    "expert_capacity",
-    "default_dtype",
-    "default_itemsize",
-    "expert_parallelism",
-    "expert_workers",
-    "resolve_dtype",
-    "set_default_dtype",
-    "set_expert_workers",
-    "substrate_dtype",
-    "KIB",
-    "MIB",
-    "GIB",
-    "fmt_bytes",
-    "fmt_time",
-    "fmt_rate",
-]

@@ -1,33 +1,1 @@
 """Workload models: SwinV2-MoE geometry and dynamic workload traces."""
-
-from repro.models.swin import (
-    SWINV2_B,
-    SWINV2_S,
-    SWINV2_THIN_TINY,
-    SwinMoESpeed,
-    SwinVariant,
-    inference_gflops,
-    moe_parameter_count,
-    swinv2_moe_speed,
-)
-from repro.models.workload import (
-    TYPICAL_SETTINGS_AXES,
-    dynamic_capacity_trace,
-    sample_capacity_factors,
-    typical_settings,
-)
-
-__all__ = [
-    "SWINV2_B",
-    "SWINV2_S",
-    "SWINV2_THIN_TINY",
-    "SwinMoESpeed",
-    "SwinVariant",
-    "inference_gflops",
-    "moe_parameter_count",
-    "swinv2_moe_speed",
-    "TYPICAL_SETTINGS_AXES",
-    "dynamic_capacity_trace",
-    "sample_capacity_factors",
-    "typical_settings",
-]

@@ -1,81 +1,1 @@
 """Functional MoE core: gating, capacity, encode/decode, layers."""
-
-from repro.moe.capacity import (
-    CapacityPolicy,
-    needed_capacity,
-    needed_capacity_factor,
-    resolve_capacity,
-)
-from repro.moe.distributed import (
-    DistributedMoEOutput,
-    distributed_moe_forward,
-    shard_experts,
-)
-from repro.moe.encode import (
-    dense_combine_weights,
-    dense_decode,
-    dense_dispatch_mask,
-    dense_encode,
-    fast_decode,
-    fast_decode_backward,
-    fast_encode,
-    fast_encode_backward,
-)
-from repro.moe.gating import (
-    RoutingCriteria,
-    compute_locations,
-    cosine_gate_logits,
-    linear_gate_logits,
-    load_balance_loss,
-    softmax,
-    top_k_routing,
-)
-from repro.moe.metrics import (
-    RoutingStats,
-    expert_load,
-    load_imbalance,
-    routing_entropy,
-    routing_stats,
-)
-from repro.moe.layer import (
-    ExpertParams,
-    MoELayerParams,
-    MoEOutput,
-    expert_ffn,
-    moe_layer_forward,
-)
-
-__all__ = [
-    "CapacityPolicy",
-    "needed_capacity",
-    "needed_capacity_factor",
-    "resolve_capacity",
-    "DistributedMoEOutput",
-    "distributed_moe_forward",
-    "shard_experts",
-    "dense_combine_weights",
-    "dense_decode",
-    "dense_dispatch_mask",
-    "dense_encode",
-    "fast_decode",
-    "fast_decode_backward",
-    "fast_encode",
-    "fast_encode_backward",
-    "RoutingCriteria",
-    "compute_locations",
-    "cosine_gate_logits",
-    "linear_gate_logits",
-    "load_balance_loss",
-    "softmax",
-    "top_k_routing",
-    "RoutingStats",
-    "expert_load",
-    "load_imbalance",
-    "routing_entropy",
-    "routing_stats",
-    "ExpertParams",
-    "MoELayerParams",
-    "MoEOutput",
-    "expert_ffn",
-    "moe_layer_forward",
-]

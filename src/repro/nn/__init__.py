@@ -1,16 +1,1 @@
 """Trainable modules: layers, MoE, and the experiment classifiers."""
-
-from repro.nn.models import DenseClassifier, MoEClassifier
-from repro.nn.modules import FFN, LayerNorm, Linear, Module, Sequential
-from repro.nn.moe import MoE
-
-__all__ = [
-    "DenseClassifier",
-    "MoEClassifier",
-    "FFN",
-    "LayerNorm",
-    "Linear",
-    "Module",
-    "Sequential",
-    "MoE",
-]

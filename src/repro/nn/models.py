@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd.tensor import Tensor
+from repro.moe.capacity import CapacityPolicy
 from repro.nn.moe import MoE
 from repro.nn.modules import FFN, LayerNorm, Linear, Module
 from repro.obs.runs import get_run
@@ -99,7 +100,6 @@ class MoEClassifier(Module):
     def set_inference_capacity(self, capacity_factor: float) -> None:
         """Change the capacity factor of every MoE layer (Table 12's
         separate train-f / infer-f knobs)."""
-        from repro.moe.capacity import CapacityPolicy
         for layer in self.moe_layers():
             layer.capacity_policy = CapacityPolicy(capacity_factor)
 

@@ -8,7 +8,7 @@ registry root (``REPRO_RUNS_DIR``, default ``.repro_runs/``):
 ``<root>/<run_id>/manifest.json``
     Schema-versioned identity: run id, creation timestamp (passed in
     or wall clock), seed, substrate, free-form config dict plus its
-    :func:`repro.bench.report.config_fingerprint`, best-effort
+    :func:`config_fingerprint`, best-effort
     ``git describe``, status (``running``, then ``complete`` or
     ``failed``), and — once finalized — a summary dict.
 ``<root>/<run_id>/events.jsonl``
@@ -33,6 +33,7 @@ questions (``repro runs list|show|diff|gc``, ``repro dashboard``).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -43,13 +44,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, IO, Iterator, Mapping
 
-from repro.bench.report import config_fingerprint
+from repro.obs import get_observer
 from repro.obs.overhead import get_ledger, perf_ns
 
 __all__ = [
     "RUN_SCHEMA_VERSION",
     "TERMINAL_STATUSES",
     "DEFAULT_RUNS_DIR",
+    "config_fingerprint",
     "RunManifest",
     "RunWriter",
     "RunStore",
@@ -114,6 +116,13 @@ def runs_root(root: str | Path | None = None) -> Path:
     if root is not None:
         return Path(root)
     return env_runs_root() or Path(DEFAULT_RUNS_DIR)
+
+
+def config_fingerprint(config: Mapping | None) -> str:
+    """Short stable hash of a run's or bench's configuration dict."""
+    canonical = json.dumps(config or {}, sort_keys=True,
+                           separators=(",", ":"), default=str)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
 def _git_describe() -> str:
@@ -406,7 +415,6 @@ class recording_run:
     def __exit__(self, exc_type, exc, tb) -> None:
         assert self.run is not None
         if self.run.manifest.status not in TERMINAL_STATUSES:
-            from repro.obs import get_observer
             ob = get_observer()
             self.run.finalize(
                 registry_snapshot=(ob.registry.snapshot()

@@ -1,46 +1,1 @@
 """Switchable parallelism: P1/P2 strategies, placement, inline router."""
-
-from repro.parallel.functional import (
-    ShardedExpert,
-    gather_zero_slices,
-    p1_forward,
-    p2_forward,
-    shard_expert_columns,
-    slice_expert_zero,
-)
-from repro.parallel.placement import (
-    ExpertPlacement,
-    build_placement,
-    round_robin_placement,
-)
-from repro.parallel.router import InlineParallelismRouter, RouterDecision
-from repro.parallel.strategy import (
-    Parallelism,
-    StrategyCost,
-    p1_communication_bytes,
-    p1_param_comm_time,
-    p2_communication_bytes,
-    replication_factor,
-    strategy_cost,
-)
-
-__all__ = [
-    "ShardedExpert",
-    "gather_zero_slices",
-    "p1_forward",
-    "p2_forward",
-    "shard_expert_columns",
-    "slice_expert_zero",
-    "ExpertPlacement",
-    "build_placement",
-    "round_robin_placement",
-    "InlineParallelismRouter",
-    "RouterDecision",
-    "Parallelism",
-    "StrategyCost",
-    "p1_communication_bytes",
-    "p1_param_comm_time",
-    "p2_communication_bytes",
-    "replication_factor",
-    "strategy_cost",
-]

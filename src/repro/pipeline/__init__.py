@@ -1,34 +1,1 @@
 """Adaptive pipelining: token partition, schedules, online search."""
-
-from repro.pipeline.adaptive import Bucket, OnlinePipeliningSearch
-from repro.pipeline.partition import (
-    VALID_DEGREES,
-    merge_partitions,
-    partition_capacity,
-    valid_degrees,
-)
-from repro.pipeline.schedule import (
-    PipelineStrategy,
-    SegmentSpec,
-    all_strategies,
-    build_pipeline_schedule,
-    build_segment_schedule,
-    pipeline_segment_time,
-    segment_time,
-)
-
-__all__ = [
-    "Bucket",
-    "OnlinePipeliningSearch",
-    "VALID_DEGREES",
-    "merge_partitions",
-    "partition_capacity",
-    "valid_degrees",
-    "PipelineStrategy",
-    "SegmentSpec",
-    "all_strategies",
-    "build_pipeline_schedule",
-    "build_segment_schedule",
-    "pipeline_segment_time",
-    "segment_time",
-]

@@ -23,34 +23,3 @@ Everything emits ``repro.obs`` counters and trace events
 ``ckpt.saved``) so recoveries are attributable to steps on the unified
 timeline.
 """
-
-from repro.resilience.checkpoint import (
-    TrainingCheckpoint,
-    capture_training_state,
-    load_checkpoint,
-    restore_training_state,
-    save_checkpoint,
-)
-from repro.resilience.faults import (
-    ExpertFailure,
-    FaultPlan,
-    LinkDegradation,
-    OpFailure,
-    StragglerWindow,
-)
-from repro.resilience.recovery import RecoveryDecision, reselect_strategy
-
-__all__ = [
-    "StragglerWindow",
-    "LinkDegradation",
-    "OpFailure",
-    "ExpertFailure",
-    "FaultPlan",
-    "TrainingCheckpoint",
-    "capture_training_state",
-    "restore_training_state",
-    "save_checkpoint",
-    "load_checkpoint",
-    "RecoveryDecision",
-    "reselect_strategy",
-]

@@ -1,48 +1,2 @@
 """Runtime planning and execution: feature toggles -> MoE layer step
 times, plus the real multicore expert-parallel FFN executor."""
-
-from repro.runtime.executor import (
-    ExpertParallelExecutor,
-    ffn_backward_arrays,
-    ffn_forward_arrays,
-    get_executor,
-    shutdown_executor,
-)
-from repro.runtime.kernels import (
-    dense_decode_time,
-    dense_encode_time,
-    encode_decode_time,
-    gating_time,
-    sparse_decode_time,
-    sparse_encode_time,
-)
-from repro.runtime.plan import (
-    FAIRSEQ_FEATURES,
-    TUTEL_FEATURES,
-    ExecutionFeatures,
-    MoEStepBreakdown,
-    build_segment_spec,
-    choose_parallelism,
-    moe_step_time,
-)
-
-__all__ = [
-    "ExpertParallelExecutor",
-    "ffn_backward_arrays",
-    "ffn_forward_arrays",
-    "get_executor",
-    "shutdown_executor",
-    "dense_decode_time",
-    "dense_encode_time",
-    "encode_decode_time",
-    "gating_time",
-    "sparse_decode_time",
-    "sparse_encode_time",
-    "FAIRSEQ_FEATURES",
-    "TUTEL_FEATURES",
-    "ExecutionFeatures",
-    "MoEStepBreakdown",
-    "build_segment_spec",
-    "choose_parallelism",
-    "moe_step_time",
-]

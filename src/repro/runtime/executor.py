@@ -39,16 +39,9 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.core import substrate as _substrate
-from repro.moe.ffn import (
-    ACTIVATIONS,
-    ffn_backward_arrays,
-    ffn_forward_arrays,
-)
+from repro.moe.ffn import ffn_backward_arrays, ffn_forward_arrays
 
 __all__ = [
-    "ACTIVATIONS",
-    "ffn_forward_arrays",
-    "ffn_backward_arrays",
     "ExpertParallelExecutor",
     "get_executor",
     "shutdown_executor",

@@ -73,7 +73,6 @@ from repro.scenarios.spec import (
 )
 
 __all__ = [
-    "SLOCheck",
     "ScenarioResult",
     "run_scenario",
     "price_replacement",

@@ -24,60 +24,3 @@ engine closes that gap with end-to-end request observability:
 * :mod:`repro.serve.report` — ``BENCH_serving.json`` for the
   ``repro regress`` gate.
 """
-
-from repro.serve.arrivals import (
-    ArrivalSpec,
-    Request,
-    generate_arrivals,
-)
-from repro.serve.batcher import Batch, BatchFormer
-from repro.serve.engine import (
-    ServeResult,
-    SLOCheck,
-    serve_workload,
-)
-from repro.serve.ledger import (
-    EXEC_STAGES,
-    STAGES,
-    BatchLedger,
-    RequestLedger,
-    attribute_shares,
-    stage_sum,
-)
-from repro.serve.report import (
-    SERVING_ARTIFACT,
-    emit_serving,
-    render_serve_results,
-)
-from repro.serve.workloads import (
-    WORKLOADS,
-    ServeSLO,
-    ServeWorkload,
-    get_workload,
-    workload_names,
-)
-
-__all__ = [
-    "ArrivalSpec",
-    "Request",
-    "generate_arrivals",
-    "Batch",
-    "BatchFormer",
-    "STAGES",
-    "EXEC_STAGES",
-    "RequestLedger",
-    "BatchLedger",
-    "attribute_shares",
-    "stage_sum",
-    "ServeResult",
-    "SLOCheck",
-    "serve_workload",
-    "ServeWorkload",
-    "ServeSLO",
-    "WORKLOADS",
-    "get_workload",
-    "workload_names",
-    "SERVING_ARTIFACT",
-    "emit_serving",
-    "render_serve_results",
-]

@@ -54,7 +54,7 @@ from repro.serve.ledger import (
 )
 from repro.serve.workloads import ServeWorkload
 
-__all__ = ["ServeResult", "SLOCheck", "serve_workload",
+__all__ = ["ServeResult", "serve_workload",
            "COMPUTE_FLOPS_PER_S", "COMM_BYTES_PER_S", "LAUNCH_NS"]
 
 # ----------------------------------------------------------------------

@@ -1,57 +1,1 @@
 """Training substrate: synthetic tasks, loops, evaluation protocols."""
-
-from repro.train.data import ClusteredTokenTask, TokenBatch, few_shot_split
-from repro.train.experiments import (
-    SMOKE,
-    AccuracyResult,
-    ExperimentScale,
-    bpr_sweep,
-    dense_vs_sparse,
-    expert_count_sweep,
-    finetune_frozen_vs_tuned,
-    make_task,
-    router_comparison,
-    topk_capacity_ablation,
-    train_dense,
-    train_moe,
-)
-from repro.train.schedules import (
-    ConstantSchedule,
-    CosineSchedule,
-    LinearSchedule,
-    StepSchedule,
-    apply_sparsity_schedules,
-)
-from repro.train.trainer import (
-    TrainResult,
-    evaluate,
-    linear_probe_accuracy,
-    train_model,
-)
-
-__all__ = [
-    "SMOKE",
-    "AccuracyResult",
-    "ExperimentScale",
-    "bpr_sweep",
-    "dense_vs_sparse",
-    "expert_count_sweep",
-    "finetune_frozen_vs_tuned",
-    "make_task",
-    "router_comparison",
-    "topk_capacity_ablation",
-    "train_dense",
-    "train_moe",
-    "ClusteredTokenTask",
-    "TokenBatch",
-    "few_shot_split",
-    "ConstantSchedule",
-    "CosineSchedule",
-    "LinearSchedule",
-    "StepSchedule",
-    "apply_sparsity_schedules",
-    "TrainResult",
-    "evaluate",
-    "linear_probe_accuracy",
-    "train_model",
-]

@@ -20,6 +20,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.moe.capacity import CapacityPolicy
+from repro.nn.models import MoEClassifier
+
 __all__ = [
     "ConstantSchedule",
     "StepSchedule",
@@ -108,9 +111,6 @@ def apply_sparsity_schedules(model, step: int,
     ``[1, E]``; capacity factors pass through the Figure 16 semantics
     (so 0 / negative values select the adaptive modes).
     """
-    from repro.moe.capacity import CapacityPolicy
-    from repro.nn.models import MoEClassifier
-
     if not isinstance(model, MoEClassifier):
         return
     for layer in model.moe_layers():

@@ -8,7 +8,6 @@ from repro.bench.report import (
     BenchResult,
     Metric,
     compare,
-    config_fingerprint,
     emit,
     emit_named,
     has_failures,
@@ -19,6 +18,7 @@ from repro.bench.report import (
     write_baselines,
 )
 from repro.cli import main
+from repro.obs.runs import config_fingerprint
 
 
 def make_result(artifact="fig99", value=10.0, *, scale="default",
@@ -286,8 +286,12 @@ class TestCommittedBaselines:
         # --seed 0` fingerprint the mode, the names and their seeds —
         # nothing a run computes — so the registered entries suffice.
         from repro.cli import _default_baselines_dir
-        from repro.scenarios import SCENARIOS, ScenarioResult, emit_scenarios
-        from repro.serve import WORKLOADS, ServeResult, emit_serving
+        from repro.scenarios.engine import ScenarioResult
+        from repro.scenarios.library import SCENARIOS
+        from repro.scenarios.report import emit_scenarios
+        from repro.serve.engine import ServeResult
+        from repro.serve.report import emit_serving
+        from repro.serve.workloads import WORKLOADS
         monkeypatch.delenv("REPRO_BENCH_DIR", raising=False)
         one = [Metric("slo_pass", 1.0)]
         records = [

@@ -443,7 +443,8 @@ class TestServingPanels:
     def test_real_serving_run_renders_end_to_end(self, tmp_path,
                                                  monkeypatch):
         monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path))
-        from repro.serve import get_workload, serve_workload
+        from repro.serve.engine import serve_workload
+        from repro.serve.workloads import get_workload
         res = serve_workload(get_workload("poisson_steady"),
                              fast=True, seed=0)
         assert res.run_id is not None

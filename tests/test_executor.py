@@ -16,11 +16,15 @@ from hypothesis import given, settings, strategies as st
 from repro.autograd.tensor import Tensor
 from repro.core.substrate import expert_parallelism, substrate_dtype
 from repro.moe import ffn
-from repro.moe.ffn import BLOCK, act_backward, act_forward
-from repro.runtime.executor import (
-    ExpertParallelExecutor,
+from repro.moe.ffn import (
+    BLOCK,
+    act_backward,
+    act_forward,
     ffn_backward_arrays,
     ffn_forward_arrays,
+)
+from repro.runtime.executor import (
+    ExpertParallelExecutor,
     get_executor,
     shutdown_executor,
 )

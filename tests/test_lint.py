@@ -11,9 +11,16 @@
 * The option surface: the ``REPRO_*`` environment variables read and
   the CLI's argument count.  A change that adds a knob edits the pin
   in the same diff, where a reviewer sees it.
+* One import path per name: package ``__init__`` modules re-export
+  nothing, so importing the MoE layer, the trainer or the serving
+  engine does not load the cluster simulator (DESIGN §2).
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src/repro"
@@ -63,7 +70,7 @@ def test_checker_flags_what_f401_would():
 
 
 def test_no_unused_imports():
-    modules = [p for p in SRC.rglob("*.py") if p.name != "__init__.py"]
+    modules = list(SRC.rglob("*.py"))
     assert len(modules) > 50  # the glob found the package
     assert {str(p.relative_to(SRC)): names for p in sorted(modules)
             if (names := unused_imports(p.read_text()))} == {}
@@ -135,8 +142,6 @@ def test_one_routing_decision():
     )) == ["probe"]
     sorts, resolvers = {}, []
     for path in sorted(SRC.rglob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text())
         name = str(path.relative_to(SRC))
         if found := top_k_sorts(tree):
@@ -148,3 +153,56 @@ def test_one_routing_decision():
     # repro.moe.gating.route instead.
     assert sorts == {"moe/gating.py": ["select_top_k"]}
     assert resolvers == ["moe/gating.py", "nn/moe.py"]
+
+
+def test_package_inits_import_nothing():
+    # obs/__init__.py is the observer module itself, not a facade.
+    inits = sorted(SRC.rglob("__init__.py"))
+    assert len(inits) > 15
+    assert [str(path.relative_to(SRC)) for path in inits
+            if any(isinstance(node, (ast.Import, ast.ImportFrom))
+                   for node in ast.walk(ast.parse(path.read_text())))] \
+        == ["obs/__init__.py"]
+    top = ast.parse((SRC / "__init__.py").read_text()).body
+    assert [ast.unparse(node).split(" =")[0] for node in top[1:]] \
+        == ["__version__"]
+
+
+def loaded_modules(entry: str) -> set[str]:
+    """``repro`` modules in ``sys.modules`` after a fresh interpreter
+    imports ``entry``."""
+    code = (f"import json, sys, {entry}\n"
+            "print(json.dumps([m for m in sys.modules\n"
+            "                  if m.split('.')[0] == 'repro']))")
+    path = os.pathsep.join(filter(None, [str(SRC.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    return set(json.loads(out.stdout))
+
+
+def subpackages(modules: set[str]) -> set[str]:
+    return {m.split(".")[1] for m in modules if "." in m}
+
+
+SIMULATOR = {"cluster", "collectives", "parallel", "pipeline"}
+
+
+def test_substrate_import_closure():
+    moe = loaded_modules("repro.nn.moe")
+    assert len(moe) <= 25
+    assert subpackages(moe) & (SIMULATOR | {
+        "bench", "scenarios", "resilience", "serve", "train", "models",
+        "baselines"}) == set()
+    trainer = loaded_modules("repro.train.trainer")
+    assert subpackages(trainer) & (SIMULATOR | {
+        "bench", "scenarios", "resilience", "serve"}) == set()
+    # Serving emits bench.report records and shares the LinkBrownout
+    # window of scenarios.spec; both are leaves of the stdlib.
+    engine = loaded_modules("repro.serve.engine")
+    assert subpackages(engine) & (SIMULATOR | {"resilience", "train"}) \
+        == set()
+    assert {m for m in engine if subpackages({m}) & {"bench", "scenarios"}} \
+        == {"repro.bench", "repro.bench.report", "repro.scenarios",
+            "repro.scenarios.spec"}

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api import moe, net
 from repro.autograd.tensor import Tensor
-from repro.baselines import fairseq_moe_forward
+from repro.baselines.fairseq_moe import fairseq_moe_forward
 from repro.cluster.topology import ndv4_topology
 from repro.collectives.functional import (
     all_to_all_2dh,

@@ -15,12 +15,9 @@ from repro.collectives.schedule import (
 from repro.core.config import MoEConfig
 from repro.obs.runs import RunStore
 from repro.resilience.recovery import reselect_strategy
-from repro.scenarios import (
-    ExpertDeath,
-    NonFiniteStep,
-    get_scenario,
-    run_scenario,
-)
+from repro.scenarios.engine import run_scenario
+from repro.scenarios.library import get_scenario
+from repro.scenarios.spec import ExpertDeath, NonFiniteStep
 
 
 def make_cfg(world=16, experts=8):

@@ -409,7 +409,8 @@ class TestEngineIntegration:
     def test_serving_engine_emits_routing_events(self, tmp_path,
                                                  monkeypatch):
         from repro.obs.runs import RunStore
-        from repro.serve import get_workload, serve_workload
+        from repro.serve.engine import serve_workload
+        from repro.serve.workloads import get_workload
 
         monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path))
         result = serve_workload(get_workload("poisson_steady"),

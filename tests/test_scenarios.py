@@ -5,12 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.bench.report import BenchResult
+from repro.bench.report import BenchResult, SLOCheck
 from repro.cli import main
 from repro.cluster.topology import ndv4_topology
 from repro.obs.runs import RunStore
-from repro.scenarios import (
-    SCENARIOS,
+from repro.scenarios.engine import price_replacement, run_scenario
+from repro.scenarios.library import SCENARIOS, get_scenario, scenario_names
+from repro.scenarios.report import emit_scenarios
+from repro.scenarios.spec import (
     ElasticResize,
     ExpertDeath,
     LinkBrownout,
@@ -18,13 +20,7 @@ from repro.scenarios import (
     RankLoss,
     Scenario,
     SimClockFault,
-    SLOCheck,
     SLOSpec,
-    emit_scenarios,
-    get_scenario,
-    price_replacement,
-    run_scenario,
-    scenario_names,
 )
 
 

@@ -19,24 +19,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bench.report import SLOCheck
 from repro.core.substrate import set_default_dtype
-from repro.scenarios.engine import SLOCheck
-from repro.serve import (
-    ArrivalSpec,
-    Batch,
-    BatchFormer,
-    Request,
+from repro.serve.arrivals import NS, ArrivalSpec, Request, generate_arrivals
+from repro.serve.batcher import Batch, BatchFormer
+from repro.serve.engine import price_stages, serve_workload
+from repro.serve.ledger import (
+    EXEC_STAGES,
+    STAGES,
     attribute_shares,
-    generate_arrivals,
-    get_workload,
-    serve_workload,
+    build_batch_ledger,
     stage_sum,
-    workload_names,
 )
-from repro.serve.arrivals import NS
-from repro.serve.engine import price_stages
-from repro.serve.ledger import EXEC_STAGES, STAGES, build_batch_ledger
-from repro.serve.workloads import WORKLOADS
+from repro.serve.workloads import WORKLOADS, get_workload, workload_names
 
 
 @pytest.fixture(autouse=True)
