@@ -1,9 +1,10 @@
 """Distributed MoE with Flexible All-to-All over simulated ranks.
 
 Walks through the complete data path of paper Figure 2 on 4 simulated
-GPUs with 8 global experts, then demonstrates the 2DH All-to-All
-producing bit-identical results to the linear algorithm while moving
-only aggregated messages (Figure 15 / Algorithm 3).
+GPUs with 8 global experts, runs the switchable P1 and P2 layouts
+(Figures 11-12) on 8 GPUs serving 2 experts, then demonstrates the 2DH
+All-to-All producing bit-identical results to the linear algorithm
+while moving only aggregated messages (Figure 15 / Algorithm 3).
 
 Run:  python examples/distributed_moe.py
 """
@@ -19,6 +20,7 @@ from repro.core.config import MoEConfig
 from repro.moe.capacity import CapacityPolicy
 from repro.moe.distributed import distributed_moe_forward
 from repro.moe.layer import MoELayerParams, moe_layer_forward
+from repro.parallel.functional import p1_forward, p2_forward
 
 
 def main():
@@ -43,6 +45,19 @@ def main():
                                   capacity=CapacityPolicy(4.0))
         err = np.abs(result.outputs[r] - local.output).max()
         print(f"rank {r}: max deviation vs single-process = {err:.2e}")
+
+    # P1 (ZeRO-sliced replicas) and P2 (column-sharded experts): W = 8
+    # GPUs serve E = 2 experts, r = 4 GPUs per expert.
+    cfg = cfg.with_(world_size=8, experts_per_gpu=0.25)
+    params = MoELayerParams.init(num_experts=2, model_dim=32,
+                                 hidden_dim=64, rng=rng)
+    rank_inputs = [rng.normal(size=(64, 32)) for _ in range(8)]
+    local = [moe_layer_forward(x, params, capacity=CapacityPolicy(4.0))
+             .output for x in rank_inputs]
+    for name, forward in (("P1", p1_forward), ("P2", p2_forward)):
+        outputs = forward(rank_inputs, params, cfg)
+        err = max(np.abs(o - ref).max() for o, ref in zip(outputs, local))
+        print(f"{name}: max deviation vs single-process = {err:.2e}")
 
     # Table 3 layouts: (E, dC, M) -> (dE, C, M) and back.
     dispatch = [rng.normal(size=(8, 3, 5)) for _ in range(4)]

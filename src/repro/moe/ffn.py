@@ -4,12 +4,14 @@ The one tanh-GELU / ReLU pair (forward and derivative) and the fused
 ``act(x @ w1) @ w2`` forward/backward on raw arrays, ragged over the
 per-expert occupancy: one GEMM per non-empty expert over the occupied
 prefix of its capacity slab, never over the padding.  A leaf module
-beside the scatter/gather kernels of :mod:`repro.moe.encode`: the
-autograd ops (:mod:`repro.autograd.functional`,
-:mod:`repro.autograd.moe_ops`), the NumPy layer
-(:mod:`repro.moe.layer`), the P2 forward and the multicore executor's
-workers (:mod:`repro.runtime.executor`) all run these same bodies, so
-they agree numerically.
+beside the scatter/gather kernels of :mod:`repro.moe.encode`, and the
+only expert FFN: the autograd ops (:mod:`repro.autograd.functional`'s
+relu/gelu, :mod:`repro.autograd.moe_ops`'s fused FFN), the multicore
+executor's workers (:mod:`repro.runtime.executor`) and every NumPy
+forward — the single-process layer (:mod:`repro.moe.layer`, ragged
+over its occupancy) and the expert-parallel, P1 and P2 forwards
+(:func:`repro.moe.distributed.expert_exchange`, every capacity row) —
+all run these same bodies, so they agree numerically.
 """
 
 from __future__ import annotations

@@ -2,8 +2,10 @@
 
 Composes the gating, capacity and encode/decode pieces into the full
 forward pass of Figure 2 (gate -> dispatch -> expert fflayer ->
-combine), without distribution.  The multi-rank version that exercises
-Flexible All-to-All lives in :mod:`repro.moe.distributed`; the
+combine), without distribution.  The expert fflayer is the fused
+kernel of :mod:`repro.moe.ffn`, ragged over the routing's occupancy.
+The multi-rank forwards that exercise Flexible All-to-All live in
+:mod:`repro.moe.distributed` and :mod:`repro.parallel.functional`; the
 trainable version with autograd lives in :mod:`repro.nn.moe`.
 """
 
@@ -15,7 +17,7 @@ import numpy as np
 
 from repro.moe.capacity import CapacityPolicy
 from repro.moe.encode import dense_decode, dense_encode, fast_decode, fast_encode
-from repro.moe.ffn import act_forward
+from repro.moe.ffn import ffn_forward_arrays
 from repro.moe.gating import (
     RoutingCriteria,
     cosine_gate_logits,
@@ -30,7 +32,6 @@ from repro.obs.runs import get_run
 
 __all__ = [
     "ExpertParams",
-    "expert_ffn",
     "MoELayerParams",
     "MoEOutput",
     "moe_layer_forward",
@@ -42,13 +43,12 @@ class ExpertParams:
     """Per-expert feed-forward weights.
 
     ``w1`` has shape ``(E, M, V)`` and ``w2`` shape ``(E, V, M)`` —
-    one fflayer (two GEMMs) per expert.
+    one bias-free fflayer (two GEMMs) per expert, so a zero padding row
+    stays zero and the ragged kernel may skip it.
     """
 
     w1: np.ndarray
     w2: np.ndarray
-    b1: np.ndarray | None = None
-    b2: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.w1.ndim != 3 or self.w2.ndim != 3:
@@ -81,32 +81,7 @@ class ExpertParams:
         return ExpertParams(
             w1=rng.normal(0.0, s1, (num_experts, model_dim, hidden_dim)),
             w2=rng.normal(0.0, s2, (num_experts, hidden_dim, model_dim)),
-            b1=np.zeros((num_experts, hidden_dim)),
-            b2=np.zeros((num_experts, model_dim)),
         )
-
-
-def expert_ffn(dispatched: np.ndarray, experts: ExpertParams,
-               activation: str = "gelu") -> np.ndarray:
-    """Apply each expert's fflayer to its capacity slice.
-
-    ``dispatched`` is ``(E, C, M)``; returns the same shape.
-    """
-    if dispatched.ndim != 3:
-        raise ValueError(f"dispatched must be (E, C, M), got "
-                         f"{dispatched.shape}")
-    if dispatched.shape[0] != experts.num_experts:
-        raise ValueError(
-            f"dispatched has {dispatched.shape[0]} experts, params have "
-            f"{experts.num_experts}")
-    hidden = np.einsum("ecm,emv->ecv", dispatched, experts.w1)
-    if experts.b1 is not None:
-        hidden = hidden + experts.b1[:, None, :]
-    hidden, _ = act_forward(hidden, activation)
-    out = np.einsum("ecv,evm->ecm", hidden, experts.w2)
-    if experts.b2 is not None:
-        out = out + experts.b2[:, None, :]
-    return out
 
 
 @dataclass
@@ -193,8 +168,9 @@ def moe_layer_forward(x: np.ndarray, params: MoELayerParams,
     with _span("encode", CAT_MOE):
         dispatched = encode(x, crit)
     with _span("expert_ffn", CAT_MOE):
-        expert_out = expert_ffn(dispatched, params.experts,
-                                params.activation)
+        expert_out, _ = ffn_forward_arrays(
+            dispatched, params.experts.w1, params.experts.w2,
+            params.activation, rows=crit.occupancy)
     with _span("decode", CAT_MOE):
         output = decode(expert_out, crit)
 

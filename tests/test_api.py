@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 from repro.api import moe, net
-from repro.moe.layer import ExpertParams, expert_ffn
+from repro.moe.ffn import ffn_forward_arrays
+from repro.moe.layer import ExpertParams
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def expert_ffn(y, experts):
+    """The snippet's ``CustomExpert``: the fused expert FFN, padded."""
+    return ffn_forward_arrays(y, experts.w1, experts.w2, "gelu")[0]
 
 
 def custom_moe(x, gate_weight, experts, top_k=2):

@@ -5,11 +5,9 @@ import pytest
 
 from repro.core.config import MoEConfig
 from repro.moe.capacity import CapacityPolicy
-from repro.moe.distributed import (
-    distributed_moe_forward,
-    shard_experts,
-)
+from repro.moe.distributed import distributed_moe_forward, expert_exchange
 from repro.moe.layer import MoELayerParams, moe_layer_forward
+from repro.parallel.functional import p1_forward, p2_forward
 
 
 def build(world=4, experts_per_gpu=2, tokens=16, model_dim=8,
@@ -26,19 +24,6 @@ def build(world=4, experts_per_gpu=2, tokens=16, model_dim=8,
     return cfg, params, xs
 
 
-class TestShardExperts:
-    def test_slices_cover_all(self):
-        _, params, _ = build()
-        shards = shard_experts(params.experts, 4)
-        recon = np.concatenate([s.w1 for s in shards])
-        np.testing.assert_array_equal(recon, params.experts.w1)
-
-    def test_rejects_indivisible(self):
-        _, params, _ = build()
-        with pytest.raises(ValueError):
-            shard_experts(params.experts, 3)
-
-
 class TestDistributedForward:
     @pytest.mark.parametrize("world,de", [(2, 1), (2, 2), (4, 2), (8, 1)])
     def test_matches_single_process(self, world, de):
@@ -50,14 +35,6 @@ class TestDistributedForward:
             local = moe_layer_forward(
                 x, params, capacity=CapacityPolicy(cfg.capacity_factor))
             np.testing.assert_allclose(dist.outputs[r], local.output,
-                                       atol=1e-10)
-
-    def test_flexible_and_raw_layouts_agree(self):
-        cfg, params, xs = build(world=4, experts_per_gpu=2)
-        flex = distributed_moe_forward(xs, params, cfg, flexible=True)
-        raw = distributed_moe_forward(xs, params, cfg, flexible=False)
-        for r in range(4):
-            np.testing.assert_allclose(flex.outputs[r], raw.outputs[r],
                                        atol=1e-10)
 
     def test_capacity_drops_per_source_gpu(self):
@@ -79,8 +56,9 @@ class TestDistributedForward:
 
     def test_rejects_adaptive_capacity(self):
         # Adaptive (f <= 0) policies must be resolved to a concrete
-        # factor before the distributed dispatch.
-        cfg, params, xs = build()
+        # factor before the distributed dispatch; W = E = 4 is legal
+        # for all three forwards, so each must refuse for the capacity.
+        cfg, params, xs = build(experts_per_gpu=1)
         adaptive = MoEConfig(
             world_size=cfg.world_size,
             experts_per_gpu=cfg.experts_per_gpu,
@@ -88,8 +66,16 @@ class TestDistributedForward:
             tokens_per_gpu=cfg.tokens_per_gpu, top_k=cfg.top_k,
             capacity_factor=1.0)
         object.__setattr__(adaptive, "capacity_factor", -2.0)
-        with pytest.raises(ValueError):
-            distributed_moe_forward(xs, params, adaptive)
+        for forward in (distributed_moe_forward, p1_forward, p2_forward):
+            with pytest.raises(ValueError, match="capacity_factor"):
+                forward(xs, params, adaptive)
+
+    def test_exchange_rejects_a_mismatched_weight_stack(self):
+        _, params, _ = build()
+        buffers = [np.zeros((8, 3, 8)) for _ in range(4)]
+        with pytest.raises(ValueError, match="weight stack has 4 experts"):
+            expert_exchange(buffers, params.experts.w1[:4],
+                            params.experts.w2[:4], "gelu")
 
     def test_aux_loss_averaged(self):
         cfg, params, xs = build()

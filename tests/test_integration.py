@@ -9,10 +9,11 @@ from repro.collectives.functional import (
 )
 from repro.core.config import MoEConfig
 from repro.moe.capacity import CapacityPolicy
-from repro.moe.distributed import distributed_moe_forward, shard_experts
+from repro.moe.distributed import distributed_moe_forward
 from repro.moe.encode import fast_encode
+from repro.moe.ffn import ffn_forward_arrays
 from repro.moe.gating import softmax, top_k_routing
-from repro.moe.layer import MoELayerParams, expert_ffn, moe_layer_forward
+from repro.moe.layer import MoELayerParams, moe_layer_forward
 from repro.pipeline.partition import merge_partitions, partition_capacity
 from repro.runtime.plan import TUTEL_FEATURES, moe_step_time
 
@@ -69,11 +70,13 @@ class TestPipelinedDistributedLayer:
             crits.append(crit)
             dispatch.append(fast_encode(x, crit))
         expert_in = flexible_all_to_all(dispatch, 1, 0)
-        locals_ = shard_experts(params.experts, 4)
+        w1, w2 = params.experts.w1, params.experts.w2
         expert_out = []
         for r in range(4):
             parts = partition_capacity(expert_in[r], 4)
-            outs = [expert_ffn(p, locals_[r], params.activation)
+            local = slice(2 * r, 2 * r + 2)         # dE = 2 experts
+            outs = [ffn_forward_arrays(p, w1[local], w2[local],
+                                       params.activation)[0]
                     for p in parts]
             expert_out.append(merge_partitions(outs))
         combined = flexible_all_to_all(expert_out, 0, 1)

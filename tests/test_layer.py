@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.moe.capacity import CapacityPolicy
+from repro.moe.ffn import ffn_forward_arrays
 from repro.moe.layer import (
     ExpertParams,
     MoELayerParams,
-    expert_ffn,
     moe_layer_forward,
 )
 
@@ -39,31 +39,35 @@ class TestExpertParams:
 
 
 class TestExpertFfn:
+    """The layer's expert fflayer is the fused kernel, padded here
+    (``rows=None``)."""
+
     def test_matches_per_expert_loop(self, rng):
         p = ExpertParams.init(3, 8, 16, rng)
         x = rng.normal(size=(3, 5, 8))
-        out = expert_ffn(x, p, activation="relu")
+        out, _ = ffn_forward_arrays(x, p.w1, p.w2, "relu")
         for e in range(3):
-            h = np.maximum(x[e] @ p.w1[e] + p.b1[e], 0)
-            expected = h @ p.w2[e] + p.b2[e]
+            expected = np.maximum(x[e] @ p.w1[e], 0) @ p.w2[e]
             np.testing.assert_allclose(out[e], expected)
 
     def test_gelu_activation(self, rng):
         p = ExpertParams.init(2, 4, 8, rng)
         x = rng.normal(size=(2, 3, 4))
-        out_gelu = expert_ffn(x, p, activation="gelu")
-        out_relu = expert_ffn(x, p, activation="relu")
+        out_gelu, _ = ffn_forward_arrays(x, p.w1, p.w2, "gelu")
+        out_relu, _ = ffn_forward_arrays(x, p.w1, p.w2, "relu")
         assert not np.allclose(out_gelu, out_relu)
 
     def test_rejects_expert_mismatch(self, rng):
+        # An occupancy naming another expert count than the slab's.
         p = ExpertParams.init(3, 8, 16, rng)
-        with pytest.raises(ValueError):
-            expert_ffn(rng.normal(size=(2, 5, 8)), p)
+        with pytest.raises(ValueError, match="rows must be 3 ints"):
+            ffn_forward_arrays(rng.normal(size=(3, 5, 8)), p.w1, p.w2,
+                               "gelu", rows=[5, 5])
 
     def test_rejects_bad_ndim(self, rng):
         p = ExpertParams.init(3, 8, 16, rng)
         with pytest.raises(ValueError):
-            expert_ffn(rng.normal(size=(3, 8)), p)
+            ffn_forward_arrays(rng.normal(size=(3, 8)), p.w1, p.w2, "gelu")
 
 
 class TestMoELayerForward:

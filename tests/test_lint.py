@@ -155,6 +155,16 @@ def test_one_routing_decision():
     assert resolvers == ["moe/gating.py", "nn/moe.py"]
 
 
+def test_one_expert_ffn():
+    # Every NumPy forward runs the fused kernel of moe/ffn.py; the
+    # autograd relu/gelu ops are the only other activation callers.
+    callers = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
+               if any(isinstance(node, ast.Call)
+                      and ast.unparse(node.func).endswith("act_forward")
+                      for node in ast.walk(ast.parse(path.read_text())))]
+    assert callers == ["autograd/functional.py", "moe/ffn.py"]
+
+
 def test_package_inits_import_nothing():
     # obs/__init__.py is the observer module itself, not a facade.
     inits = sorted(SRC.rglob("__init__.py"))

@@ -14,6 +14,7 @@ import pytest
 from repro.core.config import MoEConfig
 from repro.moe.capacity import CapacityPolicy
 from repro.moe.distributed import distributed_moe_forward
+from repro.moe.ffn import ffn_forward_arrays
 from repro.moe.layer import ExpertParams, MoELayerParams, moe_layer_forward
 from repro.parallel.functional import (
     gather_zero_slices,
@@ -40,36 +41,46 @@ def build(world=8, experts=2, tokens=16, m=12, v=24, k=1, f=2.0,
 
 class TestParameterPlacement:
     def test_column_shards_reconstruct(self):
+        # Slot e*r + j holds column shard j of expert e, and the r
+        # shards' FFN partials sum to the expert's output (P2's local
+        # sum-reduction).
         _, params, _ = build()
-        shards = shard_expert_columns(params.experts, 0, 4)
-        w1 = np.concatenate([s.w1 for s in shards], axis=1)
-        w2 = np.concatenate([s.w2 for s in shards], axis=0)
-        np.testing.assert_array_equal(w1, params.experts.w1[0])
-        np.testing.assert_array_equal(w2, params.experts.w2[0])
+        experts = params.experts
+        shards = shard_expert_columns(experts, 4)
+        assert shards.w1.shape == (8, 12, 6) and shards.w2.shape == (8, 6, 12)
+        np.testing.assert_array_equal(
+            np.concatenate(shards.w1[4:8], axis=1), experts.w1[1])
+        np.testing.assert_array_equal(
+            np.concatenate(shards.w2[4:8], axis=0), experts.w2[1])
+        x = np.random.default_rng(1).normal(size=(2, 5, 12))
+        full, _ = ffn_forward_arrays(x, experts.w1, experts.w2, "gelu")
+        partials, _ = ffn_forward_arrays(np.repeat(x, 4, axis=0), shards.w1,
+                                         shards.w2, "gelu")
+        np.testing.assert_allclose(partials.reshape(2, 4, 5, 12).sum(axis=1),
+                                   full, atol=1e-12)
 
     def test_column_shards_reject_indivisible(self):
         _, params, _ = build(v=10)
         with pytest.raises(ValueError):
-            shard_expert_columns(params.experts, 0, 4)
+            shard_expert_columns(params.experts, 4)
 
     def test_zero_slices_roundtrip(self):
         _, params, _ = build()
-        slices = slice_expert_zero(params.experts, 1, 4)
-        full = gather_zero_slices(slices, params.experts, 1)
-        np.testing.assert_allclose(full.w1[0], params.experts.w1[1])
-        np.testing.assert_allclose(full.w2[0], params.experts.w2[1])
-        np.testing.assert_allclose(full.b1[0], params.experts.b1[1])
-        np.testing.assert_allclose(full.b2[0], params.experts.b2[1])
+        experts = params.experts
+        full = gather_zero_slices(slice_expert_zero(experts, 1, 4), experts)
+        np.testing.assert_array_equal(full.w1[0], experts.w1[1])
+        np.testing.assert_array_equal(full.w2[0], experts.w2[1])
+        x = np.random.default_rng(1).normal(size=(1, 5, 12))
+        np.testing.assert_array_equal(
+            ffn_forward_arrays(x, full.w1, full.w2, "gelu")[0],
+            ffn_forward_arrays(x, experts.w1[1:2], experts.w2[1:2],
+                               "gelu")[0])
 
     def test_zero_slices_are_disjoint_and_complete(self):
         _, params, _ = build()
         slices = slice_expert_zero(params.experts, 0, 3)
-        total = sum(s["slice"].size for s in slices)
-        expected = (params.experts.w1[0].size
-                    + params.experts.w2[0].size
-                    + params.experts.b1[0].size
-                    + params.experts.b2[0].size)
-        assert total == expected
+        assert sum(s.size for s in slices) \
+            == params.experts.w1[0].size + params.experts.w2[0].size
 
 
 class TestSwitchingEquivalence:
@@ -89,17 +100,17 @@ class TestSwitchingEquivalence:
             np.testing.assert_allclose(p1[r], p2[r], atol=1e-12)
 
     def test_float32_without_biases(self):
-        # An absent bias used to enter the ZeRO slice as an empty
-        # float64 array, so P1 gathered (and computed) a float64 expert
-        # where P2 and the single-rank layer stay float32.
+        # P1's ZeRO gather keeps a float32 expert float32, so P1, P2
+        # and the single-rank layer all compute in float32.
         cfg, params, xs = build()
         experts = ExpertParams(w1=params.experts.w1.astype(np.float32),
                                w2=params.experts.w2.astype(np.float32))
-        full = gather_zero_slices(slice_expert_zero(experts, 1, 4),
-                                  experts, 1)
+        full = gather_zero_slices(slice_expert_zero(experts, 1, 4), experts)
         assert full.w1.dtype == full.w2.dtype == np.float32
-        assert full.b1 is None and full.b2 is None
         np.testing.assert_array_equal(full.w1[0], experts.w1[1])
+        x = np.ones((1, 3, 12), dtype=np.float32)
+        assert ffn_forward_arrays(x, full.w1, full.w2,
+                                  "gelu")[0].dtype == np.float32
 
         params = replace(
             params, experts=experts,
@@ -157,5 +168,21 @@ class TestSwitchingEquivalence:
     def test_rejects_expert_mismatch(self):
         cfg, params, xs = build()
         bad = cfg.with_(experts_per_gpu=0.5)
-        with pytest.raises(ValueError):
-            p2_forward(xs, params, bad)
+        for forward in (distributed_moe_forward, p1_forward, p2_forward):
+            with pytest.raises(ValueError,
+                               match="params have 2 experts but cfg "
+                                     "implies 4"):
+                forward(xs, params, bad)
+
+    def test_each_layout_rejects_the_other_placement(self):
+        # Expert parallelism needs whole experts per rank, P1/P2 one
+        # expert over r = W / E ranks.
+        cfg, params, xs = build(world=8, experts=2)
+        with pytest.raises(ValueError,
+                           match="2 experts not divisible across 8 ranks"):
+            distributed_moe_forward(xs, params, cfg)
+        cfg, params, xs = build(world=4, experts=8)
+        for forward in (p1_forward, p2_forward):
+            with pytest.raises(ValueError,
+                               match="P1/P2 need W a multiple of E"):
+                forward(xs, params, cfg)

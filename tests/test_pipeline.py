@@ -6,8 +6,9 @@ import pytest
 from repro.cluster.topology import ndv4_topology
 from repro.collectives.schedule import A2AAlgorithm
 from repro.core.config import MoEConfig
+from repro.moe.ffn import ffn_forward_arrays
 from repro.moe.gating import softmax, top_k_routing
-from repro.moe.layer import ExpertParams, expert_ffn
+from repro.moe.layer import ExpertParams
 from repro.pipeline.partition import (
     merge_partitions,
     partition_capacity,
@@ -60,10 +61,12 @@ class TestPartition:
         from repro.moe.encode import fast_encode
         dispatched = fast_encode(rng.normal(size=(32, m)), crit)
 
-        whole = expert_ffn(dispatched, experts)
+        def expert_ffn(x):
+            return ffn_forward_arrays(x, experts.w1, experts.w2, "gelu")[0]
+
+        whole = expert_ffn(dispatched)
         chunked = merge_partitions([
-            expert_ffn(part, experts)
-            for part in partition_capacity(dispatched, 4)])
+            expert_ffn(part) for part in partition_capacity(dispatched, 4)])
         np.testing.assert_allclose(whole, chunked, atol=1e-12)
 
 

@@ -37,6 +37,7 @@ from repro.moe.capacity import (
 )
 from repro.moe.distributed import distributed_moe_forward
 from repro.moe.encode import fast_decode, fast_encode
+from repro.moe.ffn import ffn_forward_arrays
 from repro.moe.gating import (
     compute_locations,
     load_balance_loss,
@@ -47,7 +48,6 @@ from repro.moe.gating import (
 from repro.moe.layer import (
     ExpertParams,
     MoELayerParams,
-    expert_ffn,
     moe_layer_forward,
 )
 from repro.moe.metrics import routing_stats
@@ -220,6 +220,22 @@ class HostileRouting:
     def probs(self) -> np.ndarray:
         return softmax(self.xs[0] @ self.params.gate_weight)
 
+    def layer(self, f: float, router: str = "linear") -> MoE:
+        """A trainable ``nn.MoE`` holding these experts (and, linear,
+        this gate) in the case's dtype."""
+        p = self.params
+        e, m, v = p.experts.w1.shape
+        with substrate_dtype(self.xs[0].dtype):
+            layer = MoE(m, v, e, np.random.default_rng(0), top_k=p.top_k,
+                        capacity_factor=f, router=router, router_dim=5,
+                        activation=p.activation,
+                        normalize_gate=p.normalize_gate,
+                        batch_prioritized=p.batch_prioritized)
+        layer.w1.data, layer.w2.data = p.experts.w1, p.experts.w2
+        if router == "linear":
+            layer.gate.weight.data = p.gate_weight
+        return layer
+
     def cfg(self, world: int) -> MoEConfig:
         e, m, v = self.params.experts.w1.shape
         return MoEConfig(world_size=world, experts_per_gpu=e / world,
@@ -232,8 +248,8 @@ class HostileRouting:
 @st.composite
 def hostile_routing(draw) -> HostileRouting:
     """T = 1, k = E, capacity 1 (``f`` tiny), every token to one expert,
-    BPR and gate normalisation on/off, both float widths, and all three
-    signs of ``f``."""
+    BPR and gate normalisation on/off, both float widths, both
+    activations, and all three signs of ``f``."""
     e = draw(st.integers(1, 4))
     r = draw(st.sampled_from([1, 2]))
     t = draw(st.sampled_from([1, 1, 2, 5]))
@@ -253,12 +269,11 @@ def hostile_routing(draw) -> HostileRouting:
     params = MoELayerParams(
         experts=ExpertParams(
             w1=rng.normal(size=(e, m, v)).astype(dtype),
-            w2=rng.normal(size=(e, v, m)).astype(dtype),
-            b1=rng.normal(size=(e, v)).astype(dtype),
-            b2=rng.normal(size=(e, m)).astype(dtype)),
+            w2=rng.normal(size=(e, v, m)).astype(dtype)),
         gate_weight=gate.astype(dtype), top_k=k,
         normalize_gate=draw(st.booleans()),
-        batch_prioritized=draw(st.booleans()))
+        batch_prioritized=draw(st.booleans()),
+        activation=draw(st.sampled_from(["gelu", "relu"])))
     f = draw(st.sampled_from([1e-3, 0.5, 1.0, 4.0, 0.0, -0.25, -8.0]))
     return HostileRouting(params, [x.astype(dtype) for x in xs], r, f)
 
@@ -303,20 +318,26 @@ class TestOneRoutingDecision:
                 batch_prioritized=p.batch_prioritized)
             y = moe.fast_encode(x, crit)
             y = net.flex_all2all(y, 1, 0)
-            y = expert_ffn(y, p.experts)
+            y, _ = ffn_forward_arrays(y, p.experts.w1, p.experts.w2,
+                                      p.activation)
             y = net.flex_all2all(y, 0, 1)
             return moe.fast_decode(y, crit), l_aux
 
+        # nn.MoE normalises the selected gates only for k > 1; route()
+        # at every k (the pinned k = 1 fork below).
+        frozen = None
+        if p.top_k > 1 or not p.normalize_gate:
+            frozen = case.layer(case.no_drop_f)
+            frozen.freeze()
         refs = [moe_layer_forward(x, p, capacity=policy) for x in xs]
         assert all(ref.dropped_fraction == 0.0 for ref in refs)
         # One expert per rank over the first E ranks; P1/P2 take all
         # W = E * r.
         cfg_d, cfg_p = case.cfg(e), case.cfg(len(xs))
-        flex = distributed_moe_forward(xs[:e], p, cfg_d)
-        raw = distributed_moe_forward(xs[:e], p, cfg_d, flexible=False)
+        dist = distributed_moe_forward(xs[:e], p, cfg_d)
         per_rank = {"p1": p1_forward(xs, p, cfg_p),
                     "p2": p2_forward(xs, p, cfg_p),
-                    "flexible": flex.outputs, "raw": raw.outputs}
+                    "expert-parallel": dist.outputs}
         for rank, (x, ref) in enumerate(zip(xs, refs)):
             adaptive = moe_layer_forward(x, p, capacity=CapacityPolicy(0.0))
             fairseq = fairseq_moe_forward(x, p,
@@ -327,16 +348,46 @@ class TestOneRoutingDecision:
             outputs.update({name: outs[rank]
                             for name, outs in per_rank.items()
                             if rank < len(outs)})
+            if frozen is not None:
+                out, _ = frozen(Tensor(x, dtype=dtype))
+                outputs["frozen nn.MoE"] = out.data
             for name, out in outputs.items():
                 assert out.dtype == dtype, name
                 np.testing.assert_allclose(out, ref.output, rtol=tol,
                                            atol=tol, err_msg=name)
             assert ref.l_aux == adaptive.l_aux == fairseq.l_aux \
                 == snippet_aux
-        for dist in (flex, raw):
-            assert dist.dropped_fraction == 0.0
-            assert dist.l_aux == float(np.mean(
-                [ref.l_aux for ref in refs[:e]]))
+        assert dist.dropped_fraction == 0.0
+        assert dist.l_aux == float(np.mean([ref.l_aux for ref in refs[:e]]))
+
+    def test_k1_gate_fork_is_pinned(self):
+        # route() renormalises the selected gates at every k, so a k = 1
+        # gate reads 1.0; nn.MoE renormalises only for k > 1, so at
+        # k = 1 the raw top probability scales the expert output
+        # (Switch-style: the router trains through it).  Same weights,
+        # no drops: the two layers differ by exactly that factor at
+        # k = 1 and agree at k = 2.
+        m, v, e, t = 8, 16, 4, 32
+        rng = np.random.default_rng(0)
+        with substrate_dtype(np.float32):
+            layer = MoE(m, v, e, rng, top_k=1, capacity_factor=float(e))
+        layer.freeze()
+        params = MoELayerParams(
+            experts=ExpertParams(w1=layer.w1.data, w2=layer.w2.data),
+            gate_weight=layer.gate.weight.data)
+        x = rng.normal(size=(t, m)).astype(np.float32)
+
+        def both(k):
+            ref = moe_layer_forward(x, params, top_k=k,
+                                    capacity=CapacityPolicy(float(e)))
+            assert ref.dropped_fraction == 0.0
+            return layer(Tensor(x), top_k=k)[0].data, ref.output
+
+        out, ref = both(1)
+        top = softmax(x @ params.gate_weight).max(axis=1, keepdims=True)
+        np.testing.assert_allclose(out, top * ref, rtol=1e-5, atol=1e-6)
+        assert np.abs(out - ref).max() > 1.0
+        np.testing.assert_allclose(*both(2), rtol=1e-4, atol=1e-5)
 
 
 class TestFrozenLayer:
@@ -348,16 +399,8 @@ class TestFrozenLayer:
     @given(case=hostile_routing(),
            router=st.sampled_from(["linear", "cosine"]), data=st.data())
     def test_frozen_copy_is_the_trainable_layer(self, case, router, data):
-        p, x = case.params, case.xs[0]
-        e, m, v = p.experts.w1.shape
-        with substrate_dtype(x.dtype):
-            layer = MoE(m, v, e, np.random.default_rng(0), top_k=p.top_k,
-                        capacity_factor=case.f, router=router,
-                        router_dim=5, normalize_gate=p.normalize_gate,
-                        batch_prioritized=p.batch_prioritized)
-        layer.w1.data, layer.w2.data = p.experts.w1, p.experts.w2
-        if router == "linear":
-            layer.gate.weight.data = p.gate_weight
+        x, e = case.xs[0], case.params.experts.num_experts
+        layer = case.layer(case.f, router)
         for expert in data.draw(st.sets(st.integers(0, e - 1),
                                         max_size=e - 1)):
             layer.mask_expert(expert)
