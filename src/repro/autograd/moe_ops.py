@@ -9,8 +9,6 @@ per-slot gates, which is how the router trains through the layer.
 
 from __future__ import annotations
 
-from concurrent.futures.process import BrokenProcessPool
-
 import numpy as np
 
 from repro.autograd.tensor import Tensor
@@ -22,7 +20,6 @@ from repro.moe.encode import (
 )
 from repro.moe.ffn import ffn_backward_arrays, ffn_forward_arrays
 from repro.moe.gating import RoutingCriteria
-from repro.runtime.executor import get_executor
 
 __all__ = ["moe_dispatch", "moe_combine", "expert_ffn"]
 
@@ -59,11 +56,6 @@ def moe_combine(expert_output: Tensor, gates: Tensor,
                           "moe_combine", live)
 
 
-# What a dead or unreachable pool raises; anything else from the
-# executor is a kernel bug and must surface, not fall back.
-_POOL_FAILURES = (BrokenProcessPool, OSError)
-
-
 def expert_ffn(dispatched: Tensor, w1: Tensor, w2: Tensor,
                activation: str = "gelu", rows=None) -> Tensor:
     """Fused differentiable expert FFN: ``act(x @ w1) @ w2`` per expert.
@@ -83,28 +75,13 @@ def expert_ffn(dispatched: Tensor, w1: Tensor, w2: Tensor,
     those of the padded computation, so :func:`moe_combine` and the
     all-to-all layouts are untouched.
 
-    When the substrate has expert workers configured
-    (:func:`repro.core.substrate.set_expert_workers`), the E experts'
-    GEMMs run on the multicore executor; the backward then recomputes
-    the hidden activations in the workers instead of saving them.
-    Serial and parallel paths share the same array kernels
-    (:mod:`repro.moe.ffn`) over the same ``rows`` and agree bitwise.
-    Only a pool failure latches the executor ``broken`` and falls back
-    to serial; an error raised by the kernel in a worker propagates.
+    The forward runs the array kernel of :mod:`repro.moe.ffn` and keeps
+    its ``saved`` hidden activations, which the backward reuses instead
+    of recomputing them.
     """
     x_data, w1_data, w2_data = dispatched.data, w1.data, w2.data
-    ex = get_executor()
-    saved: tuple | None = None
-    if ex is not None:
-        try:
-            out_data = ex.ffn_forward(x_data, w1_data, w2_data, activation,
-                                      rows)
-        except _POOL_FAILURES:
-            ex.broken = True
-            ex = None
-    if ex is None:
-        out_data, saved = ffn_forward_arrays(x_data, w1_data, w2_data,
-                                             activation, rows)
+    out_data, saved = ffn_forward_arrays(x_data, w1_data, w2_data,
+                                         activation, rows)
     if not Tensor.needs_tape(dispatched, w1, w2):
         return Tensor(out_data, dtype=out_data.dtype)
 
@@ -112,19 +89,9 @@ def expert_ffn(dispatched: Tensor, w1: Tensor, w2: Tensor,
         # Frozen experts (the Table 10 fine-tune) take no gradient, so
         # their two weight-gradient GEMMs per expert are not run.
         weight_grads = w1.requires_grad or w2.requires_grad
-        ex_b = get_executor()
-        if ex_b is not None:
-            try:
-                gx, gw1, gw2 = ex_b.ffn_backward(
-                    x_data, w1_data, w2_data, grad, activation, rows,
-                    weight_grads)
-            except _POOL_FAILURES:
-                ex_b.broken = True
-                ex_b = None
-        if ex_b is None:
-            gx, gw1, gw2 = ffn_backward_arrays(
-                x_data, w1_data, w2_data, grad, activation, saved, rows,
-                weight_grads)
+        gx, gw1, gw2 = ffn_backward_arrays(
+            x_data, w1_data, w2_data, grad, activation, saved, rows,
+            weight_grads)
         dispatched._accumulate(gx)
         if weight_grads:
             w1._accumulate(gw1)

@@ -1,4 +1,4 @@
-"""Process-wide substrate configuration: dtype and expert parallelism.
+"""Process-wide substrate configuration: the dtype.
 
 The functional substrate historically hardcoded ``np.float64``
 everywhere — every :class:`~repro.autograd.tensor.Tensor` coerced its
@@ -16,10 +16,6 @@ This module is the single source of truth for the substrate dtype:
   ``REPRO_DTYPE`` environment variable (``float32`` / ``float64``).
 * ``default_itemsize()`` — bytes per element of the active dtype; the
   profiler and calibrator derive their byte accounting from this.
-* ``expert_workers()`` — number of worker processes for the
-  expert-parallel FFN executor (0 = serial, the default).  Set with
-  :func:`set_expert_workers`, the :func:`expert_parallelism` context
-  manager, or the ``REPRO_EXPERT_WORKERS`` environment variable.
 
 It deliberately lives in ``repro.core`` (a leaf package) rather than
 ``repro.autograd``: the profiler needs the itemsize and is itself
@@ -43,9 +39,6 @@ __all__ = [
     "resolve_dtype",
     "default_itemsize",
     "substrate_dtype",
-    "expert_workers",
-    "set_expert_workers",
-    "expert_parallelism",
 ]
 
 #: Dtypes the substrate supports end to end (autograd, profiler ledger,
@@ -109,45 +102,3 @@ def substrate_dtype(dtype: object) -> Iterator[np.dtype]:
     finally:
         set_default_dtype(previous)
 
-
-def _workers_from_env() -> int:
-    raw = os.environ.get("REPRO_EXPERT_WORKERS", "").strip()
-    if not raw:
-        return 0
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"REPRO_EXPERT_WORKERS must be an integer, got {raw!r}"
-        ) from exc
-    if n < 0:
-        raise ValueError(f"REPRO_EXPERT_WORKERS must be >= 0, got {n}")
-    return n
-
-
-_EXPERT_WORKERS: int = _workers_from_env()
-
-
-def expert_workers() -> int:
-    """Worker processes for expert-parallel FFN (0 = run serially)."""
-    return _EXPERT_WORKERS
-
-
-def set_expert_workers(n: int) -> int:
-    """Set the expert-parallel worker count; returns the previous one."""
-    global _EXPERT_WORKERS
-    if n < 0:
-        raise ValueError(f"expert workers must be >= 0, got {n}")
-    previous = _EXPERT_WORKERS
-    _EXPERT_WORKERS = int(n)
-    return previous
-
-
-@contextmanager
-def expert_parallelism(n: int) -> Iterator[int]:
-    """Temporarily set the expert-parallel worker count."""
-    previous = set_expert_workers(n)
-    try:
-        yield _EXPERT_WORKERS
-    finally:
-        set_expert_workers(previous)

@@ -6,8 +6,7 @@ per-expert occupancy: one GEMM per non-empty expert over the occupied
 prefix of its capacity slab, never over the padding.  A leaf module
 beside the scatter/gather kernels of :mod:`repro.moe.encode`, and the
 only expert FFN: the autograd ops (:mod:`repro.autograd.functional`'s
-relu/gelu, :mod:`repro.autograd.moe_ops`'s fused FFN), the multicore
-executor's workers (:mod:`repro.runtime.executor`) and every NumPy
+relu/gelu, :mod:`repro.autograd.moe_ops`'s fused FFN) and every NumPy
 forward — the single-process layer (:mod:`repro.moe.layer`, ragged
 over its occupancy) and the expert-parallel, P1 and P2 forwards
 (:func:`repro.moe.distributed.expert_exchange`, every capacity row) —
@@ -189,8 +188,8 @@ def ffn_forward_arrays(x: np.ndarray, w1: np.ndarray, w2: np.ndarray,
     row, so skipping it changes no consumer.  Rows at or beyond ``n_e``
     are never read.
 
-    Returns ``(y, saved)`` where ``saved`` lets a same-process backward
-    skip the recompute.
+    Returns ``(y, saved)`` where ``saved`` lets the backward skip the
+    recompute.
     """
     x, w1, w2 = _common(x, w1, w2)
     saved = _hidden(x, w1, activation, rows)
@@ -210,13 +209,12 @@ def ffn_backward_arrays(x: np.ndarray, w1: np.ndarray, w2: np.ndarray,
     """Gradients of the fused expert FFN w.r.t. (x, w1, w2).
 
     With ``saved=None`` the hidden activations are recomputed from the
-    inputs over ``rows`` (the stateless worker protocol); passing the
-    forward's saved tuple gives the conventional memory-for-compute
-    trade and carries the forward's occupancy with it.  Only
-    ``grad_y[e, :n_e]`` is read; ``grad_x`` is zero on padded rows and
-    an idle expert's weight gradients are zero.  ``weight_grads=False``
-    (frozen experts) skips both weight-gradient GEMMs of every expert
-    and returns ``None`` in their place.
+    inputs over ``rows``; passing the forward's saved tuple gives the
+    conventional memory-for-compute trade and carries the forward's
+    occupancy with it.  Only ``grad_y[e, :n_e]`` is read; ``grad_x`` is
+    zero on padded rows and an idle expert's weight gradients are zero.
+    ``weight_grads=False`` (frozen experts) skips both weight-gradient
+    GEMMs of every expert and returns ``None`` in their place.
     """
     x, w1, w2, grad_y = _common(x, w1, w2, grad_y)
     if saved is None:

@@ -260,9 +260,7 @@ class MoE(Module):
             dispatched = moe_dispatch(x, crit)
         with _span("expert_ffn", CAT_MOE), _prof.stage("expert_ffn"):
             # Fused op: act(x @ w1) @ w2 in one tape node over the
-            # occupied prefix of each expert's capacity slab; runs the
-            # E experts on the multicore executor when one is
-            # configured (repro.core.substrate.set_expert_workers).
+            # occupied prefix of each expert's capacity slab.
             expert_out = expert_ffn(dispatched, self.w1, self.w2,
                                     self.activation, rows=crit.occupancy)
         with _span("decode", CAT_MOE), _prof.stage("combine"):

@@ -1,2 +1,2 @@
-"""Runtime planning and execution: feature toggles -> MoE layer step
-times, plus the real multicore expert-parallel FFN executor."""
+"""Runtime planning: feature toggles -> MoE layer step times, priced
+by the kernel cost models."""

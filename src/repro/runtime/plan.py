@@ -25,7 +25,9 @@ from repro.collectives.schedule import A2AAlgorithm
 from repro.core.config import MoEConfig
 from repro.parallel.strategy import (
     Parallelism,
+    best_strategy,
     p1_communication_bytes,
+    p1_param_comm_time,
     p2_communication_bytes,
     replication_factor,
 )
@@ -118,9 +120,7 @@ def choose_parallelism(cfg: MoEConfig, topo: ClusterTopology,
         return Parallelism.EP
     if not features.adaptive_parallelism:
         return features.parallelism
-    from repro.parallel.router import InlineParallelismRouter
-    router = InlineParallelismRouter(topo, training=training)
-    return router.decide(cfg).chosen
+    return best_strategy(cfg, topo, training).strategy
 
 
 def build_segment_spec(cfg: MoEConfig, topo: ClusterTopology,
@@ -163,7 +163,6 @@ def _param_comm_time(cfg: MoEConfig, topo: ClusterTopology,
     """ZeRO-style parameter traffic of P1 (none for EP / P2)."""
     if parallelism is not Parallelism.P1_EP_DP:
         return 0.0
-    from repro.parallel.strategy import p1_param_comm_time
     return p1_param_comm_time(cfg, topo, training)
 
 

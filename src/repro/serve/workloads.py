@@ -91,6 +91,14 @@ class ServeWorkload:
         if self.max_wait_ms < 0:
             raise ValueError(
                 f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
+        # The modeled column prices a fixed capacity, so the adaptive
+        # modes (capacity_factor <= 0) have no price here.
+        if self.capacity_factor <= 0:
+            raise ValueError(f"capacity_factor must be > 0, "
+                             f"got {self.capacity_factor}")
+        if not 1 <= self.top_k <= self.num_experts:
+            raise ValueError(f"top_k must be in [1, {self.num_experts}], "
+                             f"got {self.top_k}")
 
     def describe(self) -> str:
         """One-line shape for ``repro serve --list``."""

@@ -1,20 +1,16 @@
-"""Tests for the multicore expert-parallel FFN executor.
+"""Tests for the expert-FFN array kernels of :mod:`repro.moe.ffn`.
 
-The load-bearing claim: the parallel path (worker processes + shared
-memory + backward recompute) is **bitwise identical** to the serial
-fused path, because both run the same :func:`ffn_forward_arrays` /
-:func:`ffn_backward_arrays` kernels on the same operand bytes.  The
-executor may therefore be toggled freely without perturbing training.
+The blocked activations equal the whole-array expressions they replaced
+bitwise, the ragged kernels equal the padded oracle below to rounding,
+and recompute (``saved=None``) equals the saved-activations backward.
 """
-
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.autograd.tensor import Tensor
-from repro.core.substrate import expert_parallelism, substrate_dtype
+from repro.core.substrate import substrate_dtype
 from repro.moe import ffn
 from repro.moe.ffn import (
     BLOCK,
@@ -22,11 +18,6 @@ from repro.moe.ffn import (
     act_forward,
     ffn_backward_arrays,
     ffn_forward_arrays,
-)
-from repro.runtime.executor import (
-    ExpertParallelExecutor,
-    get_executor,
-    shutdown_executor,
 )
 
 
@@ -131,13 +122,6 @@ def close(dtype):
     return {"rtol": tol, "atol": 10 * tol}
 
 
-@pytest.fixture
-def executor():
-    ex = ExpertParallelExecutor(num_workers=2)
-    yield ex
-    ex.close()
-
-
 class TestArrayKernels:
     @pytest.mark.parametrize("activation", ["gelu", "relu"])
     def test_forward_matches_autograd_reference(self, activation):
@@ -169,8 +153,8 @@ class TestArrayKernels:
         np.testing.assert_allclose(gw2, w2t.grad, rtol=1e-12, atol=1e-12)
 
     def test_recompute_equals_saved(self):
-        # The stateless worker protocol recomputes (h, a); it must give
-        # the exact same gradients as the saved-activations path.
+        # The saved=None path recomputes (h, a); it must give the exact
+        # same gradients as the saved-activations path.
         x, w1, w2, gy = ffn_case(dtype=np.float32)
         _, saved = ffn_forward_arrays(x, w1, w2, "gelu")
         with_saved = ffn_backward_arrays(x, w1, w2, gy, "gelu", saved)
@@ -401,239 +385,3 @@ class TestRaggedKernels:
             ffn_forward_arrays(x, w1, w2, "gelu", rows)
         with pytest.raises(ValueError, match="rows"):
             ffn_backward_arrays(x, w1, w2, gy, "gelu", rows=rows)
-
-
-class TestExecutorAgreement:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_forward_bitwise_identical_to_serial(self, executor, dtype):
-        x, w1, w2, _ = ffn_case(dtype=dtype)
-        y_par = executor.ffn_forward(x, w1, w2, "gelu")
-        y_ser, _ = ffn_forward_arrays(x, w1, w2, "gelu")
-        assert y_par.dtype == dtype
-        np.testing.assert_array_equal(y_par, y_ser)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_backward_bitwise_identical_to_serial(self, executor, dtype):
-        x, w1, w2, gy = ffn_case(dtype=dtype)
-        par = executor.ffn_backward(x, w1, w2, gy, "gelu")
-        ser = ffn_backward_arrays(x, w1, w2, gy, "gelu", None)
-        for p, s in zip(par, ser):
-            assert p.dtype == dtype
-            np.testing.assert_array_equal(p, s)
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    @given(case=ragged_cases())
-    @settings(max_examples=8, deadline=None)
-    def test_rows_bitwise_identical_to_serial(self, workers, case):
-        x, w1, w2, gy, rows, activation = case
-        ex = ExpertParallelExecutor(num_workers=workers)
-        try:
-            par = (ex.ffn_forward(x, w1, w2, activation, rows),
-                   *ex.ffn_backward(x, w1, w2, gy, activation, rows))
-        finally:
-            ex.close()
-        ser = (ffn_forward_arrays(x, w1, w2, activation, rows)[0],
-               *ffn_backward_arrays(x, w1, w2, gy, activation, rows=rows))
-        for p, s in zip(par, ser):
-            assert p.dtype == s.dtype
-            np.testing.assert_array_equal(p, s)
-
-    def test_backward_without_weight_grads(self, executor):
-        x, w1, w2, gy = ffn_case()
-        gx, gw1, gw2 = executor.ffn_backward(x, w1, w2, gy, "gelu",
-                                             weight_grads=False)
-        assert gw1 is None and gw2 is None
-        np.testing.assert_array_equal(
-            gx, ffn_backward_arrays(x, w1, w2, gy, "gelu")[0])
-
-    def test_wrong_length_rows_rejected_like_serial(self, executor):
-        x, w1, w2, _ = ffn_case()
-        with pytest.raises(ValueError, match="rows"):
-            executor.ffn_forward(x, w1, w2, "gelu", [6] * 5)
-
-    def test_uneven_expert_chunks(self, executor):
-        # 5 experts over 2 workers: chunks (0,2)/(2,5) must still
-        # cover every expert exactly once.
-        x, w1, w2, _ = ffn_case(e=5)
-        y_par = executor.ffn_forward(x, w1, w2, "relu")
-        y_ser, _ = ffn_forward_arrays(x, w1, w2, "relu")
-        np.testing.assert_array_equal(y_par, y_ser)
-
-    def test_more_workers_than_experts(self):
-        ex = ExpertParallelExecutor(num_workers=4)
-        try:
-            x, w1, w2, _ = ffn_case(e=2)
-            y_par = ex.ffn_forward(x, w1, w2, "gelu")
-            y_ser, _ = ffn_forward_arrays(x, w1, w2, "gelu")
-            np.testing.assert_array_equal(y_par, y_ser)
-        finally:
-            ex.close()
-
-    def test_slabs_grow_and_are_reused(self, executor):
-        small = ffn_case(e=2, c=3, m=4, v=5)
-        big = ffn_case(e=4, c=8, m=6, v=9, seed=1)
-        for x, w1, w2, _ in (small, big, small):
-            y_par = executor.ffn_forward(x, w1, w2, "gelu")
-            y_ser, _ = ffn_forward_arrays(x, w1, w2, "gelu")
-            np.testing.assert_array_equal(y_par, y_ser)
-        assert executor.calls == 3
-
-    def test_output_not_aliased_to_slab(self, executor):
-        # The returned array must be a private copy: the next call
-        # reuses the slab and would otherwise corrupt the graph.
-        x, w1, w2, _ = ffn_case()
-        y1 = executor.ffn_forward(x, w1, w2, "gelu")
-        snapshot = y1.copy()
-        executor.ffn_forward(x * 2.0, w1, w2, "gelu")
-        np.testing.assert_array_equal(y1, snapshot)
-
-    def test_invalid_worker_count_rejected(self):
-        with pytest.raises(ValueError, match="num_workers"):
-            ExpertParallelExecutor(num_workers=0)
-
-
-class TestSubstrateWiring:
-    def test_get_executor_off_by_default(self):
-        assert get_executor() is None
-
-    def test_get_executor_sized_from_config(self):
-        try:
-            with expert_parallelism(2):
-                ex = get_executor()
-                assert ex is not None and ex.num_workers == 2
-                # Resizes (new instance) when the config changes.
-                with expert_parallelism(3):
-                    ex3 = get_executor()
-                    assert ex3 is not None and ex3.num_workers == 3
-            assert get_executor() is None
-        finally:
-            shutdown_executor()
-
-    def test_expert_ffn_parallel_matches_serial(self):
-        from repro.autograd.moe_ops import expert_ffn
-
-        x, w1, w2, gy = ffn_case(e=4, c=8, m=6, v=10)
-
-        def run():
-            xt = Tensor(x, requires_grad=True)
-            w1t = Tensor(w1, requires_grad=True)
-            w2t = Tensor(w2, requires_grad=True)
-            y = expert_ffn(xt, w1t, w2t, "gelu")
-            (y * Tensor(gy)).sum().backward()
-            return y.data, xt.grad, w1t.grad, w2t.grad
-
-        serial = run()
-        try:
-            with expert_parallelism(2):
-                parallel = run()
-        finally:
-            shutdown_executor()
-        for s, p in zip(serial, parallel):
-            np.testing.assert_array_equal(s, p)
-
-    def test_expert_ffn_parallel_matches_serial_with_rows(self):
-        from repro.autograd.moe_ops import expert_ffn
-
-        rows = np.array([8, 0, 3, 5])
-        x, w1, w2, gy = ffn_case(e=4, c=8, m=6, v=10)
-        x, gy = zero_padding(x, rows), zero_padding(gy, rows)
-
-        def run():
-            xt = Tensor(x, requires_grad=True)
-            w1t = Tensor(w1, requires_grad=True)
-            w2t = Tensor(w2, requires_grad=True)
-            y = expert_ffn(xt, w1t, w2t, "gelu", rows=rows)
-            (y * Tensor(gy)).sum().backward()
-            return y.data, xt.grad, w1t.grad, w2t.grad
-
-        serial = run()
-        try:
-            with expert_parallelism(3):
-                parallel = run()
-        finally:
-            shutdown_executor()
-        for s, p in zip(serial, parallel):
-            np.testing.assert_array_equal(s, p)
-
-    def test_dead_worker_latches_and_falls_back(self, monkeypatch):
-        # The other pool failure beside the OSError case below.
-        from repro.autograd.moe_ops import expert_ffn
-
-        x, w1, w2, _ = ffn_case()
-        try:
-            with expert_parallelism(2):
-                ex = get_executor()
-                monkeypatch.setattr(
-                    ex, "_run",
-                    lambda *a, **k: (_ for _ in ()).throw(
-                        BrokenProcessPool("worker died")))
-                y = expert_ffn(Tensor(x), Tensor(w1), Tensor(w2), "gelu")
-                assert ex.broken and get_executor() is None
-        finally:
-            shutdown_executor()
-        assert np.isfinite(y.data).all()
-
-    def test_kernel_error_in_worker_propagates(self):
-        # A wrong `rows` inside a worker is a kernel bug: it must
-        # surface, not be masked by the serial fallback, and must not
-        # latch the executor off.
-        from repro.autograd.moe_ops import expert_ffn
-
-        x, w1, w2, _ = ffn_case()
-        cap = x.shape[1]
-        try:
-            with expert_parallelism(2):
-                with pytest.raises(ValueError, match="rows"):
-                    expert_ffn(Tensor(x), Tensor(w1), Tensor(w2), "gelu",
-                               rows=[cap, cap, cap, cap + 1])
-                ex = get_executor()
-                assert ex is not None and not ex.broken
-        finally:
-            shutdown_executor()
-
-    def test_kernel_error_in_backward_propagates(self, monkeypatch):
-        from repro.autograd.moe_ops import expert_ffn
-
-        x, w1, w2, gy = ffn_case()
-        try:
-            with expert_parallelism(2):
-                xt = Tensor(x, requires_grad=True)
-                y = expert_ffn(xt, Tensor(w1), Tensor(w2), "gelu")
-                ex = get_executor()
-                monkeypatch.setattr(
-                    ex, "ffn_backward",
-                    lambda *a, **k: (_ for _ in ()).throw(
-                        IndexError("bad slice")))
-                with pytest.raises(IndexError, match="bad slice"):
-                    (y * Tensor(gy)).sum().backward()
-                assert not ex.broken
-        finally:
-            shutdown_executor()
-
-    def test_broken_executor_falls_back_to_serial(self, monkeypatch):
-        from repro.autograd.moe_ops import expert_ffn
-        from repro.runtime import executor as executor_mod
-
-        x, w1, w2, gy = ffn_case()
-        try:
-            with expert_parallelism(2):
-                ex = get_executor()
-                assert ex is not None
-                monkeypatch.setattr(
-                    ex, "_run",
-                    lambda *a, **k: (_ for _ in ()).throw(
-                        OSError("pool died")))
-                xt = Tensor(x, requires_grad=True)
-                w1t = Tensor(w1, requires_grad=True)
-                w2t = Tensor(w2, requires_grad=True)
-                y = expert_ffn(xt, w1t, w2t, "gelu")
-                (y * Tensor(gy)).sum().backward()
-                assert ex.broken
-                assert get_executor() is None  # latched off
-        finally:
-            shutdown_executor()
-        # Compare against the serial kernel on the *tensor* operands:
-        # leaf coercion may have cast them to the substrate default.
-        y_ser, _ = ffn_forward_arrays(xt.data, w1t.data, w2t.data, "gelu")
-        np.testing.assert_array_equal(y.data, y_ser)
-        assert xt.grad is not None

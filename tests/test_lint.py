@@ -107,8 +107,8 @@ def test_option_surface_is_pinned():
     read = set()
     for path in SRC.rglob("*.py"):
         read |= environment_reads(ast.parse(path.read_text()))
-    assert read == {"REPRO_BENCH_DIR", "REPRO_DTYPE", "REPRO_EXPERT_WORKERS",
-                    "REPRO_RUNS_DIR", "REPRO_SCALE", "REPRO_TRACE"}
+    assert read == {"REPRO_BENCH_DIR", "REPRO_DTYPE", "REPRO_RUNS_DIR",
+                    "REPRO_SCALE", "REPRO_TRACE"}
     assert (SRC / "cli.py").read_text().count("add_argument(") <= 62
 
 
@@ -178,12 +178,18 @@ def test_package_inits_import_nothing():
         == ["__version__"]
 
 
+#: Stdlib process-pool packages: the expert FFN runs in-process, so no
+#: training or serving entry point may load them.
+POOL_PACKAGES = ("multiprocessing", "concurrent")
+
+
 def loaded_modules(entry: str) -> set[str]:
-    """``repro`` modules in ``sys.modules`` after a fresh interpreter
-    imports ``entry``."""
+    """``repro`` and :data:`POOL_PACKAGES` modules in ``sys.modules``
+    after a fresh interpreter imports ``entry``."""
+    roots = ("repro", *POOL_PACKAGES)
     code = (f"import json, sys, {entry}\n"
             "print(json.dumps([m for m in sys.modules\n"
-            "                  if m.split('.')[0] == 'repro']))")
+            f"                  if m.split('.')[0] in {roots!r}]))")
     path = os.pathsep.join(filter(None, [str(SRC.parent),
                                          os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], check=True,
@@ -196,21 +202,23 @@ def subpackages(modules: set[str]) -> set[str]:
     return {m.split(".")[1] for m in modules if "." in m}
 
 
-SIMULATOR = {"cluster", "collectives", "parallel", "pipeline"}
+SIMULATOR = {"cluster", "collectives", "parallel", "pipeline", "runtime"}
 
 
 def test_substrate_import_closure():
     moe = loaded_modules("repro.nn.moe")
+    trainer = loaded_modules("repro.train.trainer")
+    engine = loaded_modules("repro.serve.engine")
+    for modules in (moe, trainer, engine):
+        assert {m.split(".")[0] for m in modules} == {"repro"}
     assert len(moe) <= 25
     assert subpackages(moe) & (SIMULATOR | {
         "bench", "scenarios", "resilience", "serve", "train", "models",
         "baselines"}) == set()
-    trainer = loaded_modules("repro.train.trainer")
     assert subpackages(trainer) & (SIMULATOR | {
         "bench", "scenarios", "resilience", "serve"}) == set()
     # Serving emits bench.report records and shares the LinkBrownout
     # window of scenarios.spec; both are leaves of the stdlib.
-    engine = loaded_modules("repro.serve.engine")
     assert subpackages(engine) & (SIMULATOR | {"resilience", "train"}) \
         == set()
     assert {m for m in engine if subpackages({m}) & {"bench", "scenarios"}} \

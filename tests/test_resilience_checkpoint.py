@@ -595,36 +595,9 @@ class TestTornWrites:
 
 
 class TestResumeAcrossSubstrateConfig:
-    """ISSUE 7 satellite: a checkpoint is portable across substrate
-    *configuration* changes — the restored process may run with a
-    different expert-worker count or a different ambient dtype, and
-    the saved state stays authoritative."""
-
-    def test_resume_under_expert_workers_is_bit_identical(
-            self, splits, tmp_path):
-        """Serial save -> multicore resume must replay the exact same
-        trajectory (the executor is bitwise-equal to serial, so the
-        worker count is not part of the checkpoint contract)."""
-        from repro.core.substrate import expert_parallelism
-        from repro.runtime.executor import shutdown_executor
-
-        train, test = splits
-        straight = train_model(fresh_model(), train, test, steps=16,
-                               batch_size=64, seed=0)
-        ckpt_dir = str(tmp_path / "ckpts")
-        first = train_model(fresh_model(), train, test, steps=8,
-                            batch_size=64, seed=0,
-                            checkpoint_every=8,
-                            checkpoint_dir=ckpt_dir)
-        try:
-            with expert_parallelism(2):
-                resumed = train_model(
-                    fresh_model(), train, test, steps=16, batch_size=64,
-                    seed=0, resume_from=first.checkpoint_paths[0])
-        finally:
-            shutdown_executor()
-        assert resumed.losses == straight.losses
-        assert resumed.eval_accuracy == straight.eval_accuracy
+    """A checkpoint is portable across substrate *configuration*
+    changes — the restored process may run with a different ambient
+    dtype, and the saved state stays authoritative."""
 
     def test_float32_ckpt_resumed_under_float64_process(
             self, splits, tmp_path):

@@ -443,3 +443,15 @@ class TestWorkloadRegistry:
         assert fast.arrival.horizon_s \
             == pytest.approx(wl.arrival.horizon_s * wl.fast_factor)
         assert wl.resolved() is wl
+
+    @pytest.mark.parametrize("override", [
+        {"capacity_factor": 0.0}, {"capacity_factor": -2.0},
+        {"top_k": 0}, {"top_k": 9}])
+    def test_unpriceable_shape_rejected(self, override):
+        """The modeled column prices ``C = ceil(k*T*f/E)``: an adaptive
+        capacity factor (f <= 0) or a top-k outside [1, E] has no price,
+        so the workload is refused before any model is built."""
+        from dataclasses import replace
+
+        with pytest.raises(ValueError, match=next(iter(override))):
+            replace(WORKLOADS["poisson_steady"], **override)

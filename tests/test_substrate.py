@@ -1,4 +1,4 @@
-"""Tests for the substrate dtype/parallelism config (ISSUE 6).
+"""Tests for the substrate dtype config.
 
 The contract under test: float32 is the process default, every leaf
 Tensor follows the active substrate dtype, op outputs keep whatever
@@ -15,29 +15,24 @@ from repro.core.substrate import (
     SUPPORTED_DTYPES,
     default_dtype,
     default_itemsize,
-    expert_parallelism,
-    expert_workers,
     resolve_dtype,
     set_default_dtype,
-    set_expert_workers,
     substrate_dtype,
 )
 
 
 @pytest.fixture(autouse=True)
 def _pinned_substrate():
-    """Pin the config to its documented defaults for these tests.
+    """Pin the dtype to its documented default for these tests.
 
     CI re-runs this file under ``REPRO_DTYPE=float64``; the contract
     under test here is the *unconfigured* default (env handling has its
-    own tests below), so start each test from float32/serial and restore
+    own tests below), so start each test from float32 and restore
     whatever the process was using afterwards.
     """
-    prev_dt = set_default_dtype(np.float32)
-    prev_w = set_expert_workers(0)
+    prev = set_default_dtype(np.float32)
     yield
-    set_default_dtype(prev_dt)
-    set_expert_workers(prev_w)
+    set_default_dtype(prev)
 
 
 class TestDtypeConfig:
@@ -92,27 +87,6 @@ class TestDtypeConfig:
             with substrate_dtype(np.float32):
                 assert default_itemsize() == 4
             assert default_itemsize() == 8
-
-
-class TestExpertWorkersConfig:
-    def test_default_is_serial(self):
-        assert expert_workers() == 0
-
-    def test_set_and_context_manager(self):
-        prev = set_expert_workers(3)
-        try:
-            assert prev == 0
-            assert expert_workers() == 3
-        finally:
-            set_expert_workers(prev)
-        with expert_parallelism(2):
-            assert expert_workers() == 2
-        assert expert_workers() == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            set_expert_workers(-1)
-        assert expert_workers() == 0
 
 
 class TestTensorDtypeSemantics:
@@ -170,17 +144,3 @@ class TestEnvParsing:
         monkeypatch.setenv("REPRO_DTYPE", "float16")
         with pytest.raises(ValueError):
             _dtype_from_env()
-
-    def test_workers_env(self, monkeypatch):
-        from repro.core.substrate import _workers_from_env
-
-        monkeypatch.delenv("REPRO_EXPERT_WORKERS", raising=False)
-        assert _workers_from_env() == 0
-        monkeypatch.setenv("REPRO_EXPERT_WORKERS", "4")
-        assert _workers_from_env() == 4
-        monkeypatch.setenv("REPRO_EXPERT_WORKERS", "-2")
-        with pytest.raises(ValueError):
-            _workers_from_env()
-        monkeypatch.setenv("REPRO_EXPERT_WORKERS", "many")
-        with pytest.raises(ValueError, match="integer"):
-            _workers_from_env()
