@@ -9,8 +9,6 @@ capacity-factor stream, compare cumulative MoE segment time under
 * each static strategy.
 """
 
-import numpy as np
-
 from repro.bench.harness import Table
 from repro.bench.report import Metric, emit
 from repro.cluster.topology import ndv4_topology

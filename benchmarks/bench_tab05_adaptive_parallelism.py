@@ -11,8 +11,7 @@ from repro.bench.report import Metric, emit
 from repro.cluster.topology import ndv4_topology
 from repro.core.config import MoEConfig
 from repro.models.workload import sample_capacity_factors
-from repro.parallel.router import InlineParallelismRouter
-from repro.parallel.strategy import Parallelism, strategy_cost
+from repro.parallel.strategy import Parallelism, best_strategy, strategy_cost
 
 WORLD = 8
 
@@ -65,7 +64,7 @@ def run(verbose: bool = True):
     b_rows = {}
     for name, cfg in settings.items():
         imp = _improvements(cfg, topo)
-        chosen = InlineParallelismRouter(topo).decide(cfg).chosen
+        chosen = best_strategy(cfg, topo).strategy
         b_rows[name] = (imp[Parallelism.P1_EP_DP],
                         imp[Parallelism.P2_EP_MP], chosen)
         table_b.add_row(name, f"{imp[Parallelism.P1_EP_DP]:.1%}",

@@ -3,8 +3,9 @@
 Replays a SwinV2-shaped capacity-factor trace (Figure 1) through the
 two adaptive mechanisms of the paper:
 
-* the inline parallelism router flips between P1 (EP+DP) and P2
-  (EP+MP) as the token volume crosses the parameter volume;
+* the inline parallelism choice (``best_strategy``) flips between P1
+  (EP+DP) and P2 (EP+MP) as the token volume crosses the parameter
+  volume;
 * the online pipelining search (Algorithm 2) explores (All-to-All
   algorithm x degree) pairs bucket-by-bucket and converges to the best
   strategy for each workload regime.
@@ -17,7 +18,7 @@ from collections import Counter
 from repro.cluster.topology import ndv4_topology
 from repro.core.config import MoEConfig
 from repro.models.workload import dynamic_capacity_trace
-from repro.parallel.router import InlineParallelismRouter
+from repro.parallel.strategy import best_strategy
 from repro.pipeline.adaptive import OnlinePipeliningSearch
 from repro.pipeline.schedule import PipelineStrategy, pipeline_segment_time
 
@@ -33,17 +34,20 @@ def main():
                      tokens_per_gpu=2048, top_k=2, capacity_factor=1.0)
 
     trace = dynamic_capacity_trace(steps=200, layer_index=0, seed=1)
-    router = InlineParallelismRouter(topo)
-
     parallelism_choices = Counter()
+    switches = 0
+    previous = None
     for step, f in enumerate(trace):
-        decision = router.decide(base.with_(capacity_factor=float(f)))
-        parallelism_choices[decision.chosen.value] += 1
+        chosen = best_strategy(base.with_(capacity_factor=float(f)),
+                               topo).strategy
+        parallelism_choices[chosen.value] += 1
+        switches += previous is not None and chosen is not previous
+        previous = chosen
         if step % 40 == 0:
             print(f"step {step:3d}: f={f:5.2f} -> "
-                  f"parallelism={decision.chosen.value}")
+                  f"parallelism={chosen.value}")
     print(f"parallelism choices: {dict(parallelism_choices)}")
-    print(f"parallelism switches: {router.switch_count()}")
+    print(f"parallelism switches: {switches}")
 
     # Adaptive pipelining pays off where All-to-All is expensive:
     # scale out to 256 GPUs across 32 nodes.

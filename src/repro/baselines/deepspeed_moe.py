@@ -6,31 +6,20 @@ raw All-to-All output layout ``(W, dE, dC, M)``, so its
 ``bgemm_strided_batched`` row count shrinks as the world grows — the
 11.3x slowdown at 2,048 GPUs.  DeepSpeed's encode kernels are somewhat
 better optimized than Fairseq's, but it still lacks Flexible
-All-to-All, adaptive pipelining and switchable parallelism.
+All-to-All, adaptive pipelining and switchable parallelism, so its
+execution profile is :data:`repro.runtime.plan.FAIRSEQ_FEATURES`.
 """
 
 from __future__ import annotations
 
 from repro.cluster.gemm import GemmModel, expert_ffn_time
 from repro.cluster.topology import ClusterTopology
-from repro.collectives.schedule import A2AAlgorithm
 from repro.core.config import MoEConfig
-from repro.pipeline.schedule import PipelineStrategy
-from repro.runtime.plan import ExecutionFeatures
+from repro.parallel.strategy import Parallelism, build_segment_spec
 
 __all__ = [
-    "deepspeed_features",
     "deepspeed_fflayer_time",
 ]
-
-
-def deepspeed_features() -> ExecutionFeatures:
-    """Execution profile of the DeepSpeed MoE baseline."""
-    return ExecutionFeatures(
-        name="deepspeed", fast_kernels=False, flexible_a2a=False,
-        adaptive_pipelining=False, adaptive_parallelism=False,
-        pipeline_strategy=PipelineStrategy(
-            degree=1, algorithm=A2AAlgorithm.LINEAR))
 
 
 def deepspeed_fflayer_time(cfg: MoEConfig, topo: ClusterTopology,
@@ -41,7 +30,7 @@ def deepspeed_fflayer_time(cfg: MoEConfig, topo: ClusterTopology,
     each — per-GPU FLOPs stay constant under weak scaling but the
     per-problem row count collapses with ``W``.
     """
-    de = max(1, round(cfg.experts_per_gpu))
-    return expert_ffn_time(topo.gpu, cfg.world_size * de,
-                           cfg.capacity_per_gpu, cfg.model_dim,
-                           cfg.hidden_dim, gemm, backward=False)
+    spec = build_segment_spec(cfg, Parallelism.EP, flexible_a2a=False)
+    return expert_ffn_time(topo.gpu, spec.expert_batch, spec.expert_rows,
+                           spec.model_dim, spec.hidden_dim, gemm,
+                           backward=False)

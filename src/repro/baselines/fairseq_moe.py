@@ -10,8 +10,8 @@ Reproduces the execution profile the paper attributes to the Fairseq
 * static parallelism.
 
 Both halves are provided: a *functional* layer that really computes
-(dense encode path over NumPy) and an *execution profile* for the
-performance substrate.
+(dense encode path over NumPy) here, and the *execution profile* for
+the performance substrate, :data:`repro.runtime.plan.FAIRSEQ_FEATURES`.
 """
 
 from __future__ import annotations
@@ -24,18 +24,11 @@ from repro.cluster.memory import MemoryBreakdown, dense_moe_memory
 from repro.core.config import MoEConfig
 from repro.moe.capacity import CapacityPolicy
 from repro.moe.layer import MoELayerParams, MoEOutput, moe_layer_forward
-from repro.runtime.plan import FAIRSEQ_FEATURES, ExecutionFeatures
 
 __all__ = [
-    "fairseq_features",
     "fairseq_moe_forward",
     "fairseq_memory",
 ]
-
-
-def fairseq_features() -> ExecutionFeatures:
-    """Execution profile of the Fairseq MoE baseline."""
-    return FAIRSEQ_FEATURES
 
 
 def fairseq_moe_forward(x: np.ndarray, params: MoELayerParams,

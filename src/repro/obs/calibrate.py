@@ -80,7 +80,7 @@ from repro.collectives.schedule import linear_a2a_time
 from repro.core.config import MoEConfig
 from repro.core.substrate import default_dtype, default_itemsize
 from repro.moe.gating import RoutingCriteria, compute_locations
-from repro.runtime.kernels import sparse_decode_time, sparse_encode_time
+from repro.runtime.kernels import sparse_scatter_bytes, sparse_scatter_time
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -207,20 +207,6 @@ def _moe_config(params: dict) -> MoEConfig:
         top_k=int(params["top_k"]),
         capacity_factor=float(params["capacity_factor"]),
         dtype_bytes=dtype_bytes())
-
-
-def _moe_moved_bytes(cfg: MoEConfig) -> float:
-    """Bytes the sparse scatter model says the kernel moves.
-
-    Mirrors ``repro.runtime.kernels._sparse_scatter_time``: the routed
-    rows are read and written (2x) plus one pass over the ``(E, dC, M)``
-    capacity buffer.
-    """
-    routed = cfg.top_k * cfg.tokens_per_gpu * cfg.model_dim \
-        * cfg.dtype_bytes
-    buffer = cfg.num_global_experts * cfg.capacity_per_gpu \
-        * cfg.model_dim * cfg.dtype_bytes
-    return 2.0 * routed + buffer
 
 
 def _a2a_payload_bytes(params: dict) -> float:
@@ -420,7 +406,8 @@ def fit_compute(measurements: list[Measurement]
         if len(meas_c) < 2:
             raise ValueError(
                 f"need >= 2 {op_class} measurements to fit")
-        design = [[1.0, _moe_moved_bytes(_moe_config(m.workload.params))]
+        design = [[1.0,
+                   sparse_scatter_bytes(_moe_config(m.workload.params))]
                   for m in meas_c]
         launch, c_bw = _nonneg_relative_lstsq(
             design, [m.measured for m in meas_c])
@@ -503,10 +490,9 @@ def simulate_workload(calibrated: CalibratedTopology,
                      label=workload.label)
     elif workload.op_class in ("encode", "decode"):
         cfg = _moe_config(workload.params)
-        timer = (sparse_encode_time if workload.op_class == "encode"
-                 else sparse_decode_time)
-        sched.new_op(work=timer(cfg, calibrated.gpu_for(workload.op_class)),
-                     label=workload.label)
+        sched.new_op(work=sparse_scatter_time(
+            cfg, calibrated.gpu_for(workload.op_class)),
+            label=workload.label)
     elif workload.op_class == "a2a":
         n = int(workload.params["world"])
         per_rank = linear_a2a_time(calibrated.at_world(n),

@@ -18,7 +18,12 @@ When experts are fewer than GPUs, each expert is served by
 
 Both strategies keep identical token feeding, gradient updating and
 parameter placement, so they can switch *instantly* at every iteration
-— which is why the router below only compares communication costs.
+— which is why :func:`best_strategy` only compares their costs.
+
+:func:`build_segment_spec` is the one description of what each layout
+(EP, P1, P2, and Figure 7's raw ``(W, dE, dC, M)`` layout) hands the
+dispatch-expert-combine segment; the strategy costs, the runtime
+planner, the pipeline schedules and the DeepSpeed baseline all read it.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import enum
 from dataclasses import dataclass
 
 from repro.cluster.gemm import GemmModel, expert_ffn_time
+from repro.cluster.linkmodel import contiguous_memcpy_time
 from repro.cluster.topology import ClusterTopology
 from repro.collectives.schedule import (
     A2AAlgorithm,
@@ -39,11 +45,12 @@ from repro.core.config import MoEConfig
 
 __all__ = [
     "Parallelism",
+    "SegmentSpec",
     "StrategyCost",
-    "replication_factor",
     "p1_communication_bytes",
     "p2_communication_bytes",
-    "p1_param_comm_time",
+    "build_segment_spec",
+    "param_comm_time",
     "strategy_cost",
     "available_strategies",
     "best_strategy",
@@ -58,16 +65,28 @@ class Parallelism(enum.Enum):
     P2_EP_MP = "p2"      # expert + model parallelism (n-sharded)
 
 
-def replication_factor(cfg: MoEConfig) -> int:
-    """``r = W / E`` — GPUs serving each expert (1 when E >= W)."""
-    w, e = cfg.world_size, cfg.num_global_experts
-    if e >= w:
-        return 1
-    if w % e != 0:
-        raise ValueError(
-            f"world size {w} must be a multiple of expert count {e} "
-            "for the switchable strategies")
-    return w // e
+@dataclass(frozen=True)
+class SegmentSpec:
+    """Shape of the dispatch-expert-combine segment on one GPU.
+
+    Decouples the pipeline builder from :class:`MoEConfig` so the
+    runtime can feed parallelism-adjusted shapes (e.g. P2 repeats the
+    All-to-All payload ``r`` times and shards the hidden dimension).
+    Built only by :func:`build_segment_spec`.
+    """
+
+    a2a_bytes: float          # per-GPU All-to-All payload per leg
+    expert_batch: int         # independent expert problems per GPU
+    expert_rows: int          # token rows per expert problem
+    model_dim: int
+    hidden_dim: int
+
+    def __post_init__(self) -> None:
+        if self.a2a_bytes < 0:
+            raise ValueError(f"a2a_bytes must be >= 0, got {self.a2a_bytes}")
+        if min(self.expert_batch, self.expert_rows, self.model_dim,
+               self.hidden_dim) < 1:
+            raise ValueError("segment dimensions must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -93,7 +112,7 @@ def p1_communication_bytes(cfg: MoEConfig) -> tuple[int, int]:
     ZeRO access pattern all-gathers the missing ``(r-1)/r`` of one
     expert's parameters within the replica group.
     """
-    r = replication_factor(cfg)
+    r = cfg.expert_shards
     a2a = cfg.dispatch_bytes_per_gpu
     params = 0
     if r > 1:
@@ -108,25 +127,56 @@ def p2_communication_bytes(cfg: MoEConfig) -> tuple[int, int]:
     each All-to-All leg carries ``r`` times the dispatch buffer; no
     parameter traffic is needed.
     """
-    r = replication_factor(cfg)
-    return r * cfg.dispatch_bytes_per_gpu, 0
+    return cfg.expert_shards * cfg.dispatch_bytes_per_gpu, 0
 
 
-def p1_param_comm_time(cfg: MoEConfig, topo: ClusterTopology,
-                       training: bool = True) -> float:
+def build_segment_spec(cfg: MoEConfig, parallelism: Parallelism,
+                       flexible_a2a: bool = True) -> SegmentSpec:
+    """Segment shape implied by the parallelism + layout choices.
+
+    With Flexible All-to-All the expert consumes the scale-independent
+    ``(dE, C, M)`` layout: EP computes all ``C`` rows, P1 ``C / r`` rows
+    per GPU, and P2 all ``C`` rows against a ``1/r`` hidden shard with
+    ``r`` times the dispatch bytes.  Without it the expert consumes the
+    raw ``(W, dE, dC, M)`` layout: ``W * dE`` problems of only ``dC``
+    rows each (``dC / r`` under P1) — the Figure 7 regression.  P2
+    always repeats tokens into its own layout.
+    """
+    r = cfg.expert_shards
+    de = max(1, round(cfg.experts_per_gpu))
+    if parallelism is Parallelism.P2_EP_MP:
+        a2a_bytes, _ = p2_communication_bytes(cfg)
+        return SegmentSpec(a2a_bytes=a2a_bytes, expert_batch=de,
+                           expert_rows=cfg.global_capacity,
+                           model_dim=cfg.model_dim,
+                           hidden_dim=max(1, cfg.hidden_dim // r))
+    a2a_bytes, _ = p1_communication_bytes(cfg)
+    if flexible_a2a:
+        batch, rows = de, cfg.global_capacity
+    else:
+        batch, rows = cfg.world_size * de, cfg.capacity_per_gpu
+    shards = r if parallelism is Parallelism.P1_EP_DP else 1
+    return SegmentSpec(a2a_bytes=a2a_bytes, expert_batch=batch,
+                       expert_rows=max(1, rows // shards),
+                       model_dim=cfg.model_dim, hidden_dim=cfg.hidden_dim)
+
+
+def param_comm_time(cfg: MoEConfig, topo: ClusterTopology,
+                    parallelism: Parallelism,
+                    training: bool = True) -> float:
     """Per-iteration parameter traffic of P1's ZeRO-style access.
 
-    The full expert is all-gathered for the forward pass and again for
-    the backward pass (ZeRO-3 semantics), gradients are reduce-scattered
-    in fp32 (twice the activation dtype width), and the gathered weights
-    must be materialized into a contiguous buffer each time — a blocking
-    cost that cannot overlap with the MoE layer's own All-to-Alls.
-    This is the term that makes P2 preferable when expert parameters
-    outweigh the token volume (paper Figure 3 / Table 5b).
+    Zero for EP and P2, and for P1 when ``r == 1``.  The full expert is
+    all-gathered for the forward pass and again for the backward pass
+    (ZeRO-3 semantics), gradients are reduce-scattered in fp32 (twice
+    the activation dtype width), and the gathered weights must be
+    materialized into a contiguous buffer each time — a blocking cost
+    that cannot overlap with the MoE layer's own All-to-Alls.  This is
+    the term that makes P2 preferable when expert parameters outweigh
+    the token volume (paper Figure 3 / Table 5b).
     """
-    from repro.cluster.linkmodel import contiguous_memcpy_time
-    r = replication_factor(cfg)
-    if r == 1:
+    r = cfg.expert_shards
+    if parallelism is not Parallelism.P1_EP_DP or r == 1:
         return 0.0
     param_bytes = cfg.expert_parameter_bytes
     shard = param_bytes / r
@@ -151,50 +201,29 @@ def strategy_cost(cfg: MoEConfig, topo: ClusterTopology,
     Communication counts two All-to-All legs (dispatch + combine) for a
     forward pass, doubled for training (backward re-runs both), plus the
     strategy's parameter traffic (all-gather, and reduce-scatter of
-    gradients when training).  Compute uses the layout-aware GEMM model;
-    the per-GPU FLOPs of P1 and P2 are identical by construction, but
-    row counts (hence efficiency) differ slightly.
+    gradients when training).  Compute uses the layout-aware GEMM model
+    on the strategy's segment shape; the per-GPU FLOPs of P1 and P2 are
+    identical by construction, but row counts (hence efficiency) differ
+    slightly.
     """
-    r = replication_factor(cfg)
-    if strategy is Parallelism.EP and r != 1:
+    if strategy is Parallelism.EP and cfg.expert_shards != 1:
         raise ValueError("EP state requires r == 1 (E >= W)")
-    if strategy in (Parallelism.P1_EP_DP, Parallelism.P2_EP_MP) and r < 1:
-        raise ValueError("P1/P2 require at least one GPU per expert")
-
-    if strategy is Parallelism.P2_EP_MP:
-        a2a_bytes, param_bytes = p2_communication_bytes(cfg)
-    elif strategy is Parallelism.P1_EP_DP:
-        a2a_bytes, param_bytes = p1_communication_bytes(cfg)
-    else:
-        a2a_bytes, param_bytes = cfg.dispatch_bytes_per_gpu, 0
+    spec = build_segment_spec(cfg, strategy)
+    param_bytes = (p1_communication_bytes(cfg)[1]
+                   if strategy is Parallelism.P1_EP_DP else 0)
 
     if a2a_algorithm is None:
-        algo, one_leg = best_a2a_algorithm(topo, a2a_bytes,
+        algo, one_leg = best_a2a_algorithm(topo, spec.a2a_bytes,
                                            candidates=a2a_candidates)
     else:
         algo = a2a_algorithm
-        one_leg = a2a_time(topo, a2a_bytes, algo)
+        one_leg = a2a_time(topo, spec.a2a_bytes, algo)
     legs = 4 if training else 2
-    comm = legs * one_leg
-
-    if param_bytes:
-        comm += p1_param_comm_time(cfg, topo, training)
-
-    local_experts = max(1, round(cfg.experts_per_gpu))
-    c_total = cfg.global_capacity
-    if strategy is Parallelism.P2_EP_MP:
-        rows = c_total
-        hidden = max(1, cfg.hidden_dim // r)
-        compute = expert_ffn_time(topo.gpu, local_experts, rows,
-                                  cfg.model_dim, hidden, gemm,
-                                  backward=training)
-    else:
-        rows = max(1, c_total // r)
-        compute = expert_ffn_time(topo.gpu, local_experts, rows,
-                                  cfg.model_dim, cfg.hidden_dim, gemm,
-                                  backward=training)
-
-    return StrategyCost(strategy=strategy, a2a_bytes=a2a_bytes,
+    comm = legs * one_leg + param_comm_time(cfg, topo, strategy, training)
+    compute = expert_ffn_time(topo.gpu, spec.expert_batch,
+                              spec.expert_rows, spec.model_dim,
+                              spec.hidden_dim, gemm, backward=training)
+    return StrategyCost(strategy=strategy, a2a_bytes=spec.a2a_bytes,
                         param_bytes=param_bytes, comm_time=comm,
                         compute_time=compute, a2a_algorithm=algo)
 
@@ -205,7 +234,7 @@ def available_strategies(cfg: MoEConfig) -> tuple[Parallelism, ...]:
     ``r == 1`` (at least one expert per GPU) admits only plain EP;
     ``r > 1`` admits the two switchable hybrids P1 and P2.
     """
-    if replication_factor(cfg) == 1:
+    if cfg.expert_shards == 1:
         return (Parallelism.EP,)
     return (Parallelism.P1_EP_DP, Parallelism.P2_EP_MP)
 

@@ -18,6 +18,7 @@ when buckets are rebuilt over N known factors.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -77,7 +78,7 @@ class Bucket:
         by ``f / low`` makes measurements at different factors
         comparable within the bucket.
         """
-        normalized = elapsed * (self.low / f) if f > 0 else elapsed
+        normalized = elapsed * (self.low / f)
         window = self.samples.setdefault(strategy, [])
         window.append(normalized)
         if len(window) > MAX_BUCKET_SAMPLES:
@@ -156,22 +157,28 @@ class OnlinePipeliningSearch:
             raise KeyError(f"capacity factor {f} not in any bucket")
         return self.buckets[idx]
 
-    def _ensure_known(self, f: float) -> None:
-        if f in self.per_factor:
-            return
-        self.per_factor[f] = {}
-        bisect.insort(self.known_factors, f)
-        self._rebuild_buckets()
+    def _ensure_known(self, capacity_factor: float) -> float:
+        """Validate a factor and make it known; return it as a float.
+
+        The check runs before any state changes, so a rejected factor
+        leaves ``known_factors`` and ``buckets`` as they were.
+        """
+        f = float(capacity_factor)
+        if not (math.isfinite(f) and f > 0):
+            raise ValueError(
+                f"capacity_factor must be finite and > 0, "
+                f"got {capacity_factor}")
+        if f not in self.per_factor:
+            self.per_factor[f] = {}
+            bisect.insort(self.known_factors, f)
+            self._rebuild_buckets()
+        return f
 
     # -- Algorithm 2 procedures ----------------------------------------
 
     def get_strategy(self, capacity_factor: float) -> PipelineStrategy:
         """GETSTRATEGY: best known, else an untried bucket strategy."""
-        if capacity_factor <= 0:
-            raise ValueError(
-                f"capacity_factor must be > 0, got {capacity_factor}")
-        f = float(capacity_factor)
-        self._ensure_known(f)
+        f = self._ensure_known(capacity_factor)
         tried_here = self.per_factor[f]
         if len(tried_here) == len(self.strategies):
             return min(tried_here, key=tried_here.__getitem__)
@@ -199,8 +206,7 @@ class OnlinePipeliningSearch:
         if measured_time < 0:
             raise ValueError(
                 f"measured_time must be >= 0, got {measured_time}")
-        f = float(capacity_factor)
-        self._ensure_known(f)
+        f = self._ensure_known(capacity_factor)
         memo = self.per_factor[f]
         if strategy not in memo or measured_time < memo[strategy]:
             memo[strategy] = measured_time
@@ -245,7 +251,5 @@ class OnlinePipeliningSearch:
 
     def exploration_remaining(self, capacity_factor: float) -> int:
         """Strategies the factor's bucket has not yet tried."""
-        f = float(capacity_factor)
-        self._ensure_known(f)
-        bucket = self._bucket_of(f)
+        bucket = self._bucket_of(self._ensure_known(capacity_factor))
         return len(self.strategies) - len(bucket.samples)

@@ -19,11 +19,15 @@ from repro.cluster.simulator import InterferenceModel, Schedule, simulate
 from repro.cluster.topology import ClusterTopology
 from repro.collectives.schedule import A2AAlgorithm, Impl, Protocol, a2a_time
 from repro.core.config import MoEConfig
+from repro.parallel.strategy import (
+    Parallelism,
+    SegmentSpec,
+    build_segment_spec,
+)
 from repro.pipeline.partition import VALID_DEGREES
 
 __all__ = [
     "PipelineStrategy",
-    "SegmentSpec",
     "all_strategies",
     "build_segment_schedule",
     "segment_time",
@@ -52,39 +56,6 @@ class PipelineStrategy:
 
     def describe(self) -> str:
         return f"{self.algorithm.value}/deg{self.degree}"
-
-
-@dataclass(frozen=True)
-class SegmentSpec:
-    """Shape of the dispatch-expert-combine segment on one GPU.
-
-    Decouples the pipeline builder from :class:`MoEConfig` so the
-    runtime can feed parallelism-adjusted shapes (e.g. P2 repeats the
-    All-to-All payload ``r`` times and shards the hidden dimension).
-    """
-
-    a2a_bytes: float          # per-GPU All-to-All payload per leg
-    expert_batch: int         # independent expert problems per GPU
-    expert_rows: int          # token rows per expert problem
-    model_dim: int
-    hidden_dim: int
-
-    def __post_init__(self) -> None:
-        if self.a2a_bytes < 0:
-            raise ValueError(f"a2a_bytes must be >= 0, got {self.a2a_bytes}")
-        if min(self.expert_batch, self.expert_rows, self.model_dim,
-               self.hidden_dim) < 1:
-            raise ValueError("segment dimensions must be >= 1")
-
-    @staticmethod
-    def from_config(cfg: MoEConfig) -> "SegmentSpec":
-        """Flexible-layout segment of a plain EP configuration."""
-        return SegmentSpec(
-            a2a_bytes=cfg.dispatch_bytes_per_gpu,
-            expert_batch=max(1, round(cfg.experts_per_gpu)),
-            expert_rows=cfg.global_capacity,
-            model_dim=cfg.model_dim,
-            hidden_dim=cfg.hidden_dim)
 
 
 def all_strategies(
@@ -165,9 +136,9 @@ def build_pipeline_schedule(cfg: MoEConfig, topo: ClusterTopology,
                             strategy: PipelineStrategy,
                             training: bool = False,
                             gemm: GemmModel | None = None) -> Schedule:
-    """Convenience wrapper building from a plain :class:`MoEConfig`."""
-    return build_segment_schedule(SegmentSpec.from_config(cfg), topo,
-                                  strategy, training, gemm)
+    """Convenience wrapper: the EP segment of a plain :class:`MoEConfig`."""
+    return build_segment_schedule(build_segment_spec(cfg, Parallelism.EP),
+                                  topo, strategy, training, gemm)
 
 
 def pipeline_segment_time(cfg: MoEConfig, topo: ClusterTopology,
@@ -176,6 +147,6 @@ def pipeline_segment_time(cfg: MoEConfig, topo: ClusterTopology,
                           gemm: GemmModel | None = None,
                           interference: InterferenceModel | None = None
                           ) -> float:
-    """Makespan of the segment for a plain :class:`MoEConfig`."""
-    return segment_time(SegmentSpec.from_config(cfg), topo, strategy,
-                        training, gemm, interference)
+    """Makespan of the EP segment of a plain :class:`MoEConfig`."""
+    return segment_time(build_segment_spec(cfg, Parallelism.EP), topo,
+                        strategy, training, gemm, interference)

@@ -21,10 +21,6 @@ Three fault families cover the common large-scale pathologies:
   lost and the alpha-beta cost is re-charged after a detection timeout,
   exactly the semantics of an NCCL watchdog abort + retry.
 
-:class:`ExpertFailure` is the functional-substrate counterpart: at a
-training step, one expert of one MoE layer dies and must be masked out
-of gating (see :meth:`repro.nn.moe.MoE.fail_expert`).
-
 Plans are either hand-built or drawn with :meth:`FaultPlan.random`
 from a seed, so chaos scenarios are reproducible bit for bit.
 """
@@ -40,7 +36,6 @@ __all__ = [
     "StragglerWindow",
     "LinkDegradation",
     "OpFailure",
-    "ExpertFailure",
     "FaultPlan",
 ]
 
@@ -116,33 +111,19 @@ class OpFailure:
             raise ValueError(f"timeout must be >= 0, got {self.timeout}")
 
 
-@dataclass(frozen=True)
-class ExpertFailure:
-    """Functional-substrate fault: expert ``expert`` of MoE layer
-    ``layer`` dies at training step ``step``."""
-
-    step: int
-    layer: int
-    expert: int
-
-    def __post_init__(self) -> None:
-        if self.step < 0 or self.layer < 0 or self.expert < 0:
-            raise ValueError("step, layer, expert must all be >= 0")
-
-
 @dataclass
 class FaultPlan:
     """A deterministic collection of faults for one scenario.
 
-    The plan is pure data — the simulator (and trainer, for
-    :attr:`expert_failures`) interprets it.  ``seed`` records the
-    origin of a randomly drawn plan for reporting.
+    The plan is pure data — the simulator interprets it.  ``seed``
+    records the origin of a randomly drawn plan for reporting.  Expert
+    death is not a plan fault: the scenario engine's
+    :class:`repro.scenarios.spec.ExpertDeath` is that event.
     """
 
     stragglers: list[StragglerWindow] = field(default_factory=list)
     link_degradations: list[LinkDegradation] = field(default_factory=list)
     op_failures: list[OpFailure] = field(default_factory=list)
-    expert_failures: list[ExpertFailure] = field(default_factory=list)
     seed: int | None = None
 
     # -- simulator queries ----------------------------------------------
@@ -188,39 +169,16 @@ class FaultPlan:
                num_op_failures: int = 1,
                straggler_factor: float = 0.3,
                link_factor: float = 0.5,
-               timeout_fraction: float = 0.05,
-               num_expert_failures: int = 0,
-               num_experts: int = 8,
-               num_layers: int = 1,
-               max_step: int = 30) -> "FaultPlan":
+               timeout_fraction: float = 0.05) -> "FaultPlan":
         """Draw a reproducible plan over ``[0, horizon)`` seconds.
 
         The same ``(seed, parameters)`` always yields the same plan, so
-        chaos scenarios can be replayed and bisected.  The default
-        draws are simulator-side only; ``num_expert_failures > 0``
-        additionally draws functional-substrate
-        :class:`ExpertFailure` events — distinct victims (never the
-        whole population, so gating always has survivors), each at a
-        uniform step in ``[0, max_step)`` and layer in
-        ``[0, num_layers)``.  The expert draws come last, so plans
-        with the default parameters are unchanged for a given seed.
+        chaos scenarios can be replayed and bisected.
         """
         if num_gpus < 1:
             raise ValueError(f"num_gpus must be >= 1, got {num_gpus}")
         if horizon <= 0:
             raise ValueError(f"horizon must be > 0, got {horizon}")
-        if num_expert_failures < 0:
-            raise ValueError(
-                f"num_expert_failures must be >= 0, "
-                f"got {num_expert_failures}")
-        if num_expert_failures > 0:
-            if num_expert_failures >= num_experts:
-                raise ValueError(
-                    f"num_expert_failures must leave a survivor: "
-                    f"{num_expert_failures} >= {num_experts} experts")
-            if num_layers < 1 or max_step < 1:
-                raise ValueError(
-                    "num_layers and max_step must be >= 1")
         rng = np.random.default_rng(seed)
         stragglers = []
         for _ in range(num_stragglers):
@@ -243,27 +201,12 @@ class FaultPlan:
                 time=float(rng.uniform(horizon * 0.1, horizon * 0.9)),
                 gpu=int(rng.integers(0, num_gpus)),
                 timeout=horizon * timeout_fraction))
-        expert_failures = []
-        if num_expert_failures > 0:
-            # Victims drawn without replacement: no layer can lose the
-            # same expert twice, and some expert always survives.
-            victims = rng.permutation(num_experts)[:num_expert_failures]
-            for expert in victims:
-                expert_failures.append(ExpertFailure(
-                    step=int(rng.integers(0, max_step)),
-                    layer=int(rng.integers(0, num_layers)),
-                    expert=int(expert)))
-            expert_failures.sort(key=lambda f: (f.step, f.layer,
-                                                f.expert))
         return FaultPlan(stragglers=stragglers, link_degradations=links,
-                         op_failures=failures,
-                         expert_failures=expert_failures, seed=seed)
+                         op_failures=failures, seed=seed)
 
     def describe(self) -> str:
         parts = [f"{len(self.stragglers)} straggler(s)",
                  f"{len(self.link_degradations)} degraded link window(s)",
                  f"{len(self.op_failures)} op failure(s)"]
-        if self.expert_failures:
-            parts.append(f"{len(self.expert_failures)} expert failure(s)")
         tag = f" (seed={self.seed})" if self.seed is not None else ""
         return ", ".join(parts) + tag

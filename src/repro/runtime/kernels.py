@@ -7,7 +7,9 @@ Covers the encode/decode cost gap of paper Section 4.2 / Figure 24:
   nearly all of them against zeros;
 * the **sparse** Tutel fast encode/decode moves exactly the routed
   elements — ``O(T * k * M)`` — and is memory-bound, so its time is
-  bytes over HBM bandwidth plus a kernel launch;
+  bytes over HBM bandwidth plus a kernel launch.  Encode (scatter) and
+  decode (weighted gather) move the same bytes, so one scatter model
+  prices both;
 * **gating** (softmax + top-k + locations cumsum) is memory-bound in
   ``O(T * E)`` — the term that makes Figure 23's curve (6) rise slowly
   with scale, since ``E`` grows with the world size.
@@ -23,8 +25,8 @@ __all__ = [
     "gating_time",
     "dense_encode_time",
     "dense_decode_time",
-    "sparse_encode_time",
-    "sparse_decode_time",
+    "sparse_scatter_bytes",
+    "sparse_scatter_time",
     "encode_decode_time",
 ]
 
@@ -72,31 +74,31 @@ def dense_decode_time(cfg: MoEConfig, gpu: GpuSpec,
             + gpu.kernel_launch_overhead)
 
 
-def _sparse_scatter_time(cfg: MoEConfig, gpu: GpuSpec) -> float:
-    """Memory-bound scatter/gather of the routed token rows (K0/K1)."""
+def sparse_scatter_bytes(cfg: MoEConfig) -> float:
+    """Bytes one sparse encode or decode (K0/K1) moves.
+
+    The routed rows are read and written (2x), plus one zero-fill pass
+    over the ``(E, dC, M)`` capacity buffer.
+    """
     routed_bytes = (cfg.top_k * cfg.tokens_per_gpu * cfg.model_dim
                     * cfg.dtype_bytes)
     buffer_bytes = (cfg.num_global_experts * cfg.capacity_per_gpu
                     * cfg.model_dim * cfg.dtype_bytes)
-    # Read routed rows + write them, plus zero-fill of the buffer.
-    moved = 2.0 * routed_bytes + buffer_bytes
-    return gpu.kernel_launch_overhead + moved / gpu.memory_bandwidth
+    return 2.0 * routed_bytes + buffer_bytes
 
 
-def sparse_encode_time(cfg: MoEConfig, gpu: GpuSpec) -> float:
-    """Tutel fast_encode: SIMT scatter of ``O(T * k * M)`` elements."""
-    return _sparse_scatter_time(cfg, gpu)
-
-
-def sparse_decode_time(cfg: MoEConfig, gpu: GpuSpec) -> float:
-    """Tutel fast_decode: weighted gather of ``O(T * k * M)`` elements."""
-    return _sparse_scatter_time(cfg, gpu)
+def sparse_scatter_time(cfg: MoEConfig, gpu: GpuSpec) -> float:
+    """Tutel fast_encode / fast_decode: memory-bound SIMT scatter or
+    weighted gather of ``O(T * k * M)`` elements."""
+    return (gpu.kernel_launch_overhead
+            + sparse_scatter_bytes(cfg) / gpu.memory_bandwidth)
 
 
 def encode_decode_time(cfg: MoEConfig, gpu: GpuSpec, fast: bool,
                        gemm: GemmModel | None = None) -> tuple[float, float]:
     """(encode, decode) kernel times for the selected implementation."""
     if fast:
-        return sparse_encode_time(cfg, gpu), sparse_decode_time(cfg, gpu)
+        scatter = sparse_scatter_time(cfg, gpu)
+        return scatter, scatter
     return (dense_encode_time(cfg, gpu, gemm),
             dense_decode_time(cfg, gpu, gemm))

@@ -10,7 +10,8 @@ Figure 23 breakdown:
 (3) + adaptive pipelining (joint choice of All-to-All algorithm and
     pipelining degree via the event simulator);
 (4) + Flexible All-to-All (scale-independent ``(dE, C, M)`` layout);
-(5) + adaptive parallelism switching (P1/P2 inline router);
+(5) + adaptive parallelism switching (the P1/P2 choice of
+    :func:`repro.parallel.strategy.best_strategy`);
 (6) computation-only view (non-overlapped compute share).
 """
 
@@ -26,14 +27,11 @@ from repro.core.config import MoEConfig
 from repro.parallel.strategy import (
     Parallelism,
     best_strategy,
-    p1_communication_bytes,
-    p1_param_comm_time,
-    p2_communication_bytes,
-    replication_factor,
+    build_segment_spec,
+    param_comm_time,
 )
 from repro.pipeline.schedule import (
     PipelineStrategy,
-    SegmentSpec,
     all_strategies,
     segment_time,
 )
@@ -44,7 +42,6 @@ __all__ = [
     "FAIRSEQ_FEATURES",
     "TUTEL_FEATURES",
     "MoEStepBreakdown",
-    "build_segment_spec",
     "choose_parallelism",
     "moe_step_time",
 ]
@@ -112,58 +109,13 @@ def choose_parallelism(cfg: MoEConfig, topo: ClusterTopology,
     """Resolve the parallelism for this iteration.
 
     With ``r == 1`` both hybrids collapse into plain EP (Figure 13).
-    Adaptive mode compares the closed-form communication volumes of P1
-    and P2 through the link model — the O(1) inline-router decision.
+    A static mode pins ``features.parallelism`` when ``r > 1``;
+    otherwise the cheapest admissible strategy wins — the O(1)
+    inline-router decision.
     """
-    r = replication_factor(cfg)
-    if r == 1:
-        return Parallelism.EP
-    if not features.adaptive_parallelism:
+    if cfg.expert_shards > 1 and not features.adaptive_parallelism:
         return features.parallelism
     return best_strategy(cfg, topo, training).strategy
-
-
-def build_segment_spec(cfg: MoEConfig, topo: ClusterTopology,
-                       parallelism: Parallelism,
-                       flexible_a2a: bool) -> SegmentSpec:
-    """Segment shape implied by the parallelism + layout choices.
-
-    Without Flexible All-to-All the expert consumes the raw
-    ``(W, dE, dC, M)`` layout: ``W * dE`` problems of only ``dC`` rows
-    each — the Figure 7 regression.  With it, the layout is the
-    scale-independent ``(dE, C, M)``; P1 then computes ``C / r`` rows
-    per GPU and P2 all ``C`` rows against a ``1/r`` hidden shard.
-    """
-    r = replication_factor(cfg)
-    de_whole = max(1, round(cfg.experts_per_gpu))
-
-    if parallelism is Parallelism.P2_EP_MP:
-        a2a_bytes, _ = p2_communication_bytes(cfg)
-        return SegmentSpec(a2a_bytes=a2a_bytes, expert_batch=1,
-                           expert_rows=cfg.global_capacity,
-                           model_dim=cfg.model_dim,
-                           hidden_dim=max(1, cfg.hidden_dim // r))
-
-    a2a_bytes, _ = p1_communication_bytes(cfg)
-    if flexible_a2a:
-        rows = max(1, cfg.global_capacity // r)
-        return SegmentSpec(a2a_bytes=a2a_bytes, expert_batch=de_whole,
-                           expert_rows=rows, model_dim=cfg.model_dim,
-                           hidden_dim=cfg.hidden_dim)
-    # Raw layout: one expert problem per (source GPU, local expert).
-    return SegmentSpec(a2a_bytes=a2a_bytes,
-                       expert_batch=cfg.world_size * de_whole,
-                       expert_rows=max(1, cfg.capacity_per_gpu // r),
-                       model_dim=cfg.model_dim,
-                       hidden_dim=cfg.hidden_dim)
-
-
-def _param_comm_time(cfg: MoEConfig, topo: ClusterTopology,
-                     parallelism: Parallelism, training: bool) -> float:
-    """ZeRO-style parameter traffic of P1 (none for EP / P2)."""
-    if parallelism is not Parallelism.P1_EP_DP:
-        return 0.0
-    return p1_param_comm_time(cfg, topo, training)
 
 
 def moe_step_time(cfg: MoEConfig, topo: ClusterTopology,
@@ -174,21 +126,21 @@ def moe_step_time(cfg: MoEConfig, topo: ClusterTopology,
                   ) -> MoEStepBreakdown:
     """Plan and time one MoE layer iteration under an execution mode."""
     parallelism = choose_parallelism(cfg, topo, features, training)
-    spec = build_segment_spec(cfg, topo, parallelism, features.flexible_a2a)
+    spec = build_segment_spec(cfg, parallelism, features.flexible_a2a)
 
     if features.adaptive_pipelining:
         candidates = all_strategies()
     else:
         candidates = [features.pipeline_strategy]
-    best_strategy = None
+    chosen = None
     best_time = float("inf")
     for strategy in candidates:
         elapsed = segment_time(spec, topo, strategy, training, gemm,
                                interference)
         if elapsed < best_time:
             best_time = elapsed
-            best_strategy = strategy
-    assert best_strategy is not None
+            chosen = strategy
+    assert chosen is not None
 
     gate = gating_time(cfg, topo.gpu)
     encode, decode = encode_decode_time(cfg, topo.gpu,
@@ -203,10 +155,10 @@ def moe_step_time(cfg: MoEConfig, topo: ClusterTopology,
                                      spec.expert_rows, spec.model_dim,
                                      spec.hidden_dim, gemm,
                                      backward=training)
-    param_comm = _param_comm_time(cfg, topo, parallelism, training)
+    param_comm = param_comm_time(cfg, topo, parallelism, training)
 
     return MoEStepBreakdown(
         gate=gate, encode=encode, decode=decode, segment=best_time,
         a2a_exposed=max(0.0, best_time - expert_compute),
         expert_compute=expert_compute, param_comm=param_comm,
-        parallelism=parallelism, pipeline_strategy=best_strategy)
+        parallelism=parallelism, pipeline_strategy=chosen)

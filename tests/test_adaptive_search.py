@@ -160,6 +160,29 @@ class TestSearch:
         with pytest.raises(ValueError):
             OnlinePipeliningSearch(strategies=[])
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"),
+                                     float("inf")])
+    def test_invalid_factor_leaves_no_state(self, bad):
+        search = OnlinePipeliningSearch(bucket_length=0.5)
+        search.optimize_strategy(3.0, PipelineStrategy(1), 1.0)
+        known = list(search.known_factors)
+        lows = [b.low for b in search.buckets]
+        with pytest.raises(ValueError):
+            search.get_strategy(bad)
+        with pytest.raises(ValueError):
+            search.optimize_strategy(bad, PipelineStrategy(1), 1.0)
+        assert search.known_factors == known
+        assert [b.low for b in search.buckets] == lows
+
+    def test_rejected_nan_keeps_bucket_sharing(self):
+        # A stored nan used to give 3.2 a bucket of its own beside 3.0.
+        search = OnlinePipeliningSearch(bucket_length=0.5)
+        search.optimize_strategy(3.0, PipelineStrategy(1), 1.0)
+        with pytest.raises(ValueError):
+            search.get_strategy(float("nan"))
+        search.get_strategy(3.2)
+        assert search._bucket_of(3.2) is search._bucket_of(3.0)
+
     def test_regret_vanishes_on_repeated_stream(self):
         # First pass over a dynamic-factor stream pays exploration;
         # replaying the same stream (buckets now stable and fully

@@ -3,16 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.baselines.deepspeed_moe import (
-    deepspeed_features,
-    deepspeed_fflayer_time,
-)
+from repro.baselines.deepspeed_moe import deepspeed_fflayer_time
 from repro.baselines.fairseq_moe import fairseq_memory, fairseq_moe_forward
 from repro.cluster.topology import ndv4_topology
 from repro.collectives.schedule import A2AAlgorithm
 from repro.core.config import MoEConfig
 from repro.moe.layer import MoELayerParams, moe_layer_forward
-from repro.runtime.plan import FAIRSEQ_FEATURES
+from repro.runtime.plan import FAIRSEQ_FEATURES, moe_step_time
 
 
 @pytest.fixture
@@ -66,9 +63,13 @@ class TestFairseqProfile:
 
 class TestDeepSpeed:
     def test_features_static(self):
-        f = deepspeed_features()
-        assert f.name == "deepspeed"
-        assert not f.adaptive_pipelining
+        # DeepSpeed runs the static Fairseq profile: its fflayer is the
+        # expert compute of that step, in the raw (W, dE, dC, M) layout.
+        cfg = MoEConfig(world_size=64, experts_per_gpu=1, model_dim=2048,
+                        hidden_dim=2048, tokens_per_gpu=16384, top_k=1)
+        topo = ndv4_topology(64)
+        step = moe_step_time(cfg, topo, FAIRSEQ_FEATURES, training=False)
+        assert step.expert_compute == deepspeed_fflayer_time(cfg, topo)
 
     def test_figure7_fflayer_regression(self):
         # dE = 1, M = V = 2048, f = 1, 16384 tokens/step per GPU:

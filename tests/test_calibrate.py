@@ -32,7 +32,7 @@ from repro.obs.calibrate import (
     run_calibration,
     simulate_workload,
 )
-from repro.runtime.kernels import sparse_decode_time, sparse_encode_time
+from repro.runtime.kernels import sparse_scatter_time
 
 TRUTH_GEMM_GPU = GpuSpec(peak_flops=1e11, memory_bandwidth=8e9,
                          kernel_launch_overhead=4e-6)
@@ -57,9 +57,7 @@ def synthetic_measurements() -> list[Measurement]:
         cfg = _moe_config(w.params)
         gpu = (TRUTH_ENCODE_GPU if w.op_class == "encode"
                else TRUTH_DECODE_GPU)
-        timer = (sparse_encode_time if w.op_class == "encode"
-                 else sparse_decode_time)
-        out.append(Measurement(w, timer(cfg, gpu)))
+        out.append(Measurement(w, sparse_scatter_time(cfg, gpu)))
     truth_topo = ndv4_topology(num_gpus=8, gpus_per_node=8) \
         .with_links(TRUTH_LINK)
     for w in a2a_workloads():

@@ -14,6 +14,9 @@
 * One import path per name: package ``__init__`` modules re-export
   nothing, so importing the MoE layer, the trainer or the serving
   engine does not load the cluster simulator (DESIGN §2).
+* One layout model: ``parallel/strategy.py::build_segment_spec`` is the
+  only place a ``SegmentSpec`` is built, and ``r`` is
+  ``MoEConfig.expert_shards``.
 """
 
 import ast
@@ -23,7 +26,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src/repro"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src/repro"
 
 
 def _annotation_names(tree: ast.AST) -> set[str]:
@@ -72,7 +76,11 @@ def test_checker_flags_what_f401_would():
 def test_no_unused_imports():
     modules = list(SRC.rglob("*.py"))
     assert len(modules) > 50  # the glob found the package
-    assert {str(p.relative_to(SRC)): names for p in sorted(modules)
+    # CI's ruff step covers src and tests only.
+    scripts = [*ROOT.glob("benchmarks/*.py"), *ROOT.glob("examples/*.py")]
+    assert len(scripts) > 25
+    assert {str(p.relative_to(ROOT)): names
+            for p in sorted(modules + scripts)
             if (names := unused_imports(p.read_text()))} == {}
 
 
@@ -153,6 +161,37 @@ def test_one_routing_decision():
     # repro.moe.gating.route instead.
     assert sorts == {"moe/gating.py": ["select_top_k"]}
     assert resolvers == ["moe/gating.py", "nn/moe.py"]
+
+
+def segment_spec_sites(tree: ast.AST) -> list[str]:
+    """Enclosing function of every ``SegmentSpec(...)`` call ("" at
+    module level)."""
+    sites: list[str] = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) \
+                    and ast.unparse(child.func) == "SegmentSpec":
+                sites.append(scope)
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+
+    visit(tree, "")
+    return sites
+
+
+def test_one_layout_model():
+    assert not (SRC / "parallel/router.py").exists()
+    sites, defined = {}, set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined |= {node.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef))}
+        if found := segment_spec_sites(tree):
+            sites[str(path.relative_to(SRC))] = set(found)
+    assert sites == {"parallel/strategy.py": {"build_segment_spec"}}
+    assert "replication_factor" not in defined
 
 
 def test_one_expert_ffn():

@@ -1,6 +1,8 @@
-"""Tests for P1/P2 strategies, placement, and the inline router."""
+"""Tests for P1/P2 strategies, placement, and the inline P1/P2 choice."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.topology import ndv4_topology
 from repro.core.config import MoEConfig
@@ -9,14 +11,16 @@ from repro.parallel.placement import (
     build_placement,
     round_robin_placement,
 )
-from repro.parallel.router import InlineParallelismRouter
 from repro.parallel.strategy import (
     Parallelism,
+    available_strategies,
+    best_strategy,
+    build_segment_spec,
     p1_communication_bytes,
     p2_communication_bytes,
-    replication_factor,
     strategy_cost,
 )
+from repro.runtime.plan import TUTEL_FEATURES, moe_step_time
 
 
 def cfg_with(f=1.0, experts=2, world=8, tokens=2048, m=2048, v=8192,
@@ -29,14 +33,15 @@ def cfg_with(f=1.0, experts=2, world=8, tokens=2048, m=2048, v=8192,
 class TestReplicationFactor:
     def test_more_experts_than_gpus(self):
         cfg = MoEConfig(world_size=4, experts_per_gpu=2)
-        assert replication_factor(cfg) == 1
+        assert cfg.expert_shards == 1
 
     def test_fewer_experts_than_gpus(self):
-        assert replication_factor(cfg_with(experts=2, world=8)) == 4
+        assert cfg_with(experts=2, world=8).expert_shards == 4
 
     def test_matches_expert_shards(self):
+        # r = W / E whenever experts are fewer than GPUs.
         cfg = MoEConfig(world_size=6, experts_per_gpu=1 / 3)
-        assert replication_factor(cfg) == cfg.expert_shards == 3
+        assert cfg.expert_shards == 6 // cfg.num_global_experts == 3
 
 
 class TestCommunicationBytes:
@@ -52,7 +57,7 @@ class TestCommunicationBytes:
 
     def test_p2_repeats_tokens(self):
         cfg = cfg_with()
-        r = replication_factor(cfg)
+        r = cfg.expert_shards
         a2a, params = p2_communication_bytes(cfg)
         assert a2a == r * cfg.dispatch_bytes_per_gpu
         assert params == 0
@@ -108,8 +113,7 @@ class TestFigure3Preference:
         topo = ndv4_topology(8)
         choices = []
         for f in (1, 2, 4, 8, 16):
-            router = InlineParallelismRouter(topo)
-            choices.append(router.decide(cfg_with(f=f)).chosen)
+            choices.append(best_strategy(cfg_with(f=f), topo).strategy)
         assert Parallelism.P2_EP_MP in choices
         assert Parallelism.P1_EP_DP in choices
         # P2 preferred at the smallest f, P1 at the largest.
@@ -120,49 +124,61 @@ class TestFigure3Preference:
         # Large hidden size V (big expert params) favours P2's
         # no-parameter-traffic design: f1,E2,S16K,V2K row.
         topo = ndv4_topology(8)
-        router = InlineParallelismRouter(topo)
-        big_tokens = router.decide(
-            cfg_with(f=1, experts=2, tokens=16384, m=2048, v=2048))
-        assert big_tokens.chosen is Parallelism.P1_EP_DP
+        big_tokens = best_strategy(
+            cfg_with(f=1, experts=2, tokens=16384, m=2048, v=2048), topo)
+        assert big_tokens.strategy is Parallelism.P1_EP_DP
 
     def test_table5b_big_hidden_prefers_p1_or_p2(self):
         # f1,E4,S1K,V8K row: adaptive picks P2 (params >> tokens).
         topo = ndv4_topology(8)
-        router = InlineParallelismRouter(topo)
-        decision = router.decide(
-            cfg_with(f=1, experts=4, tokens=1024, m=2048, v=8192))
-        assert decision.chosen is Parallelism.P2_EP_MP
+        decision = best_strategy(
+            cfg_with(f=1, experts=4, tokens=1024, m=2048, v=8192), topo)
+        assert decision.strategy is Parallelism.P2_EP_MP
 
 
 class TestRouter:
     def test_ep_when_r1(self):
         topo = ndv4_topology(8)
-        router = InlineParallelismRouter(topo)
         cfg = MoEConfig(world_size=8, experts_per_gpu=1)
-        assert router.decide(cfg).chosen is Parallelism.EP
-
-    def test_history_and_switch_count(self):
-        topo = ndv4_topology(8)
-        router = InlineParallelismRouter(topo)
-        for f in (1, 16, 1, 16):
-            router.decide_for(cfg_with(), f)
-        assert len(router.history) == 4
-        assert router.switch_count() >= 2
+        assert best_strategy(cfg, topo).strategy is Parallelism.EP
 
     def test_improvement_over_static(self):
         topo = ndv4_topology(8)
-        router = InlineParallelismRouter(topo)
-        decision = router.decide(cfg_with(f=16))
+        cfg = cfg_with(f=16)
+        chosen = best_strategy(cfg, topo)
         # The adaptive choice never loses to either static choice.
-        for strategy in decision.costs:
-            assert decision.improvement_over(strategy) >= 0
+        for strategy in available_strategies(cfg):
+            assert chosen.total_time <= \
+                strategy_cost(cfg, topo, strategy).total_time
 
-    def test_decide_for_overrides_k(self):
-        topo = ndv4_topology(8)
-        router = InlineParallelismRouter(topo)
-        decision = router.decide_for(cfg_with(), 2.0, top_k=1)
-        assert decision.chosen in (Parallelism.P1_EP_DP,
-                                   Parallelism.P2_EP_MP)
+
+class TestOneLayoutModel:
+    """``build_segment_spec`` is the one layout model: P1 computes
+    ``C / r`` rows at full ``V``, P2 all ``C`` rows against a ``V / r``
+    shard with ``r`` times the dispatch bytes, and the planner's P1/P2
+    choice is ``best_strategy``."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(w=st.sampled_from([8, 16, 64]),
+           de=st.sampled_from([1 / 8, 1 / 4, 1 / 2, 1, 2]),
+           m=st.integers(8, 1024), v=st.integers(64, 8192),
+           t=st.integers(1, 8192), k=st.integers(1, 2),
+           f=st.floats(0.1, 16.0))
+    def test_layouts_and_choice(self, w, de, m, v, t, k, f):
+        e = max(1, round(w * de))
+        cfg = MoEConfig(world_size=w, experts_per_gpu=de, model_dim=m,
+                        hidden_dim=v, tokens_per_gpu=t, top_k=min(k, e),
+                        capacity_factor=f)
+        r, c = cfg.expert_shards, cfg.global_capacity
+        p1 = build_segment_spec(cfg, Parallelism.P1_EP_DP)
+        p2 = build_segment_spec(cfg, Parallelism.P2_EP_MP)
+        assert (p1.expert_rows, p1.hidden_dim, p1.a2a_bytes) == \
+            (c // r, v, cfg.dispatch_bytes_per_gpu)
+        assert (p2.expert_rows, p2.hidden_dim, p2.a2a_bytes) == \
+            (c, v // r, r * cfg.dispatch_bytes_per_gpu)
+        topo = ndv4_topology(w)
+        assert moe_step_time(cfg, topo, TUTEL_FEATURES).parallelism is \
+            best_strategy(cfg, topo).strategy
 
 
 class TestPlacement:

@@ -9,6 +9,11 @@ from repro.core.config import MoEConfig
 from repro.moe.ffn import ffn_forward_arrays
 from repro.moe.gating import softmax, top_k_routing
 from repro.moe.layer import ExpertParams
+from repro.parallel.strategy import (
+    Parallelism,
+    SegmentSpec,
+    build_segment_spec,
+)
 from repro.pipeline.partition import (
     merge_partitions,
     partition_capacity,
@@ -16,7 +21,6 @@ from repro.pipeline.partition import (
 )
 from repro.pipeline.schedule import (
     PipelineStrategy,
-    SegmentSpec,
     all_strategies,
     build_segment_schedule,
     pipeline_segment_time,
@@ -90,7 +94,7 @@ class TestSegmentSpec:
     def test_from_config(self):
         cfg = MoEConfig(world_size=8, experts_per_gpu=2, model_dim=64,
                         hidden_dim=128, tokens_per_gpu=256, top_k=2)
-        spec = SegmentSpec.from_config(cfg)
+        spec = build_segment_spec(cfg, Parallelism.EP)
         assert spec.a2a_bytes == cfg.dispatch_bytes_per_gpu
         assert spec.expert_rows == cfg.global_capacity
         assert spec.expert_batch == 2
@@ -127,7 +131,7 @@ class TestSchedules:
         topo = ndv4_topology(64)
         for degree in (1, 2, 4, 8):
             schedule = build_segment_schedule(
-                SegmentSpec.from_config(cfg), topo,
+                build_segment_spec(cfg, Parallelism.EP), topo,
                 PipelineStrategy(degree=degree))
             # 3 ops per chunk + barrier.
             assert len(schedule.ops) == 3 * degree + 1
@@ -172,7 +176,6 @@ class TestSchedules:
     def test_training_segment_slower(self, cfg):
         topo = ndv4_topology(64)
         s = PipelineStrategy(2, A2AAlgorithm.TWO_DH)
-        assert segment_time(SegmentSpec.from_config(cfg), topo, s,
-                            training=True) > \
-            segment_time(SegmentSpec.from_config(cfg), topo, s,
-                         training=False)
+        spec = build_segment_spec(cfg, Parallelism.EP)
+        assert segment_time(spec, topo, s, training=True) > \
+            segment_time(spec, topo, s, training=False)

@@ -6,7 +6,6 @@ import pytest
 from repro import obs
 from repro.cluster.simulator import Schedule, simulate
 from repro.resilience.faults import (
-    ExpertFailure,
     FaultPlan,
     LinkDegradation,
     OpFailure,
@@ -64,58 +63,6 @@ class TestFaultPlanModel:
         assert a.op_failures == b.op_failures
         assert (a.stragglers != c.stragglers
                 or a.op_failures != c.op_failures)
-
-    def test_random_expert_failures_deterministic(self):
-        kwargs = dict(num_gpus=4, num_expert_failures=3,
-                      num_experts=8, num_layers=2, max_step=20)
-        a = FaultPlan.random(7, **kwargs)
-        b = FaultPlan.random(7, **kwargs)
-        c = FaultPlan.random(8, **kwargs)
-        assert a.expert_failures == b.expert_failures
-        assert a.expert_failures != c.expert_failures
-
-    def test_random_expert_failures_well_formed(self):
-        plan = FaultPlan.random(3, num_expert_failures=5,
-                                num_experts=8, num_layers=2,
-                                max_step=10)
-        assert len(plan.expert_failures) == 5
-        # Distinct victims: no layer can lose the same expert twice,
-        # and some expert always survives.
-        victims = [f.expert for f in plan.expert_failures]
-        assert len(set(victims)) == 5
-        for f in plan.expert_failures:
-            assert isinstance(f, ExpertFailure)
-            assert 0 <= f.step < 10
-            assert 0 <= f.layer < 2
-            assert 0 <= f.expert < 8
-        ordering = [(f.step, f.layer, f.expert)
-                    for f in plan.expert_failures]
-        assert ordering == sorted(ordering)
-        assert "5 expert failure(s)" in plan.describe()
-
-    def test_expert_draws_do_not_disturb_sim_streams(self):
-        """Asking for expert failures must not change the simulator-
-        side draws for the same seed (expert draws come last)."""
-        base = FaultPlan.random(7, num_gpus=4)
-        extended = FaultPlan.random(7, num_gpus=4,
-                                    num_expert_failures=2)
-        assert base.stragglers == extended.stragglers
-        assert base.link_degradations == extended.link_degradations
-        assert base.op_failures == extended.op_failures
-        assert base.expert_failures == []
-        assert len(extended.expert_failures) == 2
-
-    def test_random_expert_failures_validation(self):
-        with pytest.raises(ValueError, match="survivor"):
-            FaultPlan.random(0, num_expert_failures=8, num_experts=8)
-        with pytest.raises(ValueError):
-            FaultPlan.random(0, num_expert_failures=-1)
-        with pytest.raises(ValueError):
-            FaultPlan.random(0, num_expert_failures=1, num_experts=4,
-                             num_layers=0)
-        with pytest.raises(ValueError):
-            FaultPlan.random(0, num_expert_failures=1, num_experts=4,
-                             max_step=0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

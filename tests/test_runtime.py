@@ -9,14 +9,13 @@ from repro.runtime.kernels import (
     dense_decode_time,
     dense_encode_time,
     gating_time,
-    sparse_decode_time,
-    sparse_encode_time,
+    sparse_scatter_time,
 )
+from repro.parallel.strategy import build_segment_spec
 from repro.runtime.plan import (
     FAIRSEQ_FEATURES,
     TUTEL_FEATURES,
     ExecutionFeatures,
-    build_segment_spec,
     choose_parallelism,
     moe_step_time,
 )
@@ -33,10 +32,10 @@ class TestKernelTimes:
     def test_sparse_much_faster_than_dense(self):
         cfg = fig23_cfg(16)
         gpu = ndv4_topology(16).gpu
-        assert dense_encode_time(cfg, gpu) > 10 * sparse_encode_time(cfg,
-                                                                     gpu)
-        assert dense_decode_time(cfg, gpu) > 10 * sparse_decode_time(cfg,
-                                                                     gpu)
+        assert dense_encode_time(cfg, gpu) > 10 * sparse_scatter_time(cfg,
+                                                                      gpu)
+        assert dense_decode_time(cfg, gpu) > 10 * sparse_scatter_time(cfg,
+                                                                      gpu)
 
     def test_dense_cost_grows_quadratically_with_tokens(self):
         gpu = ndv4_topology(1).gpu
@@ -48,9 +47,9 @@ class TestKernelTimes:
 
     def test_sparse_cost_linear_in_tokens(self):
         gpu = ndv4_topology(1).gpu
-        small = sparse_encode_time(fig23_cfg(1).with_(tokens_per_gpu=4096),
-                                   gpu)
-        large = sparse_encode_time(
+        small = sparse_scatter_time(
+            fig23_cfg(1).with_(tokens_per_gpu=4096), gpu)
+        large = sparse_scatter_time(
             fig23_cfg(1).with_(tokens_per_gpu=16384), gpu)
         assert large < 6 * small
 
@@ -90,11 +89,8 @@ class TestChooseParallelism:
 class TestSegmentSpecs:
     def test_raw_layout_shrinks_rows(self):
         cfg = fig23_cfg(256)
-        topo = ndv4_topology(256)
-        raw = build_segment_spec(cfg, topo, Parallelism.EP,
-                                 flexible_a2a=False)
-        flex = build_segment_spec(cfg, topo, Parallelism.EP,
-                                  flexible_a2a=True)
+        raw = build_segment_spec(cfg, Parallelism.EP, flexible_a2a=False)
+        flex = build_segment_spec(cfg, Parallelism.EP, flexible_a2a=True)
         assert raw.expert_rows == cfg.capacity_per_gpu
         assert flex.expert_rows == cfg.global_capacity
         assert raw.expert_batch == 256 * 2
@@ -104,9 +100,7 @@ class TestSegmentSpecs:
         cfg = MoEConfig(world_size=8, experts_per_gpu=0.25,
                         model_dim=1024, hidden_dim=4096,
                         tokens_per_gpu=1024, top_k=1)
-        topo = ndv4_topology(8)
-        spec = build_segment_spec(cfg, topo, Parallelism.P2_EP_MP,
-                                  flexible_a2a=True)
+        spec = build_segment_spec(cfg, Parallelism.P2_EP_MP)
         assert spec.a2a_bytes == 4 * cfg.dispatch_bytes_per_gpu
         assert spec.hidden_dim == 1024
 
