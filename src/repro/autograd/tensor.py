@@ -9,12 +9,13 @@ axes.  The MoE-specific dispatch/combine ops live in
 :mod:`repro.moe.encode`.
 
 Ops carry no instrumentation.  :meth:`Tensor.from_op` is the one place
-a forward op meets :mod:`repro.obs.profiler`: when a profiler is
-active it hands the output, the op's name and its parents to
+a forward op meets the profiler: when :func:`repro.obs.get_profiler`
+returns one it hands the output, the op's name and its parents to
 :meth:`~repro.obs.profiler.Profiler.tape_op`, which prices the op from
 the ``OP_COSTS`` table, times it and tracks its array in the live-set
 allocation ledger; when it is not (the default), the hook pays a
-single module-global ``is None`` check.
+single module-global ``is None`` check and
+:mod:`repro.obs.profiler` is never imported.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from repro.core import substrate as _substrate
-from repro.obs import NULL_SPAN
-from repro.obs import profiler as _prof
+from repro.obs import NULL_SPAN, get_profiler
 
 __all__ = ["Tensor", "as_tensor", "stack_gradients"]
 
@@ -86,7 +86,7 @@ class Tensor:
         if out.requires_grad:
             out._parents = parents
             out._backward = backward
-        p = _prof.active()
+        p = get_profiler()
         if p is not None:
             p.tape_op(out, op, parents, ctx)
         return out
@@ -95,7 +95,7 @@ class Tensor:
     def needs_tape(*operands: "Tensor") -> bool:
         """Whether an op on ``operands`` must tape (gradient or profiler)."""
         return (any(t.requires_grad for t in operands)
-                or _prof.active() is not None)
+                or get_profiler() is not None)
 
     # -- properties ------------------------------------------------------
 
@@ -119,7 +119,7 @@ class Tensor:
         grad = _unbroadcast(np.asarray(grad, dtype=self.data.dtype),
                             self.data.shape)
         self.grad = grad if self.grad is None else self.grad + grad
-        p = _prof.active()
+        p = get_profiler()
         if p is not None:
             p.track_grad(self)
 
@@ -156,7 +156,7 @@ class Tensor:
             for parent in current._parents:
                 if parent.requires_grad:
                     stack.append((parent, False))
-        p = _prof.active()
+        p = get_profiler()
         with p.backward_pass() if p is not None else NULL_SPAN:
             self._accumulate(grad)
             # Popping (not iterating) so the list's own reference to a
@@ -177,7 +177,7 @@ class Tensor:
 
     def zero_grad(self) -> None:
         if self.grad is not None:
-            p = _prof.active()
+            p = get_profiler()
             if p is not None:
                 p.release_grad(self)
         self.grad = None

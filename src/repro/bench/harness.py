@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.obs.runs import get_run
+from repro.obs import get_run
 
 __all__ = ["Table", "format_speedup", "geometric_mean"]
 

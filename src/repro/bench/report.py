@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from repro.obs.runs import config_fingerprint, get_run
+from repro.obs import get_run
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -132,6 +132,7 @@ class BenchResult:
 
     @property
     def fingerprint(self) -> str:
+        from repro.obs.runs import config_fingerprint
         return config_fingerprint(self.config)
 
     @property
@@ -218,6 +219,7 @@ def validate_payload(obj: Mapping) -> list[str]:
             errors.append(f"duplicate metric name {metric.name!r}")
         seen.add(metric.name)
     fp = obj.get("fingerprint")
+    from repro.obs.runs import config_fingerprint
     if fp is not None and fp != config_fingerprint(obj.get("config", {})):
         errors.append("fingerprint does not match config")
     return errors

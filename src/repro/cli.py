@@ -180,7 +180,8 @@ def _cmd_analyze(args) -> None:
     against the adaptive oracle strategy.
     """
     from repro.cluster.simulator import SimResult, simulate
-    from repro.obs import TraceRecorder, analysis
+    from repro.obs import analysis
+    from repro.obs.trace import TraceRecorder
 
     target, world, factor = args.target, args.world, args.factor
 

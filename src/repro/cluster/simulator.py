@@ -39,9 +39,9 @@ from repro.obs import (
     CAT_FAULT,
     CAT_SIM,
     Observer,
-    TraceEvent,
     get_observer,
 )
+from repro.obs.trace import TraceEvent
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.resilience.faults import FaultPlan

@@ -26,9 +26,8 @@ from repro.moe.gating import (
     softmax,
 )
 from repro.moe.metrics import routing_stats
-from repro.obs import CAT_MOE, get_observer
+from repro.obs import CAT_MOE, get_observer, get_run
 from repro.obs import span as _span
-from repro.obs.runs import get_run
 
 __all__ = [
     "ExpertParams",

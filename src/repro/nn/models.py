@@ -16,7 +16,7 @@ from repro.autograd.tensor import Tensor
 from repro.moe.capacity import CapacityPolicy
 from repro.nn.moe import MoE
 from repro.nn.modules import FFN, LayerNorm, Linear, Module
-from repro.obs.runs import get_run
+from repro.obs import get_run
 
 __all__ = ["DenseClassifier", "MoEClassifier"]
 

@@ -26,10 +26,9 @@ from repro.moe.gating import RoutingCriteria, compute_locations, select_top_k
 from repro.moe.metrics import routing_stats
 from repro.moe.metrics import RoutingStats
 from repro.nn.modules import Linear, Module
-from repro.obs import CAT_MOE
-from repro.obs import profiler as _prof
+from repro.obs import CAT_MOE, get_run
 from repro.obs import span as _span
-from repro.obs.runs import get_run
+from repro.obs import stage as _stage
 
 __all__ = ["MoE"]
 
@@ -198,7 +197,7 @@ class MoE(Module):
         taped = x.requires_grad or any(p.requires_grad
                                        for p in self._grad_sources)
 
-        with _span("gate", CAT_MOE), _prof.stage("gate"):
+        with _span("gate", CAT_MOE), _stage("gate"):
             if taped:
                 logits = self._gate_logits(x)
             elif self.router == "linear" and not Tensor.needs_tape(x):
@@ -256,14 +255,14 @@ class MoE(Module):
         self.last_routing_stats = routing_stats(crit, gate_probs)
         self.last_routing_criteria = crit
 
-        with _span("encode", CAT_MOE), _prof.stage("dispatch"):
+        with _span("encode", CAT_MOE), _stage("dispatch"):
             dispatched = moe_dispatch(x, crit)
-        with _span("expert_ffn", CAT_MOE), _prof.stage("expert_ffn"):
+        with _span("expert_ffn", CAT_MOE), _stage("expert_ffn"):
             # Fused op: act(x @ w1) @ w2 in one tape node over the
             # occupied prefix of each expert's capacity slab.
             expert_out = expert_ffn(dispatched, self.w1, self.w2,
                                     self.activation, rows=crit.occupancy)
-        with _span("decode", CAT_MOE), _prof.stage("combine"):
+        with _span("decode", CAT_MOE), _stage("combine"):
             output = moe_combine(expert_out, selected, crit)
 
         # GShard auxiliary loss: E * sum_e mean_prob(e) * routed_frac(e).

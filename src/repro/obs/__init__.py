@@ -16,9 +16,28 @@ observability layer instead of per-bench ad-hoc timing:
   series is ``TrainResult.capacity_traces`` or a run's ``routing``
   events, both published by :class:`repro.obs.loop.LoopTelemetry`.
 
-Instrumentation is **off by default and zero-cost when off**: hot call
-sites do one module-global ``is None`` check (``span()`` returns the
-shared :data:`NULL_SPAN` singleton, whose enter/exit do nothing).
+Instrumentation is **off by default, zero-cost when off, and not
+imported when off**.  This module is the one home of the four
+process-wide slots, each a module global (``None`` = off) read by one
+getter; the module behind a slot is imported only by the code that
+turns the feature on:
+
+* observer — :func:`get_observer` / :func:`span`, installed by
+  :func:`enable` (an :class:`Observer` loads :mod:`repro.obs.registry`,
+  and :mod:`repro.obs.trace` only with ``trace=True``);
+* profiler — :func:`get_profiler` / :func:`stage`, installed by
+  :func:`repro.obs.profiler.profiling`;
+* active run — :func:`get_run`, installed by
+  :class:`repro.obs.runs.recording_run` (or by ``REPRO_RUNS_DIR``
+  through :class:`repro.obs.loop.LoopTelemetry`);
+* overhead ledger — :func:`get_ledger`, installed by
+  :class:`repro.obs.overhead.measuring_overhead`.
+
+Hot call sites do one module-global ``is None`` check (``span()`` and
+``stage()`` return the shared :data:`NULL_SPAN` singleton, whose
+enter/exit do nothing), so importing the MoE layer loads this module
+and no other instrumentation (the trainer adds only
+:mod:`repro.obs.loop`).
 Enable explicitly::
 
     from repro import obs
@@ -37,35 +56,16 @@ from __future__ import annotations
 
 import functools
 import time
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-from repro.obs.overhead import get_ledger as _overhead_ledger
-from repro.obs.overhead import perf_ns as _perf_ns
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.trace import (
-    CAT_BENCH,
-    CAT_CKPT,
-    CAT_COLLECTIVE,
-    CAT_CRITICAL,
-    CAT_FAULT,
-    CAT_HEALTH,
-    CAT_MOE,
-    CAT_PIPELINE,
-    CAT_PROF,
-    CAT_SERVE,
-    CAT_SIM,
-    CAT_TRAIN,
-    TraceEvent,
-    TraceRecorder,
-)
+if TYPE_CHECKING:
+    from repro.obs.overhead import OverheadLedger
+    from repro.obs.profiler import Profiler
+    from repro.obs.registry import MetricsRegistry
+    from repro.obs.runs import RunWriter
+    from repro.obs.trace import TraceRecorder
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "TraceEvent",
-    "TraceRecorder",
     "Observer",
     "NULL_SPAN",
     "get_observer",
@@ -75,6 +75,14 @@ __all__ = [
     "span",
     "instant",
     "timed",
+    "get_profiler",
+    "set_profiler",
+    "stage",
+    "get_run",
+    "set_run",
+    "get_ledger",
+    "set_ledger",
+    "perf_ns",
     "CAT_MOE",
     "CAT_TRAIN",
     "CAT_COLLECTIVE",
@@ -88,6 +96,20 @@ __all__ = [
     "CAT_HEALTH",
     "CAT_PROF",
 ]
+
+# Event categories (the Chrome-trace ``cat`` field).
+CAT_MOE = "moe"                # gate / encode / expert_ffn / decode spans
+CAT_TRAIN = "train"            # per-step training spans
+CAT_COLLECTIVE = "collective"  # all-to-all / allreduce family
+CAT_PIPELINE = "pipeline"      # strategy-search exploration events
+CAT_SIM = "sim"                # simulated-clock op spans
+CAT_CRITICAL = "critical"      # simulated ops on the critical path
+CAT_BENCH = "bench"            # explicit benchmark timers
+CAT_FAULT = "fault"            # injected faults and recoveries
+CAT_CKPT = "ckpt"              # checkpoint save/restore markers
+CAT_HEALTH = "health"          # online health-detector alerts
+CAT_PROF = "prof"              # op-level profiler spans and counters
+CAT_SERVE = "serve"            # online-serving requests and batches
 
 
 class _NullSpan:
@@ -139,7 +161,10 @@ class Observer:
     def __init__(self, registry: MetricsRegistry | None = None,
                  recorder: TraceRecorder | None = None,
                  clock: Callable[[], float] = time.perf_counter) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
+        if registry is None:
+            from repro.obs import registry as _registry
+            registry = _registry.MetricsRegistry()
+        self.registry = registry
         self.recorder = recorder
         self._clock = clock
         self._t0 = clock()
@@ -164,17 +189,17 @@ class Observer:
     def record_span(self, name: str, cat: str, start: float, dur: float,
                     track: str = "main", args: dict | None = None) -> None:
         """Record a span with explicit timestamps (simulated clocks)."""
-        led = _overhead_ledger()
-        t0 = _perf_ns() if led is not None else 0
+        led = _ledger
+        t0 = perf_ns() if led is not None else 0
         self.registry.histogram(f"{cat}.{name}").observe(dur)
-        t1 = _perf_ns() if led is not None else 0
+        t1 = perf_ns() if led is not None else 0
         if self.recorder is not None:
             self.recorder.span(name, cat, start, dur, track=track,
                                args=args)
         if led is not None:
             led.add("metrics", t1 - t0)
             if self.recorder is not None:
-                led.add("trace", _perf_ns() - t1)
+                led.add("trace", perf_ns() - t1)
 
     def instant(self, name: str, cat: str = CAT_BENCH,
                 track: str = "main", args: dict | None = None) -> None:
@@ -194,18 +219,18 @@ class Observer:
     # -- scalar conveniences -------------------------------------------
 
     def count(self, name: str, amount: float = 1.0) -> None:
-        led = _overhead_ledger()
-        t0 = _perf_ns() if led is not None else 0
+        led = _ledger
+        t0 = perf_ns() if led is not None else 0
         self.registry.counter(name).inc(amount)
         if led is not None:
-            led.add("metrics", _perf_ns() - t0)
+            led.add("metrics", perf_ns() - t0)
 
     def gauge(self, name: str, value: float) -> None:
-        led = _overhead_ledger()
-        t0 = _perf_ns() if led is not None else 0
+        led = _ledger
+        t0 = perf_ns() if led is not None else 0
         self.registry.gauge(name).set(value)
         if led is not None:
-            led.add("metrics", _perf_ns() - t0)
+            led.add("metrics", perf_ns() - t0)
 
     def record_routing(self, stats: Any) -> None:
         """Set the three ``routing.*`` gauges from one layer's routing
@@ -225,10 +250,16 @@ class Observer:
 
 
 # ----------------------------------------------------------------------
-# Process-wide observer (None = disabled, the default)
+# Process-wide slots (None = off, the default)
 # ----------------------------------------------------------------------
 
 _observer: Observer | None = None
+_profiler: Profiler | None = None
+_run: RunWriter | None = None
+_ledger: OverheadLedger | None = None
+
+#: The overhead ledger's clock, for call sites that time themselves.
+perf_ns = time.perf_counter_ns
 
 
 def get_observer() -> Observer | None:
@@ -238,14 +269,16 @@ def get_observer() -> Observer | None:
 def set_observer(ob: Observer | None) -> Observer | None:
     """Install (or clear, with None) the process-wide observer."""
     global _observer
-    previous = _observer
-    _observer = ob
+    previous, _observer = _observer, ob
     return previous
 
 
 def enable(trace: bool = True, max_events: int = 1_000_000) -> Observer:
     """Install and return a fresh process-wide observer."""
-    recorder = TraceRecorder(max_events=max_events) if trace else None
+    recorder = None
+    if trace:
+        from repro.obs import trace as _trace
+        recorder = _trace.TraceRecorder(max_events=max_events)
     ob = Observer(recorder=recorder)
     set_observer(ob)
     return ob
@@ -253,6 +286,44 @@ def enable(trace: bool = True, max_events: int = 1_000_000) -> Observer:
 
 def disable() -> None:
     set_observer(None)
+
+
+def get_profiler() -> Profiler | None:
+    """The op-level profiler :func:`repro.obs.profiler.profiling`
+    installed, or None; the ``Tensor`` hooks call this once per op."""
+    return _profiler
+
+
+def set_profiler(prof: Profiler | None) -> Profiler | None:
+    """Install (or clear, with None) the process-wide profiler."""
+    global _profiler
+    previous, _profiler = _profiler, prof
+    return previous
+
+
+def get_run() -> RunWriter | None:
+    """The run :class:`repro.obs.runs.recording_run` installed, or None."""
+    return _run
+
+
+def set_run(run: RunWriter | None) -> RunWriter | None:
+    """Install (or clear, with None) the process-wide active run."""
+    global _run
+    previous, _run = _run, run
+    return previous
+
+
+def get_ledger() -> OverheadLedger | None:
+    """The ledger :class:`repro.obs.overhead.measuring_overhead`
+    installed, or None."""
+    return _ledger
+
+
+def set_ledger(ledger: OverheadLedger | None) -> OverheadLedger | None:
+    """Install (or clear, with None) the process-wide overhead ledger."""
+    global _ledger
+    previous, _ledger = _ledger, ledger
+    return previous
 
 
 def span(name: str, cat: str = CAT_BENCH,
@@ -266,6 +337,15 @@ def span(name: str, cat: str = CAT_BENCH,
     if ob is None:
         return NULL_SPAN
     return _Span(ob, name, cat, track, None)
+
+
+def stage(name: str) -> Any:
+    """Hot-path MoE-stage helper of the profiler: the shared
+    :data:`NULL_SPAN` when profiling is off."""
+    prof = _profiler
+    if prof is None:
+        return NULL_SPAN
+    return prof.stage(name)
 
 
 def instant(name: str, cat: str = CAT_BENCH, track: str = "main",

@@ -40,8 +40,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.obs.overhead import get_ledger, perf_ns
-from repro.obs.prometheus import labeled_name
+from repro.obs import get_ledger, perf_ns
 
 __all__ = [
     "ALERTS_FAMILY",
@@ -52,6 +51,8 @@ __all__ = [
     "EwmaDetector",
     "default_rules",
     "event_samples",
+    "labeled_name",
+    "escape_label_value",
 ]
 
 #: Labeled gauge family name mirroring firing state (Prometheus
@@ -68,6 +69,33 @@ Labels = tuple
 
 _OPS = ("<", "<=", ">", ">=")
 _KINDS = ("threshold", "rate", "absent", "ewma_z")
+
+
+def labeled_name(family: str, labels: "dict[str, str]") -> str:
+    """A registry instrument name carrying a Prometheus label set.
+
+    The flat :class:`MetricsRegistry` has no native label support, so
+    labeled families (``ALERTS{alertname=...,severity=...}``) are
+    encoded in the instrument *name*: ``family{key="escaped value"}``
+    with keys sorted for determinism.  The engine names its firing-state
+    gauges this way; :func:`repro.obs.prometheus.render_prometheus`
+    detects the encoding (validated with the same scanner the parser
+    uses) and renders one shared ``HELP``/``TYPE`` head per family with
+    per-label-set samples.
+    """
+    if not labels:
+        return family
+    body = ",".join(
+        f'{key}="{escape_label_value(str(labels[key]))}"'
+        for key in sorted(labels))
+    return f"{family}{{{body}}}"
+
+
+def escape_label_value(text: str) -> str:
+    """Prometheus label-value escaping: backslash, double-quote, line
+    feed."""
+    return (text.replace("\\", "\\\\").replace('"', '\\"')
+            .replace("\n", "\\n"))
 
 
 def _cmp(value: float, op: str, threshold: float) -> bool:

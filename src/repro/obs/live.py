@@ -55,8 +55,9 @@ from repro.obs.alerts import (
     AlertRule,
     default_rules,
     event_samples,
+    labeled_name,
 )
-from repro.obs.prometheus import labeled_name, render_prometheus
+from repro.obs.prometheus import render_prometheus
 from repro.obs.registry import MetricsRegistry
 from repro.obs.runs import TERMINAL_STATUSES, RunStore
 

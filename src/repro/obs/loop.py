@@ -24,23 +24,28 @@ three calls the attachment owns
   and the overhead ledger's per-iteration wall.
 
 With no run, no rules, no observer and no ledger every method returns
-after one attribute test.
+after one attribute test, and :mod:`repro.obs.runs` /
+:mod:`repro.obs.alerts` are imported only when a run is opened or
+rules are built.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+import os
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from repro.obs import CAT_HEALTH, get_observer
-from repro.obs.alerts import AlertEngine, AlertRule, AlertTransition
-from repro.obs.overhead import get_ledger, perf_ns
-from repro.obs.runs import (
-    RunWriter,
-    env_runs_root,
+from repro.obs import (
+    CAT_HEALTH,
+    get_ledger,
+    get_observer,
     get_run,
-    recording_run,
+    perf_ns,
     set_run,
 )
+
+if TYPE_CHECKING:
+    from repro.obs.alerts import AlertEngine, AlertRule, AlertTransition
+    from repro.obs.runs import RunWriter, recording_run
 
 __all__ = ["LoopTelemetry"]
 
@@ -51,17 +56,17 @@ class LoopTelemetry:
 
     ``kind`` / ``seed`` / ``config`` / ``substrate`` describe the
     auto-run's manifest.  ``rules`` are explicit alert rules — an
-    engine evaluates them with or without a run; ``default_rules`` is
-    a zero-argument factory used instead when a run is recording and
-    no explicit rules were given.
+    engine evaluates them with or without a run; ``default_rules``
+    holds keyword arguments of :func:`repro.obs.alerts.default_rules`,
+    whose pack is used instead when a run is recording and no explicit
+    rules were given.
     """
 
     def __init__(self, kind: str, *, seed: int | None = None,
                  config: Mapping | None = None,
                  substrate: str = "functional",
                  rules: Sequence[AlertRule] | None = None,
-                 default_rules: Callable[[], Sequence[AlertRule]]
-                 | None = None) -> None:
+                 default_rules: Mapping | None = None) -> None:
         self._manifest = dict(seed=seed, substrate=substrate,
                               config={"kind": kind, **(config or {})})
         self._rules = rules
@@ -78,18 +83,23 @@ class LoopTelemetry:
         self._t0 = 0
 
     def __enter__(self) -> "LoopTelemetry":
-        if get_run() is None and env_runs_root() is not None:
-            self._auto_run = recording_run(**self._manifest)
+        # Everything that can raise runs before the auto-run opens, so
+        # a failed entry leaves no run installed.
+        auto = get_run() is None and bool(os.environ.get("REPRO_RUNS_DIR"))
+        defaults = (self._default_rules
+                    if auto or get_run() is not None else None)
+        if self._rules is not None or defaults is not None:
+            from repro.obs import alerts
+            self.engine = alerts.AlertEngine(
+                self._rules if self._rules is not None
+                else alerts.default_rules(**defaults))
+        if auto:
+            from repro.obs import runs
+            self._auto_run = runs.recording_run(**self._manifest)
             self._auto_run.__enter__()
         self.run = get_run()
-        rules = self._rules
-        if rules is None and self.run is not None \
-                and self._default_rules is not None:
-            rules = self._default_rules()
-        if rules is not None:
-            self.engine = AlertEngine(rules)
-            if self.run is not None:
-                self.run.on_event = self._observe
+        if self.engine is not None and self.run is not None:
+            self.run.on_event = self._observe
         self._ob = get_observer()
         self._ledger = get_ledger()
         self.active = not (self.run is None and self.engine is None
@@ -167,9 +177,10 @@ class LoopTelemetry:
         restored trainer re-emits them; a caller-owned stream is never
         rewritten."""
         if self._auto_run is not None:
+            from repro.obs import runs
             old = self.run
             old.close()
-            self.run = self._auto_run.run = RunWriter.resume(
+            self.run = self._auto_run.run = runs.RunWriter.resume(
                 old.directory, from_step=from_step)
             self.run.on_event = old.on_event
             set_run(self.run)

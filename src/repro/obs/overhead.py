@@ -14,25 +14,26 @@ baseline pinned at the 5% acceptance bound), so instrumentation cost
 can never silently regress.
 
 Like the observer and the active run, the ledger is **off by default
-and zero-cost when off**: instrumented sites do one module-global
-``is None`` check before touching the clock.  The measurement itself
-is honest about its own cost: every ``perf_counter_ns`` pair an
-instrumented site adds is *part of* the instrumentation time it
-reports.
+and zero-cost when off**: its slot lives in :mod:`repro.obs`
+(``get_ledger()``), so instrumented sites do one module-global
+``is None`` check before touching the clock and never import this
+module; only :class:`measuring_overhead` users load it.  The
+measurement itself is honest about its own cost: every
+``perf_counter_ns`` pair an instrumented site adds is *part of* the
+instrumentation time it reports.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Mapping
+
+from repro.obs import set_ledger
 
 __all__ = [
     "SUBSYSTEMS",
     "OVERHEAD_ARTIFACT",
     "OVERHEAD_FRACTION_BOUND",
     "OverheadLedger",
-    "get_ledger",
-    "set_ledger",
     "measuring_overhead",
     "overhead_metrics",
 ]
@@ -56,7 +57,8 @@ class OverheadLedger:
 
     ``add(subsystem, ns)`` is the hot path (one dict update); call
     sites surround the instrumented work with ``perf_counter_ns``
-    pairs only after a ``get_ledger() is not None`` check.
+    pairs only after a :func:`repro.obs.get_ledger` ``is not None``
+    check.
     ``observe_step(wall_ns)`` accumulates the denominator: the wall
     time of each training step or serving batch the overhead rode on.
     """
@@ -118,28 +120,6 @@ class OverheadLedger:
                 f"  {sub:10s} {self.totals[sub] / 1e6:10.3f} ms "
                 f"in {self.counts[sub]} call(s)")
         return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Process-wide ledger (None = not measuring, the default)
-# ----------------------------------------------------------------------
-
-_ledger: OverheadLedger | None = None
-
-#: Re-exported for instrumented call sites that time themselves.
-perf_ns = time.perf_counter_ns
-
-
-def get_ledger() -> OverheadLedger | None:
-    return _ledger
-
-
-def set_ledger(ledger: OverheadLedger | None) -> OverheadLedger | None:
-    """Install (or clear, with None) the process-wide ledger."""
-    global _ledger
-    previous = _ledger
-    _ledger = ledger
-    return previous
 
 
 class measuring_overhead:

@@ -28,8 +28,10 @@ which records, per backward-graph op:
   (gate / dispatch / expert_ffn / combine).
 
 Like the :class:`~repro.obs.Observer`, the profiler is **off by
-default and zero-cost when off**: the hook does one module-global
-``is None`` check.  Enable around a region::
+default and zero-cost when off**: its slot lives in :mod:`repro.obs`
+(``get_profiler()`` / ``stage()``), so the hook does one module-global
+``is None`` check and nothing on the hot path imports this module.
+Enable around a region::
 
     from repro.obs import profiler
 
@@ -59,8 +61,8 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.core.substrate import default_itemsize
-from repro.obs import NULL_SPAN
-from repro.obs.trace import CAT_PROF, TraceRecorder
+from repro.obs import CAT_PROF, set_profiler
+from repro.obs.trace import TraceRecorder
 
 __all__ = [
     "default_itemsize",
@@ -74,10 +76,7 @@ __all__ = [
     "AllocationEvent",
     "AllocationLedger",
     "Profiler",
-    "active",
-    "set_profiler",
     "profiling",
-    "stage",
     "OP_COSTS",
     "gemm_flops",
     "matmul_cost",
@@ -555,28 +554,8 @@ class Profiler:
 
 
 # ----------------------------------------------------------------------
-# Process-wide profiler (None = disabled, the default)
+# Installing the process-wide profiler (the slot is repro.obs's)
 # ----------------------------------------------------------------------
-
-_profiler: Profiler | None = None
-
-
-def active() -> Profiler | None:
-    """The process-wide profiler, or None when profiling is off.
-
-    The ``Tensor`` hooks call this once per op; the disabled path is a
-    single module-global load.
-    """
-    return _profiler
-
-
-def set_profiler(prof: Profiler | None) -> Profiler | None:
-    """Install (or clear, with None) the process-wide profiler."""
-    global _profiler
-    previous = _profiler
-    _profiler = prof
-    return previous
-
 
 @contextlib.contextmanager
 def profiling(prof: Profiler | None = None):
@@ -595,14 +574,6 @@ def profiling(prof: Profiler | None = None):
     finally:
         prof.ledger.close()
         set_profiler(previous)
-
-
-def stage(name: str) -> contextlib.AbstractContextManager:
-    """Hot-path stage helper: no-op singleton when profiling is off."""
-    prof = _profiler
-    if prof is None:
-        return NULL_SPAN
-    return prof.stage(name)
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,8 @@ picks up):
 * histograms → ``# TYPE <name> summary``: one ``{quantile="..."}``
   sample per reservoir quantile plus the ``_sum``/``_count`` pair;
 * labeled families → instrument names built with
-  :func:`labeled_name` (``ALERTS{alertname="...",severity="..."}``)
+  :func:`repro.obs.alerts.labeled_name`
+  (``ALERTS{alertname="...",severity="..."}``)
   render as one shared ``HELP``/``TYPE`` head with per-label-set
   sample lines, the convention the alert engine uses to expose
   firing state.
@@ -30,10 +31,11 @@ from __future__ import annotations
 
 import re
 
+from repro.obs.alerts import escape_label_value
 from repro.obs.registry import MetricsRegistry
 
-__all__ = ["QUANTILES", "prometheus_name", "labeled_name",
-           "render_prometheus", "parse_prometheus"]
+__all__ = ["QUANTILES", "prometheus_name", "render_prometheus",
+           "parse_prometheus"]
 
 #: Reservoir quantiles exported per histogram.
 QUANTILES = (0.5, 0.95, 0.99)
@@ -52,27 +54,9 @@ def prometheus_name(name: str) -> str:
     return out
 
 
-def labeled_name(family: str, labels: "dict[str, str]") -> str:
-    """A registry instrument name carrying a Prometheus label set.
-
-    The flat :class:`MetricsRegistry` has no native label support, so
-    labeled families (``ALERTS{alertname=...,severity=...}``) are
-    encoded in the instrument *name*: ``family{key="escaped value"}``
-    with keys sorted for determinism.  :func:`render_prometheus`
-    detects the encoding (validated with the same scanner the parser
-    uses) and renders one shared ``HELP``/``TYPE`` head per family
-    with per-label-set samples.
-    """
-    if not labels:
-        return family
-    body = ",".join(
-        f'{key}="{_escape_label_value(str(labels[key]))}"'
-        for key in sorted(labels))
-    return f"{family}{{{body}}}"
-
-
 def _split_labeled(name: str) -> "tuple[str, list[tuple[str, str]]] | None":
-    """Decode a :func:`labeled_name` encoding, or None.
+    """Decode a :func:`~repro.obs.alerts.labeled_name` encoding, or
+    None.
 
     Returns ``(family, [(key, unescaped value), ...])`` only when the
     whole suffix is one well-formed label block (validated via
@@ -103,12 +87,6 @@ def _escape_help(text: str) -> str:
 
 def _unescape_help(text: str) -> str:
     return _unescape(text, quote=False)
-
-
-def _escape_label_value(text: str) -> str:
-    """Label-value escaping: backslash, double-quote, line feed."""
-    return (text.replace("\\", "\\\\").replace('"', '\\"')
-            .replace("\n", "\\n"))
 
 
 def _unescape(text: str, *, quote: bool) -> str:
@@ -157,7 +135,7 @@ def render_prometheus(registry: MetricsRegistry) -> str:
         pfam = prometheus_name(family)
         if pfam not in headed:
             head(pfam, family, kind)
-        body = ",".join(f'{k}="{_escape_label_value(v)}"'
+        body = ",".join(f'{k}="{escape_label_value(v)}"'
                         for k, v in pairs)
         lines.append(f"{pfam}{{{body}}} {_fmt(value)}")
 
@@ -169,7 +147,7 @@ def render_prometheus(registry: MetricsRegistry) -> str:
         pname = prometheus_name(name)
         head(pname, name, "summary")
         for q in QUANTILES:
-            label = _escape_label_value(f"{q:g}")
+            label = escape_label_value(f"{q:g}")
             lines.append(
                 f'{pname}{{quantile="{label}"}} {_fmt(h.quantile(q))}')
         lines.append(f"{pname}_sum {_fmt(h.total)}")

@@ -51,6 +51,7 @@ import numpy as np
 from repro.cluster.topology import ClusterTopology
 from repro.moe.gating import RoutingCriteria
 from repro.moe.metrics import load_gini
+from repro.obs import get_ledger, perf_ns
 from repro.parallel.placement import (
     ExpertPlacement,
     build_placement,
@@ -124,7 +125,6 @@ class RoutingRecorder:
     def observe_batch(self,
                       crits: Sequence[RoutingCriteria]) -> None:
         """Fold one batch's per-layer routing decisions in."""
-        from repro.obs.overhead import get_ledger, perf_ns
         led = get_ledger()
         t0 = perf_ns() if led is not None else 0
         self._fold(crits)

@@ -20,13 +20,15 @@ registry root (``REPRO_RUNS_DIR``, default ``.repro_runs/``):
     ``strategy_switch`` / ``ckpt_saved`` / ``ckpt_restored`` /
     ``eval`` / ``bench_table`` / ``bench_result``.
 ``<root>/<run_id>/metrics.json``
-    The final :class:`repro.obs.MetricsRegistry` snapshot (written by
-    :meth:`RunWriter.finalize` when an observer was active).
+    The final :class:`repro.obs.registry.MetricsRegistry` snapshot
+    (written by :meth:`RunWriter.finalize` when an observer was
+    active).
 
-A module-global *active run* mirrors the observer pattern of
-:mod:`repro.obs`: instrumented call sites do one ``is None`` check via
-:func:`get_run` and stay zero-cost when no run is recording.  The
-loops' :class:`repro.obs.loop.LoopTelemetry` auto-opens a run when
+The *active run* is a slot of :mod:`repro.obs` beside the observer:
+instrumented call sites do one ``is None`` check via
+:func:`repro.obs.get_run` and stay zero-cost — and never import this
+module — when no run is recording.  The loops'
+:class:`repro.obs.loop.LoopTelemetry` auto-opens a run when
 ``REPRO_RUNS_DIR`` is set, and :class:`RunStore` answers the offline
 questions (``repro runs list|show|diff|gc``, ``repro dashboard``).
 """
@@ -44,8 +46,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, IO, Iterator, Mapping
 
-from repro.obs import get_observer
-from repro.obs.overhead import get_ledger, perf_ns
+from repro.obs import get_ledger, get_observer, perf_ns, set_run
 
 __all__ = [
     "RUN_SCHEMA_VERSION",
@@ -58,8 +59,6 @@ __all__ = [
     "MetricDelta",
     "runs_root",
     "env_runs_root",
-    "get_run",
-    "set_run",
     "recording_run",
     "parse_events_text",
     "atomic_write",
@@ -370,25 +369,6 @@ class RunWriter:
             self.manifest.summary["error"] = type(error).__name__
         _write_manifest(self.directory, self.manifest)
         self.close()
-
-
-# ----------------------------------------------------------------------
-# Process-wide active run (None = not recording, the default)
-# ----------------------------------------------------------------------
-
-_run: RunWriter | None = None
-
-
-def get_run() -> RunWriter | None:
-    return _run
-
-
-def set_run(run: RunWriter | None) -> RunWriter | None:
-    """Install (or clear, with None) the process-wide active run."""
-    global _run
-    previous = _run
-    _run = run
-    return previous
 
 
 class recording_run:

@@ -17,9 +17,9 @@ timestamps are converted from seconds to the format's microseconds) and
 :class:`TraceEvent` records.
 
 Event categories used across the codebase are the ``CAT_*`` constants
-below; they mirror the paper's cost decomposition (Figure 23: gate,
-encode, All-to-All, expert FFN, decode) plus the adaptive-runtime and
-training layers above it.
+of :mod:`repro.obs`; they mirror the paper's cost decomposition
+(Figure 23: gate, encode, All-to-All, expert FFN, decode) plus the
+adaptive-runtime and training layers above it.
 """
 
 from __future__ import annotations
@@ -28,36 +28,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
-__all__ = [
-    "TraceEvent",
-    "TraceRecorder",
-    "CAT_MOE",
-    "CAT_TRAIN",
-    "CAT_COLLECTIVE",
-    "CAT_PIPELINE",
-    "CAT_SIM",
-    "CAT_CRITICAL",
-    "CAT_BENCH",
-    "CAT_FAULT",
-    "CAT_CKPT",
-    "CAT_HEALTH",
-    "CAT_PROF",
-    "CAT_SERVE",
-]
-
-# Event categories (the Chrome-trace ``cat`` field).
-CAT_MOE = "moe"                # gate / encode / expert_ffn / decode spans
-CAT_TRAIN = "train"            # per-step training spans
-CAT_COLLECTIVE = "collective"  # all-to-all / allreduce family
-CAT_PIPELINE = "pipeline"      # strategy-search exploration events
-CAT_SIM = "sim"                # simulated-clock op spans
-CAT_CRITICAL = "critical"      # simulated ops on the critical path
-CAT_BENCH = "bench"            # explicit benchmark timers
-CAT_FAULT = "fault"            # injected faults and recoveries
-CAT_CKPT = "ckpt"              # checkpoint save/restore markers
-CAT_HEALTH = "health"          # online health-detector alerts
-CAT_PROF = "prof"              # op-level profiler spans and counters
-CAT_SERVE = "serve"            # online-serving requests and batches
+__all__ = ["TraceEvent", "TraceRecorder"]
 
 _MICRO = 1e6
 _PHASES = ("X", "i", "C", "s", "t", "f")

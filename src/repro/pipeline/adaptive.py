@@ -22,8 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.obs import CAT_PIPELINE, get_observer
-from repro.obs.runs import get_run
+from repro.obs import CAT_PIPELINE, get_observer, get_run
 from repro.pipeline.schedule import PipelineStrategy, all_strategies
 
 __all__ = [

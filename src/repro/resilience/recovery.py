@@ -31,8 +31,7 @@ from dataclasses import dataclass
 from repro.cluster.topology import ClusterTopology
 from repro.collectives.schedule import feasible_a2a_algorithms
 from repro.core.config import MoEConfig
-from repro.obs import CAT_FAULT, get_observer
-from repro.obs.runs import get_run
+from repro.obs import CAT_FAULT, get_observer, get_run
 from repro.parallel.strategy import StrategyCost, best_strategy
 
 __all__ = ["RecoveryDecision", "reselect_strategy"]

@@ -46,8 +46,8 @@ from repro.bench.report import Metric, NamedRunResult, SLOCheck
 from repro.cluster.simulator import Schedule, simulate
 from repro.cluster.topology import ClusterTopology, ndv4_topology
 from repro.core.config import MoEConfig
+from repro.obs import set_run
 from repro.obs.loop import LoopTelemetry
-from repro.obs.runs import set_run
 from repro.parallel.placement import ExpertPlacement, build_placement
 from repro.parallel.strategy import best_strategy
 from repro.collectives.schedule import feasible_a2a_algorithms

@@ -40,7 +40,6 @@ from repro.nn.moe import MoE
 from repro.obs import CAT_SERVE, Observer, get_observer
 from repro.obs import enable as obs_enable
 from repro.obs import disable as obs_disable
-from repro.obs.alerts import default_rules
 from repro.obs.loop import LoopTelemetry
 from repro.obs.registry import Histogram
 from repro.serve.arrivals import NS, generate_arrivals
@@ -226,9 +225,9 @@ def serve_workload(workload: ServeWorkload, *, fast: bool = False,
                 "serve", seed=wl.seed, substrate="serve",
                 config={"workload": wl.name, "fast": fast,
                         "requests": len(requests)},
-                default_rules=lambda: default_rules(
-                    p99_ms=p99_bound,
-                    min_goodput_rps=wl.slo.min_goodput_rps)) as tel:
+                default_rules={"p99_ms": p99_bound,
+                               "min_goodput_rps": wl.slo.min_goodput_rps},
+        ) as tel:
             result.run_id = tel.run_id
             tel.event("serve", {
                 "kind": "begin", "workload": wl.name, "seed": wl.seed,

@@ -41,10 +41,8 @@ from repro.nn.modules import Module
 from repro.obs import CAT_FAULT, CAT_CKPT, CAT_TRAIN
 from repro.obs import instant as _instant
 from repro.obs import span as _span
-from repro.obs.alerts import default_rules
 from repro.obs.loop import LoopTelemetry
 from repro.train.data import TokenBatch
-from repro.train.schedules import apply_sparsity_schedules
 
 __all__ = [
     "TrainResult",
@@ -134,15 +132,18 @@ def train_model(model: Module, train: TokenBatch, test: TokenBatch,
                 f"checkpoint_every must be >= 1, got {checkpoint_every}")
         if checkpoint_dir is None:
             raise ValueError("checkpoint_every requires checkpoint_dir")
-    from repro.resilience.checkpoint import (
-        capture_training_state,
-        load_checkpoint,
-        restore_training_state,
-        save_checkpoint,
-    )
+    scheduled = top_k_schedule is not None or capacity_schedule is not None
+    if scheduled:
+        from repro.train.schedules import apply_sparsity_schedules
+    if checkpoint_every is not None or resume_from is not None:
+        from repro.resilience.checkpoint import (
+            capture_training_state,
+            load_checkpoint,
+            restore_training_state,
+            save_checkpoint,
+        )
     with LoopTelemetry(
-            "train", seed=seed, rules=alert_rules,
-            default_rules=default_rules,
+            "train", seed=seed, rules=alert_rules, default_rules={},
             config={"steps": steps, "batch_size": batch_size, "lr": lr,
                     "aux_weight": aux_weight, "grad_clip": grad_clip,
                     "resumed": resume_from is not None},
@@ -218,7 +219,7 @@ def train_model(model: Module, train: TokenBatch, test: TokenBatch,
             if step_hook is not None:
                 step_hook(step, model)
             with _span("step", CAT_TRAIN):
-                if top_k_schedule is not None or capacity_schedule is not None:
+                if scheduled:
                     apply_sparsity_schedules(model, step,
                                              top_k=top_k_schedule,
                                              capacity_factor=capacity_schedule)

@@ -9,21 +9,17 @@ from repro.obs.alerts import (
     AlertRule,
     default_rules,
     event_samples,
+    labeled_name,
 )
+from repro.obs import get_ledger, set_ledger, set_run
 from repro.obs.overhead import (
     OverheadLedger,
-    get_ledger,
     measuring_overhead,
     overhead_metrics,
-    set_ledger,
 )
-from repro.obs.prometheus import (
-    labeled_name,
-    parse_prometheus,
-    render_prometheus,
-)
+from repro.obs.prometheus import parse_prometheus, render_prometheus
 from repro.obs.registry import MetricsRegistry
-from repro.obs.runs import RunStore, RunWriter, set_run
+from repro.obs.runs import RunStore, RunWriter
 
 
 def routing_event(step, layer=0, **data):

@@ -7,7 +7,8 @@ from repro import obs
 from repro.cluster.simulator import Schedule, SimResult, simulate
 from repro.cluster.topology import ndv4_topology
 from repro.core.config import MoEConfig
-from repro.obs import CAT_CRITICAL, TraceRecorder, analysis
+from repro.obs import CAT_CRITICAL, analysis
+from repro.obs.trace import TraceRecorder
 from repro.pipeline.schedule import (
     PipelineStrategy,
     all_strategies,

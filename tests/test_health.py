@@ -17,6 +17,7 @@ from repro.obs.alerts import (
     EwmaDetector,
     default_rules,
 )
+from repro.obs import get_run
 from repro.obs.loop import LoopTelemetry
 from repro.obs.runs import RunStore, recording_run
 
@@ -281,6 +282,18 @@ class TestAlertPlumbing:
         assert alerts[0]["step"] == 5
         assert alerts[0]["data"]["kind"] == "gini_ceiling"
         assert alerts[0]["data"]["layer"] == 0
+
+    def test_failed_entry_leaves_no_run(self, tmp_path, monkeypatch):
+        # Duplicate rule names raise inside __enter__; the auto-run
+        # REPRO_RUNS_DIR asks for must not stay installed as "running"
+        # for the next loop of the process to write into.
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path))
+        rule = default_rules()[0]
+        with pytest.raises(ValueError, match="duplicate"):
+            with LoopTelemetry("train", rules=[rule, rule]):
+                pass
+        assert get_run() is None
+        assert RunStore(tmp_path).run_ids() == []
 
     def test_determinism_same_sequence_same_alerts(self):
         rng = np.random.default_rng(3)

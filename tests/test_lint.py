@@ -13,7 +13,8 @@
   in the same diff, where a reviewer sees it.
 * One import path per name: package ``__init__`` modules re-export
   nothing, so importing the MoE layer, the trainer or the serving
-  engine does not load the cluster simulator (DESIGN §2).
+  engine does not load the cluster simulator (DESIGN §2), nor any
+  instrumentation module that is off by default (DESIGN §6).
 * One layout model: ``parallel/strategy.py::build_segment_spec`` is the
   only place a ``SegmentSpec`` is built, and ``r`` is
   ``MoEConfig.expert_shards``.
@@ -217,16 +218,17 @@ def test_package_inits_import_nothing():
         == ["__version__"]
 
 
-#: Stdlib process-pool packages: the expert FFN runs in-process, so no
-#: training or serving entry point may load them.
-POOL_PACKAGES = ("multiprocessing", "concurrent")
+#: Stdlib packages no training or serving entry point may load: the
+#: process pools (the expert FFN runs in-process) and what only the run
+#: registry needs (``git describe``, config fingerprints).
+BANNED_STDLIB = ("multiprocessing", "concurrent", "subprocess", "hashlib")
 
 
-def loaded_modules(entry: str) -> set[str]:
-    """``repro`` and :data:`POOL_PACKAGES` modules in ``sys.modules``
-    after a fresh interpreter imports ``entry``."""
-    roots = ("repro", *POOL_PACKAGES)
-    code = (f"import json, sys, {entry}\n"
+def loaded_modules(entry: str, then: str = "") -> set[str]:
+    """``repro`` and :data:`BANNED_STDLIB` modules in ``sys.modules``
+    after a fresh interpreter imports ``entry`` (and runs ``then``)."""
+    roots = ("repro", *BANNED_STDLIB)
+    code = (f"import json, sys, {entry}\n{then}\n"
             "print(json.dumps([m for m in sys.modules\n"
             f"                  if m.split('.')[0] in {roots!r}]))")
     path = os.pathsep.join(filter(None, [str(SRC.parent),
@@ -244,13 +246,23 @@ def subpackages(modules: set[str]) -> set[str]:
 SIMULATOR = {"cluster", "collectives", "parallel", "pipeline", "runtime"}
 
 
+#: Modules behind the ``repro.obs`` slots and alert rules, loaded only
+#: by the code that turns their feature on.
+DEFERRED_OBS = {f"repro.obs.{name}" for name in
+                ("profiler", "runs", "overhead", "alerts", "prometheus",
+                 "trace")}
+
+
 def test_substrate_import_closure():
     moe = loaded_modules("repro.nn.moe")
     trainer = loaded_modules("repro.train.trainer")
     engine = loaded_modules("repro.serve.engine")
     for modules in (moe, trainer, engine):
         assert {m.split(".")[0] for m in modules} == {"repro"}
-    assert len(moe) <= 25
+        assert modules & DEFERRED_OBS == set()
+    # Only serving makes an observer (for its measured column).
+    assert "repro.obs.registry" not in moe | trainer
+    assert len(moe) <= 18 and len(trainer) <= 24 and len(engine) <= 30
     assert subpackages(moe) & (SIMULATOR | {
         "bench", "scenarios", "resilience", "serve", "train", "models",
         "baselines"}) == set()
@@ -263,3 +275,20 @@ def test_substrate_import_closure():
     assert {m for m in engine if subpackages({m}) & {"bench", "scenarios"}} \
         == {"repro.bench", "repro.bench.report", "repro.scenarios",
             "repro.scenarios.spec"}
+
+
+def test_training_without_checkpoints_loads_no_resilience():
+    trained = loaded_modules("repro.train.trainer", then=(
+        "import numpy as np\n"
+        "from repro.nn.models import MoEClassifier\n"
+        "from repro.train.data import ClusteredTokenTask\n"
+        "task = ClusteredTokenTask(num_clusters=4, input_dim=8,\n"
+        "                          num_classes=4, seed=0)\n"
+        "model = MoEClassifier(input_dim=8, model_dim=16, hidden_dim=16,\n"
+        "                      num_classes=4, num_blocks=1, num_experts=4,\n"
+        "                      rng=np.random.default_rng(0))\n"
+        "repro.train.trainer.train_model(model, task.sample(64),\n"
+        "                                task.sample(32), steps=1)"))
+    assert "repro.train.trainer" in trained
+    assert subpackages(trained) & {"resilience"} == set()
+    assert trained & DEFERRED_OBS == set()

@@ -8,9 +8,10 @@ import urllib.request
 
 import pytest
 
+from repro.obs import set_run
 from repro.obs.live import LiveServer, RunTailer
 from repro.obs.prometheus import parse_prometheus
-from repro.obs.runs import RunWriter, set_run
+from repro.obs.runs import RunWriter
 
 
 @pytest.fixture(autouse=True)

@@ -9,10 +9,10 @@ from repro import obs
 from repro.obs import (
     CAT_MOE,
     NULL_SPAN,
-    MetricsRegistry,
     Observer,
-    TraceRecorder,
 )
+from repro.obs.registry import MetricsRegistry
+from repro.obs.trace import TraceRecorder
 
 
 @pytest.fixture(autouse=True)
@@ -682,11 +682,8 @@ class TestPrometheusExport:
             parse_prometheus('# TYPE m gauge\nm{path="open 1.0')
 
     def test_labeled_family_shares_one_head(self):
-        from repro.obs.prometheus import (
-            labeled_name,
-            parse_prometheus,
-            render_prometheus,
-        )
+        from repro.obs.alerts import labeled_name
+        from repro.obs.prometheus import parse_prometheus, render_prometheus
 
         reg = MetricsRegistry()
         for sev, v in (("warn", 1.0), ("critical", 0.0)):
@@ -701,11 +698,8 @@ class TestPrometheusExport:
         assert samples['ALERTS{alertname="x",severity="warn"}'] == 1.0
 
     def test_labeled_name_escapes_hostile_values(self):
-        from repro.obs.prometheus import (
-            labeled_name,
-            parse_prometheus,
-            render_prometheus,
-        )
+        from repro.obs.alerts import labeled_name
+        from repro.obs.prometheus import parse_prometheus, render_prometheus
 
         raw = 'ha"s\\esc\npe}s'
         reg = MetricsRegistry()

@@ -6,16 +6,15 @@ import numpy as np
 import pytest
 
 from repro.nn.models import MoEClassifier
+from repro.obs import get_run, set_run
 from repro.obs.runs import (
     DEFAULT_RUNS_DIR,
     RunManifest,
     RunStore,
     RunWriter,
     env_runs_root,
-    get_run,
     recording_run,
     runs_root,
-    set_run,
 )
 from repro.train.data import ClusteredTokenTask
 from repro.train.trainer import train_model

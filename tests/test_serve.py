@@ -291,15 +291,16 @@ class TestEngine:
     def test_records_a_trace_only_for_a_caller_observer(
             self, monkeypatch):
         from repro import obs
+        from repro.obs.trace import TraceRecorder
         wl = get_workload("poisson_steady")
         built = []
-        record = obs.TraceRecorder.record
+        record = TraceRecorder.record
 
         def counting_record(self, event):
             built.append(event)
             record(self, event)
 
-        monkeypatch.setattr(obs.TraceRecorder, "record", counting_record)
+        monkeypatch.setattr(TraceRecorder, "record", counting_record)
         # Its own observer serves the measured column and is gone
         # afterwards: no trace event is built for nobody to read.
         res = serve_workload(wl, fast=True, seed=0)
@@ -349,7 +350,8 @@ class TestEngine:
         # A loop that dies before any SLO check exists must not be
         # finalized "complete" with slo_pass = all([]) = True.
         import repro.serve.engine as engine
-        from repro.obs.runs import RunStore, get_run
+        from repro.obs import get_run
+        from repro.obs.runs import RunStore
 
         def boom(*args, **kwargs):
             raise RuntimeError("pricing exploded")

@@ -12,7 +12,8 @@ from repro.cluster.simulator import (
     SimResult,
     simulate,
 )
-from repro.obs import TraceRecorder, analysis
+from repro.obs import analysis
+from repro.obs.trace import TraceRecorder
 
 
 def make_chain(*works, stream_cycle=("comm", "compute", "comm")):

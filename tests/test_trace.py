@@ -7,7 +7,8 @@ import pytest
 from repro.cluster.simulator import simulate
 from repro.cluster.topology import ndv4_topology
 from repro.core.config import MoEConfig
-from repro.obs import CAT_CRITICAL, TraceRecorder
+from repro.obs import CAT_CRITICAL
+from repro.obs.trace import TraceRecorder
 from repro.pipeline.schedule import PipelineStrategy, build_pipeline_schedule
 
 
