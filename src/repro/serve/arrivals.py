@@ -44,14 +44,13 @@ class Request:
 
     ``arrival_ns`` is the absolute arrival instant in integer
     nanoseconds; ``tokens`` the number of tokens the request carries
-    (its batch share for cost attribution); ``seed`` feeds the
-    deterministic payload generator in the engine.
+    (its batch share for cost attribution and the number of payload
+    rows the engine draws for it).
     """
 
     request_id: int
     arrival_ns: int
     tokens: int
-    seed: int
 
     def __post_init__(self) -> None:
         if self.arrival_ns < 0:
@@ -86,6 +85,11 @@ class ArrivalSpec:
         if self.kind not in _KINDS:
             raise ValueError(
                 f"arrival kind must be one of {_KINDS}, got {self.kind!r}")
+        for name in ("horizon_s", "rate", "burst_rate", "on_s", "off_s",
+                     "peak_rate", "period_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if self.horizon_s <= 0:
             raise ValueError(
                 f"horizon_s must be > 0, got {self.horizon_s}")
@@ -164,17 +168,17 @@ def generate_arrivals(spec: ArrivalSpec, seed: int) -> list[Request]:
 
     Arrival instants are quantized to integer nanoseconds (ties keep
     their generation order, so the trace stays strictly sorted by
-    ``(arrival_ns, request_id)``).  Each request gets a token count and
-    a payload seed from the same generator, so the whole trace is one
-    deterministic function of ``(spec, seed)``.
+    ``(arrival_ns, request_id)``).  Each request's token count comes
+    from the same generator, so the whole trace is one deterministic
+    function of ``(spec, seed)``.
     """
     rng = np.random.default_rng(seed)
     seconds = _arrival_seconds(spec, rng)
     requests = []
     for i, t in enumerate(seconds):
         tokens = int(rng.integers(spec.min_tokens, spec.max_tokens + 1))
-        payload_seed = int(rng.integers(0, 2**31 - 1))
+        # The retired payload seed, still drawn so traces keep their bits.
+        rng.integers(0, 2**31 - 1)
         requests.append(Request(request_id=i,
-                                arrival_ns=round(t * NS),
-                                tokens=tokens, seed=payload_seed))
+                                arrival_ns=round(t * NS), tokens=tokens))
     return requests

@@ -89,12 +89,11 @@ class BatchFormer:
         eligible_ns = max(free_ns, first.arrival_ns)
         deadline_ns = eligible_ns + self.max_wait_ns
         members = [first]
-        for r in requests[start + 1:]:
-            if len(members) >= self.max_batch_size:
+        for i in range(start + 1,
+                       min(len(requests), start + self.max_batch_size)):
+            if requests[i].arrival_ns > deadline_ns:
                 break
-            if r.arrival_ns > deadline_ns:
-                break
-            members.append(r)
+            members.append(requests[i])
         last_arrival = members[-1].arrival_ns
         if len(members) >= self.max_batch_size:
             close_ns = max(eligible_ns, last_arrival)     # fill

@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.autograd.tensor import Tensor
 from repro.bench.report import Metric, NamedRunResult, SLOCheck
+from repro.core.substrate import default_dtype
 from repro.moe.metrics import load_gini
 from repro.nn.moe import MoE
 from repro.obs import CAT_SERVE, Observer, get_observer
@@ -213,8 +214,9 @@ def serve_workload(workload: ServeWorkload, *, fast: bool = False,
     result = ServeResult(workload=wl, fast=fast)
 
     # The measured column needs only the stage histograms: an observer
-    # made here records no trace (nobody could read it); a caller's
-    # observer, recorder included, is used as is.
+    # made here gets those and the routing gauges, nothing else (nobody
+    # could read it); a caller's observer, recorder included, gets the
+    # serve.* instruments and the trace as well.
     own_obs = get_observer() is None
     ob = obs_enable(trace=False) if own_obs else get_observer()
     p99_bound = p99_slo_ms if p99_slo_ms is not None else wl.slo.p99_ms
@@ -234,7 +236,7 @@ def serve_workload(workload: ServeWorkload, *, fast: bool = False,
                 "fast": fast, "requests": len(requests),
                 "horizon_s": wl.arrival.horizon_s}, 0)
             _serve_loop(wl, requests, result, ob, tel,
-                        p99_bound=p99_bound)
+                        p99_bound=p99_bound, publish=not own_obs)
             if tel.run is not None:
                 _record_outcome(tel, result)
     finally:
@@ -270,7 +272,7 @@ def _record_outcome(tel: LoopTelemetry, result: ServeResult) -> None:
 
 def _serve_loop(wl: ServeWorkload, requests, result: ServeResult,
                 ob: Observer, tel: LoopTelemetry, *,
-                p99_bound: float) -> None:
+                p99_bound: float, publish: bool) -> None:
     t_wall0 = time.perf_counter()
     rng = np.random.default_rng(wl.seed)
     layers = [MoE(wl.model_dim, wl.hidden_dim, wl.num_experts, rng,
@@ -292,6 +294,9 @@ def _serve_loop(wl: ServeWorkload, requests, result: ServeResult,
 
     deadline_ns = round(wl.slo.deadline_ms * 1e6)
     on_time = 0
+    # Rolling p99 and goodput feed only a caller's observer, a run or
+    # an alert engine.
+    rolling = publish or tel.run is not None or tel.engine is not None
 
     free_ns = 0
     start = 0
@@ -316,10 +321,11 @@ def _serve_loop(wl: ServeWorkload, requests, result: ServeResult,
         model_walls = price_stages(wl, batch.tokens, comm_derate=derate)
 
         # The measured column: a real forward through the MoE stack.
-        parts = [np.random.default_rng(r.seed)
-                 .standard_normal((r.tokens, wl.model_dim))
-                 for r in batch.requests]
-        x = Tensor(np.concatenate(parts, axis=0))
+        # Batches take consecutive requests, so one stream drawn in
+        # arrival order gives each request the same rows however the
+        # batcher grouped it.
+        x = Tensor(rng.standard_normal((batch.tokens, wl.model_dim),
+                                       dtype=default_dtype()))
         before = _measured_walls(ob)
         for li, layer in enumerate(layers):
             x, _ = layer.forward(x)
@@ -339,18 +345,25 @@ def _serve_loop(wl: ServeWorkload, requests, result: ServeResult,
         result.batches.append(ledger)
         result.requests.extend(ledger.requests)
         for r in ledger.requests:
-            hist_model.observe(r.model_e2e_ns / 1e6)
+            e2e_ns = r.model_e2e_ns
+            hist_model.observe(e2e_ns / 1e6)
             hist_measured.observe(r.e2e_ns / 1e6)
+            on_time += e2e_ns <= deadline_ns
 
-        # Rolling goodput on the virtual clock: requests done within
-        # the deadline so far over simulated seconds elapsed so far.
-        on_time += sum(1 for r in ledger.requests
-                       if r.model_e2e_ns <= deadline_ns)
-        rolling_goodput = (on_time / (ledger.done_ns / NS)
-                           if ledger.done_ns > 0 else 0.0)
-        rolling_p99 = hist_model.quantile(0.99)
-
-        _emit_trace(ob, ledger)
+        counts = gauges = None
+        if rolling:
+            # Rolling goodput on the virtual clock: requests done within
+            # the deadline so far over simulated seconds elapsed so far.
+            rolling_goodput = (on_time / (ledger.done_ns / NS)
+                               if ledger.done_ns > 0 else 0.0)
+            rolling_p99 = hist_model.quantile(0.99)
+        if publish:
+            _emit_trace(ob, ledger)
+            counts = {"serve.requests": len(ledger.requests),
+                      "serve.batches": 1}
+            gauges = {"serve.queue_depth": queue_depth,
+                      "serve.model_p99_ms": rolling_p99,
+                      "serve.goodput_rps": rolling_goodput}
         tel.tick(
             batch_id, "serve_batch", lambda: {
                 "batch": batch_id, "close_ms": batch.close_ns / 1e6,
@@ -363,12 +376,7 @@ def _serve_loop(wl: ServeWorkload, requests, result: ServeResult,
                 "p95_ms": hist_model.quantile(0.95),
                 "p99_ms": rolling_p99, "goodput_rps": rolling_goodput,
                 "brownout": active},
-            layers=layers,
-            counts={"serve.requests": len(ledger.requests),
-                    "serve.batches": 1},
-            gauges={"serve.queue_depth": queue_depth,
-                    "serve.model_p99_ms": rolling_p99,
-                    "serve.goodput_rps": rolling_goodput})
+            layers=layers, counts=counts, gauges=gauges)
         if tel.run is not None:
             for r in ledger.requests:
                 tel.event("serve_request", r.event_data())
@@ -379,19 +387,16 @@ def _serve_loop(wl: ServeWorkload, requests, result: ServeResult,
 
     result.wall_seconds = time.perf_counter() - t_wall0
     _finish(wl, result, hist_model, hist_measured, loads,
-            routed_tokens, dropped_tokens, p99_bound=p99_bound)
+            routed_tokens, dropped_tokens, on_time, p99_bound=p99_bound)
 
 
 def _finish(wl: ServeWorkload, result: ServeResult,
             hist_model: Histogram, hist_measured: Histogram,
-            loads, routed_tokens: int, dropped_tokens: int, *,
-            p99_bound: float) -> None:
+            loads, routed_tokens: int, dropped_tokens: int,
+            on_time: int, *, p99_bound: float) -> None:
     result.expert_load = [list(row) for row in loads]
     makespan_ns = result.batches[-1].done_ns
     result.makespan_s = makespan_ns / NS
-    deadline_ns = round(wl.slo.deadline_ms * 1e6)
-    on_time = sum(1 for r in result.requests
-                  if r.model_e2e_ns <= deadline_ns)
     goodput = on_time / result.makespan_s
     model_p = {q: hist_model.quantile(q) for q in (0.50, 0.95, 0.99)}
     meas_p = {q: hist_measured.quantile(q) for q in (0.50, 0.95, 0.99)}

@@ -24,6 +24,7 @@ noise stays out of the determinism story, HetuMoE-style).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from repro.scenarios.spec import LinkBrownout
@@ -88,13 +89,13 @@ class ServeWorkload:
         if not 0.0 < self.fast_factor <= 1.0:
             raise ValueError(
                 f"fast_factor must be in (0, 1], got {self.fast_factor}")
-        if self.max_wait_ms < 0:
-            raise ValueError(
-                f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
+        if not 0 <= self.max_wait_ms < math.inf:
+            raise ValueError(f"max_wait_ms must be finite and >= 0, "
+                             f"got {self.max_wait_ms}")
         # The modeled column prices a fixed capacity, so the adaptive
         # modes (capacity_factor <= 0) have no price here.
-        if self.capacity_factor <= 0:
-            raise ValueError(f"capacity_factor must be > 0, "
+        if not 0 < self.capacity_factor < math.inf:
+            raise ValueError(f"capacity_factor must be finite and > 0, "
                              f"got {self.capacity_factor}")
         if not 1 <= self.top_k <= self.num_experts:
             raise ValueError(f"top_k must be in [1, {self.num_experts}], "

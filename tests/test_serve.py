@@ -16,6 +16,12 @@ The load-bearing contracts:
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import math
+import signal
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -32,6 +38,36 @@ from repro.serve.ledger import (
     stage_sum,
 )
 from repro.serve.workloads import WORKLOADS, get_workload, workload_names
+
+#: sha256 of each registered workload's modeled ledger at
+#: ``fast=True, seed=0``: per request ``(request_id, batch_id,
+#: model_spans, model_shares)``, then per batch ``(model_walls,
+#: queue_depth)``.  The payload never reaches this column.
+_MODEL_LEDGER_SHA256 = {
+    "brownout_surge":
+        "2223c2e006b363d4ad9b9f975f33b6c841708dd9a1ee96cc4061cd31b1e1f761",
+    "bursty_spike":
+        "5387f1f5ba81eeb5c8cfb1ef5fce6212f12ff4afb1a18c3c6ba8b3961954489e",
+    "diurnal_cycle":
+        "1be075fa4c282910d3a76e607a7c8a674db6052e20cddb901dbd6c8386acff5b",
+    "poisson_steady":
+        "f5b5a4d54bec6024e3811198429d368337128d3b48c74ba390bf67700832eb5b",
+}
+
+
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Fail a call that does not return within ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(autouse=True)
@@ -96,12 +132,29 @@ class TestArrivals:
             ArrivalSpec(kind="diurnal", horizon_s=1.0, rate=10.0,
                         peak_rate=5.0, period_s=1.0)
         with pytest.raises(ValueError):
-            Request(request_id=0, arrival_ns=0, tokens=0, seed=0)
+            Request(request_id=0, arrival_ns=0, tokens=0)
+
+    @pytest.mark.parametrize("kind, field, value", [
+        ("poisson", "rate", math.nan),
+        ("poisson", "rate", math.inf),
+        ("poisson", "horizon_s", math.nan),
+        ("poisson", "horizon_s", math.inf),
+        ("bursty", "burst_rate", math.inf),
+        ("bursty", "on_s", math.nan),
+        ("bursty", "off_s", math.inf),
+        ("diurnal", "peak_rate", math.nan),
+        ("diurnal", "period_s", math.inf),
+    ])
+    def test_non_finite_spec_is_rejected(self, kind, field, value):
+        # Accepted, such a spec never reaches the horizon (t += nan)
+        # and generate_arrivals grows its list without bound.
+        with _deadline(2.0), pytest.raises(ValueError, match=field):
+            generate_arrivals(replace(_spec(kind, horizon_s=0.5),
+                                      **{field: value}), 0)
 
 
 def _req(rid: int, at_ns: int, tokens: int = 8) -> Request:
-    return Request(request_id=rid, arrival_ns=at_ns, tokens=tokens,
-                   seed=rid)
+    return Request(request_id=rid, arrival_ns=at_ns, tokens=tokens)
 
 
 class TestBatchFormer:
@@ -290,6 +343,7 @@ class TestEngine:
 
     def test_records_a_trace_only_for_a_caller_observer(
             self, monkeypatch):
+        import repro.serve.engine as engine
         from repro import obs
         from repro.obs.trace import TraceRecorder
         wl = get_workload("poisson_steady")
@@ -300,21 +354,88 @@ class TestEngine:
             built.append(event)
             record(self, event)
 
+        own = []
+
+        def capturing_enable(**kwargs):
+            own.append(obs.enable(**kwargs))
+            return own[-1]
+
         monkeypatch.setattr(TraceRecorder, "record", counting_record)
+        monkeypatch.setattr(engine, "obs_enable", capturing_enable)
         # Its own observer serves the measured column and is gone
-        # afterwards: no trace event is built for nobody to read.
+        # afterwards: no trace event is built for nobody to read, and
+        # it holds only the stage histograms and the routing gauges.
         res = serve_workload(wl, fast=True, seed=0)
         assert built == [] and obs.get_observer() is None
         assert res.metric("measured_p99_ms").value > 0
-        # A caller's observer is used as is, recorder included.
+        reg = own[0].registry
+        assert set(reg.histograms) == set(engine._MOE_SPAN_OF_STAGE
+                                          .values())
+        assert set(reg.gauges) == {"routing.dropped_fraction",
+                                   "routing.load_imbalance",
+                                   "routing.needed_capacity_factor"}
+        assert reg.counters == {}
+        # A caller's observer is used as is, recorder included, and
+        # gets every serve.* instrument and the flow events.
         ob = obs.enable()
         try:
             serve_workload(wl, fast=True, seed=0)
-            assert obs.get_observer() is ob
+            assert obs.get_observer() is ob and len(own) == 1
             assert any(e.track == "serve/requests" and e.phase == "s"
                        for e in ob.recorder.events)
+            reg = ob.registry
+            assert {f"serve.{s}" for s in EXEC_STAGES} \
+                <= set(reg.histograms)
+            assert set(reg.counters) == {"serve.requests",
+                                         "serve.batches"}
+            assert reg.counters["serve.requests"].value \
+                == len(res.requests)
+            assert {"serve.queue_depth", "serve.model_p99_ms",
+                    "serve.goodput_rps"} <= set(reg.gauges)
         finally:
             obs.disable()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_payload_rows_do_not_depend_on_batching(self, dtype,
+                                                    monkeypatch):
+        # Each request's input rows come from one stream per replay
+        # drawn in arrival order: the same whichever batch carries it.
+        import repro.serve.engine as engine
+        inputs = []
+
+        class Recording(engine.MoE):
+            def forward(self, x):
+                inputs.append((self, x.data.copy()))
+                return super().forward(x)
+
+        def rows_by_request(**overrides):
+            inputs.clear()
+            wl = replace(get_workload("poisson_steady"), **overrides)
+            res = serve_workload(wl, fast=True, seed=3)
+            first = [x for layer, x in inputs if layer is inputs[0][0]]
+            assert len(first) == len(res.batches)
+            rows = {}
+            for b, x in zip(res.batches, first):
+                assert x.dtype == dtype and len(x) == b.tokens
+                at = 0
+                for r in b.requests:
+                    rows[r.request_id] = x[at:at + r.tokens]
+                    at += r.tokens
+            return rows, len(res.batches)
+
+        monkeypatch.setattr(engine, "MoE", Recording)
+        prev = set_default_dtype(dtype)
+        try:
+            wide, n_wide = rows_by_request()
+            again, _ = rows_by_request()
+            narrow, n_narrow = rows_by_request(max_batch_size=2)
+        finally:
+            set_default_dtype(prev)
+        assert n_narrow > n_wide
+        assert wide.keys() == again.keys() == narrow.keys()
+        for rid, x in wide.items():
+            assert np.array_equal(x, again[rid])
+            assert np.array_equal(x, narrow[rid])
 
     def test_forced_slo_miss(self):
         res = serve_workload(get_workload("poisson_steady"),
@@ -418,6 +539,22 @@ class TestEngine:
                 1 for r in requests[end:] if r.arrival_ns <= ledger.close_ns)
         assert end == len(requests)
 
+    @pytest.mark.parametrize("name", workload_names())
+    def test_modeled_ledger_matches_its_golden_digest(self, name):
+        # The tolerance-0 percentiles would miss a permuted share; this
+        # pins batch composition and apportionment bit for bit.
+        res = serve_workload(get_workload(name), fast=True, seed=0)
+        h = hashlib.sha256()
+        for r in res.requests:
+            h.update(repr((r.request_id, r.batch_id,
+                           [r.model_spans[s] for s in STAGES],
+                           [r.model_shares[s] for s in EXEC_STAGES])
+                          ).encode())
+        for b in res.batches:
+            h.update(repr(([b.model_walls[s] for s in EXEC_STAGES],
+                           b.queue_depth)).encode())
+        assert h.hexdigest() == _MODEL_LEDGER_SHA256[name]
+
     def test_slo_check_semantics(self):
         assert SLOCheck("x", 1.0, 2.0, "<=").passed
         assert not SLOCheck("x", 3.0, 2.0, "<=").passed
@@ -448,12 +585,17 @@ class TestWorkloadRegistry:
 
     @pytest.mark.parametrize("override", [
         {"capacity_factor": 0.0}, {"capacity_factor": -2.0},
+        {"capacity_factor": math.nan}, {"capacity_factor": math.inf},
         {"top_k": 0}, {"top_k": 9}])
     def test_unpriceable_shape_rejected(self, override):
         """The modeled column prices ``C = ceil(k*T*f/E)``: an adaptive
         capacity factor (f <= 0) or a top-k outside [1, E] has no price,
         so the workload is refused before any model is built."""
-        from dataclasses import replace
-
         with pytest.raises(ValueError, match=next(iter(override))):
             replace(WORKLOADS["poisson_steady"], **override)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_max_wait_must_be_finite(self, value):
+        with _deadline(2.0), pytest.raises(ValueError, match="max_wait_ms"):
+            serve_workload(replace(WORKLOADS["poisson_steady"],
+                                   max_wait_ms=value), fast=True)
