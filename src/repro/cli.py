@@ -14,7 +14,6 @@ Usage::
     python -m repro serve --all --fast   # serving workloads + SLO gates
     python -m repro runs list            # persisted run registry
     python -m repro runs diff A B        # metric deltas between runs
-    python -m repro dashboard latest     # static HTML report of a run
     python -m repro profile step         # op-level FLOP/byte/memory profile
     python -m repro calibrate --fast     # fit simulator coefficients
 
@@ -25,7 +24,7 @@ JSON there; ``repro obs`` does the same for a self-contained demo
 (train steps + simulator run + the encode-locations microbench).
 Setting ``REPRO_RUNS_DIR=path`` makes ``bench`` (and any training it
 performs) record a persistent run directory there — browse with
-``repro runs ...`` and ``repro dashboard``.
+``repro runs ...``.
 """
 
 from __future__ import annotations
@@ -282,14 +281,6 @@ def _default_baselines_dir() -> str:
     return str(_benchmarks_dir() / "baselines")
 
 
-def _write_prometheus(registry, path: str | None) -> None:
-    """Write ``registry`` in prometheus text exposition to ``path``."""
-    if path:
-        from repro.obs.prometheus import render_prometheus
-        Path(path).write_text(render_prometheus(registry))
-        print(f"[obs] wrote prometheus exposition to {path}")
-
-
 def _demo_task_and_model(model_dim: int, hidden_dim: int):
     """The seed-0 clustered task and 2-block, 8-expert MoE classifier
     that ``obs``, ``overhead`` and ``profile step`` all run."""
@@ -386,7 +377,6 @@ def _cmd_obs(args) -> None:
                 json.dumps(ob.registry.snapshot(), indent=1,
                            sort_keys=True) + "\n")
             print(f"[obs] wrote metrics snapshot to {args.metrics_json}")
-        _write_prometheus(ob.registry, args.prometheus)
     finally:
         obs.disable()
 
@@ -471,77 +461,6 @@ def _cmd_runs(args) -> int:
             print(f"nothing to remove ({len(store.run_ids())} run(s) "
                   f"<= keep={args.keep})")
     return 0
-
-
-def _cmd_dashboard(args) -> None:
-    """Render one run into a standalone HTML dashboard."""
-    from repro.obs.dashboard import write_dashboard
-    from repro.obs.runs import RunStore
-
-    store = RunStore(args.dir)
-    run_id = store.resolve(args.run)
-    out_path = (args.out if args.out is not None
-                else f"dashboard-{run_id}.html")
-    path = write_dashboard(store, run_id, out_path, refresh=args.refresh)
-    note = f" (auto-refresh {args.refresh}s)" if args.refresh else ""
-    print(f"[dashboard] wrote {path} (run {run_id}){note}")
-
-
-def _cmd_live(args) -> None:
-    """Attach the live telemetry server to a run directory.
-
-    ``--wait`` polls for the run to appear first, so the command can
-    be pointed at a registry an in-flight producer is about to
-    populate (the CI smoke does exactly this).
-    """
-    import time as _time
-
-    from repro.obs.live import LiveServer
-    from repro.obs.runs import RunStore
-
-    store = RunStore(args.dir)
-    deadline = _time.monotonic() + max(0.0, args.wait)
-    while True:
-        try:
-            run_id = store.resolve(args.run)
-            break
-        except KeyError:
-            if _time.monotonic() >= deadline:
-                raise SystemExit(
-                    f"repro live: no run matching {args.run!r} under "
-                    f"{store.root}")
-            _time.sleep(0.2)
-
-    server = LiveServer(store.path(run_id), host=args.host,
-                        port=args.port, refresh=args.refresh)
-
-    # Background jobs in non-interactive shells inherit SIGINT as
-    # ignored, so a supervisor's polite shutdown arrives as SIGTERM:
-    # treat it the same as Ctrl-C and stop the server cleanly.
-    def _terminate(signum, frame):
-        raise KeyboardInterrupt
-
-    try:
-        import signal as _signal
-        _signal.signal(_signal.SIGTERM, _terminate)
-    except ValueError:
-        pass  # not the main thread (e.g. under a test harness)
-
-    server.start()
-    print(f"[live] run {run_id} at {server.url}")
-    print(f"[live] endpoints: {server.url}/metrics  "
-          f"{server.url}/events  {server.url}/healthz  {server.url}/")
-    try:
-        if args.duration is not None:
-            _time.sleep(args.duration)
-        else:
-            while True:
-                _time.sleep(1.0)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-        print("[live] server stopped")
 
 
 def _cmd_overhead(args) -> None:
@@ -678,7 +597,6 @@ def _cmd_serve(args) -> int:
     the same seed produce identical SLO numbers (only the measured
     wall-clock columns differ).
     """
-    from contextlib import ExitStack
     from functools import partial
 
     from repro import obs
@@ -690,40 +608,19 @@ def _cmd_serve(args) -> int:
     if targets is None:
         return 0
 
-    with ExitStack() as stack:
-        ob = obs.enable()
-        stack.callback(obs.disable)
-        if args.live_port is not None:
-            # Pre-create the run so the live server has a directory to
-            # tail from the very first batch; serve_workload sees an
-            # active run and records into it instead of making its own.
-            from repro.obs.live import LiveServer
-            from repro.obs.runs import recording_run
-
-            run_ctx = recording_run(
-                seed=args.seed if args.seed is not None else 0,
-                config={"kind": "serve_live", "fast": args.fast,
-                        "workloads": [wl.name for wl in targets]},
-                substrate="serve")
-            live_run = run_ctx.__enter__()
-            live_server = LiveServer(live_run.directory,
-                                     port=args.live_port).start()
-            # Exit order is LIFO: the run finalizes first, so SSE
-            # followers get their "end" before the server stops.
-            stack.callback(live_server.stop)
-            stack.push(run_ctx)
-            print(f"[live] run {live_run.manifest.run_id} at "
-                  f"{live_server.url} (/metrics /events /healthz /)")
+    ob = obs.enable()
+    try:
         status = _run_targets(
             args, targets,
             partial(serve_workload, fast=args.fast, seed=args.seed,
                     p99_slo_ms=args.p99_slo),
             render_serve_results, emit_serving)
-        _write_prometheus(ob.registry, args.prometheus)
         if args.trace:
             ob.recorder.dump_chrome_trace(args.trace)
             print(f"[obs] wrote {len(ob.recorder)} trace events to "
                   f"{args.trace}")
+    finally:
+        obs.disable()
     return status
 
 
@@ -737,13 +634,11 @@ def _cmd_route(args) -> int:
     Either way the same recorded traffic is re-priced under every
     candidate placement on the scoring topology, no model re-run.
     """
-    from repro import obs
     from repro.cluster.topology import ndv4_topology
     from repro.core.substrate import default_itemsize
     from repro.obs.routing import (
         emit_routing,
         profile_from_events,
-        record_gauges,
         render_routing,
         synthetic_profile,
         whatif_placements,
@@ -783,14 +678,8 @@ def _cmd_route(args) -> int:
               f"{', '.join(bad)}")
         return 1
 
-    ob = obs.enable()
-    try:
-        record_gauges(ob, profile, scores)
-        if args.fast:
-            emit_routing(profile, scores, config=config, verbose=True)
-        _write_prometheus(ob.registry, args.prometheus)
-    finally:
-        obs.disable()
+    if args.fast:
+        emit_routing(profile, scores, config=config, verbose=True)
     return 0
 
 
@@ -974,6 +863,18 @@ def _cmd_calibrate(args) -> None:
         print(f"[calibrate] wrote full report to {args.json}")
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse ``type``: an integer >= 0 (a usage error otherwise)."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"must be an integer >= 0, got {text!r}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -996,9 +897,6 @@ def main(argv: list[str] | None = None) -> int:
     obs_cmd.add_argument("--metrics-json", default=None,
                          help="dump the metrics registry snapshot "
                               "as JSON here")
-    obs_cmd.add_argument("--prometheus", default=None,
-                         help="dump the metrics registry in prometheus "
-                              "text exposition format here")
     analyze_cmd = sub.add_parser(
         "analyze",
         help="critical-path + attribution analysis of a schedule/trace")
@@ -1054,17 +952,9 @@ def main(argv: list[str] | None = None) -> int:
                            dest="p99_slo",
                            help="override the modeled-p99 SLO bound in "
                                 "ms (a tiny value forces an SLO miss)")
-    serve_cmd.add_argument("--prometheus", default=None,
-                           help="write the serving metrics registry "
-                                "in prometheus text exposition here")
     serve_cmd.add_argument("--trace", default=None,
                            help="write the Chrome trace (request flow "
                                 "events + batch stage spans) here")
-    serve_cmd.add_argument("--live", type=int, default=None,
-                           metavar="PORT", dest="live_port",
-                           help="record into a run and serve it live "
-                                "on this port while the workloads "
-                                "run (0 = ephemeral port)")
     runs_dir_kwargs = dict(
         default=None,
         help="registry root (default: $REPRO_RUNS_DIR or .repro_runs)")
@@ -1093,9 +983,6 @@ def main(argv: list[str] | None = None) -> int:
                            help="dispatch payload bytes per token-hop "
                                 "(default: model_dim 32 x substrate "
                                 "itemsize)")
-    route_cmd.add_argument("--prometheus", default=None,
-                           help="write the routing gauges in prometheus "
-                                "text exposition here")
     runs_cmd = sub.add_parser(
         "runs", help="query the persistent run registry")
     runs_cmd.set_defaults(func=_cmd_runs)
@@ -1121,54 +1008,11 @@ def main(argv: list[str] | None = None) -> int:
     runs_diff.add_argument("--dir", **runs_dir_kwargs)
     runs_gc = runs_sub.add_parser(
         "gc", help="prune old runs, keeping the newest N")
-    runs_gc.add_argument("--keep", type=int, required=True,
+    runs_gc.add_argument("--keep", type=_non_negative_int, required=True,
                          help="number of newest runs to keep")
     runs_gc.add_argument("--dry-run", action="store_true",
                          help="report what would be removed")
     runs_gc.add_argument("--dir", **runs_dir_kwargs)
-    dash_cmd = sub.add_parser(
-        "dashboard",
-        help="render a recorded run as a standalone HTML report")
-    dash_cmd.set_defaults(func=_cmd_dashboard)
-    dash_cmd.add_argument("run", nargs="?", default="latest",
-                          help="run id, unique prefix, or 'latest' "
-                               "(default)")
-    dash_cmd.add_argument("-o", "--out", default=None,
-                          help="output HTML path "
-                               "(default: dashboard-<run_id>.html)")
-    dash_cmd.add_argument("--dir", **runs_dir_kwargs)
-    dash_cmd.add_argument("--refresh", type=int, default=None,
-                          metavar="SECONDS",
-                          help="embed a meta-refresh so the page "
-                               "reloads every N seconds (pair with "
-                               "re-rendering, or use 'repro live')")
-    live_cmd = sub.add_parser(
-        "live",
-        help="serve a run directory live over HTTP: prometheus "
-             "/metrics, SSE /events, /healthz, and the dashboard")
-    live_cmd.set_defaults(func=_cmd_live)
-    live_cmd.add_argument("run", nargs="?", default="latest",
-                          help="run id, unique prefix, or 'latest' "
-                               "(default)")
-    live_cmd.add_argument("--dir", **runs_dir_kwargs)
-    live_cmd.add_argument("--host", default="127.0.0.1",
-                          help="bind address (default 127.0.0.1)")
-    live_cmd.add_argument("--port", type=int, default=8123,
-                          help="bind port; 0 picks an ephemeral one "
-                               "(default 8123)")
-    live_cmd.add_argument("--duration", type=float, default=None,
-                          metavar="SECONDS",
-                          help="serve for this long then exit "
-                               "(default: until interrupted)")
-    live_cmd.add_argument("--refresh", type=int, default=None,
-                          metavar="SECONDS",
-                          help="default dashboard auto-refresh "
-                               "interval")
-    live_cmd.add_argument("--wait", type=float, default=0.0,
-                          metavar="SECONDS",
-                          help="poll this long for the run to appear "
-                               "before giving up (for racing an "
-                               "in-flight producer)")
     overhead_cmd = sub.add_parser(
         "overhead",
         help="measure observability self-overhead on an instrumented "
@@ -1219,8 +1063,7 @@ def main(argv: list[str] | None = None) -> int:
     except KeyError as exc:
         # Registry and run-store lookups report unknown names as
         # KeyError; for those commands that is a usage error.
-        if args.command not in ("scenario", "serve", "route", "runs",
-                                "dashboard", "live"):
+        if args.command not in ("scenario", "serve", "route", "runs"):
             raise
         raise SystemExit(
             f"repro {args.command}: {exc.args[0]}") from exc

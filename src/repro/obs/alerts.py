@@ -16,12 +16,11 @@ Samples come from **one fold**: :func:`event_samples` turns a run
 event into samples and :meth:`AlertEngine.observe` folds a stream of
 them, evaluating when a ``step`` / ``step_skipped`` / ``serve_batch``
 event closes the tick — so the in-process engine (fed by
-:class:`repro.obs.loop.LoopTelemetry` as events are emitted) and the
-out-of-process one (:class:`repro.obs.live.RunTailer`, reading
-``events.jsonl``) see the same samples at the same ticks.  ``observe``
-also counts outstanding faults (``fault`` / ``recovery`` events from
-*any* emitter), which feeds the ``recovery_overdue`` rule no single
-subsystem could evaluate alone.
+:class:`repro.obs.loop.LoopTelemetry` as events are emitted) and a
+fresh engine replaying a recorded ``events.jsonl`` see the same
+samples at the same ticks.  ``observe`` also counts outstanding faults
+(``fault`` / ``recovery`` events from *any* emitter), which feeds the
+``recovery_overdue`` rule no single subsystem could evaluate alone.
 
 Each fire/resolve transition lands in two places:
 
@@ -52,7 +51,6 @@ __all__ = [
     "default_rules",
     "event_samples",
     "labeled_name",
-    "escape_label_value",
 ]
 
 #: Labeled gauge family name mirroring firing state (Prometheus
@@ -78,20 +76,18 @@ def labeled_name(family: str, labels: "dict[str, str]") -> str:
     labeled families (``ALERTS{alertname=...,severity=...}``) are
     encoded in the instrument *name*: ``family{key="escaped value"}``
     with keys sorted for determinism.  The engine names its firing-state
-    gauges this way; :func:`repro.obs.prometheus.render_prometheus`
-    detects the encoding (validated with the same scanner the parser
-    uses) and renders one shared ``HELP``/``TYPE`` head per family with
-    per-label-set samples.
+    gauges this way, so a run's ``metrics.json`` keys them as
+    ``ALERTS{alertname="...",severity="..."}``.
     """
     if not labels:
         return family
     body = ",".join(
-        f'{key}="{escape_label_value(str(labels[key]))}"'
+        f'{key}="{_escape_label_value(str(labels[key]))}"'
         for key in sorted(labels))
     return f"{family}{{{body}}}"
 
 
-def escape_label_value(text: str) -> str:
+def _escape_label_value(text: str) -> str:
     """Prometheus label-value escaping: backslash, double-quote, line
     feed."""
     return (text.replace("\\", "\\\\").replace('"', '\\"')

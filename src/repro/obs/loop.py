@@ -14,8 +14,8 @@ three calls the attachment owns
 * the **alert engine**: built from the caller's rules, fed every
   event the run emits through ``RunWriter.on_event`` (so faults
   emitted by other subsystems count too) and evaluated when the
-  tick's closing event arrives — exactly what a
-  :class:`~repro.obs.live.RunTailer` replaying ``events.jsonl`` sees;
+  tick's closing event arrives — exactly what a fresh engine
+  replaying the run's ``events.jsonl`` sees;
 * the per-layer ``routing`` events and the lazily built
   :class:`~repro.obs.routing.RoutingRecorder`, emitted *before* the
   closing ``step`` / ``serve_batch`` event;

@@ -101,7 +101,7 @@ class OverheadLedger:
 
     def publish(self, ob) -> None:
         """Expose the ledger as ``obs.overhead.*`` gauges on an
-        observer (scrapeable through :mod:`repro.obs.prometheus`)."""
+        observer (a recorded run keeps them in ``metrics.json``)."""
         ob.gauge("obs.overhead.fraction", self.fraction())
         ob.gauge("obs.overhead.total_ms", self.overhead_ns / 1e6)
         ob.gauge("obs.overhead.step_ms", self.step_ns / 1e6)

@@ -32,8 +32,8 @@ RESERVOIR_SIZE = 256
 
 #: The contract of :meth:`Histogram.summary`: every key below is
 #: present in every summary — including ``count: 0`` on a cold
-#: instrument — so aggregating consumers (the profiler, dashboards)
-#: never need to guard against missing keys.
+#: instrument — so aggregating consumers (the profiler, a run's
+#: ``metrics.json``) never need to guard against missing keys.
 SUMMARY_KEYS = ("empty", "count", "total", "mean", "min", "max",
                 "p50", "p95", "p99")
 

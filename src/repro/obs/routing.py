@@ -75,7 +75,6 @@ __all__ = [
     "routing_metrics",
     "emit_routing",
     "render_routing",
-    "record_gauges",
 ]
 
 #: Schema version stamped into every routing_load / routing_affinity
@@ -623,37 +622,6 @@ def synthetic_profile(seed: int = 0, *, num_layers: int = 3,
         if run is not None:
             rec.emit(run, step=rec.batches - 1)
     return rec.profile()
-
-
-# ----------------------------------------------------------------------
-# Prometheus gauges
-# ----------------------------------------------------------------------
-
-def record_gauges(ob, profile: RoutingProfile,
-                  scores: Sequence[PlacementScore]) -> None:
-    """Publish the profile + ledger headline numbers as obs
-    instruments (scrapeable through :mod:`repro.obs.prometheus`).
-
-    The monotonic totals (tokens, batches, dispatched, dropped slots)
-    are **counters**, not gauges, so the Prometheus exposition carries
-    the correct ``# TYPE``; the derived statistics stay gauges.
-    """
-    ob.count("routing.tokens", float(profile.tokens))
-    ob.count("routing.batches", float(profile.batches))
-    ob.count("routing.dispatched", float(profile.total_dispatched))
-    ob.count("routing.dropped_slots", float(profile.dropped_slots))
-    ob.gauge("routing.load_gini", profile.load_gini())
-    ob.gauge("routing.self_affinity",
-             profile.self_affinity_fraction())
-    for score in scores:
-        led = score.ledger
-        prefix = f"routing.whatif.{score.name}"
-        ob.gauge(f"{prefix}.intra_gpu_hops", float(led.intra_gpu))
-        ob.gauge(f"{prefix}.intra_node_hops", float(led.intra_node))
-        ob.gauge(f"{prefix}.inter_node_hops", float(led.inter_node))
-        ob.gauge(f"{prefix}.inter_node_mib",
-                 led.inter_node_bytes / 2.0 ** 20)
-        ob.gauge(f"{prefix}.priced_ms", led.priced_seconds * 1e3)
 
 
 # ----------------------------------------------------------------------

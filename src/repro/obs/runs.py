@@ -30,7 +30,7 @@ instrumented call sites do one ``is None`` check via
 module — when no run is recording.  The loops'
 :class:`repro.obs.loop.LoopTelemetry` auto-opens a run when
 ``REPRO_RUNS_DIR`` is set, and :class:`RunStore` answers the offline
-questions (``repro runs list|show|diff|gc``, ``repro dashboard``).
+questions (``repro runs list|show|diff|gc``).
 """
 
 from __future__ import annotations
@@ -81,9 +81,8 @@ def parse_events_text(text: str) -> list[dict]:
     """Parse an ``events.jsonl`` payload, tolerating a torn tail.
 
     A crashed or still-writing concurrent writer can leave the *final*
-    line mid-record; readers (the store, the resume path, the live
-    tailer, the dashboard) skip that trailing partial line instead of
-    raising.  Corruption anywhere *before* the tail is still an error
+    line mid-record; readers (the store and the resume path) skip that
+    trailing partial line instead of raising.  Corruption anywhere *before* the tail is still an error
     — that cannot be produced by an interrupted append-and-flush
     writer, so it indicates real damage worth surfacing.
     """

@@ -201,10 +201,16 @@ class OnlinePipeliningSearch:
     def optimize_strategy(self, capacity_factor: float,
                           strategy: PipelineStrategy,
                           measured_time: float) -> None:
-        """OPTIMIZESTRATEGY: fold a measurement into both memo levels."""
-        if measured_time < 0:
+        """OPTIMIZESTRATEGY: fold a measurement into both memo levels.
+
+        A non-finite or negative time is rejected before any state
+        changes: a stored ``nan`` would never lose a ``<`` comparison
+        and so would pin that strategy's memo for good.
+        """
+        if not (math.isfinite(measured_time) and measured_time >= 0):
             raise ValueError(
-                f"measured_time must be >= 0, got {measured_time}")
+                f"measured_time must be finite and >= 0, "
+                f"got {measured_time}")
         f = self._ensure_known(capacity_factor)
         memo = self.per_factor[f]
         if strategy not in memo or measured_time < memo[strategy]:

@@ -26,8 +26,9 @@ Scenario` end to end:
 Everything is recorded through one :class:`~repro.obs.loop.
 LoopTelemetry` when ``REPRO_RUNS_DIR`` is set — ``scenario`` /
 ``fault`` / ``recovery`` / ``strategy_switch`` / ``slo_check`` events
-land in the same stream the trainer writes, so ``repro dashboard``
-shows the fault/recovery/SLO timeline.  On a rank loss the engine
+land in the same stream the trainer writes, so ``repro runs show
+<run> --events fault`` (or ``recovery``, ``slo_check``) prints the
+fault/recovery/SLO timeline.  On a rank loss the engine
 compacts its own run so the replayed steps do not appear twice.
 """
 

@@ -174,6 +174,33 @@ class TestSearch:
         assert search.known_factors == known
         assert [b.low for b in search.buckets] == lows
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     -float("inf"), -1.0])
+    def test_invalid_measurement_leaves_no_state(self, bad):
+        search = OnlinePipeliningSearch(bucket_length=0.5)
+        s1 = PipelineStrategy(1)
+        search.optimize_strategy(3.0, s1, 2.0)
+        memo = {f: dict(m) for f, m in search.per_factor.items()}
+        samples = [{s: list(w) for s, w in b.samples.items()}
+                   for b in search.buckets]
+        known = list(search.known_factors)
+        for f in (3.0, 1.0):            # a known and an unseen factor
+            with pytest.raises(ValueError, match="measured_time"):
+                search.optimize_strategy(f, s1, bad)
+        assert search.per_factor == memo
+        assert [{s: list(w) for s, w in b.samples.items()}
+                for b in search.buckets] == samples
+        assert search.known_factors == known
+
+    def test_nan_measurement_cannot_pin_the_memo(self):
+        # A stored nan used to survive every later `<` comparison.
+        search = OnlinePipeliningSearch()
+        s1 = PipelineStrategy(1)
+        with pytest.raises(ValueError):
+            search.optimize_strategy(1.0, s1, float("nan"))
+        search.optimize_strategy(1.0, s1, 1.0)
+        assert search.per_factor[1.0][s1] == 1.0
+
     def test_rejected_nan_keeps_bucket_sharing(self):
         # A stored nan used to give 3.2 a bucket of its own beside 3.0.
         search = OnlinePipeliningSearch(bucket_length=0.5)

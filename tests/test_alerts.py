@@ -17,7 +17,6 @@ from repro.obs.overhead import (
     measuring_overhead,
     overhead_metrics,
 )
-from repro.obs.prometheus import parse_prometheus, render_prometheus
 from repro.obs.registry import MetricsRegistry
 from repro.obs.runs import RunStore, RunWriter
 
@@ -191,7 +190,7 @@ class TestDeterminismAndSinks:
         assert events[0]["data"]["severity"] == "critical"
         assert "[firing]" in events[0]["data"]["message"]
 
-    def test_alerts_family_round_trips_through_prometheus(self):
+    def test_alerts_family_lands_in_registry_snapshot(self):
         registry = MetricsRegistry()
         engine = AlertEngine([
             AlertRule(name="a", metric="m", op=">", threshold=1.0),
@@ -199,16 +198,18 @@ class TestDeterminismAndSinks:
                       severity="critical"),
         ])
         engine.evaluate(0, {"m": 2.0}, registry=registry)
-        text = render_prometheus(registry)
-        parsed = parse_prometheus(text)
-        fam = parsed["ALERTS"]
-        assert fam["type"] == "gauge"
-        assert fam["samples"][
-            'ALERTS{alertname="a",severity="warn"}'] == 1.0
-        assert fam["samples"][
-            'ALERTS{alertname="b",severity="critical"}'] == 1.0
-        # One shared HELP/TYPE head for the family, not one per set.
-        assert text.count("# TYPE ALERTS gauge") == 1
+        engine.evaluate(1, {"m": 1.2}, registry=registry)
+        # The snapshot is what a run keeps as metrics.json.
+        gauges = registry.snapshot()["gauges"]
+        assert gauges == {
+            'ALERTS{alertname="a",severity="warn"}': 1.0,
+            'ALERTS{alertname="b",severity="critical"}': 0.0,
+        }
+
+    def test_labeled_name_escapes_hostile_values(self):
+        raw = 'ha"s\\esc\npe}s'
+        assert labeled_name("fam", {"k": raw, "a": "1"}) == \
+            'fam{a="1",k="ha\\"s\\\\esc\\npe}s"}'
 
 
 class TestFaultTracking:

@@ -185,17 +185,15 @@ class TestRunsCommand:
     def test_unknown_run_exits_cleanly(self, registry):
         with pytest.raises(SystemExit, match="no run matching"):
             main(["runs", "show", "zzz", "--dir", str(registry)])
-        with pytest.raises(SystemExit, match="no run matching"):
-            main(["dashboard", "zzz", "--dir", str(registry)])
 
-    def test_dashboard_command(self, registry, tmp_path, capsys):
-        out_html = tmp_path / "dash.html"
-        assert main(["dashboard", "latest", "-o", str(out_html),
-                     "--dir", str(registry)]) == 0
-        assert "wrote" in capsys.readouterr().out
-        text = out_html.read_text()
-        assert text.lstrip().startswith("<!DOCTYPE html>")
-        assert "beta" in text            # latest run is beta
+    def test_runs_gc_rejects_negative_keep(self, registry, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["runs", "gc", "--keep", "-1", "--dir", str(registry)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--keep: must be an integer >= 0" in err
+        assert "Traceback" not in err
+        assert (registry / "alpha").is_dir()
 
     def test_bench_records_run(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path))
@@ -350,18 +348,20 @@ class TestServeCommand:
         assert by_name["poisson_steady.measured_p99_ms"]["kind"] \
             == "measured"
 
-    def test_serve_writes_prometheus_and_trace(self, tmp_path,
-                                               capsys):
-        prom = tmp_path / "serve.prom"
+    def test_serve_writes_metrics_and_trace(self, tmp_path, capsys,
+                                            monkeypatch):
+        runs = tmp_path / "runs"
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(runs))
         trace = tmp_path / "serve-trace.json"
         assert main(["serve", "poisson_steady", "--fast",
-                     "--seed", "0", "--prometheus", str(prom),
-                     "--trace", str(trace)]) == 0
-        from repro.obs.prometheus import parse_prometheus
-        parsed = parse_prometheus(prom.read_text())
-        assert parsed["serve_requests"]["samples"]["serve_requests"] > 0
-        assert parsed["serve_gate"]["type"] == "summary"
-        assert parsed["serve_gate"]["samples"]["serve_gate_count"] > 0
+                     "--seed", "0", "--trace", str(trace)]) == 0
+        from repro.obs.runs import RunStore
+        store = RunStore(runs)
+        metrics = json.loads(
+            (store.path(store.latest()) / "metrics.json").read_text())
+        assert metrics["counters"]["serve.requests"] > 0
+        for stage in ("gate", "dispatch", "expert", "combine"):
+            assert metrics["histograms"][f"serve.{stage}"]["count"] > 0
         payload = json.loads(trace.read_text())
         phases = {e.get("ph") for e in payload["traceEvents"]}
         assert {"X", "s", "f"} <= phases
@@ -447,17 +447,6 @@ class TestRouteCommand:
         current = {m["name"]: m["value"] for m in payload["metrics"]}
         for m in baseline["metrics"]:
             assert current[m["name"]] == m["value"], m["name"]
-
-    def test_route_writes_prometheus_gauges(self, tmp_path, capsys):
-        prom = tmp_path / "route.prom"
-        assert main(["route", "--fast",
-                     "--prometheus", str(prom)]) == 0
-        from repro.obs.prometheus import parse_prometheus
-        parsed = parse_prometheus(prom.read_text())
-        assert parsed["routing_load_gini"]["samples"][
-            "routing_load_gini"] > 0
-        assert any(name.startswith("routing_whatif_")
-                   for name in parsed)
 
     def test_route_aggregates_recorded_run(self, tmp_path, capsys,
                                            monkeypatch):

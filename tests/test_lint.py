@@ -11,6 +11,8 @@
 * The option surface: the ``REPRO_*`` environment variables read and
   the CLI's argument count.  A change that adds a knob edits the pin
   in the same diff, where a reviewer sees it.
+* No server: nothing under ``src/`` imports ``http.server`` or
+  ``socketserver`` — a run is read from its directory.
 * One import path per name: package ``__init__`` modules re-export
   nothing, so importing the MoE layer, the trainer or the serving
   engine does not load the cluster simulator (DESIGN §2), nor any
@@ -118,7 +120,36 @@ def test_option_surface_is_pinned():
         read |= environment_reads(ast.parse(path.read_text()))
     assert read == {"REPRO_BENCH_DIR", "REPRO_DTYPE", "REPRO_RUNS_DIR",
                     "REPRO_SCALE", "REPRO_TRACE"}
-    assert (SRC / "cli.py").read_text().count("add_argument(") <= 62
+    assert (SRC / "cli.py").read_text().count("add_argument(") == 47
+
+
+def imported_modules(tree: ast.AST) -> set[str]:
+    """Every module an import can bind (``from a import b`` names both
+    ``a`` and ``a.b``)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names |= {node.module} | {f"{node.module}.{alias.name}"
+                                      for alias in node.names}
+    return names
+
+
+SERVERS = {"http.server", "socketserver"}
+
+
+def test_no_server():
+    # The run directory is the interface: nothing under src/ serves it.
+    for probe in ("import socketserver", "import http.server",
+                  "from http import server",
+                  "from http.server import HTTPServer"):
+        assert imported_modules(ast.parse(probe)) & SERVERS, probe
+    assert not imported_modules(ast.parse("from http import client")) \
+        & SERVERS
+    assert [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
+            if imported_modules(ast.parse(path.read_text())) & SERVERS] \
+        == []
 
 
 def test_one_trace_format():
@@ -249,8 +280,7 @@ SIMULATOR = {"cluster", "collectives", "parallel", "pipeline", "runtime"}
 #: Modules behind the ``repro.obs`` slots and alert rules, loaded only
 #: by the code that turns their feature on.
 DEFERRED_OBS = {f"repro.obs.{name}" for name in
-                ("profiler", "runs", "overhead", "alerts", "prometheus",
-                 "trace")}
+                ("profiler", "runs", "overhead", "alerts", "trace")}
 
 
 def test_substrate_import_closure():

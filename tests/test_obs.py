@@ -566,179 +566,6 @@ class TestHistogramSmallNExact:
             assert a.quantile(q) == b.quantile(q)
 
 
-class TestPrometheusExport:
-    def _registry(self):
-        reg = MetricsRegistry()
-        reg.counter("serve.requests").inc(42)
-        reg.gauge("serve.queue_depth").set(7.5)
-        h = reg.histogram("serve.latency_ms")
-        for v in (1.0, 2.0, 10.0, 3.5):
-            h.observe(v)
-        return reg
-
-    def test_round_trip(self):
-        from repro.obs.prometheus import (
-            parse_prometheus,
-            render_prometheus,
-        )
-
-        reg = self._registry()
-        text = render_prometheus(reg)
-        parsed = parse_prometheus(text)
-        counter = parsed["serve_requests"]
-        assert counter["type"] == "counter"
-        assert counter["help"] == "serve.requests"
-        assert counter["samples"]["serve_requests"] == 42.0
-        gauge = parsed["serve_queue_depth"]
-        assert gauge["type"] == "gauge"
-        assert gauge["samples"]["serve_queue_depth"] == 7.5
-        hist = parsed["serve_latency_ms"]
-        assert hist["type"] == "summary"
-        h = reg.histogram("serve.latency_ms")
-        assert hist["samples"]["serve_latency_ms_count"] == 4.0
-        assert hist["samples"]["serve_latency_ms_sum"] == h.total
-        for q in (0.5, 0.95, 0.99):
-            key = f'serve_latency_ms{{quantile="{q:g}"}}'
-            assert hist["samples"][key] == h.quantile(q)
-
-    def test_names_sanitized_to_grammar(self):
-        import re
-
-        from repro.obs.prometheus import prometheus_name
-
-        grammar = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*\Z")
-        for raw in ("serve.latency_ms", "moe.expert_ffn",
-                    "9starts-with-digit", "weird name!"):
-            assert grammar.match(prometheus_name(raw)), raw
-
-    def test_every_line_is_valid_exposition(self):
-        from repro.obs.prometheus import render_prometheus
-
-        text = render_prometheus(self._registry())
-        assert text.endswith("\n")
-        for line in text.splitlines():
-            assert line.startswith("#") or " " in line
-
-    def test_parse_rejects_garbage(self):
-        from repro.obs.prometheus import parse_prometheus
-
-        with pytest.raises(ValueError):
-            parse_prometheus("!!! not prometheus !!!")
-        with pytest.raises(ValueError):
-            # A sample without its # TYPE header is malformed.
-            parse_prometheus("orphan_sample 1.0")
-
-    def test_empty_registry_renders_empty(self):
-        from repro.obs.prometheus import (
-            parse_prometheus,
-            render_prometheus,
-        )
-
-        assert render_prometheus(MetricsRegistry()) == ""
-        assert parse_prometheus("") == {}
-
-    def test_hostile_instrument_names_round_trip(self):
-        """HELP text escaping per the exposition spec: backslashes
-        and newlines must survive render → parse unchanged."""
-        from repro.obs.prometheus import (
-            parse_prometheus,
-            prometheus_name,
-            render_prometheus,
-        )
-
-        hostile = ['back\\slash.metric', 'multi\nline\nname',
-                   'quote"inside', 'all\\three\n"at once']
-        reg = MetricsRegistry()
-        for name in hostile:
-            reg.counter(name).inc(1)
-        text = render_prometheus(reg)
-        # The document itself must stay line-oriented: no raw newline
-        # from a name may split a HELP line.
-        assert all(line.startswith("#") or " " in line
-                   for line in text.splitlines())
-        parsed = parse_prometheus(text)
-        helps = {m["help"] for m in parsed.values()}
-        for name in hostile:
-            assert prometheus_name(name) in parsed
-            assert name in helps
-
-    def test_parser_handles_braces_and_escapes_in_label_values(self):
-        from repro.obs.prometheus import parse_prometheus
-
-        doc = ('# HELP m a metric\n'
-               '# TYPE m gauge\n'
-               'm{path="a}b{c,d"} 1.0\n'
-               'm{text="esc\\\\aped \\"quo\\"te\\nnewline"} 2.0\n')
-        parsed = parse_prometheus(doc)
-        samples = parsed["m"]["samples"]
-        assert samples['m{path="a}b{c,d"}'] == 1.0
-        hostile_key = ('m{text="esc\\aped "quo"te\nnewline"}')
-        assert samples[hostile_key] == 2.0
-
-    def test_parser_rejects_unterminated_label_value(self):
-        from repro.obs.prometheus import parse_prometheus
-
-        with pytest.raises(ValueError, match="unterminated"):
-            parse_prometheus('# TYPE m gauge\nm{path="open 1.0')
-
-    def test_labeled_family_shares_one_head(self):
-        from repro.obs.alerts import labeled_name
-        from repro.obs.prometheus import parse_prometheus, render_prometheus
-
-        reg = MetricsRegistry()
-        for sev, v in (("warn", 1.0), ("critical", 0.0)):
-            name = labeled_name("ALERTS", {"alertname": "x",
-                                           "severity": sev})
-            reg.gauge(name).set(v)
-        text = render_prometheus(reg)
-        assert text.count("# TYPE ALERTS gauge") == 1
-        samples = parse_prometheus(text)["ALERTS"]["samples"]
-        assert samples[
-            'ALERTS{alertname="x",severity="critical"}'] == 0.0
-        assert samples['ALERTS{alertname="x",severity="warn"}'] == 1.0
-
-    def test_labeled_name_escapes_hostile_values(self):
-        from repro.obs.alerts import labeled_name
-        from repro.obs.prometheus import parse_prometheus, render_prometheus
-
-        raw = 'ha"s\\esc\npe}s'
-        reg = MetricsRegistry()
-        reg.gauge(labeled_name("fam", {"k": raw})).set(3.0)
-        parsed = parse_prometheus(render_prometheus(reg))
-        # The parser re-quotes canonically with the value unescaped.
-        assert parsed["fam"]["samples"][f'fam{{k="{raw}"}}'] == 3.0
-
-    def test_stray_brace_names_fall_back_to_sanitization(self):
-        from repro.obs.prometheus import (
-            parse_prometheus,
-            prometheus_name,
-            render_prometheus,
-        )
-
-        hostile = ["half{open", "not{a=label}", "empty{}",
-                   "trail{a=\"v\"}x"]
-        reg = MetricsRegistry()
-        for name in hostile:
-            reg.gauge(name).set(1.0)
-        parsed = parse_prometheus(render_prometheus(reg))
-        for name in hostile:
-            assert prometheus_name(name) in parsed
-
-    def test_routing_totals_are_counters(self):
-        """Monotonic routing totals must carry # TYPE counter, not
-        gauge (the counter-vs-gauge satellite of the live plane)."""
-        from repro.obs import Observer
-        from repro.obs.prometheus import render_prometheus
-        from repro.obs.routing import record_gauges, synthetic_profile
-
-        ob = Observer()
-        record_gauges(ob, synthetic_profile(seed=0), [])
-        text = render_prometheus(ob.registry)
-        assert "# TYPE routing_tokens counter" in text
-        assert "# TYPE routing_dispatched counter" in text
-        assert "# TYPE routing_load_gini gauge" in text
-
-
 class TestFlowEvents:
     def test_flow_chrome_export_carries_id_and_binding(self):
         rec = TraceRecorder()

@@ -4,8 +4,7 @@ Trains a small MoE with an injected expert failure and a forced
 routing collapse, and asserts the full chain holds together: the run
 directory carries a manifest and event stream, the alert engine
 raises ``dead_expert`` and ``entropy_drift`` alerts at deterministic
-steps, ``RunStore.diff`` reports deltas between two seeded runs, and
-the rendered dashboard is valid standalone HTML with alert markers.
+steps, and ``RunStore.diff`` reports deltas between two seeded runs.
 """
 
 import json
@@ -15,12 +14,9 @@ import pytest
 
 from repro.nn.models import MoEClassifier
 from repro.obs.alerts import AlertRule
-from repro.obs.dashboard import write_dashboard
 from repro.obs.runs import RunStore, recording_run
 from repro.train.data import ClusteredTokenTask
 from repro.train.trainer import train_model
-
-from tests.test_dashboard import check_well_formed
 
 FAIL_STEP = 6       # expert 3 of layer 0 dies here
 COLLAPSE_STEP = 14  # gate weights zeroed -> all tokens to experts 0..k-1
@@ -153,7 +149,7 @@ class TestHealthAlerts:
                 for a in first.health_alerts]
 
 
-class TestDiffAndDashboard:
+class TestDiff:
     def test_diff_between_two_seeds(self, scenario, splits):
         root, _ = scenario
         run_scenario(root, "chaos-c", seed=1, splits=splits)
@@ -161,14 +157,3 @@ class TestDiffAndDashboard:
         names = {d.name for d in deltas}
         assert "summary.final_train_loss" in names
         assert any(d.delta not in (None, 0.0) for d in deltas)
-
-    def test_dashboard_renders_with_markers(self, scenario, tmp_path):
-        root, _ = scenario
-        out = write_dashboard(RunStore(root), "chaos-a",
-                              tmp_path / "dash.html")
-        doc = out.read_text()
-        parser = check_well_formed(doc)
-        assert parser.tag_counts.get("svg", 0) >= 3
-        assert "dead_expert" in doc and "entropy_drift" in doc
-        assert "status-critical" in doc      # alert markers styled
-        assert "expert_failure" in doc       # fault timeline entry
