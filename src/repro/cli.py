@@ -6,7 +6,6 @@ Usage::
     python -m repro bench fig20          # regenerate one table/figure
     python -m repro bench all            # regenerate everything
     python -m repro info                 # library / substrate summary
-    python -m repro obs                  # instrumented demo + Chrome trace
     python -m repro scenario --all --fast  # fault drills + SLO gates
     python -m repro analyze fig22        # critical path + attribution
     python -m repro report               # aggregate BENCH_*.json records
@@ -20,48 +19,25 @@ Usage::
 Each bench is the same module pytest-benchmark runs; the CLI imports
 its ``run()`` and prints the full table.  Setting ``REPRO_TRACE=path``
 makes ``bench`` record every instrumented span and write a Chrome-trace
-JSON there; ``repro obs`` does the same for a self-contained demo
-(train steps + simulator run + the encode-locations microbench).
-Setting ``REPRO_RUNS_DIR=path`` makes ``bench`` (and any training it
-performs) record a persistent run directory there — browse with
-``repro runs ...``.
+JSON there.  Setting ``REPRO_RUNS_DIR=path`` makes ``bench`` (and any
+training it performs) record a persistent run directory there — browse
+with ``repro runs ...``.
+
+A command whose stdout reader goes away (``repro runs show latest |
+head``) stops quietly: nothing on stderr, exit status 141 (128 +
+SIGPIPE, what a shell reports for a writer killed by a closed pipe).
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import importlib.util
 import os
 import sys
 from pathlib import Path
 
 __all__ = ["main", "discover_benches", "run_bench"]
-
-_BENCH_DESCRIPTIONS = {
-    "fig01": "Figure 1 — dynamic MoE workload during training",
-    "fig03": "Figure 3 — P1 vs P2 runtime preference",
-    "fig05": "Figure 5 — optimal pipelining strategy distribution",
-    "fig06": "Figure 6 — small-message bandwidth under-utilization",
-    "fig07": "Figure 7 — DeepSpeed fflayer layout regression",
-    "fig10": "Figure 10 — Flexible All-to-All layout fix",
-    "fig20": "Figure 20 — linear vs 2DH All-to-All scaling",
-    "fig21": "Figure 21 — NCCL vs MSCCL implementations",
-    "fig22": "Figure 22 — adaptive pipelining under dynamic f",
-    "fig23": "Figure 23 — single MoE layer breakdown",
-    "fig24": "Figure 24 — encode/decode kernel time (measured)",
-    "fig25": "Figure 25 — batch prioritized routing",
-    "tab01": "Table 1 — All-to-All overhead ratio",
-    "tab04": "Table 4 — GPU memory, dense vs sparse",
-    "tab05": "Table 5 — adaptive parallelism switching",
-    "tab07": "Table 7 — adaptive pipelining improvements",
-    "tab08": "Table 8 — SwinV2-MoE end-to-end speed",
-    "tab09": "Table 9 — sparse vs dense accuracy",
-    "tab10": "Table 10 — fine-tuning with frozen MoE",
-    "tab11": "Table 11 — expert-count ablation",
-    "tab12": "Table 12 — top-k / capacity ablation",
-    "tab13": "Table 13 — cosine vs linear router",
-    "abl": "Ablations — online search, hierarchy width",
-}
 
 
 def _benchmarks_dir() -> Path:
@@ -133,14 +109,19 @@ def run_bench(short_id: str) -> None:
             obs.disable()
 
 
+def _bench_description(path: Path) -> str:
+    """First line of a bench's module docstring, read without
+    importing the bench."""
+    doc = ast.get_docstring(ast.parse(path.read_text()))
+    return doc.splitlines()[0] if doc else ""
+
+
 def _cmd_list(args) -> None:
     benches = discover_benches()
     width = max(len(k) for k in benches)
     for short, path in sorted(benches.items()):
-        prefix = short.rstrip("0123456789")
-        desc = _BENCH_DESCRIPTIONS.get(
-            short, _BENCH_DESCRIPTIONS.get(prefix, ""))
-        print(f"  {short.ljust(width)}  {path.name:42s} {desc}")
+        print(f"  {short.ljust(width)}  {path.name:42s} "
+              f"{_bench_description(path)}")
 
 
 def _cmd_bench(args) -> None:
@@ -283,7 +264,7 @@ def _default_baselines_dir() -> str:
 
 def _demo_task_and_model(model_dim: int, hidden_dim: int):
     """The seed-0 clustered task and 2-block, 8-expert MoE classifier
-    that ``obs``, ``overhead`` and ``profile step`` all run."""
+    that ``overhead`` and ``profile step`` both run."""
     import numpy as np
 
     from repro.nn.models import MoEClassifier
@@ -297,88 +278,6 @@ def _demo_task_and_model(model_dim: int, hidden_dim: int):
                           rng=np.random.default_rng(0), top_k=2,
                           capacity_factor=1.25)
     return task, model
-
-
-def _cmd_obs(args) -> None:
-    """Instrumented end-to-end demo of the ``repro.obs`` subsystem.
-
-    Runs (1) a few real training steps of a small MoE classifier so the
-    trace carries gate/encode/expert_ffn/decode spans and the per-step
-    needed-capacity-factor traces, (2) one discrete-event simulation so
-    simulated-clock tracks appear beside the wall-clock ones, and
-    (3) the ``compute_locations`` rewrite-vs-reference microbench timed
-    through the obs registry.  Writes the Chrome trace (and optionally
-    JSONL) and prints the metrics summary.
-    """
-    import numpy as np
-
-    from repro import obs
-    from repro.cluster.simulator import Schedule, simulate
-    from repro.moe.gating import (
-        compute_locations,
-        compute_locations_reference,
-    )
-    from repro.train.trainer import train_model
-
-    ob = obs.enable()
-    try:
-        # 1. Real training steps (wall-clock spans + routing history).
-        task, model = _demo_task_and_model(32, 64)
-        trained = train_model(model, task.sample(512), task.sample(256),
-                              steps=args.steps, batch_size=128)
-
-        # 2. One simulated pipeline segment (simulated-clock spans).
-        sched = Schedule()
-        prev = None
-        for i in range(3):
-            comp = sched.new_op(work=2e-3, stream="compute",
-                                kind="compute", label=f"expert_chunk{i}",
-                                deps=(prev,) if prev else ())
-            prev = sched.new_op(work=1.5e-3, stream="comm", kind="comm",
-                                label=f"a2a_chunk{i}", deps=(comp,))
-        simulate(sched)
-
-        # 3. compute_locations speedup, recorded via the obs timers.
-        bench_rng = np.random.default_rng(0)
-        idxs = bench_rng.integers(0, 64, (2, 4096))
-        for _ in range(5):
-            with ob.span("locations_reference", obs.CAT_BENCH):
-                compute_locations_reference(idxs, 64)
-            with ob.span("locations_fast", obs.CAT_BENCH):
-                compute_locations(idxs, 64)
-        ref = ob.registry.histogram("bench.locations_reference")
-        fast = ob.registry.histogram("bench.locations_fast")
-
-        print(ob.registry.render())
-        print()
-        traces = trained.capacity_traces
-        print(f"routing history: {sum(map(len, traces.values()))} "
-              f"training records ({args.steps} steps x {len(traces)} "
-              "MoE layer(s))")
-        series = traces[0]
-        if series:
-            print(f"needed capacity factor (layer 0): "
-                  f"first={series[0]:.2f} last={series[-1]:.2f} "
-                  f"max={max(series):.2f}")
-        if fast.min > 0:
-            print(f"compute_locations rewrite: {ref.min * 1e3:.3f} ms -> "
-                  f"{fast.min * 1e3:.3f} ms "
-                  f"({ref.min / fast.min:.1f}x, best of {fast.count}, "
-                  f"T=4096 E=64 k=2)")
-
-        assert ob.recorder is not None
-        ob.recorder.dump_chrome_trace(args.trace)
-        print(f"[obs] wrote {len(ob.recorder.events)} trace events to "
-              f"{args.trace} (open in chrome://tracing or "
-              "https://ui.perfetto.dev)")
-        if args.metrics_json:
-            import json
-            Path(args.metrics_json).write_text(
-                json.dumps(ob.registry.snapshot(), indent=1,
-                           sort_keys=True) + "\n")
-            print(f"[obs] wrote metrics snapshot to {args.metrics_json}")
-    finally:
-        obs.disable()
 
 
 def _cmd_runs(args) -> int:
@@ -527,7 +426,7 @@ def _add_named_args(cmd, noun: str, artifact: str,
     cmd.add_argument("--all", action="store_true", dest="run_all",
                      help=f"run every named {noun} and emit {artifact}")
     cmd.add_argument("--fast", action="store_true", help=fast_help)
-    cmd.add_argument("--seed", type=int, default=None,
+    cmd.add_argument("--seed", type=_int_at_least(0), default=None,
                      help="override the committed seed")
 
 
@@ -734,9 +633,8 @@ def _dtype_speedup_probe(repeats: int = 3) -> tuple[float, float, float]:
 def _cmd_profile(args) -> None:
     """Deterministic op-level profile of the seed model
     (``repro profile step|layer``): per-op FLOPs/bytes/walls, per-stage
-    attribution, and the exact peak-memory ledger."""
-    import json as _json
-
+    attribution, and the exact peak-memory ledger.  The run's
+    ``profile`` event carries the whole ``Profiler.summary()``."""
     import numpy as np
 
     from repro.autograd.functional import cross_entropy
@@ -776,13 +674,7 @@ def _cmd_profile(args) -> None:
         summary = prof.summary()
         print(prof.render())
         totals = summary["totals"]
-        tel.event("profile", {
-            "target": target,
-            "totals": totals,
-            "peak_bytes": summary["peak_bytes"],
-            "by_stage": summary["by_stage"],
-            "by_phase": summary["by_phase"],
-            "alloc_timeline": summary["alloc_timeline"]})
+        tel.event("profile", {"target": target, **summary})
         tel.summary({
             "profile.peak_bytes": float(summary["peak_bytes"]),
             "profile.total_flops": float(totals["flops"]),
@@ -834,20 +726,12 @@ def _cmd_profile(args) -> None:
         recorder.dump_chrome_trace(args.trace)
         print(f"[profile] wrote {len(recorder.events)} trace events to "
               f"{args.trace}")
-    if args.json:
-        Path(args.json).write_text(
-            _json.dumps(summary, indent=1, sort_keys=True) + "\n")
-        print(f"[profile] wrote summary JSON to {args.json}")
 
 
 def _cmd_calibrate(args) -> None:
     """Fit simulator coefficients to measured kernel/collective walls
     and report prediction fidelity (``repro calibrate``)."""
-    from repro.obs.calibrate import (
-        emit_calibration,
-        report_to_json,
-        run_calibration,
-    )
+    from repro.obs.calibrate import emit_calibration, run_calibration
     from repro.obs.loop import LoopTelemetry
 
     report = run_calibration(fast=args.fast, seed=args.seed)
@@ -858,21 +742,34 @@ def _cmd_calibrate(args) -> None:
         tel.summary({"calibration.sim_vs_measured_p95_err":
                      report.sim_vs_measured_p95_err})
         emit_calibration(report, verbose=True)
-    if args.json:
-        Path(args.json).write_text(report_to_json(report) + "\n")
-        print(f"[calibrate] wrote full report to {args.json}")
 
 
-def _non_negative_int(text: str) -> int:
-    """argparse ``type``: an integer >= 0 (a usage error otherwise)."""
+def _int_at_least(minimum: int):
+    """argparse ``type``: an integer >= ``minimum`` (a usage error
+    otherwise)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+            if value >= minimum:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= {minimum}, got {text!r}")
+    return parse
+
+
+def _positive_float(text: str) -> float:
+    """argparse ``type``: a finite number > 0 (a usage error
+    otherwise)."""
     try:
-        value = int(text)
-        if value >= 0:
+        value = float(text)
+        if 0 < value < float("inf"):
             return value
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(
-        f"must be an integer >= 0, got {text!r}")
+        f"must be a finite number > 0, got {text!r}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -887,16 +784,6 @@ def main(argv: list[str] | None = None) -> int:
     bench = sub.add_parser("bench", help="run one bench (or 'all')")
     bench.set_defaults(func=_cmd_bench)
     bench.add_argument("id", help="short id, e.g. fig20, tab08, all")
-    obs_cmd = sub.add_parser(
-        "obs", help="instrumented demo: trace + metrics of a train step")
-    obs_cmd.set_defaults(func=_cmd_obs)
-    obs_cmd.add_argument("--trace", default="repro-trace.json",
-                         help="Chrome-trace JSON output path")
-    obs_cmd.add_argument("--steps", type=int, default=8,
-                         help="training steps to record")
-    obs_cmd.add_argument("--metrics-json", default=None,
-                         help="dump the metrics registry snapshot "
-                              "as JSON here")
     analyze_cmd = sub.add_parser(
         "analyze",
         help="critical-path + attribution analysis of a schedule/trace")
@@ -904,9 +791,9 @@ def main(argv: list[str] | None = None) -> int:
     analyze_cmd.add_argument(
         "target", help="'fig22' or a Chrome-trace JSON with simulator "
                        "events (analyze --trace, REPRO_TRACE, ...)")
-    analyze_cmd.add_argument("--world", type=int, default=64,
+    analyze_cmd.add_argument("--world", type=_int_at_least(1), default=64,
                              help="world size for the fig22 segment")
-    analyze_cmd.add_argument("--factor", type=float, default=4.0,
+    analyze_cmd.add_argument("--factor", type=_positive_float, default=4.0,
                              help="capacity factor f for the fig22 "
                                   "segment")
     analyze_cmd.add_argument("--trace", default=None,
@@ -948,8 +835,8 @@ def main(argv: list[str] | None = None) -> int:
     serve_cmd.set_defaults(func=_cmd_serve)
     _add_named_args(serve_cmd, "workload", "BENCH_serving.json",
                     "shortened arrival horizons (CI smoke)")
-    serve_cmd.add_argument("--p99-slo", type=float, default=None,
-                           dest="p99_slo",
+    serve_cmd.add_argument("--p99-slo", type=_positive_float,
+                           default=None, dest="p99_slo",
                            help="override the modeled-p99 SLO bound in "
                                 "ms (a tiny value forces an SLO miss)")
     serve_cmd.add_argument("--trace", default=None,
@@ -969,17 +856,17 @@ def main(argv: list[str] | None = None) -> int:
     route_cmd.add_argument("--fast", action="store_true",
                            help="seeded synthetic traffic (bit-stable; "
                                 "emits BENCH_routing.json)")
-    route_cmd.add_argument("--seed", type=int, default=0,
+    route_cmd.add_argument("--seed", type=_int_at_least(0), default=0,
                            help="synthetic-traffic seed (default 0)")
     route_cmd.add_argument("--dir", **runs_dir_kwargs)
-    route_cmd.add_argument("--gpus", type=int, default=4,
+    route_cmd.add_argument("--gpus", type=_int_at_least(1), default=4,
                            help="scoring-world size (default 4)")
-    route_cmd.add_argument("--gpus-per-node", type=int, default=2,
-                           dest="gpus_per_node",
+    route_cmd.add_argument("--gpus-per-node", type=_int_at_least(1),
+                           default=2, dest="gpus_per_node",
                            help="GPUs per node in the scoring world "
                                 "(default 2)")
-    route_cmd.add_argument("--bytes-per-token", type=int, default=None,
-                           dest="bytes_per_token",
+    route_cmd.add_argument("--bytes-per-token", type=_int_at_least(1),
+                           default=None, dest="bytes_per_token",
                            help="dispatch payload bytes per token-hop "
                                 "(default: model_dim 32 x substrate "
                                 "itemsize)")
@@ -1008,7 +895,7 @@ def main(argv: list[str] | None = None) -> int:
     runs_diff.add_argument("--dir", **runs_dir_kwargs)
     runs_gc = runs_sub.add_parser(
         "gc", help="prune old runs, keeping the newest N")
-    runs_gc.add_argument("--keep", type=_non_negative_int, required=True,
+    runs_gc.add_argument("--keep", type=_int_at_least(0), required=True,
                          help="number of newest runs to keep")
     runs_gc.add_argument("--dry-run", action="store_true",
                          help="report what would be removed")
@@ -1020,7 +907,8 @@ def main(argv: list[str] | None = None) -> int:
     overhead_cmd.set_defaults(func=_cmd_overhead)
     overhead_cmd.add_argument("--fast", action="store_true",
                               help="short run (CI smoke)")
-    overhead_cmd.add_argument("--steps", type=int, default=None,
+    overhead_cmd.add_argument("--steps", type=_int_at_least(1),
+                              default=None,
                               help="override the instrumented step "
                                    "count (default: 24, or 8 with "
                                    "--fast)")
@@ -1034,15 +922,13 @@ def main(argv: list[str] | None = None) -> int:
                              help="what to profile: a full fwd+bwd "
                                   "train step (default) or one MoE "
                                   "layer")
-    profile_cmd.add_argument("--batch", type=int, default=128,
+    profile_cmd.add_argument("--batch", type=_int_at_least(1),
+                             default=128,
                              help="tokens in the profiled batch "
                                   "(default 128)")
     profile_cmd.add_argument("--trace", default=None,
                              help="write a Chrome trace (spans + "
                                   "memory/FLOP counter tracks) here")
-    profile_cmd.add_argument("--json", default=None,
-                             help="write the full profile summary "
-                                  "as JSON here")
     cal_cmd = sub.add_parser(
         "calibrate",
         help="fit simulator alpha-beta/throughput coefficients to "
@@ -1050,16 +936,21 @@ def main(argv: list[str] | None = None) -> int:
     cal_cmd.set_defaults(func=_cmd_calibrate)
     cal_cmd.add_argument("--fast", action="store_true",
                          help="small sweep (CI smoke; ~seconds)")
-    cal_cmd.add_argument("--seed", type=int, default=0,
+    cal_cmd.add_argument("--seed", type=_int_at_least(0), default=0,
                          help="routing-pattern seed (default 0)")
-    cal_cmd.add_argument("--json", default=None,
-                         help="write the full calibration report "
-                              "as JSON here")
     args = parser.parse_args(argv)
 
     try:
         # Each subparser names its ``_cmd_*`` with set_defaults(func=…).
-        return args.func(args) or 0
+        status = args.func(args) or 0
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader went away (``repro runs show latest | head``).
+        # Point stdout at devnull so the flush at interpreter exit has
+        # nothing left to fail on, and report it as SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except KeyError as exc:
         # Registry and run-store lookups report unknown names as
         # KeyError; for those commands that is a usage error.

@@ -327,8 +327,7 @@ def compute_locations_reference(idxs: np.ndarray, num_experts: int,
 
     Materializes a ``(T, E)`` one-hot and a full cumsum per top-k slot
     in a Python loop — kept as the independent oracle the rewrite is
-    tested and benchmarked against (see ``tests/test_gating.py`` and
-    ``repro obs``).
+    tested and benchmarked against (see ``tests/test_gating.py``).
     """
     k, t = idxs.shape
     if priority is not None and priority.shape != (t,):

@@ -49,7 +49,7 @@ Enable explicitly::
     obs.disable()
 
 or set ``REPRO_TRACE=/path/trace.json`` around any bench (see
-``benchmarks/conftest.py`` and ``repro obs --help``).
+``benchmarks/conftest.py`` and :func:`repro.cli.run_bench`).
 """
 
 from __future__ import annotations

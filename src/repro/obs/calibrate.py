@@ -57,7 +57,6 @@ cliff, and calibration should fit a line to a line.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -99,7 +98,6 @@ __all__ = [
     "simulate_workload",
     "run_calibration",
     "emit_calibration",
-    "report_to_json",
 ]
 
 SCHEMA_VERSION = 1
@@ -643,8 +641,3 @@ def emit_calibration(report: CalibrationReport,
     return emit("calibration", "Simulator-fidelity calibration",
                 metrics, config=config, directory=directory,
                 verbose=verbose)
-
-
-def report_to_json(report: CalibrationReport) -> str:
-    """Full report (rows included) as a JSON string (``--json``)."""
-    return json.dumps(report.to_json_obj(), indent=1, sort_keys=True)

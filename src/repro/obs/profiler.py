@@ -240,26 +240,6 @@ class AllocationLedger:
         """Stop recording timeline events (late frees only clean up)."""
         self.closed = True
 
-    def timeline(self, max_points: int = 240) -> list[list]:
-        """Downsampled ``[seq, live, phase, stage]`` rows.
-
-        Always keeps the first, last and peak events so the plotted
-        envelope never understates the true peak.
-        """
-        events = self.events
-        if not events:
-            return []
-        keep: set[int] = {0, len(events) - 1}
-        peak_i = max(range(len(events)), key=lambda i: events[i].live)
-        keep.add(peak_i)
-        if len(events) > max_points:
-            step = len(events) / max_points
-            keep.update(int(i * step) for i in range(max_points))
-        else:
-            keep.update(range(len(events)))
-        return [[events[i].seq, events[i].live, events[i].phase,
-                 events[i].stage] for i in sorted(keep)]
-
 
 # ----------------------------------------------------------------------
 # Profiler
@@ -497,7 +477,6 @@ class Profiler:
             "alloc_events": len(self.ledger.events),
             "alloc_dropped": self.ledger.dropped,
             "records_dropped": self.records_dropped,
-            "alloc_timeline": self.ledger.timeline(),
         }
 
     def render(self) -> str:

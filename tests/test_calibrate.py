@@ -8,8 +8,6 @@ live-measurement path is then checked end to end (fast profile), and
 the report must round-trip through ``BENCH_calibration.json``.
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -28,7 +26,6 @@ from repro.obs.calibrate import (
     fit_topology,
     gemm_workloads,
     moe_kernel_workloads,
-    report_to_json,
     run_calibration,
     simulate_workload,
 )
@@ -208,15 +205,6 @@ class TestLiveCalibration:
         for r in report.rows:
             assert r["signed_err"] == pytest.approx(
                 (r["simulated"] - r["measured"]) / r["measured"])
-
-    def test_report_json_roundtrip(self, report):
-        obj = json.loads(report_to_json(report))
-        assert obj["schema"] == 1
-        assert obj["profile"] == "fast"
-        assert obj["sim_vs_measured_p95_err"] == \
-            report.sim_vs_measured_p95_err
-        assert len(obj["rows"]) == len(report.rows)
-        assert "gemm" in obj["kernel_coefficients"]
 
     def test_bench_artifact_roundtrip(self, report, tmp_path):
         result = emit_calibration(report, directory=tmp_path)

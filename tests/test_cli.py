@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +38,34 @@ class TestCommands:
         assert "fig20" in out
         assert "bench_fig20_2dh_scaling.py" in out
 
+    def test_list_describes_every_bench(self, capsys):
+        assert main(["list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for path in discover_benches().values():
+            (line,) = [ln for ln in lines if path.name in ln]
+            assert line.split(path.name, 1)[1].strip(), line
+
+    @pytest.mark.parametrize("argv", [
+        ["profile", "layer", "--batch", "0"],
+        ["overhead", "--steps", "0"],
+        ["route", "--fast", "--gpus", "0"],
+        ["route", "--fast", "--gpus-per-node", "0"],
+        ["route", "--fast", "--seed", "-1"],
+        ["analyze", "fig22", "--factor", "-1"],
+        ["analyze", "fig22", "--world", "0"],
+        ["serve", "poisson_steady", "--p99-slo", "nan"],
+        ["scenario", "compound_faults", "--seed", "-1"],
+        ["calibrate", "--seed", "-1"],
+    ], ids="_".join)
+    def test_out_of_range_argument_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = [ln for ln in err.splitlines() if "error:" in ln]
+        assert f"argument {argv[-2]}: must be" in line
+
     def test_info(self, capsys):
         assert main(["info"]) == 0
         out = capsys.readouterr().out
@@ -52,43 +84,6 @@ class TestCommands:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
-
-
-class TestObsCommand:
-    def test_obs_writes_valid_trace(self, tmp_path, capsys):
-        import json
-
-        from repro import obs as obs_module
-
-        trace = tmp_path / "trace.json"
-        assert main(["obs", "--trace", str(trace), "--steps", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "compute_locations rewrite" in out
-        assert "routing history" in out
-
-        parsed = json.loads(trace.read_text())
-        names = {e["name"] for e in parsed["traceEvents"]}
-        assert {"gate", "encode", "expert_ffn", "decode", "step"} <= names
-        # The command must clean up the process-wide observer.
-        assert obs_module.get_observer() is None
-        # The demo's simulated segment replays from the observer's file.
-        capsys.readouterr()
-        assert main(["analyze", str(trace)]) == 0
-        assert "a2a_chunk2" in capsys.readouterr().out
-
-
-class TestObsMetricsJson:
-    def test_metrics_json_snapshot(self, tmp_path):
-        import json
-
-        metrics = tmp_path / "metrics.json"
-        assert main(["obs", "--steps", "2",
-                     "--metrics-json", str(metrics)]) == 0
-        snap = json.loads(metrics.read_text())
-        assert {"counters", "gauges", "histograms"} <= set(snap)
-        # Reservoir quantiles ride along in every histogram summary.
-        any_hist = next(iter(snap["histograms"].values()))
-        assert {"p50", "p95", "p99"} <= set(any_hist)
 
 
 class TestAnalyzeCommand:
@@ -114,6 +109,42 @@ class TestAnalyzeCommand:
         out = capsys.readouterr().out
         assert "Per-stream attribution" in out
         assert trace_out.is_file()
+
+    def test_analyze_observer_written_trace(self, tmp_path, capsys):
+        """An observer trace that mixes wall-clock MoE spans with
+        simulator ops re-attributes its simulated segment."""
+        import numpy as np
+
+        from repro import obs
+        from repro.cluster.simulator import Schedule, simulate
+        from repro.nn.models import MoEClassifier
+        from repro.train.data import ClusteredTokenTask
+        from repro.train.trainer import train_model
+
+        trace = tmp_path / "trace.json"
+        ob = obs.enable()
+        try:
+            task = ClusteredTokenTask(num_clusters=8, input_dim=8,
+                                      num_classes=4, noise=0.4, seed=0)
+            model = MoEClassifier(8, 16, 32, 4, num_blocks=2,
+                                  num_experts=4, top_k=2,
+                                  rng=np.random.default_rng(0))
+            train_model(model, task.sample(64), task.sample(32),
+                        steps=1, batch_size=64)
+            sched = Schedule()
+            comp = sched.new_op(work=2e-3, stream="compute",
+                                kind="compute", label="expert_chunk0")
+            sched.new_op(work=1.5e-3, stream="comm", kind="comm",
+                         label="a2a_chunk0", deps=(comp,))
+            simulate(sched)
+            ob.recorder.dump_chrome_trace(trace)
+        finally:
+            obs.disable()
+        names = {e["name"]
+                 for e in json.loads(trace.read_text())["traceEvents"]}
+        assert {"gate", "encode", "expert_ffn", "decode", "step"} <= names
+        assert main(["analyze", str(trace)]) == 0
+        assert "a2a_chunk0" in capsys.readouterr().out
 
     def test_analyze_missing_file_rejected(self):
         with pytest.raises(SystemExit):
@@ -239,15 +270,10 @@ class TestProfileCommand:
         monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
         monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path / "bench"))
         trace = tmp_path / "trace.json"
-        summary = tmp_path / "summary.json"
-        assert main(["profile", "layer", "--trace", str(trace),
-                     "--json", str(summary)]) == 0
+        assert main(["profile", "layer", "--trace", str(trace)]) == 0
         out = capsys.readouterr().out
         assert "== profile ==" in out
         assert "moe_dispatch" in out and "expert_ffn" in out
-        payload = json.loads(summary.read_text())
-        assert payload["totals"]["flops"] > 0
-        assert payload["peak_bytes"] > 0
         events = json.loads(trace.read_text())["traceEvents"]
         assert any(e.get("ph") == "C" for e in events)  # counters
         assert (tmp_path / "bench"
@@ -255,8 +281,19 @@ class TestProfileCommand:
         from repro.obs.runs import RunStore
 
         store = RunStore(tmp_path / "runs")
-        manifest = store.manifest(store.latest())
-        assert manifest.summary["profile.peak_bytes"] > 0
+        run_id = store.latest()
+        assert store.manifest(run_id).summary["profile.peak_bytes"] > 0
+        # The run's profile event is the whole Profiler.summary().
+        (event,) = store.iter_events(run_id, kind="profile")
+        payload = event["data"]
+        assert set(payload) == {
+            "target", "schema_version", "totals", "by_op", "by_stage",
+            "by_phase", "peak_bytes", "live_bytes", "alloc_events",
+            "alloc_dropped", "records_dropped"}
+        assert payload["target"] == "layer"
+        assert payload["totals"]["flops"] > 0
+        assert payload["peak_bytes"] > 0
+        assert "moe_dispatch" in payload["by_op"]
 
     def test_profile_step_matches_baseline_fingerprint(self, tmp_path,
                                                        monkeypatch,
@@ -280,17 +317,30 @@ class TestProfileCommand:
 class TestCalibrateCommand:
     def test_calibrate_fast_writes_report(self, tmp_path, capsys,
                                           monkeypatch):
+        from repro.obs import calibrate
+
         monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path / "bench"))
-        monkeypatch.delenv("REPRO_RUNS_DIR", raising=False)
-        report_path = tmp_path / "cal.json"
-        assert main(["calibrate", "--fast", "--json",
-                     str(report_path)]) == 0
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
+        real_run_calibration = calibrate.run_calibration
+        reports = []
+
+        def run_calibration(**kwargs):
+            reports.append(real_run_calibration(**kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(calibrate, "run_calibration", run_calibration)
+        assert main(["calibrate", "--fast"]) == 0
         out = capsys.readouterr().out
         assert "sim_vs_measured_p95_err" in out
         assert "Per-class summary" in out
-        payload = json.loads(report_path.read_text())
-        assert payload["profile"] == "fast"
         assert (tmp_path / "bench" / "BENCH_calibration.json").exists()
+        from repro.obs.runs import RunStore
+
+        # The run's calibration event is the full report, rows included.
+        store = RunStore(tmp_path / "runs")
+        (event,) = store.iter_events(store.latest(), kind="calibration")
+        assert event["data"] == reports[0].to_json_obj()
+        assert event["data"]["profile"] == "fast"
 
 
 class TestServeCommand:
@@ -498,3 +548,35 @@ class TestRunsShowEventsFilter:
         assert main(["runs", "show", "f2", "--dir", str(tmp_path),
                      "--events", "routing_load"]) == 0
         assert "no 'routing_load' events" in capsys.readouterr().out
+
+
+class TestClosedPipe:
+    """``repro runs show ... | head``: a reader that goes away early
+    stops the command quietly, with the status a shell reports for a
+    writer killed by SIGPIPE."""
+
+    @pytest.mark.parametrize("extra", [[], ["--events", "alert"]])
+    def test_reader_closing_early_is_quiet(self, tmp_path, extra):
+        from repro.obs.runs import RunWriter
+
+        w = RunWriter.create(root=tmp_path, run_id="p1", seed=0,
+                             config={"kind": "serve"}, created_at=1.0)
+        # Far more output than a pipe buffers, so the writer must
+        # block on the reader, and then find it gone.
+        for step in range(3000):
+            w.emit("alert", step=step, data={
+                "kind": "drop_rate", "severity": "warn",
+                "message": "too many drops"})
+        w.finalize(summary={})
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        with subprocess.Popen(
+                [sys.executable, "-m", "repro", "runs", "show", "latest",
+                 "--dir", str(tmp_path), *extra],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env=env) as proc:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 141
+            assert proc.stderr.read() == b""

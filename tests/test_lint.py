@@ -120,7 +120,7 @@ def test_option_surface_is_pinned():
         read |= environment_reads(ast.parse(path.read_text()))
     assert read == {"REPRO_BENCH_DIR", "REPRO_DTYPE", "REPRO_RUNS_DIR",
                     "REPRO_SCALE", "REPRO_TRACE"}
-    assert (SRC / "cli.py").read_text().count("add_argument(") == 47
+    assert (SRC / "cli.py").read_text().count("add_argument(") == 42
 
 
 def imported_modules(tree: ast.AST) -> set[str]:
