@@ -68,14 +68,16 @@ def run(verbose: bool = True):
               "fraction of its routed compute — the dynamic-sparsity "
               "use case of Section 4.1.")
     by_name = {row["name"]: row for row in rows}
+    # Each tolerance is the row's largest deviation over seeds 0-5.
     emit("abl_sparsity_schedule", "Ablation: dynamic top-k schedules", [
         Metric("anneal_accuracy",
                by_name["top-2 -> top-1 anneal"]["accuracy"], "fraction",
-               higher_is_better=True, tolerance=0.10),
+               higher_is_better=True, tolerance=0.06),
         Metric("anneal_mean_k",
-               by_name["top-2 -> top-1 anneal"]["mean_k"], "k"),
+               by_name["top-2 -> top-1 anneal"]["mean_k"], "k",
+               tolerance=0.0),
         Metric("top2_accuracy", by_name["static top-2"]["accuracy"],
-               "fraction", higher_is_better=True, tolerance=0.10),
+               "fraction", higher_is_better=True, tolerance=0.08),
     ], config={"steps": scale.steps, "seed": scale.seed})
     return by_name
 

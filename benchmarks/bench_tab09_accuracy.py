@@ -29,14 +29,15 @@ def run(verbose: bool = True):
         print(f"MoE gain: {moe.eval_accuracy - dense.eval_accuracy:+.3f}"
               " eval accuracy (paper: +1.3 top-1 on IN-22K); lower "
               "train loss mirrors Table 11's loss column.")
+    # Each tolerance is the row's largest deviation over seeds 0-5.
     emit("tab09", "Table 9: sparse vs dense accuracy", [
         Metric("moe_eval_accuracy", moe.eval_accuracy, "fraction",
                higher_is_better=True, tolerance=0.10),
         Metric("dense_eval_accuracy", dense.eval_accuracy, "fraction",
-               higher_is_better=True, tolerance=0.10),
+               higher_is_better=True, tolerance=0.09),
         Metric("moe_accuracy_gain",
                moe.eval_accuracy - dense.eval_accuracy, "fraction",
-               higher_is_better=True, tolerance=0.5),
+               higher_is_better=True, tolerance=0.21),
     ], config={"steps": scale.steps, "seed": scale.seed})
     return dense, moe
 

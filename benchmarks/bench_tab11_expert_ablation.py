@@ -37,15 +37,16 @@ def run(verbose: bool = True):
         best = max(results, key=lambda e: results[e].eval_accuracy)
         print(f"Best expert count: {best} (paper: 32 and 64 perform "
               "best; the task has 32 latent clusters).")
+    # Each tolerance is the row's largest deviation over seeds 0-5.
     emit("tab11", "Table 11: expert-count ablation", [
         Metric("best_moe_accuracy",
                max(r.eval_accuracy for r in results.values()),
                "fraction", higher_is_better=True, tolerance=0.10),
         Metric("dense_accuracy", dense.eval_accuracy, "fraction",
-               higher_is_better=True, tolerance=0.10),
+               higher_is_better=True, tolerance=0.09),
         Metric("best_expert_count",
                float(max(results, key=lambda e: results[e].eval_accuracy)),
-               "experts", tolerance=1.0),
+               "experts", tolerance=0.5),
     ], config={"experts": list(EXPERTS), "steps": scale.steps,
                "seed": scale.seed})
     return dense, results

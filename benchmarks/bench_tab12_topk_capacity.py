@@ -29,14 +29,15 @@ def run(verbose: bool = True):
               "(38.6 -> 38.0 for k=1), k=2 is at least as accurate.")
     by_key = {(r["k"], r["train_f"], r["infer_f"]): r["accuracy"]
               for r in rows}
+    # Each tolerance is the row's largest deviation over seeds 0-5.
     emit("tab12", "Table 12: top-k / capacity ablation", [
         Metric("k1_full_capacity_accuracy", by_key[(1, 1.0, 1.0)],
-               "fraction", higher_is_better=True, tolerance=0.10),
+               "fraction", higher_is_better=True, tolerance=0.06),
         Metric("k2_full_capacity_accuracy", by_key[(2, 1.0, 1.0)],
-               "fraction", higher_is_better=True, tolerance=0.10),
+               "fraction", higher_is_better=True, tolerance=0.09),
         Metric("k1_low_capacity_drop",
                by_key[(1, 1.0, 1.0)] - by_key[(1, 1.0, 0.5)],
-               "fraction", tolerance=0.5),
+               "fraction", tolerance=0.31),
     ], config={"steps": scale.steps, "seed": scale.seed})
     return rows
 

@@ -26,15 +26,16 @@ def run(verbose: bool = True):
         table.show()
         print("Paper: the cosine router is as accurate as the linear "
               "router (38.5 vs 38.5 on IN-22K for SwinV2-MoE-B).")
+    # Each tolerance is the row's largest deviation over seeds 0-5.
     emit("tab13", "Table 13: cosine vs linear router", [
         Metric("linear_accuracy", results["linear"].eval_accuracy,
                "fraction", higher_is_better=True, tolerance=0.10),
         Metric("cosine_accuracy", results["cosine"].eval_accuracy,
-               "fraction", higher_is_better=True, tolerance=0.10),
+               "fraction", higher_is_better=True, tolerance=0.09),
         Metric("router_gap",
                abs(results["linear"].eval_accuracy
                    - results["cosine"].eval_accuracy),
-               "fraction", higher_is_better=False, tolerance=1.0),
+               "fraction", higher_is_better=False, tolerance=1.45),
     ], config={"steps": scale.steps, "seed": scale.seed})
     return results
 

@@ -634,7 +634,8 @@ def _cmd_profile(args) -> None:
     """Deterministic op-level profile of the seed model
     (``repro profile step|layer``): per-op FLOPs/bytes/walls, per-stage
     attribution, and the exact peak-memory ledger.  The run's
-    ``profile`` event carries the whole ``Profiler.summary()``."""
+    ``profile`` event carries the whole ``Profiler.summary()``;
+    ``step`` also emits the gated train-loss fingerprint."""
     import numpy as np
 
     from repro.autograd.functional import cross_entropy
@@ -718,6 +719,21 @@ def _cmd_profile(args) -> None:
                      "model": "seed-moe-classifier",
                      "dtype": np.dtype(default_dtype()).name},
              verbose=True)
+        if target == "step":
+            # The benchmark's train_small: any change to an op on the
+            # train path moves the bits of its 20th loss.
+            from repro.train.trainer import train_model
+
+            task, model = _demo_task_and_model(32, 64)
+            rng = np.random.default_rng(0)
+            loss = train_model(model, task.sample(4096, rng),
+                               task.sample(512, rng), steps=20,
+                               batch_size=256).losses[-1]
+            emit("train_fingerprint", "Loss fingerprint of the seed model",
+                 [Metric("loss_step_20", float(loss), tolerance=0.0)],
+                 config={"steps": 20, "batch": 256,
+                         "dtype": np.dtype(default_dtype()).name},
+                 verbose=True)
     if args.trace:
         from repro.obs.trace import TraceRecorder
 
