@@ -5,6 +5,7 @@ Wraps the verified sparse fast encode/decode of :mod:`repro.moe.encode`
 locations are discrete and carry no gradient; the gate values *do* —
 the combine op returns gradients for both the expert outputs and the
 per-slot gates, which is how the router trains through the layer.
+The fused expert FFN keeps its hidden activations only when taped.
 """
 
 from __future__ import annotations
@@ -76,13 +77,14 @@ def expert_ffn(dispatched: Tensor, w1: Tensor, w2: Tensor,
     all-to-all layouts are untouched.
 
     The forward runs the array kernel of :mod:`repro.moe.ffn` and keeps
-    its ``saved`` hidden activations, which the backward reuses instead
-    of recomputing them.
+    its ``saved`` hidden activations, for the backward to reuse instead
+    of recomputing them, only when taped.
     """
     x_data, w1_data, w2_data = dispatched.data, w1.data, w2.data
+    taped = Tensor.needs_tape(dispatched, w1, w2)
     out_data, saved = ffn_forward_arrays(x_data, w1_data, w2_data,
-                                         activation, rows)
-    if not Tensor.needs_tape(dispatched, w1, w2):
+                                         activation, rows, save=taped)
+    if not taped:
         return Tensor(out_data, dtype=out_data.dtype)
 
     def backward(grad: np.ndarray) -> None:

@@ -105,7 +105,7 @@ def expert_exchange(buffers: list[np.ndarray], w1: np.ndarray,
     n = len(received[0])
     outputs = [
         ffn_forward_arrays(x, w1[r * n:(r + 1) * n], w2[r * n:(r + 1) * n],
-                           activation)[0]
+                           activation, save=False)[0]
         for r, x in enumerate(received)]
     return flexible_all_to_all(outputs, concat_dim=0, split_dim=1)
 

@@ -10,7 +10,8 @@ relu/gelu, :mod:`repro.autograd.moe_ops`'s fused FFN) and every NumPy
 forward — the single-process layer (:mod:`repro.moe.layer`, ragged
 over its occupancy) and the expert-parallel, P1 and P2 forwards
 (:func:`repro.moe.distributed.expert_exchange`, every capacity row) —
-all run these same bodies, so they agree numerically.
+all run these same bodies, so they agree numerically.  A forward no
+tape will differentiate passes ``save=False`` and keeps no activations.
 """
 
 from __future__ import annotations
@@ -49,22 +50,25 @@ def _unknown(activation: str) -> ValueError:
                       f"expected one of {ACTIVATIONS}")
 
 
-def act_forward(h: np.ndarray, activation: str
+def act_forward(h: np.ndarray, activation: str, in_place: bool = False
                 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Apply the activation; returns (a, cache) for the backward.
 
     GELU fills preallocated ``(a, t)`` block by block with no
     temporaries: each block's passes run while it is in cache.
+    ``in_place=True`` writes the same bits over the C-contiguous ``h``
+    through one block of tanh scratch and returns ``(h, None)``.
     """
     if activation == "relu":
-        return np.maximum(h, 0.0), None
+        return np.maximum(h, 0.0, out=h if in_place else None), None
     if activation != "gelu":
         raise _unknown(activation)
-    a = np.empty(h.shape, dtype=h.dtype)
-    t = np.empty(h.shape, dtype=h.dtype)
+    a = h if in_place else np.empty(h.shape, dtype=h.dtype)
+    t = np.empty(min(h.size, BLOCK) if in_place else h.shape, dtype=h.dtype)
     hf, af, tf = h.reshape(-1), a.reshape(-1), t.reshape(-1)
     for b in _blocks(hf.size):
-        hb, ab, tb = hf[b], af[b], tf[b]
+        hb, ab = hf[b], af[b]
+        tb = tf[:hb.size] if in_place else tf[b]
         # The generic pow kernel makes ``h ** 3`` ~20x slower than two
         # multiplies and this op dominates expert-FFN wall time, so the
         # polynomial is built from muls chained in place.
@@ -74,10 +78,13 @@ def act_forward(h: np.ndarray, activation: str
         tb += hb
         tb *= _GELU_C
         np.tanh(tb, out=tb)
-        np.add(tb, 1.0, out=ab)
-        ab *= hb
+        # ``1 + t`` stays the first operand of the product either way:
+        # NaN propagation follows it, so the NaN bits match too.
+        sb = tb if in_place else ab
+        np.add(tb, 1.0, out=sb)
+        np.multiply(sb, hb, out=ab)
         ab *= 0.5
-    return a, t
+    return a, None if in_place else t
 
 
 def act_backward(grad: np.ndarray, h: np.ndarray, cache: np.ndarray | None,
@@ -157,20 +164,21 @@ def _common(*arrays: np.ndarray) -> list[np.ndarray]:
     return [a.astype(dtype, copy=False) for a in arrays]
 
 
-def _hidden(x: np.ndarray, w1: np.ndarray, activation: str, rows) -> tuple:
+def _hidden(x: np.ndarray, w1: np.ndarray, activation: str, rows,
+            save: bool = True) -> tuple:
     """Compact ``(sum(n_e), V)`` hidden / activation / cache arrays,
     with the occupancy they were built over: the forward's ``saved``."""
     occupied, total = _occupied(rows, *x.shape[:2])
     h = np.empty((total, w1.shape[-1]), dtype=x.dtype)
     for e, rs, hs in occupied:
         x[e, rs].dot(w1[e], out=h[hs])
-    a, cache = act_forward(h, activation)
+    a, cache = act_forward(h, activation, in_place=not save)
     return h, a, cache, occupied
 
 
 def ffn_forward_arrays(x: np.ndarray, w1: np.ndarray, w2: np.ndarray,
-                       activation: str, rows=None
-                       ) -> tuple[np.ndarray, tuple]:
+                       activation: str, rows=None, save: bool = True
+                       ) -> tuple[np.ndarray, tuple | None]:
     """Fused expert FFN forward on raw arrays, ragged over ``rows``.
 
     ``x`` is ``(E, cap, M)``, ``w1`` ``(E, M, V)``, ``w2`` ``(E, V, M)``;
@@ -189,15 +197,16 @@ def ffn_forward_arrays(x: np.ndarray, w1: np.ndarray, w2: np.ndarray,
     are never read.
 
     Returns ``(y, saved)`` where ``saved`` lets the backward skip the
-    recompute.
+    recompute.  ``save=False`` keeps nothing (the activation runs in
+    place over the hidden array; ``saved`` is ``None``), same ``y``.
     """
     x, w1, w2 = _common(x, w1, w2)
-    saved = _hidden(x, w1, activation, rows)
+    saved = _hidden(x, w1, activation, rows, save)
     _, a, _, occupied = saved
     y = np.zeros((*x.shape[:2], w2.shape[-1]), dtype=x.dtype)
     for e, rs, hs in occupied:
         a[hs].dot(w2[e], out=y[e, rs])
-    return y, saved
+    return y, saved if save else None
 
 
 def ffn_backward_arrays(x: np.ndarray, w1: np.ndarray, w2: np.ndarray,

@@ -169,7 +169,7 @@ def moe_layer_forward(x: np.ndarray, params: MoELayerParams,
     with _span("expert_ffn", CAT_MOE):
         expert_out, _ = ffn_forward_arrays(
             dispatched, params.experts.w1, params.experts.w2,
-            params.activation, rows=crit.occupancy)
+            params.activation, rows=crit.occupancy, save=False)
     with _span("decode", CAT_MOE):
         output = decode(expert_out, crit)
 

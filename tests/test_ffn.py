@@ -2,8 +2,12 @@
 
 The blocked activations equal the whole-array expressions they replaced
 bitwise, the ragged kernels equal the padded oracle below to rounding,
-and recompute (``saved=None``) equals the saved-activations backward.
+recompute (``saved=None``) equals the saved-activations backward, and
+the frozen forward (``save=False``) gives the taped one's bytes while
+keeping no activations.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +117,29 @@ def ragged_cases(draw):
                              seed=draw(st.integers(0, 2 ** 16)))
     return (zero_padding(x, rows), w1, w2, zero_padding(gy, rows),
             np.array(rows), draw(st.sampled_from(["gelu", "relu"])))
+
+
+@st.composite
+def hostile_cases(draw):
+    """(x, w1, w2, rows, activation): :func:`ragged_cases` with
+    ``rows=None`` reachable and up to three entries or whole rows of
+    ``x`` (occupied or padding) set to +-inf, NaN or a finite value
+    whose cube overflows the dtype.  An inf row meets weights of both
+    signs, so its hidden row holds the negative NaN of ``inf - inf``,
+    which ``tanh`` turns positive: the operand order of the product
+    decides which of the two the output carries."""
+    x, w1, w2, _, rows, activation = draw(ragged_cases())
+    big = np.sqrt(np.finfo(x.dtype).max)
+    flat, by_row = x.reshape(-1), x.reshape(-1, x.shape[-1])
+    for i, value, whole_row in draw(st.lists(st.tuples(
+            st.integers(0, flat.size - 1),
+            st.sampled_from([np.inf, -np.inf, np.nan, big, -big]),
+            st.booleans()), max_size=3)):
+        if whole_row:
+            by_row[i // x.shape[-1]] = value
+        else:
+            flat[i] = value
+    return x, w1, w2, draw(st.sampled_from([rows, None])), activation
 
 
 def close(dtype):
@@ -308,6 +335,68 @@ class TestFrozenExperts:
 
         assert backward_gemms(frozen=False) == 4
         assert backward_gemms(frozen=True) == 2
+
+
+class TestFrozenForward:
+    """``save=False`` runs the activation in place over the hidden
+    array: the same ops in the same operand order, so the same bytes,
+    NaN payloads included, and no saved activations."""
+
+    @given(case=hostile_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_equal_to_saving_forward(self, case):
+        x, w1, w2, rows, activation = case
+        with np.errstate(all="ignore"):
+            y, saved = ffn_forward_arrays(x, w1, w2, activation, rows)
+            y_f, saved_f = ffn_forward_arrays(x, w1, w2, activation, rows,
+                                              save=False)
+        assert saved is not None and saved_f is None
+        assert (y_f.dtype, y_f.shape) == (y.dtype, y.shape)
+        assert y_f.tobytes() == y.tobytes()
+
+    def test_frozen_expert_ffn_keeps_no_activations(self):
+        # Serving's shape: E=8, cap=160, 128 rows per expert, M=128,
+        # H=512.  Saving, h, a and the tanh cache are all live (3x h);
+        # frozen, only h, the output and one block of scratch are.
+        from repro.autograd.moe_ops import expert_ffn
+
+        e, cap, n, m, v = 8, 160, 128, 128, 512
+        rng = np.random.default_rng(0)
+        x = np.zeros((e, cap, m), dtype=np.float32)
+        x[:, :n] = rng.standard_normal((e, n, m), dtype=np.float32)
+        w1, w2 = (rng.standard_normal(shape, dtype=np.float32) * 0.1
+                  for shape in ((e, m, v), (e, v, m)))
+        args = [Tensor(a, dtype=np.float32) for a in (x, w1, w2)]
+        h_nbytes = e * n * v * 4
+        tracemalloc.start()
+        try:
+            out = expert_ffn(*args, "gelu", rows=[n] * e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.data.dtype == np.float32
+        assert peak < 2 * h_nbytes
+
+    @pytest.mark.parametrize("activation", ["gelu", "relu"])
+    def test_frozen_moe_forward_is_the_taped_one(self, activation):
+        # Enough routed rows that the hidden array spans several
+        # BLOCKs with a ragged last one.
+        from copy import deepcopy
+
+        from repro.nn.moe import MoE
+
+        rng = np.random.default_rng(3)
+        taped = MoE(16, 200, 4, rng, top_k=2, activation=activation)
+        frozen = deepcopy(taped)
+        frozen.freeze()
+        x = rng.normal(size=(257, 16)).astype(np.float32)
+        out, l_aux = taped(Tensor(x, dtype=np.float32))
+        out_f, l_aux_f = frozen(Tensor(x, dtype=np.float32))
+        assert out._backward is not None and out_f._backward is None
+        assert sum(frozen.last_routing_criteria.occupancy) * 200 > 2 * BLOCK
+        for a, b in ((out, out_f), (l_aux, l_aux_f)):
+            assert (a.data.dtype, a.shape) == (b.data.dtype, b.shape)
+            assert a.data.tobytes() == b.data.tobytes()
 
 
 class TestRaggedKernels:
