@@ -1,8 +1,13 @@
-"""Differentiable nonlinearities, normalization and losses.
+"""Differentiable dense layers, nonlinearities, normalization and losses.
 
 Each op is its forward, its backward closure and one
 :meth:`Tensor.from_op` call naming it.  No op mentions the profiler:
 it meets ops inside ``from_op`` and prices them by that name.
+
+The dense layers (:func:`linear`, :func:`ffn`, :func:`layer_norm`) are
+one tape node each, bitwise equal to the taped composition they
+replace: the same NumPy ops in the same order and operand order, with
+the in-place steps applied only to arrays the op itself just made.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ from repro.autograd.tensor import Tensor
 from repro.moe.ffn import act_backward, act_forward
 
 __all__ = [
+    "linear",
+    "ffn",
     "relu",
     "gelu",
     "tanh",
@@ -26,6 +33,57 @@ __all__ = [
     "take_along",
     "concat",
 ]
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """Affine map ``x @ w + b`` as one op (``b=None``: no bias)."""
+    out = x.data @ w.data
+    parents = (x, w)
+    if b is not None:
+        out += b.data
+        parents = (x, w, b)
+
+    def backward(grad: np.ndarray) -> None:
+        if b is not None:
+            b._accumulate(grad)
+        # A parent that takes no gradient (the model input, a frozen
+        # weight) costs no GEMM.
+        if x.requires_grad:
+            x._accumulate(grad @ np.swapaxes(w.data, -1, -2))
+        if w.requires_grad:
+            w._accumulate(np.swapaxes(x.data, -1, -2) @ grad)
+    return Tensor.from_op(out, parents, backward, "linear")
+
+
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+        activation: str) -> Tensor:
+    """Dense FFN ``act(x @ w1 + b1) @ w2 + b2`` as one op.
+
+    Runs :func:`repro.moe.ffn.act_forward` / ``act_backward``, the one
+    activation body, and saves only the hidden ``h``, its activation
+    ``a`` and GELU's tanh cache.
+    """
+    h = x.data @ w1.data
+    h += b1.data
+    a, t = act_forward(h, activation)
+    y = a @ w2.data
+    y += b2.data
+
+    def backward(grad: np.ndarray) -> None:
+        b2._accumulate(grad)
+        if w2.requires_grad:
+            w2._accumulate(np.swapaxes(a, -1, -2) @ grad)
+        if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
+            return
+        ga = grad @ np.swapaxes(w2.data, -1, -2)
+        act_backward(ga, h, t, activation, out=ga)
+        b1._accumulate(ga)
+        if w1.requires_grad:
+            w1._accumulate(np.swapaxes(x.data, -1, -2) @ ga)
+        if x.requires_grad:
+            x._accumulate(ga @ np.swapaxes(w1.data, -1, -2))
+    return Tensor.from_op(y, (x, w1, b1, w2, b2), backward, "ffn",
+                          activation)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -90,25 +148,42 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor.from_op(out_data, (x,), backward, "log_softmax")
 
 
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """``a.mean(axis=-1, keepdims=True)`` by the ops ``np.mean`` runs
+    (a sum, then a divide by the count), without its Python wrapper."""
+    m = a.sum(axis=-1, keepdims=True)
+    m /= a.shape[-1]
+    return m
+
+
 def layer_norm(x: Tensor, weight: Tensor, bias: Tensor,
                eps: float = 1e-5) -> Tensor:
-    """LayerNorm over the last axis with affine parameters."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    """LayerNorm over the last axis with affine parameters.
+
+    ``d = x - mu`` is computed once: it is the centred array ``np.var``
+    squares and sums, and it becomes ``xhat`` in place.
+    """
+    mu = _row_mean(x.data)
+    xhat = x.data - mu
+    var = _row_mean(np.square(xhat))
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out_data = xhat * weight.data + bias.data
+    xhat *= inv
+    out = xhat * weight.data
+    out += bias.data
 
     def backward(grad: np.ndarray) -> None:
         weight._accumulate((grad * xhat).sum(
             axis=tuple(range(grad.ndim - 1))))
         bias._accumulate(grad.sum(axis=tuple(range(grad.ndim - 1))))
         gx = grad * weight.data
-        dx = inv * (gx - gx.mean(axis=-1, keepdims=True)
-                    - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
-        x._accumulate(dx)
-    return Tensor.from_op(out_data, (x, weight, bias), backward,
-                          "layer_norm")
+        m1 = _row_mean(gx)
+        m2 = _row_mean(gx * xhat)
+        # ``inv * (gx - m1 - xhat * m2)``, one array, operand order kept.
+        gx -= m1
+        gx -= xhat * m2
+        np.multiply(inv, gx, out=gx)
+        x._accumulate(gx)
+    return Tensor.from_op(out, (x, weight, bias), backward, "layer_norm")
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd.functional import gelu, layer_norm, relu
+from repro.autograd.functional import ffn, layer_norm, linear
 from repro.autograd.tensor import Tensor
 
 __all__ = ["Module", "Linear", "LayerNorm", "FFN", "Sequential"]
@@ -88,10 +88,7 @@ class Linear(Module):
                             name="linear.bias") if bias else None)
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
@@ -120,9 +117,8 @@ class FFN(Module):
         self.activation = activation
 
     def forward(self, x: Tensor) -> Tensor:
-        h = self.fc1(x)
-        h = gelu(h) if self.activation == "gelu" else relu(h)
-        return self.fc2(h)
+        return ffn(x, self.fc1.weight, self.fc1.bias, self.fc2.weight,
+                   self.fc2.bias, self.activation)
 
 
 class Sequential(Module):

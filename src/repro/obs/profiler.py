@@ -756,6 +756,36 @@ def _moe_combine_op_cost(out, parents, live):
                 live.gates.size, m, itemsize=out.itemsize))
 
 
+def _affine_cost(x_shape, w_shape, out_shape, bias: bool, isz: int):
+    """``x @ w (+ b)``: the matmul plus the broadcast add it fuses."""
+    fwd, bwd = matmul_cost(x_shape, w_shape, out_shape, itemsize=isz)
+    if bias:
+        a_f, a_b = elementwise_cost("add", int(np.prod(out_shape)), 2,
+                                    itemsize=isz)
+        fwd, bwd = fwd + a_f, bwd + a_b
+    return fwd, bwd
+
+
+def _linear_op_cost(out, parents, ctx):
+    """The fused Linear, priced as the matmul and add it replaces."""
+    return _affine_cost(parents[0].shape, parents[1].shape, out.shape,
+                        len(parents) == 3, out.itemsize)
+
+
+def _ffn_op_cost(out, parents, activation):
+    """The fused dense FFN, priced as the two affine maps and the
+    activation it replaces (the hidden arrays it keeps internally are
+    not op outputs, so the ledger does not see them)."""
+    x, w1, _, w2, _ = parents
+    hidden = (*x.shape[:-1], w1.shape[-1])
+    isz = out.itemsize
+    f1, b1 = _affine_cost(x.shape, w1.shape, hidden, True, isz)
+    fa, ba = elementwise_cost(activation, int(np.prod(hidden)),
+                              itemsize=isz)
+    f2, b2 = _affine_cost(hidden, w2.shape, out.shape, True, isz)
+    return f1 + fa + f2, b1 + ba + b2
+
+
 def _expert_ffn_op_cost(out, parents, ctx):
     """The fused expert FFN, composed from the two per-expert GEMMs
     plus the activation over the rows the kernels execute — the summed
@@ -784,6 +814,8 @@ OP_COSTS: dict[str, Callable] = {
     "matmul": lambda out, parents, ctx: matmul_cost(
         parents[0].shape, parents[1].shape, out.shape,
         itemsize=out.itemsize),
+    "linear": _linear_op_cost,
+    "ffn": _ffn_op_cost,
     "sum": lambda out, parents, ctx: reduction_cost(
         parents[0].size, out.size, itemsize=out.itemsize),
     "cross_entropy": _cross_entropy_op_cost,

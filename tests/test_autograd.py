@@ -9,9 +9,11 @@ from repro.autograd.functional import (
     concat,
     cross_entropy,
     exp,
+    ffn,
     gather_rows,
     gelu,
     layer_norm,
+    linear,
     log,
     log_softmax,
     relu,
@@ -165,6 +167,111 @@ class TestNonlinearities:
         layer_norm(x, weight, bias).sum().backward()
         np.testing.assert_allclose(bias.grad, np.full(4, 8.0))
         assert weight.grad is not None
+
+
+def run_op(build, shapes, dtype, x_grad, w_grad):
+    """Output and every leaf gradient of ``build(x, *params)`` as bytes
+    (``None`` where no gradient is taken), after backpropagating one
+    fixed random upstream gradient."""
+    rng = np.random.default_rng(0)
+    leaves = [Tensor(rng.normal(size=shape) + (1.0 if i > 0 else 0.0),
+                     requires_grad=x_grad if i == 0 else w_grad,
+                     dtype=dtype)
+              for i, shape in enumerate(shapes)]
+    out = build(*leaves)
+    if out.requires_grad:
+        out.backward(rng.normal(size=out.shape).astype(dtype))
+    return [out.data.dtype.str, out.data.tobytes()] + [
+        None if t.grad is None else t.grad.tobytes() for t in leaves]
+
+
+def reference_layer_norm(x, weight, bias, grad, eps=1e-5):
+    """The ``np.mean`` / ``np.var`` form :func:`layer_norm` replaced:
+    ``(out, grad_x, grad_weight, grad_bias)`` on arrays."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    lead = tuple(range(grad.ndim - 1))
+    gx = grad * weight
+    dx = inv * (gx - gx.mean(axis=-1, keepdims=True)
+                - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+    return (xhat * weight + bias, dx, (grad * xhat).sum(axis=lead),
+            grad.sum(axis=lead))
+
+
+#: (x takes a gradient, the weights train): a trainable layer, the
+#: model input, frozen weights, and nothing taped at all.
+GRAD_CASES = [(True, True), (False, True), (True, False), (False, False)]
+
+
+class TestDenseOps:
+    """The fused dense ops are byte-equal to the compositions they
+    replace, output and every gradient, at both dtypes."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_grad,w_grad", GRAD_CASES)
+    @pytest.mark.parametrize("shapes", [
+        [(6, 5), (5, 4), (4,)], [(6, 5), (5, 4)], [(2, 3, 5), (5, 4), (4,)]])
+    def test_linear_bitwise_equal_composition(self, shapes, x_grad,
+                                              w_grad, dtype):
+        def composed(x, w, b=None):
+            return x @ w if b is None else x @ w + b
+        fused = run_op(linear, shapes, dtype, x_grad, w_grad)
+        assert fused == run_op(composed, shapes, dtype, x_grad, w_grad)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_grad,w_grad", GRAD_CASES)
+    @pytest.mark.parametrize("activation", ["gelu", "relu"])
+    @pytest.mark.parametrize("rows", [(6,), (2, 3)])
+    def test_ffn_bitwise_equal_composition(self, rows, activation, x_grad,
+                                           w_grad, dtype):
+        shapes = [(*rows, 5), (5, 7), (7,), (7, 5), (5,)]
+        act = gelu if activation == "gelu" else relu
+
+        def composed(x, w1, b1, w2, b2):
+            return act(x @ w1 + b1) @ w2 + b2
+
+        def fused(x, w1, b1, w2, b2):
+            return ffn(x, w1, b1, w2, b2, activation)
+        assert run_op(fused, shapes, dtype, x_grad, w_grad) \
+            == run_op(composed, shapes, dtype, x_grad, w_grad)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_grad,w_grad", GRAD_CASES)
+    @pytest.mark.parametrize("shape", [(7, 6), (2, 5, 33)])
+    def test_layer_norm_bitwise_equal_mean_var_form(self, shape, x_grad,
+                                                    w_grad, dtype):
+        shapes = [shape, shape[-1:], shape[-1:]]
+        got = run_op(layer_norm, shapes, dtype, x_grad, w_grad)
+        rng = np.random.default_rng(0)
+        x, weight, bias = (rng.normal(size=s) + (1.0 if i > 0 else 0.0)
+                           for i, s in enumerate(shapes))
+        grad = rng.normal(size=shape)
+        out, *grads = reference_layer_norm(
+            *(a.astype(dtype) for a in (x, weight, bias, grad)))
+        takes = [x_grad, w_grad, w_grad]
+        assert got == [out.dtype.str, out.tobytes()] + [
+            g.tobytes() if t else None for g, t in zip(grads, takes)]
+
+    def test_linear_grad(self):
+        w = Tensor(RNG.normal(size=(5, 3)), requires_grad=True)
+        b = Tensor(RNG.normal(size=(3,)), requires_grad=True)
+        x = Tensor(RNG.normal(size=(4, 5)))
+        check_grad(lambda t: linear(t, w, b), x.data)
+        check_grad(lambda t: linear(t, w), x.data)
+        check_grad(lambda t: linear(x, t, b), w.data)
+        check_grad(lambda t: linear(x, w, t), b.data)
+
+    @pytest.mark.parametrize("activation", ["gelu", "relu"])
+    def test_ffn_grad(self, activation):
+        params = [Tensor(RNG.normal(size=s), requires_grad=True)
+                  for s in [(4, 5), (5, 6), (6,), (6, 4), (4,)]]
+        for i, leaf in enumerate(params):
+            def build(t, i=i):
+                args = [t if j == i else p for j, p in enumerate(params)]
+                return ffn(*args, activation)
+            check_grad(build, leaf.data)
 
 
 class TestGathers:

@@ -20,6 +20,8 @@
 * One layout model: ``parallel/strategy.py::build_segment_spec`` is the
   only place a ``SegmentSpec`` is built, and ``r`` is
   ``MoEConfig.expert_shards``.
+* Tape ops live under ``autograd/``: ``Tensor.from_op`` is called
+  nowhere else, so the profiler's cost-table check sees every op.
 """
 
 import ast
@@ -228,12 +230,26 @@ def test_one_layout_model():
 
 def test_one_expert_ffn():
     # Every NumPy forward runs the fused kernel of moe/ffn.py; the
-    # autograd relu/gelu ops are the only other activation callers.
+    # autograd relu / gelu ops and the fused dense ffn op, all in
+    # autograd/functional.py, are the only other activation callers.
     callers = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
                if any(isinstance(node, ast.Call)
                       and ast.unparse(node.func).endswith("act_forward")
                       for node in ast.walk(ast.parse(path.read_text())))]
     assert callers == ["autograd/functional.py", "moe/ffn.py"]
+
+
+def test_tape_ops_live_in_autograd():
+    # The profiler's cost-table check (test_profiler.py) reads the op
+    # names of the ``from_op`` calls under autograd/ only; an op defined
+    # anywhere else would escape it and raise KeyError under profiling.
+    callers = sorted({str(path.relative_to(SRC))
+                      for path in SRC.rglob("*.py")
+                      for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "from_op"})
+    assert callers and all(c.startswith("autograd/") for c in callers)
 
 
 def test_package_inits_import_nothing():

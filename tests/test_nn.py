@@ -245,6 +245,32 @@ class TestClassifiers:
                                    encoder_grads(False)):
             assert frozen.tobytes() == trained.tobytes()
 
+    def test_train_step_tape_nodes(self, monkeypatch):
+        # One step of the benchmark's train_small model and loss: each
+        # dense layer (encoder, LayerNorm, dense FFN, head) is one tape
+        # node, so the step records 26 (32 when Linear and FFN were
+        # composed from matmul / add / activation nodes).
+        from repro.autograd.functional import cross_entropy
+
+        ops = []
+        real = Tensor.from_op
+
+        def counting(*args, **kwargs):
+            ops.append(args[3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "from_op", staticmethod(counting))
+        model = MoEClassifier(8, 32, 64, 4, num_blocks=2, num_experts=8,
+                              top_k=2, capacity_factor=1.25,
+                              rng=np.random.default_rng(0))
+        data = np.random.default_rng(1)
+        logits, l_aux = model(Tensor(data.normal(size=(256, 8))))
+        loss = cross_entropy(logits, data.integers(0, 4, size=256)) \
+            + l_aux * 0.01
+        loss.backward()
+        assert len(ops) == 26
+        assert ops.count("linear") == 3 and ops.count("ffn") == 1
+
     def test_moe_parameter_names_are_unique_paths(self, rng):
         # MoE keeps its own tensors a second time for the frozen-path
         # check; each is still named once, under its attribute.

@@ -194,6 +194,32 @@ class TestForwardHook:
         assert len(names) >= 20
         assert set(names) == set(OP_COSTS)
 
+    @pytest.mark.parametrize("activation", ["gelu", "relu"])
+    def test_fused_dense_ops_price_as_their_composition(self, activation):
+        # linear and ffn are priced as the matmul / add / activation
+        # nodes they replace, so a model's totals do not move.
+        act = getattr(functional, activation)
+
+        def fused(x, w0, w1, b1, w2, b2, w3, b3):
+            h = functional.ffn(functional.linear(x, w0), w1, b1, w2, b2,
+                               activation)
+            return functional.linear(h, w3, b3)
+
+        def composed(x, w0, w1, b1, w2, b2, w3, b3):
+            return (act(x @ w0 @ w1 + b1) @ w2 + b2) @ w3 + b3
+
+        totals = []
+        for build in (fused, composed):
+            rng = np.random.default_rng(0)
+            leaves = [Tensor(rng.normal(size=s), requires_grad=True)
+                      for s in [(6, 4), (4, 5), (5, 7), (7,), (7, 5), (5,),
+                                (5, 3), (3,)]]
+            with profiling() as prof:
+                build(*leaves).sum().backward()
+            totals.append({k: v for k, v in prof.totals().items()
+                           if k in ("flops", "bytes_read", "bytes_written")})
+        assert totals[0] == totals[1]
+
     def test_unknown_op_raises_under_profiling(self):
         x = Tensor(np.ones(3))
         assert Tensor.from_op(x.data, (x,), None, "nope").shape == (3,)

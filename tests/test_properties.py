@@ -450,7 +450,7 @@ class TestFrozenLayer:
         frozen(Tensor(x))
         assert calls == []
         layer(Tensor(x))  # x needs no gradient: dispatch stays untaped
-        assert {"matmul", "expert_ffn", "moe_combine"} <= set(calls)
+        assert {"linear", "expert_ffn", "moe_combine"} <= set(calls)
         assert "moe_dispatch" not in calls
 
     @pytest.mark.parametrize("router", ["linear", "cosine"])
@@ -466,7 +466,7 @@ class TestFrozenLayer:
         moe_ops = {("dispatch", "moe_dispatch"),
                    ("expert_ffn", "expert_ffn"), ("combine", "moe_combine")}
         assert moe_ops <= seen["frozen"] <= seen["trainable"]
-        assert ("gate", "matmul") in seen["frozen"]
+        assert ("gate", "linear") in seen["frozen"]
 
 
 class TestConfigCostSanity:
