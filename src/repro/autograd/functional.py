@@ -22,16 +22,11 @@ __all__ = [
     "ffn",
     "relu",
     "gelu",
-    "tanh",
     "exp",
-    "log",
     "softmax",
-    "log_softmax",
     "layer_norm",
     "cross_entropy",
-    "gather_rows",
     "take_along",
-    "concat",
 ]
 
 
@@ -103,27 +98,12 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor.from_op(out_data, (x,), backward, "gelu")
 
 
-def tanh(x: Tensor) -> Tensor:
-    t = np.tanh(x.data)
-
-    def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad * (1.0 - t * t))
-    return Tensor.from_op(t, (x,), backward, "tanh")
-
-
 def exp(x: Tensor) -> Tensor:
     e = np.exp(x.data)
 
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad * e)
     return Tensor.from_op(e, (x,), backward, "exp")
-
-
-def log(x: Tensor) -> Tensor:
-
-    def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad / x.data)
-    return Tensor.from_op(np.log(x.data), (x,), backward, "log")
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -135,17 +115,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         dot = (grad * s).sum(axis=axis, keepdims=True)
         x._accumulate(s * (grad - dot))
     return Tensor.from_op(s, (x,), backward, "softmax")
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - lse
-    s = np.exp(out_data)
-
-    def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad - s * grad.sum(axis=axis, keepdims=True))
-    return Tensor.from_op(out_data, (x,), backward, "log_softmax")
 
 
 def _row_mean(a: np.ndarray) -> np.ndarray:
@@ -207,18 +176,6 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
                           "cross_entropy")
 
 
-def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:
-    """Differentiable row gather: ``out[i] = x[indices[i]]``."""
-    indices = np.asarray(indices)
-    out_data = x.data[indices]
-
-    def backward(grad: np.ndarray) -> None:
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, indices, grad)
-        x._accumulate(gx)
-    return Tensor.from_op(out_data, (x,), backward, "gather_rows")
-
-
 def take_along(x: Tensor, indices: np.ndarray, axis: int) -> Tensor:
     """Differentiable ``np.take_along_axis``."""
     indices = np.asarray(indices)
@@ -235,19 +192,3 @@ def take_along(x: Tensor, indices: np.ndarray, axis: int) -> Tensor:
         np.add.at(gx, tuple(np.broadcast_arrays(*idx)), grad)
         x._accumulate(gx)
     return Tensor.from_op(out_data, (x,), backward, "take_along")
-
-
-def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    """Differentiable concatenation."""
-    if not tensors:
-        raise ValueError("concat needs at least one tensor")
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(grad: np.ndarray) -> None:
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            slicer = [slice(None)] * grad.ndim
-            slicer[axis] = slice(lo, hi)
-            t._accumulate(grad[tuple(slicer)])
-    return Tensor.from_op(out_data, tensors, backward, "concat")

@@ -12,9 +12,8 @@ Ops carry no instrumentation.  :meth:`Tensor.from_op` is the one place
 a forward op meets the profiler: when :func:`repro.obs.get_profiler`
 returns one it hands the output, the op's name and its parents to
 :meth:`~repro.obs.profiler.Profiler.tape_op`, which prices the op from
-the ``OP_COSTS`` table, times it and tracks its array in the live-set
-allocation ledger; when it is not (the default), the hook pays a
-single module-global ``is None`` check and
+the ``OP_COSTS`` table and times it; when it is not (the default), the
+hook pays a single module-global ``is None`` check and
 :mod:`repro.obs.profiler` is never imported.
 """
 
@@ -119,9 +118,6 @@ class Tensor:
         grad = _unbroadcast(np.asarray(grad, dtype=self.data.dtype),
                             self.data.shape)
         self.grad = grad if self.grad is None else self.grad + grad
-        p = get_profiler()
-        if p is not None:
-            p.track_grad(self)
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Backpropagate from this tensor (defaults to scalar seed 1).
@@ -176,10 +172,6 @@ class Tensor:
                 node._parents = ()
 
     def zero_grad(self) -> None:
-        if self.grad is not None:
-            p = get_profiler()
-            if p is not None:
-                p.release_grad(self)
         self.grad = None
 
     def detach(self) -> "Tensor":

@@ -632,10 +632,12 @@ def _dtype_speedup_probe(repeats: int = 3) -> tuple[float, float, float]:
 
 def _cmd_profile(args) -> None:
     """Deterministic op-level profile of the seed model
-    (``repro profile step|layer``): per-op FLOPs/bytes/walls, per-stage
-    attribution, and the exact peak-memory ledger.  The run's
-    ``profile`` event carries the whole ``Profiler.summary()``;
-    ``step`` also emits the gated train-loss fingerprint."""
+    (``repro profile step|layer``): per-op FLOPs/bytes/walls and
+    per-stage attribution from a profiled pass, then the ``tracemalloc``
+    peak of the same step run again unprofiled.  The run's ``profile``
+    event carries the whole ``Profiler.summary()`` plus that
+    ``peak_bytes``; ``step`` also emits the gated train-loss
+    fingerprint."""
     import numpy as np
 
     from repro.autograd.functional import cross_entropy
@@ -643,44 +645,52 @@ def _cmd_profile(args) -> None:
     from repro.bench.report import Metric, emit
     from repro.core.substrate import default_dtype
     from repro.obs.loop import LoopTelemetry
-    from repro.obs.profiler import Profiler, profiling
+    from repro.obs.profiler import Profiler, profiling, traced_peak
 
     target, batch = args.target, args.batch
-    prof = Profiler()
-    with LoopTelemetry("profile", seed=0,
-                       config={"target": target, "batch": batch}) as tel:
+
+    def fresh_step():
+        """One fwd+bwd step over a freshly built model and batch."""
         if target == "step":
             task, model = _demo_task_and_model(32, 64)
             b = task.sample(batch)
-            xb, yb = b.x, b.y
-            with profiling(prof):
-                logits, l_aux = model(Tensor(xb))
-                loss = cross_entropy(logits, yb) + l_aux * 0.01
-                loss.backward()
-                # Drop the graph inside the context so the frees land
-                # in the allocation timeline (else live == peak).
-                del logits, l_aux, loss
+
+            def step():
+                logits, l_aux = model(Tensor(b.x))
+                (cross_entropy(logits, b.y) + l_aux * 0.01).backward()
         else:
             from repro.nn.moe import MoE
 
             rng = np.random.default_rng(0)
             layer = MoE(32, 64, 8, rng, top_k=2, capacity_factor=1.25)
             x = rng.standard_normal((batch, 32))
-            with profiling(prof):
-                out, l_aux = layer(Tensor(x, requires_grad=True))
-                loss = out.sum() + l_aux
-                loss.backward()
-                del out, l_aux, loss
 
+            def step():
+                out, l_aux = layer(Tensor(x, requires_grad=True))
+                (out.sum() + l_aux).backward()
+        return step
+
+    prof = Profiler()
+    with LoopTelemetry("profile", seed=0,
+                       config={"target": target, "batch": batch}) as tel:
+        step = fresh_step()
+        with profiling(prof):
+            step()
+        # Traced apart from the profiled pass: tracemalloc slows every
+        # allocation, which would land in the op walls.
+        _, peak = traced_peak(fresh_step())
         summary = prof.summary()
         print(prof.render())
+        print(f"[profile] peak_bytes={peak:,} (tracemalloc, unprofiled "
+              f"pass)")
         totals = summary["totals"]
-        tel.event("profile", {"target": target, **summary})
+        tel.event("profile", {"target": target, **summary,
+                              "peak_bytes": peak})
         tel.summary({
-            "profile.peak_bytes": float(summary["peak_bytes"]),
+            "profile.peak_bytes": float(peak),
             "profile.total_flops": float(totals["flops"]),
             "profile.ops": float(totals["ops"])})
-        metrics = [Metric("peak_bytes", float(summary["peak_bytes"]),
+        metrics = [Metric("peak_bytes", float(peak),
                           unit="B", kind="model", tolerance=0.10),
                    Metric("total_flops", float(totals["flops"]),
                           unit="flop", kind="model", tolerance=0.0),

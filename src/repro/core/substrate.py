@@ -41,10 +41,10 @@ __all__ = [
     "substrate_dtype",
 ]
 
-#: Dtypes the substrate supports end to end (autograd, profiler ledger,
-#: calibration, checkpoints).  float16 is deliberately excluded: NumPy
-#: has no fast half-precision kernels, so it would only distort the
-#: calibrated coefficients.
+#: Dtypes the substrate supports end to end (autograd, profiler cost
+#: table, calibration, checkpoints).  float16 is deliberately excluded:
+#: NumPy has no fast half-precision kernels, so it would only distort
+#: the calibrated coefficients.
 SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 

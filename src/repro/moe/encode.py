@@ -55,9 +55,8 @@ class DispatchBufferPool:
     array still alive inside an earlier step's autograd graph has a
     higher refcount and is never reused, so aliasing across live
     graphs is impossible.  This leans on CPython's deterministic
-    refcounting exactly like the profiler's allocation ledger; on
-    interpreters without ``sys.getrefcount`` the pool degrades to
-    plain allocation.
+    refcounting; on interpreters without ``sys.getrefcount`` the pool
+    degrades to plain allocation.
     """
 
     def __init__(self, max_arrays_per_shape: int = 4) -> None:

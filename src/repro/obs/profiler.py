@@ -14,18 +14,18 @@ which records, per backward-graph op:
 * **arithmetic intensity** — FLOPs per byte moved, derived;
 * **wall time** — one cursor: a forward record runs from the cursor
   to the moment the hook is entered, and the cursor then moves to the
-  moment the hook returns, so the profiler's own table arithmetic and
-  ledger update sit outside every wall while the Python between two
-  ops of a stage (top-k, capacity resolution) is attributed to the
-  next op.  ``profiling()`` entry, ``stage()`` entry and the end of
-  each backward record (timed around the tape node's ``_backward``
-  closure) also move the cursor;
-* a **live-set allocation ledger** — every op-output array and every
-  gradient array is tracked from creation to release (CPython
-  refcounting makes frees deterministic, observed via
-  ``weakref.finalize``), yielding *exact* peak bytes and an allocation
-  timeline attributed to forward/backward phase and MoE stage
-  (gate / dispatch / expert_ffn / combine).
+  moment the hook returns, so the profiler's own table arithmetic sits
+  outside every wall while the Python between two ops of a stage
+  (top-k, capacity resolution) is attributed to the next op.
+  ``profiling()`` entry, ``stage()`` entry and the end of each backward
+  record (timed around the tape node's ``_backward`` closure) also move
+  the cursor.
+
+Peak memory is measured, not modeled: :func:`traced_peak` runs one
+call under ``tracemalloc``, which sees every array and Python object
+an op makes, its saved intermediates included.  Run it over an
+unprofiled pass — tracing slows every allocation, so it would inflate
+the walls recorded here.
 
 Like the :class:`~repro.obs.Observer`, the profiler is **off by
 default and zero-cost when off**: its slot lives in :mod:`repro.obs`
@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import contextlib
 import time
-import weakref
+import tracemalloc
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -73,10 +73,9 @@ __all__ = [
     "OpCost",
     "ZERO_COST",
     "OpRecord",
-    "AllocationEvent",
-    "AllocationLedger",
     "Profiler",
     "profiling",
+    "traced_peak",
     "OP_COSTS",
     "gemm_flops",
     "matmul_cost",
@@ -98,6 +97,10 @@ STAGE_OTHER = "other"
 
 #: The paper's Figure 23 cost decomposition, as profiler stages.
 MOE_STAGES = ("gate", "dispatch", "expert_ffn", "combine")
+
+#: Records kept per profiler; later ones are counted in
+#: ``records_dropped``.
+MAX_RECORDS = 200_000
 
 
 # ----------------------------------------------------------------------
@@ -147,100 +150,6 @@ class OpRecord:
     cost: OpCost
 
 
-@dataclass(frozen=True)
-class AllocationEvent:
-    """One live-set transition: ``delta`` bytes allocated or freed."""
-
-    seq: int
-    ts: float
-    delta: int        # positive = alloc, negative = free
-    live: int         # live bytes *after* this event
-    phase: str
-    stage: str
-    tag: str          # "data" (op output) or "grad"
-
-
-class AllocationLedger:
-    """Exact live-set accounting over tracked arrays.
-
-    Arrays are keyed by ``id()`` with a reference count so an array
-    shared between tensors (a pass-through gradient, for instance) is
-    counted once.  The accounting reference count never exceeds the
-    real CPython reference count — every retain corresponds to a live
-    ``Tensor.data`` / ``Tensor.grad`` reference — so a tracked id can
-    never be recycled while its entry is open.
-
-    After :meth:`close` (the profiling context exited), late releases
-    from ``weakref.finalize`` still clear their entries but no longer
-    append timeline events.
-    """
-
-    def __init__(self, max_events: int = 100_000) -> None:
-        if max_events < 1:
-            raise ValueError(f"max_events must be >= 1, got {max_events}")
-        self.max_events = max_events
-        self.live_bytes = 0
-        self.peak_bytes = 0
-        self.events: list[AllocationEvent] = []
-        self.dropped = 0
-        self.closed = False
-        self._seq = 0
-        # array id -> [nbytes, refcount]
-        self._open: dict[int, list[int]] = {}
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def _record(self, ts: float, delta: int, phase: str, stage: str,
-                tag: str) -> None:
-        self.live_bytes += delta
-        if self.live_bytes > self.peak_bytes:
-            self.peak_bytes = self.live_bytes
-        if len(self.events) >= self.max_events:
-            self.dropped += 1
-            return
-        self.events.append(AllocationEvent(
-            seq=self._seq, ts=ts, delta=delta, live=self.live_bytes,
-            phase=phase, stage=stage, tag=tag))
-        self._seq += 1
-
-    def retain(self, key: int, nbytes: int, ts: float, phase: str,
-               stage: str, tag: str) -> None:
-        """Add one accounting reference to array ``key``.
-
-        The first reference records the allocation; further ones only
-        bump the refcount (shared arrays are one allocation).
-        """
-        entry = self._open.get(key)
-        if entry is not None:
-            entry[1] += 1
-            return
-        self._open[key] = [nbytes, 1]
-        if not self.closed:
-            self._record(ts, nbytes, phase, stage, tag)
-
-    def release(self, key: int, ts: float, phase: str, stage: str,
-                tag: str) -> None:
-        """Drop one accounting reference; frees at refcount zero.
-
-        Tolerant of unknown keys (double finalizers, arrays tracked
-        before the ledger attached).
-        """
-        entry = self._open.get(key)
-        if entry is None:
-            return
-        if entry[1] > 1:
-            entry[1] -= 1
-            return
-        del self._open[key]
-        if not self.closed:
-            self._record(ts, -entry[0], phase, stage, tag)
-
-    def close(self) -> None:
-        """Stop recording timeline events (late frees only clean up)."""
-        self.closed = True
-
-
 # ----------------------------------------------------------------------
 # Profiler
 # ----------------------------------------------------------------------
@@ -265,29 +174,22 @@ class _StageCtx:
 
 
 class Profiler:
-    """Op-level recorder: per-op costs, wall times, allocation ledger.
+    """Op-level recorder: per-op costs and wall times.
 
     ``clock`` defaults to :func:`time.perf_counter`, re-based to the
     profiler's creation so timelines start near zero.
     """
 
-    def __init__(self, clock: Callable[[], float] = time.perf_counter,
-                 max_records: int = 200_000,
-                 max_alloc_events: int = 100_000) -> None:
-        if max_records < 1:
-            raise ValueError(f"max_records must be >= 1, got {max_records}")
+    def __init__(self,
+                 clock: Callable[[], float] = time.perf_counter) -> None:
         self._clock = clock
         self._t0 = clock()
         self._cursor = 0.0
-        self.max_records = max_records
         self.records: list[OpRecord] = []
         self.records_dropped = 0
-        self.ledger = AllocationLedger(max_events=max_alloc_events)
         self._stages: list[str] = []
         self._phase = PHASE_FORWARD
         self._seq = 0
-        # tensor id -> tracked grad array id (see track_grad)
-        self._grad_of: dict[int, int] = {}
 
     # -- clock ---------------------------------------------------------
 
@@ -328,7 +230,7 @@ class Profiler:
 
     def _append(self, name: str, phase: str, stage: str, ts: float,
                 wall: float, cost: OpCost) -> None:
-        if len(self.records) >= self.max_records:
+        if len(self.records) >= MAX_RECORDS:
             self.records_dropped += 1
             return
         self.records.append(OpRecord(
@@ -341,71 +243,19 @@ class Profiler:
 
         Wall time runs from the cursor to hook entry; the costs come
         from ``OP_COSTS[name]`` (an unknown name is a ``KeyError``).
-        Tracks ``out.data`` in the allocation ledger (views are skipped
-        — their memory belongs to the base array), registers a
-        deterministic-release finalizer, and stashes ``(name, stage,
-        backward_cost)`` on the tensor so the backward pass can
-        attribute its cost without re-deriving shapes.  The cursor
-        moves to hook exit, so none of this lands in any op's wall.
+        Stashes ``(name, stage, backward_cost)`` on the tensor so the
+        backward pass can attribute its cost without re-deriving
+        shapes.  The cursor moves to hook exit, so none of this lands
+        in any op's wall.
         """
         now = self.clock()
-        data = out.data
         cost, backward_cost = OP_COSTS[name](
-            data, [p.data for p in parents], ctx)
+            out.data, [p.data for p in parents], ctx)
         stage_name = self.current_stage
         self._append(name, self._phase, stage_name, self._cursor,
                      now - self._cursor, cost)
-        if data.base is None and data.nbytes:
-            key = id(data)
-            self.ledger.retain(key, data.nbytes, now, self._phase,
-                               stage_name, "data")
-            weakref.finalize(out, self._release_data, key)
         out._op = (name, stage_name, backward_cost)
         self.mark()
-
-    def _release_data(self, key: int) -> None:
-        self.ledger.release(key, self.clock(), self._phase,
-                            self.current_stage, "data")
-
-    # -- gradient memory ----------------------------------------------
-
-    def track_grad(self, tensor) -> None:
-        """Track a freshly materialized ``tensor.grad`` array.
-
-        Called from ``Tensor._accumulate`` on the None -> array
-        transition.  View gradients retain their base array (the actual
-        memory owner) so pass-through gradients shared between tensors
-        are counted exactly once.
-        """
-        arr = tensor.grad
-        if arr is None or not arr.nbytes:
-            return
-        target = arr if arr.base is None else arr.base
-        tid = id(tensor)
-        key = id(target)
-        previous = self._grad_of.get(tid)
-        if previous == key:
-            return
-        now = self.clock()
-        meta = tensor._op
-        stage_name = meta[1] if meta is not None else self.current_stage
-        if previous is not None:
-            self.ledger.release(previous, now, self._phase, stage_name,
-                                "grad")
-        self._grad_of[tid] = key
-        self.ledger.retain(key, target.nbytes, now, self._phase,
-                           stage_name, "grad")
-        weakref.finalize(tensor, self._release_grad_for, tid)
-
-    def release_grad(self, tensor) -> None:
-        """Release the tracked gradient of ``tensor`` (zero_grad)."""
-        self._release_grad_for(id(tensor))
-
-    def _release_grad_for(self, tid: int) -> None:
-        key = self._grad_of.pop(tid, None)
-        if key is not None:
-            self.ledger.release(key, self.clock(), self._phase,
-                                self.current_stage, "grad")
 
     # -- backward execution -------------------------------------------
 
@@ -472,10 +322,6 @@ class Profiler:
             "by_op": self.by_op(),
             "by_stage": self.by_stage(),
             "by_phase": self.by_phase(),
-            "peak_bytes": self.ledger.peak_bytes,
-            "live_bytes": self.ledger.live_bytes,
-            "alloc_events": len(self.ledger.events),
-            "alloc_dropped": self.ledger.dropped,
             "records_dropped": self.records_dropped,
         }
 
@@ -488,8 +334,6 @@ class Profiler:
             f"bytes={t['bytes_read'] + t['bytes_written']:.3e} "
             f"wall={t['wall']:.3e}s "
             f"intensity={t['arithmetic_intensity']:.2f} flop/B")
-        lines.append(f"  peak_bytes={self.ledger.peak_bytes} "
-                     f"(live={self.ledger.live_bytes})")
         for title, table in (("op", self.by_op()),
                              ("stage", self.by_stage()),
                              ("phase", self.by_phase())):
@@ -506,12 +350,10 @@ class Profiler:
     # -- trace export --------------------------------------------------
 
     def export_trace(self, recorder: TraceRecorder) -> None:
-        """Emit op spans and counter tracks into a trace recorder.
+        """Emit op spans and a counter track into a trace recorder.
 
-        Spans land on ``prof/forward`` / ``prof/backward`` tracks; two
-        Chrome counter series (``ph="C"``) carry the live-set bytes and
-        cumulative FLOPs so the memory envelope renders as a filled
-        chart in Perfetto.
+        Spans land on ``prof/forward`` / ``prof/backward`` tracks; a
+        Chrome counter series (``ph="C"``) carries the cumulative FLOPs.
         """
         cumulative = 0.0
         for rec in self.records:
@@ -527,9 +369,6 @@ class Profiler:
             recorder.counter("flops_cumulative", CAT_PROF,
                              rec.ts + rec.wall, {"flops": cumulative},
                              track="prof/counters")
-        for ev in self.ledger.events:
-            recorder.counter("live_bytes", CAT_PROF, ev.ts,
-                             {"bytes": ev.live}, track="prof/counters")
 
 
 # ----------------------------------------------------------------------
@@ -538,21 +377,37 @@ class Profiler:
 
 @contextlib.contextmanager
 def profiling(prof: Profiler | None = None):
-    """Enable profiling for the dynamic extent of the context.
-
-    Closes the allocation ledger on exit so stragglers released later
-    (interpreter shutdown, garbage collection of leaked graphs) cannot
-    distort the recorded timeline, and restores whatever profiler was
-    installed before.
-    """
+    """Enable profiling for the dynamic extent of the context, then
+    restore whatever profiler was installed before."""
     prof = prof if prof is not None else Profiler()
     previous = set_profiler(prof)
     prof.mark()
     try:
         yield prof
     finally:
-        prof.ledger.close()
         set_profiler(previous)
+
+
+def traced_peak(fn: Callable[..., Any], *args: Any,
+                **kwargs: Any) -> tuple[Any, int]:
+    """``(fn(*args, **kwargs), peak)``: ``peak`` is the most bytes
+    ``tracemalloc`` saw allocated during the call beyond those traced
+    at entry.
+
+    An already-running ``tracemalloc`` session keeps running (its peak
+    is reset); otherwise tracing starts and stops around the call.
+    """
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 # ----------------------------------------------------------------------
@@ -600,11 +455,8 @@ _EW: dict[str, tuple[float, float]] = {
     "pow": (7.0, 9.0),
     "relu": (2.0, 1.0),
     "gelu": (14.0, 18.0),
-    "tanh": (6.0, 3.0),
     "exp": (6.0, 1.0),
-    "log": (6.0, 4.0),
     "softmax": (12.0, 4.0),
-    "log_softmax": (14.0, 3.0),
     "layer_norm": (9.0, 12.0),
 }
 
@@ -723,17 +575,11 @@ def _cross_entropy_op_cost(out, parents, ctx):
 
 def _gather_op_cost(out, parents, ctx):
     """Indexed copy forward, scatter-add into a zeroed source-shaped
-    gradient backward (``gather_rows`` and ``take_along``)."""
+    gradient backward (``take_along``)."""
     moved = out.size * out.itemsize
     return (OpCost(bytes_read=moved, bytes_written=moved),
             OpCost(flops=float(out.size), bytes_read=2.0 * moved,
                    bytes_written=parents[0].size * out.itemsize))
-
-
-def _concat_op_cost(out, parents, ctx):
-    moved = out.size * out.itemsize
-    cost = OpCost(bytes_read=moved, bytes_written=moved)
-    return cost, cost
 
 
 def _moe_dispatch_op_cost(out, parents, crit):
@@ -774,8 +620,7 @@ def _linear_op_cost(out, parents, ctx):
 
 def _ffn_op_cost(out, parents, activation):
     """The fused dense FFN, priced as the two affine maps and the
-    activation it replaces (the hidden arrays it keeps internally are
-    not op outputs, so the ledger does not see them)."""
+    activation it replaces."""
     x, w1, _, w2, _ = parents
     hidden = (*x.shape[:-1], w1.shape[-1])
     isz = out.itemsize
@@ -807,8 +652,7 @@ def _expert_ffn_op_cost(out, parents, ctx):
 OP_COSTS: dict[str, Callable] = {
     **{name: _elementwise(name, 2 if name in ("add", "mul", "div") else 1)
        for name in _EW},
-    # Views: no FLOPs, no data movement (and the ledger skips the
-    # output array because its memory belongs to the base).
+    # Views: no FLOPs, no data movement.
     "reshape": lambda out, parents, ctx: (ZERO_COST, ZERO_COST),
     "transpose": lambda out, parents, ctx: (ZERO_COST, ZERO_COST),
     "matmul": lambda out, parents, ctx: matmul_cost(
@@ -819,9 +663,7 @@ OP_COSTS: dict[str, Callable] = {
     "sum": lambda out, parents, ctx: reduction_cost(
         parents[0].size, out.size, itemsize=out.itemsize),
     "cross_entropy": _cross_entropy_op_cost,
-    "gather_rows": _gather_op_cost,
     "take_along": _gather_op_cost,
-    "concat": _concat_op_cost,
     "moe_dispatch": _moe_dispatch_op_cost,
     "moe_combine": _moe_combine_op_cost,
     "expert_ffn": _expert_ffn_op_cost,

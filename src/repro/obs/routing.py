@@ -344,12 +344,6 @@ class HopLedger:
             return 0.0
         return max(self.inter_seconds_by_src)
 
-    @property
-    def inter_node_fraction(self) -> float:
-        if self.total_hops == 0:
-            return 0.0
-        return self.inter_node / self.total_hops
-
     def conserves(self, total_dispatched: int) -> bool:
         return self.total_hops == total_dispatched
 

@@ -43,7 +43,7 @@ class TraceEvent:
     the microseconds Chrome expects.  ``phase`` is ``"X"`` for a
     complete span, ``"i"`` for an instant marker (``dur`` 0), ``"C"``
     for a counter sample whose series values live in ``args`` (the
-    profiler's live-bytes / cumulative-FLOP tracks), or one of
+    profiler's cumulative-FLOP track), or one of
     ``"s"``/``"t"``/``"f"`` for flow start/step/finish arrows linking
     spans across tracks (the serving engine draws one flow per request
     from its arrival to the batch that served it); flow events carry

@@ -110,11 +110,6 @@ class RequestLedger:
         percentiles are computed from."""
         return stage_sum(self.model_spans)
 
-    @property
-    def completion_ns(self) -> int:
-        """Virtual completion instant (modeled timeline)."""
-        return self.arrival_ns + self.model_e2e_ns
-
     def event_data(self) -> dict:
         """The run registry's ``serve_request`` event."""
         return {"request": self.request_id, "batch": self.batch_id,

@@ -6,20 +6,15 @@ import numpy as np
 import pytest
 
 from repro.autograd.functional import (
-    concat,
     cross_entropy,
     exp,
     ffn,
-    gather_rows,
     gelu,
     layer_norm,
     linear,
-    log,
-    log_softmax,
     relu,
     softmax,
     take_along,
-    tanh,
 )
 from repro.autograd.optim import SGD, Adam, clip_grad_norm
 from repro.autograd.tensor import Tensor
@@ -122,13 +117,6 @@ class TestShapes:
     def test_mean(self):
         check_grad(lambda t: t.mean(axis=0), RNG.normal(size=(5, 2)))
 
-    def test_concat(self):
-        a = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
-        b = Tensor(RNG.normal(size=(4, 3)), requires_grad=True)
-        concat([a, b], axis=0).sum().backward()
-        np.testing.assert_allclose(a.grad, np.ones((2, 3)))
-        np.testing.assert_allclose(b.grad, np.ones((4, 3)))
-
 
 class TestNonlinearities:
     def test_relu(self):
@@ -137,21 +125,12 @@ class TestNonlinearities:
     def test_gelu(self):
         check_grad(gelu, RNG.normal(size=(4, 4)))
 
-    def test_tanh(self):
-        check_grad(tanh, RNG.normal(size=(3, 3)))
-
-    def test_exp_log(self):
+    def test_exp(self):
         check_grad(exp, RNG.normal(size=(3,)))
-        check_grad(log, RNG.normal(size=(3,)) ** 2 + 1.0)
 
     def test_softmax(self):
         w = RNG.normal(size=(3, 5))
         check_grad(lambda t: softmax(t) * Tensor(w),
-                   RNG.normal(size=(3, 5)))
-
-    def test_log_softmax(self):
-        w = RNG.normal(size=(3, 5))
-        check_grad(lambda t: log_softmax(t) * Tensor(w),
                    RNG.normal(size=(3, 5)))
 
     def test_layer_norm(self):
@@ -276,9 +255,10 @@ class TestDenseOps:
 
 class TestGathers:
     def test_gather_rows(self):
-        idx = np.array([0, 2, 2, 1])
+        # Rows gathered along axis 0, one repeated: its gradient sums.
+        idx = np.broadcast_to(np.array([0, 2, 2, 1])[:, None], (4, 3))
         w = RNG.normal(size=(4, 3))
-        check_grad(lambda t: gather_rows(t, idx) * Tensor(w),
+        check_grad(lambda t: take_along(t, idx, axis=0) * Tensor(w),
                    RNG.normal(size=(3, 3)))
 
     def test_take_along(self):
@@ -362,7 +342,7 @@ def small_graph(seed=0):
     b = Tensor(rng.normal(size=(3,)), requires_grad=True)
     h = gelu(x @ w1)
     out = (h @ w2 + b) * (h @ w2)
-    return log_softmax(out).sum() * 0.5, (w1, w2, b)
+    return (softmax(out) * out).sum() * 0.5, (w1, w2, b)
 
 
 def non_leaves(root):

@@ -305,3 +305,22 @@ class TestCommittedBaselines:
         for record in records:
             assert record.fingerprint \
                 == baselines[record.artifact].fingerprint
+
+    @pytest.mark.parametrize("name,value", [
+        ("speedup_vs_float64", 1.0),
+        # The peak the allocation ledger reported before peak memory
+        # was measured: it saw op outputs and gradients only.
+        ("peak_bytes", 367_240.0)])
+    def test_profile_step_banded_rows_can_fail(self, name, value):
+        # The two rows of BENCH_profile_step that are not exact: each
+        # fails at a value the gate exists to catch.
+        from dataclasses import replace
+
+        from repro.cli import _default_baselines_dir
+        base = load_results(_default_baselines_dir())["profile_step"]
+        current = replace(base, metrics=[
+            replace(m, value=value) if m.name == name else m
+            for m in base.metrics])
+        (bad,) = [c for c in compare({"profile_step": current},
+                                     {"profile_step": base}) if c.failed]
+        assert (bad.metric, bad.status) == (name, "regressed")

@@ -283,13 +283,13 @@ class TestProfileCommand:
         store = RunStore(tmp_path / "runs")
         run_id = store.latest()
         assert store.manifest(run_id).summary["profile.peak_bytes"] > 0
-        # The run's profile event is the whole Profiler.summary().
+        # The run's profile event is the whole Profiler.summary() plus
+        # the unprofiled pass's measured peak.
         (event,) = store.iter_events(run_id, kind="profile")
         payload = event["data"]
         assert set(payload) == {
             "target", "schema_version", "totals", "by_op", "by_stage",
-            "by_phase", "peak_bytes", "live_bytes", "alloc_events",
-            "alloc_dropped", "records_dropped"}
+            "by_phase", "records_dropped", "peak_bytes"}
         assert payload["target"] == "layer"
         assert payload["totals"]["flops"] > 0
         assert payload["peak_bytes"] > 0

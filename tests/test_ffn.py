@@ -7,8 +7,6 @@ the frozen forward (``save=False``) gives the taped one's bytes while
 keeping no activations.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +21,7 @@ from repro.moe.ffn import (
     ffn_backward_arrays,
     ffn_forward_arrays,
 )
+from repro.obs.profiler import traced_peak
 
 
 def ffn_case(e=4, c=6, m=5, v=7, dtype=np.float32, seed=0):
@@ -368,12 +367,7 @@ class TestFrozenForward:
                   for shape in ((e, m, v), (e, v, m)))
         args = [Tensor(a, dtype=np.float32) for a in (x, w1, w2)]
         h_nbytes = e * n * v * 4
-        tracemalloc.start()
-        try:
-            out = expert_ffn(*args, "gelu", rows=[n] * e)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(expert_ffn, *args, "gelu", rows=[n] * e)
         assert out.data.dtype == np.float32
         assert peak < 2 * h_nbytes
 
