@@ -528,8 +528,8 @@ def _cmd_route(args) -> int:
 
     ``--fast`` mines a seeded synthetic Markov trace (bit-identical
     across machines — the mode that emits the tolerance-0
-    ``BENCH_routing.json``); otherwise the profile is aggregated from
-    a recorded run's ``routing_load``/``routing_affinity`` events.
+    ``BENCH_routing.json``); otherwise the profile is the sum of a
+    recorded run's per-batch ``routing`` events.
     Either way the same recorded traffic is re-priced under every
     candidate placement on the scoring topology, no model re-run.
     """
@@ -582,17 +582,21 @@ def _cmd_route(args) -> int:
     return 0
 
 
-def _dtype_speedup_probe(repeats: int = 3) -> tuple[float, float, float]:
+def _dtype_speedup_probe(repeats: int = 9) -> tuple[float, float, float]:
     """Measured step-wall ratio ``float64 / active dtype``.
 
     Runs fwd+bwd of one expert-FFN-dominated MoE layer (M=256, H=512,
     T=2048, E=8, k=2 — big enough that GEMM/elementwise throughput,
     not Python op overhead, sets the wall) once per substrate dtype,
-    interleaved round-robin with a warmup round, keeping each side's
-    best.  Host speed cancels in the ratio, which is why the regression
-    gate can pin it (``kind="model"``) while raw walls stay
-    ``kind="measured"``.  Returns ``(ratio, wall_f64, wall_active)``.
+    interleaved round-robin after a warmup round.  The ratio is the
+    median of the rounds' paired ratios: the two steps of a round see
+    the same host load, so it cancels, and the median drops the rounds
+    a burst split.  That is why the regression gate can pin it
+    (``kind="model"``) while raw walls stay ``kind="measured"``.
+    Returns ``(ratio, wall_f64, wall_active)``, the walls each side's
+    median.
     """
+    import statistics
     import time as _time
 
     import numpy as np
@@ -619,15 +623,13 @@ def _dtype_speedup_probe(repeats: int = 3) -> tuple[float, float, float]:
     active = default_dtype()
     ref = build(np.float64)
     act = build(active)
-    best_ref = best_act = float("inf")
-    for rnd in range(repeats + 1):
-        w_ref = one_step(*ref, np.float64)
-        w_act = one_step(*act, active)
-        if rnd == 0:
-            continue  # warmup round: caches, BLAS init
-        best_ref = min(best_ref, w_ref)
-        best_act = min(best_act, w_act)
-    return best_ref / best_act, best_ref, best_act
+    one_step(*ref, np.float64)      # warmup round: caches, BLAS init
+    one_step(*act, active)
+    rounds = [(one_step(*ref, np.float64), one_step(*act, active))
+              for _ in range(repeats)]
+    return (statistics.median(r / a for r, a in rounds),
+            statistics.median(r for r, _ in rounds),
+            statistics.median(a for _, a in rounds))
 
 
 def _cmd_profile(args) -> None:
@@ -909,7 +911,7 @@ def main(argv: list[str] | None = None) -> int:
                            help="run id, unique prefix, or 'latest'")
     runs_show.add_argument("--events", default=None, metavar="KIND",
                            help="print only this event kind as JSONL "
-                                "(e.g. routing_affinity) instead of "
+                                "(e.g. routing) instead of "
                                 "the summary")
     runs_show.add_argument("--dir", **runs_dir_kwargs)
     runs_diff = runs_sub.add_parser(

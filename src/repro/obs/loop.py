@@ -16,9 +16,10 @@ three calls the attachment owns
   emitted by other subsystems count too) and evaluated when the
   tick's closing event arrives — exactly what a fresh engine
   replaying the run's ``events.jsonl`` sees;
-* the per-layer ``routing`` events and the lazily built
-  :class:`~repro.obs.routing.RoutingRecorder`, emitted *before* the
-  closing ``step`` / ``serve_batch`` event;
+* the per-layer ``routing`` events, emitted *before* the closing
+  ``step`` / ``serve_batch`` event; when a run is recording, each
+  also carries that batch's counts from the lazily built
+  :class:`~repro.obs.routing.RoutingRecorder`;
 * the observer's ``routing.*`` gauges (one ``record_routing`` per
   layer — layers publish nothing themselves), counters and gauges,
   and the overhead ledger's per-iteration wall.
@@ -144,9 +145,10 @@ class LoopTelemetry:
              counts: Mapping[str, float] | None = None,
              gauges: Mapping[str, float] | None = None) -> None:
         """Close iteration ``step``: each MoE layer's ``routing`` event
-        and the routing recorder's running totals, then the ``kind``
-        event that ticks the alert engine; the observer's ``routing.*``
-        gauges, ``counts`` and ``gauges``; the ledger's iteration wall.
+        (with this batch's counts when a run records), then the
+        ``kind`` event that ticks the alert engine; the observer's
+        ``routing.*`` gauges, ``counts`` and ``gauges``; the ledger's
+        iteration wall.
         ``data`` may be a callable, built only when something records
         it."""
         if not self.active:
@@ -188,21 +190,20 @@ class LoopTelemetry:
     # -- internals -----------------------------------------------------
 
     def _routing_events(self, step: int, layers: Sequence) -> None:
-        crits = []
+        crits = [layer.last_routing_criteria for layer in layers]
+        counts: Sequence[Mapping] = [{}] * len(crits)
+        if self.run is not None and crits \
+                and all(c is not None for c in crits):
+            if self._routing is None:
+                from repro.obs.routing import RoutingRecorder
+                self._routing = RoutingRecorder(len(crits),
+                                                crits[0].num_experts)
+            counts = self._routing.observe_batch(crits)
         for index, layer in enumerate(layers):
             stats = layer.last_routing_stats
             if stats is not None:
-                self.event("routing", stats.event_payload(index), step)
-            crits.append(layer.last_routing_criteria)
-        if self.run is None or not crits \
-                or any(c is None for c in crits):
-            return
-        if self._routing is None:
-            from repro.obs.routing import RoutingRecorder
-            self._routing = RoutingRecorder(len(crits),
-                                            crits[0].num_experts)
-        self._routing.observe_batch(crits)
-        self._routing.emit(self.run, step=step)
+                self.event("routing", {**stats.event_payload(index),
+                                       **counts[index]}, step)
 
     def _observe(self, event: Mapping) -> None:
         """``RunWriter.on_event``: every emitted event reaches the

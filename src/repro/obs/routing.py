@@ -7,16 +7,15 @@ experts fire together across layers, and how many token-hops cross a
 node boundary under the current expert placement.  This module is the
 observational half of a MoETuner-style placement optimizer:
 
-* :class:`RoutingRecorder` accumulates, per step/batch, the
-  per-(layer, expert) routed-token load, the post-drop *dispatched*
-  counts bucketed by token source, and the layer-to-layer
-  expert-transition counts (the affinity matrix: how many tokens whose
-  primary expert was ``i`` at layer ``l`` had primary expert ``j`` at
-  layer ``l+1``);
-* the recorder emits schema-versioned ``routing_load`` /
-  ``routing_affinity`` events into the run registry
-  (:mod:`repro.obs.runs`), and :func:`profile_from_events` folds any
-  recorded stream back into a :class:`RoutingProfile`;
+* :class:`RoutingRecorder` counts one step/batch: per layer, the
+  post-drop *dispatched* slots bucketed by token source, and the
+  layer-to-layer expert-transition counts (the affinity matrix: how
+  many tokens whose primary expert was ``i`` at layer ``l`` had
+  primary expert ``j`` at layer ``l+1``).  The loop adds them to each
+  layer's ``routing`` event in the run registry
+  (:mod:`repro.obs.runs`) beside its routed-token ``expert_load``;
+* :func:`profile_from_events` sums any recorded stream's counted
+  ``routing`` events into a :class:`RoutingProfile`;
 * :func:`hop_ledger` attributes every dispatched token of a profile to
   an intra-GPU / intra-node / inter-node hop under a given
   :class:`~repro.parallel.placement.ExpertPlacement` and
@@ -59,7 +58,6 @@ from repro.parallel.placement import (
 )
 
 __all__ = [
-    "ROUTING_SCHEMA",
     "ROUTING_ARTIFACT",
     "SRC_BUCKETS",
     "RoutingRecorder",
@@ -77,10 +75,6 @@ __all__ = [
     "render_routing",
 ]
 
-#: Schema version stamped into every routing_load / routing_affinity
-#: event payload; bump on any incompatible layout change.
-ROUTING_SCHEMA = 1
-
 #: Token-source residue classes recorded per layer.  A placement with
 #: ``num_gpus`` dividing this (1, 2, 4, 8, 16) can be re-priced exactly
 #: from recorded traffic; others raise in :func:`hop_ledger`.
@@ -92,13 +86,14 @@ SRC_BUCKETS = 16
 # ----------------------------------------------------------------------
 
 class RoutingRecorder:
-    """Accumulates routing provenance across the steps of one run.
+    """Turns one batch's routing decisions into per-layer counts.
 
     ``observe_batch`` takes the :class:`RoutingCriteria` of every MoE
-    layer for one batch, in layer order, and folds them into integer
-    count arrays; ``emit`` appends the batch's schema-versioned events
-    to a run writer.  All counts are exact integers, so two runs with
-    the same seed produce bit-identical records.
+    layer for one batch, in layer order, and returns that batch's
+    integer counts, one dict per layer, which the loop merges into
+    the layer's ``routing`` event.  The recorder keeps no totals:
+    readers sum the events.  All counts are exact integers, so two
+    runs with the same seed produce bit-identical records.
     """
 
     def __init__(self, num_layers: int, num_experts: int) -> None:
@@ -109,93 +104,52 @@ class RoutingRecorder:
                 f"num_experts must be >= 1, got {num_experts}")
         self.num_layers = num_layers
         self.num_experts = num_experts
-        #: routed slots per (layer, expert), dropped included.
-        self.loads = np.zeros((num_layers, num_experts), dtype=np.int64)
-        #: post-drop slots per (layer, src bucket, expert).
-        self.dispatched = np.zeros(
-            (num_layers, SRC_BUCKETS, num_experts), dtype=np.int64)
-        #: primary-route transitions per (layer pair, expert, expert).
-        self.transitions = np.zeros(
-            (max(0, num_layers - 1), num_experts, num_experts),
-            dtype=np.int64)
-        self.batches = 0
-        self.tokens = 0
 
     def observe_batch(self,
-                      crits: Sequence[RoutingCriteria]) -> None:
-        """Fold one batch's per-layer routing decisions in."""
+                      crits: Sequence[RoutingCriteria]) -> list[dict]:
+        """One batch's counts per layer: ``tokens``, the post-drop
+        ``dispatched`` slots by (source bucket, expert) and, for every
+        layer but the last, the primary-route ``transitions``
+        (expert here, expert at the next layer)."""
         led = get_ledger()
         t0 = perf_ns() if led is not None else 0
-        self._fold(crits)
+        counts = self._count(crits)
         if led is not None:
             led.add("routing", perf_ns() - t0)
+        return counts
 
-    def _fold(self, crits: Sequence[RoutingCriteria]) -> None:
+    def _count(self, crits: Sequence[RoutingCriteria]) -> list[dict]:
         if len(crits) != self.num_layers:
             raise ValueError(
                 f"expected {self.num_layers} layer criteria, "
                 f"got {len(crits)}")
+        e = self.num_experts
         tokens = crits[0].num_tokens
+        out = []
         for li, crit in enumerate(crits):
-            if crit.num_experts != self.num_experts:
+            if crit.num_experts != e:
                 raise ValueError(
                     f"layer {li} routes over {crit.num_experts} "
-                    f"experts, recorder has {self.num_experts}")
+                    f"experts, recorder has {e}")
             if crit.num_tokens != tokens:
                 raise ValueError(
                     f"layer {li} saw {crit.num_tokens} tokens, "
                     f"layer 0 saw {tokens}")
             plan = crit.plan
-            self.loads[li] += plan.load
-            np.add.at(self.dispatched[li], (plan.tokens % SRC_BUCKETS,
-                                            np.take(crit.idxs, plan.pos)), 1)
-        for li in range(self.num_layers - 1):
-            # Affinity counts the primary (rank-0) route of each token
-            # at consecutive layers; secondary top-k routes show in the
-            # load but not the transition matrix.
-            np.add.at(self.transitions[li],
-                      (crits[li].idxs[0], crits[li + 1].idxs[0]), 1)
-        self.batches += 1
-        self.tokens += tokens
-
-    def emit(self, run, step: int | None = None) -> None:
-        """Append the cumulative counts as one event pair.
-
-        Call once per step/batch right after ``observe_batch`` — the
-        payloads carry the *running* totals, so the last event pair of
-        a run is its aggregate and replaying any prefix of the stream
-        is consistent (the registry is append-only; per-step deltas
-        would make a truncated stream unreadable).
-        """
-        run.emit("routing_load", step=step, data={
-            "schema": ROUTING_SCHEMA,
-            "num_layers": self.num_layers,
-            "num_experts": self.num_experts,
-            "src_buckets": SRC_BUCKETS,
-            "batches": self.batches,
-            "tokens": self.tokens,
-            "loads": self.loads.tolist(),
-            "dispatched": self.dispatched.tolist(),
-        })
-        run.emit("routing_affinity", step=step, data={
-            "schema": ROUTING_SCHEMA,
-            "num_layers": self.num_layers,
-            "num_experts": self.num_experts,
-            "batches": self.batches,
-            "tokens": self.tokens,
-            "transitions": self.transitions.tolist(),
-        })
-
-    def profile(self) -> "RoutingProfile":
-        """Freeze the accumulated counts into a profile."""
-        return RoutingProfile(
-            num_layers=self.num_layers,
-            num_experts=self.num_experts,
-            loads=self.loads.copy(),
-            dispatched=self.dispatched.copy(),
-            transitions=self.transitions.copy(),
-            batches=self.batches,
-            tokens=self.tokens)
+            cell = ((plan.tokens % SRC_BUCKETS) * e
+                    + np.take(crit.idxs, plan.pos))
+            counts = {"tokens": tokens, "dispatched": np.bincount(
+                cell, minlength=SRC_BUCKETS * e).reshape(
+                    SRC_BUCKETS, e).tolist()}
+            if li + 1 < self.num_layers:
+                # Affinity counts the primary (rank-0) route of each
+                # token at consecutive layers; secondary top-k routes
+                # show in the load but not the transition matrix.
+                pair = crit.idxs[0] * e + crits[li + 1].idxs[0]
+                counts["transitions"] = np.bincount(
+                    pair, minlength=e * e).reshape(e, e).tolist()
+            out.append(counts)
+        return out
 
 
 # ----------------------------------------------------------------------
@@ -250,59 +204,63 @@ class RoutingProfile:
 
 
 def profile_from_events(events: Iterable[Mapping]) -> RoutingProfile:
-    """Rebuild a profile from a run's recorded event stream.
+    """Sum a run's counted ``routing`` events into its profile.
 
-    Payloads carry running totals, so only the *last* ``routing_load``
-    and ``routing_affinity`` events matter; earlier ones are prefixes.
-    Raises ``ValueError`` when the stream has no routing events or an
-    unknown schema version.
+    Each counted event holds one layer's counts for one batch, so any
+    prefix of a stream profiles exactly the batches it holds, and a
+    resumed run (whose compaction dropped the replayed steps) keeps
+    its pre-resume traffic.  A batch is one layer-0 event.  Raises
+    ``ValueError`` when the stream has no counted ``routing`` events.
     """
-    last_load: Mapping | None = None
-    last_affinity: Mapping | None = None
+    loads: dict[int, np.ndarray] = {}
+    dispatched: dict[int, np.ndarray] = {}
+    transitions: dict[int, np.ndarray] = {}
+    batches = tokens = num_experts = 0
     for event in events:
-        kind = event.get("kind")
-        if kind not in ("routing_load", "routing_affinity"):
-            continue
         data = event.get("data") or {}
-        schema = data.get("schema")
-        if schema != ROUTING_SCHEMA:
+        if event.get("kind") != "routing" or "dispatched" not in data:
+            continue
+        li = int(data["layer"])
+        buckets = np.asarray(data["dispatched"], dtype=np.int64)
+        num_experts = num_experts or len(data["expert_load"])
+        if buckets.shape != (SRC_BUCKETS, num_experts):
             raise ValueError(
-                f"unsupported {kind} schema {schema!r}, expected "
-                f"{ROUTING_SCHEMA}")
-        if kind == "routing_load":
-            last_load = data
-        else:
-            last_affinity = data
-    if last_load is None:
-        raise ValueError("run has no routing_load events "
-                         "(record with repro.obs.routing)")
-    if last_load.get("src_buckets") != SRC_BUCKETS:
-        raise ValueError(
-            f"recorded src_buckets={last_load.get('src_buckets')!r} "
-            f"does not match this build's {SRC_BUCKETS}")
-    num_layers = int(last_load["num_layers"])
-    num_experts = int(last_load["num_experts"])
-    transitions = (np.asarray(last_affinity["transitions"],
-                              dtype=np.int64)
-                   if last_affinity is not None else
-                   np.zeros((max(0, num_layers - 1), num_experts,
-                             num_experts), dtype=np.int64))
-    if num_layers > 1:
-        transitions = transitions.reshape(
-            (num_layers - 1, num_experts, num_experts))
+                f"routing event at step {event.get('step')} counts "
+                f"{buckets.shape} (source bucket, expert) cells, "
+                f"expected ({SRC_BUCKETS}, {num_experts}): one "
+                f"profile sums one model's routing")
+        for into, counts in ((loads, data["expert_load"]),
+                             (dispatched, buckets),
+                             (transitions, data.get("transitions"))):
+            if counts is not None:
+                into[li] = into.get(li, 0) + np.asarray(counts,
+                                                        dtype=np.int64)
+        if li == 0:
+            batches += 1
+            tokens += int(data["tokens"])
+    if not loads:
+        raise ValueError("run has no counted routing events (recorded "
+                         "without a run, or before routing events "
+                         "carried counts)")
+    num_layers = max(loads) + 1
+
+    def stack(parts, layers, shape):
+        out = np.zeros((layers,) + shape, dtype=np.int64)
+        for li, counts in parts.items():
+            if li < layers:
+                out[li] = counts
+        return out
+
     return RoutingProfile(
         num_layers=num_layers,
         num_experts=num_experts,
-        loads=np.asarray(last_load["loads"],
-                         dtype=np.int64).reshape((num_layers,
-                                                  num_experts)),
-        dispatched=np.asarray(last_load["dispatched"],
-                              dtype=np.int64).reshape(
-                                  (num_layers, SRC_BUCKETS,
-                                   num_experts)),
-        transitions=transitions,
-        batches=int(last_load["batches"]),
-        tokens=int(last_load["tokens"]))
+        loads=stack(loads, num_layers, (num_experts,)),
+        dispatched=stack(dispatched, num_layers,
+                         (SRC_BUCKETS, num_experts)),
+        transitions=stack(transitions, num_layers - 1,
+                          (num_experts, num_experts)),
+        batches=batches,
+        tokens=tokens)
 
 
 # ----------------------------------------------------------------------
@@ -383,9 +341,57 @@ def hop_ledger(profile: RoutingProfile, placement: ExpertPlacement,
     if bytes_per_token < 1:
         raise ValueError(
             f"bytes_per_token must be >= 1, got {bytes_per_token}")
+    per_layer, pair_bytes, intra_bytes = _walk_hops(
+        profile, placement, topology, bytes_per_token)
+    intra_gpu, intra_node, inter_node = (sum(column)
+                                         for column in zip(*per_layer))
+    by_src = [0.0] * placement.num_gpus
+    for (src, _dst), nbytes in sorted(pair_bytes.items()):
+        by_src[src] += topology.inter_link.message_time(nbytes)
+    return HopLedger(
+        placement_name=name,
+        num_gpus=placement.num_gpus,
+        intra_gpu=intra_gpu,
+        intra_node=intra_node,
+        inter_node=inter_node,
+        inter_node_bytes=sum(pair_bytes.values()),
+        intra_node_bytes=intra_bytes,
+        inter_seconds_by_src=tuple(by_src),
+        per_layer=tuple(per_layer))
+
+
+def dispatch_schedule(profile: RoutingProfile,
+                      placement: ExpertPlacement,
+                      topology: ClusterTopology, *,
+                      bytes_per_token: int):
+    """The ledger's inter-node message set as a simulator Schedule.
+
+    One comm op per (src, dst) GPU pair carrying that pair's aggregated
+    dispatch bytes, serialized on the source GPU's comm stream — the
+    exact traffic :func:`hop_ledger` prices analytically, in simulable
+    form.  ``simulate(schedule).makespan`` equals the ledger's
+    ``priced_seconds``; the property test pins that agreement.
+    """
+    from repro.cluster.simulator import Schedule
+
+    _, pair_bytes, _ = _walk_hops(profile, placement, topology,
+                                  bytes_per_token)
+    schedule = Schedule()
+    for (src, dst), nbytes in sorted(pair_bytes.items()):
+        schedule.new_op(
+            work=topology.inter_link.message_time(nbytes),
+            gpu=src, stream="comm", kind="comm",
+            label=f"dispatch/g{src}->g{dst}")
+    return schedule
+
+
+def _walk_hops(profile: RoutingProfile, placement: ExpertPlacement,
+               topology: ClusterTopology, bytes_per_token: int):
+    """One walk over layers x source buckets x experts: per-layer
+    ``(intra_gpu, intra_node, inter_node)`` hops, inter-node bytes per
+    ``(src, dst)`` GPU pair, and the intra-node bytes."""
     _check_world(profile, placement, topology)
     num_gpus = placement.num_gpus
-    intra_gpu = intra_node = inter_node = 0
     per_layer: list[tuple[int, int, int]] = []
     pair_bytes: dict[tuple[int, int], int] = {}
     intra_bytes = 0
@@ -410,63 +416,8 @@ def hop_ledger(profile: RoutingProfile, placement: ExpertPlacement,
                     key = (src, dst)
                     pair_bytes[key] = (pair_bytes.get(key, 0)
                                        + count * bytes_per_token)
-        intra_gpu += l_gpu
-        intra_node += l_node
-        inter_node += l_inter
         per_layer.append((l_gpu, l_node, l_inter))
-    by_src = [0.0] * num_gpus
-    for (src, _dst), nbytes in sorted(pair_bytes.items()):
-        by_src[src] += topology.inter_link.message_time(nbytes)
-    return HopLedger(
-        placement_name=name,
-        num_gpus=num_gpus,
-        intra_gpu=intra_gpu,
-        intra_node=intra_node,
-        inter_node=inter_node,
-        inter_node_bytes=sum(pair_bytes.values()),
-        intra_node_bytes=intra_bytes,
-        inter_seconds_by_src=tuple(by_src),
-        per_layer=tuple(per_layer))
-
-
-def dispatch_schedule(profile: RoutingProfile,
-                      placement: ExpertPlacement,
-                      topology: ClusterTopology, *,
-                      bytes_per_token: int):
-    """The ledger's inter-node message set as a simulator Schedule.
-
-    One comm op per (src, dst) GPU pair carrying that pair's aggregated
-    dispatch bytes, serialized on the source GPU's comm stream — the
-    exact traffic :func:`hop_ledger` prices analytically, in simulable
-    form.  ``simulate(schedule).makespan`` equals the ledger's
-    ``priced_seconds``; the property test pins that agreement.
-    """
-    from repro.cluster.simulator import Schedule
-
-    _check_world(profile, placement, topology)
-    num_gpus = placement.num_gpus
-    pair_bytes: dict[tuple[int, int], int] = {}
-    for li in range(profile.num_layers):
-        for bucket in range(SRC_BUCKETS):
-            src = bucket % num_gpus
-            row = profile.dispatched[li, bucket]
-            for expert in range(profile.num_experts):
-                count = int(row[expert])
-                if count == 0:
-                    continue
-                hosts = placement.expert_to_gpus[expert]
-                dst = hosts[src % len(hosts)]
-                if dst != src and not topology.same_node(src, dst):
-                    key = (src, dst)
-                    pair_bytes[key] = (pair_bytes.get(key, 0)
-                                       + count * bytes_per_token)
-    schedule = Schedule()
-    for (src, dst), nbytes in sorted(pair_bytes.items()):
-        schedule.new_op(
-            work=topology.inter_link.message_time(nbytes),
-            gpu=src, stream="comm", kind="comm",
-            label=f"dispatch/g{src}->g{dst}")
-    return schedule
+    return per_layer, pair_bytes, intra_bytes
 
 
 # ----------------------------------------------------------------------
@@ -550,9 +501,7 @@ def whatif_placements(profile: RoutingProfile,
 def synthetic_profile(seed: int = 0, *, num_layers: int = 3,
                       num_experts: int = 8, tokens: int = 512,
                       steps: int = 8, top_k: int = 2,
-                      capacity_factor: float = 1.25,
-                      recorder: RoutingRecorder | None = None,
-                      run=None) -> RoutingProfile:
+                      capacity_factor: float = 1.25) -> RoutingProfile:
     """A seeded Markov routing trace through the real gating machinery.
 
     Draws each token's primary expert from a skewed categorical at
@@ -561,7 +510,9 @@ def synthetic_profile(seed: int = 0, *, num_layers: int = 3,
     diagonal mass), adds a uniform secondary route per extra top-k
     slot, then runs the draws through the *real*
     :func:`~repro.moe.gating.compute_locations` capacity assignment to
-    get authentic drops.  Only integer RNG draws — no GEMMs, no
+    get authentic drops.  Each batch becomes the ``routing`` events a
+    recorded run would hold, and :func:`profile_from_events` sums them.
+    Only integer RNG draws — no GEMMs, no
     argsort-over-float ties — so the profile is bit-identical across
     machines and BLAS builds: the property ``BENCH_routing.json`` gates
     at tolerance 0.
@@ -569,11 +520,13 @@ def synthetic_profile(seed: int = 0, *, num_layers: int = 3,
     import math
 
     from repro.moe.gating import compute_locations
+    from repro.moe.metrics import routing_stats
 
     if top_k < 1 or top_k > num_experts:
         raise ValueError(f"top_k must be in [1, {num_experts}]")
     rng = np.random.default_rng(seed)
-    rec = recorder or RoutingRecorder(num_layers, num_experts)
+    rec = RoutingRecorder(num_layers, num_experts)
+    events = []
     capacity = max(1, math.ceil(top_k * tokens * capacity_factor
                                 / num_experts))
     # Sticky transition kernel: stay with probability ~0.55, move to a
@@ -588,7 +541,7 @@ def synthetic_profile(seed: int = 0, *, num_layers: int = 3,
     pop = 1.0 / np.arange(1, num_experts + 1)
     pop /= pop.sum()
 
-    for _ in range(steps):
+    for step in range(steps):
         crits = []
         prev = rng.choice(num_experts, size=tokens, p=pop)
         for li in range(num_layers):
@@ -612,10 +565,11 @@ def synthetic_profile(seed: int = 0, *, num_layers: int = 3,
                 idxs=idxs, locations=locations,
                 gates=(locations < capacity).astype(np.float64),
                 capacity=capacity, num_experts=num_experts))
-        rec.observe_batch(crits)
-        if run is not None:
-            rec.emit(run, step=rec.batches - 1)
-    return rec.profile()
+        for li, (crit, counts) in enumerate(
+                zip(crits, rec.observe_batch(crits))):
+            events.append({"kind": "routing", "step": step, "data": {
+                **routing_stats(crit).event_payload(li), **counts}})
+    return profile_from_events(events)
 
 
 # ----------------------------------------------------------------------

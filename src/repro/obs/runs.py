@@ -15,8 +15,8 @@ registry root (``REPRO_RUNS_DIR``, default ``.repro_runs/``):
     The append-only event stream.  One JSON object per line:
     ``{"schema": 1, "seq": n, "kind": str, "step": int|null,
     "data": {...}}``.  Kinds in use: ``train_begin`` / ``step`` /
-    ``step_skipped`` / ``routing`` / ``routing_load`` /
-    ``routing_affinity`` / ``alert`` / ``fault`` / ``recovery`` /
+    ``step_skipped`` / ``routing`` (one per MoE layer per batch) /
+    ``alert`` / ``fault`` / ``recovery`` /
     ``strategy_switch`` / ``ckpt_saved`` / ``ckpt_restored`` /
     ``eval`` / ``bench_table`` / ``bench_result``.
 ``<root>/<run_id>/metrics.json``

@@ -250,7 +250,6 @@ def _record_outcome(tel: LoopTelemetry, result: ServeResult) -> None:
     value = {m.name: m.value for m in result.metrics}
     tel.event("serving_load", {
         "workload": result.workload.name,
-        "loads": result.expert_load,
         "gini": value["expert_load_gini"],
         "dropped_fraction": value["dropped_fraction"],
         "span_totals_ns": {

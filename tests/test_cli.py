@@ -523,18 +523,18 @@ class TestRunsShowEventsFilter:
         w = RunWriter.create(root=tmp_path, run_id="f1", seed=0,
                              config={"kind": "train"}, created_at=1.0)
         w.emit("step", step=0, data={"loss": 1.0})
-        w.emit("routing_affinity", step=0,
-               data={"schema": 1, "transitions": [[[1]]]})
-        w.emit("routing_affinity", step=1,
-               data={"schema": 1, "transitions": [[[2]]]})
+        w.emit("routing", step=0,
+               data={"layer": 0, "transitions": [[1]]})
+        w.emit("routing", step=1,
+               data={"layer": 0, "transitions": [[2]]})
         w.finalize(summary={})
         assert main(["runs", "show", "f1", "--dir", str(tmp_path),
-                     "--events", "routing_affinity"]) == 0
+                     "--events", "routing"]) == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert len(out) == 2
         events = [json.loads(line) for line in out]
-        assert all(e["kind"] == "routing_affinity" for e in events)
-        assert events[1]["data"]["transitions"] == [[[2]]]
+        assert all(e["kind"] == "routing" for e in events)
+        assert events[1]["data"]["transitions"] == [[2]]
         # The manifest dump is suppressed in filter mode.
         assert not any("run_id" in line for line in out)
 
@@ -546,8 +546,8 @@ class TestRunsShowEventsFilter:
         w.emit("step", step=0, data={"loss": 1.0})
         w.finalize(summary={})
         assert main(["runs", "show", "f2", "--dir", str(tmp_path),
-                     "--events", "routing_load"]) == 0
-        assert "no 'routing_load' events" in capsys.readouterr().out
+                     "--events", "serving_load"]) == 0
+        assert "no 'serving_load' events" in capsys.readouterr().out
 
 
 class TestClosedPipe:

@@ -13,7 +13,8 @@ Load-bearing properties:
   for a fixed seed (the contract that lets ``BENCH_routing.json`` gate
   at tolerance 0);
 * the run-registry event round-trip reconstructs the recorder's exact
-  integer counts.
+  integer counts, and a profile is the sum of its ``routing`` events,
+  so a resumed run keeps its pre-resume traffic.
 """
 
 import json
@@ -28,8 +29,8 @@ from repro.cluster.topology import ndv4_topology
 from repro.core.substrate import substrate_dtype
 from repro.moe.gating import RoutingCriteria, compute_locations
 from repro.obs.calibrate import CalibratedTopology
+from repro.moe.metrics import routing_stats
 from repro.obs.routing import (
-    ROUTING_SCHEMA,
     SRC_BUCKETS,
     RoutingRecorder,
     candidate_placements,
@@ -47,18 +48,6 @@ from repro.parallel.placement import (
 )
 
 
-class _StubRun:
-    """Collects emitted events after a JSON round-trip, exactly as the
-    registry would replay them."""
-
-    def __init__(self):
-        self.events = []
-
-    def emit(self, kind, step=None, data=None):
-        self.events.append(json.loads(json.dumps(
-            {"kind": kind, "step": step, "data": data})))
-
-
 def _uniform_crits(num_layers=2, num_experts=4, tokens=32, top_k=2,
                    capacity=1000):
     """Round-robin routing with ample capacity: zero drops."""
@@ -74,23 +63,42 @@ def _uniform_crits(num_layers=2, num_experts=4, tokens=32, top_k=2,
     return crits
 
 
+def _counted_events(crits_per_batch, num_experts=4):
+    """The ``routing`` events a recording loop writes for these
+    batches: each layer's stats payload plus its recorder counts,
+    after a JSON round-trip, exactly as the registry replays them."""
+    rec = RoutingRecorder(len(crits_per_batch[0]), num_experts)
+    events = []
+    for step, crits in enumerate(crits_per_batch):
+        for li, (crit, counts) in enumerate(
+                zip(crits, rec.observe_batch(crits))):
+            events.append(json.loads(json.dumps({
+                "kind": "routing", "step": step, "data": {
+                    **routing_stats(crit).event_payload(li),
+                    **counts}})))
+        events.append({"kind": "step", "step": step, "data": {}})
+    return events
+
+
 class TestRecorder:
     def test_loads_match_bincount_and_count_drops(self):
-        rec = RoutingRecorder(2, 4)
         crits = _uniform_crits()
-        rec.observe_batch(crits)
+        profile = profile_from_events(_counted_events([crits]))
         for li, crit in enumerate(crits):
             expected = np.bincount(crit.idxs.reshape(-1), minlength=4)
-            assert (rec.loads[li] == expected).all()
+            assert (profile.loads[li] == expected).all()
         # Ample capacity: every slot survives into `dispatched`.
-        assert rec.dispatched.sum() == rec.loads.sum()
+        assert profile.dispatched.sum() == profile.loads.sum()
 
     def test_transition_rows_sum_to_tokens(self):
-        rec = RoutingRecorder(3, 4)
-        rec.observe_batch(_uniform_crits(num_layers=3, tokens=32))
-        # One primary-route transition per token per layer pair.
-        assert rec.transitions.shape == (2, 4, 4)
-        assert (rec.transitions.sum(axis=(1, 2)) == 32).all()
+        counts = RoutingRecorder(3, 4).observe_batch(
+            _uniform_crits(num_layers=3, tokens=32))
+        # One primary-route transition per token per layer pair; the
+        # last layer has no next layer.
+        assert "transitions" not in counts[2]
+        for layer in counts[:2]:
+            assert np.asarray(layer["transitions"]).shape == (4, 4)
+            assert np.asarray(layer["transitions"]).sum() == 32
 
     def test_dropped_slots_excluded_from_dispatch(self):
         # Everyone wants expert 0, capacity 5: 5 survivors per layer.
@@ -100,10 +108,9 @@ class TestRecorder:
         crit = RoutingCriteria(idxs=idxs, locations=locations,
                                gates=np.ones_like(idxs, dtype=float),
                                capacity=cap, num_experts=4)
-        rec = RoutingRecorder(1, 4)
-        rec.observe_batch([crit])
-        assert rec.loads[0, 0] == tokens
-        assert rec.dispatched.sum() == cap
+        profile = profile_from_events(_counted_events([[crit]]))
+        assert profile.loads[0, 0] == tokens
+        assert profile.dispatched.sum() == cap
 
     def test_layer_count_mismatch_rejected(self):
         rec = RoutingRecorder(2, 4)
@@ -111,41 +118,51 @@ class TestRecorder:
             rec.observe_batch(_uniform_crits(num_layers=3))
 
     def test_event_round_trip_reconstructs_counts(self):
-        rec = RoutingRecorder(2, 4)
-        run = _StubRun()
-        for step in range(3):
-            rec.observe_batch(_uniform_crits(tokens=32))
-            rec.emit(run, step=step)
-        assert [e["kind"] for e in run.events[-2:]] == \
-            ["routing_load", "routing_affinity"]
-        assert all(e["data"]["schema"] == ROUTING_SCHEMA
-                   for e in run.events)
-        profile = profile_from_events(run.events)
-        direct = rec.profile()
-        assert profile.tokens == direct.tokens == 96
+        batches = [_uniform_crits(tokens=32) for _ in range(3)]
+        events = _counted_events(batches)
+        assert [e["kind"] for e in events[:3]] == \
+            ["routing", "routing", "step"]
+        profile = profile_from_events(events)
+        assert profile.tokens == 96
         assert profile.batches == 3
-        assert (profile.loads == direct.loads).all()
-        assert (profile.dispatched == direct.dispatched).all()
-        assert (profile.transitions == direct.transitions).all()
+        for li in range(2):
+            crits = [batch[li] for batch in batches]
+            assert (profile.loads[li]
+                    == sum(c.plan.load for c in crits)).all()
+            assert profile.dispatched[li].sum() == sum(
+                len(c.plan.pos) for c in crits)
+        assert (profile.transitions.sum(axis=(1, 2)) == 96).all()
 
-    def test_events_carry_running_totals_so_prefix_is_consistent(self):
-        rec = RoutingRecorder(2, 4)
-        run = _StubRun()
-        rec.observe_batch(_uniform_crits())
-        rec.emit(run, step=0)
-        rec.observe_batch(_uniform_crits())
-        rec.emit(run, step=1)
-        prefix = profile_from_events(run.events[:2])
-        assert prefix.batches == 1
-        assert prefix.tokens * 2 == profile_from_events(run.events).tokens
+    def test_any_prefix_profiles_exactly_its_batches(self):
+        events = _counted_events(
+            [_uniform_crits(tokens=16 + 8 * b) for b in range(3)])
+        for cut in range(1, len(events) + 1):
+            prefix = events[:cut]
+            routing = [e["data"] for e in prefix if e["kind"] == "routing"]
+            layer0 = [d for d in routing if d["layer"] == 0]
+            profile = profile_from_events(prefix)
+            assert profile.batches == len(layer0)
+            assert profile.tokens == sum(d["tokens"] for d in layer0)
+            for li in range(profile.num_layers):
+                assert profile.loads[li].tolist() == np.sum(
+                    [d["expert_load"] for d in routing
+                     if d["layer"] == li], axis=0).tolist()
 
-    def test_unknown_schema_rejected(self):
-        events = [{"kind": "routing_load", "data": {"schema": 99}}]
-        with pytest.raises(ValueError, match="schema"):
+    def test_uncounted_routing_events_rejected(self):
+        # What a run records without counts (engine-only, or a stream
+        # from before routing events carried them): no profile.
+        payload = routing_stats(_uniform_crits()[0]).event_payload(0)
+        with pytest.raises(ValueError, match="no counted routing"):
+            profile_from_events([{"kind": "routing", "data": payload}])
+
+    def test_mixed_expert_counts_rejected(self):
+        events = (_counted_events([_uniform_crits(num_experts=4)])
+                  + _counted_events([_uniform_crits(num_experts=8)], 8))
+        with pytest.raises(ValueError, match="one model's routing"):
             profile_from_events(events)
 
     def test_stream_without_routing_events_rejected(self):
-        with pytest.raises(ValueError, match="no routing_load"):
+        with pytest.raises(ValueError, match="no counted routing"):
             profile_from_events([{"kind": "step", "data": {}}])
 
 
@@ -185,7 +202,7 @@ class TestHopConservation:
             rng = np.random.default_rng(0)
             layers = [MoE(32, 64, 8, rng, top_k=2,
                           capacity_factor=1.25) for _ in range(2)]
-            rec = RoutingRecorder(2, 8)
+            batches = []
             for step in range(3):
                 x = Tensor(np.random.default_rng(step)
                            .standard_normal((96, 32)))
@@ -194,8 +211,8 @@ class TestHopConservation:
                     x, _ = layer.forward(x)
                     crits.append(layer.last_routing_criteria)
                 assert all(c is not None for c in crits)
-                rec.observe_batch(crits)
-        profile = rec.profile()
+                batches.append(crits)
+        profile = profile_from_events(_counted_events(batches, 8))
         assert profile.tokens == 3 * 96
         topo = ndv4_topology(4, gpus_per_node=2)
         for placement in (build_placement(4, 2),
@@ -394,9 +411,9 @@ class TestEngineIntegration:
                         steps=3, batch_size=64)
         store = RunStore(tmp_path)
         events = list(store.events("t1"))
-        loads = [e for e in events if e["kind"] == "routing_load"]
-        affs = [e for e in events if e["kind"] == "routing_affinity"]
-        assert len(loads) == 3 and len(affs) == 3
+        counted = [e for e in events if e["kind"] == "routing"
+                   and "dispatched" in e["data"]]
+        assert len(counted) == 3 * len(model.moe_layers())
         profile = profile_from_events(events)
         assert profile.batches == 3
         assert profile.tokens == 3 * 64
@@ -426,3 +443,25 @@ class TestEngineIntegration:
                          ndv4_topology(4, gpus_per_node=2),
                          bytes_per_token=128)
         assert led.conserves(profile.total_dispatched)
+
+    def test_resumed_scenario_keeps_pre_resume_traffic(self, tmp_path,
+                                                       monkeypatch):
+        # rank_loss_deadline restores a checkpoint mid-run and compacts
+        # the replayed steps; the profile still covers all 12 steps.
+        from repro.obs.runs import RunStore
+        from repro.scenarios.engine import run_scenario
+        from repro.scenarios.library import get_scenario
+
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path))
+        run_scenario(get_scenario("rank_loss_deadline"), fast=True)
+        store = RunStore(tmp_path)
+        events = list(store.events(store.latest()))
+        assert sum(e["kind"] == "step" for e in events) == 12
+        profile = profile_from_events(events)
+        assert profile.batches == 12
+        assert profile.tokens == 768
+        routing = [e["data"] for e in events if e["kind"] == "routing"]
+        for li in range(profile.num_layers):
+            assert profile.loads[li].tolist() == np.sum(
+                [d["expert_load"] for d in routing if d["layer"] == li],
+                axis=0).tolist()
