@@ -20,7 +20,7 @@ from repro.moe.encode import (
     fast_decode,
     fast_encode,
 )
-from repro.moe.gating import softmax, top_k_routing
+from repro.moe.gating import route, softmax
 
 TOKEN_COUNTS = (512, 1024, 2048, 4096)
 MODEL_DIM = 256
@@ -32,7 +32,7 @@ def _case(tokens, seed=0):
     rng = np.random.default_rng(seed)
     probs = softmax(rng.normal(size=(tokens, EXPERTS)))
     capacity = max(1, TOP_K * tokens // EXPERTS)
-    crit = top_k_routing(probs, TOP_K, capacity=capacity)
+    crit = route(probs, TOP_K, capacity).crit
     x = rng.normal(size=(tokens, MODEL_DIM))
     z = rng.normal(size=(EXPERTS, capacity, MODEL_DIM))
     return x, z, crit

@@ -4,23 +4,45 @@ Walks through the complete data path of paper Figure 2 on 4 simulated
 GPUs with 8 global experts, runs the switchable P1 and P2 layouts
 (Figures 11-12) on 8 GPUs serving 2 experts, then demonstrates the 2DH
 All-to-All producing bit-identical results to the linear algorithm
-while moving only aggregated messages (Figure 15 / Algorithm 3).
+while moving only aggregated messages (Figure 15 / Algorithm 3).  Every
+multi-rank forward runs the single-process layer, ``repro.nn.moe.MoE``,
+and must match its own forward to float32 tolerance.
 
 Run:  python examples/distributed_moe.py
 """
 
 import numpy as np
 
+from repro.autograd.tensor import Tensor
 from repro.collectives.functional import (
     all_to_all_2dh_phases,
     all_to_all_linear,
     flexible_all_to_all,
 )
 from repro.core.config import MoEConfig
-from repro.moe.capacity import CapacityPolicy
 from repro.moe.distributed import distributed_moe_forward
-from repro.moe.layer import MoELayerParams, moe_layer_forward
+from repro.nn.moe import MoE
 from repro.parallel.functional import p1_forward, p2_forward
+
+# Max deviation allowed between a multi-rank forward and the layer's
+# own forward: float32 roundoff, as tests/test_properties.py allows.
+TOLERANCE = 1e-4
+
+
+def frozen_layer(cfg, rng):
+    """The single-process layer every multi-rank forward runs."""
+    layer = MoE(cfg.model_dim, cfg.hidden_dim, cfg.num_global_experts,
+                rng, top_k=cfg.top_k, capacity_factor=cfg.capacity_factor)
+    layer.freeze()
+    return layer
+
+
+def check(name, outputs, layer, rank_inputs):
+    """Print and assert the max deviation from the layer's forward."""
+    err = max(float(np.abs(out - layer(Tensor(x))[0].data).max())
+              for out, x in zip(outputs, rank_inputs))
+    print(f"{name}: max deviation vs single-process = {err:.2e}")
+    assert err <= TOLERANCE, f"{name} deviates by {err:.2e}"
 
 
 def main():
@@ -28,36 +50,26 @@ def main():
     cfg = MoEConfig(world_size=4, experts_per_gpu=2, model_dim=32,
                     hidden_dim=64, tokens_per_gpu=64, top_k=2,
                     capacity_factor=4.0)
-    params = MoELayerParams.init(num_experts=cfg.num_global_experts,
-                                 model_dim=32, hidden_dim=64, rng=rng)
-    rank_inputs = [rng.normal(size=(64, 32)) for _ in range(4)]
+    layer = frozen_layer(cfg, rng)
+    rank_inputs = [rng.normal(size=(64, 32)).astype(np.float32)
+                   for _ in range(4)]
 
     # Full distributed forward: encode -> flexible A2A -> local experts
     # -> flexible A2A -> decode, with real data movement.
-    result = distributed_moe_forward(rank_inputs, params, cfg)
+    result = distributed_moe_forward(rank_inputs, layer, cfg)
     print(f"per-rank outputs: {[o.shape for o in result.outputs]}")
     print(f"aux loss {result.l_aux:.3f}, dropped "
           f"{result.dropped_fraction:.1%}")
-
-    # Equivalence against the single-process layer per rank.
-    for r, x in enumerate(rank_inputs):
-        local = moe_layer_forward(x, params,
-                                  capacity=CapacityPolicy(4.0))
-        err = np.abs(result.outputs[r] - local.output).max()
-        print(f"rank {r}: max deviation vs single-process = {err:.2e}")
+    check("expert-parallel", result.outputs, layer, rank_inputs)
 
     # P1 (ZeRO-sliced replicas) and P2 (column-sharded experts): W = 8
     # GPUs serve E = 2 experts, r = 4 GPUs per expert.
     cfg = cfg.with_(world_size=8, experts_per_gpu=0.25)
-    params = MoELayerParams.init(num_experts=2, model_dim=32,
-                                 hidden_dim=64, rng=rng)
-    rank_inputs = [rng.normal(size=(64, 32)) for _ in range(8)]
-    local = [moe_layer_forward(x, params, capacity=CapacityPolicy(4.0))
-             .output for x in rank_inputs]
+    layer = frozen_layer(cfg, rng)
+    rank_inputs = [rng.normal(size=(64, 32)).astype(np.float32)
+                   for _ in range(8)]
     for name, forward in (("P1", p1_forward), ("P2", p2_forward)):
-        outputs = forward(rank_inputs, params, cfg)
-        err = max(np.abs(o - ref).max() for o, ref in zip(outputs, local))
-        print(f"{name}: max deviation vs single-process = {err:.2e}")
+        check(name, forward(rank_inputs, layer, cfg), layer, rank_inputs)
 
     # Table 3 layouts: (E, dC, M) -> (dE, C, M) and back.
     dispatch = [rng.normal(size=(8, 3, 5)) for _ in range(4)]

@@ -10,14 +10,14 @@ re-export nothing: import each name from the module that defines it.
 Quickstart::
 
     import numpy as np
-    from repro.moe.layer import MoELayerParams, moe_layer_forward
+    from repro.autograd.tensor import Tensor
+    from repro.nn.moe import MoE
 
     rng = np.random.default_rng(0)
-    params = MoELayerParams.init(num_experts=8, model_dim=64,
-                                 hidden_dim=256, rng=rng)
-    x = rng.normal(size=(128, 64))
-    out = moe_layer_forward(x, params)
-    print(out.output.shape, out.l_aux)
+    layer = MoE(model_dim=64, hidden_dim=256, num_experts=8, rng=rng)
+    layer.freeze()
+    out, l_aux = layer(Tensor(rng.normal(size=(128, 64))))
+    print(out.shape, float(l_aux.data))
 """
 
 __version__ = "0.1.0"

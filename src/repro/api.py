@@ -39,7 +39,6 @@ __all__ = ["moe", "net"]
 
 def _api_top_k_routing(scores: np.ndarray, top_k: int = 2,
                        capacity_factor: float = 1.0,
-                       normalize_gate: bool = True,
                        batch_prioritized: bool = False
                        ) -> tuple[RoutingCriteria, float]:
     """``moe.top_k_routing(scores, top_k) -> (crit, l_aux)``.
@@ -48,7 +47,7 @@ def _api_top_k_routing(scores: np.ndarray, top_k: int = 2,
     capacity follows the Figure 16 semantics of ``capacity_factor``.
     """
     crit, l_aux, _ = route(scores, top_k, CapacityPolicy(capacity_factor),
-                           normalize_gate, batch_prioritized)
+                           batch_prioritized)
     return crit, l_aux
 
 

@@ -562,7 +562,11 @@ def _cmd_route(args) -> int:
         from repro.obs.runs import RunStore
         store = RunStore(args.dir)
         run_id = store.resolve(args.run)
-        profile = profile_from_events(store.events(run_id))
+        try:
+            profile = profile_from_events(store.events(run_id))
+        except ValueError as exc:
+            # A run that mixes models, or records no counts: one line.
+            raise SystemExit(f"repro route: {exc}") from exc
         config = None
         print(f"[route] aggregated run {run_id}")
 

@@ -13,9 +13,12 @@ whole experts per rank); P1 and P2 (:mod:`repro.parallel.functional`)
 are the other two.  Figure 7's raw ``(W, dE, dC, M)`` layout is priced
 by :mod:`repro.cluster.gemm`, not executed.
 
-Because every rank routes into per-rank capacity ``dC``, results match
-the single-process layer exactly whenever nothing is dropped; a test
-asserts this equivalence.
+Every forward takes the single-process layer itself, a frozen
+:class:`repro.nn.moe.MoE`: each rank routes with that layer's router
+and reads its expert weights.  Because every rank routes into per-rank
+capacity ``dC``, results match the layer's own forward exactly whenever
+nothing is dropped (and, at ``W = 1``, whenever ``dC`` is the capacity
+the layer resolves); the tests assert both.
 """
 
 from __future__ import annotations
@@ -24,12 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.autograd.tensor import Tensor
 from repro.collectives.functional import flexible_all_to_all
 from repro.core.config import MoEConfig
 from repro.moe.encode import fast_decode, fast_encode
 from repro.moe.ffn import ffn_forward_arrays
 from repro.moe.gating import RoutingCriteria, route, softmax
-from repro.moe.layer import MoELayerParams, _gate_logits
+from repro.nn.moe import MoE
 
 __all__ = [
     "DistributedMoEOutput",
@@ -48,24 +52,29 @@ class DistributedMoEOutput:
     dropped_fraction: float
 
 
-def route_and_encode(rank_inputs: list[np.ndarray], params: MoELayerParams,
+def route_and_encode(rank_inputs: list[np.ndarray], layer: MoE,
                      cfg: MoEConfig, sharded: bool
                      ) -> tuple[list[RoutingCriteria], list[np.ndarray],
                                 float]:
     """Per-rank front-end of every multi-rank forward: gate each rank's
-    tokens with the shared gate, route them into the fixed per-rank
-    capacity ``cfg.capacity_per_gpu`` and sparse-encode the
-    ``(E, dC, M)`` dispatch buffers.  Returns the per-rank criteria and
-    buffers and the rank-mean auxiliary loss.
+    tokens with ``layer``'s router (shared by every rank), route them
+    into the fixed per-rank capacity ``cfg.capacity_per_gpu`` and
+    sparse-encode the ``(E, dC, M)`` dispatch buffers.  Returns the
+    per-rank criteria and buffers and the rank-mean auxiliary loss.
 
-    First checks the placement: ``params`` holds the ``E`` experts
-    ``cfg`` implies, one input per rank, and either ``dE`` whole experts
-    per rank or, ``sharded`` (P1/P2), each expert over
+    First checks the layer and the placement: ``layer`` masks no expert
+    (a masked expert is a single-process degradation path), holds the
+    ``E`` experts ``cfg`` implies, one input per rank, and either ``dE``
+    whole experts per rank or, ``sharded`` (P1/P2), each expert over
     ``r = cfg.expert_shards`` ranks with ``W = E * r``."""
-    w, e = cfg.world_size, params.experts.num_experts
+    w, e = cfg.world_size, layer.num_experts
+    if layer.failed_experts:
+        raise ValueError(
+            f"layer masks experts {sorted(layer.failed_experts)}; the "
+            f"multi-rank forwards route over all {e}")
     if e != cfg.num_global_experts:
         raise ValueError(
-            f"params have {e} experts but cfg implies "
+            f"layer has {e} experts but cfg implies "
             f"{cfg.num_global_experts}")
     if sharded and e * cfg.expert_shards != w:
         raise ValueError(
@@ -77,9 +86,9 @@ def route_and_encode(rank_inputs: list[np.ndarray], params: MoELayerParams,
             f"expected {w} rank inputs, got {len(rank_inputs)}")
     crits, buffers, aux_losses = [], [], []
     for x in rank_inputs:
-        crit, l_aux, _ = route(softmax(_gate_logits(x, params)), cfg.top_k,
-                               cfg.capacity_per_gpu, params.normalize_gate,
-                               params.batch_prioritized)
+        logits = layer.gate_logits(Tensor(x, dtype=x.dtype)).data
+        crit, l_aux, _ = route(softmax(logits, axis=1), cfg.top_k,
+                               cfg.capacity_per_gpu, layer.batch_prioritized)
         crits.append(crit)
         buffers.append(fast_encode(x, crit))
         aux_losses.append(l_aux)
@@ -110,8 +119,7 @@ def expert_exchange(buffers: list[np.ndarray], w1: np.ndarray,
     return flexible_all_to_all(outputs, concat_dim=0, split_dim=1)
 
 
-def distributed_moe_forward(rank_inputs: list[np.ndarray],
-                            params: MoELayerParams,
+def distributed_moe_forward(rank_inputs: list[np.ndarray], layer: MoE,
                             cfg: MoEConfig) -> DistributedMoEOutput:
     """Run one MoE layer across ``cfg.world_size`` simulated ranks,
     expert-parallel: rank ``r`` holds experts ``[r * dE, (r + 1) * dE)``
@@ -121,16 +129,17 @@ def distributed_moe_forward(rank_inputs: list[np.ndarray],
     ----------
     rank_inputs:
         One ``(T, M)`` token array per rank.
-    params:
-        Global layer parameters (gate is shared; experts are sharded).
+    layer:
+        The frozen single-process layer (router shared; experts
+        sharded).
     cfg:
         Placement configuration; ``cfg.capacity_per_gpu`` bounds each
         rank's per-expert contribution.
     """
-    crits, buffers, l_aux = route_and_encode(rank_inputs, params, cfg,
+    crits, buffers, l_aux = route_and_encode(rank_inputs, layer, cfg,
                                              sharded=False)
-    combined = expert_exchange(buffers, params.experts.w1,
-                               params.experts.w2, params.activation)
+    combined = expert_exchange(buffers, layer.w1.data, layer.w2.data,
+                               layer.activation)
     return DistributedMoEOutput(
         outputs=[fast_decode(y, crit) for y, crit in zip(combined, crits)],
         l_aux=l_aux,

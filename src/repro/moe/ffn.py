@@ -7,8 +7,7 @@ prefix of its capacity slab, never over the padding.  A leaf module
 beside the scatter/gather kernels of :mod:`repro.moe.encode`, and the
 only expert FFN: the autograd ops (:mod:`repro.autograd.functional`'s
 relu/gelu, :mod:`repro.autograd.moe_ops`'s fused FFN) and every NumPy
-forward — the single-process layer (:mod:`repro.moe.layer`, ragged
-over its occupancy) and the expert-parallel, P1 and P2 forwards
+forward — the expert-parallel, P1 and P2 forwards
 (:func:`repro.moe.distributed.expert_exchange`, every capacity row) —
 all run these same bodies, so they agree numerically.  A forward no
 tape will differentiate passes ``save=False`` and keeps no activations.

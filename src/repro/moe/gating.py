@@ -1,11 +1,8 @@
 """Gating functions and token routing for MoE layers.
 
-Implements the routing stack of the paper's Sections 2.1, 4.1, 5.3.4
-and 5.3.3:
+Implements the routing stack of the paper's Sections 2.1, 4.1 and
+5.3.3:
 
-* a **linear router** (GShard-style logits = ``x @ Wg``),
-* the **cosine router** of Equation (2) with a learnable temperature
-  clamped from below at 0.01,
 * **top-k routing** for any ``1 <= k <= E`` ("top-ANY"), with the
   GShard load-balancing auxiliary loss,
 * **batch prioritized routing** (BPR): capacity slots are assigned in
@@ -13,7 +10,8 @@ and 5.3.3:
   matters at low capacity factors (paper Figure 25).
 
 Everything is dtype-preserving vectorized NumPy; tokens are rows of an
-``(T, M)`` array.
+``(T, M)`` array.  The routers that produce the logits (linear, and
+the cosine router of Equation (2)) are :class:`repro.nn.moe.MoE`'s.
 """
 
 from __future__ import annotations
@@ -27,20 +25,15 @@ from repro.moe.capacity import CapacityPolicy, resolve_capacity
 
 __all__ = [
     "softmax",
-    "linear_gate_logits",
-    "cosine_gate_logits",
     "RoutingCriteria",
     "RoutePlan",
     "Routing",
     "select_top_k",
     "route",
-    "top_k_routing",
     "load_balance_loss",
     "compute_locations",
     "compute_locations_reference",
 ]
-
-_MIN_TEMPERATURE = 0.01
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -48,54 +41,6 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = logits - logits.max(axis=axis, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=axis, keepdims=True)
-
-
-def linear_gate_logits(x: np.ndarray, gate_weight: np.ndarray) -> np.ndarray:
-    """Linear router logits ``(T, E) = x (T, M) @ gate_weight (M, E)``."""
-    if x.ndim != 2 or gate_weight.ndim != 2:
-        raise ValueError("x and gate_weight must be 2-D")
-    if x.shape[1] != gate_weight.shape[0]:
-        raise ValueError(
-            f"model dim mismatch: x has {x.shape[1]}, gate expects "
-            f"{gate_weight.shape[0]}")
-    return x @ gate_weight
-
-
-def cosine_gate_logits(x: np.ndarray, proj: np.ndarray,
-                       expert_embed: np.ndarray,
-                       temperature: float = 0.3) -> np.ndarray:
-    """Cosine router of paper Equation (2).
-
-    ``P = softmax(cos(W x, M) / tau)`` — this returns the pre-softmax
-    scores ``cos(W x, M) / tau``; combine with :func:`softmax`.
-
-    Parameters
-    ----------
-    x:
-        Token features ``(T, C)``.
-    proj:
-        Linear projection ``W`` of shape ``(C, D)``.
-    expert_embed:
-        Parametric expert matrix ``M`` of shape ``(E, D)``.
-    temperature:
-        Learnable temperature ``tau``; clamped at 0.01 from below as in
-        the paper to avoid degenerate sharpness.
-    """
-    if x.shape[1] != proj.shape[0]:
-        raise ValueError(
-            f"model dim mismatch: x has {x.shape[1]}, proj expects "
-            f"{proj.shape[0]}")
-    if proj.shape[1] != expert_embed.shape[1]:
-        raise ValueError(
-            f"router dim mismatch: proj gives {proj.shape[1]}, expert "
-            f"embeddings have {expert_embed.shape[1]}")
-    tau = max(float(temperature), _MIN_TEMPERATURE)
-    projected = x @ proj                                        # (T, D)
-    x_norm = np.linalg.norm(projected, axis=1, keepdims=True)
-    e_norm = np.linalg.norm(expert_embed, axis=1, keepdims=True)
-    denom = np.maximum(x_norm * e_norm.T, 1e-12)
-    cosine = (projected @ expert_embed.T) / denom               # (T, E)
-    return cosine / tau
 
 
 class RoutePlan(NamedTuple):
@@ -156,7 +101,7 @@ class RoutingCriteria:
         capacity queue.
     gates:
         ``(k, T)`` float array — routing weight for each slot
-        (renormalized over the selected experts when requested).
+        (renormalized over the selected experts when k > 1).
     capacity:
         ``dC`` — capacity slots per expert on this rank.
     num_experts:
@@ -371,7 +316,7 @@ class Routing(NamedTuple):
 
 
 def route(gate_probs: np.ndarray, top_k: int,
-          capacity: int | CapacityPolicy, normalize_gate: bool = True,
+          capacity: int | CapacityPolicy,
           batch_prioritized: bool = False) -> Routing:
     """The routing decision: top-k selection, capacity, queue
     positions, gate values and the auxiliary loss, from one sort.
@@ -388,9 +333,6 @@ def route(gate_probs: np.ndarray, top_k: int,
         resolved against this batch's own selection (Figure 16).
         Tokens whose queue position reaches ``dC`` are dropped (their
         slot is marked invalid).
-    normalize_gate:
-        Renormalize the selected slots' probabilities to sum to one per
-        token, as GShard does for k > 1.
     batch_prioritized:
         Enable BPR: capacity slots assigned in order of decreasing
         top-1 confidence (paper Figure 25).
@@ -411,8 +353,11 @@ def route(gate_probs: np.ndarray, top_k: int,
     elif capacity < 1:
         raise ValueError(f"capacity must be >= 1, got {capacity}")
 
+    # Selected gates sum to one per token for k > 1 (GShard); at k = 1
+    # the raw probability scales the expert output (Switch), as in
+    # nn.MoE, whose router trains through it.
     gates = np.take_along_axis(gate_probs, top_idxs, axis=1).T.copy()
-    if normalize_gate:
+    if top_k > 1:
         denom = np.maximum(gates.sum(axis=0, keepdims=True), 1e-12)
         gates = gates / denom
 
@@ -424,14 +369,6 @@ def route(gate_probs: np.ndarray, top_k: int,
     # Zero the gates of dropped slots so decode ignores them.
     crit.gates = np.where(crit.valid, crit.gates, 0.0)
     return Routing(crit, load_balance_loss(gate_probs, idxs), effective_f)
-
-
-def top_k_routing(gate_probs: np.ndarray, top_k: int, capacity: int,
-                  normalize_gate: bool = True,
-                  batch_prioritized: bool = False) -> RoutingCriteria:
-    """The fixed-capacity view of :func:`route`: just the ``crit``."""
-    return route(gate_probs, top_k, capacity, normalize_gate,
-                 batch_prioritized).crit
 
 
 def load_balance_loss(gate_probs: np.ndarray,

@@ -57,7 +57,6 @@ class MoE(Module):
                  rng: np.random.Generator, top_k: int = 2,
                  capacity_factor: float = 1.0, router: str = "linear",
                  router_dim: int = 256, activation: str = "gelu",
-                 normalize_gate: bool = True,
                  batch_prioritized: bool = False) -> None:
         if num_experts < 1:
             raise ValueError(f"num_experts must be >= 1, got {num_experts}")
@@ -71,7 +70,6 @@ class MoE(Module):
         self.capacity_policy = CapacityPolicy(capacity_factor)
         self.router = router
         self.activation = activation
-        self.normalize_gate = normalize_gate
         self.batch_prioritized = batch_prioritized
 
         s1 = (2.0 / model_dim) ** 0.5
@@ -125,9 +123,9 @@ class MoE(Module):
         """Mask a dead expert out of gating; survivors take over.
 
         The mask zeroes the expert's softmax probability, so top-k
-        selection never picks it and (with ``normalize_gate``) the
-        surviving gate values renormalize automatically — tokens are
-        re-routed, not dropped.  At least one expert must survive.
+        selection never picks it and (for k > 1) the surviving gate
+        values renormalize automatically — tokens are re-routed, not
+        dropped.  At least one expert must survive.
         Records nothing: a checkpoint restore re-applies a mask this
         way, a failure goes through :meth:`fail_expert`.
         """
@@ -158,7 +156,10 @@ class MoE(Module):
 
     # -- routing ----------------------------------------------------------
 
-    def _gate_logits(self, x: Tensor) -> Tensor:
+    def gate_logits(self, x: Tensor) -> Tensor:
+        """The router's ``(T, E)`` pre-softmax scores: ``x @ Wg``, or
+        Equation (2)'s ``cos(W x, M) / tau`` with ``tau`` floored at
+        0.01.  The multi-rank forwards route with it too."""
         if self.router == "linear":
             return self.gate(x)
         projected = self.cosine_proj(x)
@@ -199,12 +200,12 @@ class MoE(Module):
 
         with _span("gate", CAT_MOE), _stage("gate"):
             if taped:
-                logits = self._gate_logits(x)
+                logits = self.gate_logits(x)
             elif self.router == "linear" and not Tensor.needs_tape(x):
                 # Frozen and unprofiled: the same GEMM, no tape node.
                 logits = x.data @ self.gate.weight.data
             else:
-                logits = self._gate_logits(x).data
+                logits = self.gate_logits(x).data
             if self.failed_experts:
                 # Graceful degradation: a large negative logit zeroes
                 # the dead experts' probabilities, so selection and the
@@ -242,12 +243,12 @@ class MoE(Module):
             # which is the path the router's gradient flows through.
             if taped:
                 selected = take_along(probs, order, axis=1).T
-                if self.normalize_gate and k > 1:
+                if k > 1:
                     selected = selected / (selected.sum(axis=0, keepdims=True)
                                            + 1e-12)
             else:
                 gates = gate_probs[np.arange(t)[:, None], order].T
-                if self.normalize_gate and k > 1:
+                if k > 1:
                     gates = gates / (gates.sum(axis=0, keepdims=True)
                                      + _operand(1e-12))
                 selected = Tensor(gates, dtype=gates.dtype)

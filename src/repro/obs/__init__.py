@@ -10,9 +10,8 @@ observability layer instead of per-bench ad-hoc timing:
 * :class:`~repro.obs.trace.TraceRecorder` — typed trace events with
   Chrome-trace (``chrome://tracing`` / Perfetto) export and import;
 * :class:`Observer` — binds the two, adds the ``span(...)`` context
-  manager / ``@timed`` decorator, and holds the latest routing
-  diagnostics (drop fraction, imbalance, needed capacity factor) as
-  three ``routing.*`` gauges.  It keeps no history: the Figure 1
+  manager, and holds the latest routing diagnostics (drop fraction,
+  imbalance, needed capacity factor) as three ``routing.*`` gauges.  It keeps no history: the Figure 1
   series is ``TrainResult.capacity_traces`` or a run's ``routing``
   events, both published by :class:`repro.obs.loop.LoopTelemetry`.
 
@@ -54,7 +53,6 @@ or set ``REPRO_TRACE=/path/trace.json`` around any bench (see
 
 from __future__ import annotations
 
-import functools
 import time
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -74,7 +72,6 @@ __all__ = [
     "disable",
     "span",
     "instant",
-    "timed",
     "get_profiler",
     "set_profiler",
     "stage",
@@ -355,25 +352,3 @@ def instant(name: str, cat: str = CAT_BENCH, track: str = "main",
     if ob is not None:
         ob.instant(name, cat, track=track, args=args)
 
-
-def timed(name: str | None = None,
-          cat: str = CAT_BENCH) -> Callable[[Callable], Callable]:
-    """Decorator: time every call of ``fn`` when observability is on.
-
-    The observer is looked up at call time, so decorated functions stay
-    no-ops until :func:`enable` runs.
-    """
-    def deco(fn: Callable) -> Callable:
-        label = name if name is not None else fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(*a, **kw):
-            ob = _observer
-            if ob is None:
-                return fn(*a, **kw)
-            with ob.span(label, cat):
-                return fn(*a, **kw)
-
-        return wrapper
-
-    return deco

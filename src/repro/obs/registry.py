@@ -8,9 +8,8 @@ owns named instruments created on first use:
 * :class:`Gauge` — last-written values (current loss, current needed
   capacity factor);
 * :class:`Histogram` — accumulated distributions, the backing store of
-  every ``span(...)`` / ``@timed`` measurement (count / total / min /
-  max / mean plus reservoir-sampled p50/p95/p99, in seconds for
-  timers).
+  every ``span(...)`` measurement (count / total / min / max / mean
+  plus reservoir-sampled p50/p95/p99, in seconds for timers).
 
 Instruments are plain attribute-update objects — no locks, no label
 cartesian products — because the substrate is single-process NumPy and

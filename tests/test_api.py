@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from repro.api import moe, net
+from repro.autograd.tensor import Tensor
+from repro.core.substrate import substrate_dtype
 from repro.moe.ffn import ffn_forward_arrays
-from repro.moe.layer import ExpertParams
+from repro.nn.moe import MoE
+from repro.parallel.functional import ExpertParams
 
 
 @pytest.fixture
@@ -33,24 +36,29 @@ def custom_moe(x, gate_weight, experts, top_k=2):
 class TestFigure8Api:
     def test_snippet_runs(self, rng):
         gate = rng.normal(size=(16, 4))
-        experts = ExpertParams.init(4, 16, 32, rng)
+        experts = ExpertParams(w1=rng.normal(size=(4, 16, 32)),
+                               w2=rng.normal(size=(4, 32, 16)))
         x = rng.normal(size=(64, 16))
         out, l_aux = custom_moe(x, gate, experts)
         assert out.shape == (64, 16)
         assert l_aux > 0
 
     def test_matches_layer_forward(self, rng):
-        # The snippet must agree with the packaged layer.
-        from repro.moe.capacity import CapacityPolicy
-        from repro.moe.layer import MoELayerParams, moe_layer_forward
-        gate = rng.normal(size=(16, 4))
-        experts = ExpertParams.init(4, 16, 32, rng)
+        # The snippet must agree with the packaged layer, nn.MoE, at
+        # k = 1 and k > 1.
+        with substrate_dtype(np.float64):
+            layer = MoE(16, 32, 4, rng, capacity_factor=1.0)
+        layer.freeze()
+        experts = ExpertParams(layer.w1.data, layer.w2.data)
         x = rng.normal(size=(64, 16))
-        out, _ = custom_moe(x, gate, experts)
-        params = MoELayerParams(experts=experts, gate_weight=gate,
-                                top_k=2, capacity=CapacityPolicy(1.0))
-        expected = moe_layer_forward(x, params)
-        np.testing.assert_allclose(out, expected.output, atol=1e-10)
+        for k in (1, 2):
+            out, l_aux = custom_moe(x, layer.gate.weight.data, experts,
+                                    top_k=k)
+            expected, expected_aux = layer(Tensor(x, dtype=x.dtype),
+                                           top_k=k)
+            np.testing.assert_allclose(out, expected.data, atol=1e-10)
+            assert l_aux == pytest.approx(float(expected_aux.data),
+                                          abs=1e-12)
 
     def test_flex_all2all_single_rank_roundtrip(self, rng):
         y = rng.normal(size=(4, 3, 5))

@@ -1,47 +1,38 @@
 """Tests for the Fairseq / DeepSpeed baseline profiles."""
 
 import numpy as np
-import pytest
 
+from repro.autograd.tensor import Tensor
 from repro.baselines.deepspeed_moe import deepspeed_fflayer_time
-from repro.baselines.fairseq_moe import fairseq_memory, fairseq_moe_forward
+from repro.cluster.memory import dense_moe_memory
 from repro.cluster.topology import ndv4_topology
 from repro.collectives.schedule import A2AAlgorithm
 from repro.core.config import MoEConfig
-from repro.moe.layer import MoELayerParams, moe_layer_forward
+from repro.core.substrate import substrate_dtype
+from repro.moe.encode import dense_decode, dense_encode
+from repro.moe.ffn import ffn_forward_arrays
+from repro.moe.gating import route, softmax
+from repro.nn.moe import MoE
 from repro.runtime.plan import FAIRSEQ_FEATURES, moe_step_time
 
 
-@pytest.fixture
-def params():
-    return MoELayerParams.init(num_experts=4, model_dim=8,
-                               hidden_dim=16,
-                               rng=np.random.default_rng(0))
-
-
 class TestFairseqForward:
-    def test_matches_tutel_numerics(self, params):
-        # Same computation logic as GShard: dense and fast paths must
-        # produce the same outputs.
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(32, 8))
-        fair = fairseq_moe_forward(x, params, capacity_factor=2.0)
-        from repro.moe.capacity import CapacityPolicy
-        tutel = moe_layer_forward(x, params,
-                                  capacity=CapacityPolicy(2.0))
-        np.testing.assert_allclose(fair.output, tutel.output, atol=1e-10)
-
-    def test_rejects_adaptive_capacity(self, params):
-        x = np.zeros((4, 8))
-        with pytest.raises(ValueError):
-            fairseq_moe_forward(x, params, capacity_factor=0.0)
-
-    def test_no_bpr(self, params):
-        # The baseline never reorders tokens; first-come-first-served.
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(64, 8))
-        out = fairseq_moe_forward(x, params, capacity_factor=0.25)
-        assert out.crit is not None
+    def test_matches_tutel_numerics(self):
+        # Same computation logic as GShard: Fairseq's dense einsum
+        # encode/decode (first-come-first-served, a fixed factor) gives
+        # the Tutel layer's sparse-kernel outputs.
+        rng = np.random.default_rng(0)
+        with substrate_dtype(np.float64):
+            layer = MoE(8, 16, 4, rng, capacity_factor=2.0)
+        layer.freeze()
+        x = np.random.default_rng(1).normal(size=(32, 8))
+        tutel, _ = layer(Tensor(x, dtype=x.dtype))
+        crit = route(softmax(x @ layer.gate.weight.data), 2,
+                     layer.capacity_policy).crit
+        hidden, _ = ffn_forward_arrays(dense_encode(x, crit), layer.w1.data,
+                                       layer.w2.data, "gelu")
+        np.testing.assert_allclose(dense_decode(hidden, crit), tutel.data,
+                                   atol=1e-10)
 
 
 class TestFairseqProfile:
@@ -57,7 +48,7 @@ class TestFairseqProfile:
     def test_memory_is_dense(self):
         cfg = MoEConfig(world_size=1, experts_per_gpu=2, model_dim=512,
                         hidden_dim=512, tokens_per_gpu=2048, top_k=2)
-        breakdown = fairseq_memory(cfg)
+        breakdown = dense_moe_memory(cfg)
         assert any("T,E,dC" in name for name in breakdown.tensors)
 
 

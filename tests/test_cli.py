@@ -514,6 +514,32 @@ class TestRouteCommand:
             main(["route", "latest", "--dir",
                   str(tmp_path / "none")])
 
+    def test_route_on_a_run_of_two_models_is_one_line(self, tmp_path):
+        # A run that trains two expert counts (repro bench tab11)
+        # cannot be one routing profile: one stderr line, no traceback.
+        from repro.obs.routing import SRC_BUCKETS
+        from repro.obs.runs import RunWriter
+
+        w = RunWriter.create(root=tmp_path, run_id="mix", seed=0,
+                             config={"kind": "train"}, created_at=1.0)
+        for step, e in enumerate((8, 16)):
+            w.emit("routing", step=step, data={
+                "layer": 0, "tokens": 4, "expert_load": [0] * e,
+                "dispatched": [[0] * e] * SRC_BUCKETS})
+        w.finalize(summary={})
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "route", "latest", "--dir",
+             str(tmp_path)], capture_output=True, text=True, env=env,
+            timeout=120)
+        assert proc.returncode != 0
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("repro route: routing event at step 1")
+        assert "(16, 16)" in lines[0] and "(16, 8)" in lines[0]
+
 
 class TestRunsShowEventsFilter:
     def test_filter_prints_matching_events_as_jsonl(self, tmp_path,

@@ -3,25 +3,27 @@
 import numpy as np
 import pytest
 
+from repro.autograd.tensor import Tensor
 from repro.core.config import MoEConfig
-from repro.moe.capacity import CapacityPolicy
+from repro.core.substrate import substrate_dtype
 from repro.moe.distributed import distributed_moe_forward, expert_exchange
-from repro.moe.layer import MoELayerParams, moe_layer_forward
+from repro.nn.moe import MoE
 from repro.parallel.functional import p1_forward, p2_forward
 
 
 def build(world=4, experts_per_gpu=2, tokens=16, model_dim=8,
-          hidden=16, top_k=2, f=8.0, seed=0):
+          hidden=16, top_k=2, f=8.0, seed=0, router="linear"):
     rng = np.random.default_rng(seed)
     cfg = MoEConfig(world_size=world, experts_per_gpu=experts_per_gpu,
                     model_dim=model_dim, hidden_dim=hidden,
                     tokens_per_gpu=tokens, top_k=top_k,
                     capacity_factor=f)
-    params = MoELayerParams.init(num_experts=cfg.num_global_experts,
-                                 model_dim=model_dim, hidden_dim=hidden,
-                                 rng=rng, top_k=top_k)
+    with substrate_dtype(np.float64):
+        layer = MoE(model_dim, hidden, cfg.num_global_experts, rng,
+                    top_k=top_k, capacity_factor=f, router=router)
+    layer.freeze()
     xs = [rng.normal(size=(tokens, model_dim)) for _ in range(world)]
-    return cfg, params, xs
+    return cfg, layer, xs
 
 
 class TestDistributedForward:
@@ -29,36 +31,49 @@ class TestDistributedForward:
     def test_matches_single_process(self, world, de):
         # With ample capacity nothing is dropped and the distributed
         # data path must agree exactly with the local layer per rank.
-        cfg, params, xs = build(world=world, experts_per_gpu=de)
-        dist = distributed_moe_forward(xs, params, cfg)
+        self.check_matches(*build(world=world, experts_per_gpu=de))
+
+    def test_cosine_router_matches_single_process(self):
+        # Every rank routes with the layer's own (cosine) router.
+        self.check_matches(*build(router="cosine"))
+
+    @staticmethod
+    def check_matches(cfg, layer, xs):
+        dist = distributed_moe_forward(xs, layer, cfg)
         for r, x in enumerate(xs):
-            local = moe_layer_forward(
-                x, params, capacity=CapacityPolicy(cfg.capacity_factor))
-            np.testing.assert_allclose(dist.outputs[r], local.output,
+            local, _ = layer(Tensor(x, dtype=x.dtype))
+            np.testing.assert_allclose(dist.outputs[r], local.data,
                                        atol=1e-10)
 
     def test_capacity_drops_per_source_gpu(self):
-        cfg, params, xs = build(world=2, experts_per_gpu=1, tokens=64,
-                                top_k=1, f=0.25)
-        dist = distributed_moe_forward(xs, params, cfg)
+        cfg, layer, xs = build(world=2, experts_per_gpu=1, tokens=64,
+                               top_k=1, f=0.25)
+        dist = distributed_moe_forward(xs, layer, cfg)
         assert dist.dropped_fraction > 0
 
+    def test_rejects_a_layer_with_masked_experts(self):
+        cfg, layer, xs = build()
+        layer.mask_expert(3)
+        for forward in (distributed_moe_forward, p1_forward, p2_forward):
+            with pytest.raises(ValueError, match=r"masks experts \[3\]"):
+                forward(xs, layer, cfg)
+
     def test_rejects_wrong_rank_count(self):
-        cfg, params, xs = build()
+        cfg, layer, xs = build()
         with pytest.raises(ValueError):
-            distributed_moe_forward(xs[:-1], params, cfg)
+            distributed_moe_forward(xs[:-1], layer, cfg)
 
     def test_rejects_expert_mismatch(self):
-        cfg, params, xs = build()
+        cfg, layer, xs = build()
         bad_cfg = cfg.with_(experts_per_gpu=1)
         with pytest.raises(ValueError):
-            distributed_moe_forward(xs, params, bad_cfg)
+            distributed_moe_forward(xs, layer, bad_cfg)
 
     def test_rejects_adaptive_capacity(self):
         # Adaptive (f <= 0) policies must be resolved to a concrete
         # factor before the distributed dispatch; W = E = 4 is legal
         # for all three forwards, so each must refuse for the capacity.
-        cfg, params, xs = build(experts_per_gpu=1)
+        cfg, layer, xs = build(experts_per_gpu=1)
         adaptive = MoEConfig(
             world_size=cfg.world_size,
             experts_per_gpu=cfg.experts_per_gpu,
@@ -68,16 +83,16 @@ class TestDistributedForward:
         object.__setattr__(adaptive, "capacity_factor", -2.0)
         for forward in (distributed_moe_forward, p1_forward, p2_forward):
             with pytest.raises(ValueError, match="capacity_factor"):
-                forward(xs, params, adaptive)
+                forward(xs, layer, adaptive)
 
     def test_exchange_rejects_a_mismatched_weight_stack(self):
-        _, params, _ = build()
+        _, layer, _ = build()
         buffers = [np.zeros((8, 3, 8)) for _ in range(4)]
         with pytest.raises(ValueError, match="weight stack has 4 experts"):
-            expert_exchange(buffers, params.experts.w1[:4],
-                            params.experts.w2[:4], "gelu")
+            expert_exchange(buffers, layer.w1.data[:4], layer.w2.data[:4],
+                            "gelu")
 
     def test_aux_loss_averaged(self):
-        cfg, params, xs = build()
-        dist = distributed_moe_forward(xs, params, cfg)
+        cfg, layer, xs = build()
+        dist = distributed_moe_forward(xs, layer, cfg)
         assert dist.l_aux > 0

@@ -21,7 +21,7 @@ from repro.moe.encode import (
     fast_encode,
     fast_encode_backward,
 )
-from repro.moe.gating import softmax, top_k_routing
+from repro.moe.gating import route, softmax
 
 
 def random_case(t=32, e=8, m=16, k=2, capacity=None, seed=0,
@@ -29,7 +29,7 @@ def random_case(t=32, e=8, m=16, k=2, capacity=None, seed=0,
     rng = np.random.default_rng(seed)
     probs = softmax(rng.normal(size=(t, e)))
     cap = capacity or (2 if drop_some else t)
-    crit = top_k_routing(probs, k, capacity=cap)
+    crit = route(probs, k, capacity=cap).crit
     x = rng.normal(size=(t, m))
     z = rng.normal(size=(e, crit.capacity, m))
     return x, z, crit
@@ -75,8 +75,7 @@ class TestDenseSparseEquivalence:
         # decode(encode(x)) returns g * x for surviving tokens.
         rng = np.random.default_rng(3)
         probs = softmax(rng.normal(size=(16, 4)))
-        crit = top_k_routing(probs, 1, capacity=16,
-                             normalize_gate=False)
+        crit = route(probs, 1, capacity=16).crit
         x = rng.normal(size=(16, 8))
         out = fast_decode(fast_encode(x, crit), crit)
         np.testing.assert_allclose(out, crit.gates[0][:, None] * x)
@@ -186,7 +185,7 @@ class TestZeroGateAndDropAgreement:
     def _crit_with_zero_gates_and_drops(seed, t, e, k, cap):
         rng = np.random.default_rng(seed)
         probs = softmax(rng.normal(size=(t, e)))
-        crit = top_k_routing(probs, k, capacity=cap)
+        crit = route(probs, k, capacity=cap).crit
         gates, locations = crit.gates.copy(), crit.locations.copy()
         # Zero the gate of one random *valid* slot per sampled token.
         valid_slots, valid_tokens = np.nonzero(crit.valid)
@@ -244,7 +243,7 @@ class TestZeroGateAndDropAgreement:
         # One token, one expert, gate exactly 0.0 on a valid slot: the
         # fast path must not scatter it (gates != 0 filter) and the
         # dense mask (combine > 0) must agree.
-        crit = top_k_routing(np.array([[1.0]]), 1, capacity=1)
+        crit = route(np.array([[1.0]]), 1, capacity=1).crit
         crit.gates[0, 0] = 0.0
         x = np.ones((1, 3))
         np.testing.assert_array_equal(fast_encode(x, crit),

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.autograd.tensor import Tensor
+from repro.core.substrate import substrate_dtype
 from repro.moe.gating import (
     RoutingCriteria,
     compute_locations,
     compute_locations_reference,
-    cosine_gate_logits,
-    linear_gate_logits,
     load_balance_loss,
+    route,
     softmax,
-    top_k_routing,
 )
+from repro.nn.moe import MoE
 
 
 @pytest.fixture
@@ -36,44 +37,57 @@ class TestSoftmax:
 
 
 class TestGateLogits:
+    """The routers are ``nn.MoE``'s taped ``gate_logits`` (the multi-rank
+    forwards route with it too): linear ``x @ Wg`` and the cosine router
+    of Equation (2)."""
+
+    @staticmethod
+    def layer(rng, model_dim=16, router="linear", tau=0.3):
+        with substrate_dtype(np.float64):
+            moe = MoE(model_dim, 8, 8, rng, router=router, router_dim=8)
+        if router == "cosine":
+            moe.log_temperature.data = np.asarray(np.log(tau))
+        return moe
+
+    @staticmethod
+    def logits(moe, x):
+        return moe.gate_logits(Tensor(x, dtype=np.float64)).data
+
     def test_linear_shape(self, rng):
-        x = rng.normal(size=(32, 16))
-        w = rng.normal(size=(16, 8))
-        assert linear_gate_logits(x, w).shape == (32, 8)
+        moe = self.layer(rng)
+        assert self.logits(moe, rng.normal(size=(32, 16))).shape == (32, 8)
 
     def test_linear_rejects_mismatch(self, rng):
+        moe = self.layer(rng, model_dim=3)
         with pytest.raises(ValueError):
-            linear_gate_logits(rng.normal(size=(4, 3)),
-                               rng.normal(size=(5, 8)))
+            self.logits(moe, rng.normal(size=(4, 5)))
 
     def test_cosine_bounded_by_temperature(self, rng):
-        x = rng.normal(size=(64, 16))
-        proj = rng.normal(size=(16, 8))
-        embed = rng.normal(size=(4, 8))
-        logits = cosine_gate_logits(x, proj, embed, temperature=0.5)
+        moe = self.layer(rng, router="cosine", tau=0.5)
+        logits = self.logits(moe, rng.normal(size=(64, 16)))
         assert np.abs(logits).max() <= 1.0 / 0.5 + 1e-9
 
     def test_cosine_temperature_floor(self, rng):
-        x = rng.normal(size=(8, 4))
-        proj = rng.normal(size=(4, 4))
-        embed = rng.normal(size=(3, 4))
-        tiny = cosine_gate_logits(x, proj, embed, temperature=1e-6)
-        floor = cosine_gate_logits(x, proj, embed, temperature=0.01)
-        np.testing.assert_allclose(tiny, floor)
+        # tau is clamped at 0.01 from below (paper: "set lowest 0.01").
+        moe = self.layer(rng, router="cosine", tau=1e-6)
+        x = rng.normal(size=(8, 16))
+        tiny = self.logits(moe, x)
+        moe.log_temperature.data = np.asarray(np.log(0.01))
+        np.testing.assert_allclose(tiny, self.logits(moe, x))
+        assert np.abs(tiny).max() <= 100.0 + 1e-9
 
     def test_cosine_scale_invariant_in_input(self, rng):
-        x = rng.normal(size=(8, 4))
-        proj = rng.normal(size=(4, 4))
-        embed = rng.normal(size=(3, 4))
-        a = cosine_gate_logits(x, proj, embed)
-        b = cosine_gate_logits(1000.0 * x, proj, embed)
-        np.testing.assert_allclose(a, b, atol=1e-9)
+        moe = self.layer(rng, router="cosine")
+        x = rng.normal(size=(8, 16))
+        np.testing.assert_allclose(self.logits(moe, x),
+                                   self.logits(moe, 1000.0 * x), atol=1e-9)
 
     def test_cosine_rejects_dim_mismatch(self, rng):
+        # Expert embeddings of width 5 against an 8-wide projection.
+        moe = self.layer(rng, router="cosine")
+        moe.expert_embed.data = rng.normal(size=(8, 5))
         with pytest.raises(ValueError):
-            cosine_gate_logits(rng.normal(size=(8, 4)),
-                               rng.normal(size=(4, 6)),
-                               rng.normal(size=(3, 5)))
+            self.logits(moe, rng.normal(size=(8, 16)))
 
 
 class TestComputeLocations:
@@ -122,69 +136,69 @@ class TestComputeLocations:
 class TestTopKRouting:
     def test_selects_highest_probability(self, rng):
         probs = softmax(rng.normal(size=(32, 8)))
-        crit = top_k_routing(probs, 2, capacity=32)
+        crit = route(probs, 2, capacity=32).crit
         assert crit.idxs.shape == (2, 32)
         np.testing.assert_array_equal(crit.idxs[0],
                                       probs.argmax(axis=1))
 
     def test_slots_are_distinct_experts(self, rng):
         probs = softmax(rng.normal(size=(64, 8)))
-        crit = top_k_routing(probs, 3, capacity=64)
+        crit = route(probs, 3, capacity=64).crit
         assert (crit.idxs[0] != crit.idxs[1]).all()
         assert (crit.idxs[1] != crit.idxs[2]).all()
 
     def test_normalized_gates_sum_to_one(self, rng):
         probs = softmax(rng.normal(size=(16, 4)))
-        crit = top_k_routing(probs, 2, capacity=16, normalize_gate=True)
+        crit = route(probs, 2, capacity=16).crit
         np.testing.assert_allclose(crit.gates.sum(axis=0), 1.0)
 
     def test_unnormalized_keeps_raw_probs(self, rng):
         probs = softmax(rng.normal(size=(16, 4)))
-        crit = top_k_routing(probs, 1, capacity=16, normalize_gate=False)
+        crit = route(probs, 1, capacity=16).crit
         np.testing.assert_allclose(crit.gates[0], probs.max(axis=1))
 
     def test_top_any_k_equals_e(self, rng):
         probs = softmax(rng.normal(size=(8, 4)))
-        crit = top_k_routing(probs, 4, capacity=8, normalize_gate=True)
+        crit = route(probs, 4, capacity=8).crit
         assert crit.top_k == 4
         assert set(np.unique(crit.idxs)) == {0, 1, 2, 3}
 
     def test_capacity_drops_overflow(self):
         # All tokens prefer expert 0; capacity 2 keeps only two.
         probs = np.tile([[0.9, 0.1]], (10, 1))
-        crit = top_k_routing(probs, 1, capacity=2)
+        crit = route(probs, 1, capacity=2).crit
         assert crit.valid[0].sum() == 2
         assert crit.dropped_fraction() == pytest.approx(0.8)
 
     def test_dropped_slots_have_zero_gate(self):
         probs = np.tile([[0.9, 0.1]], (10, 1))
-        crit = top_k_routing(probs, 1, capacity=2)
+        crit = route(probs, 1, capacity=2).crit
         assert (crit.gates[~crit.valid] == 0).all()
 
     def test_bpr_keeps_confident_tokens(self):
         # Three tokens all route to expert 0 with rising confidence;
         # capacity 1.  BPR keeps the most confident, FIFO keeps first.
         probs = np.array([[0.55, 0.45], [0.75, 0.25], [0.95, 0.05]])
-        fifo = top_k_routing(probs, 1, capacity=1, batch_prioritized=False)
-        bpr = top_k_routing(probs, 1, capacity=1, batch_prioritized=True)
+        fifo = route(probs, 1, capacity=1, batch_prioritized=False).crit
+        bpr = route(probs, 1, capacity=1, batch_prioritized=True).crit
         assert fifo.valid[0].tolist() == [True, False, False]
         assert bpr.valid[0].tolist() == [False, False, True]
 
     def test_max_needed_capacity(self, rng):
         probs = softmax(rng.normal(size=(32, 4)))
-        crit = top_k_routing(probs, 2, capacity=64)
+        crit = route(probs, 2, capacity=64).crit
         counts = np.bincount(crit.idxs.ravel(), minlength=4)
         assert crit.max_needed_capacity() == counts.max()
 
     def test_rejects_bad_k(self, rng):
         probs = softmax(rng.normal(size=(4, 2)))
         with pytest.raises(ValueError):
-            top_k_routing(probs, 3, capacity=4)
+            route(probs, 3, capacity=4).crit
 
     def test_rejects_bad_capacity(self, rng):
         probs = softmax(rng.normal(size=(4, 2)))
         with pytest.raises(ValueError):
-            top_k_routing(probs, 1, capacity=0)
+            route(probs, 1, capacity=0).crit
 
 
 class TestRoutingCriteria:
@@ -249,15 +263,15 @@ class TestOccupancy:
         # the kept tokens.
         k = min(k, e)
         rng = np.random.default_rng(t * 1000 + e * 100 + k * 10 + cap)
-        crit = top_k_routing(softmax(rng.normal(size=(t, e))), k,
-                             capacity=cap)
+        crit = route(softmax(rng.normal(size=(t, e))), k,
+                     capacity=cap).crit
         kept = np.bincount(crit.idxs[crit.valid], minlength=e)
         np.testing.assert_array_equal(crit.occupancy, kept)
 
     def test_every_token_to_one_expert(self):
         probs = np.zeros((7, 4))
         probs[:, 2] = 1.0
-        crit = top_k_routing(probs, 1, capacity=5)
+        crit = route(probs, 1, capacity=5).crit
         assert crit.occupancy.tolist() == [0, 0, 5, 0]
 
 
@@ -330,7 +344,7 @@ class TestEmptyBatch:
             assert crit.max_needed_capacity() == 1
 
     def test_top_k_routing_empty_batch(self):
-        crit = top_k_routing(np.zeros((0, 4)), top_k=2, capacity=4)
+        crit = route(np.zeros((0, 4)), top_k=2, capacity=4).crit
         assert crit.idxs.shape == (2, 0)
         assert crit.locations.shape == (2, 0)
         assert crit.dropped_fraction() == 0.0
@@ -374,8 +388,8 @@ class TestComputeLocationsRewrite:
         rng = np.random.default_rng(3)
         probs = softmax(rng.normal(size=(128, 8)))
         for bpr in (False, True):
-            crit = top_k_routing(probs, 2, capacity=8,
-                                 batch_prioritized=bpr)
+            crit = route(probs, 2, capacity=8,
+                         batch_prioritized=bpr).crit
             priority = probs.max(axis=1) if bpr else None
             np.testing.assert_array_equal(
                 crit.locations,

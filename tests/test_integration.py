@@ -7,15 +7,23 @@ from repro.collectives.functional import (
     all_to_all_2dh,
     all_to_all_linear,
 )
+from repro.autograd.tensor import Tensor
 from repro.core.config import MoEConfig
-from repro.moe.capacity import CapacityPolicy
+from repro.core.substrate import substrate_dtype
 from repro.moe.distributed import distributed_moe_forward
-from repro.moe.encode import fast_encode
+from repro.moe.encode import dense_decode, dense_encode, fast_encode
 from repro.moe.ffn import ffn_forward_arrays
-from repro.moe.gating import softmax, top_k_routing
-from repro.moe.layer import MoELayerParams, moe_layer_forward
+from repro.moe.gating import route, softmax
+from repro.nn.moe import MoE
 from repro.pipeline.partition import merge_partitions, partition_capacity
 from repro.runtime.plan import TUTEL_FEATURES, moe_step_time
+
+
+def frozen_layer(model_dim, hidden_dim, num_experts, rng, **kwargs):
+    with substrate_dtype(np.float64):
+        layer = MoE(model_dim, hidden_dim, num_experts, rng, **kwargs)
+    layer.freeze()
+    return layer
 
 
 class TestDispatchOver2DH:
@@ -28,14 +36,13 @@ class TestDispatchOver2DH:
         cfg = MoEConfig(world_size=w, experts_per_gpu=1, model_dim=m,
                         hidden_dim=32, tokens_per_gpu=32, top_k=1,
                         capacity_factor=8.0)
-        params = MoELayerParams.init(num_experts=e, model_dim=m,
-                                     hidden_dim=32, rng=rng, top_k=1)
+        gate = rng.normal(size=(m, e))
         # Per-rank dispatch buffers reshaped to per-destination chunks.
         dispatch = []
         for r in range(w):
             x = rng.normal(size=(32, m))
-            probs = softmax(x @ params.gate_weight)
-            crit = top_k_routing(probs, 1, cfg.capacity_per_gpu)
+            probs = softmax(x @ gate)
+            crit = route(probs, 1, cfg.capacity_per_gpu).crit
             buf = fast_encode(x, crit)            # (E, dC, M)
             dispatch.append(buf.reshape(w, -1))   # one chunk per dest
         linear = all_to_all_linear(dispatch)
@@ -53,10 +60,9 @@ class TestPipelinedDistributedLayer:
         cfg = MoEConfig(world_size=4, experts_per_gpu=2, model_dim=16,
                         hidden_dim=32, tokens_per_gpu=16, top_k=2,
                         capacity_factor=8.0)
-        params = MoELayerParams.init(num_experts=8, model_dim=16,
-                                     hidden_dim=32, rng=rng)
+        layer = frozen_layer(16, 32, 8, rng)
         xs = [rng.normal(size=(16, 16)) for _ in range(4)]
-        reference = distributed_moe_forward(xs, params, cfg)
+        reference = distributed_moe_forward(xs, layer, cfg)
 
         # Re-run with the expert stage manually chunked (degree 4)
         # along the capacity dimension, as adaptive pipelining does.
@@ -65,18 +71,18 @@ class TestPipelinedDistributedLayer:
 
         crits, dispatch = [], []
         for x in xs:
-            probs = softmax(x @ params.gate_weight)
-            crit = top_k_routing(probs, 2, cfg.capacity_per_gpu)
+            probs = softmax(x @ layer.gate.weight.data)
+            crit = route(probs, 2, cfg.capacity_per_gpu).crit
             crits.append(crit)
             dispatch.append(fast_encode(x, crit))
         expert_in = flexible_all_to_all(dispatch, 1, 0)
-        w1, w2 = params.experts.w1, params.experts.w2
+        w1, w2 = layer.w1.data, layer.w2.data
         expert_out = []
         for r in range(4):
             parts = partition_capacity(expert_in[r], 4)
             local = slice(2 * r, 2 * r + 2)         # dE = 2 experts
             outs = [ffn_forward_arrays(p, w1[local], w2[local],
-                                       params.activation)[0]
+                                       layer.activation)[0]
                     for p in parts]
             expert_out.append(merge_partitions(outs))
         combined = flexible_all_to_all(expert_out, 0, 1)
@@ -146,19 +152,20 @@ class TestFairseqVsTutelNumericalParity:
     numbers — the paper's 'deterministic gain' claim."""
 
     def test_all_paths_same_output(self):
+        # Fairseq's dense einsum encode/decode, the layer's sparse
+        # kernels and the expert-parallel data path (W = 1).
         rng = np.random.default_rng(2)
-        params = MoELayerParams.init(num_experts=4, model_dim=8,
-                                     hidden_dim=16, rng=rng)
+        layer = frozen_layer(8, 16, 4, rng, capacity_factor=2.0)
         x = rng.normal(size=(64, 8))
-        from repro.baselines.fairseq_moe import fairseq_moe_forward
-        import dataclasses
-        fair = fairseq_moe_forward(x, params, capacity_factor=2.0)
-        tutel_fast = moe_layer_forward(x, params,
-                                       capacity=CapacityPolicy(2.0))
-        tutel_dense = moe_layer_forward(
-            x, dataclasses.replace(params, use_fast_encode=False),
-            capacity=CapacityPolicy(2.0))
-        np.testing.assert_allclose(fair.output, tutel_fast.output,
-                                   atol=1e-10)
-        np.testing.assert_allclose(fair.output, tutel_dense.output,
-                                   atol=1e-10)
+        tutel_fast = layer(Tensor(x, dtype=x.dtype))[0].data
+        crit = route(softmax(x @ layer.gate.weight.data), 2,
+                     layer.capacity_policy).crit
+        hidden, _ = ffn_forward_arrays(dense_encode(x, crit), layer.w1.data,
+                                       layer.w2.data, "gelu")
+        fair = dense_decode(hidden, crit)
+        cfg = MoEConfig(world_size=1, experts_per_gpu=4, model_dim=8,
+                        hidden_dim=16, tokens_per_gpu=64, top_k=2,
+                        capacity_factor=2.0)
+        dist = distributed_moe_forward([x], layer, cfg).outputs[0]
+        np.testing.assert_allclose(fair, tutel_fast, atol=1e-10)
+        np.testing.assert_allclose(dist, tutel_fast, atol=1e-10)

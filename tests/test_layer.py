@@ -1,15 +1,26 @@
-"""Tests for the functional single-process MoE layer."""
+"""Tests for the single-process MoE layer (``nn.MoE``) on arrays: its
+routing features, its agreement with the dense GShard oracle, and the
+expert fflayer kernel it runs."""
+
+from copy import deepcopy
 
 import numpy as np
 import pytest
 
+from repro.autograd.tensor import Tensor
+from repro.core.substrate import substrate_dtype
 from repro.moe.capacity import CapacityPolicy
+from repro.moe.encode import dense_decode, dense_encode
 from repro.moe.ffn import ffn_forward_arrays
-from repro.moe.layer import (
-    ExpertParams,
-    MoELayerParams,
-    moe_layer_forward,
-)
+from repro.moe.gating import route, softmax
+from repro.nn.moe import MoE
+from repro.parallel.functional import ExpertParams
+
+
+@pytest.fixture(autouse=True)
+def _float64_substrate():
+    with substrate_dtype(np.float64):
+        yield
 
 
 @pytest.fixture
@@ -17,15 +28,30 @@ def rng():
     return np.random.default_rng(0)
 
 
+def frozen(rng, num_experts=8, model_dim=16, hidden_dim=32, **kwargs):
+    layer = MoE(model_dim, hidden_dim, num_experts, rng, **kwargs)
+    layer.freeze()
+    return layer
+
+
+def experts(rng, e, m, v):
+    return ExpertParams(w1=rng.normal(size=(e, m, v)),
+                        w2=rng.normal(size=(e, v, m)))
+
+
 @pytest.fixture
-def params(rng):
-    return MoELayerParams.init(num_experts=8, model_dim=16,
-                               hidden_dim=32, rng=rng)
+def layer(rng):
+    return frozen(rng)
+
+
+def forward(layer, x, **kwargs):
+    out, l_aux = layer(Tensor(x), **kwargs)
+    return out.data, float(l_aux.data)
 
 
 class TestExpertParams:
     def test_init_shapes(self, rng):
-        p = ExpertParams.init(4, 8, 16, rng)
+        p = experts(rng, 4, 8, 16)
         assert p.w1.shape == (4, 8, 16)
         assert p.w2.shape == (4, 16, 8)
         assert p.num_experts == 4
@@ -43,7 +69,7 @@ class TestExpertFfn:
     (``rows=None``)."""
 
     def test_matches_per_expert_loop(self, rng):
-        p = ExpertParams.init(3, 8, 16, rng)
+        p = experts(rng, 3, 8, 16)
         x = rng.normal(size=(3, 5, 8))
         out, _ = ffn_forward_arrays(x, p.w1, p.w2, "relu")
         for e in range(3):
@@ -51,7 +77,7 @@ class TestExpertFfn:
             np.testing.assert_allclose(out[e], expected)
 
     def test_gelu_activation(self, rng):
-        p = ExpertParams.init(2, 4, 8, rng)
+        p = experts(rng, 2, 4, 8)
         x = rng.normal(size=(2, 3, 4))
         out_gelu, _ = ffn_forward_arrays(x, p.w1, p.w2, "gelu")
         out_relu, _ = ffn_forward_arrays(x, p.w1, p.w2, "relu")
@@ -59,98 +85,84 @@ class TestExpertFfn:
 
     def test_rejects_expert_mismatch(self, rng):
         # An occupancy naming another expert count than the slab's.
-        p = ExpertParams.init(3, 8, 16, rng)
+        p = experts(rng, 3, 8, 16)
         with pytest.raises(ValueError, match="rows must be 3 ints"):
             ffn_forward_arrays(rng.normal(size=(3, 5, 8)), p.w1, p.w2,
                                "gelu", rows=[5, 5])
 
     def test_rejects_bad_ndim(self, rng):
-        p = ExpertParams.init(3, 8, 16, rng)
+        p = experts(rng, 3, 8, 16)
         with pytest.raises(ValueError):
             ffn_forward_arrays(rng.normal(size=(3, 8)), p.w1, p.w2, "gelu")
 
 
 class TestMoELayerForward:
-    def test_output_shape(self, params, rng):
-        x = rng.normal(size=(64, 16))
-        out = moe_layer_forward(x, params)
-        assert out.output.shape == (64, 16)
+    def test_output_shape(self, layer, rng):
+        out, _ = forward(layer, rng.normal(size=(64, 16)))
+        assert out.shape == (64, 16)
 
-    def test_fast_and_dense_paths_agree(self, params, rng):
+    def test_fast_and_dense_paths_agree(self, layer, rng):
+        # The dense GShard einsum encode/decode over route()'s decision
+        # (the Fairseq data path) gives the sparse layer's numbers, at
+        # k = 1 and k > 1, drops included.
         x = rng.normal(size=(64, 16))
-        fast = moe_layer_forward(x, params)
-        import dataclasses
-        dense_params = dataclasses.replace(params, use_fast_encode=False)
-        dense = moe_layer_forward(x, dense_params)
-        np.testing.assert_allclose(fast.output, dense.output)
+        for k in (1, 2):
+            fast, _ = forward(layer, x, top_k=k)
+            crit = route(softmax(x @ layer.gate.weight.data, axis=1), k,
+                         CapacityPolicy(1.0)).crit
+            assert crit.dropped_fraction() > 0
+            hidden, _ = ffn_forward_arrays(dense_encode(x, crit),
+                                           layer.w1.data, layer.w2.data,
+                                           "gelu")
+            np.testing.assert_allclose(fast, dense_decode(hidden, crit),
+                                       atol=1e-10)
 
-    def test_dynamic_top_k_override(self, params, rng):
+    def test_dynamic_top_k_override(self, layer, rng):
         x = rng.normal(size=(32, 16))
-        out1 = moe_layer_forward(x, params, top_k=1)
-        out4 = moe_layer_forward(x, params, top_k=4)
-        assert out1.crit.top_k == 1
-        assert out4.crit.top_k == 4
-        assert not np.allclose(out1.output, out4.output)
+        out1, _ = forward(layer, x, top_k=1)
+        assert layer.last_routing_criteria.top_k == 1
+        out4, _ = forward(layer, x, top_k=4)
+        assert layer.last_routing_criteria.top_k == 4
+        assert not np.allclose(out1, out4)
 
-    def test_adaptive_capacity_drops_nothing(self, params, rng):
-        x = rng.normal(size=(64, 16))
-        out = moe_layer_forward(x, params,
-                                capacity=CapacityPolicy(0.0))
-        assert out.dropped_fraction == 0.0
+    def test_adaptive_capacity_drops_nothing(self, layer, rng):
+        forward(layer, rng.normal(size=(64, 16)), capacity_factor=0.0)
+        assert layer.last_routing_stats.dropped_fraction == 0.0
 
-    def test_bounded_adaptive_capacity(self, params, rng):
-        import dataclasses
-        x = rng.normal(size=(64, 16))
-        bounded = moe_layer_forward(x, params,
-                                    capacity=CapacityPolicy(-1.0))
-        assert bounded.effective_capacity_factor <= 1.0
+    def test_bounded_adaptive_capacity(self, layer, rng):
+        forward(layer, rng.normal(size=(64, 16)), capacity_factor=-1.0)
+        assert layer.last_effective_capacity_factor <= 1.0
 
-    def test_small_capacity_drops_tokens(self, params, rng):
-        x = rng.normal(size=(256, 16))
-        out = moe_layer_forward(x, params,
-                                capacity=CapacityPolicy(0.25))
-        assert out.dropped_fraction > 0
+    def test_small_capacity_drops_tokens(self, layer, rng):
+        forward(layer, rng.normal(size=(256, 16)), capacity_factor=0.25)
+        assert layer.last_routing_stats.dropped_fraction > 0
 
-    def test_aux_loss_positive(self, params, rng):
-        x = rng.normal(size=(64, 16))
-        assert moe_layer_forward(x, params).l_aux > 0
+    def test_aux_loss_positive(self, layer, rng):
+        assert forward(layer, rng.normal(size=(64, 16)))[1] > 0
 
     def test_cosine_router_runs(self, rng):
-        params = MoELayerParams.init(num_experts=4, model_dim=16,
-                                     hidden_dim=32, rng=rng,
-                                     router="cosine")
-        x = rng.normal(size=(32, 16))
-        out = moe_layer_forward(x, params)
-        assert out.output.shape == (32, 16)
+        layer = frozen(rng, num_experts=4, router="cosine")
+        out, _ = forward(layer, rng.normal(size=(32, 16)))
+        assert out.shape == (32, 16)
 
-    def test_cosine_router_requires_params(self, params, rng):
-        import dataclasses
-        bad = dataclasses.replace(params, router="cosine")
-        with pytest.raises(ValueError):
-            moe_layer_forward(rng.normal(size=(8, 16)), bad)
+    def test_unknown_router_rejected(self, rng):
+        with pytest.raises(ValueError, match="unknown router"):
+            frozen(rng, router="mystery")
 
-    def test_unknown_router_rejected(self, params, rng):
-        import dataclasses
-        bad = dataclasses.replace(params, router="mystery")
+    def test_rejects_bad_input_ndim(self, layer, rng):
         with pytest.raises(ValueError):
-            moe_layer_forward(rng.normal(size=(8, 16)), bad)
-
-    def test_rejects_bad_input_ndim(self, params, rng):
-        with pytest.raises(ValueError):
-            moe_layer_forward(rng.normal(size=(8, 16, 2)), params)
+            forward(layer, rng.normal(size=(8, 16, 2)))
 
     def test_bpr_changes_drops_not_values(self, rng):
-        import dataclasses
-        params = MoELayerParams.init(num_experts=4, model_dim=8,
-                                     hidden_dim=16, rng=rng)
-        bpr = dataclasses.replace(params, batch_prioritized=True)
+        fifo = frozen(rng, num_experts=4, model_dim=8, hidden_dim=16,
+                      capacity_factor=0.5)
+        bpr = deepcopy(fifo)
+        bpr.batch_prioritized = True
         x = rng.normal(size=(128, 8))
-        tight = CapacityPolicy(0.5)
-        out_fifo = moe_layer_forward(x, params, capacity=tight)
-        out_bpr = moe_layer_forward(x, bpr, capacity=tight)
+        forward(fifo, x)
+        forward(bpr, x)
         # Same drop budget, different victims.
-        assert out_fifo.dropped_fraction == pytest.approx(
-            out_bpr.dropped_fraction, abs=0.05)
-        surviving_fifo = out_fifo.crit.valid
-        surviving_bpr = out_bpr.crit.valid
-        assert (surviving_fifo != surviving_bpr).any()
+        assert fifo.last_routing_stats.dropped_fraction == pytest.approx(
+            bpr.last_routing_stats.dropped_fraction, abs=0.05)
+        assert (fifo.last_routing_criteria.valid
+                != bpr.last_routing_criteria.valid).any()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.moe.gating import RoutingCriteria, softmax, top_k_routing
+from repro.moe.gating import RoutingCriteria, route, softmax
 from repro.moe.metrics import (
     RoutingStats,
     expert_load,
@@ -18,13 +18,13 @@ def balanced_crit(t=32, e=4):
     """Deterministic perfectly balanced top-1 routing."""
     probs = np.zeros((t, e))
     probs[np.arange(t), np.arange(t) % e] = 1.0
-    return top_k_routing(probs, 1, capacity=t)
+    return route(probs, 1, capacity=t).crit
 
 
 def collapsed_crit(t=32, e=4):
     probs = np.zeros((t, e))
     probs[:, 0] = 1.0
-    return top_k_routing(probs, 1, capacity=t)
+    return route(probs, 1, capacity=t).crit
 
 
 class TestExpertLoad:
@@ -39,13 +39,13 @@ class TestExpertLoad:
     def test_top_k_counts_all_slots(self):
         rng = np.random.default_rng(0)
         probs = softmax(rng.normal(size=(16, 4)))
-        crit = top_k_routing(probs, 2, capacity=16)
+        crit = route(probs, 2, capacity=16).crit
         assert expert_load(crit).sum() == 32
 
     def test_survivors_only(self):
         # All 32 tokens want expert 0 but only 4 fit its capacity.
-        tight = top_k_routing(np.tile([[0.9, 0.1, 0.0, 0.0]], (32, 1)),
-                              1, capacity=4)
+        tight = route(np.tile([[0.9, 0.1, 0.0, 0.0]], (32, 1)),
+                      1, capacity=4).crit
         assert expert_load(tight, count_dropped=False).sum() == 4
         assert expert_load(tight, count_dropped=True).sum() == 32
 
@@ -72,7 +72,7 @@ class TestImbalanceAndEntropy:
         # max/mean load ratio under top-1 routing.
         rng = np.random.default_rng(1)
         probs = softmax(rng.normal(size=(64, 8)) * 2)
-        crit = top_k_routing(probs, 1, capacity=64)
+        crit = route(probs, 1, capacity=64).crit
         from repro.moe.capacity import needed_capacity_factor
         f = needed_capacity_factor(crit.idxs, 8, 64)
         assert load_imbalance(crit) == pytest.approx(f)
@@ -82,7 +82,7 @@ class TestRoutingStats:
     def test_full_summary(self):
         rng = np.random.default_rng(2)
         probs = softmax(rng.normal(size=(48, 6)))
-        crit = top_k_routing(probs, 2, capacity=8)
+        crit = route(probs, 2, capacity=8).crit
         stats = routing_stats(crit, gate_probs=probs)
         assert isinstance(stats, RoutingStats)
         assert stats.num_tokens == 48
@@ -103,8 +103,8 @@ class TestRoutingStats:
         from repro.moe import metrics
 
         rng = np.random.default_rng(3)
-        crit = top_k_routing(softmax(rng.normal(size=(40, 5))), 2,
-                             capacity=6)
+        crit = route(softmax(rng.normal(size=(40, 5))), 2,
+                     capacity=6).crit
         want = (load_imbalance(crit), routing_entropy(crit),
                 tuple(expert_load(crit).tolist()))
         calls = []
@@ -158,7 +158,7 @@ class TestLoadGini:
         # One expert *is* uniform usage; the 0/log(1) division must
         # never be evaluated.
         probs = np.ones((16, 1))
-        crit = top_k_routing(probs, 1, capacity=16)
+        crit = route(probs, 1, capacity=16).crit
         with np.errstate(all="raise"):
             assert routing_entropy(crit) == 1.0
             stats = routing_stats(crit)
@@ -167,7 +167,7 @@ class TestLoadGini:
 
 class TestEmptyBatchStats:
     def _empty_crit(self, e=4, k=2):
-        return top_k_routing(np.zeros((0, e)), top_k=k, capacity=4)
+        return route(np.zeros((0, e)), top_k=k, capacity=4).crit
 
     def test_routing_stats_defined_for_zero_tokens(self):
         crit = self._empty_crit()
@@ -250,16 +250,16 @@ def _hostile_crits():
     for dtype in (np.float32, np.float64):
         probs = softmax(rng.normal(size=(37, 6)) * 3).astype(dtype)
         yield (f"random-{np.dtype(dtype).name}",
-               top_k_routing(probs, 2, capacity=5), probs)
+               route(probs, 2, capacity=5).crit, probs)
     idxs = rng.integers(0, 4, size=(2, 9))
     yield ("all-dropped",
            RoutingCriteria(idxs=idxs, locations=np.full((2, 9), 3),
                            gates=np.zeros((2, 9)), capacity=3,
                            num_experts=4), None)
     probs = np.tile([0.7, 0.1, 0.1, 0.1], (12, 1))
-    yield "one-expert", top_k_routing(probs, 1, capacity=4), probs
+    yield "one-expert", route(probs, 1, capacity=4).crit, probs
     probs = np.ones((5, 1))
-    yield "single-expert", top_k_routing(probs, 1, capacity=5), probs
+    yield "single-expert", route(probs, 1, capacity=5).crit, probs
 
 
 class TestRoutingStatsFields:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.autograd.moe_ops import expert_ffn, moe_combine, moe_dispatch
 from repro.autograd.tensor import Tensor
-from repro.moe.gating import softmax, top_k_routing
+from repro.moe.gating import route, softmax
 
 
 @pytest.fixture(autouse=True)
@@ -22,7 +22,7 @@ def _float64_substrate():
 def routing(t=12, e=4, k=2, capacity=None, seed=0):
     rng = np.random.default_rng(seed)
     probs = softmax(rng.normal(size=(t, e)))
-    crit = top_k_routing(probs, k, capacity=capacity or t)
+    crit = route(probs, k, capacity=capacity or t).crit
     return crit, rng
 
 
@@ -173,7 +173,7 @@ class TestRaggedExpertFfn:
 
     def check(self, probs, k, cap, dtype, m=5, v=7):
         t, e = probs.shape
-        crit = top_k_routing(probs, k, capacity=cap)
+        crit = route(probs, k, capacity=cap).crit
         rng = np.random.default_rng(t * 100 + e * 10 + k)
         x = rng.normal(size=(t, m)).astype(dtype)
         w1 = rng.normal(size=(e, m, v)).astype(dtype)

@@ -108,22 +108,21 @@ class TestMoEModule:
         assert np.abs(moe.gate.weight.grad).max() > 0
 
     def test_matches_functional_layer(self, rng):
-        # The module's forward must agree with the verified functional
-        # implementation when given the same parameters.
-        from repro.moe.capacity import CapacityPolicy
-        from repro.moe.layer import (ExpertParams, MoELayerParams,
-                                     moe_layer_forward)
+        # The trainable forward must agree with the functional
+        # expert-parallel forward run on the same layer at W = 1.
+        from repro.core.config import MoEConfig
+        from repro.moe.distributed import distributed_moe_forward
         moe = self.make(rng, capacity_factor=4.0)
         moe.w1.data = rng.normal(size=moe.w1.shape)
         x = rng.normal(size=(24, 8))
         out, _ = moe(Tensor(x))
 
-        params = MoELayerParams(
-            experts=ExpertParams(w1=moe.w1.data, w2=moe.w2.data),
-            gate_weight=moe.gate.weight.data, top_k=2,
-            capacity=CapacityPolicy(4.0), activation="gelu")
-        expected = moe_layer_forward(x, params)
-        np.testing.assert_allclose(out.data, expected.output, atol=1e-9)
+        moe.freeze()
+        cfg = MoEConfig(world_size=1, experts_per_gpu=4, model_dim=8,
+                        hidden_dim=16, tokens_per_gpu=24, top_k=2,
+                        capacity_factor=4.0)
+        expected = distributed_moe_forward([x], moe, cfg).outputs[0]
+        np.testing.assert_allclose(out.data, expected, atol=1e-9)
 
     def test_failed_expert_path_keeps_substrate_dtype(self, rng):
         # ISSUE 6: the degenerate-routing fallback used to hardcode

@@ -184,16 +184,6 @@ class TestSpans:
         obs.disable()
         assert obs.span("x", "c") is NULL_SPAN
 
-    def test_timed_decorator_lazy_lookup(self):
-        @obs.timed("fn", cat="c")
-        def fn():
-            return 41 + 1
-
-        assert fn() == 42  # disabled: plain call
-        ob = obs.enable(trace=False)
-        assert fn() == 42
-        assert ob.registry.histogram("c.fn").count == 1
-
     def test_set_observer_returns_previous(self):
         first = Observer()
         assert obs.set_observer(first) is None
@@ -328,37 +318,35 @@ class TestJsonlRoundTrip:
 
 
 class TestMoEIntegration:
-    def test_functional_layer_emits_spans_and_routing(self):
-        from repro.moe.layer import MoELayerParams, moe_layer_forward
-        from repro.moe.metrics import routing_stats
+    @staticmethod
+    def _layer():
+        from repro.nn.moe import MoE
         rng = np.random.default_rng(0)
-        params = MoELayerParams.init(num_experts=4, model_dim=8,
-                                     hidden_dim=16, rng=rng)
+        layer = MoE(8, 16, 4, rng)
+        layer.freeze()
+        return layer, rng
+
+    def test_functional_layer_emits_spans_and_routing(self):
+        from repro.autograd.tensor import Tensor
+        layer, rng = self._layer()
         x = rng.normal(size=(32, 8))
         ob = obs.enable()
-        out = moe_layer_forward(x, params)
+        layer(Tensor(x))
         names = {e.name for e in ob.recorder.events}
         assert {"gate", "encode", "expert_ffn", "decode"} <= names
-        # The NumPy layer has no loop to publish for it: it sets the
-        # three routing gauges itself, once per forward.
-        stats = routing_stats(out.crit)
+        # The layer keeps its routing record; the loop that drives it
+        # publishes (repro.obs.loop), so no gauge moved here.
+        stats = layer.last_routing_stats
         assert (stats.num_tokens, stats.num_experts) == (32, 4)
-        gauge = ob.registry.gauge
-        for name, want in [
-                ("dropped_fraction", stats.dropped_fraction),
-                ("load_imbalance", stats.load_imbalance),
-                ("needed_capacity_factor",
-                 stats.needed_capacity * 4 / (32 * stats.top_k))]:
-            assert gauge(f"routing.{name}").updates == 1
-            assert gauge(f"routing.{name}").value == want
+        assert stats.dropped_fraction \
+            == layer.last_routing_criteria.dropped_fraction()
+        assert ob.registry.gauge("routing.dropped_fraction").updates == 0
 
     def test_disabled_layer_forward_records_nothing(self):
-        from repro.moe.layer import MoELayerParams, moe_layer_forward
-        rng = np.random.default_rng(0)
-        params = MoELayerParams.init(num_experts=4, model_dim=8,
-                                     hidden_dim=16, rng=rng)
-        out = moe_layer_forward(rng.normal(size=(16, 8)), params)
-        assert out.output.shape == (16, 8)  # and no observer to check
+        from repro.autograd.tensor import Tensor
+        layer, rng = self._layer()
+        out, _ = layer(Tensor(rng.normal(size=(16, 8))))
+        assert out.shape == (16, 8)  # and no observer to check
 
 
 class TestTrainerIntegration:

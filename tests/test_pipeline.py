@@ -7,8 +7,7 @@ from repro.cluster.topology import ndv4_topology
 from repro.collectives.schedule import A2AAlgorithm
 from repro.core.config import MoEConfig
 from repro.moe.ffn import ffn_forward_arrays
-from repro.moe.gating import softmax, top_k_routing
-from repro.moe.layer import ExpertParams
+from repro.moe.gating import route, softmax
 from repro.parallel.strategy import (
     Parallelism,
     SegmentSpec,
@@ -59,14 +58,14 @@ class TestPartition:
         # + merge produces the same numbers as the monolithic path.
         rng = np.random.default_rng(1)
         e, cap, m, v = 4, 8, 6, 12
-        experts = ExpertParams.init(e, m, v, rng)
+        w1, w2 = rng.normal(size=(e, m, v)), rng.normal(size=(e, v, m))
         probs = softmax(rng.normal(size=(32, e)))
-        crit = top_k_routing(probs, 2, capacity=cap)
+        crit = route(probs, 2, capacity=cap).crit
         from repro.moe.encode import fast_encode
         dispatched = fast_encode(rng.normal(size=(32, m)), crit)
 
         def expert_ffn(x):
-            return ffn_forward_arrays(x, experts.w1, experts.w2, "gelu")[0]
+            return ffn_forward_arrays(x, w1, w2, "gelu")[0]
 
         whole = expert_ffn(dispatched)
         chunked = merge_partitions([

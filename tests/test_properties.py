@@ -15,11 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api import moe, net
 from repro.autograd.tensor import Tensor
-from repro.baselines.fairseq_moe import fairseq_moe_forward
 from repro.cluster.topology import ndv4_topology
 from repro.collectives.functional import (
     all_to_all_2dh,
-    all_to_all_linear,
     flexible_all_to_all,
 )
 from repro.collectives.schedule import (
@@ -36,19 +34,13 @@ from repro.moe.capacity import (
     resolve_capacity,
 )
 from repro.moe.distributed import distributed_moe_forward
-from repro.moe.encode import fast_decode, fast_encode
+from repro.moe.encode import dense_decode, dense_encode, fast_decode, fast_encode
 from repro.moe.ffn import ffn_forward_arrays
 from repro.moe.gating import (
     compute_locations,
     load_balance_loss,
     route,
     softmax,
-    top_k_routing,
-)
-from repro.moe.layer import (
-    ExpertParams,
-    MoELayerParams,
-    moe_layer_forward,
 )
 from repro.moe.metrics import routing_stats
 from repro.nn.moe import MoE
@@ -59,7 +51,7 @@ from repro.parallel.functional import p1_forward, p2_forward
 def routing_case(t, e, k, cap, seed):
     rng = np.random.default_rng(seed)
     probs = softmax(rng.normal(size=(t, e)))
-    return top_k_routing(probs, k, capacity=cap), rng
+    return route(probs, k, capacity=cap).crit, rng
 
 
 class TestTokenConservation:
@@ -195,8 +187,8 @@ class TestLocationInvariants:
         # and the adaptive-capacity path (a bincount over the
         # assignments) must agree bit for bit, drops or not.
         probs = softmax(np.random.default_rng(seed).normal(size=(t, e)))
-        crit = top_k_routing(probs, min(k, e), capacity=cap,
-                             batch_prioritized=bpr)
+        crit = route(probs, min(k, e), capacity=cap,
+                     batch_prioritized=bpr).crit
         assert routing_stats(crit, probs).needed_capacity_factor \
             == needed_capacity_factor(crit.idxs, e, t)
 
@@ -204,52 +196,65 @@ class TestLocationInvariants:
 @dataclass
 class HostileRouting:
     """One adversarial MoE problem: ``W = E * r`` ranks of ``T`` tokens
-    and a layer in ``dtype``; ``f`` is the Figure 16 setting under
-    test, ``no_drop_f`` a factor whose ``dC = k * r * T`` drops nothing
-    and divides by ``r`` (what P1 needs)."""
+    and a layer's weights in ``dtype``; ``f`` is the Figure 16 setting
+    under test, ``no_drop_f`` a factor whose ``dC = k * r * T`` drops
+    nothing and divides by ``r`` (what P1 needs)."""
 
-    params: MoELayerParams
+    w1: np.ndarray
+    w2: np.ndarray
+    gate: np.ndarray
+    top_k: int
+    batch_prioritized: bool
+    activation: str
     xs: list[np.ndarray]
     replicas: int
     f: float
 
     @property
+    def num_experts(self) -> int:
+        return self.w1.shape[0]
+
+    @property
     def no_drop_f(self) -> float:
-        return float(self.params.experts.num_experts * self.replicas)
+        return float(self.num_experts * self.replicas)
 
     def probs(self) -> np.ndarray:
-        return softmax(self.xs[0] @ self.params.gate_weight)
+        return softmax(self.xs[0] @ self.gate)
 
     def layer(self, f: float, router: str = "linear") -> MoE:
         """A trainable ``nn.MoE`` holding these experts (and, linear,
         this gate) in the case's dtype."""
-        p = self.params
-        e, m, v = p.experts.w1.shape
+        e, m, v = self.w1.shape
         with substrate_dtype(self.xs[0].dtype):
-            layer = MoE(m, v, e, np.random.default_rng(0), top_k=p.top_k,
-                        capacity_factor=f, router=router, router_dim=5,
-                        activation=p.activation,
-                        normalize_gate=p.normalize_gate,
-                        batch_prioritized=p.batch_prioritized)
-        layer.w1.data, layer.w2.data = p.experts.w1, p.experts.w2
+            layer = MoE(m, v, e, np.random.default_rng(0),
+                        top_k=self.top_k, capacity_factor=f, router=router,
+                        router_dim=5, activation=self.activation,
+                        batch_prioritized=self.batch_prioritized)
+        layer.w1.data, layer.w2.data = self.w1, self.w2
         if router == "linear":
-            layer.gate.weight.data = p.gate_weight
+            layer.gate.weight.data = self.gate
         return layer
 
-    def cfg(self, world: int) -> MoEConfig:
-        e, m, v = self.params.experts.w1.shape
+    def frozen(self, f: float) -> MoE:
+        layer = self.layer(f)
+        layer.freeze()
+        return layer
+
+    def cfg(self, world: int, capacity_factor: float | None = None
+            ) -> MoEConfig:
+        e, m, v = self.w1.shape
         return MoEConfig(world_size=world, experts_per_gpu=e / world,
                          model_dim=m, hidden_dim=v,
                          tokens_per_gpu=self.xs[0].shape[0],
-                         top_k=self.params.top_k,
-                         capacity_factor=self.no_drop_f)
+                         top_k=self.top_k,
+                         capacity_factor=capacity_factor or self.no_drop_f)
 
 
 @st.composite
 def hostile_routing(draw) -> HostileRouting:
     """T = 1, k = E, capacity 1 (``f`` tiny), every token to one expert,
-    BPR and gate normalisation on/off, both float widths, both
-    activations, and all three signs of ``f``."""
+    BPR on/off, both float widths, both activations, and all three
+    signs of ``f``."""
     e = draw(st.integers(1, 4))
     r = draw(st.sampled_from([1, 2]))
     t = draw(st.sampled_from([1, 1, 2, 5]))
@@ -266,34 +271,36 @@ def hostile_routing(draw) -> HostileRouting:
         gate[0, draw(st.integers(0, e - 1))] += 30.0
         for x in xs:
             x[:, 0] = 1.0
-    params = MoELayerParams(
-        experts=ExpertParams(
-            w1=rng.normal(size=(e, m, v)).astype(dtype),
-            w2=rng.normal(size=(e, v, m)).astype(dtype)),
-        gate_weight=gate.astype(dtype), top_k=k,
-        normalize_gate=draw(st.booleans()),
-        batch_prioritized=draw(st.booleans()),
-        activation=draw(st.sampled_from(["gelu", "relu"])))
     f = draw(st.sampled_from([1e-3, 0.5, 1.0, 4.0, 0.0, -0.25, -8.0]))
-    return HostileRouting(params, [x.astype(dtype) for x in xs], r, f)
+    return HostileRouting(
+        w1=rng.normal(size=(e, m, v)).astype(dtype),
+        w2=rng.normal(size=(e, v, m)).astype(dtype),
+        gate=gate.astype(dtype), top_k=k,
+        batch_prioritized=draw(st.booleans()),
+        activation=draw(st.sampled_from(["gelu", "relu"])),
+        xs=[x.astype(dtype) for x in xs], replicas=r, f=f)
+
+
+def _tol(dtype) -> float:
+    return 1e-10 if dtype == np.float64 else 1e-4
 
 
 class TestOneRoutingDecision:
-    """ROADMAP 7a, first slice: :func:`route` against the composition
-    it replaced, and every array-level forward against every other."""
+    """ROADMAP 7a: :func:`route` against the composition it replaced,
+    and every array-level forward against the one MoE layer, a frozen
+    ``nn.MoE``, at every k."""
 
     @settings(max_examples=120, deadline=None)
     @given(case=hostile_routing())
     def test_route_is_the_old_composition(self, case):
-        probs, p = case.probs(), case.params
+        probs, k = case.probs(), case.top_k
         t, e = probs.shape
-        probe = np.argsort(-probs, axis=1, kind="stable")[:, :p.top_k].T
+        probe = np.argsort(-probs, axis=1, kind="stable")[:, :k].T
         cap, f = resolve_capacity(CapacityPolicy(case.f), probe, e,
-                                  tokens=t, top_k=p.top_k)
-        old = top_k_routing(probs, p.top_k, cap, p.normalize_gate,
-                            p.batch_prioritized)
-        crit, l_aux, eff_f = route(probs, p.top_k, CapacityPolicy(case.f),
-                                   p.normalize_gate, p.batch_prioritized)
+                                  tokens=t, top_k=k)
+        old = route(probs, k, cap, case.batch_prioritized).crit
+        crit, l_aux, eff_f = route(probs, k, CapacityPolicy(case.f),
+                                   case.batch_prioritized)
         for field in ("idxs", "locations", "gates"):
             new = getattr(crit, field)
             assert new.dtype == getattr(old, field).dtype
@@ -305,89 +312,105 @@ class TestOneRoutingDecision:
     @settings(max_examples=60, deadline=None)
     @given(case=hostile_routing())
     def test_every_forward_agrees_when_nothing_drops(self, case):
-        p, xs = case.params, case.xs
-        e, dtype = p.experts.num_experts, xs[0].dtype
-        tol = 1e-10 if dtype == np.float64 else 1e-4
-        policy = CapacityPolicy(case.no_drop_f)
+        xs, e, k = case.xs, case.num_experts, case.top_k
+        dtype, tol = xs[0].dtype, _tol(xs[0].dtype)
+        frozen, adaptive = case.frozen(case.no_drop_f), case.frozen(0.0)
+
+        def routed(x):
+            return moe.top_k_routing(
+                moe.softmax(x @ case.gate), k,
+                capacity_factor=case.no_drop_f,
+                batch_prioritized=case.batch_prioritized)
 
         def figure8(x):
-            scores = moe.softmax(x @ p.gate_weight)
-            crit, l_aux = moe.top_k_routing(
-                scores, p.top_k, capacity_factor=case.no_drop_f,
-                normalize_gate=p.normalize_gate,
-                batch_prioritized=p.batch_prioritized)
+            crit, l_aux = routed(x)
             y = moe.fast_encode(x, crit)
             y = net.flex_all2all(y, 1, 0)
-            y, _ = ffn_forward_arrays(y, p.experts.w1, p.experts.w2,
-                                      p.activation)
+            y, _ = ffn_forward_arrays(y, case.w1, case.w2, case.activation)
             y = net.flex_all2all(y, 0, 1)
             return moe.fast_decode(y, crit), l_aux
 
-        # nn.MoE normalises the selected gates only for k > 1; route()
-        # at every k (the pinned k = 1 fork below).
-        frozen = None
-        if p.top_k > 1 or not p.normalize_gate:
-            frozen = case.layer(case.no_drop_f)
-            frozen.freeze()
-        refs = [moe_layer_forward(x, p, capacity=policy) for x in xs]
-        assert all(ref.dropped_fraction == 0.0 for ref in refs)
+        def dense(x):
+            # Fairseq's data path: the GShard einsum encode/decode.
+            crit, _ = routed(x)
+            y, _ = ffn_forward_arrays(dense_encode(x, crit), case.w1,
+                                      case.w2, case.activation)
+            return dense_decode(y, crit)
+
         # One expert per rank over the first E ranks; P1/P2 take all
         # W = E * r.
-        cfg_d, cfg_p = case.cfg(e), case.cfg(len(xs))
-        dist = distributed_moe_forward(xs[:e], p, cfg_d)
-        per_rank = {"p1": p1_forward(xs, p, cfg_p),
-                    "p2": p2_forward(xs, p, cfg_p),
+        dist = distributed_moe_forward(xs[:e], frozen, case.cfg(e))
+        cfg_p = case.cfg(len(xs))
+        per_rank = {"p1": p1_forward(xs, frozen, cfg_p),
+                    "p2": p2_forward(xs, frozen, cfg_p),
                     "expert-parallel": dist.outputs}
-        for rank, (x, ref) in enumerate(zip(xs, refs)):
-            adaptive = moe_layer_forward(x, p, capacity=CapacityPolicy(0.0))
-            fairseq = fairseq_moe_forward(x, p,
-                                          capacity_factor=case.no_drop_f)
-            snippet, snippet_aux = figure8(x)
-            outputs = {"adaptive": adaptive.output,
-                       "fairseq": fairseq.output, "figure8": snippet}
+        snippet_aux = []
+        for rank, x in enumerate(xs):
+            ref, l_aux = frozen(Tensor(x, dtype=dtype))
+            assert frozen.last_routing_stats.dropped_fraction == 0.0
+            out_a, l_aux_a = adaptive(Tensor(x, dtype=dtype))
+            snippet, aux = figure8(x)
+            snippet_aux.append(aux)
+            outputs = {"adaptive": out_a.data, "figure8": snippet,
+                       "dense": dense(x)}
             outputs.update({name: outs[rank]
                             for name, outs in per_rank.items()
                             if rank < len(outs)})
-            if frozen is not None:
-                out, _ = frozen(Tensor(x, dtype=dtype))
-                outputs["frozen nn.MoE"] = out.data
             for name, out in outputs.items():
                 assert out.dtype == dtype, name
-                np.testing.assert_allclose(out, ref.output, rtol=tol,
+                np.testing.assert_allclose(out, ref.data, rtol=tol,
                                            atol=tol, err_msg=name)
-            assert ref.l_aux == adaptive.l_aux == fairseq.l_aux \
-                == snippet_aux
+            assert l_aux.data.tobytes() == l_aux_a.data.tobytes()
+            # The layer's 1/T and E scale l_aux as substrate-dtype
+            # operands (float32 here): equal to float32 roundoff.
+            assert aux == pytest.approx(float(l_aux.data), rel=1e-6)
         assert dist.dropped_fraction == 0.0
-        assert dist.l_aux == float(np.mean([ref.l_aux for ref in refs[:e]]))
+        assert dist.l_aux == float(np.mean(snippet_aux[:e]))
 
-    def test_k1_gate_fork_is_pinned(self):
-        # route() renormalises the selected gates at every k, so a k = 1
-        # gate reads 1.0; nn.MoE renormalises only for k > 1, so at
-        # k = 1 the raw top probability scales the expert output
-        # (Switch-style: the router trains through it).  Same weights,
-        # no drops: the two layers differ by exactly that factor at
-        # k = 1 and agree at k = 2.
+    @settings(max_examples=60, deadline=None)
+    @given(case=hostile_routing())
+    def test_drops_agree_at_one_rank(self, case):
+        # Slots drop (f is tiny or bounded): at W = 1, with the per-rank
+        # capacity set to the dC the layer resolved, the expert-parallel
+        # forward drops the same slots and combines the same output.
+        x, e, k = case.xs[0], case.num_experts, case.top_k
+        frozen = case.frozen(case.f)
+        out, _ = frozen(Tensor(x, dtype=x.dtype))
+        dc = frozen.last_routing_criteria.capacity
+        cfg = case.cfg(1, capacity_factor=(dc - 0.5) * e / (k * len(x)))
+        assert cfg.capacity_per_gpu == dc
+        dist = distributed_moe_forward([x], frozen, cfg)
+        assert dist.dropped_fraction \
+            == frozen.last_routing_stats.dropped_fraction
+        assert dist.outputs[0].dtype == x.dtype
+        tol = _tol(x.dtype)
+        np.testing.assert_allclose(dist.outputs[0], out.data, rtol=tol,
+                                   atol=tol)
+
+    def test_k1_and_k2_share_one_gate_rule(self):
+        # route() and nn.MoE renormalise the selected gates only for
+        # k > 1, so at k = 1 the raw top probability scales the expert
+        # output (Switch-style: the router trains through it).  Same
+        # weights, no drops: the expert-parallel forward at W = 1 (which
+        # routes with route()) equals the layer at k = 1 and k = 2.
         m, v, e, t = 8, 16, 4, 32
         rng = np.random.default_rng(0)
         with substrate_dtype(np.float32):
             layer = MoE(m, v, e, rng, top_k=1, capacity_factor=float(e))
         layer.freeze()
-        params = MoELayerParams(
-            experts=ExpertParams(w1=layer.w1.data, w2=layer.w2.data),
-            gate_weight=layer.gate.weight.data)
         x = rng.normal(size=(t, m)).astype(np.float32)
-
-        def both(k):
-            ref = moe_layer_forward(x, params, top_k=k,
-                                    capacity=CapacityPolicy(float(e)))
+        probs = softmax(x @ layer.gate.weight.data, axis=1)
+        np.testing.assert_array_equal(route(probs, 1, t).crit.gates[0],
+                                      probs.max(axis=1))
+        for k in (1, 2):
+            cfg = MoEConfig(world_size=1, experts_per_gpu=e, model_dim=m,
+                            hidden_dim=v, tokens_per_gpu=t, top_k=k,
+                            capacity_factor=float(e))
+            ref = distributed_moe_forward([x], layer, cfg)
             assert ref.dropped_fraction == 0.0
-            return layer(Tensor(x), top_k=k)[0].data, ref.output
-
-        out, ref = both(1)
-        top = softmax(x @ params.gate_weight).max(axis=1, keepdims=True)
-        np.testing.assert_allclose(out, top * ref, rtol=1e-5, atol=1e-6)
-        assert np.abs(out - ref).max() > 1.0
-        np.testing.assert_allclose(*both(2), rtol=1e-4, atol=1e-5)
+            out = layer(Tensor(x), top_k=k)[0].data
+            np.testing.assert_allclose(out, ref.outputs[0], rtol=1e-5,
+                                       atol=1e-6)
 
 
 class TestFrozenLayer:
@@ -399,7 +422,7 @@ class TestFrozenLayer:
     @given(case=hostile_routing(),
            router=st.sampled_from(["linear", "cosine"]), data=st.data())
     def test_frozen_copy_is_the_trainable_layer(self, case, router, data):
-        x, e = case.xs[0], case.params.experts.num_experts
+        x, e = case.xs[0], case.num_experts
         layer = case.layer(case.f, router)
         for expert in data.draw(st.sets(st.integers(0, e - 1),
                                         max_size=e - 1)):

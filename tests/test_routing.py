@@ -18,7 +18,6 @@ Load-bearing properties:
 """
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest

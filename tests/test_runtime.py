@@ -15,7 +15,6 @@ from repro.parallel.strategy import build_segment_spec
 from repro.runtime.plan import (
     FAIRSEQ_FEATURES,
     TUTEL_FEATURES,
-    ExecutionFeatures,
     choose_parallelism,
     moe_step_time,
 )
