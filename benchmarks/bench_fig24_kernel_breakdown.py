@@ -20,7 +20,8 @@ from repro.moe.encode import (
     fast_decode,
     fast_encode,
 )
-from repro.moe.gating import route, softmax
+from repro.moe.gating import softmax
+from repro.nn.moe import route
 
 TOKEN_COUNTS = (512, 1024, 2048, 4096)
 MODEL_DIM = 256
@@ -32,7 +33,8 @@ def _case(tokens, seed=0):
     rng = np.random.default_rng(seed)
     probs = softmax(rng.normal(size=(tokens, EXPERTS)))
     capacity = max(1, TOP_K * tokens // EXPERTS)
-    crit = route(probs, TOP_K, capacity).crit
+    routing = route(probs, TOP_K, capacity)
+    crit = routing.crit.with_gates(routing.gates)
     x = rng.normal(size=(tokens, MODEL_DIM))
     z = rng.normal(size=(EXPERTS, capacity, MODEL_DIM))
     return x, z, crit

@@ -32,7 +32,8 @@ from repro.collectives.functional import flexible_all_to_all
 from repro.moe.capacity import CapacityPolicy
 from repro.moe.encode import fast_decode as _fast_decode
 from repro.moe.encode import fast_encode as _fast_encode
-from repro.moe.gating import RoutingCriteria, route, softmax
+from repro.moe.gating import RoutingCriteria, softmax
+from repro.nn.moe import route
 
 __all__ = ["moe", "net"]
 
@@ -46,9 +47,9 @@ def _api_top_k_routing(scores: np.ndarray, top_k: int = 2,
     ``scores`` are post-softmax routing probabilities ``(T, E)``; the
     capacity follows the Figure 16 semantics of ``capacity_factor``.
     """
-    crit, l_aux, _ = route(scores, top_k, CapacityPolicy(capacity_factor),
-                           batch_prioritized)
-    return crit, l_aux
+    routing = route(scores, top_k, CapacityPolicy(capacity_factor),
+                    batch_prioritized)
+    return routing.crit.with_gates(routing.gates), float(routing.l_aux)
 
 
 def _api_flex_all2all(y, concat_dim: int, split_dim: int):

@@ -21,7 +21,6 @@ __all__ = [
     "linear",
     "ffn",
     "relu",
-    "gelu",
     "exp",
     "softmax",
     "layer_norm",
@@ -87,15 +86,6 @@ def relu(x: Tensor) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         x._accumulate(act_backward(grad, x.data, None, "relu"))
     return Tensor.from_op(out_data, (x,), backward, "relu")
-
-
-def gelu(x: Tensor) -> Tensor:
-    """Tanh-approximated GELU with its exact derivative."""
-    out_data, t = act_forward(x.data, "gelu")
-
-    def backward(grad: np.ndarray) -> None:
-        x._accumulate(act_backward(grad, x.data, t, "gelu"))
-    return Tensor.from_op(out_data, (x,), backward, "gelu")
 
 
 def exp(x: Tensor) -> Tensor:

@@ -7,7 +7,7 @@ import numpy as np
 from repro.autograd.tensor import Tensor, stack_gradients
 from repro.moe.ffn import BLOCK
 
-__all__ = ["SGD", "Adam", "clip_grad_norm"]
+__all__ = ["Adam", "clip_grad_norm"]
 
 
 def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
@@ -27,37 +27,6 @@ def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
             if p.grad is not None:
                 p.grad *= scale
     return norm
-
-
-class SGD:
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, params: list[Tensor], lr: float = 1e-2,
-                 momentum: float = 0.0, weight_decay: float = 0.0) -> None:
-        if lr <= 0:
-            raise ValueError(f"lr must be > 0, got {lr}")
-        self.params = list(params)
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                v *= self.momentum
-                v += grad
-                grad = v
-            p.data -= self.lr * grad
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
 
 
 class Adam:

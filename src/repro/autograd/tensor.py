@@ -310,7 +310,10 @@ class Tensor:
         else:
             axes = (axis,) if isinstance(axis, int) else axis
             count = int(np.prod([self.data.shape[a] for a in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+        # The scale in this tensor's dtype, not the substrate's: a float64
+        # mean under a float32 default must not round 1 / count to float32.
+        return (self.sum(axis=axis, keepdims=keepdims)
+                * Tensor(1.0 / count, dtype=self.data.dtype))
 
 
 def as_tensor(value) -> Tensor:

@@ -268,22 +268,6 @@ class SimResult:
         ob.registry.histogram("sim.makespan").observe(self.makespan)
         ob.count("sim.ops", len(self.spans))
 
-    def stream_busy_time(self, gpu: int, stream: str) -> float:
-        """Total wall time during which a stream had an op running."""
-        intervals = sorted(
-            (start, end) for op, (start, end) in self.spans.items()
-            if op.gpu == gpu and op.stream == stream)
-        busy = 0.0
-        current_end = -1.0
-        for start, end in intervals:
-            if start > current_end:
-                busy += end - start
-                current_end = end
-            elif end > current_end:
-                busy += end - current_end
-                current_end = end
-        return busy
-
 
 def _op_name(op: Op) -> str:
     return op.label or f"op#{op._uid}"

@@ -153,10 +153,6 @@ class ClusterTopology:
         self._check_rank(rank)
         return rank // self.gpus_per_node
 
-    def local_rank_of(self, rank: int) -> int:
-        self._check_rank(rank)
-        return rank % self.gpus_per_node
-
     def same_node(self, a: int, b: int) -> bool:
         return self.node_of(a) == self.node_of(b)
 

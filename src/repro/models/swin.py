@@ -83,32 +83,6 @@ class SwinVariant:
                              self.stage_tokens[stage]))
         return plan
 
-    def computed_dense_gflops(self, window: int = 12) -> float:
-        """Per-image compute of the dense model derived from geometry.
-
-        Multiply-accumulate counts (the vision-literature "FLOPs"
-        convention): patch embedding, then per block QKV+projection
-        (``4 T D^2``), windowed attention (``2 T w^2 D``) and the MLP
-        (``2 T D (4D)``).  Validated against the paper's Table 11
-        anchors (6.76 GFLOPs for SwinV2-S, 11.78 for SwinV2-B at
-        192 x 192, window 12) by the test suite.
-        """
-        total = 0.0
-        base_tokens = (self.input_resolution // self.patch_size) ** 2
-        total += base_tokens * (self.patch_size ** 2 * 3) * self.embed_dim
-        for stage, (depth, dim, tokens) in enumerate(
-                zip(self.depths, self.stage_dims, self.stage_tokens)):
-            per_block = (4 * tokens * dim * dim
-                         + 2 * tokens * window ** 2 * dim
-                         + 2 * tokens * dim * (dim * _MLP_RATIO))
-            total += depth * per_block
-            if stage < 3:
-                # Patch-merging downsample: 4C -> 2C linear on the
-                # next stage's token count.
-                next_tokens = self.stage_tokens[stage + 1]
-                total += next_tokens * (4 * dim) * (2 * dim)
-        return total / 1e9
-
     def moe_ffn_gflops(self) -> float:
         """Per-image compute of the fflayers that become MoE, at
         ``k = f = 1`` (each token through one expert).

@@ -32,8 +32,8 @@ from repro.collectives.functional import flexible_all_to_all
 from repro.core.config import MoEConfig
 from repro.moe.encode import fast_decode, fast_encode
 from repro.moe.ffn import ffn_forward_arrays
-from repro.moe.gating import RoutingCriteria, route, softmax
-from repro.nn.moe import MoE
+from repro.moe.gating import RoutingCriteria, softmax
+from repro.nn.moe import MoE, route
 
 __all__ = [
     "DistributedMoEOutput",
@@ -87,11 +87,11 @@ def route_and_encode(rank_inputs: list[np.ndarray], layer: MoE,
     crits, buffers, aux_losses = [], [], []
     for x in rank_inputs:
         logits = layer.gate_logits(Tensor(x, dtype=x.dtype)).data
-        crit, l_aux, _ = route(softmax(logits, axis=1), cfg.top_k,
-                               cfg.capacity_per_gpu, layer.batch_prioritized)
-        crits.append(crit)
-        buffers.append(fast_encode(x, crit))
-        aux_losses.append(l_aux)
+        routing = route(softmax(logits, axis=1), cfg.top_k,
+                        cfg.capacity_per_gpu, layer.batch_prioritized)
+        crits.append(routing.crit.with_gates(routing.gates))
+        buffers.append(fast_encode(x, routing.crit))
+        aux_losses.append(float(routing.l_aux))
     return crits, buffers, float(np.mean(aux_losses))
 
 

@@ -1,17 +1,17 @@
-"""Gating functions and token routing for MoE layers.
+"""Routing primitives for MoE layers (paper Sections 2.1, 4.1, 5.3.3).
 
-Implements the routing stack of the paper's Sections 2.1, 4.1 and
-5.3.3:
-
-* **top-k routing** for any ``1 <= k <= E`` ("top-ANY"), with the
-  GShard load-balancing auxiliary loss,
-* **batch prioritized routing** (BPR): capacity slots are assigned in
-  decreasing order of routing confidence rather than batch order, which
-  matters at low capacity factors (paper Figure 25).
+* :func:`select_top_k` — top-k selection for any ``1 <= k <= E``
+  ("top-ANY"),
+* :func:`compute_locations` — capacity-queue positions, in batch order
+  or, for batch prioritized routing (BPR), in decreasing order of
+  routing confidence (paper Figure 25),
+* :class:`RoutingCriteria` — the ``crit`` the encode/decode kernels
+  consume.
 
 Everything is dtype-preserving vectorized NumPy; tokens are rows of an
-``(T, M)`` array.  The routers that produce the logits (linear, and
-the cosine router of Equation (2)) are :class:`repro.nn.moe.MoE`'s.
+``(T, M)`` array.  The one routing decision that composes them, and the
+routers that produce the logits, are :mod:`repro.nn.moe`'s
+(:func:`repro.nn.moe.route`, :meth:`repro.nn.moe.MoE.gate_logits`).
 """
 
 from __future__ import annotations
@@ -21,16 +21,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.moe.capacity import CapacityPolicy, resolve_capacity
-
 __all__ = [
     "softmax",
     "RoutingCriteria",
     "RoutePlan",
-    "Routing",
     "select_top_k",
-    "route",
-    "load_balance_loss",
     "compute_locations",
     "compute_locations_reference",
 ]
@@ -303,88 +298,3 @@ def select_top_k(probs: np.ndarray, k: int) -> np.ndarray:
     ``tests/test_lint.py``).
     """
     return np.argsort(-probs, axis=1, kind="stable")[:, :k]
-
-
-class Routing(NamedTuple):
-    """What :func:`route` decides for one batch (paper Figure 8's
-    ``crit, l_aux`` plus the capacity factor Figure 16 settled on)."""
-
-    crit: RoutingCriteria
-    l_aux: float
-    # None when the caller fixed ``dC``: no factor was resolved.
-    effective_capacity_factor: float | None
-
-
-def route(gate_probs: np.ndarray, top_k: int,
-          capacity: int | CapacityPolicy,
-          batch_prioritized: bool = False) -> Routing:
-    """The routing decision: top-k selection, capacity, queue
-    positions, gate values and the auxiliary loss, from one sort.
-
-    Parameters
-    ----------
-    gate_probs:
-        ``(T, E)`` softmax routing probabilities.
-    top_k:
-        Fan-out ``k``; any value in ``[1, E]`` ("top-ANY", Section 4.1).
-    capacity:
-        Either a fixed ``dC`` per expert (the multi-rank forwards, whose
-        buffers are sized before routing) or a :class:`CapacityPolicy`
-        resolved against this batch's own selection (Figure 16).
-        Tokens whose queue position reaches ``dC`` are dropped (their
-        slot is marked invalid).
-    batch_prioritized:
-        Enable BPR: capacity slots assigned in order of decreasing
-        top-1 confidence (paper Figure 25).
-    """
-    if gate_probs.ndim != 2:
-        raise ValueError("gate_probs must be (T, E)")
-    t, e = gate_probs.shape
-    if not 1 <= top_k <= e:
-        raise ValueError(f"top_k must be in [1, {e}], got {top_k}")
-
-    # Slot j holds each token's j-th best expert.
-    top_idxs = select_top_k(gate_probs, top_k)
-    idxs = top_idxs.T.copy()                                   # (k, T)
-    effective_f = None
-    if isinstance(capacity, CapacityPolicy):
-        capacity, effective_f = resolve_capacity(capacity, idxs, e,
-                                                 tokens=t, top_k=top_k)
-    elif capacity < 1:
-        raise ValueError(f"capacity must be >= 1, got {capacity}")
-
-    # Selected gates sum to one per token for k > 1 (GShard); at k = 1
-    # the raw probability scales the expert output (Switch), as in
-    # nn.MoE, whose router trains through it.
-    gates = np.take_along_axis(gate_probs, top_idxs, axis=1).T.copy()
-    if top_k > 1:
-        denom = np.maximum(gates.sum(axis=0, keepdims=True), 1e-12)
-        gates = gates / denom
-
-    priority = gate_probs.max(axis=1) if batch_prioritized else None
-    locations = compute_locations(idxs, e, priority=priority)
-
-    crit = RoutingCriteria(idxs=idxs, locations=locations, gates=gates,
-                           capacity=capacity, num_experts=e)
-    # Zero the gates of dropped slots so decode ignores them.
-    crit.gates = np.where(crit.valid, crit.gates, 0.0)
-    return Routing(crit, load_balance_loss(gate_probs, idxs), effective_f)
-
-
-def load_balance_loss(gate_probs: np.ndarray,
-                      idxs: np.ndarray) -> float:
-    """GShard auxiliary load-balancing loss.
-
-    ``l_aux = E * sum_e mean_prob(e) * routed_fraction(e)`` using the
-    top-1 assignments; equals 1.0 under perfectly uniform routing.  An
-    empty token batch contributes no balance penalty (0.0) rather than
-    the NaN a ``counts / 0`` division would produce.
-    """
-    t, e = gate_probs.shape
-    if t == 0:
-        return 0.0
-    top1 = idxs[0] if idxs.ndim == 2 else idxs
-    counts = np.bincount(top1, minlength=e).astype(np.float64)
-    routed_fraction = counts / t
-    mean_prob = gate_probs.mean(axis=0)
-    return float(e * np.sum(mean_prob * routed_fraction))

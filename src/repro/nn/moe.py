@@ -1,15 +1,21 @@
 """Trainable MoE layer module (the API of paper Figure 8, trainable).
 
-Routing (top-k selection, capacity assignment, BPR ordering) is a
-discrete decision computed outside the tape; the gate *values* flow
-through :func:`moe_combine` so the router trains end to end, and the
-GShard load-balancing auxiliary loss is returned alongside the output.
-Supports the dynamic features of Section 4.1: per-call ``top_k``
-("top-ANY") and dynamic capacity-factor semantics, plus the cosine
-router of Equation (2).
+:func:`route` is the one routing decision (paper Figure 8's
+``moe.top_k_routing``): top-k selection, capacity assignment and BPR
+ordering, computed outside the tape, plus the gate values and the GShard
+load-balancing auxiliary loss on arrays.  :class:`MoE` calls it on every
+forward and, when it trains, rebuilds the gate values and the loss on
+the tape so the router trains end to end through :func:`moe_combine`;
+the multi-rank forwards and :mod:`repro.api` call it too.  Supports the
+dynamic features of Section 4.1: per-call ``top_k`` ("top-ANY") and
+dynamic capacity-factor semantics, plus the cosine router of
+Equation (2).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +36,94 @@ from repro.obs import CAT_MOE, get_run
 from repro.obs import span as _span
 from repro.obs import stage as _stage
 
-__all__ = ["MoE"]
+__all__ = ["MoE", "Routing", "route"]
+
+
+@dataclass
+class Routing:
+    """What :func:`route` decides for one batch (paper Figure 8's
+    ``crit, l_aux`` plus the capacity factor Figure 16 settled on).
+
+    ``gates`` and ``l_aux`` are computed on first read: a training
+    forward rebuilds both on the tape and never reads them.  Every
+    scalar operand is a Python number, so both keep ``gate_probs``'
+    dtype.
+    """
+
+    gate_probs: np.ndarray
+    order: np.ndarray      # (T, k): column j is each token's j-th expert
+    # Its gates are the kept mask: 1 keeps a slot in the kernels even
+    # when its gate value underflows to 0, so that gate's gradient flows.
+    crit: RoutingCriteria
+    # None when the caller fixed ``dC``: no factor was resolved.
+    effective_capacity_factor: float | None
+
+    @cached_property
+    def gates(self) -> np.ndarray:
+        """``(k, T)`` selected gate values.  Normalisation only applies
+        for k > 1 (GShard); with k == 1 the raw probability scales the
+        expert output (Switch-style), which is the path the router's
+        gradient flows through."""
+        t, k = self.order.shape
+        gates = self.gate_probs[np.arange(t)[:, None], self.order].T
+        if k > 1:
+            gates = gates / (gates.sum(axis=0, keepdims=True) + 1e-12)
+        return gates
+
+    @cached_property
+    def l_aux(self) -> np.floating:
+        """GShard load-balancing loss, ``E * sum_e mean_prob(e) *
+        routed_frac(e)`` over the top-1 assignments: 1.0 under uniform
+        routing, 0.0 for an empty batch."""
+        t, e = self.gate_probs.shape
+        n = max(t, 1)
+        routed_frac = (np.bincount(self.crit.idxs[0], minlength=e)
+                       / n).astype(self.gate_probs.dtype)
+        return (self.gate_probs.sum(axis=0) * (1.0 / n)
+                * routed_frac).sum() * e
+
+
+def route(gate_probs: np.ndarray, top_k: int,
+          capacity: int | CapacityPolicy,
+          batch_prioritized: bool = False) -> Routing:
+    """The routing decision: top-k selection, capacity, queue positions,
+    gate values and the auxiliary loss, from one sort.
+
+    Parameters
+    ----------
+    gate_probs:
+        ``(T, E)`` softmax routing probabilities.
+    top_k:
+        Fan-out ``k``; any value in ``[1, E]`` ("top-ANY", Section 4.1).
+    capacity:
+        Either a fixed ``dC`` per expert (the multi-rank forwards, whose
+        buffers are sized before routing) or a :class:`CapacityPolicy`
+        resolved against this batch's own selection (Figure 16).
+        Routes whose queue position reaches ``dC`` are dropped.
+    batch_prioritized:
+        Enable BPR: capacity slots assigned in order of decreasing
+        top-1 confidence (paper Figure 25).
+
+    Array callers decode with ``crit.with_gates(gates)``;
+    :meth:`MoE.forward`'s taped ops use the same operands in the same
+    dtype and match the arrays bit for bit.
+    """
+    t, e = gate_probs.shape
+    if not 1 <= top_k <= e:
+        raise ValueError(f"top_k must be in [1, {e}], got {top_k}")
+    order = select_top_k(gate_probs, top_k)
+    idxs = order.T.copy()
+    effective_f = None
+    if isinstance(capacity, CapacityPolicy):
+        capacity, effective_f = resolve_capacity(capacity, idxs, e,
+                                                 tokens=t, top_k=top_k)
+    priority = gate_probs.max(axis=1) if batch_prioritized else None
+    locations = compute_locations(idxs, e, priority=priority)
+    crit = RoutingCriteria(
+        idxs=idxs, locations=locations,
+        gates=(locations < capacity).astype(gate_probs.dtype),
+        capacity=capacity, num_experts=e)
+    return Routing(gate_probs, order, crit, effective_f)
 
 
 class MoE(Module):
@@ -212,46 +305,28 @@ class MoE(Module):
                 # aux loss see only survivors; k shrinks if needed.
                 mask = np.zeros((1, self.num_experts))
                 mask[0, sorted(self.failed_experts)] = -1e30
-                logits = logits + _operand(mask)
+                # As a taped add makes it: the substrate dtype.
+                logits = logits + as_tensor(mask).data
                 k = min(k, self.num_experts - len(self.failed_experts))
             if taped:
                 probs = softmax(logits, axis=1)
                 gate_probs = probs.data
             else:
                 gate_probs = gating.softmax(logits, axis=1)
-
-            # Discrete routing decisions (outside the tape).
-            order = select_top_k(gate_probs, k)
-            idxs = order.T.copy()
-            cap, eff_f = resolve_capacity(policy, idxs, self.num_experts,
-                                          tokens=t, top_k=k)
-            self.last_effective_capacity_factor = eff_f
-            priority = (gate_probs.max(axis=1)
-                        if self.batch_prioritized else None)
-            locations = compute_locations(idxs, self.num_experts,
-                                          priority=priority)
-            # Queues count from 0: kept routes' gates read 1 so the
-            # kernels keep them; `selected` holds the real values.
-            crit = RoutingCriteria(
-                idxs=idxs, locations=locations,
-                gates=(locations < cap).astype(x.data.dtype),
-                capacity=cap, num_experts=self.num_experts)
-
-            # Gate values of the selected slots, (k, T).  Normalization
-            # only applies for k > 1 (GShard); with k == 1 the raw
-            # probability scales the expert output (Switch-style),
-            # which is the path the router's gradient flows through.
+            routing = route(gate_probs, k, policy, self.batch_prioritized)
+            crit, dtype = routing.crit, gate_probs.dtype
+            self.last_effective_capacity_factor = \
+                routing.effective_capacity_factor
             if taped:
-                selected = take_along(probs, order, axis=1).T
+                # Routing.gates on the tape: its ops, its operands in
+                # the probabilities' dtype.
+                selected = take_along(probs, routing.order, axis=1).T
                 if k > 1:
-                    selected = selected / (selected.sum(axis=0, keepdims=True)
-                                           + 1e-12)
+                    selected = selected / (
+                        selected.sum(axis=0, keepdims=True)
+                        + Tensor(1e-12, dtype=dtype))
             else:
-                gates = gate_probs[np.arange(t)[:, None], order].T
-                if k > 1:
-                    gates = gates / (gates.sum(axis=0, keepdims=True)
-                                     + _operand(1e-12))
-                selected = Tensor(gates, dtype=gates.dtype)
+                selected = Tensor(routing.gates, dtype=dtype)
 
         self.last_routing_stats = routing_stats(crit, gate_probs)
         self.last_routing_criteria = crit
@@ -266,22 +341,12 @@ class MoE(Module):
         with _span("decode", CAT_MOE), _stage("combine"):
             output = moe_combine(expert_out, selected, crit)
 
-        # GShard auxiliary loss: E * sum_e mean_prob(e) * routed_frac(e).
-        counts = np.bincount(idxs[0], minlength=self.num_experts)
-        routed_frac = Tensor(counts / t, dtype=x.data.dtype)
         if taped:
-            l_aux = (probs.mean(axis=0) * routed_frac).sum() * self.num_experts
+            # Routing.l_aux on the tape.
+            counts = np.bincount(crit.idxs[0], minlength=self.num_experts)
+            routed_frac = Tensor(counts / t, dtype=dtype)
+            l_aux = ((probs.mean(axis=0) * routed_frac).sum()
+                     * Tensor(self.num_experts, dtype=dtype))
         else:
-            # Tensor.mean is the sum times 1 / T.
-            value = ((gate_probs.sum(axis=0) * _operand(1.0 / t)
-                      * routed_frac.data).sum()
-                     * _operand(self.num_experts))
-            l_aux = Tensor(value, dtype=value.dtype)
+            l_aux = Tensor(routing.l_aux, dtype=dtype)
         return output, l_aux
-
-
-def _operand(value: float | np.ndarray) -> np.ndarray:
-    """The array a taped op makes of a constant operand
-    (:func:`as_tensor`: the substrate dtype), so array arithmetic with
-    it promotes and rounds exactly as the taped op does."""
-    return as_tensor(value).data

@@ -78,7 +78,8 @@ from repro.collectives.functional import all_to_all_linear
 from repro.collectives.schedule import linear_a2a_time
 from repro.core.config import MoEConfig
 from repro.core.substrate import default_dtype, default_itemsize
-from repro.moe.gating import RoutingCriteria, compute_locations
+from repro.moe.gating import RoutingCriteria
+from repro.nn.moe import route
 from repro.runtime.kernels import sparse_scatter_bytes, sparse_scatter_time
 
 __all__ = [
@@ -245,13 +246,10 @@ def a2a_workloads(fast: bool = False) -> list[Workload]:
 
 def _routing(rng: np.random.Generator, t: int, e: int, k: int,
              capacity: int) -> RoutingCriteria:
-    """Uniform-random top-k routing decisions for a synthetic sweep."""
-    order = np.argsort(rng.random((t, e)), axis=1)[:, :k]
-    idxs = np.ascontiguousarray(order.T)
-    locations = compute_locations(idxs, e)
-    gates = np.full((k, t), 1.0 / k, dtype=default_dtype())
-    return RoutingCriteria(idxs=idxs, locations=locations, gates=gates,
-                           capacity=capacity, num_experts=e)
+    """Uniform-random top-k routing decisions for a synthetic sweep:
+    the router on uniform random scores."""
+    return route(rng.random((t, e)).astype(default_dtype()), k,
+                 capacity).crit
 
 
 def _timed(call: Callable[[], object]) -> Callable[[], float]:

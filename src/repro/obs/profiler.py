@@ -650,8 +650,9 @@ def _expert_ffn_op_cost(out, parents, ctx):
 #: ``repro.autograd``; a name missing here is a ``KeyError`` under
 #: profiling, not a silent zero.  Only add/mul/div stream two inputs.
 OP_COSTS: dict[str, Callable] = {
+    # gelu prices only the fused ops' activation: no tape op of its own.
     **{name: _elementwise(name, 2 if name in ("add", "mul", "div") else 1)
-       for name in _EW},
+       for name in _EW if name != "gelu"},
     # Views: no FLOPs, no data movement.
     "reshape": lambda out, parents, ctx: (ZERO_COST, ZERO_COST),
     "transpose": lambda out, parents, ctx: (ZERO_COST, ZERO_COST),

@@ -508,9 +508,11 @@ def synthetic_profile(seed: int = 0, *, num_layers: int = 3,
     layer 0 and a sticky transition kernel afterwards (tokens tend to
     stay in their expert "family", giving the affinity matrix real
     diagonal mass), adds a uniform secondary route per extra top-k
-    slot, then runs the draws through the *real*
-    :func:`~repro.moe.gating.compute_locations` capacity assignment to
-    get authentic drops.  Each batch becomes the ``routing`` events a
+    slot, then runs the draws through the *real* router,
+    :func:`repro.nn.moe.route`, to get authentic drops: slot ``j``'s
+    expert scores ``k - j``, so the top-k selection reads the draws back
+    in slot order (a secondary repeating an earlier slot's expert yields
+    to the next free expert).  Each batch becomes the ``routing`` events a
     recorded run would hold, and :func:`profile_from_events` sums them.
     Only integer RNG draws — no GEMMs, no
     argsort-over-float ties — so the profile is bit-identical across
@@ -519,8 +521,8 @@ def synthetic_profile(seed: int = 0, *, num_layers: int = 3,
     """
     import math
 
-    from repro.moe.gating import compute_locations
     from repro.moe.metrics import routing_stats
+    from repro.nn.moe import route
 
     if top_k < 1 or top_k > num_experts:
         raise ValueError(f"top_k must be in [1, {num_experts}]")
@@ -560,11 +562,10 @@ def synthetic_profile(seed: int = 0, *, num_layers: int = 3,
                 # Secondary routes: uniform over the other experts.
                 offset = rng.integers(1, num_experts, size=tokens)
                 idxs[slot] = (prev + offset) % num_experts
-            locations = compute_locations(idxs, num_experts)
-            crits.append(RoutingCriteria(
-                idxs=idxs, locations=locations,
-                gates=(locations < capacity).astype(np.float64),
-                capacity=capacity, num_experts=num_experts))
+            scores = np.zeros((tokens, num_experts))
+            for slot in reversed(range(top_k)):
+                scores[np.arange(tokens), idxs[slot]] = top_k - slot
+            crits.append(route(scores, top_k, capacity).crit)
         for li, (crit, counts) in enumerate(
                 zip(crits, rec.observe_batch(crits))):
             events.append({"kind": "routing", "step": step, "data": {

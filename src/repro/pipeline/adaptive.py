@@ -251,10 +251,3 @@ class OnlinePipeliningSearch:
         elapsed = measure(strategy)
         self.optimize_strategy(capacity_factor, strategy, elapsed)
         return strategy, elapsed
-
-    # -- diagnostics -----------------------------------------------------
-
-    def exploration_remaining(self, capacity_factor: float) -> int:
-        """Strategies the factor's bucket has not yet tried."""
-        bucket = self._bucket_of(self._ensure_known(capacity_factor))
-        return len(self.strategies) - len(bucket.samples)

@@ -21,16 +21,14 @@ Three fault families cover the common large-scale pathologies:
   lost and the alpha-beta cost is re-charged after a detection timeout,
   exactly the semantics of an NCCL watchdog abort + retry.
 
-Plans are either hand-built or drawn with :meth:`FaultPlan.random`
-from a seed, so chaos scenarios are reproducible bit for bit.
+Plans are hand-built (the chaos scenarios declare theirs), so a
+scenario is reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 __all__ = [
     "StragglerWindow",
@@ -116,7 +114,7 @@ class FaultPlan:
     """A deterministic collection of faults for one scenario.
 
     The plan is pure data — the simulator interprets it.  ``seed``
-    records the origin of a randomly drawn plan for reporting.  Expert
+    records the scenario seed the plan belongs to, for reporting.  Expert
     death is not a plan fault: the scenario engine's
     :class:`repro.scenarios.spec.ExpertDeath` is that event.
     """
@@ -160,49 +158,6 @@ class FaultPlan:
         for f in self.op_failures:
             times.add(f.time)
         return sorted(times)
-
-    # -- construction ----------------------------------------------------
-
-    @staticmethod
-    def random(seed: int, num_gpus: int = 8, horizon: float = 1.0,
-               num_stragglers: int = 1, num_link_faults: int = 1,
-               num_op_failures: int = 1,
-               straggler_factor: float = 0.3,
-               link_factor: float = 0.5,
-               timeout_fraction: float = 0.05) -> "FaultPlan":
-        """Draw a reproducible plan over ``[0, horizon)`` seconds.
-
-        The same ``(seed, parameters)`` always yields the same plan, so
-        chaos scenarios can be replayed and bisected.
-        """
-        if num_gpus < 1:
-            raise ValueError(f"num_gpus must be >= 1, got {num_gpus}")
-        if horizon <= 0:
-            raise ValueError(f"horizon must be > 0, got {horizon}")
-        rng = np.random.default_rng(seed)
-        stragglers = []
-        for _ in range(num_stragglers):
-            start = float(rng.uniform(0.0, horizon * 0.5))
-            length = float(rng.uniform(horizon * 0.2, horizon * 0.5))
-            stragglers.append(StragglerWindow(
-                gpu=int(rng.integers(0, num_gpus)), start=start,
-                end=start + length, factor=straggler_factor))
-        links = []
-        for _ in range(num_link_faults):
-            start = float(rng.uniform(0.0, horizon * 0.5))
-            length = float(rng.uniform(horizon * 0.2, horizon * 0.5))
-            links.append(LinkDegradation(
-                start=start, end=start + length, factor=link_factor,
-                gpu=(int(rng.integers(0, num_gpus))
-                     if rng.random() < 0.5 else None)))
-        failures = []
-        for _ in range(num_op_failures):
-            failures.append(OpFailure(
-                time=float(rng.uniform(horizon * 0.1, horizon * 0.9)),
-                gpu=int(rng.integers(0, num_gpus)),
-                timeout=horizon * timeout_fraction))
-        return FaultPlan(stragglers=stragglers, link_degradations=links,
-                         op_failures=failures, seed=seed)
 
     def describe(self) -> str:
         parts = [f"{len(self.stragglers)} straggler(s)",

@@ -52,11 +52,6 @@ class RecoveryDecision:
     link_degradation: float = 1.0  # fabric derate active at the loss
 
     @property
-    def dropped_healthy(self) -> int:
-        """Healthy ranks parked to preserve group divisibility."""
-        return self.healthy_world - self.surviving_world
-
-    @property
     def slowdown(self) -> float:
         """Iteration-time ratio vs. the selection *just before* the
         rank loss.  Under a compound fault (rank loss while a link is

@@ -108,14 +108,15 @@ class TestSearch:
         # without re-exploring.
         strategy = search.get_strategy(1.5)
         assert strategy == best
-        assert search.exploration_remaining(1.5) == 0
 
     def test_distant_factor_explores_fresh(self):
         search = OnlinePipeliningSearch(bucket_length=1.0)
         best = PipelineStrategy(degree=1)
         for _ in range(len(all_strategies())):
             search.step(1.2, oracle(best))
-        assert search.exploration_remaining(9.0) == len(all_strategies())
+        # Another bucket: every strategy is measured again, in order.
+        assert [search.step(9.0, oracle(best))[0]
+                for _ in range(len(all_strategies()))] == search.strategies
 
     def test_bucket_rebuild_preserves_measurements(self):
         search = OnlinePipeliningSearch(bucket_length=1.0)

@@ -11,8 +11,8 @@ from repro.core.config import MoEConfig
 from repro.core.substrate import substrate_dtype
 from repro.moe.encode import dense_decode, dense_encode
 from repro.moe.ffn import ffn_forward_arrays
-from repro.moe.gating import route, softmax
-from repro.nn.moe import MoE
+from repro.moe.gating import softmax
+from repro.nn.moe import MoE, route
 from repro.runtime.plan import FAIRSEQ_FEATURES, moe_step_time
 
 
@@ -27,8 +27,9 @@ class TestFairseqForward:
         layer.freeze()
         x = np.random.default_rng(1).normal(size=(32, 8))
         tutel, _ = layer(Tensor(x, dtype=x.dtype))
-        crit = route(softmax(x @ layer.gate.weight.data), 2,
-                     layer.capacity_policy).crit
+        routing = route(softmax(x @ layer.gate.weight.data), 2,
+                        layer.capacity_policy)
+        crit = routing.crit.with_gates(routing.gates)
         hidden, _ = ffn_forward_arrays(dense_encode(x, crit), layer.w1.data,
                                        layer.w2.data, "gelu")
         np.testing.assert_allclose(dense_decode(hidden, crit), tutel.data,

@@ -21,7 +21,8 @@ from repro.moe.encode import (
     fast_encode,
     fast_encode_backward,
 )
-from repro.moe.gating import route, softmax
+from repro.moe.gating import softmax
+from repro.nn.moe import route
 
 
 def random_case(t=32, e=8, m=16, k=2, capacity=None, seed=0,
@@ -29,7 +30,8 @@ def random_case(t=32, e=8, m=16, k=2, capacity=None, seed=0,
     rng = np.random.default_rng(seed)
     probs = softmax(rng.normal(size=(t, e)))
     cap = capacity or (2 if drop_some else t)
-    crit = route(probs, k, capacity=cap).crit
+    routing = route(probs, k, capacity=cap)
+    crit = routing.crit.with_gates(routing.gates)
     x = rng.normal(size=(t, m))
     z = rng.normal(size=(e, crit.capacity, m))
     return x, z, crit
@@ -75,7 +77,8 @@ class TestDenseSparseEquivalence:
         # decode(encode(x)) returns g * x for surviving tokens.
         rng = np.random.default_rng(3)
         probs = softmax(rng.normal(size=(16, 4)))
-        crit = route(probs, 1, capacity=16).crit
+        routing = route(probs, 1, capacity=16)
+        crit = routing.crit.with_gates(routing.gates)
         x = rng.normal(size=(16, 8))
         out = fast_decode(fast_encode(x, crit), crit)
         np.testing.assert_allclose(out, crit.gates[0][:, None] * x)
@@ -185,8 +188,9 @@ class TestZeroGateAndDropAgreement:
     def _crit_with_zero_gates_and_drops(seed, t, e, k, cap):
         rng = np.random.default_rng(seed)
         probs = softmax(rng.normal(size=(t, e)))
-        crit = route(probs, k, capacity=cap).crit
-        gates, locations = crit.gates.copy(), crit.locations.copy()
+        routing = route(probs, k, capacity=cap)
+        crit, gates = routing.crit, routing.gates.copy()
+        locations = crit.locations.copy()
         # Zero the gate of one random *valid* slot per sampled token.
         valid_slots, valid_tokens = np.nonzero(crit.valid)
         if len(valid_tokens):

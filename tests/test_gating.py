@@ -10,11 +10,9 @@ from repro.moe.gating import (
     RoutingCriteria,
     compute_locations,
     compute_locations_reference,
-    load_balance_loss,
-    route,
     softmax,
 )
-from repro.nn.moe import MoE
+from repro.nn.moe import MoE, route
 
 
 @pytest.fixture
@@ -149,13 +147,13 @@ class TestTopKRouting:
 
     def test_normalized_gates_sum_to_one(self, rng):
         probs = softmax(rng.normal(size=(16, 4)))
-        crit = route(probs, 2, capacity=16).crit
-        np.testing.assert_allclose(crit.gates.sum(axis=0), 1.0)
+        gates = route(probs, 2, capacity=16).gates
+        np.testing.assert_allclose(gates.sum(axis=0), 1.0)
 
     def test_unnormalized_keeps_raw_probs(self, rng):
         probs = softmax(rng.normal(size=(16, 4)))
-        crit = route(probs, 1, capacity=16).crit
-        np.testing.assert_allclose(crit.gates[0], probs.max(axis=1))
+        gates = route(probs, 1, capacity=16).gates
+        np.testing.assert_allclose(gates[0], probs.max(axis=1))
 
     def test_top_any_k_equals_e(self, rng):
         probs = softmax(rng.normal(size=(8, 4)))
@@ -276,29 +274,32 @@ class TestOccupancy:
 
 
 class TestLoadBalanceLoss:
+    """route()'s ``l_aux = E * sum_e mean_prob(e) * routed_frac(e)``
+    over the top-1 assignments."""
+
     def test_uniform_routing_gives_one(self):
         t, e = 64, 8
         probs = np.full((t, e), 1.0 / e)
-        idxs = np.tile(np.arange(e), t // e)[None, :]
-        assert load_balance_loss(probs, idxs) == pytest.approx(1.0)
+        assert route(probs, 1, t).l_aux == pytest.approx(1.0)
 
     def test_collapsed_routing_costs_more(self):
         t, e = 64, 8
         probs = np.zeros((t, e))
         probs[:, 0] = 1.0
-        idxs = np.zeros((1, t), dtype=int)
-        assert load_balance_loss(probs, idxs) == pytest.approx(e)
+        assert route(probs, 1, t).l_aux == pytest.approx(e)
 
     def test_imbalance_increases_loss(self):
         # When the gate concentrates probability on an expert AND the
         # counts follow, the loss exceeds the balanced value of 1.
         t, e = 256, 4
-        skewed_probs = np.full((t, e), 0.1 / (e - 1))
-        skewed_probs[:, 0] = 0.9
-        skewed = np.zeros((1, t), dtype=int)
-        balanced = np.tile(np.arange(e), t // e)[None, :]
-        assert load_balance_loss(skewed_probs, skewed) > \
-            load_balance_loss(skewed_probs, balanced) > 0
+        skewed = np.full((t, e), 0.1 / (e - 1))
+        skewed[:, 0] = 0.9
+        # The same confidence, each token on its own expert in turn.
+        balanced = skewed.copy()
+        balanced[np.arange(t), 0] = 0.1 / (e - 1)
+        balanced[np.arange(t), np.arange(t) % e] = 0.9
+        assert route(skewed, 1, t).l_aux \
+            > route(balanced, 1, t).l_aux == pytest.approx(1.0)
 
 
 class TestRoutingCriteriaShapeRegression:
@@ -331,8 +332,7 @@ class TestRoutingCriteriaShapeRegression:
 class TestEmptyBatch:
     def test_load_balance_loss_zero_tokens(self):
         with np.errstate(all="raise"):
-            assert load_balance_loss(np.zeros((0, 4)),
-                                     np.zeros((2, 0), dtype=int)) == 0.0
+            assert route(np.zeros((0, 4)), 2, capacity=4).l_aux == 0.0
 
     def test_routing_criteria_empty_diagnostics(self):
         crit = RoutingCriteria(idxs=np.zeros((2, 0), dtype=int),

@@ -13,8 +13,8 @@ from repro.core.substrate import substrate_dtype
 from repro.moe.distributed import distributed_moe_forward
 from repro.moe.encode import dense_decode, dense_encode, fast_encode
 from repro.moe.ffn import ffn_forward_arrays
-from repro.moe.gating import route, softmax
-from repro.nn.moe import MoE
+from repro.moe.gating import softmax
+from repro.nn.moe import MoE, route
 from repro.pipeline.partition import merge_partitions, partition_capacity
 from repro.runtime.plan import TUTEL_FEATURES, moe_step_time
 
@@ -72,7 +72,8 @@ class TestPipelinedDistributedLayer:
         crits, dispatch = [], []
         for x in xs:
             probs = softmax(x @ layer.gate.weight.data)
-            crit = route(probs, 2, cfg.capacity_per_gpu).crit
+            routing = route(probs, 2, cfg.capacity_per_gpu)
+            crit = routing.crit.with_gates(routing.gates)
             crits.append(crit)
             dispatch.append(fast_encode(x, crit))
         expert_in = flexible_all_to_all(dispatch, 1, 0)
@@ -158,8 +159,9 @@ class TestFairseqVsTutelNumericalParity:
         layer = frozen_layer(8, 16, 4, rng, capacity_factor=2.0)
         x = rng.normal(size=(64, 8))
         tutel_fast = layer(Tensor(x, dtype=x.dtype))[0].data
-        crit = route(softmax(x @ layer.gate.weight.data), 2,
-                     layer.capacity_policy).crit
+        routing = route(softmax(x @ layer.gate.weight.data), 2,
+                        layer.capacity_policy)
+        crit = routing.crit.with_gates(routing.gates)
         hidden, _ = ffn_forward_arrays(dense_encode(x, crit), layer.w1.data,
                                        layer.w2.data, "gelu")
         fair = dense_decode(hidden, crit)

@@ -12,8 +12,8 @@ from repro.core.substrate import substrate_dtype
 from repro.moe.capacity import CapacityPolicy
 from repro.moe.encode import dense_decode, dense_encode
 from repro.moe.ffn import ffn_forward_arrays
-from repro.moe.gating import route, softmax
-from repro.nn.moe import MoE
+from repro.moe.gating import softmax
+from repro.nn.moe import MoE, route
 from repro.parallel.functional import ExpertParams
 
 
@@ -108,8 +108,9 @@ class TestMoELayerForward:
         x = rng.normal(size=(64, 16))
         for k in (1, 2):
             fast, _ = forward(layer, x, top_k=k)
-            crit = route(softmax(x @ layer.gate.weight.data, axis=1), k,
-                         CapacityPolicy(1.0)).crit
+            routing = route(softmax(x @ layer.gate.weight.data, axis=1), k,
+                            CapacityPolicy(1.0))
+            crit = routing.crit.with_gates(routing.gates)
             assert crit.dropped_fraction() > 0
             hidden, _ = ffn_forward_arrays(dense_encode(x, crit),
                                            layer.w1.data, layer.w2.data,
@@ -139,6 +140,18 @@ class TestMoELayerForward:
 
     def test_aux_loss_positive(self, layer, rng):
         assert forward(layer, rng.normal(size=(64, 16)))[1] > 0
+
+    def test_l_aux_keeps_the_layer_dtype(self, rng):
+        # A float64 layer under a float32 default: 1 / T and E take the
+        # layer's dtype, so one expert reads exactly 1.0, trainable or
+        # frozen (a float32 1 / 5 made it 1.0000000149).
+        trainable = MoE(4, 8, 1, rng, top_k=1)
+        x = rng.normal(size=(5, 4))
+        for layer in (trainable, frozen(rng, 1, 4, 8, top_k=1)):
+            with substrate_dtype(np.float32):
+                _, l_aux = layer(Tensor(x, dtype=x.dtype))
+            assert l_aux.data.dtype == np.float64
+            assert l_aux.data == 1.0
 
     def test_cosine_router_runs(self, rng):
         layer = frozen(rng, num_experts=4, router="cosine")

@@ -182,7 +182,7 @@ def test_one_routing_decision():
         "    return np.argsort(-p, axis=1, kind='stable')[:, :k]\n"
         "def queue(q):\n    return np.argsort(-q, kind='stable')\n"
     )) == ["probe"]
-    sorts, resolvers = {}, []
+    sorts, resolvers, callers = {}, [], []
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text())
         name = str(path.relative_to(SRC))
@@ -191,10 +191,14 @@ def test_one_routing_decision():
         if any(alias.name == "resolve_capacity" for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) for alias in node.names):
             resolvers.append(name)
+        if any(isinstance(node, ast.Call) and ast.unparse(node.func)
+               .rpartition(".")[2] in ("select_top_k", "compute_locations")
+               for node in ast.walk(tree)):
+            callers.append(name)
     # A new entry here is a hand-composed router: call
-    # repro.moe.gating.route instead.
+    # repro.nn.moe.route, the one composition, instead.
     assert sorts == {"moe/gating.py": ["select_top_k"]}
-    assert resolvers == ["moe/gating.py", "nn/moe.py"]
+    assert resolvers == callers == ["nn/moe.py"]
 
 
 def segment_spec_sites(tree: ast.AST) -> list[str]:

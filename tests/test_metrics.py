@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.moe.gating import RoutingCriteria, route, softmax
+from repro.moe.gating import RoutingCriteria, softmax
 from repro.moe.metrics import (
     RoutingStats,
     expert_load,
@@ -12,6 +12,7 @@ from repro.moe.metrics import (
     routing_entropy,
     routing_stats,
 )
+from repro.nn.moe import route
 
 
 def balanced_crit(t=32, e=4):

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.autograd.moe_ops import expert_ffn, moe_combine, moe_dispatch
 from repro.autograd.tensor import Tensor
-from repro.moe.gating import route, softmax
+from repro.moe.gating import softmax
+from repro.nn.moe import route
 
 
 @pytest.fixture(autouse=True)
@@ -22,8 +23,8 @@ def _float64_substrate():
 def routing(t=12, e=4, k=2, capacity=None, seed=0):
     rng = np.random.default_rng(seed)
     probs = softmax(rng.normal(size=(t, e)))
-    crit = route(probs, k, capacity=capacity or t).crit
-    return crit, rng
+    routing = route(probs, k, capacity=capacity or t)
+    return routing.crit.with_gates(routing.gates), rng
 
 
 class TestMoeDispatch:
@@ -173,7 +174,8 @@ class TestRaggedExpertFfn:
 
     def check(self, probs, k, cap, dtype, m=5, v=7):
         t, e = probs.shape
-        crit = route(probs, k, capacity=cap).crit
+        routing = route(probs, k, capacity=cap)
+        crit = routing.crit.with_gates(routing.gates)
         rng = np.random.default_rng(t * 100 + e * 10 + k)
         x = rng.normal(size=(t, m)).astype(dtype)
         w1 = rng.normal(size=(e, m, v)).astype(dtype)

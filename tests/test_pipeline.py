@@ -7,7 +7,8 @@ from repro.cluster.topology import ndv4_topology
 from repro.collectives.schedule import A2AAlgorithm
 from repro.core.config import MoEConfig
 from repro.moe.ffn import ffn_forward_arrays
-from repro.moe.gating import route, softmax
+from repro.moe.gating import softmax
+from repro.nn.moe import route
 from repro.parallel.strategy import (
     Parallelism,
     SegmentSpec,

@@ -35,6 +35,7 @@ from repro.obs.profiler import (
     sparse_encode_cost,
     traced_peak,
 )
+from tests.reference_ops import gelu
 
 ROOT = Path(__file__).resolve().parents[1]
 BASELINES = ROOT / "benchmarks/baselines"
@@ -196,10 +197,17 @@ class TestForwardHook:
         assert set(names) == set(OP_COSTS)
 
     @pytest.mark.parametrize("activation", ["gelu", "relu"])
-    def test_fused_dense_ops_price_as_their_composition(self, activation):
+    def test_fused_dense_ops_price_as_their_composition(self, activation,
+                                                        monkeypatch):
         # linear and ffn are priced as the matmul / add / activation
-        # nodes they replace, so a model's totals do not move.
-        act = getattr(functional, activation)
+        # nodes they replace, so a model's totals do not move.  GELU has
+        # no tape op of its own: its reference node is priced here.
+        act = functional.relu
+        if activation == "gelu":
+            act = gelu
+            monkeypatch.setitem(
+                OP_COSTS, "gelu", lambda out, parents, ctx: elementwise_cost(
+                    "gelu", out.size, itemsize=out.itemsize))
 
         def fused(x, w0, w1, b1, w2, b2, w3, b3):
             h = functional.ffn(functional.linear(x, w0), w1, b1, w2, b2,
@@ -257,7 +265,7 @@ class TestForwardHook:
             x = Tensor(rng.standard_normal((16, 8)), requires_grad=True)
             w = Tensor(rng.standard_normal((8, 8)), requires_grad=True)
             with prof.stage("dispatch"):
-                d = moe_dispatch(functional.gelu(x @ w), crit)
+                d = moe_dispatch(functional.relu(x @ w), crit)
             with prof.stage("combine"):
                 y = moe_combine(d, Tensor(crit.gates.copy()), crit)
             (y @ w).sum().backward()

@@ -33,17 +33,12 @@ from repro.moe.capacity import (
     needed_capacity_factor,
     resolve_capacity,
 )
-from repro.moe.distributed import distributed_moe_forward
+from repro.moe.distributed import distributed_moe_forward, route_and_encode
 from repro.moe.encode import dense_decode, dense_encode, fast_decode, fast_encode
 from repro.moe.ffn import ffn_forward_arrays
-from repro.moe.gating import (
-    compute_locations,
-    load_balance_loss,
-    route,
-    softmax,
-)
+from repro.moe.gating import compute_locations, softmax
 from repro.moe.metrics import routing_stats
-from repro.nn.moe import MoE
+from repro.nn.moe import MoE, route
 from repro.obs.profiler import profiling
 from repro.parallel.functional import p1_forward, p2_forward
 
@@ -51,7 +46,8 @@ from repro.parallel.functional import p1_forward, p2_forward
 def routing_case(t, e, k, cap, seed):
     rng = np.random.default_rng(seed)
     probs = softmax(rng.normal(size=(t, e)))
-    return route(probs, k, capacity=cap).crit, rng
+    routing = route(probs, k, capacity=cap)
+    return routing.crit.with_gates(routing.gates), rng
 
 
 class TestTokenConservation:
@@ -286,28 +282,38 @@ def _tol(dtype) -> float:
 
 
 class TestOneRoutingDecision:
-    """ROADMAP 7a: :func:`route` against the composition it replaced,
-    and every array-level forward against the one MoE layer, a frozen
-    ``nn.MoE``, at every k."""
+    """:func:`route` against the composition it replaced and the layer
+    that calls it, and every array-level forward against the one MoE
+    layer, a frozen ``nn.MoE``, at every k."""
 
     @settings(max_examples=120, deadline=None)
     @given(case=hostile_routing())
     def test_route_is_the_old_composition(self, case):
+        # A policy routes as the dC it resolves, and the layer records
+        # route()'s crit and returns its l_aux, bit for bit.
         probs, k = case.probs(), case.top_k
         t, e = probs.shape
         probe = np.argsort(-probs, axis=1, kind="stable")[:, :k].T
         cap, f = resolve_capacity(CapacityPolicy(case.f), probe, e,
                                   tokens=t, top_k=k)
-        old = route(probs, k, cap, case.batch_prioritized).crit
-        crit, l_aux, eff_f = route(probs, k, CapacityPolicy(case.f),
-                                   case.batch_prioritized)
-        for field in ("idxs", "locations", "gates"):
-            new = getattr(crit, field)
-            assert new.dtype == getattr(old, field).dtype
-            np.testing.assert_array_equal(new, getattr(old, field))
-        assert crit.gates.dtype == probs.dtype
-        assert (crit.capacity, crit.num_experts, eff_f) == (cap, e, f)
-        assert l_aux == load_balance_loss(probs, probe)
+        fixed = route(probs, k, cap, case.batch_prioritized)
+        routing = route(probs, k, CapacityPolicy(case.f),
+                        case.batch_prioritized)
+        crit = routing.crit
+        layer = case.frozen(case.f)
+        _, l_aux = layer(Tensor(case.xs[0], dtype=probs.dtype))
+        for other in (fixed.crit, layer.last_routing_criteria):
+            for field in ("idxs", "locations", "gates"):
+                a, b = getattr(crit, field), getattr(other, field)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        np.testing.assert_array_equal(routing.order.T, crit.idxs)
+        assert routing.gates.tobytes() == fixed.gates.tobytes()
+        assert crit.gates.dtype == routing.gates.dtype == probs.dtype
+        assert (crit.capacity, crit.num_experts) == (cap, e)
+        assert (routing.effective_capacity_factor,
+                fixed.effective_capacity_factor) == (f, None)
+        assert np.asarray(routing.l_aux).dtype == probs.dtype
+        assert routing.l_aux == fixed.l_aux == l_aux.data
 
     @settings(max_examples=60, deadline=None)
     @given(case=hostile_routing())
@@ -361,9 +367,7 @@ class TestOneRoutingDecision:
                 np.testing.assert_allclose(out, ref.data, rtol=tol,
                                            atol=tol, err_msg=name)
             assert l_aux.data.tobytes() == l_aux_a.data.tobytes()
-            # The layer's 1/T and E scale l_aux as substrate-dtype
-            # operands (float32 here): equal to float32 roundoff.
-            assert aux == pytest.approx(float(l_aux.data), rel=1e-6)
+            assert aux == float(l_aux.data)
         assert dist.dropped_fraction == 0.0
         assert dist.l_aux == float(np.mean(snippet_aux[:e]))
 
@@ -375,24 +379,25 @@ class TestOneRoutingDecision:
         # forward drops the same slots and combines the same output.
         x, e, k = case.xs[0], case.num_experts, case.top_k
         frozen = case.frozen(case.f)
-        out, _ = frozen(Tensor(x, dtype=x.dtype))
+        out, l_aux = frozen(Tensor(x, dtype=x.dtype))
         dc = frozen.last_routing_criteria.capacity
         cfg = case.cfg(1, capacity_factor=(dc - 0.5) * e / (k * len(x)))
         assert cfg.capacity_per_gpu == dc
         dist = distributed_moe_forward([x], frozen, cfg)
         assert dist.dropped_fraction \
             == frozen.last_routing_stats.dropped_fraction
+        assert dist.l_aux == float(l_aux.data)
         assert dist.outputs[0].dtype == x.dtype
         tol = _tol(x.dtype)
         np.testing.assert_allclose(dist.outputs[0], out.data, rtol=tol,
                                    atol=tol)
 
     def test_k1_and_k2_share_one_gate_rule(self):
-        # route() and nn.MoE renormalise the selected gates only for
-        # k > 1, so at k = 1 the raw top probability scales the expert
-        # output (Switch-style: the router trains through it).  Same
-        # weights, no drops: the expert-parallel forward at W = 1 (which
-        # routes with route()) equals the layer at k = 1 and k = 2.
+        # route() renormalises the selected gates only for k > 1, so at
+        # k = 1 the raw top probability scales the expert output
+        # (Switch-style: the router trains through it).  Same weights,
+        # no drops: the expert-parallel forward at W = 1 decodes with
+        # the gates the layer combines with, at k = 1 and k = 2.
         m, v, e, t = 8, 16, 4, 32
         rng = np.random.default_rng(0)
         with substrate_dtype(np.float32):
@@ -400,7 +405,7 @@ class TestOneRoutingDecision:
         layer.freeze()
         x = rng.normal(size=(t, m)).astype(np.float32)
         probs = softmax(x @ layer.gate.weight.data, axis=1)
-        np.testing.assert_array_equal(route(probs, 1, t).crit.gates[0],
+        np.testing.assert_array_equal(route(probs, 1, t).gates[0],
                                       probs.max(axis=1))
         for k in (1, 2):
             cfg = MoEConfig(world_size=1, experts_per_gpu=e, model_dim=m,
@@ -408,6 +413,10 @@ class TestOneRoutingDecision:
                             capacity_factor=float(e))
             ref = distributed_moe_forward([x], layer, cfg)
             assert ref.dropped_fraction == 0.0
+            crit = route_and_encode([x], layer, cfg, sharded=False)[0][0]
+            assert crit.gates.tobytes() == route(probs, k, t).gates.tobytes()
+            # The expert FFN runs over other row counts (the occupied
+            # prefix, the whole dC): equal up to GEMM blocking.
             out = layer(Tensor(x), top_k=k)[0].data
             np.testing.assert_allclose(out, ref.outputs[0], rtol=1e-5,
                                        atol=1e-6)

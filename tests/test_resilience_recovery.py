@@ -63,7 +63,6 @@ class TestReselectStrategy:
         assert decision.healthy_world == 15
         # Largest multiple of 8 experts that 15 survivors can form.
         assert decision.surviving_world == 8
-        assert decision.dropped_healthy == 7
         assert decision.config.world_size == 8
         assert decision.config.num_global_experts == 8
         # Node 0 lost 1 of its 8 ranks -> asymmetric -> no 2DH.

@@ -23,7 +23,7 @@ from repro.moe.encode import (
     fast_encode,
     fast_encode_backward,
 )
-from repro.moe.gating import RoutingCriteria, route, softmax
+from repro.moe.gating import RoutingCriteria, softmax
 from repro.moe.metrics import (
     expert_load,
     load_gini,
@@ -31,6 +31,7 @@ from repro.moe.metrics import (
     routing_entropy,
     routing_stats,
 )
+from repro.nn.moe import route
 
 
 # -- the oracle: mask-driven bodies ---------------------------------
@@ -146,9 +147,9 @@ def hostile_criteria(draw):
     if draw(st.booleans()):
         # What routing builds (gap-free queues), then zero gates on
         # kept slots and fully dropped tokens.
-        crit = route(probs, k, cap,
-                     batch_prioritized=draw(st.booleans())).crit
-        gates = crit.gates.astype(dtype)
+        routing = route(probs, k, cap,
+                        batch_prioritized=draw(st.booleans()))
+        crit, gates = routing.crit, routing.gates.astype(dtype)
         locations = crit.locations.copy()
         gates[rng.random(gates.shape) < 0.2] = 0.0
         dropped = rng.random(t) < 0.25

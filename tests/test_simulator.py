@@ -354,15 +354,3 @@ class TestRandomDagInvariants:
             analysis.analyze(want, second).render()
 
 
-class TestBusyTime:
-    def test_stream_busy_time_merges_intervals(self):
-        s = Schedule()
-        a = s.new_op(work=1.0, stream="comm", kind="comm", label="a")
-        gap = s.new_op(work=1.0, stream="compute", kind="compute",
-                       deps=(a,), label="gap")
-        s.new_op(work=1.0, stream="comm", kind="comm", deps=(gap,),
-                 label="b")
-        result = simulate(s)
-        busy = result.stream_busy_time(0, "comm")
-        assert busy == pytest.approx(2.0, rel=0.2)
-        assert busy < result.makespan

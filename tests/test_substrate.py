@@ -120,13 +120,13 @@ class TestTensorDtypeSemantics:
         assert a.detach().data.dtype == np.float64
 
     def test_end_to_end_graph_is_float32(self):
-        from repro.autograd.functional import gelu
+        from repro.autograd.functional import relu
 
         x = Tensor(np.random.default_rng(0).normal(size=(8, 4)),
                    requires_grad=True)
         w = Tensor(np.random.default_rng(1).normal(size=(4, 4)),
                    requires_grad=True)
-        out = gelu(x @ w)
+        out = relu(x @ w)
         assert out.data.dtype == np.float32
         out.sum().backward()
         assert x.grad.dtype == np.float32

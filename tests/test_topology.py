@@ -75,7 +75,6 @@ class TestTopology:
         assert topo.num_nodes == 4
         assert topo.node_of(0) == 0
         assert topo.node_of(8) == 1
-        assert topo.local_rank_of(13) == 5
         assert topo.same_node(0, 7)
         assert not topo.same_node(7, 8)
 
