@@ -25,7 +25,6 @@ __all__ = [
     "softmax",
     "layer_norm",
     "cross_entropy",
-    "take_along",
 ]
 
 
@@ -164,21 +163,3 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         logits._accumulate(float(grad) * prob / n)
     return Tensor.from_op(np.asarray(loss), (logits,), backward,
                           "cross_entropy")
-
-
-def take_along(x: Tensor, indices: np.ndarray, axis: int) -> Tensor:
-    """Differentiable ``np.take_along_axis``."""
-    indices = np.asarray(indices)
-    out_data = np.take_along_axis(x.data, indices, axis=axis)
-
-    def backward(grad: np.ndarray) -> None:
-        # put_along_axis overwrites on duplicate indices, so scatter-add
-        # through explicit fancy indexing instead.
-        gx = np.zeros_like(x.data)
-        idx = [np.arange(s).reshape([s if d == i else 1
-                                     for d in range(x.ndim)])
-               for i, s in enumerate(x.data.shape)]
-        idx[axis] = indices
-        np.add.at(gx, tuple(np.broadcast_arrays(*idx)), grad)
-        x._accumulate(gx)
-    return Tensor.from_op(out_data, (x,), backward, "take_along")

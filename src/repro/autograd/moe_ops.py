@@ -5,7 +5,9 @@ Wraps the verified sparse fast encode/decode of :mod:`repro.moe.encode`
 locations are discrete and carry no gradient; the gate values *do* —
 the combine op returns gradients for both the expert outputs and the
 per-slot gates, which is how the router trains through the layer.
-The fused expert FFN keeps its hidden activations only when taped.
+The router's selected gates and ``l_aux`` are one op each over the
+softmax probabilities.  The fused expert FFN keeps its hidden
+activations only when taped.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from repro.moe.encode import (
 from repro.moe.ffn import ffn_backward_arrays, ffn_forward_arrays
 from repro.moe.gating import RoutingCriteria
 
-__all__ = ["moe_dispatch", "moe_combine", "expert_ffn"]
+__all__ = ["moe_dispatch", "moe_combine", "expert_ffn", "route_gates",
+           "route_l_aux"]
 
 
 def moe_dispatch(x: Tensor, crit: RoutingCriteria) -> Tensor:
@@ -100,3 +103,35 @@ def expert_ffn(dispatched: Tensor, w1: Tensor, w2: Tensor,
             w2._accumulate(gw2)
     return Tensor.from_op(out_data, (dispatched, w1, w2), backward,
                           "expert_ffn", (activation, rows))
+
+
+def route_gates(probs: Tensor, routing) -> Tensor:
+    """``Routing.gates`` (:mod:`repro.nn.moe`) as one op over ``probs``.
+    The backward replays the chain it replaced, in order: the
+    division's two partials (k > 1), the transpose, then a scatter-add
+    into zeros (a row's experts are distinct)."""
+    order = routing.order
+
+    def backward(grad: np.ndarray) -> None:
+        if order.shape[1] > 1:
+            s = routing.selected
+            den = s.sum(axis=0, keepdims=True) + 1e-12
+            grad = grad / den + (-grad * s / (den * den)).sum(
+                axis=0, keepdims=True)
+        gx = np.zeros_like(probs.data)
+        gx[np.arange(order.shape[0])[:, None], order] += grad.T
+        probs._accumulate(gx)
+    return Tensor.from_op(routing.gates, (probs,), backward, "route_gates")
+
+
+def route_l_aux(probs: Tensor, routing) -> Tensor:
+    """``Routing.l_aux`` as one op over ``probs``.  The backward replays
+    the chain it replaced: ``grad * E * routed_frac * (1 / T)``,
+    broadcast to ``(T, E)``."""
+    t, e = probs.shape
+
+    def backward(grad: np.ndarray) -> None:
+        g = grad * e * routing.routed_frac * (1.0 / t)
+        probs._accumulate(np.broadcast_to(g, (t, e)))
+    return Tensor.from_op(np.asarray(routing.l_aux), (probs,), backward,
+                          "route_l_aux")

@@ -30,14 +30,17 @@ def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
 
 
 class Adam:
-    """Adam with decoupled weight decay (AdamW-style).
+    """Adam with decoupled weight decay (AdamW-style), over one
+    parameter store.
 
-    Each moment lives in one contiguous buffer, private to the
-    optimizer; ``_m`` / ``_v`` are lists of per-parameter views into
-    them (what checkpoints capture).
-    Parameters are not re-pointed: ``p.data`` may be replaced between
-    steps.  :meth:`step` is the only writer of ``_m`` / ``_v`` /
-    ``_step`` besides :meth:`load_moments`.
+    Each moment lives in one flat buffer; ``_m`` / ``_v`` are lists of
+    per-parameter views into them (what checkpoints capture).  Every
+    parameter is seated at its span of the same index space in a flat
+    buffer of its dtype, the store, and ``p.data`` becomes a view of
+    it; a ``p.data`` replaced between steps is adopted into a rebuilt
+    store.  Gradients stay the arrays the tape made.  :meth:`step` is
+    the only writer of ``_m`` / ``_v`` / ``_step`` besides
+    :meth:`load_moments`.
     """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3,
@@ -53,30 +56,80 @@ class Adam:
         self._step = 0
         ends = np.cumsum([p.data.size for p in self.params]).tolist()
         self._spans = list(zip([0] + ends[:-1], ends))
+        self._total = ends[-1] if ends else 0
+        # The non-finite guard's copy of the store, and its views.
+        self._saved, self._saved_views = [], None
         self._seat(np.result_type(*[p.data.dtype for p in self.params])
                    if self.params else np.dtype(float))
+        self._seat_params()
 
     def _seat(self, dtype: np.dtype) -> None:
         """Allocate the flat moment buffers in ``dtype`` (zeroed), cut
         the per-parameter views and size the block scratch."""
-        total = self._spans[-1][1] if self._spans else 0
-        self._flat = [np.zeros(total, dtype=dtype) for _ in range(2)]
+        self._flat = [np.zeros(self._total, dtype=dtype) for _ in range(2)]
         self._m, self._v = (
             [flat[lo:hi].reshape(p.data.shape)
              for p, (lo, hi) in zip(self.params, self._spans)]
             for flat in self._flat)
-        self._scratch = np.zeros((3, min(total, BLOCK)), dtype=dtype)
+        self._scratch = np.zeros((3, min(self._total, BLOCK)), dtype=dtype)
+        self._plans: dict[tuple[int, ...], list] = {}
+
+    def _seat_params(self) -> None:
+        """Copy every ``p.data`` into a new store and point it there.
+        One dtype (the usual case) is one buffer the size of the model;
+        a second dtype gets its own, whose other spans go unused."""
+        self.stores: dict[np.dtype, np.ndarray] = {}
+        for p, (lo, hi) in zip(self.params, self._spans):
+            if p.data.size != hi - lo:
+                raise ValueError(f"parameter {p.name or '?'} changed size: "
+                                 f"{hi - lo} -> {p.data.size}")
+            if p.data.dtype not in self.stores:
+                self.stores[p.data.dtype] = np.empty(self._total,
+                                                     p.data.dtype)
+            view = self.stores[p.data.dtype][lo:hi].reshape(p.data.shape)
+            np.copyto(view, p.data)
+            p.data = view
+        self._views = [p.data for p in self.params]
+        self._plans = {}
+
+    def _adopt(self) -> None:
+        """Re-seat the store if any ``p.data`` is no longer its view."""
+        if any(p.data is not v for p, v in zip(self.params, self._views)):
+            self._seat_params()
+
+    def snapshot(self) -> None:
+        """Copy the store aside: the non-finite guard's last-good
+        parameters, one copy per dtype."""
+        self._adopt()
+        if self._saved_views is self._views:
+            for store, saved in zip(self.stores.values(), self._saved):
+                np.copyto(saved, store)
+        else:
+            self._saved = [s.copy() for s in self.stores.values()]
+            self._saved_views = self._views
+
+    def rollback(self) -> None:
+        """Restore the last :meth:`snapshot` through the store (a
+        ``p.data`` replaced since points back at its view) and drop the
+        gradients.  Valid until the next :meth:`step` or
+        :meth:`load_moments`, the other places the store is re-seated."""
+        for p, view in zip(self.params, self._saved_views):
+            p.data, p.grad = view, None
+        for store, saved in zip(self.stores.values(), self._saved):
+            np.copyto(store, saved)
 
     def load_moments(self, m: list[np.ndarray], v: list[np.ndarray],
                      step: int) -> None:
         """Restore optimizer state (the checkpoint path).  The saved
         arrays' dtype wins: the flat buffers are re-seated in it rather
         than casting, so a float32 run resumes bit-identically under a
-        float64 process."""
+        float64 process.  Parameters restored since construction are
+        adopted into the store first."""
         if len(m) != len(self.params) or len(v) != len(self.params):
             raise ValueError(
                 f"optimizer slot count mismatch: {len(self.params)} "
                 f"parameters, {len(m)} / {len(v)} saved moments")
+        self._adopt()
         if m:
             dtype = np.result_type(*[a.dtype for a in (*m, *v)])
             if dtype != self._flat[0].dtype:
@@ -90,6 +143,38 @@ class Adam:
                 np.copyto(slot, arr)
         self._step = step
 
+    def _plan(self, skipped: tuple[int, ...]) -> list[tuple]:
+        """The blocks of a step whose parameters ``skipped`` have no
+        gradient: runs of at most ``BLOCK`` elements, contiguous and of
+        one dtype, so adjacent small parameters share a block and a
+        large one spans several.  Each is ``(m, v, g, t, u, data,
+        pieces)``: views of the moments, the scratch rows and the store,
+        and per piece ``(g's slice, parameter index, slice of its flat
+        gradient or None for all of it)``."""
+        blocks: list[list] = []     # [lo, hi, dtype, pieces]
+        for i, (lo, hi) in enumerate(self._spans):
+            if i in skipped:
+                continue
+            dtype = self._views[i].dtype
+            for o in range(0, hi - lo, BLOCK):
+                start, stop = lo + o, min(lo + o + BLOCK, hi)
+                if (not blocks or blocks[-1][1:3] != [start, dtype]
+                        or stop - blocks[-1][0] > BLOCK):
+                    blocks.append([start, start, dtype, []])
+                blocks[-1][1] = stop
+                blocks[-1][3].append((start, stop, i, None if stop - start
+                                      == hi - lo else slice(o, o + BLOCK)))
+        plan = []
+        for lo, hi, dtype, pieces in blocks:
+            g, t, u = self._scratch[:, :hi - lo]
+            plan.append((
+                self._flat[0][lo:hi], self._flat[1][lo:hi], g, t, u,
+                self.stores[dtype][lo:hi],
+                [(g[a - lo:b - lo] if piece is not None else
+                  g[a - lo:b - lo].reshape(self._views[i].shape), i, piece)
+                 for a, b, i, piece in pieces]))
+        return plan
+
     def step(self) -> None:
         """One fused in-place update, cache-blocked.
 
@@ -100,67 +185,44 @@ class Adam:
             m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
             u = (m/bias1) / (sqrt(v/bias2) + eps) + wd*p;  p -= lr*u
 
-        but it runs over blocks of at most ``BLOCK`` elements of the
-        flat moment buffers — adjacent small parameters share a block,
-        a large one spans several — with three block-sized scratch
-        rows, so nothing parameter-sized is allocated or copied and
-        each block stays in cache across its passes.  A parameter
-        whose ``grad`` is ``None`` is skipped whole.
+        but it runs over the blocks of :meth:`_plan` (gradient-less
+        parameters are skipped whole): each gathers its gradients into a
+        scratch row and updates its slices of the moments and the store
+        in place, staying in cache across its passes.
         """
+        self._adopt()
         self._step += 1
         bias1 = 1.0 - self.beta1 ** self._step
         bias2 = 1.0 - self.beta2 ** self._step
-        # The open block: pieces ``(flat lo, flat hi, gradient,
-        # parameter)`` (1-D views) adjacent in the flat buffers.
-        block: list[tuple] = []
-        for p, (lo, hi) in zip(self.params, self._spans):
-            if p.grad is None:
-                continue
-            if not p.data.flags.c_contiguous:
-                # The flat view must alias the parameter, not a copy.
-                p.data = np.ascontiguousarray(p.data)
-            grad, data = p.grad.reshape(-1), p.data.reshape(-1)
-            for o in range(0, hi - lo, BLOCK):
-                start, stop = lo + o, min(lo + o + BLOCK, hi)
-                if block and (block[-1][1] != start
-                              or stop - block[0][0] > BLOCK):
-                    self._update_block(block, bias1, bias2)
-                    block = []
-                block.append((start, stop, grad[o:o + BLOCK],
-                              data[o:o + BLOCK]))
-        if block:
-            self._update_block(block, bias1, bias2)
-
-    def _update_block(self, pieces: list[tuple], bias1: float,
-                      bias2: float) -> None:
-        b1, b2 = self.beta1, self.beta2
-        lo, hi = pieces[0][0], pieces[-1][1]
-        m, v = self._flat[0][lo:hi], self._flat[1][lo:hi]
-        g, t, u = self._scratch[:, :hi - lo]
-        # Gather (strided and broadcast-shaped gradients too).
-        for start, stop, grad, _ in pieces:
-            np.copyto(g[start - lo:stop - lo], grad)
-        m *= b1
-        np.multiply(g, 1 - b1, out=t)
-        m += t
-        v *= b2
-        np.multiply(g, g, out=t)
-        t *= 1 - b2
-        v += t
-        np.divide(m, bias1, out=u)
-        np.divide(v, bias2, out=t)
-        np.sqrt(t, out=t)
-        t += self.eps
-        u /= t
-        # Apply (``p.data`` is wherever it is now).
-        for start, stop, _, data in pieces:
-            piece = u[start - lo:stop - lo]
-            if self.weight_decay:
-                decay = t[start - lo:stop - lo]
-                np.multiply(data, self.weight_decay, out=decay)
-                piece += decay
-            piece *= self.lr
-            data -= piece
+        b1, b2, eps, wd, lr = (self.beta1, self.beta2, self.eps,
+                               self.weight_decay, self.lr)
+        grads = [p.grad for p in self.params]
+        skipped = tuple(i for i, g in enumerate(grads) if g is None)
+        plan = self._plans.get(skipped)
+        if plan is None:
+            plan = self._plans[skipped] = self._plan(skipped)
+        for m, v, g, t, u, data, pieces in plan:
+            # Gather (strided and broadcast-shaped gradients too).
+            for dst, i, piece in pieces:
+                np.copyto(dst, grads[i] if piece is None
+                          else grads[i].reshape(-1)[piece])
+            m *= b1
+            np.multiply(g, 1 - b1, out=t)
+            m += t
+            v *= b2
+            np.multiply(g, g, out=t)
+            t *= 1 - b2
+            v += t
+            np.divide(m, bias1, out=u)
+            np.divide(v, bias2, out=t)
+            np.sqrt(t, out=t)
+            t += eps
+            u /= t
+            if wd:
+                np.multiply(data, wd, out=t)
+                u += t
+            u *= lr
+            data -= u
 
     def zero_grad(self) -> None:
         for p in self.params:

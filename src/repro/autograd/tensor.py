@@ -303,18 +303,6 @@ class Tensor:
             self._accumulate(np.broadcast_to(g, shape))
         return Tensor.from_op(out_data, (self,), backward, "sum")
 
-    def mean(self, axis: int | tuple[int, ...] | None = None,
-             keepdims: bool = False) -> "Tensor":
-        if axis is None:
-            count = self.data.size
-        else:
-            axes = (axis,) if isinstance(axis, int) else axis
-            count = int(np.prod([self.data.shape[a] for a in axes]))
-        # The scale in this tensor's dtype, not the substrate's: a float64
-        # mean under a float32 default must not round 1 / count to float32.
-        return (self.sum(axis=axis, keepdims=keepdims)
-                * Tensor(1.0 / count, dtype=self.data.dtype))
-
 
 def as_tensor(value) -> Tensor:
     """Wrap a raw value as a constant tensor (no-op for tensors)."""

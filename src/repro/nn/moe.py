@@ -4,8 +4,8 @@
 ``moe.top_k_routing``): top-k selection, capacity assignment and BPR
 ordering, computed outside the tape, plus the gate values and the GShard
 load-balancing auxiliary loss on arrays.  :class:`MoE` calls it on every
-forward and, when it trains, rebuilds the gate values and the loss on
-the tape so the router trains end to end through :func:`moe_combine`;
+forward and, when it trains, takes the gate values and the loss as two
+tape ops, so the router trains end to end through :func:`moe_combine`;
 the multi-rank forwards and :mod:`repro.api` call it too.  Supports the
 dynamic features of Section 4.1: per-call ``top_k`` ("top-ANY") and
 dynamic capacity-factor semantics, plus the cosine router of
@@ -19,11 +19,13 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.autograd.functional import exp, softmax, take_along
+from repro.autograd.functional import exp, softmax
 from repro.autograd.moe_ops import (
     expert_ffn,
     moe_combine,
     moe_dispatch,
+    route_gates,
+    route_l_aux,
 )
 from repro.autograd.tensor import Tensor, as_tensor
 from repro.moe import gating
@@ -44,10 +46,8 @@ class Routing:
     """What :func:`route` decides for one batch (paper Figure 8's
     ``crit, l_aux`` plus the capacity factor Figure 16 settled on).
 
-    ``gates`` and ``l_aux`` are computed on first read: a training
-    forward rebuilds both on the tape and never reads them.  Every
-    scalar operand is a Python number, so both keep ``gate_probs``'
-    dtype.
+    ``gates`` and ``l_aux`` are computed on first read.  Every scalar
+    operand is a Python number, so both keep ``gate_probs``' dtype.
     """
 
     gate_probs: np.ndarray
@@ -59,16 +59,28 @@ class Routing:
     effective_capacity_factor: float | None
 
     @cached_property
+    def selected(self) -> np.ndarray:
+        """``(k, T)`` probabilities of each token's chosen experts."""
+        t = self.order.shape[0]
+        return self.gate_probs[np.arange(t)[:, None], self.order].T
+
+    @cached_property
     def gates(self) -> np.ndarray:
         """``(k, T)`` selected gate values.  Normalisation only applies
         for k > 1 (GShard); with k == 1 the raw probability scales the
         expert output (Switch-style), which is the path the router's
         gradient flows through."""
-        t, k = self.order.shape
-        gates = self.gate_probs[np.arange(t)[:, None], self.order].T
-        if k > 1:
+        gates = self.selected
+        if gates.shape[0] > 1:
             gates = gates / (gates.sum(axis=0, keepdims=True) + 1e-12)
         return gates
+
+    @cached_property
+    def routed_frac(self) -> np.ndarray:
+        """``(E,)`` share of the batch whose top-1 expert is ``e``."""
+        t, e = self.gate_probs.shape
+        return (np.bincount(self.crit.idxs[0], minlength=e)
+                / max(t, 1)).astype(self.gate_probs.dtype)
 
     @cached_property
     def l_aux(self) -> np.floating:
@@ -76,11 +88,8 @@ class Routing:
         routed_frac(e)`` over the top-1 assignments: 1.0 under uniform
         routing, 0.0 for an empty batch."""
         t, e = self.gate_probs.shape
-        n = max(t, 1)
-        routed_frac = (np.bincount(self.crit.idxs[0], minlength=e)
-                       / n).astype(self.gate_probs.dtype)
-        return (self.gate_probs.sum(axis=0) * (1.0 / n)
-                * routed_frac).sum() * e
+        return (self.gate_probs.sum(axis=0) * (1.0 / max(t, 1))
+                * self.routed_frac).sum() * e
 
 
 def route(gate_probs: np.ndarray, top_k: int,
@@ -105,8 +114,7 @@ def route(gate_probs: np.ndarray, top_k: int,
         top-1 confidence (paper Figure 25).
 
     Array callers decode with ``crit.with_gates(gates)``;
-    :meth:`MoE.forward`'s taped ops use the same operands in the same
-    dtype and match the arrays bit for bit.
+    :meth:`MoE.forward`'s two router tape ops output these arrays.
     """
     t, e = gate_probs.shape
     if not 1 <= top_k <= e:
@@ -287,7 +295,6 @@ class MoE(Module):
         k = top_k if top_k is not None else self.top_k
         policy = (CapacityPolicy(capacity_factor)
                   if capacity_factor is not None else self.capacity_policy)
-        t = x.shape[0]
         taped = x.requires_grad or any(p.requires_grad
                                        for p in self._grad_sources)
 
@@ -317,16 +324,8 @@ class MoE(Module):
             crit, dtype = routing.crit, gate_probs.dtype
             self.last_effective_capacity_factor = \
                 routing.effective_capacity_factor
-            if taped:
-                # Routing.gates on the tape: its ops, its operands in
-                # the probabilities' dtype.
-                selected = take_along(probs, routing.order, axis=1).T
-                if k > 1:
-                    selected = selected / (
-                        selected.sum(axis=0, keepdims=True)
-                        + Tensor(1e-12, dtype=dtype))
-            else:
-                selected = Tensor(routing.gates, dtype=dtype)
+            selected = (route_gates(probs, routing) if taped
+                        else Tensor(routing.gates, dtype=dtype))
 
         self.last_routing_stats = routing_stats(crit, gate_probs)
         self.last_routing_criteria = crit
@@ -341,12 +340,6 @@ class MoE(Module):
         with _span("decode", CAT_MOE), _stage("combine"):
             output = moe_combine(expert_out, selected, crit)
 
-        if taped:
-            # Routing.l_aux on the tape.
-            counts = np.bincount(crit.idxs[0], minlength=self.num_experts)
-            routed_frac = Tensor(counts / t, dtype=dtype)
-            l_aux = ((probs.mean(axis=0) * routed_frac).sum()
-                     * Tensor(self.num_experts, dtype=dtype))
-        else:
-            l_aux = Tensor(routing.l_aux, dtype=dtype)
+        l_aux = (route_l_aux(probs, routing) if taped
+                 else Tensor(routing.l_aux, dtype=dtype))
         return output, l_aux

@@ -573,13 +573,35 @@ def _cross_entropy_op_cost(out, parents, ctx):
                    bytes_written=moved))
 
 
-def _gather_op_cost(out, parents, ctx):
-    """Indexed copy forward, scatter-add into a zeroed source-shaped
-    gradient backward (``take_along``)."""
-    moved = out.size * out.itemsize
-    return (OpCost(bytes_read=moved, bytes_written=moved),
-            OpCost(flops=float(out.size), bytes_read=2.0 * moved,
-                   bytes_written=parents[0].size * out.itemsize))
+def _route_gates_op_cost(out, parents, ctx):
+    """``Routing.gates``, priced as the chain it replaced: a gather of
+    ``k*T`` probabilities (scatter-add into a zeroed ``(T, E)``
+    backward), a free transpose and, for k > 1, the sum / add / div
+    that normalise the ``(k, T)`` gates."""
+    (k, t), isz = out.shape, out.itemsize
+    moved = out.size * isz
+    costs = [(OpCost(bytes_read=moved, bytes_written=moved),
+              OpCost(flops=float(out.size), bytes_read=2.0 * moved,
+                     bytes_written=parents[0].size * isz))]
+    if k > 1:
+        costs += [reduction_cost(out.size, t, itemsize=isz),
+                  elementwise_cost("add", t, 2, itemsize=isz),
+                  elementwise_cost("div", out.size, 2, itemsize=isz)]
+    return tuple(sum(c, ZERO_COST) for c in zip(*costs))
+
+
+def _route_l_aux_op_cost(out, parents, ctx):
+    """``Routing.l_aux``, priced as the chain it replaced: the column
+    sum of the ``(T, E)`` probabilities, ``* (1/T)``, ``* routed_frac``,
+    the sum and the scalar ``* E``."""
+    n, e = parents[0].size, parents[0].shape[1]
+    isz = out.itemsize
+    costs = [reduction_cost(n, e, itemsize=isz),
+             elementwise_cost("mul", e, 2, itemsize=isz),
+             elementwise_cost("mul", e, 2, itemsize=isz),
+             reduction_cost(e, 1, itemsize=isz),
+             elementwise_cost("mul", 1, 2, itemsize=isz)]
+    return tuple(sum(c, ZERO_COST) for c in zip(*costs))
 
 
 def _moe_dispatch_op_cost(out, parents, crit):
@@ -664,7 +686,8 @@ OP_COSTS: dict[str, Callable] = {
     "sum": lambda out, parents, ctx: reduction_cost(
         parents[0].size, out.size, itemsize=out.itemsize),
     "cross_entropy": _cross_entropy_op_cost,
-    "take_along": _gather_op_cost,
+    "route_gates": _route_gates_op_cost,
+    "route_l_aux": _route_l_aux_op_cost,
     "moe_dispatch": _moe_dispatch_op_cost,
     "moe_combine": _moe_combine_op_cost,
     "expert_ffn": _expert_ffn_op_cost,

@@ -19,11 +19,12 @@ which JSON represents exactly.
 Dtype contract (ISSUE 6): the checkpoint's arrays are authoritative.
 ``.npz`` preserves each array's dtype exactly, and whenever the dtypes
 differ restore re-points a live parameter at a copy of the saved array
-and re-seats the optimizer's moment buffers in the saved dtype
-(:meth:`Adam.load_moments`) instead of casting in place — so a float32 run
-restored into a float64-initialised model (or vice versa) resumes bit
-identical to the run that wrote the checkpoint.  The substrate dtype
-active at capture time is recorded in the metadata for provenance.
+and :meth:`Adam.load_moments` re-seats the optimizer's parameter store
+and moment buffers in the saved dtype instead of casting in place — so
+a float32 run restored into a float64-initialised model (or vice versa)
+resumes bit identical to the run that wrote the checkpoint.  The
+substrate dtype active at capture time is recorded in the metadata for
+provenance.
 """
 
 from __future__ import annotations
@@ -145,7 +146,8 @@ def restore_training_state(model: Any, optimizer: Any,
             np.copyto(p.data, data)
         else:
             # The checkpoint's dtype wins: an in-place copyto would
-            # silently cast and break bit-identical resumption.
+            # silently cast and break bit-identical resumption.  The
+            # optimizer adopts the new array in load_moments below.
             p.data = data.copy()
         p.grad = None
     optimizer.load_moments(ckpt.opt_m, ckpt.opt_v, ckpt.opt_step)

@@ -176,23 +176,6 @@ def train_model(model: Module, train: TokenBatch, test: TokenBatch,
             tel.event("ckpt_restored",
                       {"step": start_step, "path": resume_from}, start_step)
 
-        # The guard's snapshot holds parameters only, in buffers made
-        # once (after a resume, so dtypes match).  ``Adam.step`` is the
-        # only writer of the moments and the step count and it runs
-        # only after both guards pass, so when a step is rolled back
-        # the optimizer state *is* the last-good one.
-        last_good = ([np.empty_like(p.data) for p in params]
-                     if nonfinite_guard else [])
-
-        def snapshot() -> None:
-            for p, saved in zip(params, last_good):
-                np.copyto(saved, p.data)
-
-        def rollback() -> None:
-            for p, saved in zip(params, last_good):
-                np.copyto(p.data, saved)
-                p.grad = None
-
         def checkpoint_boundary(completed: int) -> None:
             if checkpoint_every is None or completed % checkpoint_every:
                 return
@@ -207,7 +190,13 @@ def train_model(model: Module, train: TokenBatch, test: TokenBatch,
             _instant("saved", CAT_CKPT, args=saved)
             tel.event("ckpt_saved", saved, completed)
 
-        snapshot()
+        # The guard's snapshot holds parameters only: one copy of the
+        # optimizer's store, taken after a resume.  ``Adam.step`` is the
+        # only writer of the moments and the step count and it runs only
+        # after both guards pass, so when a step is rolled back the
+        # optimizer state *is* the last-good one.
+        if nonfinite_guard:
+            optimizer.snapshot()
 
         tel.event("train_begin", {"steps": steps, "start_step": start_step,
                                   "seed": seed}, start_step)
@@ -244,7 +233,7 @@ def train_model(model: Module, train: TokenBatch, test: TokenBatch,
                 if bad:
                     # Non-finite guard: drop the step and roll back to the
                     # last finite state so the divergence cannot compound.
-                    rollback()
+                    optimizer.rollback()
                     result.skipped_steps.append(step)
                     result.step_walls[step] = perf_counter() - wall_start
                     _instant("step_skipped", CAT_TRAIN, args={"step": step})
@@ -261,7 +250,8 @@ def train_model(model: Module, train: TokenBatch, test: TokenBatch,
             acc = _accuracy(logits.data, yb)
             result.losses.append(loss_val)
             result.train_accuracies.append(acc)
-            snapshot()
+            if nonfinite_guard:
+                optimizer.snapshot()
             for i, layer in enumerate(moe_layers):
                 result.capacity_traces[i].append(
                     layer.last_routing_stats.needed_capacity_factor)

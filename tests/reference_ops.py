@@ -1,5 +1,7 @@
 """Taped reference ops the fused kernels are checked against."""
 
+import numpy as np
+
 from repro.autograd.tensor import Tensor
 from repro.moe.ffn import act_backward, act_forward
 
@@ -13,3 +15,50 @@ def gelu(x: Tensor) -> Tensor:
     def backward(grad):
         x._accumulate(act_backward(grad, x.data, t, "gelu"))
     return Tensor.from_op(out_data, (x,), backward, "gelu")
+
+
+def take_along(x: Tensor, indices: np.ndarray, axis: int) -> Tensor:
+    """Differentiable ``np.take_along_axis``."""
+    indices = np.asarray(indices)
+    out_data = np.take_along_axis(x.data, indices, axis=axis)
+
+    def backward(grad):
+        # put_along_axis overwrites on duplicate indices, so scatter-add
+        # through explicit fancy indexing instead.
+        gx = np.zeros_like(x.data)
+        idx = [np.arange(s).reshape([s if d == i else 1
+                                     for d in range(x.ndim)])
+               for i, s in enumerate(x.data.shape)]
+        idx[axis] = indices
+        np.add.at(gx, tuple(np.broadcast_arrays(*idx)), grad)
+        x._accumulate(gx)
+    return Tensor.from_op(out_data, (x,), backward, "take_along")
+
+
+def mean(x: Tensor, axis: int) -> Tensor:
+    """A taped mean: the sum, then a multiply by ``1 / count`` in
+    ``x``'s dtype."""
+    count = x.data.shape[axis]
+    return x.sum(axis=axis) * Tensor(1.0 / count, dtype=x.data.dtype)
+
+
+def composed_gates(probs: Tensor, routing) -> Tensor:
+    """``Routing.gates`` composed from taped ops (gather, transpose and,
+    for k > 1, sum / add / div): the chain ``nn.moe``'s gates op
+    replaces bit for bit."""
+    selected = take_along(probs, routing.order, axis=1).T
+    if routing.order.shape[1] > 1:
+        selected = selected / (selected.sum(axis=0, keepdims=True)
+                               + Tensor(1e-12, dtype=probs.data.dtype))
+    return selected
+
+
+def composed_l_aux(probs: Tensor, routing) -> Tensor:
+    """``Routing.l_aux`` composed from taped ops: the chain ``nn.moe``'s
+    ``l_aux`` op replaces bit for bit."""
+    dtype = probs.data.dtype
+    t, e = probs.shape
+    counts = np.bincount(routing.crit.idxs[0], minlength=e)
+    routed_frac = Tensor(counts / t, dtype=dtype)
+    return ((mean(probs, axis=0) * routed_frac).sum()
+            * Tensor(e, dtype=dtype))

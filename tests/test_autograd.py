@@ -13,12 +13,11 @@ from repro.autograd.functional import (
     linear,
     relu,
     softmax,
-    take_along,
 )
 from repro.autograd.optim import Adam, clip_grad_norm
 from repro.autograd.tensor import Tensor
 from repro.moe.ffn import BLOCK
-from tests.reference_ops import gelu
+from tests.reference_ops import gelu, mean, take_along
 
 
 @pytest.fixture(autouse=True)
@@ -115,7 +114,7 @@ class TestShapes:
                    RNG.normal(size=(3, 4)))
 
     def test_mean(self):
-        check_grad(lambda t: t.mean(axis=0), RNG.normal(size=(5, 2)))
+        check_grad(lambda t: mean(t, axis=0), RNG.normal(size=(5, 2)))
 
 
 class TestNonlinearities:
@@ -503,6 +502,8 @@ class TestFusedAdam:
                          opt._v[2].copy())
             opt.step()
             reference_adam_step(datas, grads, ms, vs, step + 1, **hyper)
+            store, = opt.stores.values()
+            assert all(np.shares_memory(p.data, store) for p in params)
             for p, m, v, data, rm, rv in zip(params, opt._m, opt._v,
                                              datas, ms, vs):
                 assert p.data.dtype == m.dtype == v.dtype == dtype
@@ -523,17 +524,114 @@ class TestFusedAdam:
             assert [v.shape for v in views] == [(3, 2), (5,)]
             assert all(np.shares_memory(v, flat) for v in views)
 
+    def test_parameters_are_views_of_one_store(self):
+        rng = np.random.default_rng(0)
+        arrays = [rng.normal(size=s) for s in [(3, 2), (), (5,)]]
+        params = [Tensor(a, requires_grad=True) for a in arrays]
+        opt = Adam(params)
+        store, = opt.stores.values()
+        assert store.size == 12 and store.dtype == params[0].data.dtype
+        for p, a in zip(params, arrays):
+            assert np.shares_memory(p.data, store)
+            assert p.data.shape == a.shape
+            np.testing.assert_array_equal(p.data, a.astype(store.dtype))
+
+    def test_one_store_per_dtype(self):
+        params = [Tensor(np.ones(3), requires_grad=True, dtype=np.float32),
+                  Tensor(np.ones(2), requires_grad=True, dtype=np.float64),
+                  Tensor(np.ones(4), requires_grad=True, dtype=np.float32)]
+        opt = Adam(params)
+        assert list(opt.stores) == [np.float32, np.float64]
+        assert [s.size for s in opt.stores.values()] == [9, 9]
+        assert [p.data.dtype for p in params] == [
+            np.float32, np.float64, np.float32]
+        for p in params:
+            p.grad = np.ones(p.shape)
+        opt.step()
+        for p in params:
+            assert np.shares_memory(p.data, opt.stores[p.data.dtype])
+            np.testing.assert_allclose(p.data, 1.0 - 1e-3, rtol=1e-6)
+
+    def test_blocks_straddle_parameter_boundaries(self):
+        # Three small parameters share the first block; the large one
+        # is cut from its own start, and its tail shares the last block
+        # with the parameter after it.
+        shapes = [(5,), (3, 4), (7,), (2 * BLOCK + 10,), (9,)]
+        params = [Tensor(np.zeros(s), requires_grad=True) for s in shapes]
+        opt = Adam(params)
+        plan = opt._plan(())
+        owners = [[i for _, i, _ in pieces] for *_, pieces in plan]
+        assert owners == [[0, 1, 2], [3], [3], [3, 4]]
+        assert [m.size for m, *_ in plan] == [24, BLOCK, BLOCK, 10 + 9]
+        store, = opt.stores.values()
+        for m, v, g, t, u, data, pieces in plan:
+            assert np.shares_memory(data, store)
+            assert data.size == m.size == g.size
+        # A gradient-less parameter splits the block around it.
+        owners = [[i for _, i, _ in pieces]
+                  for *_, pieces in opt._plan((1,))]
+        assert owners == [[0], [2], [3], [3], [3, 4]]
+
+    def test_gradless_parameter_mid_buffer_keeps_data_and_moments(self):
+        rng = np.random.default_rng(2)
+        params = [Tensor(rng.normal(size=s), requires_grad=True)
+                  for s in [(4,), (BLOCK + 3,), (6,)]]
+        opt = Adam(params, lr=0.1, weight_decay=0.1)
+        for p in params:
+            p.grad = np.ones(p.shape)
+        opt.step()
+        before = [(p.data.copy(), m.copy(), v.copy())
+                  for p, m, v in zip(params, opt._m, opt._v)]
+        params[1].grad = None
+        opt.step()
+        for i, (p, m, v) in enumerate(zip(params, opt._m, opt._v)):
+            moved = [not np.array_equal(a, b)
+                     for a, b in zip((p.data, m, v), before[i])]
+            assert moved == ([False] * 3 if i == 1 else [True] * 3)
+
     def test_replaced_parameter_array_is_updated(self):
-        # Parameters are not re-pointed at optimizer storage: whatever
-        # ``p.data`` is at step time (here a fresh, strided array) is
-        # what gets updated.
-        p = Tensor(np.ones((4, 3)), requires_grad=True)
-        opt = Adam([p], lr=0.1)
+        # Whatever ``p.data`` is at step time (here a fresh, strided
+        # float64 array over a float32 store) is adopted: the store is
+        # re-seated in its dtype and the update lands there.
+        p = Tensor(np.ones((4, 3)), requires_grad=True, dtype=np.float32)
+        q = Tensor(np.ones(2), requires_grad=True, dtype=np.float32)
+        opt = Adam([p, q], lr=0.1)
         p.data = np.full((3, 4), 2.0).T
-        p.grad = np.ones((4, 3))
+        p.grad, q.grad = np.ones((4, 3)), np.ones(2)
         opt.step()
         assert p.data.shape == (4, 3)
         np.testing.assert_allclose(p.data, 1.9)
+        assert p.data.dtype == np.float64 and q.data.dtype == np.float32
+        assert list(opt.stores) == [np.float64, np.float32]
+        assert np.shares_memory(p.data, opt.stores[np.dtype(np.float64)])
+        # Same dtype: copied into the store, which stays one buffer.
+        q.data = np.zeros(2, dtype=np.float32)
+        opt.step()
+        assert np.shares_memory(q.data, opt.stores[np.dtype(np.float32)])
+        assert len(opt.stores) == 2
+
+    def test_replaced_parameter_of_another_size_is_rejected(self):
+        p = Tensor(np.ones(3), requires_grad=True)
+        opt = Adam([p])
+        p.data, p.grad = np.ones(4), np.ones(4)
+        with pytest.raises(ValueError, match="changed size"):
+            opt.step()
+
+    def test_rollback_restores_through_the_store(self):
+        params = [Tensor(np.full(s, 1.0), requires_grad=True)
+                  for s in [(3,), (2, 2)]]
+        opt = Adam(params)
+        opt.snapshot()
+        store, = opt.stores.values()
+        good = store.copy()
+        params[0].data[1] = np.nan                  # in place
+        params[1].data = np.full((2, 2), np.nan)    # replaced
+        params[0].grad = np.ones(3)
+        opt.rollback()
+        assert opt.stores[store.dtype] is store
+        np.testing.assert_array_equal(store, good)
+        for p in params:
+            assert np.shares_memory(p.data, store) and p.grad is None
 
     def test_load_moments_reseats_in_saved_dtype(self):
         p = Tensor(np.ones((2, 3)), requires_grad=True, dtype=np.float64)

@@ -309,6 +309,36 @@ class TestProfileCommand:
             "benchmarks/baselines/BENCH_profile_step.json")
         assert current.fingerprint == baseline.fingerprint
 
+    def test_speedup_probe_child_runs_one_blas_thread(self, monkeypatch):
+        # The probe's numbers are host timings; what is pinned is the
+        # child's environment: one BLAS thread before NumPy loads, this
+        # process's dtype and this checkout's sources.
+        import numpy as np
+
+        from repro import cli
+        from repro.core.substrate import substrate_dtype
+
+        seen = {}
+
+        def fake_run(cmd, env, **kwargs):
+            seen.update(cmd=cmd, env=env)
+            return subprocess.CompletedProcess(cmd, 0, "[2.0, 0.2, 0.1]\n",
+                                               "")
+
+        monkeypatch.setattr(subprocess, "run", fake_run)
+        with substrate_dtype(np.float64):
+            assert cli._one_thread_speedup_probe() == (2.0, 0.2, 0.1)
+        env = seen["env"]
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS"):
+            assert env[name] == "1"
+        assert env["REPRO_DTYPE"] == "float64"
+        executable, flag, code = seen["cmd"]
+        assert (executable, flag) == (sys.executable, "-c")
+        src = Path(cli.__file__).resolve().parents[1]
+        assert f"sys.path.insert(0, {str(src)!r})" in code
+        assert "_dtype_speedup_probe()" in code
+
     def test_profile_rejects_unknown_target(self):
         with pytest.raises(SystemExit):
             main(["profile", "weights"])

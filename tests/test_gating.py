@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.autograd.functional import softmax as taped_softmax
+from repro.autograd.moe_ops import route_gates, route_l_aux
 from repro.autograd.tensor import Tensor
 from repro.core.substrate import substrate_dtype
 from repro.moe.gating import (
@@ -12,7 +14,8 @@ from repro.moe.gating import (
     compute_locations_reference,
     softmax,
 )
-from repro.nn.moe import MoE, route
+from repro.nn.moe import MoE, Routing, route
+from tests.test_autograd import numeric_grad
 
 
 @pytest.fixture
@@ -271,6 +274,64 @@ class TestOccupancy:
         probs[:, 2] = 1.0
         crit = route(probs, 1, capacity=5).crit
         assert crit.occupancy.tolist() == [0, 0, 5, 0]
+
+
+class TestRouterOps:
+    """The router's two tape ops against central differences in
+    float64: as functions of the logits with the routing decision held,
+    and in place in the layer."""
+
+    @pytest.mark.parametrize("k,failed", [(1, ()), (4, ()), (4, (2,)),
+                                          (2, (0, 3))])
+    def test_gates_and_l_aux_gradcheck(self, k, failed):
+        # A failed expert's logit is -1e30, as the layer masks it, and
+        # k shrinks to the survivors.
+        rng = np.random.default_rng(k + 3 * len(failed))
+        t, e = 6, 4
+        logits = rng.normal(size=(t, e))
+        logits[:, list(failed)] = -1e30
+        k = min(k, e - len(failed))
+        upstream = rng.normal(size=(k, t))
+        with substrate_dtype(np.float64):
+            x = Tensor(logits, requires_grad=True)
+            probs = taped_softmax(x, axis=1)
+            routing = route(probs.data, k, capacity=t)
+            ((route_gates(probs, routing) * Tensor(upstream)).sum()
+             + route_l_aux(probs, routing) * 0.7).backward()
+
+        def held(z):
+            r = Routing(softmax(z, axis=1), routing.order, routing.crit,
+                        None)
+            return float((r.gates * upstream).sum() + 0.7 * r.l_aux)
+        np.testing.assert_allclose(x.grad, numeric_grad(held, logits),
+                                   atol=1e-7)
+        assert not x.grad[:, list(failed)].any()
+
+    @pytest.mark.parametrize("router", ["linear", "cosine"])
+    def test_router_weights_gradcheck_through_the_layer(self, router):
+        rng = np.random.default_rng(5)
+        with substrate_dtype(np.float64):
+            layer = MoE(6, 5, 4, rng, top_k=2, capacity_factor=4.0,
+                        router=router, router_dim=5)
+            layer.mask_expert(1)
+            x, upstream = rng.normal(size=(7, 6)), rng.normal(size=(7, 6))
+            weights = ([layer.gate.weight] if router == "linear" else
+                       [layer.cosine_proj.weight, layer.expert_embed,
+                        layer.log_temperature])
+
+            def loss():
+                out, l_aux = layer(Tensor(x))
+                return (out * Tensor(upstream)).sum() + l_aux * 0.7
+            loss().backward()
+            for w in weights:
+                def at(value, w=w):
+                    saved, w.data = w.data, value
+                    try:
+                        return float(loss().data)
+                    finally:
+                        w.data = saved
+                np.testing.assert_allclose(
+                    w.grad, numeric_grad(at, w.data.copy()), atol=1e-6)
 
 
 class TestLoadBalanceLoss:

@@ -247,8 +247,9 @@ class TestClassifiers:
     def test_train_step_tape_nodes(self, monkeypatch):
         # One step of the benchmark's train_small model and loss: each
         # dense layer (encoder, LayerNorm, dense FFN, head) is one tape
-        # node, so the step records 26 (32 when Linear and FFN were
-        # composed from matmul / add / activation nodes).
+        # node, and so are the router's selected gates and l_aux, so the
+        # step records 18 (26 with the router's ten-node composed chain,
+        # 32 when Linear and FFN were composed too).
         from repro.autograd.functional import cross_entropy
 
         ops = []
@@ -267,8 +268,9 @@ class TestClassifiers:
         loss = cross_entropy(logits, data.integers(0, 4, size=256)) \
             + l_aux * 0.01
         loss.backward()
-        assert len(ops) == 26
+        assert len(ops) == 18
         assert ops.count("linear") == 3 and ops.count("ffn") == 1
+        assert ops.count("route_gates") == ops.count("route_l_aux") == 1
 
     def test_moe_parameter_names_are_unique_paths(self, rng):
         # MoE keeps its own tensors a second time for the frozen-path

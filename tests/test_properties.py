@@ -8,6 +8,7 @@ sanity under arbitrary valid configurations.
 
 from copy import deepcopy
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,9 +39,11 @@ from repro.moe.encode import dense_decode, dense_encode, fast_decode, fast_encod
 from repro.moe.ffn import ffn_forward_arrays
 from repro.moe.gating import compute_locations, softmax
 from repro.moe.metrics import routing_stats
+from repro.nn import moe as nn_moe
 from repro.nn.moe import MoE, route
 from repro.obs.profiler import profiling
 from repro.parallel.functional import p1_forward, p2_forward
+from tests.reference_ops import composed_gates, composed_l_aux
 
 
 def routing_case(t, e, k, cap, seed):
@@ -499,6 +502,43 @@ class TestFrozenLayer:
                    ("expert_ffn", "expert_ffn"), ("combine", "moe_combine")}
         assert moe_ops <= seen["frozen"] <= seen["trainable"]
         assert ("gate", "linear") in seen["frozen"]
+
+
+class TestRouterOps:
+    """The router's gates and ``l_aux`` tape ops against the taped chain
+    they replace (``tests/reference_ops.py``): forward values and every
+    gradient byte for byte, on the hostile strategy."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=hostile_routing(),
+           router=st.sampled_from(["linear", "cosine"]), data=st.data())
+    def test_gradients_are_the_composed_chain(self, case, router, data):
+        x, e = case.xs[0], case.num_experts
+        layer = case.layer(case.f, router)
+        for expert in data.draw(st.sets(st.integers(0, e - 1),
+                                        max_size=e - 1)):
+            layer.mask_expert(expert)
+        oracle = deepcopy(layer)
+        upstream = np.random.default_rng(0).normal(size=x.shape)
+
+        def run(model):
+            leaf = Tensor(x, dtype=x.dtype, requires_grad=True)
+            out, l_aux = model(leaf)
+            ((out * Tensor(upstream, dtype=x.dtype)).sum()
+             + l_aux * Tensor(0.37, dtype=x.dtype)).backward()
+            return [out.data, l_aux.data, leaf.grad] + [
+                p.grad for p in model.parameters()]
+
+        got = run(layer)
+        with mock.patch.object(nn_moe, "route_gates", composed_gates), \
+                mock.patch.object(nn_moe, "route_l_aux", composed_l_aux):
+            want = run(oracle)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
 
 
 class TestConfigCostSanity:

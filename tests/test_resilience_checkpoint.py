@@ -246,6 +246,39 @@ class TestNonFiniteGuard:
         assert seen[7][3] == seen[6][3] + 1     # the next step trains
         assert seen[7][0] != seen[6][0] and seen[7][1] != seen[6][1]
 
+    def test_replaced_poisoned_weight_rolls_back_through_the_store(
+            self, splits, monkeypatch):
+        """The poison replaces a weight's array instead of writing into
+        it: the rollback points the parameter back at its view of the
+        optimizer's store, which holds the last-good values."""
+        from repro.train import trainer
+
+        train, test = splits
+        made, seen = [], {}
+
+        class SpyAdam(Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(trainer, "Adam", SpyAdam)
+
+        def hook(step, m):
+            opt = made[0]
+            if step in (3, 4):
+                store, = opt.stores.values()
+                seen[step] = ([p.data.tobytes() for p in opt.params],
+                              all(np.shares_memory(p.data, store)
+                                  for p in opt.params))
+            if step == 3:
+                victim = opt.params[0]
+                victim.data = np.full_like(victim.data, np.nan)
+
+        result = train_model(fresh_model(), train, test, steps=5,
+                             batch_size=32, seed=0, step_hook=hook)
+        assert result.skipped_steps == [3]
+        assert seen[4] == seen[3] and seen[4][1]
+
     def test_inf_gradient_trips_guard_through_norm(self, splits,
                                                    monkeypatch):
         train, test = splits
@@ -651,3 +684,7 @@ class TestResumeAcrossSubstrateConfig:
                                ckpt)
         for name, p in model.named_parameters():
             assert p.data.tobytes() == ckpt.params[name].tobytes()
+        # The float64 store was re-seated in the checkpoint's float32.
+        store, = opt.stores.values()
+        assert store.dtype == np.float32
+        assert all(np.shares_memory(p.data, store) for p in opt.params)
