@@ -10,26 +10,10 @@ is one glance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro.obs import get_run
 
-__all__ = ["Table", "format_speedup", "geometric_mean"]
-
-
-def format_speedup(ratio: float) -> str:
-    return f"{ratio:.2f}x"
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    if not values:
-        raise ValueError("geometric_mean of empty sequence")
-    product = 1.0
-    for v in values:
-        if v <= 0:
-            raise ValueError(f"geometric_mean requires positives, got {v}")
-        product *= v
-    return product ** (1.0 / len(values))
+__all__ = ["Table"]
 
 
 @dataclass

@@ -12,25 +12,11 @@ from __future__ import annotations
 from repro.cluster.topology import ClusterTopology, GpuSpec, LinkSpec
 
 __all__ = [
-    "pairwise_exchange_time",
     "stride_memcpy_time",
     "contiguous_memcpy_time",
     "ib_write_bandwidth_curve",
     "a2a_bus_bandwidth",
 ]
-
-
-def pairwise_exchange_time(link: LinkSpec, peers: int,
-                           bytes_per_peer: float) -> float:
-    """Time for one GPU to exchange ``bytes_per_peer`` with ``peers``
-    distinct peers over a serialized channel.
-
-    Sends and receives proceed concurrently (full-duplex links), so the
-    cost is that of streaming ``peers`` messages one way.
-    """
-    if peers < 0:
-        raise ValueError(f"peers must be >= 0, got {peers}")
-    return link.stream_time(bytes_per_peer, peers)
 
 
 # ----------------------------------------------------------------------

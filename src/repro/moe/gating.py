@@ -27,7 +27,6 @@ __all__ = [
     "RoutePlan",
     "select_top_k",
     "compute_locations",
-    "compute_locations_reference",
 ]
 
 
@@ -257,36 +256,6 @@ def compute_locations(idxs: np.ndarray, num_experts: int,
         inverse = np.empty_like(order)
         inverse[order] = np.arange(t)
         locations = locations[:, inverse]
-    return locations
-
-
-def compute_locations_reference(idxs: np.ndarray, num_experts: int,
-                                priority: np.ndarray | None = None
-                                ) -> np.ndarray:
-    """Reference (pre-rewrite) :func:`compute_locations`.
-
-    Materializes a ``(T, E)`` one-hot and a full cumsum per top-k slot
-    in a Python loop — kept as the independent oracle the rewrite is
-    tested and benchmarked against (see ``tests/test_gating.py``).
-    """
-    k, t = idxs.shape
-    if priority is not None and priority.shape != (t,):
-        raise ValueError(
-            f"priority must have shape ({t},), got {priority.shape}")
-    order = (np.argsort(-priority, kind="stable") if priority is not None
-             else np.arange(t))
-
-    locations = np.empty((k, t), dtype=np.int64)
-    counts = np.zeros(num_experts, dtype=np.int64)
-    for slot in range(k):
-        assigned = idxs[slot, order]                      # (T,) in priority order
-        one_hot = np.zeros((t, num_experts), dtype=np.int64)
-        one_hot[np.arange(t), assigned] = 1
-        pos_in_order = one_hot.cumsum(axis=0) - 1         # 0-based per expert
-        slot_locations = (pos_in_order[np.arange(t), assigned]
-                          + counts[assigned])
-        locations[slot, order] = slot_locations
-        counts += one_hot.sum(axis=0)
     return locations
 
 

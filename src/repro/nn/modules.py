@@ -7,7 +7,7 @@ import numpy as np
 from repro.autograd.functional import ffn, layer_norm, linear
 from repro.autograd.tensor import Tensor
 
-__all__ = ["Module", "Linear", "LayerNorm", "FFN", "Sequential"]
+__all__ = ["Module", "Linear", "LayerNorm", "FFN"]
 
 
 class Module:
@@ -119,15 +119,3 @@ class FFN(Module):
     def forward(self, x: Tensor) -> Tensor:
         return ffn(x, self.fc1.weight, self.fc1.bias, self.fc2.weight,
                    self.fc2.bias, self.activation)
-
-
-class Sequential(Module):
-    """Chain of modules applied in order."""
-
-    def __init__(self, *modules: Module) -> None:
-        self.modules = list(modules)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for module in self.modules:
-            x = module(x)
-        return x

@@ -34,11 +34,12 @@ from repro.moe.gating import RoutingCriteria, compute_locations, select_top_k
 from repro.moe.metrics import routing_stats
 from repro.moe.metrics import RoutingStats
 from repro.nn.modules import Linear, Module
-from repro.obs import CAT_MOE, get_run
-from repro.obs import span as _span
-from repro.obs import stage as _stage
+from repro.obs import MOE_STAGES, get_run, stage
 
 __all__ = ["MoE", "Routing", "route"]
+
+# The four stage clocks of a forward, in the order it runs them.
+_GATE, _DISPATCH, _EXPERT_FFN, _COMBINE = MOE_STAGES
 
 
 @dataclass
@@ -298,7 +299,7 @@ class MoE(Module):
         taped = x.requires_grad or any(p.requires_grad
                                        for p in self._grad_sources)
 
-        with _span("gate", CAT_MOE), _stage("gate"):
+        with stage(_GATE):
             if taped:
                 logits = self.gate_logits(x)
             elif self.router == "linear" and not Tensor.needs_tape(x):
@@ -330,14 +331,14 @@ class MoE(Module):
         self.last_routing_stats = routing_stats(crit, gate_probs)
         self.last_routing_criteria = crit
 
-        with _span("encode", CAT_MOE), _stage("dispatch"):
+        with stage(_DISPATCH):
             dispatched = moe_dispatch(x, crit)
-        with _span("expert_ffn", CAT_MOE), _stage("expert_ffn"):
+        with stage(_EXPERT_FFN):
             # Fused op: act(x @ w1) @ w2 in one tape node over the
             # occupied prefix of each expert's capacity slab.
             expert_out = expert_ffn(dispatched, self.w1, self.w2,
                                     self.activation, rows=crit.occupancy)
-        with _span("decode", CAT_MOE), _stage("combine"):
+        with stage(_COMBINE):
             output = moe_combine(expert_out, selected, crit)
 
         l_aux = (route_l_aux(probs, routing) if taped

@@ -24,7 +24,7 @@ turns the feature on:
 * observer — :func:`get_observer` / :func:`span`, installed by
   :func:`enable` (an :class:`Observer` loads :mod:`repro.obs.registry`,
   and :mod:`repro.obs.trace` only with ``trace=True``);
-* profiler — :func:`get_profiler` / :func:`stage`, installed by
+* profiler — :func:`get_profiler`, installed by
   :func:`repro.obs.profiler.profiling`;
 * active run — :func:`get_run`, installed by
   :class:`repro.obs.runs.recording_run` (or by ``REPRO_RUNS_DIR``
@@ -32,11 +32,16 @@ turns the feature on:
 * overhead ledger — :func:`get_ledger`, installed by
   :class:`repro.obs.overhead.measuring_overhead`.
 
-Hot call sites do one module-global ``is None`` check (``span()`` and
-``stage()`` return the shared :data:`NULL_SPAN` singleton, whose
-enter/exit do nothing), so importing the MoE layer loads this module
-and no other instrumentation (the trainer adds only
-:mod:`repro.obs.loop`).
+Hot call sites do one module-global check (``span()`` and ``stage()``
+return the shared :data:`NULL_SPAN` singleton, whose enter/exit do
+nothing), so importing the MoE layer loads this module and no other
+instrumentation (the trainer adds only :mod:`repro.obs.loop`).
+
+:func:`stage` is the one clock of an MoE layer's four
+:data:`MOE_STAGES`: it feeds both the observer (a ``moe.<stage>``
+histogram and trace span) and the profiler (the stage its ops are
+attributed to).
+
 Enable explicitly::
 
     from repro import obs
@@ -75,6 +80,7 @@ __all__ = [
     "get_profiler",
     "set_profiler",
     "stage",
+    "MOE_STAGES",
     "get_run",
     "set_run",
     "get_ledger",
@@ -95,7 +101,7 @@ __all__ = [
 ]
 
 # Event categories (the Chrome-trace ``cat`` field).
-CAT_MOE = "moe"                # gate / encode / expert_ffn / decode spans
+CAT_MOE = "moe"                # the MOE_STAGES spans
 CAT_TRAIN = "train"            # per-step training spans
 CAT_COLLECTIVE = "collective"  # all-to-all / allreduce family
 CAT_PIPELINE = "pipeline"      # strategy-search exploration events
@@ -107,6 +113,10 @@ CAT_CKPT = "ckpt"              # checkpoint save/restore markers
 CAT_HEALTH = "health"          # online health-detector alerts
 CAT_PROF = "prof"              # op-level profiler spans and counters
 CAT_SERVE = "serve"            # online-serving requests and batches
+
+#: The paper's Figure 23 cost decomposition of one MoE layer, in the
+#: order a forward runs them: the names :func:`stage` times.
+MOE_STAGES = ("gate", "dispatch", "expert_ffn", "combine")
 
 
 class _NullSpan:
@@ -125,13 +135,19 @@ NULL_SPAN = _NullSpan()
 
 
 class _Span:
-    """A live timing span: histogram observation + trace event on exit."""
+    """A live timing span: on exit, the observer's ``<cat>.<name>``
+    histogram observation and trace event.  A :func:`stage` span also
+    holds the profiler: while open it is the profiler's current stage,
+    and entry moves the profiler's cursor, so no op wall reaches back
+    into the previous stage."""
 
-    __slots__ = ("_ob", "name", "cat", "track", "args", "start")
+    __slots__ = ("_ob", "_prof", "name", "cat", "track", "args", "start")
 
-    def __init__(self, ob: "Observer", name: str, cat: str, track: str,
-                 args: dict | None) -> None:
+    def __init__(self, ob: "Observer | None", name: str, cat: str,
+                 track: str = "main", args: dict | None = None,
+                 prof: "Profiler | None" = None) -> None:
         self._ob = ob
+        self._prof = prof
         self.name = name
         self.cat = cat
         self.track = track
@@ -139,11 +155,21 @@ class _Span:
         self.start = 0.0
 
     def __enter__(self) -> "_Span":
-        self.start = self._ob.clock()
+        if self._ob is not None:
+            self.start = self._ob.clock()
+        if self._prof is not None:
+            self._prof.stages.append(self.name)
+            self._prof.mark()
         return self
 
     def __exit__(self, *exc: object) -> bool:
-        self._ob._finish_span(self)
+        if self._prof is not None:
+            self._prof.stages.pop()
+        ob = self._ob
+        if ob is not None:
+            ob.record_span(self.name, self.cat, self.start,
+                           ob.clock() - self.start, track=self.track,
+                           args=self.args)
         return False
 
 
@@ -177,11 +203,6 @@ class Observer:
     def span(self, name: str, cat: str = CAT_BENCH, track: str = "main",
              args: dict | None = None) -> _Span:
         return _Span(self, name, cat, track, args)
-
-    def _finish_span(self, sp: _Span) -> None:
-        self.record_span(sp.name, sp.cat, sp.start,
-                         self.clock() - sp.start, track=sp.track,
-                         args=sp.args)
 
     def record_span(self, name: str, cat: str, start: float, dur: float,
                     track: str = "main", args: dict | None = None) -> None:
@@ -333,16 +354,17 @@ def span(name: str, cat: str = CAT_BENCH,
     ob = _observer
     if ob is None:
         return NULL_SPAN
-    return _Span(ob, name, cat, track, None)
+    return _Span(ob, name, cat, track)
 
 
-def stage(name: str) -> Any:
-    """Hot-path MoE-stage helper of the profiler: the shared
-    :data:`NULL_SPAN` when profiling is off."""
-    prof = _profiler
-    if prof is None:
+def stage(name: str) -> _Span | _NullSpan:
+    """Hot-path clock of one of :data:`MOE_STAGES`: the shared
+    :data:`NULL_SPAN` when neither an observer nor a profiler is
+    installed."""
+    ob, prof = _observer, _profiler
+    if ob is None and prof is None:
         return NULL_SPAN
-    return prof.stage(name)
+    return _Span(ob, name, CAT_MOE, prof=prof)
 
 
 def instant(name: str, cat: str = CAT_BENCH, track: str = "main",

@@ -1,10 +1,9 @@
 """Declarative alert rules over live run telemetry (``repro.obs.alerts``).
 
-Prometheus-style alerting for the run registry, and the repo's only
-detector bank: an :class:`AlertEngine` holds an ordered list of
-:class:`AlertRule` (threshold / rate / absence / EWMA z-score
-expressions over named metric samples, ``for``-duration holds,
-severity, hysteresis on resolve) and is evaluated on a
+Alerting for the run registry, and the repo's only detector bank: an
+:class:`AlertEngine` holds an ordered list of :class:`AlertRule`
+(threshold or EWMA z-score expressions over named metric samples,
+holds, severity, hysteresis on resolve) and is evaluated on a
 **deterministic tick** — the training step or serving batch id — never
 the wall clock, so the same run and rules always produce the identical
 alert event sequence.  A metric sampled per layer or per (layer,
@@ -29,8 +28,7 @@ Each fire/resolve transition lands in two places:
   ``value`` / ``threshold`` / ``message`` plus the series labels
   (``layer``, ``expert``);
 * the metrics registry, as the ``ALERTS{alertname=...,severity=...}``
-  labeled gauge family (1 while any series of the rule fires) — the
-  convention Prometheus itself uses to expose alert state.
+  labeled gauge family (1 while any series of the rule fires).
 """
 
 from __future__ import annotations
@@ -53,8 +51,8 @@ __all__ = [
     "labeled_name",
 ]
 
-#: Labeled gauge family name mirroring firing state (Prometheus
-#: convention: ``ALERTS{alertname="...",severity="..."} 1``).
+#: Labeled gauge family name mirroring firing state
+#: (``ALERTS{alertname="...",severity="..."} 1``).
 ALERTS_FAMILY = "ALERTS"
 
 #: Event kinds that close a tick: the loop emits exactly one of these
@@ -66,11 +64,11 @@ TICK_KINDS = frozenset({"step", "step_skipped", "serve_batch"})
 Labels = tuple
 
 _OPS = ("<", "<=", ">", ">=")
-_KINDS = ("threshold", "rate", "absent", "ewma_z")
+_KINDS = ("threshold", "ewma_z")
 
 
 def labeled_name(family: str, labels: "dict[str, str]") -> str:
-    """A registry instrument name carrying a Prometheus label set.
+    """A registry instrument name carrying a label set.
 
     The flat :class:`MetricsRegistry` has no native label support, so
     labeled families (``ALERTS{alertname=...,severity=...}``) are
@@ -88,8 +86,7 @@ def labeled_name(family: str, labels: "dict[str, str]") -> str:
 
 
 def _escape_label_value(text: str) -> str:
-    """Prometheus label-value escaping: backslash, double-quote, line
-    feed."""
+    """Label-value escaping: backslash, double-quote, line feed."""
     return (text.replace("\\", "\\\\").replace('"', '\\"')
             .replace("\n", "\\n"))
 
@@ -147,11 +144,10 @@ class AlertRule:
     """One declarative rule.
 
     ``kind="threshold"`` compares the sample against ``threshold``
-    with ``op``; ``kind="rate"`` compares the per-tick delta of the
-    sample; ``kind="ewma_z"`` compares the sample's
+    with ``op``; ``kind="ewma_z"`` compares the sample's
     :class:`EwmaDetector` z-score (``alpha`` / ``warmup``; non-finite
-    samples are ignored); ``kind="absent"`` fires when the metric has
-    not been sampled for ``for_ticks`` consecutive ticks.
+    samples are ignored).  A tick without a sample leaves a series'
+    state as it is.
 
     ``for_ticks`` is the Prometheus ``for:`` hold: the condition must
     *stay* bad for that many ticks after the first bad one, so a rule
@@ -217,9 +213,8 @@ class AlertRule:
 @dataclass(frozen=True)
 class AlertTransition:
     """One fire or resolve decision of one rule, for one series, at
-    one tick.  ``value`` is what the rule compared (the sample, its
-    per-tick delta for ``rate``), except for ``ewma_z`` where it is
-    the raw sample and ``score`` carries the z-score."""
+    one tick.  ``value`` is the sample the rule compared; for
+    ``ewma_z``, ``score`` carries the z-score it compared."""
 
     tick: int
     rule: AlertRule
@@ -273,14 +268,11 @@ class AlertTransition:
 
 
 class _SeriesState:
-    __slots__ = ("pending_since", "firing", "last_value", "last_seen",
-                 "ewma")
+    __slots__ = ("pending_since", "firing", "ewma")
 
     def __init__(self, rule: AlertRule) -> None:
         self.pending_since: int | None = None
         self.firing = False
-        self.last_value: float | None = None
-        self.last_seen: int | None = None
         self.ewma = (EwmaDetector(rule.alpha, rule.warmup)
                      if rule.kind == "ewma_z" else None)
 
@@ -359,16 +351,11 @@ class AlertEngine:
             series = samples.get(rule.metric, {})
             if not isinstance(series, Mapping):
                 series = {(): series}
-            if rule.kind == "absent":   # one state: is the metric there?
-                step = self._step_absent
-                series = {(): next(iter(series.values()), None)}
-            else:
-                step = self._step
             for labels, value in series.items():
                 state = states.get(labels)
                 if state is None:
                     state = states[labels] = _SeriesState(rule)
-                step(rule, state, tick, labels, value, out)
+                self._step(rule, state, tick, labels, value, out)
         self.transitions.extend(out)
         if led is not None:
             led.add("alerts", perf_ns() - t0)
@@ -385,36 +372,12 @@ class AlertEngine:
         return out
 
     @staticmethod
-    def _step_absent(rule: AlertRule, state: _SeriesState, tick: int,
-                     labels: Labels, value: float | None,
-                     out: list[AlertTransition]) -> None:
-        if value is not None:
-            state.last_seen = tick
-        if state.last_seen is None and state.pending_since is None:
-            state.pending_since = tick    # first-ever tick anchor
-        anchor = (state.last_seen if state.last_seen is not None
-                  else state.pending_since)
-        bad = value is None and tick - anchor >= rule.for_ticks
-        if state.firing and not bad:
-            state.firing = False
-            out.append(AlertTransition(tick, rule, "resolved", value))
-        elif not state.firing and bad:
-            state.firing = True
-            out.append(AlertTransition(tick, rule, "firing", None))
-
-    @staticmethod
     def _step(rule: AlertRule, state: _SeriesState, tick: int,
               labels: Labels, value: float,
               out: list[AlertTransition]) -> None:
         observed = value
         score = None
-        if rule.kind == "rate":
-            previous = state.last_value
-            state.last_value = value
-            if previous is None:
-                return
-            value = observed = value - previous
-        elif rule.kind == "ewma_z":
+        if rule.kind == "ewma_z":
             if not math.isfinite(value):
                 return
             observed = score = state.ewma.update(value)

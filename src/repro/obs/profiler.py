@@ -17,9 +17,9 @@ which records, per backward-graph op:
   moment the hook returns, so the profiler's own table arithmetic sits
   outside every wall while the Python between two ops of a stage
   (top-k, capacity resolution) is attributed to the next op.
-  ``profiling()`` entry, ``stage()`` entry and the end of each backward
-  record (timed around the tape node's ``_backward`` closure) also move
-  the cursor.
+  ``profiling()`` entry, the entry of each :func:`repro.obs.stage`
+  and the end of each backward record (timed around the tape node's
+  ``_backward`` closure) also move the cursor.
 
 Peak memory is measured, not modeled: :func:`traced_peak` runs one
 call under ``tracemalloc``, which sees every array and Python object
@@ -29,7 +29,7 @@ the walls recorded here.
 
 Like the :class:`~repro.obs.Observer`, the profiler is **off by
 default and zero-cost when off**: its slot lives in :mod:`repro.obs`
-(``get_profiler()`` / ``stage()``), so the hook does one module-global
+(``get_profiler()``), so the hook does one module-global
 ``is None`` check and nothing on the hot path imports this module.
 Enable around a region::
 
@@ -69,7 +69,6 @@ __all__ = [
     "PHASE_FORWARD",
     "PHASE_BACKWARD",
     "STAGE_OTHER",
-    "MOE_STAGES",
     "OpCost",
     "ZERO_COST",
     "OpRecord",
@@ -94,9 +93,6 @@ PHASE_BACKWARD = "backward"
 
 #: Stage attributed to ops outside any MoE stage context.
 STAGE_OTHER = "other"
-
-#: The paper's Figure 23 cost decomposition, as profiler stages.
-MOE_STAGES = ("gate", "dispatch", "expert_ffn", "combine")
 
 #: Records kept per profiler; later ones are counted in
 #: ``records_dropped``.
@@ -154,25 +150,6 @@ class OpRecord:
 # Profiler
 # ----------------------------------------------------------------------
 
-class _StageCtx:
-    """Context manager pushing one MoE stage onto the profiler."""
-
-    __slots__ = ("_prof", "_name")
-
-    def __init__(self, prof: "Profiler", name: str) -> None:
-        self._prof = prof
-        self._name = name
-
-    def __enter__(self) -> "_StageCtx":
-        self._prof._stages.append(self._name)
-        self._prof.mark()
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        self._prof._stages.pop()
-        return False
-
-
 class Profiler:
     """Op-level recorder: per-op costs and wall times.
 
@@ -187,7 +164,8 @@ class Profiler:
         self._cursor = 0.0
         self.records: list[OpRecord] = []
         self.records_dropped = 0
-        self._stages: list[str] = []
+        #: The open :func:`repro.obs.stage` contexts, innermost last.
+        self.stages: list[str] = []
         self._phase = PHASE_FORWARD
         self._seq = 0
 
@@ -202,7 +180,7 @@ class Profiler:
         now."""
         self._cursor = self.clock()
 
-    # -- phase / stage contexts ----------------------------------------
+    # -- phase / stage -------------------------------------------------
 
     @property
     def phase(self) -> str:
@@ -210,11 +188,7 @@ class Profiler:
 
     @property
     def current_stage(self) -> str:
-        return self._stages[-1] if self._stages else STAGE_OTHER
-
-    def stage(self, name: str) -> _StageCtx:
-        """Attribute ops run inside the context to MoE stage ``name``."""
-        return _StageCtx(self, name)
+        return self.stages[-1] if self.stages else STAGE_OTHER
 
     @contextlib.contextmanager
     def backward_pass(self):

@@ -11,7 +11,7 @@ engine closes that gap with end-to-end request observability:
   max batch size or max wait);
 * :mod:`repro.serve.ledger` — the per-request latency ledger: every
   nanosecond of a request's life attributed to
-  ``queue | batch_wait | gate | dispatch | expert | combine`` spans
+  ``queue | batch_wait | gate | dispatch | expert_ffn | combine`` spans
   that sum *exactly* to the end-to-end latency (integer arithmetic),
   plus token-weighted per-batch cost attribution that sums exactly to
   each batch's stage walls;

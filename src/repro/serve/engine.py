@@ -11,11 +11,11 @@ batcher and serves every batch **twice over, in one pass**:
   composition, queue depths, and the SLO percentiles are bit-stable
   across machines — gateable with tolerance 0;
 * the **measured column** runs the batch through the real NumPy MoE
-  stack and reads the four stage walls from the observer's
-  ``moe.gate`` / ``moe.encode`` / ``moe.expert_ffn`` / ``moe.decode``
-  histogram deltas.  Wall-clock numbers ride along in every artifact
-  (HetuMoE methodology) but never steer the clock and never gate
-  determinism.
+  stack and reads the four stage walls from the deltas of the
+  observer's ``moe.<stage>`` histograms, which the layers' stage
+  clocks (:func:`repro.obs.stage`) record.  Wall-clock numbers ride
+  along in every artifact (HetuMoE methodology) but never steer the
+  clock and never gate determinism.
 
 Every request leaves with a fully attributed
 :class:`repro.serve.ledger.RequestLedger`; batches, requests, queue
@@ -65,7 +65,7 @@ __all__ = ["ServeResult", "serve_workload",
 # at ~20 ms, putting the steady workload near 50% utilization and the
 # burst/peak/brownout workloads past the capacity knee.
 
-#: Dense-math throughput pricing ``gate`` and ``expert`` stage flops.
+#: Dense-math throughput pricing ``gate`` and ``expert_ffn`` stage flops.
 COMPUTE_FLOPS_PER_S = 5.0e8
 #: Serving-fabric bandwidth pricing ``dispatch``/``combine`` payloads.
 COMM_BYTES_PER_S = 20.0e6
@@ -73,9 +73,6 @@ COMM_BYTES_PER_S = 20.0e6
 LAUNCH_NS = 30_000
 #: Serving payloads are float32 on the wire.
 BYTES_PER_VALUE = 4
-
-_MOE_SPAN_OF_STAGE = {"gate": "moe.gate", "dispatch": "moe.encode",
-                      "expert": "moe.expert_ffn", "combine": "moe.decode"}
 
 
 def price_stages(wl: ServeWorkload, tokens: int,
@@ -85,13 +82,13 @@ def price_stages(wl: ServeWorkload, tokens: int,
     Per layer, for ``T`` tokens with model dim ``M``, hidden ``H``,
     ``E`` experts, top-``k`` and capacity factor ``f``:
 
-    * ``gate``      — ``2·T·M·E`` flops (router GEMM + selection);
-    * ``dispatch``  — ``T·k·M`` float32 values over the serving
+    * ``gate``       — ``2·T·M·E`` flops (router GEMM + selection);
+    * ``dispatch``   — ``T·k·M`` float32 values over the serving
       fabric (the All-to-All scatter analogue);
-    * ``expert``    — ``4·E·C·M·H`` flops with capacity
+    * ``expert_ffn`` — ``4·E·C·M·H`` flops with capacity
       ``C = ceil(k·T·f/E)`` (two GEMMs, forward only, padded to
       capacity exactly like the real encode);
-    * ``combine``   — ``T·k·M`` values back over the fabric.
+    * ``combine``    — ``T·k·M`` values back over the fabric.
 
     ``comm_derate`` < 1 models a brownout: fabric stages slow by its
     inverse.  Pure float arithmetic rounded once to integer
@@ -109,7 +106,7 @@ def price_stages(wl: ServeWorkload, tokens: int,
     seconds = {
         "gate": 2.0 * tokens * m * e / COMPUTE_FLOPS_PER_S,
         "dispatch": comm_bytes / (COMM_BYTES_PER_S * comm_derate),
-        "expert": 4.0 * e * cap * m * h / COMPUTE_FLOPS_PER_S,
+        "expert_ffn": 4.0 * e * cap * m * h / COMPUTE_FLOPS_PER_S,
         "combine": comm_bytes / (COMM_BYTES_PER_S * comm_derate),
     }
     return {s: wl.num_layers * (LAUNCH_NS + round(seconds[s] * NS))
@@ -159,9 +156,9 @@ class ServeResult(NamedRunResult):
 # ----------------------------------------------------------------------
 
 def _measured_walls(ob: Observer) -> dict[str, float]:
-    """Cumulative seconds in each MoE stage histogram."""
-    return {stage: ob.registry.histogram(span).total
-            for stage, span in _MOE_SPAN_OF_STAGE.items()}
+    """Cumulative seconds in each ``moe.<stage>`` histogram."""
+    return {s: ob.registry.histogram(f"moe.{s}").total
+            for s in EXEC_STAGES}
 
 
 def _brownout_active(wl: ServeWorkload, at_ns: int) -> bool:

@@ -6,8 +6,11 @@ Every request's end-to-end latency is decomposed into six spans::
     batch_wait | waiting for the batch former to close the batch
     gate       | routing decisions of every MoE layer
     dispatch   | capacity-bucketed encode (the All-to-All analogue)
-    expert     | the expert FFN GEMMs
+    expert_ffn | the expert FFN GEMMs
     combine    | gather-and-weigh decode
+
+The last four are :data:`repro.obs.MOE_STAGES`, the names the layer's
+stage clocks record under.
 
 The ledger keeps **two columns per request** (HetuMoE methodology:
 measured and modeled latency must stay separate, comparable columns):
@@ -39,16 +42,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from repro.obs import MOE_STAGES
 from repro.serve.batcher import Batch
 
 __all__ = ["STAGES", "EXEC_STAGES", "RequestLedger", "BatchLedger",
            "attribute_shares", "stage_sum", "build_batch_ledger"]
 
-#: The six spans of a request's life, in timeline order.
-STAGES = ("queue", "batch_wait", "gate", "dispatch", "expert", "combine")
-
 #: The spans measured while the batch executes (MoE stage walls).
-EXEC_STAGES = STAGES[2:]
+EXEC_STAGES = MOE_STAGES
+
+#: The six spans of a request's life, in timeline order.
+STAGES = ("queue", "batch_wait") + EXEC_STAGES
 
 
 def stage_sum(spans: Mapping[str, int]) -> int:

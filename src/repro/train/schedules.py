@@ -16,7 +16,6 @@ Typical uses:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,8 +25,6 @@ from repro.nn.models import MoEClassifier
 __all__ = [
     "ConstantSchedule",
     "StepSchedule",
-    "LinearSchedule",
-    "CosineSchedule",
     "apply_sparsity_schedules",
 ]
 
@@ -64,41 +61,6 @@ class StepSchedule:
     def __call__(self, step: int) -> float:
         index = sum(1 for m in self.milestones if step >= m)
         return self.values[index]
-
-
-@dataclass(frozen=True)
-class LinearSchedule:
-    """Linear interpolation from ``start`` to ``end`` over ``steps``."""
-
-    start: float
-    end: float
-    steps: int
-
-    def __post_init__(self) -> None:
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-
-    def __call__(self, step: int) -> float:
-        t = min(max(step, 0), self.steps) / self.steps
-        return self.start + (self.end - self.start) * t
-
-
-@dataclass(frozen=True)
-class CosineSchedule:
-    """Cosine interpolation from ``start`` to ``end`` over ``steps``."""
-
-    start: float
-    end: float
-    steps: int
-
-    def __post_init__(self) -> None:
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-
-    def __call__(self, step: int) -> float:
-        t = min(max(step, 0), self.steps) / self.steps
-        return self.end + 0.5 * (self.start - self.end) * (
-            1.0 + math.cos(math.pi * t))
 
 
 def apply_sparsity_schedules(model, step: int,

@@ -62,3 +62,33 @@ def composed_l_aux(probs: Tensor, routing) -> Tensor:
     routed_frac = Tensor(counts / t, dtype=dtype)
     return ((mean(probs, axis=0) * routed_frac).sum()
             * Tensor(e, dtype=dtype))
+
+
+def compute_locations_reference(idxs: np.ndarray, num_experts: int,
+                                priority: np.ndarray | None = None
+                                ) -> np.ndarray:
+    """The pre-rewrite :func:`repro.moe.gating.compute_locations`.
+
+    Materializes a ``(T, E)`` one-hot and a full cumsum per top-k slot
+    in a Python loop: the independent oracle ``tests/test_gating.py``
+    checks the rewrite against.
+    """
+    k, t = idxs.shape
+    if priority is not None and priority.shape != (t,):
+        raise ValueError(
+            f"priority must have shape ({t},), got {priority.shape}")
+    order = (np.argsort(-priority, kind="stable") if priority is not None
+             else np.arange(t))
+
+    locations = np.empty((k, t), dtype=np.int64)
+    counts = np.zeros(num_experts, dtype=np.int64)
+    for slot in range(k):
+        assigned = idxs[slot, order]                      # (T,) in priority order
+        one_hot = np.zeros((t, num_experts), dtype=np.int64)
+        one_hot[np.arange(t), assigned] = 1
+        pos_in_order = one_hot.cumsum(axis=0) - 1         # 0-based per expert
+        slot_locations = (pos_in_order[np.arange(t), assigned]
+                          + counts[assigned])
+        locations[slot, order] = slot_locations
+        counts += one_hot.sum(axis=0)
+    return locations

@@ -58,6 +58,12 @@ class TestRuleValidation:
         with pytest.raises(ValueError):
             AlertRule(name="", metric="m")
 
+    @pytest.mark.parametrize("kind", ["rate", "absent"])
+    def test_rejects_deleted_kinds(self, kind):
+        # Only threshold and ewma_z rules exist; no rule used the others.
+        with pytest.raises(ValueError, match="kind must be one of"):
+            AlertRule(name="x", metric="m", kind=kind)
+
     def test_rejects_duplicate_rule_names(self):
         rule = AlertRule(name="dup", metric="m")
         with pytest.raises(ValueError):
@@ -120,37 +126,6 @@ class TestFireHoldResolve:
         engine.evaluate(0, {"m": 2.0})
         engine.evaluate(1, {})          # sample absent: still firing
         assert engine.firing() == ["hot"]
-
-
-class TestRateAndAbsent:
-    def test_rate_rule_compares_per_tick_delta(self):
-        engine = AlertEngine([AlertRule(
-            name="spike", metric="m", kind="rate", op=">",
-            threshold=5.0)])
-        # Deltas: (skip first), +1, +10, +1 → fire at tick 2,
-        # resolve at tick 3.
-        got = run_series(engine, "m", [0.0, 1.0, 11.0, 12.0])
-        assert got == [(2, "spike", "firing"),
-                       (3, "spike", "resolved")]
-
-    def test_absent_rule_fires_and_resolves(self):
-        engine = AlertEngine([AlertRule(
-            name="gone", metric="m", kind="absent", for_ticks=2)])
-        out = []
-        series = [{"m": 1.0}, {}, {}, {}, {"m": 1.0}]
-        for tick, samples in enumerate(series):
-            for tr in engine.evaluate(tick, samples):
-                out.append((tick, tr.state))
-        assert out == [(2, "firing"), (4, "resolved")]
-
-    def test_absent_rule_never_sampled_counts_from_start(self):
-        engine = AlertEngine([AlertRule(
-            name="gone", metric="m", kind="absent", for_ticks=3)])
-        out = []
-        for tick in range(4):
-            for tr in engine.evaluate(tick, {}):
-                out.append((tick, tr.state))
-        assert out == [(3, "firing")]
 
 
 class TestDeterminismAndSinks:

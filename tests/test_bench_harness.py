@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.harness import Table, format_speedup, geometric_mean
+from repro.bench.harness import Table
 
 
 class TestTable:
@@ -45,20 +45,3 @@ class TestTable:
         t = Table("T", ["a", "b"])
         with pytest.raises(ValueError):
             t.add_row(1)
-
-
-class TestHelpers:
-    def test_format_speedup(self):
-        assert format_speedup(1.5) == "1.50x"
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1, 4]) == pytest.approx(2.0)
-        assert geometric_mean([2, 2, 2]) == pytest.approx(2.0)
-
-    def test_geometric_mean_rejects_empty(self):
-        with pytest.raises(ValueError):
-            geometric_mean([])
-
-    def test_geometric_mean_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])

@@ -142,7 +142,7 @@ class TestAnalyzeCommand:
             obs.disable()
         names = {e["name"]
                  for e in json.loads(trace.read_text())["traceEvents"]}
-        assert {"gate", "encode", "expert_ffn", "decode", "step"} <= names
+        assert {"gate", "dispatch", "expert_ffn", "combine", "step"} <= names
         assert main(["analyze", str(trace)]) == 0
         assert "a2a_chunk0" in capsys.readouterr().out
 
@@ -440,7 +440,7 @@ class TestServeCommand:
         metrics = json.loads(
             (store.path(store.latest()) / "metrics.json").read_text())
         assert metrics["counters"]["serve.requests"] > 0
-        for stage in ("gate", "dispatch", "expert", "combine"):
+        for stage in ("gate", "dispatch", "expert_ffn", "combine"):
             assert metrics["histograms"][f"serve.{stage}"]["count"] > 0
         payload = json.loads(trace.read_text())
         phases = {e.get("ph") for e in payload["traceEvents"]}

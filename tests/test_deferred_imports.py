@@ -17,6 +17,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+from repro.obs import MOE_STAGES
 from repro.obs.trace import TraceRecorder
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -82,8 +83,7 @@ with profiling() as prof:
 print(json.dumps({"totals": prof.totals(), "stages": sorted(prof.by_stage())}))
 """)
     assert totals["totals"]["ops"] > 0 and totals["totals"]["flops"] > 0
-    assert {"gate", "dispatch", "expert_ffn", "combine"} \
-        <= set(totals["stages"])
+    assert set(MOE_STAGES) <= set(totals["stages"])
 
 
 def test_checkpoint_and_resume_bit_identical(tmp_path):
@@ -121,4 +121,4 @@ print(json.dumps(sum(e.phase == "X" for e in ob.recorder.events)))
     names = {e.name for e in loaded.events if e.phase == "X"}
     assert spans > 0 and len([e for e in loaded.events
                               if e.phase == "X"]) == spans
-    assert {"step", "gate", "expert_ffn"} <= names
+    assert {"step", *MOE_STAGES} <= names

@@ -8,13 +8,9 @@ from repro.autograd.functional import softmax as taped_softmax
 from repro.autograd.moe_ops import route_gates, route_l_aux
 from repro.autograd.tensor import Tensor
 from repro.core.substrate import substrate_dtype
-from repro.moe.gating import (
-    RoutingCriteria,
-    compute_locations,
-    compute_locations_reference,
-    softmax,
-)
+from repro.moe.gating import RoutingCriteria, compute_locations, softmax
 from repro.nn.moe import MoE, Routing, route
+from tests.reference_ops import compute_locations_reference
 from tests.test_autograd import numeric_grad
 
 

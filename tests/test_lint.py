@@ -4,6 +4,9 @@
   imports a name it does not use.
 * ``nn/moe.py`` stays plain compute: no function-local import and no
   observer lookup — layers leave a record, loops publish it.
+* One stage clock: ``nn/moe.py`` times each of ``repro.obs.MOE_STAGES``
+  with one ``stage(...)`` and no ``span``; no other module defines or
+  spells the stage names.
 * One routing decision: ``select_top_k`` holds the only top-k sort and
   only ``route`` and ``nn/moe.py`` (DESIGN §15) resolve a capacity.
 * One trace format: only ``obs/trace.py`` names Chrome's
@@ -100,6 +103,46 @@ def test_moe_layer_is_plain_compute():
     names = {getattr(n, "id", None) or getattr(n, "attr", None)
              or getattr(n, "name", None) for n in ast.walk(tree)}
     assert "softmax" in names and "get_observer" not in names
+
+
+def test_one_stage_clock():
+    obs_tree = ast.parse((SRC / "obs/__init__.py").read_text())
+    stages = next(ast.literal_eval(node.value) for node in obs_tree.body
+                  if isinstance(node, ast.Assign)
+                  and ast.unparse(node.targets[0]) == "MOE_STAGES")
+    moe = ast.parse((SRC / "nn/moe.py").read_text())
+    from_obs = {alias.name for node in ast.walk(moe)
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "repro.obs" for alias in node.names}
+    assert {"MOE_STAGES", "stage"} <= from_obs and "span" not in from_obs
+    # One clock per stage, in the order MOE_STAGES names them.
+    names = next(node.targets[0] for node in moe.body
+                 if isinstance(node, ast.Assign)
+                 and ast.unparse(node.value) == "MOE_STAGES")
+    clocks = sorted((node.lineno, ast.unparse(node.args[0]))
+                    for node in ast.walk(moe) if isinstance(node, ast.Call)
+                    and ast.unparse(node.func) == "stage")
+    assert [arg for _, arg in clocks] \
+        == [ast.unparse(n) for n in names.elts]
+    assert len(clocks) == len(stages)
+    defined, spelled = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        name = str(path.relative_to(SRC))
+        if any(isinstance(node, ast.Assign)
+               and "MOE_STAGES" in ast.unparse(node.targets[0])
+               for node in ast.walk(tree)):
+            defined.append(name)
+        if any(isinstance(node, (ast.Tuple, ast.List, ast.Set))
+               and sum(isinstance(e, ast.Constant) and e.value in stages
+                       for e in node.elts) > 1
+               for node in ast.walk(tree)):
+            spelled.append(name)
+    assert defined == spelled == ["obs/__init__.py"]
+    ledger = ast.parse((SRC / "serve/ledger.py").read_text())
+    assert any(isinstance(node, ast.ImportFrom) and node.module == "repro.obs"
+               and "MOE_STAGES" in {a.name for a in node.names}
+               for node in ast.walk(ledger))
 
 
 def environment_reads(tree: ast.AST) -> set[str]:

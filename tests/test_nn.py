@@ -5,7 +5,7 @@ import pytest
 
 from repro.autograd.tensor import Tensor
 from repro.nn.models import DenseClassifier, MoEClassifier
-from repro.nn.modules import FFN, LayerNorm, Linear, Module, Sequential
+from repro.nn.modules import FFN, LayerNorm, Linear, Module
 from repro.nn.moe import MoE
 
 
@@ -38,8 +38,11 @@ class TestModules:
         assert len(layer.parameters()) == 1
 
     def test_parameters_recursive(self, rng):
-        model = Sequential(Linear(4, 8, rng), LayerNorm(8),
-                           FFN(8, 16, rng))
+        class Stack(Module):
+            def __init__(self, *modules):
+                self.modules = list(modules)
+
+        model = Stack(Linear(4, 8, rng), LayerNorm(8), FFN(8, 16, rng))
         # linear w+b, ln w+b, ffn 2x(w+b) = 8 tensors.
         assert len(model.parameters()) == 8
 

@@ -8,6 +8,7 @@ import pytest
 from repro import obs
 from repro.obs import (
     CAT_MOE,
+    MOE_STAGES,
     NULL_SPAN,
     Observer,
 )
@@ -176,6 +177,11 @@ class TestSpans:
         with obs.span("anything", CAT_MOE):
             pass  # no-op context protocol works
 
+    def test_stage_clock_off_is_null_singleton(self):
+        # Neither an observer nor a profiler: one check, no object.
+        assert obs.get_observer() is None and obs.get_profiler() is None
+        assert all(obs.stage(s) is NULL_SPAN for s in MOE_STAGES)
+
     def test_module_span_enabled_records(self):
         ob = obs.enable()
         with obs.span("x", "c"):
@@ -333,7 +339,7 @@ class TestMoEIntegration:
         ob = obs.enable()
         layer(Tensor(x))
         names = {e.name for e in ob.recorder.events}
-        assert {"gate", "encode", "expert_ffn", "decode"} <= names
+        assert set(MOE_STAGES) <= names
         # The layer keeps its routing record; the loop that drives it
         # publishes (repro.obs.loop), so no gauge moved here.
         stats = layer.last_routing_stats
@@ -341,6 +347,23 @@ class TestMoEIntegration:
         assert stats.dropped_fraction \
             == layer.last_routing_criteria.dropped_fraction()
         assert ob.registry.gauge("routing.dropped_fraction").updates == 0
+
+    def test_one_stage_clock_feeds_observer_and_profiler(self):
+        # Each stage of a taped and of a frozen forward is timed once:
+        # one count on its moe.<stage> histogram and one by_stage row.
+        from repro.autograd.tensor import Tensor
+        from repro.nn.moe import MoE
+        from repro.obs.profiler import profiling
+        frozen, rng = self._layer()
+        taped = MoE(8, 16, 4, np.random.default_rng(1))
+        ob = obs.enable()
+        for n, layer in enumerate((taped, frozen), start=1):
+            with profiling() as prof:
+                layer(Tensor(rng.normal(size=(16, 8))))
+            assert set(MOE_STAGES) <= set(prof.by_stage())
+            assert [ob.registry.histogram(f"moe.{s}").count
+                    for s in MOE_STAGES] == [n] * len(MOE_STAGES)
+        assert {e.name for e in ob.recorder.events} == set(MOE_STAGES)
 
     def test_disabled_layer_forward_records_nothing(self):
         from repro.autograd.tensor import Tensor
@@ -366,7 +389,7 @@ class TestTrainerIntegration:
 
     def test_step_trace_has_moe_spans_and_routing_stats(self, tmp_path):
         # Acceptance criterion: one trainer step's trace carries
-        # gate/encode/expert_ffn/decode spans and exports valid Chrome
+        # gate/dispatch/expert_ffn/combine spans and exports valid Chrome
         # JSON; per-step, per-layer routing lands in the records that
         # keep it — TrainResult.capacity_traces and the run's
         # ``routing`` events, none of them for the evaluation forward.
@@ -376,7 +399,7 @@ class TestTrainerIntegration:
             model, result = self._train(steps=2)
         names = {e.name for e in ob.recorder.events}
         assert {"step", "forward", "backward", "optimizer",
-                "gate", "encode", "expert_ffn", "decode"} <= names
+                *MOE_STAGES} <= names
 
         n_layers = len(model.moe_layers())
         assert sorted(result.capacity_traces) == list(range(n_layers))

@@ -20,9 +20,8 @@ from repro.autograd.moe_ops import moe_combine, moe_dispatch
 from repro.autograd.tensor import Tensor
 from repro.moe.gating import RoutingCriteria, compute_locations
 from repro.core.substrate import substrate_dtype
-from repro.obs import get_profiler, profiler
+from repro.obs import MOE_STAGES, get_profiler, profiler, stage
 from repro.obs.profiler import (
-    MOE_STAGES,
     OP_COSTS,
     Profiler,
     dense_encode_flops,
@@ -264,9 +263,9 @@ class TestForwardHook:
         with profiling(prof):
             x = Tensor(rng.standard_normal((16, 8)), requires_grad=True)
             w = Tensor(rng.standard_normal((8, 8)), requires_grad=True)
-            with prof.stage("dispatch"):
+            with stage("dispatch"):
                 d = moe_dispatch(functional.relu(x @ w), crit)
-            with prof.stage("combine"):
+            with stage("combine"):
                 y = moe_combine(d, Tensor(crit.gates.copy()), crit)
             (y @ w).sum().backward()
         return prof.records

@@ -7,8 +7,6 @@ from repro.nn.models import MoEClassifier
 from repro.train.data import ClusteredTokenTask
 from repro.train.schedules import (
     ConstantSchedule,
-    CosineSchedule,
-    LinearSchedule,
     StepSchedule,
     apply_sparsity_schedules,
 )
@@ -31,26 +29,6 @@ class TestScheduleShapes:
             StepSchedule(values=(2,), milestones=(10,))
         with pytest.raises(ValueError):
             StepSchedule(values=(3, 2, 1), milestones=(20, 10))
-
-    def test_linear_endpoints(self):
-        s = LinearSchedule(start=4.0, end=1.0, steps=100)
-        assert s(0) == 4.0
-        assert s(100) == 1.0
-        assert s(50) == pytest.approx(2.5)
-        assert s(1000) == 1.0  # clamps past the horizon
-
-    def test_cosine_endpoints_and_monotone(self):
-        s = CosineSchedule(start=2.0, end=1.0, steps=50)
-        values = [s(i) for i in range(51)]
-        assert values[0] == pytest.approx(2.0)
-        assert values[-1] == pytest.approx(1.0)
-        assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
-
-    def test_rejects_zero_steps(self):
-        with pytest.raises(ValueError):
-            LinearSchedule(1, 2, 0)
-        with pytest.raises(ValueError):
-            CosineSchedule(1, 2, 0)
 
 
 class TestApplyToModel:
@@ -93,11 +71,11 @@ class TestTrainingWithSchedules:
             model, train, test, steps=40, seed=0,
             top_k_schedule=StepSchedule(values=(2, 1),
                                         milestones=(20,)),
-            capacity_schedule=LinearSchedule(2.0, 1.0, 40))
+            capacity_schedule=StepSchedule(values=(2.0, 1.25),
+                                           milestones=(30,)))
         # After the milestone every layer routes top-1.
         assert all(layer.top_k == 1 for layer in model.moe_layers())
         assert result.eval_accuracy > 0.2
-        # Capacity annealed down toward 1.0 (last applied step is 39).
+        # Capacity stepped down at step 30 (last applied step is 39).
         for layer in model.moe_layers():
-            assert layer.capacity_policy.capacity_factor == \
-                pytest.approx(1.025)
+            assert layer.capacity_policy.capacity_factor == 1.25

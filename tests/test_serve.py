@@ -281,8 +281,8 @@ class TestLedgerConservation:
 
     def test_stage_names(self):
         assert STAGES == ("queue", "batch_wait", "gate", "dispatch",
-                          "expert", "combine")
-        assert EXEC_STAGES == ("gate", "dispatch", "expert", "combine")
+                          "expert_ffn", "combine")
+        assert EXEC_STAGES == ("gate", "dispatch", "expert_ffn", "combine")
 
 
 class TestPricing:
@@ -299,7 +299,7 @@ class TestPricing:
         nominal = price_stages(wl, tokens=64)
         browned = price_stages(wl, tokens=64, comm_derate=0.25)
         assert browned["gate"] == nominal["gate"]
-        assert browned["expert"] == nominal["expert"]
+        assert browned["expert_ffn"] == nominal["expert_ffn"]
         assert browned["dispatch"] > nominal["dispatch"]
         assert browned["combine"] > nominal["combine"]
         with pytest.raises(ValueError):
@@ -369,8 +369,7 @@ class TestEngine:
         assert built == [] and obs.get_observer() is None
         assert res.metric("measured_p99_ms").value > 0
         reg = own[0].registry
-        assert set(reg.histograms) == set(engine._MOE_SPAN_OF_STAGE
-                                          .values())
+        assert set(reg.histograms) == {f"moe.{s}" for s in EXEC_STAGES}
         assert set(reg.gauges) == {"routing.dropped_fraction",
                                    "routing.load_imbalance",
                                    "routing.needed_capacity_factor"}

@@ -7,7 +7,6 @@ from repro.cluster.linkmodel import (
     a2a_bus_bandwidth,
     contiguous_memcpy_time,
     ib_write_bandwidth_curve,
-    pairwise_exchange_time,
     stride_memcpy_time,
 )
 from repro.cluster.topology import (
@@ -161,8 +160,3 @@ class TestBandwidthCurves:
     def test_bus_bandwidth_rejects_zero_time(self):
         with pytest.raises(ValueError):
             a2a_bus_bandwidth(ndv4_topology(8), 1e9, 0.0)
-
-    def test_pairwise_exchange_scales_with_peers(self):
-        link = ndv4_topology(16).inter_link
-        assert pairwise_exchange_time(link, 30, 4096) > \
-            pairwise_exchange_time(link, 3, 4096)
