@@ -19,8 +19,6 @@ Figure 24 bench measures the (real, CPU) speed gap.
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 
 from repro.moe.gating import RoutingCriteria
@@ -34,70 +32,40 @@ __all__ = [
     "fast_encode_backward",
     "fast_decode",
     "fast_decode_backward",
-    "DispatchBufferPool",
     "dispatch_buffer_pool",
 ]
 
 
 # ----------------------------------------------------------------------
-# Dispatch buffer reuse
+# Kernel output counter
 # ----------------------------------------------------------------------
 
-class DispatchBufferPool:
-    """Free-list of scatter output buffers for the fast kernels.
+class _OutputCounter:
+    """Counts the fast kernels' zeroed outputs; keeps none of them.
 
-    Every fast encode/decode call needs a zeroed ``(E*dC, M)`` or
-    ``(T, M)`` output; allocating it fresh each step costs more than
-    the scatter itself at small M.  The pool hands back a previously
-    allocated array of the same (shape, dtype) — but **only** when the
-    pool list provably holds the sole reference (``sys.getrefcount``
-    == 3: list entry + loop variable + getrefcount argument).  An
-    array still alive inside an earlier step's autograd graph has a
-    higher refcount and is never reused, so aliasing across live
-    graphs is impossible.  This leans on CPython's deterministic
-    refcounting; on interpreters without ``sys.getrefcount`` the pool
-    degrades to plain allocation.
+    Each kernel call takes a fresh ``np.zeros`` (the allocator already
+    recycles freed blocks), so no output can alias another live one and
+    nothing outlives its batch.  ``hits`` stays 0, ``misses`` counts
+    kernel calls and ``_free`` stays empty: ``benchmarks/perf/worker.py``
+    reads all three (DESIGN §15).
     """
 
-    def __init__(self, max_arrays_per_shape: int = 4) -> None:
-        if max_arrays_per_shape < 1:
-            raise ValueError("max_arrays_per_shape must be >= 1, got "
-                             f"{max_arrays_per_shape}")
-        self.max_arrays_per_shape = max_arrays_per_shape
-        self.enabled = hasattr(sys, "getrefcount")
+    def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
-        self._free: dict[tuple, list[np.ndarray]] = {}
+        self._free: dict = {}
 
     def zeros(self, shape: tuple[int, ...], dtype) -> np.ndarray:
-        """A zeroed array of (shape, dtype), reused when provably free."""
-        if not self.enabled:
-            return np.zeros(shape, dtype=dtype)
-        key = (tuple(shape), np.dtype(dtype).str)
-        slots = self._free.setdefault(key, [])
-        for arr in slots:
-            if sys.getrefcount(arr) == 3:
-                self.hits += 1
-                arr.fill(0)
-                return arr
         self.misses += 1
-        arr = np.zeros(shape, dtype=dtype)
-        if len(slots) < self.max_arrays_per_shape:
-            slots.append(arr)
-        return arr
-
-    def clear(self) -> None:
-        self._free.clear()
-        self.hits = 0
-        self.misses = 0
+        return np.zeros(shape, dtype=dtype)
 
 
-_POOL = DispatchBufferPool()
+_COUNTER = _OutputCounter()
 
 
-def dispatch_buffer_pool() -> DispatchBufferPool:
-    """The process-wide pool used by the fast encode/decode kernels."""
-    return _POOL
+def dispatch_buffer_pool() -> _OutputCounter:
+    """The process-wide counter of the fast kernels' outputs."""
+    return _COUNTER
 
 
 # ----------------------------------------------------------------------
@@ -160,8 +128,8 @@ def fast_encode(x: np.ndarray, crit: RoutingCriteria) -> np.ndarray:
     ``(E, dC, M)`` capacity cells; ``O(T * k * M)`` work."""
     _check_tokens(x, crit)
     _, tokens, cells, _, _ = crit.routes()
-    out = _POOL.zeros((crit.num_experts * crit.capacity, x.shape[1]),
-                      x.dtype)
+    out = _COUNTER.zeros((crit.num_experts * crit.capacity, x.shape[1]),
+                         x.dtype)
     # Queue positions are unique per expert, so '=' and '+=' agree.
     out[cells] = x.take(tokens, axis=0)
     return out.reshape(crit.num_experts, crit.capacity, x.shape[1])
@@ -177,7 +145,7 @@ def fast_encode_backward(grad_dispatched: np.ndarray,
     _check_dispatched(grad_dispatched, crit)
     m = grad_dispatched.shape[-1]
     flat = grad_dispatched.reshape(-1, m)
-    grad_x = _POOL.zeros((crit.num_tokens, m), grad_dispatched.dtype)
+    grad_x = _COUNTER.zeros((crit.num_tokens, m), grad_dispatched.dtype)
     _, tokens, cells, _, bounds = crit.routes()
     _scatter_add_slots(grad_x, tokens, flat.take(cells, axis=0), bounds)
     return grad_x
@@ -190,7 +158,7 @@ def fast_decode(expert_output: np.ndarray,
     _check_dispatched(expert_output, crit)
     m = expert_output.shape[-1]
     flat = expert_output.reshape(-1, m)
-    out = _POOL.zeros((crit.num_tokens, m), expert_output.dtype)
+    out = _COUNTER.zeros((crit.num_tokens, m), expert_output.dtype)
     _, tokens, cells, gates, bounds = crit.routes()
     weighted = flat.take(cells, axis=0)
     weighted *= gates[:, None]
@@ -216,7 +184,7 @@ def fast_decode_backward(grad_output: np.ndarray, expert_output: np.ndarray,
     m = expert_output.shape[-1]
     flat_z = expert_output.reshape(-1, m)
 
-    grad_z = _POOL.zeros(flat_z.shape, flat_z.dtype)
+    grad_z = _COUNTER.zeros(flat_z.shape, flat_z.dtype)
     # Capacity cells are globally unique (one queue position per
     # routed token), so direct assignment replaces np.add.at.
     grad_z[cells] = gates[:, None] * grad_output[tokens]

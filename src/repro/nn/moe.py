@@ -28,6 +28,7 @@ from repro.autograd.moe_ops import (
     route_l_aux,
 )
 from repro.autograd.tensor import Tensor, as_tensor
+from repro.core.substrate import default_dtype
 from repro.moe import gating
 from repro.moe.capacity import CapacityPolicy, resolve_capacity
 from repro.moe.gating import RoutingCriteria, compute_locations, select_top_k
@@ -135,6 +136,18 @@ def route(gate_probs: np.ndarray, top_k: int,
     return Routing(gate_probs, order, crit, effective_f)
 
 
+def _draw_experts(rng: np.random.Generator, scale: float,
+                  shape: tuple[int, int, int]) -> np.ndarray:
+    """``rng.normal(0, scale, shape)`` cast to the substrate dtype, drawn
+    one expert slab at a time: the generator fills in C order, so the
+    values and its final state are bitwise those of the one-shot draw,
+    and no ``shape``-sized float64 temporary is made."""
+    out = np.empty(shape, default_dtype())
+    for slab in out:
+        slab[...] = rng.normal(0.0, scale, shape[1:])
+    return out
+
+
 class MoE(Module):
     """Trainable mixture-of-experts feed-forward layer.
 
@@ -176,11 +189,11 @@ class MoE(Module):
 
         s1 = (2.0 / model_dim) ** 0.5
         s2 = (2.0 / hidden_dim) ** 0.5
-        self.w1 = Tensor(rng.normal(0.0, s1,
-                                    (num_experts, model_dim, hidden_dim)),
+        self.w1 = Tensor(_draw_experts(rng, s1, (num_experts, model_dim,
+                                                 hidden_dim)),
                          requires_grad=True, name="moe.w1")
-        self.w2 = Tensor(rng.normal(0.0, s2,
-                                    (num_experts, hidden_dim, model_dim)),
+        self.w2 = Tensor(_draw_experts(rng, s2, (num_experts, hidden_dim,
+                                                 model_dim)),
                          requires_grad=True, name="moe.w2")
         if router == "linear":
             self.gate = Linear(model_dim, num_experts, rng, bias=False)

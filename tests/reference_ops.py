@@ -92,3 +92,16 @@ def compute_locations_reference(idxs: np.ndarray, num_experts: int,
         locations[slot, order] = slot_locations
         counts += one_hot.sum(axis=0)
     return locations
+
+
+def expert_weights_one_shot(rng: np.random.Generator, model_dim: int,
+                            hidden_dim: int, num_experts: int,
+                            dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The pre-rewrite ``MoE.__init__`` expert draw: each of ``w1`` and
+    ``w2`` as one float64 ``rng.normal`` over ``(E, ., .)``, cast to
+    ``dtype``.  Leaves ``rng`` where the layer's gate draw starts."""
+    s1 = (2.0 / model_dim) ** 0.5
+    s2 = (2.0 / hidden_dim) ** 0.5
+    w1 = rng.normal(0.0, s1, (num_experts, model_dim, hidden_dim))
+    w2 = rng.normal(0.0, s2, (num_experts, hidden_dim, model_dim))
+    return w1.astype(dtype), w2.astype(dtype)

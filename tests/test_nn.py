@@ -86,6 +86,32 @@ class TestMoEModule:
         defaults.update(kwargs)
         return MoE(**defaults)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("router", ["linear", "cosine"])
+    def test_expert_weights_match_one_shot_draw(self, dtype, router):
+        # The per-expert draw is bitwise the old one-shot float64 draw
+        # cast to the substrate dtype, and leaves the generator in the
+        # same state, so the router and every later draw see the same
+        # values.
+        from repro.core.substrate import substrate_dtype
+        from tests.reference_ops import expert_weights_one_shot
+        with substrate_dtype(dtype):
+            rng = np.random.default_rng(11)
+            moe = MoE(8, 16, 5, rng, router=router)
+        oracle = np.random.default_rng(11)
+        w1, w2 = expert_weights_one_shot(oracle, 8, 16, 5, dtype)
+        assert moe.w1.data.dtype == moe.w2.data.dtype == dtype
+        np.testing.assert_array_equal(moe.w1.data, w1)
+        np.testing.assert_array_equal(moe.w2.data, w2)
+        router_draws = ([(moe.gate.weight, 0.5)] if router == "linear"
+                        else [(moe.cosine_proj.weight, 0.5),
+                              (moe.expert_embed, 256 ** -0.5)])
+        for param, scale in router_draws:
+            np.testing.assert_array_equal(
+                param.data,
+                oracle.normal(0.0, scale, param.shape).astype(dtype))
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
     def test_forward_shapes(self, rng):
         moe = self.make(rng)
         out, l_aux = moe(Tensor(rng.normal(size=(32, 8))))
