@@ -279,6 +279,20 @@ class TestDispatchBufferPool:
             a.reshape(-1)[...] = 7.0
             np.testing.assert_array_equal(b, want)
 
+    def test_view_keeps_buffer_out_of_reuse(self):
+        # An autograd graph typically holds a reshape view, not the
+        # base array; a later call must not hand out the base's memory
+        # while that view is alive.
+        x, _, crit = random_case()
+        a = fast_encode(x, crit)
+        expected = a.copy()
+        view = a.reshape(-1)
+        del a
+        b = fast_encode(x, crit)
+        assert not np.shares_memory(b, view)
+        view[...] = 9.0
+        np.testing.assert_array_equal(b, expected)
+
     def test_serve_replay_keeps_no_buffers(self, monkeypatch):
         # A frozen serving replay counts one miss per kernel call, never
         # a hit, and holds nothing afterwards: the counters
