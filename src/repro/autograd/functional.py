@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd.tensor import Tensor
-from repro.moe.ffn import act_backward, act_forward
+from repro.moe.ffn import act_backward, act_forward, act_rebuild
 
 __all__ = [
     "linear",
@@ -53,8 +53,13 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     """Dense FFN ``act(x @ w1 + b1) @ w2 + b2`` as one op.
 
     Runs :func:`repro.moe.ffn.act_forward` / ``act_backward``, the one
-    activation body, and saves only the hidden ``h``, its activation
-    ``a`` and GELU's tanh cache.
+    activation body, and saves only the hidden ``h`` and GELU's tanh
+    cache (ReLU: ``h`` alone).  The backward rebuilds the activation
+    (:func:`repro.moe.ffn.act_rebuild`, the forward's bits) into one
+    array for the ``w2`` gradient, then writes the gradient w.r.t. it
+    into that array and the activation derivative over the cache, each
+    only when the dtypes agree: the saved arrays are single-use, and
+    the tape runs the closure once.
     """
     h = x.data @ w1.data
     h += b1.data
@@ -64,12 +69,19 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
 
     def backward(grad: np.ndarray) -> None:
         b2._accumulate(grad)
+        a = None
         if w2.requires_grad:
+            a = act_rebuild(h, t, activation)
             w2._accumulate(np.swapaxes(a, -1, -2) @ grad)
         if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
             return
-        ga = grad @ np.swapaxes(w2.data, -1, -2)
-        act_backward(ga, h, t, activation, out=ga)
+        w2_t = np.swapaxes(w2.data, -1, -2)
+        reuse = a is not None and a.dtype == np.result_type(grad, w2_t)
+        ga = np.matmul(grad, w2_t, out=a) if reuse else grad @ w2_t
+        ga = act_backward(ga, h, t, activation,
+                          out=t if t is not None and t.dtype == ga.dtype
+                          else ga)
+        del a
         b1._accumulate(ga)
         if w1.requires_grad:
             w1._accumulate(np.swapaxes(x.data, -1, -2) @ ga)

@@ -10,7 +10,9 @@ relu/gelu, :mod:`repro.autograd.moe_ops`'s fused FFN) and every NumPy
 forward — the expert-parallel, P1 and P2 forwards
 (:func:`repro.moe.distributed.expert_exchange`, every capacity row) —
 all run these same bodies, so they agree numerically.  A forward no
-tape will differentiate passes ``save=False`` and keeps no activations.
+tape will differentiate passes ``save=False`` and keeps no activations;
+a taped one keeps the hidden array and the tanh cache, from which the
+backward rebuilds the activation (:func:`act_rebuild`).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ __all__ = [
     "ACTIVATIONS",
     "BLOCK",
     "act_forward",
+    "act_rebuild",
     "act_backward",
     "ffn_forward_arrays",
     "ffn_backward_arrays",
@@ -77,13 +80,39 @@ def act_forward(h: np.ndarray, activation: str, in_place: bool = False
         tb += hb
         tb *= _GELU_C
         np.tanh(tb, out=tb)
-        # ``1 + t`` stays the first operand of the product either way:
-        # NaN propagation follows it, so the NaN bits match too.
-        sb = tb if in_place else ab
-        np.add(tb, 1.0, out=sb)
-        np.multiply(sb, hb, out=ab)
-        ab *= 0.5
+        _gelu_product(tb, hb, tb if in_place else ab, ab)
     return a, None if in_place else t
+
+
+def _gelu_product(tb: np.ndarray, hb: np.ndarray, sb: np.ndarray,
+                  ab: np.ndarray) -> None:
+    """GELU's last three ops on one block, ``a = (1 + t) · h · 0.5``
+    through ``sb`` (``tb`` or ``ab``).  ``1 + t`` stays the first
+    operand of the product in every mode: NaN propagation follows it,
+    so the NaN bits match too."""
+    np.add(tb, 1.0, out=sb)
+    np.multiply(sb, hb, out=ab)
+    ab *= 0.5
+
+
+def act_rebuild(h: np.ndarray, cache: np.ndarray | None, activation: str
+                ) -> np.ndarray:
+    """:func:`act_forward`'s ``a`` rebuilt from its saved ``(h, cache)``.
+
+    GELU runs the forward's last three ops (``1 + t``, ``· h``,
+    ``· 0.5``) over the tanh cache block by block, ReLU the same
+    ``np.maximum``: the same ops in the same order, so the same bits,
+    into one fresh array.
+    """
+    if activation == "relu":
+        return np.maximum(h, 0.0)
+    if activation != "gelu":
+        raise _unknown(activation)
+    a = np.empty(h.shape, dtype=h.dtype)
+    hf, af, tf = h.reshape(-1), a.reshape(-1), cache.reshape(-1)
+    for b in _blocks(hf.size):
+        _gelu_product(tf[b], hf[b], af[b], af[b])
+    return a
 
 
 def act_backward(grad: np.ndarray, h: np.ndarray, cache: np.ndarray | None,
@@ -166,7 +195,7 @@ def _common(*arrays: np.ndarray) -> list[np.ndarray]:
 def _hidden(x: np.ndarray, w1: np.ndarray, activation: str, rows,
             save: bool = True) -> tuple:
     """Compact ``(sum(n_e), V)`` hidden / activation / cache arrays,
-    with the occupancy they were built over: the forward's ``saved``."""
+    with the occupancy they were built over."""
     occupied, total = _occupied(rows, *x.shape[:2])
     h = np.empty((total, w1.shape[-1]), dtype=x.dtype)
     for e, rs, hs in occupied:
@@ -175,9 +204,19 @@ def _hidden(x: np.ndarray, w1: np.ndarray, activation: str, rows,
     return h, a, cache, occupied
 
 
+def _weight_grad(w: np.ndarray, occupied) -> np.ndarray:
+    """An uninitialised gradient of ``w`` with the slabs of idle experts
+    zeroed: every other slab is a GEMM's ``out=``."""
+    g = np.empty(w.shape, dtype=w.dtype)
+    if len(occupied) < len(g):
+        busy = {e for e, _, _ in occupied}
+        g[[e for e in range(len(g)) if e not in busy]] = 0
+    return g
+
+
 def ffn_forward_arrays(x: np.ndarray, w1: np.ndarray, w2: np.ndarray,
                        activation: str, rows=None, save: bool = True
-                       ) -> tuple[np.ndarray, tuple | None]:
+                       ) -> tuple[np.ndarray, list | None]:
     """Fused expert FFN forward on raw arrays, ragged over ``rows``.
 
     ``x`` is ``(E, cap, M)``, ``w1`` ``(E, M, V)``, ``w2`` ``(E, V, M)``;
@@ -195,49 +234,72 @@ def ffn_forward_arrays(x: np.ndarray, w1: np.ndarray, w2: np.ndarray,
     row, so skipping it changes no consumer.  Rows at or beyond ``n_e``
     are never read.
 
-    Returns ``(y, saved)`` where ``saved`` lets the backward skip the
-    recompute.  ``save=False`` keeps nothing (the activation runs in
-    place over the hidden array; ``saved`` is ``None``), same ``y``.
+    Returns ``(y, saved)``.  ``saved`` is ``[h, cache, occupancy]``:
+    the hidden array and GELU's tanh cache (``None`` for ReLU), not the
+    activation, which the backward rebuilds from them
+    (:func:`act_rebuild`).  It is single-use: the backward empties it
+    and overwrites the cache.  ``save=False`` keeps nothing (the
+    activation runs in place over the hidden array; ``saved`` is
+    ``None``), same ``y``.
     """
     x, w1, w2 = _common(x, w1, w2)
-    saved = _hidden(x, w1, activation, rows, save)
-    _, a, _, occupied = saved
+    h, a, cache, occupied = _hidden(x, w1, activation, rows, save)
     y = np.zeros((*x.shape[:2], w2.shape[-1]), dtype=x.dtype)
     for e, rs, hs in occupied:
         a[hs].dot(w2[e], out=y[e, rs])
-    return y, saved if save else None
+    return y, [h, cache, occupied] if save else None
 
 
 def ffn_backward_arrays(x: np.ndarray, w1: np.ndarray, w2: np.ndarray,
                         grad_y: np.ndarray, activation: str,
-                        saved: tuple | None = None, rows=None,
+                        saved: list | None = None, rows=None,
                         weight_grads: bool = True
                         ) -> tuple[np.ndarray, np.ndarray | None,
                                    np.ndarray | None]:
     """Gradients of the fused expert FFN w.r.t. (x, w1, w2).
 
     With ``saved=None`` the hidden activations are recomputed from the
-    inputs over ``rows``; passing the forward's saved tuple gives the
-    conventional memory-for-compute trade and carries the forward's
-    occupancy with it.  Only ``grad_y[e, :n_e]`` is read; ``grad_x`` is
-    zero on padded rows and an idle expert's weight gradients are zero.
+    inputs over ``rows``; passing the forward's ``saved`` reuses its
+    ``h`` and tanh cache and carries the forward's occupancy with it.
+    Either way one array holds the activation (rebuilt from ``saved``
+    by :func:`act_rebuild`) for the ``w2`` gradient, then the gradient
+    w.r.t. it; the activation derivative is written over the tanh cache,
+    and ``h`` and that array are released before ``grad_x`` and
+    ``grad_w1`` are allocated.  ``saved`` is consumed: the call empties
+    it, and passing it again raises ``ValueError``.  A saved array is
+    written over only when its dtype is the backward's (a ``grad_y``
+    wider than the forward's operands gets fresh arrays).
+
+    Only ``grad_y[e, :n_e]`` is read; ``grad_x`` is zero on padded rows
+    and an idle expert's weight gradients are zero.
     ``weight_grads=False`` (frozen experts) skips both weight-gradient
-    GEMMs of every expert and returns ``None`` in their place.
+    GEMMs of every expert, and the rebuild of a saved activation, and
+    returns ``None`` in their place.
     """
     x, w1, w2, grad_y = _common(x, w1, w2, grad_y)
     if saved is None:
-        saved = _hidden(x, w1, activation, rows)
-    h, a, cache, occupied = saved
-    grad_h = np.empty(h.shape, dtype=x.dtype)
-    grad_w2 = np.zeros(w2.shape, dtype=x.dtype) if weight_grads else None
+        h, a, cache, occupied = _hidden(x, w1, activation, rows)
+    elif not saved:
+        raise ValueError("ffn_backward_arrays: saved was consumed by an "
+                         "earlier backward; run the forward again")
+    else:
+        h, cache, occupied = saved
+        saved.clear()
+        a = act_rebuild(h, cache, activation) if weight_grads else None
+    grad_h = a if a is not None and a.dtype == x.dtype \
+        else np.empty(h.shape, dtype=x.dtype)
+    grad_w2 = _weight_grad(w2, occupied) if weight_grads else None
     for e, rs, hs in occupied:
         gy = grad_y[e, rs]
-        gy.dot(w2[e].T, out=grad_h[hs])
         if weight_grads:
             a[hs].T.dot(gy, out=grad_w2[e])
-    act_backward(grad_h, h, cache, activation, out=grad_h)
+        gy.dot(w2[e].T, out=grad_h[hs])
+    out = cache if cache is not None and cache.dtype == x.dtype else grad_h
+    grad_h = act_backward(grad_h, h, cache, activation, out=out)
+    # Released before grad_x and grad_w1 exist: the step's peak.
+    del h, a, cache, out
     grad_x = np.zeros(x.shape, dtype=x.dtype)
-    grad_w1 = np.zeros(w1.shape, dtype=x.dtype) if weight_grads else None
+    grad_w1 = _weight_grad(w1, occupied) if weight_grads else None
     for e, rs, hs in occupied:
         gh = grad_h[hs]
         gh.dot(w1[e].T, out=grad_x[e, rs])

@@ -17,6 +17,96 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor.from_op(out_data, (x,), backward, "gelu")
 
 
+def saving_expert_kernels(x, w1, w2, activation: str, rows=None):
+    """The fused expert FFN kernels as they were when the forward saved
+    ``(h, a, cache)``: the same ragged GEMMs, the forward's activation
+    kept for the ``w2`` gradient, the gradient w.r.t. it a fresh array
+    with the derivative written over it, and zero-filled weight
+    gradients.  Returns ``(y, backward)``; ``backward(grad_y,
+    weight_grads=True)`` gives ``(grad_x, grad_w1, grad_w2)`` and may
+    run any number of times.  The oracle of the kernels that rebuild
+    ``a`` and write over saved buffers."""
+    dtype = np.result_type(x, w1, w2)
+    x, w1, w2 = (arr.astype(dtype, copy=False) for arr in (x, w1, w2))
+    e_count, cap = x.shape[:2]
+    counts = [cap] * e_count if rows is None else np.asarray(rows).tolist()
+    starts = np.concatenate([[0], np.cumsum(counts)]).astype(int).tolist()
+    occupied = [(e, slice(n), slice(starts[e], starts[e] + n))
+                for e, n in enumerate(counts) if n]
+    h = np.empty((starts[-1], w1.shape[-1]), dtype=dtype)
+    for e, rs, hs in occupied:
+        x[e, rs].dot(w1[e], out=h[hs])
+    a, cache = act_forward(h, activation)
+    y = np.zeros((*x.shape[:2], w2.shape[-1]), dtype=dtype)
+    for e, rs, hs in occupied:
+        a[hs].dot(w2[e], out=y[e, rs])
+
+    def backward(grad_y, weight_grads=True):
+        gdt = np.result_type(dtype, grad_y)
+        xs, w1s, w2s, gys = (arr.astype(gdt, copy=False)
+                             for arr in (x, w1, w2, grad_y))
+        grad_h = np.empty(h.shape, dtype=gdt)
+        grad_w2 = np.zeros(w2s.shape, dtype=gdt) if weight_grads else None
+        for e, rs, hs in occupied:
+            gys[e, rs].dot(w2s[e].T, out=grad_h[hs])
+            if weight_grads:
+                a[hs].T.dot(gys[e, rs], out=grad_w2[e])
+        act_backward(grad_h, h, cache, activation, out=grad_h)
+        grad_x = np.zeros(xs.shape, dtype=gdt)
+        grad_w1 = np.zeros(w1s.shape, dtype=gdt) if weight_grads else None
+        for e, rs, hs in occupied:
+            grad_h[hs].dot(w1s[e].T, out=grad_x[e, rs])
+            if weight_grads:
+                xs[e, rs].T.dot(grad_h[hs], out=grad_w1[e])
+        return grad_x, grad_w1, grad_w2
+    return y, backward
+
+
+def saving_expert_ffn(dispatched: Tensor, w1: Tensor, w2: Tensor,
+                      activation: str = "gelu", rows=None) -> Tensor:
+    """:func:`repro.autograd.moe_ops.expert_ffn` over
+    :func:`saving_expert_kernels`: a drop-in for the layer's op."""
+    y, kernels_backward = saving_expert_kernels(
+        dispatched.data, w1.data, w2.data, activation, rows)
+
+    def backward(grad):
+        weight_grads = w1.requires_grad or w2.requires_grad
+        gx, gw1, gw2 = kernels_backward(grad, weight_grads)
+        dispatched._accumulate(gx)
+        if weight_grads:
+            w1._accumulate(gw1)
+            w2._accumulate(gw2)
+    return Tensor.from_op(y, (dispatched, w1, w2), backward, "expert_ffn",
+                          (activation, rows))
+
+
+def saving_ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+               activation: str) -> Tensor:
+    """The dense FFN op as it was when it saved ``(h, a, t)``: the oracle
+    of :func:`repro.autograd.functional.ffn`, which rebuilds ``a``."""
+    h = x.data @ w1.data
+    h += b1.data
+    a, t = act_forward(h, activation)
+    y = a @ w2.data
+    y += b2.data
+
+    def backward(grad):
+        b2._accumulate(grad)
+        if w2.requires_grad:
+            w2._accumulate(np.swapaxes(a, -1, -2) @ grad)
+        if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
+            return
+        ga = grad @ np.swapaxes(w2.data, -1, -2)
+        act_backward(ga, h, t, activation, out=ga)
+        b1._accumulate(ga)
+        if w1.requires_grad:
+            w1._accumulate(np.swapaxes(x.data, -1, -2) @ ga)
+        if x.requires_grad:
+            x._accumulate(ga @ np.swapaxes(w1.data, -1, -2))
+    return Tensor.from_op(y, (x, w1, b1, w2, b2), backward, "ffn",
+                          activation)
+
+
 def take_along(x: Tensor, indices: np.ndarray, axis: int) -> Tensor:
     """Differentiable ``np.take_along_axis``."""
     indices = np.asarray(indices)

@@ -17,7 +17,7 @@ from repro.autograd.functional import (
 from repro.autograd.optim import Adam, clip_grad_norm
 from repro.autograd.tensor import Tensor
 from repro.moe.ffn import BLOCK
-from tests.reference_ops import gelu, mean, take_along
+from tests.reference_ops import gelu, mean, saving_ffn, take_along
 
 
 @pytest.fixture(autouse=True)
@@ -150,15 +150,17 @@ class TestNonlinearities:
 def run_op(build, shapes, dtype, x_grad, w_grad):
     """Output and every leaf gradient of ``build(x, *params)`` as bytes
     (``None`` where no gradient is taken), after backpropagating one
-    fixed random upstream gradient."""
+    fixed random upstream gradient.  ``dtype`` is one dtype or one per
+    leaf."""
     rng = np.random.default_rng(0)
+    dtypes = dtype if isinstance(dtype, list) else [dtype] * len(shapes)
     leaves = [Tensor(rng.normal(size=shape) + (1.0 if i > 0 else 0.0),
                      requires_grad=x_grad if i == 0 else w_grad,
-                     dtype=dtype)
+                     dtype=dtypes[i])
               for i, shape in enumerate(shapes)]
     out = build(*leaves)
     if out.requires_grad:
-        out.backward(rng.normal(size=out.shape).astype(dtype))
+        out.backward(rng.normal(size=out.shape).astype(out.data.dtype))
     return [out.data.dtype.str, out.data.tobytes()] + [
         None if t.grad is None else t.grad.tobytes() for t in leaves]
 
@@ -214,6 +216,28 @@ class TestDenseOps:
             return ffn(x, w1, b1, w2, b2, activation)
         assert run_op(fused, shapes, dtype, x_grad, w_grad) \
             == run_op(composed, shapes, dtype, x_grad, w_grad)
+
+    @pytest.mark.parametrize("dtype", [
+        np.float32, np.float64,
+        # h and the tanh cache in float32, the upstream gradient and
+        # the gradient w.r.t. the activation in float64: fresh arrays.
+        [np.float32, np.float32, np.float32, np.float64, np.float64]])
+    @pytest.mark.parametrize("x_grad,w_grad", GRAD_CASES)
+    @pytest.mark.parametrize("activation", ["gelu", "relu"])
+    @pytest.mark.parametrize("rows", [(6,), (2, 3)])
+    def test_ffn_bitwise_equal_saving_form(self, rows, activation, x_grad,
+                                           w_grad, dtype):
+        # The op rebuilds the activation and writes over its saved
+        # arrays; the form that kept (h, a, t) gives the same bytes.
+        shapes = [(*rows, 5), (5, 7), (7,), (7, 5), (5,)]
+
+        def fused(*leaves):
+            return ffn(*leaves, activation)
+
+        def saving(*leaves):
+            return saving_ffn(*leaves, activation)
+        assert run_op(fused, shapes, dtype, x_grad, w_grad) \
+            == run_op(saving, shapes, dtype, x_grad, w_grad)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("x_grad,w_grad", GRAD_CASES)

@@ -2,9 +2,11 @@
 
 The blocked activations equal the whole-array expressions they replaced
 bitwise, the ragged kernels equal the padded oracle below to rounding,
-recompute (``saved=None``) equals the saved-activations backward, and
-the frozen forward (``save=False``) gives the taped one's bytes while
-keeping no activations.
+recompute (``saved=None``) equals the saved-activations backward and
+both equal the kernels that kept the activation, the frozen forward
+(``save=False``) gives the taped one's bytes while keeping no
+activations, and a taped forward and backward hold no more than the
+saved hidden array and tanh cache, one rebuilt array and the outputs.
 """
 
 import numpy as np
@@ -22,6 +24,7 @@ from repro.moe.ffn import (
     ffn_forward_arrays,
 )
 from repro.obs.profiler import traced_peak
+from tests.reference_ops import saving_expert_kernels
 
 
 def ffn_case(e=4, c=6, m=5, v=7, dtype=np.float32, seed=0):
@@ -190,6 +193,20 @@ class TestArrayKernels:
         for a, b in zip(with_saved, recomputed):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("weight_grads", [True, False])
+    @pytest.mark.parametrize("activation", ["gelu", "relu"])
+    def test_saved_is_single_use(self, activation, weight_grads):
+        # The backward writes over the saved tanh cache, so a second
+        # backward from the same ``saved`` would read gradients as
+        # activations: it raises instead.
+        x, w1, w2, gy = ffn_case()
+        _, saved = ffn_forward_arrays(x, w1, w2, activation)
+        ffn_backward_arrays(x, w1, w2, gy, activation, saved,
+                            weight_grads=weight_grads)
+        assert saved == []
+        with pytest.raises(ValueError, match="saved"):
+            ffn_backward_arrays(x, w1, w2, gy, activation, saved)
+
     def test_unknown_activation_rejected(self):
         x, w1, w2, _ = ffn_case()
         with pytest.raises(ValueError, match="activation"):
@@ -283,15 +300,19 @@ class TestNoUninitialisedReads:
             empty_like=lambda a: nan_empty(a.shape, a.dtype)))
         x, w1, w2, gy = ffn_case(dtype=dtype)
         x, gy = zero_padding(x, rows), zero_padding(gy, rows)
+        def saved():
+            # The backward consumes ``saved``: a fresh forward each time.
+            return ffn_forward_arrays(x, w1, w2, activation, rows)[1]
+
         with np.errstate(all="raise"):
-            y, saved = ffn_forward_arrays(x, w1, w2, activation, rows)
+            y, _ = ffn_forward_arrays(x, w1, w2, activation, rows)
             outputs = [y,
                        *ffn_backward_arrays(x, w1, w2, gy, activation,
-                                            saved),
+                                            saved()),
                        *ffn_backward_arrays(x, w1, w2, gy, activation,
                                             rows=rows),
                        ffn_backward_arrays(x, w1, w2, gy, activation,
-                                           saved, weight_grads=False)[0]]
+                                           saved(), weight_grads=False)[0]]
         for out in outputs:
             assert np.isfinite(out).all()
 
@@ -451,6 +472,32 @@ class TestRaggedKernels:
         for a, b in zip(with_saved, recomputed):
             np.testing.assert_array_equal(a, b)
 
+    @given(case=hostile_cases(), wide_grad=st.booleans(),
+           weight_grads=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_bytes_equal_to_saving_kernels(self, case, wide_grad,
+                                           weight_grads):
+        # Rebuilding the activation and writing over saved buffers
+        # changes no byte (NaN payloads included) against the kernels
+        # that kept (h, a, cache); a float64 grad_y over float32
+        # operands takes fresh arrays instead of the saved ones.
+        x, w1, w2, rows, activation = case
+        gy = np.random.default_rng(1).normal(size=x.shape)
+        gy = gy.astype(np.float64 if wide_grad else x.dtype)
+        with np.errstate(all="ignore"):
+            y, saved = ffn_forward_arrays(x, w1, w2, activation, rows)
+            got = (y, *ffn_backward_arrays(x, w1, w2, gy, activation,
+                                           saved,
+                                           weight_grads=weight_grads))
+            want_y, backward = saving_expert_kernels(x, w1, w2,
+                                                     activation, rows)
+            want = (want_y, *backward(gy, weight_grads))
+        for a, b in zip(got, want):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                assert a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_rows_none_means_every_row(self, dtype):
         x, w1, w2, gy = ffn_case(dtype=dtype)
@@ -470,3 +517,57 @@ class TestRaggedKernels:
             ffn_forward_arrays(x, w1, w2, "gelu", rows)
         with pytest.raises(ValueError, match="rows"):
             ffn_backward_arrays(x, w1, w2, gy, "gelu", rows=rows)
+
+
+class TestTapedLiveSet:
+    """A taped forward and backward holds the saved hidden array ``h``
+    and tanh cache, one array rebuilt from them, and the outputs: no
+    fourth ``h``-sized array (the activation kept beside a fresh
+    gradient w.r.t. it)."""
+
+    def test_expert_ffn_at_train_wide_shape(self):
+        # train_wide's expert layer: E=8, cap=320, M=128, V=512 and
+        # 1,500 occupied rows.
+        from repro.autograd.moe_ops import expert_ffn
+
+        e, cap, m, v = 8, 320, 128, 512
+        rows = [200, 180, 190, 170, 210, 185, 195, 170]
+        rng = np.random.default_rng(0)
+        x = np.zeros((e, cap, m), dtype=np.float32)
+        for i, n in enumerate(rows):
+            x[i, :n] = rng.standard_normal((n, m), dtype=np.float32)
+        w1, w2 = (rng.standard_normal(shape, dtype=np.float32) * 0.1
+                  for shape in ((e, m, v), (e, v, m)))
+        grad = rng.standard_normal(x.shape, dtype=np.float32)
+        args = [Tensor(a, dtype=np.float32, requires_grad=True)
+                for a in (x, w1, w2)]
+
+        def step():
+            out = expert_ffn(*args, "gelu", rows=rows)
+            out.backward(grad)
+            return out
+
+        out, peak = traced_peak(step)
+        hidden = sum(rows) * v * 4
+        outputs = out.data.nbytes + sum(t.grad.nbytes for t in args)
+        assert peak < 3 * hidden + outputs
+
+    def test_dense_ffn_at_1024_by_128_to_512(self):
+        from repro.autograd.functional import ffn as dense_ffn
+
+        rng = np.random.default_rng(0)
+        args = [Tensor(rng.standard_normal(s, dtype=np.float32),
+                       dtype=np.float32, requires_grad=True)
+                for s in [(1024, 128), (128, 512), (512,), (512, 128),
+                          (128,)]]
+        grad = rng.standard_normal((1024, 128), dtype=np.float32)
+
+        def step():
+            out = dense_ffn(*args, "gelu")
+            out.backward(grad)
+            return out
+
+        out, peak = traced_peak(step)
+        hidden = 1024 * 512 * 4
+        outputs = out.data.nbytes + sum(t.grad.nbytes for t in args)
+        assert peak < 3 * hidden + outputs

@@ -29,6 +29,7 @@ from repro.collectives.schedule import (
 )
 from repro.core.config import MoEConfig
 from repro.core.substrate import substrate_dtype
+from repro.moe import ffn as ffn_kernels
 from repro.moe.capacity import (
     CapacityPolicy,
     needed_capacity_factor,
@@ -43,7 +44,11 @@ from repro.nn import moe as nn_moe
 from repro.nn.moe import MoE, route
 from repro.obs.profiler import profiling
 from repro.parallel.functional import p1_forward, p2_forward
-from tests.reference_ops import composed_gates, composed_l_aux
+from tests.reference_ops import (
+    composed_gates,
+    composed_l_aux,
+    saving_expert_ffn,
+)
 
 
 def routing_case(t, e, k, cap, seed):
@@ -533,6 +538,54 @@ class TestRouterOps:
         with mock.patch.object(nn_moe, "route_gates", composed_gates), \
                 mock.patch.object(nn_moe, "route_l_aux", composed_l_aux):
             want = run(oracle)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+
+class TestExpertFFNBackward:
+    """The backward half of the layer's equivalence on the hostile
+    strategy: the taped ``nn.MoE`` gradients (input, ``w1``, ``w2``,
+    gate) with the expert kernels rebuilding the activation and writing
+    over saved buffers equal, byte for byte, those of the expert op that
+    kept ``(h, a, cache)`` (``tests/reference_ops.py``), masked experts
+    included; frozen experts run no weight-gradient GEMM and get
+    ``None``."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=hostile_routing(),
+           router=st.sampled_from(["linear", "cosine"]),
+           frozen=st.booleans(), data=st.data())
+    def test_gradients_are_the_saving_kernels(self, case, router, frozen,
+                                              data):
+        x, e = case.xs[0], case.num_experts
+        layer = case.layer(case.f, router)
+        for expert in data.draw(st.sets(st.integers(0, e - 1),
+                                        max_size=e - 1)):
+            layer.mask_expert(expert)
+        if frozen:
+            layer.w1.requires_grad = layer.w2.requires_grad = False
+        oracle = deepcopy(layer)
+        upstream = np.random.default_rng(0).normal(size=x.shape)
+
+        def run(model):
+            leaf = Tensor(x, dtype=x.dtype, requires_grad=True)
+            out, l_aux = model(leaf)
+            ((out * Tensor(upstream, dtype=x.dtype)).sum()
+             + l_aux * Tensor(0.37, dtype=x.dtype)).backward()
+            return [out.data, l_aux.data, leaf.grad] + [
+                p.grad for p in model.parameters()]
+
+        with mock.patch.object(ffn_kernels, "_weight_grad",
+                               wraps=ffn_kernels._weight_grad) as grads:
+            got = run(layer)
+        assert grads.called != frozen
+        with mock.patch.object(nn_moe, "expert_ffn", saving_expert_ffn):
+            want = run(oracle)
+        assert (layer.w1.grad is None) == (layer.w2.grad is None) == frozen
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert (a is None) == (b is None)
