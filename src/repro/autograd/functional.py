@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd.tensor import Tensor
-from repro.moe.ffn import act_backward, act_forward, act_rebuild
+from repro.moe.ffn import act_backward, act_forward
 
 __all__ = [
     "linear",
@@ -53,35 +53,30 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     """Dense FFN ``act(x @ w1 + b1) @ w2 + b2`` as one op.
 
     Runs :func:`repro.moe.ffn.act_forward` / ``act_backward``, the one
-    activation body, and saves only the hidden ``h`` and GELU's tanh
-    cache (ReLU: ``h`` alone).  The backward rebuilds the activation
-    (:func:`repro.moe.ffn.act_rebuild`, the forward's bits) into one
-    array for the ``w2`` gradient, then writes the gradient w.r.t. it
-    into that array and the activation derivative over the cache, each
-    only when the dtypes agree: the saved arrays are single-use, and
-    the tape runs the closure once.
+    activation body, and saves only what the backward reads: the
+    activation, written over ``h``, and GELU's derivative (ReLU: ``a``
+    alone, whose mask is ``a > 0``).  The backward takes the ``w2``
+    gradient from ``a``, then writes the gradient w.r.t. ``a`` over it
+    when the dtypes agree (GELU) and multiplies by the derivative in
+    place: the saved arrays are single-use, and the tape runs the
+    closure once.
     """
     h = x.data @ w1.data
     h += b1.data
-    a, t = act_forward(h, activation)
+    a, d = act_forward(h, activation, in_place=True)
     y = a @ w2.data
     y += b2.data
 
     def backward(grad: np.ndarray) -> None:
         b2._accumulate(grad)
-        a = None
         if w2.requires_grad:
-            a = act_rebuild(h, t, activation)
             w2._accumulate(np.swapaxes(a, -1, -2) @ grad)
         if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
             return
         w2_t = np.swapaxes(w2.data, -1, -2)
-        reuse = a is not None and a.dtype == np.result_type(grad, w2_t)
+        reuse = d is not None and a.dtype == np.result_type(grad, w2_t)
         ga = np.matmul(grad, w2_t, out=a) if reuse else grad @ w2_t
-        ga = act_backward(ga, h, t, activation,
-                          out=t if t is not None and t.dtype == ga.dtype
-                          else ga)
-        del a
+        act_backward(ga, a, d, activation, out=ga)
         b1._accumulate(ga)
         if w1.requires_grad:
             w1._accumulate(np.swapaxes(x.data, -1, -2) @ ga)
@@ -95,7 +90,7 @@ def relu(x: Tensor) -> Tensor:
     out_data, _ = act_forward(x.data, "relu")
 
     def backward(grad: np.ndarray) -> None:
-        x._accumulate(act_backward(grad, x.data, None, "relu"))
+        x._accumulate(act_backward(grad, out_data, None, "relu"))
     return Tensor.from_op(out_data, (x,), backward, "relu")
 
 

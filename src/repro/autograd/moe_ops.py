@@ -6,8 +6,8 @@ locations are discrete and carry no gradient; the gate values *do* —
 the combine op returns gradients for both the expert outputs and the
 per-slot gates, which is how the router trains through the layer.
 The router's selected gates and ``l_aux`` are one op each over the
-softmax probabilities.  The fused expert FFN keeps its hidden
-array and tanh cache only when taped.
+softmax probabilities.  The fused expert FFN keeps the activation
+and its derivative only when taped.
 """
 
 from __future__ import annotations
@@ -80,11 +80,11 @@ def expert_ffn(dispatched: Tensor, w1: Tensor, w2: Tensor,
     all-to-all layouts are untouched.
 
     The forward runs the array kernel of :mod:`repro.moe.ffn` and, only
-    when taped, keeps its ``saved`` set: the hidden array and GELU's
-    tanh cache (ReLU: the hidden array alone), from which the backward
-    rebuilds the activation instead of holding it.  The backward
-    consumes that set (it writes over the cache), so it runs once,
-    which is all the tape ever asks of it.
+    when taped, keeps its ``saved`` set: what the backward reads, the
+    activation (written over the hidden array) and GELU's derivative
+    (ReLU: the activation alone, its own mask).  The backward consumes
+    that set (it writes over the activation), so it runs once, which is
+    all the tape ever asks of it.
     """
     x_data, w1_data, w2_data = dispatched.data, w1.data, w2.data
     taped = Tensor.needs_tape(dispatched, w1, w2)

@@ -57,8 +57,9 @@ class Adam:
         ends = np.cumsum([p.data.size for p in self.params]).tolist()
         self._spans = list(zip([0] + ends[:-1], ends))
         self._total = ends[-1] if ends else 0
-        # The non-finite guard's copy of the store, and its views.
-        self._saved, self._saved_views = [], None
+        # The non-finite guard's record: per store, its bits and the
+        # (index, old bits) of what was written since :meth:`snapshot`.
+        self._undo: list[tuple] = []
         self._seat(np.result_type(*[p.data.dtype for p in self.params])
                    if self.params else np.dtype(float))
         self._seat_params()
@@ -98,25 +99,40 @@ class Adam:
             self._seat_params()
 
     def snapshot(self) -> None:
-        """Copy the store aside: the non-finite guard's last-good
-        parameters, one copy per dtype."""
+        """Open the non-finite guard's record: a transient copy of the
+        store (one per dtype), which :meth:`shrink_snapshot` cuts down
+        to what was written since.  The trainer brackets its step hook
+        with the two: :meth:`step` runs only on good steps, so the hook
+        is the only other writer of the parameters between steps."""
         self._adopt()
-        if self._saved_views is self._views:
-            for store, saved in zip(self.stores.values(), self._saved):
-                np.copyto(saved, store)
-        else:
-            self._saved = [s.copy() for s in self.stores.values()]
-            self._saved_views = self._views
+        # Each store viewed as unsigned ints of its width: equality of
+        # the views is bit equality.
+        self._undo = [(bits, slice(None), bits.copy()) for bits in
+                      (s.view(f"u{s.itemsize}") for s in self.stores.values())]
+
+    def shrink_snapshot(self) -> None:
+        """Keep only the ``(index, old bits)`` of the store entries whose
+        bits changed since :meth:`snapshot` (``-0.0`` over ``0.0`` and
+        one NaN over another count), and drop the copy.  The compare
+        runs block by block: no store-sized temporary."""
+        for i, (bits, _, old) in enumerate(self._undo):
+            idx = np.concatenate([np.flatnonzero(bits[lo:lo + BLOCK]
+                                                 != old[lo:lo + BLOCK]) + lo
+                                  for lo in range(0, bits.size, BLOCK)]
+                                 or [np.empty(0, dtype=np.intp)])
+            self._undo[i] = (bits, idx, old[idx])
 
     def rollback(self) -> None:
-        """Restore the last :meth:`snapshot` through the store (a
-        ``p.data`` replaced since points back at its view) and drop the
-        gradients.  Valid until the next :meth:`step` or
-        :meth:`load_moments`, the other places the store is re-seated."""
-        for p, view in zip(self.params, self._saved_views):
+        """Write back the old bits of what was written since the last
+        :meth:`snapshot` (nothing, without one), point every ``p.data``
+        at its view of the store again and drop the gradients.  Valid
+        until the next :meth:`step` or :meth:`load_moments`, the other
+        places the store is re-seated."""
+        for bits, idx, old in self._undo:
+            bits[idx] = old
+        self._undo = []
+        for p, view in zip(self.params, self._views):
             p.data, p.grad = view, None
-        for store, saved in zip(self.stores.values(), self._saved):
-            np.copyto(store, saved)
 
     def load_moments(self, m: list[np.ndarray], v: list[np.ndarray],
                      step: int) -> None:
@@ -191,6 +207,7 @@ class Adam:
         in place, staying in cache across its passes.
         """
         self._adopt()
+        self._undo = []
         self._step += 1
         bias1 = 1.0 - self.beta1 ** self._step
         bias2 = 1.0 - self.beta2 ** self._step

@@ -11,8 +11,8 @@ forward — the expert-parallel, P1 and P2 forwards
 (:func:`repro.moe.distributed.expert_exchange`, every capacity row) —
 all run these same bodies, so they agree numerically.  A forward no
 tape will differentiate passes ``save=False`` and keeps no activations;
-a taped one keeps the hidden array and the tanh cache, from which the
-backward rebuilds the activation (:func:`act_rebuild`).
+a taped one keeps what its backward reads, the activation (written over
+the hidden array) and GELU's derivative.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "ACTIVATIONS",
     "BLOCK",
     "act_forward",
-    "act_rebuild",
     "act_backward",
     "ffn_forward_arrays",
     "ffn_backward_arrays",
@@ -52,25 +51,29 @@ def _unknown(activation: str) -> ValueError:
                       f"expected one of {ACTIVATIONS}")
 
 
-def act_forward(h: np.ndarray, activation: str, in_place: bool = False
-                ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Apply the activation; returns (a, cache) for the backward.
+def act_forward(h: np.ndarray, activation: str, in_place: bool = False,
+                save: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """Apply the activation; returns ``(a, d)`` for :func:`act_backward`.
 
-    GELU fills preallocated ``(a, t)`` block by block with no
-    temporaries: each block's passes run while it is in cache.
-    ``in_place=True`` writes the same bits over the C-contiguous ``h``
-    through one block of tanh scratch and returns ``(h, None)``.
+    ``d`` is GELU's derivative ``act'(h)`` when ``save``, else ``None``
+    (ReLU needs none: ``a > 0`` is its mask).  GELU runs block by
+    block, each block's passes while it is in cache, through one block
+    of tanh scratch (and one more for ``d``): ``d`` is written from
+    ``h`` and ``tanh`` before ``a`` is, so ``in_place=True`` can write
+    ``a`` over the C-contiguous ``h`` with the same bits.
     """
     if activation == "relu":
         return np.maximum(h, 0.0, out=h if in_place else None), None
     if activation != "gelu":
         raise _unknown(activation)
     a = h if in_place else np.empty(h.shape, dtype=h.dtype)
-    t = np.empty(min(h.size, BLOCK) if in_place else h.shape, dtype=h.dtype)
-    hf, af, tf = h.reshape(-1), a.reshape(-1), t.reshape(-1)
+    d = np.empty(h.shape, dtype=h.dtype) if save else None
+    t = np.empty(min(h.size, BLOCK), dtype=h.dtype)
+    s = np.empty_like(t) if save else None
+    hf, af = h.reshape(-1), a.reshape(-1)
     for b in _blocks(hf.size):
         hb, ab = hf[b], af[b]
-        tb = tf[:hb.size] if in_place else tf[b]
+        tb = t[:hb.size]
         # The generic pow kernel makes ``h ** 3`` ~20x slower than two
         # multiplies and this op dominates expert-FFN wall time, so the
         # polynomial is built from muls chained in place.
@@ -80,80 +83,49 @@ def act_forward(h: np.ndarray, activation: str, in_place: bool = False
         tb += hb
         tb *= _GELU_C
         np.tanh(tb, out=tb)
-        _gelu_product(tb, hb, tb if in_place else ab, ab)
-    return a, None if in_place else t
+        if save:
+            db, sb = d.reshape(-1)[b], s[:hb.size]
+            np.multiply(hb, hb, out=sb)
+            sb *= 3 * 0.044715
+            sb += 1.0
+            sb *= _GELU_C
+            np.multiply(tb, tb, out=db)
+            np.subtract(1.0, db, out=db)
+            db *= sb
+            db *= hb
+            db += 1.0
+            db += tb
+            db *= 0.5
+        # ``1 + t`` stays the first operand of the product: NaN
+        # propagation follows it, so the NaN bits match too.
+        tb += 1.0
+        np.multiply(tb, hb, out=ab)
+        ab *= 0.5
+    return a, d
 
 
-def _gelu_product(tb: np.ndarray, hb: np.ndarray, sb: np.ndarray,
-                  ab: np.ndarray) -> None:
-    """GELU's last three ops on one block, ``a = (1 + t) · h · 0.5``
-    through ``sb`` (``tb`` or ``ab``).  ``1 + t`` stays the first
-    operand of the product in every mode: NaN propagation follows it,
-    so the NaN bits match too."""
-    np.add(tb, 1.0, out=sb)
-    np.multiply(sb, hb, out=ab)
-    ab *= 0.5
-
-
-def act_rebuild(h: np.ndarray, cache: np.ndarray | None, activation: str
-                ) -> np.ndarray:
-    """:func:`act_forward`'s ``a`` rebuilt from its saved ``(h, cache)``.
-
-    GELU runs the forward's last three ops (``1 + t``, ``· h``,
-    ``· 0.5``) over the tanh cache block by block, ReLU the same
-    ``np.maximum``: the same ops in the same order, so the same bits,
-    into one fresh array.
-    """
-    if activation == "relu":
-        return np.maximum(h, 0.0)
-    if activation != "gelu":
-        raise _unknown(activation)
-    a = np.empty(h.shape, dtype=h.dtype)
-    hf, af, tf = h.reshape(-1), a.reshape(-1), cache.reshape(-1)
-    for b in _blocks(hf.size):
-        _gelu_product(tf[b], hf[b], af[b], af[b])
-    return a
-
-
-def act_backward(grad: np.ndarray, h: np.ndarray, cache: np.ndarray | None,
+def act_backward(grad: np.ndarray, a: np.ndarray, d: np.ndarray | None,
                  activation: str, out: np.ndarray | None = None
                  ) -> np.ndarray:
-    """``grad * d(activation)/dh`` given :func:`act_forward`'s cache.
+    """``grad * act'(h)`` from :func:`act_forward`'s ``(a, d)``.
 
-    The one activation derivative.  Written block by block into ``out``
-    (a fresh array when ``None``; ``out=grad`` updates in place) with
-    block-sized scratch, so the derivative is never materialized.
+    The one activation derivative: GELU multiplies by the saved ``d``,
+    ReLU by the mask ``a > 0``, block by block so the mask is never
+    materialized.  Written into ``out`` (a fresh array when ``None``;
+    ``out=grad`` updates in place).
     """
     if activation not in ACTIVATIONS:
         raise _unknown(activation)
     if out is None:
-        out = np.empty(h.shape, dtype=np.result_type(grad, h))
+        out = np.empty(a.shape, dtype=np.result_type(grad, a))
     elif not out.flags.c_contiguous:
         # A strided ``out`` would flatten to a copy and lose the result.
         raise ValueError("act_backward: out must be C-contiguous")
-    gf, hf, of = grad.reshape(-1), h.reshape(-1), out.reshape(-1)
-    if activation == "relu":
-        for b in _blocks(hf.size):
-            np.multiply(gf[b], hf[b] > 0.0, out=of[b])
-        return out
-    tf = cache.reshape(-1)
-    d = np.empty(min(hf.size, BLOCK), dtype=h.dtype)
-    d_inner = np.empty_like(d)
-    for b in _blocks(hf.size):
-        hb, tb = hf[b], tf[b]
-        db, sb = d[:hb.size], d_inner[:hb.size]
-        np.multiply(hb, hb, out=sb)
-        sb *= 3 * 0.044715
-        sb += 1.0
-        sb *= _GELU_C
-        np.multiply(tb, tb, out=db)
-        np.subtract(1.0, db, out=db)
-        db *= sb
-        db *= hb
-        db += 1.0
-        db += tb
-        db *= 0.5
-        np.multiply(gf[b], db, out=of[b])
+    if activation == "gelu":
+        return np.multiply(grad, d, out=out)
+    gf, af, of = grad.reshape(-1), a.reshape(-1), out.reshape(-1)
+    for b in _blocks(af.size):
+        np.multiply(gf[b], af[b] > 0.0, out=of[b])
     return out
 
 
@@ -194,14 +166,14 @@ def _common(*arrays: np.ndarray) -> list[np.ndarray]:
 
 def _hidden(x: np.ndarray, w1: np.ndarray, activation: str, rows,
             save: bool = True) -> tuple:
-    """Compact ``(sum(n_e), V)`` hidden / activation / cache arrays,
-    with the occupancy they were built over."""
+    """The compact ``(sum(n_e), V)`` activation, written over the hidden
+    array, GELU's derivative when ``save``, and the occupancy they were
+    built over."""
     occupied, total = _occupied(rows, *x.shape[:2])
     h = np.empty((total, w1.shape[-1]), dtype=x.dtype)
     for e, rs, hs in occupied:
         x[e, rs].dot(w1[e], out=h[hs])
-    a, cache = act_forward(h, activation, in_place=not save)
-    return h, a, cache, occupied
+    return (*act_forward(h, activation, in_place=True, save=save), occupied)
 
 
 def _weight_grad(w: np.ndarray, occupied) -> np.ndarray:
@@ -234,20 +206,19 @@ def ffn_forward_arrays(x: np.ndarray, w1: np.ndarray, w2: np.ndarray,
     row, so skipping it changes no consumer.  Rows at or beyond ``n_e``
     are never read.
 
-    Returns ``(y, saved)``.  ``saved`` is ``[h, cache, occupancy]``:
-    the hidden array and GELU's tanh cache (``None`` for ReLU), not the
-    activation, which the backward rebuilds from them
-    (:func:`act_rebuild`).  It is single-use: the backward empties it
-    and overwrites the cache.  ``save=False`` keeps nothing (the
-    activation runs in place over the hidden array; ``saved`` is
-    ``None``), same ``y``.
+    Returns ``(y, saved)``.  ``saved`` is ``[a, d, occupancy]``: what
+    the backward reads, the activation (written over the hidden array)
+    and GELU's derivative ``act'(h)`` (``None`` for ReLU, whose mask is
+    ``a > 0``).  It is single-use: the backward empties it and writes
+    over ``a``.  ``save=False`` skips the derivative and keeps nothing
+    (``saved`` is ``None``), same ``y``.
     """
     x, w1, w2 = _common(x, w1, w2)
-    h, a, cache, occupied = _hidden(x, w1, activation, rows, save)
+    a, d, occupied = _hidden(x, w1, activation, rows, save)
     y = np.zeros((*x.shape[:2], w2.shape[-1]), dtype=x.dtype)
     for e, rs, hs in occupied:
         a[hs].dot(w2[e], out=y[e, rs])
-    return y, [h, cache, occupied] if save else None
+    return y, [a, d, occupied] if save else None
 
 
 def ffn_backward_arrays(x: np.ndarray, w1: np.ndarray, w2: np.ndarray,
@@ -258,46 +229,43 @@ def ffn_backward_arrays(x: np.ndarray, w1: np.ndarray, w2: np.ndarray,
                                    np.ndarray | None]:
     """Gradients of the fused expert FFN w.r.t. (x, w1, w2).
 
-    With ``saved=None`` the hidden activations are recomputed from the
-    inputs over ``rows``; passing the forward's ``saved`` reuses its
-    ``h`` and tanh cache and carries the forward's occupancy with it.
-    Either way one array holds the activation (rebuilt from ``saved``
-    by :func:`act_rebuild`) for the ``w2`` gradient, then the gradient
-    w.r.t. it; the activation derivative is written over the tanh cache,
-    and ``h`` and that array are released before ``grad_x`` and
-    ``grad_w1`` are allocated.  ``saved`` is consumed: the call empties
-    it, and passing it again raises ``ValueError``.  A saved array is
-    written over only when its dtype is the backward's (a ``grad_y``
-    wider than the forward's operands gets fresh arrays).
+    With ``saved=None`` the activation and its derivative are
+    recomputed from the inputs over ``rows``; passing the forward's
+    ``saved`` reuses them and carries the forward's occupancy with it.
+    The ``w2`` gradient reads ``a``; the gradient w.r.t. ``a`` is then
+    written over it (GELU; ReLU reads ``a`` as its mask and takes a
+    fresh array) and multiplied by ``d`` in place, and ``d`` is
+    released before ``grad_x`` and ``grad_w1`` are allocated.  ``saved``
+    is consumed: the call empties it, and passing it again raises
+    ``ValueError``.  ``a`` is written over only when its dtype is the
+    backward's (a ``grad_y`` wider than the forward's operands gets a
+    fresh array).
 
     Only ``grad_y[e, :n_e]`` is read; ``grad_x`` is zero on padded rows
     and an idle expert's weight gradients are zero.
     ``weight_grads=False`` (frozen experts) skips both weight-gradient
-    GEMMs of every expert, and the rebuild of a saved activation, and
-    returns ``None`` in their place.
+    GEMMs of every expert and returns ``None`` in their place.
     """
     x, w1, w2, grad_y = _common(x, w1, w2, grad_y)
     if saved is None:
-        h, a, cache, occupied = _hidden(x, w1, activation, rows)
+        a, d, occupied = _hidden(x, w1, activation, rows)
     elif not saved:
         raise ValueError("ffn_backward_arrays: saved was consumed by an "
                          "earlier backward; run the forward again")
     else:
-        h, cache, occupied = saved
+        a, d, occupied = saved
         saved.clear()
-        a = act_rebuild(h, cache, activation) if weight_grads else None
-    grad_h = a if a is not None and a.dtype == x.dtype \
-        else np.empty(h.shape, dtype=x.dtype)
+    grad_h = a if d is not None and a.dtype == x.dtype \
+        else np.empty(a.shape, dtype=x.dtype)
     grad_w2 = _weight_grad(w2, occupied) if weight_grads else None
     for e, rs, hs in occupied:
         gy = grad_y[e, rs]
         if weight_grads:
             a[hs].T.dot(gy, out=grad_w2[e])
         gy.dot(w2[e].T, out=grad_h[hs])
-    out = cache if cache is not None and cache.dtype == x.dtype else grad_h
-    grad_h = act_backward(grad_h, h, cache, activation, out=out)
+    act_backward(grad_h, a, d, activation, out=grad_h)
     # Released before grad_x and grad_w1 exist: the step's peak.
-    del h, a, cache, out
+    del a, d
     grad_x = np.zeros(x.shape, dtype=x.dtype)
     grad_w1 = _weight_grad(w1, occupied) if weight_grads else None
     for e, rs, hs in occupied:

@@ -7,9 +7,10 @@ Resilience features (see DESIGN.md "Resilience"):
   via :mod:`repro.resilience.checkpoint`; ``resume_from`` continues a
   run *bit-identically* to the uninterrupted one.
 * **Non-finite guard** — a NaN/Inf loss or gradient norm skips the
-  step before the optimizer runs, restores the last-good parameters,
-  and records the event (``train.step_skipped``) instead of poisoning
-  the run.
+  step before the optimizer runs, restores the last-good parameters
+  (by writing back what the step hook wrote: nothing else between two
+  optimizer steps writes them), and records the event
+  (``train.step_skipped``) instead of poisoning the run.
 * **Graceful expert degradation** — ``step_hook`` lets a fault plan
   call :meth:`MoEClassifier.fail_expert` mid-run; gating renormalizes
   over the surviving experts and training continues.
@@ -190,14 +191,6 @@ def train_model(model: Module, train: TokenBatch, test: TokenBatch,
             _instant("saved", CAT_CKPT, args=saved)
             tel.event("ckpt_saved", saved, completed)
 
-        # The guard's snapshot holds parameters only: one copy of the
-        # optimizer's store, taken after a resume.  ``Adam.step`` is the
-        # only writer of the moments and the step count and it runs only
-        # after both guards pass, so when a step is rolled back the
-        # optimizer state *is* the last-good one.
-        if nonfinite_guard:
-            optimizer.snapshot()
-
         tel.event("train_begin", {"steps": steps, "start_step": start_step,
                                   "seed": seed}, start_step)
 
@@ -206,7 +199,16 @@ def train_model(model: Module, train: TokenBatch, test: TokenBatch,
             tel.begin(step)
             wall_start = perf_counter()
             if step_hook is not None:
+                # ``Adam.step`` is the only writer of the moments, the
+                # step count and (besides this hook) the parameters, and
+                # it runs only after both guards pass: a rolled-back step
+                # needs back only what the hook wrote, so the guard
+                # records the store around this call alone.
+                if nonfinite_guard:
+                    optimizer.snapshot()
                 step_hook(step, model)
+                if nonfinite_guard:
+                    optimizer.shrink_snapshot()
             with _span("step", CAT_TRAIN):
                 if scheduled:
                     apply_sparsity_schedules(model, step,
@@ -250,8 +252,6 @@ def train_model(model: Module, train: TokenBatch, test: TokenBatch,
             acc = _accuracy(logits.data, yb)
             result.losses.append(loss_val)
             result.train_accuracies.append(acc)
-            if nonfinite_guard:
-                optimizer.snapshot()
             for i, layer in enumerate(moe_layers):
                 result.capacity_traces[i].append(
                     layer.last_routing_stats.needed_capacity_factor)

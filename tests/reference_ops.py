@@ -3,29 +3,67 @@
 import numpy as np
 
 from repro.autograd.tensor import Tensor
-from repro.moe.ffn import act_backward, act_forward
+
+_GELU_C = float(np.sqrt(2.0 / np.pi))
+
+
+def unblocked_act_forward(h, activation):
+    """``(a, tanh cache)``: the whole-array activation that the blocked
+    :func:`repro.moe.ffn.act_forward` replaced, pass for pass."""
+    if activation == "relu":
+        return np.maximum(h, 0.0), None
+    inner = h * h
+    inner *= h
+    inner *= 0.044715
+    inner += h
+    inner *= _GELU_C
+    t = np.tanh(inner)
+    a = t + 1.0
+    a *= h
+    a *= 0.5
+    return a, t
+
+
+def unblocked_act_grad(h, cache, activation):
+    """d(activation)/dh from ``h`` and the tanh cache, as one
+    whole-array expression (ReLU: the mask ``h > 0``)."""
+    if activation == "relu":
+        return h > 0.0
+    t = cache
+    d_inner = h * h
+    d_inner *= 3 * 0.044715
+    d_inner += 1.0
+    d_inner *= _GELU_C
+    d = t * t
+    np.subtract(1.0, d, out=d)
+    d *= d_inner
+    d *= h
+    d += 1.0
+    d += t
+    d *= 0.5
+    return d
 
 
 def gelu(x: Tensor) -> Tensor:
     """Tanh-approximated GELU as its own tape node: the elementwise step
     of the composition ``act(x @ w1 + b1) @ w2 + b2`` that the fused
     FFN ops replace bit for bit."""
-    out_data, t = act_forward(x.data, "gelu")
+    out_data, t = unblocked_act_forward(x.data, "gelu")
 
     def backward(grad):
-        x._accumulate(act_backward(grad, x.data, t, "gelu"))
+        x._accumulate(grad * unblocked_act_grad(x.data, t, "gelu"))
     return Tensor.from_op(out_data, (x,), backward, "gelu")
 
 
 def saving_expert_kernels(x, w1, w2, activation: str, rows=None):
     """The fused expert FFN kernels as they were when the forward saved
-    ``(h, a, cache)``: the same ragged GEMMs, the forward's activation
+    ``(h, a, cache)``: the same ragged GEMMs, the whole-array activation
     kept for the ``w2`` gradient, the gradient w.r.t. it a fresh array
-    with the derivative written over it, and zero-filled weight
-    gradients.  Returns ``(y, backward)``; ``backward(grad_y,
-    weight_grads=True)`` gives ``(grad_x, grad_w1, grad_w2)`` and may
-    run any number of times.  The oracle of the kernels that rebuild
-    ``a`` and write over saved buffers."""
+    multiplied by the derivative rebuilt from ``(h, cache)``, and
+    zero-filled weight gradients.  Returns ``(y, backward)``;
+    ``backward(grad_y, weight_grads=True)`` gives ``(grad_x, grad_w1,
+    grad_w2)`` and may run any number of times.  The oracle of the
+    kernels that save ``(a, act'(h))`` and write over ``a``."""
     dtype = np.result_type(x, w1, w2)
     x, w1, w2 = (arr.astype(dtype, copy=False) for arr in (x, w1, w2))
     e_count, cap = x.shape[:2]
@@ -36,7 +74,7 @@ def saving_expert_kernels(x, w1, w2, activation: str, rows=None):
     h = np.empty((starts[-1], w1.shape[-1]), dtype=dtype)
     for e, rs, hs in occupied:
         x[e, rs].dot(w1[e], out=h[hs])
-    a, cache = act_forward(h, activation)
+    a, cache = unblocked_act_forward(h, activation)
     y = np.zeros((*x.shape[:2], w2.shape[-1]), dtype=dtype)
     for e, rs, hs in occupied:
         a[hs].dot(w2[e], out=y[e, rs])
@@ -51,7 +89,7 @@ def saving_expert_kernels(x, w1, w2, activation: str, rows=None):
             gys[e, rs].dot(w2s[e].T, out=grad_h[hs])
             if weight_grads:
                 a[hs].T.dot(gys[e, rs], out=grad_w2[e])
-        act_backward(grad_h, h, cache, activation, out=grad_h)
+        grad_h *= unblocked_act_grad(h, cache, activation)
         grad_x = np.zeros(xs.shape, dtype=gdt)
         grad_w1 = np.zeros(w1s.shape, dtype=gdt) if weight_grads else None
         for e, rs, hs in occupied:
@@ -83,10 +121,11 @@ def saving_expert_ffn(dispatched: Tensor, w1: Tensor, w2: Tensor,
 def saving_ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
                activation: str) -> Tensor:
     """The dense FFN op as it was when it saved ``(h, a, t)``: the oracle
-    of :func:`repro.autograd.functional.ffn`, which rebuilds ``a``."""
+    of :func:`repro.autograd.functional.ffn`, which saves ``(a,
+    act'(h))`` and writes over ``a``."""
     h = x.data @ w1.data
     h += b1.data
-    a, t = act_forward(h, activation)
+    a, t = unblocked_act_forward(h, activation)
     y = a @ w2.data
     y += b2.data
 
@@ -97,7 +136,7 @@ def saving_ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
         if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
             return
         ga = grad @ np.swapaxes(w2.data, -1, -2)
-        act_backward(ga, h, t, activation, out=ga)
+        ga *= unblocked_act_grad(h, t, activation)
         b1._accumulate(ga)
         if w1.requires_grad:
             w1._accumulate(np.swapaxes(x.data, -1, -2) @ ga)

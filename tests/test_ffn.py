@@ -3,10 +3,10 @@
 The blocked activations equal the whole-array expressions they replaced
 bitwise, the ragged kernels equal the padded oracle below to rounding,
 recompute (``saved=None``) equals the saved-activations backward and
-both equal the kernels that kept the activation, the frozen forward
+both equal the kernels that kept ``(h, a, cache)``, the frozen forward
 (``save=False``) gives the taped one's bytes while keeping no
 activations, and a taped forward and backward hold no more than the
-saved hidden array and tanh cache, one rebuilt array and the outputs.
+saved activation and derivative and the outputs.
 """
 
 import numpy as np
@@ -24,7 +24,11 @@ from repro.moe.ffn import (
     ffn_forward_arrays,
 )
 from repro.obs.profiler import traced_peak
-from tests.reference_ops import saving_expert_kernels
+from tests.reference_ops import (
+    saving_expert_kernels,
+    unblocked_act_forward,
+    unblocked_act_grad,
+)
 
 
 def ffn_case(e=4, c=6, m=5, v=7, dtype=np.float32, seed=0):
@@ -34,46 +38,6 @@ def ffn_case(e=4, c=6, m=5, v=7, dtype=np.float32, seed=0):
     w2 = rng.normal(size=(e, v, m)).astype(dtype)
     gy = rng.normal(size=(e, c, m)).astype(dtype)
     return x, w1, w2, gy
-
-
-_GELU_C = float(np.sqrt(2.0 / np.pi))
-
-
-def unblocked_act_forward(h, activation):
-    """The whole-array activation the blocked kernel replaced, kept
-    here as its oracle: same passes in the same order."""
-    if activation == "relu":
-        return np.maximum(h, 0.0), None
-    inner = h * h
-    inner *= h
-    inner *= 0.044715
-    inner += h
-    inner *= _GELU_C
-    t = np.tanh(inner)
-    a = t + 1.0
-    a *= h
-    a *= 0.5
-    return a, t
-
-
-def unblocked_act_grad(h, cache, activation):
-    """d(activation)/dh as one whole-array expression (the oracle of
-    :func:`act_backward`, which never materializes it)."""
-    if activation == "relu":
-        return h > 0.0
-    t = cache
-    d_inner = h * h
-    d_inner *= 3 * 0.044715
-    d_inner += 1.0
-    d_inner *= _GELU_C
-    d = t * t
-    np.subtract(1.0, d, out=d)
-    d *= d_inner
-    d *= h
-    d += 1.0
-    d += t
-    d *= 0.5
-    return d
 
 
 def padded_forward(x, w1, w2, activation):
@@ -184,7 +148,7 @@ class TestArrayKernels:
         np.testing.assert_allclose(gw2, w2t.grad, rtol=1e-12, atol=1e-12)
 
     def test_recompute_equals_saved(self):
-        # The saved=None path recomputes (h, a); it must give the exact
+        # The saved=None path recomputes (a, d); it must give the exact
         # same gradients as the saved-activations path.
         x, w1, w2, gy = ffn_case(dtype=np.float32)
         _, saved = ffn_forward_arrays(x, w1, w2, "gelu")
@@ -196,7 +160,7 @@ class TestArrayKernels:
     @pytest.mark.parametrize("weight_grads", [True, False])
     @pytest.mark.parametrize("activation", ["gelu", "relu"])
     def test_saved_is_single_use(self, activation, weight_grads):
-        # The backward writes over the saved tanh cache, so a second
+        # The backward writes over the saved activation, so a second
         # backward from the same ``saved`` would read gradients as
         # activations: it raises instead.
         x, w1, w2, gy = ffn_case()
@@ -249,25 +213,39 @@ class TestBlockedActivations:
     def test_bitwise_equal_to_unblocked(self, activation, dtype):
         for label, h in self.inputs(dtype).items():
             grad = np.cos(h)
-            a, cache = act_forward(h, activation)
             ref_a, ref_cache = unblocked_act_forward(h, activation)
-            ref = grad * unblocked_act_grad(h, ref_cache, activation)
+            ref_d = unblocked_act_grad(h, ref_cache, activation)
+            ref = grad * ref_d
+            a, d = act_forward(h, activation)
             assert a.shape == h.shape and a.dtype == dtype, label
             np.testing.assert_array_equal(a, ref_a, err_msg=label)
             if activation == "gelu":
-                np.testing.assert_array_equal(cache, ref_cache,
-                                              err_msg=label)
-            got = act_backward(grad, h, cache, activation)
+                np.testing.assert_array_equal(d, ref_d, err_msg=label)
+            else:
+                assert d is None, label
+            got = act_backward(grad, a, d, activation)
             assert got.shape == h.shape and got.dtype == dtype, label
             np.testing.assert_array_equal(got, ref, err_msg=label)
+            # In place over a contiguous copy of h, and without the
+            # derivative: the same activation bits.
+            for save in (True, False):
+                owned = np.ascontiguousarray(h).copy()
+                a_in, d_in = act_forward(owned, activation, in_place=True,
+                                         save=save)
+                assert a_in is owned, label
+                assert a_in.tobytes() == a.tobytes(), label
+                if save and activation == "gelu":
+                    assert d_in.tobytes() == d.tobytes(), label
+                else:
+                    assert d_in is None, label
 
     @pytest.mark.parametrize("activation", ["gelu", "relu"])
     def test_backward_in_place(self, activation):
         h = self.inputs(np.float32)["ragged last block"]
         grad = np.sin(h)
-        _, cache = act_forward(h, activation)
-        expected = act_backward(grad, h, cache, activation)
-        assert act_backward(grad, h, cache, activation, out=grad) is grad
+        a, d = act_forward(h, activation)
+        expected = act_backward(grad, a, d, activation)
+        assert act_backward(grad, a, d, activation, out=grad) is grad
         np.testing.assert_array_equal(grad, expected)
 
     def test_backward_rejects_strided_out(self):
@@ -477,10 +455,10 @@ class TestRaggedKernels:
     @settings(max_examples=100, deadline=None)
     def test_bytes_equal_to_saving_kernels(self, case, wide_grad,
                                            weight_grads):
-        # Rebuilding the activation and writing over saved buffers
-        # changes no byte (NaN payloads included) against the kernels
-        # that kept (h, a, cache); a float64 grad_y over float32
-        # operands takes fresh arrays instead of the saved ones.
+        # Saving (a, act'(h)) and writing over a changes no byte (NaN
+        # payloads included) against the kernels that kept (h, a,
+        # cache); a float64 grad_y over float32 operands takes a fresh
+        # array instead of the saved one.
         x, w1, w2, rows, activation = case
         gy = np.random.default_rng(1).normal(size=x.shape)
         gy = gy.astype(np.float64 if wide_grad else x.dtype)
@@ -520,10 +498,13 @@ class TestRaggedKernels:
 
 
 class TestTapedLiveSet:
-    """A taped forward and backward holds the saved hidden array ``h``
-    and tanh cache, one array rebuilt from them, and the outputs: no
-    fourth ``h``-sized array (the activation kept beside a fresh
-    gradient w.r.t. it)."""
+    """A taped forward and backward holds what the backward reads, the
+    activation (written over ``h``) and GELU's derivative, and the
+    outputs.  The expert kernel releases the derivative before its
+    input and weight gradients exist, so one ``h``-sized array is live
+    beside all the outputs; the dense op's forward holds two.  A third
+    ``h``-sized array (a tanh cache, a rebuilt activation, a fresh
+    gradient w.r.t. it) fails either bound."""
 
     def test_expert_ffn_at_train_wide_shape(self):
         # train_wide's expert layer: E=8, cap=320, M=128, V=512 and
@@ -550,7 +531,7 @@ class TestTapedLiveSet:
         out, peak = traced_peak(step)
         hidden = sum(rows) * v * 4
         outputs = out.data.nbytes + sum(t.grad.nbytes for t in args)
-        assert peak < 3 * hidden + outputs
+        assert peak < 1.25 * hidden + outputs
 
     def test_dense_ffn_at_1024_by_128_to_512(self):
         from repro.autograd.functional import ffn as dense_ffn
@@ -570,4 +551,4 @@ class TestTapedLiveSet:
         out, peak = traced_peak(step)
         hidden = 1024 * 512 * 4
         outputs = out.data.nbytes + sum(t.grad.nbytes for t in args)
-        assert peak < 3 * hidden + outputs
+        assert peak < 2.25 * hidden + outputs

@@ -276,14 +276,18 @@ def test_one_layout_model():
 
 
 def test_one_expert_ffn():
-    # Every NumPy forward runs the fused kernel of moe/ffn.py; the
-    # autograd relu / gelu ops and the fused dense ffn op, all in
-    # autograd/functional.py, are the only other activation callers.
-    callers = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*.py"))
-               if any(isinstance(node, ast.Call)
-                      and ast.unparse(node.func).endswith("act_forward")
-                      for node in ast.walk(ast.parse(path.read_text())))]
-    assert callers == ["autograd/functional.py", "moe/ffn.py"]
+    # Every NumPy forward and backward runs the fused kernels of
+    # moe/ffn.py; the autograd relu op and the fused dense ffn op, both
+    # in autograd/functional.py, are the only other callers of the
+    # activation and of its derivative.
+    trees = {str(path.relative_to(SRC)): ast.parse(path.read_text())
+             for path in sorted(SRC.rglob("*.py"))}
+    for kernel in ("act_forward", "act_backward"):
+        callers = [name for name, tree in trees.items()
+                   if any(isinstance(node, ast.Call)
+                          and ast.unparse(node.func).endswith(kernel)
+                          for node in ast.walk(tree))]
+        assert callers == ["autograd/functional.py", "moe/ffn.py"], kernel
 
 
 def test_tape_ops_live_in_autograd():

@@ -14,7 +14,7 @@ from repro.resilience.checkpoint import (
     restore_training_state,
     save_checkpoint,
 )
-from repro.train.data import ClusteredTokenTask
+from repro.train.data import ClusteredTokenTask, TokenBatch
 from repro.train.trainer import train_model
 
 
@@ -332,6 +332,130 @@ class TestNonFiniteGuard:
         assert resumed.skipped_steps == [3]
         assert resumed.losses == full.losses
         assert resumed.eval_accuracy == full.eval_accuracy
+
+    def test_hookless_run_never_copies_the_store(self, splits,
+                                                 monkeypatch):
+        """Without a step hook only ``Adam.step`` writes the parameters,
+        and it runs on good steps only: the guard takes no copy.  A step
+        made non-finite by an ``inf`` token in the data is skipped and
+        leaves every parameter bitwise as it was."""
+        train, test = splits
+
+        def copy(self):
+            raise AssertionError("the guard copied the store")
+
+        monkeypatch.setattr(Adam, "snapshot", copy)
+        # A token the trainer's own draw first samples at step 2.
+        rng = np.random.default_rng(0)
+        draws = [rng.integers(0, len(train), 32) for _ in range(3)]
+        token = next(i for i in draws[2]
+                     if i not in draws[0] and i not in draws[1])
+        x = train.x.copy()
+        x[token, 0] = np.inf
+        poisoned = TokenBatch(x, train.y, train.cluster)
+
+        def run(data, steps):
+            model = fresh_model()
+            with np.errstate(all="ignore"):
+                result = train_model(model, data, test, steps=steps,
+                                     batch_size=32, seed=0)
+            return result, [p.data.tobytes() for p in model.parameters()]
+
+        clean, before = run(train, 2)
+        result, after = run(poisoned, 3)
+        assert result.skipped_steps == [2]
+        assert result.losses == clean.losses
+        assert after == before
+
+    def test_noop_hook_retains_no_copy_between_steps(self, splits,
+                                                     monkeypatch):
+        """The copy brackets the hook call alone: from the forward
+        through ``Adam.step`` the optimizer holds no array but its
+        store, moments and block scratch (and views of them)."""
+        from repro.train import trainer
+
+        train, test = splits
+        held = []
+
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, (list, tuple)):
+                for item in obj:
+                    yield from arrays(item)
+            elif isinstance(obj, dict):
+                for item in obj.values():
+                    yield from arrays(item)
+
+        class SpyAdam(Adam):
+            def step(self):
+                own = [*self.stores.values(), *self._flat, self._scratch]
+                held.append([a.nbytes for a in arrays(vars(self))
+                             if a.nbytes and not any(
+                                 np.shares_memory(a, b) for b in own)])
+                super().step()
+
+        monkeypatch.setattr(trainer, "Adam", SpyAdam)
+        result = train_model(fresh_model(), train, test, steps=4,
+                             batch_size=32, seed=0,
+                             step_hook=lambda step, m: None)
+        assert result.skipped_steps == []
+        assert held == [[]] * 4
+
+    def test_rollback_restores_signed_zero_and_nan_bits(self, splits):
+        """The rollback compares bits, not values: ``-0.0`` written
+        over a zero bias and a NaN written over a weight are both
+        undone bit for bit."""
+        train, test = splits
+        seen = {}
+
+        def hook(step, m):
+            params = [p for p in m.parameters() if p.requires_grad]
+            seen[step] = [p.data.tobytes() for p in params]
+            if step == 0:       # the biases are still zero
+                zero = next(p for p in params if (p.data == 0).any())
+                zero.data[np.nonzero(zero.data == 0)[0][0]] = -0.0
+                weight = next(p for p in params if p is not zero)
+                weight.data.flat[0] = np.nan
+
+        result = train_model(fresh_model(), train, test, steps=2,
+                             batch_size=32, seed=0, step_hook=hook)
+        assert result.skipped_steps == [0]
+        assert seen[1] == seen[0]
+
+    def test_poison_after_resume_heals_to_the_checkpoint(self, splits,
+                                                         tmp_path):
+        """A poison on the first step after ``resume_from`` rolls back
+        to the checkpoint's values, and the run matches the same
+        poisoned run without the resume."""
+        train, test = splits
+        seen = {}
+
+        def hook(step, m):
+            params = [p for p in m.parameters() if p.requires_grad]
+            seen[step] = [p.data.tobytes() for p in params]
+            if step == 4:
+                params[0].data.flat[0] = np.nan
+
+        def run(steps, **kwargs):
+            model = fresh_model()
+            result = train_model(model, train, test, steps=steps,
+                                 batch_size=32, seed=0, **kwargs)
+            return result, [p.data.tobytes() for p in model.parameters()]
+
+        first, _ = run(4, checkpoint_every=4,
+                       checkpoint_dir=str(tmp_path))
+        ckpt = load_checkpoint(first.checkpoint_paths[0])
+        resumed, resumed_params = run(
+            7, resume_from=first.checkpoint_paths[0], step_hook=hook)
+        model = fresh_model()
+        assert [ckpt.params[name].tobytes()
+                for name, p in model.named_parameters()
+                if p.requires_grad] == seen[5] == seen[4]
+        full, full_params = run(7, step_hook=hook)
+        assert resumed.skipped_steps == full.skipped_steps == [4]
+        assert resumed.losses == full.losses
+        assert resumed_params == full_params
 
     def test_guard_disabled_lets_nan_through(self, splits):
         train, test = splits
