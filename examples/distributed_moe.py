@@ -62,8 +62,11 @@ def main():
           f"{result.dropped_fraction:.1%}")
     check("expert-parallel", result.outputs, layer, rank_inputs)
 
-    # P1 (ZeRO-sliced replicas) and P2 (column-sharded experts): W = 8
-    # GPUs serve E = 2 experts, r = 4 GPUs per expert.
+    # P1 (replicas all-gathered from column shards) and P2 (computing
+    # on the column shards): W = 8 GPUs serve E = 2 experts, r = 4 GPUs
+    # per expert, one placement for both
+    # (tests/test_parallel_functional.py::TestParameterPlacement::
+    # test_switching_moves_no_parameter).
     cfg = cfg.with_(world_size=8, experts_per_gpu=0.25)
     layer = frozen_layer(cfg, rng)
     rank_inputs = [rng.normal(size=(64, 32)).astype(np.float32)

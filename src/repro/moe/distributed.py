@@ -6,12 +6,16 @@ dispatch All-to-All, local expert computation, combine All-to-All, and
 decode.  Every multi-rank forward is one layout around one exchange,
 :func:`expert_exchange`: the dispatch **Flexible All-to-All** (Table 3,
 so each rank's expert input keeps the scale-independent ``(dE, C, M)``
-layout), each rank's slice of an expert weight stack through the fused
-FFN kernel of :mod:`repro.moe.ffn`, and the combine All-to-All.
+layout), the expert weights each rank holds through the fused FFN
+kernel of :mod:`repro.moe.ffn`, and the combine All-to-All.
 :func:`distributed_moe_forward` is the expert-parallel layout (``dE``
-whole experts per rank); P1 and P2 (:mod:`repro.parallel.functional`)
-are the other two.  Figure 7's raw ``(W, dE, dC, M)`` layout is priced
-by :mod:`repro.cluster.gemm`, not executed.
+whole experts per rank, views of the layer's weights); P1 and P2
+(:mod:`repro.parallel.functional`) are the other two, over one column
+shard placement that neither copies
+(``tests/test_parallel_functional.py::TestParameterPlacement::
+test_switching_moves_no_parameter``).  Figure 7's raw
+``(W, dE, dC, M)`` layout is priced by :mod:`repro.cluster.gemm`, not
+executed.
 
 Every forward takes the single-process layer itself, a frozen
 :class:`repro.nn.moe.MoE`: each rank routes with that layer's router
@@ -95,27 +99,30 @@ def route_and_encode(rank_inputs: list[np.ndarray], layer: MoE,
     return crits, buffers, float(np.mean(aux_losses))
 
 
-def expert_exchange(buffers: list[np.ndarray], w1: np.ndarray,
-                    w2: np.ndarray, activation: str) -> list[np.ndarray]:
+def expert_exchange(buffers: list[np.ndarray],
+                    weights: list[tuple[np.ndarray, np.ndarray]],
+                    activation: str) -> list[np.ndarray]:
     """Dispatch All-to-All -> expert FFN -> combine All-to-All.
 
-    ``buffers`` holds one ``(E', dC', M)`` array per rank and ``w1`` /
-    ``w2`` an ``(E', M, V')`` / ``(E', V', M)`` weight stack; rank ``r``
-    owns the contiguous slots ``[r * E'/W, (r + 1) * E'/W)``.  The FFN
-    runs every capacity row (``rows=None``): the receiving rank does
-    not hold the senders' occupancy.  Returns the ``(E', dC', M)``
-    expert outputs back on their source ranks.
+    ``buffers`` holds one ``(E', dC', M)`` array per rank and
+    ``weights`` one ``(w1, w2)`` pair per rank: the ``(n, M, V')`` /
+    ``(n, V', M)`` stacks of the ``n = E'/W`` slots that rank serves,
+    ``[r * n, (r + 1) * n)``.  The FFN runs every capacity row
+    (``rows=None``): the receiving rank does not hold the senders'
+    occupancy.  Returns the ``(E', dC', M)`` expert outputs back on
+    their source ranks.
     """
-    if len(w1) != len(buffers[0]):
+    if len(weights) != len(buffers):
         raise ValueError(
-            f"weight stack has {len(w1)} experts, buffers "
-            f"{len(buffers[0])}")
+            f"{len(weights)} weight pairs for {len(buffers)} ranks")
+    for r, (w1, _) in enumerate(weights):
+        if len(w1) * len(buffers) != len(buffers[0]):
+            raise ValueError(
+                f"rank {r}'s weight stack has {len(w1)} experts, "
+                f"buffers {len(buffers[0])} over {len(buffers)} ranks")
     received = flexible_all_to_all(buffers, concat_dim=1, split_dim=0)
-    n = len(received[0])
-    outputs = [
-        ffn_forward_arrays(x, w1[r * n:(r + 1) * n], w2[r * n:(r + 1) * n],
-                           activation, save=False)[0]
-        for r, x in enumerate(received)]
+    outputs = [ffn_forward_arrays(x, w1, w2, activation, save=False)[0]
+               for x, (w1, w2) in zip(received, weights)]
     return flexible_all_to_all(outputs, concat_dim=0, split_dim=1)
 
 
@@ -138,8 +145,11 @@ def distributed_moe_forward(rank_inputs: list[np.ndarray], layer: MoE,
     """
     crits, buffers, l_aux = route_and_encode(rank_inputs, layer, cfg,
                                              sharded=False)
-    combined = expert_exchange(buffers, layer.w1.data, layer.w2.data,
-                               layer.activation)
+    w1, w2 = layer.w1.data, layer.w2.data
+    de = len(w1) // cfg.world_size
+    combined = expert_exchange(
+        buffers, [(w1[r * de:(r + 1) * de], w2[r * de:(r + 1) * de])
+                  for r in range(cfg.world_size)], layer.activation)
     return DistributedMoEOutput(
         outputs=[fast_decode(y, crit) for y, crit in zip(combined, crits)],
         l_aux=l_aux,

@@ -4,8 +4,8 @@ When experts are fewer than GPUs, each expert is served by
 ``r = W / E`` GPUs.  Two hybrid strategies cover that regime:
 
 * **P1 — switchable expert + data parallelism** (Figure 11): a single
-  fused global All-to-All delivers tokens; each GPU stores a ZeRO-style
-  ``1/r`` slice of its expert's parameters and temporarily all-gathers
+  fused global All-to-All delivers tokens; each GPU stores a ``1/r``
+  column shard of its expert's parameters and temporarily all-gathers
   the full expert before computing on its ``C/r`` share of tokens.
   Training adds a reduce-scatter of expert gradients.
   ``T_data = O(dE*C*M) + O(params_in_single_expert)``.
@@ -16,9 +16,14 @@ When experts are fewer than GPUs, each expert is served by
   ``C`` tokens, and combine adds a local sum-reduction of partials.
   ``T_model = O(r * dE * C * M)`` with no parameter communication.
 
-Both strategies keep identical token feeding, gradient updating and
-parameter placement, so they can switch *instantly* at every iteration
-— which is why :func:`best_strategy` only compares their costs.
+Both strategies keep identical token feeding and one parameter
+placement — rank ``e*r + j`` holds column shard ``j`` of expert ``e``,
+which P2 computes on and P1 all-gathers (executed in
+:mod:`repro.parallel.functional`; ``tests/test_parallel_functional.py::
+TestParameterPlacement::test_switching_moves_no_parameter``) — so they
+can switch at every iteration without moving a parameter, which is why
+:func:`best_strategy` only compares their costs.  The gradient half
+(P1's reduce-scatter onto that shard) is priced, not executed.
 
 :func:`build_segment_spec` is the one description of what each layout
 (EP, P1, P2, and Figure 7's raw ``(W, dE, dC, M)`` layout) hands the
@@ -61,7 +66,7 @@ class Parallelism(enum.Enum):
     """The parallelism state machine states of Figure 13."""
 
     EP = "ep"            # pure expert parallelism (r == 1 special case)
-    P1_EP_DP = "p1"      # expert + data parallelism (ZeRO-sliced)
+    P1_EP_DP = "p1"      # expert + data parallelism (all-gathered)
     P2_EP_MP = "p2"      # expert + model parallelism (n-sharded)
 
 
@@ -108,9 +113,11 @@ class StrategyCost:
 def p1_communication_bytes(cfg: MoEConfig) -> tuple[int, int]:
     """(A2A bytes per leg, parameter bytes) of P1 for one forward.
 
-    The fused global All-to-All moves the plain dispatch buffer; the
-    ZeRO access pattern all-gathers the missing ``(r-1)/r`` of one
-    expert's parameters within the replica group.
+    The fused global All-to-All moves the plain dispatch buffer; each
+    rank all-gathers the missing ``(r-1)/r`` of one expert's parameters
+    (its peers' column shards) within the replica group — exactly the
+    bytes the executed gather moves (``tests/test_parallel_functional.py::
+    TestParameterPlacement::test_p1_gather_moves_the_priced_bytes``).
     """
     r = cfg.expert_shards
     a2a = cfg.dispatch_bytes_per_gpu
@@ -249,8 +256,11 @@ def best_strategy(cfg: MoEConfig, topo: ClusterTopology,
     This is both the normal adaptive-parallelism selector (Table 5)
     and the re-selection entry point of the recovery path
     (:mod:`repro.resilience.recovery`): because P1/P2 keep identical
-    token feeding, gradient updating, and parameter placement, the
-    system can re-run this after a rank failure and switch instantly.
+    token feeding and one parameter placement (P1 all-gathers the
+    column shards P2 computes on; ``tests/test_parallel_functional.py::
+    TestParameterPlacement::test_switching_moves_no_parameter``), the
+    system can re-run this after a rank failure and switch without
+    moving a parameter.
     """
     costs = [strategy_cost(cfg, topo, s, training=training, gemm=gemm,
                            a2a_candidates=a2a_candidates)

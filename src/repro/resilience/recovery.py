@@ -1,9 +1,12 @@
 """Strategy re-selection after an expert-parallel rank failure.
 
 The paper's switchable P1/P2 parallelism (Section 3.2) exists because
-both strategies keep identical token feeding, gradient updating, and
-parameter placement — switching is free at every iteration.  The same
-property makes switching a *recovery* mechanism: when a rank dies, the
+both strategies keep identical token feeding and one parameter
+placement — P1 all-gathers the column shards P2 computes on, so
+switching moves no parameter at any iteration
+(``tests/test_parallel_functional.py::TestParameterPlacement::
+test_switching_moves_no_parameter``).  The same property makes
+switching a *recovery* mechanism: when a rank dies, the
 surviving GPUs re-form the expert-parallel group and re-run the
 strategy selector over the shrunken, possibly asymmetric cluster.
 

@@ -8,7 +8,6 @@ from repro.autograd.tensor import Tensor
 from repro.core.substrate import substrate_dtype
 from repro.moe.ffn import ffn_forward_arrays
 from repro.nn.moe import MoE
-from repro.parallel.functional import ExpertParams
 
 
 @pytest.fixture
@@ -18,7 +17,7 @@ def rng():
 
 def expert_ffn(y, experts):
     """The snippet's ``CustomExpert``: the fused expert FFN, padded."""
-    return ffn_forward_arrays(y, experts.w1, experts.w2, "gelu")[0]
+    return ffn_forward_arrays(y, *experts, "gelu")[0]
 
 
 def custom_moe(x, gate_weight, experts, top_k=2):
@@ -36,8 +35,7 @@ def custom_moe(x, gate_weight, experts, top_k=2):
 class TestFigure8Api:
     def test_snippet_runs(self, rng):
         gate = rng.normal(size=(16, 4))
-        experts = ExpertParams(w1=rng.normal(size=(4, 16, 32)),
-                               w2=rng.normal(size=(4, 32, 16)))
+        experts = (rng.normal(size=(4, 16, 32)), rng.normal(size=(4, 32, 16)))
         x = rng.normal(size=(64, 16))
         out, l_aux = custom_moe(x, gate, experts)
         assert out.shape == (64, 16)
@@ -49,7 +47,7 @@ class TestFigure8Api:
         with substrate_dtype(np.float64):
             layer = MoE(16, 32, 4, rng, capacity_factor=1.0)
         layer.freeze()
-        experts = ExpertParams(layer.w1.data, layer.w2.data)
+        experts = (layer.w1.data, layer.w2.data)
         x = rng.normal(size=(64, 16))
         for k in (1, 2):
             out, l_aux = custom_moe(x, layer.gate.weight.data, experts,

@@ -89,7 +89,12 @@ class TestDistributedForward:
         _, layer, _ = build()
         buffers = [np.zeros((8, 3, 8)) for _ in range(4)]
         with pytest.raises(ValueError, match="weight stack has 4 experts"):
-            expert_exchange(buffers, layer.w1.data[:4], layer.w2.data[:4],
+            expert_exchange(buffers,
+                            [(layer.w1.data[:4], layer.w2.data[:4])] * 4,
+                            "gelu")
+        with pytest.raises(ValueError, match="3 weight pairs for 4 ranks"):
+            expert_exchange(buffers,
+                            [(layer.w1.data[:2], layer.w2.data[:2])] * 3,
                             "gelu")
 
     def test_aux_loss_averaged(self):

@@ -14,7 +14,6 @@ from repro.moe.encode import dense_decode, dense_encode
 from repro.moe.ffn import ffn_forward_arrays
 from repro.moe.gating import softmax
 from repro.nn.moe import MoE, route
-from repro.parallel.functional import ExpertParams
 
 
 @pytest.fixture(autouse=True)
@@ -35,8 +34,8 @@ def frozen(rng, num_experts=8, model_dim=16, hidden_dim=32, **kwargs):
 
 
 def experts(rng, e, m, v):
-    return ExpertParams(w1=rng.normal(size=(e, m, v)),
-                        w2=rng.normal(size=(e, v, m)))
+    """An ``(E, M, V)`` / ``(E, V, M)`` pair of expert weight stacks."""
+    return rng.normal(size=(e, m, v)), rng.normal(size=(e, v, m))
 
 
 @pytest.fixture
@@ -49,51 +48,36 @@ def forward(layer, x, **kwargs):
     return out.data, float(l_aux.data)
 
 
-class TestExpertParams:
-    def test_init_shapes(self, rng):
-        p = experts(rng, 4, 8, 16)
-        assert p.w1.shape == (4, 8, 16)
-        assert p.w2.shape == (4, 16, 8)
-        assert p.num_experts == 4
-        assert p.model_dim == 8
-        assert p.hidden_dim == 16
-
-    def test_rejects_incompatible_w2(self, rng):
-        with pytest.raises(ValueError):
-            ExpertParams(w1=rng.normal(size=(2, 4, 8)),
-                         w2=rng.normal(size=(2, 4, 8)))
-
-
 class TestExpertFfn:
     """The layer's expert fflayer is the fused kernel, padded here
     (``rows=None``)."""
 
     def test_matches_per_expert_loop(self, rng):
-        p = experts(rng, 3, 8, 16)
+        w1, w2 = experts(rng, 3, 8, 16)
         x = rng.normal(size=(3, 5, 8))
-        out, _ = ffn_forward_arrays(x, p.w1, p.w2, "relu")
+        out, _ = ffn_forward_arrays(x, w1, w2, "relu")
         for e in range(3):
-            expected = np.maximum(x[e] @ p.w1[e], 0) @ p.w2[e]
+            expected = np.maximum(x[e] @ w1[e], 0) @ w2[e]
             np.testing.assert_allclose(out[e], expected)
 
     def test_gelu_activation(self, rng):
-        p = experts(rng, 2, 4, 8)
+        w1, w2 = experts(rng, 2, 4, 8)
         x = rng.normal(size=(2, 3, 4))
-        out_gelu, _ = ffn_forward_arrays(x, p.w1, p.w2, "gelu")
-        out_relu, _ = ffn_forward_arrays(x, p.w1, p.w2, "relu")
+        out_gelu, _ = ffn_forward_arrays(x, w1, w2, "gelu")
+        out_relu, _ = ffn_forward_arrays(x, w1, w2, "relu")
         assert not np.allclose(out_gelu, out_relu)
 
     def test_rejects_expert_mismatch(self, rng):
         # An occupancy naming another expert count than the slab's.
-        p = experts(rng, 3, 8, 16)
+        w1, w2 = experts(rng, 3, 8, 16)
         with pytest.raises(ValueError, match="rows must be 3 ints"):
-            ffn_forward_arrays(rng.normal(size=(3, 5, 8)), p.w1, p.w2,
+            ffn_forward_arrays(rng.normal(size=(3, 5, 8)), w1, w2,
                                "gelu", rows=[5, 5])
 
     def test_rejects_bad_ndim(self, rng):
-        p = experts(rng, 3, 8, 16)
+        w1, w2 = experts(rng, 3, 8, 16)
         with pytest.raises(ValueError):
-            ffn_forward_arrays(rng.normal(size=(3, 8)), p.w1, p.w2, "gelu")
+            ffn_forward_arrays(rng.normal(size=(3, 8)), w1, w2, "gelu")
 
 
 class TestMoELayerForward:

@@ -23,6 +23,10 @@
 * One layout model: ``parallel/strategy.py::build_segment_spec`` is the
   only place a ``SegmentSpec`` is built, and ``r`` is
   ``MoEConfig.expert_shards``.
+* One expert placement: P1 and P2 share ``column_shards``; the ZeRO
+  slice format and its ``ExpertParams`` wrapper stay gone, and
+  ``parallel/functional.py`` is the one caller of the functional
+  ``all_gather``.
 * Tape ops live under ``autograd/``: ``Tensor.from_op`` is called
   nowhere else, so the profiler's cost-table check sees every op.
 """
@@ -273,6 +277,26 @@ def test_one_layout_model():
             sites[str(path.relative_to(SRC))] = set(found)
     assert sites == {"parallel/strategy.py": {"build_segment_spec"}}
     assert "replication_factor" not in defined
+
+
+def test_one_expert_placement():
+    # P1 all-gathers the column shards P2 computes on; a second
+    # parameter format would make a P1/P2 switch move parameters.
+    gone = {"ExpertParams", "slice_expert_zero", "gather_zero_slices",
+            "shard_expert_columns"}
+    defined, callers = set(), []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined |= {node.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef,
+                                         ast.ClassDef))}
+        if any(isinstance(node, ast.Call) and ast.unparse(node.func)
+               .rpartition(".")[2] == "all_gather"
+               for node in ast.walk(tree)):
+            callers.append(str(path.relative_to(SRC)))
+    assert not defined & gone
+    assert callers == ["parallel/functional.py"]
 
 
 def test_one_expert_ffn():
