@@ -12,10 +12,10 @@ Set ``REPRO_SCALE=full`` to run the accuracy experiments at a larger
 scale (tighter error bars, minutes instead of seconds).
 
 Set ``REPRO_TRACE=/path/trace.json`` to run the whole bench session
-under the :mod:`repro.obs` observer and dump a Chrome-trace JSON (plus
-a printed metrics summary) at session end — every instrumented span in
-the MoE layers, trainer, collectives, strategy search, and simulator
-lands in one unified timeline.
+under the :mod:`repro.obs` observer and dump a Chrome-trace JSON at
+session end — every instrumented span in the MoE layers, trainer,
+collectives, strategy search, and simulator lands in one unified
+timeline.
 """
 
 import os
@@ -38,7 +38,6 @@ def obs_session_trace():
         ob.recorder.dump_chrome_trace(path)
         print(f"\n[obs] wrote {len(ob.recorder.events)} trace events "
               f"to {path}")
-        print(ob.registry.render())
     finally:
         obs.disable()
 

@@ -20,7 +20,6 @@ from repro.moe.ffn import act_backward, act_forward
 __all__ = [
     "linear",
     "ffn",
-    "relu",
     "exp",
     "softmax",
     "layer_norm",
@@ -84,14 +83,6 @@ def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
             x._accumulate(ga @ np.swapaxes(w1.data, -1, -2))
     return Tensor.from_op(y, (x, w1, b1, w2, b2), backward, "ffn",
                           activation)
-
-
-def relu(x: Tensor) -> Tensor:
-    out_data, _ = act_forward(x.data, "relu")
-
-    def backward(grad: np.ndarray) -> None:
-        x._accumulate(act_backward(grad, out_data, None, "relu"))
-    return Tensor.from_op(out_data, (x,), backward, "relu")
 
 
 def exp(x: Tensor) -> Tensor:

@@ -174,10 +174,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False,
-                      dtype=self.data.dtype)
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other) -> "Tensor":
@@ -197,12 +193,6 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(-grad)
         return Tensor.from_op(out_data, (self,), backward, "neg")
-
-    def __sub__(self, other) -> "Tensor":
-        return self + (-as_tensor(other))
-
-    def __rsub__(self, other) -> "Tensor":
-        return as_tensor(other) + (-self)
 
     def __mul__(self, other) -> "Tensor":
         other = as_tensor(other)
@@ -265,14 +255,6 @@ class Tensor:
         return Tensor.from_op(out_data, (self, other), backward, "matmul")
 
     # -- shape ops -----------------------------------------------------------
-
-    def reshape(self, *shape: int) -> "Tensor":
-        out_data = self.data.reshape(*shape)
-        original = self.data.shape
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad.reshape(original))
-        return Tensor.from_op(out_data, (self,), backward, "reshape")
 
     def transpose(self, *axes: int) -> "Tensor":
         axes = axes or tuple(reversed(range(self.ndim)))

@@ -13,7 +13,7 @@ Usage::
     python -m repro serve --all --fast   # serving workloads + SLO gates
     python -m repro runs list            # persisted run registry
     python -m repro runs diff A B        # metric deltas between runs
-    python -m repro profile step         # op-level FLOP/byte/memory profile
+    python -m repro profile              # op-level FLOP/byte/memory profile
     python -m repro calibrate --fast     # fit simulator coefficients
 
 Each bench is the same module pytest-benchmark runs; the CLI imports
@@ -264,7 +264,7 @@ def _default_baselines_dir() -> str:
 
 def _demo_task_and_model(model_dim: int, hidden_dim: int):
     """The seed-0 clustered task and 2-block, 8-expert MoE classifier
-    that ``overhead`` and ``profile step`` both run."""
+    that ``overhead`` and ``profile`` both run."""
     import numpy as np
 
     from repro.nn.models import MoEClassifier
@@ -357,7 +357,7 @@ def _cmd_runs(args) -> int:
             for run_id in removed:
                 print(f"{verb} {run_id}")
         else:
-            print(f"nothing to remove ({len(store.run_ids())} run(s) "
+            print(f"nothing to remove ({len(store.manifests())} run(s) "
                   f"<= keep={args.keep})")
     return 0
 
@@ -437,7 +437,6 @@ def _named_targets(args, noun: str, registry: dict, get) -> list | None:
     if args.list_only:
         for key in sorted(registry):
             print(f"{key:24s} {registry[key].title}")
-            print(f"{'':24s} {registry[key].describe()}")
         return None
     if args.run_all:
         return [registry[key] for key in sorted(registry)]
@@ -516,7 +515,7 @@ def _cmd_serve(args) -> int:
             render_serve_results, emit_serving)
         if args.trace:
             ob.recorder.dump_chrome_trace(args.trace)
-            print(f"[obs] wrote {len(ob.recorder)} trace events to "
+            print(f"[obs] wrote {len(ob.recorder.events)} trace events to "
                   f"{args.trace}")
     finally:
         obs.disable()
@@ -662,13 +661,12 @@ def _one_thread_speedup_probe() -> tuple[float, float, float]:
 
 
 def _cmd_profile(args) -> None:
-    """Deterministic op-level profile of the seed model
-    (``repro profile step|layer``): per-op FLOPs/bytes/walls and
-    per-stage attribution from a profiled pass, then the ``tracemalloc``
-    peak of the same step run again unprofiled.  The run's ``profile``
-    event carries the whole ``Profiler.summary()`` plus that
-    ``peak_bytes``; ``step`` also emits the gated train-loss
-    fingerprint."""
+    """Deterministic op-level profile of the seed model's fwd+bwd train
+    step (``repro profile``): per-op FLOPs/bytes/walls and per-stage
+    attribution from a profiled pass, then the ``tracemalloc`` peak of
+    the same step run again unprofiled.  The run's ``profile`` event
+    carries the whole ``Profiler.summary()`` plus that ``peak_bytes``;
+    the gated train-loss fingerprint is emitted too."""
     import numpy as np
 
     from repro.autograd.functional import cross_entropy
@@ -678,32 +676,21 @@ def _cmd_profile(args) -> None:
     from repro.obs.loop import LoopTelemetry
     from repro.obs.profiler import Profiler, profiling, traced_peak
 
-    target, batch = args.target, args.batch
+    batch = args.batch
 
     def fresh_step():
         """One fwd+bwd step over a freshly built model and batch."""
-        if target == "step":
-            task, model = _demo_task_and_model(32, 64)
-            b = task.sample(batch)
+        task, model = _demo_task_and_model(32, 64)
+        b = task.sample(batch)
 
-            def step():
-                logits, l_aux = model(Tensor(b.x))
-                (cross_entropy(logits, b.y) + l_aux * 0.01).backward()
-        else:
-            from repro.nn.moe import MoE
-
-            rng = np.random.default_rng(0)
-            layer = MoE(32, 64, 8, rng, top_k=2, capacity_factor=1.25)
-            x = rng.standard_normal((batch, 32))
-
-            def step():
-                out, l_aux = layer(Tensor(x, requires_grad=True))
-                (out.sum() + l_aux).backward()
+        def step():
+            logits, l_aux = model(Tensor(b.x))
+            (cross_entropy(logits, b.y) + l_aux * 0.01).backward()
         return step
 
     prof = Profiler()
     with LoopTelemetry("profile", seed=0,
-                       config={"target": target, "batch": batch}) as tel:
+                       config={"target": "step", "batch": batch}) as tel:
         step = fresh_step()
         with profiling(prof):
             step()
@@ -715,12 +702,23 @@ def _cmd_profile(args) -> None:
         print(f"[profile] peak_bytes={peak:,} (tracemalloc, unprofiled "
               f"pass)")
         totals = summary["totals"]
-        tel.event("profile", {"target": target, **summary,
+        tel.event("profile", {"target": "step", **summary,
                               "peak_bytes": peak})
         tel.summary({
             "profile.peak_bytes": float(peak),
             "profile.total_flops": float(totals["flops"]),
             "profile.ops": float(totals["ops"])})
+        # ISSUE 6 gate: the float32 substrate must be measurably
+        # faster than float64 on the same code.  The ratio is
+        # host-independent, so it is gated as kind="model"; the
+        # committed baseline pins it at the 2.0 acceptance bound
+        # with a 0.25 tolerance for noisy CI hosts (same convention
+        # as the calibration fidelity gate).
+        ratio, wall_f64, wall_act = _one_thread_speedup_probe()
+        print(f"[profile] dtype speedup probe: float64 "
+              f"{wall_f64 * 1e3:.1f} ms -> "
+              f"{np.dtype(default_dtype()).name} "
+              f"{wall_act * 1e3:.1f} ms ({ratio:.2f}x)")
         metrics = [Metric("peak_bytes", float(peak),
                           unit="B", kind="model", tolerance=0.10),
                    Metric("total_flops", float(totals["flops"]),
@@ -732,49 +730,36 @@ def _cmd_profile(args) -> None:
                                 + totals["bytes_written"]),
                           unit="B", kind="model", tolerance=0.0),
                    Metric("wall_seconds", float(totals["wall"]),
-                          unit="s", kind="measured")]
-        if target == "step":
-            # ISSUE 6 gate: the float32 substrate must be measurably
-            # faster than float64 on the same code.  The ratio is
-            # host-independent, so it is gated as kind="model"; the
-            # committed baseline pins it at the 2.0 acceptance bound
-            # with a 0.25 tolerance for noisy CI hosts (same convention
-            # as the calibration fidelity gate).
-            ratio, wall_f64, wall_act = _one_thread_speedup_probe()
-            print(f"[profile] dtype speedup probe: float64 "
-                  f"{wall_f64 * 1e3:.1f} ms -> "
-                  f"{np.dtype(default_dtype()).name} "
-                  f"{wall_act * 1e3:.1f} ms ({ratio:.2f}x)")
-            metrics += [
-                Metric("speedup_vs_float64", float(ratio), unit="x",
-                       kind="model", higher_is_better=True,
-                       tolerance=0.25),
-                Metric("probe_wall_float64", float(wall_f64), unit="s",
-                       kind="measured"),
-                Metric("probe_wall_active", float(wall_act), unit="s",
-                       kind="measured")]
-        emit(f"profile_{target}",
-             f"Op-level profile of the seed model ({target})",
+                          unit="s", kind="measured"),
+                   Metric("speedup_vs_float64", float(ratio), unit="x",
+                          kind="model", higher_is_better=True,
+                          tolerance=0.25),
+                   Metric("probe_wall_float64", float(wall_f64), unit="s",
+                          kind="measured"),
+                   Metric("probe_wall_active", float(wall_act), unit="s",
+                          kind="measured")]
+        # ``target`` stays in the config: the committed
+        # ``profile_step`` baseline's fingerprint hashes it.
+        emit("profile_step", "Op-level profile of the seed model (step)",
              metrics,
-             config={"schema": 2, "target": target, "batch": batch,
+             config={"schema": 2, "target": "step", "batch": batch,
                      "model": "seed-moe-classifier",
                      "dtype": np.dtype(default_dtype()).name},
              verbose=True)
-        if target == "step":
-            # The benchmark's train_small: any change to an op on the
-            # train path moves the bits of its 20th loss.
-            from repro.train.trainer import train_model
+        # The benchmark's train_small: any change to an op on the
+        # train path moves the bits of its 20th loss.
+        from repro.train.trainer import train_model
 
-            task, model = _demo_task_and_model(32, 64)
-            rng = np.random.default_rng(0)
-            loss = train_model(model, task.sample(4096, rng),
-                               task.sample(512, rng), steps=20,
-                               batch_size=256).losses[-1]
-            emit("train_fingerprint", "Loss fingerprint of the seed model",
-                 [Metric("loss_step_20", float(loss), tolerance=0.0)],
-                 config={"steps": 20, "batch": 256,
-                         "dtype": np.dtype(default_dtype()).name},
-                 verbose=True)
+        task, model = _demo_task_and_model(32, 64)
+        rng = np.random.default_rng(0)
+        loss = train_model(model, task.sample(4096, rng),
+                           task.sample(512, rng), steps=20,
+                           batch_size=256).losses[-1]
+        emit("train_fingerprint", "Loss fingerprint of the seed model",
+             [Metric("loss_step_20", float(loss), tolerance=0.0)],
+             config={"steps": 20, "batch": 256,
+                     "dtype": np.dtype(default_dtype()).name},
+             verbose=True)
     if args.trace:
         from repro.obs.trace import TraceRecorder
 
@@ -971,14 +956,9 @@ def main(argv: list[str] | None = None) -> int:
                                    "--fast)")
     profile_cmd = sub.add_parser(
         "profile",
-        help="op-level FLOP/byte/memory profile of a train step or "
-             "MoE layer")
+        help="op-level FLOP/byte/memory profile of the seed model's "
+             "fwd+bwd train step")
     profile_cmd.set_defaults(func=_cmd_profile)
-    profile_cmd.add_argument("target", nargs="?", default="step",
-                             choices=("step", "layer"),
-                             help="what to profile: a full fwd+bwd "
-                                  "train step (default) or one MoE "
-                                  "layer")
     profile_cmd.add_argument("--batch", type=_int_at_least(1),
                              default=128,
                              help="tokens in the profiled batch "

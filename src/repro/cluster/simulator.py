@@ -172,9 +172,6 @@ class SimResult:
     _uid: int = field(default_factory=itertools.count().__next__,
                       repr=False, compare=False)
 
-    def span(self, op: Op) -> tuple[float, float]:
-        return self.spans[op]
-
     def trace_events(self, critical: Sequence[Op] = ()
                      ) -> Iterator[TraceEvent]:
         """The simulator's one trace feed: one event per op on track

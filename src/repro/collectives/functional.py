@@ -22,13 +22,10 @@ from repro.obs import span as _span
 __all__ = [
     "all_to_all_linear",
     "stride_memcpy",
-    "all_to_all_2dh",
     "all_to_all_2dh_phases",
-    "all_to_all_3dh",
     "flexible_all_to_all",
     "all_gather",
     "reduce_scatter",
-    "all_reduce",
 ]
 
 
@@ -113,10 +110,14 @@ def all_to_all_2dh_phases(
     """All intermediate layouts of 2DH All-to-All (paper Figure 15).
 
     Returns ``[initial, phase1, phase2, phase3, phase4]`` where each
-    entry is the per-rank buffer list.  Exposed so tests can assert the
-    exact data layouts drawn in the figure.
+    entry is the per-rank buffer list; ``phase4`` equals
+    :func:`all_to_all_linear`'s output while only large aggregated
+    messages were sent.
     """
     n = _check_world(inputs)
+    if gpus_per_node < 1:
+        raise ValueError(
+            f"gpus_per_node must be >= 1, got {gpus_per_node}")
     if n % gpus_per_node != 0:
         raise ValueError(
             f"world size {n} must be a multiple of gpus_per_node "
@@ -137,74 +138,6 @@ def all_to_all_2dh_phases(
         # Phase 4: inter-node All-to-All of m-chunk blocks.
         phases.append(_inter_node_exchange(p3, m, block=m))
     return phases
-
-
-def all_to_all_2dh(inputs: list[np.ndarray],
-                   gpus_per_node: int) -> list[np.ndarray]:
-    """Two-dimensional hierarchical All-to-All (paper Algorithm 3).
-
-    Produces the same result as :func:`all_to_all_linear` while only
-    ever sending large aggregated messages.
-    """
-    return all_to_all_2dh_phases(inputs, gpus_per_node)[-1]
-
-
-def all_to_all_3dh(inputs: list[np.ndarray], gpus_per_node: int,
-                   nodes_per_group: int) -> list[np.ndarray]:
-    """Three-level hierarchical All-to-All (paper Section 4.3).
-
-    For dragonfly-style topologies the paper proposes splitting the
-    inter-node exchange into intra-group and inter-group levels.  This
-    realizes it by recursion: the cluster is viewed as *groups* of
-    ``gpus_per_node * nodes_per_group`` GPUs; the outer two phases are
-    the 2DH construction at group granularity, and the intra-group
-    exchange is itself performed with 2DH (so NVLink aggregation still
-    happens at the innermost level).  Produces output identical to
-    :func:`all_to_all_linear`.
-    """
-    n = _check_world(inputs)
-    group = gpus_per_node * nodes_per_group
-    if n % group != 0:
-        raise ValueError(
-            f"world size {n} must be a multiple of the group size "
-            f"{group} (= {gpus_per_node} GPUs x {nodes_per_group} "
-            "nodes)")
-    ngroups = n // group
-    if inputs[0].shape[0] != n:
-        raise ValueError(
-            f"input leading dim {inputs[0].shape[0]} != world {n}")
-    chunk_shape = inputs[0].shape[1:]
-
-    with _span("all_to_all_3dh", CAT_COLLECTIVE):
-        return _all_to_all_3dh_body(inputs, gpus_per_node, n, group,
-                                    ngroups, chunk_shape)
-
-
-def _all_to_all_3dh_body(inputs: list[np.ndarray], gpus_per_node: int,
-                         n: int, group: int, ngroups: int,
-                         chunk_shape: tuple) -> list[np.ndarray]:
-    # Phase 1: align chunks by destination position-within-group.
-    p1 = [stride_memcpy(b, row=group, col=ngroups) for b in inputs]
-    # Phase 2: intra-group All-to-All of ngroups-chunk blocks,
-    # performed hierarchically (2DH) inside each group.
-    p2: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    for g0 in range(0, n, group):
-        sub = [p1[g0 + i].reshape(group, -1) for i in range(group)]
-        exchanged = all_to_all_2dh(sub, gpus_per_node=gpus_per_node)
-        for i in range(group):
-            p2[g0 + i] = exchanged[i].reshape(n, *chunk_shape)
-    # Phase 3: align chunks by destination group.
-    p3 = [stride_memcpy(b, row=ngroups, col=group) for b in p2]
-    # Phase 4: inter-group All-to-All of group-sized blocks between
-    # same-position ranks of each group.
-    out = [np.empty_like(b) for b in p3]
-    for pos in range(group):
-        rail = [g * group + pos for g in range(ngroups)]
-        for dst_idx, dst in enumerate(rail):
-            parts = [p3[src][dst_idx * group:(dst_idx + 1) * group]
-                     for src in rail]
-            out[dst] = np.concatenate(parts, axis=0)
-    return out
 
 
 def flexible_all_to_all(inputs: list[np.ndarray], concat_dim: int,
@@ -253,11 +186,3 @@ def reduce_scatter(inputs: list[np.ndarray]) -> list[np.ndarray]:
     with _span("reduce_scatter", CAT_COLLECTIVE):
         total = np.sum(np.stack(inputs), axis=0)
         return list(np.split(total, n, axis=0))
-
-
-def all_reduce(inputs: list[np.ndarray]) -> list[np.ndarray]:
-    """Every rank receives the elementwise sum across ranks."""
-    _check_world(inputs)
-    with _span("all_reduce", CAT_COLLECTIVE):
-        total = np.sum(np.stack(inputs), axis=0)
-        return [total.copy() for _ in inputs]

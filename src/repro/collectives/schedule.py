@@ -41,7 +41,6 @@ __all__ = [
     "a2a_time",
     "all_gather_time",
     "reduce_scatter_time",
-    "all_reduce_time",
     "best_a2a_algorithm",
     "feasible_a2a_algorithms",
 ]
@@ -329,7 +328,7 @@ def _ring_group_link(topo: ClusterTopology, group_size: int) -> LinkSpec:
 def all_gather_time(topo: ClusterTopology, shard_bytes: float,
                     group_size: int | None = None) -> float:
     """Ring all-gather of per-rank shards of ``shard_bytes``."""
-    g = group_size or topo.num_gpus
+    g = topo.num_gpus if group_size is None else group_size
     if g < 1:
         raise ValueError(f"group_size must be >= 1, got {g}")
     if g == 1 or shard_bytes == 0:
@@ -341,18 +340,10 @@ def all_gather_time(topo: ClusterTopology, shard_bytes: float,
 def reduce_scatter_time(topo: ClusterTopology, total_bytes: float,
                         group_size: int | None = None) -> float:
     """Ring reduce-scatter of a ``total_bytes`` buffer."""
-    g = group_size or topo.num_gpus
+    g = topo.num_gpus if group_size is None else group_size
     if g < 1:
         raise ValueError(f"group_size must be >= 1, got {g}")
     if g == 1 or total_bytes == 0:
         return 0.0
     link = _ring_group_link(topo, g)
     return link.stream_time(total_bytes / g, g - 1)
-
-
-def all_reduce_time(topo: ClusterTopology, total_bytes: float,
-                    group_size: int | None = None) -> float:
-    """Ring all-reduce = reduce-scatter + all-gather."""
-    g = group_size or topo.num_gpus
-    return (reduce_scatter_time(topo, total_bytes, g)
-            + all_gather_time(topo, total_bytes / max(g, 1), g))

@@ -185,11 +185,6 @@ class MoEConfig:
         return self.world_size * self.capacity_per_gpu
 
     @property
-    def num_nodes(self) -> int:
-        """Number of nodes (world size may not fill the last node)."""
-        return max(1, math.ceil(self.world_size / self.gpus_per_node))
-
-    @property
     def dispatch_bytes_per_gpu(self) -> int:
         """Bytes each GPU contributes to the dispatch All-to-All.
 
@@ -220,10 +215,3 @@ class MoEConfig:
     def with_(self, **overrides) -> "MoEConfig":
         """Return a copy with ``overrides`` applied."""
         return dataclasses.replace(self, **overrides)
-
-    def describe(self) -> str:
-        """Short human-readable summary used by the bench harness."""
-        return (f"W={self.world_size} E={self.num_global_experts} "
-                f"dE={self.experts_per_gpu} M={self.model_dim} "
-                f"V={self.hidden_dim} T={self.tokens_per_gpu} "
-                f"k={self.top_k} f={self.capacity_factor}")

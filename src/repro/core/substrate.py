@@ -36,7 +36,6 @@ __all__ = [
     "SUPPORTED_DTYPES",
     "default_dtype",
     "set_default_dtype",
-    "resolve_dtype",
     "default_itemsize",
     "substrate_dtype",
 ]
@@ -79,13 +78,6 @@ def set_default_dtype(dtype: object) -> np.dtype:
     previous = _DEFAULT_DTYPE
     _DEFAULT_DTYPE = _validate(dtype)
     return previous
-
-
-def resolve_dtype(dtype: object | None = None) -> np.dtype:
-    """``dtype`` if given (validated), else the active default."""
-    if dtype is None:
-        return _DEFAULT_DTYPE
-    return _validate(dtype)
 
 
 def default_itemsize() -> int:

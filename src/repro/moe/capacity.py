@@ -58,10 +58,6 @@ class CapacityPolicy:
     capacity_factor: float = 1.0
 
     @property
-    def is_adaptive(self) -> bool:
-        return self.capacity_factor <= 0
-
-    @property
     def upper_bound(self) -> float | None:
         """Upper bound on the adaptive factor (None = unbounded)."""
         if self.capacity_factor < 0:

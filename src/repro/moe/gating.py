@@ -183,11 +183,6 @@ class RoutingCriteria:
         return self.idxs.shape[1]
 
     @property
-    def valid(self) -> np.ndarray:
-        """(k, T) bool — slots that survived the capacity limit."""
-        return self.plan.valid
-
-    @property
     def occupancy(self) -> np.ndarray:
         """(E,) ints — rows of each expert's capacity slab in use: 1 +
         its largest valid queue position, 0 for an idle expert.  Every

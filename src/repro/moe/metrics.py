@@ -145,13 +145,6 @@ class RoutingStats:
                 "needed_capacity_factor": self.needed_capacity_factor,
                 "expert_load": list(self.expert_load)}
 
-    def describe(self) -> str:
-        return (f"T={self.num_tokens} E={self.num_experts} "
-                f"k={self.top_k} dC={self.capacity} "
-                f"drop={self.dropped_fraction:.1%} "
-                f"imbalance={self.load_imbalance:.2f} "
-                f"entropy={self.routing_entropy:.2f}")
-
 
 def routing_stats(crit: RoutingCriteria,
                   gate_probs: np.ndarray | None = None) -> RoutingStats:

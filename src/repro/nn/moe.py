@@ -6,7 +6,7 @@ ordering, computed outside the tape, plus the gate values and the GShard
 load-balancing auxiliary loss on arrays.  :class:`MoE` calls it on every
 forward and, when it trains, takes the gate values and the loss as two
 tape ops, so the router trains end to end through :func:`moe_combine`;
-the multi-rank forwards and :mod:`repro.api` call it too.  Supports the
+the multi-rank forwards call it too.  Supports the
 dynamic features of Section 4.1: per-call ``top_k`` ("top-ANY") and
 dynamic capacity-factor semantics, plus the cosine router of
 Equation (2).
@@ -35,7 +35,7 @@ from repro.moe.gating import RoutingCriteria, compute_locations, select_top_k
 from repro.moe.metrics import routing_stats
 from repro.moe.metrics import RoutingStats
 from repro.nn.modules import Linear, Module
-from repro.obs import MOE_STAGES, get_run, stage
+from repro.obs import MOE_STAGES, stage
 
 __all__ = ["MoE", "Routing", "route"]
 
@@ -242,7 +242,9 @@ class MoE(Module):
         values renormalize automatically — tokens are re-routed, not
         dropped.  At least one expert must survive.
         Records nothing: a checkpoint restore re-applies a mask this
-        way, a failure goes through :meth:`fail_expert`.
+        way, a failure goes through
+        :meth:`repro.nn.models.MoEClassifier.fail_expert`, whose
+        ``fault`` event names the layer.
         """
         if not 0 <= expert < self.num_experts:
             raise ValueError(
@@ -252,22 +254,6 @@ class MoE(Module):
                 "cannot fail the last surviving expert; "
                 "restore from checkpoint instead")
         self.failed_experts.add(expert)
-
-    def fail_expert(self, expert: int) -> None:
-        """:meth:`mask_expert` plus the run's ``fault`` event."""
-        self.mask_expert(expert)
-        run = get_run()
-        if run is not None:
-            run.emit("fault", data={"kind": "expert_failure",
-                                    "expert": expert})
-
-    def restore_expert(self, expert: int) -> None:
-        """Readmit a previously failed expert to gating."""
-        self.failed_experts.discard(expert)
-        run = get_run()
-        if run is not None:
-            run.emit("recovery", data={"kind": "expert_restored",
-                                       "expert": expert})
 
     # -- routing ----------------------------------------------------------
 

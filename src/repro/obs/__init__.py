@@ -49,7 +49,7 @@ Enable explicitly::
     ob = obs.enable()                  # metrics + trace recording
     ...run a training step / bench...
     ob.recorder.dump_chrome_trace("trace.json")
-    print(ob.registry.render())
+    print(ob.registry.snapshot())      # counters, gauges, histograms
     obs.disable()
 
 or set ``REPRO_TRACE=/path/trace.json`` around any bench (see
@@ -141,17 +141,16 @@ class _Span:
     and entry moves the profiler's cursor, so no op wall reaches back
     into the previous stage."""
 
-    __slots__ = ("_ob", "_prof", "name", "cat", "track", "args", "start")
+    __slots__ = ("_ob", "_prof", "name", "cat", "track", "start")
 
     def __init__(self, ob: "Observer | None", name: str, cat: str,
-                 track: str = "main", args: dict | None = None,
+                 track: str = "main",
                  prof: "Profiler | None" = None) -> None:
         self._ob = ob
         self._prof = prof
         self.name = name
         self.cat = cat
         self.track = track
-        self.args = args
         self.start = 0.0
 
     def __enter__(self) -> "_Span":
@@ -168,8 +167,7 @@ class _Span:
         ob = self._ob
         if ob is not None:
             ob.record_span(self.name, self.cat, self.start,
-                           ob.clock() - self.start, track=self.track,
-                           args=self.args)
+                           ob.clock() - self.start, track=self.track)
         return False
 
 
@@ -199,10 +197,6 @@ class Observer:
         return self._clock() - self._t0
 
     # -- spans ---------------------------------------------------------
-
-    def span(self, name: str, cat: str = CAT_BENCH, track: str = "main",
-             args: dict | None = None) -> _Span:
-        return _Span(self, name, cat, track, args)
 
     def record_span(self, name: str, cat: str, start: float, dur: float,
                     track: str = "main", args: dict | None = None) -> None:

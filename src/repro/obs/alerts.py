@@ -223,32 +223,6 @@ class AlertTransition:
     labels: Labels = ()
     score: float | None = None
 
-    # The trainer hands firing transitions out as
-    # ``TrainResult.health_alerts``; these are that record's fields.
-    @property
-    def kind(self) -> str:
-        return self.rule.name
-
-    @property
-    def step(self) -> int:
-        return self.tick
-
-    @property
-    def severity(self) -> str:
-        return self.rule.severity
-
-    @property
-    def threshold(self) -> float:
-        return self.rule.threshold
-
-    @property
-    def layer(self) -> int | None:
-        return dict(self.labels).get("layer")
-
-    @property
-    def expert(self) -> int | None:
-        return dict(self.labels).get("expert")
-
     def to_event_data(self) -> dict:
         rule = self.rule
         message = rule.message or (f"{rule.metric} {rule.op} "

@@ -89,16 +89,6 @@ class OverheadLedger:
             return 0.0
         return self.overhead_ns / self.step_ns
 
-    def summary(self) -> dict:
-        return {
-            "steps": self.steps,
-            "step_ns": self.step_ns,
-            "overhead_ns": self.overhead_ns,
-            "fraction": self.fraction(),
-            "totals_ns": dict(self.totals),
-            "counts": dict(self.counts),
-        }
-
     def publish(self, ob) -> None:
         """Expose the ledger as ``obs.overhead.*`` gauges on an
         observer (a recorded run keeps them in ``metrics.json``)."""

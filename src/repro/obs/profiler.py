@@ -76,7 +76,6 @@ __all__ = [
     "profiling",
     "traced_peak",
     "OP_COSTS",
-    "gemm_flops",
     "matmul_cost",
     "elementwise_cost",
     "reduction_cost",
@@ -85,7 +84,6 @@ __all__ = [
     "sparse_encode_backward_cost",
     "sparse_decode_cost",
     "sparse_decode_backward_cost",
-    "dense_encode_flops",
 ]
 
 PHASE_FORWARD = "forward"
@@ -181,10 +179,6 @@ class Profiler:
         self._cursor = self.clock()
 
     # -- phase / stage -------------------------------------------------
-
-    @property
-    def phase(self) -> str:
-        return self._phase
 
     @property
     def current_stage(self) -> str:
@@ -388,11 +382,6 @@ def traced_peak(fn: Callable[..., Any], *args: Any,
 # Closed-form cost helpers (shared with tests and calibration)
 # ----------------------------------------------------------------------
 
-def gemm_flops(m: int, n: int, k: int, batch: int = 1) -> float:
-    """Multiply-accumulate count of ``(m, k) @ (k, n)``: ``2*m*n*k``."""
-    return 2.0 * batch * m * n * k
-
-
 def matmul_cost(a_shape: tuple[int, ...], b_shape: tuple[int, ...],
                 out_shape: tuple[int, ...],
                 itemsize: int | None = None) -> tuple[OpCost, OpCost]:
@@ -517,14 +506,6 @@ def sparse_decode_backward_cost(routes: int, cells: int, gate_slots: int,
         bytes_written=((cells + routes) * model_dim + gate_slots) * isz)
 
 
-def dense_encode_flops(tokens: int, num_experts: int, capacity: int,
-                       model_dim: int) -> float:
-    """The dense GShard dispatch einsum ``"tec,tm->ecm"``:
-    ``O(T*E*C*M)`` multiply-adds, overwhelmingly zeros (Figure 24's
-    dense-vs-sparse gap)."""
-    return 2.0 * tokens * num_experts * capacity * model_dim
-
-
 # ----------------------------------------------------------------------
 # The cost table: op name -> (out, parents, ctx) -> (forward, backward)
 # ----------------------------------------------------------------------
@@ -646,11 +627,11 @@ def _expert_ffn_op_cost(out, parents, ctx):
 #: ``repro.autograd``; a name missing here is a ``KeyError`` under
 #: profiling, not a silent zero.  Only add/mul/div stream two inputs.
 OP_COSTS: dict[str, Callable] = {
-    # gelu prices only the fused ops' activation: no tape op of its own.
+    # gelu and relu price only the fused ops' activation: no tape op of
+    # their own.
     **{name: _elementwise(name, 2 if name in ("add", "mul", "div") else 1)
-       for name in _EW if name != "gelu"},
-    # Views: no FLOPs, no data movement.
-    "reshape": lambda out, parents, ctx: (ZERO_COST, ZERO_COST),
+       for name in _EW if name not in ("gelu", "relu")},
+    # A view: no FLOPs, no data movement.
     "transpose": lambda out, parents, ctx: (ZERO_COST, ZERO_COST),
     "matmul": lambda out, parents, ctx: matmul_cost(
         parents[0].shape, parents[1].shape, out.shape,

@@ -107,15 +107,6 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    @property
-    def exact(self) -> bool:
-        """True while the reservoir still holds *every* observation,
-        i.e. quantiles are exact order statistics rather than sampled
-        estimates.  Serving SLO gates read p99 from short ``--fast``
-        runs, which rely on this being True at ``count <=
-        RESERVOIR_SIZE``."""
-        return self.count <= RESERVOIR_SIZE
-
     def quantile(self, q: float) -> float:
         """Reservoir-estimated quantile ``q`` in [0, 1].
 
@@ -191,20 +182,3 @@ class MetricsRegistry:
             "histograms": {n: h.summary()
                            for n, h in sorted(self.histograms.items())},
         }
-
-    def render(self) -> str:
-        """Aligned text summary for CLI / bench output."""
-        lines = ["== metrics =="]
-        for name, c in sorted(self.counters.items()):
-            lines.append(f"  counter    {name:40s} {c.value:g}")
-        for name, g in sorted(self.gauges.items()):
-            lines.append(f"  gauge      {name:40s} {g.value:g}")
-        for name, h in sorted(self.histograms.items()):
-            if not h.count:
-                continue
-            lines.append(
-                f"  histogram  {name:40s} n={h.count} "
-                f"mean={h.mean:.3e} min={h.min:.3e} max={h.max:.3e} "
-                f"p50={h.quantile(0.50):.3e} p95={h.quantile(0.95):.3e} "
-                f"p99={h.quantile(0.99):.3e} total={h.total:.3e}")
-        return "\n".join(lines)

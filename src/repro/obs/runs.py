@@ -427,10 +427,6 @@ class RunStore:
     def __init__(self, root: str | Path | None = None) -> None:
         self.root = runs_root(root)
 
-    def run_ids(self) -> list[str]:
-        """All run ids, oldest first (manifest timestamp, then id)."""
-        return [m.run_id for m in self.manifests()]
-
     def manifests(self) -> list[RunManifest]:
         if not self.root.is_dir():
             return []
@@ -479,7 +475,7 @@ class RunStore:
         """Run id from ``"latest"``, an exact id, or a unique prefix."""
         if token == "latest":
             return self.latest()
-        ids = self.run_ids()
+        ids = [m.run_id for m in self.manifests()]
         if token in ids:
             return token
         matches = [r for r in ids if r.startswith(token)]

@@ -110,9 +110,6 @@ class TraceRecorder:
         self.events: list[TraceEvent] = []
         self.dropped = 0
 
-    def __len__(self) -> int:
-        return len(self.events)
-
     def record(self, event: TraceEvent) -> None:
         if len(self.events) >= self.max_events:
             self.dropped += 1

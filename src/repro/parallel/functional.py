@@ -51,6 +51,8 @@ def column_shards(w1: np.ndarray, w2: np.ndarray, shards: int
     rank, where rank ``e*shards + j`` holds the ``(1, M, V/shards)`` /
     ``(1, V/shards, M)`` views of hidden columns ``j*V/shards ..`` of
     expert ``e`` in the ``(E, M, V)`` / ``(E, V, M)`` stacks."""
+    if shards < 1:
+        raise ValueError(f"shards must be >= 1, got {shards}")
     v = w1.shape[-1]
     if v % shards != 0:
         raise ValueError(

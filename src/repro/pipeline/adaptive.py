@@ -90,11 +90,6 @@ class Bucket:
             raise KeyError(f"no samples for {strategy}")
         return _median(window)
 
-    @property
-    def tried(self) -> dict[PipelineStrategy, float]:
-        """Strategy -> median-normalized-time view of the samples."""
-        return {s: self.score(s) for s in self.samples}
-
     def best_strategy(self) -> PipelineStrategy:
         if not self.samples:
             raise ValueError("bucket has no measurements yet")

@@ -24,7 +24,6 @@ from repro.parallel.strategy import (
     SegmentSpec,
     build_segment_spec,
 )
-from repro.pipeline.partition import VALID_DEGREES
 
 __all__ = [
     "PipelineStrategy",
@@ -34,6 +33,10 @@ __all__ = [
     "build_pipeline_schedule",
     "pipeline_segment_time",
 ]
+
+#: Pipelining degrees of the search space: each splits the capacity
+#: dimension of the dispatch buffer into that many virtual partitions.
+VALID_DEGREES = (1, 2, 4, 8)
 
 
 @dataclass(frozen=True)

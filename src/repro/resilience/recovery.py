@@ -65,15 +65,6 @@ class RecoveryDecision:
             return 1.0
         return self.cost.total_time / self.baseline_cost.total_time
 
-    def describe(self) -> str:
-        return (f"ranks {list(self.failed_ranks)} failed: "
-                f"{self.surviving_world}/{self.config.num_global_experts}"
-                f" GPUs/experts, strategy "
-                f"{self.baseline_cost.strategy.value} -> "
-                f"{self.cost.strategy.value} "
-                f"(a2a {self.cost.a2a_algorithm.value}, "
-                f"{self.slowdown:.2f}x iteration time)")
-
 
 def _nodes_asymmetric(topo: ClusterTopology,
                       failed_ranks: tuple[int, ...]) -> bool:

@@ -39,7 +39,7 @@ from repro.scenarios.spec import (
     SLOSpec,
 )
 
-__all__ = ["SCENARIOS", "get_scenario", "scenario_names"]
+__all__ = ["SCENARIOS", "get_scenario"]
 
 
 SCENARIOS: dict[str, Scenario] = {}
@@ -145,14 +145,10 @@ _register(Scenario(
 ))
 
 
-def scenario_names() -> list[str]:
-    return sorted(SCENARIOS)
-
-
 def get_scenario(name: str) -> Scenario:
     try:
         return SCENARIOS[name]
     except KeyError:
-        known = ", ".join(scenario_names())
+        known = ", ".join(sorted(SCENARIOS))
         raise KeyError(
             f"unknown scenario {name!r}; known: {known}") from None

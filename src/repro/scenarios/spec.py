@@ -4,8 +4,8 @@ A :class:`Scenario` is pure data: a seed, a step count, a timeline of
 fault events, and an :class:`SLOSpec` of pass/fail bounds.  The engine
 (:mod:`repro.scenarios.engine`) interprets it against both substrates —
 the functional trainer actually lives through the events (checkpoint
-restore on rank loss, :meth:`repro.nn.moe.MoE.fail_expert` on expert
-death) while the cluster simulator prices their performance
+restore on rank loss, :meth:`repro.nn.models.MoEClassifier.fail_expert`
+on expert death) while the cluster simulator prices their performance
 consequences (strategy re-selection, brownout algorithm switches,
 elastic re-placement traffic).
 
@@ -91,9 +91,6 @@ class LinkBrownout:
             raise ValueError(
                 f"need 0 <= step < end_step, got [{self.step}, "
                 f"{self.end_step})")
-
-    def active(self, step: int) -> bool:
-        return self.step <= step < self.end_step
 
 
 @dataclass(frozen=True)
@@ -291,13 +288,7 @@ class Scenario:
         """(bandwidth factor, asymmetric?) of the fabric at ``step``."""
         factor, asymmetric = 1.0, False
         for ev in self.of_kind(LinkBrownout):
-            if ev.active(step):
+            if ev.step <= step < ev.end_step:
                 factor = min(factor, ev.factor)
                 asymmetric = asymmetric or ev.asymmetric
         return factor, asymmetric
-
-    def describe(self) -> str:
-        kinds = [type(ev).__name__ for ev in self.events]
-        return (f"{self.name}: seed={self.seed} steps={self.steps} "
-                f"events=[{', '.join(kinds) or 'none'}] "
-                f"sim={self.sim_world}x{self.sim_experts}")

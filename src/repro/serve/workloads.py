@@ -30,8 +30,7 @@ from dataclasses import dataclass, replace
 from repro.scenarios.spec import LinkBrownout
 from repro.serve.arrivals import ArrivalSpec
 
-__all__ = ["ServeSLO", "ServeWorkload", "WORKLOADS", "get_workload",
-           "workload_names"]
+__all__ = ["ServeSLO", "ServeWorkload", "WORKLOADS", "get_workload"]
 
 
 @dataclass(frozen=True)
@@ -101,13 +100,6 @@ class ServeWorkload:
             raise ValueError(f"top_k must be in [1, {self.num_experts}], "
                              f"got {self.top_k}")
 
-    def describe(self) -> str:
-        """One-line shape for ``repro serve --list``."""
-        return (f"{self.arrival.kind} trace, "
-                f"{self.arrival.horizon_s:g}s horizon, SLO p99 <= "
-                f"{self.slo.p99_ms:g}ms, goodput >= "
-                f"{self.slo.min_goodput_rps:g} r/s")
-
     def resolved(self, fast: bool = False,
                  seed: int | None = None) -> "ServeWorkload":
         """The workload with ``--fast``/``--seed`` overrides applied."""
@@ -135,11 +127,7 @@ def get_workload(name: str) -> ServeWorkload:
     except KeyError:
         raise KeyError(
             f"unknown workload {name!r}; choose from "
-            f"{workload_names()}") from None
-
-
-def workload_names() -> list[str]:
-    return sorted(WORKLOADS)
+            f"{sorted(WORKLOADS)}") from None
 
 
 _register(ServeWorkload(

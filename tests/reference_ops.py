@@ -44,15 +44,25 @@ def unblocked_act_grad(h, cache, activation):
     return d
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Tanh-approximated GELU as its own tape node: the elementwise step
-    of the composition ``act(x @ w1 + b1) @ w2 + b2`` that the fused
-    FFN ops replace bit for bit."""
-    out_data, t = unblocked_act_forward(x.data, "gelu")
+def _activation(x: Tensor, activation: str) -> Tensor:
+    """The activation as its own tape node: the elementwise step of the
+    composition ``act(x @ w1 + b1) @ w2 + b2`` that the fused FFN ops
+    replace bit for bit."""
+    out_data, t = unblocked_act_forward(x.data, activation)
 
     def backward(grad):
-        x._accumulate(grad * unblocked_act_grad(x.data, t, "gelu"))
-    return Tensor.from_op(out_data, (x,), backward, "gelu")
+        x._accumulate(grad * unblocked_act_grad(x.data, t, activation))
+    return Tensor.from_op(out_data, (x,), backward, activation)
+
+
+def gelu(x: Tensor) -> Tensor:
+    """Tanh-approximated GELU (see :func:`_activation`)."""
+    return _activation(x, "gelu")
+
+
+def relu(x: Tensor) -> Tensor:
+    """ReLU (see :func:`_activation`)."""
+    return _activation(x, "relu")
 
 
 def saving_expert_kernels(x, w1, w2, activation: str, rows=None):

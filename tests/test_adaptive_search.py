@@ -30,7 +30,7 @@ class TestBucket:
         b = Bucket(low=2.0, length=1.0)
         s = PipelineStrategy(degree=1)
         b.record(s, 4.0, 10.0)  # f twice the low -> halved
-        assert b.tried[s] == pytest.approx(5.0)
+        assert b.score(s) == pytest.approx(5.0)
 
     def test_record_scores_by_median(self):
         b = Bucket(low=1.0, length=1.0)
@@ -38,7 +38,7 @@ class TestBucket:
         b.record(s, 1.0, 5.0)
         b.record(s, 1.0, 3.0)
         b.record(s, 1.0, 9.0)
-        assert b.tried[s] == 5.0
+        assert b.score(s) == 5.0
 
     def test_median_resists_fast_glitch(self):
         # A min-keeping memo would lock in the one spuriously-fast
@@ -123,12 +123,12 @@ class TestSearch:
         best = PipelineStrategy(degree=1)
         for _ in range(3):
             search.step(2.0, oracle(best))
-        n_before = sum(len(b.tried) for b in search.buckets)
+        n_before = sum(len(b.samples) for b in search.buckets)
         # Inserting a lower factor re-anchors the buckets.
         search.step(1.5, oracle(best))
         merged = search._bucket_of(2.0)
         assert merged.contains(1.5)
-        assert sum(len(b.tried) for b in search.buckets) >= n_before
+        assert sum(len(b.samples) for b in search.buckets) >= n_before
 
     def test_per_factor_memo_takes_priority(self):
         search = OnlinePipeliningSearch(

@@ -231,8 +231,8 @@ class TestDefaultRules:
                 tick, entropy=0.9, dropped_fraction=0.0,
                 expert_load=[10, 10, 10, 0]))
             for tr in engine.observe(step_event(tick, loss=1.0)):
-                out.append((tick, tr.rule.name, tr.layer, tr.expert))
-        assert out == [(5, "dead_expert", 0, 3)]
+                out.append((tick, tr.rule.name, dict(tr.labels)))
+        assert out == [(5, "dead_expert", {"layer": 0, "expert": 3})]
 
     def test_health_rules_in_default_pack(self):
         by_name = {r.name: r for r in default_rules()}
@@ -276,8 +276,8 @@ class TestRoutingSamples:
             engine.observe(routing_event(tick, layer=0, entropy=0.9))
             engine.observe(routing_event(tick, layer=1, entropy=0.4))
             fired += engine.observe(step_event(tick, loss=1.0))
-        assert [(t.tick, t.rule.name, t.layer) for t in fired] == [
-            (3, "routing_entropy_floor", 1)]
+        assert [(t.tick, t.rule.name, dict(t.labels)["layer"])
+                for t in fired] == [(3, "routing_entropy_floor", 1)]
         assert engine.firing() == ["routing_entropy_floor"]
 
 
@@ -306,8 +306,8 @@ class TestObserve:
         assert engine.observe(routing_event(7, gini=0.9)) == []
         assert engine.firing() == []
         fired = engine.observe(step_event(7, loss=1.0))
-        assert [(t.tick, t.layer, t.value) for t in fired] == [
-            (7, 0, 0.9)]
+        assert [(t.tick, dict(t.labels)["layer"], t.value)
+                for t in fired] == [(7, 0, 0.9)]
 
     def test_replaying_a_recorded_run_reproduces_its_alerts(
             self, tmp_path):
@@ -343,7 +343,9 @@ class TestObserve:
              e["data"].get("layer"), e["data"].get("expert"))
             for e in events if e["kind"] == "alert"]
         engine = AlertEngine(default_rules())
-        replayed = [(t.tick, t.rule.name, t.state, t.layer, t.expert)
+        replayed = [(t.tick, t.rule.name, t.state,
+                     dict(t.labels).get("layer"),
+                     dict(t.labels).get("expert"))
                     for e in events for t in engine.observe(e)]
         assert replayed == recorded
         # One alert stream: the failed expert is reported once, by
@@ -366,7 +368,7 @@ class TestOverheadLedger:
         assert led.overhead_ns == 175
         assert led.fraction() == pytest.approx(175 / 1750)
         assert led.counts["metrics"] == 2
-        assert led.summary()["totals_ns"]["events"] == 25
+        assert led.totals["events"] == 25
 
     def test_fraction_safe_with_no_steps(self):
         assert OverheadLedger().fraction() == 0.0

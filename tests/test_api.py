@@ -1,13 +1,31 @@
-"""Tests that the paper's Figure 8 snippet runs against repro.api."""
+"""The paper's Figure 8 custom layer, composed from the live internals.
+
+The paper's snippet reads::
+
+    scores = softmax(CustomGate(x), dim=1)
+    crit, l_aux = moe.top_k_routing(scores, top_k)
+    y = moe.fast_encode(x, crit)
+    y = net.flex_all2all(y, 1, 0)
+    y = CustomExpert(y)
+    y = net.flex_all2all(y, 0, 1)
+    output = moe.fast_decode(y, crit)
+
+Here each step is the function the packaged layer runs: ``route`` for
+``top_k_routing``, ``fast_encode`` / ``fast_decode`` and
+``flexible_all_to_all`` over a one-rank world list.
+"""
 
 import numpy as np
 import pytest
 
-from repro.api import moe, net
 from repro.autograd.tensor import Tensor
+from repro.collectives.functional import flexible_all_to_all
 from repro.core.substrate import substrate_dtype
+from repro.moe.capacity import CapacityPolicy
+from repro.moe.encode import fast_decode, fast_encode
 from repro.moe.ffn import ffn_forward_arrays
-from repro.nn.moe import MoE
+from repro.moe.gating import softmax
+from repro.nn.moe import MoE, route
 
 
 @pytest.fixture
@@ -21,15 +39,14 @@ def expert_ffn(y, experts):
 
 
 def custom_moe(x, gate_weight, experts, top_k=2):
-    """The paper's Figure 8 custom layer, nearly verbatim."""
-    scores = moe.softmax(x @ gate_weight)
-    crit, l_aux = moe.top_k_routing(scores, top_k)
-    y = moe.fast_encode(x, crit)
-    y = net.flex_all2all(y, 1, 0)
+    """The paper's Figure 8 custom layer."""
+    routing = route(softmax(x @ gate_weight), top_k, CapacityPolicy(1.0))
+    crit = routing.crit.with_gates(routing.gates)
+    y = fast_encode(x, crit)
+    y = flexible_all_to_all([y], 1, 0)[0]
     y = expert_ffn(y, experts)          # CustomExpert
-    y = net.flex_all2all(y, 0, 1)
-    output = moe.fast_decode(y, crit)
-    return output, l_aux
+    y = flexible_all_to_all([y], 0, 1)[0]
+    return fast_decode(y, crit), float(routing.l_aux)
 
 
 class TestFigure8Api:
@@ -42,7 +59,7 @@ class TestFigure8Api:
         assert l_aux > 0
 
     def test_matches_layer_forward(self, rng):
-        # The snippet must agree with the packaged layer, nn.MoE, at
+        # The composition must agree with the packaged layer, nn.MoE, at
         # k = 1 and k > 1.
         with substrate_dtype(np.float64):
             layer = MoE(16, 32, 4, rng, capacity_factor=1.0)
@@ -60,19 +77,19 @@ class TestFigure8Api:
 
     def test_flex_all2all_single_rank_roundtrip(self, rng):
         y = rng.normal(size=(4, 3, 5))
-        there = net.flex_all2all(y, 1, 0)
-        back = net.flex_all2all(there, 0, 1)
-        np.testing.assert_allclose(back, y)
+        there = flexible_all_to_all([y], 1, 0)
+        back = flexible_all_to_all(there, 0, 1)
+        np.testing.assert_allclose(back[0], y)
 
     def test_flex_all2all_world_list(self, rng):
         world = [rng.normal(size=(4, 3, 5)) for _ in range(2)]
-        out = net.flex_all2all(world, 1, 0)
+        out = flexible_all_to_all(world, 1, 0)
         assert len(out) == 2
         assert out[0].shape == (2, 6, 5)
 
     def test_top_k_routing_capacity_semantics(self, rng):
-        scores = moe.softmax(rng.normal(size=(64, 8)))
-        crit, _ = moe.top_k_routing(scores, 2, capacity_factor=0.0)
+        scores = softmax(rng.normal(size=(64, 8)))
+        crit = route(scores, 2, CapacityPolicy(0.0)).crit
         assert crit.dropped_fraction() == 0.0
-        crit, _ = moe.top_k_routing(scores, 2, capacity_factor=0.25)
+        crit = route(scores, 2, CapacityPolicy(0.25)).crit
         assert crit.dropped_fraction() > 0.0

@@ -45,17 +45,14 @@ class TestNeededCapacity:
 
 class TestCapacityPolicy:
     def test_positive_not_adaptive(self):
-        assert not CapacityPolicy(2.0).is_adaptive
         assert CapacityPolicy(2.0).upper_bound is None
 
     def test_zero_adaptive_unbounded(self):
         policy = CapacityPolicy(0.0)
-        assert policy.is_adaptive
         assert policy.upper_bound is None
 
     def test_negative_adaptive_bounded(self):
         policy = CapacityPolicy(-4.0)
-        assert policy.is_adaptive
         assert policy.upper_bound == 4.0
 
 

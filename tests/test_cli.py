@@ -46,7 +46,7 @@ class TestCommands:
             assert line.split(path.name, 1)[1].strip(), line
 
     @pytest.mark.parametrize("argv", [
-        ["profile", "layer", "--batch", "0"],
+        ["profile", "--batch", "0"],
         ["overhead", "--steps", "0"],
         ["route", "--fast", "--gpus", "0"],
         ["route", "--fast", "--gpus-per-node", "0"],
@@ -265,19 +265,25 @@ class TestChaosCommand:
 
 
 class TestProfileCommand:
-    def test_profile_layer_writes_artifacts(self, tmp_path, capsys,
-                                            monkeypatch):
+    def test_profile_writes_artifacts(self, tmp_path, capsys,
+                                      monkeypatch):
+        from repro import cli
+
         monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
         monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path / "bench"))
+        # The float32 speedup probe's child is pinned by its own test.
+        monkeypatch.setattr(cli, "_one_thread_speedup_probe",
+                            lambda: (2.0, 0.2, 0.1))
         trace = tmp_path / "trace.json"
-        assert main(["profile", "layer", "--trace", str(trace)]) == 0
+        assert main(["profile", "--trace", str(trace)]) == 0
         out = capsys.readouterr().out
         assert "== profile ==" in out
         assert "moe_dispatch" in out and "expert_ffn" in out
         events = json.loads(trace.read_text())["traceEvents"]
         assert any(e.get("ph") == "C" for e in events)  # counters
-        assert (tmp_path / "bench"
-                / "BENCH_profile_layer.json").exists()
+        for artifact in ("profile_step", "train_fingerprint"):
+            assert (tmp_path / "bench"
+                    / f"BENCH_{artifact}.json").exists()
         from repro.obs.runs import RunStore
 
         store = RunStore(tmp_path / "runs")
@@ -290,7 +296,7 @@ class TestProfileCommand:
         assert set(payload) == {
             "target", "schema_version", "totals", "by_op", "by_stage",
             "by_phase", "records_dropped", "peak_bytes"}
-        assert payload["target"] == "layer"
+        assert payload["target"] == "step"
         assert payload["totals"]["flops"] > 0
         assert payload["peak_bytes"] > 0
         assert "moe_dispatch" in payload["by_op"]
@@ -300,7 +306,7 @@ class TestProfileCommand:
                                                        capsys):
         monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
         monkeypatch.delenv("REPRO_RUNS_DIR", raising=False)
-        assert main(["profile", "step"]) == 0
+        assert main(["profile"]) == 0
         capsys.readouterr()
         from repro.bench.report import BenchResult
 
@@ -339,9 +345,12 @@ class TestProfileCommand:
         assert f"sys.path.insert(0, {str(src)!r})" in code
         assert "_dtype_speedup_probe()" in code
 
-    def test_profile_rejects_unknown_target(self):
-        with pytest.raises(SystemExit):
-            main(["profile", "weights"])
+    def test_profile_rejects_a_positional_argument(self):
+        # The profiled target is always the seed model's train step.
+        for extra in ("step", "layer"):
+            with pytest.raises(SystemExit) as exc:
+                main(["profile", extra])
+            assert exc.value.code == 2
 
 
 class TestCalibrateCommand:
@@ -380,7 +389,6 @@ class TestServeCommand:
         for name in ("poisson_steady", "bursty_spike",
                      "diurnal_cycle", "brownout_surge"):
             assert name in out
-        assert "SLO p99" in out
 
     def test_serve_requires_target(self):
         with pytest.raises(SystemExit):

@@ -11,10 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.collectives.functional import (
-    all_to_all_3dh,
     all_gather,
-    all_reduce,
-    all_to_all_2dh,
     all_to_all_2dh_phases,
     all_to_all_linear,
     flexible_all_to_all,
@@ -131,13 +128,18 @@ class Test2DHEquivalence:
     def test_matches_linear(self, n, m):
         world = make_world(n, chunk_shape=(2, 3), seed=n)
         linear = all_to_all_linear(world)
-        hier = all_to_all_2dh(world, gpus_per_node=m)
+        hier = all_to_all_2dh_phases(world, gpus_per_node=m)[-1]
         for r in range(n):
             np.testing.assert_allclose(hier[r], linear[r])
 
     def test_rejects_indivisible_world(self):
         with pytest.raises(ValueError):
-            all_to_all_2dh(make_world(6), gpus_per_node=4)
+            all_to_all_2dh_phases(make_world(6), gpus_per_node=4)
+
+    @pytest.mark.parametrize("m", [0, -2])
+    def test_rejects_nonpositive_gpus_per_node(self, m):
+        with pytest.raises(ValueError, match="gpus_per_node must be >= 1"):
+            all_to_all_2dh_phases(make_world(4), gpus_per_node=m)
 
     @settings(max_examples=25, deadline=None)
     @given(nodes=st.integers(1, 4), m=st.sampled_from([1, 2, 4]),
@@ -146,7 +148,7 @@ class Test2DHEquivalence:
         n = nodes * m
         world = make_world(n, chunk_shape=(payload,), seed=n + payload)
         linear = all_to_all_linear(world)
-        hier = all_to_all_2dh(world, gpus_per_node=m)
+        hier = all_to_all_2dh_phases(world, gpus_per_node=m)[-1]
         for r in range(n):
             np.testing.assert_allclose(hier[r], linear[r])
 
@@ -222,57 +224,14 @@ class TestRingCollectives:
         assert out[0].shape == (2, 2)
         np.testing.assert_allclose(out[0], 3.0)
 
-    def test_all_reduce(self):
-        world = [np.ones((3,)) * r for r in range(4)]
-        out = all_reduce(world)
-        for r in range(4):
-            np.testing.assert_allclose(out[r], 6.0)
-
     def test_reduce_scatter_then_gather_is_allreduce(self):
         rng = np.random.default_rng(3)
         world = [rng.normal(size=(4, 3)) for _ in range(4)]
         rs = reduce_scatter(world)
         ag = all_gather(rs)
-        ar = all_reduce(world)
         for r in range(4):
-            np.testing.assert_allclose(ag[r], ar[r])
+            np.testing.assert_allclose(ag[r], np.sum(world, axis=0))
 
     def test_reduce_scatter_rejects_indivisible(self):
         with pytest.raises(ValueError):
             reduce_scatter([np.zeros((3, 2)) for _ in range(2)])
-
-
-class Test3DH:
-    @pytest.mark.parametrize("n,m,g", [(8, 2, 2), (16, 4, 2),
-                                       (32, 4, 2), (32, 2, 4),
-                                       (64, 4, 4)])
-    def test_matches_linear(self, n, m, g):
-        world = make_world(n, chunk_shape=(2,), seed=n + m + g)
-        linear = all_to_all_linear(world)
-        hier = all_to_all_3dh(world, gpus_per_node=m, nodes_per_group=g)
-        for r in range(n):
-            np.testing.assert_allclose(hier[r], linear[r])
-
-    def test_degenerate_single_group(self):
-        # One group covering the world: 3DH reduces to (aligned) 2DH.
-        world = make_world(8, seed=7)
-        linear = all_to_all_linear(world)
-        hier = all_to_all_3dh(world, gpus_per_node=2, nodes_per_group=4)
-        for r in range(8):
-            np.testing.assert_allclose(hier[r], linear[r])
-
-    def test_rejects_indivisible_group(self):
-        with pytest.raises(ValueError):
-            all_to_all_3dh(make_world(12), gpus_per_node=4,
-                           nodes_per_group=2)
-
-    @settings(max_examples=15, deadline=None)
-    @given(groups=st.integers(1, 3), g=st.sampled_from([2, 4]),
-           m=st.sampled_from([2, 4]))
-    def test_property_matches_linear(self, groups, g, m):
-        n = groups * g * m
-        world = make_world(n, chunk_shape=(1,), seed=n)
-        linear = all_to_all_linear(world)
-        hier = all_to_all_3dh(world, gpus_per_node=m, nodes_per_group=g)
-        for r in range(n):
-            np.testing.assert_allclose(hier[r], linear[r])

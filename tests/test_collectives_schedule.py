@@ -9,7 +9,6 @@ from repro.collectives.schedule import (
     Protocol,
     a2a_time,
     all_gather_time,
-    all_reduce_time,
     best_a2a_algorithm,
     linear_a2a_time,
     naive_local_agg_a2a_time,
@@ -162,13 +161,12 @@ class TestRingTimes:
         assert all_gather_time(topo, 1 * MIB, 1) == 0.0
         assert reduce_scatter_time(topo, 1 * MIB, 1) == 0.0
 
-    def test_all_reduce_is_rs_plus_ag(self):
-        topo = ndv4_topology(64)
-        total = 8 * MIB
-        g = 8
-        expected = (reduce_scatter_time(topo, total, g)
-                    + all_gather_time(topo, total / g, g))
-        assert all_reduce_time(topo, total, g) == pytest.approx(expected)
+    @pytest.mark.parametrize("fn", [all_gather_time, reduce_scatter_time])
+    @pytest.mark.parametrize("group", [0, -1])
+    def test_rejects_nonpositive_group(self, fn, group):
+        # 0 is not "the whole world" (that is None): it is rejected.
+        with pytest.raises(ValueError, match="group_size must be >= 1"):
+            fn(ndv4_topology(64), 1 * MIB, group_size=group)
 
     def test_intra_group_uses_nvlink(self):
         topo = ndv4_topology(64)

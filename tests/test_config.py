@@ -98,10 +98,6 @@ class TestMoEConfigDerived:
                         model_dim=1024, hidden_dim=4096)
         assert cfg.expert_parameter_count == 2 * 1024 * 4096
 
-    def test_num_nodes_rounds_up(self):
-        cfg = MoEConfig(world_size=10, gpus_per_node=8)
-        assert cfg.num_nodes == 2
-
     def test_tokens_per_step_global(self):
         cfg = MoEConfig(world_size=4, tokens_per_gpu=100)
         assert cfg.tokens_per_step == 400
@@ -110,10 +106,6 @@ class TestMoEConfigDerived:
         cfg = MoEConfig(world_size=8)
         assert cfg.with_(capacity_factor=2.0).capacity_factor == 2.0
         assert cfg.capacity_factor == 1.0  # original unchanged
-
-    def test_describe_mentions_symbols(self):
-        text = MoEConfig(world_size=8).describe()
-        assert "W=8" in text and "f=" in text
 
 
 class TestMoEConfigValidation:

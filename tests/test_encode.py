@@ -93,7 +93,7 @@ class TestDenseTensors:
     def test_combine_weights_sparsity(self):
         _, _, crit = random_case(t=32, k=2)
         cw = dense_combine_weights(crit)
-        assert (cw > 0).sum() == crit.valid.sum()
+        assert (cw > 0).sum() == crit.plan.valid.sum()
 
     def test_dispatch_mask_boolean(self):
         _, _, crit = random_case()
@@ -147,7 +147,7 @@ class TestSparseBackward:
         flat = z.reshape(-1, 4)
         for slot in range(2):
             for t in range(8):
-                if not crit.valid[slot, t] or crit.gates[slot, t] == 0:
+                if not crit.plan.valid[slot, t] or crit.gates[slot, t] == 0:
                     assert grad_gates[slot, t] == 0
                     continue
                 cell = (crit.idxs[slot, t] * crit.capacity
@@ -191,7 +191,7 @@ class TestZeroGateAndDropAgreement:
         crit, gates = routing.crit, routing.gates.copy()
         locations = crit.locations.copy()
         # Zero the gate of one random *valid* slot per sampled token.
-        valid_slots, valid_tokens = np.nonzero(crit.valid)
+        valid_slots, valid_tokens = np.nonzero(crit.plan.valid)
         if len(valid_tokens):
             pick = rng.integers(0, len(valid_tokens),
                                 max(1, len(valid_tokens) // 4))

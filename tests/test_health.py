@@ -39,7 +39,7 @@ def tick(engine, step, *layers, grad_norm=None):
 
 
 def fired(transitions):
-    return [(t.kind, t.step) for t in transitions
+    return [(t.rule.name, t.tick) for t in transitions
             if t.state == "firing"]
 
 
@@ -121,8 +121,9 @@ class TestEntropyDetector:
             assert tick(engine, step, {}) == []
         first = tick(engine, 4, {"entropy": 0.2})
         assert fired(first) == [("entropy_collapse", 4)]
-        assert first[0].severity == "critical"
-        assert first[0].layer == 0 and first[0].value == 0.2
+        assert first[0].rule.severity == "critical"
+        assert dict(first[0].labels)["layer"] == 0
+        assert first[0].value == 0.2
         # persists -> no second alert while still bad
         assert tick(engine, 5, {"entropy": 0.2}) == []
 
@@ -144,17 +145,18 @@ class TestEntropyDetector:
             assert tick(engine, step, {"entropy": e}) == []
         raised = tick(engine, 6, {"entropy": 0.7})
         assert fired(raised) == [("entropy_drift", 6)]
-        assert raised[0].severity == "warn"
+        assert raised[0].rule.severity == "warn"
         assert raised[0].value == 0.7 and raised[0].score < -4.0
 
     def test_layers_tracked_independently(self):
         engine = AlertEngine([ENTROPY_FLOOR])
         raised = tick(engine, 0, {"entropy": 0.2}, {"entropy": 0.2})
-        assert [t.layer for t in raised] == [0, 1]
+        assert [dict(t.labels)["layer"] for t in raised] == [0, 1]
         # layer 0 recovers, layer 1 stays collapsed: one resolve, and
         # the rule is still firing for layer 1's series.
         later = tick(engine, 1, {}, {"entropy": 0.2})
-        assert [(t.state, t.layer) for t in later] == [("resolved", 0)]
+        assert [(t.state, dict(t.labels)["layer"]) for t in later] == [
+            ("resolved", 0)]
         assert engine.firing() == ["entropy_collapse"]
 
 
@@ -163,7 +165,7 @@ class TestImbalanceAndCapacity:
         engine = AlertEngine(default_rules())
         raised = tick(engine, 0, {"gini": 0.95})
         assert fired(raised) == [("gini_ceiling", 0)]
-        assert raised[0].severity == "critical"
+        assert raised[0].rule.severity == "critical"
 
     def test_drop_rate_threshold(self):
         engine = AlertEngine(default_rules())
@@ -200,8 +202,9 @@ class TestDeadExpert:
         for step in range(10):
             got += tick(engine, step, self.starved())
         # step window-1, once, naming the layer and the expert
-        assert [(t.step, t.layer, t.expert) for t in got] == [(3, 0, 3)]
-        assert got[0].severity == "critical" and got[0].value == 0.0
+        assert [(t.tick, dict(t.labels)) for t in got] == [
+            (3, {"layer": 0, "expert": 3})]
+        assert got[0].rule.severity == "critical" and got[0].value == 0.0
 
     def test_window_resets_on_recovery(self):
         engine = AlertEngine([dead_expert(window=3)])
@@ -265,8 +268,8 @@ class TestAlertPlumbing:
         assert obj["severity"] == "critical"
         assert obj["state"] == "firing" and obj["threshold"] == 0.1
         assert "[firing]" in obj["message"]
-        assert (alert.kind, alert.step, alert.layer, alert.expert) == \
-            ("dead_expert", 7, 1, 3)
+        assert (alert.rule.name, alert.tick, dict(alert.labels)) == \
+            ("dead_expert", 7, {"layer": 1, "expert": 3})
 
     def test_alerts_land_in_run_stream(self, tmp_path):
         with recording_run(root=tmp_path, run_id="r", created_at=1.0):
@@ -274,7 +277,7 @@ class TestAlertPlumbing:
                 tel.event("routing", {"layer": 0, "gini": 0.95,
                                       "expert_load": [9, 1]}, 5)
                 tel.tick(5, "step", {"loss": 1.0})
-        assert [(a.kind, a.step) for a in tel.fired] == [
+        assert [(a.rule.name, a.tick) for a in tel.fired] == [
             ("gini_ceiling", 5)]
         events = RunStore(tmp_path).events("r")
         alerts = [e for e in events if e["kind"] == "alert"]
@@ -293,7 +296,7 @@ class TestAlertPlumbing:
             with LoopTelemetry("train", rules=[rule, rule]):
                 pass
         assert get_run() is None
-        assert RunStore(tmp_path).run_ids() == []
+        assert RunStore(tmp_path).manifests() == []
 
     def test_determinism_same_sequence_same_alerts(self):
         rng = np.random.default_rng(3)
@@ -310,7 +313,7 @@ class TestAlertPlumbing:
                 ewma("entropy_drift", "routing.entropy", "<=", -4.0, 4)])
             for step, payload in enumerate(seq):
                 tick(engine, step, payload)
-            runs.append([(t.kind, t.step, t.state)
+            runs.append([(t.rule.name, t.tick, t.state)
                          for t in engine.transitions])
         assert runs[0] == runs[1]
         assert ("entropy_collapse", 20, "firing") in runs[0]

@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.cluster.topology import ndv4_topology
 from repro.collectives.functional import (
-    all_to_all_2dh,
+    all_to_all_2dh_phases,
     all_to_all_linear,
 )
 from repro.autograd.tensor import Tensor
@@ -15,7 +15,6 @@ from repro.moe.encode import dense_decode, dense_encode, fast_encode
 from repro.moe.ffn import ffn_forward_arrays
 from repro.moe.gating import softmax
 from repro.nn.moe import MoE, route
-from repro.pipeline.partition import merge_partitions, partition_capacity
 from repro.runtime.plan import TUTEL_FEATURES, moe_step_time
 
 
@@ -46,7 +45,7 @@ class TestDispatchOver2DH:
             buf = fast_encode(x, crit)            # (E, dC, M)
             dispatch.append(buf.reshape(w, -1))   # one chunk per dest
         linear = all_to_all_linear(dispatch)
-        hier = all_to_all_2dh(dispatch, gpus_per_node=4)
+        hier = all_to_all_2dh_phases(dispatch, gpus_per_node=4)[-1]
         for r in range(w):
             np.testing.assert_allclose(hier[r], linear[r])
 
@@ -80,12 +79,12 @@ class TestPipelinedDistributedLayer:
         w1, w2 = layer.w1.data, layer.w2.data
         expert_out = []
         for r in range(4):
-            parts = partition_capacity(expert_in[r], 4)
+            parts = np.split(expert_in[r], 4, axis=1)
             local = slice(2 * r, 2 * r + 2)         # dE = 2 experts
             outs = [ffn_forward_arrays(p, w1[local], w2[local],
                                        layer.activation)[0]
                     for p in parts]
-            expert_out.append(merge_partitions(outs))
+            expert_out.append(np.concatenate(outs, axis=1))
         combined = flexible_all_to_all(expert_out, 0, 1)
         outputs = [fast_decode(combined[r], crits[r]) for r in range(4)]
         for r in range(4):

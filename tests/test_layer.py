@@ -161,5 +161,5 @@ class TestMoELayerForward:
         # Same drop budget, different victims.
         assert fifo.last_routing_stats.dropped_fraction == pytest.approx(
             bpr.last_routing_stats.dropped_fraction, abs=0.05)
-        assert (fifo.last_routing_criteria.valid
-                != bpr.last_routing_criteria.valid).any()
+        assert (fifo.last_routing_criteria.plan.valid
+                != bpr.last_routing_criteria.plan.valid).any()

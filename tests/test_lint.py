@@ -169,7 +169,7 @@ def test_option_surface_is_pinned():
         read |= environment_reads(ast.parse(path.read_text()))
     assert read == {"REPRO_BENCH_DIR", "REPRO_DTYPE", "REPRO_RUNS_DIR",
                     "REPRO_SCALE", "REPRO_TRACE"}
-    assert (SRC / "cli.py").read_text().count("add_argument(") == 42
+    assert (SRC / "cli.py").read_text().count("add_argument(") == 41
 
 
 def imported_modules(tree: ast.AST) -> set[str]:
@@ -301,9 +301,8 @@ def test_one_expert_placement():
 
 def test_one_expert_ffn():
     # Every NumPy forward and backward runs the fused kernels of
-    # moe/ffn.py; the autograd relu op and the fused dense ffn op, both
-    # in autograd/functional.py, are the only other callers of the
-    # activation and of its derivative.
+    # moe/ffn.py; the fused dense ffn op in autograd/functional.py is
+    # the only other caller of the activation and of its derivative.
     trees = {str(path.relative_to(SRC)): ast.parse(path.read_text())
              for path in sorted(SRC.rglob("*.py"))}
     for kernel in ("act_forward", "act_backward"):

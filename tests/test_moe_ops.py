@@ -78,7 +78,7 @@ class TestMoeCombine:
         def value(zv, gv):
             live = RoutingCriteria(idxs=crit.idxs,
                                    locations=crit.locations,
-                                   gates=np.where(crit.valid, gv, 0.0),
+                                   gates=np.where(crit.plan.valid, gv, 0.0),
                                    capacity=crit.capacity,
                                    num_experts=crit.num_experts)
             return float(np.sum(fast_decode(zv, live) * w))
@@ -112,7 +112,7 @@ class TestMoeCombine:
         z = Tensor(rng.normal(size=(2, 2, 4)), requires_grad=True)
         g = Tensor(np.ones_like(crit.gates), requires_grad=True)
         moe_combine(z, g, crit).sum().backward()
-        assert (g.grad[~crit.valid] == 0).all()
+        assert (g.grad[~crit.plan.valid] == 0).all()
 
 
 class TestBatchedExpertGemm:

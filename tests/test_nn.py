@@ -162,7 +162,7 @@ class TestMoEModule:
 
         with substrate_dtype(np.float32):
             moe = self.make(np.random.default_rng(0))
-            moe.fail_expert(1)
+            moe.mask_expert(1)
             x = Tensor(np.random.default_rng(1).normal(size=(32, 8)),
                        requires_grad=True)
             out, l_aux = moe(x)

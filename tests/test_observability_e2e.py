@@ -109,18 +109,18 @@ class TestHealthAlerts:
     def test_dead_expert_at_the_right_step(self, scenario):
         _, result = scenario
         dead = [a for a in result.health_alerts
-                if a.kind == "dead_expert"]
+                if a.rule.name == "dead_expert"]
         assert dead, "expert failure never detected"
-        assert dead[0].step == FAIL_STEP + DEAD_WINDOW - 1
-        assert dead[0].expert == 3 and dead[0].layer == 0
-        assert dead[0].severity == "critical"
+        assert dead[0].tick == FAIL_STEP + DEAD_WINDOW - 1
+        assert dict(dead[0].labels) == {"layer": 0, "expert": 3}
+        assert dead[0].rule.severity == "critical"
 
     def test_entropy_collapse_is_critical(self, scenario):
         _, result = scenario
         collapse = [a for a in result.health_alerts
-                    if a.kind == "entropy_drift"
-                    and a.severity == "critical"]
-        assert collapse and collapse[0].step == COLLAPSE_STEP
+                    if a.rule.name == "entropy_drift"
+                    and a.rule.severity == "critical"]
+        assert collapse and collapse[0].tick == COLLAPSE_STEP
         # log(2)/log(8): both top-k slots pile onto experts 0..1
         assert collapse[0].value == pytest.approx(1 / 3, abs=1e-6)
 
@@ -133,7 +133,9 @@ class TestHealthAlerts:
                      e["data"].get("layer"), e["data"].get("expert"))
                     for e in events if e["kind"] == "alert"
                     and e["data"]["state"] == "firing"]
-        assert streamed == [(a.kind, a.step, a.layer, a.expert)
+        assert streamed == [(a.rule.name, a.tick,
+                             dict(a.labels).get("layer"),
+                             dict(a.labels).get("expert"))
                             for a in result.health_alerts]
         manifest = RunStore(root).manifest("chaos-a")
         assert manifest.summary["alerts"] == len(streamed)
@@ -143,9 +145,9 @@ class TestHealthAlerts:
         _, first = scenario
         repeat = run_scenario(tmp_path, "chaos-b", seed=0,
                               splits=splits)
-        assert [(a.kind, a.step, a.layer, a.expert)
+        assert [(a.rule.name, a.tick, a.labels)
                 for a in repeat.health_alerts] == \
-               [(a.kind, a.step, a.layer, a.expert)
+               [(a.rule.name, a.tick, a.labels)
                 for a in first.health_alerts]
 
 

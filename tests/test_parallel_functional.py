@@ -68,6 +68,12 @@ class TestParameterPlacement:
         with pytest.raises(ValueError):
             column_shards(layer.w1.data, layer.w2.data, 4)
 
+    @pytest.mark.parametrize("shards", [0, -1])
+    def test_column_shards_reject_nonpositive(self, shards):
+        _, layer, _ = build()
+        with pytest.raises(ValueError, match="shards must be >= 1"):
+            column_shards(layer.w1.data, layer.w2.data, shards)
+
     def test_switching_moves_no_parameter(self, monkeypatch):
         # P1 -> P2 -> P1 on one layer: P2 computes on views of the
         # layer's weights, P1 on exactly what its all-gather of those

@@ -1,4 +1,4 @@
-"""Tests for token partitioning and pipeline schedules (Figure 14)."""
+"""Tests for capacity partitioning and pipeline schedules (Figure 14)."""
 
 import numpy as np
 import pytest
@@ -14,11 +14,6 @@ from repro.parallel.strategy import (
     SegmentSpec,
     build_segment_spec,
 )
-from repro.pipeline.partition import (
-    merge_partitions,
-    partition_capacity,
-    valid_degrees,
-)
 from repro.pipeline.schedule import (
     PipelineStrategy,
     all_strategies,
@@ -29,31 +24,6 @@ from repro.pipeline.schedule import (
 
 
 class TestPartition:
-    def test_valid_degrees(self):
-        assert valid_degrees(8) == (1, 2, 4, 8)
-        assert valid_degrees(6) == (1, 2)
-        assert valid_degrees(1) == (1,)
-
-    def test_partition_shapes(self):
-        x = np.arange(2 * 8 * 3, dtype=float).reshape(2, 8, 3)
-        parts = partition_capacity(x, 4)
-        assert len(parts) == 4
-        assert parts[0].shape == (2, 2, 3)
-
-    def test_merge_roundtrip(self):
-        x = np.random.default_rng(0).normal(size=(4, 8, 5))
-        for degree in (1, 2, 4, 8):
-            np.testing.assert_array_equal(
-                merge_partitions(partition_capacity(x, degree)), x)
-
-    def test_rejects_indivisible(self):
-        with pytest.raises(ValueError):
-            partition_capacity(np.zeros((2, 6, 3)), 4)
-
-    def test_rejects_empty_merge(self):
-        with pytest.raises(ValueError):
-            merge_partitions([])
-
     def test_pipelined_expert_equals_unpipelined(self):
         # The functional core of Figure 14: chunked All-to-All + expert
         # + merge produces the same numbers as the monolithic path.
@@ -69,8 +39,9 @@ class TestPartition:
             return ffn_forward_arrays(x, w1, w2, "gelu")[0]
 
         whole = expert_ffn(dispatched)
-        chunked = merge_partitions([
-            expert_ffn(part) for part in partition_capacity(dispatched, 4)])
+        chunked = np.concatenate([
+            expert_ffn(part) for part in np.split(dispatched, 4, axis=1)],
+            axis=1)
         np.testing.assert_allclose(whole, chunked, atol=1e-12)
 
 

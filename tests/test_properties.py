@@ -14,11 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import moe, net
 from repro.autograd.tensor import Tensor
 from repro.cluster.topology import ndv4_topology
 from repro.collectives.functional import (
-    all_to_all_2dh,
+    all_to_all_2dh_phases,
     flexible_all_to_all,
 )
 from repro.collectives.schedule import (
@@ -73,7 +72,7 @@ class TestTokenConservation:
         dispatched = fast_encode(x, crit)
         # Count non-zero capacity cells == number of valid routes
         # (token rows are generically non-zero).
-        live = crit.valid & (crit.gates != 0)
+        live = crit.plan.valid & (crit.gates != 0)
         filled = (np.abs(dispatched).sum(axis=2) > 0).sum()
         assert filled == live.sum()
 
@@ -125,7 +124,7 @@ class TestCollectiveInvariants:
         n = nodes * m
         rng = np.random.default_rng(seed)
         world = [rng.normal(size=(n, 2)) for _ in range(n)]
-        out = all_to_all_2dh(world, gpus_per_node=m)
+        out = all_to_all_2dh_phases(world, gpus_per_node=m)[-1]
         before = np.sort(np.concatenate([w.ravel() for w in world]))
         after = np.sort(np.concatenate([o.ravel() for o in out]))
         np.testing.assert_allclose(before, after)
@@ -331,18 +330,20 @@ class TestOneRoutingDecision:
         frozen, adaptive = case.frozen(case.no_drop_f), case.frozen(0.0)
 
         def routed(x):
-            return moe.top_k_routing(
-                moe.softmax(x @ case.gate), k,
-                capacity_factor=case.no_drop_f,
-                batch_prioritized=case.batch_prioritized)
+            routing = route(softmax(x @ case.gate), k,
+                            CapacityPolicy(case.no_drop_f),
+                            case.batch_prioritized)
+            return (routing.crit.with_gates(routing.gates),
+                    float(routing.l_aux))
 
         def figure8(x):
+            # Paper Figure 8's custom layer over the live internals.
             crit, l_aux = routed(x)
-            y = moe.fast_encode(x, crit)
-            y = net.flex_all2all(y, 1, 0)
+            y = fast_encode(x, crit)
+            y = flexible_all_to_all([y], 1, 0)[0]
             y, _ = ffn_forward_arrays(y, case.w1, case.w2, case.activation)
-            y = net.flex_all2all(y, 0, 1)
-            return moe.fast_decode(y, crit), l_aux
+            y = flexible_all_to_all([y], 0, 1)[0]
+            return fast_decode(y, crit), l_aux
 
         def dense(x):
             # Fairseq's data path: the GShard einsum encode/decode.

@@ -480,7 +480,7 @@ class TestExpertDegradation:
         def run(fail):
             layer = MoE(8, 16, 4, np.random.default_rng(0), top_k=2)
             if fail:
-                layer.fail_expert(2)
+                layer.mask_expert(2)
             x = Tensor(np.random.default_rng(1).normal(size=(64, 8)))
             out, aux = layer(x)
             (out.sum() + aux).backward()
@@ -534,9 +534,9 @@ class TestExpertDegradation:
         model = fresh_model()
         layer = model.moe_layers()[0]
         for e in range(layer.num_experts - 1):
-            layer.fail_expert(e)
+            layer.mask_expert(e)
         with pytest.raises(ValueError, match="last surviving"):
-            layer.fail_expert(layer.num_experts - 1)
+            layer.mask_expert(layer.num_experts - 1)
 
     def test_fail_expert_validation(self):
         model = fresh_model()
@@ -544,13 +544,6 @@ class TestExpertDegradation:
             model.fail_expert(5, 0)  # no such layer
         with pytest.raises(ValueError):
             model.fail_expert(0, 99)  # no such expert
-
-    def test_restore_expert_readmits(self):
-        model = fresh_model()
-        layer = model.moe_layers()[0]
-        layer.fail_expert(0)
-        layer.restore_expert(0)
-        assert layer.failed_experts == set()
 
 
 class TestWindowedFinalMetrics:

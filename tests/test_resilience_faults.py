@@ -132,7 +132,7 @@ class TestOpFailure:
         op = next(iter(result.retries))
         assert result.retries[op] == 1
         # The span covers the whole attempt sequence.
-        assert result.span(op) == (pytest.approx(0.0),
+        assert result.spans[op] == (pytest.approx(0.0),
                                    pytest.approx(1.7))
 
     def test_stream_scoped_failure(self):
@@ -146,8 +146,8 @@ class TestOpFailure:
         result = simulate(s, faults=plan)
         comp = next(op for op in s.ops if op.label == "comp")
         comm = next(op for op in s.ops if op.label == "comm")
-        assert result.span(comp)[1] == pytest.approx(1.0)
-        assert result.span(comm)[1] == pytest.approx(1.5)
+        assert result.spans[comp][1] == pytest.approx(1.0)
+        assert result.spans[comm][1] == pytest.approx(1.5)
 
     def test_idle_failure_counted_not_recovered(self):
         plan = FaultPlan(op_failures=[

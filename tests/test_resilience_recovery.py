@@ -69,7 +69,6 @@ class TestReselectStrategy:
         assert decision.node_asymmetric
         assert decision.cost.a2a_algorithm is A2AAlgorithm.LINEAR
         assert np.isfinite(decision.cost.total_time)
-        assert "ranks [3]" in decision.describe()
 
     def test_whole_node_failure_stays_symmetric(self):
         decision = reselect_strategy(make_cfg(), ndv4_topology(16),
@@ -171,7 +170,6 @@ class TestCompoundFault:
                      / clean.baseline_cost.total_time)
         assert compound.slowdown < conflated
         assert compound.slowdown > 0
-        assert "x iteration time" in compound.describe()
 
     def test_link_degradation_validation(self):
         cfg, topo = make_cfg(), ndv4_topology(16)

@@ -273,12 +273,12 @@ class TestRunStore:
 
     def test_listing_sorted_by_created_at(self, tmp_path):
         store = self._populate(tmp_path)
-        assert store.run_ids() == ["old", "mid", "new"]
+        assert [m.run_id for m in store.manifests()] == ["old", "mid", "new"]
         assert store.latest() == "new"
 
     def test_missing_root_lists_empty(self, tmp_path):
         store = RunStore(tmp_path / "nope")
-        assert store.run_ids() == []
+        assert [m.run_id for m in store.manifests()] == []
         with pytest.raises(KeyError):
             store.latest()
 
@@ -319,7 +319,7 @@ class TestGc:
         store = RunStore(tmp_path)
         removed = store.gc(keep=2)
         assert removed == ["oldest"]
-        assert store.run_ids() == ["middle", "newest"]
+        assert [m.run_id for m in store.manifests()] == ["middle", "newest"]
         assert not (tmp_path / "oldest").exists()
 
     def test_gc_dry_run_removes_nothing(self, tmp_path):
@@ -327,14 +327,14 @@ class TestGc:
         make_run(tmp_path, "b", 2.0)
         store = RunStore(tmp_path)
         assert store.gc(keep=1, dry_run=True) == ["a"]
-        assert store.run_ids() == ["a", "b"]
+        assert [m.run_id for m in store.manifests()] == ["a", "b"]
 
     def test_gc_keep_zero_and_noop(self, tmp_path):
         make_run(tmp_path, "a", 1.0)
         store = RunStore(tmp_path)
         assert store.gc(keep=5) == []
         assert store.gc(keep=0) == ["a"]
-        assert store.run_ids() == []
+        assert [m.run_id for m in store.manifests()] == []
 
     def test_gc_negative_keep_rejected(self, tmp_path):
         with pytest.raises(ValueError):

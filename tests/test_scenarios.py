@@ -10,7 +10,7 @@ from repro.cli import main
 from repro.cluster.topology import ndv4_topology
 from repro.obs.runs import RunStore
 from repro.scenarios.engine import price_replacement, run_scenario
-from repro.scenarios.library import SCENARIOS, get_scenario, scenario_names
+from repro.scenarios.library import SCENARIOS, get_scenario
 from repro.scenarios.report import emit_scenarios
 from repro.scenarios.spec import (
     ElasticResize,
@@ -126,8 +126,7 @@ class TestSpecValidation:
 
 class TestLibrary:
     def test_at_least_four_scenarios(self):
-        assert len(scenario_names()) >= 4
-        assert scenario_names() == sorted(scenario_names())
+        assert len(SCENARIOS) >= 4
 
     def test_expected_names_present(self):
         assert {"rank_loss_deadline", "expert_death_loss_slo",
@@ -137,7 +136,7 @@ class TestLibrary:
     def test_every_scenario_has_a_hard_model_bound(self):
         """Each named scenario must carry >= 1 deterministic SLO
         assertion (not just wall-clock bounds)."""
-        for name in scenario_names():
+        for name in sorted(SCENARIOS):
             slo = get_scenario(name).slo
             hard = (slo.loss_band is not None
                     or slo.max_loss_parity is not None
@@ -205,7 +204,7 @@ class TestRunScenario:
     @pytest.fixture(scope="class")
     def results(self):
         return {name: run_scenario(get_scenario(name), fast=True)
-                for name in scenario_names()}
+                for name in sorted(SCENARIOS)}
 
     def test_all_named_scenarios_pass(self, results):
         for name, res in results.items():
@@ -425,7 +424,7 @@ class TestScenarioCLI:
     def test_list(self, capsys):
         assert main(["scenario", "--list"]) == 0
         out = capsys.readouterr().out
-        for name in scenario_names():
+        for name in sorted(SCENARIOS):
             assert name in out
 
     def test_single_scenario_passes(self, capsys):

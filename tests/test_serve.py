@@ -37,7 +37,7 @@ from repro.serve.ledger import (
     build_batch_ledger,
     stage_sum,
 )
-from repro.serve.workloads import WORKLOADS, get_workload, workload_names
+from repro.serve.workloads import WORKLOADS, get_workload
 
 #: sha256 of each registered workload's modeled ledger at
 #: ``fast=True, seed=0``: per request ``(request_id, batch_id,
@@ -456,7 +456,7 @@ class TestEngine:
             > calm.metric("model_p99_ms").value
         from repro.obs.runs import RunStore
         store = RunStore(tmp_path)
-        run_id = store.run_ids()[0]
+        run_id = store.manifests()[0].run_id
         kinds = {e.get("kind") for e in store.events(run_id)}
         assert {"serve", "serve_batch", "serve_request",
                 "serving_load", "slo_check", "fault",
@@ -524,7 +524,7 @@ class TestEngine:
             assert frozen.metric(name).value == taped.metric(name).value
         assert frozen.expert_load == taped.expert_load
 
-    @pytest.mark.parametrize("name", workload_names())
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_queue_depth_counts_the_waiting_tail(self, name):
         # The engine bisects the sorted arrival times; the scan over
         # the requests behind the batch is the definition.
@@ -538,7 +538,7 @@ class TestEngine:
                 1 for r in requests[end:] if r.arrival_ns <= ledger.close_ns)
         assert end == len(requests)
 
-    @pytest.mark.parametrize("name", workload_names())
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_modeled_ledger_matches_its_golden_digest(self, name):
         # The tolerance-0 percentiles would miss a permuted share; this
         # pins batch composition and apportionment bit for bit.
@@ -562,10 +562,8 @@ class TestEngine:
 
 class TestWorkloadRegistry:
     def test_names_and_lookup(self):
-        names = workload_names()
         assert {"poisson_steady", "bursty_spike", "diurnal_cycle",
-                "brownout_surge"} == set(names)
-        assert names == sorted(names)
+                "brownout_surge"} == set(WORKLOADS)
         with pytest.raises(KeyError):
             get_workload("nope")
 

@@ -54,8 +54,8 @@ class TestBasics:
         s = make_chain(1.0, 2.0)
         result = simulate(s)
         (a, b) = s.ops
-        assert result.span(a) == (pytest.approx(0.0), pytest.approx(1.0))
-        assert result.span(b)[0] == pytest.approx(1.0)
+        assert result.spans[a] == (pytest.approx(0.0), pytest.approx(1.0))
+        assert result.spans[b][0] == pytest.approx(1.0)
 
     def test_rejects_foreign_dependency(self):
         s = Schedule()
@@ -126,7 +126,7 @@ class TestStreams:
                      deps=(blocker,), label="b")
         c = s.new_op(work=1.0, stream="comm", kind="comm", label="c")
         result = simulate(s)
-        assert result.span(c)[0] >= result.span(b)[0]
+        assert result.spans[c][0] >= result.spans[b][0]
 
 
 class TestInterference:
@@ -161,7 +161,7 @@ class TestInterference:
         s.new_op(work=10.0, stream="comm", kind="comm", label="x")
         result = simulate(s, model)
         comp = next(op for op in s.ops if op.label == "c")
-        start, end = result.span(comp)
+        start, end = result.spans[comp]
         assert end - start == pytest.approx(2.0)
 
     def test_rate_counts_each_kind_once(self):
@@ -229,7 +229,7 @@ class TestReferenceAgreement:
         result = simulate(s)
         assert result.makespan == pytest.approx(ref_makespan)
         for op in s.ops:
-            got, want = result.span(op), ref_spans[op]
+            got, want = result.spans[op], ref_spans[op]
             assert got[0] == pytest.approx(want[0]), op.label
             assert got[1] == pytest.approx(want[1]), op.label
 
@@ -307,13 +307,13 @@ class TestRandomDagInvariants:
         # rounded microsecond ts/dur.
         assert loaded.makespan == result.makespan
         for op in schedule.ops:
-            assert loaded.span(by_label[op.label]) == result.span(op)
+            assert loaded.spans[by_label[op.label]] == result.spans[op]
 
         for res in (result, loaded):
             slack = 1e-9 * max(res.makespan, 1.0)
             lanes = {}
             for op, (start, end) in res.spans.items():
-                assert all(start >= res.span(d)[1] - slack
+                assert all(start >= res.spans[d][1] - slack
                            for d in op.deps), op.label
                 lanes.setdefault((op.gpu, op.stream), []).append(
                     (start, end))
@@ -322,8 +322,8 @@ class TestRandomDagInvariants:
                 assert all(b[0] >= a[1] - slack
                            for a, b in zip(lane, lane[1:]))
             chain = analysis.critical_path(res)
-            assert res.makespan >= (res.span(chain[-1])[1]
-                                    - res.span(chain[0])[0]) - slack
+            assert res.makespan >= (res.spans[chain[-1]][1]
+                                    - res.spans[chain[0]][0]) - slack
 
         assert analysis.analyze(loaded, rebuilt).render() == \
             analysis.analyze(result, schedule).render()
@@ -337,9 +337,9 @@ class TestRandomDagInvariants:
         second.new_op(work=0.5, gpu=1, deps=(a,), label="ffn")
         ob = obs.enable()
         try:
-            with ob.span("step", obs.CAT_TRAIN):
+            with obs.span("step", obs.CAT_TRAIN):
                 simulate(first)
-            with ob.span("gate", obs.CAT_MOE):
+            with obs.span("gate", obs.CAT_MOE):
                 want = simulate(second)
             ob.instant("saved", obs.CAT_CKPT)
         finally:

@@ -15,7 +15,6 @@ from repro.core.substrate import (
     SUPPORTED_DTYPES,
     default_dtype,
     default_itemsize,
-    resolve_dtype,
     set_default_dtype,
     substrate_dtype,
 )
@@ -69,12 +68,6 @@ class TestDtypeConfig:
         finally:
             set_default_dtype(prev)
 
-    def test_resolve_dtype(self):
-        assert resolve_dtype(None) == default_dtype()
-        assert resolve_dtype(np.float64) == np.dtype(np.float64)
-        with pytest.raises(ValueError):
-            resolve_dtype(np.int8)
-
     def test_context_manager_restores_on_exception(self):
         with pytest.raises(RuntimeError):
             with substrate_dtype(np.float64):
@@ -115,18 +108,14 @@ class TestTensorDtypeSemantics:
         assert a.grad is not None
         assert a.grad.dtype == np.float32
 
-    def test_detach_preserves_dtype(self):
-        a = Tensor(np.ones(3), dtype=np.float64, requires_grad=True)
-        assert a.detach().data.dtype == np.float64
-
     def test_end_to_end_graph_is_float32(self):
-        from repro.autograd.functional import relu
+        from repro.autograd.functional import exp
 
         x = Tensor(np.random.default_rng(0).normal(size=(8, 4)),
                    requires_grad=True)
         w = Tensor(np.random.default_rng(1).normal(size=(4, 4)),
                    requires_grad=True)
-        out = relu(x @ w)
+        out = exp(x @ w)
         assert out.data.dtype == np.float32
         out.sum().backward()
         assert x.grad.dtype == np.float32
