@@ -114,12 +114,21 @@ class Adam:
         """Keep only the ``(index, old bits)`` of the store entries whose
         bits changed since :meth:`snapshot` (``-0.0`` over ``0.0`` and
         one NaN over another count), and drop the copy.  The compare
-        runs block by block: no store-sized temporary."""
+        runs block by block over 8-byte words, with no store-sized
+        temporary; only a block that differs is searched entry by entry,
+        as are the entries past the last whole word."""
         for i, (bits, _, old) in enumerate(self._undo):
-            idx = np.concatenate([np.flatnonzero(bits[lo:lo + BLOCK]
-                                                 != old[lo:lo + BLOCK]) + lo
-                                  for lo in range(0, bits.size, BLOCK)]
-                                 or [np.empty(0, dtype=np.intp)])
+            per = 8 // bits.itemsize        # entries per word
+            cut = bits.size - bits.size % per
+            now_w, old_w = (a[:cut].view(np.uint64) for a in (bits, old))
+            found = []
+            for w in range(0, now_w.size, BLOCK):
+                if (now_w[w:w + BLOCK] != old_w[w:w + BLOCK]).any():
+                    lo, hi = w * per, min(w + BLOCK, now_w.size) * per
+                    found.append(np.flatnonzero(bits[lo:hi] != old[lo:hi])
+                                 + lo)
+            found.append(np.flatnonzero(bits[cut:] != old[cut:]) + cut)
+            idx = np.concatenate(found)
             self._undo[i] = (bits, idx, old[idx])
 
     def rollback(self) -> None:

@@ -9,7 +9,8 @@ loss of GShard optimizes the load-balance index reported here).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -105,14 +106,18 @@ def routing_entropy(crit: RoutingCriteria, normalized: bool = True,
     return float(entropy / np.log(crit.num_experts))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoutingStats:
     """One routing decision's diagnostic summary.
 
     ``expert_load`` is the per-expert routed-token count (dropped slots
     included) — the series the run registry's utilization heatmap and
-    the dead-expert health detector consume; ``load_gini`` is its Gini
-    coefficient (0 = balanced).
+    the dead-expert health detector consume.  The fields every batch
+    reads (counts, capacity, drops, imbalance) are computed with the
+    summary; ``routing_entropy``, ``load_gini`` (the Gini coefficient of
+    ``expert_load``, 0 = balanced) and ``mean_top1_confidence`` on first
+    read, from the decision it holds, and then kept.  Two summaries are
+    equal when every field, lazy ones included, is.
     """
 
     num_tokens: int
@@ -121,11 +126,44 @@ class RoutingStats:
     capacity: int
     dropped_fraction: float
     load_imbalance: float
-    routing_entropy: float
     needed_capacity: int
-    mean_top1_confidence: float
-    expert_load: tuple[int, ...] = ()
-    load_gini: float = 0.0
+    expert_load: tuple[int, ...]
+    _crit: RoutingCriteria = field(repr=False)
+    #: ``(·, T)``: each token's top-1 confidence is its column's max.
+    _top1_of: np.ndarray = field(repr=False)
+
+    #: The fields computed on first read.
+    LAZY = ("routing_entropy", "load_gini", "mean_top1_confidence")
+
+    @cached_property
+    def routing_entropy(self) -> float:
+        return routing_entropy(self._crit, load=expert_load(self._crit))
+
+    @cached_property
+    def load_gini(self) -> float:
+        return load_gini(expert_load(self._crit))
+
+    @cached_property
+    def mean_top1_confidence(self) -> float:
+        """Mean top-1 gate probability (``gate_probs`` when given, else
+        the selected-slot gates); 0.0 for an empty batch."""
+        t = self.num_tokens
+        if t == 0:
+            return 0.0  # a mean over zero tokens would be NaN
+        # A column max over a contiguous copy of the probabilities'
+        # transpose: the same elements as their row max, ~3x faster
+        # than max(axis=1) over short rows.
+        top1 = np.ascontiguousarray(self._top1_of).max(axis=0)
+        # np.mean's arithmetic without its Python-level wrapper: the sum
+        # in the array's dtype, divided in float64, rounded back.
+        return float(top1.dtype.type(float(top1.sum()) / t))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RoutingStats):
+            return NotImplemented
+        names = [f.name for f in fields(self)
+                 if not f.name.startswith("_")] + list(self.LAZY)
+        return all(getattr(self, n) == getattr(other, n) for n in names)
 
     @property
     def needed_capacity_factor(self) -> float:
@@ -148,39 +186,29 @@ class RoutingStats:
 
 def routing_stats(crit: RoutingCriteria,
                   gate_probs: np.ndarray | None = None) -> RoutingStats:
-    """Compute the full diagnostic summary for one routing decision.
+    """The diagnostic summary of one routing decision.
 
-    ``gate_probs`` (the ``(T, E)`` softmax output) adds the mean top-1
+    ``gate_probs`` (the ``(T, E)`` softmax output) gives the mean top-1
     confidence — the priority signal batch prioritized routing sorts
-    by; without it the selected-slot gates are used instead.  Every
-    load statistic reads one :func:`expert_load` vector.
+    by; without it the selected-slot gates are used instead.  The
+    summary holds ``crit`` and that array, and reads them only when a
+    lazy field is read.  Every load statistic reads one
+    :func:`expert_load` vector.
     """
     if gate_probs is not None and gate_probs.shape != (
             crit.num_tokens, crit.num_experts):
         raise ValueError(
             f"gate_probs must be (T={crit.num_tokens}, "
             f"E={crit.num_experts}), got {gate_probs.shape}")
-    t = crit.num_tokens
-    if t == 0:
-        confidence = 0.0  # a mean over zero tokens would be NaN
-    else:
-        # A row max reduced down the columns of the transpose: the
-        # same elements, ~3x faster than max(axis=1) over short rows.
-        top1 = (np.ascontiguousarray(gate_probs.T).max(axis=0)
-                if gate_probs is not None else crit.gates.max(axis=0))
-        # np.mean's arithmetic without its Python-level wrapper: the sum
-        # in the array's dtype, divided in float64, rounded back.
-        confidence = float(top1.dtype.type(float(top1.sum()) / t))
     load = expert_load(crit)
     return RoutingStats(
-        num_tokens=t,
+        num_tokens=crit.num_tokens,
         num_experts=crit.num_experts,
         top_k=crit.top_k,
         capacity=crit.capacity,
         dropped_fraction=crit.dropped_fraction(),
         load_imbalance=load_imbalance(crit, load),
-        routing_entropy=routing_entropy(crit, load=load),
         needed_capacity=crit.max_needed_capacity(),
-        mean_top1_confidence=confidence,
         expert_load=tuple(load.tolist()),
-        load_gini=load_gini(load))
+        _crit=crit,
+        _top1_of=gate_probs.T if gate_probs is not None else crit.gates)

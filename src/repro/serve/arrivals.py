@@ -123,15 +123,33 @@ class ArrivalSpec:
 
 
 def _poisson_times(rng: np.random.Generator, rate: float,
-                   start: float, end: float) -> list[float]:
-    """Homogeneous Poisson arrival instants in ``[start, end)``."""
-    times = []
-    t = start
+                   start: float, end: float) -> np.ndarray:
+    """Homogeneous Poisson arrival instants in ``[start, end)``: the
+    left fold ``t += gap`` over exponential gaps, up to the first
+    ``t >= end``, whose gap is drawn too.
+
+    The count ``n`` comes from a fold over draws that are then taken
+    back (the bit-generator state is restored); the ``n + 1`` gaps are
+    then one draw.  Values and final state are bitwise those of ``n + 1``
+    scalar draws: the generator fills arrays element by element, and
+    ``cumsum`` is the same sequential fold.
+    """
+    scale = 1.0 / rate
+    bits = rng.bit_generator
+    saved = bits.state
+    n, t = 0, start
+    # The expected count with room to spare: one chunk almost always.
+    size = int(rate * (end - start) * 1.25) + 8
     while True:
-        t += rng.exponential(1.0 / rate)
-        if t >= end:
-            return times
-        times.append(t)
+        fold = np.cumsum(np.concatenate(([t], rng.exponential(scale, size))))
+        k = int(np.searchsorted(fold[1:], end))  # first fold >= end
+        n += k
+        if k < size:
+            break
+        t = fold[-1]
+    bits.state = saved
+    return np.cumsum(np.concatenate(([start],
+                                     rng.exponential(scale, n + 1))))[1:-1]
 
 
 def _diurnal_rate(spec: ArrivalSpec, t: float) -> float:
@@ -142,25 +160,24 @@ def _diurnal_rate(spec: ArrivalSpec, t: float) -> float:
 
 
 def _arrival_seconds(spec: ArrivalSpec,
-                     rng: np.random.Generator) -> list[float]:
+                     rng: np.random.Generator) -> np.ndarray:
     if spec.kind == "poisson":
         return _poisson_times(rng, spec.rate, 0.0, spec.horizon_s)
     if spec.kind == "bursty":
-        times: list[float] = []
+        segments = []
         t, on = 0.0, False
         while t < spec.horizon_s:
             dwell = rng.exponential(spec.on_s if on else spec.off_s)
             end = min(t + dwell, spec.horizon_s)
             rate = spec.burst_rate if on else spec.rate
-            times.extend(_poisson_times(rng, rate, t, end))
+            segments.append(_poisson_times(rng, rate, t, end))
             t, on = end, not on
-        return times
-    # diurnal: thinning at the peak rate.
-    times = []
-    for t in _poisson_times(rng, spec.peak_rate, 0.0, spec.horizon_s):
-        if rng.random() < _diurnal_rate(spec, t) / spec.peak_rate:
-            times.append(t)
-    return times
+        return np.concatenate(segments)
+    # diurnal: thinning at the peak rate, one uniform per candidate.
+    times = _poisson_times(rng, spec.peak_rate, 0.0, spec.horizon_s)
+    keep = [u < _diurnal_rate(spec, t) / spec.peak_rate
+            for t, u in zip(times.tolist(), rng.random(times.size).tolist())]
+    return times[np.array(keep, dtype=bool)]
 
 
 def generate_arrivals(spec: ArrivalSpec, seed: int) -> list[Request]:
@@ -174,11 +191,13 @@ def generate_arrivals(spec: ArrivalSpec, seed: int) -> list[Request]:
     """
     rng = np.random.default_rng(seed)
     seconds = _arrival_seconds(spec, rng)
-    requests = []
-    for i, t in enumerate(seconds):
-        tokens = int(rng.integers(spec.min_tokens, spec.max_tokens + 1))
-        # The retired payload seed, still drawn so traces keep their bits.
-        rng.integers(0, 2**31 - 1)
-        requests.append(Request(request_id=i,
-                                arrival_ns=round(t * NS), tokens=tokens))
-    return requests
+    # Per request (tokens, the retired payload seed), one pair at a
+    # time in generation order: the seed is still drawn so traces keep
+    # their bits.
+    draws = rng.integers([spec.min_tokens, 0],
+                         [spec.max_tokens + 1, 2**31 - 1],
+                         size=(seconds.size, 2))
+    arrival_ns = np.rint(seconds * NS).astype(np.int64)
+    return [Request(request_id=i, arrival_ns=ns, tokens=tokens)
+            for i, (ns, tokens) in enumerate(zip(arrival_ns.tolist(),
+                                                 draws[:, 0].tolist()))]

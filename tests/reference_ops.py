@@ -244,3 +244,49 @@ def expert_weights_one_shot(rng: np.random.Generator, model_dim: int,
     w1 = rng.normal(0.0, s1, (num_experts, model_dim, hidden_dim))
     w2 = rng.normal(0.0, s2, (num_experts, hidden_dim, model_dim))
     return w1.astype(dtype), w2.astype(dtype)
+
+
+def generate_arrivals_per_draw(spec, seed: int) -> list:
+    """The pre-batching :func:`repro.serve.arrivals.generate_arrivals`:
+    one scalar ``exponential`` per gap (the crossing one included), one
+    ``random`` per diurnal candidate and two ``integers`` per request
+    (tokens, then the retired payload seed)."""
+    import math
+
+    from repro.serve.arrivals import NS, Request
+
+    rng = np.random.default_rng(seed)
+
+    def poisson_times(rate, start, end):
+        times, t = [], start
+        while True:
+            t += rng.exponential(1.0 / rate)
+            if t >= end:
+                return times
+            times.append(t)
+
+    if spec.kind == "poisson":
+        seconds = poisson_times(spec.rate, 0.0, spec.horizon_s)
+    elif spec.kind == "bursty":
+        seconds, t, on = [], 0.0, False
+        while t < spec.horizon_s:
+            dwell = rng.exponential(spec.on_s if on else spec.off_s)
+            end = min(t + dwell, spec.horizon_s)
+            rate = spec.burst_rate if on else spec.rate
+            seconds.extend(poisson_times(rate, t, end))
+            t, on = end, not on
+    else:
+        seconds = []
+        for t in poisson_times(spec.peak_rate, 0.0, spec.horizon_s):
+            phase = 2.0 * math.pi * t / spec.period_s
+            rate = (spec.rate + (spec.peak_rate - spec.rate)
+                    * 0.5 * (1.0 - math.cos(phase)))
+            if rng.random() < rate / spec.peak_rate:
+                seconds.append(t)
+    requests = []
+    for i, t in enumerate(seconds):
+        tokens = int(rng.integers(spec.min_tokens, spec.max_tokens + 1))
+        rng.integers(0, 2**31 - 1)
+        requests.append(Request(request_id=i, arrival_ns=round(t * NS),
+                                tokens=tokens))
+    return requests

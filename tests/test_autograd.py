@@ -649,6 +649,34 @@ class TestFusedAdam:
         for p in params:
             assert np.shares_memory(p.data, store) and p.grad is None
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("size", [1, 3, 2 * BLOCK + 1, 3 * BLOCK + 5])
+    def test_guard_record_matches_an_entry_by_entry_compare(self, dtype,
+                                                            size):
+        # The record is the (index, old bits) of every changed entry,
+        # whether the compare runs over words or entries: writes in the
+        # first and a middle block, the last whole word and the odd
+        # tail, a sign flip of a zero and a NaN payload change.
+        p = Tensor(np.zeros(size, dtype=dtype), requires_grad=True,
+                   dtype=dtype)
+        p.data[::2] = np.nan
+        opt = Adam([p])
+        store, = opt.stores.values()
+        bits = store.view(f"u{store.itemsize}")
+        for picks in ([], [0], [size - 1],
+                      sorted({0, size // 2, max(0, size - 2), size - 1})):
+            opt.snapshot()
+            old = bits.copy()
+            for i in picks:
+                store[i] = -store[i] if i % 2 else -np.nan
+            opt.shrink_snapshot()
+            (_, idx, kept), = opt._undo
+            want = np.flatnonzero(bits != old)
+            np.testing.assert_array_equal(idx, want)
+            assert kept.tobytes() == old[want].tobytes()
+            opt.rollback()
+            assert bits.tobytes() == old.tobytes()
+
     def test_load_moments_reseats_in_saved_dtype(self):
         p = Tensor(np.ones((2, 3)), requires_grad=True, dtype=np.float64)
         opt = Adam([p])

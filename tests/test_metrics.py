@@ -1,5 +1,7 @@
 """Tests for the routing diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -262,24 +264,81 @@ def _hostile_crits():
     yield "single-expert", route(probs, 1, capacity=5).crit, probs
 
 
+def _public_fields(stats) -> dict:
+    """Every public field of a summary, the lazy ones included, read as
+    attributes (``vars`` holds only what has been computed)."""
+    names = [f.name for f in dataclasses.fields(stats)
+             if not f.name.startswith("_")]
+    return {n: getattr(stats, n) for n in names + list(stats.LAZY)}
+
+
+def _assert_matches_reference(stats, crit, gate_probs):
+    got = _public_fields(stats)
+    want = _reference_stats(crit, gate_probs)
+    assert got.keys() == want.keys()
+    for field, value in want.items():
+        if isinstance(value, float):
+            assert float(got[field]).hex() == float(value).hex(), field
+        else:
+            assert got[field] == value, field
+
+
 class TestRoutingStatsFields:
     @pytest.mark.parametrize("name,crit,probs", list(_hostile_crits()))
     def test_fields_are_plain_python(self, name, crit, probs):
         for gate_probs in (probs, None):
             stats = routing_stats(crit, gate_probs)
-            for field, value in vars(stats).items():
+            for field, value in _public_fields(stats).items():
                 assert type(value) in (int, float, tuple), (field, value)
             assert all(type(n) is int for n in stats.expert_load)
 
     @pytest.mark.parametrize("name,crit,probs", list(_hostile_crits()))
     def test_fields_equal_the_reference_formulas(self, name, crit, probs):
         for gate_probs in (probs, None):
-            got = vars(routing_stats(crit, gate_probs))
-            want = _reference_stats(crit, gate_probs)
-            assert got.keys() == want.keys()
-            for field, value in want.items():
-                if isinstance(value, float):
-                    assert float(got[field]).hex() == float(value).hex(), \
-                        field
-                else:
-                    assert got[field] == value, field
+            _assert_matches_reference(routing_stats(crit, gate_probs),
+                                      crit, gate_probs)
+
+    @pytest.mark.parametrize("name,crit,probs", list(_hostile_crits()))
+    def test_lazy_fields_wait_for_a_read_and_are_kept(self, name, crit,
+                                                      probs):
+        stats = routing_stats(crit, probs)
+        assert not set(stats.LAZY) & set(vars(stats))
+        first = [getattr(stats, n) for n in stats.LAZY]
+        assert set(stats.LAZY) <= set(vars(stats))
+        assert [getattr(stats, n) for n in stats.LAZY] == first
+        # Equality reads the lazy fields too.
+        assert stats == routing_stats(crit, probs)
+        if probs is not None and crit.num_tokens:
+            other = probs.copy()
+            other[0] = np.roll(other[0], 1) * 0.5
+            assert stats != routing_stats(crit, other)
+
+    @pytest.mark.parametrize("name,crit,probs", list(_hostile_crits()))
+    def test_gates_reassigned_after_the_summary_change_nothing(
+            self, name, crit, probs):
+        crit = dataclasses.replace(crit)
+        stats, want = routing_stats(crit), _reference_stats(crit)
+        crit.gates = np.ones_like(crit.gates)
+        assert _public_fields(stats) == want
+
+    @pytest.mark.parametrize("activation", ["gelu", "relu"])
+    def test_read_after_a_taped_step_matches_the_reference(self,
+                                                           activation):
+        # The summary holds the forward's softmax output: a backward
+        # through it and an Adam step over the layer must leave what the
+        # lazy fields read unchanged.
+        from repro.autograd.optim import Adam
+        from repro.autograd.tensor import Tensor
+        from repro.nn.moe import MoE
+
+        rng = np.random.default_rng(11)
+        layer = MoE(12, 24, num_experts=6, top_k=2, capacity_factor=0.75,
+                    activation=activation, rng=rng)
+        opt = Adam(list(layer.parameters()), lr=0.05)
+        x = Tensor(rng.normal(size=(40, 12)), requires_grad=True)
+        out, l_aux = layer(x)
+        stats, crit = layer.last_routing_stats, layer.last_routing_criteria
+        probs = stats._top1_of.T.copy()
+        ((out * out).sum() + l_aux).backward()
+        opt.step()
+        _assert_matches_reference(stats, crit, probs)

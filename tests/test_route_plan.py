@@ -201,8 +201,12 @@ def test_plan_consumers_match_the_mask_oracle(case):
     assert crit.max_needed_capacity() == oracle_needed_capacity(crit)
     stats = routing_stats(crit, probs)
     for name, want in oracle_stats(crit, probs).items():
-        assert getattr(stats, name) == want or (
-            np.isnan(want) and np.isnan(getattr(stats, name))), name
+        # Read as attributes: three of them are computed on this read.
+        got = getattr(stats, name)
+        if isinstance(want, float):
+            assert float(got).hex() == want.hex(), name
+        else:
+            assert got == want, name
 
 
 @given(case=hostile_criteria())

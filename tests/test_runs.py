@@ -392,3 +392,17 @@ class TestDeterminism:
         kinds = [json.loads(line)["kind"] for line in first.splitlines()]
         assert {"train_begin", "step", "routing", "eval"} <= set(kinds)
         assert first == second
+
+        # Routing diagnostics computed on first read write the bytes
+        # that computing them with the summary does.
+        import repro.nn.moe as nn_moe
+        lazy = nn_moe.routing_stats
+
+        def eager(crit, gate_probs=None):
+            stats = lazy(crit, gate_probs)
+            for name in stats.LAZY:
+                getattr(stats, name)
+            return stats
+
+        monkeypatch.setattr(nn_moe, "routing_stats", eager)
+        assert run(tmp_path / "c") == first

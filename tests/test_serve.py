@@ -38,6 +38,7 @@ from repro.serve.ledger import (
     stage_sum,
 )
 from repro.serve.workloads import WORKLOADS, get_workload
+from tests.reference_ops import generate_arrivals_per_draw
 
 #: sha256 of each registered workload's modeled ledger at
 #: ``fast=True, seed=0``: per request ``(request_id, batch_id,
@@ -108,6 +109,32 @@ class TestArrivals:
         assert all(spec.min_tokens <= r.tokens <= spec.max_tokens
                    for r in trace)
         assert [r.request_id for r in trace] == list(range(len(trace)))
+
+    @pytest.mark.parametrize("spec", [
+        _spec("poisson"), _spec("bursty"), _spec("diurnal"),
+        # The two serving benchmark traces: poisson_steady over 1 s and
+        # full fixed-size requests (min_tokens == max_tokens draws no
+        # token count).
+        ArrivalSpec(kind="poisson", horizon_s=1.0, rate=200.0),
+        ArrivalSpec(kind="poisson", horizon_s=0.1, rate=1500.0,
+                    min_tokens=32, max_tokens=32),
+    ], ids=["poisson", "bursty", "diurnal", "serve_steady", "serve_wide"])
+    def test_batched_draws_match_the_per_draw_oracle(self, spec):
+        for seed in range(300):
+            assert generate_arrivals(spec, seed) \
+                == generate_arrivals_per_draw(spec, seed), seed
+
+    @pytest.mark.parametrize("kind", ["poisson", "bursty", "diurnal"])
+    def test_empty_and_single_arrival_traces_match_the_oracle(self, kind):
+        # A horizon short enough that most seeds draw no arrival and
+        # some draw exactly one (the crossing gap is still drawn).
+        spec = _spec(kind, horizon_s=0.004)
+        counts = set()
+        for seed in range(300):
+            trace = generate_arrivals(spec, seed)
+            assert trace == generate_arrivals_per_draw(spec, seed), seed
+            counts.add(len(trace))
+        assert {0, 1} <= counts
 
     def test_rate_roughly_matches(self):
         spec = ArrivalSpec(kind="poisson", horizon_s=20.0, rate=100.0)
@@ -321,6 +348,23 @@ class TestEngine:
         assert [r.model_e2e_ns for r in a.requests] \
             == [r.model_e2e_ns for r in b.requests]
         assert a.expert_load == b.expert_load
+
+    def test_plain_replay_computes_no_routing_diagnostics(
+            self, monkeypatch):
+        # Without a run or alert rules nothing reads a layer's entropy
+        # or Gini, so a replay computes neither.
+        from repro.moe import metrics
+        calls = []
+        for name in ("routing_entropy", "load_gini"):
+            real = getattr(metrics, name)
+            monkeypatch.setattr(
+                metrics, name,
+                lambda *a, _n=name, _f=real, **k: calls.append(_n)
+                or _f(*a, **k))
+        monkeypatch.delenv("REPRO_RUNS_DIR", raising=False)
+        res = serve_workload(get_workload("poisson_steady"), fast=True,
+                             seed=0)
+        assert res.batches and calls == []
 
     def test_emits_percentiles_goodput_and_checks(self):
         res = serve_workload(get_workload("poisson_steady"),
