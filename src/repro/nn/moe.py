@@ -136,6 +136,37 @@ def route(gate_probs: np.ndarray, top_k: int,
     return Routing(gate_probs, order, crit, effective_f)
 
 
+class _LazyAux(Tensor):
+    """An untaped forward's ``l_aux``: the constant tensor
+    ``Tensor(routing.l_aux, dtype=gate_probs.dtype)``, whose ``data``
+    slot is filled on first read.  The serve engine discards it unread,
+    so a replay never computes the loss.  Later reads hit the slot."""
+
+    __slots__ = ("_routing",)
+
+    def __init__(self, routing: Routing) -> None:
+        # Tensor.__init__ would fill ``data``; the rest is its defaults.
+        self.grad = None
+        self.requires_grad = False
+        self._backward = None
+        self._parents = ()
+        self.name = ""
+        self._op = None
+        self._routing = routing
+
+    def __getattr__(self, name: str):
+        # Only reached while a slot is unset: ``data`` before its
+        # first read.
+        routing = self._routing if name == "data" else None
+        if routing is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.data = np.asarray(routing.l_aux,
+                               dtype=routing.gate_probs.dtype)
+        self._routing = None
+        return self.data
+
+
 def _draw_experts(rng: np.random.Generator, scale: float,
                   shape: tuple[int, int, int]) -> np.ndarray:
     """``rng.normal(0, scale, shape)`` cast to the substrate dtype, drawn
@@ -220,9 +251,12 @@ class MoE(Module):
         # the loop that drives it does (repro.obs.loop.LoopTelemetry).
         # Capacity factor resolve_capacity settled on for that forward.
         self.last_effective_capacity_factor: float | None = None
-        # Full routing summary (needed capacity factor — Figure 1 —
-        # dropped fraction, load): the loops' run events, gauges and
-        # alert rules read this, so it is computed unconditionally.
+        # Routing summary of the latest forward: the loops' run events,
+        # gauges and alert rules read it, and the serve engine its
+        # loads and drops.  Counts, capacity, drops, imbalance and
+        # needed capacity (Figure 1) are computed on every forward;
+        # entropy, Gini and top-1 confidence on first read
+        # (RoutingStats.LAZY).
         self.last_routing_stats: RoutingStats | None = None
         # Raw routing decisions of the latest forward — the routing
         # provenance recorder (repro.obs.routing) folds these into
@@ -285,8 +319,10 @@ class MoE(Module):
         layer on a constant input — serving) the softmax, the selected
         gates and ``l_aux`` are computed on arrays by the same ops in
         the same order, so both come out bitwise equal as constant
-        tensors; dispatch, FFN, combine and a linear router's GEMM skip
-        :meth:`Tensor.from_op` too unless a profiler prices them.
+        tensors, and ``l_aux`` only when its ``data`` is first read
+        (:class:`_LazyAux`); dispatch, FFN, combine and a linear
+        router's GEMM skip :meth:`Tensor.from_op` too unless a profiler
+        prices them.
         """
         if x.ndim != 2:
             raise ValueError(f"x must be (T, M), got {x.shape}")
@@ -340,6 +376,5 @@ class MoE(Module):
         with stage(_COMBINE):
             output = moe_combine(expert_out, selected, crit)
 
-        l_aux = (route_l_aux(probs, routing) if taped
-                 else Tensor(routing.l_aux, dtype=dtype))
+        l_aux = route_l_aux(probs, routing) if taped else _LazyAux(routing)
         return output, l_aux

@@ -54,6 +54,8 @@ EXEC_STAGES = MOE_STAGES
 #: The six spans of a request's life, in timeline order.
 STAGES = ("queue", "batch_wait") + EXEC_STAGES
 
+_GATE, _DISPATCH, _EXPERT_FFN, _COMBINE = EXEC_STAGES
+
 
 def stage_sum(spans: Mapping[str, int]) -> int:
     """Sum of the six spans (exact — integer nanoseconds)."""
@@ -74,17 +76,22 @@ def attribute_shares(wall_ns: int,
         raise ValueError(f"wall_ns must be >= 0, got {wall_ns}")
     if not token_counts:
         raise ValueError("token_counts must be non-empty")
-    if any(t < 1 for t in token_counts):
+    if min(token_counts) < 1:
         raise ValueError("every member must carry >= 1 token")
     total = sum(token_counts)
-    shares = [wall_ns * t // total for t in token_counts]
-    remainders = [(wall_ns * t) % total for t in token_counts]
+    shares = []
+    remainders = []
+    for t in token_counts:
+        share, rem = divmod(wall_ns * t, total)
+        shares.append(share)
+        remainders.append(rem)
     leftover = wall_ns - sum(shares)
-    # Largest fractional part first; index breaks ties (FIFO).
-    order = sorted(range(len(token_counts)),
-                   key=lambda i: (-remainders[i], i))
-    for i in order[:leftover]:
-        shares[i] += 1
+    if leftover:
+        # Largest fractional part first; the stable sort keeps the
+        # earlier member first on ties (FIFO).
+        for i in sorted(range(len(shares)), key=remainders.__getitem__,
+                        reverse=True)[:leftover]:
+            shares[i] += 1
     return shares
 
 
@@ -170,38 +177,41 @@ def build_batch_ledger(batch: Batch, walls: Mapping[str, int],
     execution spans equal the batch walls; its ``queue`` and
     ``batch_wait`` spans partition ``[arrival, close)`` exactly.
     """
+    # Each wall converted to int once, checked in the order it is read.
+    checked = []
     for name, mapping in (("walls", walls),
                           ("model_walls", model_walls)):
+        ints = {}
         for s in EXEC_STAGES:
-            if int(mapping[s]) < 0:
+            ints[s] = int(mapping[s])
+            if ints[s] < 0:
                 raise ValueError(f"{name}[{s!r}] must be >= 0")
+        checked.append(ints)
+    stage_walls, stage_model_walls = checked
     token_counts = [r.tokens for r in batch.requests]
-    shares_by_stage = {s: attribute_shares(int(walls[s]), token_counts)
-                       for s in EXEC_STAGES}
-    model_shares_by_stage = {
-        s: attribute_shares(int(model_walls[s]), token_counts)
-        for s in EXEC_STAGES}
+    # Per member, one tuple of its share of each stage wall.
+    shares = zip(*[attribute_shares(w, token_counts)
+                   for w in stage_walls.values()])
+    model_shares = zip(*[attribute_shares(w, token_counts)
+                         for w in stage_model_walls.values()])
+    batch_id, free_ns, close_ns = (batch.batch_id, batch.free_ns,
+                                   batch.close_ns)
     ledgers = []
-    for i, r in enumerate(batch.requests):
-        queue = max(0, batch.free_ns - r.arrival_ns)
-        batch_wait = (batch.close_ns - r.arrival_ns) - queue
-        base = {"queue": queue, "batch_wait": batch_wait}
-        spans = dict(base)
-        model_spans = dict(base)
-        for s in EXEC_STAGES:
-            spans[s] = int(walls[s])
-            model_spans[s] = int(model_walls[s])
+    for r, (g, d, f, c), (mg, md, mf, mc) in zip(batch.requests, shares,
+                                                  model_shares):
+        queue = max(0, free_ns - r.arrival_ns)
+        batch_wait = (close_ns - r.arrival_ns) - queue
         ledgers.append(RequestLedger(
-            request_id=r.request_id, batch_id=batch.batch_id,
-            tokens=r.tokens, arrival_ns=r.arrival_ns,
-            close_ns=batch.close_ns,
-            spans=spans, model_spans=model_spans,
-            shares={s: shares_by_stage[s][i] for s in EXEC_STAGES},
-            model_shares={s: model_shares_by_stage[s][i]
-                          for s in EXEC_STAGES}))
+            request_id=r.request_id, batch_id=batch_id,
+            tokens=r.tokens, arrival_ns=r.arrival_ns, close_ns=close_ns,
+            spans={"queue": queue, "batch_wait": batch_wait,
+                   **stage_walls},
+            model_spans={"queue": queue, "batch_wait": batch_wait,
+                         **stage_model_walls},
+            shares={_GATE: g, _DISPATCH: d, _EXPERT_FFN: f, _COMBINE: c},
+            model_shares={_GATE: mg, _DISPATCH: md, _EXPERT_FFN: mf,
+                          _COMBINE: mc}))
     return BatchLedger(
-        batch_id=batch.batch_id, close_ns=batch.close_ns,
-        queue_depth=queue_depth,
-        walls={s: int(walls[s]) for s in EXEC_STAGES},
-        model_walls={s: int(model_walls[s]) for s in EXEC_STAGES},
+        batch_id=batch_id, close_ns=close_ns, queue_depth=queue_depth,
+        walls=stage_walls, model_walls=stage_model_walls,
         requests=tuple(ledgers))

@@ -290,3 +290,70 @@ def generate_arrivals_per_draw(spec, seed: int) -> list:
         requests.append(Request(request_id=i, arrival_ns=round(t * NS),
                                 tokens=tokens))
     return requests
+
+
+def attribute_shares_reference(wall_ns: int, token_counts) -> list[int]:
+    """The two-list :func:`repro.serve.ledger.attribute_shares`: floor
+    shares, then remainders, then a full sort by ``(-remainder, index)``
+    whether or not a nanosecond is left over."""
+    if wall_ns < 0:
+        raise ValueError(f"wall_ns must be >= 0, got {wall_ns}")
+    if not token_counts:
+        raise ValueError("token_counts must be non-empty")
+    if any(t < 1 for t in token_counts):
+        raise ValueError("every member must carry >= 1 token")
+    total = sum(token_counts)
+    shares = [wall_ns * t // total for t in token_counts]
+    remainders = [(wall_ns * t) % total for t in token_counts]
+    leftover = wall_ns - sum(shares)
+    order = sorted(range(len(token_counts)),
+                   key=lambda i: (-remainders[i], i))
+    for i in order[:leftover]:
+        shares[i] += 1
+    return shares
+
+
+def build_batch_ledger_reference(batch, walls, model_walls,
+                                 queue_depth: int):
+    """The per-stage :func:`repro.serve.ledger.build_batch_ledger`: each
+    wall read through ``int()`` wherever it is used, one share list per
+    stage indexed per member, and each request's dicts filled key by
+    key."""
+    from repro.serve.ledger import EXEC_STAGES, BatchLedger, RequestLedger
+
+    for name, mapping in (("walls", walls),
+                          ("model_walls", model_walls)):
+        for s in EXEC_STAGES:
+            if int(mapping[s]) < 0:
+                raise ValueError(f"{name}[{s!r}] must be >= 0")
+    token_counts = [r.tokens for r in batch.requests]
+    shares_by_stage = {
+        s: attribute_shares_reference(int(walls[s]), token_counts)
+        for s in EXEC_STAGES}
+    model_shares_by_stage = {
+        s: attribute_shares_reference(int(model_walls[s]), token_counts)
+        for s in EXEC_STAGES}
+    ledgers = []
+    for i, r in enumerate(batch.requests):
+        queue = max(0, batch.free_ns - r.arrival_ns)
+        batch_wait = (batch.close_ns - r.arrival_ns) - queue
+        base = {"queue": queue, "batch_wait": batch_wait}
+        spans = dict(base)
+        model_spans = dict(base)
+        for s in EXEC_STAGES:
+            spans[s] = int(walls[s])
+            model_spans[s] = int(model_walls[s])
+        ledgers.append(RequestLedger(
+            request_id=r.request_id, batch_id=batch.batch_id,
+            tokens=r.tokens, arrival_ns=r.arrival_ns,
+            close_ns=batch.close_ns,
+            spans=spans, model_spans=model_spans,
+            shares={s: shares_by_stage[s][i] for s in EXEC_STAGES},
+            model_shares={s: model_shares_by_stage[s][i]
+                          for s in EXEC_STAGES}))
+    return BatchLedger(
+        batch_id=batch.batch_id, close_ns=batch.close_ns,
+        queue_depth=queue_depth,
+        walls={s: int(walls[s]) for s in EXEC_STAGES},
+        model_walls={s: int(model_walls[s]) for s in EXEC_STAGES},
+        requests=tuple(ledgers))

@@ -391,6 +391,57 @@ class TestFrozenForward:
             assert (a.data.dtype, a.shape) == (b.data.dtype, b.shape)
             assert a.data.tobytes() == b.data.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("failed", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_frozen_l_aux_is_the_taped_one(self, k, failed, dtype):
+        # The frozen forward computes l_aux on the first read of its
+        # data; that read, and every later one, is the taped op's
+        # value, dtype and shape bit for bit (k = E = 4 shrinks to 3
+        # with an expert down).
+        from copy import deepcopy
+
+        from repro.nn.moe import MoE
+
+        with substrate_dtype(dtype):
+            rng = np.random.default_rng(11)
+            taped = MoE(16, 32, 4, rng, top_k=k)
+            if failed:
+                taped.mask_expert(2)
+            frozen = deepcopy(taped)
+            frozen.freeze()
+            x = rng.normal(size=(77, 16)).astype(dtype)
+            _, l_aux = taped(Tensor(x))
+            _, l_aux_f = frozen(Tensor(x))
+        assert l_aux._backward is not None and l_aux_f._backward is None
+        assert not l_aux_f.requires_grad and l_aux_f._parents == ()
+        for _ in range(2):
+            assert (l_aux_f.data.dtype, l_aux_f.shape) == (dtype, ())
+            assert l_aux_f.data.tobytes() == l_aux.data.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_frozen_classifier_aux_is_the_taped_one(self, dtype):
+        # MoEClassifier sums and scales its layers' l_aux on every
+        # forward: frozen, those tensor ops read each lazy l_aux and
+        # give the taped forward's bytes.
+        from copy import deepcopy
+
+        from repro.nn.models import MoEClassifier
+
+        with substrate_dtype(dtype):
+            rng = np.random.default_rng(12)
+            taped = MoEClassifier(6, 16, 32, 3, 4, 4, rng, top_k=2)
+            frozen = deepcopy(taped)
+            frozen.freeze()
+            x = rng.normal(size=(40, 6))
+            logits, aux = taped(Tensor(x))
+            logits_f, aux_f = frozen(Tensor(x))
+        assert len(taped.moe_layers()) == 2
+        assert aux._backward is not None and aux_f._backward is None
+        for a, b in ((logits, logits_f), (aux, aux_f)):
+            assert (a.data.dtype, a.shape) == (b.data.dtype, b.shape)
+            assert a.data.tobytes() == b.data.tobytes()
+
 
 class TestRaggedKernels:
     """Multiplying only ``x[e, :rows[e]]`` changes no output: padded

@@ -24,6 +24,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bench.report import SLOCheck
 from repro.core.substrate import set_default_dtype
@@ -38,7 +39,11 @@ from repro.serve.ledger import (
     stage_sum,
 )
 from repro.serve.workloads import WORKLOADS, get_workload
-from tests.reference_ops import generate_arrivals_per_draw
+from tests.reference_ops import (
+    attribute_shares_reference,
+    build_batch_ledger_reference,
+    generate_arrivals_per_draw,
+)
 
 #: sha256 of each registered workload's modeled ledger at
 #: ``fast=True, seed=0``: per request ``(request_id, batch_id,
@@ -227,6 +232,68 @@ class TestBatchFormer:
                   close_ns=20)
 
 
+def _outcome(fn, *args):
+    """``fn(*args)``'s repr, or the message of the ``ValueError`` it
+    raised."""
+    try:
+        return repr(fn(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@st.composite
+def _share_cases(draw, allow_bad=True):
+    """``(wall_ns, token_counts)``: 1-16 members, walls of 0 up to
+    2**70, all-equal counts (every remainder tied), walls that divide
+    exactly (nothing left over) and, unless ``allow_bad`` is off,
+    negative walls and zero-token or empty member lists."""
+    n = draw(st.integers(1, 16))
+    if draw(st.booleans()):
+        tokens = [draw(st.integers(1, 64))] * n
+    else:
+        tokens = draw(st.lists(st.integers(1, 64), min_size=n,
+                               max_size=n))
+    wall = draw(st.one_of(
+        st.just(0), st.integers(0, 1000), st.integers(0, 2**70),
+        st.integers(0, 10**6).map(lambda m: m * sum(tokens))))
+    if allow_bad:
+        bad = draw(st.sampled_from(["", "", "", "", "wall", "zero",
+                                    "empty"]))
+        if bad == "wall":
+            wall = -draw(st.integers(1, 10**9))
+        elif bad == "zero":
+            tokens[draw(st.integers(0, n - 1))] = 0
+        elif bad == "empty":
+            tokens = []
+    return wall, tokens
+
+
+@st.composite
+def _ledger_cases(draw):
+    """``(batch, walls, model_walls, queue_depth)`` for 1-16 members,
+    walls as Python or NumPy ints, now and then one negative."""
+    _, tokens = draw(_share_cases(allow_bad=False))
+    close = draw(st.integers(0, 10**12))
+    arrivals = sorted(draw(st.lists(st.integers(0, close),
+                                    min_size=len(tokens),
+                                    max_size=len(tokens))))
+    batch = Batch(
+        batch_id=draw(st.integers(0, 10**6)),
+        requests=tuple(Request(request_id=i, arrival_ns=a, tokens=t)
+                       for i, (a, t) in enumerate(zip(arrivals, tokens))),
+        free_ns=draw(st.integers(0, close)), close_ns=close)
+
+    def stage_walls():
+        cast = draw(st.sampled_from([int, np.int64]))
+        walls = {s: cast(draw(_share_cases(allow_bad=False))[0]
+                         % 2**62) for s in EXEC_STAGES}
+        if draw(st.integers(0, 9)) == 0:
+            walls[draw(st.sampled_from(EXEC_STAGES))] = -1
+        return walls
+
+    return batch, stage_walls(), stage_walls(), draw(st.integers(0, 64))
+
+
 class TestLedgerConservation:
     def test_attribute_shares_sums_exactly(self):
         rng = np.random.default_rng(0)
@@ -249,6 +316,21 @@ class TestLedgerConservation:
             attribute_shares(10, [])
         with pytest.raises(ValueError):
             attribute_shares(10, [0, 1])
+
+    @given(case=_share_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_attribute_shares_matches_its_oracle(self, case):
+        wall, tokens = case
+        assert _outcome(attribute_shares, wall, tokens) \
+            == _outcome(attribute_shares_reference, wall, tokens)
+
+    @given(case=_ledger_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_build_batch_ledger_matches_its_oracle(self, case):
+        # repr() holds every field of both columns, dict key order and
+        # the type of every number.
+        assert _outcome(build_batch_ledger, *case) \
+            == _outcome(build_batch_ledger_reference, *case)
 
     @pytest.mark.parametrize("kind", ["poisson", "bursty", "diurnal"])
     @pytest.mark.parametrize("seed", [0, 7])
@@ -365,6 +447,35 @@ class TestEngine:
         res = serve_workload(get_workload("poisson_steady"), fast=True,
                              seed=0)
         assert res.batches and calls == []
+
+    def test_plain_replay_computes_no_l_aux(self, monkeypatch):
+        # The engine discards each layer's l_aux, so a replay never
+        # computes the loss or the routed fractions it is made of.
+        from functools import cached_property
+
+        from repro.autograd.tensor import Tensor
+        from repro.nn.moe import MoE, Routing
+        calls = []
+        for name in ("l_aux", "routed_frac"):
+            real = Routing.__dict__[name].func
+            counted = cached_property(
+                lambda self, _n=name, _f=real: calls.append(_n)
+                or _f(self))
+            counted.__set_name__(Routing, name)
+            monkeypatch.setattr(Routing, name, counted)
+        monkeypatch.delenv("REPRO_RUNS_DIR", raising=False)
+        res = serve_workload(get_workload("poisson_steady"), fast=True,
+                             seed=0)
+        assert res.batches and calls == []
+        # The counters count: a read of a frozen forward's l_aux
+        # computes both, once.
+        layer = MoE(8, 16, 4, np.random.default_rng(0))
+        layer.freeze()
+        _, l_aux = layer(Tensor(np.ones((5, 8))))
+        assert calls == []
+        first = l_aux.data
+        assert l_aux.data is first
+        assert calls == ["l_aux", "routed_frac"]
 
     def test_emits_percentiles_goodput_and_checks(self):
         res = serve_workload(get_workload("poisson_steady"),
