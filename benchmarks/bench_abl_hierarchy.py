@@ -12,11 +12,7 @@
 from repro.bench.harness import Table
 from repro.bench.report import Metric, emit
 from repro.cluster.topology import ndv4_topology, nvswitch256_topology
-from repro.collectives.schedule import (
-    linear_a2a_time,
-    threedh_a2a_time,
-    twodh_a2a_time,
-)
+from repro.collectives.schedule import A2AAlgorithm, Impl, a2a_time
 from repro.core.units import MIB, fmt_time
 
 WORLDS = (2048, 8192, 32768)
@@ -31,9 +27,11 @@ def run(verbose: bool = True):
     for world in WORLDS:
         t8 = ndv4_topology(world)
         t256 = nvswitch256_topology(world)
-        row = (linear_a2a_time(t8, SIZE), twodh_a2a_time(t8, SIZE),
-               twodh_a2a_time(t256, SIZE),
-               threedh_a2a_time(t8, SIZE, nodes_per_group=16))
+        row = (a2a_time(t8, SIZE, A2AAlgorithm.LINEAR),
+               a2a_time(t8, SIZE, A2AAlgorithm.TWO_DH),
+               a2a_time(t256, SIZE, A2AAlgorithm.TWO_DH),
+               # 3DH is modelled as the fused MSCCL schedule.
+               a2a_time(t8, SIZE, A2AAlgorithm.THREE_DH, impl=Impl.MSCCL))
         results[world] = row
         table.add_row(world, *[fmt_time(t) for t in row])
     if verbose:

@@ -8,7 +8,7 @@ from repro.bench.harness import Table
 from repro.bench.report import Metric, emit
 from repro.cluster.linkmodel import a2a_bus_bandwidth, ib_write_bandwidth_curve
 from repro.cluster.topology import ndv4_topology
-from repro.collectives.schedule import linear_a2a_time
+from repro.collectives.schedule import A2AAlgorithm, a2a_time
 from repro.core.units import GIB, KIB, MIB, fmt_bytes, fmt_rate
 
 
@@ -30,7 +30,7 @@ def run(verbose: bool = True):
         t = ndv4_topology(world)
         row = []
         for total in (1 * MIB, 32 * MIB, 1 * GIB):
-            elapsed = linear_a2a_time(t, total)
+            elapsed = a2a_time(t, total, A2AAlgorithm.LINEAR)
             row.append(a2a_bus_bandwidth(t, total, elapsed))
         series[world] = row
         fig_b.add_row(world, *[fmt_rate(v) for v in row])

@@ -9,11 +9,7 @@ could not even run at 4,096 GPUs.
 from repro.bench.harness import Table
 from repro.bench.report import Metric, emit
 from repro.cluster.topology import ndv4_topology
-from repro.collectives.schedule import (
-    linear_a2a_time,
-    naive_local_agg_a2a_time,
-    twodh_a2a_time,
-)
+from repro.collectives.schedule import A2AAlgorithm, a2a_time
 from repro.core.units import MIB, fmt_time
 
 WORLDS = (64, 128, 256, 512, 1024, 2048, 4096)
@@ -30,9 +26,9 @@ def run(verbose: bool = True):
         rows = {}
         for world in WORLDS:
             topo = ndv4_topology(world)
-            linear = linear_a2a_time(topo, total)
-            naive = naive_local_agg_a2a_time(topo, total)
-            twodh = twodh_a2a_time(topo, total)
+            linear = a2a_time(topo, total, A2AAlgorithm.LINEAR)
+            naive = a2a_time(topo, total, A2AAlgorithm.NAIVE_LOCAL_AGG)
+            twodh = a2a_time(topo, total, A2AAlgorithm.TWO_DH)
             rows[world] = (linear, naive, twodh)
             table.add_row(world, fmt_time(linear), fmt_time(naive),
                           fmt_time(twodh), f"{linear / twodh:.2f}x")

@@ -8,15 +8,11 @@ while the Simple protocol wins at large ones.
 from repro.bench.harness import Table
 from repro.bench.report import Metric, emit
 from repro.cluster.topology import ndv4_topology
-from repro.collectives.schedule import (
-    Impl,
-    Protocol,
-    linear_a2a_time,
-    twodh_a2a_time,
-)
+from repro.collectives.schedule import A2AAlgorithm, Impl, Protocol, a2a_time
 from repro.core.units import MIB, fmt_time
 
 WORLDS = (64, 256, 1024)
+TWO_DH = A2AAlgorithm.TWO_DH
 SIZES = (1 * MIB, 32 * MIB, 256 * MIB)
 
 
@@ -30,11 +26,10 @@ def run(verbose: bool = True):
              "2DH (MSCCL+LL128)"])
         for total in SIZES:
             row = (
-                linear_a2a_time(topo, total),
-                twodh_a2a_time(topo, total, impl=Impl.NCCL),
-                twodh_a2a_time(topo, total, impl=Impl.MSCCL),
-                twodh_a2a_time(topo, total, impl=Impl.MSCCL,
-                               protocol=Protocol.LL128),
+                a2a_time(topo, total, A2AAlgorithm.LINEAR),
+                a2a_time(topo, total, TWO_DH, impl=Impl.NCCL),
+                a2a_time(topo, total, TWO_DH, impl=Impl.MSCCL),
+                a2a_time(topo, total, TWO_DH, Protocol.LL128, Impl.MSCCL),
             )
             results[(world, total)] = row
             table.add_row(f"{total // MIB} MiB",

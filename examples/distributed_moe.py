@@ -14,11 +14,13 @@ Run:  python examples/distributed_moe.py
 import numpy as np
 
 from repro.autograd.tensor import Tensor
+from repro.cluster.topology import ndv4_topology
 from repro.collectives.functional import (
+    Traffic,
     all_to_all_2dh_phases,
-    all_to_all_linear,
     flexible_all_to_all,
 )
+from repro.collectives.schedule import A2AAlgorithm, a2a_schedule
 from repro.core.config import MoEConfig
 from repro.moe.distributed import distributed_moe_forward
 from repro.nn.moe import MoE
@@ -84,13 +86,18 @@ def main():
     # 2DH All-to-All phase-by-phase on 8 ranks / 2 nodes (Figure 15).
     world = [np.array([10 * src + dst for dst in range(8)]).reshape(8, 1)
              for src in range(8)]
-    phases = all_to_all_2dh_phases(world, gpus_per_node=4)
+    traffic = Traffic(ndv4_topology(8, gpus_per_node=4))
+    phases = all_to_all_2dh_phases(world, gpus_per_node=4, traffic=traffic)
     print("\n2DH All-to-All, GPU0's buffer per phase:")
     for i, phase in enumerate(phases):
         print(f"  phase {i}: {phase[0].ravel().tolist()}")
-    linear = all_to_all_linear(world)
+    linear = flexible_all_to_all(world, 0, 0)
     same = all(np.array_equal(phases[-1][r], linear[r]) for r in range(8))
     print(f"2DH == linear: {same}")
+    # What the mover moved is what the cost model prices.
+    closed = a2a_schedule(traffic.topo, world[0].nbytes, A2AAlgorithm.TWO_DH)
+    print(f"counted traffic == closed form: "
+          f"{tuple(traffic.phases) == closed.phases}")
 
 
 if __name__ == "__main__":

@@ -4,8 +4,11 @@ Every algorithm here operates on a list of per-rank NumPy arrays — the
 "world" — and returns the per-rank results.  These are the correctness
 half of the collectives layer: the 2DH algorithm (paper Algorithm 3 /
 Figure 15) must produce byte-identical output to the linear algorithm
-(paper Algorithm 1), and the tests assert exactly that.  The latency
-half lives in :mod:`repro.collectives.schedule`.
+(paper Algorithm 1), and the tests assert exactly that.  Both run on
+one exchange primitive, all-to-all within rank groups, which can count
+what it moves into the records :mod:`repro.collectives.schedule`
+prices (:class:`Traffic`), so each mover is checked against its closed
+form too.
 
 Conventions: for plain All-to-All each rank's input has leading
 dimension ``n`` (one chunk per destination rank); rank ``r``'s output
@@ -14,19 +17,47 @@ row ``s`` is rank ``s``'s input row ``r``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
+from repro.cluster.topology import ClusterTopology
+from repro.collectives.schedule import Copy, Exchange, Link
 from repro.obs import CAT_COLLECTIVE
 from repro.obs import span as _span
 
 __all__ = [
-    "all_to_all_linear",
+    "Traffic",
     "stride_memcpy",
     "all_to_all_2dh_phases",
     "flexible_all_to_all",
     "all_gather",
     "reduce_scatter",
 ]
+
+
+@dataclass
+class Traffic:
+    """One GPU's phases as a data mover ran them, in the schedule's
+    records; ``topo`` names the link each message rides."""
+
+    topo: ClusterTopology
+    phases: list[Copy | Exchange] = field(default_factory=list)
+
+    def _link(self, src: int, dst: int) -> Link:
+        m = self.topo.gpus_per_node
+        if src // m == dst // m:
+            return Link.INTRA
+        if src % m == dst % m or not self.topo.rail_optimized:
+            return Link.RAIL
+        return Link.CROSS
+
+    def exchange(self, group: list[int], nbytes: int) -> None:
+        """Count the messages the group's first rank sends to its peers
+        (every rank's count when ``gpus_per_node`` divides the world)."""
+        links = [self._link(group[0], dst) for dst in group[1:]]
+        self.phases += [Exchange(link, links.count(link), nbytes)
+                        for link in Link if link in links]
 
 
 def _check_world(inputs: list[np.ndarray]) -> int:
@@ -41,19 +72,26 @@ def _check_world(inputs: list[np.ndarray]) -> int:
     return n
 
 
-def all_to_all_linear(inputs: list[np.ndarray]) -> list[np.ndarray]:
-    """Linear All-to-All (paper Algorithm 1).
+def _group_all_to_all(buffers: list[np.ndarray], groups: list[list[int]],
+                      concat_dim: int, split_dim: int,
+                      traffic: Traffic | None) -> list[np.ndarray]:
+    """All-to-All within each rank group, the one exchange primitive.
 
-    ``inputs[r]`` has shape ``(n, ...)``; ``outputs[r][s] == inputs[s][r]``.
+    Rank ``group[i]`` splits its buffer into ``len(group)`` equal parts
+    along ``split_dim`` and sends part ``j`` to ``group[j]``, which
+    concatenates what it receives along ``concat_dim`` in group order.
     """
-    n = _check_world(inputs)
-    for r, arr in enumerate(inputs):
-        if arr.shape[0] != n:
-            raise ValueError(
-                f"rank {r} input leading dim {arr.shape[0]} != world {n}")
-    with _span("all_to_all_linear", CAT_COLLECTIVE):
-        return [np.stack([inputs[s][r] for s in range(n)])
-                for r in range(n)]
+    out = list(buffers)
+    for group in groups:
+        parts = [np.split(buffers[src], len(group), axis=split_dim)
+                 for src in group]
+        for j, dst in enumerate(group):
+            out[dst] = np.concatenate([p[j] for p in parts],
+                                      axis=concat_dim)
+    if traffic is not None:
+        traffic.exchange(groups[0], buffers[groups[0][0]].nbytes
+                         // len(groups[0]))
+    return out
 
 
 def stride_memcpy(buf: np.ndarray, row: int, col: int) -> np.ndarray:
@@ -72,46 +110,14 @@ def stride_memcpy(buf: np.ndarray, row: int, col: int) -> np.ndarray:
     return np.ascontiguousarray(grid.swapaxes(0, 1)).reshape(buf.shape)
 
 
-def _intra_node_exchange(buffers: list[np.ndarray], gpus_per_node: int,
-                         block: int) -> list[np.ndarray]:
-    """All-to-All within each node, moving contiguous blocks of
-    ``block`` chunks between local peers (2DH phase 2)."""
-    n = len(buffers)
-    out = [np.empty_like(b) for b in buffers]
-    for node_start in range(0, n, gpus_per_node):
-        local = list(range(node_start, min(node_start + gpus_per_node, n)))
-        for dst_idx, dst in enumerate(local):
-            parts = [buffers[src][dst_idx * block:(dst_idx + 1) * block]
-                     for src in local]
-            out[dst] = np.concatenate(parts, axis=0)
-    return out
-
-
-def _inter_node_exchange(buffers: list[np.ndarray], gpus_per_node: int,
-                         block: int) -> list[np.ndarray]:
-    """All-to-All between same-local-rank GPUs of different nodes,
-    moving contiguous blocks of ``block`` chunks (2DH phase 4)."""
-    n = len(buffers)
-    nnodes = -(-n // gpus_per_node)
-    out = [np.empty_like(b) for b in buffers]
-    for local_rank in range(min(gpus_per_node, n)):
-        rail = [node * gpus_per_node + local_rank for node in range(nnodes)
-                if node * gpus_per_node + local_rank < n]
-        for dst_idx, dst in enumerate(rail):
-            parts = [buffers[src][dst_idx * block:(dst_idx + 1) * block]
-                     for src in rail]
-            out[dst] = np.concatenate(parts, axis=0)
-    return out
-
-
 def all_to_all_2dh_phases(
-        inputs: list[np.ndarray],
-        gpus_per_node: int) -> list[list[np.ndarray]]:
+        inputs: list[np.ndarray], gpus_per_node: int,
+        traffic: Traffic | None = None) -> list[list[np.ndarray]]:
     """All intermediate layouts of 2DH All-to-All (paper Figure 15).
 
     Returns ``[initial, phase1, phase2, phase3, phase4]`` where each
-    entry is the per-rank buffer list; ``phase4`` equals
-    :func:`all_to_all_linear`'s output while only large aggregated
+    entry is the per-rank buffer list; ``phase4`` equals the linear
+    ``flexible_all_to_all(inputs, 0, 0)`` while only large aggregated
     messages were sent.
     """
     n = _check_world(inputs)
@@ -122,31 +128,37 @@ def all_to_all_2dh_phases(
         raise ValueError(
             f"world size {n} must be a multiple of gpus_per_node "
             f"{gpus_per_node} for 2DH")
-    nnodes = n // gpus_per_node
     m = gpus_per_node
+    nnodes = n // m
+    nodes = [list(range(start, start + m)) for start in range(0, n, m)]
+    rails = [list(range(local, n, m)) for local in range(m)]
 
     with _span("all_to_all_2dh", CAT_COLLECTIVE):
         phases = [list(inputs)]
-        # Phase 1: align chunks sharing the same destination local rank.
-        p1 = [stride_memcpy(b, row=m, col=nnodes) for b in phases[-1]]
-        phases.append(p1)
-        # Phase 2: intra-node All-to-All of nnodes-chunk blocks.
-        phases.append(_intra_node_exchange(p1, m, block=nnodes))
-        # Phase 3: align chunks sharing the same destination node.
-        p3 = [stride_memcpy(b, row=nnodes, col=m) for b in phases[-1]]
-        phases.append(p3)
-        # Phase 4: inter-node All-to-All of m-chunk blocks.
-        phases.append(_inter_node_exchange(p3, m, block=m))
+        # Phase 1 aligns chunks sharing a destination local rank, for
+        # the intra-node exchange of phase 2; phase 3 aligns chunks
+        # sharing a destination node, for the on-rail exchange of
+        # phase 4.  Both copies move S/n chunks.
+        for row, col, groups in ((m, nnodes, nodes), (nnodes, m, rails)):
+            aligned = [stride_memcpy(b, row=row, col=col)
+                       for b in phases[-1]]
+            if traffic is not None and n > 1:  # one rank prices nothing
+                nbytes = aligned[0].nbytes
+                traffic.phases.append(Copy(nbytes, nbytes // n))
+            phases += [aligned,
+                       _group_all_to_all(aligned, groups, 0, 0, traffic)]
     return phases
 
 
 def flexible_all_to_all(inputs: list[np.ndarray], concat_dim: int,
-                        split_dim: int) -> list[np.ndarray]:
+                        split_dim: int,
+                        traffic: Traffic | None = None) -> list[np.ndarray]:
     """Flexible All-to-All (paper Section 3.1, Table 3).
 
     Splits each rank's tensor into ``n`` equal parts along
     ``split_dim``, exchanges part ``r`` to rank ``r``, and concatenates
-    the received parts along ``concat_dim``.  With MoE dispatch inputs
+    the received parts along ``concat_dim``.  ``(x, 0, 0)`` is the
+    linear All-to-All (paper Algorithm 1).  With MoE dispatch inputs
     of layout ``(E, dC, M)``:
 
     - ``flexible_all_to_all(x, 1, 0)`` yields ``(dE, C, M)`` — the
@@ -163,10 +175,8 @@ def flexible_all_to_all(inputs: list[np.ndarray], concat_dim: int,
             f"dimension {split_dim} of size {inputs[0].shape[split_dim]} "
             f"is not divisible by world size {n}")
     with _span("flexible_all_to_all", CAT_COLLECTIVE):
-        split_parts = [np.split(arr, n, axis=split_dim) for arr in inputs]
-        return [np.concatenate([split_parts[s][r] for s in range(n)],
-                               axis=concat_dim)
-                for r in range(n)]
+        return _group_all_to_all(inputs, [list(range(n))], concat_dim,
+                                 split_dim, traffic)
 
 
 def all_gather(inputs: list[np.ndarray]) -> list[np.ndarray]:

@@ -1,24 +1,26 @@
-"""Analytic latency models for the collective algorithms.
+"""One closed-form phase list per All-to-All algorithm, and its pricer.
 
-For symmetric collectives every rank does identical work, so one
-representative GPU's message schedule determines the collective's
-latency in closed form.  The models below implement the arithmetic of
-paper Sections 2.4 / 3.4 / 4.3:
+Every rank of a symmetric collective does the same work, so one GPU's
+phases set the latency.  A phase is a :class:`Copy` (on-device stride
+copy: bytes and contiguous run) or an :class:`Exchange` (link class,
+messages per GPU, bytes per message).  :func:`a2a_schedule` builds each
+algorithm's list (paper Sections 2.4 / 3.4 / 4.3) and :func:`a2a_time`
+prices any list; the data movers of :mod:`repro.collectives.functional`
+count what they move into the same records
+(``tests/test_collectives_functional.py`` checks them equal):
 
-* **linear** All-to-All: ``n - 1`` point-to-point messages of ``S/n``
-  bytes each, per-message overhead dominating at scale; in a
-  rail-optimized fabric most of those messages are additionally
-  cross-rail.
-* **naive local aggregation**: an intra-node phase that degenerates to
-  ``n/m`` rounds of non-contiguous exchanges (the ~600 us -> ~5 ms
-  blow-up quoted in Section 3.4), then an aggregated inter-node phase.
-* **2DH**: two aligned stride copies + an intra-node All-to-All of
-  ``S/m`` messages + an on-rail inter-node All-to-All of ``m * S/n``
-  messages (Algorithm 3).
-* **MSCCL-optimized 2DH** removes the inter-phase synchronization
-  barriers of the NCCL implementation, and the **LL128** protocol
-  trades a ~5% bandwidth cap for much lower per-message overhead
-  (Section 4.3 / Figure 21).
+* **linear**: ``n - 1`` messages of ``S/n`` bytes, NVLink beside the NIC;
+* **naive local aggregation**: ``n/m`` rounds of non-contiguous
+  intra-node exchanges (Section 3.4's ~600 us -> ~5 ms blow-up), a
+  gather copy, then an aggregated inter-node exchange;
+* **2DH** (Algorithm 3): stride copy, intra-node exchange of ``S/m``
+  messages, stride copy, on-rail exchange of ``m * S/n`` messages;
+* **3DH**: one more level over groups of :data:`NODES_PER_GROUP`
+  nodes (Section 4.3), priced only.
+
+NCCL pays a barrier between hierarchical phases; **MSCCL** fuses them,
+and **LL128** trades a ~5% bandwidth cap for much lower per-message
+overhead (Figure 21).
 """
 
 from __future__ import annotations
@@ -33,11 +35,13 @@ __all__ = [
     "A2AAlgorithm",
     "Protocol",
     "Impl",
+    "Link",
+    "Copy",
+    "Exchange",
+    "A2ASchedule",
     "CollectiveCostModel",
-    "linear_a2a_time",
-    "naive_local_agg_a2a_time",
-    "twodh_a2a_time",
-    "threedh_a2a_time",
+    "NODES_PER_GROUP",
+    "a2a_schedule",
     "a2a_time",
     "all_gather_time",
     "reduce_scatter_time",
@@ -47,11 +51,12 @@ __all__ = [
 
 
 class A2AAlgorithm(enum.Enum):
-    """All-to-All algorithm choices exposed to adaptive pipelining."""
+    """All-to-All algorithms with a phase list."""
 
     LINEAR = "linear"
     NAIVE_LOCAL_AGG = "naive_local_agg"
     TWO_DH = "2dh"
+    THREE_DH = "3dh"
 
 
 class Protocol(enum.Enum):
@@ -68,6 +73,48 @@ class Impl(enum.Enum):
     MSCCL = "msccl"        # fused DSL-compiled schedule, no barriers
 
 
+class Link(enum.Enum):
+    """Which channel a message rides."""
+
+    INTRA = "intra"   # NVLink / NVSwitch inside a node
+    RAIL = "rail"     # NIC at full rate: on-rail, or any peer of a flat fabric
+    CROSS = "cross"   # NIC between different local ranks of a railed fabric
+
+
+@dataclass(frozen=True)
+class Copy:
+    """On-device stride copy of ``nbytes`` in contiguous ``run``-byte runs."""
+
+    nbytes: float
+    run: float
+
+
+@dataclass(frozen=True)
+class Exchange:
+    """Each GPU sends ``messages`` messages of ``nbytes`` over ``link``,
+    ``rounds`` times in a row."""
+
+    link: Link
+    messages: int
+    nbytes: float
+    rounds: int = 1
+
+
+@dataclass(frozen=True)
+class A2ASchedule:
+    """One GPU's phases, the NCCL barriers between them, and whether
+    the NVLink and NIC exchanges overlap instead of running in turn."""
+
+    phases: tuple[Copy | Exchange, ...]
+    barriers: int = 0
+    overlap: bool = False
+
+
+#: Nodes per 3DH group: the long-haul fan-out scales with the group
+#: count ``nnodes / NODES_PER_GROUP`` instead of the node count.
+NODES_PER_GROUP = 16
+
+
 @dataclass(frozen=True)
 class CollectiveCostModel:
     """Tunable second-order constants of the collective models.
@@ -82,7 +129,7 @@ class CollectiveCostModel:
         Bandwidth derate for cross-rail messages (adaptive routing
         recovers most of the bandwidth for large flows).
     phase_barrier:
-        Synchronization cost between 2DH phases in the NCCL
+        Synchronization cost between hierarchical phases in the NCCL
         implementation; MSCCL fuses the phases and skips it.
     ll128_overhead_factor / ll128_bandwidth_factor:
         LL128 lowers per-message latency but caps achievable bandwidth.
@@ -98,168 +145,88 @@ class CollectiveCostModel:
 _DEFAULT = CollectiveCostModel()
 
 
-def _with_protocol(link: LinkSpec, protocol: Protocol,
-                   model: CollectiveCostModel) -> LinkSpec:
-    if protocol is Protocol.SIMPLE:
-        return link
-    return LinkSpec(
-        bandwidth=link.bandwidth * model.ll128_bandwidth_factor,
-        latency=link.latency * 0.5,
-        message_overhead=link.message_overhead * model.ll128_overhead_factor,
-    )
+def _exchange(link: Link, messages: int, nbytes: float,
+              rounds: int = 1) -> tuple[Exchange, ...]:
+    """The exchange as a one-phase tuple, empty when it sends nothing."""
+    return (Exchange(link, messages, nbytes, rounds),) if messages else ()
 
 
-def _cross_rail(link: LinkSpec, model: CollectiveCostModel) -> LinkSpec:
-    return LinkSpec(
-        bandwidth=link.bandwidth * model.cross_rail_bandwidth,
-        latency=link.latency,
-        message_overhead=link.message_overhead * model.cross_rail_overhead,
-    )
+def a2a_schedule(topo: ClusterTopology, total_bytes: float,
+                 algorithm: A2AAlgorithm) -> A2ASchedule:
+    """``algorithm``'s phases for one GPU holding ``total_bytes`` (``S``).
 
-
-def linear_a2a_time(topo: ClusterTopology, total_bytes: float,
-                    protocol: Protocol = Protocol.SIMPLE,
-                    model: CollectiveCostModel = _DEFAULT) -> float:
-    """Latency of the linear All-to-All (Algorithm 1).
-
-    ``total_bytes`` is the per-GPU buffer size ``S``; each peer gets an
-    ``S/n`` chunk.  Intra-node messages ride NVLink concurrently with
-    the NIC, so the phase time is the max of the two streams.
+    Exchanges of zero messages are left out, and a one-GPU world or an
+    empty buffer has no phases at all.
     """
-    n = topo.num_gpus
     if total_bytes < 0:
         raise ValueError(f"total_bytes must be >= 0, got {total_bytes}")
-    if n == 1 or total_bytes == 0:
-        return 0.0
-    chunk = total_bytes / n
-    m = topo.local_size
-    intra = _with_protocol(topo.intra_link, protocol, model)
-    inter = _with_protocol(topo.inter_link, protocol, model)
-
-    intra_time = intra.stream_time(chunk, m - 1)
-    inter_peers = n - m
-    if inter_peers <= 0:
-        return intra_time
-    if topo.rail_optimized:
-        # Only the destination with our own local rank is on-rail;
-        # (m-1)/m of inter-node peers require cross-rail hops.
-        on_rail = inter_peers // m
-        off_rail = inter_peers - on_rail
-        inter_time = (inter.stream_time(chunk, on_rail)
-                      + _cross_rail(inter, model).stream_time(chunk,
-                                                              off_rail))
-    else:
-        inter_time = inter.stream_time(chunk, inter_peers)
-    return max(intra_time, inter_time)
-
-
-def naive_local_agg_a2a_time(topo: ClusterTopology, total_bytes: float,
-                             protocol: Protocol = Protocol.SIMPLE,
-                             model: CollectiveCostModel = _DEFAULT) -> float:
-    """Latency of the naive local-aggregation All-to-All (Figure 15 top).
-
-    Phase 1 performs ``n/m`` successive intra-node All-to-Alls over
-    non-contiguous ``S/n`` chunks — the per-round fixed costs and the
-    scattered memory access make it grow with ``n`` even though the
-    total bytes moved per GPU stay ``S * (m-1)/m``.
-    """
     n = topo.num_gpus
-    if total_bytes < 0:
-        raise ValueError(f"total_bytes must be >= 0, got {total_bytes}")
     if n == 1 or total_bytes == 0:
-        return 0.0
+        return A2ASchedule(())
     m = topo.local_size
     nnodes = topo.num_nodes
     chunk = total_bytes / n
-    intra = _with_protocol(topo.intra_link, protocol, model)
-    inter = _with_protocol(topo.inter_link, protocol, model)
 
-    rounds = max(1, nnodes)
-    per_round = intra.stream_time(chunk, m - 1)
-    gather_penalty = stride_memcpy_time(topo.gpu, total_bytes, chunk)
-    phase1 = rounds * per_round + gather_penalty
-
-    inter_msg = m * chunk
-    phase2 = inter.stream_time(inter_msg, nnodes - 1)
-    return phase1 + phase2
-
-
-def twodh_a2a_time(topo: ClusterTopology, total_bytes: float,
-                   protocol: Protocol = Protocol.SIMPLE,
-                   impl: Impl = Impl.NCCL,
-                   model: CollectiveCostModel = _DEFAULT) -> float:
-    """Latency of 2DH All-to-All (Algorithm 3).
-
-    Phases 1-3 depend only on ``S`` and ``m``; phase 4 sends
-    ``nnodes - 1`` on-rail messages of ``m * S/n`` bytes, so the
-    per-message overhead term scales with ``n/m`` instead of ``n``.
-    """
-    n = topo.num_gpus
-    if total_bytes < 0:
-        raise ValueError(f"total_bytes must be >= 0, got {total_bytes}")
-    if n == 1 or total_bytes == 0:
-        return 0.0
-    m = topo.local_size
-    nnodes = topo.num_nodes
-    chunk = total_bytes / n
-    intra = _with_protocol(topo.intra_link, protocol, model)
-    inter = _with_protocol(topo.inter_link, protocol, model)
-
-    copy1 = stride_memcpy_time(topo.gpu, total_bytes, chunk)
-    phase2 = intra.stream_time(total_bytes / m, m - 1) if m > 1 else 0.0
-    copy3 = stride_memcpy_time(topo.gpu, total_bytes, chunk * m)
-    phase4 = (inter.stream_time(m * chunk, nnodes - 1)
-              if nnodes > 1 else 0.0)
-
-    total = copy1 + phase2 + copy3 + phase4
-    if impl is Impl.NCCL:
-        total += 3 * model.phase_barrier
-    return total
+    if algorithm is A2AAlgorithm.LINEAR:
+        inter_peers = n - m
+        if topo.rail_optimized:
+            # Only the peers with our own local rank are on-rail.
+            on_rail = inter_peers // m
+            inter = (_exchange(Link.RAIL, on_rail, chunk)
+                     + _exchange(Link.CROSS, inter_peers - on_rail, chunk))
+        else:
+            inter = _exchange(Link.RAIL, inter_peers, chunk)
+        return A2ASchedule(_exchange(Link.INTRA, m - 1, chunk) + inter,
+                           overlap=True)
+    if algorithm is A2AAlgorithm.NAIVE_LOCAL_AGG:
+        # n/m intra-node rounds over non-contiguous S/n chunks: the
+        # fixed costs and scattered reads grow with n although the
+        # bytes per GPU stay S * (m-1)/m.
+        return A2ASchedule(
+            _exchange(Link.INTRA, m - 1, chunk, max(1, nnodes))
+            + (Copy(total_bytes, chunk),)
+            + _exchange(Link.RAIL, nnodes - 1, m * chunk))
+    if algorithm is A2AAlgorithm.TWO_DH:
+        # Both stride copies move S/n chunks; phase 4 sends nnodes - 1
+        # on-rail messages, so its overhead scales with n/m, not n.
+        return A2ASchedule(
+            (Copy(total_bytes, chunk),)
+            + _exchange(Link.INTRA, m - 1, total_bytes / m)
+            + (Copy(total_bytes, chunk),)
+            + _exchange(Link.RAIL, nnodes - 1, m * chunk), barriers=3)
+    if algorithm is A2AAlgorithm.THREE_DH:
+        g = min(NODES_PER_GROUP, nnodes)
+        groups = max(1, nnodes // NODES_PER_GROUP)
+        return A2ASchedule(
+            (Copy(total_bytes, chunk),)
+            + _exchange(Link.INTRA, m - 1, total_bytes / m)
+            + (Copy(total_bytes, chunk * m),)
+            + _exchange(Link.RAIL, g - 1, m * chunk)
+            + (Copy(total_bytes, chunk * m * g),)
+            + _exchange(Link.RAIL, groups - 1, m * g * chunk), barriers=5)
+    raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
-def threedh_a2a_time(topo: ClusterTopology, total_bytes: float,
-                     nodes_per_group: int = 16,
-                     protocol: Protocol = Protocol.SIMPLE,
-                     impl: Impl = Impl.MSCCL,
-                     model: CollectiveCostModel = _DEFAULT) -> float:
-    """Latency of 3-level hierarchical All-to-All (Section 4.3).
-
-    Nodes form groups of ``nodes_per_group``; the long-haul message
-    count per GPU scales with the *group* count instead of the node
-    count, at the price of one more aggregation pass (an extra stride
-    copy and an intra-group exchange).
-    """
-    n = topo.num_gpus
-    if total_bytes < 0:
-        raise ValueError(f"total_bytes must be >= 0, got {total_bytes}")
-    if nodes_per_group < 1:
-        raise ValueError(
-            f"nodes_per_group must be >= 1, got {nodes_per_group}")
-    if n == 1 or total_bytes == 0:
-        return 0.0
-    m = topo.local_size
-    nnodes = topo.num_nodes
-    groups = max(1, nnodes // nodes_per_group)
-    g = min(nodes_per_group, nnodes)
-    chunk = total_bytes / n
-    intra = _with_protocol(topo.intra_link, protocol, model)
-    inter = _with_protocol(topo.inter_link, protocol, model)
-
-    copy1 = stride_memcpy_time(topo.gpu, total_bytes, chunk)
-    # Intra-group level: the inner 2DH — NVLink exchange of S/m
-    # messages plus an on-rail intra-group exchange of m-chunk blocks.
-    level1 = intra.stream_time(total_bytes / m, m - 1) if m > 1 else 0.0
-    copy2 = stride_memcpy_time(topo.gpu, total_bytes, chunk * m)
-    level2 = (inter.stream_time(m * chunk, g - 1) if g > 1 else 0.0)
-    copy3 = stride_memcpy_time(topo.gpu, total_bytes, chunk * m * g)
-    # Inter-group level: fully aggregated group-sized blocks.
-    level3 = (inter.stream_time(m * g * chunk, groups - 1)
-              if groups > 1 else 0.0)
-
-    total = copy1 + level1 + copy2 + level2 + copy3 + level3
-    if impl is Impl.NCCL:
-        total += 5 * model.phase_barrier
-    return total
+def _phase_time(topo: ClusterTopology, phase: Copy | Exchange,
+                protocol: Protocol = Protocol.SIMPLE,
+                model: CollectiveCostModel = _DEFAULT) -> float:
+    """Seconds of one phase: the only place a record meets a link."""
+    if isinstance(phase, Copy):
+        return stride_memcpy_time(topo.gpu, phase.nbytes, phase.run)
+    link = topo.intra_link if phase.link is Link.INTRA else topo.inter_link
+    if protocol is not Protocol.SIMPLE:
+        link = LinkSpec(
+            bandwidth=link.bandwidth * model.ll128_bandwidth_factor,
+            latency=link.latency * 0.5,
+            message_overhead=link.message_overhead
+            * model.ll128_overhead_factor)
+    if phase.link is Link.CROSS:
+        link = LinkSpec(
+            bandwidth=link.bandwidth * model.cross_rail_bandwidth,
+            latency=link.latency,
+            message_overhead=link.message_overhead
+            * model.cross_rail_overhead)
+    return phase.rounds * link.stream_time(phase.nbytes, phase.messages)
 
 
 def a2a_time(topo: ClusterTopology, total_bytes: float,
@@ -267,14 +234,26 @@ def a2a_time(topo: ClusterTopology, total_bytes: float,
              protocol: Protocol = Protocol.SIMPLE,
              impl: Impl = Impl.NCCL,
              model: CollectiveCostModel = _DEFAULT) -> float:
-    """Dispatch to the requested All-to-All algorithm's latency model."""
-    if algorithm is A2AAlgorithm.LINEAR:
-        return linear_a2a_time(topo, total_bytes, protocol, model)
-    if algorithm is A2AAlgorithm.NAIVE_LOCAL_AGG:
-        return naive_local_agg_a2a_time(topo, total_bytes, protocol, model)
-    if algorithm is A2AAlgorithm.TWO_DH:
-        return twodh_a2a_time(topo, total_bytes, protocol, impl, model)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    """Latency of ``algorithm``'s phase list on ``topo``.
+
+    Phases run in turn, summed left to right; in an overlapping list
+    (linear) the NIC exchanges run beside the NVLink ones and the
+    slower stream sets the time.  NCCL adds one barrier per phase
+    boundary of a hierarchical list.
+    """
+    schedule = a2a_schedule(topo, total_bytes, algorithm)
+    total = nic = 0.0
+    for phase in schedule.phases:
+        seconds = _phase_time(topo, phase, protocol, model)
+        if schedule.overlap and phase.link is not Link.INTRA:
+            nic += seconds
+        else:
+            total += seconds
+    if schedule.overlap:
+        total = max(total, nic)
+    if impl is Impl.NCCL:
+        total += schedule.barriers * model.phase_barrier
+    return total
 
 
 def best_a2a_algorithm(topo: ClusterTopology, total_bytes: float,
@@ -314,36 +293,27 @@ def feasible_a2a_algorithms(topo: ClusterTopology,
     return (A2AAlgorithm.LINEAR,)
 
 
-# ----------------------------------------------------------------------
-# Ring collectives used by the parallelism strategies
-# ----------------------------------------------------------------------
+# Ring collectives used by the parallelism strategies: g - 1 steps over
+# the bottleneck link of the ring.
 
-def _ring_group_link(topo: ClusterTopology, group_size: int) -> LinkSpec:
-    """Bottleneck link of a ring spanning ``group_size`` ranks."""
-    if group_size <= topo.local_size:
-        return topo.intra_link
-    return topo.inter_link
+def _ring_time(topo: ClusterTopology, group_size: int | None,
+               step_bytes) -> float:
+    g = topo.num_gpus if group_size is None else group_size
+    if g < 1:
+        raise ValueError(f"group_size must be >= 1, got {g}")
+    if g == 1:
+        return 0.0
+    link = Link.INTRA if g <= topo.local_size else Link.RAIL
+    return _phase_time(topo, Exchange(link, g - 1, step_bytes(g)))
 
 
 def all_gather_time(topo: ClusterTopology, shard_bytes: float,
                     group_size: int | None = None) -> float:
     """Ring all-gather of per-rank shards of ``shard_bytes``."""
-    g = topo.num_gpus if group_size is None else group_size
-    if g < 1:
-        raise ValueError(f"group_size must be >= 1, got {g}")
-    if g == 1 or shard_bytes == 0:
-        return 0.0
-    link = _ring_group_link(topo, g)
-    return link.stream_time(shard_bytes, g - 1)
+    return _ring_time(topo, group_size, lambda g: shard_bytes)
 
 
 def reduce_scatter_time(topo: ClusterTopology, total_bytes: float,
                         group_size: int | None = None) -> float:
     """Ring reduce-scatter of a ``total_bytes`` buffer."""
-    g = topo.num_gpus if group_size is None else group_size
-    if g < 1:
-        raise ValueError(f"group_size must be >= 1, got {g}")
-    if g == 1 or total_bytes == 0:
-        return 0.0
-    link = _ring_group_link(topo, g)
-    return link.stream_time(total_bytes / g, g - 1)
+    return _ring_time(topo, group_size, lambda g: total_bytes / g)

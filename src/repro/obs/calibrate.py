@@ -9,7 +9,8 @@ substrate it abstracts:
    autograd/functional layer: dense GEMMs at varying row counts,
    sparse MoE encode/decode (``moe_dispatch`` / ``moe_combine``) at
    varying ``T``/``E``/``k``/``C``, and all-to-all exchanges of varying
-   payload through :func:`repro.collectives.functional.all_to_all_linear`.
+   payload through the linear
+   :func:`repro.collectives.functional.flexible_all_to_all`.
    Every wall is one ``perf_counter`` pair around the call: operand
    tensors are built once per workload, outside the timed region, and
    the result is released after the clock is read.
@@ -74,8 +75,8 @@ from repro.cluster.topology import (
     LinkSpec,
     ndv4_topology,
 )
-from repro.collectives.functional import all_to_all_linear
-from repro.collectives.schedule import linear_a2a_time
+from repro.collectives.functional import flexible_all_to_all
+from repro.collectives.schedule import A2AAlgorithm, a2a_time
 from repro.core.config import MoEConfig
 from repro.core.substrate import default_dtype, default_itemsize
 from repro.moe.gating import RoutingCriteria
@@ -290,7 +291,7 @@ def _a2a_runner(w: Workload,
     inputs = [rng.standard_normal(
         (n, int(w.params["rows"]), _A2A_COLS)).astype(default_dtype())
         for _ in range(n)]
-    return _timed(lambda: all_to_all_linear(inputs))
+    return _timed(lambda: flexible_all_to_all(inputs, 0, 0))
 
 
 def measure_workloads(workloads: list[Workload], repeats: int = 4,
@@ -491,8 +492,9 @@ def simulate_workload(calibrated: CalibratedTopology,
             label=workload.label)
     elif workload.op_class == "a2a":
         n = int(workload.params["world"])
-        per_rank = linear_a2a_time(calibrated.at_world(n),
-                                   _a2a_payload_bytes(workload.params))
+        per_rank = a2a_time(calibrated.at_world(n),
+                            _a2a_payload_bytes(workload.params),
+                            A2AAlgorithm.LINEAR)
         # The functional exchange runs the ranks serially on this host:
         # n ops on one (gpu, stream) pair serialize FIFO.
         for rank in range(n):

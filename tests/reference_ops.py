@@ -357,3 +357,143 @@ def build_batch_ledger_reference(batch, walls, model_walls,
         walls={s: int(walls[s]) for s in EXEC_STAGES},
         model_walls={s: int(model_walls[s]) for s in EXEC_STAGES},
         requests=tuple(ledgers))
+
+
+# The four per-algorithm latency formulas that
+# repro.collectives.schedule.a2a_time replaced, as they were, except
+# 2DH's phase-3 copy: the mover's stride_memcpy(row=nnodes, col=m)
+# reads S/n runs, so it is priced at `chunk`, not `chunk * m`.
+
+def _ll128(link, protocol, model):
+    from repro.cluster.topology import LinkSpec
+    from repro.collectives.schedule import Protocol
+
+    if protocol is Protocol.SIMPLE:
+        return link
+    return LinkSpec(
+        bandwidth=link.bandwidth * model.ll128_bandwidth_factor,
+        latency=link.latency * 0.5,
+        message_overhead=link.message_overhead * model.ll128_overhead_factor,
+    )
+
+
+def _cross_rail(link, model):
+    from repro.cluster.topology import LinkSpec
+
+    return LinkSpec(
+        bandwidth=link.bandwidth * model.cross_rail_bandwidth,
+        latency=link.latency,
+        message_overhead=link.message_overhead * model.cross_rail_overhead,
+    )
+
+
+def linear_a2a_time(topo, total_bytes, protocol, model):
+    n = topo.num_gpus
+    if total_bytes < 0:
+        raise ValueError(f"total_bytes must be >= 0, got {total_bytes}")
+    if n == 1 or total_bytes == 0:
+        return 0.0
+    chunk = total_bytes / n
+    m = topo.local_size
+    intra = _ll128(topo.intra_link, protocol, model)
+    inter = _ll128(topo.inter_link, protocol, model)
+
+    intra_time = intra.stream_time(chunk, m - 1)
+    inter_peers = n - m
+    if inter_peers <= 0:
+        return intra_time
+    if topo.rail_optimized:
+        on_rail = inter_peers // m
+        off_rail = inter_peers - on_rail
+        inter_time = (inter.stream_time(chunk, on_rail)
+                      + _cross_rail(inter, model).stream_time(chunk,
+                                                              off_rail))
+    else:
+        inter_time = inter.stream_time(chunk, inter_peers)
+    return max(intra_time, inter_time)
+
+
+def naive_local_agg_a2a_time(topo, total_bytes, protocol, model):
+    from repro.cluster.linkmodel import stride_memcpy_time
+
+    n = topo.num_gpus
+    if total_bytes < 0:
+        raise ValueError(f"total_bytes must be >= 0, got {total_bytes}")
+    if n == 1 or total_bytes == 0:
+        return 0.0
+    m = topo.local_size
+    nnodes = topo.num_nodes
+    chunk = total_bytes / n
+    intra = _ll128(topo.intra_link, protocol, model)
+    inter = _ll128(topo.inter_link, protocol, model)
+
+    rounds = max(1, nnodes)
+    per_round = intra.stream_time(chunk, m - 1)
+    gather_penalty = stride_memcpy_time(topo.gpu, total_bytes, chunk)
+    phase1 = rounds * per_round + gather_penalty
+
+    inter_msg = m * chunk
+    phase2 = inter.stream_time(inter_msg, nnodes - 1)
+    return phase1 + phase2
+
+
+def twodh_a2a_time(topo, total_bytes, protocol, impl, model):
+    from repro.cluster.linkmodel import stride_memcpy_time
+    from repro.collectives.schedule import Impl
+
+    n = topo.num_gpus
+    if total_bytes < 0:
+        raise ValueError(f"total_bytes must be >= 0, got {total_bytes}")
+    if n == 1 or total_bytes == 0:
+        return 0.0
+    m = topo.local_size
+    nnodes = topo.num_nodes
+    chunk = total_bytes / n
+    intra = _ll128(topo.intra_link, protocol, model)
+    inter = _ll128(topo.inter_link, protocol, model)
+
+    copy1 = stride_memcpy_time(topo.gpu, total_bytes, chunk)
+    phase2 = intra.stream_time(total_bytes / m, m - 1) if m > 1 else 0.0
+    copy3 = stride_memcpy_time(topo.gpu, total_bytes, chunk)  # was chunk * m
+    phase4 = (inter.stream_time(m * chunk, nnodes - 1)
+              if nnodes > 1 else 0.0)
+
+    total = copy1 + phase2 + copy3 + phase4
+    if impl is Impl.NCCL:
+        total += 3 * model.phase_barrier
+    return total
+
+
+def threedh_a2a_time(topo, total_bytes, nodes_per_group, protocol, impl,
+                     model):
+    from repro.cluster.linkmodel import stride_memcpy_time
+    from repro.collectives.schedule import Impl
+
+    n = topo.num_gpus
+    if total_bytes < 0:
+        raise ValueError(f"total_bytes must be >= 0, got {total_bytes}")
+    if nodes_per_group < 1:
+        raise ValueError(
+            f"nodes_per_group must be >= 1, got {nodes_per_group}")
+    if n == 1 or total_bytes == 0:
+        return 0.0
+    m = topo.local_size
+    nnodes = topo.num_nodes
+    groups = max(1, nnodes // nodes_per_group)
+    g = min(nodes_per_group, nnodes)
+    chunk = total_bytes / n
+    intra = _ll128(topo.intra_link, protocol, model)
+    inter = _ll128(topo.inter_link, protocol, model)
+
+    copy1 = stride_memcpy_time(topo.gpu, total_bytes, chunk)
+    level1 = intra.stream_time(total_bytes / m, m - 1) if m > 1 else 0.0
+    copy2 = stride_memcpy_time(topo.gpu, total_bytes, chunk * m)
+    level2 = (inter.stream_time(m * chunk, g - 1) if g > 1 else 0.0)
+    copy3 = stride_memcpy_time(topo.gpu, total_bytes, chunk * m * g)
+    level3 = (inter.stream_time(m * g * chunk, groups - 1)
+              if groups > 1 else 0.0)
+
+    total = copy1 + level1 + copy2 + level2 + copy3 + level3
+    if impl is Impl.NCCL:
+        total += 5 * model.phase_barrier
+    return total

@@ -16,7 +16,7 @@ from repro.obs import calibrate
 from repro.bench.report import BenchResult
 from repro.cluster.gemm import GemmModel, batched_gemm_time
 from repro.cluster.topology import GpuSpec, LinkSpec, ndv4_topology
-from repro.collectives.schedule import linear_a2a_time
+from repro.collectives.schedule import A2AAlgorithm, a2a_time
 from repro.obs.calibrate import (
     Measurement,
     a2a_workloads,
@@ -59,8 +59,9 @@ def synthetic_measurements() -> list[Measurement]:
         .with_links(TRUTH_LINK)
     for w in a2a_workloads():
         n = int(w.params["world"])
-        per_rank = linear_a2a_time(truth_topo.with_num_gpus(n),
-                                   _a2a_payload_bytes(w.params))
+        per_rank = a2a_time(truth_topo.with_num_gpus(n),
+                            _a2a_payload_bytes(w.params),
+                            A2AAlgorithm.LINEAR)
         out.append(Measurement(w, n * per_rank))
     return out
 

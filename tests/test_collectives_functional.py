@@ -1,23 +1,33 @@
 """Correctness tests for the functional collectives.
 
-The load-bearing assertion: 2DH All-to-All (Algorithm 3) is
+The load-bearing assertions: 2DH All-to-All (Algorithm 3) is
 byte-identical to linear All-to-All (Algorithm 1) on every world size,
-and its intermediate phases match the exact layouts drawn in paper
-Figure 15.
+its intermediate phases match the exact layouts drawn in paper
+Figure 15, and what both movers move is what their closed-form phase
+lists price.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cluster.topology import ndv4_topology
 from repro.collectives.functional import (
+    Traffic,
     all_gather,
     all_to_all_2dh_phases,
-    all_to_all_linear,
     flexible_all_to_all,
     reduce_scatter,
     stride_memcpy,
 )
+from repro.collectives.schedule import A2AAlgorithm, a2a_schedule
+
+
+def linear_a2a(world, traffic=None):
+    """The linear All-to-All (Algorithm 1)."""
+    return flexible_all_to_all(world, 0, 0, traffic)
 
 
 def make_world(n, chunk_shape=(3,), seed=0):
@@ -34,19 +44,19 @@ def tagged_world(n):
 class TestLinearA2A:
     def test_transpose_semantics(self):
         world = make_world(4)
-        out = all_to_all_linear(world)
+        out = linear_a2a(world)
         for r in range(4):
             for s in range(4):
                 np.testing.assert_array_equal(out[r][s], world[s][r])
 
     def test_single_rank_identity(self):
         world = make_world(1)
-        out = all_to_all_linear(world)
+        out = linear_a2a(world)
         np.testing.assert_array_equal(out[0], world[0])
 
     def test_involution(self):
         world = make_world(6)
-        twice = all_to_all_linear(all_to_all_linear(world))
+        twice = linear_a2a(linear_a2a(world))
         for r in range(6):
             np.testing.assert_array_equal(twice[r], world[r])
 
@@ -54,16 +64,16 @@ class TestLinearA2A:
         world = make_world(4)
         world[2] = world[2][:3]
         with pytest.raises(ValueError):
-            all_to_all_linear(world)
+            linear_a2a(world)
 
     def test_rejects_wrong_leading_dim(self):
         world = [np.zeros((3, 2)) for _ in range(4)]
         with pytest.raises(ValueError):
-            all_to_all_linear(world)
+            linear_a2a(world)
 
     def test_rejects_empty_world(self):
         with pytest.raises(ValueError):
-            all_to_all_linear([])
+            linear_a2a([])
 
 
 class TestStrideMemcpy:
@@ -127,7 +137,7 @@ class Test2DHEquivalence:
                                      (16, 4), (16, 8), (32, 8)])
     def test_matches_linear(self, n, m):
         world = make_world(n, chunk_shape=(2, 3), seed=n)
-        linear = all_to_all_linear(world)
+        linear = linear_a2a(world)
         hier = all_to_all_2dh_phases(world, gpus_per_node=m)[-1]
         for r in range(n):
             np.testing.assert_allclose(hier[r], linear[r])
@@ -147,10 +157,44 @@ class Test2DHEquivalence:
     def test_property_matches_linear(self, nodes, m, payload):
         n = nodes * m
         world = make_world(n, chunk_shape=(payload,), seed=n + payload)
-        linear = all_to_all_linear(world)
+        linear = linear_a2a(world)
         hier = all_to_all_2dh_phases(world, gpus_per_node=m)[-1]
         for r in range(n):
             np.testing.assert_allclose(hier[r], linear[r])
+
+
+class TestCountedTraffic:
+    """Each mover counts the closed form's phases, record for record."""
+
+    def test_every_world_and_node_size(self):
+        for w in range(1, 65):
+            world = make_world(w, chunk_shape=(2,), seed=w)
+            linear = linear_a2a(world)
+            for m in (d for d in range(1, w + 1) if w % d == 0):
+                hier = all_to_all_2dh_phases(world, gpus_per_node=m)[-1]
+                assert all(np.array_equal(h, x)
+                           for h, x in zip(hier, linear)), (w, m)
+                for rail_optimized in (True, False):
+                    topo = replace(ndv4_topology(w, m),
+                                   rail_optimized=rail_optimized)
+                    for algorithm, mover in (
+                            (A2AAlgorithm.LINEAR, linear_a2a),
+                            (A2AAlgorithm.TWO_DH,
+                             lambda x, t: all_to_all_2dh_phases(x, m, t))):
+                        traffic = Traffic(topo)
+                        mover(world, traffic)
+                        closed = a2a_schedule(topo, world[0].nbytes,
+                                              algorithm)
+                        assert tuple(traffic.phases) == closed.phases, \
+                            (w, m, rail_optimized, algorithm)
+
+    def test_linear_counts_every_link_class(self):
+        traffic = Traffic(ndv4_topology(16, 4))
+        linear_a2a(make_world(16), traffic)
+        # 3 peers in the node, 3 on-rail and 9 cross-rail, 24 B each.
+        assert [(p.link.value, p.messages, p.nbytes)
+                for p in traffic.phases] == [
+            ("intra", 3, 24), ("rail", 3, 24), ("cross", 9, 24)]
 
 
 class TestFlexibleA2A:
@@ -192,7 +236,7 @@ class TestFlexibleA2A:
         rng = np.random.default_rng(2)
         world = [rng.normal(size=(e, dc, m)) for _ in range(w)]
         flex = flexible_all_to_all(world, concat_dim=1, split_dim=0)
-        plain = all_to_all_linear([x.reshape(w, de, dc, m)
+        plain = linear_a2a([x.reshape(w, de, dc, m)
                                    for x in world])
         for r in range(w):
             expected = plain[r].transpose(1, 0, 2, 3).reshape(de,

@@ -5,7 +5,7 @@ import numpy as np
 from repro.cluster.topology import ndv4_topology
 from repro.collectives.functional import (
     all_to_all_2dh_phases,
-    all_to_all_linear,
+    flexible_all_to_all,
 )
 from repro.autograd.tensor import Tensor
 from repro.core.config import MoEConfig
@@ -44,7 +44,7 @@ class TestDispatchOver2DH:
             crit = route(probs, 1, cfg.capacity_per_gpu).crit
             buf = fast_encode(x, crit)            # (E, dC, M)
             dispatch.append(buf.reshape(w, -1))   # one chunk per dest
-        linear = all_to_all_linear(dispatch)
+        linear = flexible_all_to_all(dispatch, 0, 0)
         hier = all_to_all_2dh_phases(dispatch, gpus_per_node=4)[-1]
         for r in range(w):
             np.testing.assert_allclose(hier[r], linear[r])
@@ -65,7 +65,6 @@ class TestPipelinedDistributedLayer:
 
         # Re-run with the expert stage manually chunked (degree 4)
         # along the capacity dimension, as adaptive pipelining does.
-        from repro.collectives.functional import flexible_all_to_all
         from repro.moe.encode import fast_decode
 
         crits, dispatch = [], []

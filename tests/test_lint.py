@@ -248,15 +248,17 @@ def test_one_routing_decision():
     assert resolvers == callers == ["nn/moe.py"]
 
 
-def segment_spec_sites(tree: ast.AST) -> list[str]:
-    """Enclosing function of every ``SegmentSpec(...)`` call ("" at
-    module level)."""
+def call_sites(tree: ast.AST, callee=lambda func: func == "SegmentSpec"
+               ) -> list[str]:
+    """Enclosing function of every call whose unparsed callee
+    ``callee`` accepts ("" at module level); by default every
+    ``SegmentSpec(...)``."""
     sites: list[str] = []
 
     def visit(node: ast.AST, scope: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call) \
-                    and ast.unparse(child.func) == "SegmentSpec":
+                    and callee(ast.unparse(child.func)):
                 sites.append(scope)
             visit(child, child.name if isinstance(
                 child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
@@ -273,10 +275,33 @@ def test_one_layout_model():
         defined |= {node.name for node in ast.walk(tree)
                     if isinstance(node, (ast.FunctionDef,
                                          ast.AsyncFunctionDef))}
-        if found := segment_spec_sites(tree):
+        if found := call_sites(tree):
             sites[str(path.relative_to(SRC))] = set(found)
     assert sites == {"parallel/strategy.py": {"build_segment_spec"}}
     assert "replication_factor" not in defined
+
+
+def test_one_a2a_schedule():
+    # Every collective price is a phase list priced by one function:
+    # nothing else turns bytes and messages into seconds.
+    gone = {"linear_a2a_time", "naive_local_agg_a2a_time",
+            "twodh_a2a_time", "threedh_a2a_time", "all_to_all_linear",
+            "_intra_node_exchange", "_inter_node_exchange"}
+    sites, defined, params = {}, set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined |= {node.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef))}
+        params |= {arg.arg for node in ast.walk(tree)
+                   if isinstance(node, ast.arguments)
+                   for arg in node.args + node.kwonlyargs}
+        if found := call_sites(tree, lambda func: func.endswith(
+                ".stream_time") or func == "stride_memcpy_time"):
+            sites[str(path.relative_to(SRC))] = set(found)
+    assert sites == {"collectives/schedule.py": {"_phase_time"}}
+    assert not defined & gone
+    assert "nodes_per_group" not in params
 
 
 def test_one_expert_placement():

@@ -512,17 +512,17 @@ class TestCollectivesIntegration:
     def test_all_to_all_spans(self):
         from repro.collectives.functional import (
             all_to_all_2dh_phases,
-            all_to_all_linear,
+            flexible_all_to_all,
         )
         rng = np.random.default_rng(0)
         world = [rng.normal(size=(4, 3)) for _ in range(4)]
         ob = obs.enable()
-        all_to_all_linear(world)
+        flexible_all_to_all(world, 0, 0)
         all_to_all_2dh_phases(world, gpus_per_node=2)
         names = {e.name for e in ob.recorder.events}
-        assert {"all_to_all_linear", "all_to_all_2dh"} <= names
+        assert {"flexible_all_to_all", "all_to_all_2dh"} <= names
         assert ob.registry.histogram(
-            "collective.all_to_all_linear").count == 1
+            "collective.flexible_all_to_all").count == 1
 
 
 class TestHistogramSmallNExact:

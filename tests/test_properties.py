@@ -20,12 +20,7 @@ from repro.collectives.functional import (
     all_to_all_2dh_phases,
     flexible_all_to_all,
 )
-from repro.collectives.schedule import (
-    A2AAlgorithm,
-    a2a_time,
-    linear_a2a_time,
-    twodh_a2a_time,
-)
+from repro.collectives.schedule import A2AAlgorithm, a2a_time
 from repro.core.config import MoEConfig
 from repro.core.substrate import substrate_dtype
 from repro.moe import ffn as ffn_kernels
@@ -159,8 +154,8 @@ class TestCollectiveInvariants:
     def test_someone_always_wins(self, n, log_bytes):
         topo = ndv4_topology(n)
         nbytes = 2.0 ** log_bytes
-        assert min(linear_a2a_time(topo, nbytes),
-                   twodh_a2a_time(topo, nbytes)) > 0
+        assert min(a2a_time(topo, nbytes, A2AAlgorithm.LINEAR),
+                   a2a_time(topo, nbytes, A2AAlgorithm.TWO_DH)) > 0
 
 
 class TestLocationInvariants:
