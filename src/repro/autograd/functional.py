@@ -112,9 +112,8 @@ def _row_mean(a: np.ndarray) -> np.ndarray:
     return m
 
 
-def layer_norm(x: Tensor, weight: Tensor, bias: Tensor,
-               eps: float = 1e-5) -> Tensor:
-    """LayerNorm over the last axis with affine parameters.
+def layer_norm(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """LayerNorm over the last axis with affine parameters (``eps`` 1e-5).
 
     ``d = x - mu`` is computed once: it is the centred array ``np.var``
     squares and sums, and it becomes ``xhat`` in place.
@@ -122,7 +121,7 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor,
     mu = _row_mean(x.data)
     xhat = x.data - mu
     var = _row_mean(np.square(xhat))
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat *= inv
     out = xhat * weight.data
     out += bias.data

@@ -9,6 +9,12 @@ from repro.moe.ffn import BLOCK
 
 __all__ = ["Adam", "clip_grad_norm"]
 
+#: Adam's moment decays and denominator guard, and the decoupled weight
+#: decay every training run uses.
+BETAS = (0.9, 0.999)
+EPS = 1e-8
+WEIGHT_DECAY = 1e-4
+
 
 def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
     """Scale gradients so their global L2 norm is at most ``max_norm``.
@@ -43,16 +49,11 @@ class Adam:
     :meth:`load_moments`.
     """
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0) -> None:
+    def __init__(self, params: list[Tensor], lr: float = 1e-3) -> None:
         if lr <= 0:
             raise ValueError(f"lr must be > 0, got {lr}")
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self._step = 0
         ends = np.cumsum([p.data.size for p in self.params]).tolist()
         self._spans = list(zip([0] + ends[:-1], ends))
@@ -210,6 +211,8 @@ class Adam:
             m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
             u = (m/bias1) / (sqrt(v/bias2) + eps) + wd*p;  p -= lr*u
 
+        with ``(b1, b2) = BETAS``, ``eps = EPS`` and ``wd = WEIGHT_DECAY``,
+
         but it runs over the blocks of :meth:`_plan` (gradient-less
         parameters are skipped whole): each gathers its gradients into a
         scratch row and updates its slices of the moments and the store
@@ -218,10 +221,10 @@ class Adam:
         self._adopt()
         self._undo = []
         self._step += 1
-        bias1 = 1.0 - self.beta1 ** self._step
-        bias2 = 1.0 - self.beta2 ** self._step
-        b1, b2, eps, wd, lr = (self.beta1, self.beta2, self.eps,
-                               self.weight_decay, self.lr)
+        b1, b2 = BETAS
+        bias1 = 1.0 - b1 ** self._step
+        bias2 = 1.0 - b2 ** self._step
+        lr = self.lr
         grads = [p.grad for p in self.params]
         skipped = tuple(i for i, g in enumerate(grads) if g is None)
         plan = self._plans.get(skipped)
@@ -242,11 +245,10 @@ class Adam:
             np.divide(m, bias1, out=u)
             np.divide(v, bias2, out=t)
             np.sqrt(t, out=t)
-            t += eps
+            t += EPS
             u /= t
-            if wd:
-                np.multiply(data, wd, out=t)
-                u += t
+            np.multiply(data, WEIGHT_DECAY, out=t)
+            u += t
             u *= lr
             data -= u
 

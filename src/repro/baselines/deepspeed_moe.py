@@ -12,7 +12,7 @@ execution profile is :data:`repro.runtime.plan.FAIRSEQ_FEATURES`.
 
 from __future__ import annotations
 
-from repro.cluster.gemm import GemmModel, expert_ffn_time
+from repro.cluster.gemm import expert_ffn_time
 from repro.cluster.topology import ClusterTopology
 from repro.core.config import MoEConfig
 from repro.parallel.strategy import Parallelism, build_segment_spec
@@ -22,8 +22,7 @@ __all__ = [
 ]
 
 
-def deepspeed_fflayer_time(cfg: MoEConfig, topo: ClusterTopology,
-                           gemm: GemmModel | None = None) -> float:
+def deepspeed_fflayer_time(cfg: MoEConfig, topo: ClusterTopology) -> float:
     """Pure fflayer time in the raw A2A layout (paper Figure 7).
 
     The expert GEMM runs as ``W * dE`` batched problems of ``dC`` rows
@@ -32,5 +31,4 @@ def deepspeed_fflayer_time(cfg: MoEConfig, topo: ClusterTopology,
     """
     spec = build_segment_spec(cfg, Parallelism.EP, flexible_a2a=False)
     return expert_ffn_time(topo.gpu, spec.expert_batch, spec.expert_rows,
-                           spec.model_dim, spec.hidden_dim, gemm,
-                           backward=False)
+                           spec.model_dim, spec.hidden_dim)

@@ -156,14 +156,14 @@ def _cmd_analyze(args) -> None:
     events (``--trace`` here, or any observer-written trace: the last
     simulation recorded is re-attributed after the fact) or the
     keyword ``fig22``, which rebuilds the paper's pipelining segment at
-    ``--world``/``--factor`` and contrasts the unpipelined baseline
-    against the adaptive oracle strategy.
+    ``--world`` (capacity factor 4) and contrasts the unpipelined
+    baseline against the adaptive oracle strategy.
     """
     from repro.cluster.simulator import SimResult, simulate
     from repro.obs import analysis
     from repro.obs.trace import TraceRecorder
 
-    target, world, factor = args.target, args.world, args.factor
+    target, world = args.target, args.world
 
     def save_flagged(result, report) -> None:
         if args.trace:
@@ -196,7 +196,7 @@ def _cmd_analyze(args) -> None:
 
     cfg = MoEConfig(world_size=world, experts_per_gpu=2, model_dim=4096,
                     hidden_dim=4096, tokens_per_gpu=4096, top_k=2,
-                    capacity_factor=factor)
+                    capacity_factor=4.0)
     topo = ndv4_topology(world)
 
     def analyzed(strategy: PipelineStrategy):
@@ -211,7 +211,7 @@ def _cmd_analyze(args) -> None:
     base_result, base_report = analyzed(baseline)
     best_result, best_report = analyzed(best)
 
-    print(f"== Figure 22 segment, {world} GPUs, f={factor:g} ==\n")
+    print(f"== Figure 22 segment, {world} GPUs, f=4 ==\n")
     print(f"-- baseline {baseline.describe()} --")
     print(base_report.render())
     print()
@@ -384,8 +384,7 @@ def _cmd_overhead(args) -> None:
     from repro.obs.runs import RunStore, recording_run
     from repro.train.trainer import train_model
 
-    n_steps = (args.steps if args.steps is not None
-               else (8 if args.fast else 24))
+    n_steps = 8 if args.fast else 24
     config = {"kind": "obs_overhead", "fast": args.fast,
               "steps": n_steps}
 
@@ -510,8 +509,7 @@ def _cmd_serve(args) -> int:
     try:
         status = _run_targets(
             args, targets,
-            partial(serve_workload, fast=args.fast, seed=args.seed,
-                    p99_slo_ms=args.p99_slo),
+            partial(serve_workload, fast=args.fast, seed=args.seed),
             render_serve_results, emit_serving)
         if args.trace:
             ob.recorder.dump_chrome_trace(args.trace)
@@ -538,22 +536,18 @@ def _cmd_route(args) -> int:
         emit_routing,
         profile_from_events,
         render_routing,
+        SYNTHETIC_SHAPE,
         synthetic_profile,
         whatif_placements,
     )
 
-    # All committed workloads/demo models route model_dim=32 tokens;
-    # override with --bytes-per-token for anything else.
-    model_dim = 32
-    bytes_per_token = args.bytes_per_token
-    if bytes_per_token is None:
-        bytes_per_token = model_dim * default_itemsize()
+    # All committed workloads/demo models route model_dim=32 tokens.
+    bytes_per_token = 32 * default_itemsize()
 
     if args.fast:
         profile = synthetic_profile(args.seed)
-        config = {"mode": "fast", "seed": args.seed, "num_layers": 3,
-                  "num_experts": 8, "tokens_per_step": 512, "steps": 8,
-                  "top_k": 2, "num_gpus": args.gpus,
+        config = {"mode": "fast", "seed": args.seed, **SYNTHETIC_SHAPE,
+                  "num_gpus": args.gpus,
                   "gpus_per_node": args.gpus_per_node,
                   "bytes_per_token": bytes_per_token}
         print(f"[route] synthetic profile (seed {args.seed})")
@@ -801,19 +795,6 @@ def _int_at_least(minimum: int):
     return parse
 
 
-def _positive_float(text: str) -> float:
-    """argparse ``type``: a finite number > 0 (a usage error
-    otherwise)."""
-    try:
-        value = float(text)
-        if 0 < value < float("inf"):
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"must be a finite number > 0, got {text!r}")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -835,9 +816,6 @@ def main(argv: list[str] | None = None) -> int:
                        "events (analyze --trace, REPRO_TRACE, ...)")
     analyze_cmd.add_argument("--world", type=_int_at_least(1), default=64,
                              help="world size for the fig22 segment")
-    analyze_cmd.add_argument("--factor", type=_positive_float, default=4.0,
-                             help="capacity factor f for the fig22 "
-                                  "segment")
     analyze_cmd.add_argument("--trace", default=None,
                              help="write a critical-path-flagged Chrome "
                                   "trace here")
@@ -877,10 +855,6 @@ def main(argv: list[str] | None = None) -> int:
     serve_cmd.set_defaults(func=_cmd_serve)
     _add_named_args(serve_cmd, "workload", "BENCH_serving.json",
                     "shortened arrival horizons (CI smoke)")
-    serve_cmd.add_argument("--p99-slo", type=_positive_float,
-                           default=None, dest="p99_slo",
-                           help="override the modeled-p99 SLO bound in "
-                                "ms (a tiny value forces an SLO miss)")
     serve_cmd.add_argument("--trace", default=None,
                            help="write the Chrome trace (request flow "
                                 "events + batch stage spans) here")
@@ -907,11 +881,6 @@ def main(argv: list[str] | None = None) -> int:
                            default=2, dest="gpus_per_node",
                            help="GPUs per node in the scoring world "
                                 "(default 2)")
-    route_cmd.add_argument("--bytes-per-token", type=_int_at_least(1),
-                           default=None, dest="bytes_per_token",
-                           help="dispatch payload bytes per token-hop "
-                                "(default: model_dim 32 x substrate "
-                                "itemsize)")
     runs_cmd = sub.add_parser(
         "runs", help="query the persistent run registry")
     runs_cmd.set_defaults(func=_cmd_runs)
@@ -949,11 +918,6 @@ def main(argv: list[str] | None = None) -> int:
     overhead_cmd.set_defaults(func=_cmd_overhead)
     overhead_cmd.add_argument("--fast", action="store_true",
                               help="short run (CI smoke)")
-    overhead_cmd.add_argument("--steps", type=_int_at_least(1),
-                              default=None,
-                              help="override the instrumented step "
-                                   "count (default: 24, or 8 with "
-                                   "--fast)")
     profile_cmd = sub.add_parser(
         "profile",
         help="op-level FLOP/byte/memory profile of the seed model's "

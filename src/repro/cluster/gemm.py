@@ -68,8 +68,7 @@ def batched_gemm_time(gpu: GpuSpec, batch: int, rows: int, inner: int,
 
 
 def expert_ffn_time(gpu: GpuSpec, batch: int, rows: int, model_dim: int,
-                    hidden_dim: int, model: GemmModel | None = None,
-                    backward: bool = False) -> float:
+                    hidden_dim: int, backward: bool = False) -> float:
     """Time of one expert feed-forward layer on one GPU.
 
     The fflayer is two GEMMs, ``(rows, M) x (M, V)`` then
@@ -77,8 +76,6 @@ def expert_ffn_time(gpu: GpuSpec, batch: int, rows: int, model_dim: int,
     problems (the layout produced by All-to-All).  The backward pass
     costs twice the forward (grad wrt input + grad wrt weights).
     """
-    forward = (batched_gemm_time(gpu, batch, rows, model_dim, hidden_dim,
-                                 model)
-               + batched_gemm_time(gpu, batch, rows, hidden_dim, model_dim,
-                                   model))
+    forward = (batched_gemm_time(gpu, batch, rows, model_dim, hidden_dim)
+               + batched_gemm_time(gpu, batch, rows, hidden_dim, model_dim))
     return 3.0 * forward if backward else forward

@@ -48,7 +48,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 __all__ = [
     "Op",
-    "InterferenceModel",
+    "SLOWDOWN",
+    "interference_rate",
     "Schedule",
     "SimResult",
     "simulate",
@@ -106,35 +107,28 @@ class Op:
         return self._uid
 
 
-@dataclass(frozen=True)
-class InterferenceModel:
-    """Pairwise slowdown factors between concurrently active op kinds.
+#: Pairwise slowdown factors between concurrently active op kinds:
+#: ``SLOWDOWN[victim][aggressor]`` multiplies the victim's runtime while
+#: an op of the aggressor kind is active on the same GPU.  Plain NCCL
+#: kernels lightly perturb compute, whereas the 2DH stride-copy kernels
+#: compete for SMs more heavily — the asymmetry that makes the
+#: jointly-optimal pipelining strategy algorithm-dependent (paper
+#: Figure 5).
+SLOWDOWN: dict[str, dict[str, float]] = {
+    "compute": {"comm": 1.08, "comm_memcpy": 1.18},
+    "comm": {"compute": 1.22},
+    "comm_memcpy": {"compute": 1.38},
+}
 
-    ``slowdown[victim][aggressor]`` multiplies the victim's runtime
-    while an op of the aggressor kind is active on the same GPU.  The
-    defaults capture that plain NCCL kernels lightly perturb compute,
-    whereas the 2DH stride-copy kernels compete for SMs more heavily —
-    the asymmetry that makes the jointly-optimal pipelining strategy
-    algorithm-dependent (paper Figure 5).
-    """
 
-    slowdown: dict[str, dict[str, float]] = field(default_factory=lambda: {
-        "compute": {"comm": 1.08, "comm_memcpy": 1.18},
-        "comm": {"compute": 1.22},
-        "comm_memcpy": {"compute": 1.38},
-    })
-
-    def rate(self, kind: str, active_kinds: list[str]) -> float:
-        """Execution rate (<= 1.0) of ``kind`` given co-active kinds."""
-        table = self.slowdown.get(kind, {})
-        factor = 1.0
-        seen: set[str] = set()
-        for other in active_kinds:
-            if other in seen:
-                continue  # one aggressor of each kind is enough
-            seen.add(other)
-            factor *= table.get(other, 1.0)
-        return 1.0 / factor
+def interference_rate(kind: str, active_kinds: list[str]) -> float:
+    """Execution rate (<= 1.0) of ``kind`` given co-active kinds; one
+    aggressor of each kind is enough."""
+    table = SLOWDOWN.get(kind, {})
+    factor = 1.0
+    for other in dict.fromkeys(active_kinds):
+        factor *= table.get(other, 1.0)
+    return 1.0 / factor
 
 
 @dataclass
@@ -275,7 +269,6 @@ def _track(op: Op) -> str:
 
 
 def simulate(schedule: Schedule,
-             interference: InterferenceModel | None = None,
              faults: "FaultPlan | None" = None) -> SimResult:
     """Run the schedule to completion and return op spans.
 
@@ -293,7 +286,6 @@ def simulate(schedule: Schedule,
     re-charge).  Failures that hit an idle resource inject nothing but
     are still tallied.
     """
-    interference = interference or InterferenceModel()
     schedule.validate()
     plan = faults if (faults is not None and not faults.empty()) else None
 
@@ -420,7 +412,7 @@ def simulate(schedule: Schedule,
         for op in active:
             others = [a.kind for a in active
                       if a is not op and a.gpu == op.gpu]
-            rate = interference.rate(op.kind, others)
+            rate = interference_rate(op.kind, others)
             if plan:
                 rate *= plan.rate_scale(op.gpu, op.kind, now)
             rates[op] = rate

@@ -191,16 +191,11 @@ class ClusterTopology:
         from dataclasses import replace
         return replace(self, gpu=gpu)
 
-    def with_links(self, intra: LinkSpec,
-                   inter: LinkSpec | None = None) -> "ClusterTopology":
-        """Replace the channel models (calibration fit results).
-
-        With ``inter`` omitted the intra spec is used for both fabrics —
-        the single-machine calibration harness cannot distinguish them.
-        """
+    def with_links(self, link: LinkSpec) -> "ClusterTopology":
+        """One fitted channel model for both fabrics (calibration): the
+        single-machine calibration harness cannot distinguish them."""
         from dataclasses import replace
-        return replace(self, intra_link=intra,
-                       inter_link=inter if inter is not None else intra)
+        return replace(self, intra_link=link, inter_link=link)
 
     def with_degraded_inter_link(self, factor: float) -> "ClusterTopology":
         """Inter-node fabric derated to ``factor`` of nominal bandwidth.

@@ -257,7 +257,6 @@ def a2a_time(topo: ClusterTopology, total_bytes: float,
 
 
 def best_a2a_algorithm(topo: ClusterTopology, total_bytes: float,
-                       model: CollectiveCostModel = _DEFAULT,
                        candidates: tuple[A2AAlgorithm, ...] | None = None
                        ) -> tuple[A2AAlgorithm, float]:
     """Cheapest algorithm and its latency for this size and scale.
@@ -270,7 +269,7 @@ def best_a2a_algorithm(topo: ClusterTopology, total_bytes: float,
         raise ValueError("candidates must be non-empty when given")
     pool = candidates or (A2AAlgorithm.LINEAR, A2AAlgorithm.TWO_DH)
     costs = {
-        algo: a2a_time(topo, total_bytes, algo, model=model)
+        algo: a2a_time(topo, total_bytes, algo)
         for algo in pool
     }
     algo = min(costs, key=costs.__getitem__)

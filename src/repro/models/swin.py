@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cluster.topology import ClusterTopology, ndv4_topology
+from repro.cluster.topology import ndv4_topology
 from repro.core.config import MoEConfig
 from repro.runtime.plan import ExecutionFeatures, MoEStepBreakdown, moe_step_time
 
@@ -38,6 +38,12 @@ __all__ = [
 
 _MLP_RATIO = 4
 _TRAIN_FLOP_FACTOR = 3.0  # backward ~ 2x forward
+# The Table 8 MoE setting: 32 experts, top-1 routing at f = 1.0, and
+# 128 images per GPU.
+_NUM_EXPERTS = 32
+_TOP_K = 1
+_CAPACITY_FACTOR = 1.0
+_BATCH_PER_GPU = 128
 
 
 @dataclass(frozen=True)
@@ -155,41 +161,29 @@ class SwinMoESpeed:
     breakdowns: tuple[MoEStepBreakdown, ...]
 
 
-def _moe_layer_config(variant: SwinVariant, dim: int, tokens_per_image: int,
-                      batch_per_gpu: int, num_experts: int, world: int,
-                      top_k: int, capacity_factor: float) -> MoEConfig:
-    return MoEConfig(
-        world_size=world,
-        experts_per_gpu=num_experts / world,
-        model_dim=dim,
-        hidden_dim=dim * _MLP_RATIO,
-        tokens_per_gpu=tokens_per_image * batch_per_gpu,
-        top_k=top_k,
-        capacity_factor=capacity_factor)
-
-
 def swinv2_moe_speed(variant: SwinVariant, features: ExecutionFeatures,
-                     num_experts: int = 32, top_k: int = 1,
-                     capacity_factor: float = 1.0, world: int = 8,
-                     batch_per_gpu: int = 128,
-                     topo: ClusterTopology | None = None) -> SwinMoESpeed:
-    """End-to-end training and inference rates of SwinV2-MoE.
+                     world: int = 8) -> SwinMoESpeed:
+    """End-to-end training and inference rates of SwinV2-MoE on an
+    NDv4 cluster of ``world`` GPUs.
 
     The dense backbone time per step is anchored at the calibrated
     dense rate; every MoE layer replaces one dense fflayer, so its
     overhead is the MoE step time *minus* the dense fflayer it
     displaced (which is already inside the dense anchor).
     """
-    topo = topo or ndv4_topology(world)
-    dense_train_step = batch_per_gpu / variant.dense_train_rate
-    dense_infer_step = batch_per_gpu / variant.dense_infer_rate
+    topo = ndv4_topology(world)
+    dense_train_step = _BATCH_PER_GPU / variant.dense_train_rate
+    dense_infer_step = _BATCH_PER_GPU / variant.dense_infer_rate
 
     moe_train = 0.0
     moe_infer = 0.0
     breakdowns: list[MoEStepBreakdown] = []
     for _, dim, tokens in variant.moe_layer_plan():
-        cfg = _moe_layer_config(variant, dim, tokens, batch_per_gpu,
-                                num_experts, world, top_k, capacity_factor)
+        cfg = MoEConfig(
+            world_size=world, experts_per_gpu=_NUM_EXPERTS / world,
+            model_dim=dim, hidden_dim=dim * _MLP_RATIO,
+            tokens_per_gpu=tokens * _BATCH_PER_GPU, top_k=_TOP_K,
+            capacity_factor=_CAPACITY_FACTOR)
         train_bd = moe_step_time(cfg, topo, features, training=True)
         infer_bd = moe_step_time(cfg, topo, features, training=False)
         displaced_flops = (2.0 * cfg.tokens_per_gpu * 2 * dim
@@ -204,8 +198,8 @@ def swinv2_moe_speed(variant: SwinVariant, features: ExecutionFeatures,
     train_step = dense_train_step + moe_train
     infer_step = dense_infer_step + moe_infer
     return SwinMoESpeed(
-        train_rate=batch_per_gpu / train_step,
-        infer_rate=batch_per_gpu / infer_step,
+        train_rate=_BATCH_PER_GPU / train_step,
+        infer_rate=_BATCH_PER_GPU / infer_step,
         moe_train_overhead=moe_train,
         moe_infer_overhead=moe_infer,
         breakdowns=tuple(breakdowns))

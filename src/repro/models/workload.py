@@ -29,13 +29,17 @@ __all__ = [
 ]
 
 
+#: Layers in a Figure 1 model, and the needed factor its warm-up starts at.
+TRACE_LAYERS = 10
+TRACE_PEAK = 4.4
+
+
 def dynamic_capacity_trace(steps: int, layer_index: int = 0,
-                           num_layers: int = 10, peak: float = 4.4,
                            seed: int = 0) -> np.ndarray:
     """Needed capacity factor per training iteration (Figure 1 shape).
 
     The trace is ``base + transient + noise``: a warm-up transient that
-    decays over the first ~20% of training from ``peak`` toward the
+    decays over the first ~20% of training from ``TRACE_PEAK`` toward the
     steady level, multiplicative log-normal noise, and occasional
     routing-collapse spikes.  ``layer_index`` shifts the steady level
     (later layers in the paper's traces run hotter).
@@ -44,15 +48,15 @@ def dynamic_capacity_trace(steps: int, layer_index: int = 0,
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    if not 0 <= layer_index < num_layers:
-        raise ValueError(
-            f"layer_index must be in [0, {num_layers}), got {layer_index}")
+    if not 0 <= layer_index < TRACE_LAYERS:
+        raise ValueError(f"layer_index must be in [0, {TRACE_LAYERS}), "
+                         f"got {layer_index}")
     rng = np.random.default_rng(seed + 7919 * layer_index)
     t = np.arange(steps) / max(steps - 1, 1)
 
-    depth = layer_index / max(num_layers - 1, 1)
+    depth = layer_index / (TRACE_LAYERS - 1)
     steady = 1.15 + 0.8 * depth
-    warmup = (peak - steady) * np.exp(-t / 0.08)
+    warmup = (TRACE_PEAK - steady) * np.exp(-t / 0.08)
     noise = np.exp(rng.normal(0.0, 0.10, steps))
     spikes = (rng.random(steps) < 0.02) * rng.uniform(0.5, 1.5, steps)
     trace = (steady + warmup) * noise + spikes
@@ -68,15 +72,14 @@ TYPICAL_SETTINGS_AXES: dict[str, tuple] = {
 }
 
 
-def typical_settings(world_size: int, gpus_per_node: int = 8,
-                     top_k: int = 2,
-                     capacity_factor: float = 1.0) -> list[MoEConfig]:
+def typical_settings(world_size: int) -> list[MoEConfig]:
     """The 243 typical single-MoE-layer settings of paper Table 6.
 
     ``samples/step`` and ``tokens/sample`` multiply into the per-GPU
-    token count.  Settings whose expert sharding does not divide the
-    world size are skipped (cannot be placed), which never happens for
-    the even world sizes of the paper's sweep.
+    token count; every setting is top-2 at ``f = 1`` on 8-GPU nodes.
+    Settings whose expert sharding does not divide the world size are
+    skipped (cannot be placed), which never happens for the even world
+    sizes of the paper's sweep.
     """
     if world_size < 1:
         raise ValueError(f"world_size must be >= 1, got {world_size}")
@@ -89,13 +92,10 @@ def typical_settings(world_size: int, gpus_per_node: int = 8,
         if de < 1 and world_size % round(1 / de) != 0:
             continue
         num_experts = max(1, round(world_size * de))
-        cfg = MoEConfig(
-            world_size=world_size, gpus_per_node=gpus_per_node,
-            experts_per_gpu=de, model_dim=m, hidden_dim=v,
-            tokens_per_gpu=samples * tokens,
-            top_k=min(top_k, num_experts),
-            capacity_factor=capacity_factor)
-        configs.append(cfg)
+        configs.append(MoEConfig(
+            world_size=world_size, experts_per_gpu=de, model_dim=m,
+            hidden_dim=v, tokens_per_gpu=samples * tokens,
+            top_k=min(2, num_experts)))
     return configs
 
 

@@ -26,17 +26,10 @@ __all__ = [
 ]
 
 
-def expert_load(crit: RoutingCriteria,
-                count_dropped: bool = True) -> np.ndarray:
-    """Tokens routed to each expert (``(E,)`` counts).
-
-    With ``count_dropped=False`` only slots that survived the capacity
-    limit are counted — the load the experts actually process.
-    """
-    if count_dropped:
-        return crit.plan.load
-    return np.bincount(np.take(crit.idxs, crit.routes()[0]),
-                       minlength=crit.num_experts)
+def expert_load(crit: RoutingCriteria) -> np.ndarray:
+    """Tokens routed to each expert (``(E,)`` counts), dropped slots
+    included."""
+    return crit.plan.load
 
 
 def load_imbalance(crit: RoutingCriteria,
@@ -80,11 +73,12 @@ def load_gini(load: np.ndarray) -> float:
     return float((2 * weighted - (n + 1) * total) / (n * total))
 
 
-def routing_entropy(crit: RoutingCriteria, normalized: bool = True,
+def routing_entropy(crit: RoutingCriteria,
                     load: np.ndarray | None = None) -> float:
-    """Shannon entropy of the expert load distribution.
+    """Shannon entropy of the expert load distribution, normalized by
+    ``log(E)``.
 
-    1.0 (normalized) means uniform expert usage; 0 means collapse onto
+    1.0 means uniform expert usage; 0 means collapse onto
     a single expert — the failure mode the auxiliary loss prevents.
     Degenerate inputs return defined values instead of NaN: zero routed
     tokens give 0.0 (no evidence of spread), and a single-expert layer
@@ -99,8 +93,6 @@ def routing_entropy(crit: RoutingCriteria, normalized: bool = True,
         return 0.0
     nz = load[load > 0] / total
     entropy = float(-(nz * np.log(nz)).sum())
-    if not normalized:
-        return entropy
     if crit.num_experts <= 1:
         return 1.0
     return float(entropy / np.log(crit.num_experts))

@@ -59,12 +59,11 @@ or set ``REPRO_TRACE=/path/trace.json`` around any bench (see
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
     from repro.obs.overhead import OverheadLedger
     from repro.obs.profiler import Profiler
-    from repro.obs.registry import MetricsRegistry
     from repro.obs.runs import RunWriter
     from repro.obs.trace import TraceRecorder
 
@@ -172,29 +171,24 @@ class _Span:
 
 
 class Observer:
-    """A metrics registry plus (optionally) a trace recorder.
+    """A fresh metrics registry plus (optionally) a trace recorder.
 
-    ``clock`` defaults to :func:`time.perf_counter`; all wall-clock
-    spans are re-based to the observer's creation time so traces start
-    near zero and line up with simulated-clock tracks.
+    The clock is :func:`time.perf_counter`; all wall-clock spans are
+    re-based to the observer's creation time so traces start near zero
+    and line up with simulated-clock tracks.
     """
 
-    def __init__(self, registry: MetricsRegistry | None = None,
-                 recorder: TraceRecorder | None = None,
-                 clock: Callable[[], float] = time.perf_counter) -> None:
-        if registry is None:
-            from repro.obs import registry as _registry
-            registry = _registry.MetricsRegistry()
-        self.registry = registry
+    def __init__(self, recorder: TraceRecorder | None = None) -> None:
+        from repro.obs import registry as _registry
+        self.registry = _registry.MetricsRegistry()
         self.recorder = recorder
-        self._clock = clock
-        self._t0 = clock()
+        self._t0 = time.perf_counter()
 
     # -- clock ---------------------------------------------------------
 
     def clock(self) -> float:
         """Seconds on the observer timeline (0 at observer creation)."""
-        return self._clock() - self._t0
+        return time.perf_counter() - self._t0
 
     # -- spans ---------------------------------------------------------
 
@@ -285,12 +279,12 @@ def set_observer(ob: Observer | None) -> Observer | None:
     return previous
 
 
-def enable(trace: bool = True, max_events: int = 1_000_000) -> Observer:
+def enable(trace: bool = True) -> Observer:
     """Install and return a fresh process-wide observer."""
     recorder = None
     if trace:
         from repro.obs import trace as _trace
-        recorder = _trace.TraceRecorder(max_events=max_events)
+        recorder = _trace.TraceRecorder()
     ob = Observer(recorder=recorder)
     set_observer(ob)
     return ob

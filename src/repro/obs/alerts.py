@@ -376,12 +376,18 @@ class AlertEngine:
 # The default rule pack
 # ----------------------------------------------------------------------
 
+#: Thresholds of the default pack: normalized routing entropy floor,
+#: the share of its uniform load under which an expert reads as dead,
+#: the token drop rate that is a capacity alarm, and the ticks a fault
+#: may stay unrecovered.
+ENTROPY_FLOOR = 0.5
+DEAD_EXPERT_SHARE = 0.1
+DROP_RATE = 0.3
+RECOVERY_DEADLINE_TICKS = 5
+
+
 def default_rules(p99_ms: float | None = None,
-                  min_goodput_rps: float | None = None,
-                  entropy_floor: float = 0.5,
-                  dead_expert_share: float = 0.1,
-                  drop_rate: float = 0.3,
-                  recovery_deadline_ticks: int = 5
+                  min_goodput_rps: float | None = None
                   ) -> list[AlertRule]:
     """Serving SLO + routing health + resilience rules.
 
@@ -414,10 +420,10 @@ def default_rules(p99_ms: float | None = None,
     rules.extend([
         AlertRule(
             name="routing_entropy_floor", metric="routing.entropy",
-            op="<", threshold=entropy_floor, for_ticks=3,
+            op="<", threshold=ENTROPY_FLOOR, for_ticks=3,
             severity="warn",
-            resolve_threshold=min(1.0, entropy_floor + 0.05),
-            message=f"routing entropy below {entropy_floor:g} — "
+            resolve_threshold=min(1.0, ENTROPY_FLOOR + 0.05),
+            message=f"routing entropy below {ENTROPY_FLOOR:g} — "
                     "gate collapsing"),
         AlertRule(
             name="entropy_drift", metric="routing.entropy",
@@ -434,16 +440,16 @@ def default_rules(p99_ms: float | None = None,
                     "nearly all tokens"),
         AlertRule(
             name="dead_expert", metric="routing.expert_share",
-            op="<", threshold=dead_expert_share, for_ticks=5,
+            op="<", threshold=DEAD_EXPERT_SHARE, for_ticks=5,
             severity="critical",
-            resolve_threshold=min(1.0, 1.5 * dead_expert_share),
+            resolve_threshold=min(1.0, 1.5 * DEAD_EXPERT_SHARE),
             message="expert draws under "
-                    f"{dead_expert_share:.0%} of its uniform share"),
+                    f"{DEAD_EXPERT_SHARE:.0%} of its uniform share"),
         AlertRule(
             name="drop_rate_high", metric="routing.dropped_fraction",
-            op=">", threshold=drop_rate, for_ticks=2,
-            severity="warn", resolve_threshold=0.8 * drop_rate,
-            message=f"token drop rate above {drop_rate:.0%} — "
+            op=">", threshold=DROP_RATE, for_ticks=2,
+            severity="warn", resolve_threshold=0.8 * DROP_RATE,
+            message=f"token drop rate above {DROP_RATE:.0%} — "
                     "capacity factor too low"),
         AlertRule(
             name="capacity_overflow",
@@ -457,9 +463,9 @@ def default_rules(p99_ms: float | None = None,
         AlertRule(
             name="recovery_overdue", metric="faults.outstanding",
             op=">", threshold=0.0,
-            for_ticks=recovery_deadline_ticks, severity="critical",
+            for_ticks=RECOVERY_DEADLINE_TICKS, severity="critical",
             message="a fault has gone unrecovered past the "
-                    f"{recovery_deadline_ticks}-tick deadline"),
+                    f"{RECOVERY_DEADLINE_TICKS}-tick deadline"),
     ])
     return rules
 

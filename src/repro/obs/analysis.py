@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cluster.simulator import (
-    InterferenceModel,
     Op,
     Schedule,
     SimResult,
@@ -304,9 +303,7 @@ def clone_schedule(schedule: Schedule,
     return out
 
 
-def whatif_bounds(schedule: Schedule,
-                  interference: InterferenceModel | None = None
-                  ) -> dict[str, float]:
+def whatif_bounds(schedule: Schedule) -> dict[str, float]:
     """Counterfactual makespans bounding further comms optimisation.
 
     * ``actual`` — the schedule as given.
@@ -325,8 +322,7 @@ def whatif_bounds(schedule: Schedule,
     from repro import obs
 
     def run(work_fn=None) -> float:
-        return simulate(clone_schedule(schedule, work_fn),
-                        interference).makespan
+        return simulate(clone_schedule(schedule, work_fn)).makespan
 
     previous = obs.set_observer(None)
     try:
@@ -423,9 +419,7 @@ class AnalysisReport:
 
 
 def analyze(result: SimResult,
-            schedule: Schedule | None = None,
-            interference: InterferenceModel | None = None
-            ) -> AnalysisReport:
+            schedule: Schedule | None = None) -> AnalysisReport:
     """Full analysis of one simulation outcome.
 
     With ``schedule`` provided (or recoverable from the result's own
@@ -444,5 +438,5 @@ def analyze(result: SimResult,
         overlap_efficiency=overlap_efficiency(result),
     )
     if schedule is not None:
-        report.bounds = whatif_bounds(schedule, interference)
+        report.bounds = whatif_bounds(schedule)
     return report

@@ -294,22 +294,24 @@ def _a2a_runner(w: Workload,
     return _timed(lambda: flexible_all_to_all(inputs, 0, 0))
 
 
+#: Back-to-back invocations of one workload per measuring round.
+BURST = 3
+
+
 def measure_workloads(workloads: list[Workload], repeats: int = 4,
-                      burst: int = 3, seed: int = 0
-                      ) -> list[Measurement]:
+                      seed: int = 0) -> list[Measurement]:
     """Measure every workload, interleaved in bursts, keeping the best.
 
     Each of ``repeats`` rounds visits the workloads round-robin and
-    runs each as a back-to-back *burst* of ``burst`` invocations (the
+    runs each as a back-to-back *burst* of ``BURST`` invocations (the
     first burst doubles as warmup); the overall per-workload minimum is
     kept.  Bursts keep caches warm for the measured invocation —
     matching the steady-state regime the simulator models — while the
     round-robin turns transient host slowdowns into common mode across
     workloads instead of a bias against whichever ran during them.
     """
-    if repeats < 1 or burst < 1:
-        raise ValueError(
-            f"repeats and burst must be >= 1, got {repeats}, {burst}")
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     rng = np.random.default_rng(seed)
     runners: list[Callable[[], float]] = []
     for w in workloads:
@@ -324,7 +326,7 @@ def measure_workloads(workloads: list[Workload], repeats: int = 4,
     best = [float("inf")] * len(runners)
     for rnd in range(repeats):
         for i, run in enumerate(runners):
-            walls = [run() for _ in range(burst + (1 if rnd == 0 else 0))]
+            walls = [run() for _ in range(BURST + (1 if rnd == 0 else 0))]
             if rnd == 0:
                 walls = walls[1:]  # first call of round 0 is warmup
             best[i] = min(best[i], *walls)
@@ -563,17 +565,17 @@ def _error_stats(errors: list[float]) -> dict:
     }
 
 
-def run_calibration(fast: bool = False, repeats: int = 4,
-                    seed: int = 0) -> CalibrationReport:
-    """Measure, fit, re-simulate, and report simulator fidelity."""
+def run_calibration(fast: bool = False, seed: int = 0) -> CalibrationReport:
+    """Measure, fit, re-simulate, and report simulator fidelity: four
+    measuring rounds for the compute kernels."""
     compute = gemm_workloads(fast) + moe_kernel_workloads(fast)
     a2a = a2a_workloads(fast)
     # The all-to-all walls are microseconds-scale and the jumpiest on a
     # busy host; give them ~3x the sampling (still cheap in absolute
     # terms) so the per-point minimum reliably finds the fast mode.
     measurements = (
-        measure_workloads(compute, repeats=repeats, seed=seed)
-        + measure_workloads(a2a, repeats=3 * repeats, seed=seed))
+        measure_workloads(compute, repeats=4, seed=seed)
+        + measure_workloads(a2a, repeats=12, seed=seed))
     calibrated = fit_topology(measurements)
 
     rows: list[dict] = []

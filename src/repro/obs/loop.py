@@ -11,7 +11,7 @@ three calls the attachment owns
   opens a :class:`~repro.obs.runs.recording_run`, whose exit is the
   run's one exit path — ``complete``, or ``failed`` (plus the
   exception type) when the loop raised;
-* the **alert engine**: built from the caller's rules, fed every
+* the **alert engine**: the default rule pack, fed every
   event the run emits through ``RunWriter.on_event`` (so faults
   emitted by other subsystems count too) and evaluated when the
   tick's closing event arrives — exactly what a fresh engine
@@ -24,7 +24,7 @@ three calls the attachment owns
   layer — layers publish nothing themselves), counters and gauges,
   and the overhead ledger's per-iteration wall.
 
-With no run, no rules, no observer and no ledger every method returns
+With no run, no observer and no ledger every method returns
 after one attribute test, and :mod:`repro.obs.runs` /
 :mod:`repro.obs.alerts` are imported only when a run is opened or
 rules are built.
@@ -45,7 +45,7 @@ from repro.obs import (
 )
 
 if TYPE_CHECKING:
-    from repro.obs.alerts import AlertEngine, AlertRule, AlertTransition
+    from repro.obs.alerts import AlertEngine, AlertTransition
     from repro.obs.runs import RunWriter, recording_run
 
 __all__ = ["LoopTelemetry"]
@@ -56,21 +56,17 @@ class LoopTelemetry:
     docstring).
 
     ``kind`` / ``seed`` / ``config`` / ``substrate`` describe the
-    auto-run's manifest.  ``rules`` are explicit alert rules — an
-    engine evaluates them with or without a run; ``default_rules``
-    holds keyword arguments of :func:`repro.obs.alerts.default_rules`,
-    whose pack is used instead when a run is recording and no explicit
-    rules were given.
+    auto-run's manifest.  ``default_rules`` holds keyword arguments of
+    :func:`repro.obs.alerts.default_rules`, whose pack an engine
+    evaluates while a run is recording.
     """
 
     def __init__(self, kind: str, *, seed: int | None = None,
                  config: Mapping | None = None,
                  substrate: str = "functional",
-                 rules: Sequence[AlertRule] | None = None,
                  default_rules: Mapping | None = None) -> None:
         self._manifest = dict(seed=seed, substrate=substrate,
                               config={"kind": kind, **(config or {})})
-        self._rules = rules
         self._default_rules = default_rules
         self.run: RunWriter | None = None
         self.engine: AlertEngine | None = None
@@ -89,26 +85,26 @@ class LoopTelemetry:
         auto = get_run() is None and bool(os.environ.get("REPRO_RUNS_DIR"))
         defaults = (self._default_rules
                     if auto or get_run() is not None else None)
-        if self._rules is not None or defaults is not None:
+        if defaults is not None:
             from repro.obs import alerts
             self.engine = alerts.AlertEngine(
-                self._rules if self._rules is not None
-                else alerts.default_rules(**defaults))
+                alerts.default_rules(**defaults))
         if auto:
             from repro.obs import runs
             self._auto_run = runs.recording_run(**self._manifest)
             self._auto_run.__enter__()
+        # An engine exists only beside a recording run.
         self.run = get_run()
-        if self.engine is not None and self.run is not None:
+        if self.engine is not None:
             self.run.on_event = self._observe
         self._ob = get_observer()
         self._ledger = get_ledger()
-        self.active = not (self.run is None and self.engine is None
-                           and self._ob is None and self._ledger is None)
+        self.active = not (self.run is None and self._ob is None
+                           and self._ledger is None)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if self.engine is not None and self.run is not None:
+        if self.engine is not None:
             self.run.on_event = None
         if self._auto_run is not None:
             self._auto_run.__exit__(exc_type, exc, tb)
@@ -136,8 +132,6 @@ class LoopTelemetry:
             return
         if self.run is not None:
             self.run.emit(kind, step=step, data=data)
-        elif self.engine is not None:
-            self._observe({"kind": kind, "step": step, "data": data})
 
     def tick(self, step: int, kind: str,
              data: Mapping | Callable[[], Mapping], *,
@@ -153,7 +147,7 @@ class LoopTelemetry:
         it."""
         if not self.active:
             return
-        if self.run is not None or self.engine is not None:
+        if self.run is not None:
             self._routing_events(step, layers)
             self.event(kind, data() if callable(data) else data, step)
         if self._ob is not None:
@@ -192,8 +186,7 @@ class LoopTelemetry:
     def _routing_events(self, step: int, layers: Sequence) -> None:
         crits = [layer.last_routing_criteria for layer in layers]
         counts: Sequence[Mapping] = [{}] * len(crits)
-        if self.run is not None and crits \
-                and all(c is not None for c in crits):
+        if crits and all(c is not None for c in crits):
             if self._routing is None:
                 from repro.obs.routing import RoutingRecorder
                 self._routing = RoutingRecorder(len(crits),

@@ -69,6 +69,7 @@ __all__ = [
     "dispatch_schedule",
     "whatif_placements",
     "candidate_placements",
+    "SYNTHETIC_SHAPE",
     "synthetic_profile",
     "routing_metrics",
     "emit_routing",
@@ -461,19 +462,17 @@ def candidate_placements(num_experts: int, num_gpus: int
 
 def whatif_placements(profile: RoutingProfile,
                       topology: ClusterTopology, *,
-                      bytes_per_token: int,
-                      placements: Mapping[str, ExpertPlacement]
-                      | None = None) -> list[PlacementScore]:
-    """Re-price the recorded traffic under alternative placements.
+                      bytes_per_token: int) -> list[PlacementScore]:
+    """Re-price the recorded traffic under the
+    :func:`candidate_placements` of its expert count and world.
 
     No model re-run: the profile's dispatched counts are re-attributed
     under each placement on the same topology.  Results are sorted by
     (priced inter-node seconds, inter-node hops, name) so the cheapest
     placement leads.
     """
-    if placements is None:
-        placements = candidate_placements(profile.num_experts,
-                                          topology.num_gpus)
+    placements = candidate_placements(profile.num_experts,
+                                      topology.num_gpus)
     scores = []
     for pname in sorted(placements):
         placement = placements[pname]
@@ -498,11 +497,15 @@ def whatif_placements(profile: RoutingProfile,
 # Deterministic synthetic traffic (the `repro route --fast` source)
 # ----------------------------------------------------------------------
 
-def synthetic_profile(seed: int = 0, *, num_layers: int = 3,
-                      num_experts: int = 8, tokens: int = 512,
-                      steps: int = 8, top_k: int = 2,
-                      capacity_factor: float = 1.25) -> RoutingProfile:
-    """A seeded Markov routing trace through the real gating machinery.
+#: The synthetic trace's shape; ``repro route --fast`` records it as
+#: the run's config.
+SYNTHETIC_SHAPE = {"num_layers": 3, "num_experts": 8, "tokens_per_step": 512,
+                   "steps": 8, "top_k": 2}
+
+
+def synthetic_profile(seed: int = 0) -> RoutingProfile:
+    """A seeded Markov routing trace through the real gating machinery,
+    of :data:`SYNTHETIC_SHAPE` at ``f = 1.25``.
 
     Draws each token's primary expert from a skewed categorical at
     layer 0 and a sticky transition kernel afterwards (tokens tend to
@@ -519,18 +522,15 @@ def synthetic_profile(seed: int = 0, *, num_layers: int = 3,
     machines and BLAS builds: the property ``BENCH_routing.json`` gates
     at tolerance 0.
     """
-    import math
-
+    from repro.core.config import expert_capacity
     from repro.moe.metrics import routing_stats
     from repro.nn.moe import route
 
-    if top_k < 1 or top_k > num_experts:
-        raise ValueError(f"top_k must be in [1, {num_experts}]")
+    num_layers, num_experts, tokens, steps, top_k = SYNTHETIC_SHAPE.values()
     rng = np.random.default_rng(seed)
     rec = RoutingRecorder(num_layers, num_experts)
     events = []
-    capacity = max(1, math.ceil(top_k * tokens * capacity_factor
-                                / num_experts))
+    capacity = expert_capacity(top_k, 1.25, tokens, num_experts)
     # Sticky transition kernel: stay with probability ~0.55, move to a
     # neighbour with ~0.25, anywhere else uniformly.
     kernel = np.full((num_experts, num_experts),

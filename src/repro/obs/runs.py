@@ -349,7 +349,6 @@ class RunWriter:
         _write_manifest(self.directory, self.manifest)
 
     def finalize(self, registry_snapshot: Mapping | None = None,
-                 summary: Mapping | None = None,
                  error: BaseException | None = None) -> None:
         """Give the run its terminal status; persist summary + metrics.
 
@@ -359,8 +358,6 @@ class RunWriter:
         """
         if registry_snapshot is not None:
             _write_json(self.directory / _METRICS, registry_snapshot)
-        if summary is not None:
-            self.manifest.summary = dict(summary)
         if error is None:
             self.manifest.status = "complete"
         else:

@@ -58,13 +58,13 @@ class TraceEvent:
     phase: str = "X"
     args: dict = field(default_factory=dict)
 
-    def to_chrome(self, tid: int, pid: int = 0) -> dict:
+    def to_chrome(self, tid: int) -> dict:
         event = {
             "name": self.name,
             "cat": self.cat,
             "ph": self.phase,
             "ts": self.ts * _MICRO,
-            "pid": pid,
+            "pid": 0,
             "tid": tid,
         }
         if self.phase == "X":
@@ -133,8 +133,7 @@ class TraceRecorder:
                                phase="i", args=args or {}))
 
     def flow(self, name: str, cat: str, phase: str, ts: float,
-             flow_id: int, track: str = "main",
-             args: dict | None = None) -> None:
+             flow_id: int, track: str = "main") -> None:
         """Record one flow event (``ph`` in ``"s"``/``"t"``/``"f"``).
 
         Events with the same ``flow_id`` (and name/cat) are drawn as
@@ -145,10 +144,8 @@ class TraceRecorder:
         if phase not in ("s", "t", "f"):
             raise ValueError(
                 f"flow phase must be 's', 't' or 'f', got {phase!r}")
-        flow_args = dict(args or {})
-        flow_args["flow_id"] = int(flow_id)
         self.record(TraceEvent(name=name, cat=cat, ts=ts, track=track,
-                               phase=phase, args=flow_args))
+                               phase=phase, args={"flow_id": int(flow_id)}))
 
     def counter(self, name: str, cat: str, ts: float, values: dict,
                 track: str = "main") -> None:

@@ -36,12 +36,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.cluster.gemm import GemmModel, expert_ffn_time
+from repro.cluster.gemm import expert_ffn_time
 from repro.cluster.linkmodel import contiguous_memcpy_time
 from repro.cluster.topology import ClusterTopology
 from repro.collectives.schedule import (
     A2AAlgorithm,
-    a2a_time,
     all_gather_time,
     best_a2a_algorithm,
     reduce_scatter_time,
@@ -199,8 +198,6 @@ def param_comm_time(cfg: MoEConfig, topo: ClusterTopology,
 def strategy_cost(cfg: MoEConfig, topo: ClusterTopology,
                   strategy: Parallelism,
                   training: bool = True,
-                  gemm: GemmModel | None = None,
-                  a2a_algorithm: A2AAlgorithm | None = None,
                   a2a_candidates: tuple[A2AAlgorithm, ...] | None = None
                   ) -> StrategyCost:
     """Full per-iteration cost of running the MoE layer under a strategy.
@@ -219,17 +216,13 @@ def strategy_cost(cfg: MoEConfig, topo: ClusterTopology,
     param_bytes = (p1_communication_bytes(cfg)[1]
                    if strategy is Parallelism.P1_EP_DP else 0)
 
-    if a2a_algorithm is None:
-        algo, one_leg = best_a2a_algorithm(topo, spec.a2a_bytes,
-                                           candidates=a2a_candidates)
-    else:
-        algo = a2a_algorithm
-        one_leg = a2a_time(topo, spec.a2a_bytes, algo)
+    algo, one_leg = best_a2a_algorithm(topo, spec.a2a_bytes,
+                                       candidates=a2a_candidates)
     legs = 4 if training else 2
     comm = legs * one_leg + param_comm_time(cfg, topo, strategy, training)
     compute = expert_ffn_time(topo.gpu, spec.expert_batch,
                               spec.expert_rows, spec.model_dim,
-                              spec.hidden_dim, gemm, backward=training)
+                              spec.hidden_dim, backward=training)
     return StrategyCost(strategy=strategy, a2a_bytes=spec.a2a_bytes,
                         param_bytes=param_bytes, comm_time=comm,
                         compute_time=compute, a2a_algorithm=algo)
@@ -248,7 +241,6 @@ def available_strategies(cfg: MoEConfig) -> tuple[Parallelism, ...]:
 
 def best_strategy(cfg: MoEConfig, topo: ClusterTopology,
                   training: bool = True,
-                  gemm: GemmModel | None = None,
                   a2a_candidates: tuple[A2AAlgorithm, ...] | None = None
                   ) -> StrategyCost:
     """Cheapest admissible strategy for one iteration.
@@ -262,7 +254,7 @@ def best_strategy(cfg: MoEConfig, topo: ClusterTopology,
     system can re-run this after a rank failure and switch without
     moving a parameter.
     """
-    costs = [strategy_cost(cfg, topo, s, training=training, gemm=gemm,
+    costs = [strategy_cost(cfg, topo, s, training=training,
                            a2a_candidates=a2a_candidates)
              for s in available_strategies(cfg)]
     return min(costs, key=lambda c: c.total_time)

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cluster.gemm import GemmModel, expert_ffn_time
-from repro.cluster.simulator import InterferenceModel, Schedule, simulate
+from repro.cluster.gemm import expert_ffn_time
+from repro.cluster.simulator import Schedule, simulate
 from repro.cluster.topology import ClusterTopology
 from repro.collectives.schedule import A2AAlgorithm, Impl, Protocol, a2a_time
 from repro.core.config import MoEConfig
@@ -61,14 +61,11 @@ class PipelineStrategy:
         return f"{self.algorithm.value}/deg{self.degree}"
 
 
-def all_strategies(
-        degrees: tuple[int, ...] = VALID_DEGREES,
-        algorithms: tuple[A2AAlgorithm, ...] = (A2AAlgorithm.LINEAR,
-                                                A2AAlgorithm.TWO_DH),
-) -> list[PipelineStrategy]:
-    """The full static strategy grid (8 entries by default)."""
+def all_strategies() -> list[PipelineStrategy]:
+    """The full static strategy grid: 8 entries, linear then 2DH."""
     return [PipelineStrategy(degree=d, algorithm=a)
-            for a in algorithms for d in degrees]
+            for a in (A2AAlgorithm.LINEAR, A2AAlgorithm.TWO_DH)
+            for d in VALID_DEGREES]
 
 
 def _comm_kind(algorithm: A2AAlgorithm) -> str:
@@ -80,8 +77,7 @@ def _comm_kind(algorithm: A2AAlgorithm) -> str:
 
 def build_segment_schedule(spec: SegmentSpec, topo: ClusterTopology,
                            strategy: PipelineStrategy,
-                           training: bool = False,
-                           gemm: GemmModel | None = None) -> Schedule:
+                           training: bool = False) -> Schedule:
     """Op DAG of the pipelined dispatch-expert-combine segment.
 
     One representative GPU is modelled (symmetric collective work).
@@ -101,7 +97,7 @@ def build_segment_schedule(spec: SegmentSpec, topo: ClusterTopology,
         strategy.protocol, strategy.impl))
     rows_chunk = max(1, spec.expert_rows // degree)
     expert_chunk = expert_ffn_time(topo.gpu, spec.expert_batch, rows_chunk,
-                                   spec.model_dim, spec.hidden_dim, gemm,
+                                   spec.model_dim, spec.hidden_dim,
                                    backward=training)
     kind = _comm_kind(strategy.algorithm)
 
@@ -127,29 +123,23 @@ def build_segment_schedule(spec: SegmentSpec, topo: ClusterTopology,
 
 
 def segment_time(spec: SegmentSpec, topo: ClusterTopology,
-                 strategy: PipelineStrategy, training: bool = False,
-                 gemm: GemmModel | None = None,
-                 interference: InterferenceModel | None = None) -> float:
+                 strategy: PipelineStrategy, training: bool = False) -> float:
     """Makespan of the pipelined segment under a strategy."""
-    schedule = build_segment_schedule(spec, topo, strategy, training, gemm)
-    return simulate(schedule, interference).makespan
+    return simulate(
+        build_segment_schedule(spec, topo, strategy, training)).makespan
 
 
 def build_pipeline_schedule(cfg: MoEConfig, topo: ClusterTopology,
                             strategy: PipelineStrategy,
-                            training: bool = False,
-                            gemm: GemmModel | None = None) -> Schedule:
+                            training: bool = False) -> Schedule:
     """Convenience wrapper: the EP segment of a plain :class:`MoEConfig`."""
     return build_segment_schedule(build_segment_spec(cfg, Parallelism.EP),
-                                  topo, strategy, training, gemm)
+                                  topo, strategy, training)
 
 
 def pipeline_segment_time(cfg: MoEConfig, topo: ClusterTopology,
                           strategy: PipelineStrategy,
-                          training: bool = False,
-                          gemm: GemmModel | None = None,
-                          interference: InterferenceModel | None = None
-                          ) -> float:
+                          training: bool = False) -> float:
     """Makespan of the EP segment of a plain :class:`MoEConfig`."""
     return segment_time(build_segment_spec(cfg, Parallelism.EP), topo,
-                        strategy, training, gemm, interference)
+                        strategy, training)

@@ -17,7 +17,7 @@ Covers the encode/decode cost gap of paper Section 4.2 / Figure 24:
 
 from __future__ import annotations
 
-from repro.cluster.gemm import GemmModel, batched_gemm_time
+from repro.cluster.gemm import batched_gemm_time
 from repro.cluster.topology import GpuSpec
 from repro.core.config import MoEConfig
 
@@ -44,8 +44,7 @@ def gating_time(cfg: MoEConfig, gpu: GpuSpec) -> float:
     return 3 * gpu.kernel_launch_overhead + gate_gemm + streaming
 
 
-def dense_encode_time(cfg: MoEConfig, gpu: GpuSpec,
-                      gemm: GemmModel | None = None) -> float:
+def dense_encode_time(cfg: MoEConfig, gpu: GpuSpec) -> float:
     """Dense dispatch einsum ``"tec,tm->ecm"`` as a GEMM.
 
     Shapes: ``(E*dC, T) x (T, M)`` — the contraction length is the
@@ -55,19 +54,18 @@ def dense_encode_time(cfg: MoEConfig, gpu: GpuSpec,
     """
     rows = cfg.num_global_experts * cfg.capacity_per_gpu
     gemm_time = batched_gemm_time(gpu, 1, rows, cfg.tokens_per_gpu,
-                                  cfg.model_dim, gemm)
+                                  cfg.model_dim)
     mask_bytes = (cfg.tokens_per_gpu * cfg.num_global_experts
                   * cfg.capacity_per_gpu * _FP32)
     mask_time = 2.0 * mask_bytes / gpu.memory_bandwidth
     return gemm_time + mask_time + gpu.kernel_launch_overhead
 
 
-def dense_decode_time(cfg: MoEConfig, gpu: GpuSpec,
-                      gemm: GemmModel | None = None) -> float:
+def dense_decode_time(cfg: MoEConfig, gpu: GpuSpec) -> float:
     """Dense combine einsum ``"tec,ecm->tm"`` — the mirror GEMM."""
     inner = cfg.num_global_experts * cfg.capacity_per_gpu
     gemm_time = batched_gemm_time(gpu, 1, cfg.tokens_per_gpu, inner,
-                                  cfg.model_dim, gemm)
+                                  cfg.model_dim)
     combine_bytes = (cfg.tokens_per_gpu * cfg.num_global_experts
                      * cfg.capacity_per_gpu * _FP32)
     return (gemm_time + 2.0 * combine_bytes / gpu.memory_bandwidth
@@ -94,11 +92,10 @@ def sparse_scatter_time(cfg: MoEConfig, gpu: GpuSpec) -> float:
             + sparse_scatter_bytes(cfg) / gpu.memory_bandwidth)
 
 
-def encode_decode_time(cfg: MoEConfig, gpu: GpuSpec, fast: bool,
-                       gemm: GemmModel | None = None) -> tuple[float, float]:
+def encode_decode_time(cfg: MoEConfig, gpu: GpuSpec,
+                       fast: bool) -> tuple[float, float]:
     """(encode, decode) kernel times for the selected implementation."""
     if fast:
         scatter = sparse_scatter_time(cfg, gpu)
         return scatter, scatter
-    return (dense_encode_time(cfg, gpu, gemm),
-            dense_decode_time(cfg, gpu, gemm))
+    return dense_encode_time(cfg, gpu), dense_decode_time(cfg, gpu)

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.cluster.gemm import GemmModel, expert_ffn_time
-from repro.cluster.simulator import InterferenceModel
+from repro.cluster.gemm import expert_ffn_time
 from repro.cluster.topology import ClusterTopology
 from repro.collectives.schedule import A2AAlgorithm
 from repro.core.config import MoEConfig
@@ -120,10 +119,7 @@ def choose_parallelism(cfg: MoEConfig, topo: ClusterTopology,
 
 def moe_step_time(cfg: MoEConfig, topo: ClusterTopology,
                   features: ExecutionFeatures,
-                  training: bool = True,
-                  gemm: GemmModel | None = None,
-                  interference: InterferenceModel | None = None
-                  ) -> MoEStepBreakdown:
+                  training: bool = True) -> MoEStepBreakdown:
     """Plan and time one MoE layer iteration under an execution mode."""
     parallelism = choose_parallelism(cfg, topo, features, training)
     spec = build_segment_spec(cfg, parallelism, features.flexible_a2a)
@@ -135,8 +131,7 @@ def moe_step_time(cfg: MoEConfig, topo: ClusterTopology,
     chosen = None
     best_time = float("inf")
     for strategy in candidates:
-        elapsed = segment_time(spec, topo, strategy, training, gemm,
-                               interference)
+        elapsed = segment_time(spec, topo, strategy, training)
         if elapsed < best_time:
             best_time = elapsed
             chosen = strategy
@@ -144,8 +139,7 @@ def moe_step_time(cfg: MoEConfig, topo: ClusterTopology,
 
     gate = gating_time(cfg, topo.gpu)
     encode, decode = encode_decode_time(cfg, topo.gpu,
-                                        fast=features.fast_kernels,
-                                        gemm=gemm)
+                                        fast=features.fast_kernels)
     kernel_factor = 2.0 if training else 1.0
     gate *= kernel_factor
     encode *= kernel_factor
@@ -153,8 +147,7 @@ def moe_step_time(cfg: MoEConfig, topo: ClusterTopology,
 
     expert_compute = expert_ffn_time(topo.gpu, spec.expert_batch,
                                      spec.expert_rows, spec.model_dim,
-                                     spec.hidden_dim, gemm,
-                                     backward=training)
+                                     spec.hidden_dim, backward=training)
     param_comm = param_comm_time(cfg, topo, parallelism, training)
 
     return MoEStepBreakdown(

@@ -139,8 +139,7 @@ def price_replacement(old_world: int, new_world: int, experts: int,
     copied from one current host; each source GPU serializes its
     outgoing copies on its comm stream and the cluster simulator turns
     the transfer DAG into a makespan.  ``topology`` must span
-    ``max(old_world, new_world)`` ranks (pass a calibrated topology's
-    ``at_world`` result to price on fitted link coefficients).
+    ``max(old_world, new_world)`` ranks.
     """
     if topology.num_gpus < max(old_world, new_world):
         raise ValueError(
@@ -170,13 +169,12 @@ def price_replacement(old_world: int, new_world: int, experts: int,
     return simulate(schedule).makespan, moved
 
 
-def _sim_shapes(sc: Scenario,
-                topology_fn) -> tuple[MoEConfig, ClusterTopology]:
+def _sim_shapes(sc: Scenario) -> tuple[MoEConfig, ClusterTopology]:
     cfg = MoEConfig(model_dim=1024, hidden_dim=4096,
                     tokens_per_gpu=4096,
                     experts_per_gpu=sc.sim_experts / sc.sim_world,
                     world_size=sc.sim_world, top_k=2)
-    return cfg, topology_fn(sc.sim_world)
+    return cfg, ndv4_topology(sc.sim_world)
 
 
 def _throughput(cfg: MoEConfig, topo: ClusterTopology) -> float:
@@ -231,20 +229,13 @@ def _ckpt_step(path: str) -> int:
 # ----------------------------------------------------------------------
 
 def run_scenario(scenario: Scenario, fast: bool = False,
-                 checkpoint_dir: str | None = None,
-                 calibrated=None) -> ScenarioResult:
+                 checkpoint_dir: str | None = None) -> ScenarioResult:
     """Execute one scenario; never raises on an SLO miss — the report
     carries the verdict (``repro scenario`` turns it into exit codes).
-
-    ``calibrated`` is an optional
-    :class:`repro.obs.calibrate.CalibratedTopology`; when given, every
-    performance-substrate price (recovery re-selection, brownout
-    switch, elastic re-placement) is computed on the fitted link and
-    GPU coefficients instead of the nominal NDv4 model.
+    Every performance-substrate price (recovery re-selection, brownout
+    switch, elastic re-placement) is computed on the NDv4 model.
     """
     sc = scenario.resolved(fast)
-    topology_fn = (calibrated.at_world if calibrated is not None
-                   else ndv4_topology)
     result = ScenarioResult(scenario=sc, fast=fast)
 
     ckpt_ctx = (tempfile.TemporaryDirectory(prefix="repro-scenario-")
@@ -257,7 +248,7 @@ def run_scenario(scenario: Scenario, fast: bool = False,
         tel.event("scenario", {
             "kind": "begin", "name": sc.name, "seed": sc.seed,
             "steps": sc.steps, "events": len(sc.events)}, 0)
-        _execute(sc, result, ckpt_dir, topology_fn, tel)
+        _execute(sc, result, ckpt_dir, tel)
         for check in result.checks:
             tel.event("slo_check", check.event_data(), -1)
         tel.summary({
@@ -274,12 +265,11 @@ def run_scenario(scenario: Scenario, fast: bool = False,
 
 
 def _execute(sc: Scenario, result: ScenarioResult,
-             checkpoint_dir: str, topology_fn,
-             tel: LoopTelemetry) -> None:
+             checkpoint_dir: str, tel: LoopTelemetry) -> None:
     from repro.train.trainer import train_model
 
     train_batch, test_batch = _build_batches(sc)
-    sim_cfg, sim_topo = _sim_shapes(sc, topology_fn)
+    sim_cfg, sim_topo = _sim_shapes(sc)
     slo = sc.slo
 
     injections: dict[int, list] = {}
@@ -442,7 +432,7 @@ def _execute(sc: Scenario, result: ScenarioResult,
     world = sc.sim_world
     resizes = sc.of_kind(ElasticResize)
     for ev in resizes:
-        big = topology_fn(max(world, ev.new_world))
+        big = ndv4_topology(max(world, ev.new_world))
         seconds, moved = price_replacement(
             world, ev.new_world, sc.sim_experts, big,
             sim_cfg.expert_parameter_bytes)
@@ -451,11 +441,11 @@ def _execute(sc: Scenario, result: ScenarioResult,
         old_tput = _throughput(
             sim_cfg.with_(world_size=world,
                           experts_per_gpu=sc.sim_experts / world),
-            topology_fn(world))
+            ndv4_topology(world))
         new_tput = _throughput(
             sim_cfg.with_(world_size=ev.new_world,
                           experts_per_gpu=sc.sim_experts / ev.new_world),
-            topology_fn(ev.new_world))
+            ndv4_topology(ev.new_world))
         ratio = new_tput / old_tput if old_tput > 0 else 1.0
         if ev.new_world > world:
             scaleup_ratios.append(ratio)

@@ -26,7 +26,6 @@ caller-installed observer (``repro serve --trace``).
 
 from __future__ import annotations
 
-import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -35,6 +34,7 @@ import numpy as np
 
 from repro.autograd.tensor import Tensor
 from repro.bench.report import Metric, NamedRunResult, SLOCheck
+from repro.core.config import expert_capacity
 from repro.core.substrate import default_dtype
 from repro.moe.metrics import load_gini
 from repro.nn.moe import MoE
@@ -85,9 +85,10 @@ def price_stages(wl: ServeWorkload, tokens: int,
     * ``gate``       — ``2·T·M·E`` flops (router GEMM + selection);
     * ``dispatch``   — ``T·k·M`` float32 values over the serving
       fabric (the All-to-All scatter analogue);
-    * ``expert_ffn`` — ``4·E·C·M·H`` flops with capacity
-      ``C = ceil(k·T·f/E)`` (two GEMMs, forward only, padded to
-      capacity exactly like the real encode);
+    * ``expert_ffn`` — ``4·E·C·M·H`` flops with the Equation (1)
+      capacity ``C = ceil(k·f·T/E)`` (two GEMMs, forward only, priced
+      as if every expert ran ``C`` rows; the real expert kernel
+      multiplies only the occupied rows);
     * ``combine``    — ``T·k·M`` values back over the fabric.
 
     ``comm_derate`` < 1 models a brownout: fabric stages slow by its
@@ -99,9 +100,8 @@ def price_stages(wl: ServeWorkload, tokens: int,
     if not 0.0 < comm_derate <= 1.0:
         raise ValueError(
             f"comm_derate must be in (0, 1], got {comm_derate}")
-    m, h, e = wl.model_dim, wl.hidden_dim, wl.num_experts
-    k, f = wl.top_k, wl.capacity_factor
-    cap = math.ceil(k * tokens * f / e)
+    m, h, e, k = wl.model_dim, wl.hidden_dim, wl.num_experts, wl.top_k
+    cap = expert_capacity(k, wl.capacity_factor, tokens, e)
     comm_bytes = tokens * k * m * BYTES_PER_VALUE
     seconds = {
         "gate": 2.0 * tokens * m * e / COMPUTE_FLOPS_PER_S,

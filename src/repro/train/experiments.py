@@ -129,13 +129,8 @@ def train_moe(scale: ExperimentScale, num_experts: int | None = None,
               top_k: int = 1, capacity_factor: float = 1.25,
               router: str = "linear", batch_prioritized: bool = False,
               task: ClusteredTokenTask | None = None,
-              infer_capacity_factor: float | None = None,
               return_model: bool = False):
-    """Train one MoE classifier configuration and evaluate it.
-
-    ``infer_capacity_factor`` re-evaluates at a different capacity
-    (Table 12's separate train-f/infer-f protocol).
-    """
+    """Train one MoE classifier configuration and evaluate it."""
     task = task or make_task(scale)
     num_experts = num_experts or scale.num_clusters
     train, test = _data(task, scale)
@@ -148,9 +143,6 @@ def train_moe(scale: ExperimentScale, num_experts: int | None = None,
     result = train_model(model, train, test, steps=scale.steps,
                          batch_size=scale.batch_size, lr=scale.lr,
                          seed=scale.seed)
-    if infer_capacity_factor is not None:
-        model.set_inference_capacity(infer_capacity_factor)
-        result.eval_accuracy = evaluate(model, test)
     out = AccuracyResult(
         name=f"moe-E{num_experts}-k{top_k}",
         eval_accuracy=result.eval_accuracy,
@@ -212,11 +204,15 @@ def router_comparison(scale: ExperimentScale
     }
 
 
-def finetune_frozen_vs_tuned(scale: ExperimentScale,
-                             finetune_samples: int = 64,
-                             finetune_steps: int = 200,
-                             finetune_lr: float = 2e-3,
-                             drift: float = 0.1) -> dict[str, float]:
+#: Table 10's downstream task: 64 samples at drift 0.1, fine-tuned for
+#: 200 steps at learning rate 2e-3.
+FINETUNE_SAMPLES = 64
+FINETUNE_STEPS = 200
+FINETUNE_LR = 2e-3
+DRIFT = 0.1
+
+
+def finetune_frozen_vs_tuned(scale: ExperimentScale) -> dict[str, float]:
     """Table 10: downstream fine-tuning, tuned vs frozen MoE layers.
 
     Pre-trains on the main task, then fine-tunes on a *small* drifted
@@ -229,12 +225,12 @@ def finetune_frozen_vs_tuned(scale: ExperimentScale,
     in the paper).
     """
     task = make_task(scale)
-    down = task.downstream(seed=scale.seed + 5, drift=drift)
-    down_train = down.sample(finetune_samples,
+    down = task.downstream(seed=scale.seed + 5, drift=DRIFT)
+    down_train = down.sample(FINETUNE_SAMPLES,
                              np.random.default_rng(scale.seed + 6))
     down_test = down.sample(scale.test_samples,
                             np.random.default_rng(scale.seed + 7))
-    batch = min(64, finetune_samples)
+    batch = min(64, FINETUNE_SAMPLES)
 
     results: dict[str, float] = {}
     for freeze in (False, True):
@@ -242,8 +238,8 @@ def finetune_frozen_vs_tuned(scale: ExperimentScale,
         if freeze:
             model.freeze_moe()
         result = train_model(model, down_train, down_test,
-                             steps=finetune_steps, batch_size=batch,
-                             lr=finetune_lr, seed=scale.seed)
+                             steps=FINETUNE_STEPS, batch_size=batch,
+                             lr=FINETUNE_LR, seed=scale.seed)
         results["fixed" if freeze else "tuned"] = result.eval_accuracy
 
     dense = DenseClassifier(scale.input_dim, scale.model_dim,
@@ -255,8 +251,8 @@ def finetune_frozen_vs_tuned(scale: ExperimentScale,
                 batch_size=scale.batch_size, lr=scale.lr,
                 seed=scale.seed)
     result = train_model(dense, down_train, down_test,
-                         steps=finetune_steps, batch_size=batch,
-                         lr=finetune_lr, seed=scale.seed)
+                         steps=FINETUNE_STEPS, batch_size=batch,
+                         lr=FINETUNE_LR, seed=scale.seed)
     results["dense"] = result.eval_accuracy
     return results
 

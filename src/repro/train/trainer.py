@@ -89,19 +89,22 @@ def evaluate(model: Module, batch: TokenBatch) -> float:
     return _accuracy(logits.data, batch.y)
 
 
+#: Weight of the auxiliary load-balance loss, and the global gradient
+#: norm each step is clipped to.
+AUX_WEIGHT = 0.01
+GRAD_CLIP = 5.0
+
+
 def train_model(model: Module, train: TokenBatch, test: TokenBatch,
                 steps: int = 300, batch_size: int = 256,
-                lr: float = 3e-3, aux_weight: float = 0.01,
-                weight_decay: float = 1e-4, grad_clip: float = 5.0,
-                seed: int = 0,
+                lr: float = 3e-3, seed: int = 0,
                 top_k_schedule: Callable[[int], float] | None = None,
                 capacity_schedule: Callable[[int], float] | None = None,
                 checkpoint_every: int | None = None,
                 checkpoint_dir: str | None = None,
                 resume_from: str | None = None,
-                nonfinite_guard: bool = True,
-                step_hook: Callable[[int, Module], None] | None = None,
-                alert_rules=None) -> TrainResult:
+                step_hook: Callable[[int, Module], None] | None = None
+                ) -> TrainResult:
     """Train with Adam on cross-entropy + auxiliary load-balance loss.
 
     Records the runtime needed-capacity-factor trace of every MoE layer
@@ -115,15 +118,13 @@ def train_model(model: Module, train: TokenBatch, test: TokenBatch,
     every N completed steps; ``resume_from`` restores one and continues
     bit-identically (the model must be constructed from the same seed).
     ``step_hook(step, model)`` runs before each step — the scenario
-    engine uses it to fail an expert or poison a weight mid-run.
-    ``nonfinite_guard`` skips NaN/Inf steps and rolls parameters back
-    to the last good state instead of letting the divergence propagate.
+    engine uses it to fail an expert or poison a weight mid-run.  The
+    non-finite guard skips NaN/Inf steps and rolls parameters back to
+    the last good state instead of letting the divergence propagate.
 
-    ``alert_rules`` is an optional list of
-    :class:`repro.obs.alerts.AlertRule`; with a run recording (an
-    active run, or ``REPRO_RUNS_DIR`` set) the default rule pack is
-    evaluated when none is passed.  Firing transitions accumulate in
-    ``TrainResult.health_alerts``.
+    With a run recording (an active run, or ``REPRO_RUNS_DIR`` set) the
+    default alert rule pack is evaluated every step; firing transitions
+    accumulate in ``TrainResult.health_alerts``.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -144,16 +145,16 @@ def train_model(model: Module, train: TokenBatch, test: TokenBatch,
             save_checkpoint,
         )
     with LoopTelemetry(
-            "train", seed=seed, rules=alert_rules, default_rules={},
+            "train", seed=seed, default_rules={},
             config={"steps": steps, "batch_size": batch_size, "lr": lr,
-                    "aux_weight": aux_weight, "grad_clip": grad_clip,
+                    "aux_weight": AUX_WEIGHT, "grad_clip": GRAD_CLIP,
                     "resumed": resume_from is not None},
     ) as tel:
         rng = np.random.default_rng(seed)
         params = [p for p in model.parameters() if p.requires_grad]
         if not params:
             raise ValueError("model has no trainable parameters")
-        optimizer = Adam(params, lr=lr, weight_decay=weight_decay)
+        optimizer = Adam(params, lr=lr)
         result = TrainResult(run_id=tel.run_id, health_alerts=tel.fired)
         moe_layers = (model.moe_layers()
                       if isinstance(model, MoEClassifier) else [])
@@ -204,11 +205,9 @@ def train_model(model: Module, train: TokenBatch, test: TokenBatch,
                 # it runs only after both guards pass: a rolled-back step
                 # needs back only what the hook wrote, so the guard
                 # records the store around this call alone.
-                if nonfinite_guard:
-                    optimizer.snapshot()
+                optimizer.snapshot()
                 step_hook(step, model)
-                if nonfinite_guard:
-                    optimizer.shrink_snapshot()
+                optimizer.shrink_snapshot()
             with _span("step", CAT_TRAIN):
                 if scheduled:
                     apply_sparsity_schedules(model, step,
@@ -218,8 +217,8 @@ def train_model(model: Module, train: TokenBatch, test: TokenBatch,
                 xb, yb = train.x[idx], train.y[idx]
                 with _span("forward", CAT_TRAIN):
                     logits, l_aux = model(Tensor(xb))
-                    loss = cross_entropy(logits, yb) + l_aux * aux_weight
-                bad = nonfinite_guard and not np.isfinite(loss.data).all()
+                    loss = cross_entropy(logits, yb) + l_aux * AUX_WEIGHT
+                bad = not np.isfinite(loss.data).all()
                 if not bad:
                     with _span("backward", CAT_TRAIN):
                         optimizer.zero_grad()
@@ -228,8 +227,8 @@ def train_model(model: Module, train: TokenBatch, test: TokenBatch,
                         # One pass over the gradients serves the clip
                         # and the guard: a NaN/Inf anywhere in them
                         # makes the norm non-finite.
-                        gnorm = clip_grad_norm(params, grad_clip)
-                        bad = nonfinite_guard and not np.isfinite(gnorm)
+                        gnorm = clip_grad_norm(params, GRAD_CLIP)
+                        bad = not np.isfinite(gnorm)
                         if not bad:
                             optimizer.step()
                 if bad:
@@ -290,13 +289,13 @@ def train_model(model: Module, train: TokenBatch, test: TokenBatch,
 
 
 def linear_probe_accuracy(model: Module, probe_train: TokenBatch,
-                          probe_test: TokenBatch,
-                          l2: float = 1e-2) -> float:
+                          probe_test: TokenBatch) -> float:
     """Few-shot linear evaluation on frozen features.
 
     Fits a ridge-regression one-vs-all classifier on the penultimate
     features (closed form — no iterative training needed for a probe)
     and reports top-1 accuracy, mirroring the paper's 5-shot protocol.
+    The ridge penalty is 1e-2.
     """
     feats_train = model.features(Tensor(probe_train.x)).data
     feats_test = model.features(Tensor(probe_test.x)).data
@@ -305,7 +304,7 @@ def linear_probe_accuracy(model: Module, probe_train: TokenBatch,
     targets[np.arange(len(probe_train)), probe_train.y] = 1.0
 
     d = feats_train.shape[1]
-    gram = feats_train.T @ feats_train + l2 * np.eye(d)
+    gram = feats_train.T @ feats_train + 1e-2 * np.eye(d)
     weights = np.linalg.solve(gram, feats_train.T @ targets)
     scores = feats_test @ weights
     return _accuracy(scores, probe_test.y)

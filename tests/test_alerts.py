@@ -5,6 +5,7 @@ import pytest
 
 from repro.obs.alerts import (
     ALERTS_FAMILY,
+    RECOVERY_DEADLINE_TICKS,
     AlertEngine,
     AlertRule,
     default_rules,
@@ -149,7 +150,7 @@ class TestDeterminismAndSinks:
             severity="critical")])
         run_series(engine, "m", [2.0, 0.5, 2.0], registry=registry,
                    run=run)
-        run.finalize(summary={})
+        run.finalize()
 
         gname = labeled_name(ALERTS_FAMILY,
                              {"alertname": "hot",
@@ -189,7 +190,7 @@ class TestDeterminismAndSinks:
 
 class TestFaultTracking:
     def test_stream_hook_counts_faults_and_recoveries(self):
-        engine = AlertEngine(default_rules(recovery_deadline_ticks=2))
+        engine = AlertEngine(default_rules())
         engine.stream_hook({"kind": "fault", "data": {}})
         engine.stream_hook({"kind": "step"})
         assert engine.outstanding_faults == 1
@@ -198,16 +199,17 @@ class TestFaultTracking:
         assert engine.outstanding_faults == 0  # floored at zero
 
     def test_recovery_overdue_fires_then_resolves(self):
-        engine = AlertEngine(default_rules(recovery_deadline_ticks=2))
+        deadline = RECOVERY_DEADLINE_TICKS
+        engine = AlertEngine(default_rules())
         engine.stream_hook({"kind": "fault"})
         out = []
-        for tick in range(5):
-            if tick == 3:
+        for tick in range(deadline + 3):
+            if tick == deadline + 1:
                 engine.stream_hook({"kind": "recovery"})
             for tr in engine.evaluate(tick, {}):
                 out.append((tick, tr.rule.name, tr.state))
-        assert out == [(2, "recovery_overdue", "firing"),
-                       (3, "recovery_overdue", "resolved")]
+        assert out == [(deadline, "recovery_overdue", "firing"),
+                       (deadline + 1, "recovery_overdue", "resolved")]
 
 
 class TestDefaultRules:
@@ -292,11 +294,13 @@ class TestObserve:
                                 "data": {"p99_ms": 20.0}})
         assert [(t.tick, t.state) for t in fired] == [(4, "firing")]
         # A skipped step carries no samples but still advances holds.
-        engine = AlertEngine(default_rules(recovery_deadline_ticks=1))
+        engine = AlertEngine(default_rules())
         engine.observe({"kind": "fault", "step": 0, "data": {}})
-        engine.observe(step_event(0, loss=1.0))
-        fired = engine.observe({"kind": "step_skipped", "step": 1,
-                                "data": {"step": 1}})
+        for step in range(RECOVERY_DEADLINE_TICKS):
+            assert engine.observe(step_event(step, loss=1.0)) == []
+        fired = engine.observe({"kind": "step_skipped",
+                                "step": RECOVERY_DEADLINE_TICKS,
+                                "data": {"step": RECOVERY_DEADLINE_TICKS}})
         assert [t.rule.name for t in fired] == ["recovery_overdue"]
 
     def test_routing_samples_wait_for_the_closing_event(self):

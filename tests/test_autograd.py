@@ -13,7 +13,8 @@ from repro.autograd.functional import (
     linear,
     softmax,
 )
-from repro.autograd.optim import Adam, clip_grad_norm
+from repro.autograd import optim
+from repro.autograd.optim import BETAS, EPS, WEIGHT_DECAY, Adam, clip_grad_norm
 from repro.autograd.tensor import Tensor
 from repro.moe.ffn import BLOCK
 from tests.reference_ops import gelu, mean, relu, saving_ffn, take_along
@@ -499,13 +500,17 @@ class TestFusedAdam:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
-    def test_bitwise_equal_to_reference(self, dtype, weight_decay):
+    def test_bitwise_equal_to_reference(self, dtype, weight_decay,
+                                        monkeypatch):
+        # The fused arithmetic is the oracle's at any decay constant,
+        # zero (the oracle then skips the term) included.
+        monkeypatch.setattr(optim, "WEIGHT_DECAY", weight_decay)
         rng = np.random.default_rng(7)
         params = [Tensor(rng.normal(size=shape), requires_grad=True,
                          dtype=dtype) for shape in self.SHAPES]
-        hyper = dict(lr=3e-3, betas=(0.9, 0.999), eps=1e-8,
+        opt = Adam(params, lr=3e-3)
+        hyper = dict(lr=3e-3, betas=BETAS, eps=EPS,
                      weight_decay=weight_decay)
-        opt = Adam(params, **hyper)
         datas = [p.data.copy() for p in params]
         ms = [np.zeros_like(d) for d in datas]
         vs = [np.zeros_like(d) for d in datas]
@@ -592,7 +597,7 @@ class TestFusedAdam:
         rng = np.random.default_rng(2)
         params = [Tensor(rng.normal(size=s), requires_grad=True)
                   for s in [(4,), (BLOCK + 3,), (6,)]]
-        opt = Adam(params, lr=0.1, weight_decay=0.1)
+        opt = Adam(params, lr=0.1)
         for p in params:
             p.grad = np.ones(p.shape)
         opt.step()
@@ -616,7 +621,7 @@ class TestFusedAdam:
         p.grad, q.grad = np.ones((4, 3)), np.ones(2)
         opt.step()
         assert p.data.shape == (4, 3)
-        np.testing.assert_allclose(p.data, 1.9)
+        np.testing.assert_allclose(p.data, 2.0 - 0.1 * (1 + 2 * WEIGHT_DECAY))
         assert p.data.dtype == np.float64 and q.data.dtype == np.float32
         assert list(opt.stores) == [np.float64, np.float32]
         assert np.shares_memory(p.data, opt.stores[np.dtype(np.float64)])
@@ -706,13 +711,15 @@ class TestOptimizers:
         assert np.abs(w.data).max() < 0.05
 
     def test_weight_decay_shrinks(self):
+        # A zero gradient leaves only the decoupled decay: one step
+        # scales the weight by exactly 1 - lr * WEIGHT_DECAY.
         w = Tensor(np.array([1.0]), requires_grad=True)
-        opt = Adam([w], lr=0.1, weight_decay=1.0)
+        opt = Adam([w], lr=0.1)
         loss = (w * 0.0).sum()
         opt.zero_grad()
         loss.backward()
         opt.step()
-        assert float(w.data[0]) < 1.0
+        assert float(w.data[0]) == 1.0 - 0.1 * WEIGHT_DECAY
 
     def test_clip_grad_norm(self):
         w = Tensor(np.ones(4), requires_grad=True)

@@ -177,7 +177,7 @@ def calibrate_on(host: FlippingHost):
     with pytest.MonkeyPatch.context() as patch:
         for name in ("_gemm_runner", "_moe_runner", "_a2a_runner"):
             patch.setattr(calibrate, name, host.runner)
-        return run_calibration(fast=True, repeats=3)
+        return run_calibration(fast=True)
 
 
 class TestLiveCalibration:

@@ -47,13 +47,10 @@ class TestCommands:
 
     @pytest.mark.parametrize("argv", [
         ["profile", "--batch", "0"],
-        ["overhead", "--steps", "0"],
         ["route", "--fast", "--gpus", "0"],
         ["route", "--fast", "--gpus-per-node", "0"],
         ["route", "--fast", "--seed", "-1"],
-        ["analyze", "fig22", "--factor", "-1"],
         ["analyze", "fig22", "--world", "0"],
-        ["serve", "poisson_steady", "--p99-slo", "nan"],
         ["scenario", "compound_faults", "--seed", "-1"],
         ["calibrate", "--seed", "-1"],
     ], ids="_".join)
@@ -165,7 +162,8 @@ class TestRunsCommand:
             w.emit("alert", step=0, data={
                 "kind": "drop_rate", "severity": "warn",
                 "message": "too many drops"})
-            w.finalize(summary={"final_train_loss": loss})
+            w.update_summary({"final_train_loss": loss})
+            w.finalize()
         return tmp_path
 
     def test_runs_list(self, registry, capsys):
@@ -408,9 +406,16 @@ class TestServeCommand:
         assert "model_p99_ms" in out
         assert "measured_p99_ms" in out
 
-    def test_serve_forced_slo_miss_exits_nonzero(self, capsys):
+    def test_serve_forced_slo_miss_exits_nonzero(self, capsys,
+                                                 monkeypatch):
+        from dataclasses import replace
+
+        from repro.serve.workloads import WORKLOADS
+        wl = WORKLOADS["poisson_steady"]
+        monkeypatch.setitem(WORKLOADS, "poisson_steady",
+                            replace(wl, slo=replace(wl.slo, p99_ms=1e-4)))
         assert main(["serve", "poisson_steady", "--fast",
-                     "--seed", "0", "--p99-slo", "0.0001"]) == 1
+                     "--seed", "0"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
 
@@ -564,7 +569,7 @@ class TestRouteCommand:
             w.emit("routing", step=step, data={
                 "layer": 0, "tokens": 4, "expert_load": [0] * e,
                 "dispatched": [[0] * e] * SRC_BUCKETS})
-        w.finalize(summary={})
+        w.finalize()
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -591,7 +596,7 @@ class TestRunsShowEventsFilter:
                data={"layer": 0, "transitions": [[1]]})
         w.emit("routing", step=1,
                data={"layer": 0, "transitions": [[2]]})
-        w.finalize(summary={})
+        w.finalize()
         assert main(["runs", "show", "f1", "--dir", str(tmp_path),
                      "--events", "routing"]) == 0
         out = capsys.readouterr().out.strip().splitlines()
@@ -608,7 +613,7 @@ class TestRunsShowEventsFilter:
         w = RunWriter.create(root=tmp_path, run_id="f2", seed=0,
                              config={"kind": "train"}, created_at=1.0)
         w.emit("step", step=0, data={"loss": 1.0})
-        w.finalize(summary={})
+        w.finalize()
         assert main(["runs", "show", "f2", "--dir", str(tmp_path),
                      "--events", "serving_load"]) == 0
         assert "no 'serving_load' events" in capsys.readouterr().out
@@ -631,7 +636,7 @@ class TestClosedPipe:
             w.emit("alert", step=step, data={
                 "kind": "drop_rate", "severity": "warn",
                 "message": "too many drops"})
-        w.finalize(summary={})
+        w.finalize()
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -273,7 +273,7 @@ class TestAlertPlumbing:
 
     def test_alerts_land_in_run_stream(self, tmp_path):
         with recording_run(root=tmp_path, run_id="r", created_at=1.0):
-            with LoopTelemetry("train", rules=default_rules()) as tel:
+            with LoopTelemetry("train", default_rules={}) as tel:
                 tel.event("routing", {"layer": 0, "gini": 0.95,
                                       "expert_load": [9, 1]}, 5)
                 tel.tick(5, "step", {"loss": 1.0})
@@ -287,13 +287,12 @@ class TestAlertPlumbing:
         assert alerts[0]["data"]["layer"] == 0
 
     def test_failed_entry_leaves_no_run(self, tmp_path, monkeypatch):
-        # Duplicate rule names raise inside __enter__; the auto-run
-        # REPRO_RUNS_DIR asks for must not stay installed as "running"
-        # for the next loop of the process to write into.
+        # A rule pack that cannot be built raises inside __enter__; the
+        # auto-run REPRO_RUNS_DIR asks for must not stay installed as
+        # "running" for the next loop of the process to write into.
         monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path))
-        rule = default_rules()[0]
-        with pytest.raises(ValueError, match="duplicate"):
-            with LoopTelemetry("train", rules=[rule, rule]):
+        with pytest.raises(TypeError, match="bogus"):
+            with LoopTelemetry("train", default_rules={"bogus": 1}):
                 pass
         assert get_run() is None
         assert RunStore(tmp_path).manifests() == []

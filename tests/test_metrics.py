@@ -49,8 +49,10 @@ class TestExpertLoad:
         # All 32 tokens want expert 0 but only 4 fit its capacity.
         tight = route(np.tile([[0.9, 0.1, 0.0, 0.0]], (32, 1)),
                       1, capacity=4).crit
-        assert expert_load(tight, count_dropped=False).sum() == 4
-        assert expert_load(tight, count_dropped=True).sum() == 32
+        # The experts process the survivors (the occupancy); the load
+        # counts every routed slot.
+        assert tight.occupancy.sum() == 4
+        assert expert_load(tight).sum() == 32
 
 
 class TestImbalanceAndEntropy:
@@ -67,8 +69,13 @@ class TestImbalanceAndEntropy:
         assert routing_entropy(collapsed_crit()) == pytest.approx(0.0)
 
     def test_unnormalized_entropy(self):
-        raw = routing_entropy(balanced_crit(), normalized=False)
-        assert raw == pytest.approx(np.log(4))
+        # Normalized is the raw Shannon entropy over log(E).
+        crit = route(np.tile([[0.9, 0.1, 0.0, 0.0]], (32, 1)), 2,
+                     capacity=32).crit
+        share = expert_load(crit) / expert_load(crit).sum()
+        share = share[share > 0]
+        raw = -(share * np.log(share)).sum()
+        assert routing_entropy(crit) == pytest.approx(raw / np.log(4))
 
     def test_imbalance_equals_needed_f_for_top1(self):
         # The needed capacity factor of Figure 1 is exactly the

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.autograd.functional import ffn
 from repro.autograd.tensor import Tensor
 from repro.nn.models import DenseClassifier, MoEClassifier
 from repro.nn.modules import FFN, LayerNorm, Linear, Module
@@ -64,8 +65,10 @@ class TestModules:
         assert layer.num_parameters() == 4 * 3 + 3
 
     def test_ffn_rejects_bad_activation(self, rng):
+        block = FFN(4, 8, rng)
         with pytest.raises(ValueError):
-            FFN(4, 8, rng, activation="swish")
+            ffn(Tensor(rng.normal(size=(2, 4))), block.fc1.weight,
+                block.fc1.bias, block.fc2.weight, block.fc2.bias, "swish")
 
     def test_layernorm_normalizes(self, rng):
         ln = LayerNorm(16)

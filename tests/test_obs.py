@@ -593,8 +593,7 @@ class TestFlowEvents:
         for phase, ts, track in (("s", 0.25, "serve/requests"),
                                  ("t", 0.5, "serve/requests"),
                                  ("f", 0.75, "serve/engine")):
-            rec.flow("req 1", "serve", phase, ts, flow_id=1,
-                     track=track, args={"tokens": 9})
+            rec.flow("req 1", "serve", phase, ts, flow_id=1, track=track)
         path = str(tmp_path / "trace.json")
         rec.dump_chrome_trace(path)
         back = TraceRecorder.load_chrome_trace(path)
@@ -602,7 +601,7 @@ class TestFlowEvents:
             ["X", "i", "C", "s", "t", "f"]
         assert all(map(_same_event, back.events, rec.events))
         flow = back.events[3]
-        assert flow.args == {"tokens": 9, "flow_id": 1}
+        assert flow.args == {"flow_id": 1}
         assert flow.track == "serve/requests"
 
     def test_load_rejects_non_trace_json(self, tmp_path):

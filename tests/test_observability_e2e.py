@@ -2,9 +2,10 @@
 
 Trains a small MoE with an injected expert failure and a forced
 routing collapse, and asserts the full chain holds together: the run
-directory carries a manifest and event stream, the alert engine
-raises ``dead_expert`` and ``entropy_drift`` alerts at deterministic
-steps, and ``RunStore.diff`` reports deltas between two seeded runs.
+directory carries a manifest and event stream, the default alert rule
+pack raises ``dead_expert`` and ``entropy_drift`` alerts at
+deterministic steps, and ``RunStore.diff`` reports deltas between two
+seeded runs.
 """
 
 import json
@@ -13,28 +14,16 @@ import numpy as np
 import pytest
 
 from repro.nn.models import MoEClassifier
-from repro.obs.alerts import AlertRule
 from repro.obs.runs import RunStore, recording_run
 from repro.train.data import ClusteredTokenTask
 from repro.train.trainer import train_model
 
 FAIL_STEP = 6       # expert 3 of layer 0 dies here
 COLLAPSE_STEP = 14  # gate weights zeroed -> all tokens to experts 0..k-1
-DEAD_WINDOW = 4
+# The default pack calls an expert starved on six consecutive steps
+# dead (``for_ticks=5`` counts the ticks *after* the first bad one).
+DEAD_WINDOW = 6
 STEPS = 24
-
-# An expert starved on DEAD_WINDOW consecutive steps is dead
-# (``for_ticks`` counts the ticks *after* the first bad one); entropy
-# under the floor is a collapse at once, a 4-sigma EWMA drop a warning.
-RULES = [
-    AlertRule(name="dead_expert", metric="routing.expert_share",
-              op="<", threshold=0.1, for_ticks=DEAD_WINDOW - 1,
-              severity="critical", resolve_threshold=0.15),
-    AlertRule(name="entropy_drift", metric="routing.entropy", op="<",
-              threshold=0.5, severity="critical"),
-    AlertRule(name="entropy_z", metric="routing.entropy",
-              kind="ewma_z", op="<=", threshold=-4.0, warmup=4),
-]
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +44,7 @@ def chaos_hook(step, model):
     if step == COLLAPSE_STEP:
         # Zero gate weights -> uniform logits -> stable argsort routes
         # every token to experts 0..k-1: normalized entropy collapses
-        # to log(k)/log(E) = 1/3 < entropy_floor.
+        # to log(k)/log(E) = 1/3, a 4-sigma drop against its EWMA.
         model.moe_layers()[0].gate.weight.data[:] = 0.0
 
 
@@ -66,8 +55,7 @@ def run_scenario(root, run_id, seed, splits):
                        created_at=float(seed)) as run:
         result = train_model(
             fresh_model(seed), train, test, steps=STEPS,
-            batch_size=64, seed=seed, step_hook=chaos_hook,
-            alert_rules=RULES)
+            batch_size=64, seed=seed, step_hook=chaos_hook)
     assert result.run_id == run.manifest.run_id
     return result
 
@@ -115,11 +103,10 @@ class TestHealthAlerts:
         assert dict(dead[0].labels) == {"layer": 0, "expert": 3}
         assert dead[0].rule.severity == "critical"
 
-    def test_entropy_collapse_is_critical(self, scenario):
+    def test_entropy_collapse_is_flagged(self, scenario):
         _, result = scenario
         collapse = [a for a in result.health_alerts
-                    if a.rule.name == "entropy_drift"
-                    and a.rule.severity == "critical"]
+                    if a.rule.name == "entropy_drift"]
         assert collapse and collapse[0].tick == COLLAPSE_STEP
         # log(2)/log(8): both top-k slots pile onto experts 0..1
         assert collapse[0].value == pytest.approx(1 / 3, abs=1e-6)

@@ -457,21 +457,6 @@ class TestNonFiniteGuard:
         assert resumed.losses == full.losses
         assert resumed_params == full_params
 
-    def test_guard_disabled_lets_nan_through(self, splits):
-        train, test = splits
-        model = fresh_model()
-
-        def hook(step, m):
-            if step == 2:
-                victim = next(p for p in m.parameters()
-                              if p.requires_grad)
-                victim.data.flat[0] = np.nan
-
-        result = train_model(model, train, test, steps=5,
-                             batch_size=32, seed=0, step_hook=hook,
-                             nonfinite_guard=False)
-        assert not np.isfinite(result.losses).all()
-
 
 class TestExpertDegradation:
     def test_failed_expert_receives_no_tokens(self):
@@ -728,8 +713,8 @@ class TestTornWrites:
 
         writer = runs.RunWriter.create(root=tmp_path, run_id="r",
                                        created_at=1.0)
-        writer.finalize(registry_snapshot={"counters": {"a": 1}},
-                        summary={"loss": 0.5})
+        writer.update_summary({"loss": 0.5})
+        writer.finalize(registry_snapshot={"counters": {"a": 1}})
         run_dir = tmp_path / "r"
         before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
         monkeypatch.setattr(

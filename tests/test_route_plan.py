@@ -101,10 +101,8 @@ def oracle_occupancy(crit):
     return rows
 
 
-def oracle_load(crit, count_dropped=True):
-    idxs = (crit.idxs.reshape(-1) if count_dropped
-            else crit.idxs[_valid(crit) & (crit.gates != 0)])
-    return np.bincount(idxs, minlength=crit.num_experts)
+def oracle_load(crit):
+    return np.bincount(crit.idxs.reshape(-1), minlength=crit.num_experts)
 
 
 def oracle_dropped_fraction(crit):
@@ -194,9 +192,7 @@ def test_plan_consumers_match_the_mask_oracle(case):
         _same(got, want)
 
     _same(crit.occupancy, oracle_occupancy(crit))
-    for count_dropped in (True, False):
-        _same(expert_load(crit, count_dropped),
-              oracle_load(crit, count_dropped))
+    _same(expert_load(crit), oracle_load(crit))
     assert crit.dropped_fraction() == oracle_dropped_fraction(crit)
     assert crit.max_needed_capacity() == oracle_needed_capacity(crit)
     stats = routing_stats(crit, probs)

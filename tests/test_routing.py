@@ -182,7 +182,7 @@ class TestHopConservation:
     ])
     def test_synthetic_traffic_conserves(self, seed, name, placement,
                                          topo):
-        profile = synthetic_profile(seed, steps=2)
+        profile = synthetic_profile(seed)
         led = hop_ledger(profile, placement, topo, bytes_per_token=128,
                          name=name)
         assert led.total_hops == profile.total_dispatched
@@ -225,7 +225,7 @@ class TestHopConservation:
             assert float(total) == float(profile.total_dispatched)
 
     def test_single_node_world_has_no_inter_node_hops(self):
-        profile = synthetic_profile(0, steps=1)
+        profile = synthetic_profile(0)
         led = hop_ledger(profile, build_placement(4, 2),
                          ndv4_topology(4, gpus_per_node=4),
                          bytes_per_token=128)
@@ -234,7 +234,7 @@ class TestHopConservation:
         assert led.conserves(profile.total_dispatched)
 
     def test_world_not_dividing_src_buckets_rejected(self):
-        profile = synthetic_profile(0, steps=1)
+        profile = synthetic_profile(0)
         # A legal 3-GPU placement of 8 experts; 3 does not divide the
         # 16 recorded source buckets, so pricing must refuse.
         placement = ExpertPlacement(
@@ -250,7 +250,7 @@ class TestHopConservation:
                        bytes_per_token=128)
 
     def test_expert_count_mismatch_rejected(self):
-        profile = synthetic_profile(0, steps=1)  # 8 experts
+        profile = synthetic_profile(0)  # 8 experts
         with pytest.raises(ValueError, match="experts"):
             hop_ledger(profile, build_placement(4, 1),
                        ndv4_topology(4, gpus_per_node=2),
@@ -272,7 +272,7 @@ class TestScorerAgreesWithSimulator:
         lambda: round_robin_placement(4, 8),
     ])
     def test_priced_seconds_equal_makespan(self, placement_fn):
-        profile = synthetic_profile(0, steps=2)
+        profile = synthetic_profile(0)
         placement = placement_fn()
         cal = self._calibrated(4, 2)
         topo = cal.at_world(4)
@@ -288,7 +288,7 @@ class TestScorerAgreesWithSimulator:
         assert led.inter_node_bytes == 128 * led.inter_node
 
     def test_sharded_placement_agrees_too(self):
-        profile = synthetic_profile(1, steps=2)
+        profile = synthetic_profile(1)
         placement = build_placement(16, -2)
         topo = self._calibrated(16, 8).at_world(16)
         led = hop_ledger(profile, placement, topo, bytes_per_token=64)
@@ -298,7 +298,7 @@ class TestScorerAgreesWithSimulator:
             simulate(sched).makespan, rel=1e-12)
 
     def test_bottleneck_source_sets_the_price(self):
-        profile = synthetic_profile(0, steps=1)
+        profile = synthetic_profile(0)
         topo = ndv4_topology(4, gpus_per_node=2)
         led = hop_ledger(profile, build_placement(4, 2), topo,
                          bytes_per_token=128)
@@ -323,7 +323,7 @@ class TestWhatIfScorer:
             candidate_placements(3, 2)
 
     def test_scores_sorted_cheapest_first_and_conserve(self):
-        profile = synthetic_profile(0, steps=2)
+        profile = synthetic_profile(0)
         scores = whatif_placements(profile,
                                    ndv4_topology(4, gpus_per_node=2),
                                    bytes_per_token=128)
@@ -369,7 +369,7 @@ class TestSyntheticDeterminism:
         assert run() == run()
 
     def test_metrics_all_model_kind_tolerance_zero(self):
-        profile = synthetic_profile(0, steps=1)
+        profile = synthetic_profile(0)
         scores = whatif_placements(profile,
                                    ndv4_topology(4, gpus_per_node=2),
                                    bytes_per_token=128)

@@ -34,7 +34,8 @@ def make_run(root, run_id, created_at, seed=0, summary=None,
                               created_at=created_at)
     for kind, step, data in events:
         writer.emit(kind, step=step, data=data)
-    writer.finalize(summary=summary or {})
+    writer.update_summary(summary or {})
+    writer.finalize()
     return writer
 
 
@@ -79,8 +80,8 @@ class TestRunWriter:
         writer = RunWriter.create(root=tmp_path, run_id="r1",
                                   created_at=1.0)
         writer.emit("step", step=0, data={})
-        writer.finalize(registry_snapshot={"counters": {"n": 2.0}},
-                        summary={"loss": 0.1})
+        writer.update_summary({"loss": 0.1})
+        writer.finalize(registry_snapshot={"counters": {"n": 2.0}})
         store = RunStore(tmp_path)
         assert store.manifest("r1").status == "complete"
         assert store.manifest("r1").summary == {"loss": 0.1}
@@ -176,7 +177,7 @@ class TestTornTail:
         self._run_with_tail(tmp_path, '{"seq": 2, "kind": "trunc')
         writer = RunWriter.resume(tmp_path / "r1")
         writer.emit("step", step=2, data={"loss": 0.5})
-        writer.finalize(summary={})
+        writer.finalize()
         events = RunStore(tmp_path).events("r1")
         assert [e["seq"] for e in events] == [0, 1, 2]
         assert events[-1]["step"] == 2

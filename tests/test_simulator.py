@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.cluster.simulator import (
-    InterferenceModel,
+    SLOWDOWN,
     Op,
     Schedule,
     SimResult,
+    interference_rate,
     simulate,
 )
 from repro.obs import analysis
@@ -131,11 +132,10 @@ class TestStreams:
 
 class TestInterference:
     def test_overlap_slows_both(self):
-        model = InterferenceModel()
         s = Schedule()
         s.new_op(work=1.0, stream="compute", kind="compute", label="comp")
         s.new_op(work=1.0, stream="comm", kind="comm", label="comm")
-        makespan = simulate(s, model).makespan
+        makespan = simulate(s).makespan
         # Full overlap: both slowed, so longer than 1.0 but far less
         # than serial 2.0.
         assert 1.0 < makespan < 1.5
@@ -154,20 +154,34 @@ class TestInterference:
         s.new_op(work=1.0, stream="host", kind="host", label="h")
         assert simulate(s).makespan == pytest.approx(1.0)
 
-    def test_custom_interference_rate(self):
-        model = InterferenceModel(slowdown={"compute": {"comm": 2.0}})
+    def test_victim_aggressor_asymmetry(self):
+        # The table's asymmetry: NCCL slows compute less than compute
+        # slows NCCL, and the 2DH stride copies are the heavier
+        # aggressor and the heavier victim.
+        assert SLOWDOWN["compute"]["comm"] < SLOWDOWN["comm"]["compute"]
+        assert SLOWDOWN["compute"]["comm"] < \
+            SLOWDOWN["compute"]["comm_memcpy"]
+        assert SLOWDOWN["comm"]["compute"] < \
+            SLOWDOWN["comm_memcpy"]["compute"]
+        assert "host" not in SLOWDOWN
+
+    def test_slowdown_stretches_the_victim(self):
+        # A compute op under a long comm op runs at 1/1.08 of its rate.
         s = Schedule()
         s.new_op(work=1.0, stream="compute", kind="compute", label="c")
         s.new_op(work=10.0, stream="comm", kind="comm", label="x")
-        result = simulate(s, model)
+        result = simulate(s)
         comp = next(op for op in s.ops if op.label == "c")
         start, end = result.spans[comp]
-        assert end - start == pytest.approx(2.0)
+        assert end - start == pytest.approx(SLOWDOWN["compute"]["comm"])
 
     def test_rate_counts_each_kind_once(self):
-        model = InterferenceModel(slowdown={"compute": {"comm": 1.5}})
-        assert model.rate("compute", ["comm", "comm", "comm"]) == \
-            pytest.approx(1 / 1.5)
+        assert interference_rate("compute", ["comm", "comm", "comm"]) == \
+            1 / SLOWDOWN["compute"]["comm"]
+        assert interference_rate("compute", ["comm", "comm_memcpy"]) == \
+            1 / (SLOWDOWN["compute"]["comm"]
+                 * SLOWDOWN["compute"]["comm_memcpy"])
+        assert interference_rate("host", ["compute", "comm"]) == 1.0
 
 
 def reference_host_schedule(ops):

@@ -17,14 +17,14 @@ class TestDynamicTrace:
         assert (trace >= 1.0).all()
 
     def test_warmup_peak_early(self):
-        trace = dynamic_capacity_trace(1000, layer_index=0, peak=4.4)
+        trace = dynamic_capacity_trace(1000, layer_index=0)
         early = trace[:50].mean()
         late = trace[-200:].mean()
         assert early > 1.5 * late
 
     def test_figure1_dynamic_range(self):
         # "the workload changes up to 4.38x in a single training".
-        trace = dynamic_capacity_trace(2000, layer_index=9, peak=4.4)
+        trace = dynamic_capacity_trace(2000, layer_index=9)
         assert trace.max() / trace.min() > 2.0
 
     def test_layers_differ(self):
@@ -42,7 +42,7 @@ class TestDynamicTrace:
         with pytest.raises(ValueError):
             dynamic_capacity_trace(0)
         with pytest.raises(ValueError):
-            dynamic_capacity_trace(10, layer_index=10, num_layers=10)
+            dynamic_capacity_trace(10, layer_index=10)
 
 
 class TestTypicalSettings:
