@@ -93,8 +93,10 @@ class Tensor:
     @staticmethod
     def needs_tape(*operands: "Tensor") -> bool:
         """Whether an op on ``operands`` must tape (gradient or profiler)."""
-        return (any(t.requires_grad for t in operands)
-                or get_profiler() is not None)
+        for t in operands:
+            if t.requires_grad:
+                return True
+        return get_profiler() is not None
 
     # -- properties ------------------------------------------------------
 

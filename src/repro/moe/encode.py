@@ -115,12 +115,20 @@ def dense_decode(expert_output: np.ndarray,
 
 def _scatter_add_slots(out: np.ndarray, tokens: np.ndarray,
                        rows: np.ndarray, bounds: list[int]) -> None:
-    """``out[tokens] += rows`` slot by slot: a token appears once per
-    slot, so fancy '+=' is exact (no np.add.at).  Slot 0 lands on the
-    zero fill, and ``rows + 0.0`` is ``0.0 + rows`` bitwise."""
-    out[tokens[:bounds[1]]] = rows[:bounds[1]] + 0.0
+    """``out[tokens] += rows`` slot by slot, consuming ``rows``: a token
+    appears once per slot, so a gather, an add and a scatter are exact
+    (no np.add.at).  Slot 0 lands on the zero fill, and ``rows + 0.0``
+    is ``0.0 + rows`` bitwise; when it keeps every token they are in
+    order, so it is written without an index.  A later slot adds with
+    the accumulated value first, as '+=' does, so NaN bits match too."""
+    head = rows[:bounds[1]]
+    if len(head) == len(out):
+        np.add(head, 0.0, out=out)
+    else:
+        out[tokens[:bounds[1]]] = head + 0.0
     for a, b in zip(bounds[1:], bounds[2:]):
-        out[tokens[a:b]] += rows[a:b]
+        tok, slot = tokens[a:b], rows[a:b]
+        out[tok] = np.add(out.take(tok, axis=0), slot, out=slot)
 
 
 def fast_encode(x: np.ndarray, crit: RoutingCriteria) -> np.ndarray:

@@ -31,10 +31,22 @@ __all__ = [
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax."""
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=axis, keepdims=True)
+    """Numerically stable softmax over the last axis of ``(T, E)``
+    ``logits`` (``axis`` 1 or -1).
+
+    The row max is a column max over a contiguous copy of the
+    transpose: the same elements (a max rounds nothing), one vectorized
+    pass per column instead of one short reduction per row.  The sum
+    stays a row reduction, whose summation order the bits depend on.
+    """
+    if axis not in (1, -1) or logits.ndim != 2:
+        raise ValueError(f"softmax takes (T, E) logits over axis 1, got "
+                         f"{logits.shape} over axis {axis}")
+    shifted = np.subtract(logits, np.maximum.reduce(
+        np.ascontiguousarray(logits.T))[:, None])
+    np.exp(shifted, out=shifted)
+    shifted /= np.add.reduce(shifted, axis=1, keepdims=True)
+    return shifted
 
 
 class RoutePlan(NamedTuple):
@@ -56,23 +68,26 @@ def _route_plan(crit: "RoutingCriteria") -> RoutePlan:
     ``ValueError`` for an expert index outside ``[0, E)``, which would
     wrap into another expert's capacity cells."""
     idxs, locations, cap = crit.idxs, crit.locations, crit.capacity
-    experts = idxs.reshape(-1)
+    e = crit.num_experts
+    k, t = idxs.shape
+    experts, queue = idxs.reshape(-1), locations.reshape(-1)
     try:  # bincount rejects a negative index; one >= E lengthens it
-        load = np.bincount(experts, minlength=crit.num_experts)
+        load = np.bincount(experts, minlength=e)
     except ValueError:
         load = None
-    if load is None or load.size != crit.num_experts:
-        raise ValueError(f"idxs must be in [0, {crit.num_experts})")
-    valid = (locations >= 0) & (locations < cap)
+    if load is None or load.size != e:
+        raise ValueError(f"idxs must be in [0, {e})")
+    # One compare: a negative position wraps past any capacity.
+    valid = locations.astype(np.uint64) < cap
     pos = valid.reshape(-1).nonzero()[0]
-    kept, queue = experts[pos], locations.reshape(-1)[pos]
-    occupancy = np.zeros(crit.num_experts, dtype=locations.dtype)
+    kept, queue = experts.take(pos), queue.take(pos)
+    occupancy = np.zeros(e, dtype=locations.dtype)
     np.maximum.at(occupancy, kept, queue + 1)
-    for arr in (valid, load, occupancy):
-        arr.setflags(write=False)
-    t = crit.num_tokens
+    valid.setflags(write=False)
+    load.setflags(write=False)
+    occupancy.setflags(write=False)
     return RoutePlan(valid, pos, pos % max(t, 1), kept * cap + queue,
-                     pos.searchsorted(np.arange(crit.top_k + 1) * t).tolist(),
+                     pos.searchsorted(np.arange(k + 1) * t).tolist(),
                      load, occupancy,
                      int(locations.max()) + 1 if locations.size else 1)
 
@@ -136,11 +151,12 @@ class RoutingCriteria:
             raise ValueError(f"capacity must be >= 1, got {self.capacity}")
         if self.num_experts < 1:
             raise ValueError("num_experts must be >= 1")
-        if not {self.idxs.dtype.kind, self.locations.dtype.kind} <= {"i", "u"}:
+        if (self.idxs.dtype.kind not in "iu"
+                or self.locations.dtype.kind not in "iu"):
             raise ValueError("idxs and locations must be integer arrays")
         vars(self)["plan"] = _route_plan(self)
-        self.idxs.setflags(write=False)
-        self.locations.setflags(write=False)
+        idxs.setflags(write=False)
+        locations.setflags(write=False)
 
     def __setattr__(self, name: str, value: object) -> None:
         if name in _FIXED:
@@ -166,8 +182,8 @@ class RoutingCriteria:
         """``(pos, tokens, cells, gates, bounds)`` of the plan's kept
         routes less those whose gate is exactly 0 (not dispatched)."""
         plan = self.plan
-        gates = np.take(self.gates, plan.pos)
-        if gates.all():
+        gates = self.gates.take(plan.pos)
+        if np.logical_and.reduce(gates):  # no kept gate is 0
             return plan.pos, plan.tokens, plan.cells, gates, plan.bounds
         keep = gates != 0
         bounds = np.concatenate(([0], np.cumsum(keep)))[plan.bounds]
@@ -238,12 +254,15 @@ def compute_locations(idxs: np.ndarray, num_experts: int,
     # expert assignments then yields every route's queue position as
     # its rank within its expert's run — O(k*T*log(k*T)) with no
     # (T, E) one-hot or cumsum temporaries.
+    # The sort key is each expert id in the narrowest unsigned type that
+    # holds E - 1: a stable sort of <= 16-bit keys is a radix sort, and
+    # a stable sort has one answer whatever its algorithm.
     routes = idxs if order is None else idxs[:, order]
     flat = routes.reshape(-1)
-    perm = np.argsort(flat, kind="stable")
-    sorted_experts = flat[perm]
-    run_start = np.searchsorted(sorted_experts, sorted_experts,
-                                side="left")
+    perm = flat.astype(np.min_scalar_type(num_experts - 1)).argsort(
+        kind="stable")
+    sorted_experts = flat.take(perm)
+    run_start = sorted_experts.searchsorted(sorted_experts)
     ranks = np.empty(flat.shape[0], dtype=np.int64)
     ranks[perm] = np.arange(flat.shape[0], dtype=np.int64) - run_start
     locations = ranks.reshape(k, t)

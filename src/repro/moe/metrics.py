@@ -187,20 +187,16 @@ def routing_stats(crit: RoutingCriteria,
     lazy field is read.  Every load statistic reads one
     :func:`expert_load` vector.
     """
-    if gate_probs is not None and gate_probs.shape != (
-            crit.num_tokens, crit.num_experts):
+    k, t = crit.idxs.shape
+    e = crit.num_experts
+    if gate_probs is not None and gate_probs.shape != (t, e):
         raise ValueError(
-            f"gate_probs must be (T={crit.num_tokens}, "
-            f"E={crit.num_experts}), got {gate_probs.shape}")
+            f"gate_probs must be (T={t}, E={e}), got {gate_probs.shape}")
     load = expert_load(crit)
     return RoutingStats(
-        num_tokens=crit.num_tokens,
-        num_experts=crit.num_experts,
-        top_k=crit.top_k,
-        capacity=crit.capacity,
+        num_tokens=t, num_experts=e, top_k=k, capacity=crit.capacity,
         dropped_fraction=crit.dropped_fraction(),
         load_imbalance=load_imbalance(crit, load),
-        needed_capacity=crit.max_needed_capacity(),
-        expert_load=tuple(load.tolist()),
-        _crit=crit,
+        needed_capacity=crit.plan.needed_capacity,
+        expert_load=tuple(load.tolist()), _crit=crit,
         _top1_of=gate_probs.T if gate_probs is not None else crit.gates)

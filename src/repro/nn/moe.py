@@ -62,9 +62,12 @@ class Routing:
 
     @cached_property
     def selected(self) -> np.ndarray:
-        """``(k, T)`` probabilities of each token's chosen experts."""
-        t = self.order.shape[0]
-        return self.gate_probs[np.arange(t)[:, None], self.order].T
+        """``(k, T)`` probabilities of each token's chosen experts: the
+        transpose of a ``(T, k)`` gather at flat offsets ``t * E +
+        order[t, j]``."""
+        t, e = self.gate_probs.shape
+        flat = self.order + np.arange(0, t * e, e)[:, None]
+        return self.gate_probs.reshape(-1).take(flat).T
 
     @cached_property
     def gates(self) -> np.ndarray:
@@ -74,7 +77,9 @@ class Routing:
         gradient flows through."""
         gates = self.selected
         if gates.shape[0] > 1:
-            gates = gates / (gates.sum(axis=0, keepdims=True) + 1e-12)
+            den = np.add.reduce(gates, axis=0, keepdims=True)
+            den += 1e-12
+            gates = gates / den
         return gates
 
     @cached_property
@@ -324,15 +329,14 @@ class MoE(Module):
         router's GEMM skip :meth:`Tensor.from_op` too unless a profiler
         prices them.
         """
-        if x.ndim != 2:
+        if x.data.ndim != 2:
             raise ValueError(f"x must be (T, M), got {x.shape}")
-        if x.shape[0] < 1:
+        if len(x.data) < 1:
             raise ValueError(f"x must hold >= 1 token, got {x.shape}")
         k = top_k if top_k is not None else self.top_k
         policy = (CapacityPolicy(capacity_factor)
                   if capacity_factor is not None else self.capacity_policy)
-        taped = x.requires_grad or any(p.requires_grad
-                                       for p in self._grad_sources)
+        taped = any([t.requires_grad for t in (x, *self._grad_sources)])
 
         with stage(_GATE):
             if taped:

@@ -153,20 +153,21 @@ class _Span:
         self.start = 0.0
 
     def __enter__(self) -> "_Span":
-        if self._ob is not None:
-            self.start = self._ob.clock()
-        if self._prof is not None:
-            self._prof.stages.append(self.name)
-            self._prof.mark()
+        prof = self._prof
+        if prof is not None:
+            prof.stages.append(self.name)
+            prof.mark()
+        self.start = time.perf_counter()
         return self
 
     def __exit__(self, *exc: object) -> bool:
+        end = time.perf_counter()
         if self._prof is not None:
             self._prof.stages.pop()
         ob = self._ob
         if ob is not None:
-            ob.record_span(self.name, self.cat, self.start,
-                           ob.clock() - self.start, track=self.track)
+            ob.record_span(self.name, self.cat, self.start - ob._t0,
+                           end - self.start, self.track)
         return False
 
 
@@ -352,7 +353,7 @@ def stage(name: str) -> _Span | _NullSpan:
     ob, prof = _observer, _profiler
     if ob is None and prof is None:
         return NULL_SPAN
-    return _Span(ob, name, CAT_MOE, prof=prof)
+    return _Span(ob, name, CAT_MOE, "main", prof)
 
 
 def instant(name: str, cat: str = CAT_BENCH, track: str = "main",

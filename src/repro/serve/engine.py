@@ -195,13 +195,11 @@ def _emit_trace(ob: Observer, ledger: BatchLedger) -> None:
 
 
 def serve_workload(workload: ServeWorkload, *, fast: bool = False,
-                   seed: int | None = None,
-                   p99_slo_ms: float | None = None) -> ServeResult:
+                   seed: int | None = None) -> ServeResult:
     """Serve one workload's arrival trace end to end.
 
-    ``p99_slo_ms`` overrides the workload's modeled-p99 bound (the
-    forced-SLO-miss hook the CLI exposes).  Returns the
-    :class:`ServeResult`; inspect ``.passed`` for the SLO verdict.
+    Returns the :class:`ServeResult`; inspect ``.passed`` for the SLO
+    verdict.
     """
     wl = workload.resolved(fast=fast, seed=seed)
     requests = generate_arrivals(wl.arrival, wl.seed)
@@ -216,7 +214,6 @@ def serve_workload(workload: ServeWorkload, *, fast: bool = False,
     # serve.* instruments and the trace as well.
     own_obs = get_observer() is None
     ob = obs_enable(trace=False) if own_obs else get_observer()
-    p99_bound = p99_slo_ms if p99_slo_ms is not None else wl.slo.p99_ms
     try:
         # Per-batch alerting against this workload's SLO bounds; the
         # brownout's fault/recovery events feed faults.outstanding.
@@ -224,7 +221,7 @@ def serve_workload(workload: ServeWorkload, *, fast: bool = False,
                 "serve", seed=wl.seed, substrate="serve",
                 config={"workload": wl.name, "fast": fast,
                         "requests": len(requests)},
-                default_rules={"p99_ms": p99_bound,
+                default_rules={"p99_ms": wl.slo.p99_ms,
                                "min_goodput_rps": wl.slo.min_goodput_rps},
         ) as tel:
             result.run_id = tel.run_id
@@ -233,7 +230,7 @@ def serve_workload(workload: ServeWorkload, *, fast: bool = False,
                 "fast": fast, "requests": len(requests),
                 "horizon_s": wl.arrival.horizon_s}, 0)
             _serve_loop(wl, requests, result, ob, tel,
-                        p99_bound=p99_bound, publish=not own_obs)
+                        publish=not own_obs)
             if tel.run is not None:
                 _record_outcome(tel, result)
     finally:
@@ -268,7 +265,7 @@ def _record_outcome(tel: LoopTelemetry, result: ServeResult) -> None:
 
 def _serve_loop(wl: ServeWorkload, requests, result: ServeResult,
                 ob: Observer, tel: LoopTelemetry, *,
-                p99_bound: float, publish: bool) -> None:
+                publish: bool) -> None:
     t_wall0 = time.perf_counter()
     rng = np.random.default_rng(wl.seed)
     layers = [MoE(wl.model_dim, wl.hidden_dim, wl.num_experts, rng,
@@ -383,13 +380,13 @@ def _serve_loop(wl: ServeWorkload, requests, result: ServeResult,
 
     result.wall_seconds = time.perf_counter() - t_wall0
     _finish(wl, result, hist_model, hist_measured, loads,
-            routed_tokens, dropped_tokens, on_time, p99_bound=p99_bound)
+            routed_tokens, dropped_tokens, on_time)
 
 
 def _finish(wl: ServeWorkload, result: ServeResult,
             hist_model: Histogram, hist_measured: Histogram,
             loads, routed_tokens: int, dropped_tokens: int,
-            on_time: int, *, p99_bound: float) -> None:
+            on_time: int) -> None:
     result.expert_load = [list(row) for row in loads]
     makespan_ns = result.batches[-1].done_ns
     result.makespan_s = makespan_ns / NS
@@ -402,7 +399,7 @@ def _finish(wl: ServeWorkload, result: ServeResult,
 
     result.checks.append(SLOCheck(
         name=f"{wl.name}.model_p99_ms", value=model_p[0.99],
-        bound=p99_bound, op="<="))
+        bound=wl.slo.p99_ms, op="<="))
     result.checks.append(SLOCheck(
         name=f"{wl.name}.goodput_rps", value=goodput,
         bound=wl.slo.min_goodput_rps, op=">="))

@@ -55,12 +55,14 @@ def run_fresh(code: str, **env: str):
 def test_run_dir_and_alerts_from_env(tmp_path):
     events = run_fresh("""
         import json, os
+        from dataclasses import replace
         from pathlib import Path
         from repro.serve.engine import serve_workload
         from repro.serve.workloads import get_workload
 
-        res = serve_workload(get_workload("poisson_steady"), fast=True,
-                             seed=0, p99_slo_ms=1e-6)
+        wl = get_workload("poisson_steady")
+        wl = replace(wl, slo=replace(wl.slo, p99_ms=1e-6))
+        res = serve_workload(wl, fast=True, seed=0)
         path = Path(os.environ["REPRO_RUNS_DIR"]) / res.run_id
         print(json.dumps([json.loads(line) for line in
                           (path / "events.jsonl").read_text().splitlines()]))

@@ -190,7 +190,7 @@ def test_option_surface_is_pinned():
                     "REPRO_SCALE", "REPRO_TRACE"}
     # Every option in src/ has two values in use outside tests, or is
     # is kept for a reason the options census in CHANGES gives.
-    assert options == 211
+    assert options == 210
     assert (SRC / "cli.py").read_text().count("add_argument(") == 37
 
 

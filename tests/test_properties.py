@@ -7,7 +7,7 @@ sanity under arbitrary valid configurations.
 """
 
 from copy import deepcopy
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from unittest import mock
 
 import numpy as np
@@ -196,7 +196,10 @@ class HostileRouting:
     """One adversarial MoE problem: ``W = E * r`` ranks of ``T`` tokens
     and a layer's weights in ``dtype``; ``f`` is the Figure 16 setting
     under test, ``no_drop_f`` a factor whose ``dC = k * r * T`` drops
-    nothing and divides by ``r`` (what P1 needs)."""
+    nothing and divides by ``r`` (what P1 needs).  ``failed`` experts
+    and ``poison`` (``(row, column or None for the whole row, value)``
+    writes of ±inf / NaN into ``xs[0]``) apply only where a test asks
+    for them: :meth:`degraded` and :meth:`poisoned`."""
 
     w1: np.ndarray
     w2: np.ndarray
@@ -207,6 +210,8 @@ class HostileRouting:
     xs: list[np.ndarray]
     replicas: int
     f: float
+    failed: frozenset[int]
+    poison: tuple[tuple[int, int | None, float], ...]
 
     @property
     def num_experts(self) -> int:
@@ -237,6 +242,20 @@ class HostileRouting:
         layer = self.layer(f)
         layer.freeze()
         return layer
+
+    def degraded(self, f: float, router: str = "linear") -> MoE:
+        """:meth:`layer` with the ``failed`` experts masked out."""
+        layer = self.layer(f, router)
+        for expert in self.failed:
+            layer.mask_expert(expert)
+        return layer
+
+    def poisoned(self) -> np.ndarray:
+        """``xs[0]`` with the ``poison`` writes applied."""
+        x = self.xs[0].copy()
+        for row, col, value in self.poison:
+            x[row, slice(None) if col is None else col] = value
+        return x
 
     def cfg(self, world: int, capacity_factor: float | None = None
             ) -> MoEConfig:
@@ -270,13 +289,29 @@ def hostile_routing(draw) -> HostileRouting:
         for x in xs:
             x[:, 0] = 1.0
     f = draw(st.sampled_from([1e-3, 0.5, 1.0, 4.0, 0.0, -0.25, -8.0]))
+    poison = draw(st.lists(st.tuples(
+        st.integers(0, t - 1), st.none() | st.integers(0, m - 1),
+        st.sampled_from([np.inf, -np.inf, np.nan])), max_size=3))
     return HostileRouting(
         w1=rng.normal(size=(e, m, v)).astype(dtype),
         w2=rng.normal(size=(e, v, m)).astype(dtype),
         gate=gate.astype(dtype), top_k=k,
         batch_prioritized=draw(st.booleans()),
         activation=draw(st.sampled_from(["gelu", "relu"])),
-        xs=[x.astype(dtype) for x in xs], replicas=r, f=f)
+        xs=[x.astype(dtype) for x in xs], replicas=r, f=f,
+        failed=draw(st.frozensets(st.integers(0, e - 1),
+                                  max_size=e - 1)),
+        poison=tuple(poison))
+
+
+def _bits(value) -> object:
+    """``value`` compared by its bits: an array by dtype, shape and
+    bytes, a float by its float64 bytes (so NaN equals its own bits)."""
+    if isinstance(value, np.ndarray):
+        return value.dtype, value.shape, value.tobytes()
+    if isinstance(value, (float, np.floating)):
+        return np.float64(value).tobytes()
+    return value
 
 
 def _tol(dtype) -> float:
@@ -429,31 +464,41 @@ class TestOneRoutingDecision:
 class TestFrozenLayer:
     """A frozen ``nn.MoE`` routes on arrays instead of the tape; its
     output, ``l_aux`` and routing record are the trainable layer's, bit
-    for bit, on the hostile strategy."""
+    for bit (NaN bits included), on the hostile strategy with its failed
+    experts and its ±inf / NaN activation rows."""
 
     @settings(max_examples=120, deadline=None)
     @given(case=hostile_routing(),
-           router=st.sampled_from(["linear", "cosine"]), data=st.data())
-    def test_frozen_copy_is_the_trainable_layer(self, case, router, data):
-        x, e = case.xs[0], case.num_experts
-        layer = case.layer(case.f, router)
-        for expert in data.draw(st.sets(st.integers(0, e - 1),
-                                        max_size=e - 1)):
-            layer.mask_expert(expert)
+           router=st.sampled_from(["linear", "cosine"]))
+    def test_frozen_copy_is_the_trainable_layer(self, case, router):
+        x = case.poisoned()
+        layer = case.degraded(case.f, router)
         frozen = deepcopy(layer)
         frozen.freeze()
 
         # The forward runs under the process default (float32), so a
         # float64 layer also checks the promotion of the scalar operands.
-        out, l_aux = layer(Tensor(x, dtype=x.dtype))
-        out_f, l_aux_f = frozen(Tensor(x, dtype=x.dtype))
+        # Poisoned rows make inf - inf and 0 * inf on both sides.
+        with np.errstate(invalid="ignore", over="ignore",
+                         divide="ignore"):
+            out, l_aux = layer(Tensor(x, dtype=x.dtype))
+            out_f, l_aux_f = frozen(Tensor(x, dtype=x.dtype))
+            stats = [(name, getattr(s, name))
+                     for s in (layer.last_routing_stats,
+                               frozen.last_routing_stats)
+                     for name in [f.name for f in fields(s)
+                                  if not f.name.startswith("_")]
+                     + list(s.LAZY)]
+            aux = [a.data for a in (l_aux, l_aux_f)]
         assert out._parents and out._backward is not None
         assert out_f._parents == () and out_f._backward is None
         assert l_aux_f._parents == () and l_aux_f._backward is None
-        for a, b in ((out, out_f), (l_aux, l_aux_f)):
-            assert (a.data.dtype, a.shape) == (b.data.dtype, b.shape)
-            assert a.data.tobytes() == b.data.tobytes()
-        assert frozen.last_routing_stats == layer.last_routing_stats
+        for a, b in ((out.data, out_f.data), aux):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
+        half = len(stats) // 2
+        for (name, a), (_, b) in zip(stats[:half], stats[half:]):
+            assert _bits(a) == _bits(b), name
         assert frozen.last_effective_capacity_factor \
             == layer.last_effective_capacity_factor
         crit = layer.last_routing_criteria
@@ -461,8 +506,10 @@ class TestFrozenLayer:
         assert (crit.capacity, crit.num_experts) \
             == (crit_f.capacity, crit_f.num_experts)
         for field in ("idxs", "locations", "gates"):
-            a, b = getattr(crit, field), getattr(crit_f, field)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert _bits(getattr(crit, field)) \
+                == _bits(getattr(crit_f, field)), field
+        for field, a, b in zip(crit.plan._fields, crit.plan, crit_f.plan):
+            assert _bits(a) == _bits(b), field
 
     @staticmethod
     def _layer_pair(router):
